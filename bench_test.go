@@ -266,6 +266,7 @@ func BenchmarkCapacityIndex(b *testing.B) {
 			b.Run(fmt.Sprintf("backend=%s/n=%d", backend, n), func(b *testing.B) {
 				idx, horizon := loadedIndex(b, backend, n)
 				r := rng.New(7)
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					earliestFitCommitLoop(b, idx, r, horizon)

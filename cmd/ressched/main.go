@@ -9,8 +9,8 @@
 // Algorithms: lsrc-fifo, lsrc-lpt, lsrc-spt, lsrc-widest, lsrc-narrowest,
 // lsrc-maxwork, fcfs, cons-bf, easy-bf, shelf-nfdh, shelf-ffdh.
 //
-// Backends: array (flat sorted-array timeline, default) and tree (balanced
-// augmented interval tree; prefer it beyond ~10^4 reservations). Both
+// Backends: array (flat sorted-array timeline, default) and tree
+// (arena-backed balanced tree; prefer it beyond ~100 reservations). Both
 // produce identical schedules.
 package main
 

@@ -13,13 +13,14 @@
 //
 // All placement machinery runs against the profile.CapacityIndex seam,
 // with two interchangeable backends: the flat sorted-array Timeline
-// (internal/profile, the default) and a balanced augmented interval tree
+// (internal/profile, the default) and an arena-backed balanced tree
 // (internal/restree) whose subtree min-capacity aggregates give O(log n)
-// admission and aggregate-pruned earliest-fit queries. Every scheduler,
-// the simulator and the CLIs accept -backend={array,tree}; the backends
-// are proven equivalent by a differential fuzz harness and compared by
-// the root-level BenchmarkCapacityIndex (results in BENCH_restree.json —
-// the tree is ~46× faster at 10^5 reservations).
+// admission and a one-pass aggregate-pruned earliest-fit, allocating
+// nothing in steady state. Every scheduler, the simulator and the CLIs
+// accept -backend={array,tree}; the backends are proven equivalent by a
+// differential fuzz harness and compared by the root-level
+// BenchmarkCapacityIndex (results in BENCH_restree.json — the tree is
+// ~139× faster at 10^5 reservations).
 //
 // On top of that seam sits internal/resd, the concurrent
 // reservation-admission service: S shards, each one cluster partition

@@ -47,12 +47,14 @@ func (r *Recorder) Capture(reason string) (string, error) {
 	if r == nil || r.cfg.Dir == "" {
 		return "", fmt.Errorf("flight: bundle capture disabled (no directory configured)")
 	}
-	return r.writeBundle(reason)
+	return r.writeBundle(reason, r.State(), r.Warning())
 }
 
 // autoCapture is the watchdog's trigger path: rate-limited so a
-// flapping rule cannot fill the disk, and never fatal.
-func (r *Recorder) autoCapture(reason string) {
+// flapping rule cannot fill the disk, and never fatal. It runs before
+// the monitor publishes the judgment that triggered it, so the state
+// and warning the manifest records are handed in.
+func (r *Recorder) autoCapture(reason string, state Health, warning string) {
 	if r.cfg.Dir == "" {
 		return
 	}
@@ -68,7 +70,7 @@ func (r *Recorder) autoCapture(reason string) {
 			KV{"reason", reason}, KV{"min_interval", r.cfg.BundleMinInterval.String()})
 		return
 	}
-	if _, err := r.writeBundle(reason); err != nil {
+	if _, err := r.writeBundle(reason, state, warning); err != nil {
 		r.journal.Record(Error, "flight", -1, "bundle capture failed",
 			KV{"reason", reason}, KV{"err", err.Error()})
 	}
@@ -78,7 +80,7 @@ func (r *Recorder) autoCapture(reason string) {
 // one atomic rename, then retention pruning. Sections are best-effort
 // — a section that cannot be gathered is skipped rather than sinking
 // the whole capture (the manifest lists what made it).
-func (r *Recorder) writeBundle(reason string) (string, error) {
+func (r *Recorder) writeBundle(reason string, state Health, warning string) (string, error) {
 	r.bundleMu.Lock()
 	defer r.bundleMu.Unlock()
 	r.bundleSeq++
@@ -139,8 +141,8 @@ func (r *Recorder) writeBundle(reason string) (string, error) {
 		Name:    name,
 		Reason:  reason,
 		Wall:    time.Now().UTC().Format(time.RFC3339Nano),
-		State:   r.State(),
-		Warning: r.Warning(),
+		State:   state,
+		Warning: warning,
 		Go:      runtime.Version(),
 		Files:   append(files, bundleManifest),
 	}

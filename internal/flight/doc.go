@@ -48,6 +48,17 @@
 // every transition. Recovery (the condition clearing) transitions back
 // and is journaled too.
 //
+// A visible worsened state implies its evidence is on disk: the monitor
+// journals the transition and writes the bundle first and publishes the
+// state (and its warning) last, so whoever reads State, /healthz or the
+// gauge and then lists the bundles finds the capture that state
+// triggered, unless the rate limit suppressed it. The price is that a
+// worsening becomes visible one bundle write later — 2–3 ms measured on
+// a live service, against a 250 ms probe period and a 2 s stall budget.
+// The watchdog tests assert the bundle as soon as they see the state,
+// without sleeping, and /debug/flight reads the state before it lists
+// the bundles, so what `obscheck -flight` fetches obeys the same rule.
+//
 // # Bundles
 //
 // When the state worsens — or on demand via Capture or

@@ -301,18 +301,17 @@ func (r *Recorder) Detach() {
 	r.setState(Healthy, "")
 }
 
-func (r *Recorder) setState(h Health, why string) (changed bool) {
-	old := Health(r.state.Swap(int32(h)))
+func (r *Recorder) setState(h Health, why string) {
 	r.warnMu.Lock()
 	r.warnMsg = why
 	r.warnMu.Unlock()
-	return old != h
+	r.state.Store(int32(h))
 }
 
 // monitor is the watchdog loop: every CheckEvery it probes the shard
 // heartbeats and the journal's frame-error counters, judges the node
-// against the budgets, journals transitions, and captures a bundle
-// when the state worsens.
+// against the budgets, journals transitions, captures a bundle when
+// the state worsens, and only then publishes the new state.
 func (r *Recorder) monitor(src Sources, quit <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	b := r.cfg.Budgets
@@ -372,9 +371,13 @@ func (r *Recorder) monitor(src Sources, quit <-chan struct{}, done chan<- struct
 			frameBase = cur
 		}
 
+		// Only this goroutine writes the state while attached, so the
+		// transition is judged here and published last: a reader that
+		// sees a worsened state finds its journal entry and its bundle
+		// already written.
 		old := r.State()
 		why := strings.Join(reasons, "; ")
-		if r.setState(worst, why) {
+		if worst != old {
 			sev := Info
 			if worst > Healthy {
 				sev = Warn
@@ -385,9 +388,10 @@ func (r *Recorder) monitor(src Sources, quit <-chan struct{}, done chan<- struct
 			}
 			r.journal.Record(sev, "flight", -1, msg,
 				KV{"from", old.String()}, KV{"to", worst.String()}, KV{"why", why})
-			if worst > old && worst > Healthy {
-				r.autoCapture("watchdog:" + worst.String())
+			if worst > old {
+				r.autoCapture("watchdog:"+worst.String(), worst, why)
 			}
 		}
+		r.setState(worst, why)
 	}
 }

@@ -202,8 +202,22 @@ func TestWatchdogTransitions(t *testing.T) {
 	if w := r.Warning(); !strings.Contains(w, "shard 0") {
 		t.Errorf("warning %q does not name the shard", w)
 	}
-	if got := r.Bundles(); len(got) != 1 {
-		t.Errorf("stall captured %d bundles, want 1", len(got))
+	// Capture, then publish: the visible state already has its evidence,
+	// and the manifest carries the judgment that triggered it.
+	got := r.Bundles()
+	if len(got) != 1 {
+		t.Fatalf("stall captured %d bundles, want 1", len(got))
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, got[0], bundleManifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	if man.State != Stalled || !strings.Contains(man.Warning, "shard 0") {
+		t.Errorf("manifest records state %v warning %q, want the stall naming shard 0", man.State, man.Warning)
 	}
 
 	src.set(ShardProbe{Shard: 0, LastTurn: time.Now()})
@@ -259,7 +273,7 @@ func TestAutoCaptureRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		r.autoCapture("flap")
+		r.autoCapture("flap", Degraded, "flapping")
 	}
 	if got := r.Bundles(); len(got) != 1 {
 		t.Fatalf("20 flaps wrote %d bundles, want 1", len(got))

@@ -17,10 +17,13 @@
 // which Timeline implements as the "array" backend: a flat sorted array of
 // segments, ideal for the paper's instance sizes but O(n) per mutation and
 // slot scan. internal/restree implements the same interface as the "tree"
-// backend — a balanced augmented interval tree with O(log n) admission and
-// aggregate-pruned earliest-fit — registered here via RegisterBackend.
-// Choose array below ~10^4 segments (lower constants, perfect locality),
-// tree above it (asymptotics win; see BENCH_restree.json). Both maintain
+// backend — an arena-backed balanced tree with O(log n) admission and a
+// one-pass aggregate-pruned earliest-fit — registered here via
+// RegisterBackend. On the FindSlot+Commit+Release cycle the two cost the
+// same at about 100 reservations (a few hundred segments); below that the
+// array is up to twice as fast, above it the tree wins by 3.7× at 10^3,
+// 19× at 10^4 and 139× at 10^5 (BENCH_restree.json). Choose array for the
+// paper's small instances and tree for anything that grows. Both maintain
 // the identical canonical segment form, so schedules are bit-for-bit equal
 // whichever backend runs them.
 package profile
@@ -29,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -382,12 +386,12 @@ func (tl *Timeline) FirstTimeWithFreeArea(w int64) (core.Time, bool) {
 
 // String renders the timeline's segments for debugging.
 func (tl *Timeline) String() string {
-	s := ""
+	var b strings.Builder
 	for i := range tl.times {
 		if i > 0 {
-			s += " "
+			b.WriteByte(' ')
 		}
-		s += fmt.Sprintf("[%v,%v)=%d", tl.times[i], tl.segEnd(i), tl.avail[i])
+		fmt.Fprintf(&b, "[%v,%v)=%d", tl.times[i], tl.segEnd(i), tl.avail[i])
 	}
-	return s
+	return b.String()
 }

@@ -133,3 +133,108 @@ func TestDifferentialFromReservations(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialLargeState is the differential suite at the shape of the
+// benchmark's admit-large shard, scaled to what the array backend can keep
+// up with: m=256, more than 2·10⁴ segments with half the reservable prefix
+// booked under an α=0.25 floor, then a mix of ordinary admissions,
+// near-machine-wide ones (q+floor in [224,256], whose earliest fit has to
+// pass hundreds of blocking segments), infinite-tail commits, releases and
+// window probes. Deep rotations and the sweep's long blocking runs only
+// happen at this size.
+func TestDifferentialLargeState(t *testing.T) {
+	const (
+		m       = 256
+		floor   = 64 // ⌊αm⌋
+		horizon = 420_000
+		preload = 12_500
+		rounds  = 4_000
+	)
+	for _, seed := range []uint64{1, 2} {
+		r := rng.New(seed)
+		tr, tl := New(m), profile.New(m)
+		type iv struct {
+			s, d core.Time
+			q    int
+		}
+		var live []iv
+		// admit asks both backends for the earliest fit above the floor,
+		// requires the same answer, books it on both and returns the start.
+		admit := func(ready core.Time, q int, dur core.Time) core.Time {
+			gs, gok := tr.FindSlot(ready, q+floor, dur)
+			ws, wok := tl.FindSlot(ready, q+floor, dur)
+			if gok != wok || gs != ws {
+				t.Fatalf("seed %d: FindSlot(%v,%d,%v) = %v,%v; array %v,%v", seed, ready, q+floor, dur, gs, gok, ws, wok)
+			}
+			if !gok { // an infinite reservation left the tail too narrow
+				return ready
+			}
+			errT, errA := tr.Commit(gs, dur, q), tl.Commit(gs, dur, q)
+			if errT != nil || errA != nil {
+				t.Fatalf("seed %d: Commit(%v,%v,%d): tree %v, array %v", seed, gs, dur, q, errT, errA)
+			}
+			live = append(live, iv{gs, dur, q})
+			return gs
+		}
+		compare := func() {
+			t.Helper()
+			checkInvariants(t, tr)
+			if tr.NumSegments() != tl.NumSegments() || tr.String() != tl.String() {
+				t.Fatalf("seed %d: segment forms diverge (%d segments, array %d)", seed, tr.NumSegments(), tl.NumSegments())
+			}
+		}
+		for i := 0; i < preload; i++ {
+			admit(core.Time(r.Intn(horizon)), r.Intn(64)+1, core.Time(r.Intn(161)+20))
+		}
+		compare()
+		if tr.NumSegments() < 20_000 {
+			t.Fatalf("seed %d: preload built %d segments, want >= 20000", seed, tr.NumSegments())
+		}
+		longest := 0
+		for i := 0; i < rounds; i++ {
+			switch op := r.Intn(20); {
+			case op < 3: // near-machine-wide admission
+				ready := core.Time(r.Intn(horizon))
+				s := admit(ready, r.Intn(33)+160, core.Time(r.Intn(161)+20))
+				passed := 0 // breakpoints the search moved past
+				for bp, ok := tr.NextBreakpoint(ready); ok && bp <= s; bp, ok = tr.NextBreakpoint(bp) {
+					passed++
+				}
+				longest = max(longest, passed)
+			case op < 9:
+				admit(core.Time(r.Intn(horizon)), r.Intn(64)+1, core.Time(r.Intn(161)+20))
+			case op < 10: // a reservation that never ends
+				w := iv{core.Time(r.Intn(2 * horizon)), core.Infinity, r.Intn(4) + 1}
+				errT, errA := tr.Commit(w.s, w.d, w.q), tl.Commit(w.s, w.d, w.q)
+				if (errT == nil) != (errA == nil) {
+					t.Fatalf("seed %d: Commit(%v,inf,%d): tree %v, array %v", seed, w.s, w.q, errT, errA)
+				}
+				if errT == nil {
+					live = append(live, w)
+				}
+			case op < 17:
+				k := r.Intn(len(live))
+				w := live[k]
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+				errT, errA := tr.Release(w.s, w.d, w.q), tl.Release(w.s, w.d, w.q)
+				if errT != nil || errA != nil {
+					t.Fatalf("seed %d: Release(%v,%v,%d): tree %v, array %v", seed, w.s, w.d, w.q, errT, errA)
+				}
+			default:
+				a := core.Time(r.Intn(horizon))
+				b := a + core.Time(r.Intn(5000)+1)
+				if g, w := tr.MinAvailable(a, b), tl.MinAvailable(a, b); g != w {
+					t.Fatalf("seed %d: MinAvailable(%v,%v) = %d, array %d", seed, a, b, g, w)
+				}
+			}
+			if i%500 == 0 {
+				compare()
+			}
+		}
+		compare()
+		if longest < 200 {
+			t.Fatalf("seed %d: the widest search passed %d breakpoints, want a run of hundreds", seed, longest)
+		}
+	}
+}

@@ -1,28 +1,36 @@
 // Package restree implements the "tree" capacity-index backend: a balanced
-// (AVL) augmented interval tree over the segments of the available-capacity
-// step function, after the enhanced-balanced-tree reservation data
-// structures of de Assunção et al.
+// (AVL) augmented tree over the breakpoints of the available-capacity step
+// function, after the reservation tree of de Assunção et al.
 //
-// Each node owns one maximal constant segment [start, end) of the step
-// function, keyed by start, and carries subtree aggregates — minimum and
-// maximum available capacity plus the contiguous time span the subtree
-// covers. The aggregates buy the two operations that dominate scheduling
-// with reservations:
+// Nodes live in one pointer-free arena ([]node) and name each other by int32
+// index; index 0 is the "no child" sentinel and freed nodes are reused
+// through a free list. A node is one maximal constant segment and stores only
+// its start, its capacity, and the minimum and maximum capacity of its
+// subtree: the segments tile [0, +inf), so a segment ends where its in-order
+// successor starts and a subtree spans the keys between two ancestors, and
+// both fall out of the descent instead of being stored. That keeps a node at
+// 32 bytes, hides the arena from the garbage collector's mark phase, makes
+// Clone a single copy, and leaves a steady-state Commit/Release cycle nothing
+// to allocate.
 //
-//   - admission checks (MinAvailable over a window) descend past whole
-//     subtrees that lie outside the window, O(log n);
-//   - earliest-fit queries (FindSlot / EarliestFit) enumerate only the
-//     *blocking* segments — subtrees whose min capacity is already >= q are
-//     pruned wholesale — instead of scanning every segment like the array
-//     Timeline.
+// The aggregates buy the operations that dominate scheduling with
+// reservations:
 //
-// Mutations (Commit/Release) split at most two segments, update the covered
-// range, and re-coalesce at the two window boundaries, so the tree
-// maintains exactly the same canonical form as profile.Timeline: strictly
+//   - admission checks (MinAvailable over a window) read the aggregate of
+//     every subtree wholly inside the window, one O(log n) descent;
+//   - earliest-fit queries (FindSlot / EarliestFit) sweep the segments in
+//     time order once, skipping every subtree that holds no blocking
+//     segment, O(b + log n) for b blocking segments passed;
+//   - mutations (Commit/Release) settle each window boundary in one
+//     descent — split the straddling segment, or drop a breakpoint whose
+//     two sides are about to become equal — then add the delta to the
+//     breakpoints inside the window.
+//
+// The tree keeps exactly the canonical form of profile.Timeline: strictly
 // increasing breakpoints and no equal-valued neighbours. Every observable
 // — capacities, slots, breakpoints, segment counts, free areas and error
 // conditions — therefore agrees bit-for-bit with the array backend, which
-// the differential fuzz harness in this package enforces.
+// the differential tests and the fuzz harness in this package enforce.
 //
 // The package registers itself with the profile backend registry under the
 // name "tree"; select it with -backend=tree on the CLIs or via
@@ -42,144 +50,26 @@ func init() {
 	profile.RegisterBackend("tree", func(m int) profile.CapacityIndex { return New(m) })
 }
 
-// node is one segment [start, end) of the step function plus AVL and
-// aggregate bookkeeping. In-order traversal yields the segments in time
-// order, and they tile [0, +inf) without gaps.
+// node is one segment of the step function: it starts at start, ends where
+// the next segment in time order starts (never for the last one), and has
+// avail processors free. left and right index the arena; 0 is no child. On
+// the free list left links to the next free node.
 type node struct {
-	start, end core.Time // end == core.Infinity on the final segment
-	avail      int       // capacity available on [start, end)
-
-	left, right *node
-	height      int
-
-	// Subtree aggregates, maintained by update():
-	mn, mx         int       // min/max avail over the subtree
-	spanLo, spanHi core.Time // contiguous window the subtree tiles
-}
-
-func height(n *node) int {
-	if n == nil {
-		return 0
-	}
-	return n.height
-}
-
-// update recomputes n's height and aggregates from its children.
-func (n *node) update() {
-	n.height = 1 + max(height(n.left), height(n.right))
-	n.mn, n.mx = n.avail, n.avail
-	n.spanLo, n.spanHi = n.start, n.end
-	if l := n.left; l != nil {
-		n.mn = min(n.mn, l.mn)
-		n.mx = max(n.mx, l.mx)
-		n.spanLo = l.spanLo
-	}
-	if r := n.right; r != nil {
-		n.mn = min(n.mn, r.mn)
-		n.mx = max(n.mx, r.mx)
-		n.spanHi = r.spanHi
-	}
-}
-
-func rotateLeft(n *node) *node {
-	r := n.right
-	n.right = r.left
-	r.left = n
-	n.update()
-	r.update()
-	return r
-}
-
-func rotateRight(n *node) *node {
-	l := n.left
-	n.left = l.right
-	l.right = n
-	n.update()
-	l.update()
-	return l
-}
-
-// rebalance restores the AVL invariant at n after a child mutation.
-func rebalance(n *node) *node {
-	n.update()
-	switch bf := height(n.left) - height(n.right); {
-	case bf > 1:
-		if height(n.left.left) < height(n.left.right) {
-			n.left = rotateLeft(n.left)
-		}
-		return rotateRight(n)
-	case bf < -1:
-		if height(n.right.right) < height(n.right.left) {
-			n.right = rotateRight(n.right)
-		}
-		return rotateLeft(n)
-	}
-	return n
-}
-
-func insert(n, nn *node) *node {
-	if n == nil {
-		nn.update()
-		return nn
-	}
-	if nn.start < n.start {
-		n.left = insert(n.left, nn)
-	} else {
-		n.right = insert(n.right, nn)
-	}
-	return rebalance(n)
-}
-
-// remove deletes the node keyed by start; the key must be present.
-func remove(n *node, start core.Time) *node {
-	if n == nil {
-		panic("restree: removing missing segment")
-	}
-	switch {
-	case start < n.start:
-		n.left = remove(n.left, start)
-	case start > n.start:
-		n.right = remove(n.right, start)
-	default:
-		if n.left == nil {
-			return n.right
-		}
-		if n.right == nil {
-			return n.left
-		}
-		s := n.right
-		for s.left != nil {
-			s = s.left
-		}
-		n.start, n.end, n.avail = s.start, s.end, s.avail
-		n.right = remove(n.right, s.start)
-	}
-	return rebalance(n)
-}
-
-// setEnd rewrites the end of the segment keyed by start and refreshes the
-// span aggregates along the search path.
-func setEnd(n *node, start, end core.Time) {
-	if n == nil {
-		panic("restree: setEnd on missing segment")
-	}
-	switch {
-	case start < n.start:
-		setEnd(n.left, start, end)
-	case start > n.start:
-		setEnd(n.right, start, end)
-	default:
-		n.end = end
-	}
-	n.update()
+	start       core.Time
+	avail       int32
+	mn, mx      int32 // min/max avail over the subtree
+	left, right int32
+	height      int32
 }
 
 // Tree is the balanced capacity index. The zero value is not usable;
 // construct with New or FromReservations.
 type Tree struct {
-	m    int
-	root *node
-	size int
+	m     int
+	nodes []node // nodes[0] is the empty subtree: height 0, neutral aggregates
+	root  int32
+	free  int32 // head of the free list, 0 when empty
+	size  int   // live segments
 }
 
 // Tree implements the backend seam.
@@ -187,11 +77,12 @@ var _ profile.CapacityIndex = (*Tree)(nil)
 
 // New returns a tree with constant capacity m on [0, +inf).
 func New(m int) *Tree {
-	if m < 0 {
-		panic("restree: negative capacity")
+	if m < 0 || m >= math.MaxInt32 {
+		panic("restree: capacity out of range")
 	}
-	t := &Tree{m: m, size: 1}
-	t.root = insert(nil, &node{start: 0, end: core.Infinity, avail: m})
+	t := &Tree{m: m, size: 1, nodes: make([]node, 1, 2)}
+	t.nodes[0] = node{mn: math.MaxInt32, mx: math.MinInt32}
+	t.root = t.alloc(0, int32(m))
 	return t
 }
 
@@ -208,55 +99,133 @@ func FromReservations(m int, res []core.Reservation) (*Tree, error) {
 	return t, nil
 }
 
+// alloc returns a leaf for a segment, reusing a freed node when there is
+// one. Growing the arena moves it: no *node may be held across alloc.
+func (t *Tree) alloc(start core.Time, avail int32) int32 {
+	i := t.free
+	if i != 0 {
+		t.free = t.nodes[i].left
+	} else {
+		i = int32(len(t.nodes))
+		t.nodes = append(t.nodes, node{})
+	}
+	t.nodes[i] = node{start: start, avail: avail, mn: avail, mx: avail, height: 1}
+	return i
+}
+
+// release puts node i on the free list.
+func (t *Tree) release(i int32) {
+	t.nodes[i] = node{left: t.free}
+	t.free = i
+}
+
+// update recomputes i's height and aggregates from its children.
+func (t *Tree) update(i int32) {
+	n := &t.nodes[i]
+	l, r := &t.nodes[n.left], &t.nodes[n.right]
+	n.height = 1 + max(l.height, r.height)
+	n.mn = min(n.avail, l.mn, r.mn)
+	n.mx = max(n.avail, l.mx, r.mx)
+}
+
+func (t *Tree) rotateLeft(i int32) int32 {
+	r := t.nodes[i].right
+	t.nodes[i].right = t.nodes[r].left
+	t.nodes[r].left = i
+	t.update(i)
+	t.update(r)
+	return r
+}
+
+func (t *Tree) rotateRight(i int32) int32 {
+	l := t.nodes[i].left
+	t.nodes[i].left = t.nodes[l].right
+	t.nodes[l].right = i
+	t.update(i)
+	t.update(l)
+	return l
+}
+
+// rebalance restores the AVL invariant and the aggregates at i after a
+// child changed, and returns the subtree's new root.
+func (t *Tree) rebalance(i int32) int32 {
+	t.update(i)
+	ns := t.nodes
+	l, r := ns[i].left, ns[i].right
+	switch bf := ns[l].height - ns[r].height; {
+	case bf > 1:
+		if ns[ns[l].left].height < ns[ns[l].right].height {
+			ns[i].left = t.rotateLeft(l)
+		}
+		return t.rotateRight(i)
+	case bf < -1:
+		if ns[ns[r].right].height < ns[ns[r].left].height {
+			ns[i].right = t.rotateRight(r)
+		}
+		return t.rotateLeft(i)
+	}
+	return i
+}
+
+// first returns the earliest node of subtree i (i != 0), last the latest.
+func (t *Tree) first(i int32) int32 {
+	for l := t.nodes[i].left; l != 0; l = t.nodes[i].left {
+		i = l
+	}
+	return i
+}
+
+func (t *Tree) last(i int32) int32 {
+	for r := t.nodes[i].right; r != 0; r = t.nodes[i].right {
+		i = r
+	}
+	return i
+}
+
+// removeFirst unlinks and frees the earliest node of subtree i.
+func (t *Tree) removeFirst(i int32) int32 {
+	if t.nodes[i].left == 0 {
+		r := t.nodes[i].right
+		t.release(i)
+		return r
+	}
+	t.nodes[i].left = t.removeFirst(t.nodes[i].left)
+	return t.rebalance(i)
+}
+
 // M returns the machine size the tree was created with.
 func (t *Tree) M() int { return t.m }
 
 // NumSegments returns the number of constant segments.
 func (t *Tree) NumSegments() int { return t.size }
 
-func cloneNode(n *node) *node {
-	if n == nil {
-		return nil
-	}
-	c := *n
-	c.left = cloneNode(n.left)
-	c.right = cloneNode(n.right)
-	return &c
-}
-
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy: the arena, cut to its length.
 func (t *Tree) Clone() *Tree {
-	return &Tree{m: t.m, root: cloneNode(t.root), size: t.size}
+	c := *t
+	c.nodes = make([]node, len(t.nodes))
+	copy(c.nodes, t.nodes)
+	return &c
 }
 
 // CloneIndex implements profile.CapacityIndex.
 func (t *Tree) CloneIndex() profile.CapacityIndex { return t.Clone() }
 
-// seg returns the segment containing time t (t >= 0): the node with the
-// greatest start <= t.
-func (t *Tree) seg(at core.Time) *node {
-	var best *node
-	for n := t.root; n != nil; {
-		if n.start <= at {
-			best = n
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	return best
-}
-
-// CapacityAt returns the capacity available at time t (the paper-facing
-// name for AvailableAt).
+// CapacityAt is the paper-facing name for AvailableAt.
 func (t *Tree) CapacityAt(at core.Time) int { return t.AvailableAt(at) }
 
-// AvailableAt implements profile.CapacityIndex.
+// AvailableAt implements profile.CapacityIndex: the capacity of the segment
+// with the greatest start <= at.
 func (t *Tree) AvailableAt(at core.Time) int {
-	if at < 0 {
-		at = 0
+	at = max(at, 0)
+	var avail int32
+	for i := t.root; i != 0; {
+		if n := &t.nodes[i]; n.start <= at {
+			avail, i = n.avail, n.right
+		} else {
+			i = n.left
+		}
 	}
-	return t.seg(at).avail
+	return int(avail)
 }
 
 // windowEnd computes start+dur treating dur == Infinity as unbounded.
@@ -267,40 +236,47 @@ func windowEnd(start, dur core.Time) core.Time {
 	return start + dur
 }
 
-// minIn returns the minimum avail over segments intersecting [a, b),
-// pruning subtrees wholly outside the window and reading the aggregate on
-// subtrees wholly inside it.
-func minIn(n *node, a, b core.Time) int {
-	if n == nil || n.spanHi <= a || n.spanLo >= b {
-		return math.MaxInt
+// extent returns the minimum and maximum capacity over the segments that
+// meet [a, b), 0 <= a < b: the one containing a and those starting inside
+// the window. One descent finds the topmost breakpoint inside (a, b); below
+// it, whatever hangs off the path to a on the right, or off the path to b
+// on the left, lies inside the window and is read from its aggregate.
+func (t *Tree) extent(a, b core.Time) (mn, mx int32) {
+	ns := t.nodes
+	top, at := t.root, int32(0) // at: the segment containing a, so far
+	for top != 0 {
+		if n := &ns[top]; n.start <= a {
+			at, top = top, n.right
+		} else if n.start >= b {
+			top = n.left
+		} else {
+			break
+		}
 	}
-	if n.spanLo >= a && n.spanHi <= b {
-		return n.mn
+	mn, mx = ns[0].mn, ns[0].mx
+	if top != 0 {
+		mn, mx = ns[top].avail, ns[top].avail
 	}
-	v := minIn(n.left, a, b)
-	if n.end > a && n.start < b {
-		v = min(v, n.avail)
+	for i := ns[top].left; i != 0; {
+		if n := &ns[i]; n.start > a {
+			mn, mx = min(mn, n.avail, ns[n.right].mn), max(mx, n.avail, ns[n.right].mx)
+			i = n.left
+		} else {
+			at, i = i, n.right
+		}
 	}
-	return min(v, minIn(n.right, a, b))
+	for i := ns[top].right; i != 0; {
+		if n := &ns[i]; n.start < b {
+			mn, mx = min(mn, n.avail, ns[n.left].mn), max(mx, n.avail, ns[n.left].mx)
+			i = n.right
+		} else {
+			i = n.left
+		}
+	}
+	return min(mn, ns[at].avail), max(mx, ns[at].avail)
 }
 
-// maxIn is minIn's dual, used to validate releases.
-func maxIn(n *node, a, b core.Time) int {
-	if n == nil || n.spanHi <= a || n.spanLo >= b {
-		return math.MinInt
-	}
-	if n.spanLo >= a && n.spanHi <= b {
-		return n.mx
-	}
-	v := maxIn(n.left, a, b)
-	if n.end > a && n.start < b {
-		v = max(v, n.avail)
-	}
-	return max(v, maxIn(n.right, a, b))
-}
-
-// MinIn returns the minimum capacity over [a, b) — the paper-facing name
-// for MinAvailable.
+// MinIn is the paper-facing name for MinAvailable.
 func (t *Tree) MinIn(a, b core.Time) int { return t.MinAvailable(a, b) }
 
 // MinAvailable implements profile.CapacityIndex. It panics if t0 >= t1 or
@@ -309,7 +285,8 @@ func (t *Tree) MinAvailable(t0, t1 core.Time) int {
 	if t0 < 0 || t0 >= t1 {
 		panic(profile.ErrBadWindow)
 	}
-	return minIn(t.root, t0, t1)
+	mn, _ := t.extent(t0, t1)
+	return int(mn)
 }
 
 // CanPlace reports whether q processors are available during the entire
@@ -321,20 +298,42 @@ func (t *Tree) CanPlace(start, dur core.Time, q int) bool {
 	return t.MinAvailable(start, windowEnd(start, dur)) >= q
 }
 
-// firstBlocking returns the earliest segment with end > after and
-// avail < q, or nil. Subtrees whose min capacity is >= q are skipped
-// wholesale — this aggregate prune is what makes EarliestFit sub-linear.
-func firstBlocking(n *node, after core.Time, q int) *node {
-	if n == nil || n.mn >= q || n.spanHi <= after {
-		return nil
+// fit is the state of one earliest-fit sweep.
+type fit struct {
+	nodes      []node
+	q          int32
+	ready, dur core.Time
+	s          core.Time // candidate start, open while blocked
+	blocked    bool      // the last segment swept has avail < q: the next free one sets s
+}
+
+// sweep passes over subtree i in time order, carrying the candidate start,
+// and reports whether f.s is decided: a blocking segment starts at or past
+// f.s+dur, so the window fits in front of it. Of the segments before ready
+// only those on the path to it are visited, and harmlessly: the segment
+// containing ready comes after them and overwrites what they left. A
+// subtree without a blocking segment is skipped whole, unless the candidate
+// is still open and its first segment has to set it.
+func (f *fit) sweep(i int32) bool {
+	for i != 0 {
+		n := &f.nodes[i]
+		if n.mn >= f.q && !f.blocked {
+			return false
+		}
+		if n.start > f.ready && f.sweep(n.left) {
+			return true
+		}
+		if n.avail < f.q {
+			if !f.blocked && n.start >= windowEnd(f.s, f.dur) {
+				return true
+			}
+			f.blocked = true
+		} else if f.blocked {
+			f.s, f.blocked = max(n.start, f.ready), false
+		}
+		i = n.right
 	}
-	if b := firstBlocking(n.left, after, q); b != nil {
-		return b
-	}
-	if n.avail < q && n.end > after {
-		return n
-	}
-	return firstBlocking(n.right, after, q)
+	return false
 }
 
 // EarliestFit returns the earliest time s >= notBefore such that q
@@ -342,30 +341,24 @@ func firstBlocking(n *node, after core.Time, q int) *node {
 // alternative-offer query. The boolean is false only when the final
 // (unbounded) capacity is below q and no finite window fits.
 //
-// The search walks the *blocking* segments only: from a candidate start s,
-// the first segment with capacity < q and end > s either starts at or past
-// s+dur (so s fits) or forces s to jump to its end. Each probe is one
-// aggregate-pruned descent, so a query over a profile with b blocking
-// segments past s costs O((b+1)·log n) regardless of how many
-// high-capacity segments lie between them.
+// A window can only start at notBefore or where a blocking segment
+// (capacity < q) ends, so the search is one in-order sweep carrying the
+// candidate start s: a blocking segment starting before s+dur moves s to
+// the next free segment's start, one starting at or past s+dur ends the
+// search, and subtrees whose minimum capacity is >= q are never entered.
+// Passing b blocking segments costs O(b + log n) however many free ones
+// lie between them.
 func (t *Tree) EarliestFit(q int, dur, notBefore core.Time) (core.Time, bool) {
 	if dur <= 0 {
 		panic(profile.ErrBadWindow)
 	}
-	s := notBefore
-	if s < 0 {
-		s = 0
+	// avail lies in [0, m], so clamping q there changes no comparison.
+	f := fit{nodes: t.nodes, q: int32(min(max(q, 0), t.m+1)), ready: max(notBefore, 0), dur: dur}
+	f.s = f.ready
+	if !f.sweep(t.root) && f.blocked {
+		return 0, false
 	}
-	for {
-		b := firstBlocking(t.root, s, q)
-		if b == nil || b.start >= windowEnd(s, dur) {
-			return s, true
-		}
-		if b.end == core.Infinity {
-			return 0, false
-		}
-		s = b.end
-	}
+	return f.s, true
 }
 
 // FindSlot implements profile.CapacityIndex in terms of EarliestFit.
@@ -373,54 +366,62 @@ func (t *Tree) FindSlot(ready core.Time, q int, dur core.Time) (core.Time, bool)
 	return t.EarliestFit(q, dur, ready)
 }
 
-// ensureBreak splits the segment containing t so that a segment starts
-// exactly at t. No-op if one already does. t must be finite and >= 0.
-func (t *Tree) ensureBreak(at core.Time) {
-	s := t.seg(at)
-	if s.start == at {
-		return
+// settle makes the breakpoint at key (0 < key < Infinity) in subtree i
+// ready for a delta that is about to change the capacity just before key
+// by dl and from key on by dr, dl != dr: a missing breakpoint is inserted,
+// splitting its segment, and one whose two sides are about to become equal
+// is removed, so its predecessor absorbs the segment. below is the capacity
+// of the nearest earlier segment passed on the way down. It returns the
+// subtree's new root; child links are stored after the call, by index,
+// because alloc may have moved the arena.
+func (t *Tree) settle(i int32, key core.Time, dl, dr, below int32) int32 {
+	if i == 0 {
+		t.size++
+		return t.alloc(key, below)
 	}
-	end, avail := s.end, s.avail
-	setEnd(t.root, s.start, at)
-	t.root = insert(t.root, &node{start: at, end: end, avail: avail})
-	t.size++
+	switch n := &t.nodes[i]; {
+	case key < n.start:
+		l := t.settle(n.left, key, dl, dr, below)
+		t.nodes[i].left = l
+	case key > n.start:
+		r := t.settle(n.right, key, dl, dr, n.avail)
+		t.nodes[i].right = r
+	default:
+		if n.left != 0 {
+			below = t.nodes[t.last(n.left)].avail
+		}
+		if below+dl != n.avail+dr {
+			return i
+		}
+		t.size--
+		if n.left == 0 || n.right == 0 {
+			only := n.left + n.right
+			t.release(i)
+			return only
+		}
+		next := &t.nodes[t.first(n.right)]
+		n.start, n.avail = next.start, next.avail
+		n.right = t.removeFirst(n.right)
+	}
+	return t.rebalance(i)
 }
 
-// addRange adds delta to every segment contained in [lo, hi). Callers must
-// have ensured breaks at lo and (when finite) hi, so containment and
-// overlap coincide and span pruning is exact.
-func addRange(n *node, lo, hi core.Time, delta int) {
-	if n == nil || n.spanHi <= lo || n.spanLo >= hi {
+// addRange adds delta to every segment of subtree i starting in [lo, hi).
+func (t *Tree) addRange(i int32, lo, hi core.Time, delta int32) {
+	if i == 0 {
 		return
 	}
-	addRange(n.left, lo, hi, delta)
-	addRange(n.right, lo, hi, delta)
-	if n.start >= lo && n.start < hi {
-		n.avail += delta
+	n := &t.nodes[i]
+	if n.start > lo {
+		t.addRange(n.left, lo, hi, delta)
 	}
-	n.update()
-}
-
-// mergeAt re-coalesces the boundary at t: if the segment starting at t has
-// the same capacity as its predecessor, the predecessor absorbs it. After
-// a uniform delta over [lo, hi) only the two window boundaries can merge —
-// interior neighbours differed before the delta and still do.
-func (t *Tree) mergeAt(at core.Time) {
-	if at <= 0 || at == core.Infinity {
-		return
+	if n.start < hi {
+		if n.start >= lo {
+			n.avail += delta
+		}
+		t.addRange(n.right, lo, hi, delta)
 	}
-	s := t.seg(at)
-	if s == nil || s.start != at {
-		return
-	}
-	p := t.seg(at - 1)
-	if p == nil || p.avail != s.avail {
-		return
-	}
-	pStart, sEnd := p.start, s.end
-	t.root = remove(t.root, at)
-	t.size--
-	setEnd(t.root, pStart, sEnd)
+	t.update(i)
 }
 
 // apply adds deltaQ to the capacity over [start, start+dur), validating
@@ -436,26 +437,27 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 		// any mutation rather than split on an inverted window.
 		return profile.ErrBadWindow
 	}
-	if deltaQ < 0 {
-		if m := minIn(t.root, start, end); m < -deltaQ {
-			return fmt.Errorf("%w: need %d on [%v,%v), min available %d",
-				profile.ErrInsufficient, -deltaQ, start, end, m)
-		}
-	} else {
-		if m := maxIn(t.root, start, end); m+deltaQ > t.m {
-			return fmt.Errorf("%w: releasing %d would exceed m=%d",
-				profile.ErrOverRelease, deltaQ, t.m)
-		}
+	mn, mx := t.extent(start, end)
+	if deltaQ < 0 && int(mn) < -deltaQ {
+		return fmt.Errorf("%w: need %d on [%v,%v), min available %d",
+			profile.ErrInsufficient, -deltaQ, start, end, mn)
 	}
-	t.ensureBreak(start)
+	if deltaQ > 0 && int(mx)+deltaQ > t.m {
+		return fmt.Errorf("%w: releasing %d would exceed m=%d",
+			profile.ErrOverRelease, deltaQ, t.m)
+	}
+	// A uniform delta over [start, end) leaves interior neighbours
+	// different, so only the two boundaries can appear or merge. The end
+	// goes first: its left side is still the segment the delta will reach,
+	// whatever happens to the breakpoint at start afterwards.
+	delta := int32(deltaQ)
 	if end != core.Infinity {
-		t.ensureBreak(end)
+		t.root = t.settle(t.root, end, delta, 0, 0)
 	}
-	addRange(t.root, start, end, deltaQ)
-	t.mergeAt(start)
-	if end != core.Infinity {
-		t.mergeAt(end)
+	if start > 0 {
+		t.root = t.settle(t.root, start, 0, delta, 0)
 	}
+	t.addRange(t.root, start, end, delta)
 	return nil
 }
 
@@ -490,30 +492,39 @@ func (t *Tree) Release(start, dur core.Time, q int) error {
 func (t *Tree) NextBreakpoint(at core.Time) (core.Time, bool) {
 	var best core.Time
 	found := false
-	for n := t.root; n != nil; {
-		if n.start > at {
+	for i := t.root; i != 0; {
+		if n := &t.nodes[i]; n.start > at {
 			best, found = n.start, true
-			n = n.left
+			i = n.left
 		} else {
-			n = n.right
+			i = n.right
 		}
 	}
 	return best, found
 }
 
-// walk visits the segments in time order until the callback returns false.
-func walk(n *node, visit func(*node) bool) bool {
-	if n == nil {
+// walk visits, in time order, the segments of subtree i that end after
+// from, until the callback returns false. hi is where the segment after
+// the subtree starts.
+func (t *Tree) walk(i int32, from, hi core.Time, visit func(start, end core.Time, avail int) bool) bool {
+	if i == 0 {
 		return true
 	}
-	return walk(n.left, visit) && visit(n) && walk(n.right, visit)
+	n := &t.nodes[i]
+	end := hi
+	if n.right != 0 {
+		end = t.nodes[t.first(n.right)].start
+	}
+	return (n.start <= from || t.walk(n.left, from, n.start, visit)) &&
+		(end <= from || visit(n.start, end, int(n.avail))) &&
+		t.walk(n.right, from, hi, visit)
 }
 
 // Breakpoints returns a copy of all breakpoint times.
 func (t *Tree) Breakpoints() []core.Time {
 	out := make([]core.Time, 0, t.size)
-	walk(t.root, func(n *node) bool {
-		out = append(out, n.start)
+	t.walk(t.root, 0, core.Infinity, func(start, _ core.Time, _ int) bool {
+		out = append(out, start)
 		return true
 	})
 	return out
@@ -525,18 +536,14 @@ func (t *Tree) FreeArea(t0, t1 core.Time) int64 {
 	if t0 < 0 || t1 == core.Infinity || t0 > t1 {
 		panic(profile.ErrBadWindow)
 	}
-	return freeArea(t.root, t0, t1)
-}
-
-func freeArea(n *node, a, b core.Time) int64 {
-	if n == nil || n.spanHi <= a || n.spanLo >= b {
-		return 0
-	}
-	area := freeArea(n.left, a, b) + freeArea(n.right, a, b)
-	lo, hi := core.MaxTime(n.start, a), core.MinTime(n.end, b)
-	if hi > lo {
-		area += int64(hi-lo) * int64(n.avail)
-	}
+	var area int64
+	t.walk(t.root, t0, core.Infinity, func(start, end core.Time, avail int) bool {
+		if start >= t1 {
+			return false
+		}
+		area += int64(min(end, t1)-max(start, t0)) * int64(avail)
+		return true
+	})
 	return area
 }
 
@@ -550,23 +557,18 @@ func (t *Tree) FirstTimeWithFreeArea(w int64) (core.Time, bool) {
 	var acc int64
 	var at core.Time
 	found := false
-	walk(t.root, func(n *node) bool {
-		if n.end == core.Infinity {
-			if n.avail == 0 {
-				return false
+	t.walk(t.root, 0, core.Infinity, func(start, end core.Time, avail int) bool {
+		if end != core.Infinity {
+			if segArea := int64(end-start) * int64(avail); acc+segArea < w {
+				acc += segArea
+				return true
 			}
-			steps := (w - acc + int64(n.avail) - 1) / int64(n.avail)
-			at, found = n.start+core.Time(steps), true
-			return false
 		}
-		segArea := int64(n.end-n.start) * int64(n.avail)
-		if acc+segArea >= w {
-			steps := (w - acc + int64(n.avail) - 1) / int64(n.avail)
-			at, found = n.start+core.Time(steps), true
-			return false
+		if avail > 0 {
+			steps := (w - acc + int64(avail) - 1) / int64(avail)
+			at, found = start+core.Time(steps), true
 		}
-		acc += segArea
-		return true
+		return false
 	})
 	return at, found
 }
@@ -575,13 +577,11 @@ func (t *Tree) FirstTimeWithFreeArea(w int64) (core.Time, bool) {
 // profile.Timeline, for debugging and differential assertions.
 func (t *Tree) String() string {
 	var b strings.Builder
-	first := true
-	walk(t.root, func(n *node) bool {
-		if !first {
+	t.walk(t.root, 0, core.Infinity, func(start, end core.Time, avail int) bool {
+		if start > 0 {
 			b.WriteByte(' ')
 		}
-		first = false
-		fmt.Fprintf(&b, "[%v,%v)=%d", n.start, n.end, n.avail)
+		fmt.Fprintf(&b, "[%v,%v)=%d", start, end, avail)
 		return true
 	})
 	return b.String()

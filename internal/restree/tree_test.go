@@ -2,67 +2,82 @@ package restree
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/rng"
 )
 
-// checkInvariants verifies the structural invariants of the tree: AVL
-// balance, correct aggregates, contiguous tiling of [0, +inf) by strictly
-// increasing canonical (uncoalescable) segments, and capacities in [0, m].
+// checkInvariants verifies the structural invariants of the arena tree: AVL
+// balance, correct heights and aggregates, strictly increasing breakpoints
+// from 0 with no equal-valued neighbours (the canonical form), capacities
+// in [0, m], size equal to the reachable nodes, an untouched sentinel, and
+// a free list that holds exactly the arena slots the tree does not reach.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	if tr.root == nil {
+	ns := tr.nodes
+	if ns[0] != (node{mn: math.MaxInt32, mx: math.MinInt32}) {
+		t.Fatalf("sentinel overwritten: %+v", ns[0])
+	}
+	if tr.root == 0 {
 		t.Fatal("empty tree")
 	}
-	var segs []*node
-	var verify func(n *node) (h, mn, mx int, lo, hi core.Time)
-	verify = func(n *node) (int, int, int, core.Time, core.Time) {
-		h, mn, mx, lo, hi := 1, n.avail, n.avail, n.start, n.end
-		if n.left != nil {
-			lh, lmn, lmx, llo, lhi := verify(n.left)
-			if lhi != n.start {
-				t.Fatalf("left subtree of [%v,%v) ends at %v, want %v", n.start, n.end, lhi, n.start)
-			}
-			h = max(h, lh+1)
-			mn, mx, lo = min(mn, lmn), max(mx, lmx), llo
+	live := make([]bool, len(ns))
+	var segs []int32
+	var verify func(i int32) (h, mn, mx int32)
+	verify = func(i int32) (int32, int32, int32) {
+		if i == 0 {
+			return 0, math.MaxInt32, math.MinInt32
 		}
-		segs = append(segs, n)
-		if n.right != nil {
-			rh, rmn, rmx, rlo, rhi := verify(n.right)
-			if rlo != n.end {
-				t.Fatalf("right subtree of [%v,%v) starts at %v, want %v", n.start, n.end, rlo, n.end)
-			}
-			h = max(h, rh+1)
-			mn, mx, hi = min(mn, rmn), max(mx, rmx), rhi
+		if i < 0 || int(i) >= len(ns) || live[i] {
+			t.Fatalf("node %d out of the arena or reached twice", i)
 		}
-		if bf := height(n.left) - height(n.right); bf < -1 || bf > 1 {
-			t.Fatalf("unbalanced node [%v,%v): bf=%d", n.start, n.end, bf)
+		live[i] = true
+		n := ns[i]
+		lh, lmn, lmx := verify(n.left)
+		segs = append(segs, i)
+		rh, rmn, rmx := verify(n.right)
+		if bf := lh - rh; bf < -1 || bf > 1 {
+			t.Fatalf("unbalanced node at %v: bf=%d", n.start, bf)
 		}
-		if n.height != h || n.mn != mn || n.mx != mx || n.spanLo != lo || n.spanHi != hi {
-			t.Fatalf("stale aggregates at [%v,%v): h=%d/%d mn=%d/%d mx=%d/%d span=[%v,%v)/[%v,%v)",
-				n.start, n.end, n.height, h, n.mn, mn, n.mx, mx, n.spanLo, n.spanHi, lo, hi)
+		h, mn, mx := 1+max(lh, rh), min(n.avail, lmn, rmn), max(n.avail, lmx, rmx)
+		if n.height != h || n.mn != mn || n.mx != mx {
+			t.Fatalf("stale aggregates at %v: h=%d/%d mn=%d/%d mx=%d/%d",
+				n.start, n.height, h, n.mn, mn, n.mx, mx)
 		}
-		return h, mn, mx, lo, hi
+		return h, mn, mx
 	}
-	_, _, _, lo, hi := verify(tr.root)
-	if lo != 0 || hi != core.Infinity {
-		t.Fatalf("tree tiles [%v,%v), want [0,inf)", lo, hi)
-	}
+	verify(tr.root)
 	if len(segs) != tr.size {
-		t.Fatalf("size=%d but %d segments", tr.size, len(segs))
+		t.Fatalf("size=%d but %d reachable segments", tr.size, len(segs))
 	}
-	for i, n := range segs {
-		if n.start >= n.end {
-			t.Fatalf("degenerate segment [%v,%v)", n.start, n.end)
+	if ns[segs[0]].start != 0 {
+		t.Fatalf("first segment starts at %v, want 0", ns[segs[0]].start)
+	}
+	for k, i := range segs {
+		n := ns[i]
+		if n.avail < 0 || int(n.avail) > tr.m {
+			t.Fatalf("segment at %v: capacity %d outside [0,%d]", n.start, n.avail, tr.m)
 		}
-		if n.avail < 0 || n.avail > tr.m {
-			t.Fatalf("segment [%v,%v) capacity %d outside [0,%d]", n.start, n.end, n.avail, tr.m)
+		if k > 0 && ns[segs[k-1]].start >= n.start {
+			t.Fatalf("breakpoints out of order at %v: %v", n.start, tr)
 		}
-		if i > 0 && segs[i-1].avail == n.avail {
+		if k > 0 && ns[segs[k-1]].avail == n.avail {
 			t.Fatalf("uncoalesced neighbours at %v: %v", n.start, tr)
 		}
+	}
+	free := 0
+	for i := tr.free; i != 0; i = ns[i].left {
+		if i < 0 || int(i) >= len(ns) || live[i] {
+			t.Fatalf("free list reaches live or foreign node %d", i)
+		}
+		live[i] = true // also catches a cycle
+		free++
+	}
+	if 1+len(segs)+free != len(ns) {
+		t.Fatalf("arena of %d holds %d live + %d free nodes + sentinel", len(ns), len(segs), free)
 	}
 }
 
@@ -260,5 +275,56 @@ func TestFreeAreaAndFirstTime(t *testing.T) {
 	}
 	if _, ok := tr2.FirstTimeWithFreeArea(1); ok {
 		t.Fatal("zero-capacity tree cannot accumulate area")
+	}
+}
+
+// TestSteadyStateAllocatesNothing is the arena's contract as a plain test:
+// on a warmed tree of 10⁴ reservations a FindSlot+Commit+Release cycle
+// allocates nothing (the nodes a commit splits off are the ones the
+// last release freed), and Clone costs the Tree and one arena cut to
+// length, with no slack carried over.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	const m = 256
+	tr := New(m)
+	r := rng.New(3)
+	const at = 300_000 // ready times are drawn below it
+	for i := 0; i < 10_000; i++ {
+		q, dur := r.Intn(m/4)+1, core.Time(r.Intn(100)+1)
+		s, _ := tr.FindSlot(core.Time(r.Intn(at)), q, dur)
+		if err := tr.Commit(s, dur, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		q, dur := r.Intn(m)+1, core.Time(r.Intn(100)+1)
+		s, ok := tr.FindSlot(core.Time(r.Intn(at)), q, dur)
+		if !ok {
+			t.Fatal("no slot on a finite profile")
+		}
+		if err := tr.Commit(s, dur, q); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Release(s, dur, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // warm: let the free list reach its steady depth
+		cycle()
+	}
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Errorf("FindSlot+Commit+Release allocates %v objects per cycle, want 0", n)
+	}
+	checkInvariants(t, tr)
+
+	var cp *Tree
+	if n := testing.AllocsPerRun(10, func() { cp = tr.Clone() }); n > 2 {
+		t.Errorf("Clone allocates %v objects, want the Tree and its arena", n)
+	}
+	if len(cp.nodes) != len(tr.nodes) || cap(cp.nodes) != len(tr.nodes) {
+		t.Errorf("clone arena len=%d cap=%d, want exactly %d", len(cp.nodes), cap(cp.nodes), len(tr.nodes))
+	}
+	checkInvariants(t, cp)
+	if cp.String() != tr.String() {
+		t.Error("clone renders differently")
 	}
 }
