@@ -77,12 +77,12 @@
 //
 // with typed error codes end to end (a REJECTED_DEADLINE frame surfaces
 // as resd.ErrDeadline on the remote side, a REJECTED_QUOTA as
-// tenant.ErrQuota) and write coalescing on both halves: the pipelining
-// client multiplexes concurrent callers over a few connections and
-// batches their frames into shared flushes, and the server batches
-// responses the same way, so under load a syscall carries many messages
-// and the shard loops see the same group-commit batches as in-process
-// traffic. cmd/resdsrv is the server binary (-quotas loads a tenant
+// tenant.ErrQuota) and write sharing on both halves: the pipelining
+// client multiplexes concurrent callers over a few connections, callers
+// that send together share a socket write, and the server answers the
+// requests of one socket read in one write, so under load a syscall
+// carries many messages and the shard loops see the same group-commit
+// batches as in-process traffic. cmd/resdsrv is the server binary (-quotas loads a tenant
 // budget spec); cmd/resload replays synthetic or SWF-derived request
 // streams against either an in-process service or a live server (-addr),
 // optionally as a zipf-skewed multi-tenant mix (-tenants/-skew),

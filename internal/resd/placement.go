@@ -2,7 +2,6 @@ package resd
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -62,13 +61,43 @@ type leastLoaded struct{}
 func (leastLoaded) name() string { return "least-loaded" }
 
 func (leastLoaded) order(shards []*shard, ten string, q int, dur core.Time) []int {
-	out := make([]int, len(shards))
-	loads := make([]int64, len(shards))
-	for i, sh := range shards {
-		out[i] = i
-		loads[i] = sh.committedArea.Load()
+	var buf [stackShards]shardKey
+	keys := buf[:0]
+	for _, sh := range shards {
+		keys = append(keys, shardKey{load: sh.committedArea.Load()})
 	}
-	sort.SliceStable(out, func(a, b int) bool { return loads[out[a]] < loads[out[b]] })
+	return rank(keys)
+}
+
+// shardKey is one shard's sort key, read once per request so the order is
+// taken over a consistent snapshot of the (concurrently moving) loads:
+// the tenant's own area first, total committed area second.
+type shardKey struct{ mine, load int64 }
+
+func (k shardKey) less(o shardKey) bool {
+	if k.mine != o.mine {
+		return k.mine < o.mine
+	}
+	return k.load < o.load
+}
+
+// stackShards is how many keys an order call holds on its own stack;
+// services with more shards pay one extra allocation per request.
+const stackShards = 16
+
+// rank returns the shard indices ordered by key, ties keeping the lower
+// index: a stable insertion sort straight into the result, which for the
+// handful of shards a service has beats sort.SliceStable's reflection
+// swapper and is the only allocation of the call.
+func rank(keys []shardKey) []int {
+	out := make([]int, len(keys))
+	for i := range keys {
+		j := i
+		for ; j > 0 && keys[i].less(keys[out[j-1]]); j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = i
+	}
 	return out
 }
 
@@ -136,19 +165,10 @@ type pressurePlacement struct{}
 func (pressurePlacement) name() string { return "pressure" }
 
 func (pressurePlacement) order(shards []*shard, ten string, q int, dur core.Time) []int {
-	out := make([]int, len(shards))
-	mine := make([]int64, len(shards))
-	loads := make([]int64, len(shards))
-	for i, sh := range shards {
-		out[i] = i
-		mine[i] = sh.tenantArea(ten)
-		loads[i] = sh.committedArea.Load()
+	var buf [stackShards]shardKey
+	keys := buf[:0]
+	for _, sh := range shards {
+		keys = append(keys, shardKey{mine: sh.tenantArea(ten), load: sh.committedArea.Load()})
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if mine[out[a]] != mine[out[b]] {
-			return mine[out[a]] < mine[out[b]]
-		}
-		return loads[out[a]] < loads[out[b]]
-	})
-	return out
+	return rank(keys)
 }

@@ -1,0 +1,75 @@
+package resd
+
+import (
+	"sort"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// sliceStableOrder is the order the placements produced before rank
+// replaced sort.SliceStable; it stays here as the oracle.
+func sliceStableOrder(keys []shardKey) []int {
+	out := make([]int, len(keys))
+	for i := range out {
+		out[i] = i
+	}
+	sort.SliceStable(out, func(a, b int) bool { return keys[out[a]].less(keys[out[b]]) })
+	return out
+}
+
+// TestRankMatchesSliceStable checks rank against the old sort on random
+// keys drawn from a range small enough that ties are the common case, so
+// the lower-index-first tie rule the FCFS-replay and recovery oracles
+// depend on is what is being compared.
+func TestRankMatchesSliceStable(t *testing.T) {
+	r := rng.NewStream(7, 0)
+	for trial := 0; trial < 2000; trial++ {
+		n := r.IntRange(1, 2*stackShards)
+		spread := int64(r.IntRange(1, 6))
+		keys := make([]shardKey, n)
+		for i := range keys {
+			keys[i] = shardKey{mine: r.Int63n(spread), load: r.Int63n(spread)}
+		}
+		got, want := rank(keys), sliceStableOrder(keys)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d, keys %v: rank = %v, SliceStable = %v", trial, keys, got, want)
+			}
+		}
+	}
+}
+
+// TestPlacementOrder runs both sorting policies over real shards: the
+// order follows the published loads, equal loads keep index order, and a
+// call costs the result slice and nothing else.
+func TestPlacementOrder(t *testing.T) {
+	svc, err := New(Config{Shards: 4, M: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for i, load := range []int64{30, 10, 30, 10} {
+		svc.shards[i].committedArea.Store(load)
+	}
+	svc.shards[3].tenAreaCell("a").Store(5) // tenant a already sits on shard 3
+	cases := []struct {
+		p    placement
+		want []int
+	}{
+		{leastLoaded{}, []int{1, 3, 0, 2}},
+		{pressurePlacement{}, []int{1, 0, 2, 3}},
+	}
+	for _, c := range cases {
+		got := c.p.order(svc.shards, "a", 1, 1)
+		for i := range c.want {
+			if got[i] != c.want[i] {
+				t.Errorf("%s order = %v, want %v", c.p.name(), got, c.want)
+				break
+			}
+		}
+		if n := testing.AllocsPerRun(200, func() { c.p.order(svc.shards, "a", 1, 1) }); n > 1 {
+			t.Errorf("%s order allocates %v times per call, want <= 1", c.p.name(), n)
+		}
+	}
+}

@@ -27,24 +27,27 @@ var ErrTimeout = errors.New("reswire: call timeout")
 
 // Options parameterises Dial.
 type Options struct {
-	// Conns is the number of TCP connections the client multiplexes
-	// callers over (default 1). Calls are spread round-robin.
+	// Conns is the number of TCP connections callers are spread over,
+	// round-robin (default 1).
 	Conns int
-	// Pipeline allows many in-flight requests per connection, with the
-	// client coalescing their writes into one flush per batch. Off, each
-	// connection carries one request at a time (write, flush, wait) —
-	// the classic RPC shape, kept as the benchmark baseline.
+	// Pipeline allows many requests in flight per connection; callers
+	// that send at the same moment share one socket write (doc.go,
+	// "Writing"). Off, a connection carries one request at a time — the
+	// classic RPC shape, kept as the benchmark baseline.
 	Pipeline bool
-	// Window caps in-flight requests per connection when pipelining
-	// (default 256; forced to 1 when Pipeline is false).
+	// Window caps the requests in flight per connection when pipelining
+	// (default 256; forced to 1 when Pipeline is false). It is the size
+	// the connection's slot table may grow to, and the slot index is the
+	// low half of every request id.
 	Window int
-	// CallTimeout bounds each call — window admission, write, and the
-	// wait for the response — failing it with ErrTimeout when exceeded.
-	// 0 (the default) waits forever.
+	// CallTimeout bounds each call — the wait for a window slot, the
+	// socket write if the call does one (as a write deadline: a connection
+	// that cannot take a write for this long is failed, ErrClientClosed)
+	// and the wait for the response (ErrTimeout). 0, the default, waits
+	// forever.
 	CallTimeout time.Duration
-	// Metrics attaches wire instrumentation (side "client"): per-op
-	// latency, in-flight window, socket bytes, frame errors, response
-	// codes. Nil leaves instrumentation off.
+	// Metrics attaches wire instrumentation (side "client"); nil leaves
+	// it off.
 	Metrics *Metrics
 }
 
@@ -73,10 +76,9 @@ func (o Options) normalize() (Options, error) {
 // Client is the remote face of a resd.Service: Admit, Cancel, Query,
 // Snapshot, Stats and Ping with the same signatures and the same typed
 // errors (errors.Is(err, resd.ErrDeadline) works on both sides of the
-// wire). All methods are safe for concurrent use; concurrent callers
-// are multiplexed over the configured connections and, when pipelining,
-// their requests share flushes. After Close every method returns
-// ErrClientClosed.
+// wire). All methods are safe for concurrent use; concurrent callers are
+// multiplexed over the configured connections. After Close every method
+// returns ErrClientClosed.
 type Client struct {
 	addr   string
 	conns  []*clientConn
@@ -98,7 +100,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 			c.Close()
 			return nil, fmt.Errorf("reswire: dial %s: %w", addr, err)
 		}
-		c.conns = append(c.conns, newClientConn(nc, opts, opts.Metrics))
+		c.conns = append(c.conns, newClientConn(nc, opts))
 	}
 	return c, nil
 }
@@ -115,17 +117,13 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// pick spreads calls over the connections round-robin.
-func (c *Client) pick() *clientConn {
-	return c.conns[int(c.rr.Add(1)-1)%len(c.conns)]
-}
-
-// call performs one round trip and maps the response code to an error.
+// call performs one round trip on the next connection, round-robin, and
+// maps the response code to an error.
 func (c *Client) call(req Request) (Response, error) {
 	if c.closed.Load() {
 		return Response{}, ErrClientClosed
 	}
-	resp, err := c.pick().call(req)
+	resp, err := c.conns[int(c.rr.Add(1)-1)%len(c.conns)].call(req)
 	if err != nil {
 		return Response{}, err
 	}
@@ -372,21 +370,11 @@ func (c *Client) watchRead(ctx context.Context, nc net.Conn, ch chan<- Telemetry
 		}
 		nc.Close()
 	}()
-	cancelled := func() bool {
-		select {
-		case <-ctx.Done():
-			return true
-		case <-c.done:
-			return true
-		default:
-			return false
-		}
-	}
 	br := bufio.NewReaderSize(nc, 64<<10)
 	for {
 		resp, err := ReadResponse(br)
 		if err != nil {
-			return !cancelled()
+			return ctx.Err() == nil && !c.closed.Load()
 		}
 		if resp.Op != OpWatch || resp.Code != CodeOK || resp.Telemetry == nil {
 			// The server refused the subscription (or broke protocol);
@@ -444,72 +432,59 @@ func (c *Client) Snapshot(shard int) (*profile.Synchronized, error) {
 	return profile.NewSynchronized(tl), nil
 }
 
-// clientConn is one multiplexed connection: callers register a pending
-// reply slot keyed by request id, push the encoded frame to the writer,
-// and block on their slot; the reader routes responses back by id.
+// clientConn is one multiplexed connection (doc.go, "Client"): a caller
+// takes a slot, sends its request under the slot's id, flushing the
+// connection's writer itself if nobody else is, and parks on the slot;
+// the reader wakes it with the response. Nothing is allocated per call.
 type clientConn struct {
 	nc      net.Conn
-	wc      net.Conn // nc behind the byte counters when instrumented
 	m       *Metrics
 	timeout time.Duration // 0 = wait forever
-	sem     chan struct{} // in-flight window
-	writeCh chan []byte
+	w       *connWriter
+	free    chan *slot // idle slots; its capacity is the in-flight window
 
-	mu      sync.Mutex
-	pending map[uint64]chan Response
-	// stale holds ids of timed-out calls whose response has not arrived:
-	// the reader discards those instead of treating them as protocol
-	// violations.
-	stale  map[uint64]struct{}
-	nextID uint64
+	mu    sync.Mutex // guards slots and every slot's gen, waiting, late
+	slots []*slot    // made on demand, so as many as calls were ever in flight at once
 
 	closeOnce sync.Once
 	closed    chan struct{}
-	errv      atomic.Value // error: why the connection died
+	err       error // why the connection died; set before closed closes
 }
 
-func newClientConn(nc net.Conn, opts Options, m *Metrics) *clientConn {
-	cc := &clientConn{
-		nc:      nc,
-		wc:      m.wrap(nc),
-		m:       m,
-		timeout: opts.CallTimeout,
-		sem:     make(chan struct{}, opts.Window),
-		writeCh: make(chan []byte, opts.Window),
-		pending: make(map[uint64]chan Response),
-		stale:   make(map[uint64]struct{}),
-		closed:  make(chan struct{}),
-	}
-	go cc.writeLoop()
+// slot is one unit of the in-flight window. A request id is gen<<32|idx,
+// and gen moves on with every call: the late response to a call that timed
+// out can never be taken for the response to the slot's next occupant.
+type slot struct {
+	idx, gen uint32
+	waiting  bool          // the caller of generation gen is parked on wake
+	late     int           // timed-out calls whose response is still to come
+	wake     chan struct{} // capacity 1: the reader never blocks on it
+	resp     Response      // the reader's delivery, the caller's once woken
+}
+
+// timers recycles the per-call timeout timers; call re-arms what it gets.
+var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+
+func newClientConn(nc net.Conn, opts Options) *clientConn {
+	cc := &clientConn{nc: nc, m: opts.Metrics, timeout: opts.CallTimeout,
+		free: make(chan *slot, opts.Window), closed: make(chan struct{})}
+	cc.w = newConnWriter(cc.m.wrap(nc), opts.CallTimeout, cc.close)
 	go cc.readLoop()
 	return cc
 }
 
-// close marks the connection dead with cause, fails every pending call
-// and closes the socket. Idempotent; the first cause wins.
+// close marks the connection dead and closes the socket; every parked and
+// later call fails with cause, wrapped for errors.Is on ErrClientClosed.
+// Idempotent; the first cause wins.
 func (cc *clientConn) close(cause error) {
 	cc.closeOnce.Do(func() {
-		cc.errv.Store(cause)
+		if !errors.Is(cause, ErrClientClosed) {
+			cause = fmt.Errorf("%w: %v", ErrClientClosed, cause)
+		}
+		cc.err = cause
 		close(cc.closed)
 		cc.nc.Close()
-		cc.mu.Lock()
-		pend := cc.pending
-		cc.pending = nil
-		cc.mu.Unlock()
-		for _, ch := range pend {
-			close(ch)
-		}
 	})
-}
-
-// deadErr reports why the connection died, wrapped for errors.Is on
-// ErrClientClosed.
-func (cc *clientConn) deadErr() error {
-	cause, _ := cc.errv.Load().(error)
-	if cause == nil || errors.Is(cause, ErrClientClosed) {
-		return ErrClientClosed
-	}
-	return fmt.Errorf("%w: %v", ErrClientClosed, cause)
 }
 
 // call sends one request and blocks for its response, bounded by the
@@ -517,135 +492,90 @@ func (cc *clientConn) deadErr() error {
 func (cc *clientConn) call(req Request) (Response, error) {
 	var timeoutCh <-chan time.Time
 	if cc.timeout > 0 {
-		timer := time.NewTimer(cc.timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
+		t := timers.Get().(*time.Timer)
+		t.Reset(cc.timeout)
+		defer func() { t.Stop(); timers.Put(t) }()
+		timeoutCh = t.C
 	}
-	select {
-	case cc.sem <- struct{}{}:
-	case <-cc.closed:
-		return Response{}, cc.deadErr()
-	case <-timeoutCh:
-		return Response{}, fmt.Errorf("%w: no window slot within %v", ErrTimeout, cc.timeout)
+	s, err := cc.acquire(timeoutCh)
+	if err != nil {
+		return Response{}, err
 	}
-	defer func() { <-cc.sem }()
 	start := cc.m.begin()
 	defer cc.m.end()
-
-	ch := make(chan Response, 1)
 	cc.mu.Lock()
-	if cc.pending == nil {
-		cc.mu.Unlock()
-		return Response{}, cc.deadErr()
-	}
-	cc.nextID++
-	req.ID = cc.nextID
-	cc.pending[req.ID] = ch
+	s.gen++
+	s.waiting = true
 	cc.mu.Unlock()
-
-	buf, err := AppendRequest(nil, req)
-	if err != nil {
-		cc.forget(req.ID)
+	req.ID = uint64(s.gen)<<32 | uint64(s.idx)
+	if err := cc.w.put(func(dst []byte) ([]byte, error) { return AppendRequest(dst, req) }, nil, 0); err != nil {
+		cc.retire(s, false)
 		return Response{}, err
 	}
 	select {
-	case cc.writeCh <- buf:
+	case <-s.wake:
 	case <-cc.closed:
-		cc.forget(req.ID)
-		return Response{}, cc.deadErr()
+		return Response{}, cc.err
 	case <-timeoutCh:
-		cc.forget(req.ID)
-		return Response{}, fmt.Errorf("%w: %s not written within %v", ErrTimeout, req.Op, cc.timeout)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return Response{}, cc.deadErr()
-		}
-		cc.m.observe(req.Op, start, resp.Code)
-		return resp, nil
-	case <-timeoutCh:
-		if cc.abandon(req.ID) {
+		if cc.retire(s, true) {
 			return Response{}, fmt.Errorf("%w: no %s response within %v", ErrTimeout, req.Op, cc.timeout)
 		}
-		// The response won the race: the reader has already taken the id
-		// off pending, so the buffered send (or the close) is imminent.
-		resp, ok := <-ch
-		if !ok {
-			return Response{}, cc.deadErr()
-		}
-		cc.m.observe(req.Op, start, resp.Code)
-		return resp, nil
+		<-s.wake // the response won the race and its wake-up is in
 	}
+	resp := s.resp
+	cc.free <- s
+	cc.m.observe(req.Op, start, resp.Code)
+	return resp, nil
 }
 
-// forget drops a pending slot after a local failure (nothing was sent,
-// so no response will ever arrive for the id).
-func (cc *clientConn) forget(id uint64) {
+// acquire takes an idle slot, makes one while the table is below the
+// window, and otherwise waits for a release.
+func (cc *clientConn) acquire(timeoutCh <-chan time.Time) (*slot, error) {
+	select {
+	case s := <-cc.free:
+		return s, nil
+	default:
+	}
 	cc.mu.Lock()
-	if cc.pending != nil {
-		delete(cc.pending, id)
+	if len(cc.slots) < cap(cc.free) {
+		s := &slot{idx: uint32(len(cc.slots)), wake: make(chan struct{}, 1)}
+		cc.slots = append(cc.slots, s)
+		cc.mu.Unlock()
+		return s, nil
 	}
 	cc.mu.Unlock()
+	select {
+	case s := <-cc.free:
+		return s, nil
+	case <-cc.closed:
+		return nil, cc.err
+	case <-timeoutCh:
+		return nil, fmt.Errorf("%w: no window slot within %v", ErrTimeout, cc.timeout)
+	}
 }
 
-// abandon gives up on an in-flight request at timeout: the id moves to
-// the stale set so the reader discards its late response. Reports false
-// when the request is no longer pending — its response already arrived
-// (buffered on the slot) or the connection died.
-func (cc *clientConn) abandon(id uint64) bool {
+// retire ends s's call without a response and frees the slot: the request
+// never left, or (sent) its caller timed out and the response is owed to
+// nobody. It reports false, and does nothing, if the response is already in.
+func (cc *clientConn) retire(s *slot, sent bool) bool {
 	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.pending == nil {
-		return false
+	was := s.waiting
+	s.waiting = false
+	if was && sent {
+		s.late++
 	}
-	if _, ok := cc.pending[id]; !ok {
-		return false
+	cc.mu.Unlock()
+	if was {
+		cc.free <- s
 	}
-	delete(cc.pending, id)
-	cc.stale[id] = struct{}{}
-	return true
+	return was
 }
 
-// writeLoop drains queued frames and flushes once per batch (the
-// drainRounds yield-then-drain), so with many callers in flight one
-// syscall carries many requests — the client-side write coalescing that
-// makes pipelining pay.
-func (cc *clientConn) writeLoop() {
-	bw := bufio.NewWriterSize(cc.wc, 64<<10)
-	for {
-		var buf []byte
-		select {
-		case buf = <-cc.writeCh:
-		case <-cc.closed:
-			return
-		}
-		if _, err := bw.Write(buf); err != nil {
-			cc.close(err)
-			return
-		}
-		// writeCh never closes, so a false return always means a write
-		// error; close(err) already ran inside emit.
-		if !drainRounds(cc.writeCh, func(more []byte) bool {
-			if _, err := bw.Write(more); err != nil {
-				cc.close(err)
-				return false
-			}
-			return true
-		}) {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			cc.close(err)
-			return
-		}
-	}
-}
-
-// readLoop decodes responses and routes them to their pending slot. An
-// unknown id is a protocol violation and kills the connection.
+// readLoop decodes responses and wakes the caller parked on each one's
+// slot. The response to a timed-out call is dropped; any other response
+// nobody waits for is a protocol violation and kills the connection.
 func (cc *clientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.wc, 64<<10)
+	br := bufio.NewReaderSize(cc.w.nc, 64<<10)
 	for {
 		resp, err := ReadResponse(br)
 		if err != nil {
@@ -653,22 +583,23 @@ func (cc *clientConn) readLoop() {
 			cc.close(err)
 			return
 		}
+		var s *slot
 		cc.mu.Lock()
-		ch, ok := cc.pending[resp.ID]
-		if ok {
-			delete(cc.pending, resp.ID)
-		} else if _, timedOut := cc.stale[resp.ID]; timedOut {
-			// The caller gave up on this one: drop the late response and
-			// keep the connection.
-			delete(cc.stale, resp.ID)
-			cc.mu.Unlock()
-			continue
+		if idx := uint32(resp.ID); int(idx) < len(cc.slots) {
+			s = cc.slots[idx]
 		}
-		cc.mu.Unlock()
-		if !ok {
-			cc.close(fmt.Errorf("%w: response for unknown request id %d", ErrFrame, resp.ID))
+		switch {
+		case s != nil && s.waiting && s.gen == uint32(resp.ID>>32):
+			s.waiting, s.resp = false, resp
+			cc.mu.Unlock()
+			s.wake <- struct{}{}
+		case s != nil && s.late > 0:
+			s.late--
+			cc.mu.Unlock()
+		default:
+			cc.mu.Unlock()
+			cc.close(fmt.Errorf("%w: response for unknown request id %#x", ErrFrame, resp.ID))
 			return
 		}
-		ch <- resp
 	}
 }

@@ -1,45 +1,92 @@
 package reswire
 
-import "runtime"
+import (
+	"net"
+	"runtime"
+	"sync"
+	"time"
+)
 
-// drainRounds implements the write-coalescing drain shared by the client
-// and server write loops (internal/resd's shard loop uses the same idiom
-// with a batch cap).
-//
-// The channel send that wakes a write loop also schedules it to run
-// immediately next (the Go runtime's direct handoff puts the receiver in
-// the runnext slot), so a plain non-blocking drain right after the first
-// receive almost always finds the queue empty again — and every frame
-// ends up flushed alone, one syscall each. Instead, each round yields the
-// scheduler once so every runnable producer gets to enqueue, then drains
-// whatever is queued, and the rounds repeat until one adds nothing; only
-// then should the caller flush. The loop is self-limiting — once all
-// producers are blocked awaiting responses, a round drains nothing — and
-// with a single producer in flight the yield finds no other work and
-// costs nanoseconds.
-//
-// emit is called for every drained item; returning false aborts. The
-// function returns false as soon as ch is closed or emit fails, true
-// once a round adds nothing.
-func drainRounds[T any](ch <-chan T, emit func(T) bool) bool {
-	for drained := true; drained; {
-		runtime.Gosched()
-		drained = false
-	round:
-		for {
-			select {
-			case v, ok := <-ch:
-				if !ok {
-					return false
-				}
-				if !emit(v) {
-					return false
-				}
-				drained = true
-			default:
-				break round
-			}
+// writeBufCap is where a connection's pending output stops growing:
+// appenders wait while that much is pending, and a buffer a burst grew
+// past it is dropped rather than kept.
+const writeBufCap = 64 << 10
+
+// batch counts the replies still owed to the requests one socket read
+// delivered (the cork, see doc.go). Guarded by the connWriter's mutex.
+type batch struct{ owed int }
+
+// connWriter is a connection's one write path, on both sides (doc.go,
+// "Writing"): whoever produced a frame appends it, and the first appender
+// to want a flush does the flushing. After a write error, reported once
+// through fail, every put is a no-op.
+type connWriter struct {
+	nc      net.Conn
+	timeout time.Duration // per-write socket deadline; 0 = none
+	fail    func(error)   // closes the connection; called outside the lock with what killed it
+
+	mu       sync.Mutex
+	drained  sync.Cond // the pending buffer was swapped out, or the writer died
+	buf, alt []byte    // pending frames, and the other half of the double buffer
+	want     bool      // a flush was asked for since the last swap
+	flushing bool      // someone is in flush
+	err      error
+}
+
+func newConnWriter(nc net.Conn, timeout time.Duration, fail func(error)) *connWriter {
+	w := &connWriter{nc: nc, timeout: timeout, fail: fail}
+	w.drained.L = &w.mu
+	return w
+}
+
+// put appends the frame enc encodes (nil: none) and takes n off what b
+// owes. The buffer is flushed when b is nil (nothing corks the frame),
+// when that settles b, or at writeBufCap. An encode error is returned and
+// leaves the buffer as it was.
+func (w *connWriter) put(enc func([]byte) ([]byte, error), b *batch, n int) (err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.buf) >= writeBufCap && w.err == nil {
+		w.drained.Wait()
+	}
+	if enc != nil && w.err == nil {
+		var out []byte
+		if out, err = enc(w.buf); err == nil {
+			w.buf = out
 		}
 	}
-	return true
+	if b != nil {
+		b.owed -= n
+	}
+	w.want = w.want || b == nil || b.owed == 0 || len(w.buf) >= writeBufCap
+	if !w.want || w.flushing {
+		return err
+	}
+	w.flushing = true
+	for w.want && w.err == nil {
+		w.mu.Unlock()
+		runtime.Gosched() // every runnable appender gets to join this write
+		w.mu.Lock()
+		out := w.buf
+		w.buf, w.alt, w.want = w.alt[:0], nil, false
+		w.drained.Broadcast()
+		w.mu.Unlock()
+		if w.timeout > 0 {
+			w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
+		}
+		_, werr := w.nc.Write(out)
+		if werr != nil {
+			w.fail(werr)
+		}
+		w.mu.Lock()
+		if cap(out) <= writeBufCap {
+			w.alt = out[:0]
+		}
+		if werr != nil {
+			w.err, w.buf = werr, nil
+			w.drained.Broadcast()
+		}
+	}
+	w.flushing = false
+	return err
 }

@@ -2,7 +2,9 @@
 // network: a versioned, length-prefixed binary protocol, a TCP server
 // that decodes frames straight into the shard event loops, and a
 // pipelining client that multiplexes concurrent callers over a handful of
-// connections.
+// connections. A round trip crosses four goroutine boundaries — server
+// reader to handler, handler to shard loop and back, client reader to
+// caller — two more than an in-process call.
 //
 // # Protocol
 //
@@ -62,7 +64,7 @@
 // running without an SLO engine — see internal/slo). Frames
 // are assembled from the same published atomics a /metrics scrape
 // reads, so a subscriber never touches a shard event loop; a slow
-// subscriber (full write queue, stalled socket) has frames dropped and
+// subscriber (full push queue, stalled socket) has frames dropped and
 // marked — Seq stays monotone and the next delivered frame's Dropped
 // field counts the gap — rather than ever back-pressuring the server.
 // Subscriptions are capped per connection (CodeBadRequest past the
@@ -93,28 +95,76 @@
 // two sides share family names and are kept apart by the side label. A
 // nil Metrics — the default — leaves the hot path uninstrumented.
 //
+// # Writing
+//
+// A connection has one write path, the same type on both sides, and no
+// writer goroutine: the goroutine that produced a frame — a client caller,
+// a server handler — encodes it onto the connection's pending buffer under
+// a mutex, and the first one to ask for a flush becomes the flusher. The
+// flusher yields the processor once, so every appender that is runnable
+// gets its frame in, swaps the pending buffer for the spare one, writes it
+// outside the lock, and repeats while anything more was asked for; frames
+// appended during a write leave with the next. Coalescing is therefore a
+// property of the structure, not of a queue-draining loop, and a frame
+// crosses no goroutine boundary between being produced and being written.
+// The two buffers start empty and grow by append; one that a burst pushed
+// past 64 KiB is not kept. At 64 KiB pending, appenders wait for the
+// write in progress, so a peer that stops reading stalls the handlers,
+// then (through the in-flight cap) the reader, then TCP, while memory
+// stays put. After a write error every later append is a no-op and the
+// connection is closed.
+//
 // # Server
 //
-// The server runs one reader and one writer per connection. The reader
-// decodes frames and dispatches each request into the resd.Service on its
-// own goroutine (bounded per connection), so concurrent requests from one
-// client land in the shard event loops' group-commit batches exactly like
-// in-process traffic — the lock-free admission path is preserved end to
-// end. The writer coalesces: each wakeup drains every response already
-// queued and flushes once, so under load many responses share a syscall.
+// The server runs one reader per connection. It decodes frames in place
+// from its read buffer and hands each request to a handler goroutine that
+// executes it against the resd.Service and writes the reply itself.
+// Handlers are kept for the life of the connection and reused — as many
+// as requests were ever in flight at once, at most 1024; past that the
+// reader stops pulling frames — so concurrent requests from one client
+// land in the shard event loops' group-commit batches exactly like
+// in-process traffic, on stacks that are already grown.
+//
+// Replies are corked per socket read. The contract: the replies to
+// requests that were decoded from the same read of the socket leave in
+// one write, when the last of them has answered; a reply waits for
+// nothing else — never for a request from a later read, never for a size
+// threshold, never for the connection to go idle. (The one exception is
+// the 64 KiB bound above, which flushes early, not late.) What arrived
+// together is answered together, which under pipelining makes the reply
+// stream as coarse as the request stream, and a request that arrived
+// alone is answered alone and at once. The head-of-line cost is bounded
+// by the slowest request of one read: a client that wants a fast op not
+// to wait for a slow one (a Snapshot of a large shard, say) sends them in
+// different writes or on different connections. The bookkeeping is one
+// counter per read that delivered two or more requests — the only thing
+// the server's wire path allocates in steady state.
+//
+// Watch pushes are not corked and not written by their producers: a
+// connection's subscriptions queue them (256 deep) for one goroutine that
+// writes them, so a subscriber that stops reading blocks that goroutine
+// only, the queue fills, and the subscriptions drop and mark.
 //
 // # Client
 //
 // The client spreads callers round-robin over Options.Conns connections.
-// With Options.Pipeline, each connection allows a window of in-flight
-// requests whose frames are batched into shared flushes (responses are
-// matched back by request id, so ordering is free to differ); without it,
-// each connection carries one request at a time — the classic
-// write-flush-wait RPC shape, kept as the benchmark baseline.
-// BenchmarkWireThroughput (repository root, recorded in
-// BENCH_reswire.json) measures the gap: pipelining is the difference
-// between paying one round trip per admission and amortising the wire
-// across a batch.
+// With Options.Pipeline, each connection allows Options.Window requests
+// in flight; without it, one — the classic write-wait RPC shape, kept as
+// the benchmark baseline. BenchmarkWireThroughput (repository root,
+// recorded in BENCH_reswire.json) measures the gap: pipelining is the
+// difference between paying one round trip per admission and amortising
+// the wire across everything in flight.
+//
+// The window is a table of slots. A caller takes an idle slot (the table
+// grows on demand up to the window, then callers wait), sends its request
+// under the id generation<<32 | slot index, and parks on the slot's
+// wake-up; the connection's reader decodes each response in place, finds
+// the slot by the id's low half and, if the generation in the high half
+// is the one parked there, hands the response over and wakes the caller.
+// The generation moves on with every call, so ids are never reused while
+// an answer could still be on its way, and responses may come back in any
+// order. A call allocates nothing: the slot, its wake-up, the response it
+// is handed, the write buffers and the timeout timer are all reused.
 //
 // Client.Admit mirrors resd.Service.Admit field for field: the one
 // resd.Request struct is the admission vocabulary on both sides of the
@@ -124,12 +174,15 @@
 // on-wire frames are unchanged, so mixed-version deployments are
 // unaffected).
 //
-// Options.CallTimeout bounds every call end to end — waiting for a
-// window slot, getting the frame onto the socket, and waiting for the
-// response — failing with ErrTimeout. A timed-out call releases its
-// window slot
-// immediately and marks its request id stale; if the response arrives
-// late, the reader discards it and keeps the connection, so one slow
-// request degrades to one failed call, not a poisoned connection. Zero
-// means no timeout. After Close every call fails with ErrClientClosed.
+// Options.CallTimeout bounds every call end to end: waiting for a slot,
+// the socket write if the caller is the one flushing, and waiting for the
+// response. A call whose response is late fails with ErrTimeout and frees
+// its slot at once; the slot's next call runs under the next generation,
+// and when the late response does arrive the reader recognises it by the
+// old generation and drops it, so one slow request costs one failed call,
+// not a poisoned connection. A write that cannot finish within the
+// timeout is a different matter — a partly written frame cannot be taken
+// back — so it fails the connection: every call on it returns
+// ErrClientClosed wrapping the write error. Zero means no timeout. After
+// Close every call fails with ErrClientClosed.
 package reswire

@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/flight"
@@ -17,10 +17,10 @@ import (
 var ErrServerClosed = errors.New("reswire: server closed")
 
 // maxConnInFlight caps the number of requests one connection may have
-// dispatched into the service at once. A pipelining client within the cap
-// is never throttled; past it the reader stops pulling frames, which
-// back-pressures through TCP instead of growing a goroutine per frame
-// without bound.
+// dispatched into the service at once, and with it the handler goroutines
+// the connection keeps. A pipelining client within the cap is never
+// throttled; past it the reader stops pulling frames, which back-pressures
+// through TCP instead of growing a goroutine per frame without bound.
 const maxConnInFlight = 1024
 
 // Watch subscription bounds: the server clamps a subscriber's interval
@@ -34,9 +34,9 @@ const (
 
 // Server fronts a resd.Service with the wire protocol: it decodes request
 // frames, dispatches each into the service (where the shard event loops
-// group-commit them exactly as for in-process callers), and writes the
-// responses back with per-connection write coalescing — one flush per
-// batch of responses that are ready together, not one per response.
+// group-commit them exactly as for in-process callers), and has the
+// handler that produced a response write it — responses to requests that
+// arrived in one socket read leave in one write.
 type Server struct {
 	svc     *resd.Service
 	metrics *Metrics
@@ -134,26 +134,47 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// serveConn runs one connection: a reader loop decoding frames and
-// dispatching handler goroutines, plus a writer goroutine that coalesces
-// response flushes. A protocol error (bad magic, oversized frame, …)
-// closes the connection — framing is unrecoverable once desynchronised.
+// job is a decoded request on its way to a handler, with the read batch
+// its reply is corked against (nil: it arrived alone).
+type job struct {
+	req Request
+	b   *batch
+}
+
+// serveConn runs one connection (doc.go, "Server"): the reader decodes
+// frames and hands each to a handler goroutine, which executes it and
+// writes the reply itself. Handlers are kept for the life of the
+// connection, at most maxConnInFlight of them. A protocol error (bad
+// magic, oversized frame, …) closes the connection — framing is
+// unrecoverable once desynchronised.
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	wc := s.metrics.wrap(nc) // byte counters; nc stays the handle Close uses
 	br := bufio.NewReaderSize(wc, 64<<10)
-	out := make(chan Response, 256)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		s.writeLoop(wc, out)
-	}()
+	w := newConnWriter(wc, 0, func(error) { nc.Close() })
 
-	sem := make(chan struct{}, maxConnInFlight)
-	var hwg sync.WaitGroup
-	connDone := make(chan struct{}) // closed when the reader exits; ends this conn's watchers
-	watches := 0
-	downLevel := false
+	var (
+		hwg       sync.WaitGroup
+		work      = make(chan job)
+		spare     atomic.Int32          // idle handlers minus jobs on their way to one
+		cur       = new(batch)          // the current read's batch, once it holds two requests
+		out       chan Response         // watch pushes queue here; made by the first Watch
+		pumped    = make(chan struct{}) // closed when out's pump has exited
+		connDone  = make(chan struct{}) // closed when the reader exits; ends this conn's watchers
+		downLevel bool
+	)
+	handlers, inBatch, watches := 0, 0, 0
+	handler := func(j job) {
+		defer hwg.Done()
+		for ok := true; ok; j, ok = <-work {
+			start := s.metrics.begin()
+			resp := s.handle(j.req)
+			s.metrics.observe(j.req.Op, start, resp.Code)
+			s.metrics.end()
+			w.reply(&resp, j.b)
+			spare.Add(1)
+		}
+	}
 	for {
 		req, err := ReadRequest(br)
 		if err != nil {
@@ -178,9 +199,23 @@ func (s *Server) serveConn(nc net.Conn) {
 				flight.KV{K: "remote", V: nc.RemoteAddr().String()},
 				flight.KV{K: "version", V: fmt.Sprint(v)})
 		}
+		// The cork: requests one socket read delivered share a batch, sealed
+		// as soon as the buffer holds no further whole frame (replies that
+		// beat the seal drove owed negative; whoever brings it to zero
+		// uncorks). A request that arrived alone flushes its own reply.
+		more := frameBuffered(br)
+		j := job{req: req}
+		if req.Op != OpWatch && (more || inBatch > 0) {
+			j.b = cur
+			inBatch++
+		}
+		if !more && inBatch > 0 {
+			w.put(nil, cur, -inBatch)
+			cur, inBatch = new(batch), 0
+		}
 		if req.Op == OpWatch {
 			// A Watch is a subscription, not a round trip: its goroutine
-			// pushes telemetry frames into the connection's writer until
+			// pushes telemetry frames towards the connection's writer until
 			// the connection closes. It reads only published atomics and
 			// sends non-blockingly (drop-and-mark), so a stalled
 			// subscriber never holds a shard loop, a handler, or the
@@ -194,8 +229,20 @@ func (s *Server) serveConn(nc net.Conn) {
 			s.metrics.observe(req.Op, start, resp.Code)
 			s.metrics.end()
 			if resp.Code != CodeOK {
-				out <- resp
+				w.reply(&resp, nil)
 				continue
+			}
+			if out == nil {
+				// One goroutine writes the pushes, so a subscriber that
+				// stops reading blocks it alone; the 256 pushes that may
+				// queue behind it are the slack before watchLoop drops.
+				out = make(chan Response, 256)
+				go func() {
+					defer close(pumped)
+					for resp := range out {
+						w.reply(&resp, nil)
+					}
+				}()
 			}
 			watches++
 			hwg.Add(1)
@@ -205,27 +252,39 @@ func (s *Server) serveConn(nc net.Conn) {
 			}(req)
 			continue
 		}
-		sem <- struct{}{}
-		hwg.Add(1)
-		go func(req Request) {
-			defer hwg.Done()
-			start := s.metrics.begin()
-			resp := s.handle(req)
-			s.metrics.observe(req.Op, start, resp.Code)
-			s.metrics.end()
-			out <- resp
-			<-sem
-		}(req)
+		// To a handler that is, or is about to be, idle; else to a new one
+		// below the cap; at the cap the send waits for the next to idle,
+		// whose spare.Add repays the debt taken here.
+		if spare.Add(-1) < 0 && handlers < maxConnInFlight {
+			spare.Add(1)
+			handlers++
+			hwg.Add(1)
+			go handler(j)
+		} else {
+			work <- j
+		}
 	}
 	close(connDone)
+	close(work)
 	hwg.Wait()
-	close(out)
-	<-writerDone
+	if out != nil {
+		close(out)
+		<-pumped
+	}
+}
+
+// reply appends resp to the connection's output, corked against b. A
+// response that cannot be encoded would leave the peer waiting for its id
+// for ever, so it fails the connection.
+func (w *connWriter) reply(resp *Response, b *batch) {
+	if err := w.put(func(dst []byte) ([]byte, error) { return AppendResponse(dst, *resp) }, b, 1); err != nil {
+		w.fail(err)
+	}
 }
 
 // watchLoop is one Watch subscription: every interval it assembles a
 // Telemetry snapshot from the service's published counters and offers
-// it to the connection's writer. A full writer queue (slow consumer,
+// it to the connection's writer. A full push queue (slow consumer,
 // stuck socket) drops the frame and counts it in the next delivered
 // frame's Dropped field — the subscription never blocks, and the shard
 // loops never see it at all. The first frame is pushed immediately so a
@@ -324,45 +383,6 @@ func (s *Server) telemetry(mask uint32) *Telemetry {
 		}
 	}
 	return t
-}
-
-// writeLoop encodes and writes responses, coalescing each wakeup's batch
-// into one flush via drainRounds — the server-side half of the pipelining
-// bargain: under load, many responses ride one syscall.
-func (s *Server) writeLoop(nc io.Writer, out <-chan Response) {
-	bw := bufio.NewWriterSize(nc, 64<<10)
-	var buf []byte
-	var stuck error // first write/flush failure; keep draining so handlers never block
-	write := func(resp Response) {
-		if stuck != nil {
-			return
-		}
-		var err error
-		buf, err = AppendResponse(buf[:0], resp)
-		if err == nil {
-			_, err = bw.Write(buf)
-		}
-		if err != nil {
-			stuck = err
-		}
-	}
-	for resp := range out {
-		write(resp)
-		// A false return means out closed mid-drain; flush what we have
-		// and let the range loop observe the close on its next receive.
-		drainRounds(out, func(more Response) bool {
-			write(more)
-			return true
-		})
-		if stuck == nil {
-			if err := bw.Flush(); err != nil {
-				stuck = err
-			}
-		}
-	}
-	if stuck == nil {
-		bw.Flush()
-	}
 }
 
 // handle executes one decoded request against the service and builds the

@@ -1306,28 +1306,55 @@ func DecodeResponse(payload []byte) (Response, error) {
 	return resp, nil
 }
 
-// ReadFrame reads one length-prefixed payload from br. The length prefix
-// is validated against MaxFrame before the payload is allocated.
+// ReadFrame reads one length-prefixed payload from br. A frame that fits
+// br's buffer is returned in place — a view of the buffer, valid until the
+// next read on br — and only a larger one is copied out; the decoders keep
+// no reference to the payload, so ReadRequest and ReadResponse read a
+// stream without allocating per frame. The length prefix is validated
+// against MaxFrame before anything is buffered or allocated.
 func ReadFrame(br *bufio.Reader) ([]byte, error) {
-	var lenbuf [4]byte
-	if _, err := io.ReadFull(br, lenbuf[:]); err != nil {
+	head, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenbuf[:])
+	n := int(binary.BigEndian.Uint32(head))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d byte payload exceeds MaxFrame %d", ErrFrame, n, MaxFrame)
 	}
 	if n < headerLen {
 		return nil, fmt.Errorf("%w: %d byte payload shorter than header", ErrFrame, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	var payload []byte
+	if 4+n <= br.Size() {
+		if payload, err = br.Peek(4 + n); err == nil {
+			payload = payload[4:]
+			br.Discard(4 + n) // buffered, so it only moves the read index
+		}
+	} else {
+		br.Discard(4)
+		payload = make([]byte, n)
+		_, err = io.ReadFull(br, payload)
+	}
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("%w: truncated frame: %v", ErrFrame, err)
 	}
 	return payload, nil
+}
+
+// frameBuffered reports whether br already holds a whole frame, i.e.
+// whether the next ReadFrame returns without touching the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	head, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(head))
 }
 
 // ReadRequest reads and decodes one request frame.
