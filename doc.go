@@ -20,7 +20,11 @@
 // accept -backend={array,tree}; the backends are proven equivalent by a
 // differential fuzz harness and compared by the root-level
 // BenchmarkCapacityIndex (results in BENCH_restree.json — the tree is
-// ~139× faster at 10^5 reservations).
+// ~139× faster at 10^5 reservations). LSRC asks the index only about jobs
+// that can start — one AvailableAt per event, a min-width tournament over
+// the priority list, FindSlot as a not-before memo — so a call costs
+// O(n log n) plus O(log n) per job started or blocked at an event, 4 index
+// calls per job without reservations, instead of O(events × pending).
 //
 // On top of that seam sits internal/resd, the concurrent
 // reservation-admission service: S shards, each one cluster partition

@@ -28,31 +28,38 @@ func (e EASY) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	}
 	s := core.NewSchedule(inst)
 	s.Algorithm = "easy-bf"
-	queue := make([]int, len(inst.Jobs))
-	for i := range queue {
-		queue[i] = i
-	}
+	// The queue is the instance order, so a list position is a job index.
+	// The tournament serves the width filter only: the shadow hold is
+	// released after every event, so capacity does not only shrink across
+	// events and LSRC's not-before memo would not stay valid here.
+	queue := NewTournament(len(inst.Jobs), func(pos int) int { return inst.Jobs[pos].Procs })
 
 	t := core.Time(0)
-	for len(queue) > 0 {
+	for {
+		// free is the capacity at t, kept current across the commits at t;
+		// the shadow hold starts after t and does not touch it.
+		free := tl.AvailableAt(t)
+
 		// Start head jobs while they fit right now.
-		for len(queue) > 0 {
-			j := inst.Jobs[queue[0]]
-			if !tl.CanPlace(t, j.Len, j.Procs) {
+		hd := queue.First()
+		for ; hd >= 0; hd = queue.First() {
+			j := inst.Jobs[hd]
+			if j.Procs > free || !tl.CanPlace(t, j.Len, j.Procs) {
 				break
 			}
 			if err := tl.Commit(t, j.Len, j.Procs); err != nil {
 				return nil, fmt.Errorf("sched: internal: %v", err)
 			}
-			s.SetStart(queue[0], t)
-			queue = queue[1:]
+			s.SetStart(hd, t)
+			queue.Remove(hd)
+			free -= j.Procs
 		}
-		if len(queue) == 0 {
-			break
+		if hd < 0 {
+			return s, nil
 		}
 
 		// Head does not fit now: compute its shadow slot and hold it.
-		head := inst.Jobs[queue[0]]
+		head := inst.Jobs[hd]
 		shadow, ok := tl.FindSlot(t, head.Procs, head.Len)
 		if !ok {
 			return nil, stuckErr(head)
@@ -63,19 +70,17 @@ func (e EASY) Schedule(inst *core.Instance) (*core.Schedule, error) {
 
 		// Back-fill: any later job that fits now without touching the
 		// shadow hold may start. Single pass: capacity only shrinks.
-		kept := queue[:1]
-		for _, idx := range queue[1:] {
+		for idx := queue.Next(hd+1, free); idx >= 0; idx = queue.Next(idx+1, free) {
 			j := inst.Jobs[idx]
 			if tl.CanPlace(t, j.Len, j.Procs) {
 				if err := tl.Commit(t, j.Len, j.Procs); err != nil {
 					return nil, fmt.Errorf("sched: internal: %v", err)
 				}
 				s.SetStart(idx, t)
-			} else {
-				kept = append(kept, idx)
+				queue.Remove(idx)
+				free -= j.Procs
 			}
 		}
-		queue = kept
 
 		// Drop the shadow hold; the head will be re-examined at the next
 		// event (it may start earlier than the shadow if back-filled jobs
@@ -92,5 +97,4 @@ func (e EASY) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		}
 		t = next
 	}
-	return s, nil
 }

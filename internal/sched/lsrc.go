@@ -49,6 +49,38 @@ func (l *LSRC) order() Order {
 // (a window [t, t+p) becomes feasible exactly when t passes the end of the
 // last under-capacity segment blocking it). Scanning the list at every
 // breakpoint therefore reproduces the continuous-time list scheduler.
+//
+// The scan asks the index only about jobs that can start, and starts
+// exactly the jobs a full scan of the list would (lsrc_diff_test.go keeps
+// that full scan as the oracle). Three facts make the shortcuts exact:
+//
+//   - Width filter. A window [t, t+p) has q processors free only if
+//     instant t does, so a job with q > free(t) fails CanPlace(t, p, q) and
+//     is skipped without asking. free is read from the index once per event
+//     and kept current by hand: a commit at t of a job with p >= 1 lowers
+//     the capacity at t by exactly q. The tournament answers "next list
+//     position whose width is at most free" in list order, so the jobs that
+//     do get asked are asked in the order the full scan would ask them.
+//   - One pass. Within an event nothing is released, so capacity only
+//     shrinks as the pass proceeds: a job refused earlier in the pass
+//     cannot fit later in it, and a second pass would start nothing.
+//   - Not-before memo. A job that passes the width filter and still fails
+//     CanPlace is blocked by a reservation (or a job booked around one)
+//     ahead of it. FindSlot(t, q, p) is then its earliest start on the
+//     current timeline, and because LSRC only ever commits — never
+//     releases — for the rest of the call, every later timeline is
+//     pointwise no larger, so no start before that instant can become
+//     feasible. The job is not asked about again until the clock reaches
+//     it; "never" (an infinite reservation) is remembered as Infinity.
+//
+// The memo is sound only because nothing is released. EASY drops its shadow
+// hold after every event and the simulator's policies roll their trial
+// commitments back, so both use the tournament for the width filter alone.
+//
+// Cost: O(n log n) for the list order and the tournament, then one
+// AvailableAt and one NextBreakpoint per event and O(log n) per job started
+// or blocked at that event — no longer O(pending) index calls per event.
+// Without reservations CanPlace is called exactly n times and never fails.
 func (l *LSRC) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	tl, err := prep(inst, l.Backend)
 	if err != nil {
@@ -56,37 +88,49 @@ func (l *LSRC) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	}
 	s := core.NewSchedule(inst)
 	s.Algorithm = l.Name()
-	pending := l.order().Indices(inst)
-	if len(pending) != len(inst.Jobs) {
+	list := l.order().Indices(inst)
+	if len(list) != len(inst.Jobs) {
 		return nil, fmt.Errorf("%w: order returned %d indices for %d jobs",
-			ErrInvalid, len(pending), len(inst.Jobs))
+			ErrInvalid, len(list), len(inst.Jobs))
 	}
+	// pending holds the list positions not yet started; notBefore[pos] is a
+	// lower bound on the start of the job at that position.
+	pending := NewTournament(len(list), func(pos int) int { return inst.Jobs[list[pos]].Procs })
+	notBefore := make([]core.Time, len(list))
 
 	t := core.Time(0)
-	for len(pending) > 0 {
-		// One pass over the list in priority order: capacity only shrinks
-		// during the pass, so no second pass can start additional jobs.
-		kept := pending[:0]
-		for _, idx := range pending {
-			j := inst.Jobs[idx]
-			if tl.CanPlace(t, j.Len, j.Procs) {
-				if err := tl.Commit(t, j.Len, j.Procs); err != nil {
-					return nil, fmt.Errorf("sched: internal: %v", err)
-				}
-				s.SetStart(idx, t)
-			} else {
-				kept = append(kept, idx)
+	for left := len(list); left > 0; {
+		free := tl.AvailableAt(t)
+		for pos := pending.Next(0, free); pos >= 0; pos = pending.Next(pos+1, free) {
+			if notBefore[pos] > t {
+				continue
 			}
+			idx := list[pos]
+			j := inst.Jobs[idx]
+			if !tl.CanPlace(t, j.Len, j.Procs) {
+				at, ok := tl.FindSlot(t, j.Procs, j.Len)
+				if !ok {
+					at = core.Infinity
+				}
+				notBefore[pos] = at
+				continue
+			}
+			if err := tl.Commit(t, j.Len, j.Procs); err != nil {
+				return nil, fmt.Errorf("sched: internal: %v", err)
+			}
+			s.SetStart(idx, t)
+			pending.Remove(pos)
+			free -= j.Procs
+			left--
 		}
-		pending = kept
-		if len(pending) == 0 {
+		if left == 0 {
 			break
 		}
 		next, ok := tl.NextBreakpoint(t)
 		if !ok {
 			// Availability is constant on [t, inf) and the remaining jobs
 			// do not fit: they never will.
-			return nil, stuckErr(inst.Jobs[pending[0]])
+			return nil, stuckErr(inst.Jobs[list[pending.First()]])
 		}
 		t = next
 	}

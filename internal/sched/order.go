@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -27,12 +28,13 @@ func identity(n int) []int {
 	return out
 }
 
-// sortBy returns indices sorted by the given less function, with ties broken
-// by instance position so orders are total and deterministic.
-func sortBy(inst *core.Instance, less func(a, b core.Job) bool) []int {
+// sortBy returns indices sorted by the given three-way comparison, with ties
+// broken by instance position (the sort is stable) so orders are total and
+// deterministic.
+func sortBy(inst *core.Instance, compare func(a, b core.Job) int) []int {
 	idx := identity(len(inst.Jobs))
-	sort.SliceStable(idx, func(x, y int) bool {
-		return less(inst.Jobs[idx[x]], inst.Jobs[idx[y]])
+	slices.SortStableFunc(idx, func(x, y int) int {
+		return compare(inst.Jobs[x], inst.Jobs[y])
 	})
 	return idx
 }
@@ -46,27 +48,27 @@ var FIFO = Order{Name: "fifo", Indices: func(inst *core.Instance) []int {
 // LPT orders by decreasing processing time (the conclusion's suggested
 // priority: "sorting the jobs by decreasing durations").
 var LPT = Order{Name: "lpt", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) bool { return a.Len > b.Len })
+	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(b.Len, a.Len) })
 }}
 
 // SPT orders by increasing processing time.
 var SPT = Order{Name: "spt", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) bool { return a.Len < b.Len })
+	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(a.Len, b.Len) })
 }}
 
 // WidestFirst orders by decreasing processor requirement.
 var WidestFirst = Order{Name: "widest", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) bool { return a.Procs > b.Procs })
+	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(b.Procs, a.Procs) })
 }}
 
 // NarrowestFirst orders by increasing processor requirement.
 var NarrowestFirst = Order{Name: "narrowest", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) bool { return a.Procs < b.Procs })
+	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(a.Procs, b.Procs) })
 }}
 
 // MaxWorkFirst orders by decreasing area p*q.
 var MaxWorkFirst = Order{Name: "maxwork", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) bool { return a.Work() > b.Work() })
+	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(b.Work(), a.Work()) })
 }}
 
 // RandomOrder returns a rule that shuffles the list with the given seed.

@@ -61,12 +61,14 @@ func prep(inst *core.Instance, backend string) (profile.CapacityIndex, error) {
 	}
 	// A bad backend name is a configuration error, not an instance error:
 	// surface it as-is rather than wrapped in ErrInvalid.
-	if _, err := profile.NewIndex(backend, 0); err != nil {
+	tl, err := profile.NewIndex(backend, inst.M)
+	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	tl, err := profile.IndexFromReservations(backend, inst.M, inst.Res)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+	for _, r := range inst.Res {
+		if err := tl.Commit(r.Start, r.Len, r.Procs); err != nil {
+			return nil, fmt.Errorf("%w: profile: reservation %d: %v", ErrInvalid, r.ID, err)
+		}
 	}
 	return tl, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/sched"
 )
 
 // scratch overlays trial commitments on the engine's live capacity index
@@ -62,16 +63,27 @@ type GreedyPolicy struct{}
 func (GreedyPolicy) Name() string { return "greedy-lsrc" }
 
 // Dispatch implements Policy.
+//
+// The pass is sched.LSRC's: read the capacity free at now once, and let the
+// min-width tournament offer, in queue order, only the jobs no wider than
+// that — a wider one cannot fit. The width filter is all that is kept of
+// LSRC's shortcuts: the trial commitments are rolled back before Dispatch
+// returns, so nothing learnt about a blocked job's earliest start (LSRC's
+// not-before memo) may outlive the call.
 func (GreedyPolicy) Dispatch(now core.Time, queue []Queued, tl profile.CapacityIndex) []int {
 	sc := &scratch{idx: tl}
 	defer sc.undo()
 	var picks []int
-	for p, q := range queue {
-		if sc.canPlace(now, q.Job.Len, q.Job.Procs) {
-			if sc.commit(now, q.Job.Len, q.Job.Procs) != nil {
+	free := tl.AvailableAt(now)
+	fits := sched.NewTournament(len(queue), func(p int) int { return queue[p].Job.Procs })
+	for p := fits.Next(0, free); p >= 0; p = fits.Next(p+1, free) {
+		j := queue[p].Job
+		if sc.canPlace(now, j.Len, j.Procs) {
+			if sc.commit(now, j.Len, j.Procs) != nil {
 				continue
 			}
 			picks = append(picks, p)
+			free -= j.Procs
 		}
 	}
 	return picks
