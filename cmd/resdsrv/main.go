@@ -1,7 +1,7 @@
 // Command resdsrv serves the internal/resd reservation-admission service
 // over the reswire protocol: it builds a sharded service from flags,
 // listens on a TCP address, and decodes wire frames straight into the
-// shard event loops, so remote clients get the same α-rule and
+// shards' queues, so remote clients get the same α-rule and
 // deadline-rejection semantics as in-process callers — over a socket.
 //
 // Usage:
@@ -65,7 +65,7 @@
 // multi-burn-rate alert rules in the Google-SRE style (the default:
 // 14.4× over 5m and 1h pages, 3× over 30m and 6h warns). The engine
 // samples the service's cumulative counters on a fixed period — never
-// touching a shard event loop — publishes the resd_slo_* metric
+// waiting on a shard — publishes the resd_slo_* metric
 // families, journals every alert transition into the flight recorder,
 // escalates /healthz to 200-with-warning while any rule fires, captures
 // a rate-limited diagnostic bundle on page transitions, and streams
@@ -123,7 +123,7 @@ func run() error {
 	alpha := flag.Float64("alpha", 0.5, "α admission rule: ⌊α·m⌋ processors stay free per shard")
 	backend := flag.String("backend", "array", "capacity index backend (array or tree)")
 	placement := flag.String("placement", "least-loaded", "shard routing policy (first-fit, least-loaded, p2c, pressure)")
-	batch := flag.Int("batch", 64, "max requests group-committed per event-loop turn")
+	batch := flag.Int("batch", 64, "max requests group-committed per shard turn")
 	nres := flag.Int("nres", 0, "pre-existing reservations per shard (maintenance windows)")
 	horizon := flag.Int64("horizon", 1<<20, "time horizon the -nres pre-reservations are drawn over")
 	seed := flag.Uint64("seed", 1, "pre-reservation generator seed")

@@ -90,7 +90,7 @@ func run() error {
 	rate := flag.Float64("rate", 0, "target request rate per second (0 = unthrottled)")
 	cancelfrac := flag.Float64("cancelfrac", 0.5, "fraction of admissions the clients cancel again")
 	slack := flag.Int64("slack", 0, "per-request deadline: ready+slack ticks (0 = no deadline)")
-	batch := flag.Int("batch", 64, "max requests group-committed per event-loop turn")
+	batch := flag.Int("batch", 64, "max requests group-committed per shard turn")
 	seed := flag.Uint64("seed", 1, "workload generator seed")
 	statsevery := flag.Duration("statsevery", 0, "print a one-line progress row this often while the stream runs (0 = off)")
 	swf := flag.String("swf", "", "SWF trace file (overrides synthetic generation)")

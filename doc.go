@@ -28,9 +28,10 @@
 //
 // On top of that seam sits internal/resd, the concurrent
 // reservation-admission service: S shards, each one cluster partition
-// owning its own CapacityIndex behind a single-writer event loop
-// (shard-local admission takes no locks), requests group-committed in
-// batches per loop turn, and Reserve traffic routed across shards by
+// owning its own CapacityIndex with one writer at a time and no
+// goroutine of its own (callers combine: whoever finds the shard idle
+// serves its queue, own admission first), requests group-committed in
+// batches per turn, and Reserve traffic routed across shards by
 // pluggable placement policies (first-fit, least-loaded,
 // power-of-two-choices on free area) with the paper's α-admission rule
 // enforced per shard. Admission is deadline-aware: ReserveBy rejects with
@@ -48,7 +49,7 @@
 // imbalance score is the committed-area spread, reservations starting
 // inside a frozen window are pinned, candidate choice is weighted by
 // per-tenant quota pressure) and resd executes each move as a two-phase
-// commit through the shard event loops, conserving capacity at every
+// commit through the shard queues, conserving capacity at every
 // instant and transferring — never double-counting — tenant quota;
 // reservation handles survive migration via forwarded Cancel routing.
 // The "pressure" placement policy closes the loop at admission time,
@@ -77,7 +78,7 @@
 // accepted and answered at their own revision, v1 landing on the default
 // tenant). The request path is
 //
-//	client → reswire frames → server dispatch → resd shard event loops → CapacityIndex
+//	client → reswire frames → server dispatch → resd shard queue (combiner) → CapacityIndex
 //
 // with typed error codes end to end (a REJECTED_DEADLINE frame surfaces
 // as resd.ErrDeadline on the remote side, a REJECTED_QUOTA as
@@ -85,7 +86,7 @@
 // client multiplexes concurrent callers over a few connections, callers
 // that send together share a socket write, and the server answers the
 // requests of one socket read in one write, so under load a syscall
-// carries many messages and the shard loops see the same group-commit
+// carries many messages and the shards see the same group-commit
 // batches as in-process traffic. cmd/resdsrv is the server binary (-quotas loads a tenant
 // budget spec); cmd/resload replays synthetic or SWF-derived request
 // streams against either an in-process service or a live server (-addr),

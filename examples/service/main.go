@@ -56,8 +56,8 @@ func main() {
 		first.Shard, first.Start)
 
 	// Now a concurrent burst: 8 clients × 25 requests. Every admission is
-	// group-committed by the owning shard's event loop; the placement
-	// policy routes on the atomically published load summaries.
+	// group-committed by whichever caller is serving the owning shard; the
+	// placement policy routes on the atomically published load summaries.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var admitted []resd.Reservation
@@ -88,7 +88,7 @@ func main() {
 			i, st.Active, st.CommittedArea, st.Batches, st.Ops)
 	}
 
-	// Snapshots are taken inside the event loop between batches and come
+	// Snapshots are taken by the shard's combiner between requests and come
 	// back wrapped in profile.Synchronized, safe to share across
 	// goroutines. The α floor is visible in the data: available capacity
 	// never drops below 16 anywhere (Pre is exempt, so probe past it).

@@ -1,9 +1,9 @@
 // Package flight is the node's black-box flight recorder: a bounded
-// structured event journal, a shard-loop health watchdog, and
+// structured event journal, a shard health watchdog, and
 // on-anomaly diagnostic bundles. It exists because the service's other
 // observability (metrics, traces, Watch telemetry) describes the
 // workload; flight describes the service itself — whether the
-// single-writer loops the α-rule guarantees depend on are actually
+// single-writer shards the α-rule guarantees depend on are actually
 // making progress, and what the evidence was when they were not.
 //
 // # Journal
@@ -30,13 +30,14 @@
 //
 // # Watchdog
 //
-// Each shard loop publishes a heartbeat from its existing batch turn:
+// A resd shard has no goroutine of its own: whichever caller is serving
+// its queue (the combiner) publishes the heartbeat from the batch turn:
 // BusySince when a turn begins, LastTurn when it completes (two atomic
 // stores per batch, only when a recorder is attached). The monitor
 // goroutine samples those probes every Budgets.CheckEvery and judges
 // the node against configurable budgets:
 //
-//	stalled   a loop stuck inside one turn (or queued requests with no
+//	stalled   a shard stuck inside one turn (or queued requests with no
 //	          turn) for longer than StallAfter
 //	degraded  a request queue at >= 3/4 capacity for QueueFullFor, a
 //	          WAL fsync p99 over FsyncP99, or more than FrameErrorBurst

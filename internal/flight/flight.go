@@ -19,9 +19,9 @@ const (
 	// Healthy: every budget holds.
 	Healthy Health = iota
 	// Degraded: a soft budget is blown (queue runaway, fsync p99 over
-	// budget, frame-error burst) but the loops make progress.
+	// budget, frame-error burst) but the shards make progress.
 	Degraded
-	// Stalled: a shard event loop has stopped making progress — the
+	// Stalled: a shard has stopped making progress — the
 	// α-rule guarantees no longer hold because nothing is admitting.
 	Stalled
 )
@@ -62,7 +62,7 @@ func (h *Health) UnmarshalJSON(b []byte) error {
 type Budgets struct {
 	// CheckEvery is the monitor's probe period (default 250ms).
 	CheckEvery time.Duration
-	// StallAfter marks a shard loop stalled when it has been inside one
+	// StallAfter marks a shard stalled when it has been inside one
 	// batch turn — or has left requests queued without a heartbeat —
 	// for this long (default 2s).
 	StallAfter time.Duration
@@ -112,13 +112,14 @@ func (b Budgets) normalize() Budgets {
 // atomic stores per turn) and the probe reads them lock-free.
 type ShardProbe struct {
 	Shard int
-	// LastTurn is when the loop last completed a batch turn (its
+	// LastTurn is when the shard last completed a batch turn (its
 	// creation instant before the first turn; zero = unknown).
 	LastTurn time.Time
-	// BusySince is when the loop entered the turn it is currently
+	// BusySince is when the shard entered the turn it is currently
 	// inside (zero = idle between turns).
 	BusySince time.Time
-	// QueueLen and QueueCap describe the loop's request queue.
+	// QueueLen is how many requests wait in the shard's queue; QueueCap
+	// is the depth the queue-full budget is judged against (one batch).
 	QueueLen, QueueCap int
 	// FsyncP99 is the shard WAL's observed p99 fsync latency (0 = no
 	// WAL or no fsync yet).
@@ -343,7 +344,7 @@ func (r *Recorder) monitor(src Sources, quit <-chan struct{}, done chan<- struct
 			for _, p := range src.Shards() {
 				if !p.BusySince.IsZero() {
 					if d := now.Sub(p.BusySince); d > b.StallAfter && b.StallAfter > 0 {
-						note(Stalled, "shard %d loop stuck inside one batch turn for %v", p.Shard, d.Round(time.Millisecond))
+						note(Stalled, "shard %d stuck inside one batch turn for %v", p.Shard, d.Round(time.Millisecond))
 					}
 				} else if p.QueueLen > 0 && !p.LastTurn.IsZero() && b.StallAfter > 0 {
 					if d := now.Sub(p.LastTurn); d > b.StallAfter {

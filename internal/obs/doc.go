@@ -5,7 +5,7 @@
 //
 // # Design
 //
-// The service's hot paths are single-writer event loops that already
+// The service's hot paths are single-writer shard turns that already
 // publish load summaries through plain atomics once per batch. The
 // registry leans on that instead of fighting it: instruments are
 // individual atomic words (Counter, Gauge) or atomic bucket arrays

@@ -10,8 +10,8 @@ import (
 // index can be observed from many goroutines while another mutates it.
 //
 // The repository's schedulers never need this: they own their index
-// outright, and internal/resd goes further by giving every shard a
-// single-writer event loop so the hot path takes no locks at all. The
+// outright, and internal/resd gives every shard one writer at a time
+// (its combiner) so the index is never touched under a lock. The
 // wrapper exists for the boundary where an index crosses goroutines anyway
 // — resd's Snapshot hands callers a Synchronized clone they may share
 // freely, and load generators use it to watch capacity drain while clients
@@ -67,7 +67,7 @@ func (s *Synchronized) CanPlace(start, dur core.Time, q int) bool {
 // FindSlot returns the earliest t >= ready with q processors free on all of
 // [t, t+dur). Note that under concurrent writers the slot may be gone by the
 // time the caller acts on it; re-validation belongs to whoever commits
-// (which is exactly what resd's shard loops do).
+// (which is exactly what resd's shards do).
 func (s *Synchronized) FindSlot(ready core.Time, q int, dur core.Time) (core.Time, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,0 +1,44 @@
+//go:build !race
+
+package resd
+
+import "testing"
+
+// Not under -race: there sync.Pool drops a share of what is put back, on
+// purpose, and the slot pool then allocates.
+
+// TestAdmitCancelAllocs pins the allocation count of the unobserved hot
+// path: a lone caller's admit+cancel allocates nothing under every
+// placement, and a service with more than stackShards shards pays at most
+// the one order buffer per Admit.
+func TestAdmitCancelAllocs(t *testing.T) {
+	pair := func(svc *Service) func() {
+		return func() {
+			r, err := svc.Admit(Request{Ready: 0, Q: 1, Dur: 1, Deadline: NoDeadline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Cancel(r.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, name := range Placements() {
+		svc, err := New(Config{Shards: 4, M: 16, Backend: "tree", Placement: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(500, pair(svc)); n != 0 {
+			t.Errorf("%s: admit+cancel allocates %v times, want 0", name, n)
+		}
+		svc.Close()
+	}
+	svc, err := New(Config{Shards: 2 * stackShards, M: 16, Backend: "tree"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if n := testing.AllocsPerRun(500, pair(svc)); n > 2 {
+		t.Errorf("%d shards: admit+cancel allocates %v times, want <= 2 (order buffer and keys)", 2*stackShards, n)
+	}
+}

@@ -7,15 +7,31 @@
 // A Service owns S shards, each modelling one cluster partition of M
 // processors. A shard's entire mutable state — its profile.CapacityIndex
 // (array or tree backend), the table of admitted reservations, load
-// counters — is confined to a single event-loop goroutine, so shard-local
-// admission takes no locks: correctness comes from confinement, not
-// mutual exclusion. Requests (Reserve, Cancel, Query, Snapshot) arrive on
-// the shard's channel and are group-committed in batches: each event-loop
-// turn drains up to Config.Batch pending requests, applies them all
-// against the index, publishes the shard's load summary once, and only
-// then releases the replies. Batching amortises the cross-goroutine
-// synchronisation over many admissions, which is what lets throughput
-// track the index cost rather than the channel cost under heavy traffic.
+// counters — has one writer at a time, the combiner, and a shard has no
+// goroutine of its own: the callers combine. A request (Reserve, Cancel,
+// Query, Snapshot) joins the shard's queue under a small mutex; the
+// caller that finds no combiner at work becomes it and serves the queue
+// in turns — take up to Config.Batch waiting requests, apply them all
+// against the index, commit the log once, publish the shard's load
+// summary once, and only then release the answers — while every other
+// caller parks until its answer is filled in. A caller that finds its
+// shard idle therefore runs its own admission without leaving its
+// goroutine, and the index is never touched under a lock: the mutex
+// guards only the queue.
+//
+// The role moves on: a combiner serves at most Config.Batch operations
+// and then hands the role to the oldest waiter, so no caller pays for
+// more than one batch of other callers' work. On a shard with a
+// write-ahead log, where a turn costs a log commit however many requests
+// share it, the combiner first yields the processor until a round adds
+// no request — the group commit — and hands on after one turn, so that
+// its own caller's next request can share the next commit. Without a log
+// it does neither: a batch buys nothing there, and a turn is usually one
+// operation.
+//
+// Shutdown is a request through the same queue: Close queues it on every
+// shard, what was queued ahead of it is answered for real, every later
+// request gets ErrClosed, and the caller that applies it seals the log.
 //
 // # Placement
 //
@@ -41,8 +57,8 @@
 //
 // Policies read only the atomically published per-shard load summaries
 // (including the per-tenant area mirrors "pressure" uses), so routing
-// itself is lock-free; the routed shard re-validates inside its event
-// loop, which makes stale routing information harmless (a shard never
+// itself is lock-free; the routed shard re-validates when it serves the
+// request, which makes stale routing information harmless (a shard never
 // over-admits, a request at worst lands on a busier shard).
 //
 // # Admission rule
@@ -92,9 +108,9 @@
 // Admit (an empty Request.Tenant names the default tenant) is
 // charged against its tenant's budgeted share of the reservable α-prefix
 // area, hierarchically (tenant → group → global capacity). The check runs
-// inside the shard loop after the α and deadline checks — a doomed
+// inside the shard's turn after the α and deadline checks — a doomed
 // request never burns budget — and the charge is a CAS against the
-// registry's atomics, so the lock-free admission path stays lock-free. In
+// registry's atomics, so the admission itself still takes no lock. In
 // hard mode an exhausted budget rejects with ErrQuota (wire:
 // REJECTED_QUOTA), consuming no capacity, and the service stops its shard
 // walk at once since budgets are global; in soft mode nothing is
@@ -103,7 +119,7 @@
 // DRF-style weighted fair share at exactly the point where requests
 // contend. Cancel credits the area back. Per-tenant books are kept twice,
 // deliberately: the registry's lock-free accounts (global, what quota
-// decisions read) and per-shard TenantStats inside each loop (consistent,
+// decisions read) and per-shard TenantStats owned by each combiner (consistent,
 // what operators read); the stress tests assert the two agree. The quota
 // layer may gate placement but never perturb it — a single tenant with a
 // full budget replays to bit-identical sched.FCFS placements.
@@ -120,7 +136,7 @@
 // cheap atomic pre-check per tick when balanced), and past
 // Config.RebalanceThreshold it plans migrations (internal/rebal, a pure
 // deterministic planner) and executes each as a two-phase commit through
-// the ordinary shard event loops: tentatively commit on the target
+// the ordinary shard queues: tentatively commit on the target
 // (capacity held, the copy pending and invisible), forward the Cancel
 // routing, release on the source, finalise on the target — or roll the
 // tentative copy back when the reservation was cancelled mid-move.
@@ -134,7 +150,7 @@
 // partitions. Migrated reservations keep their IDs: Cancel follows a
 // forwarding overlay, waiting out any in-flight move, so handles never
 // break. Rounds are serialized, cap their moves (RebalanceMaxMoves) so
-// loops are never stalled by one huge transfer, plan with hysteresis
+// shards are never stalled by one huge transfer, plan with hysteresis
 // (down to half the trigger threshold) so the balancer cannot oscillate
 // around its own trigger, and back off exponentially when nothing is
 // movable. BenchmarkRebalance (BENCH_rebal.json) records the payoff:
@@ -145,8 +161,9 @@
 //
 // Every admission records its start-time slack (admitted start − ready
 // time): how far the α rule pushed the work back. Shards keep O(1)
-// exponential histograms — an atomic shard-wide one readable off-loop
-// and loop-owned per-tenant ones — and surface the 99th percentile as
+// exponential histograms — an atomic shard-wide one anyone may read,
+// its quantiles computed when asked for, and combiner-owned per-tenant
+// ones — and surface the 99th percentile as
 // ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire at
 // protocol v3), so operators see per-tenant SLO degradation directly
 // rather than inferring it from rejection counts. The histograms are
@@ -161,7 +178,7 @@
 // group-commit batch appends its decisions to the shard's log buffer
 // while it applies them, and the whole batch is flushed — and, under
 // wal.SyncBatch, fsynced — once before any of its replies are released.
-// Durability rides the turn the event loop already takes; it never adds
+// Durability rides the turn the combiner already takes; it never adds
 // a per-admission syscall. The record types mirror the shard
 // transitions one to one:
 //
@@ -214,7 +231,7 @@
 //     committed state).
 //
 // Replay rebuilds durable state only. Process-lifetime series —
-// rejection counters, slack and loop-turn histograms, sampled traces —
+// rejection counters, slack and turn-latency histograms, sampled traces —
 // restart at zero, exactly as obs counters do across any restart.
 // Service.WALInfo reports what replay found (records, snapshots, torn/
 // corrupt damage, move resolutions, duration); resdsrv prints it as the
@@ -226,17 +243,17 @@
 // # Observability
 //
 // Config.Obs attaches the service to the internal/obs registry. Every
-// closure the service registers reads published atomics or channel
-// lengths, never an event loop, so scrapes cost the hot path nothing;
+// closure the service registers reads published atomics and sends no
+// request to a shard, so scrapes cost the hot path nothing;
 // per-request admission tracing is sampled (ObsConfig.TraceSample) into
 // a bounded ring served by Service.Traces and the wire protocol's Trace
 // op, with a threshold-configurable slow-request hook. The families the
 // service exposes:
 //
-//	resd_shard_queue_depth{shard}          gauge    requests waiting in the loop's queue
+//	resd_shard_queue_depth{shard}          gauge    requests waiting in the shard's queue
 //	resd_shard_active{shard}               gauge    admitted reservations
 //	resd_shard_committed_area{shard}       gauge    processor-tick area held
-//	resd_shard_batches_total{shard}        counter  event-loop turns
+//	resd_shard_batches_total{shard}        counter  turns (group commits)
 //	resd_shard_ops_total{shard}            counter  requests served
 //	resd_shard_ops_per_batch{shard}        gauge    realised group-commit factor
 //	resd_admitted_total{shard}             counter  admissions
@@ -287,10 +304,10 @@
 // Request level, on the caller's goroutine, because a single request's
 // placement walk can collect deadline rejections on several shards
 // before one admits it, so summing per-shard counters would over-count
-// — and binds those books plus the merged slack and loop-turn
+// — and binds those books plus the merged slack and turn-latency
 // histograms to the engine; the engine snapshots them on its own
-// ticker, never touching an event loop. Tenant-scoped objectives carry
-// a tenant label:
+// ticker, never queueing a request on a shard. Tenant-scoped objectives
+// carry a tenant label:
 //
 //	resd_slo_attainment{objective}               gauge    good fraction over the budget window
 //	resd_slo_error_budget_remaining{objective}   gauge    1 − errors/budget; negative = overspent
@@ -298,7 +315,7 @@
 //	resd_slo_alert_state{objective}              gauge    0 ok, 1 warn, 2 page
 //	resd_slo_alert_transitions_total{objective}  counter  alert state changes
 //	resd_slack_ticks_window{quantile}            summary  service-wide slack over the budget window
-//	resd_loop_turn_ns_window{quantile}           summary  loop-turn latency over the budget window
+//	resd_loop_turn_ns_window{quantile}           summary  turn latency over the budget window
 //
 // The reswire server and client add their own families (reswire_*; see
 // internal/reswire), and resdsrv serves the whole set plus net/http/pprof
@@ -311,13 +328,13 @@
 // # Heartbeats and node health
 //
 // ObsConfig.Flight arms the black-box flight recorder (internal/flight)
-// around the service. Each shard loop stamps two atomics per
+// around the service. A shard's combiner stamps two atomics per
 // group-commit turn — busy-since when a turn begins, last-beat when its
 // replies are released — and New hands the recorder a probe function
-// that snapshots those stamps, the loop queue depth, and the WAL fsync
+// that snapshots those stamps, the shard's queue depth, and the WAL fsync
 // p99 for every shard, all from published atomics; the watchdog's
 // monitor goroutine polls the probes on its own schedule and never
-// touches an event loop. A turn wedged past the stall budget (or a
+// waits on a shard. A turn wedged past the stall budget (or a
 // backed-up queue no turn is draining) drives the node health
 // healthy → degraded → stalled, each transition journaled, surfaced on
 // /healthz as a warning and as the resd_health_state gauge, and — on

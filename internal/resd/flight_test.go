@@ -231,6 +231,11 @@ func TestSlowLogBlockingCallback(t *testing.T) {
 	if got := s.tracer.slowQ.Dropped(); got == 0 {
 		t.Error("no dropped slow-log records despite a wedged consumer")
 	}
+	// A lone caller never leaves its goroutine, so on one processor the
+	// dispatcher may not have run yet: wait for the first callback.
+	for deadline := time.Now().Add(10 * time.Second); fired.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := fired.Load(); got != 1 {
 		t.Errorf("callback fired %d times while wedged, want 1", got)
 	}

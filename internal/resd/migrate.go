@@ -35,7 +35,7 @@ type RebalanceReport struct {
 // time: it scores the shards' committed-area spread from the lock-free
 // load summaries, and — when the spread exceeds Config.RebalanceThreshold
 // — plans moves of admitted future reservations (internal/rebal) and
-// executes each through a two-phase commit across the shard event loops:
+// executes each through a two-phase commit across the shard queues:
 //
 //  1. tentative commit on the target (capacity held, copy invisible),
 //  2. forward Cancel routing to the target,
@@ -53,7 +53,7 @@ type RebalanceReport struct {
 // are never moved.
 //
 // Rebalance runs a single round, capped at Config.RebalanceMaxMoves, so
-// the shard loops are never stalled by one enormous transfer; a heavily
+// the shards are never stalled by one enormous transfer; a heavily
 // skewed service may need several rounds to settle. It is what the
 // background balancer (Config.RebalanceEvery) drives each tick (to
 // completion, via RebalanceAll); it may also be driven manually, and is
@@ -68,7 +68,7 @@ func (s *Service) Rebalance(now core.Time) (RebalanceReport, error) {
 // hysteresis target (half the trigger threshold) or a round stops making
 // progress — the "drain the hot shard now" entry point for operators and
 // for the background balancer once a tick has triggered. Between rounds
-// the shard loops serve ordinary traffic, so a large drain is spread into
+// the shards serve ordinary traffic, so a large drain is spread into
 // RebalanceMaxMoves-sized slices rather than one long stall. The returned
 // report accumulates every round.
 func (s *Service) RebalanceAll(now core.Time) (RebalanceReport, error) {
@@ -131,7 +131,7 @@ func (s *Service) rebalanceRound(now core.Time, trigger float64) (RebalanceRepor
 	rep.After = rep.Before
 	if len(s.shards) < 2 || rep.Before <= trigger {
 		// The cheap pre-check: a balanced service pays two atomic loads
-		// per shard per tick, never an event-loop round trip.
+		// per shard per tick, never a request to a shard.
 		return rep, nil
 	}
 
@@ -254,7 +254,7 @@ func (s *Service) executeMove(mv rebal.Move) (applied, aborted bool, err error) 
 // is above threshold but no candidate can improve it (everything frozen,
 // or the residual spread is all in unmovable reservations), re-planning
 // every tick would pay the candidate-snapshot cost inside every shard
-// loop for zero benefit, so the loop skips up to 64 ticks before looking
+// for zero benefit, so the loop skips up to 64 ticks before looking
 // again. Any applied move resets the backoff.
 func (s *Service) balanceLoop() {
 	t := time.NewTicker(s.cfg.RebalanceEvery)

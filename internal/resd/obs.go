@@ -42,7 +42,7 @@ type ObsConfig struct {
 	SlowLog func(TraceRecord)
 	// Flight attaches the node's flight recorder: the service journals
 	// operational events (replay verdicts, WAL damage, migrations,
-	// quota overflow, slow batch turns) through it, every shard loop
+	// quota overflow, slow batch turns) through it, every shard's combiner
 	// publishes heartbeats from its batch turn, and New arms the
 	// recorder's watchdog with the service's probes (Close disarms
 	// it). Nil disables flight recording; see internal/flight.
@@ -51,7 +51,7 @@ type ObsConfig struct {
 	// service: New binds a CounterSource to every objective the spec
 	// declares (deadline_attainment service-wide and per named tenant,
 	// error_rate, slack under its bound), routes the slack and
-	// loop-turn histograms through the engine's snapshot ring for
+	// turn-latency histograms through the engine's snapshot ring for
 	// windowed percentiles, and starts the tick loop; Close stops it.
 	// The engine should be built over the same Registry and the flight
 	// recorder's journal so its families and transition events land
@@ -60,8 +60,8 @@ type ObsConfig struct {
 }
 
 // registerObs wires every layer's metrics into the registry. Called once
-// from New, after the shards exist; every closure reads either published
-// atomics or channel lengths, so scrapes never touch an event loop.
+// from New, after the shards exist; every closure reads published
+// atomics, so a scrape never queues a request on a shard.
 func (s *Service) registerObs() {
 	reg := s.cfg.Obs.Registry
 	if reg == nil {
@@ -71,8 +71,8 @@ func (s *Service) registerObs() {
 		sh := s.shards[i]
 		lbl := obs.L("shard", strconv.Itoa(i))
 		reg.GaugeFunc("resd_shard_queue_depth",
-			"Requests waiting in the shard event loop's queue.",
-			func() float64 { return float64(len(sh.reqs)) }, lbl)
+			"Requests waiting in the shard's queue.",
+			func() float64 { return float64(sh.depth.Load()) }, lbl)
 		reg.GaugeFunc("resd_shard_active",
 			"Currently admitted reservations on the shard.",
 			func() float64 { return float64(sh.activeCount.Load()) }, lbl)
@@ -80,7 +80,7 @@ func (s *Service) registerObs() {
 			"Processor-tick area held by the shard's active reservations.",
 			func() float64 { return float64(sh.committedArea.Load()) }, lbl)
 		reg.CounterFunc("resd_shard_batches_total",
-			"Event-loop turns (group commits) served.", sh.batches.Load, lbl)
+			"Turns (group commits) served.", sh.batches.Load, lbl)
 		reg.CounterFunc("resd_shard_ops_total",
 			"Requests served across all batches.", sh.ops.Load, lbl)
 		reg.GaugeFunc("resd_shard_ops_per_batch",
@@ -138,7 +138,7 @@ func (s *Service) registerObs() {
 		}
 	}
 	if s.walInfo.Enabled {
-		// Handles captured here: the loop nils sh.wlog if the log fails,
+		// Handles captured here: the combiner nils sh.wlog if the log fails,
 		// and scrapes must not race that write (the frozen telemetry of a
 		// degraded shard is still worth exposing).
 		wls := make([]*wal.Log, len(s.shards))
@@ -190,18 +190,17 @@ func (s *Service) registerObs() {
 			func() float64 { return float64(s.walInfo.MovesAborted) },
 			obs.L("outcome", "aborted"))
 	}
-	// Slack quantiles, published by each shard loop once per batch. A
-	// summary family assembled from the published atomics: the _count is
-	// the admission count the histogram was built from.
+	// Slack quantiles, computed from each shard's atomic histogram when
+	// scraped; the _count is the admission count it was built from.
 	reg.Collect(obs.KindSummary, "resd_slack_ticks",
 		"Start-time slack (admitted start − ready, ticks) of admissions.",
 		func(e obs.Emitter) {
 			for i := range s.shards {
 				sh := s.shards[i]
 				lbl := obs.L("shard", strconv.Itoa(i))
-				e.Emit(float64(sh.slackP50.Load()), lbl, obs.L("quantile", "0.5"))
-				e.Emit(float64(sh.slackP90.Load()), lbl, obs.L("quantile", "0.9"))
-				e.Emit(float64(sh.slackP99.Load()), lbl, obs.L("quantile", "0.99"))
+				e.Emit(float64(sh.slack.Quantile(0.5)), lbl, obs.L("quantile", "0.5"))
+				e.Emit(float64(sh.slack.Quantile(0.9)), lbl, obs.L("quantile", "0.9"))
+				e.Emit(float64(sh.slack.Quantile(0.99)), lbl, obs.L("quantile", "0.99"))
 				e.EmitSuffix("_count", float64(sh.admitted.Load()), lbl)
 			}
 		})

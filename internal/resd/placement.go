@@ -3,38 +3,52 @@ package resd
 import (
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
 // placement orders the shards a Reserve request should try. The returned
 // order is a preference list: the service walks it until a shard admits.
-// Implementations read only the shards' atomic load summaries, never the
-// event-loop state, so routing is lock-free and may be (harmlessly) stale:
-// the routed shard re-validates inside its loop. ten is the requesting
-// tenant (already normalised, never empty); tenant-blind policies ignore
-// it.
-type placement interface {
-	name() string
-	order(shards []*shard, ten string, q int, dur core.Time) []int
+// The policies read only the shards' atomic load summaries, never the
+// combiner-owned state, so routing is lock-free and may be (harmlessly)
+// stale: the routed shard re-validates when it serves the request. A
+// concrete type, not an interface, so that order's result buffer can
+// live on the caller's stack.
+type placement struct {
+	policy string // one of Placements()
+	state  uint64 // p2c: splitmix64 state advanced atomically per request
 }
 
 // Placements lists the routing policies PlacementByName accepts.
 func Placements() []string { return []string{"first-fit", "least-loaded", "p2c", "pressure"} }
 
 // placementByName builds the named policy. seed feeds p2c's sampling.
-func placementByName(name string, seed uint64) (placement, error) {
-	switch name {
+func placementByName(name string, seed uint64) (*placement, error) {
+	for _, known := range Placements() {
+		if name == known {
+			return &placement{policy: name, state: seed}, nil
+		}
+	}
+	return nil, fmt.Errorf("resd: unknown placement %q (available: %v)", name, Placements())
+}
+
+// stackShards is how many shards an order call serves from the stack
+// (Admit's result buffer, the sorting policies' keys); services with
+// more pay one allocation per request for each.
+const stackShards = 16
+
+// order appends the preference list to out, which the caller passes empty
+// — backed by a [stackShards]int on its own stack to keep the call
+// allocation-free. ten is the requesting tenant (already normalised,
+// never empty); tenant-blind policies ignore it.
+func (p *placement) order(shards []*shard, ten string, out []int) []int {
+	switch p.policy {
 	case "first-fit":
-		return firstFit{}, nil
+		return firstFit(shards, out)
 	case "least-loaded":
-		return leastLoaded{}, nil
+		return leastLoaded(shards, out)
 	case "p2c":
-		return &powerOfTwo{state: seed}, nil
-	case "pressure":
-		return pressurePlacement{}, nil
+		return p.powerOfTwo(shards, out)
 	default:
-		return nil, fmt.Errorf("resd: unknown placement %q (available: %v)", name, Placements())
+		return pressure(shards, ten, out)
 	}
 }
 
@@ -42,31 +56,42 @@ func placementByName(name string, seed uint64) (placement, error) {
 // naive — all load lands on the lowest-index shard that admits, which for
 // earliest-fit admission is almost always shard 0. It is the baseline the
 // balancing policies are measured against.
-type firstFit struct{}
-
-func (firstFit) name() string { return "first-fit" }
-
-func (firstFit) order(shards []*shard, ten string, q int, dur core.Time) []int {
-	out := make([]int, len(shards))
-	for i := range out {
-		out[i] = i
+func firstFit(shards []*shard, out []int) []int {
+	for i := range shards {
+		out = append(out, i)
 	}
 	return out
 }
 
 // leastLoaded routes to the shard with the smallest committed area,
 // breaking ties by index; the rest follow in load order as fallbacks.
-type leastLoaded struct{}
-
-func (leastLoaded) name() string { return "least-loaded" }
-
-func (leastLoaded) order(shards []*shard, ten string, q int, dur core.Time) []int {
+func leastLoaded(shards []*shard, out []int) []int {
 	var buf [stackShards]shardKey
 	keys := buf[:0]
 	for _, sh := range shards {
 		keys = append(keys, shardKey{load: sh.committedArea.Load()})
 	}
-	return rank(keys)
+	return rank(keys, out)
+}
+
+// pressure routes by per-tenant shard pressure: the requesting tenant's
+// committed area on each shard (read from the shards' lock-free
+// per-tenant mirrors), lowest first, with total committed area and then
+// index breaking ties. With per-shard budget shares equal — which is how
+// the quota registry resolves budgets, globally, with no per-shard skew —
+// ordering by the tenant's usage-to-budget ratio on a shard and ordering
+// by its raw usage there coincide, so the policy needs no registry
+// handle and works with quotas disabled too. The effect is quota-aware
+// placement: each tenant's own footprint is spread across partitions, so
+// a zipf-heavy tenant saturates no single shard while small tenants are
+// routed around the hot spots the heavy hitters made.
+func pressure(shards []*shard, ten string, out []int) []int {
+	var buf [stackShards]shardKey
+	keys := buf[:0]
+	for _, sh := range shards {
+		keys = append(keys, shardKey{mine: sh.tenantArea(ten), load: sh.committedArea.Load()})
+	}
+	return rank(keys, out)
 }
 
 // shardKey is one shard's sort key, read once per request so the order is
@@ -81,17 +106,13 @@ func (k shardKey) less(o shardKey) bool {
 	return k.load < o.load
 }
 
-// stackShards is how many keys an order call holds on its own stack;
-// services with more shards pay one extra allocation per request.
-const stackShards = 16
-
-// rank returns the shard indices ordered by key, ties keeping the lower
-// index: a stable insertion sort straight into the result, which for the
-// handful of shards a service has beats sort.SliceStable's reflection
-// swapper and is the only allocation of the call.
-func rank(keys []shardKey) []int {
-	out := make([]int, len(keys))
+// rank appends to out (passed empty) the shard indices ordered by key,
+// ties keeping the lower index: a stable insertion sort straight into
+// the result, which for the handful of shards a service has beats
+// sort.SliceStable's reflection swapper and allocates nothing.
+func rank(keys []shardKey, out []int) []int {
 	for i := range keys {
+		out = append(out, i)
 		j := i
 		for ; j > 0 && keys[i].less(keys[out[j-1]]); j-- {
 			out[j] = out[j-1]
@@ -101,22 +122,10 @@ func rank(keys []shardKey) []int {
 	return out
 }
 
-// powerOfTwo is power-of-two-choices on free area: sample two distinct
-// shards, prefer the one with the smaller committed area (= larger free
-// area over any common horizon). O(1) loads read per request, and by the
-// classic balls-into-bins result the max load stays within
-// O(log log S) of the mean — almost all the benefit of least-loaded
-// without scanning every shard.
-type powerOfTwo struct {
-	state uint64 // splitmix64 state advanced atomically per request
-}
-
-func (*powerOfTwo) name() string { return "p2c" }
-
 // next advances the shared state and returns a splitmix64 output. Atomic
 // add keeps the sampler lock-free under concurrent Reserves; the exact
 // sequence interleaving is irrelevant, only uniformity matters.
-func (p *powerOfTwo) next() uint64 {
+func (p *placement) next() uint64 {
 	z := atomic.AddUint64(&p.state, 0x9E3779B97F4A7C15)
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
@@ -125,10 +134,16 @@ func (p *powerOfTwo) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-func (p *powerOfTwo) order(shards []*shard, ten string, q int, dur core.Time) []int {
+// powerOfTwo is power-of-two-choices on free area: sample two distinct
+// shards, prefer the one with the smaller committed area (= larger free
+// area over any common horizon). O(1) loads read per request, and by the
+// classic balls-into-bins result the max load stays within
+// O(log log S) of the mean — almost all the benefit of least-loaded
+// without scanning every shard.
+func (p *placement) powerOfTwo(shards []*shard, out []int) []int {
 	n := len(shards)
 	if n == 1 {
-		return []int{0}
+		return append(out, 0)
 	}
 	r := p.next()
 	a := int(r % uint64(n))
@@ -139,7 +154,6 @@ func (p *powerOfTwo) order(shards []*shard, ten string, q int, dur core.Time) []
 	if shards[b].committedArea.Load() < shards[a].committedArea.Load() {
 		a, b = b, a
 	}
-	out := make([]int, 0, n)
 	out = append(out, a, b)
 	for i := 0; i < n; i++ {
 		if i != a && i != b {
@@ -147,28 +161,4 @@ func (p *powerOfTwo) order(shards []*shard, ten string, q int, dur core.Time) []
 		}
 	}
 	return out
-}
-
-// pressurePlacement routes by per-tenant shard pressure: the requesting
-// tenant's committed area on each shard (read from the shards' lock-free
-// per-tenant mirrors), lowest first, with total committed area and then
-// index breaking ties. With per-shard budget shares equal — which is how
-// the quota registry resolves budgets, globally, with no per-shard skew —
-// ordering by the tenant's usage-to-budget ratio on a shard and ordering
-// by its raw usage there coincide, so the policy needs no registry
-// handle and works with quotas disabled too. The effect is quota-aware
-// placement: each tenant's own footprint is spread across partitions, so
-// a zipf-heavy tenant saturates no single shard while small tenants are
-// routed around the hot spots the heavy hitters made.
-type pressurePlacement struct{}
-
-func (pressurePlacement) name() string { return "pressure" }
-
-func (pressurePlacement) order(shards []*shard, ten string, q int, dur core.Time) []int {
-	var buf [stackShards]shardKey
-	keys := buf[:0]
-	for _, sh := range shards {
-		keys = append(keys, shardKey{mine: sh.tenantArea(ten), load: sh.committedArea.Load()})
-	}
-	return rank(keys)
 }

@@ -31,7 +31,7 @@ func TestRankMatchesSliceStable(t *testing.T) {
 		for i := range keys {
 			keys[i] = shardKey{mine: r.Int63n(spread), load: r.Int63n(spread)}
 		}
-		got, want := rank(keys), sliceStableOrder(keys)
+		got, want := rank(keys, nil), sliceStableOrder(keys)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d, keys %v: rank = %v, SliceStable = %v", trial, keys, got, want)
@@ -42,7 +42,7 @@ func TestRankMatchesSliceStable(t *testing.T) {
 
 // TestPlacementOrder runs both sorting policies over real shards: the
 // order follows the published loads, equal loads keep index order, and a
-// call costs the result slice and nothing else.
+// call into a stack buffer allocates nothing.
 func TestPlacementOrder(t *testing.T) {
 	svc, err := New(Config{Shards: 4, M: 16})
 	if err != nil {
@@ -54,22 +54,29 @@ func TestPlacementOrder(t *testing.T) {
 	}
 	svc.shards[3].tenAreaCell("a").Store(5) // tenant a already sits on shard 3
 	cases := []struct {
-		p    placement
-		want []int
+		policy string
+		want   []int
 	}{
-		{leastLoaded{}, []int{1, 3, 0, 2}},
-		{pressurePlacement{}, []int{1, 0, 2, 3}},
+		{"least-loaded", []int{1, 3, 0, 2}},
+		{"pressure", []int{1, 0, 2, 3}},
 	}
 	for _, c := range cases {
-		got := c.p.order(svc.shards, "a", 1, 1)
+		p, err := placementByName(c.policy, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.order(svc.shards, "a", nil)
 		for i := range c.want {
 			if got[i] != c.want[i] {
-				t.Errorf("%s order = %v, want %v", c.p.name(), got, c.want)
+				t.Errorf("%s order = %v, want %v", c.policy, got, c.want)
 				break
 			}
 		}
-		if n := testing.AllocsPerRun(200, func() { c.p.order(svc.shards, "a", 1, 1) }); n > 1 {
-			t.Errorf("%s order allocates %v times per call, want <= 1", c.p.name(), n)
+		if n := testing.AllocsPerRun(200, func() {
+			var buf [stackShards]int
+			p.order(svc.shards, "a", buf[:0])
+		}); n != 0 {
+			t.Errorf("%s order allocates %v times per call, want 0", c.policy, n)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (id ID) seq() uint64 { return uint64(id) & (1<<(64-shardBits) - 1) }
 
 // shardSeed is one shard's recovered pre-crash state, handed to
 // newShard to rebuild the capacity index, books and counters before
-// the event loop starts.
+// the first request.
 type shardSeed struct {
 	log     *wal.Log
 	nextSeq uint64
@@ -119,7 +119,7 @@ func replayShard(shard int, snap *wal.Snapshot, recs []wal.Record) (*shardSeed, 
 	return sd, nil
 }
 
-// apply replays one record, mirroring the shard event-loop transitions
+// apply replays one record, mirroring the shard's apply transitions
 // exactly (books, counters, live set — everything but the index).
 func (sd *shardSeed) apply(shard int, rec wal.Record) error {
 	id := ID(rec.ID)
@@ -381,7 +381,7 @@ func (sd *shardSeed) bootSnapshot(shard int, gen uint64) *wal.Snapshot {
 }
 
 // buildSnapshot assembles a wal.Snapshot from shard-shaped state (used
-// both for the boot snapshot and the loop's periodic captures).
+// both for the boot snapshot and the periodic captures between turns).
 func buildSnapshot(shard int, gen, nextSeq uint64,
 	admitted, cancelled, migratedIn, migratedOut uint64,
 	books map[string]TenantStats, live map[ID]active, openOuts map[ID]int) *wal.Snapshot {

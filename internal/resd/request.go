@@ -41,9 +41,9 @@ type Request struct {
 // Admit admits a reservation of req.Q processors for req.Dur ticks at
 // the earliest admissible start >= req.Ready on a shard chosen by the
 // placement policy, subject to the α head-room rule, req.Deadline, and
-// req.Tenant's quota (when Config.Quotas is set). It blocks until the
-// routed shard's event loop has committed — and, with a WAL, durably
-// logged — the batch containing the request.
+// req.Tenant's quota (when Config.Quotas is set). It returns once the
+// routed shard has committed — and, with a WAL, durably logged — the
+// batch containing the request.
 //
 // When every shard's earliest feasible start lies after the deadline
 // the request fails with ErrDeadline and no capacity is consumed: a
@@ -82,7 +82,8 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	// contrast, ends the walk at once: the budget is service-wide, so no
 	// other shard can answer differently.
 	var firstErr error
-	order := s.place.order(s.shards, ten, req.Q, req.Dur)
+	var orderBuf [stackShards]int
+	order := s.place.order(s.shards, ten, orderBuf[:0])
 	if rec != nil {
 		rec.Route = time.Since(rec.Arrival)
 	}

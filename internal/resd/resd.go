@@ -97,8 +97,8 @@ type Config struct {
 	// Backend selects the capacity-index implementation per shard
 	// ("" = array; "tree" = the restree balanced index).
 	Backend string
-	// Batch caps how many requests one event-loop turn group-commits
-	// (default 64).
+	// Batch caps how many requests one turn group-commits, and how many a
+	// caller serves as combiner before handing the role on (default 64).
 	Batch int
 	// Placement routes Reserve requests across shards: "first-fit",
 	// "least-loaded" or "p2c" (default "least-loaded").
@@ -148,10 +148,10 @@ type Config struct {
 	// registration at New and sampled admission tracing (see ObsConfig).
 	// Nil disables both — the hot path then pays only dead nil checks.
 	Obs *ObsConfig
-	// turnHook, when non-nil, is called by every shard loop at the top of
-	// each batch turn, after the heartbeat's busy stamp. Unexported: a
-	// test seam for wedging a loop deliberately (the watchdog tests), set
-	// before New so the loop goroutine reads it without a race.
+	// turnHook, when non-nil, is called by every shard's combiner at the
+	// top of each batch turn, after the heartbeat's busy stamp.
+	// Unexported: a test seam for wedging a shard deliberately (the
+	// watchdog tests), set before New so combiners read it without a race.
 	turnHook func(shard int)
 	// WAL, when non-nil, makes every shard durable: admission decisions
 	// are written to a per-shard write-ahead log in WAL.Dir (group-
@@ -232,8 +232,8 @@ type Service struct {
 	cfg    Config
 	floor  int // ⌊α·M⌋ processors every shard keeps free of reservations
 	shards []*shard
-	place  placement
-	quit   chan struct{}
+	place  *placement
+	quit   chan struct{} // closed by Close: stops the background rebalancer
 
 	// moved forwards Cancel routing for migrated reservations: ID → the
 	// shard currently holding it. An ID's own shard bits always name the
@@ -258,7 +258,7 @@ type Service struct {
 	// flight is the attached flight recorder and journal its event
 	// journal (both nil when ObsConfig.Flight is unset). New attaches the
 	// recorder's watchdog to the shard heartbeats; Close detaches it
-	// before the loops exit so the monitor never reads a dead service.
+	// before the shards close so the monitor never reads a dead service.
 	flight  *flight.Recorder
 	journal *flight.Journal
 
@@ -276,8 +276,8 @@ type Service struct {
 	walInfo WALInfo
 
 	// walLogs holds each shard's log handle as it was at New, for
-	// scrape/watch reads: the loop nils sh.wlog when the log fails, and
-	// readers outside the loop must not race that write (a degraded
+	// scrape/watch reads: the combiner nils sh.wlog when the log fails or
+	// closes, and other readers must not race that write (a degraded
 	// shard's frozen counters are still worth exposing). Index i is
 	// shard i; nil when the service runs without a WAL.
 	walLogs []*wal.Log
@@ -294,8 +294,8 @@ type Service struct {
 	balBackoff atomic.Int64
 }
 
-// New builds the shards (each pre-loaded with cfg.Pre), starts their event
-// loops, and returns the running service. With Config.WAL set, New first
+// New builds the shards (each pre-loaded with cfg.Pre) and returns the
+// running service. With Config.WAL set, New first
 // recovers whatever the log directory holds — replaying every shard's
 // snapshot and records, resolving moves the crash left mid-flight, and
 // re-charging the quota registry — so the returned service is the
@@ -336,14 +336,13 @@ func New(cfg Config) (*Service, error) {
 		if seeds != nil {
 			seed = seeds[i]
 		}
-		sh, err := newShard(i, cfg, s.floor, s.quit, seed)
+		sh, err := newShard(i, cfg, s.floor, seed)
 		if err != nil {
-			close(s.quit)
 			for _, prev := range s.shards {
-				prev.wait() // each loop seals its own log on exit
+				prev.do(request{kind: opClose}) // seals its log
 			}
 			if seeds != nil {
-				for _, sd := range seeds[i:] { // loops never started: seal here
+				for _, sd := range seeds[i:] { // never became shards: seal here
 					if sd.log != nil {
 						sd.log.Close()
 					}
@@ -399,15 +398,15 @@ func New(cfg Config) (*Service, error) {
 }
 
 // flightProbes snapshots every shard's heartbeat for the flight
-// watchdog: published atomics and a channel-length read, no event-loop
-// round trips — the monitor can probe a wedged loop.
+// watchdog: published atomics only, no request to the shard — the
+// monitor can probe a wedged one.
 func (s *Service) flightProbes() []flight.ShardProbe {
 	out := make([]flight.ShardProbe, len(s.shards))
 	for i, sh := range s.shards {
 		p := flight.ShardProbe{
 			Shard:    i,
-			QueueLen: len(sh.reqs),
-			QueueCap: cap(sh.reqs),
+			QueueLen: int(sh.depth.Load()),
+			QueueCap: sh.batch,
 		}
 		if v := sh.lastBeat.Load(); v != 0 {
 			p.LastTurn = time.Unix(0, v)
@@ -433,7 +432,7 @@ func (s *Service) M() int { return s.cfg.M }
 func (s *Service) Floor() int { return s.floor }
 
 // Placement returns the routing policy's name.
-func (s *Service) Placement() string { return s.place.name() }
+func (s *Service) Placement() string { return s.place.policy }
 
 // Quotas returns the quota registry the service enforces, or nil when
 // quotas are disabled.
@@ -486,7 +485,7 @@ func (s *Service) Cancel(id ID) error {
 
 // Query returns the capacity available at time t on every shard (index i
 // is shard i). The per-shard answers are each exact at the instant their
-// shard's event loop served them; across shards the slice is a loose
+// shard served them; across shards the slice is a loose
 // snapshot, as any cross-partition view under concurrent traffic must be.
 func (s *Service) Query(t core.Time) ([]int, error) {
 	if t < 0 {
@@ -505,8 +504,8 @@ func (s *Service) Query(t core.Time) ([]int, error) {
 
 // Snapshot returns an independent copy of one shard's capacity index,
 // wrapped in profile.Synchronized so the caller may share it across
-// goroutines. The copy is consistent (taken inside the event loop, between
-// batches) and immediately stale, like any snapshot of a live system.
+// goroutines. The copy is consistent (taken by the shard's combiner, between
+// requests) and immediately stale, like any snapshot of a live system.
 func (s *Service) Snapshot(shard int) (*profile.Synchronized, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
@@ -545,14 +544,13 @@ type ShardStats struct {
 	// exponential histogram — the reported value is at least the true p99
 	// and less than twice it.
 	SlackP99 core.Time
-	// Batches and Ops count event-loop turns and requests served; Ops /
-	// Batches is the realised group-commit factor.
+	// Batches and Ops count turns and requests served; Ops / Batches is
+	// the realised group-commit factor.
 	Batches, Ops uint64
 }
 
 // TenantStats is one shard's load summary for one tenant — the per-tenant
-// slice of ShardStats, served consistently from inside the shard's event
-// loop.
+// slice of ShardStats, served consistently by the shard's combiner.
 type TenantStats struct {
 	// Active is the number of this tenant's currently held reservations
 	// on the shard.
@@ -571,9 +569,8 @@ type TenantStats struct {
 }
 
 // TenantStats returns one shard's per-tenant load summaries. The copy is
-// taken inside the shard's event loop, between batches, so it is
-// internally consistent (unlike Stats, which reads loosely-published
-// atomics).
+// taken by the shard's combiner, between requests, so it is internally
+// consistent (unlike Stats, which reads loosely-published atomics).
 func (s *Service) TenantStats(shard int) (map[string]TenantStats, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
@@ -620,13 +617,14 @@ func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 // built (Enabled false when the service runs without a WAL).
 func (s *Service) WALInfo() WALInfo { return s.walInfo }
 
-// QueueDepths returns every shard's instantaneous event-loop queue
-// length (index i is shard i) — a channel-length read, no event-loop
-// round trip. The live-telemetry view of admission back-pressure.
+// QueueDepths returns every shard's instantaneous queue length (index i
+// is shard i): requests waiting for a combiner to take them — an atomic
+// read, no request to the shard. The live-telemetry view of admission
+// back-pressure.
 func (s *Service) QueueDepths() []int {
 	out := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		out[i] = len(sh.reqs)
+		out[i] = int(sh.depth.Load())
 	}
 	return out
 }
@@ -689,8 +687,8 @@ func (s *Service) TraceCounts() (sampled, slow uint64) {
 }
 
 // Dump returns every committed reservation currently live on one shard,
-// sorted by ID. The list is consistent (served from inside the shard's
-// event loop between batches); a copy mid-way through a two-phase move
+// sorted by ID. The list is consistent (served by the shard's combiner,
+// between requests); a copy mid-way through a two-phase move
 // is excluded until the move commits. It is the recovery oracle's view:
 // a service restarted over its WAL must Dump identically to the service
 // that wrote it.
@@ -710,7 +708,7 @@ func (s *Service) Dump(shard int) ([]Reservation, error) {
 }
 
 // Stats returns per-shard load summaries from the atomically published
-// counters (no event-loop round trip; the numbers may trail in-flight
+// counters (no request to the shards; the numbers may trail in-flight
 // batches by one turn).
 func (s *Service) Stats() []ShardStats {
 	out := make([]ShardStats, len(s.shards))
@@ -720,8 +718,9 @@ func (s *Service) Stats() []ShardStats {
 	return out
 }
 
-// Close stops every shard's event loop and waits for them to exit.
-// In-flight and subsequent requests fail with ErrClosed.
+// Close shuts every shard down, in index order: requests a shard had
+// queued before its turn to close are answered, its log is sealed, and
+// every later request fails with ErrClosed.
 func (s *Service) Close() {
 	if s.slo != nil {
 		// Stop the SLO ticks first: the engine only reads published
@@ -730,13 +729,13 @@ func (s *Service) Close() {
 		s.slo.Stop()
 	}
 	if s.flight != nil {
-		// Stop the watchdog before the loops exit, so shutdown is never
+		// Stop the watchdog before the shards close, so shutdown is never
 		// judged a stall.
 		s.flight.Detach()
 	}
 	close(s.quit)
 	for _, sh := range s.shards {
-		sh.wait()
+		sh.do(request{kind: opClose})
 	}
 	s.tracer.close()
 }

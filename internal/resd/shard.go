@@ -45,6 +45,11 @@ const (
 	// opMigrateOutAck closes the source's WAL open-out after the target
 	// committed: pure durability bookkeeping, a no-op without a WAL.
 	opMigrateOutAck
+
+	// opClose shuts the shard down (Service.Close): do stops accepting
+	// requests the moment it is queued, so it is the last request the
+	// shard serves, and applying it seals the log.
+	opClose
 )
 
 // errMigratePending is the internal answer to a Cancel that reaches a
@@ -53,7 +58,7 @@ const (
 // escapes the package.
 var errMigratePending = errors.New("resd: reservation migration in flight")
 
-// request is one operation submitted to a shard's event loop.
+// request is one operation submitted to a shard.
 type request struct {
 	kind     opKind
 	tenant   string       // Reserve: accounting identity (never empty; "" is normalised upstream)
@@ -64,7 +69,6 @@ type request struct {
 	id       ID           // Cancel target
 	peer     int          // two-phase move: the other shard (in: source, out: target)
 	trace    *TraceRecord // sampled admission trace, nil for the unsampled majority
-	reply    chan response
 }
 
 // response carries the result back to the caller. Exactly one of the
@@ -77,6 +81,19 @@ type response struct {
 	cands  []rebal.Resv
 	err    error
 }
+
+// slot is one call's place in a shard's queue: the request going in, the
+// response coming out, and the channel a caller that found a combiner at
+// work parks on. The combiner sends true once resp is filled, false to
+// hand the parked caller its role (see combine). One send answers each
+// park, so a slot goes back to the pool with wake empty.
+type slot struct {
+	req  request
+	resp response
+	wake chan bool
+}
+
+var slotPool = sync.Pool{New: func() any { return &slot{wake: make(chan bool, 1)} }}
 
 // active is a shard-local record of an admitted reservation. tenant is
 // the accounting identity quota release uses; statKey is the (possibly
@@ -95,10 +112,10 @@ type active struct {
 }
 
 // OverflowTenant is the per-shard book that absorbs tenant names beyond
-// the tenant.MaxAccounts bound: the loop-owned stats maps must not grow
-// without limit just because a wire client cycles fresh names. Admission
-// and quota accounting are unaffected — only per-name attribution in
-// TenantStats degrades past the cap.
+// the tenant.MaxAccounts bound: the combiner-owned stats maps must not
+// grow without limit just because a wire client cycles fresh names.
+// Admission and quota accounting are unaffected — only per-name
+// attribution in TenantStats degrades past the cap.
 const OverflowTenant = "!overflow"
 
 // tstatKey resolves which per-tenant book a name lands in, bounding the
@@ -125,45 +142,50 @@ func (sh *shard) tstatKey(name string) string {
 }
 
 // shard is one cluster partition: a capacity index plus the admission
-// bookkeeping, owned exclusively by the loop goroutine. The only state
-// other goroutines touch is the request channel and the atomic counters.
+// bookkeeping. It has no goroutine of its own: callers queue their
+// requests under mu and one of them at a time — the combiner — serves
+// the queue (see do and combine). Everything below the queue fields is
+// owned by whoever holds that role; what other goroutines touch is the
+// queue and the atomic counters.
 type shard struct {
 	id     int
-	m      int
 	floor  int // α-rule head-room every admission must leave free
 	batch  int
 	quotas *tenant.Registry // nil = quota enforcement disabled
 
+	mu        sync.Mutex
+	queue     []*slot // waiting requests, oldest first
+	combining bool    // some caller holds the combiner's role
+	closed    bool    // opClose has been queued: do refuses from here on
+	depth     atomic.Int64
+	pending   []*slot // the turn being served (combiner-owned, like all below)
+
 	idx    profile.CapacityIndex
 	live   map[ID]active
-	tstats map[string]TenantStats // per-tenant books, loop-owned
+	tstats map[string]TenantStats // per-tenant books
 	// slack records the start-time slack of every admission. An atomic
-	// obs.Histogram rather than a loop-owned slackHist so the SLO
-	// engine's snapshot ring can read cumulative buckets without an
-	// event-loop round trip; only the loop writes it.
+	// obs.Histogram so Stats, scrapes and the SLO engine's snapshot ring
+	// read quantiles and cumulative buckets without a request to the
+	// shard; only the combiner writes it.
 	slack   *obs.Histogram
 	tslack  map[string]*slackHist // per-tenant slack, keyed like tstats
 	nextSeq uint64
 	area    int64 // running processor-tick area of live reservations
 
 	// tenAreas mirrors the per-tenant committed area as atomics (one cell
-	// per tstats book), written only by the loop: the lock-free per-shard
+	// per tstats book), written only by the combiner: the lock-free
 	// per-tenant load summary the "pressure" placement policy routes by.
 	tenAreas sync.Map // string → *atomic.Int64
 
-	reqs chan request
-	quit <-chan struct{}
-	done chan struct{}
-
-	// fairOrder scratch, reused across batches so the soft-mode reorder
-	// allocates nothing per event-loop turn (like pending/results).
+	// fairOrder scratch, reused across turns so the soft-mode reorder
+	// allocates nothing per turn (like pending).
 	fairPos      []int
-	fairReserves []request
+	fairReserves []*slot
 	fairRatios   []float64
 	fairOrderIdx []int
 
-	// Load summary published once per batch (group commit): placement
-	// policies and Stats read these without touching the loop.
+	// Load summary published once per turn (group commit): placement
+	// policies and Stats read these without a request to the shard.
 	activeCount   atomic.Int64
 	committedArea atomic.Int64
 	admitted      atomic.Uint64
@@ -173,27 +195,21 @@ type shard struct {
 	rejectedQuota atomic.Uint64
 	migratedIn    atomic.Uint64
 	migratedOut   atomic.Uint64
-	slackP99      atomic.Int64
 	batches       atomic.Uint64
 	ops           atomic.Uint64
 
-	// Observability extras: slackP50/slackP90 widen the published slack
-	// summary to the scrape-side quantile set, and turnNs records each
-	// event-loop turn's apply+publish latency. Written only when obsOn —
-	// the unobserved configuration pays one predicted branch per batch.
-	obsOn    bool
-	slackP50 atomic.Int64
-	slackP90 atomic.Int64
-	turnNs   *obs.Histogram
+	// turnNs records each turn's apply+publish latency; nil without an
+	// obs registry, which then costs one predicted branch per turn.
+	turnNs *obs.Histogram
 
 	// Flight recorder surface. journal is nil-safe (a shard without a
-	// recorder records into nothing); when flightOn the loop publishes
-	// its heartbeat — busySince on entering a turn, lastBeat on
+	// recorder records into nothing); when flightOn the combiner
+	// publishes a heartbeat — busySince on entering a turn, lastBeat on
 	// completing one, both unix nanoseconds — for the watchdog's
 	// lock-free stall probes, and journals turns slower than
 	// slowTurnThreshold. overflowed latches the tenant-book overflow
-	// event (loop-owned). turnHook, set only by tests via the
-	// unexported Config field, runs at the top of every turn.
+	// event. turnHook, set only by tests via the unexported Config
+	// field, runs at the top of every turn.
 	journal    *flight.Journal
 	flightOn   bool
 	lastBeat   atomic.Int64
@@ -203,11 +219,11 @@ type shard struct {
 
 	// Durability. wlog is the shard's write-ahead log (nil = in-memory
 	// service); every state-changing op appends its record during apply
-	// and the loop group-commits once per batch, before the replies are
-	// released. openOuts tracks migrate-outs the peer has not durably
-	// committed yet (loop-owned, persisted in snapshots). A WAL write
-	// failure degrades the shard to non-durable (walFailed counts it)
-	// rather than taking admissions down with the disk.
+	// and the combiner group-commits once per turn, before the replies
+	// are released. openOuts tracks migrate-outs the peer has not durably
+	// committed yet (persisted in snapshots). A WAL write failure
+	// degrades the shard to non-durable (walFailed counts it) rather than
+	// taking admissions down with the disk.
 	wlog      *wal.Log
 	snapEvery int
 	openOuts  map[ID]int
@@ -217,8 +233,8 @@ type shard struct {
 }
 
 // tenAreaCell returns the shard's atomic area mirror for one tenant book,
-// creating it on first use. Written only by the loop; read lock-free by
-// the pressure placement policy.
+// creating it on first use. Written only by the combiner; read lock-free
+// by the pressure placement policy.
 func (sh *shard) tenAreaCell(statKey string) *atomic.Int64 {
 	if v, ok := sh.tenAreas.Load(statKey); ok {
 		return v.(*atomic.Int64)
@@ -237,21 +253,20 @@ func (sh *shard) tenantArea(name string) int64 {
 }
 
 // newShard builds the partition's index (with the Pre reservations
-// committed) and starts its event loop. floor is the service-computed
-// α head-room, passed in so the Reserve pre-check in Service and the
-// enforcement here can never disagree. seed, when non-nil, is the
-// shard's recovered pre-crash state (WAL replay): it is re-committed
-// to the fresh index — placements land on the exact pre-crash profile
-// — before the loop starts, and a boot snapshot anchors the new log
-// generation so the replayed generations can be truncated.
-func newShard(id int, cfg Config, floor int, quit <-chan struct{}, seed *shardSeed) (*shard, error) {
+// committed); the shard is ready for do when it returns. floor is the
+// service-computed α head-room, passed in so the Reserve pre-check in
+// Service and the enforcement here can never disagree. seed, when
+// non-nil, is the shard's recovered pre-crash state (WAL replay): it is
+// re-committed to the fresh index — placements land on the exact
+// pre-crash profile — and a boot snapshot anchors the new log generation
+// so the replayed generations can be truncated.
+func newShard(id int, cfg Config, floor int, seed *shardSeed) (*shard, error) {
 	idx, err := profile.IndexFromReservations(cfg.Backend, cfg.M, cfg.Pre)
 	if err != nil {
 		return nil, fmt.Errorf("resd: shard %d: %w", id, err)
 	}
 	sh := &shard{
 		id:     id,
-		m:      cfg.M,
 		floor:  floor,
 		batch:  cfg.Batch,
 		quotas: cfg.Quotas,
@@ -260,21 +275,17 @@ func newShard(id int, cfg Config, floor int, quit <-chan struct{}, seed *shardSe
 		tstats: make(map[string]TenantStats),
 		slack:  &obs.Histogram{},
 		tslack: make(map[string]*slackHist),
-		reqs:   make(chan request, cfg.Batch),
-		quit:   quit,
-		done:   make(chan struct{}),
 	}
 	if cfg.Obs != nil && cfg.Obs.Registry != nil {
-		sh.obsOn = true
 		sh.turnNs = cfg.Obs.Registry.NewHistogram("resd_loop_turn_ns",
-			"Event-loop turn latency (apply+publish of one batch), nanoseconds.",
+			"Turn latency (apply+publish of one batch), nanoseconds.",
 			obs.L("shard", strconv.Itoa(id)))
 	}
 	if cfg.Obs != nil && cfg.Obs.Flight != nil {
 		sh.flightOn = true
 		sh.journal = cfg.Obs.Flight.Journal()
-		// A fresh loop "beat" at creation: the watchdog's queued-but-no-
-		// turn rule measures from here, so an idle-since-boot shard that
+		// A fresh "beat" at creation: the watchdog's queued-but-no-turn
+		// rule measures from here, so an idle-since-boot shard that
 		// suddenly wedges is judged from boot, not from a zero time.
 		sh.lastBeat.Store(time.Now().UnixNano())
 	}
@@ -284,11 +295,10 @@ func newShard(id int, cfg Config, floor int, quit <-chan struct{}, seed *shardSe
 			return nil, err
 		}
 	}
-	go sh.loop()
 	return sh, nil
 }
 
-// adoptSeed installs recovered state before the loop starts: log handle,
+// adoptSeed installs recovered state before the first request: log handle,
 // sequence counter, books, counters, and every surviving reservation
 // committed back onto the index. The pre-crash state was legal against
 // the same Pre and M, so a commit failure here means the configuration
@@ -343,131 +353,134 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	return nil
 }
 
-// do submits one request and blocks for its response. It never blocks past
-// service shutdown: enqueue and reply are both raced against quit.
+// do submits one request and returns its response. The request joins the
+// shard's queue; a caller that finds no combiner at work takes the role
+// and serves the queue itself, its own request first, so a lone caller
+// never leaves its goroutine. Any other caller parks until a combiner has
+// answered it or named it the next combiner. Once opClose has been queued
+// every do fails with ErrClosed.
 func (sh *shard) do(req request) (response, error) {
-	req.reply = make(chan response, 1)
-	select {
-	case sh.reqs <- req:
-	case <-sh.quit:
+	s := slotPool.Get().(*slot)
+	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
+		slotPool.Put(s)
 		return response{}, ErrClosed
 	}
-	select {
-	case resp := <-req.reply:
-		return resp, resp.err
-	case <-sh.quit:
-		// The loop may still answer (reply is buffered); prefer the real
-		// answer if it already arrived, otherwise report the shutdown.
-		select {
-		case resp := <-req.reply:
-			return resp, resp.err
-		default:
-			return response{}, ErrClosed
+	s.req = req
+	sh.closed = req.kind == opClose
+	sh.queue = append(sh.queue, s)
+	sh.depth.Store(int64(len(sh.queue)))
+	lead := !sh.combining
+	sh.combining = true
+	sh.mu.Unlock()
+	if lead || !<-s.wake {
+		sh.combine(s)
+	}
+	resp := s.resp
+	s.req, s.resp = request{}, response{}
+	slotPool.Put(s)
+	return resp, resp.err
+}
+
+// combine makes the caller the shard's single writer. self is at the
+// head of the queue, so the first turn answers it. Without a log the
+// combiner serves on while requests keep arriving, up to batch operations
+// in all; then, or after one turn on a durable shard, the oldest waiter
+// inherits the role. So no caller waits on more than one batch of other
+// callers' work once answered, and a durable shard's combiner is back
+// in time for its caller's next request to share the next log commit.
+func (sh *shard) combine(self *slot) {
+	// A durable turn costs one log commit however many requests share
+	// it, and callers just answered need the processor to come back with
+	// their next: yield until a round adds nothing. Without a log a batch
+	// buys nothing and a yield costs a reschedule.
+	if sh.wlog != nil {
+		for n := int64(0); n < int64(sh.batch) && sh.depth.Load() > n; runtime.Gosched() {
+			n = sh.depth.Load()
+		}
+	}
+	sh.mu.Lock()
+	for left := sh.batch; ; {
+		n := min(len(sh.queue), left)
+		sh.pending = append(sh.pending[:0], sh.queue[:n]...)
+		sh.queue = sh.queue[:copy(sh.queue, sh.queue[n:])]
+		sh.depth.Store(int64(len(sh.queue)))
+		sh.mu.Unlock()
+		left -= n
+
+		sh.turn(self)
+
+		sh.mu.Lock()
+		if len(sh.queue) == 0 {
+			sh.combining = false
+			sh.mu.Unlock()
+			return
+		}
+		if left == 0 || sh.wlog != nil {
+			heir := sh.queue[0]
+			sh.mu.Unlock()
+			heir.wake <- false
+			return
 		}
 	}
 }
 
-// wait blocks until the event loop has exited (after quit is closed).
-func (sh *shard) wait() { <-sh.done }
-
-// loop is the shard's single writer. Each turn blocks for one request,
-// drains up to batch-1 more that are already pending, applies the whole
-// group against the index, publishes the load summary once, and only then
-// releases the replies — the group-commit that amortises synchronisation
-// under load while keeping single-request latency at one handoff.
-func (sh *shard) loop() {
-	defer close(sh.done)
-	// Runs before done closes (LIFO): wait out any in-flight snapshot
-	// write, then seal the log so the final generation is complete.
-	defer func() {
-		sh.snapWG.Wait()
-		if sh.wlog != nil {
-			if err := sh.wlog.Close(); err != nil {
-				sh.report(flight.Error, "wal", fmt.Sprintf("wal close: %v", err))
-			}
-		}
-	}()
-	pending := make([]request, 0, sh.batch)
-	results := make([]response, 0, sh.batch)
-	for {
-		var first request
-		select {
-		case <-sh.quit:
-			sh.drainClosed()
-			return
-		case first = <-sh.reqs:
-		}
-		if sh.flightOn {
-			sh.busySince.Store(time.Now().UnixNano())
-		}
-		if sh.turnHook != nil {
-			sh.turnHook(sh.id)
-		}
-		pending = append(pending[:0], first)
-		// The send that delivered first also scheduled this goroutine to
-		// run immediately next (the runtime's direct handoff), so the
-		// queue is usually still empty here even with many callers in
-		// flight. Yield once per round so every runnable caller gets to
-		// enqueue, and keep draining until a round adds nothing — that
-		// turns nominal batches of 1 into real group commits under load,
-		// while a lone caller pays only a no-op yield.
-		for drained := true; drained && len(pending) < sh.batch; {
-			runtime.Gosched()
-			drained = false
-		drain:
-			for len(pending) < sh.batch {
-				select {
-				case r := <-sh.reqs:
-					pending = append(pending, r)
-					drained = true
-				default:
-					break drain
-				}
-			}
-		}
-		sh.fairOrder(pending)
-		var turnStart time.Time
-		if sh.obsOn {
-			turnStart = time.Now()
-		}
-		results = results[:0]
-		for _, r := range pending {
-			if r.trace != nil {
-				r.trace.BatchStart = time.Since(r.trace.Arrival)
-			}
-			results = append(results, sh.apply(r))
-		}
-		// The group-commit durability point: every record the batch
-		// appended is flushed (and fsynced, under SyncBatch) in one call
-		// before any reply is released — callers never observe a success
-		// the log could forget.
-		if sh.wlog != nil {
-			if err := sh.wlog.Commit(); err != nil {
-				sh.walFail("commit", err)
-			}
-		}
-		sh.publish(len(pending))
-		if sh.obsOn {
-			sh.turnNs.Observe(time.Since(turnStart).Nanoseconds())
-		}
-		for i, r := range pending {
-			r.reply <- results[i]
-		}
-		if sh.flightOn {
-			sh.beat(len(pending))
-		}
-		sh.maybeSnapshot()
+// turn applies sh.pending against the index, in fairOrder, publishes the
+// load summary once, and only then releases the answers — the group
+// commit that amortises the log write under load.
+func (sh *shard) turn(self *slot) {
+	if sh.flightOn {
+		sh.busySince.Store(time.Now().UnixNano())
 	}
+	if sh.turnHook != nil {
+		sh.turnHook(sh.id)
+	}
+	sh.fairOrder(sh.pending)
+	var turnStart time.Time
+	if sh.turnNs != nil {
+		turnStart = time.Now()
+	}
+	for _, s := range sh.pending {
+		if s.req.trace != nil {
+			s.req.trace.BatchStart = time.Since(s.req.trace.Arrival)
+		}
+		s.resp = sh.apply(s.req)
+	}
+	// The group-commit durability point: every record the turn appended
+	// is flushed (and fsynced, under SyncBatch) in one call before any
+	// answer is released — callers never observe a success the log could
+	// forget.
+	if sh.wlog != nil {
+		if err := sh.wlog.Commit(); err != nil {
+			sh.walFail("commit", err)
+		}
+	}
+	sh.publish(len(sh.pending))
+	if sh.turnNs != nil {
+		sh.turnNs.Observe(time.Since(turnStart).Nanoseconds())
+	}
+	// fairOrder permutes the turn, so the combiner knows its own slot by
+	// identity. A woken caller may recycle its slot at once.
+	for _, s := range sh.pending {
+		if s != self {
+			s.wake <- true
+		}
+	}
+	if sh.flightOn {
+		sh.beat(len(sh.pending))
+	}
+	sh.maybeSnapshot()
 }
 
 // slowTurnThreshold is the batch-turn anomaly budget: a turn that took
-// longer than this is journaled (the whole loop was unavailable for
+// longer than this is journaled (the whole shard was unavailable for
 // the duration — every queued caller waited it out).
 const slowTurnThreshold = 100 * time.Millisecond
 
-// beat completes the loop's heartbeat for one turn: journal the turn
-// as an anomaly if it ran long, then publish "turn done, loop idle"
-// for the watchdog's stall probes.
+// beat completes the heartbeat for one turn: journal the turn as an
+// anomaly if it ran long, then publish "turn done, shard idle" for the
+// watchdog's stall probes.
 func (sh *shard) beat(ops int) {
 	now := time.Now()
 	if busy := sh.busySince.Load(); busy != 0 {
@@ -501,13 +514,13 @@ func (sh *shard) report(sev flight.Severity, subsys, msg string, kv ...flight.KV
 // Ratios are read once per batch from the registry's atomics: reads racing
 // concurrent commits are as harmlessly stale as the placement policies'
 // load summaries.
-func (sh *shard) fairOrder(pending []request) {
+func (sh *shard) fairOrder(pending []*slot) {
 	if sh.quotas == nil || sh.quotas.Mode() != tenant.Soft || len(pending) < 2 {
 		return
 	}
 	pos := sh.fairPos[:0]
-	for i, r := range pending {
-		if r.kind == opReserve {
+	for i, s := range pending {
+		if s.req.kind == opReserve {
 			pos = append(pos, i)
 		}
 	}
@@ -520,7 +533,7 @@ func (sh *shard) fairOrder(pending []request) {
 	order := sh.fairOrderIdx[:0]
 	for k, i := range pos {
 		reserves = append(reserves, pending[i])
-		ratios = append(ratios, sh.quotas.Ratio(pending[i].tenant))
+		ratios = append(ratios, sh.quotas.Ratio(pending[i].req.tenant))
 		order = append(order, k)
 	}
 	sh.fairReserves, sh.fairRatios, sh.fairOrderIdx = reserves, ratios, order
@@ -530,22 +543,13 @@ func (sh *shard) fairOrder(pending []request) {
 	}
 }
 
-// drainClosed answers every request still queued at shutdown.
-func (sh *shard) drainClosed() {
-	for {
-		select {
-		case r := <-sh.reqs:
-			r.reply <- response{err: ErrClosed}
-		default:
-			return
-		}
-	}
-}
-
-// apply executes one request against the shard-local state. Runs only on
-// the loop goroutine.
+// apply executes one request against the shard-local state. Only the
+// combiner calls it.
 func (sh *shard) apply(r request) response {
 	switch r.kind {
+	case opClose:
+		sh.seal()
+		return response{}
 	case opReserve:
 		return sh.reserve(r)
 	case opCancel:
@@ -611,8 +615,8 @@ func (sh *shard) reserve(r request) response {
 		}
 	}
 	if err := sh.idx.Commit(start, r.dur, r.q); err != nil {
-		// Unreachable: FindSlot guarantees capacity and the loop is the
-		// only writer. Surface rather than panic so a backend bug turns
+		// Unreachable: FindSlot guarantees capacity and the combiner is
+		// the only writer. Surface rather than panic so a backend bug turns
 		// into a failed request, not a dead shard.
 		if sh.quotas != nil {
 			sh.quotas.Rollback(r.tenant, area)
@@ -687,7 +691,7 @@ func (sh *shard) cancel(r request) response {
 
 // migratable lists the shard's movable reservations: live, not pending,
 // and starting at or after the cutoff carried in r.ready (now + the
-// frozen window Δ). The list is consistent (served inside the loop) and
+// frozen window Δ). The list is consistent (served by the combiner) and
 // sorted by ID so planning over it is deterministic.
 func (sh *shard) migratable(r request) response {
 	var out []rebal.Resv
@@ -813,15 +817,10 @@ func (sh *shard) migrateOutAck(r request) response {
 }
 
 // publish stores the load summary for lock-free readers (placement
-// policies, Stats). Called once per batch — the group-commit point.
+// policies, Stats). Called once per turn — the group-commit point.
 func (sh *shard) publish(n int) {
 	sh.activeCount.Store(int64(len(sh.live)))
 	sh.committedArea.Store(sh.area)
-	sh.slackP99.Store(sh.slack.Quantile(0.99))
-	if sh.obsOn {
-		sh.slackP50.Store(sh.slack.Quantile(0.5))
-		sh.slackP90.Store(sh.slack.Quantile(0.9))
-	}
 	sh.batches.Add(1)
 	sh.ops.Add(uint64(n))
 }
@@ -838,7 +837,7 @@ func (sh *shard) stats() ShardStats {
 		RejectedQuota:    sh.rejectedQuota.Load(),
 		MigratedIn:       sh.migratedIn.Load(),
 		MigratedOut:      sh.migratedOut.Load(),
-		SlackP99:         core.Time(sh.slackP99.Load()),
+		SlackP99:         core.Time(sh.slack.Quantile(0.99)),
 		Batches:          sh.batches.Load(),
 		Ops:              sh.ops.Load(),
 	}

@@ -22,8 +22,8 @@ func (sh *shard) walAppend(rec wal.Record) {
 // walFail degrades the shard to non-durable after a log write failure:
 // admissions keep flowing (availability over durability — the in-memory
 // state is still correct), the log is sealed, and the failure is
-// counted (resd_wal_failures_total) and reported once. Runs only on the
-// loop goroutine, like every other wlog access.
+// counted (resd_wal_failures_total) and reported once. Only the combiner
+// calls it, like every other wlog access.
 func (sh *shard) walFail(op string, err error) {
 	sh.walFailed.Add(1)
 	sh.report(flight.Error, "wal",
@@ -34,10 +34,24 @@ func (sh *shard) walFail(op string, err error) {
 	sh.wlog = nil
 }
 
+// seal is the shard's last act (opClose): wait out any in-flight snapshot
+// write, then close the log — which commits what the closing turn
+// appended — so the final generation is complete.
+func (sh *shard) seal() {
+	sh.snapWG.Wait()
+	if sh.wlog == nil {
+		return
+	}
+	if err := sh.wlog.Close(); err != nil {
+		sh.report(flight.Error, "wal", fmt.Sprintf("wal close: %v", err))
+	}
+	sh.wlog = nil
+}
+
 // maybeSnapshot rotates the log and kicks off a background snapshot
 // write once enough records have accumulated since the last one. The
-// state capture and the rotation run in-loop (cheap copies); only the
-// file write leaves the loop, and at most one write is in flight.
+// state capture and the rotation run inside the turn (cheap copies); only
+// the file write gets a goroutine, and at most one write is in flight.
 func (sh *shard) maybeSnapshot() {
 	if sh.wlog == nil || sh.snapEvery <= 0 ||
 		sh.wlog.SinceSnapshot() < sh.snapEvery || sh.snapBusy.Load() {

@@ -11,10 +11,10 @@ import (
 // gives an O(1)-update, O(1)-memory quantile whose answer is the
 // bucket's upper bound — at least the true quantile and less than twice
 // it — which is the right fidelity for an SLO surface read out of a hot
-// event loop: the operator question is "what order of push-back are this
+// path: the operator question is "what order of push-back are this
 // tenant's admissions seeing", not its exact tick count. The same bucket
-// geometry backs the obs package's multi-writer Histogram, so loop-owned
-// and scrape-side quantiles agree.
+// geometry backs the obs package's multi-writer Histogram, so
+// combiner-owned and scrape-side quantiles agree.
 type slackHist struct {
 	h stats.ExpHist
 }

@@ -84,7 +84,7 @@ func (b *sloBook) tenantAttainment(ten string) (good, total uint64, ok bool) {
 }
 
 // attachSLO arms ObsConfig.SLO against the service: a CounterSource per
-// objective, the slack and loop-turn histograms routed through the
+// objective, the slack and turn-latency histograms routed through the
 // engine's snapshot ring, then Start. Called from New after the shards
 // exist; Close stops the engine.
 func (s *Service) attachSLO(e *slo.Engine) error {

@@ -119,8 +119,8 @@ func TestSoftModeAdmitsOverBudget(t *testing.T) {
 }
 
 // TestFairOrderPermutesByPressure drives the shard's soft-mode batch
-// reordering directly (the loop's batching is timing-dependent; the
-// permutation logic is not): Reserves in one batch must come out ordered
+// reordering directly (how many callers share a turn is timing-dependent;
+// the permutation logic is not): Reserves in one batch must come out ordered
 // by usage-to-budget ratio, stable within a tenant, with non-Reserve ops
 // pinned to their positions.
 func TestFairOrderPermutesByPressure(t *testing.T) {
@@ -137,18 +137,25 @@ func TestFairOrderPermutesByPressure(t *testing.T) {
 	}
 	s := mustNew(t, Config{M: 8, Quotas: reg})
 	sh := s.shards[0]
-	pending := []request{
-		{kind: opReserve, tenant: "hog", ready: 1},
-		{kind: opQuery, ready: 42},
-		{kind: opReserve, tenant: "newbie", ready: 2},
-		{kind: opReserve, tenant: "hog", ready: 3},
+	slots := func(reqs ...request) []*slot {
+		out := make([]*slot, len(reqs))
+		for i, r := range reqs {
+			out[i] = &slot{req: r}
+		}
+		return out
 	}
+	pending := slots(
+		request{kind: opReserve, tenant: "hog", ready: 1},
+		request{kind: opQuery, ready: 42},
+		request{kind: opReserve, tenant: "newbie", ready: 2},
+		request{kind: opReserve, tenant: "hog", ready: 3},
+	)
 	sh.fairOrder(pending)
-	if pending[1].kind != opQuery {
-		t.Fatalf("non-Reserve op moved: %+v", pending)
+	if pending[1].req.kind != opQuery {
+		t.Fatalf("non-Reserve op moved: %+v", pending[1].req)
 	}
-	gotTenants := []string{pending[0].tenant, pending[2].tenant, pending[3].tenant}
-	gotReady := []core.Time{pending[0].ready, pending[2].ready, pending[3].ready}
+	gotTenants := []string{pending[0].req.tenant, pending[2].req.tenant, pending[3].req.tenant}
+	gotReady := []core.Time{pending[0].req.ready, pending[2].req.ready, pending[3].req.ready}
 	want := []string{"newbie", "hog", "hog"}
 	for i := range want {
 		if gotTenants[i] != want[i] {
@@ -161,13 +168,13 @@ func TestFairOrderPermutesByPressure(t *testing.T) {
 	}
 	// Hard mode must not reorder.
 	reg.SetMode(tenant.Hard)
-	hard := []request{
-		{kind: opReserve, tenant: "hog", ready: 1},
-		{kind: opReserve, tenant: "newbie", ready: 2},
-	}
+	hard := slots(
+		request{kind: opReserve, tenant: "hog", ready: 1},
+		request{kind: opReserve, tenant: "newbie", ready: 2},
+	)
 	sh.fairOrder(hard)
-	if hard[0].tenant != "hog" {
-		t.Fatalf("hard mode reordered: %+v", hard)
+	if hard[0].req.tenant != "hog" {
+		t.Fatalf("hard mode reordered: %+v", hard[0].req)
 	}
 }
 

@@ -50,7 +50,7 @@ func (o TraceOutcome) String() string {
 //	Arrival     ReserveFor entered (wall clock; offsets are monotonic)
 //	Route       placement order computed, first shard attempt starting
 //	Enqueue     request handed to the (last-tried) shard's queue
-//	BatchStart  that shard's event loop began the batch holding it
+//	BatchStart  that shard's combiner began the batch holding it
 //	Decision    final answer in hand (after every placement attempt)
 //
 // Decision − BatchStart is the batch turn; BatchStart − Enqueue is queue

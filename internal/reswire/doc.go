@@ -1,10 +1,13 @@
 // Package reswire puts the resd reservation-admission service on the
 // network: a versioned, length-prefixed binary protocol, a TCP server
-// that decodes frames straight into the shard event loops, and a
+// that decodes frames straight into the shards' queues, and a
 // pipelining client that multiplexes concurrent callers over a handful of
-// connections. A round trip crosses four goroutine boundaries — server
-// reader to handler, handler to shard loop and back, client reader to
-// caller — two more than an in-process call.
+// connections. Against a service without a log a round trip crosses one
+// goroutine boundary, client reader to caller: the server's reader finds
+// the shard idle and runs the admission itself, as an in-process caller
+// would (two more, to the shard's combiner and back, when it does not).
+// With a log there is a second, server reader to handler, so that one
+// connection's requests can share a commit.
 //
 // # Protocol
 //
@@ -63,7 +66,7 @@
 // remaining, peak burn rate and alert severity, empty on servers
 // running without an SLO engine — see internal/slo). Frames
 // are assembled from the same published atomics a /metrics scrape
-// reads, so a subscriber never touches a shard event loop; a slow
+// reads, so a subscriber never waits on a shard; a slow
 // subscriber (full push queue, stalled socket) has frames dropped and
 // marked — Seq stays monotone and the next delivered frame's Dropped
 // field counts the gap — rather than ever back-pressuring the server.
@@ -99,7 +102,7 @@
 //
 // A connection has one write path, the same type on both sides, and no
 // writer goroutine: the goroutine that produced a frame — a client caller,
-// a server handler — encodes it onto the connection's pending buffer under
+// a server reader or handler — encodes it onto the connection's pending buffer under
 // a mutex, and the first one to ask for a flush becomes the flusher. The
 // flusher yields the processor once, so every appender that is runnable
 // gets its frame in, swaps the pending buffer for the spare one, writes it
@@ -109,20 +112,32 @@
 // crosses no goroutine boundary between being produced and being written.
 // The two buffers start empty and grow by append; one that a burst pushed
 // past 64 KiB is not kept. At 64 KiB pending, appenders wait for the
-// write in progress, so a peer that stops reading stalls the handlers,
-// then (through the in-flight cap) the reader, then TCP, while memory
-// stays put. After a write error every later append is a no-op and the
+// write in progress, so a peer that stops reading stalls the reader —
+// with a log the handlers first, then the reader through the in-flight
+// cap — then TCP, while memory stays put. After a write error every later append is a no-op and the
 // connection is closed.
 //
 // # Server
 //
 // The server runs one reader per connection. It decodes frames in place
-// from its read buffer and hands each request to a handler goroutine that
-// executes it against the resd.Service and writes the reply itself.
+// from its read buffer and, when the service keeps no log
+// (resd.WALInfo.Enabled false), executes each request against the
+// resd.Service itself and appends the reply: nothing such a request can
+// wait for — a shard another caller is serving this instant — lasts as
+// long as handing it to another goroutine and getting the processor back,
+// and the requests of one read run back to back on one processor instead
+// of being stolen apart. One connection is then served in order by one
+// goroutine; a client that wants its requests served in parallel, or a
+// slow one (a Snapshot of a large shard) kept out of the way of the
+// rest, uses more connections (Options.Conns).
+//
+// When the service keeps a log a request waits for a commit, and requests
+// that wait together share one. The reader then hands each request to a
+// handler goroutine that executes it and writes the reply itself.
 // Handlers are kept for the life of the connection and reused — as many
 // as requests were ever in flight at once, at most 1024; past that the
 // reader stops pulling frames — so concurrent requests from one client
-// land in the shard event loops' group-commit batches exactly like
+// land in the shards' group-commit batches exactly like
 // in-process traffic, on stacks that are already grown.
 //
 // Replies are corked per socket read. The contract: the replies to
@@ -133,10 +148,11 @@
 // the 64 KiB bound above, which flushes early, not late.) What arrived
 // together is answered together, which under pipelining makes the reply
 // stream as coarse as the request stream, and a request that arrived
-// alone is answered alone and at once. The head-of-line cost is bounded
-// by the slowest request of one read: a client that wants a fast op not
-// to wait for a slow one (a Snapshot of a large shard, say) sends them in
-// different writes or on different connections. The bookkeeping is one
+// alone is answered alone and at once. With a log the head-of-line cost
+// is bounded by the slowest request of one read: a client that wants a
+// fast op not to wait for a slow one sends them in different writes or on
+// different connections; without one, on different connections. The
+// bookkeeping is one
 // counter per read that delivered two or more requests — the only thing
 // the server's wire path allocates in steady state.
 //

@@ -20,7 +20,7 @@ import (
 //	reswire_responses_total{side,code}  counter  responses by wire code
 //
 // The latency summaries measure what each side can see: the server times
-// decode-to-response (service time, including the shard loop's group
+// decode-to-response (service time, including the shard's group
 // commit), the client times send-to-receive (service time plus the wire).
 // All methods are safe on a nil *Metrics, which disables instrumentation.
 type Metrics struct {

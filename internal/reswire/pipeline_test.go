@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/resd"
+	"repro/internal/wal"
 )
 
 // watchdog fails the test with every goroutine's stack if done has not
@@ -110,8 +111,8 @@ func TestCorkAnswersOneReadInOneWrite(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		var frames, want []byte
 		for id := uint64(1); id <= n; id++ {
-			// Reserve goes through a shard loop, so the replies finish at
-			// different moments; Ping answers at once.
+			// Reserve goes through a shard and Ping answers at once: the
+			// replies are not all the same work.
 			req := Request{ID: id, Op: OpReserve, Procs: 1, Dur: 1, Deadline: resd.NoDeadline}
 			if id%3 == 0 {
 				req = Request{ID: id, Op: OpPing}
@@ -134,6 +135,58 @@ func TestCorkAnswersOneReadInOneWrite(t *testing.T) {
 		}
 		if got != len(want) {
 			t.Fatalf("round %d: first read returned %d bytes of replies, want all %d (%d frames)", round, got, len(want), n)
+		}
+	}
+}
+
+// TestServerFansOutOnlyUnderALog pins who serves a request. Sixty-four
+// admissions arrive in one write. Without a log the connection's reader
+// serves them itself: the burst leaves no goroutine behind. With a log
+// each gets a handler, so they wait in the shard's queue together and
+// share commits — fewer turns than operations.
+func TestServerFansOutOnlyUnderALog(t *testing.T) {
+	const n = 64
+	for _, durable := range []bool{false, true} {
+		cfg := resd.Config{Shards: 1, M: 256}
+		if durable {
+			cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone}
+		}
+		addr, svc := startServer(t, cfg)
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(30 * time.Second))
+		br := bufio.NewReader(nc)
+		burst := func(reqs int) {
+			var frames []byte
+			for id := 1; id <= reqs; id++ {
+				if frames, err = AppendRequest(frames, Request{ID: uint64(id), Op: OpReserve, Procs: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := nc.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < reqs; i++ {
+				if resp, err := ReadResponse(br); err != nil || resp.Code != CodeOK {
+					t.Fatalf("durable=%v: reply %d of %d: %+v, %v", durable, i+1, reqs, resp, err)
+				}
+			}
+		}
+		burst(1) // the connection's reader exists from here on
+		before, st := runtime.NumGoroutine(), svc.Stats()[0]
+		burst(n)
+		grew, st2 := runtime.NumGoroutine()-before, svc.Stats()[0]
+		ops, turns := st2.Ops-st.Ops, st2.Batches-st.Batches
+		switch {
+		case !durable && grew > 2:
+			t.Errorf("without a log a burst of %d left %d goroutines behind; the reader serves", n, grew)
+		case durable && grew < 4:
+			t.Errorf("with a log a burst of %d left only %d handlers", n, grew)
+		case durable && 2*turns > ops:
+			t.Errorf("with a log %d operations took %d turns; the requests of one read should share commits", ops, turns)
 		}
 	}
 }
@@ -360,8 +413,9 @@ func TestCallTimeoutBoundsTheFlusher(t *testing.T) {
 
 // TestRoundTripAllocations guards the per-call allocation budget: one
 // loopback Admit and Cancel, client and server in this process and warm,
-// with a call timeout armed (its timer is pooled). The service's own
-// share is about 2.5 per op; the wire adds nothing.
+// with a call timeout armed (its timer is pooled). Neither the service
+// nor the wire allocates per call; the bound leaves room for -race, under
+// which sync.Pool drops a share of what is put back.
 func TestRoundTripAllocations(t *testing.T) {
 	addr, _ := startServer(t, resd.Config{Shards: 4, M: 64, Backend: "tree"})
 	c := dial(t, addr, Options{Pipeline: true, CallTimeout: 5 * time.Second})

@@ -17,8 +17,8 @@ import (
 var ErrServerClosed = errors.New("reswire: server closed")
 
 // maxConnInFlight caps the number of requests one connection may have
-// dispatched into the service at once, and with it the handler goroutines
-// the connection keeps. A pipelining client within the cap is never
+// dispatched into a service with a log at once, and with it the handler
+// goroutines the connection keeps. A pipelining client within the cap is never
 // throttled; past it the reader stops pulling frames, which back-pressures
 // through TCP instead of growing a goroutine per frame without bound.
 const maxConnInFlight = 1024
@@ -33,9 +33,10 @@ const (
 )
 
 // Server fronts a resd.Service with the wire protocol: it decodes request
-// frames, dispatches each into the service (where the shard event loops
-// group-commit them exactly as for in-process callers), and has the
-// handler that produced a response write it — responses to requests that
+// frames, runs each against the service — on the connection's reader, or
+// on a handler goroutine each when the service keeps a log, so that the
+// shards group-commit them exactly as for in-process callers — and has
+// whoever produced a response write it: responses to requests that
 // arrived in one socket read leave in one write.
 type Server struct {
 	svc     *resd.Service
@@ -142,11 +143,13 @@ type job struct {
 }
 
 // serveConn runs one connection (doc.go, "Server"): the reader decodes
-// frames and hands each to a handler goroutine, which executes it and
-// writes the reply itself. Handlers are kept for the life of the
-// connection, at most maxConnInFlight of them. A protocol error (bad
-// magic, oversized frame, …) closes the connection — framing is
-// unrecoverable once desynchronised.
+// frames and, when the service keeps no log, serves each itself, in
+// order. With a log it hands each to a handler goroutine, which executes
+// it and writes the reply itself, so that the requests of one read are in
+// the shards' queues together and share a commit; handlers are kept for
+// the life of the connection, at most maxConnInFlight of them. A protocol
+// error (bad magic, oversized frame, …) closes the connection — framing
+// is unrecoverable once desynchronised.
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	wc := s.metrics.wrap(nc) // byte counters; nc stays the handle Close uses
@@ -164,14 +167,18 @@ func (s *Server) serveConn(nc net.Conn) {
 		downLevel bool
 	)
 	handlers, inBatch, watches := 0, 0, 0
+	fanOut := s.svc.WALInfo().Enabled
+	serve := func(j job) {
+		start := s.metrics.begin()
+		resp := s.handle(j.req)
+		s.metrics.observe(j.req.Op, start, resp.Code)
+		s.metrics.end()
+		w.reply(&resp, j.b)
+	}
 	handler := func(j job) {
 		defer hwg.Done()
 		for ok := true; ok; j, ok = <-work {
-			start := s.metrics.begin()
-			resp := s.handle(j.req)
-			s.metrics.observe(j.req.Op, start, resp.Code)
-			s.metrics.end()
-			w.reply(&resp, j.b)
+			serve(j)
 			spare.Add(1)
 		}
 	}
@@ -218,8 +225,8 @@ func (s *Server) serveConn(nc net.Conn) {
 			// pushes telemetry frames towards the connection's writer until
 			// the connection closes. It reads only published atomics and
 			// sends non-blockingly (drop-and-mark), so a stalled
-			// subscriber never holds a shard loop, a handler, or the
-			// reader hostage.
+			// subscriber never holds a shard, a handler, or the reader
+			// hostage.
 			start := s.metrics.begin()
 			resp := Response{ID: req.ID, Op: OpWatch, Version: req.Version}
 			if watches >= maxConnWatches {
@@ -250,6 +257,14 @@ func (s *Server) serveConn(nc net.Conn) {
 				defer hwg.Done()
 				s.watchLoop(req, out, connDone)
 			}(req)
+			continue
+		}
+		// Without a log a request waits for nothing but a shard another
+		// caller is serving at this moment, which is over sooner than a
+		// handoff to another goroutine and back: the reader serves it, and
+		// a read's requests run back to back on one processor.
+		if !fanOut {
+			serve(j)
 			continue
 		}
 		// To a handler that is, or is about to be, idle; else to a new one
@@ -286,8 +301,8 @@ func (w *connWriter) reply(resp *Response, b *batch) {
 // Telemetry snapshot from the service's published counters and offers
 // it to the connection's writer. A full push queue (slow consumer,
 // stuck socket) drops the frame and counts it in the next delivered
-// frame's Dropped field — the subscription never blocks, and the shard
-// loops never see it at all. The first frame is pushed immediately so a
+// frame's Dropped field — the subscription never blocks, and the shards
+// never see it at all. The first frame is pushed immediately so a
 // subscriber has a baseline before the first interval elapses.
 func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{}) {
 	interval := req.Interval
@@ -329,8 +344,8 @@ func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{
 }
 
 // telemetry assembles one Watch frame from the service's published
-// atomics and channel lengths — the same no-event-loop contract as a
-// /metrics scrape.
+// atomics — the same no-request-to-a-shard contract as a /metrics
+// scrape.
 func (s *Server) telemetry(mask uint32) *Telemetry {
 	t := &Telemetry{Mask: mask, M: s.svc.M(), Floor: s.svc.Floor()}
 	if mask&WatchShards != 0 {

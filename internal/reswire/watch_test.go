@@ -440,7 +440,7 @@ func TestWatchLoopDropsWhenWriterFull(t *testing.T) {
 // never reads its socket, then drives admissions through a separate
 // client: the stalled subscription must cost the rest of the server
 // nothing — telemetry reads published atomics and drops on backpressure,
-// so no shard loop or sibling connection ever waits on it.
+// so no shard or sibling connection ever waits on it.
 func TestWatchStalledSubscriberDoesNotBlockOthers(t *testing.T) {
 	addr, svc := startServer(t, resd.Config{Shards: 2, M: 64})
 

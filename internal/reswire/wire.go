@@ -466,7 +466,7 @@ type Telemetry struct {
 	// committed areas below.
 	M     int
 	Floor int
-	// Queue[i] is shard i's instantaneous event-loop queue depth;
+	// Queue[i] is shard i's instantaneous queue depth;
 	// Shards[i] is its published counter set (WatchShards).
 	Queue  []int
 	Shards []resd.ShardStats

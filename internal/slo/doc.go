@@ -7,14 +7,14 @@
 // # Windowed aggregation without touching the hot path
 //
 // Everything resd publishes is cumulative: lock-free counters and
-// exponential-histogram buckets bumped by the shard loops and read by
+// exponential-histogram buckets bumped by the shards' combiners and read by
 // scrapes. The engine never asks for more. Every Period it snapshots
 // each bound source into a stats.SnapRing; the difference between two
 // retained snapshots is the exact event count for the span between
 // them, so "the last 5 minutes" is pure arithmetic over copies — the
-// same no-event-loop contract as a /metrics scrape, at a few kilobytes
+// same no-request-to-a-shard contract as a /metrics scrape, at a few kilobytes
 // of ring per objective. The same ring, at histogram-bucket width,
-// fixes the process-lifetime-only caveat on the slack and loop-turn
+// fixes the process-lifetime-only caveat on the slack and turn-latency
 // summaries: TrackHistogram exposes restart-free windowed percentiles
 // as the <name>_window summary family.
 //

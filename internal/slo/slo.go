@@ -20,7 +20,7 @@ type CounterSource func() (good, total uint64)
 
 // HistSource snapshots a cumulative exponential-histogram bucket vector
 // (obs.Histogram.Snapshot shape) and returns the total. Same contract
-// as CounterSource: read per tick, must never touch an event loop.
+// as CounterSource: read per tick, must never wait on a shard.
 type HistSource func(dst *[stats.ExpBuckets]uint64) (total uint64)
 
 // Config parameterises New.
@@ -77,7 +77,7 @@ type histState struct {
 // and runs the multi-window multi-burn-rate rules. It owns no
 // measurement of its own — everything it knows comes from the cumulative
 // counters the service already publishes, so arming an engine adds no
-// work to any event loop.
+// work to any shard.
 //
 // Lifecycle: New validates the spec and registers the metric families;
 // the embedding service binds a CounterSource per objective (Bind) and
@@ -514,7 +514,7 @@ func GoodUnderBound(snap *[stats.ExpBuckets]uint64, bound int64) uint64 {
 // register publishes the resd_slo_* families. Every collector reads
 // engine state under e.mu — scrape-safe by the same argument as every
 // other obs collector: the lock is shared with the tick goroutine, and
-// neither side ever touches a shard event loop.
+// neither side ever waits on a shard.
 func (e *Engine) register() {
 	if e.reg == nil {
 		return

@@ -134,7 +134,7 @@ type ObjectiveSpec struct {
 	Signal string `json:"signal"`
 	// Tenant scopes the objective to one tenant ("" = service-wide).
 	// Only deadline_attainment supports tenant scoping; the slack and
-	// rejection books per tenant are loop-owned, not published atomics.
+	// rejection books per tenant are combiner-owned, not published atomics.
 	Tenant string `json:"tenant,omitempty"`
 	// Target is the good-event fraction promised, in (0,1): attainment
 	// ≥ Target, or for slack the percentile at which the bound must
@@ -267,7 +267,7 @@ func (os ObjectiveSpec) normalize(period time.Duration) (Objective, error) {
 	switch o.Signal {
 	case Slack:
 		if o.Tenant != "" {
-			return o, fmt.Errorf("%w: objective %q: slack objectives are service-wide only (per-tenant slack books are loop-owned)", ErrConfig, o.Name)
+			return o, fmt.Errorf("%w: objective %q: slack objectives are service-wide only (per-tenant slack books are not published atomics)", ErrConfig, o.Name)
 		}
 		if os.Bound <= 0 {
 			return o, fmt.Errorf("%w: objective %q: slack needs bound > 0 (got %d)", ErrConfig, o.Name, os.Bound)

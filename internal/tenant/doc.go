@@ -42,7 +42,7 @@
 //   - Hard: Acquire fails with ErrQuota when the admission would push the
 //     tenant or its group past its budget. Because the charge is a CAS
 //     that checks before it adds, used ≤ budget holds at every instant no
-//     matter how many shard event loops race — the conservation property
+//     matter how many shards' combiners race — the conservation property
 //     the stress tests pin under -race.
 //   - Soft: nothing is rejected; budgets instead weight fair-share
 //     ordering. When the prefix is contended — several Reserve requests

@@ -86,7 +86,7 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // account is one node of the budget hierarchy: a tenant or a group. All
-// fields the admission path touches are atomics, so shard event loops on
+// fields the admission path touches are atomics, so shard combiners on
 // different goroutines acquire and release concurrently without locks.
 type account struct {
 	name  string

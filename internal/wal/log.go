@@ -69,7 +69,7 @@ func snapName(dir string, shard int, gen uint64) string {
 }
 
 // Log is one shard's append side of the WAL. Append, Commit, Rotate
-// and Close belong to a single writer (the shard's event loop);
+// and Close belong to a single writer (the shard's combiner);
 // WriteSnapshot may run on another goroutine (the snapshot writer),
 // and the Stats/telemetry accessors are safe from anywhere.
 type Log struct {
