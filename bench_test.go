@@ -258,8 +258,9 @@ func earliestFitCommitLoop(tb testing.TB, idx profile.CapacityIndex, r *rng.PCG,
 // BenchmarkCapacityIndex compares the two backends on the hot scheduling
 // loop — EarliestFit + Commit + Release — at growing reservation counts.
 // The array backend pays O(n) per op (linear slot scans, mid-array
-// memmoves); the tree backend pays O(log n) plus the blocking segments
-// actually skipped, which is the ≥5× win recorded in BENCH_restree.json.
+// memmoves); the tree backend pays two binary searches, an edit inside one
+// 64-slot leaf and the leaves an earliest-fit cannot step over, which is
+// the ≥5× win recorded in BENCH_restree.json.
 func BenchmarkCapacityIndex(b *testing.B) {
 	for _, backend := range []string{"array", "tree"} {
 		for _, n := range capacityBenchSizes {
@@ -296,7 +297,7 @@ func TestEmitRestreeBenchJSON(t *testing.T) {
 		GoVersion string `json:"go_version"`
 		Rows      []row  `json:"rows"`
 	}{
-		Benchmark: "capacity-index backends: array Timeline vs restree balanced tree",
+		Benchmark: "capacity-index backends: array Timeline vs restree leaf index",
 		M:         capacityBenchM,
 		Workload:  "EarliestFit + Commit + Release at a random ready time, steady state",
 		GoVersion: runtime.Version(),

@@ -9,9 +9,10 @@
 // Algorithms: lsrc-fifo, lsrc-lpt, lsrc-spt, lsrc-widest, lsrc-narrowest,
 // lsrc-maxwork, fcfs, cons-bf, easy-bf, shelf-nfdh, shelf-ffdh.
 //
-// Backends: array (flat sorted-array timeline, default) and tree
-// (arena-backed balanced tree; prefer it beyond ~100 reservations). Both
-// produce identical schedules.
+// Backends: array (flat sorted-array timeline, default) and tree (64-slot
+// leaves under a sorted directory; as fast on the smallest instances, 4×
+// faster at 100 reservations and pulling away from there). Both produce
+// identical schedules.
 package main
 
 import (

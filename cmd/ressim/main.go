@@ -9,7 +9,7 @@
 //	ressim -m 64 -n 300 -seed 7                 # synthetic workload
 //	ressim -swf trace.swf [-m 128]              # real trace
 //	ressim -m 64 -n 300 -alpha 0.5 -nres 12     # with reservations
-//	ressim -m 64 -n 300 -backend tree           # balanced-tree capacity index
+//	ressim -m 64 -n 300 -backend tree           # leaf-directory capacity index
 package main
 
 import (

@@ -13,13 +13,14 @@ import (
 // implement it:
 //
 //   - "array" — the flat sorted-array Timeline in this package. Simple,
-//     cache-friendly, O(n) per mutation; the right choice up to a few
-//     hundred segments (the paper's hand-built instances).
-//   - "tree" — the arena-backed balanced tree in internal/restree.
-//     O(log n) admission, one-pass aggregate-pruned earliest-fit queries
-//     and no allocation in steady state; level with the array at about
-//     100 reservations and ahead of it from there on (profile.go has the
-//     measured ratios).
+//     O(n) per mutation; the reference the other is checked against, and
+//     fine for the paper's hand-built instances.
+//   - "tree" — the leaf index in internal/restree: segments in flat
+//     64-slot leaves under a sorted directory that knows each leaf's min
+//     and max. A mutation edits one leaf, admission and earliest-fit step
+//     over whole leaves, nothing is allocated in steady state; it is the
+//     array's equal on the smallest instances and ahead from there on
+//     (profile.go has the measured ratios).
 //
 // Every scheduler in internal/sched, the simulator in internal/sim, and the
 // batch-doubling wrapper in internal/online are written against this

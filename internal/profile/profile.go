@@ -17,15 +17,16 @@
 // which Timeline implements as the "array" backend: a flat sorted array of
 // segments, ideal for the paper's instance sizes but O(n) per mutation and
 // slot scan. internal/restree implements the same interface as the "tree"
-// backend — an arena-backed balanced tree with O(log n) admission and a
-// one-pass aggregate-pruned earliest-fit — registered here via
-// RegisterBackend. On the FindSlot+Commit+Release cycle the two cost the
-// same at about 100 reservations (a few hundred segments); below that the
-// array is up to twice as fast, above it the tree wins by 3.7× at 10^3,
-// 19× at 10^4 and 139× at 10^5 (BENCH_restree.json). Choose array for the
-// paper's small instances and tree for anything that grows. Both maintain
-// the identical canonical segment form, so schedules are bit-for-bit equal
-// whichever backend runs them.
+// backend — the same sorted arrays cut into 64-slot leaves under a
+// directory that knows each leaf's min and max — registered here via
+// RegisterBackend. On the FindSlot+Commit+Release cycle there is no
+// crossover any more: a tree of one leaf is a sorted array, so the tree
+// is 1.3× faster at 5 reservations, 1.7× at 20, 4× at 100, 7× at 10^3,
+// 51× at 10^4 and 600× at 10^5 (BENCH_restree.json). Timeline stays the
+// default for the paper's small instances because it is the one to read
+// and the reference the tree is fuzzed against; choose tree for anything
+// that grows. Both maintain the identical canonical segment form, so
+// schedules are bit-for-bit equal whichever backend runs them.
 package profile
 
 import (

@@ -51,7 +51,11 @@ type Request struct {
 // push-back. A hard-mode budget exhaustion fails with ErrQuota and, the
 // budgets being global, is returned without trying further shards.
 func (s *Service) Admit(req Request) (Reservation, error) {
-	if req.Ready < 0 || req.Q < 1 || req.Dur < 1 || req.Deadline < 0 {
+	// Ready+Dur must not wrap past the end of time (an endless Dur never
+	// ends, so it cannot): the index would find the window a start and
+	// then refuse to book it.
+	if req.Ready < 0 || req.Q < 1 || req.Dur < 1 || req.Deadline < 0 ||
+		(req.Dur != core.Infinity && req.Dur > core.Infinity-req.Ready) {
 		return Reservation{}, fmt.Errorf("%w: Admit(%q, ready=%v, q=%d, dur=%v, deadline=%v)",
 			ErrBadRequest, req.Tenant, req.Ready, req.Q, req.Dur, req.Deadline)
 	}

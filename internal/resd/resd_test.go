@@ -2,11 +2,15 @@ package resd
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -82,6 +86,45 @@ func TestReserveBadArgs(t *testing.T) {
 		if _, err := s.Reserve(c.ready, c.q, c.dur); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("Reserve(%v,%d,%v) err = %v, want ErrBadRequest", c.ready, c.q, c.dur, err)
 		}
+	}
+}
+
+// TestAdmitRefusesOverflowingWindow: a request whose Ready+Dur wraps past
+// the end of time is a bad request, refused before the tracer, a shard or
+// the quota ledger sees it — not an α refusal and not a backend fault.
+func TestAdmitRefusesOverflowingWindow(t *testing.T) {
+	quotas, err := tenant.New(tenant.PrefixCapacity(2, 8, 0.25, 1<<20), tenant.Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Shards: 2, M: 8, Alpha: 0.25, Quotas: quotas,
+		Obs: &ObsConfig{Registry: obs.NewRegistry(), TraceSample: 1}})
+	before, used := s.Stats(), quotas.Usage("")
+	for _, req := range []Request{
+		{Ready: math.MaxInt64 - 10, Q: 1, Dur: 100, Deadline: NoDeadline},
+		{Ready: 2, Q: 1, Dur: math.MaxInt64 - 1, Deadline: NoDeadline},
+		{Tenant: "a", Ready: math.MaxInt64 / 2, Q: 8, Dur: math.MaxInt64/2 + 2, Deadline: 0},
+	} {
+		if _, err := s.Admit(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Admit(%+v) err = %v, want ErrBadRequest", req, err)
+		}
+	}
+	if after := s.Stats(); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused requests moved the shard stats:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if after := quotas.Usage(""); after != used {
+		t.Errorf("refused requests moved the quota ledger: %+v, was %+v", after, used)
+	}
+	if n := len(s.Traces(0)); n != 0 {
+		t.Errorf("refused requests left %d trace records", n)
+	}
+	// A window that ends one tick before the end of time still books.
+	r, err := s.Admit(Request{Ready: math.MaxInt64 - 101, Q: 1, Dur: 100, Deadline: NoDeadline})
+	if err != nil {
+		t.Fatalf("window ending at MaxInt64-1: %v", err)
+	}
+	if err := s.Cancel(r.ID); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -140,8 +140,8 @@ func TestDifferentialFromReservations(t *testing.T) {
 // booked under an α=0.25 floor, then a mix of ordinary admissions,
 // near-machine-wide ones (q+floor in [224,256], whose earliest fit has to
 // pass hundreds of blocking segments), infinite-tail commits, releases and
-// window probes. Deep rotations and the sweep's long blocking runs only
-// happen at this size.
+// window probes. Hundreds of leaves, with their splits, drops and merges,
+// and the sweep's long blocking runs only happen at this size.
 func TestDifferentialLargeState(t *testing.T) {
 	const (
 		m       = 256

@@ -10,74 +10,67 @@ import (
 	"repro/internal/rng"
 )
 
-// checkInvariants verifies the structural invariants of the arena tree: AVL
-// balance, correct heights and aggregates, strictly increasing breakpoints
-// from 0 with no equal-valued neighbours (the canonical form), capacities
-// in [0, m], size equal to the reachable nodes, an untouched sentinel, and
-// a free list that holds exactly the arena slots the tree does not reach.
+// checkInvariants verifies the structural invariants of the leaf layout:
+// every leaf the directory reaches holds 1..leafCap segments and is reached
+// once, first[d] is its leaf's first start and first[0] is 0, the stored
+// min/max equal the recomputed ones, breakpoints strictly increase and no
+// two neighbours are equal — across leaf boundaries too (the canonical
+// form) — capacities lie in [0, m], size equals the segments reachable, and
+// the free list holds exactly the arena slots the directory does not reach.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	ns := tr.nodes
-	if ns[0] != (node{mn: math.MaxInt32, mx: math.MinInt32}) {
-		t.Fatalf("sentinel overwritten: %+v", ns[0])
+	if len(tr.first) != len(tr.dir) || len(tr.dir) == 0 || tr.first[0] != 0 {
+		t.Fatalf("directory of %d keys and %d entries, first key %v", len(tr.first), len(tr.dir), tr.first)
 	}
-	if tr.root == 0 {
-		t.Fatal("empty tree")
+	live := make([]bool, len(tr.leaves))
+	segs := 0
+	var prevStart core.Time
+	var prevAvail int32
+	for d, e := range tr.dir {
+		if e.leaf < 0 || int(e.leaf) >= len(tr.leaves) || live[e.leaf] {
+			t.Fatalf("leaf %d (directory %d) out of the arena or reached twice", e.leaf, d)
+		}
+		live[e.leaf] = true
+		if e.n < 1 || e.n > leafCap {
+			t.Fatalf("leaf at %v holds %d segments", tr.first[d], e.n)
+		}
+		l := &tr.leaves[e.leaf]
+		if l.start[0] != tr.first[d] {
+			t.Fatalf("directory key %v but leaf starts at %v", tr.first[d], l.start[0])
+		}
+		mn, mx := int32(math.MaxInt32), int32(math.MinInt32)
+		for k := 0; k < int(e.n); k++ {
+			start, avail := l.start[k], l.avail[k]
+			if avail < 0 || int(avail) > tr.m {
+				t.Fatalf("segment at %v: capacity %d outside [0,%d]", start, avail, tr.m)
+			}
+			if segs > 0 && prevStart >= start {
+				t.Fatalf("breakpoints out of order at %v (leaf %d slot %d): %v", start, d, k, tr)
+			}
+			if segs > 0 && prevAvail == avail {
+				t.Fatalf("uncoalesced neighbours at %v (leaf %d slot %d): %v", start, d, k, tr)
+			}
+			prevStart, prevAvail = start, avail
+			mn, mx = min(mn, avail), max(mx, avail)
+			segs++
+		}
+		if e.mn != mn || e.mx != mx {
+			t.Fatalf("stale aggregates on the leaf at %v: mn=%d/%d mx=%d/%d", tr.first[d], e.mn, mn, e.mx, mx)
+		}
 	}
-	live := make([]bool, len(ns))
-	var segs []int32
-	var verify func(i int32) (h, mn, mx int32)
-	verify = func(i int32) (int32, int32, int32) {
-		if i == 0 {
-			return 0, math.MaxInt32, math.MinInt32
-		}
-		if i < 0 || int(i) >= len(ns) || live[i] {
-			t.Fatalf("node %d out of the arena or reached twice", i)
-		}
-		live[i] = true
-		n := ns[i]
-		lh, lmn, lmx := verify(n.left)
-		segs = append(segs, i)
-		rh, rmn, rmx := verify(n.right)
-		if bf := lh - rh; bf < -1 || bf > 1 {
-			t.Fatalf("unbalanced node at %v: bf=%d", n.start, bf)
-		}
-		h, mn, mx := 1+max(lh, rh), min(n.avail, lmn, rmn), max(n.avail, lmx, rmx)
-		if n.height != h || n.mn != mn || n.mx != mx {
-			t.Fatalf("stale aggregates at %v: h=%d/%d mn=%d/%d mx=%d/%d",
-				n.start, n.height, h, n.mn, mn, n.mx, mx)
-		}
-		return h, mn, mx
-	}
-	verify(tr.root)
-	if len(segs) != tr.size {
-		t.Fatalf("size=%d but %d reachable segments", tr.size, len(segs))
-	}
-	if ns[segs[0]].start != 0 {
-		t.Fatalf("first segment starts at %v, want 0", ns[segs[0]].start)
-	}
-	for k, i := range segs {
-		n := ns[i]
-		if n.avail < 0 || int(n.avail) > tr.m {
-			t.Fatalf("segment at %v: capacity %d outside [0,%d]", n.start, n.avail, tr.m)
-		}
-		if k > 0 && ns[segs[k-1]].start >= n.start {
-			t.Fatalf("breakpoints out of order at %v: %v", n.start, tr)
-		}
-		if k > 0 && ns[segs[k-1]].avail == n.avail {
-			t.Fatalf("uncoalesced neighbours at %v: %v", n.start, tr)
-		}
+	if segs != tr.size {
+		t.Fatalf("size=%d but %d reachable segments", tr.size, segs)
 	}
 	free := 0
-	for i := tr.free; i != 0; i = ns[i].left {
-		if i < 0 || int(i) >= len(ns) || live[i] {
-			t.Fatalf("free list reaches live or foreign node %d", i)
+	for i := tr.free; i != -1; i = tr.leaves[i].avail[0] {
+		if i < 0 || int(i) >= len(tr.leaves) || live[i] {
+			t.Fatalf("free list reaches live or foreign leaf %d", i)
 		}
 		live[i] = true // also catches a cycle
 		free++
 	}
-	if 1+len(segs)+free != len(ns) {
-		t.Fatalf("arena of %d holds %d live + %d free nodes + sentinel", len(ns), len(segs), free)
+	if len(tr.dir)+free != len(tr.leaves) {
+		t.Fatalf("arena of %d holds %d live + %d free leaves", len(tr.leaves), len(tr.dir), free)
 	}
 }
 
@@ -280,9 +273,10 @@ func TestFreeAreaAndFirstTime(t *testing.T) {
 
 // TestSteadyStateAllocatesNothing is the arena's contract as a plain test:
 // on a warmed tree of 10⁴ reservations a FindSlot+Commit+Release cycle
-// allocates nothing (the nodes a commit splits off are the ones the
-// last release freed), and Clone costs the Tree and one arena cut to
-// length, with no slack carried over.
+// allocates nothing (the breakpoints a commit inserts go into the slots the
+// last release emptied, and a leaf it splits off comes from the free list),
+// and Clone costs the Tree, the arena and the directory's two arrays, each
+// cut to length, with no slack carried over.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	const m = 256
 	tr := New(m)
@@ -317,11 +311,15 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	checkInvariants(t, tr)
 
 	var cp *Tree
-	if n := testing.AllocsPerRun(10, func() { cp = tr.Clone() }); n > 2 {
-		t.Errorf("Clone allocates %v objects, want the Tree and its arena", n)
+	if n := testing.AllocsPerRun(10, func() { cp = tr.Clone() }); n > 4 {
+		t.Errorf("Clone allocates %v objects, want the Tree, its arena and the directory's two arrays", n)
 	}
-	if len(cp.nodes) != len(tr.nodes) || cap(cp.nodes) != len(tr.nodes) {
-		t.Errorf("clone arena len=%d cap=%d, want exactly %d", len(cp.nodes), cap(cp.nodes), len(tr.nodes))
+	if len(cp.leaves) != len(tr.leaves) || cap(cp.leaves) != len(tr.leaves) {
+		t.Errorf("clone arena len=%d cap=%d, want exactly %d", len(cp.leaves), cap(cp.leaves), len(tr.leaves))
+	}
+	if len(cp.first) != len(tr.first) || cap(cp.first) != len(tr.first) ||
+		len(cp.dir) != len(tr.dir) || cap(cp.dir) != len(tr.dir) {
+		t.Errorf("clone directory len=%d/%d cap=%d/%d, want exactly %d", len(cp.first), len(cp.dir), cap(cp.first), cap(cp.dir), len(tr.dir))
 	}
 	checkInvariants(t, cp)
 	if cp.String() != tr.String() {

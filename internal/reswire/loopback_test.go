@@ -82,6 +82,12 @@ func TestLoopbackOps(t *testing.T) {
 			if _, err := c.Reserve(-1, 1, 1); !errors.Is(err, resd.ErrBadRequest) {
 				t.Errorf("bad Reserve err = %v, want resd.ErrBadRequest", err)
 			}
+			// A window that wraps past the end of time is the caller's
+			// mistake (BAD_REQUEST), not a server fault (INTERNAL).
+			_, err = c.Admit(resd.Request{Ready: core.Infinity - 10, Q: 1, Dur: 100, Deadline: resd.NoDeadline})
+			if !errors.Is(err, resd.ErrBadRequest) || CodeOf(err) != CodeBadRequest {
+				t.Errorf("overflowing Admit err = %v (%v), want resd.ErrBadRequest (%v)", err, CodeOf(err), CodeBadRequest)
+			}
 			if err := c.Cancel(resd.ID(1 << 30)); !errors.Is(err, resd.ErrUnknownID) {
 				t.Errorf("bogus Cancel err = %v, want resd.ErrUnknownID", err)
 			}
