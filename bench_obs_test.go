@@ -60,7 +60,7 @@ func obsLoadedService(tb testing.TB, mode string) *resd.Service {
 		return svc
 	}
 	cfg := resd.Config{
-		Shards: 4, M: resdBenchM, Backend: "tree",
+		Shards: 4, M: resdBenchM,
 		Placement: "least-loaded", Batch: 64,
 	}
 	if mode != "off" {

@@ -75,7 +75,7 @@ func tenantLoadedService(tb testing.TB, tenants int, mode string) *resd.Service 
 	}
 	svc, err := resd.New(resd.Config{
 		Shards: tenantBenchShards, M: tenantBenchM, Alpha: tenantBenchAlpha,
-		Backend: "tree", Placement: "least-loaded", Batch: 64, Quotas: reg,
+		Placement: "least-loaded", Batch: 64, Quotas: reg,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -93,7 +93,7 @@ func tenantLoadedService(tb testing.TB, tenants int, mode string) *resd.Service 
 	return svc
 }
 
-// tenantBenchOp is one measured admission: ReserveFor a tenant chosen by
+// tenantBenchOp is one measured admission: Admit for a tenant chosen by
 // the caller's stream, Cancel straight after — one full quota
 // acquire/admit/release cycle through the shard event loops.
 func tenantBenchOp(svc *resd.Service, names []string, r *rng.PCG) error {

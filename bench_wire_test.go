@@ -53,7 +53,7 @@ func wireBenchEndpoint(tb testing.TB) string {
 		return wireBenchAddr
 	}
 	svc, err := resd.New(resd.Config{
-		Shards: wireBenchShards, M: wireBenchM, Backend: "tree",
+		Shards: wireBenchShards, M: wireBenchM,
 		Placement: "least-loaded", Batch: 64,
 	})
 	if err != nil {

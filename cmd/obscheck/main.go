@@ -11,7 +11,7 @@
 //	curl -s http://host:9090/metrics | obscheck -require resd_shard_active
 //
 // With -watch it checks the push side instead: it subscribes to a
-// resdsrv wire address with the v5 Watch op and verifies the stream —
+// resdsrv wire address with the Watch op and verifies the stream —
 // at least -frames telemetry frames arrive, sequence numbers strictly
 // increase (a restart mid-check fails the run), and the cumulative
 // counters (admitted, cancelled, ops, traces) never go backwards. -min

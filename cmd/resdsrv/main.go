@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	resdsrv -addr :7433 -shards 8 -m 256 -alpha 0.5 -backend tree
+//	resdsrv -addr :7433 -shards 8 -m 256 -alpha 0.5
 //	resdsrv -addr 127.0.0.1:0 -placement p2c    # ephemeral port, printed
 //	resdsrv -quotas quotas.json -qhorizon 1000000   # multi-tenant budgets
 //	resdsrv -shards 8 -rebalance 100ms -rebalfreeze 1000   # live rebalancing
@@ -18,7 +18,7 @@
 // imbalance score that triggers a round, -rebalfreeze pins reservations
 // starting within that many ticks of the logical time origin, and
 // -rebalmoves caps migrations per round. Remote clients see the effect in
-// the Stats op's MigratedIn/MigratedOut counters (protocol v3). The
+// the Stats op's MigratedIn/MigratedOut counters. The
 // "pressure" placement routes each Reserve by the requesting tenant's own
 // per-shard footprint — quota-aware placement for skewed tenant mixes.
 //
@@ -41,7 +41,7 @@
 // rebalancer counters, per-tenant quota gauges, slack and wire latency
 // summaries), /healthz (503 while draining), and /debug/pprof. -trace N
 // samples 1 in N admissions into a bounded ring served by the wire
-// protocol's Trace op (v4) and, with -slow, logs sampled admissions
+// protocol's Trace op and, with -slow, logs sampled admissions
 // slower than the threshold to stderr. The rebalancer's logical clock
 // defaults to a monotonic source advancing one tick per -tick of wall
 // time, surfaced as the resd_logical_clock_ticks gauge.
@@ -69,7 +69,7 @@
 // families, journals every alert transition into the flight recorder,
 // escalates /healthz to 200-with-warning while any rule fires, captures
 // a rate-limited diagnostic bundle on page transitions, and streams
-// per-objective states on the v5 Watch op's WatchSLO family.
+// per-objective states on the Watch op's WatchSLO family.
 //
 //	resdsrv -obs :9090 -slo slo.json    # burn-rate alerting armed
 //
@@ -121,7 +121,6 @@ func run() error {
 	shards := flag.Int("shards", 4, "cluster partitions")
 	m := flag.Int("m", 64, "processors per partition")
 	alpha := flag.Float64("alpha", 0.5, "α admission rule: ⌊α·m⌋ processors stay free per shard")
-	backend := flag.String("backend", "array", "capacity index backend (array or tree)")
 	placement := flag.String("placement", "least-loaded", "shard routing policy (first-fit, least-loaded, p2c, pressure)")
 	batch := flag.Int("batch", 64, "max requests group-committed per shard turn")
 	nres := flag.Int("nres", 0, "pre-existing reservations per shard (maintenance windows)")
@@ -313,7 +312,7 @@ func run() error {
 	}
 
 	svc, err := resd.New(resd.Config{
-		Shards: *shards, M: *m, Alpha: *alpha, Backend: *backend,
+		Shards: *shards, M: *m, Alpha: *alpha,
 		Placement: *placement, Batch: *batch, Seed: *seed, Pre: pre,
 		Quotas:         reg,
 		RebalanceEvery: *rebalance, RebalanceThreshold: *rebalthreshold,
@@ -338,7 +337,7 @@ func run() error {
 		srv.SetFlight(rec.Journal())
 		rec.SetConfigInfo(map[string]any{
 			"addr": *addr, "shards": *shards, "m": *m, "alpha": *alpha,
-			"backend": *backend, "placement": *placement, "batch": *batch,
+			"placement": *placement, "batch": *batch,
 			"quotas": *quotas, "rebalance": (*rebalance).String(),
 			"trace": *trace, "slow": (*slow).String(),
 			"waldir": *waldir, "walsync": *walsync, "snapevery": *snapevery,
@@ -355,8 +354,8 @@ func run() error {
 		srv.Close()        // stops the listener, closes conns, waits for handlers
 	}()
 
-	fmt.Printf("resdsrv: listening on %s — %d shards × m=%d (α=%.2f, floor %d), backend %s, placement %s\n",
-		ln.Addr(), svc.Shards(), svc.M(), *alpha, svc.Floor(), *backend, svc.Placement())
+	fmt.Printf("resdsrv: listening on %s — %d shards × m=%d (α=%.2f, floor %d), placement %s\n",
+		ln.Addr(), svc.Shards(), svc.M(), *alpha, svc.Floor(), svc.Placement())
 	if reg != nil {
 		fmt.Printf("resdsrv: quotas %s mode, capacity %d processor·ticks, %d declared tenants\n",
 			reg.Mode(), reg.Capacity(), len(reg.Tenants()))

@@ -8,7 +8,7 @@
 // live resdsrv server over the reswire protocol, in which case the
 // reported percentiles are wire-level round-trip latencies:
 //
-//	resload -shards 4 -m 64 -n 20000 -placement p2c -backend tree
+//	resload -shards 4 -m 64 -n 20000 -placement p2c
 //	resload -swf trace.swf -shards 8 -alpha 0.5 -rate 50000
 //	resload -addr 127.0.0.1:7433 -n 100000 -clients 16 -conns 4
 //	resload -addr 127.0.0.1:7433 -pipeline=false           # RPC baseline
@@ -28,7 +28,7 @@
 // admissions, rejections, errors, p99 latency and achieved rate) to
 // stderr at that period while the stream runs, so long runs are
 // observable before the summary lands. Against a remote server the rows
-// come from a v5 Watch subscription instead: the server pushes its own
+// come from a Watch subscription instead: the server pushes its own
 // cumulative shard counters every period, so the live view is the
 // server's (queue depths included) and costs zero Stats round trips.
 //
@@ -84,7 +84,6 @@ func run() error {
 	n := flag.Int("n", 10000, "number of reservation requests")
 	nres := flag.Int("nres", 0, "pre-existing reservations per shard (maintenance windows)")
 	alpha := flag.Float64("alpha", 0.5, "α admission rule: ⌊α·m⌋ processors stay free per shard")
-	backend := flag.String("backend", "array", "capacity index backend (array or tree)")
 	placement := flag.String("placement", "least-loaded", "shard routing policy (first-fit, least-loaded, p2c, pressure)")
 	clients := flag.Int("clients", 8, "concurrent client goroutines")
 	rate := flag.Float64("rate", 0, "target request rate per second (0 = unthrottled)")
@@ -210,7 +209,7 @@ func run() error {
 			}
 		}
 		svc, err = resd.New(resd.Config{
-			Shards: *shards, M: *m, Alpha: *alpha, Backend: *backend,
+			Shards: *shards, M: *m, Alpha: *alpha,
 			Placement: *placement, Batch: *batch, Seed: *seed, Pre: pre,
 			Quotas:         reg,
 			RebalanceEvery: *rebalance, RebalanceThreshold: *rebalthreshold,
@@ -221,8 +220,8 @@ func run() error {
 		}
 		defer svc.Close()
 		target = svc
-		fmt.Printf("resload: %d requests, %d shards × m=%d (α=%.2f, floor %d), backend %s, placement %s, %d clients\n",
-			len(reqs), *shards, *m, *alpha, svc.Floor(), *backend, *placement, *clients)
+		fmt.Printf("resload: %d requests, %d shards × m=%d (α=%.2f, floor %d), placement %s, %d clients\n",
+			len(reqs), *shards, *m, *alpha, svc.Floor(), *placement, *clients)
 		if reg != nil {
 			fmt.Printf("resload: quotas %s mode, %d tenants × share %.3f of %d processor·ticks\n",
 				reg.Mode(), len(names), 1/float64(len(names)), reg.Capacity())
@@ -391,7 +390,7 @@ func tenantTable(names []string, res result) *stats.Table {
 // request stream.)
 func serverSideFlagsSet() []string {
 	serverOnly := map[string]bool{
-		"shards": true, "nres": true, "backend": true, "placement": true, "batch": true,
+		"shards": true, "nres": true, "placement": true, "batch": true,
 		"quotamode": true, "rebalance": true, "rebalthreshold": true, "rebalfreeze": true,
 		"rebalmoves": true,
 	}

@@ -4,15 +4,16 @@
 //
 // Usage:
 //
-//	ressched -alg lsrc-lpt -in instance.json [-backend tree] [-gantt] [-svg out.svg] [-out sched.json] [-exact]
+//	ressched -alg lsrc-lpt -in instance.json [-backend array] [-gantt] [-svg out.svg] [-out sched.json] [-exact]
 //
 // Algorithms: lsrc-fifo, lsrc-lpt, lsrc-spt, lsrc-widest, lsrc-narrowest,
 // lsrc-maxwork, fcfs, cons-bf, easy-bf, shelf-nfdh, shelf-ffdh.
 //
-// Backends: array (flat sorted-array timeline, default) and tree (64-slot
-// leaves under a sorted directory; as fast on the smallest instances, 4×
-// faster at 100 reservations and pulling away from there). Both produce
-// identical schedules.
+// Backends: tree (64-slot leaves under a sorted directory, the default)
+// and array (the flat sorted-array timeline, kept as the reference: as
+// fast on the smallest instances, 4× slower at 100 reservations and
+// falling behind from there). Both produce identical schedules, which
+// is what running the same instance under each is for.
 package main
 
 import (
@@ -30,7 +31,7 @@ import (
 
 func run() error {
 	alg := flag.String("alg", "lsrc-fifo", "scheduling algorithm")
-	backend := flag.String("backend", "array", "capacity index backend (array or tree)")
+	backend := flag.String("backend", "tree", "capacity index: tree (internal/restree) or array (profile.Timeline, the reference); schedules are identical")
 	in := flag.String("in", "", "instance JSON file (required)")
 	out := flag.String("out", "", "write the schedule JSON here")
 	showGantt := flag.Bool("gantt", false, "print an ASCII Gantt chart")

@@ -9,7 +9,7 @@
 //	ressim -m 64 -n 300 -seed 7                 # synthetic workload
 //	ressim -swf trace.swf [-m 128]              # real trace
 //	ressim -m 64 -n 300 -alpha 0.5 -nres 12     # with reservations
-//	ressim -m 64 -n 300 -backend tree           # leaf-directory capacity index
+//	ressim -m 64 -n 300 -backend array          # the reference index; same table
 package main
 
 import (
@@ -33,7 +33,7 @@ func run() error {
 	alpha := flag.Float64("alpha", 0.5, "reservation admission rule (α)")
 	nres := flag.Int("nres", 0, "number of reservations to draw")
 	meanIat := flag.Float64("iat", 0, "mean inter-arrival time (0 = auto)")
-	backend := flag.String("backend", "array", "capacity index backend (array or tree)")
+	backend := flag.String("backend", "tree", "capacity index: tree (internal/restree) or array (profile.Timeline, the reference); schedules are identical")
 	flag.Parse()
 
 	// Fail malformed flags here with a named message; downstream the same

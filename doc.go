@@ -12,37 +12,42 @@
 // experiment harness that regenerates all four figures and every claim.
 //
 // All placement machinery runs against the profile.CapacityIndex seam,
-// with two interchangeable backends: the flat sorted-array Timeline
-// (internal/profile, the default) and a two-level index (internal/restree)
+// with two interchangeable backends: a two-level index (internal/restree)
 // that keeps the segments in flat 64-slot leaves under a sorted directory
-// with each leaf's min and max capacity: a mutation edits one leaf,
+// with each leaf's min and max capacity — a mutation edits one leaf,
 // admission and earliest-fit step over whole leaves, and nothing is
-// allocated in steady state. Every scheduler, the simulator and the CLIs
-// accept -backend={array,tree}; the backends are proven equivalent by a
-// differential fuzz harness and compared by the root-level
-// BenchmarkCapacityIndex (results in BENCH_restree.json — the tree is
-// ahead at every size, 7× at 10^3 and 600× at 10^5 reservations). LSRC
-// asks the index only about jobs that can start — one AvailableAt per
-// event, a min-width tournament over the priority list, FindSlot as a
-// not-before memo — so a call costs O(n log n) plus O(log n) per job
-// started or blocked at an event, 4 index calls per job without
-// reservations, instead of O(events × pending).
+// allocated in steady state — and the flat sorted-array Timeline
+// (internal/profile), the readable reference the other is checked
+// against. The service runs on the tree; the paper CLIs (ressched,
+// ressim, examples/quickstart, examples/grid) take -backend={tree,array},
+// default tree, so that one instance can be run under both and the
+// schedules diffed. The backends are proven equivalent by a differential
+// fuzz harness and compared by the root-level BenchmarkCapacityIndex
+// (results in BENCH_restree.json — the tree is ahead at every size, 7× at
+// 10^3 and 600× at 10^5 reservations). LSRC asks the index only about
+// jobs that can start — one AvailableAt per event, a min-width tournament
+// over the priority list, FindSlot as a not-before memo — so a call costs
+// O(n log n) plus O(log n) per job started or blocked at an event, 4
+// index calls per job without reservations, instead of O(events ×
+// pending).
 //
 // On top of that seam sits internal/resd, the concurrent
 // reservation-admission service: S shards, each one cluster partition
 // owning its own CapacityIndex with one writer at a time and no
 // goroutine of its own (callers combine: whoever finds the shard idle
 // serves its queue, own admission first), requests group-committed in
-// batches per turn, and Reserve traffic routed across shards by
+// batches per turn, and admissions routed across shards by
 // pluggable placement policies (first-fit, least-loaded,
 // power-of-two-choices on free area) with the paper's α-admission rule
-// enforced per shard. Admission is deadline-aware: ReserveBy rejects with
-// ErrDeadline when the earliest feasible start on the α-prefix exceeds
-// the caller's deadline, instead of pushing the reservation back.
+// enforced per shard. There is one admission call, Admit, taking one
+// Request (tenant, ready time, width, duration, deadline), and it is
+// deadline-aware: it rejects with ErrDeadline when the earliest feasible
+// start on the α-prefix exceeds the caller's deadline, instead of pushing
+// the reservation back.
 // profile.Synchronized wraps an index for safe cross-goroutine reads
 // (service snapshots), and BenchmarkResdThroughput records the
 // shard-scaling curve in BENCH_resd.json (≥3.5× admission throughput at
-// 8 shards vs 1 on the tree backend, single-core). See examples/service
+// 8 shards vs 1, single-core). See examples/service
 // for a walkthrough and the internal/resd package comment for the shard
 // and placement model.
 //
@@ -55,7 +60,7 @@
 // instant and transferring — never double-counting — tenant quota;
 // reservation handles survive migration via forwarded Cancel routing.
 // The "pressure" placement policy closes the loop at admission time,
-// routing each Reserve by the requesting tenant's own per-shard
+// routing each admission by the requesting tenant's own per-shard
 // footprint, and every admission records its start-time slack, surfaced
 // as p99 per shard and per tenant (the SLO face of the α rule).
 // BenchmarkRebalance records skewed-stream throughput recovering toward
@@ -74,11 +79,11 @@
 // BENCH_tenant.json that the accounting stays flat in the tenant count.
 //
 // The outermost layer is the wire: internal/reswire serves resd over TCP
-// with a versioned length-prefixed binary protocol (revision 2: tenant
-// ids on Reserve frames, QuotaGet/QuotaSet ops; revision 3: migration
-// counters and p99 slack in Stats entries; down-level frames still
-// accepted and answered at their own revision, v1 landing on the default
-// tenant). The request path is
+// with a length-prefixed binary protocol of one frozen revision: ten
+// ops (Reserve, Cancel, Query, Snapshot, Ping, Stats, QuotaGet,
+// QuotaSet, Trace, Watch), a version byte that must match, and a
+// connection dropped with ErrVersion when it does not. The request path
+// is
 //
 //	client → reswire frames → server dispatch → resd shard queue (combiner) → CapacityIndex
 //

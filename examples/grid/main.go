@@ -5,7 +5,7 @@
 // across two clusters (each already loaded with local work), books the
 // paired reservations, and shows local scheduling flowing around them.
 //
-// Run with: go run ./examples/grid [-backend tree]
+// Run with: go run ./examples/grid [-backend array]
 package main
 
 import (
@@ -30,8 +30,8 @@ type site struct {
 }
 
 func main() {
-	backend := flag.String("backend", profile.DefaultBackend,
-		"capacity index backend (array or tree)")
+	backend := flag.String("backend", "tree",
+		"capacity index: tree (internal/restree) or array (profile.Timeline, the reference); schedules are identical")
 	flag.Parse()
 	r := rng.New(3)
 	sites := []*site{

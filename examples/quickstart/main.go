@@ -2,7 +2,7 @@
 // schedule it with list scheduling (LSRC), verify feasibility, and print an
 // ASCII Gantt chart plus the relevant performance guarantee.
 //
-// Run with: go run ./examples/quickstart [-backend tree]
+// Run with: go run ./examples/quickstart [-backend array]
 package main
 
 import (
@@ -20,8 +20,8 @@ import (
 )
 
 func main() {
-	backend := flag.String("backend", profile.DefaultBackend,
-		"capacity index backend (array or tree)")
+	backend := flag.String("backend", "tree",
+		"capacity index: tree (internal/restree) or array (profile.Timeline, the reference); schedules are identical")
 	flag.Parse()
 	// A 8-processor cluster. One afternoon reservation holds 3 processors
 	// for a demo (the §1.2 motivation), and six jobs are queued.

@@ -3,7 +3,7 @@
 // requests under the paper's α rule, watch the placement policy spread
 // them across cluster partitions, and read back consistent snapshots.
 //
-// Run with: go run ./examples/service [-shards 4] [-placement p2c] [-backend tree]
+// Run with: go run ./examples/service [-shards 4] [-placement p2c]
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 func main() {
 	shards := flag.Int("shards", 4, "cluster partitions")
 	placement := flag.String("placement", "p2c", "routing policy (first-fit, least-loaded, p2c)")
-	backend := flag.String("backend", "array", "capacity index backend (array or tree)")
 	flag.Parse()
 
 	// A cluster of four 32-processor partitions. α = 1/2 is the paper's
@@ -31,7 +30,6 @@ func main() {
 		Shards:    *shards,
 		M:         32,
 		Alpha:     0.5,
-		Backend:   *backend,
 		Placement: *placement,
 		// One pre-existing maintenance window per partition, exempt from
 		// the α rule (it models capacity already promised elsewhere).
@@ -41,8 +39,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer svc.Close()
-	fmt.Printf("service: %d shards × m=%d, α-floor %d, placement %s, backend %s\n\n",
-		svc.Shards(), svc.M(), svc.Floor(), svc.Placement(), *backend)
+	fmt.Printf("service: %d shards × m=%d, α-floor %d, placement %s\n\n",
+		svc.Shards(), svc.M(), svc.Floor(), svc.Placement())
 
 	// One admission, spelled out. The request asks for 12 processors for
 	// 40 ticks at or after t=90; the window [90,130) collides with the

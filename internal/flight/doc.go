@@ -18,7 +18,7 @@
 //	         overflow-book activation, slow batch turns, WAL failures
 //	wal      log rotations, snapshot writes, snapshot failures
 //	rebal    round outcomes, balancer backoff changes
-//	reswire  frame errors, down-level clients, watch slow-consumer drops
+//	reswire  frame errors, refused revisions, watch slow-consumer drops
 //	flight   health transitions, bundle captures
 //
 // Recording is one short mutex hold plus a few atomic adds; event

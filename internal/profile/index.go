@@ -24,8 +24,8 @@ import (
 //
 // Every scheduler in internal/sched, the simulator in internal/sim, and the
 // batch-doubling wrapper in internal/online are written against this
-// interface, so backends can be swapped per run (the CLIs expose
-// -backend={array,tree}). Both implementations maintain the identical
+// interface, so backends can be swapped per run (the paper CLIs expose
+// -backend={tree,array}). Both implementations maintain the identical
 // canonical form — strictly increasing breakpoints, no equal-valued
 // neighbouring segments — so all observations, including NextBreakpoint and
 // NumSegments, agree exactly; internal/restree's differential fuzz harness
@@ -64,7 +64,11 @@ type CapacityIndex interface {
 	String() string
 }
 
-// DefaultBackend is the backend used when callers pass an empty name.
+// DefaultBackend is what an empty name means to NewIndex: the Timeline in
+// this package, the only backend profile can build without importing its
+// own importers. It is the library's default, not the programs': the
+// service (resd.Config.Backend "") and the CLIs' -backend flags default to
+// "tree", and name "array" when they want this one.
 const DefaultBackend = "array"
 
 var (

@@ -24,7 +24,7 @@ func TestAdmitCancelAllocs(t *testing.T) {
 		}
 	}
 	for _, name := range Placements() {
-		svc, err := New(Config{Shards: 4, M: 16, Backend: "tree", Placement: name})
+		svc, err := New(Config{Shards: 4, M: 16, Placement: name})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestAdmitCancelAllocs(t *testing.T) {
 		}
 		svc.Close()
 	}
-	svc, err := New(Config{Shards: 2 * stackShards, M: 16, Backend: "tree"})
+	svc, err := New(Config{Shards: 2 * stackShards, M: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestCloseRacesInFlightReserve(t *testing.T) {
 						ready := core.Time(r.Int63n(horizon))
 						q := r.IntRange(1, m)
 						dur := core.Time(r.Int63Range(1, 100))
-						resv, err := svc.Reserve(ready, q, dur)
+						resv, err := svc.Admit(Request{Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
 						switch {
 						case err == nil:
 							if resv.Start < ready || resv.Procs != q || resv.Dur != dur {
@@ -79,7 +79,7 @@ func TestCloseRacesInFlightReserve(t *testing.T) {
 				t.Fatal("Reserve calls still blocked 30s after Close: shutdown lost a reply")
 			}
 
-			if _, err := svc.Reserve(0, 1, 1); !errors.Is(err, ErrClosed) {
+			if _, err := svc.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Reserve after Close = %v, want ErrClosed", err)
 			}
 		})

@@ -44,7 +44,7 @@ func TestCombineOwnAnswer(t *testing.T) {
 		},
 	})
 	s := mustNew(t, Config{
-		Shards: shards, M: m, Backend: "tree", Placement: "p2c", Seed: seed, Batch: 4, Quotas: reg,
+		Shards: shards, M: m, Placement: "p2c", Seed: seed, Batch: 4, Quotas: reg,
 		WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone, SnapEvery: 500},
 	})
 	held := make([][]Reservation, callers)
@@ -159,7 +159,7 @@ func TestCombineCloseRace(t *testing.T) {
 		callers = 12
 	)
 	s, err := New(Config{
-		Shards: 3, M: m, Backend: "tree", Batch: 4,
+		Shards: 3, M: m, Batch: 4,
 		WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone},
 	})
 	if err != nil {
@@ -184,7 +184,7 @@ func TestCombineCloseRace(t *testing.T) {
 					_, err = s.Query(core.Time(r.Int63n(1 << 20)))
 				default:
 					q, dur := r.IntRange(1, m), core.Time(1+g+callers*r.Intn(8))
-					last, err = s.Reserve(core.Time(r.Int63n(1<<20)), q, dur)
+					last, err = s.Admit(Request{Ready: core.Time(r.Int63n(1 << 20)), Q: q, Dur: dur, Deadline: NoDeadline})
 					holding = err == nil
 					if holding && (last.Procs != q || last.Dur != dur) {
 						t.Errorf("torn reservation %+v for q=%d dur=%v", last, q, dur)
@@ -216,7 +216,7 @@ func TestCombineCloseRace(t *testing.T) {
 			t.Fatal("Close or a caller still blocked after 30s")
 		}
 	}
-	if _, err := s.Reserve(0, 1, 1); !errors.Is(err, ErrClosed) {
+	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Reserve after Close = %v, want ErrClosed", err)
 	}
 	if _, err := s.Query(0); !errors.Is(err, ErrClosed) {
@@ -246,7 +246,7 @@ func TestCombineTenureBounded(t *testing.T) {
 	}})
 	first := make(chan uint64, 1)
 	go func() {
-		if _, err := s.Reserve(0, 1, 1); err != nil {
+		if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 			t.Errorf("first caller: %v", err)
 		}
 		first <- s.Stats()[0].Ops
@@ -259,7 +259,7 @@ func TestCombineTenureBounded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Reserve(0, 1, 1); err != nil {
+			if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 				t.Errorf("queued caller: %v", err)
 			}
 		}()
@@ -288,7 +288,7 @@ func TestCombineTenureBounded(t *testing.T) {
 func TestCombineNoShardGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := mustNew(t, Config{Shards: 64, M: 8})
-	if _, err := s.Reserve(0, 1, 1); err != nil {
+	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {

@@ -9,10 +9,10 @@ func TestReserveByAdmitsWithinDeadline(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
 	// Block all 8 processors on [0,100); the earliest start for anything
 	// else is 100.
-	if _, err := s.Reserve(0, 8, 100); err != nil {
+	if _, err := s.Admit(Request{Q: 8, Dur: 100, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.ReserveBy(0, 4, 10, 100)
+	r, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: 100})
 	if err != nil || r.Start != 100 {
 		t.Fatalf("deadline=100: start=%v err=%v, want start=100 admitted", r.Start, err)
 	}
@@ -20,15 +20,15 @@ func TestReserveByAdmitsWithinDeadline(t *testing.T) {
 
 func TestReserveByRejectsPastDeadline(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
-	if _, err := s.Reserve(0, 8, 100); err != nil {
+	if _, err := s.Admit(Request{Q: 8, Dur: 100, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReserveBy(0, 4, 10, 99); !errors.Is(err, ErrDeadline) {
+	if _, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: 99}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("deadline=99 with earliest start 100: err = %v, want ErrDeadline", err)
 	}
 	// A deadline rejection must not consume capacity: the same request
 	// with a loose deadline still starts at 100.
-	r, err := s.ReserveBy(0, 4, 10, NoDeadline)
+	r, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil || r.Start != 100 {
 		t.Fatalf("after rejection: start=%v err=%v, want start=100", r.Start, err)
 	}
@@ -43,7 +43,7 @@ func TestReserveByRejectsPastDeadline(t *testing.T) {
 
 func TestReserveByDeadlineBeforeReady(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
-	if _, err := s.ReserveBy(50, 1, 10, 49); !errors.Is(err, ErrDeadline) {
+	if _, err := s.Admit(Request{Ready: 50, Q: 1, Dur: 10, Deadline: 49}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("deadline before ready: want ErrDeadline, got %v", err)
 	}
 	// Even the statically doomed case must be counted in the shard stats:
@@ -52,7 +52,7 @@ func TestReserveByDeadlineBeforeReady(t *testing.T) {
 	if st := s.Stats()[0]; st.RejectedDeadline != 1 {
 		t.Errorf("RejectedDeadline = %d, want 1", st.RejectedDeadline)
 	}
-	if _, err := s.ReserveBy(50, 1, 10, -1); !errors.Is(err, ErrBadRequest) {
+	if _, err := s.Admit(Request{Ready: 50, Q: 1, Dur: 10, Deadline: -1}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("negative deadline: want ErrBadRequest, got %v", err)
 	}
 }
@@ -62,10 +62,10 @@ func TestReserveByTriesOtherShards(t *testing.T) {
 	// deadline fails on shard 0 but shard 1 is idle, so the request must
 	// not stop at the first deadline rejection.
 	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "first-fit"})
-	if _, err := s.Reserve(0, 8, 1000); err != nil {
+	if _, err := s.Admit(Request{Q: 8, Dur: 1000, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.ReserveBy(0, 8, 10, 0)
+	r, err := s.Admit(Request{Q: 8, Dur: 10, Deadline: 0})
 	if err != nil {
 		t.Fatalf("ReserveBy across shards: %v", err)
 	}
@@ -79,10 +79,10 @@ func TestReserveByPrefersDeadlineErrorOverNeverFits(t *testing.T) {
 	// request with deadline 0 is feasible-but-late: the error must be
 	// ErrDeadline (the request could run, just not in time).
 	s := mustNew(t, Config{M: 8, Alpha: 0.5})
-	if _, err := s.Reserve(0, 4, 50); err != nil {
+	if _, err := s.Admit(Request{Q: 4, Dur: 50, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReserveBy(0, 4, 10, 10); !errors.Is(err, ErrDeadline) {
+	if _, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: 10}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
 	}
 }
@@ -91,10 +91,10 @@ func TestReserveDelegatesToNoDeadline(t *testing.T) {
 	// Plain Reserve must behave as deadline-free: an arbitrarily late
 	// earliest start is still admitted.
 	s := mustNew(t, Config{M: 4})
-	if _, err := s.Reserve(0, 4, 1_000_000); err != nil {
+	if _, err := s.Admit(Request{Q: 4, Dur: 1_000_000, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Reserve(0, 4, 10)
+	r, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil || r.Start != 1_000_000 {
 		t.Fatalf("start=%v err=%v, want start=1000000", r.Start, err)
 	}

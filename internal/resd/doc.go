@@ -5,14 +5,13 @@
 // # Shard model
 //
 // A Service owns S shards, each modelling one cluster partition of M
-// processors. A shard's entire mutable state — its profile.CapacityIndex
-// (array or tree backend), the table of admitted reservations, load
-// counters — has one writer at a time, the combiner, and a shard has no
-// goroutine of its own: the callers combine. A request (Reserve, Cancel,
-// Query, Snapshot) joins the shard's queue under a small mutex; the
-// caller that finds no combiner at work becomes it and serves the queue
-// in turns — take up to Config.Batch waiting requests, apply them all
-// against the index, commit the log once, publish the shard's load
+// processors. A shard's entire mutable state — its profile.CapacityIndex,
+// the table of admitted reservations, load counters — has one writer at a
+// time, the combiner, and a shard has no goroutine of its own: the
+// callers combine. A request (Admit, Cancel, Query, Snapshot) joins the
+// shard's queue under a small mutex; the caller that finds no combiner
+// at work becomes it and serves the queue in turns — take up to
+// Config.Batch waiting requests, apply them all against the index, commit the log once, publish the shard's load
 // summary once, and only then release the answers — while every other
 // caller parks until its answer is filled in. A caller that finds its
 // shard idle therefore runs its own admission without leaving its
@@ -33,9 +32,15 @@
 // shard, what was queued ahead of it is answered for real, every later
 // request gets ErrClosed, and the caller that applies it seals the log.
 //
+// The index is internal/restree's. Config.Backend is a seam, not a choice
+// offered to operators: it names any index registered with
+// profile.RegisterBackend, which is how the tests run the same streams on
+// profile.Timeline ("array", the readable reference) and demand identical
+// placements, and how the benchmark wraps the index in a call recorder.
+//
 // # Placement
 //
-// Reserve requests are routed across shards by a pluggable placement
+// Admissions are routed across shards by a pluggable placement
 // policy, selected by Config.Placement (the names Placements lists):
 //
 //   - "first-fit" — scan shards in index order and admit on the first that
@@ -78,9 +83,8 @@
 // duration, and the latest tolerable start (NoDeadline for "however
 // late"). The same struct crosses the wire unchanged through
 // reswire.Client.Admit, so in-process and remote callers share one
-// admission vocabulary. The historical Reserve/ReserveBy/ReserveFor
-// triplet survives as deprecated wrappers over Admit — each fills the
-// Request fields its signature used to imply.
+// admission vocabulary. Request.Deadline is literal: the zero value is a
+// deadline of tick 0, so a caller with no deadline says NoDeadline.
 //
 // # Deadline rejection
 //
@@ -114,7 +118,7 @@
 // hard mode an exhausted budget rejects with ErrQuota (wire:
 // REJECTED_QUOTA), consuming no capacity, and the service stops its shard
 // walk at once since budgets are global; in soft mode nothing is
-// rejected, but each group-commit batch permutes its Reserve requests so
+// rejected, but each group-commit batch permutes its admissions so
 // the tenant with the lowest usage-to-budget ratio commits first,
 // DRF-style weighted fair share at exactly the point where requests
 // contend. Cancel credits the area back. Per-tenant books are kept twice,
@@ -164,8 +168,8 @@
 // exponential histograms — an atomic shard-wide one anyone may read,
 // its quantiles computed when asked for, and combiner-owned per-tenant
 // ones — and surface the 99th percentile as
-// ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire at
-// protocol v3), so operators see per-tenant SLO degradation directly
+// ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire in
+// the Stats op), so operators see per-tenant SLO degradation directly
 // rather than inferring it from rejection counts. The histograms are
 // cumulative over the process lifetime; an attached SLO engine
 // (ObsConfig.SLO) additionally answers windowed percentiles over its
@@ -202,8 +206,8 @@
 //
 //   - Exactness: the recovered service is bit-identical to the
 //     pre-crash one — same IDs, same placements, same tenant books — on
-//     either backend, with or without a snapshot anchor, and new
-//     admissions never re-mint a recovered ID.
+//     the tree and on the array reference, with or without a snapshot
+//     anchor, and new admissions never re-mint a recovered ID.
 //   - Torn tails are silent: a crash mid-write (a cut frame or a
 //     zero-filled tail) truncates the partial final record off the
 //     disk, not just out of the replay (WALInfo.Torn counts it) — so
@@ -320,7 +324,7 @@
 // The reswire server and client add their own families (reswire_*; see
 // internal/reswire), and resdsrv serves the whole set plus net/http/pprof
 // on its -obs listener. The same published atomics the scrape families
-// read also feed the wire protocol's Watch op (protocol v5): a
+// read also feed the wire protocol's Watch op: a
 // subscriber gets server-pushed per-shard/tenant/WAL/trace/SLO
 // telemetry frames at its chosen interval without polling Stats — see
 // internal/reswire's package doc for the subscription semantics.

@@ -60,7 +60,7 @@ func TestWatchdogWedgedLoop(t *testing.T) {
 	})
 
 	// Healthy first: the loop is beating.
-	if _, err := s.Reserve(0, 1, 1); err != nil {
+	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	waitHealth(t, rec, flight.Healthy)
@@ -69,7 +69,7 @@ func TestWatchdogWedgedLoop(t *testing.T) {
 	wedge.Store(true)
 	admitErr := make(chan error, 1)
 	go func() {
-		_, err := s.Reserve(0, 1, 1)
+		_, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline})
 		admitErr <- err
 	}()
 	waitHealth(t, rec, flight.Stalled)
@@ -175,7 +175,7 @@ func TestWatchdogFlapBounded(t *testing.T) {
 		wedge.Store(true)
 		admitErr := make(chan error, 1)
 		go func() {
-			_, err := s.Reserve(0, 1, 1)
+			_, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline})
 			admitErr <- err
 		}()
 		waitHealth(t, rec, flight.Stalled)
@@ -217,7 +217,7 @@ func TestSlowLogBlockingCallback(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			if _, err := s.Reserve(0, 1, 1); err != nil {
+			if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 				t.Errorf("Reserve %d: %v", i, err)
 				return
 			}

@@ -25,7 +25,7 @@ func FuzzResdAdmission(f *testing.F) {
 			alpha = 0.25
 		)
 		floor := int(alpha * m) // 2
-		s, err := New(Config{M: m, Alpha: alpha, Backend: "tree", Batch: 4})
+		s, err := New(Config{M: m, Alpha: alpha, Batch: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func FuzzResdAdmission(f *testing.F) {
 				ready := core.Time(a)
 				q := int(b%m) + 1
 				dur := core.Time(c%32) + 1
-				resv, err := s.Reserve(ready, q, dur)
+				resv, err := s.Admit(Request{Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
 				if q+floor > m {
 					if !errors.Is(err, ErrNeverFits) {
 						t.Fatalf("Reserve(q=%d) err = %v, want ErrNeverFits", q, err)

@@ -27,7 +27,7 @@ func TestRebalanceMovesLoad(t *testing.T) {
 	})
 	var held []Reservation
 	for i := 0; i < 4; i++ {
-		r, err := s.ReserveFor("acme", 100, 2, 10, NoDeadline)
+		r, err := s.Admit(Request{Tenant: "acme", Ready: 100, Q: 2, Dur: 10, Deadline: NoDeadline})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +104,11 @@ func TestRebalanceFrozenWindow(t *testing.T) {
 		Shards: 2, M: 8, Placement: "first-fit",
 		RebalanceThreshold: 0.01, RebalanceFreeze: 50,
 	})
-	rSoon, err := s.Reserve(5, 4, 10) // starts at 5: frozen
+	rSoon, err := s.Admit(Request{Ready: 5, Q: 4, Dur: 10, Deadline: NoDeadline}) // starts at 5: frozen
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Reserve(500, 4, 10); err != nil { // movable
+	if _, err := s.Admit(Request{Ready: 500, Q: 4, Dur: 10, Deadline: NoDeadline}); err != nil { // movable
 		t.Fatal(err)
 	}
 	rep, err := s.Rebalance(0)
@@ -130,7 +130,7 @@ func TestRebalanceFrozenWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With now pushed past both starts, nothing is movable at all.
-	if _, err := s.Reserve(600, 4, 10); err != nil {
+	if _, err := s.Admit(Request{Ready: 600, Q: 4, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = s.Rebalance(580)
@@ -150,7 +150,7 @@ func TestRebalanceFrozenWindow(t *testing.T) {
 // moves, and the source copy stays fully owned by its shard.
 func TestExecuteMoveSkipsFullTarget(t *testing.T) {
 	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "first-fit"})
-	x, err := s.Reserve(100, 4, 10)
+	x, err := s.Admit(Request{Ready: 100, Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestExecuteMoveSkipsFullTarget(t *testing.T) {
 func TestExecuteMoveAbortsOnConcurrentCancel(t *testing.T) {
 	reg := mustRegistry(t, 1<<20, tenant.Spec{})
 	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "first-fit", Quotas: reg})
-	x, err := s.ReserveFor("acme", 100, 4, 10, NoDeadline)
+	x, err := s.Admit(Request{Tenant: "acme", Ready: 100, Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestBackgroundRebalancer(t *testing.T) {
 		RebalanceEvery: time.Millisecond, RebalanceThreshold: 0.01,
 	})
 	for i := 0; i < 4; i++ {
-		if _, err := s.Reserve(100, 2, 10); err != nil {
+		if _, err := s.Admit(Request{Ready: 100, Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,12 +258,12 @@ func TestSerialReplayMatchesFCFSWithRebalancerConfigured(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := mustNew(t, Config{
-		M: inst.M, Backend: "tree", Pre: inst.Res,
+		M: inst.M, Pre: inst.Res,
 		RebalanceEvery: 0, RebalanceThreshold: 0.05, RebalanceFreeze: 100, RebalanceMaxMoves: 8,
 	})
 	ready := core.Time(0)
 	for idx, j := range inst.Jobs {
-		resv, err := s.Reserve(ready, j.Procs, j.Len)
+		resv, err := s.Admit(Request{Ready: ready, Q: j.Procs, Dur: j.Len, Deadline: NoDeadline})
 		if err != nil {
 			t.Fatalf("job %d: %v", idx, err)
 		}
@@ -337,7 +337,7 @@ func TestRebalanceStressConservation(t *testing.T) {
 						ready := core.Time(r.Int63n(horizon))
 						q := r.IntRange(1, m/4)
 						dur := core.Time(r.Int63Range(1, 200))
-						resv, err := s.Reserve(ready, q, dur)
+						resv, err := s.Admit(Request{Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
 						if err != nil {
 							t.Errorf("reserve: %v", err)
 							return
@@ -440,7 +440,7 @@ func TestTenantQuotaStressMigration(t *testing.T) {
 		},
 	})
 	s := mustNew(t, Config{
-		Shards: shards, M: m, Alpha: alpha, Backend: "tree",
+		Shards: shards, M: m, Alpha: alpha,
 		Placement: "first-fit", Batch: 16, Quotas: reg,
 		RebalanceThreshold: 0.05, RebalanceMaxMoves: 64,
 	})
@@ -508,7 +508,7 @@ func TestTenantQuotaStressMigration(t *testing.T) {
 				ready := core.Time(r.Int63n(horizon))
 				q := r.IntRange(1, m/4)
 				dur := core.Time(r.Int63Range(1, 200))
-				resv, err := s.ReserveFor(name, ready, q, dur, NoDeadline)
+				resv, err := s.Admit(Request{Tenant: name, Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
 				switch {
 				case err == nil:
 					held[g] = append(held[g], resv)
@@ -604,18 +604,18 @@ func TestPressurePlacementSpreadsTenants(t *testing.T) {
 		t.Fatalf("placement = %q", s.Placement())
 	}
 	// Tenant a alternates shards: its own area is the primary key.
-	r1, err := s.ReserveFor("a", 0, 2, 10, NoDeadline)
+	r1, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.ReserveFor("a", 0, 2, 10, NoDeadline)
+	r2, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Shard == r2.Shard {
 		t.Fatalf("tenant a's reservations piled on shard %d", r1.Shard)
 	}
-	r3, err := s.ReserveFor("a", 0, 2, 30, NoDeadline)
+	r3, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 30, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestPressurePlacementSpreadsTenants(t *testing.T) {
 	if r3.Shard == r1.Shard {
 		lighter = r2.Shard
 	}
-	rb, err := s.ReserveFor("b", 0, 2, 10, NoDeadline)
+	rb, err := s.Admit(Request{Tenant: "b", Q: 2, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}

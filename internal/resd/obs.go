@@ -19,7 +19,7 @@ type ObsConfig struct {
 	// Registry is the metrics sink. Nil disables metrics (instrumented
 	// code still runs against no-op instruments).
 	Registry *obs.Registry
-	// TraceSample records one in N ReserveFor calls into the trace ring
+	// TraceSample records one in N Admit calls into the trace ring
 	// (1 = every request, 0 = tracing disabled).
 	TraceSample int
 	// TraceBuf is the trace ring capacity (0 = DefaultTraceBuf).

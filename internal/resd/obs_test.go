@@ -32,14 +32,14 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 		Obs:          &ObsConfig{Registry: reg, TraceSample: 1},
 	})
 
-	if _, err := s.ReserveFor("acme", 0, 4, 10, NoDeadline); err != nil {
+	if _, err := s.Admit(Request{Tenant: "acme", Q: 4, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.ReserveFor("zeta", 0, 4, 10, NoDeadline)
+	r2, err := s.Admit(Request{Tenant: "zeta", Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReserveFor("acme", 0, 8, 1<<19, 0); err == nil {
+	if _, err := s.Admit(Request{Tenant: "acme", Q: 8, Dur: 1 << 19, Deadline: 0}); err == nil {
 		t.Fatal("deadline rejection expected")
 	}
 	if err := s.Cancel(r2.ID); err != nil {
@@ -135,11 +135,11 @@ func TestAdmissionTraces(t *testing.T) {
 			mu.Unlock()
 		},
 	}})
-	r, err := s.ReserveFor("acme", 5, 4, 10, NoDeadline)
+	r, err := s.Admit(Request{Tenant: "acme", Ready: 5, Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReserveFor("acme", 0, 8, 10, 0); err == nil {
+	if _, err := s.Admit(Request{Tenant: "acme", Q: 8, Dur: 10, Deadline: 0}); err == nil {
 		// First admission holds [5,15) across half the machine; a full-width
 		// request with deadline 0 must miss it.
 		t.Fatal("deadline rejection expected")
@@ -194,7 +194,7 @@ func TestTraceRingBounds(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Obs: &ObsConfig{TraceSample: 1, TraceBuf: 4}})
 	ids := make([]ID, 0, 10)
 	for i := 0; i < 10; i++ {
-		r, err := s.Reserve(0, 1, 1)
+		r, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func TestTraceRingBounds(t *testing.T) {
 	// 1-in-4 sampling: 8 requests → 2 samples.
 	s4 := mustNew(t, Config{M: 8, Obs: &ObsConfig{TraceSample: 4}})
 	for i := 0; i < 8; i++ {
-		if _, err := s4.Reserve(0, 1, 1); err != nil {
+		if _, err := s4.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestTraceRingBounds(t *testing.T) {
 
 	// Tracing disabled: no records, no cost.
 	s0 := mustNew(t, Config{M: 8})
-	if _, err := s0.Reserve(0, 1, 1); err != nil {
+	if _, err := s0.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s0.Traces(0); got != nil {

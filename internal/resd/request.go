@@ -28,7 +28,7 @@ type Request struct {
 	// the check.
 	Deadline core.Time
 	// ClientSend, when nonzero, is the caller's own send instant in unix
-	// nanoseconds (v5 Reserve frames carry it across the wire). If the
+	// nanoseconds (a Reserve frame carries it across the wire). If the
 	// admission is sampled, its TraceRecord gains the client-send→
 	// server-arrival span. Transient: not part of the WAL record.
 	ClientSend int64
@@ -126,27 +126,4 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	// rejection when ErrDeadline won the preference above.
 	s.sloBook.reject(ten, errors.Is(firstErr, ErrDeadline))
 	return Reservation{}, firstErr
-}
-
-// Reserve admits q processors for dur ticks at the earliest admissible
-// start >= ready, accounted to the default tenant with no deadline.
-//
-// Deprecated: use Admit with a Request.
-func (s *Service) Reserve(ready core.Time, q int, dur core.Time) (Reservation, error) {
-	return s.Admit(Request{Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
-}
-
-// ReserveBy is Reserve with an SLA deadline on the start time (pass
-// NoDeadline to disable the check).
-//
-// Deprecated: use Admit with a Request.
-func (s *Service) ReserveBy(ready core.Time, q int, dur core.Time, deadline core.Time) (Reservation, error) {
-	return s.Admit(Request{Ready: ready, Q: q, Dur: dur, Deadline: deadline})
-}
-
-// ReserveFor is ReserveBy on behalf of a tenant.
-//
-// Deprecated: use Admit with a Request.
-func (s *Service) ReserveFor(ten string, ready core.Time, q int, dur core.Time, deadline core.Time) (Reservation, error) {
-	return s.Admit(Request{Tenant: ten, Ready: ready, Q: q, Dur: dur, Deadline: deadline})
 }

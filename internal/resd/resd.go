@@ -15,8 +15,8 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/wal"
 
-	// Ensure the "tree" capacity backend is registered so services can be
-	// configured with Backend: "tree".
+	// Registers "tree", the capacity index every shard runs on unless
+	// Config.Backend names another.
 	_ "repro/internal/restree"
 )
 
@@ -48,8 +48,8 @@ var (
 // wire (reswire's REJECTED_QUOTA code).
 var ErrQuota = tenant.ErrQuota
 
-// NoDeadline disables the deadline check in ReserveBy: any admissible
-// start, however late, is accepted.
+// NoDeadline as a Request.Deadline disables the deadline check: any
+// admissible start, however late, is accepted.
 const NoDeadline = core.Infinity
 
 // ID identifies an admitted reservation service-wide. The owning shard is
@@ -66,7 +66,7 @@ func makeID(shard int, seq uint64) ID {
 }
 
 // Reservation is an admitted reservation: the handle the service returns
-// from Reserve and accepts in Cancel.
+// from Admit and accepts in Cancel.
 type Reservation struct {
 	// ID is the service-wide identity (encodes the shard).
 	ID ID
@@ -94,13 +94,16 @@ type Config struct {
 	// processors free of reservations at all times (0 disables the rule,
 	// 1 rejects everything — the paper's α ∈ (0,1]). Must lie in [0,1].
 	Alpha float64
-	// Backend selects the capacity-index implementation per shard
-	// ("" = array; "tree" = the restree balanced index).
+	// Backend names the capacity index each shard runs on, as registered
+	// with profile.RegisterBackend. "" is "tree" (internal/restree), the
+	// one the service is meant to run on; "array" (profile.Timeline, the
+	// readable reference) and wrappers a test or the benchmark registers
+	// are there to be compared against it.
 	Backend string
 	// Batch caps how many requests one turn group-commits, and how many a
 	// caller serves as combiner before handing the role on (default 64).
 	Batch int
-	// Placement routes Reserve requests across shards: "first-fit",
+	// Placement routes admissions across shards: "first-fit",
 	// "least-loaded" or "p2c" (default "least-loaded").
 	Placement string
 	// Seed feeds the "p2c" policy's shard sampling (default 1).
@@ -110,7 +113,7 @@ type Config struct {
 	// starts, exempt from the α rule. An oversubscribing Pre fails New.
 	Pre []core.Reservation
 	// Quotas, when non-nil, partitions the reservable α-prefix between
-	// tenants: every ReserveFor is charged against its tenant's budget in
+	// tenants: every admission is charged against its tenant's budget in
 	// the registry (hard mode rejects with ErrQuota; soft mode reorders
 	// contending batches by fair share) and credited back on Cancel. Pre
 	// reservations are exempt, like they are from the α rule. Nil
@@ -184,6 +187,9 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Alpha < 0 || c.Alpha > 1 {
 		return c, fmt.Errorf("%w: Alpha=%v outside [0,1]", ErrBadRequest, c.Alpha)
+	}
+	if c.Backend == "" {
+		c.Backend = "tree"
 	}
 	if c.Batch == 0 {
 		c.Batch = 64

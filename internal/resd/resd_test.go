@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/profile"
+	"repro/internal/restree"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/tenant"
@@ -34,6 +36,7 @@ func TestConfigValidation(t *testing.T) {
 		{M: 8, Shards: -1},
 		{M: 8, Batch: -2},
 		{M: 8, Placement: "no-such-policy"},
+		{M: 8, Backend: "no-such-index"},
 		{M: 8, Pre: []core.Reservation{{ID: 0, Procs: 9, Start: 0, Len: 5}}}, // oversubscribed
 	}
 	for _, cfg := range bad {
@@ -47,6 +50,15 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("defaults wrong: shards=%d m=%d floor=%d placement=%q",
 			s.Shards(), s.M(), s.Floor(), s.Placement())
 	}
+	// The shards run on the tree unless Config.Backend names another
+	// registered index (bench/ runs a service on one it registers itself).
+	if _, tree := s.shards[0].idx.(*restree.Tree); !tree {
+		t.Errorf("shards run on %T by default, want *restree.Tree", s.shards[0].idx)
+	}
+	a := mustNew(t, Config{M: 8, Backend: "array"})
+	if _, array := a.shards[0].idx.(*profile.Timeline); !array {
+		t.Errorf("Backend array: shards run on %T, want *profile.Timeline", a.shards[0].idx)
+	}
 }
 
 func TestReserveEnforcesAlphaRule(t *testing.T) {
@@ -55,22 +67,22 @@ func TestReserveEnforcesAlphaRule(t *testing.T) {
 	if s.Floor() != 4 {
 		t.Fatalf("floor = %d, want 4", s.Floor())
 	}
-	if _, err := s.Reserve(0, 5, 10); !errors.Is(err, ErrNeverFits) {
+	if _, err := s.Admit(Request{Q: 5, Dur: 10, Deadline: NoDeadline}); !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("q=5 admitted past the α-floor: %v", err)
 	}
-	r1, err := s.Reserve(0, 4, 10)
+	r1, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil || r1.Start != 0 {
 		t.Fatalf("first q=4: %+v, %v", r1, err)
 	}
 	// A second q=4 in the same window would leave 0 free; the α rule
 	// forces it to start after the first ends.
-	r2, err := s.Reserve(0, 4, 10)
+	r2, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil || r2.Start != 10 {
 		t.Fatalf("second q=4: start=%v err=%v, want start=10", r2.Start, err)
 	}
 	// Narrow reservations still fit alongside r1 (4 committed + 1 <= 4 free
 	// is violated, so even q=1 must wait: 8-4-4=0 head-room remains).
-	r3, err := s.Reserve(0, 1, 5)
+	r3, err := s.Admit(Request{Q: 1, Dur: 5, Deadline: NoDeadline})
 	if err != nil || r3.Start != 20 {
 		t.Fatalf("q=1: start=%v err=%v, want start=20 (after both q=4 holds)", r3.Start, err)
 	}
@@ -78,13 +90,12 @@ func TestReserveEnforcesAlphaRule(t *testing.T) {
 
 func TestReserveBadArgs(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
-	for _, c := range []struct {
-		ready core.Time
-		q     int
-		dur   core.Time
-	}{{-1, 1, 1}, {0, 0, 1}, {0, -2, 1}, {0, 1, 0}, {0, 1, -5}} {
-		if _, err := s.Reserve(c.ready, c.q, c.dur); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("Reserve(%v,%d,%v) err = %v, want ErrBadRequest", c.ready, c.q, c.dur, err)
+	for _, req := range []Request{
+		{Ready: -1, Q: 1, Dur: 1}, {Q: 0, Dur: 1}, {Q: -2, Dur: 1}, {Q: 1, Dur: 0}, {Q: 1, Dur: -5},
+	} {
+		req.Deadline = NoDeadline
+		if _, err := s.Admit(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Admit(%+v) err = %v, want ErrBadRequest", req, err)
 		}
 	}
 }
@@ -130,7 +141,7 @@ func TestAdmitRefusesOverflowingWindow(t *testing.T) {
 
 func TestCancelReturnsCapacity(t *testing.T) {
 	s := mustNew(t, Config{M: 4})
-	r, err := s.Reserve(5, 4, 10)
+	r, err := s.Admit(Request{Ready: 5, Q: 4, Dur: 10, Deadline: NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +170,7 @@ func TestPreReservationsAreExemptFromAlpha(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Alpha: 0.5, Pre: []core.Reservation{
 		{ID: 0, Procs: 6, Start: 0, Len: 10},
 	}})
-	r, err := s.Reserve(0, 4, 5)
+	r, err := s.Admit(Request{Q: 4, Dur: 5, Deadline: NoDeadline})
 	if err != nil || r.Start != 10 {
 		t.Fatalf("Reserve around Pre: start=%v err=%v, want 10", r.Start, err)
 	}
@@ -168,7 +179,7 @@ func TestPreReservationsAreExemptFromAlpha(t *testing.T) {
 func TestFirstFitPilesOnShardZero(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "first-fit"})
 	for i := 0; i < 12; i++ {
-		r, err := s.Reserve(0, 2, 10)
+		r, err := s.Admit(Request{Q: 2, Dur: 10, Deadline: NoDeadline})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +196,7 @@ func TestFirstFitPilesOnShardZero(t *testing.T) {
 func TestLeastLoadedSpreadsEvenly(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "least-loaded"})
 	for i := 0; i < 16; i++ {
-		if _, err := s.Reserve(0, 2, 10); err != nil {
+		if _, err := s.Admit(Request{Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +211,7 @@ func TestLeastLoadedSpreadsEvenly(t *testing.T) {
 func TestPowerOfTwoSpreads(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "p2c", Seed: 42})
 	for i := 0; i < 64; i++ {
-		if _, err := s.Reserve(0, 2, 10); err != nil {
+		if _, err := s.Admit(Request{Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,11 +239,11 @@ func TestCloseRejectsFurtherRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Reserve(0, 1, 1); err != nil {
+	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := s.Reserve(0, 1, 1); !errors.Is(err, ErrClosed) {
+	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Reserve after Close err = %v, want ErrClosed", err)
 	}
 	if err := s.Cancel(makeID(0, 0)); !errors.Is(err, ErrClosed) {
@@ -245,7 +256,7 @@ func TestCloseRejectsFurtherRequests(t *testing.T) {
 
 func TestSnapshotIsIndependent(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
-	if _, err := s.Reserve(0, 3, 10); err != nil {
+	if _, err := s.Admit(Request{Q: 3, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := s.Snapshot(0)
@@ -256,7 +267,7 @@ func TestSnapshotIsIndependent(t *testing.T) {
 		t.Fatalf("snapshot avail(5) = %d, want 5", got)
 	}
 	// Mutating the live shard must not show through the snapshot.
-	if _, err := s.Reserve(0, 5, 10); err != nil {
+	if _, err := s.Admit(Request{Q: 5, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	if got := snap.AvailableAt(5); got != 5 {
@@ -290,7 +301,7 @@ func TestSerialReplayMatchesFCFS(t *testing.T) {
 			s := mustNew(t, Config{M: inst.M, Backend: backend, Pre: inst.Res})
 			ready := core.Time(0)
 			for idx, j := range inst.Jobs {
-				resv, err := s.Reserve(ready, j.Procs, j.Len)
+				resv, err := s.Admit(Request{Ready: ready, Q: j.Procs, Dur: j.Len, Deadline: NoDeadline})
 				if err != nil {
 					t.Fatalf("job %d: %v", idx, err)
 				}

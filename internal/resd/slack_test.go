@@ -50,10 +50,10 @@ func TestSlackHist(t *testing.T) {
 // shard-level and per-tenant p99 surfaces report it.
 func TestSlackStatsSurfaces(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
-	if _, err := s.ReserveFor("acme", 0, 8, 10, NoDeadline); err != nil { // slack 0
+	if _, err := s.Admit(Request{Tenant: "acme", Q: 8, Dur: 10, Deadline: NoDeadline}); err != nil { // slack 0
 		t.Fatal(err)
 	}
-	r2, err := s.ReserveFor("acme", 0, 8, 10, NoDeadline) // pushed to start 10: slack 10
+	r2, err := s.Admit(Request{Tenant: "acme", Q: 8, Dur: 10, Deadline: NoDeadline}) // pushed to start 10: slack 10
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func TestStressConservation(t *testing.T) {
 								ready := core.Time(r.Int63n(horizon))
 								q := r.IntRange(1, m/2)
 								dur := core.Time(r.Int63Range(1, 200))
-								resv, err := s.Reserve(ready, q, dur)
+								resv, err := s.Admit(Request{Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
 								if err != nil {
 									t.Errorf("reserve(q=%d): %v", q, err)
 									return
@@ -127,7 +127,7 @@ func TestStressConservation(t *testing.T) {
 // writes so -race sees readers racing the event loops through every public
 // path, including the Synchronized wrapper.
 func TestStressConcurrentSnapshots(t *testing.T) {
-	s := mustNew(t, Config{Shards: 2, M: 16, Backend: "tree", Placement: "p2c"})
+	s := mustNew(t, Config{Shards: 2, M: 16, Placement: "p2c"})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -136,7 +136,7 @@ func TestStressConcurrentSnapshots(t *testing.T) {
 			r := rng.NewStream(11, uint64(g))
 			for i := 0; i < 150; i++ {
 				if g%2 == 0 {
-					resv, err := s.Reserve(core.Time(r.Int63n(5000)), r.IntRange(1, 8), core.Time(r.Int63Range(1, 50)))
+					resv, err := s.Admit(Request{Ready: core.Time(r.Int63n(5000)), Q: r.IntRange(1, 8), Dur: core.Time(r.Int63Range(1, 50)), Deadline: NoDeadline})
 					if err != nil {
 						t.Errorf("reserve: %v", err)
 						return

@@ -28,18 +28,18 @@ func TestReserveForChargesAndReleasesQuota(t *testing.T) {
 	// 8×100 capacity = 80 processor·ticks.
 	reg := mustRegistry(t, 800, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.1}}})
 	s := mustNew(t, Config{M: 8, Quotas: reg})
-	r1, err := s.ReserveFor("t", 0, 8, 10, NoDeadline) // area 80: exactly the budget
+	r1, err := s.Admit(Request{Tenant: "t", Q: 8, Dur: 10, Deadline: NoDeadline}) // area 80: exactly the budget
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u := reg.Usage("t"); u.Used != 80 || u.Inflight != 1 {
 		t.Fatalf("usage after admit = %+v", u)
 	}
-	if _, err := s.ReserveFor("t", 0, 1, 1, NoDeadline); !errors.Is(err, ErrQuota) {
+	if _, err := s.Admit(Request{Tenant: "t", Q: 1, Dur: 1, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
 		t.Fatalf("over-budget err = %v, want ErrQuota", err)
 	}
 	// ErrQuota and tenant.ErrQuota are the same sentinel.
-	if _, err := s.ReserveFor("t", 0, 1, 1, NoDeadline); !errors.Is(err, tenant.ErrQuota) {
+	if _, err := s.Admit(Request{Tenant: "t", Q: 1, Dur: 1, Deadline: NoDeadline}); !errors.Is(err, tenant.ErrQuota) {
 		t.Fatalf("errors.Is(err, tenant.ErrQuota) failed: %v", err)
 	}
 	st := s.Stats()[0]
@@ -53,11 +53,11 @@ func TestReserveForChargesAndReleasesQuota(t *testing.T) {
 	if u := reg.Usage("t"); u.Used != 0 || u.Inflight != 0 {
 		t.Fatalf("usage after cancel = %+v", u)
 	}
-	if _, err := s.ReserveFor("t", 0, 8, 10, NoDeadline); err != nil {
+	if _, err := s.Admit(Request{Tenant: "t", Q: 8, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatalf("re-reserve after cancel: %v", err)
 	}
 	// Another tenant is unaffected throughout.
-	if _, err := s.ReserveFor("other", 0, 8, 10, NoDeadline); err != nil {
+	if _, err := s.Admit(Request{Tenant: "other", Q: 8, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatalf("other tenant: %v", err)
 	}
 }
@@ -68,7 +68,7 @@ func TestQuotaRejectionShortCircuitsShardWalk(t *testing.T) {
 	// deadline rejections which walk on.
 	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.001}}})
 	s := mustNew(t, Config{Shards: 4, M: 8, Placement: "first-fit", Quotas: reg})
-	if _, err := s.ReserveFor("t", 0, 4, 10, NoDeadline); !errors.Is(err, ErrQuota) {
+	if _, err := s.Admit(Request{Tenant: "t", Q: 4, Dur: 10, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
 		t.Fatalf("err = %v, want ErrQuota", err)
 	}
 	var total uint64
@@ -88,13 +88,13 @@ func TestQuotaCheckRunsAfterAlphaAndDeadline(t *testing.T) {
 	// and must not count as a quota rejection.
 	reg := mustRegistry(t, 1<<20, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.5}}})
 	s := mustNew(t, Config{M: 8, Alpha: 0.5, Quotas: reg})
-	if _, err := s.ReserveFor("t", 0, 5, 10, NoDeadline); !errors.Is(err, ErrNeverFits) {
+	if _, err := s.Admit(Request{Tenant: "t", Q: 5, Dur: 10, Deadline: NoDeadline}); !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("α rejection err = %v", err)
 	}
-	if _, err := s.Reserve(0, 4, 100); err != nil { // default tenant holds [0,100)
+	if _, err := s.Admit(Request{Q: 4, Dur: 100, Deadline: NoDeadline}); err != nil { // default tenant holds [0,100)
 		t.Fatal(err)
 	}
-	if _, err := s.ReserveFor("t", 0, 4, 10, 50); !errors.Is(err, ErrDeadline) {
+	if _, err := s.Admit(Request{Tenant: "t", Q: 4, Dur: 10, Deadline: 50}); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("deadline rejection err = %v", err)
 	}
 	if u := reg.Usage("t"); u.Used != 0 || u.Rejected != 0 {
@@ -107,7 +107,7 @@ func TestSoftModeAdmitsOverBudget(t *testing.T) {
 	s := mustNew(t, Config{M: 8, Quotas: reg})
 	// Area 800 against a budget of 1: soft mode admits and only the
 	// ratio moves.
-	if _, err := s.ReserveFor("t", 0, 8, 100, NoDeadline); err != nil {
+	if _, err := s.Admit(Request{Tenant: "t", Q: 8, Dur: 100, Deadline: NoDeadline}); err != nil {
 		t.Fatalf("soft-mode admission rejected: %v", err)
 	}
 	if u := reg.Usage("t"); u.Used != 800 {
@@ -183,13 +183,13 @@ func TestTenantStatsPerShard(t *testing.T) {
 	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "first-fit", Quotas: reg})
 	var held []Reservation
 	for i := 0; i < 3; i++ {
-		r, err := s.ReserveFor("a", 0, 2, 10, NoDeadline)
+		r, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
 		if err != nil {
 			t.Fatal(err)
 		}
 		held = append(held, r)
 	}
-	if _, err := s.ReserveFor("b", 0, 2, 10, NoDeadline); err != nil {
+	if _, err := s.Admit(Request{Tenant: "b", Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Cancel(held[0].ID); err != nil {
@@ -249,7 +249,7 @@ func TestTenantQuotaStressConservation(t *testing.T) {
 		},
 	})
 	s := mustNew(t, Config{
-		Shards: shards, M: m, Alpha: alpha, Backend: "tree",
+		Shards: shards, M: m, Alpha: alpha,
 		Placement: "p2c", Seed: 5, Batch: 16, Quotas: reg,
 	})
 
@@ -299,7 +299,7 @@ func TestTenantQuotaStressConservation(t *testing.T) {
 				ready := core.Time(r.Int63n(horizon))
 				q := r.IntRange(1, m/4)
 				dur := core.Time(r.Int63Range(1, 200))
-				resv, err := s.ReserveFor(name, ready, q, dur, NoDeadline)
+				resv, err := s.Admit(Request{Tenant: name, Ready: ready, Q: q, Dur: dur, Deadline: NoDeadline})
 				switch {
 				case err == nil:
 					held[g] = append(held[g], resv)
@@ -441,10 +441,10 @@ func TestSerialReplayMatchesFCFSWithQuotas(t *testing.T) {
 				Mode:    mode,
 				Tenants: []tenant.TenantSpec{{Name: "solo", Share: 1}},
 			})
-			s := mustNew(t, Config{M: inst.M, Backend: "tree", Pre: inst.Res, Quotas: reg})
+			s := mustNew(t, Config{M: inst.M, Pre: inst.Res, Quotas: reg})
 			ready := core.Time(0)
 			for idx, j := range inst.Jobs {
-				resv, err := s.ReserveFor("solo", ready, j.Procs, j.Len, NoDeadline)
+				resv, err := s.Admit(Request{Tenant: "solo", Ready: ready, Q: j.Procs, Dur: j.Len, Deadline: NoDeadline})
 				if err != nil {
 					t.Fatalf("job %d: %v", idx, err)
 				}

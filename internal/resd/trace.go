@@ -47,7 +47,7 @@ func (o TraceOutcome) String() string {
 // the service a request spent its latency. All stage fields are offsets
 // from Arrival, each stamped when the request crosses that stage:
 //
-//	Arrival     ReserveFor entered (wall clock; offsets are monotonic)
+//	Arrival     Admit entered (wall clock; offsets are monotonic)
 //	Route       placement order computed, first shard attempt starting
 //	Enqueue     request handed to the (last-tried) shard's queue
 //	BatchStart  that shard's combiner began the batch holding it
@@ -61,8 +61,8 @@ func (o TraceOutcome) String() string {
 //
 // ClientSend is the cross-wire span: how long before Arrival the caller
 // stamped the request on its side of the wire (Request.ClientSend,
-// carried by v5 Reserve frames). Zero for in-process callers and
-// pre-v5 clients; the two clocks are the caller's and the server's, so
+// carried by Reserve frames). Zero for in-process callers that set
+// none; the two clocks are the caller's and the server's, so
 // skew can make the span inexact (even negative) — it is an
 // observability figure, not a synchronized timestamp.
 type TraceRecord struct {
@@ -216,7 +216,7 @@ func (s *Service) Traces(max int) []TraceRecord {
 	return s.tracer.snapshot(max)
 }
 
-// classifyTraceErr maps a ReserveFor error to a trace outcome.
+// classifyTraceErr maps an Admit error to a trace outcome.
 func classifyTraceErr(err error) TraceOutcome {
 	switch {
 	case err == nil:

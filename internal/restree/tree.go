@@ -55,7 +55,8 @@
 // the differential tests and the fuzz harness in this package enforce.
 //
 // The package registers itself with the profile backend registry under the
-// name "tree"; select it with -backend=tree on the CLIs or via
+// name "tree": the service's index (resd.Config.Backend "") and the
+// paper CLIs' default -backend; a library caller asks for it with
 // profile.NewIndex("tree", m).
 package restree
 

@@ -142,7 +142,7 @@ func (c *Client) call(req Request) (Response, error) {
 // tenant.ErrQuota). Remember req.Deadline is literal — set
 // resd.NoDeadline to disable the deadline check.
 //
-// Every frame carries the client's send stamp (v5), so when the server
+// Every frame carries the client's send stamp, so when the server
 // samples the admission its TraceRecord shows the true cross-wire span
 // (TraceRecord.ClientSend). Set req.Trace to force the sample — see
 // AdmitTraced.
@@ -162,32 +162,10 @@ func (c *Client) Admit(req resd.Request) (resd.Reservation, error) {
 // AdmitTraced is Admit with the trace flag set: the server records the
 // admission in its trace ring regardless of the sampling rate (a no-op
 // on servers running with tracing disabled), and the record carries
-// this call's send stamp as the cross-wire span. Requires protocol v5.
+// this call's send stamp as the cross-wire span.
 func (c *Client) AdmitTraced(req resd.Request) (resd.Reservation, error) {
 	req.Trace = true
 	return c.Admit(req)
-}
-
-// Reserve admits a reservation at the earliest admissible start,
-// accounted to the default tenant with no deadline.
-//
-// Deprecated: use Admit with a resd.Request.
-func (c *Client) Reserve(ready core.Time, q int, dur core.Time) (resd.Reservation, error) {
-	return c.Admit(resd.Request{Ready: ready, Q: q, Dur: dur, Deadline: resd.NoDeadline})
-}
-
-// ReserveBy is Reserve with an SLA deadline on the start time.
-//
-// Deprecated: use Admit with a resd.Request.
-func (c *Client) ReserveBy(ready core.Time, q int, dur core.Time, deadline core.Time) (resd.Reservation, error) {
-	return c.Admit(resd.Request{Ready: ready, Q: q, Dur: dur, Deadline: deadline})
-}
-
-// ReserveFor is ReserveBy on behalf of a tenant.
-//
-// Deprecated: use Admit with a resd.Request.
-func (c *Client) ReserveFor(ten string, ready core.Time, q int, dur core.Time, deadline core.Time) (resd.Reservation, error) {
-	return c.Admit(resd.Request{Tenant: ten, Ready: ready, Q: q, Dur: dur, Deadline: deadline})
 }
 
 // QuotaGet reads one tenant's quota state from the server's registry ("" =
@@ -240,7 +218,7 @@ func (c *Client) Ping() error {
 
 // Traces reads the server's newest sampled admission traces, oldest
 // first, up to max (max <= 0 asks for the whole ring). Empty when the
-// server runs with tracing disabled. Requires protocol v4.
+// server runs with tracing disabled.
 func (c *Client) Traces(max int) ([]resd.TraceRecord, error) {
 	resp, err := c.call(Request{Op: OpTrace, Limit: max})
 	if err != nil {
@@ -276,7 +254,7 @@ const watchRedialDelay = 100 * time.Millisecond
 // closed (the channel then closes). After a resubscribe the frame Seq
 // and Dropped counters restart — the telemetry counters themselves are
 // cumulative on the server, so consumer-side deltas stay monotone
-// across reconnects. Requires protocol v5.
+// across reconnects.
 func (c *Client) Watch(ctx context.Context, opts WatchOptions) (<-chan Telemetry, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed

@@ -1,5 +1,5 @@
 // Package reswire puts the resd reservation-admission service on the
-// network: a versioned, length-prefixed binary protocol, a TCP server
+// network: a length-prefixed binary protocol, a TCP server
 // that decodes frames straight into the shards' queues, and a
 // pipelining client that multiplexes concurrent callers over a handful of
 // connections. Against a service without a log a round trip crosses one
@@ -13,9 +13,7 @@
 //
 // Every message is one frame: a uint32 payload length, then a fixed
 // header (magic "RW", version, op, uint64 request id) and an op-specific
-// body of fixed-width big-endian fields. The ops are Reserve (optionally
-// deadline-bounded), Cancel, Query, Snapshot, Ping, Stats and — since
-// revision 2 — QuotaGet and QuotaSet. Responses echo the request id and
+// body of fixed-width big-endian fields. Responses echo the request id and
 // carry a status Code; every non-OK code maps onto one of resd's typed
 // errors — REJECTED_DEADLINE arrives as resd.ErrDeadline,
 // REJECTED_NEVER_FITS as resd.ErrNeverFits, REJECTED_QUOTA as
@@ -25,60 +23,50 @@
 // hostile bytes, and requires each frame to be consumed exactly;
 // FuzzWireCodec enforces all of that plus canonical round-tripping.
 //
-// # Versioning and multi-tenancy
+// There is one revision of the layout, Version, and nothing is negotiated:
+// a frame with any other version byte fails with ErrVersion, the server
+// drops the connection (framing cannot be trusted past a frame it could
+// not parse), journals one Warn naming the remote address and the byte,
+// and counts it in reswire_frame_errors_total. TestGoldenFrames holds the
+// bytes of every op in both directions; changing one of them is changing
+// the protocol, and takes a new version byte.
 //
-// Revision 2 added tenancy: a Reserve request body ends with a
-// length-prefixed tenant name the admission is accounted to, Stats
-// entries carry RejectedQuota, and QuotaGet/QuotaSet read and re-budget
-// one tenant's share of the server's quota registry at runtime. The bump
-// is backward compatible in both directions of the negotiation that
-// matters: a v2 server still decodes v1 frames — a v1 Reserve lands on
-// the default tenant, exactly as a tenantless in-process call does — and
-// answers every request at the revision it arrived with, so a v1 client
-// never sees bytes it cannot parse. Frames from any other revision fail
-// with ErrVersion instead of being guessed at.
+// The ops:
 //
-// Revision 3 added the rebalancing observability fields to Stats entries:
-// MigratedIn and MigratedOut (how many reservations the live rebalancer
-// moved onto and off each shard) and SlackP99 (the shard's p99 start-time
-// slack, the SLO face of the α rule's push-back). The negotiation rule is
-// the same one the v2 bump established — the server answers each request
-// at its arrival revision, so v1 and v2 readers get the entry layouts
-// they know and simply cannot see the newer fields.
+//   - Reserve carries one resd.Request: ready time, width, duration,
+//     deadline, a length-prefixed tenant name ("" is the default tenant),
+//     the client's send stamp in unix nanoseconds (0 for none) and a flag
+//     that forces the admission into the server's trace ring. The reply
+//     is the resd.Reservation.
+//   - Cancel, Query, Snapshot and Ping are their resd.Service namesakes;
+//     a Snapshot reply is the shard's capacity step function as
+//     (start, free) segments.
+//   - Stats answers one 96-byte entry per shard: the twelve fields of
+//     resd.ShardStats, migration counters and p99 slack among them.
+//   - QuotaGet and QuotaSet read and re-budget one tenant's share of the
+//     server's quota registry at runtime (BAD_REQUEST when the server
+//     runs without one).
+//   - Trace asks for up to Limit of the newest sampled admission traces
+//     (resd.TraceRecord: the client-send→arrival→route→enqueue→
+//     batch-start→decision breakdown), answered as fixed-layout records
+//     tailed by length-prefixed tenant names.
+//   - Watch turns a request into a subscription: the body names a push
+//     interval (clamped into [MinWatchInterval, MaxWatchInterval]) and a
+//     family mask (WatchShards | WatchTenants | WatchWAL | WatchTraces |
+//     WatchSLO), and the server answers with an open-ended stream of
+//     Telemetry frames — sequence-numbered snapshots of per-shard load
+//     and queue depth (the Stats entry behind a queue depth), per-tenant
+//     budget usage, write-ahead-log state, trace-ring counters and
+//     evaluated SLO states (empty on servers running without an SLO
+//     engine — see internal/slo).
 //
-// Revision 4 added the Trace op: the client asks for up to Limit of the
-// server's newest sampled admission traces (resd.TraceRecord — the
-// arrival→route→enqueue→batch-start→decision timing breakdown resd keeps
-// in its bounded ring when tracing is enabled), and the server answers
-// with a vector of fixed-layout records tailed by length-prefixed tenant
-// names. Stats entries are untouched — their layout is frozen at the v3
-// shape — so the bump is op-only: down-level frames decode exactly as
-// before, and a Trace op smuggled into a pre-v4 frame fails the frame.
-//
-// Revision 5 added live telemetry and cross-wire tracing. The Watch op
-// turns a request into a subscription: the body names a push interval
-// (clamped into [MinWatchInterval, MaxWatchInterval]) and a family mask
-// (WatchShards | WatchTenants | WatchWAL | WatchTraces | WatchSLO),
-// and the server answers with an open-ended stream of Telemetry frames
-// — sequence-numbered snapshots of per-shard load and queue depth,
-// per-tenant budget usage, write-ahead-log state, trace-ring counters
-// and evaluated SLO states (per-objective attainment, error-budget
-// remaining, peak burn rate and alert severity, empty on servers
-// running without an SLO engine — see internal/slo). Frames
-// are assembled from the same published atomics a /metrics scrape
-// reads, so a subscriber never waits on a shard; a slow
+// Telemetry frames are assembled from the same published atomics a
+// /metrics scrape reads, so a subscriber never waits on a shard; a slow
 // subscriber (full push queue, stalled socket) has frames dropped and
 // marked — Seq stays monotone and the next delivered frame's Dropped
 // field counts the gap — rather than ever back-pressuring the server.
 // Subscriptions are capped per connection (CodeBadRequest past the
-// limit). The same revision gives Reserve bodies an optional tail — the
-// client's send stamp and a force-trace flag — and Trace entries the
-// matching ClientSend span, so a sampled admission's timing breakdown
-// starts at the caller's send instant instead of the server's accept.
-// The negotiation rule is unchanged: the server answers at the arrival
-// revision, so a v4 Trace reader gets the entry layout it knows and
-// simply cannot see the client-send span, and a Watch op smuggled into
-// a pre-v5 frame fails the frame.
+// limit).
 //
 // Client.Watch is the subscription's client face: it runs each
 // subscription on its own dedicated connection (pushed frames never
@@ -184,11 +172,9 @@
 //
 // Client.Admit mirrors resd.Service.Admit field for field: the one
 // resd.Request struct is the admission vocabulary on both sides of the
-// socket, and callers migrating from the deprecated
-// Reserve/ReserveBy/ReserveFor triplet change nothing but the call
-// site (each wrapper fills the Request its old signature implied; the
-// on-wire frames are unchanged, so mixed-version deployments are
-// unaffected).
+// socket. The client stamps each Reserve frame with its send instant, so
+// a sampled admission's breakdown starts at the caller, not at the
+// server's accept; AdmitTraced forces the sample.
 //
 // Options.CallTimeout bounds every call end to end: waiting for a slot,
 // the socket write if the caller is the one flushing, and waiting for the

@@ -1,9 +1,7 @@
 package reswire
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"net"
 	"testing"
 
@@ -11,99 +9,11 @@ import (
 	"repro/internal/resd"
 )
 
-// startFlightServer is startServer with a flight journal attached
-// before Serve, returning the journal alongside the address.
-func startFlightServer(t *testing.T, cfg resd.Config) (string, *flight.Journal) {
-	t.Helper()
-	svc, err := resd.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(svc)
-	j := flight.NewJournal(64, nil)
-	srv.SetFlight(j)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(ln); !errors.Is(err, ErrServerClosed) {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-	t.Cleanup(func() { srv.Close(); <-done })
-	return ln.Addr().String(), j
-}
-
-// TestFlightJournalDownLevelClient pins the down-level breadcrumb's
-// semantics: a current-revision client must journal nothing (the wire
-// layer normalises the current revision to 0 in Request.Version, which
-// once made every up-to-date client read as "down-level"), while a
-// genuinely old client journals exactly one Info event per connection,
-// carrying the concrete revision it spoke.
-func TestFlightJournalDownLevelClient(t *testing.T) {
-	addr, j := startFlightServer(t, resd.Config{M: 8})
-
-	// A current client: admissions flow, nothing journaled.
-	client, err := Dial(addr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Admit(resd.Request{Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
-		t.Fatal(err)
-	}
-	client.Close()
-	if got := j.SubsysCount("reswire", flight.Info); got != 0 {
-		t.Fatalf("current-revision client journaled %d reswire events: %+v", got, j.Tail(0))
-	}
-
-	// A v1 client: one down-level event for the connection, not one per
-	// request, with the concrete revision in the KVs.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	for id := uint64(1); id <= 2; id++ {
-		frame, err := AppendRequest(nil, Request{ID: id, Op: OpStats, Version: VersionV1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadFrame(br); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := j.SubsysCount("reswire", flight.Info); got != 1 {
-		t.Fatalf("v1 client journaled %d events, want 1: %+v", got, j.Tail(0))
-	}
-	var ev flight.Event
-	for _, e := range j.Tail(0) {
-		if e.Subsys == "reswire" && e.Sev == flight.Info {
-			ev = e
-		}
-	}
-	var version string
-	for _, kv := range ev.KV {
-		if kv.K == "version" {
-			version = kv.V
-		}
-	}
-	if version != "1" {
-		t.Fatalf("down-level event records version %q, want \"1\": %+v", version, ev)
-	}
-}
-
 // TestFlightJournalFrameError: hostile bytes that fail the frame decode
 // journal a reswire warning before the server hangs up.
 func TestFlightJournalFrameError(t *testing.T) {
-	addr, j := startFlightServer(t, resd.Config{M: 8})
+	j := flight.NewJournal(64, nil)
+	addr, _ := startServer(t, resd.Config{M: 8}, func(s *Server) { s.SetFlight(j) })
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

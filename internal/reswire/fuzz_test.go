@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/resd"
 	"repro/internal/slo"
+	"repro/internal/tenant"
 )
 
 // FuzzWireCodec drives the frame decoder with arbitrary bytes and checks
@@ -22,9 +24,7 @@ import (
 // stop at the first malformed frame. The first input byte selects the
 // direction (request vs response decoding); the rest is the raw stream.
 func FuzzWireCodec(f *testing.F) {
-	// Well-formed single frames of every op, both directions — including
-	// v2 tenancy (tenant-tailed Reserve, the quota ops) and down-level v1
-	// frames, which must keep decoding forever.
+	// Well-formed single frames of every op, both directions.
 	for _, req := range []Request{
 		{ID: 1, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max},
 		{ID: 2, Op: OpCancel, Resv: 7},
@@ -33,17 +33,17 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 5, Op: OpPing},
 		{ID: 6, Op: OpStats},
 		{ID: 7, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
-		{ID: 8, Op: OpReserve, Version: VersionV1, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max},
+		{ID: 8, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: 0},
 		{ID: 9, Op: OpQuotaGet, Tenant: "acme"},
 		{ID: 10, Op: OpQuotaSet, Tenant: "acme", Share: 0.25},
-		{ID: 11, Op: OpReserve, Version: VersionV2, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
+		{ID: 11, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: strings.Repeat("t", tenant.MaxNameLen)},
 		{ID: 12, Op: OpTrace, Limit: 16},
 		{ID: 13, Op: OpTrace, Limit: -1},
 		{ID: 14, Op: OpWatch, Interval: time.Second, Mask: WatchAll},
 		{ID: 15, Op: OpWatch, Interval: 0, Mask: WatchShards | WatchTraces},
 		{ID: 16, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme",
 			Stamp: 1_700_000_000_000_000_000, Traced: true},
-		{ID: 17, Op: OpReserve, Version: VersionV4, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme"},
+		{ID: 17, Op: OpReserve, Ready: 10, Procs: 4, Dur: int64Max, Deadline: int64Max, Stamp: -1},
 	} {
 		frame, err := AppendRequest(nil, req)
 		if err != nil {
@@ -57,8 +57,8 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 3, Op: OpQuery, Code: CodeOK, Free: []int{1, 2, 3}},
 		{ID: 4, Op: OpSnapshot, Code: CodeOK, M: 4, Segs: []Segment{{0, 4}, {5, 1}, {9, 4}}},
 		{ID: 5, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2, MigratedIn: 3, MigratedOut: 1, SlackP99: 63}}},
-		{ID: 6, Op: OpStats, Version: VersionV1, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2}}},
-		{ID: 11, Op: OpStats, Version: VersionV2, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2, RejectedQuota: 3}}},
+		{ID: 6, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{goldenShard, {Active: 1, Admitted: 2, RejectedQuota: 3}}},
+		{ID: 11, Op: OpStats, Code: CodeOK},
 		{ID: 7, Op: OpReserve, Code: CodeRejectedQuota, Detail: "tenant acme over budget"},
 		{ID: 8, Op: OpQuotaGet, Code: CodeOK, Quota: QuotaInfo{
 			Tenant: "acme", Group: "prod", Mode: 1, Share: 0.5,
@@ -106,17 +106,18 @@ func FuzzWireCodec(f *testing.F) {
 		}
 		f.Add(append([]byte{1}, frame...))
 	}
-	// Hostile shapes: truncation, bad magic, bad versions, huge length,
-	// v2-only ops smuggled into v1 frames, NaN share bits.
+	// Hostile shapes: truncation, bad magic, huge length, NaN share bits,
+	// and every other version byte — with bodies those revisions had or
+	// never had, all refused at the byte.
 	f.Add([]byte{0, 0, 0, 0})                                             // truncated length prefix
 	f.Add([]byte{0, 0, 0, 0, 16, 'X', 'X', 1, 1})                         // bad magic
 	f.Add([]byte{1, 0, 0, 0, 16, 'R', 'W', 9, 1})                         // bad version
 	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 0, 1})                         // version 0 on the wire
 	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 6, 1})                         // version one past current
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 3, 1})                         // v3 frame with a truncated body
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 9})                         // v4 Trace with a truncated body
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 5, 1})                         // v5 Reserve with a truncated stamp tail
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 10})                        // Watch inside a v4 frame
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 3, 1})                         // version 3
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 9})                         // version 4, Trace
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 5, 1})                         // Reserve with a truncated body
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 10})                        // version 4, Watch
 	f.Add([]byte{0, 0, 0, 0, 24, 'R', 'W', 5, 10, 0, 0, 0, 0, 0, 0, 0, 1, // Watch with an empty mask
 		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 24, 'R', 'W', 5, 10, 0, 0, 0, 0, 0, 0, 0, 1, // Watch with unknown mask bits
@@ -126,15 +127,15 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 33, 'R', 'W', 5, 10, 0, 0, 0, 0, 0, 0, 0, 1, 0, // Telemetry claiming 2^24 shards
 		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 16, 0, 0, 0, 2,
 		1, 0, 0, 0})
-	f.Add([]byte{0, 0, 0, 0, 13, 'R', 'W', 3, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0}) // Trace inside a v3 frame
-	f.Add([]byte{1, 0, 0, 0, 17, 'R', 'W', 4, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // Trace response claiming 2^24 records
+	f.Add([]byte{0, 0, 0, 0, 13, 'R', 'W', 3, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0}) // version 3, Trace
+	f.Add([]byte{1, 0, 0, 0, 17, 'R', 'W', 5, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // Trace response claiming 2^24 records
 		1, 0, 0, 0})
 	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF})                                 // length prefix far past MaxFrame
 	f.Add(append([]byte{1, 0, 0, 0, 12}, make([]byte, 12)...))               // zeroed header
-	f.Add([]byte{0, 0, 0, 0, 13, 'R', 'W', 1, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0}) // QuotaGet inside a v1 frame
-	f.Add([]byte{0, 0, 0, 0, 21, 'R', 'W', 2, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // QuotaSet with NaN share
+	f.Add([]byte{0, 0, 0, 0, 13, 'R', 'W', 1, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0}) // version 1, QuotaGet
+	f.Add([]byte{0, 0, 0, 0, 21, 'R', 'W', 5, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // QuotaSet with NaN share
 		0x7F, 0xF8, 0, 0, 0, 0, 0, 1})
-	f.Add([]byte{0, 0, 0, 0, 14, 'R', 'W', 2, 7, 0, 0, 0, 0, 0, 0, 0, 1, 5, 'a'}) // tenant length past body
+	f.Add([]byte{0, 0, 0, 0, 14, 'R', 'W', 5, 7, 0, 0, 0, 0, 0, 0, 0, 1, 5, 'a'}) // tenant length past body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

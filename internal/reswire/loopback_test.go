@@ -11,11 +11,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/resd"
 	"repro/internal/rng"
+	"repro/internal/tenant"
 )
 
 // startServer builds a service + server on a loopback listener and
-// registers teardown with the test. Returns the dial address.
-func startServer(t *testing.T, cfg resd.Config) (string, *resd.Service) {
+// registers teardown with the test. Returns the dial address. A setup hook
+// runs before Serve, where SetMetrics and SetFlight must be called.
+func startServer(t *testing.T, cfg resd.Config, setup ...func(*Server)) (string, *resd.Service) {
 	t.Helper()
 	svc, err := resd.New(cfg)
 	if err != nil {
@@ -27,6 +29,9 @@ func startServer(t *testing.T, cfg resd.Config) (string, *resd.Service) {
 		t.Fatal(err)
 	}
 	srv := NewServer(svc)
+	for _, f := range setup {
+		f(srv)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -61,7 +66,7 @@ func TestLoopbackOps(t *testing.T) {
 			if err := c.Ping(); err != nil {
 				t.Fatalf("Ping: %v", err)
 			}
-			r, err := c.Reserve(0, 4, 10)
+			r, err := c.Admit(resd.Request{Q: 4, Dur: 10, Deadline: resd.NoDeadline})
 			if err != nil {
 				t.Fatalf("Reserve: %v", err)
 			}
@@ -76,10 +81,10 @@ func TestLoopbackOps(t *testing.T) {
 				t.Errorf("free on shard %d = %d, want 4", r.Shard, free[r.Shard])
 			}
 			// Typed errors survive the wire.
-			if _, err := c.Reserve(0, 5, 10); !errors.Is(err, resd.ErrNeverFits) {
+			if _, err := c.Admit(resd.Request{Q: 5, Dur: 10, Deadline: resd.NoDeadline}); !errors.Is(err, resd.ErrNeverFits) {
 				t.Errorf("α-violating Reserve err = %v, want resd.ErrNeverFits", err)
 			}
-			if _, err := c.Reserve(-1, 1, 1); !errors.Is(err, resd.ErrBadRequest) {
+			if _, err := c.Admit(resd.Request{Ready: -1, Q: 1, Dur: 1, Deadline: resd.NoDeadline}); !errors.Is(err, resd.ErrBadRequest) {
 				t.Errorf("bad Reserve err = %v, want resd.ErrBadRequest", err)
 			}
 			// A window that wraps past the end of time is the caller's
@@ -112,29 +117,29 @@ func TestLoopbackOps(t *testing.T) {
 func TestLoopbackDeadline(t *testing.T) {
 	addr, _ := startServer(t, resd.Config{M: 8})
 	c := dial(t, addr, Options{Pipeline: true})
-	if _, err := c.Reserve(0, 8, 100); err != nil {
+	if _, err := c.Admit(resd.Request{Q: 8, Dur: 100, Deadline: resd.NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	// Earliest feasible start is 100; deadline 99 must reject with the
 	// typed deadline error, REJECTED_DEADLINE on the wire.
-	_, err := c.ReserveBy(0, 4, 10, 99)
+	_, err := c.Admit(resd.Request{Q: 4, Dur: 10, Deadline: 99})
 	if !errors.Is(err, resd.ErrDeadline) {
 		t.Fatalf("err = %v, want resd.ErrDeadline", err)
 	}
-	r, err := c.ReserveBy(0, 4, 10, 100)
+	r, err := c.Admit(resd.Request{Q: 4, Dur: 10, Deadline: 100})
 	if err != nil || r.Start != 100 {
 		t.Fatalf("deadline=100: %+v, %v; want start 100", r, err)
 	}
 }
 
 func TestLoopbackSnapshotMatchesDirect(t *testing.T) {
-	cfg := resd.Config{M: 16, Backend: "tree"}
+	cfg := resd.Config{M: 16}
 	addr, svc := startServer(t, cfg)
 	c := dial(t, addr, Options{Pipeline: true})
 	r := rng.New(77)
 	for i := 0; i < 50; i++ {
 		ready := core.Time(r.Int63n(1000))
-		if _, err := c.Reserve(ready, r.IntRange(1, 16), core.Time(r.Int63Range(1, 50))); err != nil {
+		if _, err := c.Admit(resd.Request{Ready: ready, Q: r.IntRange(1, 16), Dur: core.Time(r.Int63Range(1, 50)), Deadline: resd.NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +184,7 @@ func TestLoopbackStress(t *testing.T) {
 		m          = 64
 		horizon    = 1 << 16
 	)
-	addr, _ := startServer(t, resd.Config{Shards: 4, M: m, Alpha: 0.25, Backend: "tree", Batch: 16})
+	addr, _ := startServer(t, resd.Config{Shards: 4, M: m, Alpha: 0.25, Batch: 16})
 	c := dial(t, addr, Options{Conns: 3, Pipeline: true, Window: 64})
 
 	var admitted, cancelled, rejected atomic.Uint64
@@ -218,7 +223,7 @@ func TestLoopbackStress(t *testing.T) {
 					if r.Bool(0.3) {
 						deadline = ready + core.Time(r.Int63n(2000))
 					}
-					resv, err := c.ReserveBy(ready, q, dur, deadline)
+					resv, err := c.Admit(resd.Request{Ready: ready, Q: q, Dur: dur, Deadline: deadline})
 					switch {
 					case err == nil:
 						admitted.Add(1)
@@ -294,7 +299,7 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 			defer wg.Done()
 			r := rng.NewStream(5, uint64(g))
 			for i := 0; i < 200; i++ {
-				if _, err := c.Reserve(core.Time(r.Int63n(1<<20)), 1, 1); err != nil {
+				if _, err := c.Admit(resd.Request{Ready: core.Time(r.Int63n(1 << 20)), Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
 					errs <- err
 					return
 				}
@@ -320,5 +325,64 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 	}
 	if err := c.Ping(); !errors.Is(err, ErrClientClosed) {
 		t.Errorf("Ping after server close = %v, want ErrClientClosed", err)
+	}
+}
+
+func mustRegistry(t *testing.T, capacity int64, spec tenant.Spec) *tenant.Registry {
+	t.Helper()
+	reg, err := tenant.New(capacity, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestQuotaOpsOverWire drives the quota surface end to end: tenant-
+// attributed Reserve, QuotaGet, QuotaSet, and a hard-mode rejection whose
+// REJECTED_QUOTA code reconstructs tenant.ErrQuota client-side.
+func TestQuotaOpsOverWire(t *testing.T) {
+	reg := mustRegistry(t, 800, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "acme", Share: 0.1}}})
+	addr, _ := startServer(t, resd.Config{M: 8, Quotas: reg})
+	c := dial(t, addr, Options{Conns: 1, Pipeline: true})
+
+	if _, err := c.Admit(resd.Request{Tenant: "acme", Q: 8, Dur: 10, Deadline: resd.NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.QuotaGet("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Tenant != "acme" || q.Group != tenant.DefaultGroup || q.Used != 80 ||
+		q.Budget != 80 || q.Capacity != 800 || q.Mode != tenant.Hard || q.Inflight != 1 {
+		t.Fatalf("QuotaGet = %+v", q)
+	}
+	_, err = c.Admit(resd.Request{Tenant: "acme", Q: 1, Dur: 1, Deadline: resd.NoDeadline})
+	if !errors.Is(err, tenant.ErrQuota) || !errors.Is(err, resd.ErrQuota) {
+		t.Fatalf("over-budget remote err = %v, want ErrQuota via errors.Is", err)
+	}
+	// Re-budget over the wire and retry.
+	if err := c.QuotaSet("acme", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Admit(resd.Request{Tenant: "acme", Q: 1, Dur: 100, Deadline: resd.NoDeadline}); err != nil {
+		t.Fatalf("post-QuotaSet reserve: %v", err)
+	}
+	// An out-of-range share never leaves the client: the encoder enforces
+	// the protocol's (0,1] share range.
+	if err := c.QuotaSet("acme", 1.5); !errors.Is(err, ErrFrame) {
+		t.Fatalf("bad share err = %v, want ErrFrame", err)
+	}
+}
+
+func TestQuotaOpsWithoutRegistry(t *testing.T) {
+	addr, _ := startServer(t, resd.Config{M: 8})
+	c := dial(t, addr, Options{Conns: 1, Pipeline: false})
+	if _, err := c.QuotaGet("acme"); !errors.Is(err, resd.ErrBadRequest) {
+		t.Fatalf("QuotaGet on quota-less server err = %v, want resd.ErrBadRequest", err)
+	}
+	// Tenant-attributed Reserve still works: stats are kept, budgets just
+	// never bind.
+	if _, err := c.Admit(resd.Request{Tenant: "acme", Q: 4, Dur: 10, Deadline: resd.NoDeadline}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"net"
@@ -11,76 +10,7 @@ import (
 	"repro/internal/resd"
 )
 
-// TestV3ClientAgainstV4Server is the negotiation test for the v4 bump: a
-// hand-rolled v3 client must get v3-revision answers (the Stats layout is
-// unchanged, so only the version byte moves), and the Trace op must be
-// unreachable from v3 — refused at encode and refused on the wire.
-func TestV3ClientAgainstV4Server(t *testing.T) {
-	addr, _ := startServer(t, resd.Config{Shards: 2, M: 8})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	roundTrip := func(req Request) Response {
-		t.Helper()
-		req.Version = VersionV3
-		frame, err := AppendRequest(nil, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload[2] != VersionV3 {
-			t.Fatalf("server answered a v3 request at revision %d", payload[2])
-		}
-		resp, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	resv := roundTrip(Request{ID: 1, Op: OpReserve, Tenant: "acme", Procs: 4, Dur: 10, Deadline: resd.NoDeadline})
-	if resv.Code != CodeOK {
-		t.Fatalf("v3 Reserve = %+v", resv)
-	}
-	stats := roundTrip(Request{ID: 2, Op: OpStats})
-	if stats.Code != CodeOK || len(stats.Stats) != 2 {
-		t.Fatalf("v3 Stats = %+v", stats)
-	}
-	// The v3 Stats layout carries the rebalancing fields; only Trace is new
-	// at v4, so a v3 Stats answer must still show SlackP99 after a live
-	// admission (slack 0 is fine — the field exists, decode proves it).
-	if stats.Stats[0].Ops+stats.Stats[1].Ops == 0 {
-		t.Fatalf("v3 Stats lost the op counters: %+v", stats.Stats)
-	}
-
-	// Trace cannot be encoded at v3.
-	if _, err := AppendRequest(nil, Request{Op: OpTrace, Version: VersionV3}); !errors.Is(err, ErrFrame) {
-		t.Fatalf("Trace encoded at v3: err = %v, want ErrFrame", err)
-	}
-	// A hostile v3 frame naming the v4-only op must fail the frame.
-	var b []byte
-	b = append(b, 0, 0, 0, 0)
-	b = appendHeader(b, VersionV3, OpTrace, 9)
-	b = appendI32(b, 0)
-	frame, err := finishFrame(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrFrame) {
-		t.Fatalf("v3 Trace frame err = %v, want ErrFrame", err)
-	}
-}
-
-// TestTraceOverWire drives the v4 Trace op end to end: sampled admission
+// TestTraceOverWire drives the Trace op end to end: sampled admission
 // traces cross the wire with stages, outcome and tenant intact, and Limit
 // trims to the newest records.
 func TestTraceOverWire(t *testing.T) {
@@ -90,11 +20,11 @@ func TestTraceOverWire(t *testing.T) {
 	})
 	c := dial(t, addr, Options{Conns: 1, Pipeline: true})
 
-	r, err := c.ReserveFor("acme", 5, 4, 10, resd.NoDeadline)
+	r, err := c.Admit(resd.Request{Tenant: "acme", Ready: 5, Q: 4, Dur: 10, Deadline: resd.NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ReserveBy(0, 8, 10, 0); !errors.Is(err, resd.ErrDeadline) {
+	if _, err := c.Admit(resd.Request{Q: 8, Dur: 10, Deadline: 0}); !errors.Is(err, resd.ErrDeadline) {
 		t.Fatalf("full-width deadline-0 request err = %v, want ErrDeadline", err)
 	}
 
@@ -142,36 +72,15 @@ func TestTraceOverWire(t *testing.T) {
 // error from a junk connection.
 func TestWireMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	svc, err := resd.New(resd.Config{M: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(svc)
-	srv.SetMetrics(NewMetrics(reg, "server"))
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := srv.Serve(ln); !errors.Is(err, ErrServerClosed) {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-
-	c, err := Dial(ln.Addr().String(), Options{Pipeline: true, Metrics: NewMetrics(reg, "client")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resv, err := c.Reserve(0, 4, 10)
+	addr, _ := startServer(t, resd.Config{M: 8}, func(s *Server) { s.SetMetrics(NewMetrics(reg, "server")) })
+	c := dial(t, addr, Options{Pipeline: true, Metrics: NewMetrics(reg, "client")})
+	resv, err := c.Admit(resd.Request{Q: 4, Dur: 10, Deadline: resd.NoDeadline})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 4 of 8 procs held over [0,10): a full-width request with deadline 0
 	// must miss it.
-	if _, err := c.ReserveBy(0, 8, 10, 0); !errors.Is(err, resd.ErrDeadline) {
+	if _, err := c.Admit(resd.Request{Q: 8, Dur: 10, Deadline: 0}); !errors.Is(err, resd.ErrDeadline) {
 		t.Fatalf("want a deadline rejection on the books, got %v", err)
 	}
 	if err := c.Cancel(resv.ID); err != nil {
@@ -183,7 +92,7 @@ func TestWireMetrics(t *testing.T) {
 
 	// A junk frame must close the connection and count one frame error on
 	// the server side.
-	junk, err := net.Dial("tcp", ln.Addr().String())
+	junk, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +135,4 @@ func TestWireMetrics(t *testing.T) {
 	if v, ok := exp.Value("reswire_frame_errors_total", map[string]string{"side": "server"}); !ok || v != 1 {
 		t.Errorf("server frame errors = %v, %v (want 1)", v, ok)
 	}
-
-	c.Close()
-	srv.Close()
-	<-done
 }

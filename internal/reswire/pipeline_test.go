@@ -44,7 +44,7 @@ func TestWindowStress(t *testing.T) {
 				if window == 256 {
 					callers = 64
 				}
-				addr, svc := startServer(t, resd.Config{Shards: 4, M: 64, Backend: "tree", Batch: 16})
+				addr, svc := startServer(t, resd.Config{Shards: 4, M: 64, Batch: 16})
 				c := dial(t, addr, Options{Conns: conns, Pipeline: true, Window: window, CallTimeout: 20 * time.Second})
 				var wg sync.WaitGroup
 				for g := 0; g < callers; g++ {
@@ -265,10 +265,10 @@ func TestSlotReuseDropsTheLateResponse(t *testing.T) {
 	}()
 
 	c := dial(t, ln.Addr().String(), Options{Pipeline: true, Window: 1, CallTimeout: 50 * time.Millisecond})
-	if _, err := c.Reserve(0, 1, 1); !errors.Is(err, ErrTimeout) {
+	if _, err := c.Admit(resd.Request{Q: 1, Dur: 1, Deadline: resd.NoDeadline}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("call 1: err = %v, want ErrTimeout", err)
 	}
-	resv, err := c.Reserve(0, 1, 1)
+	resv, err := c.Admit(resd.Request{Q: 1, Dur: 1, Deadline: resd.NoDeadline})
 	if err != nil || resv.ID != 222 {
 		t.Fatalf("call 2 got reservation %v, err %v; want 222 (111 is the late answer to call 1)", resv.ID, err)
 	}
@@ -289,7 +289,7 @@ func TestSlotReuseDropsTheLateResponse(t *testing.T) {
 // frames, and far fewer requests are executed than were sent. Other
 // connections are unaffected and Close still returns.
 func TestStuckPeerBoundsServer(t *testing.T) {
-	svc, err := resd.New(resd.Config{M: 64, Backend: "tree"})
+	svc, err := resd.New(resd.Config{M: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestCallTimeoutBoundsTheFlusher(t *testing.T) {
 // nor the wire allocates per call; the bound leaves room for -race, under
 // which sync.Pool drops a share of what is put back.
 func TestRoundTripAllocations(t *testing.T) {
-	addr, _ := startServer(t, resd.Config{Shards: 4, M: 64, Backend: "tree"})
+	addr, _ := startServer(t, resd.Config{Shards: 4, M: 64})
 	c := dial(t, addr, Options{Pipeline: true, CallTimeout: 5 * time.Second})
 	pair := func() {
 		resv, err := c.Admit(resd.Request{Q: 2, Dur: 10, Deadline: resd.NoDeadline})

@@ -65,8 +65,8 @@ func NewServer(svc *resd.Service) *Server {
 // A nil Metrics leaves instrumentation off.
 func (s *Server) SetMetrics(m *Metrics) { s.metrics = m }
 
-// SetFlight routes the server's wire anomalies (protocol refusals,
-// down-level clients, watch slow-consumer drops) into a flight-recorder
+// SetFlight routes the server's wire anomalies (protocol refusals, watch
+// slow-consumer drops) into a flight-recorder
 // journal. Like SetMetrics it must be called before Serve; a nil
 // journal (the default) records nothing.
 func (s *Server) SetFlight(j *flight.Journal) { s.journal = j }
@@ -157,14 +157,13 @@ func (s *Server) serveConn(nc net.Conn) {
 	w := newConnWriter(wc, 0, func(error) { nc.Close() })
 
 	var (
-		hwg       sync.WaitGroup
-		work      = make(chan job)
-		spare     atomic.Int32          // idle handlers minus jobs on their way to one
-		cur       = new(batch)          // the current read's batch, once it holds two requests
-		out       chan Response         // watch pushes queue here; made by the first Watch
-		pumped    = make(chan struct{}) // closed when out's pump has exited
-		connDone  = make(chan struct{}) // closed when the reader exits; ends this conn's watchers
-		downLevel bool
+		hwg      sync.WaitGroup
+		work     = make(chan job)
+		spare    atomic.Int32          // idle handlers minus jobs on their way to one
+		cur      = new(batch)          // the current read's batch, once it holds two requests
+		out      chan Response         // watch pushes queue here; made by the first Watch
+		pumped   = make(chan struct{}) // closed when out's pump has exited
+		connDone = make(chan struct{}) // closed when the reader exits; ends this conn's watchers
 	)
 	handlers, inBatch, watches := 0, 0, 0
 	fanOut := s.svc.WALInfo().Enabled
@@ -188,23 +187,14 @@ func (s *Server) serveConn(nc net.Conn) {
 			s.metrics.frameError(err)
 			if errors.Is(err, ErrFrame) || errors.Is(err, ErrVersion) {
 				// A protocol refusal, not a closing socket: the peer sent
-				// something this revision cannot parse, and the connection
-				// is about to be dropped as unrecoverable.
+				// something this server cannot parse (another revision's
+				// frame included), and the connection is about to be
+				// dropped as unrecoverable.
 				s.journal.Record(flight.Warn, "reswire", -1, "frame error, closing connection",
 					flight.KV{K: "remote", V: nc.RemoteAddr().String()},
 					flight.KV{K: "err", V: err.Error()})
 			}
 			break
-		}
-		if v := concrete(req.Version); !downLevel && v < Version {
-			// Once per connection: a live client negotiated down — worth a
-			// breadcrumb when diagnosing why v5-only telemetry is missing.
-			// (req.Version normalises the current revision to 0, so the
-			// concrete revision is the one to judge and journal.)
-			downLevel = true
-			s.journal.Record(flight.Info, "reswire", -1, "down-level client connected",
-				flight.KV{K: "remote", V: nc.RemoteAddr().String()},
-				flight.KV{K: "version", V: fmt.Sprint(v)})
 		}
 		// The cork: requests one socket read delivered share a batch, sealed
 		// as soon as the buffer holds no further whole frame (replies that
@@ -228,7 +218,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			// subscriber never holds a shard, a handler, or the reader
 			// hostage.
 			start := s.metrics.begin()
-			resp := Response{ID: req.ID, Op: OpWatch, Version: req.Version}
+			resp := Response{ID: req.ID, Op: OpWatch}
 			if watches >= maxConnWatches {
 				resp.Code = CodeBadRequest
 				resp.Detail = fmt.Sprintf("reswire: %d watch subscriptions on one connection (max %d)", watches+1, maxConnWatches)
@@ -320,7 +310,7 @@ func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{
 		t.Seq = seq + 1
 		t.Dropped = dropped
 		select {
-		case out <- Response{ID: req.ID, Op: OpWatch, Version: req.Version, Telemetry: t}:
+		case out <- Response{ID: req.ID, Op: OpWatch, Telemetry: t}:
 			seq++
 		default:
 			if dropped == 0 {
@@ -401,11 +391,9 @@ func (s *Server) telemetry(mask uint32) *Telemetry {
 }
 
 // handle executes one decoded request against the service and builds the
-// response, mapping typed service errors onto wire codes. The response
-// carries the request's revision, so a v1 caller gets a v1 answer from a
-// v2 server.
+// response, mapping typed service errors onto wire codes.
 func (s *Server) handle(req Request) Response {
-	resp := Response{ID: req.ID, Op: req.Op, Version: req.Version}
+	resp := Response{ID: req.ID, Op: req.Op}
 	fail := func(err error) Response {
 		resp.Code = CodeOf(err)
 		resp.Detail = err.Error()

@@ -4,397 +4,194 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/flight"
+	"repro/internal/obs"
 	"repro/internal/resd"
 	"repro/internal/tenant"
 )
 
-func mustRegistry(t *testing.T, capacity int64, spec tenant.Spec) *tenant.Registry {
+// frameAt builds a frame by hand: version byte v — Version, or what a peer
+// speaking another revision would send — and a body that is the caller's.
+// The layouts those revisions had are written out below, since the encoder
+// knows only today's; hostile bodies at today's revision are built the
+// same way.
+func frameAt(v byte, op Op, body ...byte) []byte {
+	b := appendHeader([]byte{0, 0, 0, 0}, op, 1)
+	b[4+2] = v // after the length prefix and the magic
+	frame, err := finishFrame(append(b, body...), 0)
+	if err != nil {
+		panic(err)
+	}
+	return frame
+}
+
+// reserveV1 is the Reserve body of the first revision: ready 0, 8
+// processors, 10 ticks, no deadline — and neither tenant nor stamp.
+var reserveV1 = []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 10, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+
+// refused is the refusal contract, checked against a live server: a peer
+// whose frame carries another version byte is hung up on without a byte in
+// reply, well inside a caller's timeout; the journal holds exactly one
+// record for it, a Warn naming the remote and the byte; frame_errors moves
+// by one; and a current client on its own connection is served before,
+// during and after.
+func refused(t *testing.T, cfg resd.Config, frame []byte) {
 	t.Helper()
-	reg, err := tenant.New(capacity, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reg
-}
-
-func TestV1RequestDecodesAsDefaultTenant(t *testing.T) {
-	frame, err := AppendRequest(nil, Request{
-		ID: 7, Op: OpReserve, Version: VersionV1, Ready: 5, Procs: 2, Dur: 3, Deadline: resd.NoDeadline,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A v1 Reserve body is exactly ready+procs+dur+deadline: no tenant tail.
-	if want := 4 + headerLen + 8 + 4 + 8 + 8; len(frame) != want {
-		t.Fatalf("v1 frame is %d bytes, want %d", len(frame), want)
-	}
-	got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != VersionV1 || got.Tenant != "" {
-		t.Fatalf("decoded v1 request %+v, want Version 1 and empty tenant", got)
-	}
-	// The round trip preserves the revision: re-encoding emits v1 bytes.
-	again, err := AppendRequest(nil, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, frame) {
-		t.Fatalf("v1 re-encode diverged:\n got %x\nwant %x", again, frame)
-	}
-}
-
-func TestV2ReserveCarriesTenant(t *testing.T) {
-	req := Request{ID: 9, Op: OpReserve, Ready: 1, Procs: 2, Dur: 3, Deadline: resd.NoDeadline, Tenant: "acme"}
-	frame, err := AppendRequest(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != req {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
-	}
-}
-
-func TestV1CannotCarryTenancy(t *testing.T) {
-	cases := []Request{
-		{Op: OpReserve, Version: VersionV1, Procs: 1, Dur: 1, Tenant: "acme"},
-		{Op: OpQuotaGet, Version: VersionV1, Tenant: "acme"},
-		{Op: OpQuotaSet, Version: VersionV1, Tenant: "acme", Share: 0.5},
-	}
-	for _, req := range cases {
-		if _, err := AppendRequest(nil, req); err == nil {
-			t.Errorf("AppendRequest(%+v) succeeded at v1", req)
+	const callTimeout = 10 * time.Second
+	m := NewMetrics(obs.NewRegistry(), "server")
+	j := flight.NewJournal(64, nil)
+	addr, _ := startServer(t, cfg, func(s *Server) { s.SetMetrics(m); s.SetFlight(j) })
+	good := dial(t, addr, Options{CallTimeout: callTimeout})
+	served := func(when string) {
+		t.Helper()
+		if err := good.Ping(); err != nil {
+			t.Fatalf("current client %s the refusal: %v", when, err)
 		}
 	}
-	// A hostile v1 frame naming a v2-only op must fail the frame, not
-	// decode as a mystery op.
-	var b []byte
-	b = append(b, 0, 0, 0, 0)
-	b = appendHeader(b, VersionV1, OpQuotaGet, 1)
-	b = append(b, 0) // empty tenant name
-	frame, err := finishFrame(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrFrame) {
-		t.Fatalf("v1 QuotaGet frame err = %v, want ErrFrame", err)
-	}
-}
+	served("before")
 
-func TestHostileVersionsRejected(t *testing.T) {
-	valid, err := AppendRequest(nil, Request{ID: 1, Op: OpPing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []byte{0, 6, 7, 0x7F, 0xFF} {
-		frame := bytes.Clone(valid)
-		frame[6] = v // version byte: after length prefix (4) + magic (2)
-		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrVersion) {
-			t.Errorf("version %d err = %v, want ErrVersion", v, err)
-		}
-	}
-	// Encoding at a revision the protocol never had must also fail.
-	if _, err := AppendRequest(nil, Request{Op: OpPing, Version: 6}); !errors.Is(err, ErrVersion) {
-		t.Errorf("encode at version 6 err = %v, want ErrVersion", err)
-	}
-}
-
-func TestStatsLayoutPerVersion(t *testing.T) {
-	resp := Response{ID: 1, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{{
-		Active: 2, CommittedArea: 100, Admitted: 5, Cancelled: 3,
-		Rejected: 1, RejectedDeadline: 4, RejectedQuota: 9,
-		MigratedIn: 11, MigratedOut: 12, SlackP99: 127, Batches: 2, Ops: 5,
-	}}}
-	v3frame, err := AppendResponse(nil, resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got3, err := ReadResponse(bufio.NewReader(bytes.NewReader(v3frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := got3.Stats[0]; st.RejectedQuota != 9 || st.MigratedIn != 11 || st.MigratedOut != 12 || st.SlackP99 != 127 {
-		t.Fatalf("v3 stats round trip lost fields: %+v", st)
-	}
-	// The v2 layout predates the three rebalancing fields: 24 bytes
-	// shorter per entry, and they come back zero while RejectedQuota
-	// survives.
-	v2 := resp
-	v2.Version = VersionV2
-	v2frame, err := AppendResponse(nil, v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v3frame)-len(v2frame) != 24 {
-		t.Fatalf("v3 entry is %d bytes longer than v2, want 24", len(v3frame)-len(v2frame))
-	}
-	got2, err := ReadResponse(bufio.NewReader(bytes.NewReader(v2frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := got2.Stats[0]; st.RejectedQuota != 9 || st.MigratedIn != 0 || st.MigratedOut != 0 || st.SlackP99 != 0 {
-		t.Fatalf("v2 stats decode = %+v", st)
-	}
-	// The v1 layout additionally has no RejectedQuota: 8 bytes shorter
-	// again, and the field comes back zero.
-	v1 := resp
-	v1.Version = VersionV1
-	v1frame, err := AppendResponse(nil, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v2frame)-len(v1frame) != 8 {
-		t.Fatalf("v2 entry is %d bytes longer than v1, want 8", len(v2frame)-len(v1frame))
-	}
-	got1, err := ReadResponse(bufio.NewReader(bytes.NewReader(v1frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.Stats[0].RejectedQuota != 0 || got1.Stats[0].Ops != 5 {
-		t.Fatalf("v1 stats decode = %+v", got1.Stats[0])
-	}
-}
-
-// TestV2ClientAgainstV3Server is the negotiation test for the v3 bump: a
-// hand-rolled v2 client must get v2-revision, v2-layout answers — tenancy
-// intact, no migration fields — from a server whose in-process stats
-// already carry them.
-func TestV2ClientAgainstV3Server(t *testing.T) {
-	addr, svc := startServer(t, resd.Config{
-		Shards: 2, M: 8, Placement: "first-fit",
-		RebalanceThreshold: 0.01,
-	})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	br := bufio.NewReader(nc)
-	roundTrip := func(req Request) Response {
-		t.Helper()
-		req.Version = VersionV2
-		frame, err := AppendRequest(nil, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload[2] != VersionV2 {
-			t.Fatalf("server answered a v2 request at revision %d", payload[2])
-		}
-		resp, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
 	}
+	served("during")
+	nc.SetReadDeadline(time.Now().Add(callTimeout / 4))
+	var buf [64]byte
+	if n, err := nc.Read(buf[:]); n != 0 || err != io.EOF {
+		t.Fatalf("peer at version byte %d read %d bytes, err %v; want 0, EOF", frame[6], n, err)
+	}
+	served("after")
 
-	// Tenant attribution still works at v2.
-	resv := roundTrip(Request{ID: 1, Op: OpReserve, Tenant: "acme", Ready: 100, Procs: 2, Dur: 10, Deadline: resd.NoDeadline})
-	if resv.Code != CodeOK {
-		t.Fatalf("v2 Reserve = %+v", resv)
+	// The EOF came after serveConn counted and journaled the refusal.
+	events := j.Tail(0)
+	if len(events) != 1 || events[0].Subsys != "reswire" || events[0].Sev != flight.Warn {
+		t.Fatalf("journal = %+v, want one reswire Warn", events)
 	}
-	if _, err := svc.ReserveFor("acme", 100, 2, 10, resd.NoDeadline); err != nil {
-		t.Fatal(err)
+	kv := map[string]string{}
+	for _, e := range events[0].KV {
+		kv[e.K] = e.V
 	}
-	// Migrate the hot spot, then read Stats at v2: the answer must decode
-	// with the v2 layout — migrations invisible, everything else intact.
-	if _, err := svc.Rebalance(0); err != nil {
-		t.Fatal(err)
+	if kv["remote"] != nc.LocalAddr().String() || !strings.Contains(kv["err"], fmt.Sprintf("got %d", frame[6])) {
+		t.Fatalf("refusal record %+v does not name remote %s and byte %d", events[0], nc.LocalAddr(), frame[6])
 	}
-	if in := svc.Stats()[1].MigratedIn; in == 0 {
-		t.Fatal("rebalance moved nothing; the layout test needs live migration counters")
-	}
-	stats := roundTrip(Request{ID: 2, Op: OpStats})
-	if stats.Code != CodeOK || len(stats.Stats) != 2 {
-		t.Fatalf("v2 Stats = %+v", stats)
-	}
-	for i, st := range stats.Stats {
-		if st.MigratedIn != 0 || st.MigratedOut != 0 || st.SlackP99 != 0 {
-			t.Fatalf("v2 answer leaked v3 fields on shard %d: %+v", i, st)
-		}
+	if got := m.frame.Value(); got != 1 {
+		t.Fatalf("frame_errors = %d, want 1", got)
 	}
 }
 
-// TestV1ClientAgainstV2Server is the negotiation acceptance test: a
-// hand-rolled v1 client — raw frames on a TCP connection, exactly what
-// the pre-tenancy client emitted — drives a v2 server and must get
-// v1-revision, v1-layout responses with working admissions, accounted to
-// the default tenant.
+// TestOtherRevisionsRefused: every version byte but Version, whatever the
+// frame behind it.
+func TestOtherRevisionsRefused(t *testing.T) {
+	for _, v := range []byte{0, 1, 2, 3, 4, 6, 255} {
+		t.Run(fmt.Sprint(v), func(t *testing.T) { refused(t, resd.Config{M: 8}, frameAt(v, OpPing)) })
+	}
+}
+
+// The revisions that were once negotiated, each with a frame its clients
+// sent: all are refused alike, and none reaches the service.
+
 func TestV1ClientAgainstV2Server(t *testing.T) {
-	reg := mustRegistry(t, 1<<30, tenant.Spec{})
-	addr, _ := startServer(t, resd.Config{Shards: 2, M: 8, Quotas: reg})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	roundTrip := func(req Request) Response {
-		t.Helper()
-		req.Version = VersionV1
-		frame, err := AppendRequest(nil, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		// Read the raw frame to inspect the version byte the way a v1
-		// decoder would: anything but version 1 would make it hang up.
-		payload, err := ReadFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload[2] != VersionV1 {
-			t.Fatalf("server answered a v1 request at revision %d", payload[2])
-		}
-		resp, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.ID != req.ID {
-			t.Fatalf("response id %d for request %d", resp.ID, req.ID)
-		}
-		return resp
-	}
+	refused(t, resd.Config{Shards: 2, M: 8}, frameAt(1, OpStats))
+}
 
-	resv := roundTrip(Request{ID: 1, Op: OpReserve, Ready: 0, Procs: 4, Dur: 10, Deadline: resd.NoDeadline})
-	if resv.Code != CodeOK || resv.Resv.Procs != 4 {
-		t.Fatalf("v1 Reserve = %+v", resv)
-	}
-	// The admission landed on the default tenant's account.
-	if u := reg.Usage(""); u.Used != 40 || u.Inflight != 1 {
-		t.Fatalf("default tenant usage after v1 Reserve = %+v", u)
-	}
-	stats := roundTrip(Request{ID: 2, Op: OpStats})
-	if stats.Code != CodeOK || len(stats.Stats) != 2 {
-		t.Fatalf("v1 Stats = %+v", stats)
-	}
-	cancel := roundTrip(Request{ID: 3, Op: OpCancel, Resv: uint64(resv.Resv.ID)})
-	if cancel.Code != CodeOK {
-		t.Fatalf("v1 Cancel = %+v", cancel)
-	}
-	if u := reg.Usage(""); u.Used != 0 {
-		t.Fatalf("default tenant usage after v1 Cancel = %+v", u)
+func TestV2ClientAgainstV3Server(t *testing.T) {
+	refused(t, resd.Config{Shards: 2, M: 8}, frameAt(2, OpReserve, append(bytes.Clone(reserveV1), 4, 'a', 'c', 'm', 'e')...))
+}
+
+func TestV3ClientAgainstV4Server(t *testing.T) {
+	refused(t, resd.Config{Shards: 2, M: 8}, frameAt(3, OpCancel, 0, 0, 0, 0, 0, 0, 0, 1))
+}
+
+func TestV4ClientAgainstV5Server(t *testing.T) {
+	refused(t, resd.Config{Shards: 2, M: 8, Obs: &resd.ObsConfig{TraceSample: 1}}, frameAt(4, OpTrace, 0, 0, 0, 0))
+}
+
+func TestFlightJournalDownLevelClient(t *testing.T) {
+	refused(t, resd.Config{M: 8}, frameAt(1, OpStats))
+}
+
+// TestV1RequestDecodesAsDefaultTenant: it no longer decodes, so nothing is
+// charged to anybody.
+func TestV1RequestDecodesAsDefaultTenant(t *testing.T) {
+	reg := mustRegistry(t, 1<<30, tenant.Spec{})
+	refused(t, resd.Config{M: 8, Quotas: reg}, frameAt(1, OpReserve, reserveV1...))
+	if u := reg.Usage(""); u.Used != 0 || u.Inflight != 0 || u.Rejected != 0 {
+		t.Fatalf("default tenant after a refused v1 Reserve = %+v", u)
 	}
 }
 
-// TestV1NeverSeesQuotaCode pins the downgrade rule: a quota rejection
-// answered at v1 must arrive as REJECTED_NEVER_FITS (a code a v1 reader
-// knows, with load-shedding semantics), never as the v2-only
-// REJECTED_QUOTA byte a v1 client would misread as an internal failure.
+// TestV1NeverSeesQuotaCode: a v1 peer whose tenant is broke sees no code
+// at all, and a reply frame at its revision does not decode either.
 func TestV1NeverSeesQuotaCode(t *testing.T) {
-	// Encoder-level: the downgrade happens wherever the frame is built.
-	frame, err := AppendResponse(nil, Response{
-		ID: 1, Op: OpReserve, Version: VersionV1, Code: CodeRejectedQuota, Detail: "tenant over budget",
-	})
+	reg := mustRegistry(t, 100, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: tenant.DefaultTenant, Share: 0.01}}})
+	refused(t, resd.Config{M: 8, Quotas: reg}, frameAt(1, OpReserve, reserveV1...))
+	reply := frameAt(1, OpReserve, byte(CodeRejectedQuota), 0, 0)
+	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(reply))); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 reply frame err = %v, want ErrVersion", err)
+	}
+}
+
+// TestV1CannotCarryTenancy: a quota op behind version byte 1 is refused
+// for its version, before its op is looked at.
+func TestV1CannotCarryTenancy(t *testing.T) {
+	frame := frameAt(1, OpQuotaGet, 0)
+	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 QuotaGet frame err = %v, want ErrVersion", err)
+	}
+	refused(t, resd.Config{M: 8}, frame)
+}
+
+// TestHostileVersionsRejected is the same refusal at the decoder, both
+// directions.
+func TestHostileVersionsRejected(t *testing.T) {
+	for _, v := range []byte{0, 1, 2, 3, 4, 6, 7, 0x7F, 0xFF} {
+		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frameAt(v, OpPing)))); !errors.Is(err, ErrVersion) {
+			t.Errorf("request at version %d err = %v, want ErrVersion", v, err)
+		}
+		if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(frameAt(v, OpPing, byte(CodeOK))))); !errors.Is(err, ErrVersion) {
+			t.Errorf("response at version %d err = %v, want ErrVersion", v, err)
+		}
+	}
+}
+
+// TestStatsLayoutPerVersion pins the one shard entry there is: 96 bytes
+// in a Stats reply, and the same 96 behind each queue depth of a Watch
+// frame's shard family.
+func TestStatsLayoutPerVersion(t *testing.T) {
+	stats := []resd.ShardStats{goldenShard, {Admitted: 1}}
+	frame, err := AppendResponse(nil, Response{ID: 1, Op: OpStats, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
+	}
+	const fixed = 4 + headerLen + 1 + 4 // length prefix, header, code, count
+	if len(frame) != fixed+2*96 {
+		t.Fatalf("two-shard Stats frame is %d bytes, want %d", len(frame), fixed+2*96)
 	}
 	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Code != CodeNeverFits || got.Detail != "tenant over budget" {
-		t.Fatalf("v1 quota rejection decoded as %v (%q), want CodeNeverFits", got.Code, got.Detail)
+	if len(got.Stats) != 2 || got.Stats[0] != stats[0] || got.Stats[1] != stats[1] {
+		t.Fatalf("stats round trip:\n got %+v\nwant %+v", got.Stats, stats)
 	}
-	// A hostile v1 frame carrying the raw v2 code byte must fail the
-	// frame instead of decoding into a code v1 never defined.
-	hostile := bytes.Clone(frame)
-	hostile[16] = byte(CodeRejectedQuota) // code byte: len(4)+header(12)
-	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(hostile))); !errors.Is(err, ErrFrame) {
-		t.Fatalf("v1 frame with code 7 err = %v, want ErrFrame", err)
-	}
-
-	// End to end: a v1 client whose default tenant is broke gets a
-	// NeverFits-coded rejection from a hard-mode v2 server.
-	reg := mustRegistry(t, 100, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: tenant.DefaultTenant, Share: 0.01}}})
-	addr, _ := startServer(t, resd.Config{M: 8, Quotas: reg})
-	nc, err := net.Dial("tcp", addr)
+	watch, err := AppendResponse(nil, Response{ID: 1, Op: OpWatch,
+		Telemetry: &Telemetry{Mask: WatchShards, M: 8, Queue: []int{7}, Shards: stats[:1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	req, err := AppendRequest(nil, Request{ID: 9, Op: OpReserve, Version: VersionV1, Ready: 0, Procs: 8, Dur: 10, Deadline: resd.NoDeadline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ReadResponse(bufio.NewReader(nc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != CodeNeverFits {
-		t.Fatalf("v1 client saw code %v for a quota rejection, want CodeNeverFits", resp.Code)
-	}
-	// The v1 sentinel reconstruction stays within v1's error vocabulary.
-	if !errors.Is(resp.Code.Err(resp.Detail), resd.ErrNeverFits) {
-		t.Fatalf("reconstructed error %v, want resd.ErrNeverFits", resp.Code.Err(resp.Detail))
-	}
-}
-
-// TestQuotaOpsOverWire drives the v2 quota surface end to end: tenant-
-// attributed Reserve, QuotaGet, QuotaSet, and a hard-mode rejection whose
-// REJECTED_QUOTA code reconstructs tenant.ErrQuota client-side.
-func TestQuotaOpsOverWire(t *testing.T) {
-	reg := mustRegistry(t, 800, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "acme", Share: 0.1}}})
-	addr, _ := startServer(t, resd.Config{M: 8, Quotas: reg})
-	c := dial(t, addr, Options{Conns: 1, Pipeline: true})
-
-	if _, err := c.ReserveFor("acme", 0, 8, 10, resd.NoDeadline); err != nil {
-		t.Fatal(err)
-	}
-	q, err := c.QuotaGet("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Tenant != "acme" || q.Group != tenant.DefaultGroup || q.Used != 80 ||
-		q.Budget != 80 || q.Capacity != 800 || q.Mode != tenant.Hard || q.Inflight != 1 {
-		t.Fatalf("QuotaGet = %+v", q)
-	}
-	_, err = c.ReserveFor("acme", 0, 1, 1, resd.NoDeadline)
-	if !errors.Is(err, tenant.ErrQuota) || !errors.Is(err, resd.ErrQuota) {
-		t.Fatalf("over-budget remote err = %v, want ErrQuota via errors.Is", err)
-	}
-	// Re-budget over the wire and retry.
-	if err := c.QuotaSet("acme", 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ReserveFor("acme", 0, 1, 100, resd.NoDeadline); err != nil {
-		t.Fatalf("post-QuotaSet reserve: %v", err)
-	}
-	// An out-of-range share never leaves the client: the encoder enforces
-	// the protocol's (0,1] share range.
-	if err := c.QuotaSet("acme", 1.5); !errors.Is(err, ErrFrame) {
-		t.Fatalf("bad share err = %v, want ErrFrame", err)
-	}
-}
-
-func TestQuotaOpsWithoutRegistry(t *testing.T) {
-	addr, _ := startServer(t, resd.Config{M: 8})
-	c := dial(t, addr, Options{Conns: 1, Pipeline: false})
-	if _, err := c.QuotaGet("acme"); !errors.Is(err, resd.ErrBadRequest) {
-		t.Fatalf("QuotaGet on quota-less server err = %v, want resd.ErrBadRequest", err)
-	}
-	// Tenant-attributed Reserve still works: stats are kept, budgets just
-	// never bind.
-	if _, err := c.ReserveFor("acme", 0, 4, 10, resd.NoDeadline); err != nil {
-		t.Fatal(err)
+	entry := watch[len(watch)-96:]
+	if len(watch) != 4+headerLen+1+8+8+4+4+4+4+watchShardEntryLen || !bytes.Equal(entry, frame[fixed:fixed+96]) {
+		t.Fatalf("watch shard entry differs from the Stats entry:\n%x\n%x", entry, frame[fixed:fixed+96])
 	}
 }

@@ -31,12 +31,11 @@ func TestWatchRequestCodec(t *testing.T) {
 	}
 
 	// Encoder-side refusals: negative interval, empty mask, unknown mask
-	// bits, and the op itself before v5.
+	// bits.
 	hostile := []Request{
 		{Op: OpWatch, Interval: -time.Second, Mask: WatchAll},
 		{Op: OpWatch, Interval: time.Second, Mask: 0},
 		{Op: OpWatch, Interval: time.Second, Mask: WatchAll | 1<<10},
-		{Op: OpWatch, Version: VersionV4, Interval: time.Second, Mask: WatchAll},
 	}
 	for _, req := range hostile {
 		if _, err := AppendRequest(nil, req); !errors.Is(err, ErrFrame) {
@@ -47,16 +46,7 @@ func TestWatchRequestCodec(t *testing.T) {
 	// Decoder-side refusals for hostile frames the encoder would never
 	// emit: the same invalid bodies, hand-built.
 	build := func(interval int64, mask uint32) []byte {
-		var b []byte
-		b = append(b, 0, 0, 0, 0)
-		b = appendHeader(b, Version, OpWatch, 1)
-		b = appendI64(b, interval)
-		b = binary.BigEndian.AppendUint32(b, mask)
-		frame, err := finishFrame(b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return frame
+		return frameAt(Version, OpWatch, binary.BigEndian.AppendUint32(appendI64(nil, interval), mask)...)
 	}
 	for _, frame := range [][]byte{
 		build(-1, uint32(WatchAll)),        // negative interval
@@ -132,9 +122,10 @@ func TestWatchTelemetryCodec(t *testing.T) {
 	// Encoder-side refusals.
 	for _, resp := range []Response{
 		{Op: OpWatch}, // no telemetry at all
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: 0}},                     // empty mask
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, M: -1}},    // negative capacity
-		{Op: OpWatch, Version: VersionV4, Telemetry: &Telemetry{Mask: 1}}, // op predates v4
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: 0}},                       // empty mask
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, M: -1}},      // negative capacity
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, M: 1 << 31}}, // a machine wider than the field
+		{Op: OpSnapshot, M: 1 << 31},                                        // the same through Snapshot
 	} {
 		if _, err := AppendResponse(nil, resp); !errors.Is(err, ErrFrame) {
 			t.Errorf("AppendResponse(%+v) err = %v, want ErrFrame", resp, err)
@@ -157,138 +148,27 @@ func TestWatchTelemetryCodec(t *testing.T) {
 	}
 }
 
-// TestTraceLayoutPerVersion pins the v5 Trace extension: entries gain the
-// ClientSend span (8 bytes after Arrival); a v4 answer keeps the layout a
-// v4 reader knows and the field comes back zero.
+// TestTraceLayoutPerVersion pins the one trace entry there is: 70 fixed
+// bytes, the client-send span among them, and the tenant name behind.
 func TestTraceLayoutPerVersion(t *testing.T) {
-	resp := Response{ID: 1, Op: OpTrace, Code: CodeOK, Traces: []resd.TraceRecord{{
+	rec := resd.TraceRecord{
 		Seq: 3, Arrival: time.Unix(0, 12345), ClientSend: 500 * time.Microsecond,
 		Route: 10, Enqueue: 20, BatchStart: 30, Decision: 40,
 		Start: 7, Shard: 1, Outcome: resd.TraceAdmitted, Tenant: "acme",
-	}}}
-	v5frame, err := AppendResponse(nil, resp)
+	}
+	frame, err := AppendResponse(nil, Response{ID: 1, Op: OpTrace, Traces: []resd.TraceRecord{rec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4 := resp
-	v4.Version = VersionV4
-	v4frame, err := AppendResponse(nil, v4)
+	if want := 4 + headerLen + 1 + 4 + 70 + len(rec.Tenant); traceEntryLen != 70 || len(frame) != want {
+		t.Fatalf("one-record Trace frame is %d bytes (traceEntryLen %d), want %d (70)", len(frame), traceEntryLen, want)
+	}
+	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v5frame)-len(v4frame) != traceV5Extra {
-		t.Fatalf("v5 trace entry is %d bytes longer than v4, want %d", len(v5frame)-len(v4frame), traceV5Extra)
-	}
-	got5, err := ReadResponse(bufio.NewReader(bytes.NewReader(v5frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := got5.Traces[0]; tr.ClientSend != 500*time.Microsecond || tr.Tenant != "acme" {
-		t.Fatalf("v5 trace decode = %+v", tr)
-	}
-	got4, err := ReadResponse(bufio.NewReader(bytes.NewReader(v4frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr := got4.Traces[0]; tr.ClientSend != 0 || tr.Route != 10 || tr.Tenant != "acme" {
-		t.Fatalf("v4 trace decode = %+v, want zero ClientSend with the rest intact", tr)
-	}
-}
-
-// TestV4ClientAgainstV5Server is the negotiation test for the v5 bump: a
-// hand-rolled v4 client must get v4-revision answers — Reserve without
-// the stamp tail, traces without the ClientSend span — and the v5-only
-// Watch op must fail its frame instead of decoding.
-func TestV4ClientAgainstV5Server(t *testing.T) {
-	addr, svc := startServer(t, resd.Config{
-		Shards: 2, M: 8,
-		Obs: &resd.ObsConfig{TraceSample: 1},
-	})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	roundTrip := func(req Request) Response {
-		t.Helper()
-		req.Version = VersionV4
-		frame, err := AppendRequest(nil, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		payload, err := ReadFrame(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if payload[2] != VersionV4 {
-			t.Fatalf("server answered a v4 request at revision %d", payload[2])
-		}
-		resp, err := DecodeResponse(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	// A v4 Reserve body carries no stamp tail: 9 bytes (stamp + flag)
-	// shorter than the v5 encoding of the same request.
-	req := Request{ID: 1, Op: OpReserve, Tenant: "acme", Ready: 0, Procs: 2, Dur: 10, Deadline: resd.NoDeadline}
-	v4frame, err := AppendRequest(nil, Request{ID: 1, Op: OpReserve, Version: VersionV4, Tenant: "acme", Ready: 0, Procs: 2, Dur: 10, Deadline: resd.NoDeadline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v5frame, err := AppendRequest(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v5frame)-len(v4frame) != 9 {
-		t.Fatalf("v5 Reserve is %d bytes longer than v4, want 9 (stamp + trace flag)", len(v5frame)-len(v4frame))
-	}
-	resv := roundTrip(req)
-	if resv.Code != CodeOK || resv.Resv.Procs != 2 {
-		t.Fatalf("v4 Reserve = %+v", resv)
-	}
-	// The admission landed and was sampled (TraceSample 1): the v4 Trace
-	// answer decodes with the v4 layout — no ClientSend, which a stampless
-	// v4 admission could not have anyway.
-	traces := roundTrip(Request{ID: 2, Op: OpTrace, Limit: 0})
-	if traces.Code != CodeOK || len(traces.Traces) == 0 {
-		t.Fatalf("v4 Trace = %+v", traces)
-	}
-	for _, tr := range traces.Traces {
-		if tr.ClientSend != 0 {
-			t.Fatalf("v4 trace answer leaked a ClientSend span: %+v", tr)
-		}
-	}
-	if svc.Stats()[resv.Resv.Shard].Admitted != 1 {
-		t.Fatalf("v4 admission not booked: %+v", svc.Stats())
-	}
-
-	// A v4 frame naming the v5-only Watch op must fail the frame: the
-	// server hangs up rather than subscribing a client that cannot decode
-	// telemetry frames.
-	var b []byte
-	b = append(b, 0, 0, 0, 0)
-	b = appendHeader(b, VersionV4, OpWatch, 3)
-	b = appendI64(b, int64(time.Second))
-	b = binary.BigEndian.AppendUint32(b, WatchAll)
-	hostile, err := finishFrame(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(hostile))); !errors.Is(err, ErrFrame) {
-		t.Fatalf("v4 Watch frame err = %v, want ErrFrame", err)
-	}
-	if _, err := nc.Write(hostile); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := ReadFrame(br); err == nil {
-		t.Fatal("server answered a v4 Watch frame instead of hanging up")
+	if len(got.Traces) != 1 || got.Traces[0] != rec {
+		t.Fatalf("trace round trip:\n got %+v\nwant %+v", got.Traces, rec)
 	}
 }
 
@@ -314,7 +194,7 @@ func TestWatchEndToEnd(t *testing.T) {
 	const admissions = 5
 	var held []resd.Reservation
 	for i := 0; i < admissions-1; i++ {
-		r, err := c.ReserveFor("acme", 0, 1, 10, resd.NoDeadline)
+		r, err := c.Admit(resd.Request{Tenant: "acme", Q: 1, Dur: 10, Deadline: resd.NoDeadline})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +342,7 @@ func TestWatchStalledSubscriberDoesNotBlockOthers(t *testing.T) {
 	c := dial(t, addr, Options{Conns: 1, Pipeline: true})
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if _, err := c.Reserve(0, 1, 1); err != nil {
+		if _, err := c.Admit(resd.Request{Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
 			t.Fatalf("reserve %d alongside a stalled watcher: %v", i, err)
 		}
 	}

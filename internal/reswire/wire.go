@@ -19,7 +19,7 @@ import (
 //
 //	uint32  payload length (big endian, excludes these 4 bytes)
 //	uint16  magic   0x5257 ("RW")
-//	uint8   version (1, 2, 3 or 4)
+//	uint8   version (always Version)
 //	uint8   op
 //	uint64  request id (echoed verbatim in the response)
 //	...     op-specific body
@@ -28,37 +28,15 @@ import (
 // flow client→server, responses server→client, so the direction of a frame
 // is implied by the connection side and the two kinds share the header.
 //
-// Version 2 added multi-tenancy: Reserve request bodies end with a
-// length-prefixed tenant name, and the QuotaGet/QuotaSet ops exist.
-// Version 3 added the rebalancing observability fields to Stats entries
-// (MigratedIn, MigratedOut, SlackP99). Version 4 added the Trace op,
-// which reads the server's sampled admission-trace ring; Stats entries
-// are unchanged (their layout is frozen at the v3 shape). Version 5
-// added the Watch op (server-pushed telemetry frames), an optional
-// client send stamp + trace flag on the tail of Reserve bodies, and the
-// ClientSend span on Trace entries. A v5 server still accepts v1..v4
-// frames — a v1 Reserve is accounted to the default tenant, a v2 Stats
-// answer carries the v2 layout — and answers each request at the
-// version it arrived with, so down-level clients keep working
-// unchanged. Frames from any other revision are refused rather than
-// guessed at.
+// The layout is frozen: there is one revision, both sides speak it, and a
+// frame carrying any other version byte is refused with ErrVersion rather
+// than guessed at. The byte stays in the header so that a future layout
+// can be told from this one; TestGoldenFrames holds the bytes.
 const (
 	// Magic is the first two payload bytes of every frame ("RW").
 	Magic uint16 = 0x5257
-	// Version is the current protocol revision, the one the client
-	// speaks.
+	// Version is the protocol revision.
 	Version uint8 = 5
-	// VersionV4 is the tracing revision (Trace op) without the Watch op
-	// and without the Reserve client-stamp tail.
-	VersionV4 uint8 = 4
-	// VersionV3 is the rebalancing-observability revision (v3 Stats
-	// fields) without the Trace op.
-	VersionV3 uint8 = 3
-	// VersionV2 is the tenancy revision (tenant-tailed Reserve, quota
-	// ops) without the v3 Stats fields.
-	VersionV2 uint8 = 2
-	// VersionV1 is the pre-tenancy revision a server still accepts.
-	VersionV1 uint8 = 1
 	// MaxFrame bounds a frame's payload. The decoder rejects larger
 	// length prefixes before allocating, so a hostile peer cannot make a
 	// reader allocate unbounded memory.
@@ -75,18 +53,19 @@ const (
 	// before allocation.
 	maxTraces = 1 << 16
 	// traceEntryLen is the fixed part of one wire trace record: seq (8),
-	// arrival unix-nanos (8), four stage offsets (32), start (8), shard
-	// (4), outcome (1) and the tenant-name length byte (1); the name
-	// itself is variable. At v5 each entry additionally carries the
-	// ClientSend span (8), so the fixed part grows by traceV5Extra.
-	traceEntryLen = 8 + 8 + 32 + 8 + 4 + 1 + 1
-	traceV5Extra  = 8
+	// arrival unix-nanos (8), the client-send span (8), four stage offsets
+	// (32), start (8), shard (4), outcome (1) and the tenant-name length
+	// byte (1); the name itself is variable.
+	traceEntryLen = 8 + 8 + 8 + 32 + 8 + 4 + 1 + 1
 	// maxTenants bounds the tenant vector of a Watch telemetry frame
 	// during decoding, like maxShards bounds the shard vectors.
 	maxTenants = 1 << 16
+	// shardEntryLen is the size of one resd.ShardStats on the wire: twelve
+	// 8-byte fields, in a Stats reply and in a Watch frame alike.
+	shardEntryLen = 12 * 8
 	// watchShardEntryLen is the fixed size of one per-shard telemetry
-	// entry: queue depth (4) plus the frozen v3 Stats entry layout (96).
-	watchShardEntryLen = 4 + 96
+	// entry: queue depth (4) plus the shard entry.
+	watchShardEntryLen = 4 + shardEntryLen
 	// watchTenantEntryLen is the minimum size of one per-tenant telemetry
 	// entry: the name length byte (1) plus budget/used/inflight (24).
 	watchTenantEntryLen = 1 + 24
@@ -107,7 +86,7 @@ const (
 // Watch family mask bits: a Watch subscription names the telemetry
 // families it wants pushed. The zero mask is invalid — an explicit
 // choice beats a silent default on the wire — and unknown bits fail the
-// frame rather than round-tripping into future revisions' semantics.
+// frame.
 const (
 	// WatchShards selects per-shard load/capacity: queue depth plus the
 	// full ShardStats counter set.
@@ -138,8 +117,8 @@ func validWatchMask(mask uint32) bool {
 type Op uint8
 
 const (
-	// OpReserve admits a reservation (optionally deadline-bounded; since
-	// v2, optionally tenant-attributed).
+	// OpReserve admits a reservation (optionally deadline-bounded and
+	// tenant-attributed).
 	OpReserve Op = 1 + iota
 	// OpCancel releases an admitted reservation by id.
 	OpCancel
@@ -151,36 +130,21 @@ const (
 	OpPing
 	// OpStats reads the per-shard load summaries.
 	OpStats
-	// OpQuotaGet reads one tenant's quota state (v2).
+	// OpQuotaGet reads one tenant's quota state.
 	OpQuotaGet
-	// OpQuotaSet re-budgets one tenant's share at runtime (v2).
+	// OpQuotaSet re-budgets one tenant's share at runtime.
 	OpQuotaSet
-	// OpTrace reads the newest sampled admission traces (v4).
+	// OpTrace reads the newest sampled admission traces.
 	OpTrace
-	// OpWatch subscribes to server-pushed telemetry frames (v5). The
+	// OpWatch subscribes to server-pushed telemetry frames. The
 	// request names an interval and a family mask; every subsequent
 	// response frame with the request's id carries one Telemetry
 	// snapshot. The subscription lives as long as the connection.
 	OpWatch
 )
 
-// validFor reports whether the op exists at the given protocol revision:
-// the quota ops arrived with v2, Trace with v4, Watch with v5,
-// everything else predates versioning.
-func (op Op) validFor(v uint8) bool {
-	switch {
-	case op >= OpReserve && op <= OpStats:
-		return true
-	case op == OpQuotaGet || op == OpQuotaSet:
-		return v >= 2
-	case op == OpTrace:
-		return v >= 4
-	case op == OpWatch:
-		return v >= 5
-	default:
-		return false
-	}
-}
+// valid reports whether op is one of the protocol's operations.
+func (op Op) valid() bool { return op >= OpReserve && op <= OpWatch }
 
 // String names the op for diagnostics.
 func (op Op) String() string {
@@ -231,10 +195,9 @@ const (
 	CodeRejectedDeadline
 	// CodeInternal reports a server-side failure outside the typed set.
 	CodeInternal
-	// CodeRejectedQuota maps tenant.ErrQuota (v2): the request was
-	// feasible but its tenant has exhausted its budgeted share of the
-	// reservable prefix. Appended after CodeInternal so every v1 code
-	// keeps its number.
+	// CodeRejectedQuota maps tenant.ErrQuota: the request was feasible but
+	// its tenant has exhausted its budgeted share of the reservable
+	// prefix.
 	CodeRejectedQuota
 )
 
@@ -328,20 +291,14 @@ var (
 
 // Request is one decoded client→server message. Fields beyond ID and Op
 // are meaningful per op: Reserve uses Ready/Procs/Dur/Deadline/Tenant
-// (and, since v5, Stamp/Traced), Cancel uses Resv, Query uses Ready as
+// and Stamp/Traced, Cancel uses Resv, Query uses Ready as
 // the probe instant, Snapshot uses Shard, QuotaGet uses Tenant, QuotaSet
 // uses Tenant and Share, Trace uses Limit (how many of the newest
 // records to return; <= 0 means the server's whole ring), Watch uses
 // Interval and Mask.
-//
-// Version records the protocol revision the frame used, with 0 meaning
-// the current Version — so the zero Request encodes at the current
-// revision, and only down-level frames (a v1 client talking to this
-// server) carry an explicit value through decode and back.
 type Request struct {
 	ID       uint64
 	Op       Op
-	Version  uint8
 	Ready    core.Time
 	Procs    int
 	Dur      core.Time
@@ -351,14 +308,14 @@ type Request struct {
 	Limit    int
 	Tenant   string
 	Share    float64
-	// Stamp is the client's own send instant in unix nanoseconds (v5
-	// Reserve tail; 0 = no stamp). A sampled admission whose frame
+	// Stamp is the client's own send instant in unix nanoseconds
+	// (Reserve; 0 = no stamp). A sampled admission whose frame
 	// carried a stamp gains the client-send→server-route span in its
 	// TraceRecord.
 	Stamp int64
 	// Traced asks the server to force-sample this admission into the
-	// trace ring regardless of its 1-in-N sampling rate (v5 Reserve
-	// tail; a no-op on servers running with tracing disabled).
+	// trace ring regardless of its 1-in-N sampling rate (Reserve; a
+	// no-op on servers running with tracing disabled).
 	Traced bool
 	// Interval is the requested push period of a Watch subscription
 	// (the server clamps unreasonably small values).
@@ -488,13 +445,10 @@ type Telemetry struct {
 // Response is one decoded server→client message. Code discriminates
 // success; on success the op-specific field is set (Resv for Reserve,
 // Free for Query, M+Segs for Snapshot, Stats for Stats, Quota for
-// QuotaGet, Traces for Trace, Telemetry for Watch). Version follows the
-// same 0-means-current convention as Request.Version; the server
-// answers every request at the revision it arrived with.
+// QuotaGet, Traces for Trace, Telemetry for Watch).
 type Response struct {
 	ID        uint64
 	Op        Op
-	Version   uint8
 	Code      Code
 	Detail    string
 	Resv      resd.Reservation
@@ -507,31 +461,10 @@ type Response struct {
 	Telemetry *Telemetry
 }
 
-// resolveVersion maps the 0-means-current convention onto the concrete
-// revision and rejects revisions the protocol never had.
-func resolveVersion(v uint8) (uint8, error) {
-	if v == 0 {
-		return Version, nil
-	}
-	if v < VersionV1 || v > Version {
-		return 0, fmt.Errorf("%w: cannot encode revision %d", ErrVersion, v)
-	}
-	return v, nil
-}
-
-// concrete maps a Request/Response Version field (0 = current) onto the
-// concrete revision, for feature gating during decode.
-func concrete(v uint8) uint8 {
-	if v == 0 {
-		return Version
-	}
-	return v
-}
-
 // appendHeader writes the shared frame header (after the length prefix).
-func appendHeader(dst []byte, v uint8, op Op, id uint64) []byte {
+func appendHeader(dst []byte, op Op, id uint64) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, Magic)
-	dst = append(dst, v, byte(op))
+	dst = append(dst, Version, byte(op))
 	return binary.BigEndian.AppendUint64(dst, id)
 }
 
@@ -546,6 +479,23 @@ func appendName(dst []byte, name string) ([]byte, error) {
 	}
 	dst = append(dst, byte(len(name)))
 	return append(dst, name...), nil
+}
+
+// appendShardStats writes one shard entry (shardEntryLen bytes), the
+// layout reader.shardStats reads back.
+func appendShardStats(dst []byte, st *resd.ShardStats) []byte {
+	dst = appendI64(dst, int64(st.Active))
+	dst = appendI64(dst, st.CommittedArea)
+	dst = binary.BigEndian.AppendUint64(dst, st.Admitted)
+	dst = binary.BigEndian.AppendUint64(dst, st.Cancelled)
+	dst = binary.BigEndian.AppendUint64(dst, st.Rejected)
+	dst = binary.BigEndian.AppendUint64(dst, st.RejectedDeadline)
+	dst = binary.BigEndian.AppendUint64(dst, st.RejectedQuota)
+	dst = binary.BigEndian.AppendUint64(dst, st.MigratedIn)
+	dst = binary.BigEndian.AppendUint64(dst, st.MigratedOut)
+	dst = appendTime(dst, st.SlackP99)
+	dst = binary.BigEndian.AppendUint64(dst, st.Batches)
+	return binary.BigEndian.AppendUint64(dst, st.Ops)
 }
 
 // validShareBits guards float shares crossing the wire: a share is a
@@ -565,49 +515,34 @@ func finishFrame(dst []byte, base int) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendRequest encodes req as one frame appended to dst, at the revision
-// req.Version names (0 = current). Encoding a v2-only field or op at v1
-// fails rather than silently dropping it.
+// AppendRequest encodes req as one frame appended to dst.
 func AppendRequest(dst []byte, req Request) ([]byte, error) {
-	v, err := resolveVersion(req.Version)
-	if err != nil {
-		return nil, err
-	}
-	if !req.Op.validFor(v) {
-		return nil, fmt.Errorf("%w: invalid op %d at revision %d", ErrFrame, uint8(req.Op), v)
+	if !req.Op.valid() {
+		return nil, fmt.Errorf("%w: invalid op %d", ErrFrame, uint8(req.Op))
 	}
 	if req.Procs < -1<<31 || req.Procs > 1<<31-1 || req.Shard < -1<<31 || req.Shard > 1<<31-1 ||
 		req.Limit < -1<<31 || req.Limit > 1<<31-1 {
 		return nil, fmt.Errorf("%w: field exceeds int32 range", ErrFrame)
 	}
-	if v < 2 && req.Tenant != "" {
-		return nil, fmt.Errorf("%w: tenant %q needs revision 2, encoding at %d", ErrFrame, req.Tenant, v)
-	}
-	if v < 5 && (req.Stamp != 0 || req.Traced) {
-		return nil, fmt.Errorf("%w: client stamp/trace flag needs revision 5, encoding at %d", ErrFrame, v)
-	}
+	var err error
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	dst = appendHeader(dst, v, req.Op, req.ID)
+	dst = appendHeader(dst, req.Op, req.ID)
 	switch req.Op {
 	case OpReserve:
 		dst = appendTime(dst, req.Ready)
 		dst = appendI32(dst, int32(req.Procs))
 		dst = appendTime(dst, req.Dur)
 		dst = appendTime(dst, req.Deadline)
-		if v >= 2 {
-			if dst, err = appendName(dst, req.Tenant); err != nil {
-				return nil, err
-			}
+		if dst, err = appendName(dst, req.Tenant); err != nil {
+			return nil, err
 		}
-		if v >= 5 {
-			dst = appendI64(dst, req.Stamp)
-			var flag byte
-			if req.Traced {
-				flag = 1
-			}
-			dst = append(dst, flag)
+		dst = appendI64(dst, req.Stamp)
+		var flag byte
+		if req.Traced {
+			flag = 1
 		}
+		dst = append(dst, flag)
 	case OpCancel:
 		dst = binary.BigEndian.AppendUint64(dst, req.Resv)
 	case OpQuery:
@@ -643,34 +578,19 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 	return finishFrame(dst, base)
 }
 
-// AppendResponse encodes resp as one frame appended to dst, at the
-// revision resp.Version names (0 = current) — the server answers each
-// request at the revision it arrived with, which is what keeps v1
-// clients decoding v2 servers.
+// AppendResponse encodes resp as one frame appended to dst.
 func AppendResponse(dst []byte, resp Response) ([]byte, error) {
-	v, err := resolveVersion(resp.Version)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.Op.validFor(v) {
-		return nil, fmt.Errorf("%w: invalid op %d at revision %d", ErrFrame, uint8(resp.Op), v)
+	if !resp.Op.valid() {
+		return nil, fmt.Errorf("%w: invalid op %d", ErrFrame, uint8(resp.Op))
 	}
 	if resp.Code > CodeRejectedQuota {
 		return nil, fmt.Errorf("%w: unknown code %d", ErrFrame, uint8(resp.Code))
 	}
-	code := resp.Code
-	if v < 2 && code == CodeRejectedQuota {
-		// The quota code arrived with v2; a v1 reader maps unknown codes
-		// to ErrInternal, which would turn expected load shedding into a
-		// reported server failure. Downgrade to the v1 code with the same
-		// operational meaning — "rejected, cannot admit" — and let the
-		// detail string carry the quota specifics.
-		code = CodeNeverFits
-	}
+	var err error
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
-	dst = appendHeader(dst, v, resp.Op, resp.ID)
-	dst = append(dst, byte(code))
+	dst = appendHeader(dst, resp.Op, resp.ID)
+	dst = append(dst, byte(resp.Code))
 	if resp.Code != CodeOK {
 		detail := resp.Detail
 		if len(detail) > maxDetail {
@@ -696,6 +616,9 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 			dst = appendI32(dst, int32(f))
 		}
 	case OpSnapshot:
+		if resp.M < -1<<31 || resp.M > 1<<31-1 {
+			return nil, fmt.Errorf("%w: snapshot machine size exceeds int32 range", ErrFrame)
+		}
 		dst = appendI32(dst, int32(resp.M))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Segs)))
 		for _, s := range resp.Segs {
@@ -707,27 +630,8 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %d shards in Stats response", ErrFrame, len(resp.Stats))
 		}
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Stats)))
-		for _, st := range resp.Stats {
-			dst = appendI64(dst, int64(st.Active))
-			dst = appendI64(dst, st.CommittedArea)
-			dst = binary.BigEndian.AppendUint64(dst, st.Admitted)
-			dst = binary.BigEndian.AppendUint64(dst, st.Cancelled)
-			dst = binary.BigEndian.AppendUint64(dst, st.Rejected)
-			dst = binary.BigEndian.AppendUint64(dst, st.RejectedDeadline)
-			if v >= 2 {
-				// RejectedQuota arrived with v2; a v1 reader gets the
-				// layout it knows and simply cannot see quota rejections.
-				dst = binary.BigEndian.AppendUint64(dst, st.RejectedQuota)
-			}
-			if v >= 3 {
-				// The rebalancing fields arrived with v3; down-level
-				// readers get their own layout and cannot see migrations.
-				dst = binary.BigEndian.AppendUint64(dst, st.MigratedIn)
-				dst = binary.BigEndian.AppendUint64(dst, st.MigratedOut)
-				dst = appendTime(dst, st.SlackP99)
-			}
-			dst = binary.BigEndian.AppendUint64(dst, st.Batches)
-			dst = binary.BigEndian.AppendUint64(dst, st.Ops)
+		for i := range resp.Stats {
+			dst = appendShardStats(dst, &resp.Stats[i])
 		}
 	case OpQuotaGet:
 		q := resp.Quota
@@ -763,11 +667,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 			}
 			dst = binary.BigEndian.AppendUint64(dst, tr.Seq)
 			dst = appendI64(dst, tr.Arrival.UnixNano())
-			if v >= 5 {
-				// The cross-wire span arrived with v5; a v4 reader gets
-				// the layout it knows and cannot see the client stamp.
-				dst = appendI64(dst, int64(tr.ClientSend))
-			}
+			dst = appendI64(dst, int64(tr.ClientSend))
 			dst = appendI64(dst, int64(tr.Route))
 			dst = appendI64(dst, int64(tr.Enqueue))
 			dst = appendI64(dst, int64(tr.BatchStart))
@@ -800,7 +700,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 				return nil, fmt.Errorf("%w: %d shards in telemetry", ErrFrame, len(t.Shards))
 			}
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Shards)))
-			for i, st := range t.Shards {
+			for i := range t.Shards {
 				var q int
 				if i < len(t.Queue) {
 					q = t.Queue[i]
@@ -809,18 +709,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 					return nil, fmt.Errorf("%w: queue depth exceeds int32 range", ErrFrame)
 				}
 				dst = appendI32(dst, int32(q))
-				dst = appendI64(dst, int64(st.Active))
-				dst = appendI64(dst, st.CommittedArea)
-				dst = binary.BigEndian.AppendUint64(dst, st.Admitted)
-				dst = binary.BigEndian.AppendUint64(dst, st.Cancelled)
-				dst = binary.BigEndian.AppendUint64(dst, st.Rejected)
-				dst = binary.BigEndian.AppendUint64(dst, st.RejectedDeadline)
-				dst = binary.BigEndian.AppendUint64(dst, st.RejectedQuota)
-				dst = binary.BigEndian.AppendUint64(dst, st.MigratedIn)
-				dst = binary.BigEndian.AppendUint64(dst, st.MigratedOut)
-				dst = appendTime(dst, st.SlackP99)
-				dst = binary.BigEndian.AppendUint64(dst, st.Batches)
-				dst = binary.BigEndian.AppendUint64(dst, st.Ops)
+				dst = appendShardStats(dst, &t.Shards[i])
 			}
 		}
 		if t.Mask&WatchTenants != 0 {
@@ -955,25 +844,37 @@ func (r *reader) bytes(n int) []byte {
 	return v
 }
 
-// header consumes and validates the shared frame header, returning
-// op, id and the frame's revision (normalised to 0 when current, so a
-// decode→encode round trip reproduces the revision it read).
-func (r *reader) header() (Op, uint64, uint8) {
+// header consumes and validates the shared frame header, returning op
+// and id.
+func (r *reader) header() (Op, uint64) {
 	if magic := r.u16(); r.err == nil && magic != Magic {
 		r.err = fmt.Errorf("%w: magic %#04x", ErrFrame, magic)
 	}
-	v := r.u8()
-	if r.err == nil && (v < VersionV1 || v > Version) {
-		r.err = fmt.Errorf("%w: got %d, support %d..%d", ErrVersion, v, VersionV1, Version)
+	if v := r.u8(); r.err == nil && v != Version {
+		r.err = fmt.Errorf("%w: got %d, speak %d", ErrVersion, v, Version)
 	}
 	op := Op(r.u8())
-	if r.err == nil && !op.validFor(v) {
-		r.err = fmt.Errorf("%w: unknown op %d at revision %d", ErrFrame, uint8(op), v)
+	if r.err == nil && !op.valid() {
+		r.err = fmt.Errorf("%w: unknown op %d", ErrFrame, uint8(op))
 	}
-	if v == Version {
-		v = 0
-	}
-	return op, r.u64(), v
+	return op, r.u64()
+}
+
+// shardStats reads one shard entry (shardEntryLen bytes), the layout
+// appendShardStats writes.
+func (r *reader) shardStats(st *resd.ShardStats) {
+	st.Active = int(r.i64())
+	st.CommittedArea = r.i64()
+	st.Admitted = r.u64()
+	st.Cancelled = r.u64()
+	st.Rejected = r.u64()
+	st.RejectedDeadline = r.u64()
+	st.RejectedQuota = r.u64()
+	st.MigratedIn = r.u64()
+	st.MigratedOut = r.u64()
+	st.SlackP99 = r.time()
+	st.Batches = r.u64()
+	st.Ops = r.u64()
 }
 
 // name reads a one-byte-length-prefixed tenant or group name.
@@ -1004,34 +905,27 @@ func (r *reader) done() error {
 
 // DecodeRequest parses one request payload (a frame minus its length
 // prefix). It never panics on hostile input and consumes the payload
-// exactly or fails. Frames from revision 1 decode with their pre-tenancy
-// layout — a v1 Reserve carries no tenant and lands on the default
-// tenant, which is the backward-compatibility contract of the v2 bump.
+// exactly or fails.
 func DecodeRequest(payload []byte) (Request, error) {
 	r := &reader{b: payload}
 	var req Request
-	req.Op, req.ID, req.Version = r.header()
+	req.Op, req.ID = r.header()
 	if r.err != nil {
 		return Request{}, r.err
 	}
-	v := concrete(req.Version) // header normalises the current revision to 0
 	switch req.Op {
 	case OpReserve:
 		req.Ready = r.time()
 		req.Procs = int(r.i32())
 		req.Dur = r.time()
 		req.Deadline = r.time()
-		if v >= 2 {
-			req.Tenant = r.name()
+		req.Tenant = r.name()
+		req.Stamp = r.i64()
+		flag := r.u8()
+		if r.err == nil && flag > 1 {
+			r.err = fmt.Errorf("%w: trace flag %d", ErrFrame, flag)
 		}
-		if v >= 5 {
-			req.Stamp = r.i64()
-			flag := r.u8()
-			if r.err == nil && flag > 1 {
-				r.err = fmt.Errorf("%w: trace flag %d", ErrFrame, flag)
-			}
-			req.Traced = flag == 1
-		}
+		req.Traced = flag == 1
 	case OpCancel:
 		req.Resv = r.u64()
 	case OpQuery:
@@ -1068,18 +962,13 @@ func DecodeRequest(payload []byte) (Request, error) {
 func DecodeResponse(payload []byte) (Response, error) {
 	r := &reader{b: payload}
 	var resp Response
-	resp.Op, resp.ID, resp.Version = r.header()
+	resp.Op, resp.ID = r.header()
 	if r.err != nil {
 		return Response{}, r.err
 	}
-	v := concrete(resp.Version)
 	resp.Code = Code(r.u8())
-	maxCode := CodeInternal // CodeRejectedQuota arrived with v2
-	if v >= 2 {
-		maxCode = CodeRejectedQuota
-	}
-	if r.err == nil && resp.Code > maxCode {
-		return Response{}, fmt.Errorf("%w: unknown code %d (max %d at this revision)", ErrFrame, uint8(resp.Code), uint8(maxCode))
+	if r.err == nil && resp.Code > CodeRejectedQuota {
+		return Response{}, fmt.Errorf("%w: unknown code %d", ErrFrame, uint8(resp.Code))
 	}
 	if resp.Code != CodeOK {
 		n := int(r.u16())
@@ -1123,35 +1012,13 @@ func DecodeResponse(payload []byte) (Response, error) {
 		}
 	case OpStats:
 		n := int(r.u32())
-		entry := 64
-		if v >= 2 {
-			entry = 72 // RejectedQuota joined the layout at v2
-		}
-		if v >= 3 {
-			entry = 96 // MigratedIn, MigratedOut, SlackP99 joined at v3
-		}
-		if n > maxShards || (r.err == nil && entry*n > len(r.b)-r.off) {
+		if n > maxShards || (r.err == nil && shardEntryLen*n > len(r.b)-r.off) {
 			r.fail()
 			break
 		}
 		resp.Stats = make([]resd.ShardStats, n)
 		for i := range resp.Stats {
-			resp.Stats[i].Active = int(r.i64())
-			resp.Stats[i].CommittedArea = r.i64()
-			resp.Stats[i].Admitted = r.u64()
-			resp.Stats[i].Cancelled = r.u64()
-			resp.Stats[i].Rejected = r.u64()
-			resp.Stats[i].RejectedDeadline = r.u64()
-			if v >= 2 {
-				resp.Stats[i].RejectedQuota = r.u64()
-			}
-			if v >= 3 {
-				resp.Stats[i].MigratedIn = r.u64()
-				resp.Stats[i].MigratedOut = r.u64()
-				resp.Stats[i].SlackP99 = r.time()
-			}
-			resp.Stats[i].Batches = r.u64()
-			resp.Stats[i].Ops = r.u64()
+			r.shardStats(&resp.Stats[i])
 		}
 	case OpQuotaGet:
 		resp.Quota.Tenant = r.name()
@@ -1170,11 +1037,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 		resp.Quota.Rejected = r.u64()
 	case OpTrace:
 		n := int(r.u32())
-		entry := traceEntryLen
-		if v >= 5 {
-			entry += traceV5Extra // ClientSend joined the layout at v5
-		}
-		if n > maxTraces || (r.err == nil && entry*n > len(r.b)-r.off) {
+		if n > maxTraces || (r.err == nil && traceEntryLen*n > len(r.b)-r.off) {
 			r.fail()
 			break
 		}
@@ -1183,9 +1046,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 			tr := &resp.Traces[i]
 			tr.Seq = r.u64()
 			tr.Arrival = time.Unix(0, r.i64())
-			if v >= 5 {
-				tr.ClientSend = time.Duration(r.i64())
-			}
+			tr.ClientSend = time.Duration(r.i64())
 			tr.Route = time.Duration(r.i64())
 			tr.Enqueue = time.Duration(r.i64())
 			tr.BatchStart = time.Duration(r.i64())
@@ -1221,19 +1082,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 			t.Shards = make([]resd.ShardStats, n)
 			for i := range t.Shards {
 				t.Queue[i] = int(r.i32())
-				st := &t.Shards[i]
-				st.Active = int(r.i64())
-				st.CommittedArea = r.i64()
-				st.Admitted = r.u64()
-				st.Cancelled = r.u64()
-				st.Rejected = r.u64()
-				st.RejectedDeadline = r.u64()
-				st.RejectedQuota = r.u64()
-				st.MigratedIn = r.u64()
-				st.MigratedOut = r.u64()
-				st.SlackP99 = r.time()
-				st.Batches = r.u64()
-				st.Ops = r.u64()
+				r.shardStats(&t.Shards[i])
 			}
 		}
 		if t.Mask&WatchTenants != 0 {

@@ -78,7 +78,7 @@
 //	resd_slo_alert_transitions_total        counter  state changes since start
 //	<hist>_window{quantile}                 summary  windowed percentiles per tracked histogram
 //
-// The same evaluated states stream over wire protocol v5 as the
+// The same evaluated states stream over the wire protocol as the
 // WatchSLO telemetry family (see internal/reswire), and obscheck -slo
 // asserts the families and the alert state from the outside.
 package slo

@@ -23,8 +23,8 @@ var (
 )
 
 // DefaultTenant is the tenant every unattributed request is accounted to:
-// in-process callers of the tenantless Reserve/ReserveBy entry points and
-// version-1 wire frames, which predate tenant ids, both land here.
+// an admission whose Request names no tenant lands here, in process and
+// over the wire alike.
 const DefaultTenant = "default"
 
 // DefaultGroup is the group tenants belong to when their spec names none,
