@@ -2,18 +2,17 @@
 // -bench` output and compares the recorded hot paths against their
 // baselines — the tree-backend figures in BENCH_restree.json and
 // BENCH_resd.json, the wire-throughput matrix in BENCH_reswire.json, the
-// multi-tenant quota matrix in BENCH_tenant.json, the rebalancing off/on
-// matrix in BENCH_rebal.json, the instrumentation off/on pair in
-// BENCH_obs.json, and the durability off/buffered/fsync triple in
-// BENCH_wal.json — failing (exit 1) when any measured figure exceeds its
-// recorded baseline by more than the threshold factor.
+// multi-tenant quota matrix in BENCH_tenant.json, the instrumentation
+// off/on pair in BENCH_obs.json, and the durability off/buffered/fsync
+// triple in BENCH_wal.json — failing (exit 1) when any measured figure
+// exceeds its recorded baseline by more than the threshold factor.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'CapacityIndex|ResdThroughput|WireThroughput|TenantThroughput|Rebalance|ObsOverhead|WALOverhead' \
+//	go test -run '^$' -bench 'CapacityIndex|ResdThroughput|WireThroughput|TenantThroughput|ObsOverhead|WALOverhead' \
 //	    -benchtime=0.2s . | tee bench.out
 //	benchgate -bench bench.out -restree BENCH_restree.json -resd BENCH_resd.json \
-//	    -reswire BENCH_reswire.json -tenant BENCH_tenant.json -rebal BENCH_rebal.json \
+//	    -reswire BENCH_reswire.json -tenant BENCH_tenant.json \
 //	    -obs BENCH_obs.json -wal BENCH_wal.json -threshold 2
 //
 // Baselines that record allocs_per_op (the wire and resd throughput
@@ -246,32 +245,6 @@ func tenantBaselines(path string) ([]baseline, error) {
 	return out, nil
 }
 
-// rebalBaselines loads BENCH_rebal.json rows as expectations on
-// BenchmarkRebalance sub-benchmarks (both rebalancer settings on both
-// backends: a regression in the hot-shard baseline is as real as one in
-// the migrated steady state, and a balancer gone thrash-happy shows up
-// as the on axis blowing past its recorded figure).
-func rebalBaselines(path string) ([]baseline, error) {
-	var doc struct {
-		Rows []struct {
-			Backend   string  `json:"backend"`
-			Rebalance string  `json:"rebalance"`
-			NsPerOp   float64 `json:"ns_per_op"`
-		} `json:"rows"`
-	}
-	if err := readJSON(path, &doc); err != nil {
-		return nil, err
-	}
-	var out []baseline
-	for _, r := range doc.Rows {
-		out = append(out, baseline{
-			name: fmt.Sprintf("BenchmarkRebalance/backend=%s/rebalance=%s", r.Backend, r.Rebalance),
-			ns:   r.NsPerOp,
-		})
-	}
-	return out, nil
-}
-
 // obsBaselines loads BENCH_obs.json: each off/on row becomes an
 // expectation on a BenchmarkObsOverhead sub-benchmark, and max_overhead
 // is the instrumentation budget the ratio gate enforces on the measured
@@ -463,7 +436,6 @@ func run() error {
 	resd := flag.String("resd", "BENCH_resd.json", "admission-service baseline ('' to skip)")
 	reswire := flag.String("reswire", "BENCH_reswire.json", "wire-throughput baseline ('' to skip)")
 	tenantPath := flag.String("tenant", "BENCH_tenant.json", "quota-throughput baseline ('' to skip)")
-	rebal := flag.String("rebal", "BENCH_rebal.json", "rebalancing-throughput baseline ('' to skip)")
 	obsPath := flag.String("obs", "BENCH_obs.json", "obs-overhead baseline and ratio budget ('' to skip)")
 	walPath := flag.String("wal", "BENCH_wal.json", "wal-overhead baseline and ratio budget ('' to skip)")
 	threshold := flag.Float64("threshold", 2.0, "allowed slowdown factor vs baseline")
@@ -513,13 +485,6 @@ func run() error {
 	}
 	if *tenantPath != "" {
 		bs, err := tenantBaselines(*tenantPath)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, bs...)
-	}
-	if *rebal != "" {
-		bs, err := rebalBaselines(*rebal)
 		if err != nil {
 			return err
 		}

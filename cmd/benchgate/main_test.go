@@ -232,24 +232,6 @@ func TestBaselineLoaders(t *testing.T) {
 			t.Fatalf("unexpected tenant baseline: %+v", b)
 		}
 	}
-	rb, err := rebalBaselines("../../BENCH_rebal.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rb) != 4 {
-		t.Fatalf("rebal baselines: want 4 rows (2 backends × off/on), got %+v", rb)
-	}
-	wantRebal := map[string]bool{}
-	for _, backend := range []string{"array", "tree"} {
-		for _, mode := range []string{"off", "on"} {
-			wantRebal[fmt.Sprintf("BenchmarkRebalance/backend=%s/rebalance=%s", backend, mode)] = true
-		}
-	}
-	for _, b := range rb {
-		if !wantRebal[b.name] || b.ns <= 0 {
-			t.Fatalf("unexpected rebal baseline: %+v", b)
-		}
-	}
 	ob, budget, err := obsBaselines("../../BENCH_obs.json")
 	if err != nil {
 		t.Fatal(err)

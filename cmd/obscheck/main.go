@@ -140,7 +140,7 @@ func run() error {
 
 // watchTotals is the monotonicity fingerprint of one telemetry frame:
 // every cumulative counter the stream promises never decreases, summed
-// across shards so rebalancing between frames cannot trip the check.
+// across shards.
 type watchTotals struct {
 	admitted, cancelled, rejected, ops, traced uint64
 }

@@ -9,18 +9,11 @@
 //	resdsrv -addr :7433 -shards 8 -m 256 -alpha 0.5
 //	resdsrv -addr 127.0.0.1:0 -placement p2c    # ephemeral port, printed
 //	resdsrv -quotas quotas.json -qhorizon 1000000   # multi-tenant budgets
-//	resdsrv -shards 8 -rebalance 100ms -rebalfreeze 1000   # live rebalancing
 //
-// With -rebalance, a background rebalancer periodically scores the
-// committed-area spread across shards and migrates admitted future
-// reservations from hot partitions to idle ones (two-phase, conserving
-// capacity and tenant quota at every instant). -rebalthreshold sets the
-// imbalance score that triggers a round, -rebalfreeze pins reservations
-// starting within that many ticks of the logical time origin, and
-// -rebalmoves caps migrations per round. Remote clients see the effect in
-// the Stats op's MigratedIn/MigratedOut counters. The
-// "pressure" placement routes each Reserve by the requesting tenant's own
-// per-shard footprint — quota-aware placement for skewed tenant mixes.
+// A reservation stays on the shard that admitted it; -placement decides
+// which that is. The "pressure" placement routes each Reserve by the
+// requesting tenant's own per-shard footprint — quota-aware placement
+// for skewed tenant mixes.
 //
 // With -quotas, the server partitions the reservable α-prefix between
 // tenants: the JSON file declares the enforcement mode ("hard" rejects
@@ -37,14 +30,11 @@
 //
 // With -obs, the server opens a second, HTTP listener exposing the whole
 // observability surface: /metrics (Prometheus text format — per-shard
-// queue depths, ops/batch, admission outcomes by reason, migration and
-// rebalancer counters, per-tenant quota gauges, slack and wire latency
-// summaries), /healthz (503 while draining), and /debug/pprof. -trace N
-// samples 1 in N admissions into a bounded ring served by the wire
-// protocol's Trace op and, with -slow, logs sampled admissions
-// slower than the threshold to stderr. The rebalancer's logical clock
-// defaults to a monotonic source advancing one tick per -tick of wall
-// time, surfaced as the resd_logical_clock_ticks gauge.
+// queue depths, ops/batch, admission outcomes by reason, per-tenant
+// quota gauges, slack and wire latency summaries), /healthz (503 while
+// draining), and /debug/pprof. -trace N samples 1 in N admissions into a
+// bounded ring served by the wire protocol's Trace op and, with -slow,
+// logs sampled admissions slower than the threshold to stderr.
 //
 //	resdsrv -obs :9090 -trace 64 -slow 5ms    # metrics + sampled tracing
 //
@@ -128,12 +118,7 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "pre-reservation generator seed")
 	quotas := flag.String("quotas", "", "tenant quota spec file (JSON); enables multi-tenant budgets")
 	qhorizon := flag.Int64("qhorizon", 1<<20, "accounting horizon the -quotas budgets resolve against")
-	rebalance := flag.Duration("rebalance", 0, "background shard-rebalancing interval (0 = disabled)")
-	rebalthreshold := flag.Float64("rebalthreshold", resd.DefaultRebalanceThreshold, "imbalance score (0..1) that triggers a rebalancing round")
-	rebalfreeze := flag.Int64("rebalfreeze", 0, "frozen window Δ: never migrate reservations starting within Δ ticks")
-	rebalmoves := flag.Int("rebalmoves", resd.DefaultRebalanceMaxMoves, "max migrations per rebalancing round")
 	obsAddr := flag.String("obs", "", "HTTP observability listen address (/metrics, /healthz, /debug/pprof; empty = disabled)")
-	tick := flag.Duration("tick", time.Millisecond, "logical-clock granularity: one rebalancer tick per this much wall time")
 	trace := flag.Int("trace", 0, "sample 1 in N admissions into the trace ring (0 = tracing disabled)")
 	tracebuf := flag.Int("tracebuf", resd.DefaultTraceBuf, "admission trace ring capacity")
 	slow := flag.Duration("slow", 0, "log sampled admissions slower than this to stderr (0 = disabled)")
@@ -163,12 +148,6 @@ func run() error {
 		if err := cliflag.PositiveUnit("alpha", *alpha); err != nil {
 			return fmt.Errorf("%w (α must be positive when -nres > 0)", err)
 		}
-	}
-	if err := cliflag.RebalanceFlags(*rebalance, *rebalthreshold, *rebalfreeze, *rebalmoves); err != nil {
-		return err
-	}
-	if *tick <= 0 {
-		return fmt.Errorf("%w: -tick must be positive, got %v", cliflag.ErrFlag, *tick)
 	}
 	if err := cliflag.First(
 		cliflag.NonNegative("trace", *trace),
@@ -202,12 +181,6 @@ func run() error {
 	if *nres > 0 {
 		pre = workload.ReservationStream(rng.New(*seed^0xBEEF), *m, *alpha, *nres, core.Time(*horizon))
 	}
-
-	// The rebalancer's logical clock: a monotonic source advancing one tick
-	// per -tick of wall time, so -rebalfreeze windows mean wall-clock
-	// durations instead of being pinned at a zero clock.
-	startAt := time.Now()
-	clock := func() core.Time { return core.Time(time.Since(startAt) / *tick) }
 
 	var metrics *obs.Registry
 	if *obsAddr != "" {
@@ -314,12 +287,9 @@ func run() error {
 	svc, err := resd.New(resd.Config{
 		Shards: *shards, M: *m, Alpha: *alpha,
 		Placement: *placement, Batch: *batch, Seed: *seed, Pre: pre,
-		Quotas:         reg,
-		RebalanceEvery: *rebalance, RebalanceThreshold: *rebalthreshold,
-		RebalanceFreeze: core.Time(*rebalfreeze), RebalanceMaxMoves: *rebalmoves,
-		RebalanceNow: clock,
-		Obs:          obsCfg,
-		WAL:          walOpts,
+		Quotas: reg,
+		Obs:    obsCfg,
+		WAL:    walOpts,
 	})
 	if err != nil {
 		return err
@@ -338,8 +308,8 @@ func run() error {
 		rec.SetConfigInfo(map[string]any{
 			"addr": *addr, "shards": *shards, "m": *m, "alpha": *alpha,
 			"placement": *placement, "batch": *batch,
-			"quotas": *quotas, "rebalance": (*rebalance).String(),
-			"trace": *trace, "slow": (*slow).String(),
+			"quotas": *quotas,
+			"trace":  *trace, "slow": (*slow).String(),
 			"waldir": *waldir, "walsync": *walsync, "snapevery": *snapevery,
 			"flightdir": *flightdir, "obs": *obsAddr, "slo": *sloPath,
 		})
@@ -360,10 +330,6 @@ func run() error {
 		fmt.Printf("resdsrv: quotas %s mode, capacity %d processor·ticks, %d declared tenants\n",
 			reg.Mode(), reg.Capacity(), len(reg.Tenants()))
 	}
-	if *rebalance > 0 {
-		fmt.Printf("resdsrv: rebalancer every %v (threshold %.2f, freeze %d ticks, <= %d moves/round)\n",
-			*rebalance, *rebalthreshold, *rebalfreeze, *rebalmoves)
-	}
 	if *trace > 0 {
 		fmt.Printf("resdsrv: tracing 1 in %d admissions (ring %d, slow threshold %v)\n",
 			*trace, *tracebuf, *slow)
@@ -381,9 +347,9 @@ func run() error {
 			len(eng.Objectives()), eng.Period(), eng.BudgetWindow())
 	}
 	if wi := svc.WALInfo(); wi.Enabled {
-		fmt.Printf("resdsrv: wal %s (sync=%s, snapevery=%d): replayed %d records, %d snapshots in %v (moves %d committed / %d aborted, torn=%d corrupt=%d dropped=%dB)\n",
+		fmt.Printf("resdsrv: wal %s (sync=%s, snapevery=%d): replayed %d records, %d snapshots in %v (torn=%d corrupt=%d dropped=%dB)\n",
 			wi.Dir, *walsync, *snapevery, wi.Records, wi.Snapshots, wi.Replay.Round(time.Microsecond),
-			wi.MovesCommitted, wi.MovesAborted, wi.Torn, wi.Corrupt, wi.DroppedBytes)
+			wi.Torn, wi.Corrupt, wi.DroppedBytes)
 	}
 	ready.Store(true)
 	err = srv.Serve(ln)

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cliflag"
 	"repro/internal/resd"
@@ -97,17 +96,5 @@ func TestShutdownFlushLines(t *testing.T) {
 		if !strings.Contains(slow, want) {
 			t.Errorf("slow line %q missing %q", slow, want)
 		}
-	}
-}
-
-func TestRebalanceFlagsWiredThroughCliflag(t *testing.T) {
-	// The shared validator (bounds pinned in cliflag's own tests) is what
-	// this command runs its knobs through; spot-check the wiring accepts
-	// the flag defaults and rejects a bad set.
-	if err := cliflag.RebalanceFlags(0, 0.1, 0, 64); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	if err := cliflag.RebalanceFlags(-time.Second, 0.1, 0, 64); !errors.Is(err, cliflag.ErrFlag) {
-		t.Fatalf("negative interval err = %v, want ErrFlag", err)
 	}
 }

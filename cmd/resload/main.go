@@ -14,7 +14,6 @@
 //	resload -addr 127.0.0.1:7433 -pipeline=false           # RPC baseline
 //	resload -slack 500 -n 20000                            # SLA mode
 //	resload -tenants 8 -skew zipf -quotamode hard          # multi-tenant mix
-//	resload -shards 8 -placement first-fit -rebalance 5ms  # live rebalancing
 //
 // Each request asks for the earliest admissible slot at or after its
 // arrival time; -slack gives every request a deadline that many ticks
@@ -42,14 +41,10 @@
 // soft mode shows fair-share ordering; against a remote server the
 // budgets come from resdsrv's own -quotas file instead.
 //
-// With -rebalance (in-process mode) a background rebalancer migrates
-// admitted future reservations off hot shards while the stream runs —
-// pair it with -placement first-fit for a deliberately skewed baseline —
-// and the summary reports the migrations next to each shard's books. The
-// per-tenant table always includes p99 start-time slack (admitted start −
-// ready) and, under -slack, the tenant's deadline attainment — admitted
-// over admitted + deadline-rejected, the same objective the server's SLO
-// engine (resdsrv -slo) tracks per tenant.
+// The per-tenant table always includes p99 start-time slack (admitted
+// start − ready) and, under -slack, the tenant's deadline attainment —
+// admitted over admitted + deadline-rejected, the same objective the
+// server's SLO engine (resdsrv -slo) tracks per tenant.
 package main
 
 import (
@@ -96,10 +91,6 @@ func run() error {
 	tenants := flag.Int("tenants", 0, "attribute the stream to this many tenants (0 = single default tenant)")
 	skew := flag.String("skew", "uniform", "tenant popularity (uniform or zipf)")
 	quotamode := flag.String("quotamode", "", "in-process quota enforcement with equal shares (hard or soft; '' = no quotas)")
-	rebalance := flag.Duration("rebalance", 0, "in-process background rebalancing interval (0 = disabled)")
-	rebalthreshold := flag.Float64("rebalthreshold", resd.DefaultRebalanceThreshold, "imbalance score (0..1) that triggers a rebalancing round")
-	rebalfreeze := flag.Int64("rebalfreeze", 0, "frozen window Δ: never migrate reservations starting within Δ ticks")
-	rebalmoves := flag.Int("rebalmoves", resd.DefaultRebalanceMaxMoves, "max migrations per rebalancing round")
 	flag.Parse()
 
 	if err := cliflag.First(
@@ -122,9 +113,6 @@ func run() error {
 	}
 	if *statsevery < 0 {
 		return fmt.Errorf("%w: -statsevery must be >= 0, got %v", cliflag.ErrFlag, *statsevery)
-	}
-	if err := cliflag.RebalanceFlags(*rebalance, *rebalthreshold, *rebalfreeze, *rebalmoves); err != nil {
-		return err
 	}
 	if *tenants > maxTenants {
 		// latTenant records tenant indices as uint16; more tenants than
@@ -211,9 +199,7 @@ func run() error {
 		svc, err = resd.New(resd.Config{
 			Shards: *shards, M: *m, Alpha: *alpha,
 			Placement: *placement, Batch: *batch, Seed: *seed, Pre: pre,
-			Quotas:         reg,
-			RebalanceEvery: *rebalance, RebalanceThreshold: *rebalthreshold,
-			RebalanceFreeze: core.Time(*rebalfreeze), RebalanceMaxMoves: *rebalmoves,
+			Quotas: reg,
 		})
 		if err != nil {
 			return err
@@ -225,10 +211,6 @@ func run() error {
 		if reg != nil {
 			fmt.Printf("resload: quotas %s mode, %d tenants × share %.3f of %d processor·ticks\n",
 				reg.Mode(), len(names), 1/float64(len(names)), reg.Capacity())
-		}
-		if *rebalance > 0 {
-			fmt.Printf("resload: rebalancer every %v (threshold %.2f, freeze %d ticks, <= %d moves/round)\n",
-				*rebalance, *rebalthreshold, *rebalfreeze, *rebalmoves)
 		}
 	}
 
@@ -275,25 +257,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	shtbl := stats.NewTable("shard", "active", "area", "admitted", "cancelled", "rej-α", "rej-dl", "rej-q", "mig-in", "mig-out", "slack-p99", "batches", "ops/batch")
-	var migIn, migOut uint64
+	shtbl := stats.NewTable("shard", "active", "area", "admitted", "cancelled", "rej-α", "rej-dl", "rej-q", "slack-p99", "batches", "ops/batch")
 	for i, st := range shardStats {
 		opb := 0.0
 		if st.Batches > 0 {
 			opb = float64(st.Ops) / float64(st.Batches)
 		}
-		migIn += st.MigratedIn
-		migOut += st.MigratedOut
 		shtbl.AddRow(i, st.Active, st.CommittedArea, int64(st.Admitted), int64(st.Cancelled),
 			int64(st.Rejected), int64(st.RejectedDeadline), int64(st.RejectedQuota),
-			int64(st.MigratedIn), int64(st.MigratedOut), int64(st.SlackP99),
-			int64(st.Batches), fmt.Sprintf("%.2f", opb))
+			int64(st.SlackP99), int64(st.Batches), fmt.Sprintf("%.2f", opb))
 	}
 	fmt.Print(shtbl.String())
-	if migIn > 0 || migOut > 0 || *rebalance > 0 {
-		fmt.Printf("rebalancer: %d reservations migrated between shards (in=%d out=%d)\n",
-			migOut, migIn, migOut)
-	}
 	return nil
 }
 
@@ -391,8 +365,7 @@ func tenantTable(names []string, res result) *stats.Table {
 func serverSideFlagsSet() []string {
 	serverOnly := map[string]bool{
 		"shards": true, "nres": true, "placement": true, "batch": true,
-		"quotamode": true, "rebalance": true, "rebalthreshold": true, "rebalfreeze": true,
-		"rebalmoves": true,
+		"quotamode": true,
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) {

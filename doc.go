@@ -38,7 +38,7 @@
 // serves its queue, own admission first), requests group-committed in
 // batches per turn, and admissions routed across shards by
 // pluggable placement policies (first-fit, least-loaded,
-// power-of-two-choices on free area) with the paper's α-admission rule
+// power-of-two-choices on free area, per-tenant pressure) with the paper's α-admission rule
 // enforced per shard. There is one admission call, Admit, taking one
 // Request (tenant, ready time, width, duration, deadline), and it is
 // deadline-aware: it rejects with ErrDeadline when the earliest feasible
@@ -51,20 +51,12 @@
 // for a walkthrough and the internal/resd package comment for the shard
 // and placement model.
 //
-// The shards rebalance themselves: internal/rebal plans migrations of
-// admitted future reservations off hot shards (a pure planner — the
-// imbalance score is the committed-area spread, reservations starting
-// inside a frozen window are pinned, candidate choice is weighted by
-// per-tenant quota pressure) and resd executes each move as a two-phase
-// commit through the shard queues, conserving capacity at every
-// instant and transferring — never double-counting — tenant quota;
-// reservation handles survive migration via forwarded Cancel routing.
-// The "pressure" placement policy closes the loop at admission time,
-// routing each admission by the requesting tenant's own per-shard
-// footprint, and every admission records its start-time slack, surfaced
-// as p99 per shard and per tenant (the SLO face of the α rule).
-// BenchmarkRebalance records skewed-stream throughput recovering toward
-// the balanced curve in BENCH_rebal.json. See examples/rebal.
+// A reservation is placed once: the shard that admits it holds it until
+// it is cancelled, and skew between shards is handled where that choice
+// is made — "least-loaded" by default, and the "pressure" policy, which
+// routes each admission by the requesting tenant's own per-shard
+// footprint. Every admission records its start-time slack, surfaced as
+// p99 per shard and per tenant (the SLO face of the α rule).
 //
 // Admission is multi-tenant: internal/tenant partitions the reservable
 // α-prefix between tenants as hierarchical area budgets (tenant → group

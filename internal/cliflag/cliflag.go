@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"time"
 )
 
 // ErrFlag wraps every validation failure so callers can branch on it.
@@ -88,29 +87,6 @@ func First(errs ...error) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// RebalanceFlags validates the shared -rebalance/-rebalthreshold/
-// -rebalfreeze/-rebalmoves knob set the resdsrv and resload commands
-// expose (one definition, so the two CLIs cannot drift). threshold must
-// be strictly positive: resd treats a zero Config.RebalanceThreshold as
-// "use the default", so accepting an explicit 0 here would silently run
-// at 0.1 while the banner claimed otherwise — callers wanting
-// act-on-any-imbalance pass a tiny epsilon instead.
-func RebalanceFlags(every time.Duration, threshold float64, freeze int64, moves int) error {
-	if every < 0 {
-		return fmt.Errorf("%w: -rebalance must be >= 0, got %v", ErrFlag, every)
-	}
-	if err := PositiveUnit("rebalthreshold", threshold); err != nil {
-		return err
-	}
-	if freeze < 0 {
-		return fmt.Errorf("%w: -rebalfreeze must be >= 0, got %d", ErrFlag, freeze)
-	}
-	if moves < 1 {
-		return fmt.Errorf("%w: -rebalmoves must be >= 1, got %d", ErrFlag, moves)
 	}
 	return nil
 }

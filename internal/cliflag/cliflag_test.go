@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestValidators(t *testing.T) {
@@ -95,44 +94,6 @@ func TestWritableDir(t *testing.T) {
 		}
 		if err := WritableDir("waldir", ro); !errors.Is(err, ErrFlag) {
 			t.Fatalf("read-only dir: err = %v, want ErrFlag", err)
-		}
-	}
-}
-
-func TestRebalanceFlags(t *testing.T) {
-	good := []struct {
-		every     time.Duration
-		threshold float64
-		freeze    int64
-		moves     int
-	}{
-		{0, 0.1, 0, 64},
-		{100 * time.Millisecond, 0.25, 1000, 8},
-		{time.Second, 1, 0, 1},
-	}
-	for _, c := range good {
-		if err := RebalanceFlags(c.every, c.threshold, c.freeze, c.moves); err != nil {
-			t.Errorf("RebalanceFlags(%v, %v, %d, %d) = %v, want nil",
-				c.every, c.threshold, c.freeze, c.moves, err)
-		}
-	}
-	bad := []struct {
-		every     time.Duration
-		threshold float64
-		freeze    int64
-		moves     int
-	}{
-		{-time.Second, 0.1, 0, 64},
-		{0, -0.1, 0, 64},
-		{0, 0, 0, 64}, // explicit 0 would silently run at the default
-		{0, 1.5, 0, 64},
-		{0, 0.1, -5, 64},
-		{0, 0.1, 0, 0},
-	}
-	for _, c := range bad {
-		if err := RebalanceFlags(c.every, c.threshold, c.freeze, c.moves); !errors.Is(err, ErrFlag) {
-			t.Errorf("RebalanceFlags(%v, %v, %d, %d) = %v, want ErrFlag",
-				c.every, c.threshold, c.freeze, c.moves, err)
 		}
 	}
 }

@@ -10,14 +10,13 @@
 //
 // The Journal is a fixed-size ring of typed Events: severity (info /
 // warn / error), a wall-clock stamp plus a monotonic offset, the
-// originating subsystem ("resd", "wal", "rebal", "reswire", "flight"),
+// originating subsystem ("resd", "wal", "reswire", "flight"),
 // the shard (-1 for node-wide), an optional tenant, a message, and
 // structured key/value pairs. Hook points across the service feed it:
 //
-//	resd     WAL replay verdicts, migration commits/aborts, quota
-//	         overflow-book activation, slow batch turns, WAL failures
+//	resd     WAL replay verdicts, quota overflow-book activation, slow
+//	         batch turns, WAL failures
 //	wal      log rotations, snapshot writes, snapshot failures
-//	rebal    round outcomes, balancer backoff changes
 //	reswire  frame errors, refused revisions, watch slow-consumer drops
 //	flight   health transitions, bundle captures
 //

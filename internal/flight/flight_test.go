@@ -81,7 +81,7 @@ func TestJournalMetrics(t *testing.T) {
 // dumps read without a decoder table.
 func TestSeverityJSON(t *testing.T) {
 	j := NewJournal(2, nil)
-	j.Record(Warn, "rebal", -1, "backoff")
+	j.Record(Warn, "wal", -1, "torn tail")
 	raw, err := json.Marshal(j.Tail(0))
 	if err != nil {
 		t.Fatal(err)

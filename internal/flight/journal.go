@@ -13,10 +13,10 @@ type Severity uint8
 
 const (
 	// Info records normal-but-notable lifecycle moments (replay
-	// verdicts, migration commits, snapshot rotations).
+	// verdicts, snapshot rotations).
 	Info Severity = iota
 	// Warn records conditions the service absorbed but an operator
-	// should know about (torn WAL tails, slow consumers, backoff).
+	// should know about (torn WAL tails, slow consumers).
 	Warn
 	// Error records damage: a shard degraded to non-durable, corrupt
 	// records dropped, a snapshot write that failed.
@@ -84,7 +84,7 @@ type Event struct {
 // Journal is the bounded structured event journal: a mutex-protected
 // ring of typed records plus lock-free per-severity counters, mirrored
 // into an obs registry as flight_events_total{severity}. Event rates
-// are operational (replays, migrations, damage), not per-request, so
+// are operational (replays, rotations, damage), not per-request, so
 // one short critical section per event is cheap; readers (Tail, the
 // HTTP surface, bundles) copy out under the same mutex.
 //

@@ -128,38 +128,20 @@
 // layer may gate placement but never perturb it — a single tenant with a
 // full budget replays to bit-identical sched.FCFS placements.
 //
-// # Live rebalancing and reservation migration
+// # Placed once
 //
-// Placement alone cannot undo history: a skewed arrival stream (or the
-// deliberately naive first-fit policy) leaves some shards saturated while
-// others idle, stranding reservable α-prefix area the admission rule says
-// may be spent. The rebalancer (Config.RebalanceEvery, or Rebalance /
-// RebalanceAll driven manually) is the first subsystem that mutates
-// reservations after admission: it scores the committed-area spread
-// across shards from the lock-free load summaries (rebal.Imbalance — a
-// cheap atomic pre-check per tick when balanced), and past
-// Config.RebalanceThreshold it plans migrations (internal/rebal, a pure
-// deterministic planner) and executes each as a two-phase commit through
-// the ordinary shard queues: tentatively commit on the target
-// (capacity held, the copy pending and invisible), forward the Cancel
-// routing, release on the source, finalise on the target — or roll the
-// tentative copy back when the reservation was cancelled mid-move.
-// Capacity is conserved at every instant (the brief double-hold is the
-// conservative overlap of any two-phase move), tenant quota is neither
-// charged nor released (the original admission's charge rides along, so
-// the registry ledger is untouched and nothing is double-counted), and
-// per-shard tenant books transfer with the reservation. Reservations
-// starting within Config.RebalanceFreeze ticks of the rebalancer's
-// logical now are pinned — work about to start is never yanked between
-// partitions. Migrated reservations keep their IDs: Cancel follows a
-// forwarding overlay, waiting out any in-flight move, so handles never
-// break. Rounds are serialized, cap their moves (RebalanceMaxMoves) so
-// shards are never stalled by one huge transfer, plan with hysteresis
-// (down to half the trigger threshold) so the balancer cannot oscillate
-// around its own trigger, and back off exponentially when nothing is
-// movable. BenchmarkRebalance (BENCH_rebal.json) records the payoff:
-// under a first-fit-skewed stream, admission throughput recovers toward
-// the balanced curve once the backlog migrates.
+// A reservation is bound to its shard when it is admitted and stays
+// there until it is cancelled: an ID's shard bits are its home for life,
+// which is all Cancel needs to route it. Skew between shards is handled
+// where the binding is made, at placement — "least-loaded" by default,
+// which routes every admission to the exact minimum of committed area,
+// and "pressure" where tenants differ, which spreads each tenant's own
+// footprint — and nothing re-decides the shard afterwards. Only
+// "first-fit" piles load up, and it is there as the naive baseline the
+// others are measured against. A shard's admission cost barely depends on
+// how much it holds (internal/restree steps over whole leaves), so what
+// skew costs is reservable α-prefix area stranded on the idle shards, and
+// that is a question of where requests are sent first.
 //
 // # Start-time slack: the SLO metric
 //
@@ -183,21 +165,16 @@
 // while it applies them, and the whole batch is flushed — and, under
 // wal.SyncBatch, fsynced — once before any of its replies are released.
 // Durability rides the turn the combiner already takes; it never adds
-// a per-admission syscall. The record types mirror the shard
-// transitions one to one:
+// a per-admission syscall. The two record types mirror the shard's two
+// transitions:
 //
-//	admit (TAdmit)                    admission committed: the canonical Request plus assigned ID and start
-//	cancel (TCancel)                  release of an admitted reservation
-//	migrate-in (TMigrateIn)           two-phase move, target side: tentative copy durable, invisible until commit
-//	migrate-out (TMigrateOut)         source released the reservation toward Peer; opens the source's "open out"
-//	migrate-commit (TMigrateCommit)   target finalised the pending copy
-//	migrate-abort (TMigrateAbort)     target rolled the pending copy back
-//	migrate-out-ack (TMigrateOutAck)  source observed the outcome; pure recovery bookkeeping
+//	admit (TAdmit)    admission committed: the canonical Request plus assigned ID and start
+//	cancel (TCancel)  release of an admitted reservation
 //
 // Every Options.SnapEvery records the shard snapshots its full state
-// (reservation book, tenant accounts, open migration legs), rotates to
-// a fresh log generation and deletes the generations the snapshot made
-// redundant, bounding both disk and replay time.
+// (reservation book, tenant accounts), rotates to a fresh log generation
+// and deletes the generations the snapshot made redundant, bounding both
+// disk and replay time.
 //
 // New replays before serving: newest decodable snapshot, then the
 // surviving log suffix, re-committing each record through the same
@@ -220,15 +197,15 @@
 //     WALInfo.Corrupt/DroppedBytes instead of failing the boot; a log
 //     that contradicts itself (a cancel for an ID never admitted) does
 //     fail New, because it means the writer, not the disk, was wrong.
-//   - Mid-flight moves commit or abort, never duplicate. The executor
-//     orders writes so the log decides: the tentative copy is durable
-//     on the target before the source is asked to release, and the
-//     source's migrate-out is durable before the commit is sent back.
-//     At replay, a pending copy on T from S commits iff S's log shows
-//     an open out naming T; every other combination aborts the copy
-//     (the reservation stays where the source log says it is).
-//     Resolutions are appended to the boot generation and synced, so a
-//     second crash cannot resurrect a resolved move.
+//   - Migration state is refused, not repaired. Record types 3–7 and
+//     the snapshot slots beside them are retired (internal/wal): an
+//     intact move record, a pending copy, an open out, or a live
+//     reservation on a shard other than the one its ID names fails New
+//     with wal.ErrRetired, naming shard, file and record type. The
+//     shard's files are not repaired and no boot generation is opened
+//     (every shard is read before any log is), so the directory stays
+//     readable by the build that wrote it. Migration counters in a
+//     snapshot whose moves all finished are dropped.
 //   - Quota is recharged, not re-checked: recovery re-charges each
 //     tenant's registry account for the reservations that survived
 //     replay (they were admitted once; rejecting them now would lose
@@ -238,7 +215,7 @@
 // rejection counters, slack and turn-latency histograms, sampled traces —
 // restart at zero, exactly as obs counters do across any restart.
 // Service.WALInfo reports what replay found (records, snapshots, torn/
-// corrupt damage, move resolutions, duration); resdsrv prints it as the
+// corrupt damage, duration); resdsrv prints it as the
 // boot banner and holds /healthz at 503 until replay finishes.
 // BenchmarkWALOverhead (BENCH_wal.json) prices the buffered machinery
 // against the WAL-off baseline, with the batch-fsync figure recorded as
@@ -263,16 +240,10 @@
 //	resd_admitted_total{shard}             counter  admissions
 //	resd_cancelled_total{shard}            counter  cancellations
 //	resd_rejected_total{shard,reason}      counter  reason ∈ capacity|deadline|quota
-//	resd_migrated_total{shard,dir}         counter  dir ∈ in|out
 //	resd_slack_ticks{shard,quantile}       summary  start-time slack p50/p90/p99
 //	resd_loop_turn_ns{shard,quantile}      summary  batch apply+publish latency
 //	resd_traces_sampled_total              counter  admissions sampled into the ring
 //	resd_slow_requests_total               counter  sampled traces over the slow threshold
-//	resd_logical_clock_ticks               gauge    Config.RebalanceNow's current value
-//	resd_rebalance_rounds_total            counter  rebalancing rounds run
-//	resd_rebalance_moves_total{result}     counter  result ∈ applied|aborted|skipped
-//	resd_rebalance_imbalance{phase}        gauge    score around the last round (before|after)
-//	resd_rebalance_backoff_skips           gauge    background balancer backoff state
 //	tenant_quota_capacity                  gauge    registry capacity
 //	tenant_quota_budget{tenant}            gauge    budgeted share
 //	tenant_quota_used{tenant}              gauge    area currently charged
@@ -300,7 +271,6 @@
 //	resd_wal_torn_tails                    gauge    torn mid-write tails discarded
 //	resd_wal_corrupt_records               gauge    checksum-failed records replay stopped at
 //	resd_wal_dropped_bytes                 gauge    bytes replay could not apply
-//	resd_wal_replayed_moves{outcome}       gauge    outcome ∈ committed|aborted
 //
 // An ObsConfig carrying an SLO engine (ObsConfig.SLO; see internal/slo
 // for objective and burn-rate-rule semantics) adds the alerting
@@ -348,9 +318,8 @@
 // its duration and batch size even when it never trips the watchdog.
 //
 // The same journal replaces the service's ad-hoc stderr prints: WAL
-// write failures and replay verdicts, migration commits and aborts,
-// rebalancer rounds and backoff, quota overflow-tenant activation all
-// become structured events (flight_events_total{severity}) an operator
+// write failures and replay verdicts, quota overflow-tenant activation
+// all become structured events (flight_events_total{severity}) an operator
 // reads from /debug/flight — see internal/flight's package doc for the
 // journal format and the watchdog's exact rules. An ObsConfig carrying
 // a SlowLog also gains resd_slow_log_dropped_total: the callback runs

@@ -1,7 +1,6 @@
 package resd
 
 import (
-	"math"
 	"strconv"
 	"time"
 
@@ -41,8 +40,8 @@ type ObsConfig struct {
 	// not at all.
 	SlowLog func(TraceRecord)
 	// Flight attaches the node's flight recorder: the service journals
-	// operational events (replay verdicts, WAL damage, migrations,
-	// quota overflow, slow batch turns) through it, every shard's combiner
+	// operational events (replay verdicts, WAL damage, quota overflow,
+	// slow batch turns) through it, every shard's combiner
 	// publishes heartbeats from its batch turn, and New arms the
 	// recorder's watchdog with the service's probes (Close disarms
 	// it). Nil disables flight recording; see internal/flight.
@@ -105,12 +104,6 @@ func (s *Service) registerObs() {
 		reg.CounterFunc("resd_rejected_total",
 			"Rejected admission attempts by reason.",
 			sh.rejectedQuota.Load, lbl, obs.L("reason", "quota"))
-		reg.CounterFunc("resd_migrated_total",
-			"Reservations the rebalancer moved, by direction.",
-			sh.migratedIn.Load, lbl, obs.L("dir", "in"))
-		reg.CounterFunc("resd_migrated_total",
-			"Reservations the rebalancer moved, by direction.",
-			sh.migratedOut.Load, lbl, obs.L("dir", "out"))
 		if wl := sh.wlog; wl != nil {
 			reg.CounterFunc("resd_wal_bytes_total",
 				"Bytes appended to the shard's write-ahead log.",
@@ -181,14 +174,6 @@ func (s *Service) registerObs() {
 		reg.GaugeFunc("resd_wal_dropped_bytes",
 			"Log bytes replay could not apply (torn tails and corrupt suffixes).",
 			func() float64 { return float64(s.walInfo.DroppedBytes) })
-		reg.GaugeFunc("resd_wal_replayed_moves",
-			"Migration intents replay resolved, by outcome.",
-			func() float64 { return float64(s.walInfo.MovesCommitted) },
-			obs.L("outcome", "committed"))
-		reg.GaugeFunc("resd_wal_replayed_moves",
-			"Migration intents replay resolved, by outcome.",
-			func() float64 { return float64(s.walInfo.MovesAborted) },
-			obs.L("outcome", "aborted"))
 	}
 	// Slack quantiles, computed from each shard's atomic histogram when
 	// scraped; the _count is the admission count it was built from.
@@ -215,30 +200,6 @@ func (s *Service) registerObs() {
 				s.tracer.slowQ.Dropped)
 		}
 	}
-	if s.cfg.RebalanceNow != nil {
-		reg.GaugeFunc("resd_logical_clock_ticks",
-			"Current value of the service's logical clock (RebalanceNow).",
-			func() float64 { return float64(s.cfg.RebalanceNow()) })
-	}
-	reg.CounterFunc("resd_rebalance_rounds_total",
-		"Rebalancing rounds that ran (including no-op rounds).", s.balRounds.Load)
-	reg.CounterFunc("resd_rebalance_moves_total",
-		"Rebalancer move outcomes.", s.balApplied.Load, obs.L("result", "applied"))
-	reg.CounterFunc("resd_rebalance_moves_total",
-		"Rebalancer move outcomes.", s.balAborted.Load, obs.L("result", "aborted"))
-	reg.CounterFunc("resd_rebalance_moves_total",
-		"Rebalancer move outcomes.", s.balSkipped.Load, obs.L("result", "skipped"))
-	reg.GaugeFunc("resd_rebalance_imbalance",
-		"Imbalance score (1 − min/max committed area) around the last round.",
-		func() float64 { return math.Float64frombits(s.balBefore.Load()) },
-		obs.L("phase", "before"))
-	reg.GaugeFunc("resd_rebalance_imbalance",
-		"Imbalance score (1 − min/max committed area) around the last round.",
-		func() float64 { return math.Float64frombits(s.balAfter.Load()) },
-		obs.L("phase", "after"))
-	reg.GaugeFunc("resd_rebalance_backoff_skips",
-		"Ticks the background balancer is currently skipping (backoff state).",
-		func() float64 { return float64(s.balBackoff.Load()) })
 	if q := s.cfg.Quotas; q != nil {
 		reg.GaugeFunc("tenant_quota_capacity",
 			"Reservable α-prefix area the quota registry budgets against.",

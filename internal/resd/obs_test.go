@@ -6,14 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/tenant"
 )
 
 // TestObsMetricsEndToEnd drives an instrumented service and checks the
 // acceptance surface of a scrape: per-shard queue depth, ops/batch,
-// admission outcomes, migration counters, per-tenant quota gauges and
+// admission outcomes, per-tenant quota gauges and
 // slack quantiles — all present, all strictly parseable.
 func TestObsMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -23,13 +22,11 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := func() core.Time { return 7 }
 	s := mustNew(t, Config{
-		Shards:       2,
-		M:            8,
-		Quotas:       quotas,
-		RebalanceNow: clock,
-		Obs:          &ObsConfig{Registry: reg, TraceSample: 1},
+		Shards: 2,
+		M:      8,
+		Quotas: quotas,
+		Obs:    &ObsConfig{Registry: reg, TraceSample: 1},
 	})
 
 	if _, err := s.Admit(Request{Tenant: "acme", Q: 4, Dur: 10, Deadline: NoDeadline}); err != nil {
@@ -43,9 +40,6 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 		t.Fatal("deadline rejection expected")
 	}
 	if err := s.Cancel(r2.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Rebalance(0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,11 +63,6 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 		for _, reason := range []string{"capacity", "deadline", "quota"} {
 			if _, ok := exp.Value("resd_rejected_total", map[string]string{"shard": sh, "reason": reason}); !ok {
 				t.Errorf("no rejected{%s,%s}", sh, reason)
-			}
-		}
-		for _, dir := range []string{"in", "out"} {
-			if _, ok := exp.Value("resd_migrated_total", map[string]string{"shard": sh, "dir": dir}); !ok {
-				t.Errorf("no migrated{%s,%s}", sh, dir)
 			}
 		}
 		for _, q := range []string{"0.5", "0.9", "0.99"} {
@@ -104,12 +93,6 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 				t.Errorf("no %s for tenant %s", fam, ten)
 			}
 		}
-	}
-	if v, ok := exp.Value("resd_logical_clock_ticks", nil); !ok || v != 7 {
-		t.Errorf("logical clock gauge = %v, %v (want 7)", v, ok)
-	}
-	if v, ok := exp.Value("resd_rebalance_rounds_total", nil); !ok || v < 1 {
-		t.Errorf("rebalance rounds = %v, %v", v, ok)
 	}
 	if v, ok := exp.Value("resd_traces_sampled_total", nil); !ok || v != 3 {
 		t.Errorf("traces sampled = %v, %v (want 3: every ReserveFor call)", v, ok)

@@ -80,3 +80,43 @@ func TestPlacementOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestPressurePlacementSpreadsTenants pins the quota-aware placement
+// policy: each tenant's own footprint is what routes it, so one tenant's
+// pile-up never captures another tenant's placement.
+func TestPressurePlacementSpreadsTenants(t *testing.T) {
+	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "pressure"})
+	if s.Placement() != "pressure" {
+		t.Fatalf("placement = %q", s.Placement())
+	}
+	// Tenant a alternates shards: its own area is the primary key.
+	r1, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Shard == r2.Shard {
+		t.Fatalf("tenant a's reservations piled on shard %d", r1.Shard)
+	}
+	r3, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 30, Deadline: NoDeadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a now holds area 20+60 on one side, 20 on the other; shard loads are
+	// unequal. A fresh tenant b has no footprint anywhere, so the tie
+	// breaks to the less-loaded shard — not wherever a went last.
+	lighter := r1.Shard
+	if r3.Shard == r1.Shard {
+		lighter = r2.Shard
+	}
+	rb, err := s.Admit(Request{Tenant: "b", Q: 2, Dur: 10, Deadline: NoDeadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Shard != lighter {
+		t.Fatalf("tenant b routed to shard %d, want the lighter shard %d", rb.Shard, lighter)
+	}
+}

@@ -1,6 +1,7 @@
 package resd
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -28,9 +29,6 @@ type WALInfo struct {
 	Torn         int
 	Corrupt      int
 	DroppedBytes int64
-	// MovesCommitted and MovesAborted count two-phase migrations that
-	// were mid-flight at the crash and were resolved by recovery.
-	MovesCommitted, MovesAborted int
 	// Replay is how long recovery took, start of scan to shards seeded.
 	Replay time.Duration
 }
@@ -45,23 +43,10 @@ type shardSeed struct {
 	log     *wal.Log
 	nextSeq uint64
 
-	admitted, cancelled, migratedIn, migratedOut uint64
+	admitted, cancelled uint64
 
-	books    map[string]TenantStats
-	live     map[ID]active
-	openOuts map[ID]int
-	// fixups are records recovery decided but the crash lost (move
-	// commits/aborts, open-out acks): appended to the fresh boot
-	// generation so the resolution is durable even without snapshots.
-	fixups []wal.Record
-}
-
-func newShardSeed() *shardSeed {
-	return &shardSeed{
-		books:    make(map[string]TenantStats),
-		live:     make(map[ID]active),
-		openOuts: make(map[ID]int),
-	}
+	books map[string]TenantStats
+	live  map[ID]active
 }
 
 // statKey mirrors shard.tstatKey against the seed's books: replay must
@@ -78,6 +63,16 @@ func (sd *shardSeed) statKey(name string) string {
 	return name
 }
 
+// shardErr wraps a recovery failure with its shard. For wal.ErrRetired
+// the error already names the file (hence the generation) and what it
+// holds; what is added is why this build will not read it.
+func shardErr(shard int, err error) error {
+	if errors.Is(err, wal.ErrRetired) {
+		return fmt.Errorf("resd: shard %d: %w — written with the rebalancer, removed in this build; the directory is left as found", shard, err)
+	}
+	return fmt.Errorf("resd: shard %d: %w", shard, err)
+}
+
 // corruptState reports replay arriving at an impossible transition —
 // the log itself was CRC-clean, so the records contradict each other.
 func corruptState(shard int, format string, args ...any) error {
@@ -88,27 +83,28 @@ func corruptState(shard int, format string, args ...any) error {
 // records after it. Pure bookkeeping: the capacity index is rebuilt
 // later, from the surviving live set.
 func replayShard(shard int, snap *wal.Snapshot, recs []wal.Record) (*shardSeed, error) {
-	sd := newShardSeed()
+	sd := &shardSeed{books: make(map[string]TenantStats), live: make(map[ID]active)}
 	if snap != nil {
 		sd.nextSeq = snap.NextSeq
 		sd.admitted, sd.cancelled = snap.Admitted, snap.Cancelled
-		sd.migratedIn, sd.migratedOut = snap.MigratedIn, snap.MigratedOut
 		for _, bk := range snap.Books {
 			sd.books[bk.Tenant] = TenantStats{
 				Active: int(bk.Active), CommittedArea: bk.Area,
 				Admitted: bk.Admitted, Cancelled: bk.Cancelled, RejectedQuota: bk.RejectedQuota,
-				MigratedIn: bk.MigratedIn, MigratedOut: bk.MigratedOut,
 			}
 		}
 		for _, lv := range snap.Live {
-			sd.live[ID(lv.ID)] = active{
+			// An id's shard bits are its home for life, and where Cancel
+			// looks. One living elsewhere was migrated there.
+			id := ID(lv.ID)
+			if id.Shard() != shard {
+				return nil, shardErr(shard, fmt.Errorf("generation %d snapshot: %w: live id %#x was admitted by shard %d",
+					snap.Gen, wal.ErrRetired, lv.ID, id.Shard()))
+			}
+			sd.live[id] = active{
 				start: core.Time(lv.Start), dur: core.Time(lv.Dur), q: lv.Procs,
 				tenant: lv.Tenant, statKey: sd.statKey(lv.Tenant),
-				pending: lv.Pending, from: int(lv.From),
 			}
-		}
-		for _, oo := range snap.OpenOuts {
-			sd.openOuts[ID(oo.ID)] = int(oo.To)
 		}
 	}
 	for _, rec := range recs {
@@ -146,7 +142,7 @@ func (sd *shardSeed) apply(shard int, rec wal.Record) error {
 		}
 	case wal.TCancel:
 		a, ok := sd.live[id]
-		if !ok || a.pending {
+		if !ok {
 			return corruptState(shard, "cancel of unknown id %#x", rec.ID)
 		}
 		delete(sd.live, id)
@@ -157,124 +153,17 @@ func (sd *shardSeed) apply(shard int, rec wal.Record) error {
 		bk.Cancelled++
 		sd.books[a.statKey] = bk
 		sd.cancelled++
-	case wal.TMigrateIn:
-		if _, dup := sd.live[id]; dup {
-			return corruptState(shard, "migrate-in of live id %#x", rec.ID)
-		}
-		sd.live[id] = active{
-			start: core.Time(rec.Start), dur: core.Time(rec.Dur), q: rec.Procs,
-			tenant: rec.Tenant, statKey: sd.statKey(rec.Tenant),
-			pending: true, from: int(rec.Peer),
-		}
-	case wal.TMigrateOut:
-		a, ok := sd.live[id]
-		if !ok || a.pending {
-			return corruptState(shard, "migrate-out of unknown id %#x", rec.ID)
-		}
-		delete(sd.live, id)
-		area := int64(a.dur) * int64(a.q)
-		bk := sd.books[a.statKey]
-		bk.Active--
-		bk.CommittedArea -= area
-		bk.MigratedOut++
-		sd.books[a.statKey] = bk
-		sd.migratedOut++
-		sd.openOuts[id] = int(rec.Peer)
-	case wal.TMigrateCommit:
-		a, ok := sd.live[id]
-		if !ok || !a.pending {
-			return corruptState(shard, "migrate-commit without pending id %#x", rec.ID)
-		}
-		sd.commitPending(id, a)
-	case wal.TMigrateAbort:
-		a, ok := sd.live[id]
-		if !ok || !a.pending {
-			return corruptState(shard, "migrate-abort without pending id %#x", rec.ID)
-		}
-		delete(sd.live, id)
-	case wal.TMigrateOutAck:
-		delete(sd.openOuts, id)
 	default:
 		return corruptState(shard, "unknown record type %d", rec.Type)
 	}
 	return nil
 }
 
-// commitPending finalises a pending migrated-in copy in the seed,
-// mirroring shard.migrateCommit.
-func (sd *shardSeed) commitPending(id ID, a active) {
-	a.pending = false
-	a.from = 0
-	sd.live[id] = a
-	area := int64(a.dur) * int64(a.q)
-	bk := sd.books[a.statKey]
-	bk.Active++
-	bk.CommittedArea += area
-	bk.MigratedIn++
-	sd.books[a.statKey] = bk
-	sd.migratedIn++
-}
-
-// resolvePending settles every two-phase move the crash left mid-
-// flight. A pending migrated-in copy on shard t commits exactly when
-// its source shard's open-out names t — proof the source durably
-// released the reservation toward t — and aborts otherwise (the source
-// either still holds the copy or durably cancelled it). The fsync
-// ordering of the move protocol (in durable before out is sent, out
-// durable before commit is sent) makes the open-out test sound: the
-// answer a crash-free executor would have reached is the one recovery
-// reaches. Every resolution (and every stale open-out left by a lost
-// ack) is queued as a fixup record so the judgment is durable.
-func resolvePending(seeds []*shardSeed) (committed, aborted int) {
-	for t, sd := range seeds {
-		// Deterministic order, so fixup logs are reproducible.
-		ids := make([]ID, 0)
-		for id, a := range sd.live {
-			if a.pending {
-				ids = append(ids, id)
-			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			a := sd.live[id]
-			src := a.from
-			if src >= 0 && src < len(seeds) {
-				if to, open := seeds[src].openOuts[id]; open && to == t {
-					sd.commitPending(id, a)
-					sd.fixups = append(sd.fixups, wal.Record{Type: wal.TMigrateCommit, ID: uint64(id)})
-					delete(seeds[src].openOuts, id)
-					seeds[src].fixups = append(seeds[src].fixups, wal.Record{Type: wal.TMigrateOutAck, ID: uint64(id)})
-					committed++
-					continue
-				}
-			}
-			delete(sd.live, id)
-			sd.fixups = append(sd.fixups, wal.Record{Type: wal.TMigrateAbort, ID: uint64(id)})
-			aborted++
-		}
-	}
-	// Any open-out still unconsumed is a move whose target committed
-	// durably but whose ack was lost (or whose migrated copy has since
-	// been cancelled on the target): close it so no future recovery can
-	// misread it as an in-flight move.
-	for _, sd := range seeds {
-		ids := make([]ID, 0, len(sd.openOuts))
-		for id := range sd.openOuts {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			delete(sd.openOuts, id)
-			sd.fixups = append(sd.fixups, wal.Record{Type: wal.TMigrateOutAck, ID: uint64(id)})
-		}
-	}
-	return committed, aborted
-}
-
 // recoverShards runs the whole recovery pipeline: scan each shard's
-// durable files, replay, resolve cross-shard moves, open the boot
-// generation (appending the resolution fixups), and re-charge the
-// quota registry. Returns nil seeds when cfg.WAL is nil.
+// durable files, replay, open the boot generation, and re-charge the
+// quota registry. Every shard is read before any log is opened, so a
+// directory refused for its migration state (wal.ErrRetired) gains no
+// boot generation. Returns nil seeds when cfg.WAL is nil.
 func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 	var info WALInfo
 	if cfg.WAL == nil {
@@ -288,7 +177,7 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 	for i := range seeds {
 		snap, recs, ri, err := wal.Recover(cfg.WAL.Dir, i)
 		if err != nil {
-			return nil, info, fmt.Errorf("resd: shard %d: %w", i, err)
+			return nil, info, shardErr(i, err)
 		}
 		info.Records += ri.Records
 		if ri.HasSnapshot {
@@ -312,14 +201,11 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 			return nil, info, err
 		}
 	}
-	info.MovesCommitted, info.MovesAborted = resolvePending(seeds)
 	journal.Record(flight.Info, "resd", -1, "wal replay complete",
 		flight.KV{K: "records", V: fmt.Sprint(info.Records)},
 		flight.KV{K: "snapshots", V: fmt.Sprint(info.Snapshots)},
 		flight.KV{K: "torn", V: fmt.Sprint(info.Torn)},
-		flight.KV{K: "corrupt", V: fmt.Sprint(info.Corrupt)},
-		flight.KV{K: "moves_committed", V: fmt.Sprint(info.MovesCommitted)},
-		flight.KV{K: "moves_aborted", V: fmt.Sprint(info.MovesAborted)})
+		flight.KV{K: "corrupt", V: fmt.Sprint(info.Corrupt)})
 	closeAll := func() {
 		for _, sd := range seeds {
 			if sd.log != nil {
@@ -334,16 +220,6 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 			return nil, info, fmt.Errorf("resd: shard %d: %w", i, err)
 		}
 		sd.log = l
-		for _, rec := range sd.fixups {
-			if err := l.Append(rec); err != nil {
-				closeAll()
-				return nil, info, fmt.Errorf("resd: shard %d: %w", i, err)
-			}
-		}
-		if err := l.Commit(); err != nil {
-			closeAll()
-			return nil, info, fmt.Errorf("resd: shard %d: %w", i, err)
-		}
 	}
 	// Re-charge the quota registry: every surviving reservation holds
 	// exactly the budget its original admission acquired. The pre-crash
@@ -375,36 +251,28 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 // bootSnapshot captures a seed's state as the snapshot anchoring the
 // freshly opened boot generation.
 func (sd *shardSeed) bootSnapshot(shard int, gen uint64) *wal.Snapshot {
-	return buildSnapshot(shard, gen, sd.nextSeq,
-		sd.admitted, sd.cancelled, sd.migratedIn, sd.migratedOut,
-		sd.books, sd.live, sd.openOuts)
+	return buildSnapshot(shard, gen, sd.nextSeq, sd.admitted, sd.cancelled, sd.books, sd.live)
 }
 
 // buildSnapshot assembles a wal.Snapshot from shard-shaped state (used
 // both for the boot snapshot and the periodic captures between turns).
-func buildSnapshot(shard int, gen, nextSeq uint64,
-	admitted, cancelled, migratedIn, migratedOut uint64,
-	books map[string]TenantStats, live map[ID]active, openOuts map[ID]int) *wal.Snapshot {
+func buildSnapshot(shard int, gen, nextSeq, admitted, cancelled uint64,
+	books map[string]TenantStats, live map[ID]active) *wal.Snapshot {
 	s := &wal.Snapshot{
 		Shard: shard, Gen: gen, NextSeq: nextSeq,
 		Admitted: admitted, Cancelled: cancelled,
-		MigratedIn: migratedIn, MigratedOut: migratedOut,
 	}
 	for name, ts := range books {
 		s.Books = append(s.Books, wal.TenantBook{
 			Tenant: name, Active: int64(ts.Active), Area: ts.CommittedArea,
 			Admitted: ts.Admitted, Cancelled: ts.Cancelled, RejectedQuota: ts.RejectedQuota,
-			MigratedIn: ts.MigratedIn, MigratedOut: ts.MigratedOut,
 		})
 	}
 	for id, a := range live {
 		s.Live = append(s.Live, wal.Live{
 			ID: uint64(id), Start: int64(a.start), Dur: int64(a.dur), Procs: a.q,
-			Tenant: a.tenant, Pending: a.pending, From: uint32(a.from),
+			Tenant: a.tenant,
 		})
-	}
-	for id, to := range openOuts {
-		s.OpenOuts = append(s.OpenOuts, wal.OpenOut{ID: uint64(id), To: uint32(to)})
 	}
 	return s
 }

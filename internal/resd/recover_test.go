@@ -2,11 +2,14 @@ package resd
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -107,8 +110,7 @@ func assertSameState(t *testing.T, ref, svc *Service) {
 	for i := range ws {
 		w, g := ws[i], gs[i]
 		if g.Active != w.Active || g.CommittedArea != w.CommittedArea ||
-			g.Admitted != w.Admitted || g.Cancelled != w.Cancelled ||
-			g.MigratedIn != w.MigratedIn || g.MigratedOut != w.MigratedOut {
+			g.Admitted != w.Admitted || g.Cancelled != w.Cancelled {
 			t.Fatalf("shard %d: stats differ: got %+v, want %+v", i, g, w)
 		}
 	}
@@ -329,163 +331,126 @@ func writeShardLog(t *testing.T, dir string, shard int, recs ...wal.Record) {
 	}
 }
 
-// TestRecoveryResolvesMoves covers the two-phase migration crash
-// points. The protocol's durability order is: migrate-in durable on the
-// target before the source sends its record, migrate-out durable on the
-// source before the commit is sent. A pending in therefore commits iff
-// the source's open-out names the target, and aborts otherwise.
-func TestRecoveryResolvesMoves(t *testing.T) {
-	id := makeID(0, 0)
-	admit := wal.Record{Type: wal.TAdmit, ID: uint64(id), Ready: 0, Procs: 2, Dur: 10, Deadline: int64(NoDeadline), Start: 0}
-	in := wal.Record{Type: wal.TMigrateIn, ID: uint64(id), Peer: 0, Start: 0, Dur: 10, Procs: 2}
+// Shard 1's generation-1 snapshot as the last build with a rebalancer
+// encoded it: two live reservations of tenant "default" — (start 0,
+// dur 10, q 2) and (start 10, dur 20, q 2) — next sequence 2.
+// snapMovedCounters has every migration counter at 4 and nothing else;
+// in snapPending the second entry is a pending copy of shard 0's
+// id 7, in snapForeign a committed one; snapOpenOut has an unacknowledged
+// out of id (1,2) to shard 0.
+const (
+	snapMovedCounters = "52534e500101010202000404010764656661756c7404780200000404028080808080804000140200000764656661756c748180808080804014280200000764656661756c74003ba7d097"
+	snapPending       = "52534e500101010202000000010764656661756c7402280200000000020714280201000764656661756c748080808080804000140200000764656661756c74004dbe77e6"
+	snapOpenOut       = "52534e500101010202000000010764656661756c7404780200000000028080808080804000140200000764656661756c748180808080804014280200000764656661756c74018280808080804000be69e966"
+	snapForeign       = "52534e500101010202000100010764656661756c7404780200000100020714280200000764656661756c748080808080804000140200000764656661756c740045fe4b72"
+)
 
-	t.Run("commit", func(t *testing.T) {
-		// Crash after the source's out was durable: the move completes.
-		dir := t.TempDir()
-		writeShardLog(t, dir, 0, admit, wal.Record{Type: wal.TMigrateOut, ID: uint64(id), Peer: 1})
-		writeShardLog(t, dir, 1, in)
-		svc, err := New(walConfig("array", dir, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		if wi := svc.WALInfo(); wi.MovesCommitted != 1 || wi.MovesAborted != 0 {
-			t.Fatalf("WALInfo = %+v, want 1 committed move", wi)
-		}
-		assertHolder(t, svc, id, 1)
-		if err := svc.Cancel(id); err != nil {
-			t.Fatalf("cancel %#x after recovery: %v", uint64(id), err)
-		}
-	})
-
-	t.Run("abort", func(t *testing.T) {
-		// Crash before the source's out was durable: the source still
-		// holds the reservation, so the target's tentative copy dies.
-		dir := t.TempDir()
-		writeShardLog(t, dir, 0, admit)
-		writeShardLog(t, dir, 1, in)
-		svc, err := New(walConfig("array", dir, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		if wi := svc.WALInfo(); wi.MovesCommitted != 0 || wi.MovesAborted != 1 {
-			t.Fatalf("WALInfo = %+v, want 1 aborted move", wi)
-		}
-		assertHolder(t, svc, id, 0)
-		if err := svc.Cancel(id); err != nil {
-			t.Fatalf("cancel %#x after recovery: %v", uint64(id), err)
-		}
-	})
-
-	t.Run("stale-open-out", func(t *testing.T) {
-		// Crash after the target committed but before the source's ack:
-		// the open-out is stale. Recovery must close it durably — and a
-		// second crash-recovery cycle must not resurrect the move.
-		dir := t.TempDir()
-		writeShardLog(t, dir, 0, admit, wal.Record{Type: wal.TMigrateOut, ID: uint64(id), Peer: 1})
-		writeShardLog(t, dir, 1, in, wal.Record{Type: wal.TMigrateCommit, ID: uint64(id)})
-		for round := 0; round < 2; round++ {
-			svc, err := New(walConfig("array", dir, 0))
-			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			if wi := svc.WALInfo(); wi.MovesCommitted != 0 || wi.MovesAborted != 0 {
-				t.Fatalf("round %d: WALInfo = %+v, want no mid-flight moves", round, wi)
-			}
-			assertHolder(t, svc, id, 1)
-			svc.Close()
-		}
-		// Routing still works: a final reopen cancels through the
-		// rebuilt moved overlay.
-		svc, err := New(walConfig("array", dir, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		if err := svc.Cancel(id); err != nil {
-			t.Fatalf("cancel %#x after recovery: %v", uint64(id), err)
-		}
-	})
+// rawFrame frames a payload the way the log does (u32 length, u32 CRC).
+func rawFrame(payload ...byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
-// assertHolder checks exactly one shard — holder — has id. It does not
-// mutate the service: callers needing a routing check cancel afterwards.
-func assertHolder(t *testing.T, svc *Service, id ID, holder int) {
+// TestRetiredLogRefused: a directory holding what only the rebalancer
+// wrote — an intact record of type 3–7, a pending copy, an open out, a
+// reservation living away from the shard its id names — fails New with
+// wal.ErrRetired and is not touched: no truncation at the refused
+// record, no boot generation, no repair. Migration counters alone are
+// history, not state, and load.
+func TestRetiredLogRefused(t *testing.T) {
+	admits := wal.AppendRecord(nil, wal.Record{Type: wal.TAdmit, ID: uint64(makeID(1, 0)), Procs: 2, Dur: 10, Deadline: int64(NoDeadline)})
+	admits = wal.AppendRecord(admits, wal.Record{Type: wal.TAdmit, ID: uint64(makeID(1, 1)), Procs: 2, Dur: 20, Deadline: int64(NoDeadline), Start: 10})
+	for _, c := range []struct {
+		name      string
+		log, snap []byte // shard 1, generation 1
+		loads     bool
+	}{
+		// The payloads the five types had: type, id 5, then the move's fields.
+		{name: "migrate-in", log: rawFrame(3, 5, 0, 40, 20, 2, 0)},
+		{name: "migrate-out", log: rawFrame(4, 5, 0)},
+		{name: "migrate-commit", log: rawFrame(5, 5)},
+		{name: "migrate-abort", log: rawFrame(6, 5)},
+		{name: "migrate-out-ack", log: rawFrame(7, 5)},
+		{name: "pending-live-entry", snap: unhex(t, snapPending)},
+		{name: "open-out", snap: unhex(t, snapOpenOut)},
+		{name: "foreign-live-id", snap: unhex(t, snapForeign)},
+		{name: "counters-only", snap: unhex(t, snapMovedCounters), loads: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if c.snap != nil {
+				if err := os.WriteFile(filepath.Join(dir, "shard-1.1.snap"), c.snap, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				// Admissions before the retired record and after it: dropping
+				// the suffix as damage would lose the last one silently.
+				tail := wal.AppendRecord(nil, wal.Record{Type: wal.TCancel, ID: uint64(makeID(1, 0))})
+				raw := append(append(append([]byte(nil), admits...), c.log...), tail...)
+				if err := os.WriteFile(filepath.Join(dir, "shard-1.1.wal"), raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirDigest(t, dir)
+			svc, err := New(walConfig("tree", dir, 64))
+			if c.loads {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				want := []Reservation{
+					{ID: makeID(1, 0), Shard: 1, Start: 0, Dur: 10, Procs: 2},
+					{ID: makeID(1, 1), Shard: 1, Start: 10, Dur: 20, Procs: 2},
+				}
+				if got, _ := svc.Dump(1); !reflect.DeepEqual(got, want) {
+					t.Fatalf("dump = %+v, want %+v", got, want)
+				}
+				return
+			}
+			if err == nil {
+				svc.Close()
+				t.Fatal("New read a directory holding migration state")
+			}
+			if !errors.Is(err, wal.ErrRetired) || errors.Is(err, wal.ErrCorrupt) {
+				t.Fatalf("err = %v, want wal.ErrRetired", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "shard 1") || !strings.Contains(msg, "removed in this build") {
+				t.Fatalf("refusal does not say where and why: %v", err)
+			}
+			if after := dirDigest(t, dir); after != before {
+				t.Fatalf("refused New changed the directory:\nbefore:\n%safter:\n%s", before, after)
+			}
+		})
+	}
+}
+
+func unhex(t *testing.T, s string) []byte {
 	t.Helper()
-	for i := 0; i < svc.Shards(); i++ {
-		dump, err := svc.Dump(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var has bool
-		for _, r := range dump {
-			if r.ID == id {
-				has = true
-			}
-		}
-		if has != (i == holder) {
-			t.Fatalf("shard %d: holds %#x = %v, want holder %d", i, uint64(id), has, holder)
-		}
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
-// TestRecoveryAfterRebalance round-trips a migrated state: the WAL of a
-// service whose rebalancer moved reservations across shards must replay
-// to the post-migration placement, moved-ID forwarding included.
-func TestRecoveryAfterRebalance(t *testing.T) {
-	dir := t.TempDir()
-	cfg := walConfig("array", dir, 0)
-	cfg.Placement = "first-fit" // park everything on shard 0
-	cfg.RebalanceThreshold = 0.01
-	cfg.RebalanceMaxMoves = 64
-	svc, err := New(cfg)
+// dirDigest lists every file in dir, in name order, with its size and a
+// checksum of its contents.
+func dirDigest(t *testing.T, dir string) string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rng.New(7)
-	var ids []ID
-	for i := 0; i < 64; i++ {
-		resv, err := svc.Admit(Request{Ready: core.Time(1000 + r.Int63n(5000)), Q: 2, Dur: 20, Deadline: NoDeadline})
+	var out strings.Builder
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, resv.ID)
+		fmt.Fprintf(&out, "%s %d bytes crc %08x\n", ent.Name(), len(raw), crc32.ChecksumIEEE(raw))
 	}
-	moved, err := svc.RebalanceAll(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved.Applied == 0 {
-		t.Fatal("rebalancer moved nothing; the test needs cross-shard state")
-	}
-	before := make(map[int][]Reservation)
-	for i := 0; i < svc.Shards(); i++ {
-		before[i], _ = svc.Dump(i)
-	}
-	svc.Close()
-
-	svc, err = New(walConfig("array", dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for i := 0; i < svc.Shards(); i++ {
-		got, err := svc.Dump(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, before[i]) {
-			t.Fatalf("shard %d: post-rebalance state did not survive recovery:\n got %+v\nwant %+v", i, got, before[i])
-		}
-	}
-	// Every ID cancels, including ones living away from their minting
-	// shard (the rebuilt moved overlay must forward them).
-	for _, id := range ids {
-		if err := svc.Cancel(id); err != nil {
-			t.Fatalf("cancel %#x: %v", uint64(id), err)
-		}
-	}
+	return out.String()
 }
 
 // TestRecoveryCorruptMidLog injects damage before the tail: replay must

@@ -3,9 +3,6 @@ package resd
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -52,8 +49,9 @@ var ErrQuota = tenant.ErrQuota
 // admissible start, however late, is accepted.
 const NoDeadline = core.Infinity
 
-// ID identifies an admitted reservation service-wide. The owning shard is
-// encoded in the top bits so Cancel routes without a global table.
+// ID identifies an admitted reservation service-wide. The shard that
+// admitted it is encoded in the top bits and holds it until it is
+// cancelled, so Cancel routes without a global table.
 type ID uint64
 
 const shardBits = 16
@@ -104,7 +102,8 @@ type Config struct {
 	// caller serves as combiner before handing the role on (default 64).
 	Batch int
 	// Placement routes admissions across shards: "first-fit",
-	// "least-loaded" or "p2c" (default "least-loaded").
+	// "least-loaded", "p2c" or "pressure" (default "least-loaded"; see
+	// Placements).
 	Placement string
 	// Seed feeds the "p2c" policy's shard sampling (default 1).
 	Seed uint64
@@ -120,33 +119,6 @@ type Config struct {
 	// disables quota enforcement; per-tenant shard stats are kept either
 	// way.
 	Quotas *tenant.Registry
-	// RebalanceEvery enables the background rebalancer: every interval a
-	// planning round scores the committed-area spread across shards and
-	// migrates admitted future reservations from hot shards to idle ones
-	// (see Rebalance). 0 disables background rebalancing; Rebalance may
-	// still be called manually.
-	RebalanceEvery time.Duration
-	// RebalanceThreshold is the imbalance score (rebal.Imbalance:
-	// 1 − min/max of committed area) below which a round does nothing.
-	// 0 selects DefaultRebalanceThreshold; must lie in [0,1]. An exact
-	// act-on-any-imbalance trigger is therefore not expressible — pass a
-	// tiny positive epsilon instead (the CLIs reject an explicit 0 for
-	// the same reason, rather than silently running at the default).
-	RebalanceThreshold float64
-	// RebalanceFreeze is the migratable-window policy Δ: a reservation
-	// starting before now+Δ is never moved, so work about to begin cannot
-	// be yanked between shards at the last instant. Must be >= 0.
-	RebalanceFreeze core.Time
-	// RebalanceMaxMoves caps migrations per round (0 selects
-	// DefaultRebalanceMaxMoves).
-	RebalanceMaxMoves int
-	// RebalanceNow supplies the logical "now" the background balancer
-	// freezes against. Nil means a zero clock: only [0, RebalanceFreeze)
-	// is frozen. Embedders whose tick origin advances (e.g. mapping wall
-	// time onto ticks) plug their clock in here; resdsrv defaults it to a
-	// monotonic wall-clock-per-tick source and obs surfaces the current
-	// value as the resd_logical_clock_ticks gauge.
-	RebalanceNow func() core.Time
 	// Obs attaches the service to the observability layer: metric
 	// registration at New and sampled admission tracing (see ObsConfig).
 	// Nil disables both — the hot path then pays only dead nil checks.
@@ -166,13 +138,6 @@ type Config struct {
 	// keeps the service purely in-memory.
 	WAL *wal.Options
 }
-
-// Rebalancer defaults, applied by Config.normalize when the fields are
-// zero.
-const (
-	DefaultRebalanceThreshold = 0.1
-	DefaultRebalanceMaxMoves  = 64
-)
 
 // normalize fills defaults and validates.
 func (c Config) normalize() (Config, error) {
@@ -203,24 +168,6 @@ func (c Config) normalize() (Config, error) {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.RebalanceEvery < 0 {
-		return c, fmt.Errorf("%w: RebalanceEvery=%v, need >= 0", ErrBadRequest, c.RebalanceEvery)
-	}
-	if c.RebalanceThreshold < 0 || c.RebalanceThreshold > 1 {
-		return c, fmt.Errorf("%w: RebalanceThreshold=%v outside [0,1]", ErrBadRequest, c.RebalanceThreshold)
-	}
-	if c.RebalanceThreshold == 0 {
-		c.RebalanceThreshold = DefaultRebalanceThreshold
-	}
-	if c.RebalanceFreeze < 0 {
-		return c, fmt.Errorf("%w: RebalanceFreeze=%v, need >= 0", ErrBadRequest, c.RebalanceFreeze)
-	}
-	if c.RebalanceMaxMoves < 0 {
-		return c, fmt.Errorf("%w: RebalanceMaxMoves=%d, need >= 0", ErrBadRequest, c.RebalanceMaxMoves)
-	}
-	if c.RebalanceMaxMoves == 0 {
-		c.RebalanceMaxMoves = DefaultRebalanceMaxMoves
-	}
 	if c.WAL != nil {
 		w, err := c.WAL.Normalize()
 		if err != nil {
@@ -239,23 +186,6 @@ type Service struct {
 	floor  int // ⌊α·M⌋ processors every shard keeps free of reservations
 	shards []*shard
 	place  *placement
-	quit   chan struct{} // closed by Close: stops the background rebalancer
-
-	// moved forwards Cancel routing for migrated reservations: ID → the
-	// shard currently holding it. An ID's own shard bits always name the
-	// admitting shard; once the rebalancer moves the reservation, this
-	// overlay names its live home. Entries are dropped when the
-	// reservation is cancelled.
-	moved sync.Map // ID → int
-
-	// balMu serializes rebalancing rounds. Two concurrent rounds could
-	// plan from the same snapshot and race each other's two-phase moves —
-	// worst case, one round's rollback deletes the forwarding entry the
-	// other round just published, stranding a live reservation where
-	// Cancel cannot find it. One round at a time makes plan+execute
-	// atomic with respect to other rounds (client traffic still flows
-	// freely; only rounds exclude each other).
-	balMu sync.Mutex
 
 	// tracer samples Admit calls into a bounded ring (nil when
 	// Config.Obs leaves tracing off).
@@ -287,26 +217,15 @@ type Service struct {
 	// shard's frozen counters are still worth exposing). Index i is
 	// shard i; nil when the service runs without a WAL.
 	walLogs []*wal.Log
-
-	// Rebalancer telemetry, published for obs scrapes: cumulative round
-	// and per-outcome move counters, the imbalance scores around the last
-	// round (Float64bits), and the background loop's current backoff.
-	balRounds  atomic.Uint64
-	balApplied atomic.Uint64
-	balAborted atomic.Uint64
-	balSkipped atomic.Uint64
-	balBefore  atomic.Uint64
-	balAfter   atomic.Uint64
-	balBackoff atomic.Int64
 }
 
 // New builds the shards (each pre-loaded with cfg.Pre) and returns the
-// running service. With Config.WAL set, New first
-// recovers whatever the log directory holds — replaying every shard's
-// snapshot and records, resolving moves the crash left mid-flight, and
+// running service. With Config.WAL set, New first recovers whatever the
+// log directory holds — replaying every shard's snapshot and records and
 // re-charging the quota registry — so the returned service is the
 // pre-crash service, continued. Recovery runs to completion before New
-// returns; a server should not report ready until it does.
+// returns; a server should not report ready until it does. A directory
+// holding migration state (wal.ErrRetired) fails New and is left as found.
 func New(cfg Config) (*Service, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -315,7 +234,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:    cfg,
 		floor:  int(cfg.Alpha * float64(cfg.M)),
-		quit:   make(chan struct{}),
 		tracer: newTracer(cfg.Obs),
 	}
 	if cfg.Obs != nil && cfg.Obs.Flight != nil {
@@ -358,18 +276,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	// A recovered reservation keeps its original ID, whose shard bits
-	// name the admitting shard — rebuild the forwarding overlay for the
-	// ones a pre-crash rebalance left living elsewhere.
-	if seeds != nil {
-		for i, sd := range seeds {
-			for id := range sd.live {
-				if id.Shard() != i {
-					s.moved.Store(id, i)
-				}
-			}
-		}
-	}
 	if s.walInfo.Enabled {
 		s.walLogs = make([]*wal.Log, len(s.shards))
 		for i := range s.shards {
@@ -378,9 +284,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.Obs != nil {
 		s.registerObs()
-	}
-	if cfg.RebalanceEvery > 0 && cfg.Shards > 1 {
-		go s.balanceLoop()
 	}
 	if s.flight != nil {
 		s.flight.Attach(flight.Sources{
@@ -445,48 +348,14 @@ func (s *Service) Placement() string { return s.place.policy }
 func (s *Service) Quotas() *tenant.Registry { return s.cfg.Quotas }
 
 // Cancel releases an admitted reservation, returning its capacity to the
-// shard currently holding it — which, once the rebalancer has migrated
-// the reservation, is no longer the shard encoded in the ID: Cancel
-// follows the service's forwarding overlay, and a Cancel racing an
-// in-flight migration waits the move out (the two-phase protocol keeps a
-// pending copy uncancellable, so the release happens exactly once, on
-// exactly one shard). Cancelling an unknown or already-cancelled ID
-// returns ErrUnknownID.
+// shard that admitted it — the one the ID names. Cancelling an unknown or
+// already-cancelled ID returns ErrUnknownID.
 func (s *Service) Cancel(id ID) error {
 	if id.Shard() >= len(s.shards) {
 		return fmt.Errorf("%w: %#x names shard %d of %d", ErrUnknownID, uint64(id), id.Shard(), len(s.shards))
 	}
-	for {
-		si := id.Shard()
-		fwd, forwarded := s.moved.Load(id)
-		if forwarded {
-			si = fwd.(int)
-		}
-		_, err := s.shards[si].do(request{kind: opCancel, id: id})
-		switch {
-		case err == nil:
-			if forwarded {
-				s.moved.Delete(id)
-			}
-			return nil
-		case errors.Is(err, errMigratePending):
-			// The reservation is mid-migration onto this shard; the
-			// executor resolves the move promptly (or the service closes,
-			// turning the retry into ErrClosed).
-			runtime.Gosched()
-		case errors.Is(err, ErrUnknownID):
-			// Not here. If the forwarding overlay has (re)appeared and
-			// points somewhere we have not just tried, the reservation
-			// migrated underneath us — follow it. Otherwise it is really
-			// gone.
-			if v, ok := s.moved.Load(id); ok && v.(int) != si {
-				continue
-			}
-			return err
-		default:
-			return err
-		}
-	}
+	_, err := s.shards[id.Shard()].do(request{kind: opCancel, id: id})
+	return err
 }
 
 // Query returns the capacity available at time t on every shard (index i
@@ -541,9 +410,6 @@ type ShardStats struct {
 	// feasible on the shard but whose tenant had exhausted its budgeted
 	// share of the reservable prefix.
 	RejectedQuota uint64
-	// MigratedIn and MigratedOut count reservations the rebalancer moved
-	// onto and off the shard since start.
-	MigratedIn, MigratedOut uint64
 	// SlackP99 is the 99th-percentile start-time slack (admitted start −
 	// ready time, in ticks) over the shard's admissions: the per-shard SLO
 	// view of how far the α rule pushes work back. Estimated from an
@@ -566,9 +432,6 @@ type TenantStats struct {
 	// Admitted, Cancelled and RejectedQuota count this tenant's
 	// operations on the shard since start.
 	Admitted, Cancelled, RejectedQuota uint64
-	// MigratedIn and MigratedOut count this tenant's reservations the
-	// rebalancer moved onto and off the shard.
-	MigratedIn, MigratedOut uint64
 	// SlackP99 is the tenant's 99th-percentile start-time slack on this
 	// shard (see ShardStats.SlackP99): the per-tenant SLO metric.
 	SlackP99 core.Time
@@ -606,8 +469,6 @@ func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 			tot.Admitted += ts.Admitted
 			tot.Cancelled += ts.Cancelled
 			tot.RejectedQuota += ts.RejectedQuota
-			tot.MigratedIn += ts.MigratedIn
-			tot.MigratedOut += ts.MigratedOut
 			// Percentiles do not sum; the max across shards is a sound
 			// upper bound on the service-wide p99.
 			if ts.SlackP99 > tot.SlackP99 {
@@ -692,25 +553,17 @@ func (s *Service) TraceCounts() (sampled, slow uint64) {
 	return s.tracer.sampled.Load(), s.tracer.slowSeen.Load()
 }
 
-// Dump returns every committed reservation currently live on one shard,
-// sorted by ID. The list is consistent (served by the shard's combiner,
-// between requests); a copy mid-way through a two-phase move
-// is excluded until the move commits. It is the recovery oracle's view:
+// Dump returns every reservation currently live on one shard, sorted by
+// ID. The list is consistent (served by the shard's combiner, between
+// requests). It is the recovery oracle's view:
 // a service restarted over its WAL must Dump identically to the service
 // that wrote it.
 func (s *Service) Dump(shard int) ([]Reservation, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
 	}
-	resp, err := s.shards[shard].do(request{kind: opMigratable, ready: 0})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Reservation, 0, len(resp.cands))
-	for _, c := range resp.cands {
-		out = append(out, Reservation{ID: ID(c.ID), Shard: shard, Start: c.Start, Dur: c.Dur, Procs: c.Procs})
-	}
-	return out, nil
+	resp, err := s.shards[shard].do(request{kind: opDump})
+	return resp.live, err
 }
 
 // Stats returns per-shard load summaries from the atomically published
@@ -739,7 +592,6 @@ func (s *Service) Close() {
 		// judged a stall.
 		s.flight.Detach()
 	}
-	close(s.quit)
 	for _, sh := range s.shards {
 		sh.do(request{kind: opClose})
 	}

@@ -1,7 +1,6 @@
 package resd
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/rebal"
 	"repro/internal/tenant"
 	"repro/internal/wal"
 )
@@ -29,34 +27,13 @@ const (
 	opQuery
 	opSnapshot
 	opTenantStats
-
-	// Migration ops, used only by the rebalancer (Service.Rebalance).
-	// opMigratable lists the shard's movable reservations; the other four
-	// are the two-phase move: a tentative In on the target (index
-	// committed, books untouched, invisible to Cancel), then Out on the
-	// source (index released, books transferred out), then Commit on the
-	// target (books transferred in) — or Abort on the target when the
-	// source copy turned out to be cancelled in the meantime.
-	opMigratable
-	opMigrateIn
-	opMigrateOut
-	opMigrateCommit
-	opMigrateAbort
-	// opMigrateOutAck closes the source's WAL open-out after the target
-	// committed: pure durability bookkeeping, a no-op without a WAL.
-	opMigrateOutAck
+	opDump
 
 	// opClose shuts the shard down (Service.Close): do stops accepting
 	// requests the moment it is queued, so it is the last request the
 	// shard serves, and applying it seals the log.
 	opClose
 )
-
-// errMigratePending is the internal answer to a Cancel that reaches a
-// tentative migrated-in copy: the two-phase move is mid-flight, and the
-// service-level Cancel retries until the move commits or aborts. It never
-// escapes the package.
-var errMigratePending = errors.New("resd: reservation migration in flight")
 
 // request is one operation submitted to a shard.
 type request struct {
@@ -67,7 +44,6 @@ type request struct {
 	dur      core.Time    // Reserve length
 	deadline core.Time    // Reserve: latest admissible start (NoDeadline = unbounded)
 	id       ID           // Cancel target
-	peer     int          // two-phase move: the other shard (in: source, out: target)
 	trace    *TraceRecord // sampled admission trace, nil for the unsampled majority
 }
 
@@ -78,7 +54,7 @@ type response struct {
 	free   int
 	snap   profile.CapacityIndex
 	tstats map[string]TenantStats
-	cands  []rebal.Resv
+	live   []Reservation
 	err    error
 }
 
@@ -98,17 +74,11 @@ var slotPool = sync.Pool{New: func() any { return &slot{wake: make(chan bool, 1)
 // active is a shard-local record of an admitted reservation. tenant is
 // the accounting identity quota release uses; statKey is the (possibly
 // overflow-bounded) per-shard book the admission was recorded under.
-// pending marks a tentative migrated-in copy: its capacity is committed
-// on the index but it is not yet in the shard's books and a Cancel
-// reaching it is told to retry (errMigratePending) until the move
-// resolves.
 type active struct {
 	start, dur core.Time
 	q          int
 	tenant     string
 	statKey    string
-	pending    bool
-	from       int // pending only: the move's source shard (WAL recovery)
 }
 
 // OverflowTenant is the per-shard book that absorbs tenant names beyond
@@ -193,8 +163,6 @@ type shard struct {
 	rejected      atomic.Uint64
 	rejectedDL    atomic.Uint64
 	rejectedQuota atomic.Uint64
-	migratedIn    atomic.Uint64
-	migratedOut   atomic.Uint64
 	batches       atomic.Uint64
 	ops           atomic.Uint64
 
@@ -220,13 +188,11 @@ type shard struct {
 	// Durability. wlog is the shard's write-ahead log (nil = in-memory
 	// service); every state-changing op appends its record during apply
 	// and the combiner group-commits once per turn, before the replies
-	// are released. openOuts tracks migrate-outs the peer has not durably
-	// committed yet (persisted in snapshots). A WAL write failure
-	// degrades the shard to non-durable (walFailed counts it) rather than
-	// taking admissions down with the disk.
+	// are released. A WAL write failure degrades the shard to non-durable
+	// (walFailed counts it) rather than taking admissions down with the
+	// disk.
 	wlog      *wal.Log
 	snapEvery int
-	openOuts  map[ID]int
 	snapBusy  atomic.Bool
 	snapWG    sync.WaitGroup
 	walFailed atomic.Uint64
@@ -306,12 +272,9 @@ func newShard(id int, cfg Config, floor int, seed *shardSeed) (*shard, error) {
 func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	sh.wlog = seed.log
 	sh.snapEvery = cfg.WAL.SnapEvery
-	sh.openOuts = seed.openOuts
 	sh.nextSeq = seed.nextSeq
 	sh.admitted.Store(seed.admitted)
 	sh.cancelled.Store(seed.cancelled)
-	sh.migratedIn.Store(seed.migratedIn)
-	sh.migratedOut.Store(seed.migratedOut)
 	sh.tstats = seed.books
 	ids := make([]ID, 0, len(seed.live))
 	for id := range seed.live {
@@ -335,12 +298,10 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	sh.activeCount.Store(int64(len(sh.live)))
 	sh.committedArea.Store(sh.area)
 	// Anchor a snapshot of the recovered state so the generations replay
-	// just consumed can be deleted. The boot generation may already hold
-	// recovery's fixup records, whose effects this state includes, so the
-	// snapshot anchors the generation after them (rotate first). Written
-	// synchronously: by the time New returns, recovery is complete and
-	// the old logs are gone. Skipped for a state-free boot (nothing to
-	// anchor) and when snapshots are disabled.
+	// just consumed can be deleted. Written synchronously: by the time New
+	// returns, recovery is complete and the old logs are gone. Skipped for
+	// a state-free boot (nothing to anchor) and when snapshots are
+	// disabled.
 	if sh.snapEvery > 0 && (len(sh.live) > 0 || len(sh.tstats) > 0 || seed.admitted > 0) {
 		gen, err := sh.wlog.Rotate()
 		if err != nil {
@@ -567,18 +528,8 @@ func (sh *shard) apply(r request) response {
 			out[name] = ts
 		}
 		return response{tstats: out}
-	case opMigratable:
-		return sh.migratable(r)
-	case opMigrateIn:
-		return sh.migrateIn(r)
-	case opMigrateOut:
-		return sh.migrateOut(r)
-	case opMigrateCommit:
-		return sh.migrateCommit(r)
-	case opMigrateAbort:
-		return sh.migrateAbort(r)
-	case opMigrateOutAck:
-		return sh.migrateOutAck(r)
+	case opDump:
+		return sh.dump()
 	default:
 		return response{err: fmt.Errorf("%w: unknown op %d", ErrBadRequest, r.kind)}
 	}
@@ -657,17 +608,11 @@ func (sh *shard) reserve(r request) response {
 }
 
 // cancel releases an admitted reservation and credits the area back to
-// its tenant's quota. A tentative migrated-in copy is not cancellable —
-// the service retries until the in-flight move commits or aborts, so a
-// Cancel can never release a reservation the two-phase protocol still
-// owns.
+// its tenant's quota.
 func (sh *shard) cancel(r request) response {
 	a, ok := sh.live[r.id]
 	if !ok {
 		return response{err: fmt.Errorf("%w: %#x on shard %d", ErrUnknownID, uint64(r.id), sh.id)}
-	}
-	if a.pending {
-		return response{err: fmt.Errorf("%w: %#x on shard %d", errMigratePending, uint64(r.id), sh.id)}
 	}
 	if err := sh.idx.Release(a.start, a.dur, a.q); err != nil {
 		return response{err: fmt.Errorf("resd: shard %d release: %w", sh.id, err)}
@@ -689,131 +634,14 @@ func (sh *shard) cancel(r request) response {
 	return response{}
 }
 
-// migratable lists the shard's movable reservations: live, not pending,
-// and starting at or after the cutoff carried in r.ready (now + the
-// frozen window Δ). The list is consistent (served by the combiner) and
-// sorted by ID so planning over it is deterministic.
-func (sh *shard) migratable(r request) response {
-	var out []rebal.Resv
+// dump lists the shard's live reservations, sorted by ID.
+func (sh *shard) dump() response {
+	out := make([]Reservation, 0, len(sh.live))
 	for id, a := range sh.live {
-		if a.pending || a.start < r.ready {
-			continue
-		}
-		out = append(out, rebal.Resv{
-			ID: uint64(id), Start: a.start, Dur: a.dur, Procs: a.q, Tenant: a.tenant,
-		})
+		out = append(out, Reservation{ID: id, Shard: sh.id, Start: a.start, Dur: a.dur, Procs: a.q})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return response{cands: out}
-}
-
-// migrateIn tentatively hosts a reservation migrating from another shard:
-// the capacity is committed — under the same α head-room rule as a fresh
-// admission — but the copy stays pending: out of the books, invisible to
-// Cancel, uncounted. Quota is not touched: the tenant's global charge
-// rides along with the reservation, paid once at original admission.
-func (sh *shard) migrateIn(r request) response {
-	if _, dup := sh.live[r.id]; dup {
-		return response{err: fmt.Errorf("%w: migrate-in of resident id %#x on shard %d", ErrBadRequest, uint64(r.id), sh.id)}
-	}
-	if !sh.idx.CanPlace(r.ready, r.dur, r.q+sh.floor) {
-		return response{err: fmt.Errorf("%w: shard %d cannot host q=%d at %v under α-floor %d",
-			ErrNeverFits, sh.id, r.q, r.ready, sh.floor)}
-	}
-	if err := sh.idx.Commit(r.ready, r.dur, r.q); err != nil {
-		return response{err: fmt.Errorf("resd: shard %d migrate-in commit: %w", sh.id, err)}
-	}
-	sh.walAppend(wal.Record{
-		Type: wal.TMigrateIn, ID: uint64(r.id), Peer: uint32(r.peer),
-		Start: int64(r.ready), Dur: int64(r.dur), Procs: r.q, Tenant: r.tenant,
-	})
-	sh.live[r.id] = active{
-		start: r.ready, dur: r.dur, q: r.q,
-		tenant: r.tenant, statKey: sh.tstatKey(r.tenant), pending: true, from: r.peer,
-	}
-	return response{}
-}
-
-// migrateOut releases the source copy of a migrating reservation and
-// transfers its book entries out. ErrUnknownID means the reservation was
-// cancelled between planning and execution — the executor's rollback
-// signal. No quota is released: the charge moved with the reservation.
-func (sh *shard) migrateOut(r request) response {
-	a, ok := sh.live[r.id]
-	if !ok || a.pending {
-		return response{err: fmt.Errorf("%w: %#x not resident on shard %d", ErrUnknownID, uint64(r.id), sh.id)}
-	}
-	if err := sh.idx.Release(a.start, a.dur, a.q); err != nil {
-		return response{err: fmt.Errorf("resd: shard %d migrate-out release: %w", sh.id, err)}
-	}
-	if sh.wlog != nil {
-		sh.walAppend(wal.Record{Type: wal.TMigrateOut, ID: uint64(r.id), Peer: uint32(r.peer)})
-		sh.openOuts[r.id] = r.peer
-	}
-	delete(sh.live, r.id)
-	area := int64(a.dur) * int64(a.q)
-	sh.area -= area
-	ts := sh.tstats[a.statKey]
-	ts.Active--
-	ts.CommittedArea -= area
-	ts.MigratedOut++
-	sh.tstats[a.statKey] = ts
-	sh.tenAreaCell(a.statKey).Add(-area)
-	sh.migratedOut.Add(1)
-	return response{}
-}
-
-// migrateCommit finalises a tentative migrated-in copy: it becomes an
-// ordinary live reservation, entering the books it was kept out of while
-// pending.
-func (sh *shard) migrateCommit(r request) response {
-	a, ok := sh.live[r.id]
-	if !ok || !a.pending {
-		return response{err: fmt.Errorf("%w: no pending migrate-in for %#x on shard %d", ErrBadRequest, uint64(r.id), sh.id)}
-	}
-	sh.walAppend(wal.Record{Type: wal.TMigrateCommit, ID: uint64(r.id)})
-	a.pending = false
-	a.from = 0
-	sh.live[r.id] = a
-	area := int64(a.dur) * int64(a.q)
-	sh.area += area
-	ts := sh.tstats[a.statKey]
-	ts.Active++
-	ts.CommittedArea += area
-	ts.MigratedIn++
-	sh.tstats[a.statKey] = ts
-	sh.tenAreaCell(a.statKey).Add(area)
-	sh.migratedIn.Add(1)
-	return response{}
-}
-
-// migrateAbort rolls back a tentative migrated-in copy after the source
-// reported the reservation gone (cancelled mid-migration): the capacity
-// is released and the copy vanishes without ever having been visible.
-func (sh *shard) migrateAbort(r request) response {
-	a, ok := sh.live[r.id]
-	if !ok || !a.pending {
-		return response{err: fmt.Errorf("%w: no pending migrate-in for %#x on shard %d", ErrBadRequest, uint64(r.id), sh.id)}
-	}
-	if err := sh.idx.Release(a.start, a.dur, a.q); err != nil {
-		return response{err: fmt.Errorf("resd: shard %d migrate-abort release: %w", sh.id, err)}
-	}
-	sh.walAppend(wal.Record{Type: wal.TMigrateAbort, ID: uint64(r.id)})
-	delete(sh.live, r.id)
-	return response{}
-}
-
-// migrateOutAck closes the shard's open-out for a move the target has
-// durably committed. Idempotent, and a no-op without a WAL: the open-out
-// set exists only for crash recovery.
-func (sh *shard) migrateOutAck(r request) response {
-	if sh.wlog != nil {
-		if _, open := sh.openOuts[r.id]; open {
-			sh.walAppend(wal.Record{Type: wal.TMigrateOutAck, ID: uint64(r.id)})
-			delete(sh.openOuts, r.id)
-		}
-	}
-	return response{}
+	return response{live: out}
 }
 
 // publish stores the load summary for lock-free readers (placement
@@ -835,8 +663,6 @@ func (sh *shard) stats() ShardStats {
 		Rejected:         sh.rejected.Load(),
 		RejectedDeadline: sh.rejectedDL.Load(),
 		RejectedQuota:    sh.rejectedQuota.Load(),
-		MigratedIn:       sh.migratedIn.Load(),
-		MigratedOut:      sh.migratedOut.Load(),
 		SlackP99:         core.Time(sh.slack.Quantile(0.99)),
 		Batches:          sh.batches.Load(),
 		Ops:              sh.ops.Load(),

@@ -62,9 +62,7 @@ func (sh *shard) maybeSnapshot() {
 		sh.walFail("rotate", err)
 		return
 	}
-	snap := buildSnapshot(sh.id, gen, sh.nextSeq,
-		sh.admitted.Load(), sh.cancelled.Load(), sh.migratedIn.Load(), sh.migratedOut.Load(),
-		sh.tstats, sh.live, sh.openOuts)
+	snap := buildSnapshot(sh.id, gen, sh.nextSeq, sh.admitted.Load(), sh.cancelled.Load(), sh.tstats, sh.live)
 	wl := sh.wlog
 	sh.snapBusy.Store(true)
 	sh.snapWG.Add(1)

@@ -41,8 +41,9 @@
 //   - Cancel, Query, Snapshot and Ping are their resd.Service namesakes;
 //     a Snapshot reply is the shard's capacity step function as
 //     (start, free) segments.
-//   - Stats answers one 96-byte entry per shard: the twelve fields of
-//     resd.ShardStats, migration counters and p99 slack among them.
+//   - Stats answers one 96-byte entry per shard: the ten fields of
+//     resd.ShardStats, p99 slack among them, with 16 reserved bytes
+//     after the seventh — sent zero, skipped on receipt.
 //   - QuotaGet and QuotaSet read and re-budget one tenant's share of the
 //     server's quota registry at runtime (BAD_REQUEST when the server
 //     runs without one).

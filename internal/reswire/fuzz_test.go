@@ -56,7 +56,7 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 2, Op: OpReserve, Code: CodeRejectedDeadline, Detail: "too late"},
 		{ID: 3, Op: OpQuery, Code: CodeOK, Free: []int{1, 2, 3}},
 		{ID: 4, Op: OpSnapshot, Code: CodeOK, M: 4, Segs: []Segment{{0, 4}, {5, 1}, {9, 4}}},
-		{ID: 5, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2, MigratedIn: 3, MigratedOut: 1, SlackP99: 63}}},
+		{ID: 5, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{{Active: 1, Admitted: 2, SlackP99: 63}}},
 		{ID: 6, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{goldenShard, {Active: 1, Admitted: 2, RejectedQuota: 3}}},
 		{ID: 11, Op: OpStats, Code: CodeOK},
 		{ID: 7, Op: OpReserve, Code: CodeRejectedQuota, Detail: "tenant acme over budget"},

@@ -65,8 +65,7 @@ func TestWatchTelemetryCodec(t *testing.T) {
 		Queue: []int{3, 0},
 		Shards: []resd.ShardStats{
 			{Active: 5, CommittedArea: 1234, Admitted: 10, Cancelled: 2, Rejected: 1,
-				RejectedDeadline: 3, RejectedQuota: 4, MigratedIn: 5, MigratedOut: 6,
-				SlackP99: 99, Batches: 7, Ops: 20},
+				RejectedDeadline: 3, RejectedQuota: 4, SlackP99: 99, Batches: 7, Ops: 20},
 			{Admitted: 1},
 		},
 		Tenants: []TenantTelemetry{

@@ -60,9 +60,12 @@ const (
 	// maxTenants bounds the tenant vector of a Watch telemetry frame
 	// during decoding, like maxShards bounds the shard vectors.
 	maxTenants = 1 << 16
-	// shardEntryLen is the size of one resd.ShardStats on the wire: twelve
-	// 8-byte fields, in a Stats reply and in a Watch frame alike.
-	shardEntryLen = 12 * 8
+	// shardEntryLen is the size of one resd.ShardStats on the wire: ten
+	// 8-byte fields and, after the seventh, shardEntryReserved bytes that
+	// are sent zero and skipped on receipt — in a Stats reply and in a
+	// Watch frame alike.
+	shardEntryReserved = 16
+	shardEntryLen      = 10*8 + shardEntryReserved
 	// watchShardEntryLen is the fixed size of one per-shard telemetry
 	// entry: queue depth (4) plus the shard entry.
 	watchShardEntryLen = 4 + shardEntryLen
@@ -491,8 +494,7 @@ func appendShardStats(dst []byte, st *resd.ShardStats) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, st.Rejected)
 	dst = binary.BigEndian.AppendUint64(dst, st.RejectedDeadline)
 	dst = binary.BigEndian.AppendUint64(dst, st.RejectedQuota)
-	dst = binary.BigEndian.AppendUint64(dst, st.MigratedIn)
-	dst = binary.BigEndian.AppendUint64(dst, st.MigratedOut)
+	dst = append(dst, make([]byte, shardEntryReserved)...)
 	dst = appendTime(dst, st.SlackP99)
 	dst = binary.BigEndian.AppendUint64(dst, st.Batches)
 	return binary.BigEndian.AppendUint64(dst, st.Ops)
@@ -870,8 +872,7 @@ func (r *reader) shardStats(st *resd.ShardStats) {
 	st.Rejected = r.u64()
 	st.RejectedDeadline = r.u64()
 	st.RejectedQuota = r.u64()
-	st.MigratedIn = r.u64()
-	st.MigratedOut = r.u64()
+	r.bytes(shardEntryReserved) // whatever the sender put there
 	st.SlackP99 = r.time()
 	st.Batches = r.u64()
 	st.Ops = r.u64()

@@ -263,7 +263,7 @@ var goldenFrames = []struct {
 	{name: "resp/Ping", hex: "0000000d52570505000000000000000500",
 		resp: &Response{ID: 5, Op: OpPing}},
 	{name: "resp/Stats", hex: "000000715257050600000000000000060000000001000000000000000500000000000004d2000000000000000a000000" +
-		"000000000200000000000000010000000000000003000000000000000400000000000000050000000000000006000000" +
+		"000000000200000000000000010000000000000003000000000000000400000000000000000000000000000000000000" +
 		"000000006300000000000000070000000000000014",
 		resp: &Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}},
 	{name: "resp/QuotaGet", hex: "00000058525705070000000000000007000461636d650470726f64013fe0000000000000000000000010000000000000" +
@@ -281,7 +281,7 @@ var goldenFrames = []struct {
 			Route: 100, Enqueue: 250, BatchStart: 900, Decision: 1500}}}},
 	{name: "resp/Watch", hex: "000001365257050a000000000000000a00000000000000000700000000000000020000001f0000004000000010000000" +
 		"0100000003000000000000000500000000000004d2000000000000000a00000000000000020000000000000001000000" +
-		"000000000300000000000000040000000000000005000000000000000600000000000000630000000000000007000000" +
+		"000000000300000000000000040000000000000000000000000000000000000000000000630000000000000007000000" +
 		"0000000014000000010461636d6500000000000000640000000000000028000000000000000200000001000000010000" +
 		"0000000000030000000000001000000000000000001100000000000000090000000000000002000000000001d4c00000" +
 		"000000000001000000000000000b00000000000000010000000108646561646c696e650461636d65013fefae147ae147" +
@@ -301,7 +301,13 @@ var goldenFrames = []struct {
 // goldenShard is the 96-byte shard entry the Stats reply and the Watch
 // shard family both carry.
 var goldenShard = resd.ShardStats{Active: 5, CommittedArea: 1234, Admitted: 10, Cancelled: 2, Rejected: 1,
-	RejectedDeadline: 3, RejectedQuota: 4, MigratedIn: 5, MigratedOut: 6, SlackP99: 99, Batches: 7, Ops: 20}
+	RejectedDeadline: 3, RejectedQuota: 4, SlackP99: 99, Batches: 7, Ops: 20}
+
+// statsReservedInUse is resp/Stats as a server that still counts
+// migrations sends it: 5 and 6 in the entry's 16 reserved bytes.
+const statsReservedInUse = "000000715257050600000000000000060000000001000000000000000500000000000004d2000000000000000a000000" +
+	"000000000200000000000000010000000000000003000000000000000400000000000000050000000000000006000000" +
+	"000000006300000000000000070000000000000014"
 
 // TestGoldenFrames makes "frozen" enforceable: each value encodes to
 // exactly its recorded bytes, and the recorded bytes decode to the value.
@@ -328,5 +334,12 @@ func TestGoldenFrames(t *testing.T) {
 		if dec, err := DecodeResponse(want[4:]); err != nil || !reflect.DeepEqual(dec, *g.resp) {
 			t.Errorf("%s: recorded frame decodes to %+v (err %v), want %+v", g.name, dec, err, *g.resp)
 		}
+	}
+	// Reserved bytes are skipped, not checked: an un-upgraded server's
+	// reply decodes to the same value.
+	old, _ := hex.DecodeString(statsReservedInUse)
+	want := Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}
+	if dec, err := DecodeResponse(old[4:]); err != nil || !reflect.DeepEqual(dec, want) {
+		t.Errorf("Stats reply with the reserved bytes in use decodes to %+v (err %v), want %+v", dec, err, want)
 	}
 }

@@ -6,9 +6,9 @@
 //
 // The package is deliberately mechanism, not policy: it knows how to
 // frame, sync, rotate, snapshot and re-read records, while the meaning
-// of each record — how an admit changes a capacity index, when a
-// pending migrate-in commits — lives with the service that owns the
-// state (internal/resd). That keeps the format free of resd types and
+// of each record — how an admit changes a capacity index, which book
+// a cancel credits — lives with the service that owns the state
+// (internal/resd). That keeps the format free of resd types and
 // testable in isolation.
 //
 // # File layout
@@ -55,31 +55,20 @@
 // ID as a uvarint, followed by type-specific fields (varint/uvarint
 // encoded, strings length-prefixed):
 //
-//	admit           (1)  tenant, ready, procs, dur, deadline, start
-//	cancel          (2)  —
-//	migrate-in      (3)  peer (source shard), start, dur, procs, tenant
-//	migrate-out     (4)  peer (target shard)
-//	migrate-commit  (5)  —
-//	migrate-abort   (6)  —
-//	migrate-out-ack (7)  —
+//	admit   (1)  tenant, ready, procs, dur, deadline, start
+//	cancel  (2)  —
 //
 // The admit payload's tenant/ready/procs/dur/deadline fields are the
 // canonical serialization of resd.Request — the unified admission
 // argument — followed by the decision (the assigned start time).
 //
-// # Two-phase moves in the log
-//
-// A migration writes to both shards' logs: migrate-in (pending copy
-// held) on the target, then migrate-out on the source, then
-// migrate-commit on the target, and finally migrate-out-ack back on
-// the source. The ack closes the source's "open out" — the durable
-// marker that distinguishes "the source released this reservation to
-// shard T" from "the reservation was cancelled" after snapshots have
-// truncated the raw history (snapshots persist the open-out set).
-// Recovery resolves a pending migrate-in to commit exactly when the
-// source's recovered open-out names the target, and to abort
-// otherwise; a crash at any point between the phases therefore lands
-// on commit-or-abort, never a duplicate and never a lost reservation.
+// Types 3–7 are retired: they were the legs of a two-phase move between
+// shards, written only while a rebalancer that no longer exists was
+// switched on. The numbers are never reused. An intact frame carrying
+// one is not damage, so recovery does not drop it as a corrupt suffix:
+// Recover fails with ErrRetired, naming the file, and changes nothing
+// on disk — the directory stays readable by the build that wrote it.
+// Any other unknown type (0, 8 and up) is ErrCorrupt.
 //
 // # Snapshot format
 //
@@ -88,13 +77,19 @@
 //	uint32  magic "RSNP" (0x504e5352 little endian)
 //	uint8   version (1)
 //	uvarint shard, gen, nextSeq
-//	uvarint admitted, cancelled, migratedIn, migratedOut (counters)
+//	uvarint admitted, cancelled, reserved, reserved (counters)
 //	books:    uvarint count, then per book: tenant, active, area,
-//	          admitted, cancelled, rejectedQuota, migratedIn, migratedOut
+//	          admitted, cancelled, rejectedQuota, reserved, reserved
 //	live:     uvarint count, then per entry: id, start, dur, procs,
-//	          pending, from (peer shard when pending), tenant
-//	openOuts: uvarint count, then per entry: id, to
+//	          reserved byte, reserved uvarint, tenant
+//	reserved: uvarint count, always 0
 //	uint32  CRC-32 (IEEE) of everything above (little endian)
+//
+// The reserved slots held migration state — counters of finished moves,
+// a pending flag and source shard per live entry, a list of open outs.
+// They are written zero and there is one decoder: a non-zero counter is
+// read and ignored, a set pending flag or a non-empty list is a move
+// that never resolved and is refused with ErrRetired like the records.
 //
 // Snapshots are written to a temporary file, fsynced, renamed into
 // place and the directory fsynced, so a crash mid-snapshot leaves

@@ -17,20 +17,17 @@ const (
 	TAdmit Type = 1
 	// TCancel records the release of an admitted reservation.
 	TCancel Type = 2
-	// TMigrateIn records a tentative migrated-in copy (two-phase move,
-	// target side): capacity held, invisible until TMigrateCommit.
-	TMigrateIn Type = 3
-	// TMigrateOut records the source releasing a migrating reservation
-	// to the peer shard. It opens the source's "open out" for the ID.
-	TMigrateOut Type = 4
-	// TMigrateCommit finalises a pending migrate-in on the target.
-	TMigrateCommit Type = 5
-	// TMigrateAbort rolls a pending migrate-in back on the target.
-	TMigrateAbort Type = 6
-	// TMigrateOutAck closes the source's open out after the target
-	// committed — pure recovery bookkeeping, no capacity effect.
-	TMigrateOutAck Type = 7
+
+	// Types 3 through 7 were the two-phase move's records (migrate-in,
+	// -out, -commit, -abort, -out-ack), written only while the removed
+	// rebalancer was switched on. The numbers stay reserved — never
+	// written, never reused — and a frame carrying one is refused with
+	// ErrRetired.
+	retiredFirst Type = 3
+	retiredLast  Type = 7
 )
+
+func (t Type) retired() bool { return t >= retiredFirst && t <= retiredLast }
 
 func (t Type) String() string {
 	switch t {
@@ -38,16 +35,6 @@ func (t Type) String() string {
 		return "admit"
 	case TCancel:
 		return "cancel"
-	case TMigrateIn:
-		return "migrate-in"
-	case TMigrateOut:
-		return "migrate-out"
-	case TMigrateCommit:
-		return "migrate-commit"
-	case TMigrateAbort:
-		return "migrate-abort"
-	case TMigrateOutAck:
-		return "migrate-out-ack"
 	default:
 		return fmt.Sprintf("wal.Type(%d)", uint8(t))
 	}
@@ -60,16 +47,12 @@ type Record struct {
 	Type Type
 	// ID is the service-wide reservation identity.
 	ID uint64
-	// Peer is the other shard of a two-phase move: the source for
-	// TMigrateIn, the target for TMigrateOut.
-	Peer uint32
-	// Start is the admitted (or migrated-to) start time.
+	// Start is the admitted start time (TAdmit).
 	Start int64
-	// Ready, Dur, Deadline and Procs echo the admission request
-	// (TAdmit; TMigrateIn carries Dur and Procs).
+	// Ready, Dur, Deadline and Procs echo the admission request (TAdmit).
 	Ready, Dur, Deadline int64
 	Procs                int
-	// Tenant is the accounting identity (TAdmit, TMigrateIn).
+	// Tenant is the accounting identity (TAdmit).
 	Tenant string
 }
 
@@ -78,6 +61,12 @@ var (
 	// ErrCorrupt reports a frame that is structurally present but
 	// invalid: CRC mismatch, impossible length, or a malformed payload.
 	ErrCorrupt = errors.New("wal: corrupt record")
+	// ErrRetired reports intact state that only the removed rebalancer
+	// wrote: a CRC-clean record of type 3–7, or a snapshot holding a
+	// pending copy or an open out. It is not damage — Recover returns it
+	// as an error and repairs nothing, so the directory stays readable by
+	// the build that wrote it.
+	ErrRetired = errors.New("wal: retired migration state")
 	// errShort reports a frame cut off mid-write — the torn-tail signal
 	// recovery treats as the crash point, not as corruption. Internal:
 	// Recover folds it into ReplayInfo.
@@ -109,24 +98,13 @@ func AppendRecord(buf []byte, r Record) []byte {
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	buf = append(buf, byte(r.Type))
 	buf = appendUvarint(buf, r.ID)
-	switch r.Type {
-	case TAdmit:
+	if r.Type == TAdmit { // a cancel is its ID
 		buf = appendString(buf, r.Tenant)
 		buf = appendVarint(buf, r.Ready)
 		buf = appendUvarint(buf, uint64(r.Procs))
 		buf = appendVarint(buf, r.Dur)
 		buf = appendVarint(buf, r.Deadline)
 		buf = appendVarint(buf, r.Start)
-	case TMigrateIn:
-		buf = appendUvarint(buf, uint64(r.Peer))
-		buf = appendVarint(buf, r.Start)
-		buf = appendVarint(buf, r.Dur)
-		buf = appendUvarint(buf, uint64(r.Procs))
-		buf = appendString(buf, r.Tenant)
-	case TMigrateOut:
-		buf = appendUvarint(buf, uint64(r.Peer))
-	case TCancel, TMigrateCommit, TMigrateAbort, TMigrateOutAck:
-		// ID only.
 	}
 	payload := buf[head+frameHeader:]
 	binary.LittleEndian.PutUint32(buf[head:], uint32(len(payload)))
@@ -241,23 +219,17 @@ func decodePayload(payload []byte) (Record, error) {
 	var r Record
 	r.Type = Type(p.byte("type"))
 	r.ID = p.uvarint("id")
-	switch r.Type {
-	case TAdmit:
+	switch {
+	case r.Type == TAdmit:
 		r.Tenant = p.str("tenant")
 		r.Ready = p.varint("ready")
 		r.Procs = int(p.uvarint("procs"))
 		r.Dur = p.varint("dur")
 		r.Deadline = p.varint("deadline")
 		r.Start = p.varint("start")
-	case TMigrateIn:
-		r.Peer = uint32(p.uvarint("peer"))
-		r.Start = p.varint("start")
-		r.Dur = p.varint("dur")
-		r.Procs = int(p.uvarint("procs"))
-		r.Tenant = p.str("tenant")
-	case TMigrateOut:
-		r.Peer = uint32(p.uvarint("peer"))
-	case TCancel, TMigrateCommit, TMigrateAbort, TMigrateOutAck:
+	case r.Type == TCancel:
+	case r.Type.retired():
+		return Record{}, fmt.Errorf("%w: record type %d", ErrRetired, r.Type)
 	default:
 		return Record{}, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, r.Type)
 	}

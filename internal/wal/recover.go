@@ -111,6 +111,10 @@ func listGens(dir string, shard int) ([]genFiles, error) {
 // starts a newer generation and fsync-acknowledges records there, a
 // later recovery would reread the same torn tail as mid-log corruption
 // and drop those acknowledged records.
+//
+// State only the removed rebalancer wrote (ErrRetired) is neither: the
+// files are intact and this build cannot read them. Recover returns the
+// error, naming the file, and leaves the shard's files as they are.
 func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 	var info ReplayInfo
 	gens, err := listGens(dir, shard)
@@ -132,6 +136,9 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 			return nil, nil, info, fmt.Errorf("wal: %w", err)
 		}
 		s, err := decodeSnapshot(raw)
+		if errors.Is(err, ErrRetired) {
+			return nil, nil, info, fmt.Errorf("%s: %w", snapName(dir, shard, gens[i].gen), err)
+		}
 		if err != nil {
 			info.BadSnapshots++
 			continue
@@ -163,6 +170,9 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 				info.Records++
 				off += n
 				continue
+			}
+			if errors.Is(err, ErrRetired) {
+				return nil, nil, info, fmt.Errorf("%s offset %d: %w", logName(dir, shard, g.gen), off, err)
 			}
 			rest := int64(len(raw) - off)
 			last := i == len(gens)-1

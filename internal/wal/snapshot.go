@@ -13,6 +13,11 @@ const snapMagic = 0x504e5352
 // snapVersion is the current snapshot encoding version.
 const snapVersion = 1
 
+// The encoding was laid out for a service that could move reservations
+// between shards. What held that state is reserved: the encoder writes
+// zero there, and the decoder ignores a counter but answers a pending
+// live entry or an open out — a move that never finished — ErrRetired.
+
 // TenantBook is one tenant's cumulative per-shard ledger, persisted so
 // TenantStats survives a restart.
 type TenantBook struct {
@@ -20,26 +25,14 @@ type TenantBook struct {
 	Active                             int64
 	Area                               int64
 	Admitted, Cancelled, RejectedQuota uint64
-	MigratedIn, MigratedOut            uint64
 }
 
-// Live is one admitted reservation in a snapshot. Pending marks a
-// tentative migrated-in copy whose two-phase move had not resolved at
-// snapshot time; From names the move's source shard.
+// Live is one admitted reservation in a snapshot.
 type Live struct {
 	ID         uint64
 	Start, Dur int64
 	Procs      int
 	Tenant     string
-	Pending    bool
-	From       uint32
-}
-
-// OpenOut is an unacknowledged migrate-out: the shard durably released
-// ID to shard To, and has not yet heard that the target committed.
-type OpenOut struct {
-	ID uint64
-	To uint32
 }
 
 // Snapshot is one shard's full durable state at a generation boundary:
@@ -50,17 +43,15 @@ type Snapshot struct {
 	NextSeq uint64
 	// Shard-lifetime operation counters (the process-local rejection
 	// counters are deliberately not persisted; see resd's doc.go).
-	Admitted, Cancelled, MigratedIn, MigratedOut uint64
-	Books                                        []TenantBook
-	Live                                         []Live
-	OpenOuts                                     []OpenOut
+	Admitted, Cancelled uint64
+	Books               []TenantBook
+	Live                []Live
 }
 
 // encodeSnapshot renders s to its on-disk form (sorted, checksummed).
 func encodeSnapshot(s *Snapshot) []byte {
 	sort.Slice(s.Books, func(i, j int) bool { return s.Books[i].Tenant < s.Books[j].Tenant })
 	sort.Slice(s.Live, func(i, j int) bool { return s.Live[i].ID < s.Live[j].ID })
-	sort.Slice(s.OpenOuts, func(i, j int) bool { return s.OpenOuts[i].ID < s.OpenOuts[j].ID })
 
 	b := make([]byte, 0, 64+len(s.Live)*24+len(s.Books)*48)
 	b = binary.LittleEndian.AppendUint32(b, snapMagic)
@@ -70,8 +61,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 	b = appendUvarint(b, s.NextSeq)
 	b = appendUvarint(b, s.Admitted)
 	b = appendUvarint(b, s.Cancelled)
-	b = appendUvarint(b, s.MigratedIn)
-	b = appendUvarint(b, s.MigratedOut)
+	b = append(b, 0, 0) // reserved: two counters
 	b = appendUvarint(b, uint64(len(s.Books)))
 	for _, bk := range s.Books {
 		b = appendString(b, bk.Tenant)
@@ -80,8 +70,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 		b = appendUvarint(b, bk.Admitted)
 		b = appendUvarint(b, bk.Cancelled)
 		b = appendUvarint(b, bk.RejectedQuota)
-		b = appendUvarint(b, bk.MigratedIn)
-		b = appendUvarint(b, bk.MigratedOut)
+		b = append(b, 0, 0) // reserved: two counters
 	}
 	b = appendUvarint(b, uint64(len(s.Live)))
 	for _, lv := range s.Live {
@@ -89,19 +78,10 @@ func encodeSnapshot(s *Snapshot) []byte {
 		b = appendVarint(b, lv.Start)
 		b = appendVarint(b, lv.Dur)
 		b = appendUvarint(b, uint64(lv.Procs))
-		pending := byte(0)
-		if lv.Pending {
-			pending = 1
-		}
-		b = append(b, pending)
-		b = appendUvarint(b, uint64(lv.From))
+		b = append(b, 0, 0) // reserved: pending flag, source shard
 		b = appendString(b, lv.Tenant)
 	}
-	b = appendUvarint(b, uint64(len(s.OpenOuts)))
-	for _, oo := range s.OpenOuts {
-		b = appendUvarint(b, oo.ID)
-		b = appendUvarint(b, uint64(oo.To))
-	}
+	b = append(b, 0) // reserved: open-out count
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
@@ -127,8 +107,8 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 	s.NextSeq = p.uvarint("nextSeq")
 	s.Admitted = p.uvarint("admitted")
 	s.Cancelled = p.uvarint("cancelled")
-	s.MigratedIn = p.uvarint("migratedIn")
-	s.MigratedOut = p.uvarint("migratedOut")
+	p.uvarint("reserved counter")
+	p.uvarint("reserved counter")
 	nBooks := p.uvarint("books count")
 	if p.err == nil && nBooks > uint64(len(p.b)) { // each book is >= 1 byte
 		return nil, fmt.Errorf("%w: %d books in %d bytes", ErrCorrupt, nBooks, len(p.b))
@@ -141,8 +121,8 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		bk.Admitted = p.uvarint("book admitted")
 		bk.Cancelled = p.uvarint("book cancelled")
 		bk.RejectedQuota = p.uvarint("book rejectedQuota")
-		bk.MigratedIn = p.uvarint("book migratedIn")
-		bk.MigratedOut = p.uvarint("book migratedOut")
+		p.uvarint("book reserved counter")
+		p.uvarint("book reserved counter")
 		s.Books = append(s.Books, bk)
 	}
 	nLive := p.uvarint("live count")
@@ -155,20 +135,15 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		lv.Start = p.varint("live start")
 		lv.Dur = p.varint("live dur")
 		lv.Procs = int(p.uvarint("live procs"))
-		lv.Pending = p.byte("live pending") != 0
-		lv.From = uint32(p.uvarint("live from"))
+		if p.byte("live reserved flag") != 0 && p.err == nil {
+			return nil, fmt.Errorf("%w: snapshot holds a pending copy of %#x", ErrRetired, lv.ID)
+		}
+		p.uvarint("live reserved shard")
 		lv.Tenant = p.str("live tenant")
 		s.Live = append(s.Live, lv)
 	}
-	nOut := p.uvarint("openOuts count")
-	if p.err == nil && nOut > uint64(len(p.b)) {
-		return nil, fmt.Errorf("%w: %d open outs in %d bytes", ErrCorrupt, nOut, len(p.b))
-	}
-	for i := uint64(0); i < nOut && p.err == nil; i++ {
-		var oo OpenOut
-		oo.ID = p.uvarint("openOut id")
-		oo.To = uint32(p.uvarint("openOut to"))
-		s.OpenOuts = append(s.OpenOuts, oo)
+	if n := p.uvarint("reserved count"); n != 0 && p.err == nil {
+		return nil, fmt.Errorf("%w: snapshot holds %d open outs", ErrRetired, n)
 	}
 	if err := p.done("snapshot"); err != nil {
 		return nil, err
