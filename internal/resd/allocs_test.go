@@ -2,19 +2,24 @@
 
 package resd
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/tenant"
+)
 
 // Not under -race: there sync.Pool drops a share of what is put back, on
 // purpose, and the slot pool then allocates.
 
 // TestAdmitCancelAllocs pins the allocation count of the unobserved hot
 // path: a lone caller's admit+cancel allocates nothing under every
-// placement, and a service with more than stackShards shards pays at most
-// the one order buffer per Admit.
+// placement — for a named tenant and with quotas armed too, once the
+// first admission has made the tenant's cell — and a service with more
+// than stackShards shards pays at most the one order buffer per Admit.
 func TestAdmitCancelAllocs(t *testing.T) {
-	pair := func(svc *Service) func() {
+	pair := func(svc *Service, name string) func() {
 		return func() {
-			r, err := svc.Admit(Request{Ready: 0, Q: 1, Dur: 1, Deadline: NoDeadline})
+			r, err := svc.Admit(Request{Tenant: name, Ready: 0, Q: 1, Dur: 1, Deadline: NoDeadline})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -28,17 +33,24 @@ func TestAdmitCancelAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(500, pair(svc)); n != 0 {
+		if n := testing.AllocsPerRun(500, pair(svc, "")); n != 0 {
 			t.Errorf("%s: admit+cancel allocates %v times, want 0", name, n)
 		}
+		if n := testing.AllocsPerRun(500, pair(svc, "acme")); n != 0 {
+			t.Errorf("%s: a named tenant's admit+cancel allocates %v times, want 0", name, n)
+		}
 		svc.Close()
+	}
+	reg := mustRegistry(t, 1<<40, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "acme", Share: 0.5}}})
+	if n := testing.AllocsPerRun(500, pair(mustNew(t, Config{Shards: 4, M: 16, Quotas: reg}), "acme")); n != 0 {
+		t.Errorf("quotas armed: admit+cancel allocates %v times, want 0", n)
 	}
 	svc, err := New(Config{Shards: 2 * stackShards, M: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if n := testing.AllocsPerRun(500, pair(svc)); n > 2 {
+	if n := testing.AllocsPerRun(500, pair(svc, "")); n > 2 {
 		t.Errorf("%d shards: admit+cancel allocates %v times, want <= 2 (order buffer and keys)", 2*stackShards, n)
 	}
 }

@@ -38,6 +38,29 @@
 // profile.Timeline ("array", the readable reference) and demand identical
 // placements, and how the benchmark wraps the index in a call recorder.
 //
+// # The shard's book
+//
+// Beside the index a shard keeps what it has admitted: one 32-byte,
+// pointer-free record per live reservation — id, start, length, width
+// and the position of its tenant's cell — in an open-addressed table
+// keyed by id (live.go), and one cell per tenant name holding that
+// tenant's counters, its slack histogram and the area the "pressure"
+// placement reads. An admission resolves its tenant name to the cell
+// once; a cancel reaches the cell through the record and hashes no
+// string. The table is not a Go map because of what a shard does to it:
+// ids are minted in sequence and most are cancelled soon after, at
+// constant occupancy, which fills a tombstoning map with dead slots until
+// it rehashes in place, over and over. Here a deletion shifts the rest of
+// its run back over the hole, so nothing is left behind, capacity moves
+// only when the population outgrows it, and the collector has no pointer
+// in it to trace. An id does not name its slot: ids stay the monotonic
+// shard|sequence pairs the log and the snapshot record, so that a
+// recovered service mints the ids an unstopped one would — a slot in the
+// id would make free-list order and slot generations part of the
+// recovered state. Names past tenant.MaxAccounts share the
+// OverflowTenant cell; only their records keep the name they were
+// charged under, in a side map, so that Cancel credits the right account.
+//
 // # Placement
 //
 // Admissions are routed across shards by a pluggable placement
@@ -333,7 +356,8 @@
 // under -race and asserts conservation of committed capacity, with a
 // second stress pinning the quota invariant admitted-area ≤ budget at all
 // times; and FuzzResdAdmission drives random op streams against a
-// sequential oracle. cmd/resload replays synthetic or SWF-derived streams
+// sequential oracle, as FuzzLiveTable does for the live table against
+// the map it replaced. cmd/resload replays synthetic or SWF-derived streams
 // at a target rate — optionally as a zipf-skewed multi-tenant mix — and
 // reports throughput and latency percentiles per tenant;
 // BenchmarkResdThroughput and BenchmarkTenantThroughput (repository root)

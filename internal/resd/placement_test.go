@@ -52,7 +52,7 @@ func TestPlacementOrder(t *testing.T) {
 	for i, load := range []int64{30, 10, 30, 10} {
 		svc.shards[i].committedArea.Store(load)
 	}
-	svc.shards[3].tenAreaCell("a").Store(5) // tenant a already sits on shard 3
+	svc.shards[3].cell("a").area.Store(5) // tenant a already sits on shard 3
 	cases := []struct {
 		policy string
 		want   []int

@@ -3,12 +3,10 @@ package resd
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flight"
-	"repro/internal/tenant"
 	"repro/internal/wal"
 )
 
@@ -38,7 +36,8 @@ func (id ID) seq() uint64 { return uint64(id) & (1<<(64-shardBits) - 1) }
 
 // shardSeed is one shard's recovered pre-crash state, handed to
 // newShard to rebuild the capacity index, books and counters before
-// the first request.
+// the first request. Replay keeps it in plain maps; adoptSeed lays it
+// out as the shard's table and cells once the final counts are known.
 type shardSeed struct {
 	log     *wal.Log
 	nextSeq uint64
@@ -46,21 +45,19 @@ type shardSeed struct {
 	admitted, cancelled uint64
 
 	books map[string]TenantStats
-	live  map[ID]active
+	live  map[ID]wal.Live
 }
 
-// statKey mirrors shard.tstatKey against the seed's books: replay must
-// land every admission in the same (possibly overflow-bounded) book the
-// original run used, and both sides resolve names the same way because
-// the book set itself is rebuilt in the original order.
-func (sd *shardSeed) statKey(name string) string {
-	if _, ok := sd.books[name]; ok {
-		return name
+// sortedIDs lists the live ids in ascending order: the order recovery
+// re-commits and re-charges in, so a failure names the same reservation
+// on every run.
+func (sd *shardSeed) sortedIDs() []ID {
+	ids := make([]ID, 0, len(sd.live))
+	for id := range sd.live {
+		ids = append(ids, id)
 	}
-	if len(sd.books) >= tenant.MaxAccounts {
-		return OverflowTenant
-	}
-	return name
+	slices.Sort(ids)
+	return ids
 }
 
 // shardErr wraps a recovery failure with its shard. For wal.ErrRetired
@@ -83,7 +80,7 @@ func corruptState(shard int, format string, args ...any) error {
 // records after it. Pure bookkeeping: the capacity index is rebuilt
 // later, from the surviving live set.
 func replayShard(shard int, snap *wal.Snapshot, recs []wal.Record) (*shardSeed, error) {
-	sd := &shardSeed{books: make(map[string]TenantStats), live: make(map[ID]active)}
+	sd := &shardSeed{books: make(map[string]TenantStats), live: make(map[ID]wal.Live)}
 	if snap != nil {
 		sd.nextSeq = snap.NextSeq
 		sd.admitted, sd.cancelled = snap.Admitted, snap.Cancelled
@@ -101,10 +98,7 @@ func replayShard(shard int, snap *wal.Snapshot, recs []wal.Record) (*shardSeed, 
 				return nil, shardErr(shard, fmt.Errorf("generation %d snapshot: %w: live id %#x was admitted by shard %d",
 					snap.Gen, wal.ErrRetired, lv.ID, id.Shard()))
 			}
-			sd.live[id] = active{
-				start: core.Time(lv.Start), dur: core.Time(lv.Dur), q: lv.Procs,
-				tenant: lv.Tenant, statKey: sd.statKey(lv.Tenant),
-			}
+			sd.live[id] = lv
 		}
 	}
 	for _, rec := range recs {
@@ -124,16 +118,11 @@ func (sd *shardSeed) apply(shard int, rec wal.Record) error {
 		if _, dup := sd.live[id]; dup {
 			return corruptState(shard, "admit of live id %#x", rec.ID)
 		}
-		key := sd.statKey(rec.Tenant)
-		a := active{
-			start: core.Time(rec.Start), dur: core.Time(rec.Dur), q: rec.Procs,
-			tenant: rec.Tenant, statKey: key,
-		}
-		sd.live[id] = a
-		area := int64(a.dur) * int64(a.q)
+		sd.live[id] = wal.Live{ID: rec.ID, Start: rec.Start, Dur: rec.Dur, Procs: rec.Procs, Tenant: rec.Tenant}
+		key := bookName(sd.books, rec.Tenant)
 		bk := sd.books[key]
 		bk.Active++
-		bk.CommittedArea += area
+		bk.CommittedArea += rec.Dur * int64(rec.Procs)
 		bk.Admitted++
 		sd.books[key] = bk
 		sd.admitted++
@@ -146,12 +135,12 @@ func (sd *shardSeed) apply(shard int, rec wal.Record) error {
 			return corruptState(shard, "cancel of unknown id %#x", rec.ID)
 		}
 		delete(sd.live, id)
-		area := int64(a.dur) * int64(a.q)
-		bk := sd.books[a.statKey]
+		key := bookName(sd.books, a.Tenant)
+		bk := sd.books[key]
 		bk.Active--
-		bk.CommittedArea -= area
+		bk.CommittedArea -= a.Dur * int64(a.Procs)
 		bk.Cancelled++
-		sd.books[a.statKey] = bk
+		sd.books[key] = bk
 		sd.cancelled++
 	default:
 		return corruptState(shard, "unknown record type %d", rec.Type)
@@ -227,52 +216,18 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 	// recovered load — surfaced, not silently dropped.
 	if cfg.Quotas != nil {
 		for i, sd := range seeds {
-			ids := make([]ID, 0, len(sd.live))
-			for id := range sd.live {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-			for _, id := range ids {
+			for _, id := range sd.sortedIDs() {
 				a := sd.live[id]
-				area := int64(a.dur) * int64(a.q)
-				if err := cfg.Quotas.Acquire(a.tenant, area); err != nil {
+				area := a.Dur * int64(a.Procs)
+				if err := cfg.Quotas.Acquire(a.Tenant, area); err != nil {
 					closeAll()
 					return nil, info, fmt.Errorf("resd: shard %d: recovered reservation %#x no longer fits tenant %q's quota: %w",
-						i, uint64(id), a.tenant, err)
+						i, uint64(id), a.Tenant, err)
 				}
-				cfg.Quotas.Admit(a.tenant)
+				cfg.Quotas.Admit(a.Tenant)
 			}
 		}
 	}
 	info.Replay = time.Since(begin)
 	return seeds, info, nil
-}
-
-// bootSnapshot captures a seed's state as the snapshot anchoring the
-// freshly opened boot generation.
-func (sd *shardSeed) bootSnapshot(shard int, gen uint64) *wal.Snapshot {
-	return buildSnapshot(shard, gen, sd.nextSeq, sd.admitted, sd.cancelled, sd.books, sd.live)
-}
-
-// buildSnapshot assembles a wal.Snapshot from shard-shaped state (used
-// both for the boot snapshot and the periodic captures between turns).
-func buildSnapshot(shard int, gen, nextSeq, admitted, cancelled uint64,
-	books map[string]TenantStats, live map[ID]active) *wal.Snapshot {
-	s := &wal.Snapshot{
-		Shard: shard, Gen: gen, NextSeq: nextSeq,
-		Admitted: admitted, Cancelled: cancelled,
-	}
-	for name, ts := range books {
-		s.Books = append(s.Books, wal.TenantBook{
-			Tenant: name, Active: int64(ts.Active), Area: ts.CommittedArea,
-			Admitted: ts.Admitted, Cancelled: ts.Cancelled, RejectedQuota: ts.RejectedQuota,
-		})
-	}
-	for id, a := range live {
-		s.Live = append(s.Live, wal.Live{
-			ID: uint64(id), Start: int64(a.start), Dur: int64(a.dur), Procs: a.q,
-			Tenant: a.tenant,
-		})
-	}
-	return s
 }

@@ -3,6 +3,7 @@ package resd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -147,8 +148,10 @@ func (c Config) normalize() (Config, error) {
 	if c.Shards < 1 || c.Shards > 1<<shardBits {
 		return c, fmt.Errorf("%w: Shards=%d outside [1,%d]", ErrBadRequest, c.Shards, 1<<shardBits)
 	}
-	if c.M < 1 {
-		return c, fmt.Errorf("%w: M=%d, need >= 1", ErrBadRequest, c.M)
+	if c.M < 1 || c.M > math.MaxInt32 {
+		// The upper bound is the width a live record (and a leaf of the
+		// tree index) stores: an int32.
+		return c, fmt.Errorf("%w: M=%d outside [1,%d]", ErrBadRequest, c.M, math.MaxInt32)
 	}
 	if c.Alpha < 0 || c.Alpha > 1 {
 		return c, fmt.Errorf("%w: Alpha=%v outside [0,1]", ErrBadRequest, c.Alpha)

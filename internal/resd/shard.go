@@ -1,9 +1,11 @@
 package resd
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -71,33 +73,56 @@ type slot struct {
 
 var slotPool = sync.Pool{New: func() any { return &slot{wake: make(chan bool, 1)} }}
 
-// active is a shard-local record of an admitted reservation. tenant is
-// the accounting identity quota release uses; statKey is the (possibly
-// overflow-bounded) per-shard book the admission was recorded under.
-type active struct {
-	start, dur core.Time
-	q          int
-	tenant     string
-	statKey    string
-}
-
 // OverflowTenant is the per-shard book that absorbs tenant names beyond
-// the tenant.MaxAccounts bound: the combiner-owned stats maps must not
-// grow without limit just because a wire client cycles fresh names.
-// Admission and quota accounting are unaffected — only per-name
-// attribution in TenantStats degrades past the cap.
+// the tenant.MaxAccounts bound: the combiner-owned cells must not grow
+// without limit just because a wire client cycles fresh names. Admission
+// and quota accounting are unaffected — only per-name attribution in
+// TenantStats degrades past the cap.
 const OverflowTenant = "!overflow"
 
-// tstatKey resolves which per-tenant book a name lands in, bounding the
-// map like the registry bounds its accounts. The first time a shard
-// falls back to the overflow book it journals the degradation: from
-// that point per-name attribution is lossy, which an operator reading
-// TenantStats should know without diffing map sizes.
-func (sh *shard) tstatKey(name string) string {
-	if _, ok := sh.tstats[name]; ok {
-		return name
+// bookName is the overflow rule: which per-tenant book a name is kept
+// in, given the books a shard already has — its own, unless that would be
+// a new book past the cap. The shard and WAL replay both resolve names with
+// it, and the book set only grows, so a reservation's tenant name finds
+// the book it was admitted into at any later time, on either side.
+func bookName[V any](books map[string]V, name string) string {
+	if _, ok := books[name]; !ok && len(books) >= tenant.MaxAccounts {
+		return OverflowTenant
 	}
-	if len(sh.tstats) >= tenant.MaxAccounts {
+	return name
+}
+
+// tenantCell is everything a shard keeps about one tenant book. An
+// admission resolves its tenant name to the cell once; a live record
+// names the cell by idx, its position in shard.cells, so a cancel finds
+// it without a name. Owned by the combiner, except area.
+type tenantCell struct {
+	name  string
+	idx   uint32
+	stats TenantStats // SlackP99 is rendered from slack on read
+	// area mirrors stats.CommittedArea for the "pressure" placement
+	// policy, which reads it lock-free from other goroutines.
+	area  atomic.Int64
+	slack slackHist
+}
+
+// cell resolves a tenant name to its cell, creating the cell on first
+// sight: the one string-keyed lookup of an admission.
+func (sh *shard) cell(name string) *tenantCell {
+	if c := sh.byName[name]; c != nil {
+		return c
+	}
+	return sh.newCell(name)
+}
+
+// newCell books a name that has no cell: in a cell of its own, or in the
+// overflow cell once the shard keeps tenant.MaxAccounts of them. The
+// first time a shard falls back to the overflow book it journals the
+// degradation: from that point per-name attribution is lossy, which an
+// operator reading TenantStats should know without counting books.
+func (sh *shard) newCell(name string) *tenantCell {
+	book := bookName(sh.byName, name)
+	if book != name {
 		if !sh.overflowed {
 			sh.overflowed = true
 			sh.journal.RecordEvent(flight.Event{
@@ -106,9 +131,40 @@ func (sh *shard) tstatKey(name string) string {
 				KV:  []flight.KV{{K: "max_accounts", V: strconv.Itoa(tenant.MaxAccounts)}},
 			})
 		}
-		return OverflowTenant
+		if c := sh.byName[book]; c != nil {
+			return c
+		}
 	}
-	return name
+	return sh.addCell(book)
+}
+
+// addCell appends the cell for a book the shard does not have yet.
+func (sh *shard) addCell(book string) *tenantCell {
+	c := &tenantCell{name: book, idx: uint32(len(sh.cells))}
+	sh.cells = append(sh.cells, c)
+	sh.byName[book] = c
+	sh.tenAreas.Store(book, c)
+	return c
+}
+
+// tenantOf returns the name a live reservation's quota is charged under.
+func (sh *shard) tenantOf(a resv) string {
+	if name, ok := sh.live.charged[a.id()]; ok {
+		return name
+	}
+	return sh.cells[a.cell].name
+}
+
+// keep enters an admitted reservation in the live table under cell c.
+// tenant is the name its quota was charged under: the cell's own, except
+// in the overflow book, whose records keep theirs beside the table so
+// that Cancel releases the right account and the snapshot stays exact.
+func (sh *shard) keep(id ID, start, dur core.Time, q int, tenant string, c *tenantCell) {
+	sh.live.put(resv{key: uint64(id) + 1, start: start, dur: dur, q: int32(q), cell: c.idx})
+	if tenant != c.name {
+		sh.live.chargeTo(id, tenant)
+	}
+	sh.area += int64(dur) * int64(q)
 }
 
 // shard is one cluster partition: a capacity index plus the admission
@@ -130,22 +186,24 @@ type shard struct {
 	depth     atomic.Int64
 	pending   []*slot // the turn being served (combiner-owned, like all below)
 
-	idx    profile.CapacityIndex
-	live   map[ID]active
-	tstats map[string]TenantStats // per-tenant books
+	idx profile.CapacityIndex
+	// The book: what the shard has admitted and for whom. live holds the
+	// reservations, cells the per-tenant books in creation order, byName
+	// finds a cell by tenant name. tenAreas is byName again for readers
+	// that are not the combiner (name → *tenantCell, stored once when the
+	// cell is made): the lock-free per-tenant load the "pressure"
+	// placement policy routes by.
+	live     liveTable
+	cells    []*tenantCell
+	byName   map[string]*tenantCell
+	tenAreas sync.Map
 	// slack records the start-time slack of every admission. An atomic
 	// obs.Histogram so Stats, scrapes and the SLO engine's snapshot ring
 	// read quantiles and cumulative buckets without a request to the
 	// shard; only the combiner writes it.
 	slack   *obs.Histogram
-	tslack  map[string]*slackHist // per-tenant slack, keyed like tstats
 	nextSeq uint64
 	area    int64 // running processor-tick area of live reservations
-
-	// tenAreas mirrors the per-tenant committed area as atomics (one cell
-	// per tstats book), written only by the combiner: the lock-free
-	// per-tenant load summary the "pressure" placement policy routes by.
-	tenAreas sync.Map // string → *atomic.Int64
 
 	// fairOrder scratch, reused across turns so the soft-mode reorder
 	// allocates nothing per turn (like pending).
@@ -198,22 +256,11 @@ type shard struct {
 	walFailed atomic.Uint64
 }
 
-// tenAreaCell returns the shard's atomic area mirror for one tenant book,
-// creating it on first use. Written only by the combiner; read lock-free
-// by the pressure placement policy.
-func (sh *shard) tenAreaCell(statKey string) *atomic.Int64 {
-	if v, ok := sh.tenAreas.Load(statKey); ok {
-		return v.(*atomic.Int64)
-	}
-	v, _ := sh.tenAreas.LoadOrStore(statKey, new(atomic.Int64))
-	return v.(*atomic.Int64)
-}
-
 // tenantArea reads one tenant's committed area on this shard (0 when the
-// tenant has never touched the shard).
+// tenant has no book here).
 func (sh *shard) tenantArea(name string) int64 {
 	if v, ok := sh.tenAreas.Load(name); ok {
-		return v.(*atomic.Int64).Load()
+		return v.(*tenantCell).area.Load()
 	}
 	return 0
 }
@@ -237,10 +284,8 @@ func newShard(id int, cfg Config, floor int, seed *shardSeed) (*shard, error) {
 		batch:  cfg.Batch,
 		quotas: cfg.Quotas,
 		idx:    idx,
-		live:   make(map[ID]active),
-		tstats: make(map[string]TenantStats),
+		byName: make(map[string]*tenantCell),
 		slack:  &obs.Histogram{},
-		tslack: make(map[string]*slackHist),
 	}
 	if cfg.Obs != nil && cfg.Obs.Registry != nil {
 		sh.turnNs = cfg.Obs.Registry.NewHistogram("resd_loop_turn_ns",
@@ -275,39 +320,42 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	sh.nextSeq = seed.nextSeq
 	sh.admitted.Store(seed.admitted)
 	sh.cancelled.Store(seed.cancelled)
-	sh.tstats = seed.books
-	ids := make([]ID, 0, len(seed.live))
-	for id := range seed.live {
-		ids = append(ids, id)
+	// Cells in name order, the table at its final size before the first
+	// insertion: what a recovered shard looks like depends on what the
+	// directory holds, not on map iteration or on the order of growth.
+	names := make([]string, 0, len(seed.books))
+	for name := range seed.books {
+		names = append(names, name)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		a := seed.live[id]
-		if err := sh.idx.Commit(a.start, a.dur, a.q); err != nil {
+	slices.Sort(names)
+	for _, name := range names {
+		c := sh.addCell(name)
+		c.stats = seed.books[name]
+		c.area.Store(c.stats.CommittedArea)
+	}
+	sh.live.reserve(len(seed.live))
+	for _, id := range seed.sortedIDs() {
+		lv := seed.live[id]
+		start, dur := core.Time(lv.Start), core.Time(lv.Dur)
+		if err := sh.idx.Commit(start, dur, lv.Procs); err != nil {
 			return fmt.Errorf("resd: shard %d: recovered reservation %#x (start=%v dur=%v q=%d) no longer fits: %w",
-				sh.id, uint64(id), a.start, a.dur, a.q, err)
+				sh.id, lv.ID, start, dur, lv.Procs, err)
 		}
-		sh.live[id] = a
-		sh.area += int64(a.dur) * int64(a.q)
+		sh.keep(id, start, dur, lv.Procs, lv.Tenant, sh.cell(lv.Tenant))
 	}
-	for name, ts := range sh.tstats {
-		if ts.CommittedArea != 0 {
-			sh.tenAreaCell(name).Store(ts.CommittedArea)
-		}
-	}
-	sh.activeCount.Store(int64(len(sh.live)))
+	sh.activeCount.Store(int64(sh.live.n))
 	sh.committedArea.Store(sh.area)
 	// Anchor a snapshot of the recovered state so the generations replay
 	// just consumed can be deleted. Written synchronously: by the time New
 	// returns, recovery is complete and the old logs are gone. Skipped for
 	// a state-free boot (nothing to anchor) and when snapshots are
 	// disabled.
-	if sh.snapEvery > 0 && (len(sh.live) > 0 || len(sh.tstats) > 0 || seed.admitted > 0) {
+	if sh.snapEvery > 0 && (sh.live.n > 0 || len(sh.cells) > 0 || seed.admitted > 0) {
 		gen, err := sh.wlog.Rotate()
 		if err != nil {
 			return fmt.Errorf("resd: shard %d: boot snapshot: %w", sh.id, err)
 		}
-		if err := sh.wlog.WriteSnapshot(seed.bootSnapshot(sh.id, gen)); err != nil {
+		if err := sh.wlog.WriteSnapshot(sh.snapshot(gen)); err != nil {
 			return fmt.Errorf("resd: shard %d: boot snapshot: %w", sh.id, err)
 		}
 	}
@@ -520,12 +568,11 @@ func (sh *shard) apply(r request) response {
 	case opSnapshot:
 		return response{snap: sh.idx.CloneIndex()}
 	case opTenantStats:
-		out := make(map[string]TenantStats, len(sh.tstats))
-		for name, ts := range sh.tstats {
-			if h := sh.tslack[name]; h != nil {
-				ts.SlackP99 = h.p99()
-			}
-			out[name] = ts
+		out := make(map[string]TenantStats, len(sh.cells))
+		for _, c := range sh.cells {
+			ts := c.stats
+			ts.SlackP99 = c.slack.p99()
+			out[c.name] = ts
 		}
 		return response{tstats: out}
 	case opDump:
@@ -555,13 +602,11 @@ func (sh *shard) reserve(r request) response {
 			ErrDeadline, start, r.deadline, r.q, r.dur, sh.id)}
 	}
 	area := int64(r.dur) * int64(r.q)
-	statKey := sh.tstatKey(r.tenant)
+	c := sh.cell(r.tenant)
 	if sh.quotas != nil {
 		if err := sh.quotas.Acquire(r.tenant, area); err != nil {
 			sh.rejectedQuota.Add(1)
-			ts := sh.tstats[statKey]
-			ts.RejectedQuota++
-			sh.tstats[statKey] = ts
+			c.stats.RejectedQuota++
 			return response{err: fmt.Errorf("shard %d: %w", sh.id, err)}
 		}
 	}
@@ -585,24 +630,16 @@ func (sh *shard) reserve(r request) response {
 		Ready: int64(r.ready), Procs: r.q, Dur: int64(r.dur),
 		Deadline: int64(r.deadline), Start: int64(start),
 	})
-	sh.live[id] = active{start: start, dur: r.dur, q: r.q, tenant: r.tenant, statKey: statKey}
-	sh.area += area
-	ts := sh.tstats[statKey]
-	ts.Active++
-	ts.CommittedArea += area
-	ts.Admitted++
-	sh.tstats[statKey] = ts
-	sh.tenAreaCell(statKey).Add(area)
+	sh.keep(id, start, r.dur, r.q, r.tenant, c)
+	c.stats.Active++
+	c.stats.CommittedArea += area
+	c.stats.Admitted++
+	c.area.Add(area)
 	// Start-time slack — how far past its ready time the admission had to
 	// be pushed — is the per-admission SLO sample surfaced as p99 in
 	// ShardStats and per tenant in TenantStats.
 	sh.slack.Observe(int64(start - r.ready))
-	th := sh.tslack[statKey]
-	if th == nil {
-		th = new(slackHist)
-		sh.tslack[statKey] = th
-	}
-	th.add(start - r.ready)
+	c.slack.add(start - r.ready)
 	sh.admitted.Add(1)
 	return response{resv: Reservation{ID: id, Shard: sh.id, Start: start, Dur: r.dur, Procs: r.q}}
 }
@@ -610,44 +647,75 @@ func (sh *shard) reserve(r request) response {
 // cancel releases an admitted reservation and credits the area back to
 // its tenant's quota.
 func (sh *shard) cancel(r request) response {
-	a, ok := sh.live[r.id]
-	if !ok {
+	i := sh.live.find(r.id)
+	if i < 0 {
 		return response{err: fmt.Errorf("%w: %#x on shard %d", ErrUnknownID, uint64(r.id), sh.id)}
 	}
-	if err := sh.idx.Release(a.start, a.dur, a.q); err != nil {
+	a := sh.live.slots[i]
+	if err := sh.idx.Release(a.start, a.dur, int(a.q)); err != nil {
 		return response{err: fmt.Errorf("resd: shard %d release: %w", sh.id, err)}
 	}
 	sh.walAppend(wal.Record{Type: wal.TCancel, ID: uint64(r.id)})
-	delete(sh.live, r.id)
+	sh.live.delAt(i)
 	area := int64(a.dur) * int64(a.q)
 	sh.area -= area
+	c := sh.cells[a.cell]
 	if sh.quotas != nil {
-		sh.quotas.Release(a.tenant, area)
+		sh.quotas.Release(sh.tenantOf(a), area)
 	}
-	ts := sh.tstats[a.statKey]
-	ts.Active--
-	ts.CommittedArea -= area
-	ts.Cancelled++
-	sh.tstats[a.statKey] = ts
-	sh.tenAreaCell(a.statKey).Add(-area)
+	delete(sh.live.charged, r.id)
+	c.stats.Active--
+	c.stats.CommittedArea -= area
+	c.stats.Cancelled++
+	c.area.Add(-area)
 	sh.cancelled.Add(1)
 	return response{}
 }
 
 // dump lists the shard's live reservations, sorted by ID.
 func (sh *shard) dump() response {
-	out := make([]Reservation, 0, len(sh.live))
-	for id, a := range sh.live {
-		out = append(out, Reservation{ID: id, Shard: sh.id, Start: a.start, Dur: a.dur, Procs: a.q})
+	out := make([]Reservation, 0, sh.live.n)
+	for _, a := range sh.live.slots {
+		if a.key != 0 {
+			out = append(out, Reservation{ID: a.id(), Shard: sh.id, Start: a.start, Dur: a.dur, Procs: int(a.q)})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Reservation) int { return cmp.Compare(a.ID, b.ID) })
 	return response{live: out}
+}
+
+// snapshot renders the book as the durable state anchoring log generation
+// gen, straight from the table and the cells; the encoder sorts both
+// lists. Runs inside a turn (or before the first), so the copy is
+// consistent.
+func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
+	s := &wal.Snapshot{
+		Shard: sh.id, Gen: gen, NextSeq: sh.nextSeq,
+		Admitted: sh.admitted.Load(), Cancelled: sh.cancelled.Load(),
+		Books: make([]wal.TenantBook, len(sh.cells)),
+		Live:  make([]wal.Live, 0, sh.live.n),
+	}
+	for i, c := range sh.cells {
+		s.Books[i] = wal.TenantBook{
+			Tenant: c.name, Active: int64(c.stats.Active), Area: c.stats.CommittedArea,
+			Admitted: c.stats.Admitted, Cancelled: c.stats.Cancelled, RejectedQuota: c.stats.RejectedQuota,
+		}
+	}
+	for _, a := range sh.live.slots {
+		if a.key == 0 {
+			continue
+		}
+		s.Live = append(s.Live, wal.Live{
+			ID: uint64(a.id()), Start: int64(a.start), Dur: int64(a.dur), Procs: int(a.q), Tenant: sh.tenantOf(a),
+		})
+	}
+	return s
 }
 
 // publish stores the load summary for lock-free readers (placement
 // policies, Stats). Called once per turn — the group-commit point.
 func (sh *shard) publish(n int) {
-	sh.activeCount.Store(int64(len(sh.live)))
+	sh.activeCount.Store(int64(sh.live.n))
 	sh.committedArea.Store(sh.area)
 	sh.batches.Add(1)
 	sh.ops.Add(uint64(n))

@@ -62,7 +62,7 @@ func (sh *shard) maybeSnapshot() {
 		sh.walFail("rotate", err)
 		return
 	}
-	snap := buildSnapshot(sh.id, gen, sh.nextSeq, sh.admitted.Load(), sh.cancelled.Load(), sh.tstats, sh.live)
+	snap := sh.snapshot(gen)
 	wl := sh.wlog
 	sh.snapBusy.Store(true)
 	sh.snapWG.Add(1)

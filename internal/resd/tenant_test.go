@@ -397,24 +397,67 @@ func TestPrefixCapacityMatchesServiceFloor(t *testing.T) {
 	}
 }
 
-// TestShardTenantBooksBounded pins the per-shard stats cap: names beyond
-// tenant.MaxAccounts land in the OverflowTenant book instead of growing
-// the loop-owned map without limit, and cancels balance the same book.
+// TestShardTenantBooksBounded pins the per-shard cap on tenant cells:
+// names beyond tenant.MaxAccounts are booked in the OverflowTenant cell
+// instead of growing the combiner-owned books without limit, and such a
+// reservation still knows the name its quota was charged under — Cancel
+// releases that account, the snapshot lists that name.
 func TestShardTenantBooksBounded(t *testing.T) {
-	s := mustNew(t, Config{M: 8})
+	reg := mustRegistry(t, 1<<40, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "known", Share: 0.5}}})
+	s := mustNew(t, Config{M: 8, Quotas: reg})
 	sh := s.shards[0]
-	// Pre-fill the shard book to the cap from the loop's perspective by
-	// seeding tstats directly is not possible from outside the loop, so
-	// simulate the resolver: a known name stays itself, a fresh name past
-	// the cap overflows.
+	// Fill the shard's cells to the cap through the resolver itself (no
+	// request is in flight, so the test may act as the combiner); doing
+	// it by admission would fill the registry's accounts too, and the
+	// fresh name below must keep an account of its own.
 	for i := 0; i < tenant.MaxAccounts; i++ {
-		sh.tstats[fmt.Sprintf("seed%d", i)] = TenantStats{}
+		sh.cell(fmt.Sprintf("seed%d", i))
 	}
-	if got := sh.tstatKey("seed5"); got != "seed5" {
-		t.Fatalf("existing name resolved to %q", got)
+	if c := sh.cell("seed5"); c.name != "seed5" || sh.cells[c.idx] != c {
+		t.Fatalf("existing name resolved to cell %q at %d", c.name, c.idx)
 	}
-	if got := sh.tstatKey("fresh"); got != OverflowTenant {
-		t.Fatalf("fresh name past cap resolved to %q, want %q", got, OverflowTenant)
+	if c := sh.cell("fresh"); c.name != OverflowTenant {
+		t.Fatalf("fresh name past cap resolved to %q, want %q", c.name, OverflowTenant)
+	}
+	if n := len(sh.cells); n != tenant.MaxAccounts+1 {
+		t.Fatalf("%d cells, want the cap plus the overflow cell", n)
+	}
+
+	r, err := s.Admit(Request{Tenant: "fresh", Q: 2, Dur: 5, Deadline: NoDeadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := s.TenantStats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, own := ts["fresh"]; own {
+		t.Fatal("a name past the cap got a book of its own")
+	}
+	if o := ts[OverflowTenant]; o.Active != 1 || o.CommittedArea != 10 || o.Admitted != 1 {
+		t.Fatalf("overflow book after admit = %+v", o)
+	}
+	if u := reg.Usage("fresh"); u.Used != 10 || u.Inflight != 1 {
+		t.Fatalf("registry usage of the charged name after admit = %+v", u)
+	}
+	if snap := sh.snapshot(1); len(snap.Live) != 1 || snap.Live[0].Tenant != "fresh" {
+		t.Fatalf("snapshot lists %+v, want the charged name", snap.Live)
+	}
+	if err := s.Cancel(r.ID); err != nil {
+		t.Fatal(err)
+	}
+	if u := reg.Usage("fresh"); u.Used != 0 || u.Inflight != 0 || u.Cancelled != 1 {
+		t.Fatalf("registry usage of the charged name after cancel = %+v", u)
+	}
+	if u := reg.Usage(OverflowTenant); u.Used != 0 || u.Cancelled != 0 {
+		t.Fatalf("cancel touched the overflow book's name in the registry: %+v", u)
+	}
+	if n := len(sh.live.charged); n != 0 {
+		t.Fatalf("%d charged names left after cancel", n)
+	}
+	ts, _ = s.TenantStats(0)
+	if o := ts[OverflowTenant]; o.Active != 0 || o.CommittedArea != 0 || o.Cancelled != 1 {
+		t.Fatalf("overflow book after cancel = %+v", o)
 	}
 }
 
