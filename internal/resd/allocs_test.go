@@ -3,6 +3,7 @@
 package resd
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/tenant"
@@ -52,5 +53,30 @@ func TestAdmitCancelAllocs(t *testing.T) {
 	defer svc.Close()
 	if n := testing.AllocsPerRun(500, pair(svc, "")); n > 2 {
 		t.Errorf("%d shards: admit+cancel allocates %v times, want <= 2 (order buffer and keys)", 2*stackShards, n)
+	}
+}
+
+// TestRefusedAdmitAllocs: a refusal is one value — the *Refusal, with the
+// quota's figures inside it — and no text until somebody prints it.
+func TestRefusedAdmitAllocs(t *testing.T) {
+	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "tiny", Share: 0.001}}})
+	svc := mustNew(t, Config{Shards: 4, M: 16, Quotas: reg})
+	refused := func(req Request, want error) func() {
+		return func() {
+			if _, err := svc.Admit(req); !errors.Is(err, want) {
+				t.Fatalf("Admit(%+v) = %v, want %v", req, err, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(500, refused(Request{Tenant: "tiny", Q: 1, Dur: 5, Deadline: NoDeadline}, ErrQuota)); n > 1 {
+		t.Errorf("a quota-refused Admit allocates %v times, want <= 1", n)
+	}
+	for i := 0; i < 4; i++ { // fill every shard at tick 0
+		if _, err := svc.Admit(Request{Q: 16, Dur: 10, Deadline: NoDeadline}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(500, refused(Request{Q: 1, Dur: 5, Deadline: 0}, ErrDeadline)); n > 4 {
+		t.Errorf("an Admit four shards refuse for its deadline allocates %v times, want <= 4 (one per shard)", n)
 	}
 }

@@ -21,7 +21,7 @@ import (
 
 // TestCombineOwnAnswer is a seeded stress — callers × shards, admit,
 // cancel and query, soft-mode quotas so fairOrder permutes the turns, the
-// WAL on so combiners yield for group commits — in which every call must
+// WAL fsyncing so combiners yield for group commits — in which every call must
 // get exactly its own answer: each caller asks only for durations
 // congruent to its own index, so an answer delivered to the wrong slot
 // shows as a wrong Dur or Procs, a cancel of a held ID must succeed, and
@@ -45,7 +45,7 @@ func TestCombineOwnAnswer(t *testing.T) {
 	})
 	s := mustNew(t, Config{
 		Shards: shards, M: m, Placement: "p2c", Seed: seed, Batch: 4, Quotas: reg,
-		WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone, SnapEvery: 500},
+		WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncBatch, SnapEvery: 500},
 	})
 	held := make([][]Reservation, callers)
 	ids := make([][]ID, callers)
@@ -222,6 +222,9 @@ func TestCombineCloseRace(t *testing.T) {
 	if _, err := s.Query(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Query after Close = %v, want ErrClosed", err)
 	}
+	// Admissions that met the closing shards mid-walk came back with
+	// ErrClosed; none may have left its area behind.
+	noneInFlight(t, s, "closed under traffic")
 }
 
 // TestCombineTenureBounded holds the first combiner's turn open while

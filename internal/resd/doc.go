@@ -20,13 +20,18 @@
 //
 // The role moves on: a combiner serves at most Config.Batch operations
 // and then hands the role to the oldest waiter, so no caller pays for
-// more than one batch of other callers' work. On a shard with a
-// write-ahead log, where a turn costs a log commit however many requests
-// share it, the combiner first yields the processor until a round adds
-// no request — the group commit — and hands on after one turn, so that
-// its own caller's next request can share the next commit. Without a log
-// it does neither: a batch buys nothing there, and a turn is usually one
-// operation.
+// more than one batch of other callers' work. On a shard whose
+// write-ahead log fsyncs (wal.SyncBatch, the default), where a turn
+// costs one fsync however many requests share it, the combiner first
+// yields the processor until a round adds no request — the group commit
+// — and hands on after one turn, so that its own caller's next request
+// can share the next fsync. Without a log, or with one that only hands
+// its records to the OS (wal.SyncNone: a commit is a write(2) of a few
+// records, about what one yield costs), it does neither: a batch buys
+// nothing there, and a turn is usually one operation. The same predicate
+// — the log says whether it fsyncs — decides whether placement counts
+// in-flight area (below) and whether a reswire server keeps a goroutine
+// per request or lets each connection's reader serve.
 //
 // Shutdown is a request through the same queue: Close queues it on every
 // shard, what was queued ahead of it is answered for real, every later
@@ -69,25 +74,47 @@
 //   - "first-fit" — scan shards in index order and admit on the first that
 //     accepts. Simple, deterministic, and deliberately naive: it piles
 //     load onto low-index shards.
-//   - "least-loaded" — route to the shard with the smallest committed
-//     area (the exact global minimum at the instant of routing).
+//   - "least-loaded" — route to the shard with the smallest load (for a
+//     serial caller the exact global minimum of committed area at the
+//     instant of routing; see below for what load is between callers).
 //   - "p2c" — power-of-two-choices on free area: sample two distinct
-//     shards and route to the one with more uncommitted area. The classic
+//     shards and route to the one with the smaller load. The classic
 //     load-balancing result applies: two random choices remove almost all
 //     of the imbalance of one while touching O(1) shards per request.
 //   - "pressure" — quota-aware placement: route by the requesting
 //     tenant's own committed area per shard (its usage-to-budget pressure
 //     there, the two orderings coinciding under the registry's equal
-//     per-shard budget resolution), lowest first, total load breaking
-//     ties. Each tenant's footprint is spread across partitions, so a
+//     per-shard budget resolution), lowest first, the shard's load
+//     breaking ties. Each tenant's footprint is spread across partitions, so a
 //     zipf-heavy tenant saturates no single shard and small tenants are
 //     routed around the heavy hitters' hot spots.
 //
 // Policies read only the atomically published per-shard load summaries
 // (including the per-tenant area mirrors "pressure" uses), so routing
 // itself is lock-free; the routed shard re-validates when it serves the
-// request, which makes stale routing information harmless (a shard never
-// over-admits, a request at worst lands on a busier shard).
+// request, which makes stale routing information harmless to correctness
+// (a shard never over-admits, a request at worst lands on a busier shard).
+//
+// It is not harmless to speed. A shard publishes its committed area once
+// per turn, so between two publishes every caller routing reads the same
+// S numbers, picks the same minimum and parks behind one combiner while
+// the other shards idle — a convoy, made of nothing but a stale summary.
+// So the one key all three policies read, shard.load, is the committed
+// area plus the shard's in-flight load: the area (Dur × Q) of the
+// admissions Admit has handed the shard and not had answered yet, raised
+// before the request is queued, lowered when the answer is back on every
+// path, and moved along with the request when a deadline or α refusal
+// sends it on to the next shard. Concurrent callers thus see each
+// other's choice, spread over the shards, mostly find no combiner at
+// work and serve themselves. An admission is published before its caller
+// lowers the in-flight share, so load errs upward, never downward, and
+// with no admission under way it is exactly the committed area: a serial
+// caller routes as if the term were not there. A shard whose log fsyncs
+// leaves the term out: there callers queueing together is the group
+// commit, and spreading them buys more fsyncs of fewer records each. What
+// is still per-turn is "pressure"'s first key, the tenant's own area on
+// the shard: two concurrent admissions of one tenant may pick the same
+// shard.
 //
 // # Admission rule
 //
@@ -129,6 +156,12 @@
 // and counts deadline rejections separately in ShardStats.RejectedDeadline.
 // A rejected request consumes no capacity.
 //
+// What a shard refuses it returns as a *Refusal — the rule (Kind, which
+// errors.Is matches), the shard, the request's figures, the earliest
+// start found and, under ErrQuota, the tenant.QuotaError with the
+// budget's figures — and formats nothing: Error renders the text when a
+// log line or a wire Detail asks for it, outside the shard's turn.
+//
 // # Multi-tenant quotas
 //
 // Config.Quotas plugs a tenant.Registry in front of admission: every
@@ -157,8 +190,9 @@
 // there until it is cancelled: an ID's shard bits are its home for life,
 // which is all Cancel needs to route it. Skew between shards is handled
 // where the binding is made, at placement — "least-loaded" by default,
-// which routes every admission to the exact minimum of committed area,
-// and "pressure" where tenants differ, which spreads each tenant's own
+// which routes every admission to the minimum of committed plus in-flight
+// area (for a serial caller, the exact minimum of committed area), and
+// "pressure" where tenants differ, which spreads each tenant's own
 // footprint — and nothing re-decides the shard afterwards. Only
 // "first-fit" piles load up, and it is there as the naive baseline the
 // others are measured against. A shard's admission cost barely depends on

@@ -10,8 +10,10 @@ import (
 // The policies read only the shards' atomic load summaries, never the
 // combiner-owned state, so routing is lock-free and may be (harmlessly)
 // stale: the routed shard re-validates when it serves the request. A
-// concrete type, not an interface, so that order's result buffer can
-// live on the caller's stack.
+// shard's total load is read through shard.load and nothing else — the
+// area it has committed plus the area on its way there — so concurrent
+// callers see each other's choices. A concrete type, not an interface, so
+// that order's result buffer can live on the caller's stack.
 type placement struct {
 	policy string // one of Placements()
 	state  uint64 // p2c: splitmix64 state advanced atomically per request
@@ -63,21 +65,23 @@ func firstFit(shards []*shard, out []int) []int {
 	return out
 }
 
-// leastLoaded routes to the shard with the smallest committed area,
-// breaking ties by index; the rest follow in load order as fallbacks.
+// leastLoaded routes to the shard with the smallest load, breaking ties
+// by index; the rest follow in load order as fallbacks.
 func leastLoaded(shards []*shard, out []int) []int {
 	var buf [stackShards]shardKey
 	keys := buf[:0]
 	for _, sh := range shards {
-		keys = append(keys, shardKey{load: sh.committedArea.Load()})
+		keys = append(keys, shardKey{load: sh.load()})
 	}
 	return rank(keys, out)
 }
 
 // pressure routes by per-tenant shard pressure: the requesting tenant's
 // committed area on each shard (read from the shards' lock-free
-// per-tenant mirrors), lowest first, with total committed area and then
-// index breaking ties. With per-shard budget shares equal — which is how
+// per-tenant mirrors), lowest first, with the shard's load and then index
+// breaking ties. The first key is published per turn and does not see what
+// is in flight: two concurrent admissions of one tenant may still pick the
+// same shard. With per-shard budget shares equal — which is how
 // the quota registry resolves budgets, globally, with no per-shard skew —
 // ordering by the tenant's usage-to-budget ratio on a shard and ordering
 // by its raw usage there coincide, so the policy needs no registry
@@ -89,14 +93,14 @@ func pressure(shards []*shard, ten string, out []int) []int {
 	var buf [stackShards]shardKey
 	keys := buf[:0]
 	for _, sh := range shards {
-		keys = append(keys, shardKey{mine: sh.tenantArea(ten), load: sh.committedArea.Load()})
+		keys = append(keys, shardKey{mine: sh.tenantArea(ten), load: sh.load()})
 	}
 	return rank(keys, out)
 }
 
 // shardKey is one shard's sort key, read once per request so the order is
 // taken over a consistent snapshot of the (concurrently moving) loads:
-// the tenant's own area first, total committed area second.
+// the tenant's own area first, the shard's load second.
 type shardKey struct{ mine, load int64 }
 
 func (k shardKey) less(o shardKey) bool {
@@ -135,8 +139,8 @@ func (p *placement) next() uint64 {
 }
 
 // powerOfTwo is power-of-two-choices on free area: sample two distinct
-// shards, prefer the one with the smaller committed area (= larger free
-// area over any common horizon). O(1) loads read per request, and by the
+// shards, prefer the one with the smaller load (= larger free area over
+// any common horizon). O(1) loads read per request, and by the
 // classic balls-into-bins result the max load stays within
 // O(log log S) of the mean — almost all the benefit of least-loaded
 // without scanning every shard.
@@ -151,7 +155,7 @@ func (p *placement) powerOfTwo(shards []*shard, out []int) []int {
 	if b >= a {
 		b++
 	}
-	if shards[b].committedArea.Load() < shards[a].committedArea.Load() {
+	if shards[b].load() < shards[a].load() {
 		a, b = b, a
 	}
 	out = append(out, a, b)

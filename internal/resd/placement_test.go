@@ -1,10 +1,16 @@
 package resd
 
 import (
+	"errors"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/tenant"
+	"repro/internal/wal"
 )
 
 // sliceStableOrder is the order the placements produced before rank
@@ -118,5 +124,147 @@ func TestPressurePlacementSpreadsTenants(t *testing.T) {
 	}
 	if rb.Shard != lighter {
 		t.Fatalf("tenant b routed to shard %d, want the lighter shard %d", rb.Shard, lighter)
+	}
+}
+
+// noneInFlight asserts the quiescent half of shard.load's contract: with
+// no Admit under way, no shard carries in-flight area.
+func noneInFlight(t *testing.T, s *Service, when string) {
+	t.Helper()
+	for i, sh := range s.shards {
+		if n := sh.inFlight.Load(); n != 0 {
+			t.Errorf("%s: shard %d still carries %d in flight", when, i, n)
+		}
+	}
+}
+
+// TestPlacementCountsInFlight: an admission on its way to a shard counts
+// against that shard for callers routing meanwhile. Two shards, the first
+// lighter by 2; caller A (area 5) is routed there and held inside its
+// turn. By published area alone the first shard is still the lighter one,
+// and caller B would queue behind A — for as long as A is held, which
+// here is until B is back. Counting A's 5, B goes to the other shard and
+// returns.
+func TestPlacementCountsInFlight(t *testing.T) {
+	for _, policy := range []string{"least-loaded", "p2c", "pressure"} {
+		t.Run(policy, func(t *testing.T) {
+			var hold atomic.Int64 // the shard whose next turn the hook holds, -1 for none
+			hold.Store(-1)
+			entered, release := make(chan struct{}), make(chan struct{})
+			s := mustNew(t, Config{Shards: 2, M: 8, Placement: policy, turnHook: func(shard int) {
+				if hold.CompareAndSwap(int64(shard), -1) {
+					close(entered)
+					<-release
+				}
+			}})
+			admit := func(tenant string, dur core.Time) Reservation {
+				r, err := s.Admit(Request{Tenant: tenant, Q: 1, Dur: dur, Deadline: NoDeadline})
+				if err != nil {
+					t.Errorf("admit for %s: %v", tenant, err)
+				}
+				return r
+			}
+			// Whichever shard takes the first admission, the second goes to
+			// the other: 10 on one side, 12 on the other. The callers below
+			// are tenants with no area anywhere, so that pressure's first
+			// key ties and the shard's load decides.
+			light, heavy := admit("setup", 10).Shard, admit("setup", 12).Shard
+			if light == heavy {
+				t.Fatalf("both setup admissions on shard %d", light)
+			}
+			hold.Store(int64(light))
+			aDone := make(chan Reservation, 1)
+			go func() { aDone <- admit("a", 5) }()
+			select {
+			case <-entered:
+			case <-time.After(30 * time.Second):
+				close(release)
+				t.Fatal("caller A never reached the lighter shard")
+			}
+			if got := s.shards[light].inFlight.Load(); got != 5 {
+				t.Errorf("shard %d carries %d in flight while A is inside its turn, want 5", light, got)
+			}
+			bDone := make(chan Reservation, 1)
+			go func() { bDone <- admit("b", 5) }()
+			select {
+			case b := <-bDone:
+				if b.Shard != heavy {
+					t.Errorf("caller B admitted on shard %d, want %d", b.Shard, heavy)
+				}
+			case <-time.After(30 * time.Second):
+				t.Error("caller B queued behind A: placement does not see what is in flight")
+				defer func() { <-bDone }() // it returns once A is let go
+			}
+			close(release)
+			if a := <-aDone; a.Shard != light {
+				t.Errorf("caller A admitted on shard %d, want %d", a.Shard, light)
+			}
+			if !t.Failed() {
+				noneInFlight(t, s, "A and B back")
+			}
+		})
+	}
+}
+
+// TestPlacementCountsInFlightRefusedWalk: a request every shard refuses
+// carries its area from shard to shard and leaves none behind, and so does
+// one a quota stops at the first shard.
+func TestPlacementCountsInFlightRefusedWalk(t *testing.T) {
+	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "tiny", Share: 0.001}}})
+	s, err := New(Config{Shards: 3, M: 4, Quotas: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // fill every shard at tick 0
+		if _, err := s.Admit(Request{Q: 4, Dur: 10, Deadline: NoDeadline}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Admit(Request{Q: 1, Dur: 5, Deadline: 0}); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("Admit on full shards with deadline 0 = %v, want ErrDeadline", err)
+	}
+	for i, st := range s.Stats() {
+		if st.RejectedDeadline != 1 {
+			t.Errorf("shard %d refused %d times, want 1: the walk visits every shard", i, st.RejectedDeadline)
+		}
+	}
+	noneInFlight(t, s, "after a walk every shard refused")
+	if _, err := s.Admit(Request{Tenant: "tiny", Q: 1, Dur: 5, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
+		t.Fatalf("Admit over budget = %v, want ErrQuota", err)
+	}
+	noneInFlight(t, s, "after a quota refusal")
+	s.Close()
+	if _, err := s.Admit(Request{Q: 1, Dur: 5, Deadline: NoDeadline}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Admit after Close = %v, want ErrClosed", err)
+	}
+	noneInFlight(t, s, "after ErrClosed")
+}
+
+// TestPlacementCountsInFlightNotUnderFsync: where a turn ends in an fsync,
+// callers queueing on one shard is the group commit, so load is the
+// published area alone; a log that only flushes counts like no log.
+func TestPlacementCountsInFlightNotUnderFsync(t *testing.T) {
+	for _, c := range []struct {
+		mode   wal.SyncMode
+		counts bool
+	}{{"", true}, {wal.SyncNone, true}, {wal.SyncBatch, false}} {
+		cfg := Config{M: 8}
+		if c.mode != "" {
+			cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: c.mode}
+		}
+		s := mustNew(t, cfg)
+		if _, err := s.Admit(Request{Q: 1, Dur: 10, Deadline: NoDeadline}); err != nil {
+			t.Fatal(err)
+		}
+		sh := s.shards[0]
+		sh.inFlight.Add(7)
+		want := int64(10)
+		if c.counts {
+			want += 7
+		}
+		if got := sh.load(); got != want {
+			t.Errorf("sync=%q: load with 10 committed and 7 in flight = %d, want %d", c.mode, got, want)
+		}
+		sh.inFlight.Add(-7)
 	}
 }

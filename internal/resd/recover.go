@@ -16,6 +16,10 @@ type WALInfo struct {
 	// Enabled reports whether the service writes a WAL; Dir is where.
 	Enabled bool
 	Dir     string
+	// Syncs reports whether a turn's log commit fsyncs (wal.SyncBatch),
+	// as the shards' logs say of themselves: the case in which requests
+	// gain by sharing a turn, and a server by keeping several in flight.
+	Syncs bool
 	// Records is how many log records replay applied across all shards;
 	// Snapshots counts shards whose replay was anchored by a snapshot.
 	Records   int
@@ -209,6 +213,7 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 			return nil, info, fmt.Errorf("resd: shard %d: %w", i, err)
 		}
 		sd.log = l
+		info.Syncs = l.Syncs()
 	}
 	// Re-charge the quota registry: every surviving reservation holds
 	// exactly the budget its original admission acquired. The pre-crash

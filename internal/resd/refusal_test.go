@@ -1,0 +1,64 @@
+package resd
+
+import (
+	"errors"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/tenant"
+)
+
+// TestRefusalTextAndIs pins what callers and wire peers see of a shard's
+// refusals: the sentinel errors.Is matches, and the text, byte for byte
+// what it was when the turn formatted it.
+func TestRefusalTextAndIs(t *testing.T) {
+	reg := mustRegistry(t, 1000, tenant.Spec{
+		Groups: []tenant.GroupSpec{{Name: "lab", Share: 0.01}},
+		Tenants: []tenant.TenantSpec{
+			{Name: "tiny", Share: 0.001},
+			{Name: "grad1", Group: "lab", Share: 1},
+			{Name: "grad2", Group: "lab", Share: 1},
+		},
+	})
+	// Eight processors, four of them gone for good, a floor of two.
+	s := mustNew(t, Config{M: 8, Alpha: 0.25, Quotas: reg,
+		Pre: []core.Reservation{{Procs: 4, Start: 0, Len: core.Infinity}}})
+	if _, err := s.Admit(Request{Tenant: "grad1", Q: 2, Dur: 3, Deadline: NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+	sentinels := []error{ErrNeverFits, ErrDeadline, ErrQuota}
+	for _, c := range []struct {
+		req  Request
+		is   error
+		text string
+	}{
+		{Request{Q: 3, Dur: 7, Deadline: NoDeadline}, ErrNeverFits,
+			"resd: request can never be admitted: q=3 dur=7 with α-floor 2 on shard 0"},
+		{Request{Q: 1, Dur: 5, Deadline: 2}, ErrDeadline,
+			"resd: earliest feasible start exceeds deadline: earliest feasible start 3 > deadline 2 (q=1 dur=5, shard 0)"},
+		{Request{Tenant: "tiny", Q: 1, Dur: 5, Deadline: NoDeadline}, ErrQuota,
+			`shard 0: tenant: quota exceeded: tenant "tiny" used 0 of 1 with request area 5`},
+		{Request{Tenant: "grad2", Q: 1, Dur: 5, Deadline: NoDeadline}, ErrQuota,
+			`shard 0: tenant: quota exceeded: group "lab" used 6 of 10 with request area 5 (tenant "grad2")`},
+	} {
+		_, err := s.Admit(c.req)
+		for _, sentinel := range sentinels {
+			if got, want := errors.Is(err, sentinel), sentinel == c.is; got != want {
+				t.Errorf("Admit(%+v) = %v: errors.Is(%v) = %v, want %v", c.req, err, sentinel, got, want)
+			}
+		}
+		if err != nil && err.Error() != c.text {
+			t.Errorf("Admit(%+v):\n got %q\nwant %q", c.req, err, c.text)
+		}
+		// The same facts as fields, for whoever renders them otherwise.
+		var ref *Refusal
+		if !errors.As(err, &ref) || ref.Kind != c.is || ref.Shard != 0 || ref.Q != c.req.Q || ref.Dur != c.req.Dur ||
+			ref.Deadline != c.req.Deadline || ref.Floor != 2 {
+			t.Errorf("Admit(%+v) = %#v, want a *Refusal of kind %v carrying the request", c.req, err, c.is)
+		}
+		var quota *tenant.QuotaError
+		if errors.As(err, &quota) != (c.is == ErrQuota) {
+			t.Errorf("Admit(%+v) = %v: carries a *tenant.QuotaError: %v", c.req, err, quota != nil)
+		}
+	}
+}

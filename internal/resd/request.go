@@ -85,18 +85,26 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	// request was feasible, just not soon enough. A quota rejection, by
 	// contrast, ends the walk at once: the budget is service-wide, so no
 	// other shard can answer differently.
+	//
+	// Whichever shard holds the request carries its area as in-flight load
+	// for exactly as long as it holds it, so that callers routing meanwhile
+	// count it (see shard.load).
 	var firstErr error
 	var orderBuf [stackShards]int
 	order := s.place.order(s.shards, ten, orderBuf[:0])
 	if rec != nil {
 		rec.Route = time.Since(rec.Arrival)
 	}
+	area := int64(req.Dur) * int64(req.Q)
 	for _, si := range order {
 		if rec != nil {
 			rec.Shard = si
 			rec.Enqueue = time.Since(rec.Arrival)
 		}
-		resp, err := s.shards[si].do(request{kind: opReserve, tenant: ten, ready: req.Ready, q: req.Q, dur: req.Dur, deadline: req.Deadline, trace: rec})
+		sh := s.shards[si]
+		sh.inFlight.Add(area)
+		resp, err := sh.do(request{kind: opReserve, tenant: ten, ready: req.Ready, q: req.Q, dur: req.Dur, deadline: req.Deadline, trace: rec})
+		sh.inFlight.Add(-area)
 		if err == nil {
 			s.tracer.finish(rec, TraceAdmitted, resp.resv.Start)
 			s.sloBook.admit(ten, req.Deadline != NoDeadline)

@@ -46,6 +46,51 @@ var (
 // wire (reswire's REJECTED_QUOTA code).
 var ErrQuota = tenant.ErrQuota
 
+// Refusal is an admission a shard said no to, as a value: which rule
+// refused, on which shard, and the figures the rule compared. Nothing is
+// formatted until Error is called, so a refusal costs the shard's turn one
+// allocation and the text is paid for by whoever prints it.
+type Refusal struct {
+	// Kind is the rule that refused — ErrNeverFits, ErrDeadline or
+	// ErrQuota — and what errors.Is matches.
+	Kind error
+	// Shard is the partition that answered; Q, Dur and Deadline are the
+	// request's, Floor the α head-room the shard keeps free.
+	Shard    int
+	Q        int
+	Dur      core.Time
+	Deadline core.Time
+	Floor    int
+	// Earliest is the earliest start the shard could have given (no
+	// meaning under ErrNeverFits: there is none).
+	Earliest core.Time
+	// Quota is whose budget refused and by how much, under ErrQuota
+	// (zero otherwise); errors.As finds it as a *tenant.QuotaError.
+	Quota tenant.QuotaError
+}
+
+func (r *Refusal) Error() string {
+	switch r.Kind {
+	case ErrDeadline:
+		return fmt.Sprintf("%v: earliest feasible start %v > deadline %v (q=%d dur=%v, shard %d)",
+			ErrDeadline, r.Earliest, r.Deadline, r.Q, r.Dur, r.Shard)
+	case ErrQuota:
+		return fmt.Sprintf("shard %d: %v", r.Shard, &r.Quota)
+	}
+	return fmt.Sprintf("%v: q=%d dur=%v with α-floor %d on shard %d", r.Kind, r.Q, r.Dur, r.Floor, r.Shard)
+}
+
+// Is matches the rule that refused.
+func (r *Refusal) Is(target error) bool { return target == r.Kind }
+
+// Unwrap exposes an ErrQuota refusal's Quota to errors.As.
+func (r *Refusal) Unwrap() error {
+	if r.Kind != ErrQuota {
+		return nil
+	}
+	return &r.Quota
+}
+
 // NoDeadline as a Request.Deadline disables the deadline check: any
 // admissible start, however late, is accepted.
 const NoDeadline = core.Infinity
@@ -451,7 +496,11 @@ func (s *Service) TenantStats(shard int) (map[string]TenantStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resp.tstats, nil
+	out := make(map[string]TenantStats, len(resp.tstats))
+	for _, row := range resp.tstats {
+		out[row.name] = row.TenantStats
+	}
+	return out, nil
 }
 
 // TenantTotals sums TenantStats across every shard: the service-wide
@@ -460,13 +509,13 @@ func (s *Service) TenantStats(shard int) (map[string]TenantStats, error) {
 // is quiescent, which the stress tests assert).
 func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 	out := make(map[string]TenantStats)
-	for i := range s.shards {
-		st, err := s.TenantStats(i)
+	for _, sh := range s.shards {
+		resp, err := sh.do(request{kind: opTenantStats})
 		if err != nil {
 			return nil, err
 		}
-		for name, ts := range st {
-			tot := out[name]
+		for _, ts := range resp.tstats {
+			tot := out[ts.name]
 			tot.Active += ts.Active
 			tot.CommittedArea += ts.CommittedArea
 			tot.Admitted += ts.Admitted
@@ -474,10 +523,8 @@ func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 			tot.RejectedQuota += ts.RejectedQuota
 			// Percentiles do not sum; the max across shards is a sound
 			// upper bound on the service-wide p99.
-			if ts.SlackP99 > tot.SlackP99 {
-				tot.SlackP99 = ts.SlackP99
-			}
-			out[name] = tot
+			tot.SlackP99 = max(tot.SlackP99, ts.SlackP99)
+			out[ts.name] = tot
 		}
 	}
 	return out, nil

@@ -55,9 +55,16 @@ type response struct {
 	resv   Reservation
 	free   int
 	snap   profile.CapacityIndex
-	tstats map[string]TenantStats
+	tstats []tenantRow // opTenantStats: one row per book, in cell order
 	live   []Reservation
 	err    error
+}
+
+// tenantRow is one tenant book as opTenantStats reports it; the Service
+// builds the maps callers see, once, at the edge.
+type tenantRow struct {
+	name string
+	TenantStats
 }
 
 // slot is one call's place in a shard's queue: the request going in, the
@@ -214,8 +221,12 @@ type shard struct {
 
 	// Load summary published once per turn (group commit): placement
 	// policies and Stats read these without a request to the shard.
+	// inFlight is the exception: Service.Admit raises it by the request's
+	// area before it hands the shard an admission and lowers it when the
+	// answer is back, so it is zero whenever no admission is under way.
 	activeCount   atomic.Int64
 	committedArea atomic.Int64
+	inFlight      atomic.Int64
 	admitted      atomic.Uint64
 	cancelled     atomic.Uint64
 	rejected      atomic.Uint64
@@ -224,7 +235,7 @@ type shard struct {
 	batches       atomic.Uint64
 	ops           atomic.Uint64
 
-	// turnNs records each turn's apply+publish latency; nil without an
+	// turnNs records each turn's latency, entry to publish; nil without an
 	// obs registry, which then costs one predicted branch per turn.
 	turnNs *obs.Histogram
 
@@ -249,11 +260,35 @@ type shard struct {
 	// are released. A WAL write failure degrades the shard to non-durable
 	// (walFailed counts it) rather than taking admissions down with the
 	// disk.
+	//
+	// syncs is whether the shard's turns end in an fsync (wal.Log.Syncs;
+	// false without a log and once the log has failed or been sealed) — the
+	// one case in which requests gain by sharing a turn. combine gathers and
+	// hands on by it, and load leaves in-flight area out by it; atomic
+	// because placement reads it from callers' goroutines.
 	wlog      *wal.Log
+	syncs     atomic.Bool
 	snapEvery int
 	snapBusy  atomic.Bool
 	snapWG    sync.WaitGroup
 	walFailed atomic.Uint64
+}
+
+// load is the shard's sort key for every placement policy: the area it
+// has committed, as of its last turn, plus the area of the admissions
+// routed to it and not answered yet. The second term is what lets
+// concurrent callers see each other: committedArea moves once per turn, so
+// without it everyone routing between two turns reads the same numbers,
+// picks the same minimum and queues behind one combiner. An admission is
+// published before its caller lowers inFlight, so load never under-counts;
+// with a single caller inFlight is zero at every read. Where turns end in
+// an fsync the term is left out: there callers queueing on one shard is
+// the group commit, and spreading them buys more fsyncs of fewer records.
+func (sh *shard) load() int64 {
+	if sh.syncs.Load() {
+		return sh.committedArea.Load()
+	}
+	return sh.committedArea.Load() + sh.inFlight.Load()
 }
 
 // tenantArea reads one tenant's committed area on this shard (0 when the
@@ -316,6 +351,7 @@ func newShard(id int, cfg Config, floor int, seed *shardSeed) (*shard, error) {
 // shrank under the recovered load — an error, not a panic.
 func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	sh.wlog = seed.log
+	sh.syncs.Store(seed.log.Syncs())
 	sh.snapEvery = cfg.WAL.SnapEvery
 	sh.nextSeq = seed.nextSeq
 	sh.admitted.Store(seed.admitted)
@@ -393,18 +429,21 @@ func (sh *shard) do(req request) (response, error) {
 }
 
 // combine makes the caller the shard's single writer. self is at the
-// head of the queue, so the first turn answers it. Without a log the
-// combiner serves on while requests keep arriving, up to batch operations
-// in all; then, or after one turn on a durable shard, the oldest waiter
-// inherits the role. So no caller waits on more than one batch of other
-// callers' work once answered, and a durable shard's combiner is back
-// in time for its caller's next request to share the next log commit.
+// head of the queue, so the first turn answers it. Where a turn ends in
+// an fsync (sh.syncs) the combiner first waits for company and hands
+// the role on after one turn; anywhere else it serves on while requests
+// keep arriving, up to batch operations in all, and then the oldest
+// waiter inherits the role. So no caller waits on more than one batch of
+// other callers' work once answered, and a fsyncing shard's combiner is
+// back in time for its caller's next request to share the next fsync.
 func (sh *shard) combine(self *slot) {
-	// A durable turn costs one log commit however many requests share
-	// it, and callers just answered need the processor to come back with
-	// their next: yield until a round adds nothing. Without a log a batch
-	// buys nothing and a yield costs a reschedule.
-	if sh.wlog != nil {
+	// An fsync costs the same however many records it covers, and callers
+	// just answered need the processor to come back with their next: yield
+	// until a round adds nothing. Without a log, or with one that only
+	// flushes (a write(2) of a few records, about what one reschedule
+	// costs), a batch buys nothing and the yields cost more than they save.
+	gather := sh.syncs.Load()
+	if gather {
 		for n := int64(0); n < int64(sh.batch) && sh.depth.Load() > n; runtime.Gosched() {
 			n = sh.depth.Load()
 		}
@@ -426,7 +465,7 @@ func (sh *shard) combine(self *slot) {
 			sh.mu.Unlock()
 			return
 		}
-		if left == 0 || sh.wlog != nil {
+		if left == 0 || gather {
 			heir := sh.queue[0]
 			sh.mu.Unlock()
 			heir.wake <- false
@@ -439,17 +478,21 @@ func (sh *shard) combine(self *slot) {
 // load summary once, and only then releases the answers — the group
 // commit that amortises the log write under load.
 func (sh *shard) turn(self *slot) {
+	// Two clock reads per turn when anything wants the time, none
+	// otherwise: start is the heartbeat's busy stamp and the turn
+	// histogram's origin, end (below) closes both.
+	timed := sh.flightOn || sh.turnNs != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	if sh.flightOn {
-		sh.busySince.Store(time.Now().UnixNano())
+		sh.busySince.Store(start.UnixNano())
 	}
 	if sh.turnHook != nil {
 		sh.turnHook(sh.id)
 	}
 	sh.fairOrder(sh.pending)
-	var turnStart time.Time
-	if sh.turnNs != nil {
-		turnStart = time.Now()
-	}
 	for _, s := range sh.pending {
 		if s.req.trace != nil {
 			s.req.trace.BatchStart = time.Since(s.req.trace.Arrival)
@@ -466,8 +509,12 @@ func (sh *shard) turn(self *slot) {
 		}
 	}
 	sh.publish(len(sh.pending))
+	var end time.Time
+	if timed {
+		end = time.Now()
+	}
 	if sh.turnNs != nil {
-		sh.turnNs.Observe(time.Since(turnStart).Nanoseconds())
+		sh.turnNs.Observe(end.Sub(start).Nanoseconds())
 	}
 	// fairOrder permutes the turn, so the combiner knows its own slot by
 	// identity. A woken caller may recycle its slot at once.
@@ -477,7 +524,7 @@ func (sh *shard) turn(self *slot) {
 		}
 	}
 	if sh.flightOn {
-		sh.beat(len(sh.pending))
+		sh.beat(end.Sub(start), end, len(sh.pending))
 	}
 	sh.maybeSnapshot()
 }
@@ -487,18 +534,15 @@ func (sh *shard) turn(self *slot) {
 // the duration — every queued caller waited it out).
 const slowTurnThreshold = 100 * time.Millisecond
 
-// beat completes the heartbeat for one turn: journal the turn as an
-// anomaly if it ran long, then publish "turn done, shard idle" for the
-// watchdog's stall probes.
-func (sh *shard) beat(ops int) {
-	now := time.Now()
-	if busy := sh.busySince.Load(); busy != 0 {
-		if d := now.Sub(time.Unix(0, busy)); d >= slowTurnThreshold {
-			sh.journal.Record(flight.Warn, "resd", sh.id, "slow batch turn",
-				flight.KV{K: "turn", V: d.String()}, flight.KV{K: "ops", V: strconv.Itoa(ops)})
-		}
+// beat completes the heartbeat for a turn that took d and ended at end:
+// journal the turn as an anomaly if it ran long, then publish "turn done,
+// shard idle" for the watchdog's stall probes.
+func (sh *shard) beat(d time.Duration, end time.Time, ops int) {
+	if d >= slowTurnThreshold {
+		sh.journal.Record(flight.Warn, "resd", sh.id, "slow batch turn",
+			flight.KV{K: "turn", V: d.String()}, flight.KV{K: "ops", V: strconv.Itoa(ops)})
 	}
-	sh.lastBeat.Store(now.UnixNano())
+	sh.lastBeat.Store(end.UnixNano())
 	sh.busySince.Store(0)
 }
 
@@ -568,11 +612,10 @@ func (sh *shard) apply(r request) response {
 	case opSnapshot:
 		return response{snap: sh.idx.CloneIndex()}
 	case opTenantStats:
-		out := make(map[string]TenantStats, len(sh.cells))
-		for _, c := range sh.cells {
-			ts := c.stats
-			ts.SlackP99 = c.slack.p99()
-			out[c.name] = ts
+		out := make([]tenantRow, len(sh.cells))
+		for i, c := range sh.cells {
+			out[i] = tenantRow{c.name, c.stats}
+			out[i].SlackP99 = c.slack.p99()
 		}
 		return response{tstats: out}
 	case opDump:
@@ -593,21 +636,22 @@ func (sh *shard) reserve(r request) response {
 	start, ok := sh.idx.FindSlot(r.ready, r.q+sh.floor, r.dur)
 	if !ok {
 		sh.rejected.Add(1)
-		return response{err: fmt.Errorf("%w: q=%d dur=%v with α-floor %d on shard %d",
-			ErrNeverFits, r.q, r.dur, sh.floor, sh.id)}
+		return response{err: sh.refuse(ErrNeverFits, r, 0)}
 	}
 	if start > r.deadline {
 		sh.rejectedDL.Add(1)
-		return response{err: fmt.Errorf("%w: earliest feasible start %v > deadline %v (q=%d dur=%v, shard %d)",
-			ErrDeadline, start, r.deadline, r.q, r.dur, sh.id)}
+		return response{err: sh.refuse(ErrDeadline, r, start)}
 	}
 	area := int64(r.dur) * int64(r.q)
 	c := sh.cell(r.tenant)
 	if sh.quotas != nil {
-		if err := sh.quotas.Acquire(r.tenant, area); err != nil {
+		var why tenant.QuotaError
+		if !sh.quotas.TryAcquire(r.tenant, area, &why) {
 			sh.rejectedQuota.Add(1)
 			c.stats.RejectedQuota++
-			return response{err: fmt.Errorf("shard %d: %w", sh.id, err)}
+			ref := sh.refuse(ErrQuota, r, start)
+			ref.Quota = why
+			return response{err: ref}
 		}
 	}
 	if err := sh.idx.Commit(start, r.dur, r.q); err != nil {
@@ -642,6 +686,12 @@ func (sh *shard) reserve(r request) response {
 	c.slack.add(start - r.ready)
 	sh.admitted.Add(1)
 	return response{resv: Reservation{ID: id, Shard: sh.id, Start: start, Dur: r.dur, Procs: r.q}}
+}
+
+// refuse renders one of reserve's three refusals as a value; the text is
+// whoever prints it's to pay for, not the turn's.
+func (sh *shard) refuse(kind error, r request, earliest core.Time) *Refusal {
+	return &Refusal{Kind: kind, Shard: sh.id, Q: r.q, Dur: r.dur, Deadline: r.deadline, Floor: sh.floor, Earliest: earliest}
 }
 
 // cancel releases an admitted reservation and credits the area back to

@@ -31,7 +31,13 @@ func (sh *shard) walFail(op string, err error) {
 		flight.KV{K: "op", V: op})
 	sh.snapWG.Wait()
 	sh.wlog.Close()
+	sh.dropLog()
+}
+
+// dropLog forgets a closed log: the shard is in-memory from here on.
+func (sh *shard) dropLog() {
 	sh.wlog = nil
+	sh.syncs.Store(false)
 }
 
 // seal is the shard's last act (opClose): wait out any in-flight snapshot
@@ -45,7 +51,7 @@ func (sh *shard) seal() {
 	if err := sh.wlog.Close(); err != nil {
 		sh.report(flight.Error, "wal", fmt.Sprintf("wal close: %v", err))
 	}
-	sh.wlog = nil
+	sh.dropLog()
 }
 
 // maybeSnapshot rotates the log and kicks off a background snapshot

@@ -74,6 +74,7 @@ func TestStressConservation(t *testing.T) {
 				if t.Failed() {
 					return
 				}
+				noneInFlight(t, s, "callers done")
 
 				// Mid-state conservation: the books must account for
 				// exactly the reservations the clients still hold.
@@ -118,6 +119,7 @@ func TestStressConservation(t *testing.T) {
 						t.Fatalf("shard %d books not balanced: %+v", i, st)
 					}
 				}
+				noneInFlight(t, s, "drained")
 			})
 		}
 	}

@@ -318,6 +318,7 @@ func TestTenantQuotaStressConservation(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	noneInFlight(t, s, "callers done, quota refusals among them")
 
 	// The tiny tenant must actually have been squeezed, or the stress
 	// proved nothing.
@@ -377,6 +378,7 @@ func TestTenantQuotaStressConservation(t *testing.T) {
 			t.Fatalf("shard %d not pristine after drain: %v", i, snap)
 		}
 	}
+	noneInFlight(t, s, "drained")
 }
 
 // TestPrefixCapacityMatchesServiceFloor is the drift guard for the

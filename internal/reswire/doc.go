@@ -2,12 +2,12 @@
 // network: a length-prefixed binary protocol, a TCP server
 // that decodes frames straight into the shards' queues, and a
 // pipelining client that multiplexes concurrent callers over a handful of
-// connections. Against a service without a log a round trip crosses one
-// goroutine boundary, client reader to caller: the server's reader finds
-// the shard idle and runs the admission itself, as an in-process caller
-// would (two more, to the shard's combiner and back, when it does not).
-// With a log there is a second, server reader to handler, so that one
-// connection's requests can share a commit.
+// connections. Against a service whose admissions wait for no fsync a
+// round trip crosses one goroutine boundary, client reader to caller: the
+// server's reader finds the shard idle and runs the admission itself, as
+// an in-process caller would (two more, to the shard's combiner and back,
+// when it does not). With a log that fsyncs there is a second, server
+// reader to handler, so that one connection's requests can share an fsync.
 //
 // # Protocol
 //
@@ -102,15 +102,15 @@
 // The two buffers start empty and grow by append; one that a burst pushed
 // past 64 KiB is not kept. At 64 KiB pending, appenders wait for the
 // write in progress, so a peer that stops reading stalls the reader —
-// with a log the handlers first, then the reader through the in-flight
+// with an fsyncing log the handlers first, then the reader through the in-flight
 // cap — then TCP, while memory stays put. After a write error every later append is a no-op and the
 // connection is closed.
 //
 // # Server
 //
 // The server runs one reader per connection. It decodes frames in place
-// from its read buffer and, when the service keeps no log
-// (resd.WALInfo.Enabled false), executes each request against the
+// from its read buffer and, unless the service keeps a log that fsyncs
+// (resd.WALInfo.Syncs), executes each request against the
 // resd.Service itself and appends the reply: nothing such a request can
 // wait for — a shard another caller is serving this instant — lasts as
 // long as handing it to another goroutine and getting the processor back,
@@ -120,8 +120,9 @@
 // slow one (a Snapshot of a large shard) kept out of the way of the
 // rest, uses more connections (Options.Conns).
 //
-// When the service keeps a log a request waits for a commit, and requests
-// that wait together share one. The reader then hands each request to a
+// When the service's log fsyncs a request waits for one, and requests
+// that wait together share it (a log that only flushes, wal.SyncNone,
+// costs a turn a write(2): nothing worth a goroutine per request). The reader then hands each request to a
 // handler goroutine that executes it and writes the reply itself.
 // Handlers are kept for the life of the connection and reused — as many
 // as requests were ever in flight at once, at most 1024; past that the
@@ -137,7 +138,7 @@
 // the 64 KiB bound above, which flushes early, not late.) What arrived
 // together is answered together, which under pipelining makes the reply
 // stream as coarse as the request stream, and a request that arrived
-// alone is answered alone and at once. With a log the head-of-line cost
+// alone is answered alone and at once. With an fsyncing log the head-of-line cost
 // is bounded by the slowest request of one read: a client that wants a
 // fast op not to wait for a slow one sends them in different writes or on
 // different connections; without one, on different connections. The

@@ -140,17 +140,19 @@ func TestCorkAnswersOneReadInOneWrite(t *testing.T) {
 }
 
 // TestServerFansOutOnlyUnderALog pins who serves a request. Sixty-four
-// admissions arrive in one write. Without a log the connection's reader
-// serves them itself: the burst leaves no goroutine behind. With a log
-// each gets a handler, so they wait in the shard's queue together and
-// share commits — fewer turns than operations.
+// admissions arrive in one write. Without a log, or with one that only
+// flushes, the connection's reader serves them itself: the burst leaves no
+// goroutine behind. With a log that fsyncs each gets a handler, so they
+// wait in the shard's queue together and share commits — fewer turns than
+// operations.
 func TestServerFansOutOnlyUnderALog(t *testing.T) {
 	const n = 64
-	for _, durable := range []bool{false, true} {
+	for _, mode := range []wal.SyncMode{"", wal.SyncNone, wal.SyncBatch} {
 		cfg := resd.Config{Shards: 1, M: 256}
-		if durable {
-			cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone}
+		if mode != "" {
+			cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: mode}
 		}
+		fsyncs := mode == wal.SyncBatch
 		addr, svc := startServer(t, cfg)
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -171,7 +173,7 @@ func TestServerFansOutOnlyUnderALog(t *testing.T) {
 			}
 			for i := 0; i < reqs; i++ {
 				if resp, err := ReadResponse(br); err != nil || resp.Code != CodeOK {
-					t.Fatalf("durable=%v: reply %d of %d: %+v, %v", durable, i+1, reqs, resp, err)
+					t.Fatalf("sync=%q: reply %d of %d: %+v, %v", mode, i+1, reqs, resp, err)
 				}
 			}
 		}
@@ -181,12 +183,14 @@ func TestServerFansOutOnlyUnderALog(t *testing.T) {
 		grew, st2 := runtime.NumGoroutine()-before, svc.Stats()[0]
 		ops, turns := st2.Ops-st.Ops, st2.Batches-st.Batches
 		switch {
-		case !durable && grew > 2:
-			t.Errorf("without a log a burst of %d left %d goroutines behind; the reader serves", n, grew)
-		case durable && grew < 4:
-			t.Errorf("with a log a burst of %d left only %d handlers", n, grew)
-		case durable && 2*turns > ops:
-			t.Errorf("with a log %d operations took %d turns; the requests of one read should share commits", ops, turns)
+		case !fsyncs && grew > 2:
+			t.Errorf("sync=%q: a burst of %d left %d goroutines behind; without an fsync to share the reader serves", mode, n, grew)
+		case !fsyncs && turns != ops:
+			t.Errorf("sync=%q: %d operations took %d turns; the reader serves one at a time", mode, ops, turns)
+		case fsyncs && grew < 4:
+			t.Errorf("sync=%q: a burst of %d left only %d handlers", mode, n, grew)
+		case fsyncs && 2*turns > ops:
+			t.Errorf("sync=%q: %d operations took %d turns; the requests of one read should share fsyncs", mode, ops, turns)
 		}
 	}
 }

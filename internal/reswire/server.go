@@ -166,7 +166,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		connDone = make(chan struct{}) // closed when the reader exits; ends this conn's watchers
 	)
 	handlers, inBatch, watches := 0, 0, 0
-	fanOut := s.svc.WALInfo().Enabled
+	fanOut := s.svc.WALInfo().Syncs
 	serve := func(j job) {
 		start := s.metrics.begin()
 		resp := s.handle(j.req)
@@ -249,10 +249,10 @@ func (s *Server) serveConn(nc net.Conn) {
 			}(req)
 			continue
 		}
-		// Without a log a request waits for nothing but a shard another
-		// caller is serving at this moment, which is over sooner than a
-		// handoff to another goroutine and back: the reader serves it, and
-		// a read's requests run back to back on one processor.
+		// Unless the log fsyncs, a request waits for nothing but a shard
+		// another caller is serving at this moment, which is over sooner
+		// than a handoff to another goroutine and back: the reader serves
+		// it, and a read's requests run back to back on one processor.
 		if !fanOut {
 			serve(j)
 			continue

@@ -299,31 +299,69 @@ func (r *Registry) acctLocked(name string) *tenantAcct {
 	return acct
 }
 
+// QuotaError is a hard-mode refusal as a value: whose budget said no and
+// by how much. It matches ErrQuota under errors.Is; the text is rendered
+// only when somebody asks for it.
+type QuotaError struct {
+	// Name is the tenant that asked.
+	Name string
+	// Group is the group whose budget was the binding one, "" when the
+	// tenant's own was. Used and Budget are that budget's figures at the
+	// refusal.
+	Group        string
+	Used, Budget int64
+	// Area is what the request would have added.
+	Area int64
+}
+
+func (e *QuotaError) Error() string {
+	if e.Group != "" {
+		return fmt.Sprintf("%v: group %q used %d of %d with request area %d (tenant %q)",
+			ErrQuota, e.Group, e.Used, e.Budget, e.Area, e.Name)
+	}
+	return fmt.Sprintf("%v: tenant %q used %d of %d with request area %d",
+		ErrQuota, e.Name, e.Used, e.Budget, e.Area)
+}
+
+// Unwrap makes errors.Is(err, ErrQuota) hold.
+func (e *QuotaError) Unwrap() error { return ErrQuota }
+
 // Acquire charges area (processor·ticks) to the tenant ahead of a commit.
-// In Hard mode it fails with ErrQuota — charging nothing — when the
+// In Hard mode it fails with a *QuotaError — charging nothing — when the
 // tenant or its group would exceed its budget; in Soft mode it always
 // succeeds and only moves the fair-share ratio. Every successful Acquire
 // must be balanced by exactly one Admit+Release pair or one Rollback.
 func (r *Registry) Acquire(tenant string, area int64) error {
+	var why QuotaError
+	if r.TryAcquire(tenant, area, &why) {
+		return nil
+	}
+	e := why // copied on this path only, so a successful Acquire allocates nothing
+	return &e
+}
+
+// TryAcquire is Acquire for a caller that keeps refusals in storage of its
+// own: on false, *why says whose budget refused.
+func (r *Registry) TryAcquire(tenant string, area int64, why *QuotaError) bool {
 	a := r.acct(tenant)
 	if r.Mode() == Soft {
 		a.used.Add(area)
 		a.group.used.Add(area)
-		return nil
+		return true
 	}
 	if !a.tryAcquire(area) {
 		a.rejected.Add(1)
-		return fmt.Errorf("%w: tenant %q used %d of %d with request area %d",
-			ErrQuota, a.name, a.used.Load(), a.budg.Load(), area)
+		*why = QuotaError{Name: a.name, Used: a.used.Load(), Budget: a.budg.Load(), Area: area}
+		return false
 	}
 	if !a.group.tryAcquire(area) {
 		a.used.Add(-area)
 		a.rejected.Add(1)
 		a.group.rejected.Add(1) // the group budget was the binding constraint
-		return fmt.Errorf("%w: group %q used %d of %d with request area %d (tenant %q)",
-			ErrQuota, a.group.name, a.group.used.Load(), a.group.budg.Load(), area, a.name)
+		*why = QuotaError{Name: a.name, Group: a.group.name, Used: a.group.used.Load(), Budget: a.group.budg.Load(), Area: area}
+		return false
 	}
-	return nil
+	return true
 }
 
 // Rollback returns an Acquire that never became an admission (the commit

@@ -104,8 +104,16 @@ func TestHardModeEnforcesTenantBudget(t *testing.T) {
 	if err := r.Acquire("t", 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Acquire("t", 1); !errors.Is(err, ErrQuota) {
+	err := r.Acquire("t", 1)
+	if !errors.Is(err, ErrQuota) {
 		t.Fatalf("over-budget acquire err = %v, want ErrQuota", err)
+	}
+	var why *QuotaError
+	if !errors.As(err, &why) || *why != (QuotaError{Name: "t", Used: 100, Budget: 100, Area: 1}) {
+		t.Fatalf("over-budget acquire err = %#v, want the tenant's own figures", err)
+	}
+	if want := `tenant: quota exceeded: tenant "t" used 100 of 100 with request area 1`; err.Error() != want {
+		t.Fatalf("over-budget acquire says %q, want %q", err, want)
 	}
 	if u := r.Usage("t"); u.Used != 100 || u.Rejected != 1 {
 		t.Fatalf("usage after rejection = %+v, want used 100 rejected 1", u)
@@ -137,6 +145,13 @@ func TestHardModeEnforcesGroupBudget(t *testing.T) {
 	err := r.Acquire("b", 50)
 	if !errors.Is(err, ErrQuota) {
 		t.Fatalf("group-exceeding acquire err = %v, want ErrQuota", err)
+	}
+	var why *QuotaError
+	if !errors.As(err, &why) || *why != (QuotaError{Name: "b", Group: "g", Used: 70, Budget: 100, Area: 50}) {
+		t.Fatalf("group-exceeding acquire err = %#v, want the group's figures", err)
+	}
+	if want := `tenant: quota exceeded: group "g" used 70 of 100 with request area 50 (tenant "b")`; err.Error() != want {
+		t.Fatalf("group-exceeding acquire says %q, want %q", err, want)
 	}
 	// The failed acquire must not leak tenant-level usage, and the
 	// rejection is booked on both the tenant and the binding group —

@@ -295,6 +295,12 @@ func (l *Log) Stats() Stats {
 	}
 }
 
+// Syncs reports whether Commit fsyncs (SyncBatch) or only hands the
+// records to the OS (SyncNone). It is what makes a commit worth sharing:
+// an fsync costs the same however many records it covers, a flush costs
+// about as much as the write it is.
+func (l *Log) Syncs() bool { return l.sync }
+
 // FsyncQuantile reports the q-quantile of observed fsync latency in
 // nanoseconds (0 when no fsync has run).
 func (l *Log) FsyncQuantile(q float64) int64 { return l.fsyncNs.Quantile(q) }
