@@ -1,29 +1,99 @@
 #!/usr/bin/env bash
-# ci/drills.sh {obs|burn|crash} — the end-to-end operational drills: each
-# boots a real resdsrv, drives it with resload and judges it from the
-# outside with obscheck and curl. CI runs them (.github/workflows/ci.yml);
-# so does a developer, from anywhere in the repo:
+# ci/drills.sh {obs|burn|crash|examples|bench} — what CI runs beyond
+# `go test` (.github/workflows/ci.yml), the same way from anywhere in the
+# repo on a developer's machine. Three operational drills each boot a real
+# resdsrv, drive it with resload and judge it from the outside with obscheck
+# and curl:
 #
 #   ci/drills.sh obs     # the whole observability surface under live traffic
 #   ci/drills.sh burn    # an SLO page must fire under a burn and clear after it
 #   ci/drills.sh crash   # SIGKILL under traffic, restart on the same WAL
 #
-# Binaries, logs, WAL and flight-recorder directories land in $DRILL_DIR
-# (default: a fresh temp dir, printed); on failure $DRILL_DIR/flight is the
-# black box — journal tail, goroutine dump, heap profile, metrics snapshot.
+# and two need no server:
+#
+#   ci/drills.sh examples                  # go run every examples/*: executed, not just built
+#   ci/drills.sh bench [ref] [metric@workload]
+#
+# bench runs ten alternating pairs of bench/bench.sh, all workloads, on a
+# copy of the parent commit (ref; default the merge base with origin/main,
+# or HEAD^ when that is HEAD itself) and on this tree, one run at a time,
+# and hands the two result directories to cmd/benchgate, whose table and
+# verdicts are the output. Run length is not a knob: 3 s a workload for the
+# regression smoke, BENCHMARK.json's run_seconds when a claim is given.
+#
+# Binaries, logs, results, WAL and flight-recorder directories land in
+# $DRILL_DIR (an absolute path; default: a fresh temp dir, printed); after a
+# failed server drill $DRILL_DIR/flight is the black box — journal tail,
+# goroutine dump, heap profile, metrics snapshot.
 # DRILL_WIRE and DRILL_OBS move the two listeners off their default ports.
 set -euo pipefail
 
-drill=${1:?usage: ci/drills.sh obs|burn|crash}
+usage='usage: ci/drills.sh obs|burn|crash|examples|bench [parent-ref] [metric@workload]'
+drill=${1:?$usage}
 cd "$(dirname "$0")/.."
 dir=${DRILL_DIR:-$(mktemp -d)}
+mkdir -p "$dir"
+echo "drill $drill: working in $dir"
+
+case $drill in
+examples)
+  for example in examples/*/; do
+    echo "+ go run ./$example"
+    go run "./$example" > "$dir/example.out" 2>&1 || { cat "$dir/example.out" >&2; exit 1; }
+  done
+  echo "drill $drill: ok"
+  exit 0
+  ;;
+
+bench)
+  base=$(git merge-base HEAD origin/main 2>/dev/null || true)
+  if [ -z "$base" ] || [ "$base" = "$(git rev-parse HEAD)" ]; then base=HEAD^; fi
+  ref=${2:-$base}
+  claim=${3:-}
+  seconds=3
+  if [ -n "$claim" ]; then
+    seconds=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\),*$/\1/p' BENCHMARK.json)
+  fi
+  # The parent is an export of the commit, not a worktree: nothing is
+  # registered in .git, and removing the directory is all the cleaning up.
+  rm -rf "$dir/parent" "$dir/change" "$dir/parent-tree"
+  trap 'rm -rf "$dir/parent-tree"' EXIT
+  trap 'exit 143' INT TERM # so that the EXIT trap runs, once the current run returns
+  mkdir -p "$dir/parent-tree"
+  git archive "$ref" | tar -x -C "$dir/parent-tree"
+  echo "drill bench: parent $(git rev-parse --short "$ref"), ${seconds} s a workload${claim:+, claim $claim}"
+  for pair in $(seq 1 10); do
+    order="parent change"
+    if (( pair % 2 == 0 )); then order="change parent"; fi
+    for side in $order; do
+      tree=$PWD
+      if [ "$side" = parent ]; then tree=$dir/parent-tree; fi
+      out=$dir/$side/$(printf '%02d' "$pair")
+      mkdir -p "$out"
+      bash "$tree/bench/bench.sh" --workload all --seed "$pair" --trace 0 --seconds "$seconds" \
+        --out "$out" > "$out/bench.log" 2>&1 || { cat "$out/bench.log" >&2; exit 1; }
+    done
+    echo "drill bench: pair $pair of 10 done at ${SECONDS} s"
+  done
+  go run ./cmd/benchgate -parent "$dir/parent" -change "$dir/change" ${claim:+-claim "$claim"}
+  echo "drill $drill: ok (${SECONDS} s)"
+  exit 0
+  ;;
+
+obs | burn | crash) ;;
+
+*)
+  echo "$usage" >&2
+  exit 2
+  ;;
+esac
+
 wire=${DRILL_WIRE:-127.0.0.1:7433}
 obs=${DRILL_OBS:-127.0.0.1:9090}
 mkdir -p "$dir/bin"
 go build -o "$dir/bin/" ./cmd/resdsrv ./cmd/resload ./cmd/obscheck
 PATH="$dir/bin:$PATH"
 cd "$dir"
-echo "drill $drill: working in $dir"
 
 # Whatever is still running when the script ends, however it ends.
 trap 'kill -9 $(jobs -p) 2>/dev/null || true; wait 2>/dev/null || true' EXIT
@@ -188,10 +258,6 @@ crash)
   grep -q 'resdsrv: final:' server2.out
   ;;
 
-*)
-  echo "usage: ci/drills.sh obs|burn|crash" >&2
-  exit 2
-  ;;
 esac
 set +x
 echo "drill $drill: ok"

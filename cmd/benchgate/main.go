@@ -1,374 +1,47 @@
-// Command benchgate is the CI bench-regression gate: it parses `go test
-// -bench` output and compares the recorded hot paths against their
-// baselines — the tree-backend figures in BENCH_restree.json and
-// BENCH_resd.json, the wire-throughput matrix in BENCH_reswire.json, the
-// multi-tenant quota matrix in BENCH_tenant.json, the instrumentation
-// off/on pair in BENCH_obs.json, and the durability off/buffered/fsync
-// triple in BENCH_wal.json — failing (exit 1) when any measured figure
-// exceeds its recorded baseline by more than the threshold factor.
+// Command benchgate judges a change against its parent commit by the one
+// rule the repository's benchmark is read by:
 //
-// Usage:
+//	benchgate -parent out/parent -change out/change [-claim metric@workload]
 //
-//	go test -run '^$' -bench 'CapacityIndex|ResdThroughput|WireThroughput|TenantThroughput|ObsOverhead|WALOverhead' \
-//	    -benchtime=0.2s . | tee bench.out
-//	benchgate -bench bench.out -restree BENCH_restree.json -resd BENCH_resd.json \
-//	    -reswire BENCH_reswire.json -tenant BENCH_tenant.json \
-//	    -obs BENCH_obs.json -wal BENCH_wal.json -threshold 2
-//
-// Baselines that record allocs_per_op (the wire and resd throughput
-// matrices) are additionally held to that allocation count at the same
-// threshold: allocation regressions are machine-independent and often
-// invisible to the ns gate on a fast runner.
-//
-// The -obs baseline carries a second, much tighter gate on top of the
-// absolute figures: the measured on/off and watch/off ratios — numbers
-// from the same run, immune to machine speed — must stay within the
-// max_overhead budget recorded in BENCH_obs.json (the "observability
-// costs <5%, even while a live Watch subscriber streams telemetry"
-// claim).
-//
-// The -wal baseline works the same way: the wal=off and wal=buffered rows
-// are gated absolutely, and the measured buffered/off ratio is held to the
-// max_overhead budget in BENCH_wal.json (the "group commit, not one
-// syscall per admission" claim). The wal=fsync row must be present in the
-// bench output but is never gated on speed — fsync latency is a property
-// of the CI machine's storage, not of this code.
-//
-// The threshold is deliberately generous (default 2×): the gate exists to
-// catch algorithmic regressions — an accidental O(n) scan reintroduced on
-// the tree path shows up as 10×+ — not to police machine-to-machine
-// noise. A missing benchmark is also a failure, so the gate cannot pass
-// vacuously when a rename silently empties the -bench filter.
+// Each directory holds result files as bench/ writes them, one sub-directory
+// per pair of runs (<dir>/<pair>/<workload>.json; ci/drills.sh bench makes
+// them). Workloads, end-to-end metrics, directions and bounds come from
+// BENCHMARK.json in the working directory; none is named here. A metric
+// on a workload is REGRESSED when the change's median is worse than the
+// parent's by more than the bound; unresolved when the parent's own
+// inter-quartile spread is wider than the bound and not every run of the
+// change reads better than every run of the parent; else held. Exit 1 on a
+// regression, a larger failed share, a run with correct:false, a workload or
+// metric missing on either side, or a claim not met: nine tenths of at least
+// ten pairs won, ties counting for neither side, and medians further apart
+// than the parent's inter-quartile spread. Per-layer metrics are printed
+// where both sides hold traced runs (<workload>-trace.json), never gated.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"regexp"
-	"strconv"
+	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 )
 
-// benchLine matches one benchmark result line, e.g.
-//
-//	BenchmarkCapacityIndex/backend=tree/n=10000-8   175087   6587 ns/op
-//	BenchmarkWireThroughput/clients=1/pipeline=off  45872   26884 ns/op   512 B/op   12 allocs/op
-//
-// The trailing -N (GOMAXPROCS) is optional: Go omits it when procs is 1.
-// A #NN tag before it is the suffix Go appends when a benchmark runs the
-// same sub-benchmark name several times (BenchmarkObsOverhead's
-// interleaved rounds do); it is stripped, so the rounds average under
-// the base name. The B/op + allocs/op tail appears when the benchmark
-// calls b.ReportAllocs (or the run passes -benchmem).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:#\d+)?(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
-
-// measurement is one parsed benchmark result. allocs is only meaningful
-// when hasAllocs is set — a benchmark without ReportAllocs prints no
-// allocs/op column at all, which is different from measuring zero.
-type measurement struct {
-	ns        float64
-	allocs    float64
-	hasAllocs bool
+// The manifest's keys match these fields without tags, case aside.
+type metricDef struct {
+	Name, Unit, Better string
+	Bound              float64
 }
 
-// parseBench extracts name → measurement from `go test -bench` output.
-// Names keep their sub-benchmark path but drop the -GOMAXPROCS and #NN
-// repeat suffixes. Repeated lines for the same name (-count N, in-bench
-// interleaved rounds, or the same filter run several times) are averaged: the ratio gates divide figures measured
-// minutes apart, and averaging over repeated interleaved runs is what
-// keeps a drifting CI machine from minting fake overhead on whichever
-// sub-benchmark ran last. hasAllocs holds only if every repeat reported
-// the allocs column.
-func parseBench(r io.Reader) (map[string]measurement, error) {
-	type acc struct {
-		ns, allocs float64
-		n, nAllocs int
-	}
-	sums := map[string]*acc{}
-	var order []string
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchgate: bad ns/op in %q: %w", sc.Text(), err)
-		}
-		a := sums[m[1]]
-		if a == nil {
-			a = &acc{}
-			sums[m[1]] = a
-			order = append(order, m[1])
-		}
-		a.ns += ns
-		a.n++
-		if m[4] != "" {
-			allocs, err := strconv.ParseFloat(m[4], 64)
-			if err != nil {
-				return nil, fmt.Errorf("benchgate: bad allocs/op in %q: %w", sc.Text(), err)
-			}
-			a.allocs += allocs
-			a.nAllocs++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	out := make(map[string]measurement, len(sums))
-	for _, name := range order {
-		a := sums[name]
-		meas := measurement{ns: a.ns / float64(a.n)}
-		if a.nAllocs == a.n {
-			meas.allocs, meas.hasAllocs = a.allocs/float64(a.nAllocs), true
-		}
-		out[name] = meas
-	}
-	return out, nil
-}
-
-// baseline is one expected benchmark with its recorded figures. allocs
-// is gated only when positive: an alloc regression (a buffer suddenly
-// escaping per request, a pool dropped from a hot path) is as real as a
-// speed one but invisible to the ns gate on a fast machine, so rows that
-// record allocs_per_op get both checks.
-type baseline struct {
-	name   string
-	ns     float64
-	allocs float64
-}
-
-// restreeBaselines loads the tree-backend rows of BENCH_restree.json as
-// expectations on BenchmarkCapacityIndex sub-benchmarks.
-func restreeBaselines(path string) ([]baseline, error) {
-	var doc struct {
-		Rows []struct {
-			Reservations int     `json:"reservations"`
-			TreeNsPerOp  float64 `json:"tree_ns_per_op"`
-		} `json:"rows"`
-	}
-	if err := readJSON(path, &doc); err != nil {
-		return nil, err
-	}
-	var out []baseline
-	for _, r := range doc.Rows {
-		out = append(out, baseline{
-			name: fmt.Sprintf("BenchmarkCapacityIndex/backend=tree/n=%d", r.Reservations),
-			ns:   r.TreeNsPerOp,
-		})
-	}
-	return out, nil
-}
-
-// resdBaselines loads the tree-backend rows of BENCH_resd.json as
-// expectations on BenchmarkResdThroughput sub-benchmarks.
-func resdBaselines(path string) ([]baseline, error) {
-	var doc struct {
-		Rows []struct {
-			Backend     string  `json:"backend"`
-			Shards      int     `json:"shards"`
-			NsPerOp     float64 `json:"ns_per_op"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"rows"`
-	}
-	if err := readJSON(path, &doc); err != nil {
-		return nil, err
-	}
-	var out []baseline
-	for _, r := range doc.Rows {
-		if r.Backend != "tree" {
-			continue
-		}
-		out = append(out, baseline{
-			name:   fmt.Sprintf("BenchmarkResdThroughput/backend=tree/shards=%d", r.Shards),
-			ns:     r.NsPerOp,
-			allocs: r.AllocsPerOp,
-		})
-	}
-	return out, nil
-}
-
-// reswireBaselines loads BENCH_reswire.json rows as expectations on
-// BenchmarkWireThroughput sub-benchmarks (both pipelining settings: a
-// regression in the unpipelined RPC path is as real as one in the
-// pipelined path).
-func reswireBaselines(path string) ([]baseline, error) {
-	var doc struct {
-		Rows []struct {
-			Clients     int     `json:"clients"`
-			Pipeline    string  `json:"pipeline"`
-			NsPerOp     float64 `json:"ns_per_op"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"rows"`
-	}
-	if err := readJSON(path, &doc); err != nil {
-		return nil, err
-	}
-	var out []baseline
-	for _, r := range doc.Rows {
-		out = append(out, baseline{
-			name:   fmt.Sprintf("BenchmarkWireThroughput/clients=%d/pipeline=%s", r.Clients, r.Pipeline),
-			ns:     r.NsPerOp,
-			allocs: r.AllocsPerOp,
-		})
-	}
-	return out, nil
-}
-
-// tenantBaselines loads BENCH_tenant.json rows as expectations on
-// BenchmarkTenantThroughput sub-benchmarks (both enforcement modes across
-// the tenant axis: a lock sneaking onto the lock-free acquire path or a
-// per-tenant scan shows up at every row).
-func tenantBaselines(path string) ([]baseline, error) {
-	var doc struct {
-		Rows []struct {
-			Tenants int     `json:"tenants"`
-			Mode    string  `json:"mode"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"rows"`
-	}
-	if err := readJSON(path, &doc); err != nil {
-		return nil, err
-	}
-	var out []baseline
-	for _, r := range doc.Rows {
-		out = append(out, baseline{
-			name: fmt.Sprintf("BenchmarkTenantThroughput/tenants=%d/mode=%s", r.Tenants, r.Mode),
-			ns:   r.NsPerOp,
-		})
-	}
-	return out, nil
-}
-
-// obsBaselines loads BENCH_obs.json: each off/on row becomes an
-// expectation on a BenchmarkObsOverhead sub-benchmark, and max_overhead
-// is the instrumentation budget the ratio gate enforces on the measured
-// pair (the on/off ratio of one run is immune to machine speed, so it is
-// held to its own, much tighter bound than the absolute threshold).
-func obsBaselines(path string) ([]baseline, float64, error) {
-	var doc struct {
-		Rows []struct {
-			Obs     string  `json:"obs"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"rows"`
-		MaxOverhead float64 `json:"max_overhead"`
-	}
-	if err := readJSON(path, &doc); err != nil {
-		return nil, 0, err
-	}
-	if doc.MaxOverhead <= 1 {
-		return nil, 0, fmt.Errorf("benchgate: %s: max_overhead must be > 1, got %v", path, doc.MaxOverhead)
-	}
-	var out []baseline
-	for _, r := range doc.Rows {
-		out = append(out, baseline{
-			name: fmt.Sprintf("BenchmarkObsOverhead/obs=%s", r.Obs),
-			ns:   r.NsPerOp,
-		})
-	}
-	return out, doc.MaxOverhead, nil
-}
-
-// gateObsRatio checks the instrumentation-cost budget: the measured
-// obs=on figure may exceed the measured obs=off figure by at most
-// maxOverhead, and so may obs=watch — the same workload with a live
-// Watch subscriber streaming telemetry, which must ride the published
-// atomics rather than tax the admission path — obs=flight, the
-// same workload with the flight recorder's journal, per-turn
-// heartbeats, and watchdog armed — and obs=slo, the same workload with
-// the SLO engine counting admission decisions and sampling cumulative
-// counters on its own ticker. Missing sub-benchmarks are already
-// reported by the baseline gate, so this adds nothing for them.
-func gateObsRatio(measured map[string]measurement, maxOverhead float64) (report []string, ok bool) {
-	off, okOff := measured["BenchmarkObsOverhead/obs=off"]
-	if !okOff {
-		return nil, true
-	}
-	ok = true
-	for _, variant := range []string{"on", "watch", "flight", "slo"} {
-		got, found := measured["BenchmarkObsOverhead/obs="+variant]
-		if !found {
-			continue
-		}
-		ratio := got.ns / off.ns
-		if ratio > maxOverhead {
-			report = append(report, fmt.Sprintf("FAIL    obs overhead: %s/off = %.0f/%.0f ns/op = %.3f× > %.2f× budget",
-				variant, got.ns, off.ns, ratio, maxOverhead))
-			ok = false
-			continue
-		}
-		report = append(report, fmt.Sprintf("ok      obs overhead: %s/off = %.0f/%.0f ns/op = %.3f× (budget %.2f×)",
-			variant, got.ns, off.ns, ratio, maxOverhead))
-	}
-	return report, ok
-}
-
-// walBaselines loads BENCH_wal.json: the wal=off and wal=buffered rows
-// become absolute expectations on BenchmarkWALOverhead sub-benchmarks,
-// and max_overhead is the group-commit budget the ratio gate enforces on
-// the measured buffered/off pair. The wal=fsync row is deliberately NOT a
-// baseline — its figure tracks the machine's storage, not the code — but
-// gateWalRatio still insists it was measured, so the durable path cannot
-// silently fall out of the bench filter.
-func walBaselines(path string) ([]baseline, float64, error) {
-	var doc struct {
-		Rows []struct {
-			WAL     string  `json:"wal"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"rows"`
-		MaxOverhead float64 `json:"max_overhead"`
-	}
-	if err := readJSON(path, &doc); err != nil {
-		return nil, 0, err
-	}
-	if doc.MaxOverhead <= 1 {
-		return nil, 0, fmt.Errorf("benchgate: %s: max_overhead must be > 1, got %v", path, doc.MaxOverhead)
-	}
-	var out []baseline
-	for _, r := range doc.Rows {
-		if r.WAL == "fsync" {
-			continue
-		}
-		out = append(out, baseline{
-			name: fmt.Sprintf("BenchmarkWALOverhead/wal=%s", r.WAL),
-			ns:   r.NsPerOp,
-		})
-	}
-	return out, doc.MaxOverhead, nil
-}
-
-// gateWalRatio checks the group-commit budget: the measured wal=buffered
-// figure may exceed the measured wal=off figure by at most maxOverhead.
-// It also requires the wal=fsync row to have run at all — the only check
-// that row gets.
-func gateWalRatio(measured map[string]measurement, maxOverhead float64) (report []string, ok bool) {
-	off, okOff := measured["BenchmarkWALOverhead/wal=off"]
-	buffered, okBuf := measured["BenchmarkWALOverhead/wal=buffered"]
-	fsync, okFsync := measured["BenchmarkWALOverhead/wal=fsync"]
-	ok = true
-	if !okFsync {
-		report = append(report, "MISSING BenchmarkWALOverhead/wal=fsync (durable path not measured)")
-		ok = false
-	} else {
-		report = append(report, fmt.Sprintf("ok      wal fsync: %.0f ns/op (recorded, not gated)", fsync.ns))
-	}
-	if !okOff || !okBuf {
-		return report, ok
-	}
-	ratio := buffered.ns / off.ns
-	if ratio > maxOverhead {
-		report = append(report, fmt.Sprintf("FAIL    wal overhead: buffered/off = %.0f/%.0f ns/op = %.3f× > %.2f× budget",
-			buffered.ns, off.ns, ratio, maxOverhead))
-		return report, false
-	}
-	report = append(report, fmt.Sprintf("ok      wal overhead: buffered/off = %.0f/%.0f ns/op = %.3f× (budget %.2f×)",
-		buffered.ns, off.ns, ratio, maxOverhead))
-	return report, ok
+type manifest struct {
+	Workloads []struct{ Name string }
+	EndToEnd  []metricDef `json:"end_to_end"`
+	PerLayer  []metricDef `json:"per_layer"`
 }
 
 func readJSON(path string, v any) error {
@@ -377,162 +50,199 @@ func readJSON(path string, v any) error {
 		return err
 	}
 	if err := json.Unmarshal(buf, v); err != nil {
-		return fmt.Errorf("benchgate: %s: %w", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }
 
-// gate compares measured figures against baselines and returns one line
-// per baseline plus the verdict. A baseline that records allocs_per_op
-// additionally holds the measured allocation count to the same threshold
-// factor (plus a +2 absolute floor so near-zero baselines cannot flap on
-// a single stray allocation) — and requires the benchmark to have
-// reported allocations at all, so dropping b.ReportAllocs cannot
-// silently retire the check.
-func gate(measured map[string]measurement, baselines []baseline, threshold float64) (report []string, ok bool) {
-	ok = true
-	for _, b := range baselines {
-		got, found := measured[b.name]
-		switch {
-		case !found:
-			report = append(report, fmt.Sprintf("MISSING %s (baseline %.0f ns/op, not in bench output)", b.name, b.ns))
-			ok = false
-			continue
-		case got.ns > b.ns*threshold:
-			report = append(report, fmt.Sprintf("FAIL    %s: %.0f ns/op vs baseline %.0f (%.2f× > %.2f×)",
-				b.name, got.ns, b.ns, got.ns/b.ns, threshold))
-			ok = false
-		default:
-			report = append(report, fmt.Sprintf("ok      %s: %.0f ns/op vs baseline %.0f (%.2f×)",
-				b.name, got.ns, b.ns, got.ns/b.ns))
-		}
-		if b.allocs <= 0 {
-			continue
-		}
-		limit := b.allocs * threshold
-		if floor := b.allocs + 2; limit < floor {
-			limit = floor
-		}
-		switch {
-		case !got.hasAllocs:
-			report = append(report, fmt.Sprintf("MISSING %s allocs/op (baseline %.1f, bench output has no allocs column)",
-				b.name, b.allocs))
-			ok = false
-		case got.allocs > limit:
-			report = append(report, fmt.Sprintf("FAIL    %s: %.1f allocs/op vs baseline %.1f (limit %.1f)",
-				b.name, got.allocs, b.allocs, limit))
-			ok = false
-		default:
-			report = append(report, fmt.Sprintf("ok      %s: %.1f allocs/op vs baseline %.1f",
-				b.name, got.allocs, b.allocs))
+// pairsOf lists a side's pair directories in name order (os.ReadDir sorts),
+// which is run order when the names are zero-padded numbers.
+func pairsOf(dir string) (pairs []string, err error) {
+	entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		if e.IsDir() {
+			pairs = append(pairs, e.Name())
 		}
 	}
-	return report, ok
+	return pairs, err
 }
 
-func run() error {
-	benchPath := flag.String("bench", "", "go test -bench output file (required; - for stdin)")
-	restree := flag.String("restree", "BENCH_restree.json", "capacity-index baseline ('' to skip)")
-	resd := flag.String("resd", "BENCH_resd.json", "admission-service baseline ('' to skip)")
-	reswire := flag.String("reswire", "BENCH_reswire.json", "wire-throughput baseline ('' to skip)")
-	tenantPath := flag.String("tenant", "BENCH_tenant.json", "quota-throughput baseline ('' to skip)")
-	obsPath := flag.String("obs", "BENCH_obs.json", "obs-overhead baseline and ratio budget ('' to skip)")
-	walPath := flag.String("wal", "BENCH_wal.json", "wal-overhead baseline and ratio budget ('' to skip)")
-	threshold := flag.Float64("threshold", 2.0, "allowed slowdown factor vs baseline")
-	flag.Parse()
+// runs is one commit's runs of one workload: each metric's value pair by
+// pair (shorter than the pairs if a run lacks it), the share of operations
+// that failed, and whether every run reported correct:true.
+type runs struct {
+	vals      map[string][]float64
+	failShare float64
+	correct   bool
+}
 
-	if *benchPath == "" {
-		return fmt.Errorf("benchgate: -bench is required")
-	}
-	if *threshold <= 0 {
-		return fmt.Errorf("benchgate: -threshold must be positive, got %v", *threshold)
-	}
-	var in io.Reader = os.Stdin
-	if *benchPath != "-" {
-		f, err := os.Open(*benchPath)
-		if err != nil {
-			return err
+// load reads one file name out of every pair directory of a side.
+func load(dir string, pairs []string, file string) (runs, error) {
+	rs := runs{vals: map[string][]float64{}, correct: true}
+	var failed, attempted int64
+	for _, p := range pairs {
+		var doc struct {
+			Result struct {
+				Correct           bool
+				Attempted, Failed int64
+				Metrics           map[string]struct{ Value float64 }
+			}
 		}
-		defer f.Close()
-		in = f
+		if err := readJSON(filepath.Join(dir, p, file), &doc); err != nil {
+			return rs, err
+		}
+		for name, m := range doc.Result.Metrics {
+			rs.vals[name] = append(rs.vals[name], m.Value)
+		}
+		failed += doc.Result.Failed
+		attempted += doc.Result.Attempted
+		rs.correct = rs.correct && doc.Result.Correct
 	}
-	measured, err := parseBench(in)
-	if err != nil {
-		return err
-	}
+	rs.failShare = float64(failed) / float64(attempted)
+	return rs, nil
+}
 
-	var baselines []baseline
-	if *restree != "" {
-		bs, err := restreeBaselines(*restree)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, bs...)
+// quartiles returns the quartiles of xs by the exclusive method (Python's
+// statistics.quantiles(xs, n=4)), the one bench/ and the driver use.
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(k float64) float64 {
+		// 0-based position k(n+1)/4 − 1, clamped to the ends.
+		pos := math.Min(math.Max(k*float64(len(s)+1)/4-1, 0), float64(len(s)-1))
+		lo := int(pos)
+		return s[lo] + (pos-float64(lo))*(s[min(lo+1, len(s)-1)]-s[lo])
 	}
-	if *resd != "" {
-		bs, err := resdBaselines(*resd)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, bs...)
-	}
-	if *reswire != "" {
-		bs, err := reswireBaselines(*reswire)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, bs...)
-	}
-	if *tenantPath != "" {
-		bs, err := tenantBaselines(*tenantPath)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, bs...)
-	}
-	var maxOverhead float64
-	if *obsPath != "" {
-		bs, budget, err := obsBaselines(*obsPath)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, bs...)
-		maxOverhead = budget
-	}
-	var walOverhead float64
-	if *walPath != "" {
-		bs, budget, err := walBaselines(*walPath)
-		if err != nil {
-			return err
-		}
-		baselines = append(baselines, bs...)
-		walOverhead = budget
-	}
-	if len(baselines) == 0 {
-		return fmt.Errorf("benchgate: no baselines loaded")
-	}
+	return at(1), at(2), at(3)
+}
 
-	report, ok := gate(measured, baselines, *threshold)
-	if maxOverhead > 0 {
-		ratioReport, ratioOK := gateObsRatio(measured, maxOverhead)
-		report = append(report, ratioReport...)
-		ok = ok && ratioOK
+// num prints a value to four figures, thousands as k.
+func num(v float64) string {
+	if math.Abs(v) >= 1e4 {
+		return fmt.Sprintf("%.0fk", v/1e3)
 	}
-	if walOverhead > 0 {
-		ratioReport, ratioOK := gateWalRatio(measured, walOverhead)
-		report = append(report, ratioReport...)
-		ok = ok && ratioOK
+	return fmt.Sprintf("%.4g", v)
+}
+
+// judge applies the rule to one metric's runs, parent[i] and change[i]
+// being the pair named pairs[i], writes the metric's line of the table, and
+// returns the verdict and whether a claim on the metric would be met.
+func judge(w io.Writer, d metricDef, pairs []string, parent, change []float64) (verdict string, claimMet bool) {
+	sign := 1.0
+	if d.Better == "higher" {
+		sign = -1
 	}
-	fmt.Println(strings.Join(report, "\n"))
-	if !ok {
-		return fmt.Errorf("benchgate: bench regression gate failed (threshold %.2f×)", *threshold)
+	better := func(a, b float64) bool { return sign*a < sign*b }
+	fmt.Fprintf(w, "`%s` (%s)", d.Name, d.Unit)
+	wins, losses, allBetter := 0, 0, true
+	for i := range parent {
+		fmt.Fprintf(w, " %s: %s→%s;", pairs[i], num(parent[i]), num(change[i]))
+		if better(change[i], parent[i]) {
+			wins++
+		} else if better(parent[i], change[i]) {
+			losses++
+		}
+		for _, p := range parent {
+			allBetter = allBetter && better(change[i], p)
+		}
 	}
-	fmt.Printf("benchgate: %d baselines within %.2f×\n", len(baselines), *threshold)
-	return nil
+	p1, pm, p3 := quartiles(parent)
+	c1, cm, c3 := quartiles(change)
+	// A parent median of zero makes rel ±Inf or NaN; NaN compares false
+	// and the metric holds, which is right for 0 → 0.
+	rel := (cm - pm) / math.Abs(pm)
+	verdict = "held"
+	switch {
+	case sign*rel > d.Bound:
+		verdict = "REGRESSED"
+	case (p3-p1)/math.Abs(pm) > d.Bound && !allBetter:
+		verdict = "unresolved"
+	}
+	fmt.Fprintf(w, " — median %s [%s–%s] → %s [%s–%s] (%+.1f %%, better in %d/%d, %d ties; bound %g %%) %s\n",
+		num(pm), num(p1), num(p3), num(cm), num(c1), num(c3), 100*rel,
+		wins, len(parent), len(parent)-wins-losses, 100*d.Bound, verdict)
+	return verdict, len(parent) >= 10 && wins > 0 && wins*10 >= 9*(wins+losses) &&
+		better(cm, pm) && math.Abs(cm-pm) > p3-p1
+}
+
+// gate judges every end-to-end metric of every workload the manifest names,
+// writes the table to w, and returns each verdict by metric@workload and an
+// error naming everything that failed.
+func gate(w io.Writer, manifestPath, parentDir, changeDir, claim string) (map[string]string, error) {
+	var man manifest
+	if err := readJSON(manifestPath, &man); err != nil {
+		return nil, err
+	}
+	pairs, perr := pairsOf(parentDir)
+	changePairs, cerr := pairsOf(changeDir)
+	if err := errors.Join(perr, cerr); err != nil || len(pairs) == 0 || !slices.Equal(pairs, changePairs) {
+		return nil, fmt.Errorf("benchgate: the sides must hold the same pairs, at least one: parent %v, change %v (error: %v)", pairs, changePairs, err)
+	}
+	verdicts, counts, met := map[string]string{}, map[string]int{}, map[string]bool{}
+	var failures []string
+	fail := func(format string, args ...any) { failures = append(failures, fmt.Sprintf(format, args...)) }
+	for _, wl := range man.Workloads {
+		parent, perr := load(parentDir, pairs, wl.Name+".json")
+		change, cerr := load(changeDir, pairs, wl.Name+".json")
+		if err := errors.Join(perr, cerr); err != nil {
+			fail("%s: result missing: %v", wl.Name, err)
+			continue
+		}
+		fmt.Fprintf(w, "**`%s`** (pair: parent→change; failed share %.3g → %.3g)\n", wl.Name, parent.failShare, change.failShare)
+		if !parent.correct || !change.correct {
+			fail("%s: a run reports correct:false (parent all correct: %v, change: %v)", wl.Name, parent.correct, change.correct)
+		}
+		if change.failShare > parent.failShare {
+			fail("%s: failed share rose from %.3g to %.3g", wl.Name, parent.failShare, change.failShare)
+		}
+		for _, d := range man.EndToEnd {
+			p, c := parent.vals[d.Name], change.vals[d.Name]
+			if len(p) != len(pairs) || len(c) != len(pairs) {
+				fail("%s: metric %s missing: in %d parent and %d change runs of %d", wl.Name, d.Name, len(p), len(c), len(pairs))
+				continue
+			}
+			key := d.Name + "@" + wl.Name
+			verdicts[key], met[key] = judge(w, d, pairs, p, c)
+			counts[verdicts[key]]++
+			if verdicts[key] == "REGRESSED" {
+				fail("%s: %s regressed", wl.Name, d.Name)
+			}
+		}
+		parent, perr = load(parentDir, pairs, wl.Name+"-trace.json")
+		change, cerr = load(changeDir, pairs, wl.Name+"-trace.json")
+		for _, d := range man.PerLayer {
+			p, c := parent.vals[d.Name], change.vals[d.Name]
+			if perr == nil && cerr == nil && len(p) == len(pairs) && len(c) == len(pairs) {
+				_, pm, _ := quartiles(p)
+				_, cm, _ := quartiles(c)
+				fmt.Fprintf(w, "  %s (%s, not gated): median %s → %s\n", d.Name, d.Unit, num(pm), num(cm))
+			}
+		}
+	}
+	if claim != "" && !met[claim] {
+		fail("claim %s not met (or it names no end-to-end metric on a workload of the manifest)", claim)
+	}
+	fmt.Fprintf(w, "benchgate: %d pairs, %d cells: %d held, %d unresolved, %d regressed\n",
+		len(pairs), len(verdicts), counts["held"], counts["unresolved"], counts["REGRESSED"])
+	if len(failures) > 0 {
+		return verdicts, fmt.Errorf("benchgate: failed:\n  %s", strings.Join(failures, "\n  "))
+	}
+	if claim != "" {
+		fmt.Fprintf(w, "benchgate: claim %s met\n", claim)
+	}
+	return verdicts, nil
 }
 
 func main() {
-	if err := run(); err != nil {
+	parent := flag.String("parent", "", "directory of the parent commit's runs, one sub-directory per pair (required)")
+	change := flag.String("change", "", "directory of the change's runs, the same pairs (required)")
+	claim := flag.String("claim", "", "metric@workload the change claims to improve")
+	flag.Parse()
+	if *parent == "" || *change == "" {
+		fmt.Fprintln(os.Stderr, "usage: benchgate -parent <dir> -change <dir> [-claim metric@workload]")
+		os.Exit(2)
+	}
+	if _, err := gate(os.Stdout, "BENCHMARK.json", *parent, *change, *claim); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

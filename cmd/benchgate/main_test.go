@@ -1,357 +1,276 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-const sampleBench = `goos: linux
-goarch: amd64
-pkg: repro
-cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkCapacityIndex/backend=array/n=1000-8         	  265486	      4508 ns/op
-BenchmarkCapacityIndex/backend=tree/n=1000            	  388441	      3080 ns/op
-BenchmarkCapacityIndex/backend=tree/n=10000-8         	  175087	      6587 ns/op
-BenchmarkResdThroughput/backend=tree/shards=8-4       	   39044	      6569 ns/op	     320 B/op	       9 allocs/op
-BenchmarkResdThroughput/backend=tree/shards=1         	   10000	     24906.5 ns/op	     512 B/op	      12.5 allocs/op
-PASS
-ok  	repro	5.701s
-`
+var (
+	lower  = metricDef{Name: "lat", Unit: "us", Better: "lower", Bound: 0.25}
+	higher = metricDef{Name: "thr", Unit: "1/s", Better: "higher", Bound: 0.25}
+)
 
-func TestParseBench(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sampleBench))
-	if err != nil {
-		t.Fatal(err)
+// rep returns n copies of v followed by rest.
+func rep(n int, v float64, rest ...float64) []float64 {
+	out := make([]float64, n, n+len(rest))
+	for i := range out {
+		out[i] = v
 	}
-	cases := []struct {
-		name string
-		want measurement
+	return append(out, rest...)
+}
+
+func names(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%02d", i+1)
+	}
+	return out
+}
+
+// spread is ten parent runs with median 100, first quartile 80 and third
+// quartile q3: an inter-quartile spread of (q3-80) % of the median.
+func spread(q3 float64) []float64 {
+	return []float64{80, 80, 80, 100, 100, 100, 100, q3, q3, q3}
+}
+
+func TestQuartilesMatchPythonExclusive(t *testing.T) {
+	// statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25], as bench/ pins it.
+	q1, q2, q3 := quartiles([]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1})
+	if q1 != 2.75 || q2 != 5.5 || q3 != 8.25 {
+		t.Errorf("quartiles = %v %v %v", q1, q2, q3)
+	}
+	// statistics.quantiles([3, 1, 2], n=4) == [1, 2, 3]; one run is its own quartiles.
+	if q1, q2, q3 := quartiles([]float64{3, 1, 2}); q1 != 1 || q2 != 2 || q3 != 3 {
+		t.Errorf("quartiles of three = %v %v %v", q1, q2, q3)
+	}
+	if q1, q2, q3 := quartiles([]float64{7}); q1 != 7 || q2 != 7 || q3 != 7 {
+		t.Errorf("quartiles of one = %v %v %v", q1, q2, q3)
+	}
+}
+
+// TestJudgeVerdict pins the no-regression rule case by case: the median
+// against the bound, the parent's spread against the bound, and the one
+// thing that overrides a spread too wide to tell.
+func TestJudgeVerdict(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		def            metricDef
+		parent, change []float64
+		want           string
 	}{
-		// -GOMAXPROCS suffix stripped, no allocs column:
-		{"BenchmarkCapacityIndex/backend=array/n=1000", measurement{ns: 4508}},
-		// no suffix (GOMAXPROCS=1):
-		{"BenchmarkCapacityIndex/backend=tree/n=1000", measurement{ns: 3080}},
-		{"BenchmarkCapacityIndex/backend=tree/n=10000", measurement{ns: 6587}},
-		// B/op + allocs/op tail parsed:
-		{"BenchmarkResdThroughput/backend=tree/shards=8", measurement{ns: 6569, allocs: 9, hasAllocs: true}},
-		// fractional ns/op and allocs/op:
-		{"BenchmarkResdThroughput/backend=tree/shards=1", measurement{ns: 24906.5, allocs: 12.5, hasAllocs: true}},
-	}
-	if len(got) != len(cases) {
-		t.Fatalf("parsed %d entries, want %d: %v", len(got), len(cases), got)
-	}
-	for _, c := range cases {
-		if got[c.name] != c.want {
-			t.Errorf("%s = %+v, want %+v", c.name, got[c.name], c.want)
+		{"lower: median worse by just over the bound regresses", lower, rep(10, 100), rep(10, 126), "REGRESSED"},
+		{"lower: median worse by just under the bound holds", lower, rep(10, 100), rep(10, 124), "held"},
+		{"lower: median worse by exactly the bound holds", lower, rep(10, 100), rep(10, 125), "held"},
+		{"lower: a far better median holds", lower, rep(10, 100), rep(10, 10), "held"},
+		{"higher: median worse by just over the bound regresses", higher, rep(10, 100), rep(10, 74), "REGRESSED"},
+		{"higher: median worse by just under the bound holds", higher, rep(10, 100), rep(10, 76), "held"},
+		{"higher: a far better median holds", higher, rep(10, 100), rep(10, 1000), "held"},
+		{"parent spread just over the bound is unresolved, not unchanged", lower, spread(106), spread(106), "unresolved"},
+		{"parent spread just under the bound holds", lower, spread(104), spread(104), "held"},
+		{"higher: parent spread just over the bound is unresolved", higher, spread(106), spread(106), "unresolved"},
+		{"lower: every change run better than every parent run overrides unresolved", lower, spread(106), rep(10, 79), "held"},
+		{"higher: every change run better than every parent run overrides unresolved", higher, spread(106), rep(10, 107), "held"},
+		{"one change run no better than the best parent run stays unresolved", lower, spread(106), rep(9, 70, 80), "unresolved"},
+		{"a regression is a regression however wide the spread", lower, spread(106), rep(10, 130), "REGRESSED"},
+	} {
+		got, _ := judge(io.Discard, c.def, names(len(c.parent)), c.parent, c.change)
+		if got != c.want {
+			t.Errorf("%s: verdict %q, want %q", c.name, got, c.want)
 		}
 	}
 }
 
-func TestParseBenchAverages(t *testing.T) {
-	// -count N, in-bench interleaved rounds (Go tags the repeats #01,
-	// #02, ...), or the same filter run several times repeat lines; the
-	// gates want the mean under the base name, not whichever run came
-	// last.
-	const repeated = `
-BenchmarkObsOverhead/obs=off 	  100	 7000 ns/op
-BenchmarkObsOverhead/obs=off#01-4 	  100	 9000 ns/op
-BenchmarkWireThroughput/clients=1/pipeline=on 	 100	 26000 ns/op	 512 B/op	 30 allocs/op
-BenchmarkWireThroughput/clients=1/pipeline=on 	 100	 28000 ns/op	 512 B/op	 34 allocs/op
-BenchmarkResdThroughput/backend=tree/shards=8 	 100	 6000 ns/op	 320 B/op	 9 allocs/op
-BenchmarkResdThroughput/backend=tree/shards=8 	 100	 6200 ns/op
-`
-	got, err := parseBench(strings.NewReader(repeated))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := got["BenchmarkObsOverhead/obs=off"]; m.ns != 8000 || m.hasAllocs {
-		t.Errorf("obs=off = %+v, want mean 8000 ns/op without allocs", m)
-	}
-	if m := got["BenchmarkWireThroughput/clients=1/pipeline=on"]; m.ns != 27000 || !m.hasAllocs || m.allocs != 32 {
-		t.Errorf("wire = %+v, want mean 27000 ns/op and 32 allocs/op", m)
-	}
-	// One repeat missing the allocs column poisons the alloc average: the
-	// name keeps its ns mean but loses hasAllocs, and the alloc gate
-	// reports it as missing rather than averaging apples with oranges.
-	if m := got["BenchmarkResdThroughput/backend=tree/shards=8"]; m.ns != 6100 || m.hasAllocs {
-		t.Errorf("resd = %+v, want mean 6100 ns/op without allocs", m)
+// TestJudgeClaim pins the gain rule: nine tenths of at least ten pairs,
+// ties for neither side, medians apart by more than the parent's spread.
+func TestJudgeClaim(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		def            metricDef
+		parent, change []float64
+		want           bool
+	}{
+		{"met at 9 of 10", lower, rep(10, 100), rep(9, 90, 110), true},
+		{"not met at 8 of 10", lower, rep(10, 100), rep(8, 90, 110, 110), false},
+		{"ties count for neither: 9 wins and 1 tie of 10 is 9 of 9", lower, rep(10, 100), rep(9, 90, 100), true},
+		{"ties count for neither: 8 wins, 1 tie and 1 loss is 8 of 9", lower, rep(10, 100), rep(8, 90, 100, 110), false},
+		{"higher: met at 9 of 10", higher, rep(10, 100), rep(9, 110, 90), true},
+		{"higher: lower readings are not a gain", higher, rep(10, 100), rep(10, 90), false},
+		{"10 of 10 but medians no further apart than the parent's quartiles", lower,
+			[]float64{80, 85, 90, 95, 100, 105, 110, 115, 120, 125}, []float64{79, 84, 89, 94, 99, 104, 109, 114, 119, 124}, false},
+		{"10 of 10 with medians further apart than the parent's quartiles", lower,
+			[]float64{80, 85, 90, 95, 100, 105, 110, 115, 120, 125}, []float64{50, 55, 60, 65, 70, 75, 80, 85, 90, 95}, true},
+		{"nine pairs are too few, all won", lower, rep(9, 100), rep(9, 50), false},
+		{"all ties is no gain", lower, rep(10, 100), rep(10, 100), false},
+	} {
+		_, got := judge(io.Discard, c.def, names(len(c.parent)), c.parent, c.change)
+		if got != c.want {
+			t.Errorf("%s: claim met = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
+// side describes one commit's synthetic result files for workload "w".
+type side struct {
+	vals      map[string][]float64 // metric → value per pair
+	failed    int64                // of 1000 attempted, in every run
+	incorrect int                  // 1-based pair whose run reports correct:false
+}
+
+func (s side) write(t *testing.T, dir, file string) {
+	t.Helper()
+	n := 0
+	for _, v := range s.vals {
+		n = max(n, len(v))
+	}
+	for i, pair := range names(n) {
+		metrics := map[string]any{}
+		for name, v := range s.vals {
+			if i < len(v) { // a shorter column: the last runs lack the metric
+				metrics[name] = map[string]any{"value": v[i], "unit": "x"}
+			}
+		}
+		writeJSON(t, filepath.Join(dir, pair, file), map[string]any{"result": map[string]any{
+			"correct": i+1 != s.incorrect, "attempted": 1000, "failed": s.failed, "metrics": metrics}})
+	}
+}
+
+func writeJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	buf, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGate drives the whole tool over synthetic result files: one
+// workload, one lower-is-better and one higher-is-better metric, ten pairs.
 func TestGate(t *testing.T) {
-	baselines := []baseline{
-		{name: "BenchmarkCapacityIndex/backend=tree/n=1000", ns: 3000},
-		{name: "BenchmarkCapacityIndex/backend=tree/n=10000", ns: 6500},
+	both := func(lat, thr float64) side {
+		return side{vals: map[string][]float64{"lat": rep(10, lat), "thr": rep(10, thr)}}
 	}
-	cases := []struct {
-		name      string
-		measured  map[string]measurement
-		threshold float64
-		wantOK    bool
-		wantMark  string
+	for _, c := range []struct {
+		name           string
+		parent, change side
+		claim          string
+		wantErr        string // "" = exit 0
+		wantOut        string
 	}{
-		{
-			name: "within threshold",
-			measured: map[string]measurement{
-				"BenchmarkCapacityIndex/backend=tree/n=1000":  {ns: 5900},
-				"BenchmarkCapacityIndex/backend=tree/n=10000": {ns: 6400},
-			},
-			threshold: 2, wantOK: true, wantMark: "ok",
-		},
-		{
-			name: "regression fails",
-			measured: map[string]measurement{
-				"BenchmarkCapacityIndex/backend=tree/n=1000":  {ns: 6100},
-				"BenchmarkCapacityIndex/backend=tree/n=10000": {ns: 6400},
-			},
-			threshold: 2, wantOK: false, wantMark: "FAIL",
-		},
-		{
-			name: "missing benchmark fails",
-			measured: map[string]measurement{
-				"BenchmarkCapacityIndex/backend=tree/n=1000": {ns: 3000},
-			},
-			threshold: 2, wantOK: false, wantMark: "MISSING",
-		},
-		{
-			name: "tight threshold",
-			measured: map[string]measurement{
-				"BenchmarkCapacityIndex/backend=tree/n=1000":  {ns: 3200},
-				"BenchmarkCapacityIndex/backend=tree/n=10000": {ns: 6500},
-			},
-			threshold: 1.05, wantOK: false, wantMark: "FAIL",
-		},
-	}
-	for _, c := range cases {
+		{name: "within threshold", parent: both(100, 100), change: both(124, 76), wantOut: "2 held, 0 unresolved, 0 regressed"},
+		{name: "regression fails", parent: both(100, 100), change: both(126, 100), wantErr: "w: lat regressed", wantOut: "REGRESSED"},
+		{name: "higher-is-better regression fails", parent: both(100, 100), change: both(100, 74), wantErr: "w: thr regressed"},
+		{name: "missing benchmark fails", parent: both(100, 100),
+			change: side{vals: map[string][]float64{"lat": rep(10, 100)}}, wantErr: "w: metric thr missing"},
+		{name: "metric missing in one parent run fails", parent: side{vals: map[string][]float64{"lat": rep(10, 100), "thr": rep(9, 100)}},
+			change: both(100, 100), wantErr: "w: metric thr missing"},
+		{name: "unresolved is printed and exits 0", parent: side{vals: map[string][]float64{"lat": spread(106), "thr": rep(10, 100)}},
+			change: side{vals: map[string][]float64{"lat": spread(106), "thr": rep(10, 100)}}, wantOut: "1 held, 1 unresolved, 0 regressed"},
+		{name: "failed share rising fails with every metric better", parent: both(100, 100),
+			change: side{vals: both(50, 200).vals, failed: 1}, wantErr: "w: failed share rose"},
+		{name: "failed share falling holds", parent: side{vals: both(100, 100).vals, failed: 2},
+			change: side{vals: both(100, 100).vals, failed: 1}},
+		{name: "correct false on one run fails", parent: both(100, 100),
+			change: side{vals: both(100, 100).vals, incorrect: 7}, wantErr: "correct:false"},
+		{name: "unequal pair counts refused", parent: both(100, 100),
+			change: side{vals: map[string][]float64{"lat": rep(9, 100), "thr": rep(9, 100)}}, wantErr: "same pairs"},
+		{name: "claim met", parent: both(100, 100), change: both(90, 100), claim: "lat@w", wantOut: "claim lat@w met"},
+		{name: "claim not met", parent: both(100, 100), change: both(100, 100), claim: "lat@w", wantErr: "claim lat@w not met"},
+		{name: "claim on a metric the manifest lacks fails", parent: both(100, 100), change: both(90, 100), claim: "lat@nowhere",
+			wantErr: "claim lat@nowhere not met"},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			report, ok := gate(c.measured, baselines, c.threshold)
-			if ok != c.wantOK {
-				t.Fatalf("ok = %v, want %v\n%s", ok, c.wantOK, strings.Join(report, "\n"))
+			dir := t.TempDir()
+			man := filepath.Join(dir, "manifest.json")
+			writeJSON(t, man, map[string]any{"workloads": []any{map[string]any{"name": "w"}}, "end_to_end": []metricDef{lower, higher}})
+			c.parent.write(t, filepath.Join(dir, "parent"), "w.json")
+			c.change.write(t, filepath.Join(dir, "change"), "w.json")
+			var out strings.Builder
+			_, err := gate(&out, man, filepath.Join(dir, "parent"), filepath.Join(dir, "change"), c.claim)
+			if (err == nil) != (c.wantErr == "") || (err != nil && !strings.Contains(err.Error(), c.wantErr)) {
+				t.Fatalf("err = %v, want %q\n%s", err, c.wantErr, out.String())
 			}
-			if len(report) != len(baselines) {
-				t.Fatalf("report has %d lines, want %d", len(report), len(baselines))
-			}
-			joined := strings.Join(report, "\n")
-			if !strings.Contains(joined, c.wantMark) {
-				t.Fatalf("report lacks %q:\n%s", c.wantMark, joined)
+			if !strings.Contains(out.String(), c.wantOut) {
+				t.Fatalf("output lacks %q:\n%s", c.wantOut, out.String())
 			}
 		})
 	}
 }
 
-func TestGateAllocs(t *testing.T) {
-	baselines := []baseline{{name: "BenchmarkWireThroughput/clients=1/pipeline=on", ns: 26000, allocs: 20}}
-	run := func(m measurement) ([]string, bool) {
-		return gate(map[string]measurement{"BenchmarkWireThroughput/clients=1/pipeline=on": m},
-			baselines, 2)
+// TestMissingWorkloadFails: a workload the manifest names but a side did
+// not run fails, and the other workloads are still judged.
+func TestMissingWorkloadFails(t *testing.T) {
+	dir := t.TempDir()
+	man := filepath.Join(dir, "manifest.json")
+	writeJSON(t, man, map[string]any{"workloads": []any{map[string]any{"name": "w"}, map[string]any{"name": "absent"}},
+		"end_to_end": []metricDef{lower}})
+	s := side{vals: map[string][]float64{"lat": rep(10, 100)}}
+	s.write(t, filepath.Join(dir, "parent"), "w.json")
+	s.write(t, filepath.Join(dir, "change"), "w.json")
+	s.write(t, filepath.Join(dir, "parent"), "absent.json")
+	verdicts, err := gate(io.Discard, man, filepath.Join(dir, "parent"), filepath.Join(dir, "change"), "")
+	if err == nil || !strings.Contains(err.Error(), "absent: result missing") {
+		t.Fatalf("err = %v, want the absent workload reported", err)
 	}
-	if report, ok := run(measurement{ns: 26000, allocs: 21, hasAllocs: true}); !ok {
-		t.Fatalf("within alloc threshold must pass:\n%s", strings.Join(report, "\n"))
-	}
-	if report, ok := run(measurement{ns: 26000, allocs: 41, hasAllocs: true}); ok || !strings.Contains(strings.Join(report, "\n"), "FAIL") {
-		t.Fatalf("alloc regression past threshold must fail:\n%s", strings.Join(report, "\n"))
-	}
-	// A benchmark that stopped reporting allocations cannot pass the gate
-	// vacuously.
-	if report, ok := run(measurement{ns: 26000}); ok || !strings.Contains(strings.Join(report, "\n"), "MISSING") {
-		t.Fatalf("missing allocs column must fail:\n%s", strings.Join(report, "\n"))
-	}
-	// Near-zero baselines get a +2 absolute floor so one stray allocation
-	// cannot flap the gate.
-	tiny := []baseline{{name: "BenchmarkWireThroughput/clients=1/pipeline=on", ns: 26000, allocs: 1}}
-	report, ok := gate(map[string]measurement{
-		"BenchmarkWireThroughput/clients=1/pipeline=on": {ns: 26000, allocs: 3, hasAllocs: true},
-	}, tiny, 2)
-	if !ok {
-		t.Fatalf("tiny baseline within the +2 floor must pass:\n%s", strings.Join(report, "\n"))
+	if len(verdicts) != 1 || verdicts["lat@w"] != "held" {
+		t.Fatalf("verdicts = %v, want lat@w held", verdicts)
 	}
 }
 
-func TestBaselineLoaders(t *testing.T) {
-	// Loaded from the real recorded files at the repository root, so a
-	// schema drift in either JSON breaks this test before it breaks CI.
-	rs, err := restreeBaselines("../../BENCH_restree.json")
-	if err != nil {
+// TestRealManifestCells loads the repository's BENCHMARK.json: every
+// end_to_end × workloads cell is judged and nothing else is; per_layer
+// metrics of traced files are printed and gate nothing, however bad.
+func TestRealManifestCells(t *testing.T) {
+	const path = "../../BENCHMARK.json"
+	var man manifest
+	if err := readJSON(path, &man); err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 3 || !strings.Contains(rs[0].name, "backend=tree/n=1000") || rs[0].ns <= 0 {
-		t.Fatalf("restree baselines: %+v", rs)
+	if len(man.Workloads) == 0 || len(man.EndToEnd) == 0 || len(man.PerLayer) == 0 {
+		t.Fatalf("manifest read as %d workloads, %d end-to-end and %d per-layer metrics", len(man.Workloads), len(man.EndToEnd), len(man.PerLayer))
 	}
-	rd, err := resdBaselines("../../BENCH_resd.json")
+	dir := t.TempDir()
+	untraced, tracedParent, tracedChange := side{vals: map[string][]float64{}}, side{vals: map[string][]float64{}}, side{vals: map[string][]float64{}}
+	for _, d := range man.EndToEnd {
+		if d.Bound <= 0 || (d.Better != "lower" && d.Better != "higher") {
+			t.Errorf("end-to-end metric %+v: want a positive bound and a direction", d)
+		}
+		untraced.vals[d.Name] = rep(10, 5)
+	}
+	for _, d := range man.PerLayer {
+		tracedParent.vals[d.Name] = rep(10, 1)
+		tracedChange.vals[d.Name] = rep(10, 1000)
+	}
+	want := map[string]string{}
+	for _, wl := range man.Workloads {
+		untraced.write(t, filepath.Join(dir, "parent"), wl.Name+".json")
+		untraced.write(t, filepath.Join(dir, "change"), wl.Name+".json")
+		tracedParent.write(t, filepath.Join(dir, "parent"), wl.Name+"-trace.json")
+		tracedChange.write(t, filepath.Join(dir, "change"), wl.Name+"-trace.json")
+		for _, d := range man.EndToEnd {
+			want[d.Name+"@"+wl.Name] = "held"
+		}
+	}
+	var out strings.Builder
+	got, err := gate(&out, path, filepath.Join(dir, "parent"), filepath.Join(dir, "change"), "")
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("per-layer metrics must gate nothing: %v", err)
 	}
-	if len(rd) != 4 || !strings.Contains(rd[3].name, "backend=tree/shards=8") || rd[3].ns <= 0 {
-		t.Fatalf("resd baselines: %+v", rd)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("judged %v\nwant   %v", got, want)
 	}
-	for _, b := range rd {
-		if strings.Contains(b.name, "backend=array") {
-			t.Fatalf("array rows must be skipped: %+v", b)
+	for _, d := range man.PerLayer {
+		if n := strings.Count(out.String(), "  "+d.Name+" ("); n != len(man.Workloads) {
+			t.Errorf("per-layer metric %s printed %d times, want once per workload", d.Name, n)
 		}
-		if b.allocs <= 0 {
-			t.Fatalf("resd baseline without recorded allocs_per_op: %+v", b)
-		}
-	}
-	rw, err := reswireBaselines("../../BENCH_reswire.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rw) != 6 {
-		t.Fatalf("reswire baselines: want 6 rows (3 client counts × on/off), got %+v", rw)
-	}
-	wantNames := map[string]bool{}
-	for _, clients := range []int{1, 4, 16} {
-		for _, p := range []string{"off", "on"} {
-			wantNames[fmt.Sprintf("BenchmarkWireThroughput/clients=%d/pipeline=%s", clients, p)] = true
-		}
-	}
-	for _, b := range rw {
-		if !wantNames[b.name] || b.ns <= 0 {
-			t.Fatalf("unexpected reswire baseline: %+v", b)
-		}
-		if b.allocs <= 0 {
-			t.Fatalf("reswire baseline without recorded allocs_per_op: %+v", b)
-		}
-	}
-	tn, err := tenantBaselines("../../BENCH_tenant.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tn) != 6 {
-		t.Fatalf("tenant baselines: want 6 rows (3 tenant counts × hard/soft), got %+v", tn)
-	}
-	wantTenant := map[string]bool{}
-	for _, tenants := range []int{1, 4, 16} {
-		for _, mode := range []string{"hard", "soft"} {
-			wantTenant[fmt.Sprintf("BenchmarkTenantThroughput/tenants=%d/mode=%s", tenants, mode)] = true
-		}
-	}
-	for _, b := range tn {
-		if !wantTenant[b.name] || b.ns <= 0 {
-			t.Fatalf("unexpected tenant baseline: %+v", b)
-		}
-	}
-	ob, budget, err := obsBaselines("../../BENCH_obs.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ob) != 5 || ob[0].name != "BenchmarkObsOverhead/obs=off" ||
-		ob[1].name != "BenchmarkObsOverhead/obs=on" ||
-		ob[2].name != "BenchmarkObsOverhead/obs=watch" ||
-		ob[3].name != "BenchmarkObsOverhead/obs=flight" ||
-		ob[4].name != "BenchmarkObsOverhead/obs=slo" || ob[0].ns <= 0 {
-		t.Fatalf("obs baselines: %+v", ob)
-	}
-	if budget <= 1 || budget > 1.1 {
-		t.Fatalf("obs max_overhead = %v, want a tight budget in (1, 1.1]", budget)
-	}
-	wl, walBudget, err := walBaselines("../../BENCH_wal.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wl) != 2 || wl[0].name != "BenchmarkWALOverhead/wal=off" || wl[1].name != "BenchmarkWALOverhead/wal=buffered" || wl[0].ns <= 0 {
-		t.Fatalf("wal baselines: %+v (the fsync row must be skipped)", wl)
-	}
-	if walBudget <= 1 || walBudget > 2 {
-		t.Fatalf("wal max_overhead = %v, want a budget in (1, 2]", walBudget)
-	}
-}
-
-func TestGateObsRatio(t *testing.T) {
-	within := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off":    {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":     {ns: 7200},
-		"BenchmarkObsOverhead/obs=watch":  {ns: 7300},
-		"BenchmarkObsOverhead/obs=flight": {ns: 7250},
-		"BenchmarkObsOverhead/obs=slo":    {ns: 7280},
-	}
-	report, ok := gateObsRatio(within, 1.05)
-	if !ok || len(report) != 4 {
-		t.Fatalf("within budget: ok=%v report=%v", ok, report)
-	}
-	for i, line := range report {
-		if !strings.Contains(line, "ok") {
-			t.Fatalf("within budget: report[%d] = %q, want ok", i, line)
-		}
-	}
-	over := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off": {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":  {ns: 7800},
-	}
-	if report, ok := gateObsRatio(over, 1.05); ok || !strings.Contains(report[0], "FAIL") {
-		t.Fatalf("over budget: ok=%v report=%v", ok, report)
-	}
-	// A watcher that taxes the admission path past the budget fails even
-	// when the plain instrumented run is fine.
-	watchOver := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off":   {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":    {ns: 7200},
-		"BenchmarkObsOverhead/obs=watch": {ns: 8000},
-	}
-	if report, ok := gateObsRatio(watchOver, 1.05); ok || !strings.Contains(strings.Join(report, "\n"), "FAIL") {
-		t.Fatalf("watch over budget: ok=%v report=%v", ok, report)
-	}
-	// The armed flight recorder is held to the same budget.
-	flightOver := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off":    {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":     {ns: 7200},
-		"BenchmarkObsOverhead/obs=flight": {ns: 8000},
-	}
-	if report, ok := gateObsRatio(flightOver, 1.05); ok || !strings.Contains(strings.Join(report, "\n"), "FAIL") {
-		t.Fatalf("flight over budget: ok=%v report=%v", ok, report)
-	}
-	// So is a live SLO engine.
-	sloOver := map[string]measurement{
-		"BenchmarkObsOverhead/obs=off": {ns: 7000},
-		"BenchmarkObsOverhead/obs=on":  {ns: 7200},
-		"BenchmarkObsOverhead/obs=slo": {ns: 8000},
-	}
-	if report, ok := gateObsRatio(sloOver, 1.05); ok || !strings.Contains(strings.Join(report, "\n"), "FAIL") {
-		t.Fatalf("slo over budget: ok=%v report=%v", ok, report)
-	}
-	// Missing sub-benchmarks are the baseline gate's finding, not a second
-	// failure here.
-	if report, ok := gateObsRatio(map[string]measurement{}, 1.05); !ok || report != nil {
-		t.Fatalf("missing pair: ok=%v report=%v", ok, report)
-	}
-}
-
-func TestGateWalRatio(t *testing.T) {
-	within := map[string]measurement{
-		"BenchmarkWALOverhead/wal=off":      {ns: 7000},
-		"BenchmarkWALOverhead/wal=buffered": {ns: 8000},
-		"BenchmarkWALOverhead/wal=fsync":    {ns: 30000},
-	}
-	report, ok := gateWalRatio(within, 1.5)
-	if !ok || len(report) != 2 || !strings.Contains(report[1], "ok") {
-		t.Fatalf("within budget: ok=%v report=%v", ok, report)
-	}
-	// The fsync figure is reported but never gated, no matter how slow.
-	within["BenchmarkWALOverhead/wal=fsync"] = measurement{ns: 9e9}
-	if _, ok := gateWalRatio(within, 1.5); !ok {
-		t.Fatal("a slow fsync row must not fail the gate")
-	}
-	over := map[string]measurement{
-		"BenchmarkWALOverhead/wal=off":      {ns: 7000},
-		"BenchmarkWALOverhead/wal=buffered": {ns: 12000},
-		"BenchmarkWALOverhead/wal=fsync":    {ns: 30000},
-	}
-	if report, ok := gateWalRatio(over, 1.5); ok || !strings.Contains(report[1], "FAIL") {
-		t.Fatalf("over budget: ok=%v report=%v", ok, report)
-	}
-	// Unlike the obs pair, a missing fsync row IS this gate's finding:
-	// nothing else checks that the durable path ran.
-	noFsync := map[string]measurement{
-		"BenchmarkWALOverhead/wal=off":      {ns: 7000},
-		"BenchmarkWALOverhead/wal=buffered": {ns: 8000},
-	}
-	if report, ok := gateWalRatio(noFsync, 1.5); ok || !strings.Contains(report[0], "MISSING") {
-		t.Fatalf("missing fsync row: ok=%v report=%v", ok, report)
-	}
-	// Missing off/buffered rows are the baseline gate's finding.
-	fsyncOnly := map[string]measurement{"BenchmarkWALOverhead/wal=fsync": {ns: 30000}}
-	if _, ok := gateWalRatio(fsyncOnly, 1.5); !ok {
-		t.Fatal("missing off/buffered pair is the baseline gate's finding, not this one's")
 	}
 }

@@ -75,8 +75,7 @@
 //	resdsrv -waldir /var/lib/resd/wal -snapevery 8192   # durable shards
 //
 // Drive it with cmd/resload's -addr flag (add -tenants for a multi-tenant
-// mix), the examples/wire and examples/tenant walkthroughs, or any
-// reswire.Client. SIGINT/SIGTERM drain connections and shut the listener
+// mix) or any reswire.Client. SIGINT/SIGTERM drain connections and shut the listener
 // and service down cleanly, emitting one final stats line.
 package main
 

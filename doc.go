@@ -23,8 +23,9 @@
 // default tree, so that one instance can be run under both and the
 // schedules diffed. The backends are proven equivalent by a differential
 // fuzz harness and compared by the root-level BenchmarkCapacityIndex
-// (results in BENCH_restree.json — the tree is ahead at every size, 7× at
-// 10^3 and 600× at 10^5 reservations). LSRC asks the index only about
+// (the tree is ahead at every size, 7× at 10^3 and 600× at 10^5
+// reservations; the figure is read from go test -bench, bench/ measures
+// the tree alone). LSRC asks the index only about
 // jobs that can start — one AvailableAt per event, a min-width tournament
 // over the priority list, FindSlot as a not-before memo — so a call costs
 // O(n log n) plus O(log n) per job started or blocked at an event, 4
@@ -45,9 +46,9 @@
 // start on the α-prefix exceeds the caller's deadline, instead of pushing
 // the reservation back.
 // profile.Synchronized wraps an index for safe cross-goroutine reads
-// (service snapshots), and BenchmarkResdThroughput records the
-// shard-scaling curve in BENCH_resd.json (≥3.5× admission throughput at
-// 8 shards vs 1, single-core). See examples/service
+// (service snapshots); bench/ (BENCHMARK.json) prices the service on two
+// cores and four shards — admit-small 1.67–1.72 M operations/s, admit-large
+// 1.16–1.21 M/s over 250 000 live reservations. See examples/service
 // for a walkthrough and the internal/resd package comment for the shard
 // and placement model.
 //
@@ -66,9 +67,9 @@
 // batch by usage-to-budget ratio — DRF-style weighted fair share at the
 // exact point where requests contend. Budgets compose with, never
 // replace, the paper's α rule: quotas only decide which tenant spends
-// the prefix the α rule left reservable. See internal/tenant and
-// examples/tenant; BenchmarkTenantThroughput records in
-// BENCH_tenant.json that the accounting stays flat in the tenant count.
+// the prefix the α rule left reservable. See internal/tenant, and
+// cmd/resload -tenants for the walkthrough; the accounting costs an
+// admission 125–150 ns (tenant.acquire_ns on bench/'s durable-mixed).
 //
 // The outermost layer is the wire: internal/reswire serves resd over TCP
 // with a length-prefixed binary protocol of one frozen revision: ten
@@ -94,9 +95,10 @@
 // split from hard errors; deterministic equivalence tests pin both
 // modes to identical placements and an SWF trace replay to the serial
 // admission baseline. FuzzWireCodec hardens the decoder against hostile
-// bytes, and BenchmarkWireThroughput records the pipelining win in
-// BENCH_reswire.json (≥2× the unpipelined configuration at 16 concurrent
-// callers on one core). See examples/wire for the walkthrough.
+// bytes, and bench/'s wire-small prices the layer: ≈ 296 k operations/s
+// over loopback against ≈ 1.7 M/s in process (admit-small), with
+// reswire.pipeline_gain the pipelined over the unpipelined throughput.
+// cmd/resdsrv with cmd/resload -addr is the walkthrough.
 //
 // See README.md for a tour. The root-level benchmarks (bench_test.go)
 // regenerate one figure each:

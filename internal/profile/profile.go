@@ -22,10 +22,10 @@
 // RegisterBackend. On the FindSlot+Commit+Release cycle there is no
 // crossover any more: a tree of one leaf is a sorted array, so the tree
 // is 1.3× faster at 5 reservations, 1.7× at 20, 4× at 100, 7× at 10^3,
-// 51× at 10^4 and 600× at 10^5 (BENCH_restree.json). Timeline stays the
-// default for the paper's small instances because it is the one to read
-// and the reference the tree is fuzzed against; choose tree for anything
-// that grows. Both maintain the identical canonical segment form, so
+// 51× at 10^4 and 600× at 10^5 (the root package's
+// BenchmarkCapacityIndex). Timeline stays the default for the paper's
+// small instances because it is the one to read and the reference the
+// tree is fuzzed against; choose tree for anything that grows. Both maintain the identical canonical segment form, so
 // schedules are bit-for-bit equal whichever backend runs them.
 package profile
 

@@ -71,6 +71,9 @@ func TestRefusedAdmitAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(500, refused(Request{Tenant: "tiny", Q: 1, Dur: 5, Deadline: NoDeadline}, ErrQuota)); n > 1 {
 		t.Errorf("a quota-refused Admit allocates %v times, want <= 1", n)
 	}
+	if n := testing.AllocsPerRun(500, refused(Request{Q: 17, Dur: 5, Deadline: NoDeadline}, ErrNeverFits)); n > 1 {
+		t.Errorf("an Admit refused before any shard is asked allocates %v times, want <= 1", n)
+	}
 	for i := 0; i < 4; i++ { // fill every shard at tick 0
 		if _, err := svc.Admit(Request{Q: 16, Dur: 10, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)

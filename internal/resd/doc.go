@@ -156,11 +156,12 @@
 // and counts deadline rejections separately in ShardStats.RejectedDeadline.
 // A rejected request consumes no capacity.
 //
-// What a shard refuses it returns as a *Refusal — the rule (Kind, which
-// errors.Is matches), the shard, the request's figures, the earliest
-// start found and, under ErrQuota, the tenant.QuotaError with the
-// budget's figures — and formats nothing: Error renders the text when a
-// log line or a wire Detail asks for it, outside the shard's turn.
+// Every refusal is a *Refusal — the rule (Kind, which errors.Is matches),
+// the shard (NoShard when Q plus the floor exceeds M and none was asked),
+// the request's figures, the earliest start found and, under ErrQuota,
+// the tenant.QuotaError with the budget's figures — and formats nothing:
+// Error renders the text when a log line or a wire Detail asks for it,
+// outside the shard's turn.
 //
 // # Multi-tenant quotas
 //
@@ -274,9 +275,10 @@
 // Service.WALInfo reports what replay found (records, snapshots, torn/
 // corrupt damage, duration); resdsrv prints it as the
 // boot banner and holds /healthz at 503 until replay finishes.
-// BenchmarkWALOverhead (BENCH_wal.json) prices the buffered machinery
-// against the WAL-off baseline, with the batch-fsync figure recorded as
-// the physical durable floor.
+// bench/'s durable-mixed prices the machinery: wal.append_ns (written,
+// not synced, ≈ 0.5 µs a record) and wal.overhead_ns against the same
+// admission without a log, which under batch fsync is one whole fsync
+// (≈ 164 µs on the recording host) — the physical durable floor.
 //
 // # Observability
 //
@@ -393,8 +395,8 @@
 // sequential oracle, as FuzzLiveTable does for the live table against
 // the map it replaced. cmd/resload replays synthetic or SWF-derived streams
 // at a target rate — optionally as a zipf-skewed multi-tenant mix — and
-// reports throughput and latency percentiles per tenant;
-// BenchmarkResdThroughput and BenchmarkTenantThroughput (repository root)
-// record the shard-scaling and quota-overhead curves in BENCH_resd.json
-// and BENCH_tenant.json.
+// reports throughput and latency percentiles per tenant; bench/
+// (BENCHMARK.json) is where the service's throughput is recorded —
+// admit-small and admit-large in process, durable-mixed with quotas and
+// the log, tenant.acquire_ns for what the quota check costs.
 package resd

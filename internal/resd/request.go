@@ -71,7 +71,7 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	if req.Q+s.floor > s.cfg.M {
 		s.tracer.finish(rec, TraceRejectedCapacity, 0)
 		s.sloBook.reject(ten, false)
-		return Reservation{}, fmt.Errorf("%w: q=%d with α-floor %d exceeds m=%d", ErrNeverFits, req.Q, s.floor, s.cfg.M)
+		return Reservation{}, &Refusal{Kind: ErrNeverFits, Shard: NoShard, Q: req.Q, Dur: req.Dur, Deadline: req.Deadline, Floor: s.floor, M: s.cfg.M}
 	}
 	// A deadline before the ready time is statically doomed (every start
 	// is >= ready), but it still takes the shard path below: the shards

@@ -46,7 +46,7 @@ var (
 // wire (reswire's REJECTED_QUOTA code).
 var ErrQuota = tenant.ErrQuota
 
-// Refusal is an admission a shard said no to, as a value: which rule
+// Refusal is an admission the service said no to, as a value: which rule
 // refused, on which shard, and the figures the rule compared. Nothing is
 // formatted until Error is called, so a refusal costs the shard's turn one
 // allocation and the text is paid for by whoever prints it.
@@ -54,8 +54,8 @@ type Refusal struct {
 	// Kind is the rule that refused — ErrNeverFits, ErrDeadline or
 	// ErrQuota — and what errors.Is matches.
 	Kind error
-	// Shard is the partition that answered; Q, Dur and Deadline are the
-	// request's, Floor the α head-room the shard keeps free.
+	// Shard is the partition that answered, or NoShard; Q, Dur and
+	// Deadline are the request's, Floor the α head-room a shard keeps free.
 	Shard    int
 	Q        int
 	Dur      core.Time
@@ -67,14 +67,22 @@ type Refusal struct {
 	// Quota is whose budget refused and by how much, under ErrQuota
 	// (zero otherwise); errors.As finds it as a *tenant.QuotaError.
 	Quota tenant.QuotaError
+	// M is the machine size, under NoShard (zero otherwise).
+	M int
 }
 
+// NoShard is Refusal.Shard when Admit refused before asking one: Q plus
+// the floor exceeds M, so no shard could ever answer differently.
+const NoShard = -1
+
 func (r *Refusal) Error() string {
-	switch r.Kind {
-	case ErrDeadline:
+	switch {
+	case r.Shard == NoShard:
+		return fmt.Sprintf("%v: q=%d with α-floor %d exceeds m=%d", r.Kind, r.Q, r.Floor, r.M)
+	case r.Kind == ErrDeadline:
 		return fmt.Sprintf("%v: earliest feasible start %v > deadline %v (q=%d dur=%v, shard %d)",
 			ErrDeadline, r.Earliest, r.Deadline, r.Q, r.Dur, r.Shard)
-	case ErrQuota:
+	case r.Kind == ErrQuota:
 		return fmt.Sprintf("shard %d: %v", r.Shard, &r.Quota)
 	}
 	return fmt.Sprintf("%v: q=%d dur=%v with α-floor %d on shard %d", r.Kind, r.Q, r.Dur, r.Floor, r.Shard)

@@ -144,8 +144,9 @@ func (c *Client) call(req Request) (Response, error) {
 //
 // Every frame carries the client's send stamp, so when the server
 // samples the admission its TraceRecord shows the true cross-wire span
-// (TraceRecord.ClientSend). Set req.Trace to force the sample — see
-// AdmitTraced.
+// (TraceRecord.ClientSend). Set req.Trace to force the sample: the
+// server records the admission in its trace ring regardless of the
+// sampling rate (a no-op on servers running with tracing disabled).
 func (c *Client) Admit(req resd.Request) (resd.Reservation, error) {
 	stamp := req.ClientSend
 	if stamp == 0 {
@@ -157,15 +158,6 @@ func (c *Client) Admit(req resd.Request) (resd.Reservation, error) {
 		return resd.Reservation{}, err
 	}
 	return resp.Resv, nil
-}
-
-// AdmitTraced is Admit with the trace flag set: the server records the
-// admission in its trace ring regardless of the sampling rate (a no-op
-// on servers running with tracing disabled), and the record carries
-// this call's send stamp as the cross-wire span.
-func (c *Client) AdmitTraced(req resd.Request) (resd.Reservation, error) {
-	req.Trace = true
-	return c.Admit(req)
 }
 
 // QuotaGet reads one tenant's quota state from the server's registry ("" =

@@ -156,8 +156,8 @@
 // The client spreads callers round-robin over Options.Conns connections.
 // With Options.Pipeline, each connection allows Options.Window requests
 // in flight; without it, one — the classic write-wait RPC shape, kept as
-// the benchmark baseline. BenchmarkWireThroughput (repository root,
-// recorded in BENCH_reswire.json) measures the gap: pipelining is the
+// the benchmark baseline. bench/'s wire-small measures the gap
+// (reswire.pipeline_gain, in its traced run): pipelining is the
 // difference between paying one round trip per admission and amortising
 // the wire across everything in flight.
 //
@@ -176,7 +176,7 @@
 // resd.Request struct is the admission vocabulary on both sides of the
 // socket. The client stamps each Reserve frame with its send instant, so
 // a sampled admission's breakdown starts at the caller, not at the
-// server's accept; AdmitTraced forces the sample.
+// server's accept; Request.Trace forces the sample.
 //
 // Options.CallTimeout bounds every call end to end: waiting for a slot,
 // the socket write if the caller is the one flushing, and waiting for the

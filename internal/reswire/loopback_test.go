@@ -81,8 +81,8 @@ func TestLoopbackOps(t *testing.T) {
 				t.Errorf("free on shard %d = %d, want 4", r.Shard, free[r.Shard])
 			}
 			// Typed errors survive the wire.
-			if _, err := c.Admit(resd.Request{Q: 5, Dur: 10, Deadline: resd.NoDeadline}); !errors.Is(err, resd.ErrNeverFits) {
-				t.Errorf("α-violating Reserve err = %v, want resd.ErrNeverFits", err)
+			if _, err := c.Admit(resd.Request{Q: 5, Dur: 10, Deadline: resd.NoDeadline}); !errors.Is(err, resd.ErrNeverFits) || CodeOf(err) != CodeNeverFits {
+				t.Errorf("α-violating Reserve err = %v (%v), want resd.ErrNeverFits (%v)", err, CodeOf(err), CodeNeverFits)
 			}
 			if _, err := c.Admit(resd.Request{Ready: -1, Q: 1, Dur: 1, Deadline: resd.NoDeadline}); !errors.Is(err, resd.ErrBadRequest) {
 				t.Errorf("bad Reserve err = %v, want resd.ErrBadRequest", err)

@@ -201,7 +201,7 @@ func TestWatchEndToEnd(t *testing.T) {
 	}
 	// The trace flag forces a sample despite the absurd sampling rate,
 	// and the stamped frame gives the record a cross-wire span.
-	if _, err := c.AdmitTraced(resd.Request{Tenant: "acme", Q: 1, Dur: 10, Deadline: resd.NoDeadline}); err != nil {
+	if _, err := c.Admit(resd.Request{Tenant: "acme", Q: 1, Dur: 10, Deadline: resd.NoDeadline, Trace: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Cancel(held[0].ID); err != nil {
@@ -247,8 +247,9 @@ func TestWatchEndToEnd(t *testing.T) {
 
 	// Sampled records carry the cross-wire span from the client's stamp —
 	// the end-to-end half of the trace-propagation tentpole. The 1-in-N
-	// sampler always takes the first request, so the forced AdmitTraced
-	// shows up as a second record the absurd rate could never produce.
+	// sampler always takes the first request, so the forced (Trace: true)
+	// admission shows up as a second record the absurd rate could never
+	// produce.
 	traces, err := c.Traces(0)
 	if err != nil {
 		t.Fatal(err)
