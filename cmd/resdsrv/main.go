@@ -7,13 +7,11 @@
 // Usage:
 //
 //	resdsrv -addr :7433 -shards 8 -m 256 -alpha 0.5
-//	resdsrv -addr 127.0.0.1:0 -placement p2c    # ephemeral port, printed
+//	resdsrv -addr 127.0.0.1:0    # ephemeral port, printed
 //	resdsrv -quotas quotas.json -qhorizon 1000000   # multi-tenant budgets
 //
-// A reservation stays on the shard that admitted it; -placement decides
-// which that is. The "pressure" placement routes each Reserve by the
-// requesting tenant's own per-shard footprint — quota-aware placement
-// for skewed tenant mixes.
+// A reservation stays on the shard that admitted it, which is the
+// least-loaded shard that could admit it when it arrived.
 //
 // With -quotas, the server partitions the reservable α-prefix between
 // tenants: the JSON file declares the enforcement mode ("hard" rejects
@@ -110,7 +108,6 @@ func run() error {
 	shards := flag.Int("shards", 4, "cluster partitions")
 	m := flag.Int("m", 64, "processors per partition")
 	alpha := flag.Float64("alpha", 0.5, "α admission rule: ⌊α·m⌋ processors stay free per shard")
-	placement := flag.String("placement", "least-loaded", "shard routing policy (first-fit, least-loaded, p2c, pressure)")
 	batch := flag.Int("batch", 64, "max requests group-committed per shard turn")
 	nres := flag.Int("nres", 0, "pre-existing reservations per shard (maintenance windows)")
 	horizon := flag.Int64("horizon", 1<<20, "time horizon the -nres pre-reservations are drawn over")
@@ -285,7 +282,7 @@ func run() error {
 
 	svc, err := resd.New(resd.Config{
 		Shards: *shards, M: *m, Alpha: *alpha,
-		Placement: *placement, Batch: *batch, Seed: *seed, Pre: pre,
+		Batch: *batch, Pre: pre,
 		Quotas: reg,
 		Obs:    obsCfg,
 		WAL:    walOpts,
@@ -306,9 +303,8 @@ func run() error {
 		srv.SetFlight(rec.Journal())
 		rec.SetConfigInfo(map[string]any{
 			"addr": *addr, "shards": *shards, "m": *m, "alpha": *alpha,
-			"placement": *placement, "batch": *batch,
-			"quotas": *quotas,
-			"trace":  *trace, "slow": (*slow).String(),
+			"batch": *batch, "quotas": *quotas,
+			"trace": *trace, "slow": (*slow).String(),
 			"waldir": *waldir, "walsync": *walsync, "snapevery": *snapevery,
 			"flightdir": *flightdir, "obs": *obsAddr, "slo": *sloPath,
 		})
@@ -323,8 +319,8 @@ func run() error {
 		srv.Close()        // stops the listener, closes conns, waits for handlers
 	}()
 
-	fmt.Printf("resdsrv: listening on %s — %d shards × m=%d (α=%.2f, floor %d), placement %s\n",
-		ln.Addr(), svc.Shards(), svc.M(), *alpha, svc.Floor(), svc.Placement())
+	fmt.Printf("resdsrv: listening on %s — %d shards × m=%d (α=%.2f, floor %d)\n",
+		ln.Addr(), svc.Shards(), svc.M(), *alpha, svc.Floor())
 	if reg != nil {
 		fmt.Printf("resdsrv: quotas %s mode, capacity %d processor·ticks, %d declared tenants\n",
 			reg.Mode(), reg.Capacity(), len(reg.Tenants()))

@@ -1,12 +1,13 @@
 // Command resexp runs the registered experiments that regenerate the
-// paper's figures and claims (see DESIGN.md's per-experiment index), and
-// prints paper-style tables with pass/fail checks.
+// paper's figures and claims (resexp -list prints the registry, one ID
+// and title per line), and prints paper-style tables with pass/fail
+// checks; -md writes the same reports as one markdown document.
 //
 // Usage:
 //
 //	resexp -list
 //	resexp -run fig3
-//	resexp -run all [-quick] [-seed 7] [-svgdir out/]
+//	resexp -run all [-quick] [-seed 7] [-svgdir out/] [-md results.md]
 package main
 
 import (

@@ -8,7 +8,7 @@
 // live resdsrv server over the reswire protocol, in which case the
 // reported percentiles are wire-level round-trip latencies:
 //
-//	resload -shards 4 -m 64 -n 20000 -placement p2c
+//	resload -shards 4 -m 64 -n 20000
 //	resload -swf trace.swf -shards 8 -alpha 0.5 -rate 50000
 //	resload -addr 127.0.0.1:7433 -n 100000 -clients 16 -conns 4
 //	resload -addr 127.0.0.1:7433 -pipeline=false           # RPC baseline
@@ -79,7 +79,6 @@ func run() error {
 	n := flag.Int("n", 10000, "number of reservation requests")
 	nres := flag.Int("nres", 0, "pre-existing reservations per shard (maintenance windows)")
 	alpha := flag.Float64("alpha", 0.5, "α admission rule: ⌊α·m⌋ processors stay free per shard")
-	placement := flag.String("placement", "least-loaded", "shard routing policy (first-fit, least-loaded, p2c, pressure)")
 	clients := flag.Int("clients", 8, "concurrent client goroutines")
 	rate := flag.Float64("rate", 0, "target request rate per second (0 = unthrottled)")
 	cancelfrac := flag.Float64("cancelfrac", 0.5, "fraction of admissions the clients cancel again")
@@ -198,16 +197,15 @@ func run() error {
 		}
 		svc, err = resd.New(resd.Config{
 			Shards: *shards, M: *m, Alpha: *alpha,
-			Placement: *placement, Batch: *batch, Seed: *seed, Pre: pre,
-			Quotas: reg,
+			Batch: *batch, Pre: pre, Quotas: reg,
 		})
 		if err != nil {
 			return err
 		}
 		defer svc.Close()
 		target = svc
-		fmt.Printf("resload: %d requests, %d shards × m=%d (α=%.2f, floor %d), placement %s, %d clients\n",
-			len(reqs), *shards, *m, *alpha, svc.Floor(), *placement, *clients)
+		fmt.Printf("resload: %d requests, %d shards × m=%d (α=%.2f, floor %d), %d clients\n",
+			len(reqs), *shards, *m, *alpha, svc.Floor(), *clients)
 		if reg != nil {
 			fmt.Printf("resload: quotas %s mode, %d tenants × share %.3f of %d processor·ticks\n",
 				reg.Mode(), len(names), 1/float64(len(names)), reg.Capacity())
@@ -364,8 +362,7 @@ func tenantTable(names []string, res result) *stats.Table {
 // request stream.)
 func serverSideFlagsSet() []string {
 	serverOnly := map[string]bool{
-		"shards": true, "nres": true, "placement": true, "batch": true,
-		"quotamode": true,
+		"shards": true, "nres": true, "batch": true, "quotamode": true,
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) {

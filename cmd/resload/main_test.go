@@ -128,7 +128,7 @@ func TestRemoteReplayMatchesInProcess(t *testing.T) {
 		seed  = 7
 		slack = 400 // tight enough that some requests deadline-reject
 	)
-	cfg := resd.Config{Shards: 4, M: m, Alpha: alpha, Placement: "least-loaded", Seed: 3}
+	cfg := resd.Config{Shards: 4, M: m, Alpha: alpha}
 	reqs, err := requestStream("", m, n, alpha, seed, slack, 1, "uniform")
 	if err != nil {
 		t.Fatal(err)

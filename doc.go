@@ -37,9 +37,8 @@
 // owning its own CapacityIndex with one writer at a time and no
 // goroutine of its own (callers combine: whoever finds the shard idle
 // serves its queue, own admission first), requests group-committed in
-// batches per turn, and admissions routed across shards by
-// pluggable placement policies (first-fit, least-loaded,
-// power-of-two-choices on free area, per-tenant pressure) with the paper's α-admission rule
+// batches per turn, and admissions routed to the least-loaded shard
+// (committed plus in-flight area) with the paper's α-admission rule
 // enforced per shard. There is one admission call, Admit, taking one
 // Request (tenant, ready time, width, duration, deadline), and it is
 // deadline-aware: it rejects with ErrDeadline when the earliest feasible
@@ -54,9 +53,8 @@
 //
 // A reservation is placed once: the shard that admits it holds it until
 // it is cancelled, and skew between shards is handled where that choice
-// is made — "least-loaded" by default, and the "pressure" policy, which
-// routes each admission by the requesting tenant's own per-shard
-// footprint. Every admission records its start-time slack, surfaced as
+// is made, by sending each admission to the least-loaded shard first.
+// Every admission records its start-time slack, surfaced as
 // p99 per shard and per tenant (the SLO face of the α rule).
 //
 // Admission is multi-tenant: internal/tenant partitions the reservable

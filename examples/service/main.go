@@ -1,9 +1,9 @@
 // Service walkthrough: run the sharded reservation-admission service
 // (internal/resd) in-process, admit a burst of concurrent reservation
-// requests under the paper's α rule, watch the placement policy spread
+// requests under the paper's α rule, watch least-loaded placement spread
 // them across cluster partitions, and read back consistent snapshots.
 //
-// Run with: go run ./examples/service [-shards 4] [-placement p2c]
+// Run with: go run ./examples/service [-shards 4]
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 
 func main() {
 	shards := flag.Int("shards", 4, "cluster partitions")
-	placement := flag.String("placement", "p2c", "routing policy (first-fit, least-loaded, p2c)")
 	flag.Parse()
 
 	// A cluster of four 32-processor partitions. α = 1/2 is the paper's
@@ -27,10 +26,9 @@ func main() {
 	// of reservations at all times, so the schedulers retain their
 	// 2/α-competitive guarantee for the job stream.
 	svc, err := resd.New(resd.Config{
-		Shards:    *shards,
-		M:         32,
-		Alpha:     0.5,
-		Placement: *placement,
+		Shards: *shards,
+		M:      32,
+		Alpha:  0.5,
 		// One pre-existing maintenance window per partition, exempt from
 		// the α rule (it models capacity already promised elsewhere).
 		Pre: []core.Reservation{{ID: 0, Name: "maint", Procs: 8, Start: 100, Len: 50}},
@@ -39,8 +37,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer svc.Close()
-	fmt.Printf("service: %d shards × m=%d, α-floor %d, placement %s\n\n",
-		svc.Shards(), svc.M(), svc.Floor(), svc.Placement())
+	fmt.Printf("service: %d shards × m=%d, α-floor %d\n\n",
+		svc.Shards(), svc.M(), svc.Floor())
 
 	// One admission, spelled out. The request asks for 12 processors for
 	// 40 ticks at or after t=90; the window [90,130) collides with the
@@ -54,8 +52,9 @@ func main() {
 		first.Shard, first.Start)
 
 	// Now a concurrent burst: 8 clients × 25 requests. Every admission is
-	// group-committed by whichever caller is serving the owning shard; the
-	// placement policy routes on the atomically published load summaries.
+	// group-committed by whichever caller is serving the owning shard, and
+	// each is routed to the shard with the least committed plus in-flight
+	// area, read from atomics without asking the shards.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var admitted []resd.Reservation

@@ -103,7 +103,7 @@ func TestBoundsPrune(t *testing.T) {
 }
 
 // BenchmarkExactAblation quantifies each pruning device on a shared
-// instance — the ablation DESIGN.md calls for on the exact solver. Seed 3
+// instance — the exact solver's side of the expt "ablation" experiment. Seed 3
 // yields an instance the heuristics do not solve (full search: ~4.6k
 // nodes; with everything disabled: ~2M nodes).
 func BenchmarkExactAblation(b *testing.B) {

@@ -1,11 +1,12 @@
 // Package expt is the experiment harness that regenerates every evaluation
 // artifact of the paper — Figures 1-4, the appendix's Theorem 2, the §2.2
 // FCFS remark — plus the ablations suggested in its conclusion. Each
-// experiment is registered under the ID used in DESIGN.md's per-experiment
-// index (fig1, fig2, fig3, fig4, graham, fcfs, alpha, ablation, online) and
-// produces a Report: tables, optional charts, and pass/fail Checks that
-// compare measured behaviour against the paper's claims. EXPERIMENTS.md is
-// generated from these reports.
+// experiment is registered under a short ID (fig1, fig2, fig3, fig4,
+// graham, fcfs, alpha, ablation, online, scale, search; List returns them,
+// and resexp -list prints them) and produces a Report: tables, optional
+// charts, and pass/fail Checks that compare measured behaviour against the
+// paper's claims. MarkdownAll renders a set of reports as one document,
+// which is what resexp -run all -md writes.
 package expt
 
 import (

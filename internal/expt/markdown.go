@@ -8,8 +8,8 @@ import (
 )
 
 // Markdown renders the report as a markdown section: caption'd tables,
-// check list, and notes. `resexp -md` concatenates these into a
-// machine-regenerated companion to EXPERIMENTS.md.
+// check list, and notes. MarkdownAll (resexp -run all -md) concatenates
+// these into one machine-regenerated results document.
 func (r *Report) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s — %s\n\n", r.ID, r.Title)

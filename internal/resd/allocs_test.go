@@ -13,10 +13,10 @@ import (
 // purpose, and the slot pool then allocates.
 
 // TestAdmitCancelAllocs pins the allocation count of the unobserved hot
-// path: a lone caller's admit+cancel allocates nothing under every
-// placement — for a named tenant and with quotas armed too, once the
-// first admission has made the tenant's cell — and a service with more
-// than stackShards shards pays at most the one order buffer per Admit.
+// path: a lone caller's admit+cancel allocates nothing — for a named
+// tenant and with quotas armed too, once the first admission has made the
+// tenant's cell — and a service with more than stackShards shards pays at
+// most the order buffer and the keys per Admit.
 func TestAdmitCancelAllocs(t *testing.T) {
 	pair := func(svc *Service, name string) func() {
 		return func() {
@@ -29,29 +29,18 @@ func TestAdmitCancelAllocs(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range Placements() {
-		svc, err := New(Config{Shards: 4, M: 16, Placement: name})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(500, pair(svc, "")); n != 0 {
-			t.Errorf("%s: admit+cancel allocates %v times, want 0", name, n)
-		}
-		if n := testing.AllocsPerRun(500, pair(svc, "acme")); n != 0 {
-			t.Errorf("%s: a named tenant's admit+cancel allocates %v times, want 0", name, n)
-		}
-		svc.Close()
+	plain := mustNew(t, Config{Shards: 4, M: 16})
+	if n := testing.AllocsPerRun(500, pair(plain, "")); n != 0 {
+		t.Errorf("admit+cancel allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(500, pair(plain, "acme")); n != 0 {
+		t.Errorf("a named tenant's admit+cancel allocates %v times, want 0", n)
 	}
 	reg := mustRegistry(t, 1<<40, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "acme", Share: 0.5}}})
 	if n := testing.AllocsPerRun(500, pair(mustNew(t, Config{Shards: 4, M: 16, Quotas: reg}), "acme")); n != 0 {
 		t.Errorf("quotas armed: admit+cancel allocates %v times, want 0", n)
 	}
-	svc, err := New(Config{Shards: 2 * stackShards, M: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if n := testing.AllocsPerRun(500, pair(svc, "")); n > 2 {
+	if n := testing.AllocsPerRun(500, pair(mustNew(t, Config{Shards: 2 * stackShards, M: 16}), "")); n > 2 {
 		t.Errorf("%d shards: admit+cancel allocates %v times, want <= 2 (order buffer and keys)", 2*stackShards, n)
 	}
 }

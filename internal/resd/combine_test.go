@@ -44,7 +44,7 @@ func TestCombineOwnAnswer(t *testing.T) {
 		},
 	})
 	s := mustNew(t, Config{
-		Shards: shards, M: m, Placement: "p2c", Seed: seed, Batch: 4, Quotas: reg,
+		Shards: shards, M: m, Batch: 4, Quotas: reg,
 		WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncBatch, SnapEvery: 500},
 	})
 	held := make([][]Reservation, callers)

@@ -58,12 +58,21 @@ func TestReserveByDeadlineBeforeReady(t *testing.T) {
 }
 
 func TestReserveByTriesOtherShards(t *testing.T) {
-	// first-fit routing with shard 0 fully held on [0,1000): a tight
-	// deadline fails on shard 0 but shard 1 is idle, so the request must
+	// Shard 0 is fully held on [0,1000); shard 1 holds more area, but
+	// later, on [1000,3000). The lighter shard 0 is tried first and a tight
+	// deadline fails there, while shard 1 is idle at 0, so the request must
 	// not stop at the first deadline rejection.
-	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "first-fit"})
-	if _, err := s.Admit(Request{Q: 8, Dur: 1000, Deadline: NoDeadline}); err != nil {
-		t.Fatal(err)
+	s := mustNew(t, Config{Shards: 2, M: 8})
+	for _, req := range []Request{
+		{Q: 8, Dur: 1000, Deadline: NoDeadline},
+		{Ready: 1000, Q: 8, Dur: 2000, Deadline: NoDeadline},
+	} {
+		if _, err := s.Admit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st[0].CommittedArea >= st[1].CommittedArea {
+		t.Fatalf("setup: shard 0 holds %d, shard 1 %d; want shard 0 lighter", st[0].CommittedArea, st[1].CommittedArea)
 	}
 	r, err := s.Admit(Request{Q: 8, Dur: 10, Deadline: 0})
 	if err != nil {
@@ -71,6 +80,9 @@ func TestReserveByTriesOtherShards(t *testing.T) {
 	}
 	if r.Shard != 1 || r.Start != 0 {
 		t.Fatalf("got shard %d start %v, want shard 1 start 0", r.Shard, r.Start)
+	}
+	if st := s.Stats()[0]; st.RejectedDeadline != 1 {
+		t.Fatalf("shard 0 refused %d times for the deadline, want 1: it is tried first", st.RejectedDeadline)
 	}
 }
 

@@ -49,8 +49,8 @@
 // pointer-free record per live reservation — id, start, length, width
 // and the position of its tenant's cell — in an open-addressed table
 // keyed by id (live.go), and one cell per tenant name holding that
-// tenant's counters, its slack histogram and the area the "pressure"
-// placement reads. An admission resolves its tenant name to the cell
+// tenant's counters and its slack histogram, which only the combiner
+// touches. An admission resolves its tenant name to the cell
 // once; a cancel reaches the cell through the record and hashes no
 // string. The table is not a Go map because of what a shard does to it:
 // ids are minted in sequence and most are cancelled soon after, at
@@ -68,53 +68,28 @@
 //
 // # Placement
 //
-// Admissions are routed across shards by a pluggable placement
-// policy, selected by Config.Placement (the names Placements lists):
-//
-//   - "first-fit" — scan shards in index order and admit on the first that
-//     accepts. Simple, deterministic, and deliberately naive: it piles
-//     load onto low-index shards.
-//   - "least-loaded" — route to the shard with the smallest load (for a
-//     serial caller the exact global minimum of committed area at the
-//     instant of routing; see below for what load is between callers).
-//   - "p2c" — power-of-two-choices on free area: sample two distinct
-//     shards and route to the one with the smaller load. The classic
-//     load-balancing result applies: two random choices remove almost all
-//     of the imbalance of one while touching O(1) shards per request.
-//   - "pressure" — quota-aware placement: route by the requesting
-//     tenant's own committed area per shard (its usage-to-budget pressure
-//     there, the two orderings coinciding under the registry's equal
-//     per-shard budget resolution), lowest first, the shard's load
-//     breaking ties. Each tenant's footprint is spread across partitions, so a
-//     zipf-heavy tenant saturates no single shard and small tenants are
-//     routed around the heavy hitters' hot spots.
-//
-// Policies read only the atomically published per-shard load summaries
-// (including the per-tenant area mirrors "pressure" uses), so routing
-// itself is lock-free; the routed shard re-validates when it serves the
-// request, which makes stale routing information harmless to correctness
-// (a shard never over-admits, a request at worst lands on a busier shard).
-//
-// It is not harmless to speed. A shard publishes its committed area once
-// per turn, so between two publishes every caller routing reads the same
-// S numbers, picks the same minimum and parks behind one combiner while
-// the other shards idle — a convoy, made of nothing but a stale summary.
-// So the one key all three policies read, shard.load, is the committed
-// area plus the shard's in-flight load: the area (Dur × Q) of the
+// Admit tries the shards least-loaded first, ties to the lower index, and
+// walks on until one admits. The one key is shard.load, read from atomics,
+// so routing is lock-free; the routed shard re-validates when it serves
+// the request, which makes a stale load harmless to correctness (a shard
+// never over-admits, a request at worst lands on a busier shard). It is
+// not harmless to speed: a shard publishes its committed area once per
+// turn, so by that alone every caller routing between two publishes would
+// pick the same minimum and park behind one combiner while the other
+// shards idle — a convoy made of nothing but a stale summary. So load is
+// the committed area plus the shard's in-flight area: the Dur × Q of the
 // admissions Admit has handed the shard and not had answered yet, raised
 // before the request is queued, lowered when the answer is back on every
 // path, and moved along with the request when a deadline or α refusal
-// sends it on to the next shard. Concurrent callers thus see each
-// other's choice, spread over the shards, mostly find no combiner at
-// work and serve themselves. An admission is published before its caller
-// lowers the in-flight share, so load errs upward, never downward, and
-// with no admission under way it is exactly the committed area: a serial
-// caller routes as if the term were not there. A shard whose log fsyncs
-// leaves the term out: there callers queueing together is the group
-// commit, and spreading them buys more fsyncs of fewer records each. What
-// is still per-turn is "pressure"'s first key, the tenant's own area on
-// the shard: two concurrent admissions of one tenant may pick the same
-// shard.
+// sends it on. Concurrent callers thus see each other's choice, spread
+// over the shards and mostly serve themselves. An admission is published
+// before its caller lowers the in-flight share, so load errs upward, never
+// downward, and with no admission under way it is exactly the committed
+// area: a serial caller routes to the exact minimum of committed area,
+// deterministically, which is what the FCFS-replay and recovery oracles
+// rely on. A shard whose log fsyncs leaves the in-flight term out: there
+// callers queueing together is the group commit, and spreading them buys
+// more fsyncs of fewer records each.
 //
 // # Admission rule
 //
@@ -190,13 +165,9 @@
 // A reservation is bound to its shard when it is admitted and stays
 // there until it is cancelled: an ID's shard bits are its home for life,
 // which is all Cancel needs to route it. Skew between shards is handled
-// where the binding is made, at placement — "least-loaded" by default,
-// which routes every admission to the minimum of committed plus in-flight
-// area (for a serial caller, the exact minimum of committed area), and
-// "pressure" where tenants differ, which spreads each tenant's own
-// footprint — and nothing re-decides the shard afterwards. Only
-// "first-fit" piles load up, and it is there as the naive baseline the
-// others are measured against. A shard's admission cost barely depends on
+// where the binding is made, at placement, which routes every admission
+// to the minimum of committed plus in-flight area, and nothing re-decides
+// the shard afterwards. A shard's admission cost barely depends on
 // how much it holds (internal/restree steps over whole leaves), so what
 // skew costs is reservable α-prefix area stranded on the idle shards, and
 // that is a question of where requests are sent first.

@@ -13,14 +13,14 @@ import (
 	"repro/internal/wal"
 )
 
-// sliceStableOrder is the order the placements produced before rank
-// replaced sort.SliceStable; it stays here as the oracle.
-func sliceStableOrder(keys []shardKey) []int {
+// sliceStableOrder is the order placement produced before rank replaced
+// sort.SliceStable; it stays here as the oracle.
+func sliceStableOrder(keys []int64) []int {
 	out := make([]int, len(keys))
 	for i := range out {
 		out[i] = i
 	}
-	sort.SliceStable(out, func(a, b int) bool { return keys[out[a]].less(keys[out[b]]) })
+	sort.SliceStable(out, func(a, b int) bool { return keys[out[a]] < keys[out[b]] })
 	return out
 }
 
@@ -33,9 +33,9 @@ func TestRankMatchesSliceStable(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		n := r.IntRange(1, 2*stackShards)
 		spread := int64(r.IntRange(1, 6))
-		keys := make([]shardKey, n)
+		keys := make([]int64, n)
 		for i := range keys {
-			keys[i] = shardKey{mine: r.Int63n(spread), load: r.Int63n(spread)}
+			keys[i] = r.Int63n(spread)
 		}
 		got, want := rank(keys, nil), sliceStableOrder(keys)
 		for i := range want {
@@ -46,9 +46,9 @@ func TestRankMatchesSliceStable(t *testing.T) {
 	}
 }
 
-// TestPlacementOrder runs both sorting policies over real shards: the
-// order follows the published loads, equal loads keep index order, and a
-// call into a stack buffer allocates nothing.
+// TestPlacementOrder runs order over real shards: it follows the published
+// loads, equal loads keep index order, and a call into a stack buffer
+// allocates nothing.
 func TestPlacementOrder(t *testing.T) {
 	svc, err := New(Config{Shards: 4, M: 16})
 	if err != nil {
@@ -58,72 +58,18 @@ func TestPlacementOrder(t *testing.T) {
 	for i, load := range []int64{30, 10, 30, 10} {
 		svc.shards[i].committedArea.Store(load)
 	}
-	svc.shards[3].cell("a").area.Store(5) // tenant a already sits on shard 3
-	cases := []struct {
-		policy string
-		want   []int
-	}{
-		{"least-loaded", []int{1, 3, 0, 2}},
-		{"pressure", []int{1, 0, 2, 3}},
-	}
-	for _, c := range cases {
-		p, err := placementByName(c.policy, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := p.order(svc.shards, "a", nil)
-		for i := range c.want {
-			if got[i] != c.want[i] {
-				t.Errorf("%s order = %v, want %v", c.policy, got, c.want)
-				break
-			}
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			var buf [stackShards]int
-			p.order(svc.shards, "a", buf[:0])
-		}); n != 0 {
-			t.Errorf("%s order allocates %v times per call, want 0", c.policy, n)
+	want := []int{1, 3, 0, 2}
+	got := order(svc.shards, nil)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
-}
-
-// TestPressurePlacementSpreadsTenants pins the quota-aware placement
-// policy: each tenant's own footprint is what routes it, so one tenant's
-// pile-up never captures another tenant's placement.
-func TestPressurePlacementSpreadsTenants(t *testing.T) {
-	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "pressure"})
-	if s.Placement() != "pressure" {
-		t.Fatalf("placement = %q", s.Placement())
-	}
-	// Tenant a alternates shards: its own area is the primary key.
-	r1, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Shard == r2.Shard {
-		t.Fatalf("tenant a's reservations piled on shard %d", r1.Shard)
-	}
-	r3, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 30, Deadline: NoDeadline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a now holds area 20+60 on one side, 20 on the other; shard loads are
-	// unequal. A fresh tenant b has no footprint anywhere, so the tie
-	// breaks to the less-loaded shard — not wherever a went last.
-	lighter := r1.Shard
-	if r3.Shard == r1.Shard {
-		lighter = r2.Shard
-	}
-	rb, err := s.Admit(Request{Tenant: "b", Q: 2, Dur: 10, Deadline: NoDeadline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Shard != lighter {
-		t.Fatalf("tenant b routed to shard %d, want the lighter shard %d", rb.Shard, lighter)
+	if n := testing.AllocsPerRun(200, func() {
+		var buf [stackShards]int
+		order(svc.shards, buf[:0])
+	}); n != 0 {
+		t.Errorf("order allocates %v times per call, want 0", n)
 	}
 }
 
@@ -144,66 +90,63 @@ func noneInFlight(t *testing.T, s *Service, when string) {
 // turn. By published area alone the first shard is still the lighter one,
 // and caller B would queue behind A — for as long as A is held, which
 // here is until B is back. Counting A's 5, B goes to the other shard and
-// returns.
+// returns. The one case is named for the one rule there is, which is
+// also the one name Config.Placement still accepts.
 func TestPlacementCountsInFlight(t *testing.T) {
-	for _, policy := range []string{"least-loaded", "p2c", "pressure"} {
-		t.Run(policy, func(t *testing.T) {
-			var hold atomic.Int64 // the shard whose next turn the hook holds, -1 for none
-			hold.Store(-1)
-			entered, release := make(chan struct{}), make(chan struct{})
-			s := mustNew(t, Config{Shards: 2, M: 8, Placement: policy, turnHook: func(shard int) {
-				if hold.CompareAndSwap(int64(shard), -1) {
-					close(entered)
-					<-release
-				}
-			}})
-			admit := func(tenant string, dur core.Time) Reservation {
-				r, err := s.Admit(Request{Tenant: tenant, Q: 1, Dur: dur, Deadline: NoDeadline})
-				if err != nil {
-					t.Errorf("admit for %s: %v", tenant, err)
-				}
-				return r
+	t.Run("least-loaded", func(t *testing.T) {
+		var hold atomic.Int64 // the shard whose next turn the hook holds, -1 for none
+		hold.Store(-1)
+		entered, release := make(chan struct{}), make(chan struct{})
+		s := mustNew(t, Config{Shards: 2, M: 8, Placement: "least-loaded", turnHook: func(shard int) {
+			if hold.CompareAndSwap(int64(shard), -1) {
+				close(entered)
+				<-release
 			}
-			// Whichever shard takes the first admission, the second goes to
-			// the other: 10 on one side, 12 on the other. The callers below
-			// are tenants with no area anywhere, so that pressure's first
-			// key ties and the shard's load decides.
-			light, heavy := admit("setup", 10).Shard, admit("setup", 12).Shard
-			if light == heavy {
-				t.Fatalf("both setup admissions on shard %d", light)
+		}})
+		admit := func(tenant string, dur core.Time) Reservation {
+			r, err := s.Admit(Request{Tenant: tenant, Q: 1, Dur: dur, Deadline: NoDeadline})
+			if err != nil {
+				t.Errorf("admit for %s: %v", tenant, err)
 			}
-			hold.Store(int64(light))
-			aDone := make(chan Reservation, 1)
-			go func() { aDone <- admit("a", 5) }()
-			select {
-			case <-entered:
-			case <-time.After(30 * time.Second):
-				close(release)
-				t.Fatal("caller A never reached the lighter shard")
-			}
-			if got := s.shards[light].inFlight.Load(); got != 5 {
-				t.Errorf("shard %d carries %d in flight while A is inside its turn, want 5", light, got)
-			}
-			bDone := make(chan Reservation, 1)
-			go func() { bDone <- admit("b", 5) }()
-			select {
-			case b := <-bDone:
-				if b.Shard != heavy {
-					t.Errorf("caller B admitted on shard %d, want %d", b.Shard, heavy)
-				}
-			case <-time.After(30 * time.Second):
-				t.Error("caller B queued behind A: placement does not see what is in flight")
-				defer func() { <-bDone }() // it returns once A is let go
-			}
+			return r
+		}
+		// Whichever shard takes the first admission, the second goes to
+		// the other: 10 on one side, 12 on the other.
+		light, heavy := admit("setup", 10).Shard, admit("setup", 12).Shard
+		if light == heavy {
+			t.Fatalf("both setup admissions on shard %d", light)
+		}
+		hold.Store(int64(light))
+		aDone := make(chan Reservation, 1)
+		go func() { aDone <- admit("a", 5) }()
+		select {
+		case <-entered:
+		case <-time.After(30 * time.Second):
 			close(release)
-			if a := <-aDone; a.Shard != light {
-				t.Errorf("caller A admitted on shard %d, want %d", a.Shard, light)
+			t.Fatal("caller A never reached the lighter shard")
+		}
+		if got := s.shards[light].inFlight.Load(); got != 5 {
+			t.Errorf("shard %d carries %d in flight while A is inside its turn, want 5", light, got)
+		}
+		bDone := make(chan Reservation, 1)
+		go func() { bDone <- admit("b", 5) }()
+		select {
+		case b := <-bDone:
+			if b.Shard != heavy {
+				t.Errorf("caller B admitted on shard %d, want %d", b.Shard, heavy)
 			}
-			if !t.Failed() {
-				noneInFlight(t, s, "A and B back")
-			}
-		})
-	}
+		case <-time.After(30 * time.Second):
+			t.Error("caller B queued behind A: placement does not see what is in flight")
+			defer func() { <-bDone }() // it returns once A is let go
+		}
+		close(release)
+		if a := <-aDone; a.Shard != light {
+			t.Errorf("caller A admitted on shard %d, want %d", a.Shard, light)
+		}
+		if !t.Failed() {
+			noneInFlight(t, s, "A and B back")
+		}
+	})
 }
 
 // TestPlacementCountsInFlightRefusedWalk: a request every shard refuses

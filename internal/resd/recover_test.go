@@ -22,7 +22,7 @@ import (
 // WAL-backed one fed the same stream assign identical IDs and starts.
 func walConfig(backend, dir string, snapEvery int) Config {
 	return Config{
-		Shards: 4, M: 32, Backend: backend, Placement: "least-loaded",
+		Shards: 4, M: 32, Backend: backend,
 		WAL: &wal.Options{Dir: dir, Sync: wal.SyncNone, SnapEvery: snapEvery},
 	}
 }
@@ -128,7 +128,7 @@ func TestRecoveryOracle(t *testing.T) {
 		for _, snapEvery := range []int{0, 64} {
 			t.Run(fmt.Sprintf("%s/snapevery=%d", backend, snapEvery), func(t *testing.T) {
 				dir := t.TempDir()
-				ref, err := New(Config{Shards: 4, M: 32, Backend: backend, Placement: "least-loaded"})
+				ref, err := New(Config{Shards: 4, M: 32, Backend: backend})
 				if err != nil {
 					t.Fatal(err)
 				}

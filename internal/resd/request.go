@@ -39,8 +39,8 @@ type Request struct {
 }
 
 // Admit admits a reservation of req.Q processors for req.Dur ticks at
-// the earliest admissible start >= req.Ready on a shard chosen by the
-// placement policy, subject to the α head-room rule, req.Deadline, and
+// the earliest admissible start >= req.Ready on the least-loaded shard
+// that admits it, subject to the α head-room rule, req.Deadline, and
 // req.Tenant's quota (when Config.Quotas is set). It returns once the
 // routed shard has committed — and, with a WAL, durably logged — the
 // batch containing the request.
@@ -91,12 +91,12 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	// count it (see shard.load).
 	var firstErr error
 	var orderBuf [stackShards]int
-	order := s.place.order(s.shards, ten, orderBuf[:0])
+	walk := order(s.shards, orderBuf[:0])
 	if rec != nil {
 		rec.Route = time.Since(rec.Arrival)
 	}
 	area := int64(req.Dur) * int64(req.Q)
-	for _, si := range order {
+	for _, si := range walk {
 		if rec != nil {
 			rec.Shard = si
 			rec.Enqueue = time.Since(rec.Arrival)

@@ -155,12 +155,11 @@ type Config struct {
 	// Batch caps how many requests one turn group-commits, and how many a
 	// caller serves as combiner before handing the role on (default 64).
 	Batch int
-	// Placement routes admissions across shards: "first-fit",
-	// "least-loaded", "p2c" or "pressure" (default "least-loaded"; see
-	// Placements).
+	// Placement accepts "" and "least-loaded", the one routing rule there
+	// is (see doc.go, "Placement"), and refuses anything else. It is kept
+	// only because bench/service.go sets it, and is deleted with the
+	// benchmark's next revision (ROADMAP item 1).
 	Placement string
-	// Seed feeds the "p2c" policy's shard sampling (default 1).
-	Seed uint64
 	// Pre is a set of pre-existing reservations (maintenance windows,
 	// prior commitments) committed to every shard before the service
 	// starts, exempt from the α rule. An oversubscribing Pre fails New.
@@ -218,11 +217,8 @@ func (c Config) normalize() (Config, error) {
 	if c.Batch < 1 {
 		return c, fmt.Errorf("%w: Batch=%d, need >= 1", ErrBadRequest, c.Batch)
 	}
-	if c.Placement == "" {
-		c.Placement = "least-loaded"
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
+	if c.Placement != "" && c.Placement != "least-loaded" {
+		return c, fmt.Errorf("%w: Placement=%q, the one placement is \"least-loaded\"", ErrBadRequest, c.Placement)
 	}
 	if c.WAL != nil {
 		w, err := c.WAL.Normalize()
@@ -241,7 +237,6 @@ type Service struct {
 	cfg    Config
 	floor  int // ⌊α·M⌋ processors every shard keeps free of reservations
 	shards []*shard
-	place  *placement
 
 	// tracer samples Admit calls into a bounded ring (nil when
 	// Config.Obs leaves tracing off).
@@ -301,10 +296,6 @@ func New(cfg Config) (*Service, error) {
 			// service a private Options copy, so this mutation is local.
 			cfg.WAL.Journal = s.journal
 		}
-	}
-	s.place, err = placementByName(cfg.Placement, cfg.Seed)
-	if err != nil {
-		return nil, err
 	}
 	seeds, walInfo, err := recoverShards(cfg)
 	if err != nil {
@@ -395,9 +386,6 @@ func (s *Service) M() int { return s.cfg.M }
 
 // Floor returns the α-rule capacity floor ⌊α·M⌋ enforced on every shard.
 func (s *Service) Floor() int { return s.floor }
-
-// Placement returns the routing policy's name.
-func (s *Service) Placement() string { return s.place.policy }
 
 // Quotas returns the quota registry the service enforces, or nil when
 // quotas are disabled.

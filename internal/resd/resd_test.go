@@ -36,19 +36,24 @@ func TestConfigValidation(t *testing.T) {
 		{M: 8, Shards: -1},
 		{M: 8, Batch: -2},
 		{M: 8, Placement: "no-such-policy"},
+		{M: 8, Placement: "p2c"},
 		{M: 8, Backend: "no-such-index"},
 		{M: 8, Pre: []core.Reservation{{ID: 0, Procs: 9, Start: 0, Len: 5}}}, // oversubscribed
 	}
 	for _, cfg := range bad {
-		if s, err := New(cfg); err == nil {
+		s, err := New(cfg)
+		if err == nil {
 			s.Close()
 			t.Errorf("New(%+v) succeeded, want error", cfg)
+		} else if cfg.Placement != "" && !errors.Is(err, ErrBadRequest) {
+			t.Errorf("Placement %q: err = %v, want ErrBadRequest", cfg.Placement, err)
 		}
 	}
+	// least-loaded is the one placement; "" and its name both mean it.
+	mustNew(t, Config{M: 8, Placement: "least-loaded"})
 	s := mustNew(t, Config{M: 8})
-	if s.Shards() != 1 || s.M() != 8 || s.Floor() != 0 || s.Placement() != "least-loaded" {
-		t.Errorf("defaults wrong: shards=%d m=%d floor=%d placement=%q",
-			s.Shards(), s.M(), s.Floor(), s.Placement())
+	if s.Shards() != 1 || s.M() != 8 || s.Floor() != 0 {
+		t.Errorf("defaults wrong: shards=%d m=%d floor=%d", s.Shards(), s.M(), s.Floor())
 	}
 	// The shards run on the tree unless Config.Backend names another
 	// registered index (bench/ runs a service on one it registers itself).
@@ -176,25 +181,8 @@ func TestPreReservationsAreExemptFromAlpha(t *testing.T) {
 	}
 }
 
-func TestFirstFitPilesOnShardZero(t *testing.T) {
-	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "first-fit"})
-	for i := 0; i < 12; i++ {
-		r, err := s.Admit(Request{Q: 2, Dur: 10, Deadline: NoDeadline})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Shard != 0 {
-			t.Fatalf("first-fit routed to shard %d", r.Shard)
-		}
-	}
-	st := s.Stats()
-	if st[0].Active != 12 || st[1].Active != 0 {
-		t.Fatalf("load landed off shard 0: %+v", st)
-	}
-}
-
 func TestLeastLoadedSpreadsEvenly(t *testing.T) {
-	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "least-loaded"})
+	s := mustNew(t, Config{M: 8, Shards: 4})
 	for i := 0; i < 16; i++ {
 		if _, err := s.Admit(Request{Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
 			t.Fatal(err)
@@ -205,32 +193,6 @@ func TestLeastLoadedSpreadsEvenly(t *testing.T) {
 			t.Fatalf("shard %d holds %d of 16 equal reservations, want 4 (stats %+v)",
 				i, st.Active, s.Stats())
 		}
-	}
-}
-
-func TestPowerOfTwoSpreads(t *testing.T) {
-	s := mustNew(t, Config{M: 8, Shards: 4, Placement: "p2c", Seed: 42})
-	for i := 0; i < 64; i++ {
-		if _, err := s.Admit(Request{Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	max := 0
-	touched := 0
-	for _, st := range s.Stats() {
-		if st.Active > max {
-			max = st.Active
-		}
-		if st.Active > 0 {
-			touched++
-		}
-	}
-	if touched < 3 {
-		t.Fatalf("p2c touched only %d of 4 shards: %+v", touched, s.Stats())
-	}
-	// Two-choice balancing: no shard should hold the majority.
-	if max > 32 {
-		t.Fatalf("p2c max load %d of 64: %+v", max, s.Stats())
 	}
 }
 

@@ -102,14 +102,11 @@ func bookName[V any](books map[string]V, name string) string {
 // tenantCell is everything a shard keeps about one tenant book. An
 // admission resolves its tenant name to the cell once; a live record
 // names the cell by idx, its position in shard.cells, so a cancel finds
-// it without a name. Owned by the combiner, except area.
+// it without a name. Owned by the combiner.
 type tenantCell struct {
 	name  string
 	idx   uint32
 	stats TenantStats // SlackP99 is rendered from slack on read
-	// area mirrors stats.CommittedArea for the "pressure" placement
-	// policy, which reads it lock-free from other goroutines.
-	area  atomic.Int64
 	slack slackHist
 }
 
@@ -150,7 +147,6 @@ func (sh *shard) addCell(book string) *tenantCell {
 	c := &tenantCell{name: book, idx: uint32(len(sh.cells))}
 	sh.cells = append(sh.cells, c)
 	sh.byName[book] = c
-	sh.tenAreas.Store(book, c)
 	return c
 }
 
@@ -196,14 +192,10 @@ type shard struct {
 	idx profile.CapacityIndex
 	// The book: what the shard has admitted and for whom. live holds the
 	// reservations, cells the per-tenant books in creation order, byName
-	// finds a cell by tenant name. tenAreas is byName again for readers
-	// that are not the combiner (name → *tenantCell, stored once when the
-	// cell is made): the lock-free per-tenant load the "pressure"
-	// placement policy routes by.
-	live     liveTable
-	cells    []*tenantCell
-	byName   map[string]*tenantCell
-	tenAreas sync.Map
+	// finds a cell by tenant name.
+	live   liveTable
+	cells  []*tenantCell
+	byName map[string]*tenantCell
 	// slack records the start-time slack of every admission. An atomic
 	// obs.Histogram so Stats, scrapes and the SLO engine's snapshot ring
 	// read quantiles and cumulative buckets without a request to the
@@ -219,8 +211,8 @@ type shard struct {
 	fairRatios   []float64
 	fairOrderIdx []int
 
-	// Load summary published once per turn (group commit): placement
-	// policies and Stats read these without a request to the shard.
+	// Load summary published once per turn (group commit): placement and
+	// Stats read these without a request to the shard.
 	// inFlight is the exception: Service.Admit raises it by the request's
 	// area before it hands the shard an admission and lowers it when the
 	// answer is back, so it is zero whenever no admission is under way.
@@ -274,9 +266,9 @@ type shard struct {
 	walFailed atomic.Uint64
 }
 
-// load is the shard's sort key for every placement policy: the area it
-// has committed, as of its last turn, plus the area of the admissions
-// routed to it and not answered yet. The second term is what lets
+// load is the shard's placement key: the area it has committed, as of its
+// last turn, plus the area of the admissions routed to it and not
+// answered yet. The second term is what lets
 // concurrent callers see each other: committedArea moves once per turn, so
 // without it everyone routing between two turns reads the same numbers,
 // picks the same minimum and queues behind one combiner. An admission is
@@ -289,15 +281,6 @@ func (sh *shard) load() int64 {
 		return sh.committedArea.Load()
 	}
 	return sh.committedArea.Load() + sh.inFlight.Load()
-}
-
-// tenantArea reads one tenant's committed area on this shard (0 when the
-// tenant has no book here).
-func (sh *shard) tenantArea(name string) int64 {
-	if v, ok := sh.tenAreas.Load(name); ok {
-		return v.(*tenantCell).area.Load()
-	}
-	return 0
 }
 
 // newShard builds the partition's index (with the Pre reservations
@@ -367,7 +350,6 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	for _, name := range names {
 		c := sh.addCell(name)
 		c.stats = seed.books[name]
-		c.area.Store(c.stats.CommittedArea)
 	}
 	sh.live.reserve(len(seed.live))
 	for _, id := range seed.sortedIDs() {
@@ -565,8 +547,8 @@ func (sh *shard) report(sev flight.Severity, subsys, msg string, kv ...flight.KV
 // single serial caller every batch holds one request and the ordering is a
 // no-op, which is what preserves the serial-replay-equals-FCFS guarantee.
 // Ratios are read once per batch from the registry's atomics: reads racing
-// concurrent commits are as harmlessly stale as the placement policies'
-// load summaries.
+// concurrent commits are as harmlessly stale as the load summaries
+// placement reads.
 func (sh *shard) fairOrder(pending []*slot) {
 	if sh.quotas == nil || sh.quotas.Mode() != tenant.Soft || len(pending) < 2 {
 		return
@@ -678,7 +660,6 @@ func (sh *shard) reserve(r request) response {
 	c.stats.Active++
 	c.stats.CommittedArea += area
 	c.stats.Admitted++
-	c.area.Add(area)
 	// Start-time slack — how far past its ready time the admission had to
 	// be pushed — is the per-admission SLO sample surfaced as p99 in
 	// ShardStats and per tenant in TenantStats.
@@ -717,7 +698,6 @@ func (sh *shard) cancel(r request) response {
 	c.stats.Active--
 	c.stats.CommittedArea -= area
 	c.stats.Cancelled++
-	c.area.Add(-area)
 	sh.cancelled.Add(1)
 	return response{}
 }
@@ -762,8 +742,8 @@ func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
 	return s
 }
 
-// publish stores the load summary for lock-free readers (placement
-// policies, Stats). Called once per turn — the group-commit point.
+// publish stores the load summary for lock-free readers (placement,
+// Stats). Called once per turn — the group-commit point.
 func (sh *shard) publish(n int) {
 	sh.activeCount.Store(int64(sh.live.n))
 	sh.committedArea.Store(sh.area)

@@ -63,11 +63,11 @@ func TestReserveForChargesAndReleasesQuota(t *testing.T) {
 }
 
 func TestQuotaRejectionShortCircuitsShardWalk(t *testing.T) {
-	// 4 idle shards, first-fit: a quota rejection is global, so exactly
-	// one shard must be tried (one RejectedQuota in total), unlike α and
-	// deadline rejections which walk on.
+	// 4 idle shards: a quota rejection is global, so exactly one shard must
+	// be tried (one RejectedQuota in total), unlike α and deadline
+	// rejections which walk on.
 	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.001}}})
-	s := mustNew(t, Config{Shards: 4, M: 8, Placement: "first-fit", Quotas: reg})
+	s := mustNew(t, Config{Shards: 4, M: 8, Quotas: reg})
 	if _, err := s.Admit(Request{Tenant: "t", Q: 4, Dur: 10, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
 		t.Fatalf("err = %v, want ErrQuota", err)
 	}
@@ -180,7 +180,10 @@ func TestFairOrderPermutesByPressure(t *testing.T) {
 
 func TestTenantStatsPerShard(t *testing.T) {
 	reg := mustRegistry(t, 1<<20, tenant.Spec{})
-	s := mustNew(t, Config{Shards: 2, M: 8, Placement: "first-fit", Quotas: reg})
+	s := mustNew(t, Config{Shards: 2, M: 8, Quotas: reg})
+	// Serial least-loaded routing, every request of area 20: a's three go
+	// to shards 0, 1, 0 (a tie goes to the lower index), b's to shard 1,
+	// and the cancel takes a's first back off shard 0.
 	var held []Reservation
 	for i := 0; i < 3; i++ {
 		r, err := s.Admit(Request{Tenant: "a", Q: 2, Dur: 10, Deadline: NoDeadline})
@@ -199,11 +202,21 @@ func TestTenantStatsPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := st0["a"]; a.Active != 2 || a.Admitted != 3 || a.Cancelled != 1 || a.CommittedArea != 40 {
+	if a := st0["a"]; a.Active != 1 || a.Admitted != 2 || a.Cancelled != 1 || a.CommittedArea != 20 {
 		t.Fatalf("shard 0 tenant a stats = %+v", a)
 	}
-	if b := st0["b"]; b.Active != 1 || b.Admitted != 1 {
-		t.Fatalf("shard 0 tenant b stats = %+v", b)
+	if _, ok := st0["b"]; ok {
+		t.Fatalf("shard 0 keeps a book for b: %+v", st0)
+	}
+	st1, err := s.TenantStats(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := st1["a"]; a.Active != 1 || a.Admitted != 1 || a.Cancelled != 0 || a.CommittedArea != 20 {
+		t.Fatalf("shard 1 tenant a stats = %+v", a)
+	}
+	if b := st1["b"]; b.Active != 1 || b.Admitted != 1 || b.CommittedArea != 20 {
+		t.Fatalf("shard 1 tenant b stats = %+v", b)
 	}
 	if _, err := s.TenantStats(9); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("TenantStats(9) err = %v", err)
@@ -249,8 +262,7 @@ func TestTenantQuotaStressConservation(t *testing.T) {
 		},
 	})
 	s := mustNew(t, Config{
-		Shards: shards, M: m, Alpha: alpha,
-		Placement: "p2c", Seed: 5, Batch: 16, Quotas: reg,
+		Shards: shards, M: m, Alpha: alpha, Batch: 16, Quotas: reg,
 	})
 
 	stop := make(chan struct{})

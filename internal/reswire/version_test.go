@@ -91,65 +91,53 @@ func refused(t *testing.T, cfg resd.Config, frame []byte) {
 }
 
 // TestOtherRevisionsRefused: every version byte but Version, whatever the
-// frame behind it.
+// frame behind it. The named rows are the revisions that were once
+// negotiated, each with a frame its clients sent: all are refused alike,
+// and none reaches the service — a refused v1 Reserve charges nobody, and
+// a v1 peer whose tenant is broke sees no quota code at all.
 func TestOtherRevisionsRefused(t *testing.T) {
-	for _, v := range []byte{0, 1, 2, 3, 4, 6, 255} {
-		t.Run(fmt.Sprint(v), func(t *testing.T) { refused(t, resd.Config{M: 8}, frameAt(v, OpPing)) })
-	}
-}
-
-// The revisions that were once negotiated, each with a frame its clients
-// sent: all are refused alike, and none reaches the service.
-
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	refused(t, resd.Config{Shards: 2, M: 8}, frameAt(1, OpStats))
-}
-
-func TestV2ClientAgainstV3Server(t *testing.T) {
-	refused(t, resd.Config{Shards: 2, M: 8}, frameAt(2, OpReserve, append(bytes.Clone(reserveV1), 4, 'a', 'c', 'm', 'e')...))
-}
-
-func TestV3ClientAgainstV4Server(t *testing.T) {
-	refused(t, resd.Config{Shards: 2, M: 8}, frameAt(3, OpCancel, 0, 0, 0, 0, 0, 0, 0, 1))
-}
-
-func TestV4ClientAgainstV5Server(t *testing.T) {
-	refused(t, resd.Config{Shards: 2, M: 8, Obs: &resd.ObsConfig{TraceSample: 1}}, frameAt(4, OpTrace, 0, 0, 0, 0))
-}
-
-func TestFlightJournalDownLevelClient(t *testing.T) {
-	refused(t, resd.Config{M: 8}, frameAt(1, OpStats))
-}
-
-// TestV1RequestDecodesAsDefaultTenant: it no longer decodes, so nothing is
-// charged to anybody.
-func TestV1RequestDecodesAsDefaultTenant(t *testing.T) {
 	reg := mustRegistry(t, 1<<30, tenant.Spec{})
-	refused(t, resd.Config{M: 8, Quotas: reg}, frameAt(1, OpReserve, reserveV1...))
-	if u := reg.Usage(""); u.Used != 0 || u.Inflight != 0 || u.Rejected != 0 {
-		t.Fatalf("default tenant after a refused v1 Reserve = %+v", u)
+	broke := mustRegistry(t, 100, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: tenant.DefaultTenant, Share: 0.01}}})
+	type row struct {
+		name  string
+		cfg   resd.Config
+		frame []byte
+		after func(t *testing.T) // a further check once the refusal holds
 	}
-}
-
-// TestV1NeverSeesQuotaCode: a v1 peer whose tenant is broke sees no code
-// at all, and a reply frame at its revision does not decode either.
-func TestV1NeverSeesQuotaCode(t *testing.T) {
-	reg := mustRegistry(t, 100, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: tenant.DefaultTenant, Share: 0.01}}})
-	refused(t, resd.Config{M: 8, Quotas: reg}, frameAt(1, OpReserve, reserveV1...))
-	reply := frameAt(1, OpReserve, byte(CodeRejectedQuota), 0, 0)
-	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(reply))); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 reply frame err = %v, want ErrVersion", err)
+	rows := []row{
+		{name: "v1-stats", cfg: resd.Config{Shards: 2, M: 8}, frame: frameAt(1, OpStats)},
+		{name: "v1-stats-one-shard", cfg: resd.Config{M: 8}, frame: frameAt(1, OpStats)},
+		{name: "v1-quota-get", cfg: resd.Config{M: 8}, frame: frameAt(1, OpQuotaGet, 0)},
+		{name: "v1-reserve", cfg: resd.Config{M: 8, Quotas: reg}, frame: frameAt(1, OpReserve, reserveV1...),
+			after: func(t *testing.T) {
+				if u := reg.Usage(""); u.Used != 0 || u.Inflight != 0 || u.Rejected != 0 {
+					t.Fatalf("default tenant after a refused v1 Reserve = %+v", u)
+				}
+			}},
+		{name: "v1-reserve-over-quota", cfg: resd.Config{M: 8, Quotas: broke}, frame: frameAt(1, OpReserve, reserveV1...),
+			after: func(t *testing.T) {
+				reply := frameAt(1, OpReserve, byte(CodeRejectedQuota), 0, 0)
+				if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(reply))); !errors.Is(err, ErrVersion) {
+					t.Fatalf("v1 reply frame err = %v, want ErrVersion", err)
+				}
+			}},
+		{name: "v2-reserve", cfg: resd.Config{Shards: 2, M: 8},
+			frame: frameAt(2, OpReserve, append(bytes.Clone(reserveV1), 4, 'a', 'c', 'm', 'e')...)},
+		{name: "v3-cancel", cfg: resd.Config{Shards: 2, M: 8}, frame: frameAt(3, OpCancel, 0, 0, 0, 0, 0, 0, 0, 1)},
+		{name: "v4-trace", cfg: resd.Config{Shards: 2, M: 8, Obs: &resd.ObsConfig{TraceSample: 1}},
+			frame: frameAt(4, OpTrace, 0, 0, 0, 0)},
 	}
-}
-
-// TestV1CannotCarryTenancy: a quota op behind version byte 1 is refused
-// for its version, before its op is looked at.
-func TestV1CannotCarryTenancy(t *testing.T) {
-	frame := frameAt(1, OpQuotaGet, 0)
-	if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v1 QuotaGet frame err = %v, want ErrVersion", err)
+	for _, v := range []byte{0, 1, 2, 3, 4, 6, 255} {
+		rows = append(rows, row{name: fmt.Sprint(v), cfg: resd.Config{M: 8}, frame: frameAt(v, OpPing)})
 	}
-	refused(t, resd.Config{M: 8}, frame)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			refused(t, r.cfg, r.frame)
+			if r.after != nil {
+				r.after(t)
+			}
+		})
+	}
 }
 
 // TestHostileVersionsRejected is the same refusal at the decoder, both

@@ -5,7 +5,7 @@
 // The repository deliberately does not use math/rand for experiment-facing
 // randomness: the stream produced by a PCG generator here is fully
 // determined by (seed, stream) and is stable across Go releases, so every
-// experiment table in EXPERIMENTS.md can be regenerated bit-for-bit.
+// experiment table resexp prints can be regenerated bit-for-bit.
 //
 // The generator is PCG-XSH-RR 64/32 (O'Neill, 2014), a 64-bit LCG with a
 // 32-bit output permutation. Two independent PCG32 halves are combined for
