@@ -236,26 +236,32 @@ JSON
   ;;
 
 # A WAL-backed server under live traffic is killed with SIGKILL — no signal
-# handler, no final flush, no snapshot — and restarted on the same log
-# directory: it must print the replay banner with a non-zero record count
-# and keep taking traffic on top of the recovered state.
+# handler, no seal, no snapshot — and restarted on the same log directory:
+# it must print the replay banner with a non-zero record count and nothing
+# torn, corrupt or dropped (the unwritten rest of a mapped segment is not
+# damage), and keep taking traffic on top of the recovered state. Once per
+# sync mode: without fsync, the page cache alone carries the records.
 crash)
-  serve server1.out -shards 4 -m 64 -waldir "$dir/wal" -snapevery 4096
-  curl -sf "http://$obs/healthz" | grep -q ok
-  resload -addr "$wire" -n 20000 -clients 4
-  kill -9 "$srv"
-  wait "$srv" || true
-  srv=
-  cat server1.out
-  ls -l "$dir/wal"
-  serve server2.out -shards 4 -m 64 -waldir "$dir/wal" -snapevery 4096
-  curl -sf "http://$obs/healthz" | grep -q ok
-  grep -E 'wal .*replayed [0-9]+ records' server2.out
-  if grep -q 'replayed 0 records' server2.out; then exit 1; fi
-  resload -addr "$wire" -n 5000 -clients 4
-  stop
-  cat server2.out
-  grep -q 'resdsrv: final:' server2.out
+  for sync in batch none; do
+    wal=$dir/wal-$sync
+    serve "server1-$sync.out" -shards 4 -m 64 -waldir "$wal" -walsync "$sync" -snapevery 4096
+    curl -sf "http://$obs/healthz" | grep -q ok
+    resload -addr "$wire" -n 20000 -clients 4
+    kill -9 "$srv"
+    wait "$srv" || true
+    srv=
+    cat "server1-$sync.out"
+    ls -l "$wal"
+    serve "server2-$sync.out" -shards 4 -m 64 -waldir "$wal" -walsync "$sync" -snapevery 4096
+    curl -sf "http://$obs/healthz" | grep -q '^ok'
+    grep -E 'wal .*replayed [0-9]+ records' "server2-$sync.out"
+    if grep -q 'replayed 0 records' "server2-$sync.out"; then exit 1; fi
+    grep -q 'torn=0 corrupt=0 dropped=0B' "server2-$sync.out"
+    resload -addr "$wire" -n 5000 -clients 4
+    stop
+    cat "server2-$sync.out"
+    grep -q 'resdsrv: final:' "server2-$sync.out"
+  done
   ;;
 
 esac

@@ -121,7 +121,7 @@ func run() error {
 	flightdir := flag.String("flightdir", "", "flight-recorder bundle directory: on-anomaly diagnostic bundles (empty = journal+watchdog only when -obs is set)")
 	sloPath := flag.String("slo", "", "SLO spec file (JSON): windowed objectives + multi-window burn-rate alert rules (empty = disabled)")
 	waldir := flag.String("waldir", "", "write-ahead-log directory: durable shards, replayed on restart (empty = in-memory only)")
-	walsync := flag.String("walsync", "batch", "WAL commit durability: batch (one fsync per group commit) or none (OS flush only)")
+	walsync := flag.String("walsync", "batch", "WAL commit durability: batch (one fsync per group commit) or none (page cache only, no fsync)")
 	snapevery := flag.Int("snapevery", 8192, "WAL records per shard between snapshots (0 = never snapshot; the log grows unbounded)")
 	flag.Parse()
 

@@ -25,10 +25,10 @@
 // costs one fsync however many requests share it, the combiner first
 // yields the processor until a round adds no request — the group commit
 // — and hands on after one turn, so that its own caller's next request
-// can share the next fsync. Without a log, or with one that only hands
-// its records to the OS (wal.SyncNone: a commit is a write(2) of a few
-// records, about what one yield costs), it does neither: a batch buys
-// nothing there, and a turn is usually one operation. The same predicate
+// can share the next fsync. Without a log, or with one that never
+// fsyncs (wal.SyncNone: an append is a copy into the page cache and a
+// commit costs nothing), it does neither: a batch buys nothing there,
+// and a turn is usually one operation. The same predicate
 // — the log says whether it fsyncs — decides whether placement counts
 // in-flight area (below) and whether a reswire server keeps a goroutine
 // per request or lets each connection's reader serve.
@@ -190,11 +190,12 @@
 // # Durability and recovery
 //
 // Config.WAL gives every shard a write-ahead log (internal/wal): each
-// group-commit batch appends its decisions to the shard's log buffer
-// while it applies them, and the whole batch is flushed — and, under
-// wal.SyncBatch, fsynced — once before any of its replies are released.
-// Durability rides the turn the combiner already takes; it never adds
-// a per-admission syscall. The two record types mirror the shard's two
+// group-commit batch copies its decisions into the shard's mapped log
+// segment while it applies them — into the page cache, where a process
+// crash cannot take them back — and under wal.SyncBatch the whole batch
+// is fsynced once before any of its replies are released. Durability
+// rides the turn the combiner already takes; it never adds a
+// per-admission syscall. The two record types mirror the shard's two
 // transitions:
 //
 //	admit (TAdmit)    admission committed: the canonical Request plus assigned ID and start
@@ -214,13 +215,15 @@
 //     pre-crash one — same IDs, same placements, same tenant books — on
 //     the tree and on the array reference, with or without a snapshot
 //     anchor, and new admissions never re-mint a recovered ID.
-//   - Torn tails are silent: a crash mid-write (a cut frame or a
-//     zero-filled tail) truncates the partial final record off the
-//     disk, not just out of the replay (WALInfo.Torn counts it) — so
-//     the verdict is stable across restarts and the tail can never be
-//     reread as mid-log corruption after newer generations hold
-//     acknowledged records. Any damage earlier than the tail — a CRC
-//     mismatch, a torn frame in a pre-rotation generation — keeps the
+//   - Crash tails are silent: the zeros a killed process leaves after
+//     its last whole frame (the unwritten rest of the mapped chunk) are
+//     truncated and reported nowhere, and a frame cut mid-copy is
+//     truncated off the disk, not just out of the replay (WALInfo.Torn
+//     counts it) — so the verdict is stable across restarts and the
+//     tail can never be reread as mid-log corruption after newer
+//     generations hold acknowledged records. Any damage earlier than
+//     the tail — a CRC mismatch, a torn frame or zeros in a
+//     pre-rotation generation — keeps the
 //     longest intact prefix, repairs the directory to match (suffix
 //     truncated, later generations quarantined), and surfaces in
 //     WALInfo.Corrupt/DroppedBytes instead of failing the boot; a log
@@ -246,10 +249,11 @@
 // Service.WALInfo reports what replay found (records, snapshots, torn/
 // corrupt damage, duration); resdsrv prints it as the
 // boot banner and holds /healthz at 503 until replay finishes.
-// bench/'s durable-mixed prices the machinery: wal.append_ns (written,
-// not synced, ≈ 0.5 µs a record) and wal.overhead_ns against the same
-// admission without a log, which under batch fsync is one whole fsync
-// (≈ 164 µs on the recording host) — the physical durable floor.
+// bench/'s durable-mixed prices the machinery: wal.append_ns (copied
+// into the mapped segment, not synced, ≈ 0.13 µs a record) and
+// wal.overhead_ns against the same admission without a log, which under
+// batch fsync is one whole fsync (≈ 45 µs on a two-vCPU ext4 host) —
+// the physical durable floor.
 //
 // # Observability
 //

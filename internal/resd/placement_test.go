@@ -185,7 +185,7 @@ func TestPlacementCountsInFlightRefusedWalk(t *testing.T) {
 
 // TestPlacementCountsInFlightNotUnderFsync: where a turn ends in an fsync,
 // callers queueing on one shard is the group commit, so load is the
-// published area alone; a log that only flushes counts like no log.
+// published area alone; a log that never fsyncs counts like no log.
 func TestPlacementCountsInFlightNotUnderFsync(t *testing.T) {
 	for _, c := range []struct {
 		mode   wal.SyncMode

@@ -168,6 +168,66 @@ func TestRecoveryOracle(t *testing.T) {
 	}
 }
 
+// TestRecoveryFromLiveDirectory is the SIGKILL shape at the service
+// level: the WAL directory of an unsynced service is copied while it is
+// still serving — segments mapped, nothing sealed, every one ending in
+// the unwritten rest of its chunk — and a service opened over the copy
+// must hold exactly what was acknowledged before the copy, with nothing
+// reported torn, corrupt or dropped: resdsrv's /healthz stays "ok".
+func TestRecoveryFromLiveDirectory(t *testing.T) {
+	dir := t.TempDir()
+	ref, err := New(Config{Shards: 4, M: 32, Backend: "tree"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	svc, err := New(walConfig("tree", dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	r := rng.New(0x11FE)
+	var held []Reservation
+	driveBoth(t, ref, svc, r, 400, &held)
+
+	crashed := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[len(raw)-1] != 0 {
+			t.Fatalf("%s: a live segment should end in unwritten space", ent.Name())
+		}
+		if err := os.WriteFile(filepath.Join(crashed, ent.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The original keeps serving; none of this is in the copy.
+	if _, err := svc.Admit(Request{Q: 1, Dur: 5, Deadline: NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := New(walConfig("tree", crashed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	assertSameState(t, ref, got)
+	if wi := got.WALInfo(); wi.Records == 0 || wi.Torn != 0 || wi.Corrupt != 0 || wi.DroppedBytes != 0 {
+		t.Fatalf("WALInfo = %+v, want a clean replay", wi)
+	}
+	for i, w := range got.WALStats() {
+		if w.Failed != 0 {
+			t.Fatalf("shard %d: log failed after recovery: %+v", i, w)
+		}
+	}
+}
+
 // TestRecoveryTornTail crashes mid-frame: a half-written record at the
 // log tail is the normal crash signature and must roll back to the last
 // whole record, not poison the shard.

@@ -421,9 +421,9 @@ func (sh *shard) do(req request) (response, error) {
 func (sh *shard) combine(self *slot) {
 	// An fsync costs the same however many records it covers, and callers
 	// just answered need the processor to come back with their next: yield
-	// until a round adds nothing. Without a log, or with one that only
-	// flushes (a write(2) of a few records, about what one reschedule
-	// costs), a batch buys nothing and the yields cost more than they save.
+	// until a round adds nothing. Without a log, or with one that never
+	// fsyncs (its commit costs nothing: the records are already in the
+	// page cache), a batch buys nothing and the yields are pure cost.
 	gather := sh.syncs.Load()
 	if gather {
 		for n := int64(0); n < int64(sh.batch) && sh.depth.Load() > n; runtime.Gosched() {
@@ -482,9 +482,9 @@ func (sh *shard) turn(self *slot) {
 		s.resp = sh.apply(s.req)
 	}
 	// The group-commit durability point: every record the turn appended
-	// is flushed (and fsynced, under SyncBatch) in one call before any
-	// answer is released — callers never observe a success the log could
-	// forget.
+	// is already in the page cache, and under SyncBatch one fsync makes
+	// them all durable before any answer is released — callers never
+	// observe a success the log could forget.
 	if sh.wlog != nil {
 		if err := sh.wlog.Commit(); err != nil {
 			sh.walFail("commit", err)

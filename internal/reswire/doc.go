@@ -121,8 +121,9 @@
 // rest, uses more connections (Options.Conns).
 //
 // When the service's log fsyncs a request waits for one, and requests
-// that wait together share it (a log that only flushes, wal.SyncNone,
-// costs a turn a write(2): nothing worth a goroutine per request). The reader then hands each request to a
+// that wait together share it (a log that never fsyncs, wal.SyncNone,
+// costs a turn nothing: nothing worth a goroutine per request). The
+// reader then hands each request to a
 // handler goroutine that executes it and writes the reply itself.
 // Handlers are kept for the life of the connection and reused — as many
 // as requests were ever in flight at once, at most 1024; past that the

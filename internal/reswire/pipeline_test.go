@@ -140,8 +140,8 @@ func TestCorkAnswersOneReadInOneWrite(t *testing.T) {
 }
 
 // TestServerFansOutOnlyUnderALog pins who serves a request. Sixty-four
-// admissions arrive in one write. Without a log, or with one that only
-// flushes, the connection's reader serves them itself: the burst leaves no
+// admissions arrive in one write. Without a log, or with one that never
+// fsyncs, the connection's reader serves them itself: the burst leaves no
 // goroutine behind. With a log that fsyncs each gets a handler, so they
 // wait in the shard's queue together and share commits — fewer turns than
 // operations.

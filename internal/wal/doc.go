@@ -25,23 +25,43 @@
 // segment with gen >= G in ascending order. Segments older than a
 // durable snapshot are deleted by the snapshot writer.
 //
-// Rotation order makes non-final segments complete by construction:
-// the current segment is flushed and fsynced before the next
-// generation's file is created. An invalid frame in the final segment
-// is therefore a torn tail (crash mid-write — a cut frame or an
-// all-zero tail from a zero-extending filesystem, ReplayInfo.Torn) and
-// the valid prefix is kept; an invalid frame in an earlier segment is
-// real corruption (ReplayInfo.Corrupt) and replay stops there rather
-// than guessing at the suffix.
+// A segment is written through a shared file mapping, one preallocated
+// 4 MiB chunk at a time: Append copies each frame into the page cache,
+// where it survives a process crash, mapping the next chunk when one
+// fills (a frame may straddle two), and an fsync under SyncBatch writes
+// the dirtied pages back. The blocks are allocated for real, so a full
+// disk is an error from Append, never a SIGBUS. Sealing a segment
+// (Close, Rotate) unmaps it and truncates it to its framed length. Until
+// then it ends in zeros — the unwritten rest of its chunk — and that is
+// what a crashed process leaves behind, so recovery reads the final
+// segment by two rules:
 //
-// Recovery repairs what it judges: a torn tail is truncated off the
-// segment, and past a corrupt frame the segment is truncated at the
-// last good record with later segments quarantined under a ".corrupt"
-// suffix. The repair is what makes the torn/corrupt distinction stable
-// across restarts — a torn tail left on disk would stop being "the
-// final segment's tail" as soon as the reopened log appends a newer
-// generation, and the next recovery would then misread it as mid-log
-// corruption and drop the acknowledged records that followed it.
+//   - Unwritten space: an all-zero suffix starting at a frame boundary
+//     was never written. It is truncated and reported nowhere.
+//   - Cut frame: a frame that fails to decode and whose declared length
+//     reaches into the zero suffix (or whose header is short) was cut
+//     mid-copy: ReplayInfo.Torn, with TornBytes its written bytes.
+//
+// Rotation order makes non-final segments complete by construction: the
+// current segment is sealed — and fsynced, under SyncBatch — before the
+// next generation's file is created. An invalid frame in the final
+// segment is therefore a torn tail and the valid prefix is kept; an
+// invalid frame in an earlier segment, zeros included, is real
+// corruption (ReplayInfo.Corrupt) and replay stops there rather than
+// guessing at the suffix.
+//
+// Recovery repairs what it judges: a torn tail or unwritten space is
+// truncated off the segment, and past a corrupt frame the segment is
+// truncated at the last good record with later segments quarantined
+// under a ".corrupt" suffix. The repair is what makes the torn/corrupt
+// distinction stable across restarts — a torn tail left on disk would
+// stop being "the final segment's tail" as soon as the reopened log
+// appends a newer generation, and the next recovery would then misread
+// it as mid-log corruption and drop the acknowledged records that
+// followed it.
+//
+// fallocate and MAP_SHARED make the package Linux-only; CI, the drills
+// and bench/ run nowhere else.
 //
 // # Record framing
 //

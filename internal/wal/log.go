@@ -1,11 +1,11 @@
 package wal
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/flight"
@@ -19,12 +19,20 @@ const (
 	// SyncBatch (the default) fsyncs once per Commit — one fsync per
 	// group-committed batch turn, the durable configuration.
 	SyncBatch SyncMode = "batch"
-	// SyncNone flushes to the OS but never fsyncs: records survive a
-	// process crash but not a machine crash. The cheap configuration,
-	// and the one the overhead benchmark's ratio gate is held to
-	// (fsync cost is the disk's, not the code's).
+	// SyncNone never fsyncs: Append has already put each record in the
+	// page cache through the segment's shared mapping, where it survives
+	// a process crash but not a machine crash, so a SyncNone commit
+	// costs nothing. The cheap configuration, and the one the overhead
+	// benchmark's ratio gate is held to (fsync cost is the disk's, not
+	// the code's).
 	SyncNone SyncMode = "none"
 )
+
+// chunk is how much of a segment is allocated and mapped at a time. The
+// blocks are allocated for real, not left sparse: a store into a sparse
+// mapping on a full disk raises SIGBUS, where fallocate returns ENOSPC
+// to Append.
+const chunk = 4 << 20
 
 // Options parameterises a service's WAL.
 type Options struct {
@@ -77,10 +85,13 @@ type Log struct {
 	shard int
 	sync  bool
 
-	f     *os.File
-	w     *bufio.Writer
+	f     *os.File // the segment; nil once sealed
+	m     []byte   // the mapped chunk being filled, at file offset mOff
+	mOff  int64
+	pos   int    // bytes of m written
+	size  int64  // framed length: the file offset past the last whole frame
 	buf   []byte // frame scratch, reused across Appends
-	dirty bool   // records appended since the last Commit
+	dirty bool   // records appended since the last fsync
 	since int    // records appended since the last snapshot rotation
 
 	gen     atomic.Uint64
@@ -117,33 +128,89 @@ func Open(shard int, o Options) (*Log, error) {
 	if n := len(gens); n > 0 {
 		gen = gens[n-1].gen + 1
 	}
-	f, err := os.OpenFile(logName(o.Dir, shard, gen), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(o.Dir); err != nil {
-		f.Close()
-		return nil, err
-	}
 	l := &Log{
 		dir:     o.Dir,
 		shard:   shard,
 		sync:    o.Sync == SyncBatch,
-		f:       f,
-		w:       bufio.NewWriterSize(f, 64<<10),
 		journal: o.Journal,
 	}
-	l.gen.Store(gen)
+	if err := l.create(gen); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
 	l.lastSnap.Store(time.Now().UnixNano())
 	return l, nil
 }
 
-// Append buffers one record. It becomes durable at the next Commit.
+// create starts generation gen: a new segment with its first chunk
+// allocated and mapped, its name durable in the directory.
+func (l *Log) create(gen uint64) error {
+	f, err := os.OpenFile(logName(l.dir, l.shard, gen), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	l.f, l.size = f, 0
+	if err = l.mapChunk(0); err == nil {
+		err = syncDir(l.dir)
+	}
+	if err != nil {
+		l.seal() // leaves an empty segment, which recovery reads as nothing; err is the failure to report
+		return err
+	}
+	l.gen.Store(gen)
+	return nil
+}
+
+// mapChunk allocates the chunk at file offset off and maps it in place
+// of the current one.
+func (l *Log) mapChunk(off int64) error {
+	fd := int(l.f.Fd())
+	if err := syscall.Fallocate(fd, 0, off, chunk); err != nil {
+		return fmt.Errorf("fallocate: %w", err)
+	}
+	m, err := syscall.Mmap(fd, off, chunk, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("mmap: %w", err)
+	}
+	if err := l.unmap(); err != nil {
+		syscall.Munmap(m) // the failure to report is the first one
+		return err
+	}
+	l.m, l.mOff, l.pos = m, off, 0
+	return nil
+}
+
+// unmap drops the current chunk's mapping. Its pages stay in the page
+// cache, dirty until written back.
+func (l *Log) unmap() error {
+	if l.m == nil {
+		return nil
+	}
+	err := syscall.Munmap(l.m)
+	l.m = nil
+	if err != nil {
+		return fmt.Errorf("munmap: %w", err)
+	}
+	return nil
+}
+
+// Append copies one framed record into the segment's mapping, mapping
+// the next chunk when this one fills, so a frame may straddle two. The
+// record is then in the page cache, where a process crash cannot take
+// it back; it is durable against a machine crash at the next Commit
+// under SyncBatch.
 func (l *Log) Append(r Record) error {
 	l.buf = AppendRecord(l.buf[:0], r)
-	if _, err := l.w.Write(l.buf); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+	for b := l.buf; len(b) > 0; {
+		if l.pos == len(l.m) {
+			if err := l.mapChunk(l.mOff + int64(len(l.m))); err != nil {
+				return fmt.Errorf("wal: append: %w", err)
+			}
+		}
+		n := copy(l.m[l.pos:], b)
+		l.pos += n
+		b = b[n:]
 	}
+	l.size = l.mOff + int64(l.pos)
 	l.bytes.Add(uint64(len(l.buf)))
 	l.records.Add(1)
 	l.since++
@@ -151,53 +218,62 @@ func (l *Log) Append(r Record) error {
 	return nil
 }
 
-// Commit makes every appended record durable (flush, then fsync under
-// SyncBatch): the group-commit point, called once per batch turn. A
-// Commit with nothing appended is free.
+// Commit is the group-commit point, called once per batch turn before
+// any of its replies are released. Under SyncBatch it fsyncs the
+// segment, which writes back the pages Append dirtied through the
+// mapping. Under SyncNone, or with nothing appended, it costs nothing.
 func (l *Log) Commit() error {
-	if !l.dirty {
+	if !l.sync || !l.dirty {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	t := time.Now()
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	if l.sync {
-		t := time.Now()
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.fsyncNs.Observe(time.Since(t).Nanoseconds())
-		l.fsyncs.Add(1)
-	}
+	l.fsyncNs.Observe(time.Since(t).Nanoseconds())
+	l.fsyncs.Add(1)
 	l.dirty = false
 	return nil
+}
+
+// seal ends the segment: unmap it and cut the file to its framed length,
+// so a sealed segment holds whole frames and nothing after them, then
+// commit — under SyncBatch one fsync covers the records and the cut —
+// and close the file.
+func (l *Log) seal() error {
+	err := l.unmap()
+	if terr := l.f.Truncate(l.size); err == nil && terr != nil {
+		err = fmt.Errorf("truncate: %w", terr)
+	}
+	l.dirty = true // the cut, like a record, is durable once fsynced
+	if cerr := l.Commit(); err == nil {
+		err = cerr
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	l.f = nil
+	return err
 }
 
 // SinceSnapshot reports how many records have been appended since the
 // last snapshot rotation — the loop's snapshot trigger.
 func (l *Log) SinceSnapshot() int { return l.since }
 
-// Rotate commits the current generation and switches appends to a new
+// Rotate seals the current generation and switches appends to a new
 // one, returning the new generation number for the snapshot that
 // should describe its starting state. Called by the log's writer; the
 // snapshot itself is then written off-loop with WriteSnapshot.
 func (l *Log) Rotate() (uint64, error) {
-	if err := l.Commit(); err != nil {
-		return 0, err
-	}
-	gen := l.gen.Load() + 1
-	f, err := os.OpenFile(logName(l.dir, l.shard, gen), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
+	// Sealed before the next generation's file exists: only the final
+	// segment can ever end in a cut frame or unwritten space.
+	if err := l.seal(); err != nil {
 		return 0, fmt.Errorf("wal: rotate: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return 0, err
+	gen := l.gen.Load() + 1
+	if err := l.create(gen); err != nil {
+		return 0, fmt.Errorf("wal: rotate: %w", err)
 	}
-	l.f.Close()
-	l.f = f
-	l.w.Reset(f)
-	l.gen.Store(gen)
 	l.since = 0
 	l.journal.Record(flight.Info, "wal", l.shard, "log rotated",
 		flight.KV{K: "gen", V: fmt.Sprint(gen)})
@@ -259,13 +335,16 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// Close commits and closes the current generation.
+// Close seals the current generation. A log a failed Rotate left with
+// no segment has nothing to close.
 func (l *Log) Close() error {
-	err := l.Commit()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
+	if l.f == nil {
+		return nil
 	}
-	return err
+	if err := l.seal(); err != nil {
+		return fmt.Errorf("wal: close: %w", err)
+	}
+	return nil
 }
 
 // Stats is the log's published telemetry.
@@ -295,10 +374,10 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Syncs reports whether Commit fsyncs (SyncBatch) or only hands the
-// records to the OS (SyncNone). It is what makes a commit worth sharing:
-// an fsync costs the same however many records it covers, a flush costs
-// about as much as the write it is.
+// Syncs reports whether Commit fsyncs (SyncBatch) or does nothing
+// (SyncNone: Append already left the records in the page cache). It is
+// what makes a commit worth sharing: an fsync costs the same however
+// many records it covers, a SyncNone commit costs nothing.
 func (l *Log) Syncs() bool { return l.sync }
 
 // FsyncQuantile reports the q-quantile of observed fsync latency in

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -23,11 +24,13 @@ type ReplayInfo struct {
 	// BadSnapshots counts snapshot files that failed validation and
 	// were skipped in favour of an older generation.
 	BadSnapshots int
-	// Torn reports a truncated final frame in the newest generation —
-	// the normal signature of a crash mid-write (a cut frame, or a
-	// zero-filled tail on filesystems that zero-extend on crash).
-	// TornBytes is how many trailing bytes were dropped; Recover
-	// truncated them off the file so they stay dropped.
+	// Torn reports a frame at the end of the newest generation that a
+	// crash cut mid-copy: its header is short, or it declares more bytes
+	// than were written before the segment's zero suffix. TornBytes is
+	// how many of its bytes were written; Recover truncated them off the
+	// file so they stay dropped. Zeros after the last whole frame are not
+	// torn: they are space the log allocated and never wrote (the rest of
+	// a crashed process's mapped chunk), cut off and reported nowhere.
 	Torn      bool
 	TornBytes int64
 	// Corrupt reports an invalid frame before the final generation's
@@ -103,14 +106,15 @@ func listGens(dir string, shard int) ([]genFiles, error) {
 // log, not an error.
 //
 // Recover also repairs the directory so its verdict is durable: a torn
-// tail is truncated off the file, and everything past a corrupt frame
-// (the file's suffix, plus whole later generations) is truncated or
-// quarantined under a ".corrupt" suffix. Without the repair the verdict
-// would silently change on the next restart — a torn tail is a normal
-// crash artifact only while its generation is the newest, so once Open
-// starts a newer generation and fsync-acknowledges records there, a
-// later recovery would reread the same torn tail as mid-log corruption
-// and drop those acknowledged records.
+// tail or unwritten space is truncated off the file, and everything
+// past a corrupt frame (the file's suffix, plus whole later
+// generations) is truncated or quarantined under a ".corrupt" suffix.
+// Without the repair the verdict would silently change on the next
+// restart — a torn tail or a zero suffix is a normal crash artifact
+// only while its generation is the newest, so once Open starts a newer
+// generation and fsync-acknowledges records there, a later recovery
+// would reread the same tail as mid-log corruption and drop those
+// acknowledged records.
 //
 // State only the removed rebalancer wrote (ErrRetired) is neither: the
 // files are intact and this build cannot read them. Recover returns the
@@ -162,8 +166,16 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 			return nil, nil, info, fmt.Errorf("wal: %w", err)
 		}
 		info.Gens++
+		// Only the final segment can end in space never written — the rest
+		// of the chunk a crashed process had mapped — so only there does
+		// the scan stop where the zero suffix begins.
+		last := i == len(gens)-1
+		end := len(raw)
+		if last {
+			end = written(raw)
+		}
 		off := 0
-		for off < len(raw) {
+		for off < end {
 			rec, n, err := decodeRecord(raw[off:])
 			if err == nil {
 				recs = append(recs, rec)
@@ -174,14 +186,12 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 			if errors.Is(err, ErrRetired) {
 				return nil, nil, info, fmt.Errorf("%s offset %d: %w", logName(dir, shard, g.gen), off, err)
 			}
-			rest := int64(len(raw) - off)
-			last := i == len(gens)-1
-			if last && (errors.Is(err, errShort) || allZero(raw[off:])) {
-				// Crash mid-frame (a cut frame, or a zero-filled tail from a
-				// filesystem that zero-extends on crash): the valid prefix is
-				// the durable truth. Truncate the tail off the file so the
-				// verdict sticks — left in place, it would read as mid-log
-				// corruption once a newer generation exists.
+			rest := int64(end - off)
+			if last && cutFrame(raw[off:], end-off) {
+				// Crash mid-frame: the valid prefix is the durable truth.
+				// Truncate the tail off the file so the verdict sticks — left
+				// in place, it would read as mid-log corruption once a newer
+				// generation exists.
 				info.Torn = true
 				info.TornBytes = rest
 				if rerr := truncateLog(logName(dir, shard, g.gen), int64(off)); rerr != nil {
@@ -224,19 +234,39 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 			}
 			return snap, recs, info, nil
 		}
+		if off < len(raw) {
+			// Whole frames, then zeros: unwritten space, not damage. Cut it
+			// as Close would have, so the segment reads the same once it is
+			// no longer the final one.
+			if rerr := truncateLog(logName(dir, shard, g.gen), int64(off)); rerr != nil {
+				return nil, nil, info, rerr
+			}
+		}
 	}
 	return snap, recs, info, nil
 }
 
-// allZero reports whether b is entirely zero bytes — the shape of a
-// tail the filesystem zero-extended during a crash.
-func allZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
+// written returns the length of b without its zero suffix.
+func written(b []byte) int {
+	n := len(b)
+	for n > 0 && b[n-1] == 0 {
+		n--
 	}
-	return true
+	return n
+}
+
+// cutFrame reports whether the undecodable frame at the head of b, of
+// which only the first head bytes precede the zero suffix, is one a
+// crash cut mid-copy: its header is too short to read, or it declares a
+// frame reaching into the zeros. A copy runs front to back, so a partly
+// copied little-endian length is at most the whole one; a length no
+// frame can have (0, or past maxPayload) is damage, not a cut.
+func cutFrame(b []byte, head int) bool {
+	if len(b) < frameHeader {
+		return true
+	}
+	n := binary.LittleEndian.Uint32(b)
+	return n > 0 && n <= maxPayload && frameHeader+int(n) > head
 }
 
 // truncateLog durably cuts a log file at off, discarding a torn or

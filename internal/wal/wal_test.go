@@ -6,7 +6,9 @@ import (
 	"errors"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -176,6 +178,16 @@ func writeLog(t *testing.T, dir string, shard int, gen uint64, raw []byte) {
 	}
 }
 
+// fileSize returns the size of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
 func frames(recs ...Record) []byte {
 	var buf []byte
 	for _, r := range recs {
@@ -308,10 +320,11 @@ func TestTornTailRepairSurvivesLaterGenerations(t *testing.T) {
 	}
 }
 
-// A zero-filled tail is how several filesystems leave a file that was
-// being extended at the crash: classify it as the crash artifact it is,
-// not as real damage.
-func TestZeroFilledTailIsTorn(t *testing.T) {
+// Zeros after the final generation's last whole frame are space never
+// written — the rest of a crashed process's mapped chunk, or a tail a
+// filesystem zero-extended — not damage and not a cut frame: truncated,
+// and reported nowhere.
+func TestZeroFilledTailIsUnwritten(t *testing.T) {
 	dir := t.TempDir()
 	recs := sampleRecords()
 	raw := frames(recs...)
@@ -326,8 +339,11 @@ func TestZeroFilledTailIsTorn(t *testing.T) {
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("recovered %d records, want all %d", len(got), len(recs))
 	}
-	if !info.Torn || info.Corrupt || info.TornBytes != 64 {
-		t.Fatalf("info = %+v, want Torn (64 bytes) and not Corrupt", info)
+	if info.Torn || info.TornBytes != 0 || info.Corrupt || info.DroppedBytes != 0 {
+		t.Fatalf("info = %+v, want neither torn nor corrupt", info)
+	}
+	if onDisk, err := os.ReadFile(logName(dir, 0, 0)); err != nil || !reflect.DeepEqual(onDisk, raw) {
+		t.Fatalf("unwritten space left on disk: %d bytes, want %d (%v)", len(onDisk), len(raw), err)
 	}
 	// Zeros followed by junk is not the crash shape: that stays corrupt.
 	junk := append(append(frames(recs...), make([]byte, 16)...), 0xAB)
@@ -339,6 +355,207 @@ func TestZeroFilledTailIsTorn(t *testing.T) {
 	}
 	if !info.Corrupt || info.Torn {
 		t.Fatalf("zeros+junk: info = %+v, want Corrupt", info)
+	}
+}
+
+// TestFrameCutIntoPreallocation is the mapped segment's crash mid-copy:
+// whole frames, then the first half of one, then the zeros of the chunk
+// it was being copied into. The half frame declares more bytes than were
+// written before the zeros, so it is torn, not corrupt — and TornBytes
+// counts only its written half.
+func TestFrameCutIntoPreallocation(t *testing.T) {
+	dir := t.TempDir()
+	recs := sampleRecords()
+	whole := frames(recs[:3]...)
+	next := frames(recs[3])
+	half := next[:len(next)/2]
+	if half[len(half)-1] == 0 {
+		t.Fatal("fixture: the half frame must end in a written, non-zero byte")
+	}
+	raw := append(append(append([]byte(nil), whole...), half...), make([]byte, 4096)...)
+	writeLog(t, dir, 0, 0, raw)
+	_, got, info, err := Recover(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs[:3]) {
+		t.Fatalf("recovered %d records, want the 3 whole ones", len(got))
+	}
+	if !info.Torn || info.Corrupt || info.TornBytes != int64(len(half)) || info.DroppedBytes != 0 {
+		t.Fatalf("info = %+v, want Torn (%d bytes) and not Corrupt", info, len(half))
+	}
+	if size := fileSize(t, logName(dir, 0, 0)); size != int64(len(whole)) {
+		t.Fatalf("segment not cut to its whole frames: %d bytes, want %d", size, len(whole))
+	}
+}
+
+// appendAll appends recs to l and commits them.
+func appendAll(t *testing.T, l *Log, recs []Record) {
+	t.Helper()
+	for _, r := range recs {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegmentSpansChunks fills a segment past two chunk boundaries with
+// frames of an odd length, so one frame straddles each boundary: Close
+// must leave exactly the framed bytes, and recovery must read every one.
+func TestSegmentSpansChunks(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(0, Options{Dir: dir, Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every ID below 2^21 past 2^14 is a three-byte uvarint: one length.
+	rec := Record{Type: TAdmit, ID: 1 << 14, Tenant: strings.Repeat("t", 1000), Procs: 3, Dur: 7, Deadline: 1 << 30}
+	n := len(frames(rec))
+	if n%2 == 0 { // an odd length never divides a boundary at k·2^22
+		rec.Tenant += "t"
+		n = len(frames(rec))
+	}
+	var recs []Record
+	for size := 0; size <= 2*chunk; size += n {
+		rec.ID = 1<<14 + uint64(len(recs))
+		recs = append(recs, rec)
+	}
+	appendAll(t, l, recs)
+	for b := chunk; b < len(recs)*n; b += chunk {
+		if b%n == 0 {
+			t.Fatalf("no frame straddles the chunk boundary at %d", b)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if size := fileSize(t, logName(dir, 0, 0)); size != int64(len(recs)*n) {
+		t.Fatalf("closed segment is %d bytes, not its framed length %d", size, len(recs)*n)
+	}
+	_, got, info, err := Recover(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) || info.Torn || info.Corrupt {
+		t.Fatalf("recovered %d of %d records, info = %+v", len(got), len(recs), info)
+	}
+}
+
+// copyDir copies every file of dir into a fresh directory. Taken from a
+// log that was committed but not closed, the copy is what a SIGKILL
+// leaves: whole frames, then the unwritten rest of the mapped chunk.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	to := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, ent.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
+}
+
+// TestLiveSegmentRecovers: a committed, unclosed segment's copy replays
+// every record and reports nothing, and is cut to its framed length.
+func TestLiveSegmentRecovers(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(0, Options{Dir: dir, Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs := sampleRecords()
+	appendAll(t, l, recs)
+	crashed := copyDir(t, dir)
+	if size := fileSize(t, logName(crashed, 0, 0)); size != chunk {
+		t.Fatalf("live segment is %d bytes, not one preallocated chunk", size)
+	}
+	_, got, info, err := Recover(crashed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("recovered %d records, want all %d", len(got), len(recs))
+	}
+	if info.Torn || info.Corrupt || info.TornBytes != 0 || info.DroppedBytes != 0 {
+		t.Fatalf("info = %+v, want a clean replay", info)
+	}
+	if size := fileSize(t, logName(crashed, 0, 0)); size != int64(len(frames(recs...))) {
+		t.Fatalf("recovered segment is %d bytes, not its framed length %d", size, len(frames(recs...)))
+	}
+}
+
+// TestRotateSealsOlderGeneration: Rotate cuts a segment to its frames
+// before the next exists, so no generation but the final one ever holds
+// unwritten space — the premise of reading a zero suffix anywhere else
+// as corruption.
+func TestRotateSealsOlderGeneration(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(0, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := sampleRecords()
+	for i := 0; i < 3; i++ {
+		appendAll(t, l, recs[2*i:2*i+2])
+		if _, err := l.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAll(t, l, recs[6:])
+	final := l.Stats().Gen
+	for gen := uint64(0); gen < final; gen++ {
+		raw, err := os.ReadFile(logName(dir, 0, gen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := frames(recs[2*gen : 2*gen+2]...); !reflect.DeepEqual(raw, want) {
+			t.Fatalf("generation %d: %d bytes on disk, want its %d framed bytes", gen, len(raw), len(want))
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, got, info, err := Recover(dir, 0)
+	if err != nil || !reflect.DeepEqual(got, recs) || info.Torn || info.Corrupt {
+		t.Fatalf("recovered %d of %d records, info = %+v, err %v", len(got), len(recs), info, err)
+	}
+}
+
+// TestAppendCommitAllocs: once the frame scratch has grown, a record's
+// way into the log allocates nothing, synced or not.
+func TestAppendCommitAllocs(t *testing.T) {
+	for _, sync := range []SyncMode{SyncNone, SyncBatch} {
+		l, err := Open(0, Options{Dir: t.TempDir(), Sync: sync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := sampleRecords()[0]
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: %.1f allocations per Append+Commit, want 0", sync, allocs)
+		}
 	}
 }
 
@@ -607,14 +824,17 @@ func TestOptionsNormalize(t *testing.T) {
 
 // FuzzWALReplay checks the scanner against an in-memory oracle: a
 // record script is framed to disk, the file is cut at an arbitrary
-// point, and Recover must return exactly the longest whole-frame
-// prefix — torn only when the cut split a frame, corrupt never (a cut
-// never fabricates a valid-looking frame, it only shortens one).
+// point and padded with zeros — the unwritten rest of a mapped chunk —
+// and Recover must return exactly the longest whole-frame prefix and
+// leave only it on disk: torn only when the cut split a frame and left
+// a non-zero byte of it, corrupt never (a cut never fabricates a
+// valid-looking frame, it only shortens one).
 func FuzzWALReplay(f *testing.F) {
-	f.Add([]byte{}, uint32(0))
-	f.Add([]byte{1, 9, 4, 'a', 'b', 2, 9}, uint32(11))
-	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 4, 1, 1, 7, 1}, uint32(6))
-	f.Fuzz(func(t *testing.T, script []byte, cut uint32) {
+	f.Add([]byte{}, uint32(0), uint16(0))
+	f.Add([]byte{1, 9, 4, 'a', 'b', 2, 9}, uint32(11), uint16(64))
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 4, 1, 1, 7, 1}, uint32(6), uint16(3))
+	f.Fuzz(func(t *testing.T, script []byte, cut uint32, zeros uint16) {
+		pad := int(zeros)
 		// Decode the script into records: each byte run picks a type and
 		// fills fields from subsequent bytes. Deterministic, total.
 		var recs []Record
@@ -649,13 +869,24 @@ func FuzzWALReplay(f *testing.F) {
 		for keep < len(recs) {
 			n := len(frames(recs[keep]))
 			if consumed+n > off {
+				// The frame the cut split is whole again when the cut took
+				// only zero bytes of it and the suffix puts them back.
+				if end := consumed + n; end <= off+pad && written(raw[off:end]) == 0 {
+					consumed, keep = end, keep+1
+				}
 				break
 			}
 			consumed += n
 			keep++
 		}
+		// What the cut left of the frame it split, up to its last
+		// non-zero byte: the bytes recovery can tell were written.
+		var cutLeft int
+		if off > consumed {
+			cutLeft = written(raw[consumed:off])
+		}
 		dir := t.TempDir()
-		writeLog(t, dir, 0, 1, raw[:off])
+		writeLog(t, dir, 0, 1, append(raw[:off:off], make([]byte, pad)...))
 		snap, got, info, err := Recover(dir, 0)
 		if err != nil {
 			t.Fatalf("Recover: %v", err)
@@ -664,16 +895,20 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal("snapshot from nowhere")
 		}
 		if len(got) != keep {
-			t.Fatalf("cut %d: recovered %d records, oracle says %d", off, len(got), keep)
+			t.Fatalf("cut %d+%d zeros: recovered %d records, oracle says %d", off, pad, len(got), keep)
 		}
 		if keep > 0 && !reflect.DeepEqual(got, recs[:keep]) {
-			t.Fatalf("cut %d: recovered records differ from the oracle prefix", off)
+			t.Fatalf("cut %d+%d zeros: recovered records differ from the oracle prefix", off, pad)
 		}
-		if wantTorn := off > consumed; info.Torn != wantTorn {
-			t.Fatalf("cut %d: Torn = %v, oracle says %v (%+v)", off, info.Torn, wantTorn, info)
+		if wantTorn := cutLeft > 0; info.Torn != wantTorn || info.TornBytes != int64(cutLeft) {
+			t.Fatalf("cut %d+%d zeros: Torn = %v (%d bytes), oracle says %v (%d) (%+v)",
+				off, pad, info.Torn, info.TornBytes, wantTorn, cutLeft, info)
 		}
-		if info.Corrupt {
-			t.Fatalf("cut %d: a truncation read as corruption (%+v)", off, info)
+		if info.Corrupt || info.DroppedBytes != 0 {
+			t.Fatalf("cut %d+%d zeros: a truncation read as corruption (%+v)", off, pad, info)
+		}
+		if size := fileSize(t, logName(dir, 0, 1)); size != int64(consumed) {
+			t.Fatalf("cut %d+%d zeros: segment is %d bytes, not its %d whole-frame bytes", off, pad, size, consumed)
 		}
 	})
 }
