@@ -64,23 +64,28 @@ func (l *LSRC) order() Order {
 //   - One pass. Within an event nothing is released, so capacity only
 //     shrinks as the pass proceeds: a job refused earlier in the pass
 //     cannot fit later in it, and a second pass would start nothing.
-//   - Not-before memo. A job that passes the width filter and still fails
+//   - Parked set. A job that passes the width filter and still fails
 //     CanPlace is blocked by a reservation (or a job booked around one)
 //     ahead of it. FindSlot(t, q, p) is then its earliest start on the
 //     current timeline, and because LSRC only ever commits — never
 //     releases — for the rest of the call, every later timeline is
 //     pointwise no larger, so no start before that instant can become
-//     feasible. The job is not asked about again until the clock reaches
-//     it; "never" (an infinite reservation) is remembered as Infinity.
+//     feasible. The job is taken out of the tournament and parked in a
+//     min-heap on that instant ("never", an infinite reservation, is
+//     Infinity and never comes), and the first event at or after it puts
+//     the job back. The tournament answers by list position, so a restored
+//     job is offered where the full scan would reach it, and the pass
+//     never visits a job it already knows cannot start.
 //
-// The memo is sound only because nothing is released. EASY drops its shadow
+// Parking is sound only because nothing is released. EASY drops its shadow
 // hold after every event and the simulator's policies roll their trial
 // commitments back, so both use the tournament for the width filter alone.
 //
-// Cost: O(n log n) for the list order and the tournament, then one
-// AvailableAt and one NextBreakpoint per event and O(log n) per job started
-// or blocked at that event — no longer O(pending) index calls per event.
-// Without reservations CanPlace is called exactly n times and never fails.
+// Cost: O(n) for the list order (a radix sort) and the tournament, then one
+// AvailableAt and one NextBreakpoint per event and O(log n) per job
+// started, parked or restored — no longer O(pending) index calls or
+// tournament steps per event. Without reservations CanPlace is called
+// exactly n times and never fails.
 func (l *LSRC) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	tl, err := prep(inst, l.Backend)
 	if err != nil {
@@ -93,33 +98,35 @@ func (l *LSRC) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		return nil, fmt.Errorf("%w: order returned %d indices for %d jobs",
 			ErrInvalid, len(list), len(inst.Jobs))
 	}
-	// pending holds the list positions not yet started; notBefore[pos] is a
-	// lower bound on the start of the job at that position.
-	pending := NewTournament(len(list), func(pos int) int { return inst.Jobs[list[pos]].Procs })
-	notBefore := make([]core.Time, len(list))
+	// pending holds the list positions not yet started and not parked;
+	// parked holds the others not yet started, each until its instant.
+	width := func(pos int) int { return inst.Jobs[list[pos]].Procs }
+	pending := NewTournament(len(list), width)
+	parked := make(parkHeap, 0, len(list))
 
 	t := core.Time(0)
 	for left := len(list); left > 0; {
+		for len(parked) > 0 && parked[0].at <= t {
+			pos := parked.pop().pos
+			pending.Restore(pos, width(pos))
+		}
 		free := tl.AvailableAt(t)
 		for pos := pending.Next(0, free); pos >= 0; pos = pending.Next(pos+1, free) {
-			if notBefore[pos] > t {
-				continue
-			}
 			idx := list[pos]
 			j := inst.Jobs[idx]
+			pending.Remove(pos)
 			if !tl.CanPlace(t, j.Len, j.Procs) {
 				at, ok := tl.FindSlot(t, j.Procs, j.Len)
 				if !ok {
 					at = core.Infinity
 				}
-				notBefore[pos] = at
+				parked.push(parkedJob{at: at, pos: pos})
 				continue
 			}
 			if err := tl.Commit(t, j.Len, j.Procs); err != nil {
 				return nil, fmt.Errorf("sched: internal: %v", err)
 			}
 			s.SetStart(idx, t)
-			pending.Remove(pos)
 			free -= j.Procs
 			left--
 		}
@@ -129,10 +136,68 @@ func (l *LSRC) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		next, ok := tl.NextBreakpoint(t)
 		if !ok {
 			// Availability is constant on [t, inf) and the remaining jobs
-			// do not fit: they never will.
-			return nil, stuckErr(inst.Jobs[list[pending.First()]])
+			// do not fit: they never will. Name the first in list order,
+			// parked or not.
+			first := pending.First()
+			for _, e := range parked {
+				if first < 0 || e.pos < first {
+					first = e.pos
+				}
+			}
+			return nil, stuckErr(inst.Jobs[list[first]])
 		}
 		t = next
 	}
 	return s, nil
+}
+
+// parkedJob is a list position LSRC has taken out of the tournament, and
+// the earliest instant its job could start (Infinity for never).
+type parkedJob struct {
+	at  core.Time
+	pos int
+}
+
+// parkHeap is a binary min-heap of parked jobs on at.
+type parkHeap []parkedJob
+
+func (h *parkHeap) push(e parkedJob) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if s[up].at <= e.at {
+			break
+		}
+		s[i] = s[up]
+		i = up
+	}
+	s[i] = e
+	*h = s
+}
+
+func (h *parkHeap) pop() parkedJob {
+	s := *h
+	top, last := s[0], s[len(s)-1]
+	s = s[:len(s)-1]
+	if len(s) > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= len(s) {
+				break
+			}
+			if c+1 < len(s) && s[c+1].at < s[c].at {
+				c++
+			}
+			if last.at <= s[c].at {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
 }

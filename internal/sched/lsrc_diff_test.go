@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"testing"
 
@@ -209,6 +210,29 @@ func TestLSRCMatchesNaive(t *testing.T) {
 	}
 }
 
+// FuzzLSRCMatchesNaive takes TestLSRCMatchesNaive's rule past its 2 000
+// seeds: on any seed's diffInstance, under every Order and on both
+// backends, LSRC and the full re-scan agree start for start, or fail with
+// the same error.
+func FuzzLSRCMatchesNaive(f *testing.F) {
+	f.Add(uint64(1))
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		inst := diffInstance(seed)
+		for _, order := range Orders() {
+			for _, backend := range []string{"array", "tree"} {
+				what := fmt.Sprintf("seed %d order %s backend %s", seed, order.Name, backend)
+				got, gotErr := (&LSRC{Order: order, Backend: backend}).Schedule(inst)
+				want, wantErr := naiveLSRC(inst, order, backend)
+				if !sameOutcome(t, what, got, gotErr, want, wantErr) {
+					if err := verify.Verify(got); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestEASYMatchesNaive holds EASY's tournament back-fill to the same oracle
 // rule.
 func TestEASYMatchesNaive(t *testing.T) {
@@ -222,9 +246,9 @@ func TestEASYMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTournamentMatchesLinearScan checks Next and Remove against a plain
-// scan of the width slice, for list lengths on both sides of the powers of
-// two.
+// TestTournamentMatchesLinearScan checks Next and First against a plain
+// scan of the width slice after every Remove and every Restore of a
+// removed position, for list lengths on both sides of the powers of two.
 func TestTournamentMatchesLinearScan(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := rng.New(seed)
@@ -243,26 +267,37 @@ func TestTournamentMatchesLinearScan(t *testing.T) {
 			}
 			return -1
 		}
-		for step := 0; step < 4*n+4; step++ {
-			p, free := r.Intn(n+3), r.Intn(18)
-			if got, want := tr.Next(p, free), scan(p, free); got != want {
-				t.Fatalf("seed %d step %d: Next(%d, %d) = %d, scan says %d", seed, step, p, free, got, want)
+		for step := 0; step < 6*n+4; step++ {
+			if n > 0 {
+				switch p := r.Intn(n); {
+				case removed[p] && r.Intn(2) == 0:
+					tr.Restore(p, widths[p])
+					removed[p] = false
+				case r.Intn(2) == 0:
+					tr.Remove(p)
+					removed[p] = true
+				}
+			}
+			for probe := 0; probe < 3; probe++ {
+				p, free := r.Intn(n+3), r.Intn(18)
+				if got, want := tr.Next(p, free), scan(p, free); got != want {
+					t.Fatalf("seed %d step %d: Next(%d, %d) = %d, scan says %d", seed, step, p, free, got, want)
+				}
 			}
 			if got, want := tr.First(), scan(0, 1<<40); got != want {
 				t.Fatalf("seed %d step %d: First() = %d, scan says %d", seed, step, got, want)
-			}
-			if n > 0 && r.Intn(2) == 0 {
-				p := r.Intn(n)
-				tr.Remove(p)
-				removed[p] = true
 			}
 		}
 	}
 }
 
-// TestSortByMatchesSliceStable pins the list orders across the change of
-// sort routine: on instances with heavy ties every Order returns the exact
-// permutation sort.SliceStable produced.
+// TestSortByMatchesSliceStable pins the list orders: on every shape below,
+// each Order returns the exact permutation sort.SliceStable produces under
+// the rule's comparison. The shapes reach every case of the radix sort:
+// heavy ties within one key byte, keys spread over all of them (Len up to
+// 2⁶², Procs up to 2³¹−1, so maxwork's area wraps and sets the sign bit),
+// clusters of keys that share their high bytes, all-equal keys, and n of
+// 0, 1 and 2.
 func TestSortByMatchesSliceStable(t *testing.T) {
 	less := map[string]func(a, b core.Job) bool{
 		"fifo":      func(a, b core.Job) bool { return false },
@@ -272,24 +307,68 @@ func TestSortByMatchesSliceStable(t *testing.T) {
 		"narrowest": func(a, b core.Job) bool { return a.Procs < b.Procs },
 		"maxwork":   func(a, b core.Job) bool { return a.Work() > b.Work() },
 	}
-	for seed := uint64(1); seed <= 200; seed++ {
-		r := rng.New(seed)
-		inst := &core.Instance{M: 8}
-		for i, n := 0, r.IntRange(0, 300); i < n; i++ {
-			inst.Jobs = append(inst.Jobs, core.Job{ID: i, Procs: r.IntRange(1, 4), Len: core.Time(r.IntRange(1, 4))})
-		}
-		for _, order := range Orders() {
-			want := identity(len(inst.Jobs))
-			sort.SliceStable(want, func(x, y int) bool {
-				return less[order.Name](inst.Jobs[want[x]], inst.Jobs[want[y]])
-			})
-			got := order.Indices(inst)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: %d indices for %d jobs", seed, order.Name, len(got), len(want))
+	const maxLen, maxM = 1 << 62, 1<<31 - 1
+	// spread draws from [1, hi] with every bit length equally likely.
+	spread := func(r *rng.PCG, hi int64) int64 {
+		b := r.Intn(bits.Len64(uint64(hi)))
+		return min(int64(1)<<b|r.Int63n(int64(1)<<b), hi)
+	}
+	wide := func(r *rng.PCG) core.Job {
+		return core.Job{Procs: int(spread(r, maxM)), Len: core.Time(spread(r, maxLen))}
+	}
+	shapes := []struct {
+		name string
+		maxN int
+		job  func(r *rng.PCG) func() core.Job // draws the instance's parameters, returns its job source
+	}{
+		{"ties", 300, func(r *rng.PCG) func() core.Job {
+			return func() core.Job { return core.Job{Procs: r.IntRange(1, 4), Len: core.Time(r.IntRange(1, 4))} }
+		}},
+		{"spread", 300, func(r *rng.PCG) func() core.Job {
+			m := spread(r, maxM)
+			return func() core.Job { return core.Job{Procs: int(spread(r, m)), Len: core.Time(spread(r, maxLen))} }
+		}},
+		{"clusters", 300, func(r *rng.PCG) func() core.Job {
+			var lens, procs [3]int64
+			for c := range lens {
+				lens[c], procs[c] = spread(r, maxLen-1<<16), spread(r, maxM-1<<8)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %s: position %d holds job %d, sort.SliceStable put %d there", seed, order.Name, i, got[i], want[i])
+			return func() core.Job {
+				c := r.Intn(len(lens))
+				return core.Job{Procs: int(procs[c] + r.Int63n(1<<8)), Len: core.Time(lens[c] + r.Int63n(1<<16))}
+			}
+		}},
+		{"equal", 300, func(r *rng.PCG) func() core.Job {
+			j := wide(r)
+			return func() core.Job { return j }
+		}},
+		{"tiny", 2, func(r *rng.PCG) func() core.Job {
+			return func() core.Job { return wide(r) }
+		}},
+	}
+	for seed := uint64(1); seed <= 200; seed++ {
+		for _, shape := range shapes {
+			r := rng.New(seed)
+			inst := &core.Instance{M: maxM}
+			draw := shape.job(r)
+			for i, n := 0, r.IntRange(0, shape.maxN); i < n; i++ {
+				j := draw()
+				j.ID = i
+				inst.Jobs = append(inst.Jobs, j)
+			}
+			for _, order := range Orders() {
+				want := identity(len(inst.Jobs))
+				sort.SliceStable(want, func(x, y int) bool {
+					return less[order.Name](inst.Jobs[want[x]], inst.Jobs[want[y]])
+				})
+				got := order.Indices(inst)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %s %s: %d indices for %d jobs", seed, shape.name, order.Name, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d %s %s: position %d holds job %d, sort.SliceStable put %d there", seed, shape.name, order.Name, i, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -2,9 +2,12 @@ package sched
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/verify"
 )
 
@@ -174,6 +177,116 @@ func TestLSRCFitsBeforeInfiniteReservation(t *testing.T) {
 	}
 	if s.StartOf(0) != 0 {
 		t.Fatalf("start = %v", s.StartOf(0))
+	}
+}
+
+// TestLSRCParkedFirstStuck: the list's first job is parked for good (an
+// infinite reservation leaves it no window) while a later one, too wide for
+// any event's free capacity, never leaves the tournament. The stuck error
+// must name the first job in list order, as the full re-scan does, not the
+// tournament's first.
+func TestLSRCParkedFirstStuck(t *testing.T) {
+	inst := &core.Instance{
+		M: 4,
+		Jobs: []core.Job{
+			{ID: 0, Procs: 3, Len: 5},  // refused at 0, no slot ever
+			{ID: 1, Procs: 1, Len: 10}, // starts at 0
+			{ID: 2, Procs: 4, Len: 1},  // wider than what is free at every event
+		},
+		Res: []core.Reservation{{ID: 0, Procs: 2, Start: 2, Len: core.Infinity}},
+	}
+	for _, backend := range []string{"array", "tree"} {
+		got, gotErr := (&LSRC{Backend: backend}).Schedule(inst)
+		want, wantErr := naiveLSRC(inst, FIFO, backend)
+		sameOutcome(t, backend, got, gotErr, want, wantErr)
+		if !errors.Is(gotErr, ErrStuck) || !strings.Contains(gotErr.Error(), "job 0 ") {
+			t.Fatalf("%s: got %v, want ErrStuck naming job 0", backend, gotErr)
+		}
+	}
+	// Job 0 was refused once and parked at Infinity; job 2 was never asked.
+	if _, err := (&LSRC{Backend: "counting"}).Schedule(inst); !errors.Is(err, ErrStuck) {
+		t.Fatalf("counting: got %v, want ErrStuck", err)
+	}
+	if c := lastCounting; c.canPlace != 2 || c.findSlot != 1 || c.notBefore[5] != core.Infinity {
+		t.Fatalf("%d CanPlace, %d FindSlot, job 0 held until %v; want 2, 1, inf", c.canPlace, c.findSlot, c.notBefore[5])
+	}
+}
+
+// nextChangeIndex answers FindSlot with a sound but looser bound than the
+// earliest start: the next breakpoint after ready, when that comes first. A
+// job refused at ready cannot start before availability next changes (any
+// start in between meets the segment that refused it), so LSRC may park on
+// it. The exact answer is always a rise in availability, which LSRC's
+// commits, all starting at the clock, can only deepen until the clock gets
+// there; this one can be a fall that a later commit levels, so that the
+// clock steps past it. It records the events and job 0's CanPlace starts.
+type nextChangeIndex struct {
+	profile.CapacityIndex
+	events, asked, parked []core.Time
+}
+
+var lastNextChange *nextChangeIndex
+
+func init() {
+	profile.RegisterBackend("nextchange", func(m int) profile.CapacityIndex {
+		tree, err := profile.NewIndex("tree", m)
+		if err != nil {
+			panic(err)
+		}
+		lastNextChange = &nextChangeIndex{CapacityIndex: tree}
+		return lastNextChange
+	})
+}
+
+func (c *nextChangeIndex) AvailableAt(t core.Time) int {
+	c.events = append(c.events, t)
+	return c.CapacityIndex.AvailableAt(t)
+}
+
+func (c *nextChangeIndex) CanPlace(start, dur core.Time, q int) bool {
+	if dur == 6 {
+		c.asked = append(c.asked, start)
+	}
+	return c.CapacityIndex.CanPlace(start, dur, q)
+}
+
+func (c *nextChangeIndex) FindSlot(ready core.Time, q int, dur core.Time) (core.Time, bool) {
+	at, ok := c.CapacityIndex.FindSlot(ready, q, dur)
+	if next, more := c.CapacityIndex.NextBreakpoint(ready); ok && more && next < at {
+		at = next
+	}
+	c.parked = append(c.parked, at)
+	return at, ok
+}
+
+// TestLSRCParkedInstantHealed: job 0 is parked until 5, where availability
+// falls for a reservation; job 1's commit then ends at 5 and levels it. The
+// clock steps from 0 straight to 10, past 5, and job 0 must be back in the
+// tournament at 10, the first event after its instant.
+func TestLSRCParkedInstantHealed(t *testing.T) {
+	inst := &core.Instance{
+		M: 4,
+		Jobs: []core.Job{
+			{ID: 0, Procs: 3, Len: 6}, // refused at 0: the reservation is in its window
+			{ID: 1, Procs: 2, Len: 5}, // starts at 0, ends where the reservation starts
+		},
+		Res: []core.Reservation{{ID: 0, Procs: 2, Start: 5, Len: 5}},
+	}
+	got, gotErr := (&LSRC{Backend: "nextchange"}).Schedule(inst)
+	want, wantErr := naiveLSRC(inst, FIFO, "tree")
+	sameOutcome(t, "nextchange", got, gotErr, want, wantErr)
+	c := lastNextChange
+	if !slices.Equal(c.parked, []core.Time{5}) {
+		t.Fatalf("job 0 parked until %v, want [5]", c.parked)
+	}
+	if before, at := c.CapacityIndex.AvailableAt(4), c.CapacityIndex.AvailableAt(5); before != at {
+		t.Fatalf("availability %d before 5 and %d at 5: not levelled", before, at)
+	}
+	if !slices.Equal(c.events, []core.Time{0, 10}) || !slices.Equal(c.asked, []core.Time{0, 10}) {
+		t.Fatalf("events at %v, job 0 asked at %v; want [0 10] and [0 10]", c.events, c.asked)
+	}
+	if got.StartOf(0) != 10 {
+		t.Fatalf("job 0 starts at %v, want 10", got.StartOf(0))
 	}
 }
 

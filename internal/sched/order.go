@@ -1,9 +1,6 @@
 package sched
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/core"
 	"repro/internal/rng"
 )
@@ -28,15 +25,45 @@ func identity(n int) []int {
 	return out
 }
 
-// sortBy returns indices sorted by the given three-way comparison, with ties
-// broken by instance position (the sort is stable) so orders are total and
-// deterministic.
-func sortBy(inst *core.Instance, compare func(a, b core.Job) int) []int {
-	idx := identity(len(inst.Jobs))
-	slices.SortStableFunc(idx, func(x, y int) int {
-		return compare(inst.Jobs[x], inst.Jobs[y])
-	})
-	return idx
+// sortBy returns the job indices in increasing order of key, with ties
+// broken by instance position so orders are total and deterministic. A
+// descending rule passes ^k, which reverses the order of every int64
+// (where -k overflows at math.MinInt64).
+//
+// It is a stable LSD radix sort: one O(n) counting pass per key byte,
+// skipping the bytes every key shares, so a key that fits in 16 bits costs
+// two passes. The sign bit is flipped so that unsigned byte order is signed
+// key order; stability over the identity permutation gives the tie-break.
+func sortBy(inst *core.Instance, key func(*core.Job) int64) []int {
+	n := len(inst.Jobs)
+	keys, idx := make([]uint64, 2*n), make([]int, 2*n)
+	same, varies := ^uint64(0), uint64(0) // bits every key has, bits any key has
+	for i := range inst.Jobs {
+		k := uint64(key(&inst.Jobs[i])) ^ 1<<63
+		keys[i], idx[i] = k, i
+		same, varies = same&k, varies|k
+	}
+	src, dst, from, to := keys[:n], keys[n:], idx[:n:n], idx[n:]
+	for shift := 0; shift < 64; shift += 8 {
+		if (same^varies)>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range src {
+			at[k>>shift&0xff]++
+		}
+		sum := 0
+		for b := range at {
+			at[b], sum = sum, sum+at[b]
+		}
+		for i, k := range src {
+			b := k >> shift & 0xff
+			dst[at[b]], to[at[b]] = k, from[i]
+			at[b]++
+		}
+		src, dst, from, to = dst, src, to, from
+	}
+	return from
 }
 
 // FIFO preserves instance (submission) order. This is the order used by the
@@ -48,27 +75,27 @@ var FIFO = Order{Name: "fifo", Indices: func(inst *core.Instance) []int {
 // LPT orders by decreasing processing time (the conclusion's suggested
 // priority: "sorting the jobs by decreasing durations").
 var LPT = Order{Name: "lpt", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(b.Len, a.Len) })
+	return sortBy(inst, func(j *core.Job) int64 { return ^int64(j.Len) })
 }}
 
 // SPT orders by increasing processing time.
 var SPT = Order{Name: "spt", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(a.Len, b.Len) })
+	return sortBy(inst, func(j *core.Job) int64 { return int64(j.Len) })
 }}
 
 // WidestFirst orders by decreasing processor requirement.
 var WidestFirst = Order{Name: "widest", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(b.Procs, a.Procs) })
+	return sortBy(inst, func(j *core.Job) int64 { return ^int64(j.Procs) })
 }}
 
 // NarrowestFirst orders by increasing processor requirement.
 var NarrowestFirst = Order{Name: "narrowest", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(a.Procs, b.Procs) })
+	return sortBy(inst, func(j *core.Job) int64 { return int64(j.Procs) })
 }}
 
 // MaxWorkFirst orders by decreasing area p*q.
 var MaxWorkFirst = Order{Name: "maxwork", Indices: func(inst *core.Instance) []int {
-	return sortBy(inst, func(a, b core.Job) int { return cmp.Compare(b.Work(), a.Work()) })
+	return sortBy(inst, func(j *core.Job) int64 { return ^j.Work() })
 }}
 
 // RandomOrder returns a rule that shuffles the list with the given seed.

@@ -9,7 +9,8 @@ import "math"
 // repository asks — "the leftmost pending position at or after p whose job
 // could fit in free processors" — so a pass visits only jobs that pass the
 // width test, in exact list order, at O(log n) apiece instead of walking
-// the whole pending list.
+// the whole pending list. Remove takes a position out (a job started, or
+// one LSRC parks until it may fit) and Restore puts a removed one back.
 //
 // The tournament knows widths only. Whether a job's whole window fits is
 // still the capacity index's call (CanPlace); the tournament just keeps
@@ -87,8 +88,8 @@ func (tr *Tournament) Next(p, free int) int {
 // First returns the leftmost position that has not been removed, or -1.
 func (tr *Tournament) First() int { return tr.Next(0, gone-1) }
 
-// Remove takes position p out of the tournament; Next never returns it
-// again.
+// Remove takes position p out of the tournament; Next does not return it
+// again unless it is restored.
 func (tr *Tournament) Remove(p int) {
 	i := tr.leaves + p
 	tr.t[i] = gone
@@ -98,5 +99,16 @@ func (tr *Tournament) Remove(p int) {
 			break
 		}
 		tr.t[i] = m
+	}
+}
+
+// Restore puts a removed position p back with the given width, the inverse
+// of Remove: the leaf is set and each ancestor lowered while it is wider.
+func (tr *Tournament) Restore(p, width int) {
+	w := clampWidth(width)
+	i := tr.leaves + p
+	tr.t[i] = w
+	for i >>= 1; i >= 1 && tr.t[i] > w; i >>= 1 {
+		tr.t[i] = w
 	}
 }
