@@ -181,7 +181,7 @@ func runScale(cfg Config) (*Report, error) {
 	r.Notes = append(r.Notes, fmt.Sprintf(
 		"the index has %.2f–%.2f of the wall-clock over the grid, and over half of it (index-bound) at job counts %v; "+
 			"near 4 calls per job the index time is Commit, every call above 4 is a refused CanPlace or its FindSlot (a job held back by a reservation ahead, at most once per reservation), "+
-			"and the time outside the index is mostly the tournament's walk over the jobs that may start (one step per job started or parked, one per event), then instance validation",
+			"and the time outside the index is mostly the tournament's root-to-leaf descent to each job that may start (one per job started or parked, and one compare per event for the miss that ends its pass), then instance validation",
 		loShare, hiShare, bound))
 	r.Tables = append(r.Tables, NamedTable{
 		Caption: "LSRC-LPT at production scale",

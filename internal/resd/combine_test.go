@@ -162,6 +162,7 @@ func TestCombineCloseRace(t *testing.T) {
 		Shards: 3, M: m, Batch: 4,
 		WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone},
 	})
+	skipNoLog(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}

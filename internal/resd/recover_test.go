@@ -134,6 +134,7 @@ func TestRecoveryOracle(t *testing.T) {
 				}
 				defer ref.Close()
 				svc, err := New(walConfig(backend, dir, snapEvery))
+				skipNoLog(t, err)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -182,6 +183,7 @@ func TestRecoveryFromLiveDirectory(t *testing.T) {
 	}
 	defer ref.Close()
 	svc, err := New(walConfig("tree", dir, 0))
+	skipNoLog(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +236,7 @@ func TestRecoveryFromLiveDirectory(t *testing.T) {
 func TestRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(walConfig("array", dir, 0))
+	skipNoLog(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +294,7 @@ func TestRecoveryTornTail(t *testing.T) {
 func TestRecoveryTornTailThenRestart(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(walConfig("array", dir, 0))
+	skipNoLog(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,6 +458,7 @@ func TestRetiredLogRefused(t *testing.T) {
 			}
 			before := dirDigest(t, dir)
 			svc, err := New(walConfig("tree", dir, 64))
+			skipNoLog(t, err)
 			if c.loads {
 				if err != nil {
 					t.Fatal(err)
@@ -520,6 +525,7 @@ func TestRecoveryCorruptMidLog(t *testing.T) {
 	cfg := walConfig("array", dir, 0)
 	cfg.Shards = 1
 	svc, err := New(cfg)
+	skipNoLog(t, err)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,20 @@ import (
 	"repro/internal/workload"
 )
 
+// skipNoLog skips the test when err is wal.Open's refusal on a platform
+// with no shared file mapping: the configuration under test has a log.
+func skipNoLog(t *testing.T, err error) {
+	t.Helper()
+	if errors.Is(err, errors.ErrUnsupported) {
+		t.Skip(err)
+	}
+}
+
 // mustNew builds a service and registers its shutdown with the test.
 func mustNew(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	s, err := New(cfg)
+	skipNoLog(t, err)
 	if err != nil {
 		t.Fatalf("New(%+v): %v", cfg, err)
 	}

@@ -19,7 +19,8 @@
 // tree is 10⁵ nodes reached by pointer-chasing, a mutation is four
 // root-to-leaf passes that rewrite aggregates all the way up, and an
 // earliest-fit visits blocking segments one node at a time. Here a lookup
-// is a binary search of the directory and of one leaf, O(log n), and
+// is two compares at the finger (below) or a binary search of the
+// directory and of one leaf, O(log n), and
 //
 //   - admission checks (MinAvailable, CanPlace) scan the window's first and
 //     last leaf and read min/max for every leaf wholly inside it;
@@ -38,6 +39,15 @@
 //     one is dropped and one that fits with a neighbour in half a leaf is
 //     absorbed. A split or a drop moves the directory's tail, O(n/64)
 //     with a memmove's constant.
+//
+// The finger is the segment holding the start of the last Commit or
+// Release that took the one-leaf path, or the origin's after one that did
+// not. A lookup tries that segment and the next one in its leaf before it
+// searches: a list scheduler asks about the instant it just committed at
+// or about the breakpoint after it, so about three lookups in five stop
+// there in LSRC. Only the two mutations write the finger; every read
+// leaves the tree untouched, so any number of reads may run together, as
+// they do under profile.Synchronized's read lock.
 //
 // Measured against the arena AVL this replaced, FindSlot+Commit+Release at
 // the admission benchmark's density (m=256, half the prefix booked), ns per
@@ -103,6 +113,9 @@ type Tree struct {
 	dir    []entry     // parallel to first
 	free   int32       // head of the free list, -1 when empty
 	size   int         // live segments
+	// fin is the finger: directory position and slot of a live segment,
+	// where the last mutation left off. Only apply writes it.
+	fin struct{ d, k int32 }
 }
 
 // Tree implements the backend seam.
@@ -166,8 +179,22 @@ func lastLE(s []core.Time, at core.Time) int {
 }
 
 // locate returns the segment containing at (at >= 0): directory position,
-// the entry and leaf there, and the slot.
+// the entry and leaf there, and the slot. It tries the finger's segment and
+// the next one in its leaf first (see the package comment), and
+// binary-searches the directory and the leaf only when at lies in neither.
 func (t *Tree) locate(at core.Time) (d int, e *entry, l *leaf, k int) {
+	d, k = int(t.fin.d), int(t.fin.k)
+	e = &t.dir[d]
+	l = &t.leaves[e.leaf]
+	if at >= l.start[k] {
+		if at < t.slotEnd(d, e, l, k) {
+			return d, e, l, k
+		}
+		// At the leaf's last slot both ends are leafEnd(d), so this misses.
+		if at < t.slotEnd(d, e, l, k+1) {
+			return d, e, l, k + 1
+		}
+	}
 	d = lastLE(t.first, at)
 	e = &t.dir[d]
 	l = &t.leaves[e.leaf]
@@ -180,6 +207,14 @@ func (t *Tree) leafEnd(d int) core.Time {
 		return t.first[d+1]
 	}
 	return core.Infinity
+}
+
+// slotEnd returns where segment k of leaf d (entry e, leaf l) ends.
+func (t *Tree) slotEnd(d int, e *entry, l *leaf, k int) core.Time {
+	if k+1 < int(e.n) {
+		return l.start[k+1]
+	}
+	return t.leafEnd(d)
 }
 
 // CapacityAt is the paper-facing name for AvailableAt.
@@ -476,6 +511,9 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 	// room for two new breakpoints.
 	if !within || n > leafCap-2 || (k0 == 0 && d > 0 && !cutStart) ||
 		(k1+1 == n && end != core.Infinity && !cutEnd) {
+		// Splits, drops and merges move slots and leaves under the finger;
+		// leaf 0's slot 0 is live throughout, as leaf 0 is never dropped.
+		t.fin.d, t.fin.k = 0, 0
 		t.cut(end)
 		t.cut(start)
 		t.addRange(start, end, delta)
@@ -501,8 +539,9 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 	}
 	if k0 > 0 && l.avail[k0] == l.avail[k0-1] {
 		l.remove(n, k0)
-		n--
+		n, k0 = n-1, k0-1
 	}
+	t.fin.d, t.fin.k = int32(d), int32(k0) // the segment holding start
 	t.size += n - int(e.n)
 	shrunk := n < int(e.n)
 	e.n = int32(n)
@@ -522,6 +561,7 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 		}
 	}
 	if shrunk && n <= leafCap/2 {
+		t.fin.d, t.fin.k = 0, 0 // absorb may fold leaf d into d-1
 		t.absorb(d)
 	}
 	return nil

@@ -61,6 +61,9 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	if segs != tr.size {
 		t.Fatalf("size=%d but %d reachable segments", tr.size, segs)
 	}
+	if d, k := int(tr.fin.d), int(tr.fin.k); d < 0 || d >= len(tr.dir) || k < 0 || k >= int(tr.dir[d].n) {
+		t.Fatalf("finger at leaf %d slot %d names no live segment (%d leaves)", d, k, len(tr.dir))
+	}
 	free := 0
 	for i := tr.free; i != -1; i = tr.leaves[i].avail[0] {
 		if i < 0 || int(i) >= len(tr.leaves) || live[i] {

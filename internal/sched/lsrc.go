@@ -58,9 +58,12 @@ func (l *LSRC) order() Order {
 //     instant t does, so a job with q > free(t) fails CanPlace(t, p, q) and
 //     is skipped without asking. free is read from the index once per event
 //     and kept current by hand: a commit at t of a job with p >= 1 lowers
-//     the capacity at t by exactly q. The tournament answers "next list
-//     position whose width is at most free" in list order, so the jobs that
-//     do get asked are asked in the order the full scan would ask them.
+//     the capacity at t by exactly q. The tournament answers "leftmost
+//     pending list position whose width is at most free". Every job it
+//     offers leaves it (started or parked) and free only falls, so each
+//     position left of the last offer is gone or too wide, and the leftmost
+//     fit is the next one in list order: the jobs that do get asked are
+//     asked in the order the full scan would ask them.
 //   - One pass. Within an event nothing is released, so capacity only
 //     shrinks as the pass proceeds: a job refused earlier in the pass
 //     cannot fit later in it, and a second pass would start nothing.
@@ -83,9 +86,10 @@ func (l *LSRC) order() Order {
 //
 // Cost: O(n) for the list order (a radix sort) and the tournament, then one
 // AvailableAt and one NextBreakpoint per event and O(log n) per job
-// started, parked or restored — no longer O(pending) index calls or
-// tournament steps per event. Without reservations CanPlace is called
-// exactly n times and never fails.
+// started, parked or restored: one root-to-leaf descent per offer, and one
+// compare of the root for the miss that ends each pass — no longer
+// O(pending) index calls or tournament steps per event. Without
+// reservations CanPlace is called exactly n times and never fails.
 func (l *LSRC) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	tl, err := prep(inst, l.Backend)
 	if err != nil {
@@ -111,7 +115,11 @@ func (l *LSRC) Schedule(inst *core.Instance) (*core.Schedule, error) {
 			pending.Restore(pos, width(pos))
 		}
 		free := tl.AvailableAt(t)
-		for pos := pending.Next(0, free); pos >= 0; pos = pending.Next(pos+1, free) {
+		// Every position the pass is offered leaves the tournament (started
+		// or parked) and free only falls, so each one left of the last offer
+		// is removed or wider than free: the leftmost fit is the next one in
+		// list order, which is what Next(pos+1, free) would climb to.
+		for pos := pending.Leftmost(free); pos >= 0; pos = pending.Leftmost(free) {
 			idx := list[pos]
 			j := inst.Jobs[idx]
 			pending.Remove(pos)

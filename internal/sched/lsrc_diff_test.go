@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"testing"
@@ -246,16 +247,27 @@ func TestEASYMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestTournamentMatchesLinearScan checks Next and First against a plain
-// scan of the width slice after every Remove and every Restore of a
-// removed position, for list lengths on both sides of the powers of two.
+// TestTournamentMatchesLinearScan checks Next, Leftmost and First against a
+// plain scan of the width slice after every Remove and every Restore of a
+// removed position, for list lengths on both sides of the powers of two
+// and for 0, 1, 2 and 1025. Some widths are gone-1, the widest a leaf
+// holds, and Leftmost is probed at free 0, below zero and at and around
+// the clamp. Then everything is removed and every query must miss; then
+// the positions come back and LSRC-shaped passes run over them.
 func TestTournamentMatchesLinearScan(t *testing.T) {
-	for seed := uint64(1); seed <= 300; seed++ {
+	sizes := []int{0, 1, 2, 1025}
+	for seed := uint64(1); seed <= 300+uint64(len(sizes)); seed++ {
 		r := rng.New(seed)
 		n := r.IntRange(0, 70)
+		if seed > 300 {
+			n = sizes[seed-301]
+		}
 		widths := make([]int, n)
 		for i := range widths {
 			widths[i] = r.IntRange(1, 16)
+			if r.Intn(16) == 0 {
+				widths[i] = gone - 1
+			}
 		}
 		tr := NewTournament(n, func(p int) int { return widths[p] })
 		removed := make([]bool, n)
@@ -266,6 +278,12 @@ func TestTournamentMatchesLinearScan(t *testing.T) {
 				}
 			}
 			return -1
+		}
+		leftmost := func(step, free int) {
+			t.Helper()
+			if got, want := tr.Leftmost(free), scan(0, free); got != want {
+				t.Fatalf("seed %d step %d: Leftmost(%d) = %d, scan says %d", seed, step, free, got, want)
+			}
 		}
 		for step := 0; step < 6*n+4; step++ {
 			if n > 0 {
@@ -284,9 +302,62 @@ func TestTournamentMatchesLinearScan(t *testing.T) {
 					t.Fatalf("seed %d step %d: Next(%d, %d) = %d, scan says %d", seed, step, p, free, got, want)
 				}
 			}
+			for _, free := range []int{r.Intn(18), 0, -1, -7, math.MinInt, gone - 2, gone - 1, math.MaxInt} {
+				leftmost(step, free)
+			}
 			if got, want := tr.First(), scan(0, 1<<40); got != want {
 				t.Fatalf("seed %d step %d: First() = %d, scan says %d", seed, step, got, want)
 			}
+		}
+		for p := range removed {
+			if !removed[p] {
+				tr.Remove(p)
+				removed[p] = true
+			}
+		}
+		if got := tr.Leftmost(math.MaxInt); got != -1 || tr.First() != -1 || tr.Next(0, math.MaxInt) != -1 {
+			t.Fatalf("seed %d: all %d removed, yet Leftmost = %d, First = %d, Next = %d", seed, n, got, tr.First(), tr.Next(0, math.MaxInt))
+		}
+		tournamentPasses(t, seed, r, &tr, widths, removed, scan)
+	}
+}
+
+// tournamentPasses replays LSRC's use of the tournament from a state where
+// every position is removed: at the top of each event some removed
+// positions come back, then one pass takes the leftmost fit for free, and
+// each offered job either starts (free falls by its width) or is parked;
+// both take it out. Within the pass every position left of the last offer
+// is removed or wider than free, so Leftmost(free) must equal Next(pos+1,
+// free) — the climb it replaces — and the scan.
+func tournamentPasses(t *testing.T, seed uint64, r *rng.PCG, tr *Tournament, widths []int, removed []bool, scan func(p, free int) int) {
+	t.Helper()
+	n := len(widths)
+	for event := 0; event < 2*n+2; event++ {
+		for p := range removed {
+			if removed[p] && r.Intn(3) == 0 {
+				tr.Restore(p, widths[p])
+				removed[p] = false
+			}
+		}
+		free := r.IntRange(0, 40)
+		for pos := tr.Leftmost(free); pos >= 0; {
+			if want := scan(0, free); pos != want {
+				t.Fatalf("seed %d event %d: Leftmost(%d) = %d, scan says %d", seed, event, free, pos, want)
+			}
+			tr.Remove(pos)
+			removed[pos] = true
+			if r.Intn(2) == 0 {
+				free -= widths[pos] // started; otherwise parked
+			}
+			next := tr.Leftmost(free)
+			if want := tr.Next(pos+1, free); next != want {
+				t.Fatalf("seed %d event %d: after offering %d, Leftmost(%d) = %d but Next(%d, %d) = %d",
+					seed, event, pos, free, next, pos+1, free, want)
+			}
+			pos = next
+		}
+		if want := scan(0, free); want != -1 {
+			t.Fatalf("seed %d event %d: the pass ended with %d still fitting in %d", seed, event, want, free)
 		}
 	}
 }

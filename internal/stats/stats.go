@@ -95,57 +95,6 @@ func MaxFloat(xs []float64) float64 {
 	return max
 }
 
-// Histogram bins the sample into nBins equal-width bins over [min, max].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram. Values outside [lo, hi] clamp to the
-// boundary bins.
-func NewHistogram(xs []float64, lo, hi float64, nBins int) *Histogram {
-	if nBins < 1 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nBins)}
-	for _, x := range xs {
-		b := int((x - lo) / (hi - lo) * float64(nBins))
-		if b < 0 {
-			b = 0
-		}
-		if b >= nBins {
-			b = nBins - 1
-		}
-		h.Counts[b]++
-	}
-	return h
-}
-
-// Render draws the histogram with unicode block bars, one bin per line.
-func (h *Histogram) Render(width int) string {
-	if width < 1 {
-		width = 40
-	}
-	max := 0
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	binW := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := 0
-		if max > 0 {
-			bar = c * width / max
-		}
-		fmt.Fprintf(&b, "%10.3f..%-10.3f |%s %d\n",
-			h.Lo+float64(i)*binW, h.Lo+float64(i+1)*binW,
-			strings.Repeat("█", bar), c)
-	}
-	return b.String()
-}
-
 // Table formats rows as a fixed-width text table with a header.
 type Table struct {
 	header []string

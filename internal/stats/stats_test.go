@@ -76,27 +76,6 @@ func TestMeanAndMax(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 0.2, 0.9, 1.5, -3}, 0, 1, 2)
-	// -3 clamps into bin 0; 1.5 into bin 1.
-	if h.Counts[0] != 3 || h.Counts[1] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	out := h.Render(20)
-	if !strings.Contains(out, "█") || !strings.Contains(out, "3") {
-		t.Fatalf("render:\n%s", out)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(nil, 1, 0, 3)
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("alg", "ratio")
 	tb.AddRow("lsrc", 1.6667)

@@ -60,8 +60,14 @@
 // it as mid-log corruption and drop the acknowledged records that
 // followed it.
 //
-// fallocate and MAP_SHARED make the package Linux-only; CI, the drills
-// and bench/ run nowhere else.
+// What each platform gets: on Linux a chunk is allocated with fallocate
+// and mapped MAP_SHARED, which is what CI, the drills and bench/ run. On
+// other unix systems (darwin, the BSDs) the chunk's zeros are written once
+// with WriteAt before it is mapped the same way: one more write of 4 MiB
+// per chunk, the same format and the same recovery. Elsewhere (windows)
+// there is no shared mapping, and Open fails with an error naming the
+// platform that wraps errors.ErrUnsupported; Recover and the record and
+// snapshot codecs still work there.
 //
 // # Record framing
 //

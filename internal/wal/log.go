@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/flight"
@@ -30,8 +29,9 @@ const (
 
 // chunk is how much of a segment is allocated and mapped at a time. The
 // blocks are allocated for real, not left sparse: a store into a sparse
-// mapping on a full disk raises SIGBUS, where fallocate returns ENOSPC
-// to Append.
+// mapping on a full disk raises SIGBUS, where allocating first (fallocate
+// on Linux, a write of the chunk's zeros on other unix systems) returns
+// ENOSPC to Append.
 const chunk = 4 << 20
 
 // Options parameterises a service's WAL.
@@ -111,8 +111,13 @@ type Log struct {
 // Open creates the next log generation for shard in o.Dir (one past
 // the newest existing generation, so prior state stays replayable) and
 // returns the append handle. The caller recovers prior generations
-// with Recover before Open; Open itself never reads them.
+// with Recover before Open; Open itself never reads them. Where the
+// platform has no shared file mapping, Open fails with an error that wraps
+// errors.ErrUnsupported and names the platform, and creates nothing.
 func Open(shard int, o Options) (*Log, error) {
+	if errPlatform != nil {
+		return nil, errPlatform
+	}
 	o, err := o.Normalize()
 	if err != nil {
 		return nil, err
@@ -157,39 +162,6 @@ func (l *Log) create(gen uint64) error {
 		return err
 	}
 	l.gen.Store(gen)
-	return nil
-}
-
-// mapChunk allocates the chunk at file offset off and maps it in place
-// of the current one.
-func (l *Log) mapChunk(off int64) error {
-	fd := int(l.f.Fd())
-	if err := syscall.Fallocate(fd, 0, off, chunk); err != nil {
-		return fmt.Errorf("fallocate: %w", err)
-	}
-	m, err := syscall.Mmap(fd, off, chunk, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err != nil {
-		return fmt.Errorf("mmap: %w", err)
-	}
-	if err := l.unmap(); err != nil {
-		syscall.Munmap(m) // the failure to report is the first one
-		return err
-	}
-	l.m, l.mOff, l.pos = m, off, 0
-	return nil
-}
-
-// unmap drops the current chunk's mapping. Its pages stay in the page
-// cache, dirty until written back.
-func (l *Log) unmap() error {
-	if l.m == nil {
-		return nil
-	}
-	err := syscall.Munmap(l.m)
-	l.m = nil
-	if err != nil {
-		return fmt.Errorf("munmap: %w", err)
-	}
 	return nil
 }
 

@@ -12,6 +12,20 @@ import (
 	"testing"
 )
 
+// openLog opens shard 0's log in o.Dir, skipping the test where Open is
+// unsupported on this platform.
+func openLog(t *testing.T, o Options) *Log {
+	t.Helper()
+	l, err := Open(0, o)
+	if errors.Is(err, errors.ErrUnsupported) {
+		t.Skip(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // sampleRecords is eight records of both types, with every meaningful
 // field populated (negative times included: the varint coding's sign
 // path is part of the format).
@@ -198,10 +212,7 @@ func frames(recs ...Record) []byte {
 
 func TestLogAppendRecover(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(0, Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, Options{Dir: dir})
 	recs := sampleRecords()
 	for _, r := range recs {
 		if err := l.Append(r); err != nil {
@@ -293,10 +304,7 @@ func TestTornTailRepairSurvivesLaterGenerations(t *testing.T) {
 		t.Fatalf("torn tail survived on disk: %d bytes, want %d", len(onDisk), len(want))
 	}
 	// The restarted process acknowledges new records in the next generation.
-	l, err := Open(0, Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, Options{Dir: dir})
 	for _, r := range recs[4:] {
 		if err := l.Append(r); err != nil {
 			t.Fatal(err)
@@ -407,10 +415,7 @@ func appendAll(t *testing.T, l *Log, recs []Record) {
 // must leave exactly the framed bytes, and recovery must read every one.
 func TestSegmentSpansChunks(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(0, Options{Dir: dir, Sync: SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, Options{Dir: dir, Sync: SyncNone})
 	// Every ID below 2^21 past 2^14 is a three-byte uvarint: one length.
 	rec := Record{Type: TAdmit, ID: 1 << 14, Tenant: strings.Repeat("t", 1000), Procs: 3, Dur: 7, Deadline: 1 << 30}
 	n := len(frames(rec))
@@ -470,10 +475,7 @@ func copyDir(t *testing.T, dir string) string {
 // every record and reports nothing, and is cut to its framed length.
 func TestLiveSegmentRecovers(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(0, Options{Dir: dir, Sync: SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, Options{Dir: dir, Sync: SyncNone})
 	defer l.Close()
 	recs := sampleRecords()
 	appendAll(t, l, recs)
@@ -502,10 +504,7 @@ func TestLiveSegmentRecovers(t *testing.T) {
 // as corruption.
 func TestRotateSealsOlderGeneration(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(0, Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, Options{Dir: dir})
 	recs := sampleRecords()
 	for i := 0; i < 3; i++ {
 		appendAll(t, l, recs[2*i:2*i+2])
@@ -537,10 +536,7 @@ func TestRotateSealsOlderGeneration(t *testing.T) {
 // way into the log allocates nothing, synced or not.
 func TestAppendCommitAllocs(t *testing.T) {
 	for _, sync := range []SyncMode{SyncNone, SyncBatch} {
-		l, err := Open(0, Options{Dir: t.TempDir(), Sync: sync})
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := openLog(t, Options{Dir: t.TempDir(), Sync: sync})
 		rec := sampleRecords()[0]
 		allocs := testing.AllocsPerRun(200, func() {
 			if err := l.Append(rec); err != nil {
@@ -725,10 +721,7 @@ func TestMisdirectedSnapshotRejected(t *testing.T) {
 
 func TestRotateAndSnapshotTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(0, Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, Options{Dir: dir})
 	defer l.Close()
 	recs := sampleRecords()
 	for _, r := range recs[:4] {
@@ -783,10 +776,7 @@ func TestRotateAndSnapshotTruncate(t *testing.T) {
 func TestOpenSkipsExistingGenerations(t *testing.T) {
 	dir := t.TempDir()
 	writeLog(t, dir, 0, 3, frames(sampleRecords()[:2]...))
-	l, err := Open(0, Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openLog(t, Options{Dir: dir})
 	defer l.Close()
 	if g := l.Stats().Gen; g != 4 {
 		t.Fatalf("Open landed on generation %d, want 4 (one past the newest)", g)
