@@ -43,13 +43,12 @@
 // Request (tenant, ready time, width, duration, deadline), and it is
 // deadline-aware: it rejects with ErrDeadline when the earliest feasible
 // start on the α-prefix exceeds the caller's deadline, instead of pushing
-// the reservation back.
-// profile.Synchronized wraps an index for safe cross-goroutine reads
-// (service snapshots); bench/ (BENCHMARK.json) prices the service on two
-// cores and four shards — admit-small 1.67–1.72 M operations/s, admit-large
-// 1.16–1.21 M/s over 250 000 live reservations. See examples/service
-// for a walkthrough and the internal/resd package comment for the shard
-// and placement model.
+// the reservation back. Every index has one owner and no lock: a
+// snapshot is a clone the caller owns, and since reads never write, any
+// number of goroutines may read it. bench/ (BENCHMARK.json) prices the
+// service on two cores and four shards; ROADMAP.md ("Where the time goes")
+// has the latest figures. See examples/service for a walkthrough and the
+// internal/resd package comment for the shard and placement model.
 //
 // A reservation is placed once: the shard that admits it holds it until
 // it is cancelled, and skew between shards is handled where that choice
@@ -93,9 +92,9 @@
 // split from hard errors; deterministic equivalence tests pin both
 // modes to identical placements and an SWF trace replay to the serial
 // admission baseline. FuzzWireCodec hardens the decoder against hostile
-// bytes, and bench/'s wire-small prices the layer: ≈ 296 k operations/s
-// over loopback against ≈ 1.7 M/s in process (admit-small), with
-// reswire.pipeline_gain the pipelined over the unpipelined throughput.
+// bytes, and bench/'s wire-small prices the layer against admit-small in
+// process (figures in ROADMAP.md), with reswire.pipeline_gain the
+// pipelined over the unpipelined throughput.
 // cmd/resdsrv with cmd/resload -addr is the walkthrough.
 //
 // See README.md for a tour. The root-level benchmarks (bench_test.go)

@@ -86,8 +86,8 @@ func main() {
 	}
 
 	// Snapshots are taken by the shard's combiner between requests and come
-	// back wrapped in profile.Synchronized, safe to share across
-	// goroutines. The α floor is visible in the data: available capacity
+	// back as a clone the caller owns; any number of goroutines may read
+	// it. The α floor is visible in the data: available capacity
 	// never drops below 16 anywhere (Pre is exempt, so probe past it).
 	snap, err := svc.Snapshot(0)
 	if err != nil {

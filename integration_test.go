@@ -135,9 +135,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestExactAgreesWithPortfolioOnSmallPipelines cross-checks the solvers on
-// a derived small instance: the exact optimum never exceeds any heuristic
-// and the parallel solver agrees with the sequential one.
+// TestExactAgreesWithPortfolioOnSmallPipelines cross-checks the solver on
+// derived small instances: the exact optimum never exceeds any heuristic.
 func TestExactAgreesWithPortfolioOnSmallPipelines(t *testing.T) {
 	r := rng.New(445566)
 	for trial := 0; trial < 15; trial++ {
@@ -147,24 +146,17 @@ func TestExactAgreesWithPortfolioOnSmallPipelines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := exact.Solve(inst)
+		opt, err := exact.Solve(inst)
 		if err != nil {
 			t.Fatal(err)
-		}
-		par, err := (&exact.ParallelSolver{}).Solve(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Cmax != par.Cmax {
-			t.Fatalf("trial %d: solvers disagree: %v vs %v", trial, seq.Cmax, par.Cmax)
 		}
 		best, err := sched.DefaultPortfolio().Schedule(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if best.Makespan() < seq.Cmax {
+		if best.Makespan() < opt.Cmax {
 			t.Fatalf("trial %d: portfolio %v beat the exact optimum %v",
-				trial, best.Makespan(), seq.Cmax)
+				trial, best.Makespan(), opt.Cmax)
 		}
 	}
 }

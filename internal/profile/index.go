@@ -30,6 +30,12 @@ import (
 // neighbouring segments — so all observations, including NextBreakpoint and
 // NumSegments, agree exactly; internal/restree's differential fuzz harness
 // enforces this.
+//
+// An index has one owner, and there is no lock anywhere: a scheduler owns
+// the index it schedules on, a resd shard's combiner owns the shard's, and
+// the caller of a snapshot owns the clone it was handed. Reads never write,
+// so any number of goroutines may read one index that nobody is mutating;
+// Commit and Release are for the owner alone.
 type CapacityIndex interface {
 	// M returns the machine size the index was created with.
 	M() int

@@ -421,11 +421,12 @@ func (s *Service) Query(t core.Time) ([]int, error) {
 	return out, nil
 }
 
-// Snapshot returns an independent copy of one shard's capacity index,
-// wrapped in profile.Synchronized so the caller may share it across
-// goroutines. The copy is consistent (taken by the shard's combiner, between
-// requests) and immediately stale, like any snapshot of a live system.
-func (s *Service) Snapshot(shard int) (*profile.Synchronized, error) {
+// Snapshot returns an independent copy of one shard's capacity index. The
+// caller owns it: it may commit to it, and while nobody does, any number of
+// goroutines may read it (profile.CapacityIndex). The copy is consistent
+// (taken by the shard's combiner, between requests) and immediately stale,
+// like any snapshot of a live system.
+func (s *Service) Snapshot(shard int) (profile.CapacityIndex, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
 	}
@@ -433,7 +434,7 @@ func (s *Service) Snapshot(shard int) (*profile.Synchronized, error) {
 	if err != nil {
 		return nil, err
 	}
-	return profile.NewSynchronized(resp.snap), nil
+	return resp.snap, nil
 }
 
 // ShardStats is one shard's load summary.

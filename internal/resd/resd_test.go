@@ -245,6 +245,23 @@ func TestSnapshotIsIndependent(t *testing.T) {
 	if got := snap.AvailableAt(5); got != 5 {
 		t.Fatalf("snapshot changed under live traffic: avail(5) = %d", got)
 	}
+	// Nor the other way: the caller owns the snapshot and may change it.
+	live, err := s.Query(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Release(0, 10, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Commit(2, 20, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Query(5); err != nil || got[0] != live[0] {
+		t.Fatalf("shard Query(5) = %v, %v after changing the snapshot; was %v", got, err, live)
+	}
+	if fresh, err := s.Snapshot(0); err != nil || fresh.AvailableAt(5) != live[0] || fresh.AvailableAt(15) != 8 {
+		t.Fatalf("fresh snapshot %v, %v after changing the old one; want %d free at 5, 8 at 15", fresh, err, live[0])
+	}
 	if _, err := s.Snapshot(7); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("Snapshot(7) err = %v, want ErrBadRequest", err)
 	}

@@ -121,8 +121,8 @@ func TestStressConservation(t *testing.T) {
 }
 
 // TestStressConcurrentSnapshots interleaves snapshots and queries with
-// writes so -race sees readers racing the event loops through every public
-// path, including the Synchronized wrapper.
+// writes so -race sees readers racing the combiners through every public
+// path, each reader then owning the clone it was handed.
 func TestStressConcurrentSnapshots(t *testing.T) {
 	s := mustNew(t, Config{Shards: 2, M: 16})
 	var wg sync.WaitGroup

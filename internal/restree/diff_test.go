@@ -97,8 +97,8 @@ func TestDifferentialRandomOps(t *testing.T) {
 					t.Fatalf("seed %d: EarliestFit(q=%d,dur=%v,from=%v) = %v,%v; array %v,%v\ntree:  %v\narray: %v",
 						seed, q, dur, ready, gs, gok, ws, wok, tr, tl)
 				}
-				if g, w := tr.MinIn(ready, ready+dur), tl.MinAvailable(ready, ready+dur); g != w {
-					t.Fatalf("seed %d: MinIn(%v,%v) = %d, array %d", seed, ready, ready+dur, g, w)
+				if g, w := tr.MinAvailable(ready, ready+dur), tl.MinAvailable(ready, ready+dur); g != w {
+					t.Fatalf("seed %d: MinAvailable(%v,%v) = %d, array %d", seed, ready, ready+dur, g, w)
 				}
 			}
 			checkInvariants(t, tr)

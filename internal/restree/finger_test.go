@@ -1,9 +1,7 @@
 package restree
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -140,96 +138,89 @@ func TestFingerFollowsSweep(t *testing.T) {
 	}
 }
 
-// TestSynchronizedTreeConcurrentReads puts a tree behind
-// profile.NewSynchronized and has eight readers ask AvailableAt, CanPlace,
-// FindSlot and NextBreakpoint at and next to the instant one writer is
-// committing at — where the finger is — while the writer commits and
-// releases through the wrapper. Only a mutation moves the finger, so the
-// read lock is enough: under -race a read that wrote the tree fails here.
-func TestSynchronizedTreeConcurrentReads(t *testing.T) {
+// TestConcurrentReadsOfOneIndex checks the contract that lets an index go
+// out with no lock (profile.CapacityIndex): reads never write. On both
+// backends it runs the sweep LSRC makes — commits at successive
+// breakpoints, releases mixed in — and at several points of it has eight
+// goroutines read one clone at and next to the sweep's instant, where the
+// tree's finger is, with no lock. Under -race a read that wrote the index
+// fails here.
+func TestConcurrentReadsOfOneIndex(t *testing.T) {
 	const (
 		m       = 32
 		readers = 8
 		events  = 400
 	)
-	idx := profile.NewSynchronized(New(m))
-	ref := profile.New(m)
-	var clock atomic.Int64
-	var done atomic.Bool
-	// read makes one round of reads at, just before or just after the
-	// writer's instant and reports whether they were sane.
-	read := func(r *rng.PCG) bool {
-		at := max(core.Time(clock.Load())+core.Time(r.Intn(3))-1, 0)
-		if c := idx.AvailableAt(at); c < 0 || c > m {
-			t.Errorf("AvailableAt(%v) = %d outside [0,%d]", at, c, m)
-			return false
-		}
-		idx.CanPlace(at, core.Time(r.Intn(50)+1), r.Intn(m)+1)
-		if s, ok := idx.FindSlot(at, r.Intn(m)+1, core.Time(r.Intn(50)+1)); ok && s < at {
-			t.Errorf("FindSlot(%v) = %v, before ready", at, s)
-			return false
-		}
-		if b, ok := idx.NextBreakpoint(at); ok && b <= at {
-			t.Errorf("NextBreakpoint(%v) = %v, not after it", at, b)
-			return false
-		}
-		return true
-	}
-	var wg, started sync.WaitGroup
-	started.Add(readers)
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			r := rng.NewStream(17, uint64(g))
-			ok := read(r)
-			started.Done()
-			for ok && !done.Load() {
-				runtime.Gosched()
-				ok = read(r)
-			}
-		}(g)
-	}
-	started.Wait() // every reader is running before the first commit
-	r := rng.New(17)
-	var booked []window
-	at := core.Time(0)
-	for event := 0; event < events; event++ {
-		runtime.Gosched() // on one processor, let the readers in between events
-		clock.Store(int64(at))
-		for tries := r.Intn(4); tries > 0; tries-- {
-			w := window{s: at, d: core.Time(r.Intn(80) + 1), q: r.Intn(6) + 1}
-			if ref.CanPlace(w.s, w.d, w.q) {
-				if err := idx.Commit(w.s, w.d, w.q); err != nil {
-					t.Fatal(err)
+	for name, idx := range map[string]profile.CapacityIndex{"tree": New(m), "array": profile.New(m)} {
+		t.Run(name, func(t *testing.T) {
+			r := rng.New(17)
+			var booked []window
+			at := core.Time(0)
+			for event := 0; event < events; event++ {
+				for tries := r.Intn(4); tries > 0; tries-- {
+					w := window{s: at, d: core.Time(r.Intn(80) + 1), q: r.Intn(6) + 1}
+					if idx.CanPlace(w.s, w.d, w.q) {
+						if err := idx.Commit(w.s, w.d, w.q); err != nil {
+							t.Fatal(err)
+						}
+						booked = append(booked, w)
+					}
 				}
-				ref.Commit(w.s, w.d, w.q)
-				booked = append(booked, w)
+				if len(booked) > 0 && r.Intn(4) == 0 {
+					i := r.Intn(len(booked))
+					if err := idx.Release(booked[i].s, booked[i].d, booked[i].q); err != nil {
+						t.Fatal(err)
+					}
+					booked = append(booked[:i], booked[i+1:]...)
+				}
+				if event%50 == 0 {
+					readTogether(t, idx, idx.CloneIndex(), at, readers)
+				}
+				next, ok := idx.NextBreakpoint(at)
+				if !ok {
+					next = at + 1 // nothing booked ahead: the clock moves on
+				}
+				at = next
 			}
-		}
-		if len(booked) > 0 && r.Intn(4) == 0 {
-			i := r.Intn(len(booked))
-			w := booked[i]
-			if err := idx.Release(w.s, w.d, w.q); err != nil {
-				t.Fatal(err)
-			}
-			ref.Release(w.s, w.d, w.q)
-			booked = append(booked[:i], booked[i+1:]...)
-		}
-		next, ok := idx.NextBreakpoint(at)
-		if !ok {
-			break
-		}
-		at = next
+		})
 	}
-	done.Store(true)
+}
+
+// readTogether has n goroutines ask snap, with no lock, what a list
+// scheduler asks around the instant at, and compare each answer with
+// idx's, which nobody mutates meanwhile.
+func readTogether(t *testing.T, idx, snap profile.CapacityIndex, at core.Time, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for stream := uint64(0); stream < uint64(n); stream++ {
+		wg.Add(1)
+		go func(r *rng.PCG) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				a := max(at+core.Time(r.Intn(3))-1, 0)
+				q, dur := r.Intn(idx.M())+1, core.Time(r.Intn(50)+1)
+				if got, want := snap.AvailableAt(a), idx.AvailableAt(a); got != want {
+					t.Errorf("AvailableAt(%v) = %d, owner's %d", a, got, want)
+					return
+				}
+				if got, want := snap.CanPlace(a, dur, q), idx.CanPlace(a, dur, q); got != want {
+					t.Errorf("CanPlace(%v,%v,%d) = %v, owner's %v", a, dur, q, got, want)
+					return
+				}
+				got, gotOK := snap.FindSlot(a, q, dur)
+				want, wantOK := idx.FindSlot(a, q, dur)
+				if got != want || gotOK != wantOK {
+					t.Errorf("FindSlot(%v,%d,%v) = %v,%v, owner's %v,%v", a, q, dur, got, gotOK, want, wantOK)
+					return
+				}
+				got, gotOK = snap.NextBreakpoint(a)
+				want, wantOK = idx.NextBreakpoint(a)
+				if got != want || gotOK != wantOK {
+					t.Errorf("NextBreakpoint(%v) = %v,%v, owner's %v,%v", a, got, gotOK, want, wantOK)
+					return
+				}
+			}
+		}(rng.NewStream(17, stream))
+	}
 	wg.Wait()
-	for _, b := range ref.Breakpoints() {
-		if g, w := idx.AvailableAt(b), ref.AvailableAt(b); g != w {
-			t.Fatalf("after the run: AvailableAt(%v) = %d, array %d", b, g, w)
-		}
-	}
-	if g, w := idx.NumSegments(), ref.NumSegments(); g != w {
-		t.Fatalf("after the run: %d segments, array %d", g, w)
-	}
 }

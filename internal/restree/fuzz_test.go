@@ -82,8 +82,8 @@ func replayOps(t *testing.T, ops []byte) *Tree {
 			if gotOK != refOK || gotT != refT {
 				t.Fatalf("NextBreakpoint(%v) = %v,%v; array %v,%v", start-1, gotT, gotOK, refT, refOK)
 			}
-			if got, want := tr.MinIn(start, start+dur), tl.MinAvailable(start, start+dur); got != want {
-				t.Fatalf("MinIn(%v,%v) = %d, array %d", start, start+dur, got, want)
+			if got, want := tr.MinAvailable(start, start+dur), tl.MinAvailable(start, start+dur); got != want {
+				t.Fatalf("MinAvailable(%v,%v) = %d, array %d", start, start+dur, got, want)
 			}
 		}
 		if !sameSegments(tr, tl) {

@@ -46,8 +46,8 @@
 // searches: a list scheduler asks about the instant it just committed at
 // or about the breakpoint after it, so about three lookups in five stop
 // there in LSRC. Only the two mutations write the finger; every read
-// leaves the tree untouched, so any number of reads may run together, as
-// they do under profile.Synchronized's read lock.
+// leaves the tree untouched, so any number of goroutines may read a tree
+// that nobody is mutating, such as a snapshot's clone, with no lock.
 //
 // Measured against the arena AVL this replaced, FindSlot+Commit+Release at
 // the admission benchmark's density (m=256, half the prefix booked), ns per
@@ -267,9 +267,6 @@ func (t *Tree) extentFrom(d int, b core.Time, mn, mx int32) (int32, int32) {
 	}
 	return mn, mx
 }
-
-// MinIn is the paper-facing name for MinAvailable.
-func (t *Tree) MinIn(a, b core.Time) int { return t.MinAvailable(a, b) }
 
 // MinAvailable implements profile.CapacityIndex. It panics if t0 >= t1 or
 // t0 < 0, mirroring profile.Timeline.

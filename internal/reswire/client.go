@@ -362,36 +362,45 @@ func (c *Client) watchRead(ctx context.Context, nc net.Conn, ch chan<- Telemetry
 }
 
 // Snapshot fetches one shard's capacity profile and rebuilds it as a
-// local index (wrapped in profile.Synchronized like the in-process
-// Snapshot), so remote callers can run FindSlot/FreeArea/What-if queries
-// without further round trips.
-func (c *Client) Snapshot(shard int) (*profile.Synchronized, error) {
+// local index, so remote callers can run FindSlot/FreeArea/What-if queries
+// without further round trips. Like the in-process Snapshot, the caller
+// owns the index it gets (profile.CapacityIndex).
+func (c *Client) Snapshot(shard int) (profile.CapacityIndex, error) {
 	resp, err := c.call(Request{Op: OpSnapshot, Shard: shard})
 	if err != nil {
 		return nil, err
 	}
-	if resp.M < 1 {
-		return nil, fmt.Errorf("%w: snapshot machine size %d", ErrFrame, resp.M)
+	return rebuildSnapshot(resp.M, resp.Segs)
+}
+
+// rebuildSnapshot turns a Snapshot response's segments back into a
+// Timeline. The segments must tile [0, +inf): the first starts at 0 and the
+// starts increase.
+func rebuildSnapshot(m int, segs []Segment) (*profile.Timeline, error) {
+	if m < 1 {
+		return nil, fmt.Errorf("%w: snapshot machine size %d", ErrFrame, m)
 	}
-	tl := profile.New(resp.M)
-	for i, seg := range resp.Segs {
+	// A profile always has a segment at 0; without one the gap before the
+	// first start would rebuild as fully free.
+	if len(segs) == 0 || segs[0].Start != 0 {
+		return nil, fmt.Errorf("%w: snapshot segments do not start at 0", ErrFrame)
+	}
+	tl := profile.New(m)
+	for i, seg := range segs {
 		// Validate every segment — including fully-free ones — before any
 		// commit: a malformed sequence must fail loudly, not rebuild a
 		// quietly divergent profile.
-		if seg.Free < 0 || seg.Free > resp.M {
-			return nil, fmt.Errorf("%w: segment %d free %d outside [0,%d]", ErrFrame, i, seg.Free, resp.M)
-		}
-		if seg.Start < 0 {
-			return nil, fmt.Errorf("%w: segment %d starts at %v", ErrFrame, i, seg.Start)
+		if seg.Free < 0 || seg.Free > m {
+			return nil, fmt.Errorf("%w: segment %d free %d outside [0,%d]", ErrFrame, i, seg.Free, m)
 		}
 		dur := core.Infinity // last segment extends unbounded
-		if i+1 < len(resp.Segs) {
-			if resp.Segs[i+1].Start <= seg.Start {
+		if i+1 < len(segs) {
+			if segs[i+1].Start <= seg.Start {
 				return nil, fmt.Errorf("%w: segment starts not increasing at %d", ErrFrame, i)
 			}
-			dur = resp.Segs[i+1].Start - seg.Start
+			dur = segs[i+1].Start - seg.Start
 		}
-		held := resp.M - seg.Free
+		held := m - seg.Free
 		if held == 0 {
 			continue
 		}
@@ -399,7 +408,7 @@ func (c *Client) Snapshot(shard int) (*profile.Synchronized, error) {
 			return nil, fmt.Errorf("reswire: rebuild snapshot: %w", err)
 		}
 	}
-	return profile.NewSynchronized(tl), nil
+	return tl, nil
 }
 
 // clientConn is one multiplexed connection (doc.go, "Client"): a caller

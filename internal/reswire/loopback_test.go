@@ -175,6 +175,27 @@ func TestLoopbackSnapshotBadShard(t *testing.T) {
 	}
 }
 
+// TestRebuildSnapshotRejectsMalformedSegments feeds Client.Snapshot's
+// rebuild segment lists no server sends. Each must fail with ErrFrame,
+// not rebuild a profile that differs from the server's.
+func TestRebuildSnapshotRejectsMalformedSegments(t *testing.T) {
+	for name, segs := range map[string][]Segment{
+		"empty":          nil,
+		"starts late":    {{Start: 5, Free: 2}},
+		"free above m":   {{Start: 0, Free: 9}},
+		"free negative":  {{Start: 0, Free: 8}, {Start: 4, Free: -1}},
+		"not increasing": {{Start: 0, Free: 8}, {Start: 4, Free: 3}, {Start: 4, Free: 8}},
+	} {
+		if tl, err := rebuildSnapshot(8, segs); !errors.Is(err, ErrFrame) {
+			t.Errorf("%s: rebuilt %v, err %v; want ErrFrame", name, tl, err)
+		}
+	}
+	tl, err := rebuildSnapshot(8, []Segment{{Start: 0, Free: 8}, {Start: 10, Free: 3}, {Start: 20, Free: 8}})
+	if err != nil || tl.AvailableAt(0) != 8 || tl.AvailableAt(15) != 3 || tl.NumSegments() != 3 {
+		t.Fatalf("well-formed segments rebuilt %v, err %v", tl, err)
+	}
+}
+
 // TestLoopbackStress hammers one server from many pipelined client
 // goroutines with a mixed op stream. Under -race this exercises the whole
 // stack: client multiplexing and write coalescing, server dispatch, shard
