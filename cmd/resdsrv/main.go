@@ -357,10 +357,12 @@ func run() error {
 }
 
 // finalLine summarises a service's lifetime totals — the shutdown flush
-// emitted after the last connection drains.
+// emitted after the last connection drains. traces= counts every sampled
+// admission, not the ones the trace ring still holds.
 func finalLine(svc *resd.Service) string {
+	n := svc.Node()
 	var admitted, cancelled, rejected, deadline, quota, batches, ops uint64
-	for _, st := range svc.Stats() {
+	for _, st := range n.Shards {
 		admitted += st.Admitted
 		cancelled += st.Cancelled
 		rejected += st.Rejected
@@ -370,7 +372,7 @@ func finalLine(svc *resd.Service) string {
 		ops += st.Ops
 	}
 	return fmt.Sprintf("resdsrv: final: admitted=%d cancelled=%d rejected=%d (deadline=%d quota=%d) batches=%d ops=%d traces=%d",
-		admitted, cancelled, rejected, deadline, quota, batches, ops, len(svc.Traces(0)))
+		admitted, cancelled, rejected, deadline, quota, batches, ops, n.TracesSampled)
 }
 
 // walWarning summarises the service's WAL damage for the /healthz warn
@@ -387,7 +389,7 @@ func walWarning(svc *resd.Service) string {
 			wi.Torn, wi.Corrupt, wi.DroppedBytes))
 	}
 	failed := 0
-	for _, w := range svc.WALStats() {
+	for _, w := range svc.Node().WAL {
 		if w.Failed > 0 {
 			failed++
 		}

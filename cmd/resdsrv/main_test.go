@@ -97,4 +97,23 @@ func TestShutdownFlushLines(t *testing.T) {
 			t.Errorf("slow line %q missing %q", slow, want)
 		}
 	}
+
+	// traces= is a lifetime total too: a ring smaller than the run keeps
+	// only the newest records, and the line still counts every sample.
+	small, err := resd.New(resd.Config{M: 8, Obs: &resd.ObsConfig{TraceSample: 1, TraceBuf: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := small.Admit(resd.Request{Ready: 0, Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := len(small.Traces(0)); held != 4 {
+		t.Fatalf("ring holds %d traces, want 4", held)
+	}
+	if line := finalLine(small); !strings.Contains(line, "traces=10") {
+		t.Errorf("final line %q, want traces=10 (10 sampled through a 4-record ring)", line)
+	}
 }

@@ -22,7 +22,7 @@ const (
 	bundleHeap       = "heap.pprof"
 	bundleMetrics    = "metrics.prom"
 	bundleTraces     = "traces.json"
-	bundleWAL        = "wal.json"
+	bundleNode       = "node.json"
 	bundleConfig     = "config.json"
 )
 
@@ -131,8 +131,8 @@ func (r *Recorder) writeBundle(reason string, state Health, warning string) (str
 	if src.Traces != nil {
 		writeJSON(bundleTraces, src.Traces())
 	}
-	if src.WAL != nil {
-		writeJSON(bundleWAL, src.WAL())
+	if src.Node != nil {
+		writeJSON(bundleNode, src.Node())
 	}
 	if v := r.cfgInfo.Load(); v != nil {
 		writeJSON(bundleConfig, v)

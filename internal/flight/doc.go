@@ -71,7 +71,7 @@
 //	heap.pprof       heap profile
 //	metrics.prom     a full metrics exposition snapshot
 //	traces.json      the admission trace ring
-//	wal.json         WALInfo plus live per-shard log counters
+//	node.json        the node snapshot every surface renders, plus WALInfo
 //	config.json      the effective service configuration
 //
 // Bundles are written into a hidden temp directory and renamed into

@@ -134,8 +134,9 @@ type Sources struct {
 	Shards func() []ShardProbe
 	// Traces returns the admission trace ring for bundles.
 	Traces func() any
-	// WAL returns the WAL replay/liveness summary for bundles.
-	WAL func() any
+	// Node returns the service's node snapshot (with what WAL replay
+	// found) for bundles.
+	Node func() any
 }
 
 // Config parameterises a Recorder.

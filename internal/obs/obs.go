@@ -243,12 +243,7 @@ func (h *Histogram) Snapshot(dst *[stats.ExpBuckets]uint64) (total uint64) {
 // than twice it.
 func (h *Histogram) Quantile(q float64) int64 {
 	var snap [stats.ExpBuckets]uint64
-	var total uint64
-	for b := range h.buckets {
-		n := h.buckets[b].Load()
-		snap[b] = n
-		total += n
-	}
+	total := h.Snapshot(&snap)
 	return stats.ExpQuantileFromBuckets(&snap, total, q)
 }
 
@@ -271,12 +266,7 @@ func (r *Registry) NewHistogram(name, help string, labels ...Label) *Histogram {
 	f.checkLabels(labels)
 	f.collectors = append(f.collectors, func(emit func(Sample)) {
 		var snap [stats.ExpBuckets]uint64
-		var total uint64
-		for b := range h.buckets {
-			n := h.buckets[b].Load()
-			snap[b] = n
-			total += n
-		}
+		total := h.Snapshot(&snap)
 		for _, hq := range histQuantiles {
 			ql := append(append([]Label(nil), labels...), L("quantile", hq.label))
 			emit(Sample{Name: name, Labels: ql, Value: float64(stats.ExpQuantileFromBuckets(&snap, total, hq.q))})

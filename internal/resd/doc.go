@@ -327,11 +327,20 @@
 //
 // The reswire server and client add their own families (reswire_*; see
 // internal/reswire), and resdsrv serves the whole set plus net/http/pprof
-// on its -obs listener. The same published atomics the scrape families
-// read also feed the wire protocol's Watch op: a
-// subscriber gets server-pushed per-shard/tenant/WAL/trace/SLO
-// telemetry frames at its chosen interval without polling Stats — see
-// internal/reswire's package doc for the subscription semantics.
+// on its -obs listener.
+//
+// # Node snapshot
+//
+// Service.Node returns a NodeSnapshot: M and Floor, then one row per
+// shard from QueueDepths and Stats, the quota registry's tenants, the
+// WALStats rows, the trace counters and the SLO engine's States — the
+// readers that already existed, composed, from published atomics only.
+// Every surface renders it and nothing else: the per-shard and per-log
+// families above are columns of the same Stats and WALStats rows, a
+// Watch frame is a snapshot behind a family mask, a flight bundle's
+// node.json is one beside WALInfo, and resdsrv's shutdown and /healthz
+// lines read it. So on a quiesced service they agree field for field,
+// which internal/reswire's TestNodeSurfacesAgree checks.
 //
 // # Heartbeats and node health
 //
@@ -347,7 +356,7 @@
 // healthy → degraded → stalled, each transition journaled, surfaced on
 // /healthz as a warning and as the resd_health_state gauge, and — on
 // worsening — captured as an on-disk diagnostic bundle (goroutine dump,
-// heap profile, metrics snapshot, journal tail, WAL report, effective
+// heap profile, metrics snapshot, journal tail, node snapshot, effective
 // config). A turn slower than 100ms journals a slow-turn warning with
 // its duration and batch size even when it never trips the watchdog.
 //

@@ -7,7 +7,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/slo"
-	"repro/internal/wal"
 )
 
 // ObsConfig attaches a Service to the observability layer. Registry
@@ -58,6 +57,77 @@ type ObsConfig struct {
 	SLO *slo.Engine
 }
 
+// column is one per-shard family: a column of the rows one of the
+// NodeSnapshot readers returns (QueueDepths, Stats, WALStats), emitted
+// under the row's shard label and then labels.
+type column[T any] struct {
+	kind       obs.Kind
+	name, help string
+	val        func(*T) float64
+	labels     []obs.Label
+}
+
+// shardColumns are the families of Stats' rows.
+var shardColumns = []column[ShardStats]{
+	{obs.KindGauge, "resd_shard_active", "Currently admitted reservations on the shard.",
+		func(st *ShardStats) float64 { return float64(st.Active) }, nil},
+	{obs.KindGauge, "resd_shard_committed_area", "Processor-tick area held by the shard's active reservations.",
+		func(st *ShardStats) float64 { return float64(st.CommittedArea) }, nil},
+	{obs.KindCounter, "resd_shard_batches_total", "Turns (group commits) served.",
+		func(st *ShardStats) float64 { return float64(st.Batches) }, nil},
+	{obs.KindCounter, "resd_shard_ops_total", "Requests served across all batches.",
+		func(st *ShardStats) float64 { return float64(st.Ops) }, nil},
+	{obs.KindGauge, "resd_shard_ops_per_batch", "Realised group-commit factor: ops / batches.",
+		func(st *ShardStats) float64 {
+			if st.Batches == 0 {
+				return 0
+			}
+			return float64(st.Ops) / float64(st.Batches)
+		}, nil},
+	{obs.KindCounter, "resd_admitted_total", "Admitted reservations.",
+		func(st *ShardStats) float64 { return float64(st.Admitted) }, nil},
+	{obs.KindCounter, "resd_cancelled_total", "Cancelled reservations.",
+		func(st *ShardStats) float64 { return float64(st.Cancelled) }, nil},
+	{obs.KindCounter, "resd_rejected_total", "Rejected admission attempts by reason.",
+		func(st *ShardStats) float64 { return float64(st.Rejected) }, []obs.Label{obs.L("reason", "capacity")}},
+	{obs.KindCounter, "resd_rejected_total", "Rejected admission attempts by reason.",
+		func(st *ShardStats) float64 { return float64(st.RejectedDeadline) }, []obs.Label{obs.L("reason", "deadline")}},
+	{obs.KindCounter, "resd_rejected_total", "Rejected admission attempts by reason.",
+		func(st *ShardStats) float64 { return float64(st.RejectedQuota) }, []obs.Label{obs.L("reason", "quota")}},
+}
+
+// walColumns are the families of WALStats' rows.
+var walColumns = []column[WALShardStats]{
+	{obs.KindCounter, "resd_wal_bytes_total", "Bytes appended to the shard's write-ahead log.",
+		func(w *WALShardStats) float64 { return float64(w.Bytes) }, nil},
+	{obs.KindCounter, "resd_wal_records_total", "Records appended to the shard's write-ahead log.",
+		func(w *WALShardStats) float64 { return float64(w.Records) }, nil},
+	{obs.KindCounter, "resd_wal_fsyncs_total", "Group-commit fsyncs on the shard's log.",
+		func(w *WALShardStats) float64 { return float64(w.Fsyncs) }, nil},
+	{obs.KindCounter, "resd_wal_snapshots_total", "Completed snapshot writes (log truncations).",
+		func(w *WALShardStats) float64 { return float64(w.Snapshots) }, nil},
+	{obs.KindCounter, "resd_wal_failures_total", "WAL write failures (a failed log degrades the shard to non-durable).",
+		func(w *WALShardStats) float64 { return float64(w.Failed) }, nil},
+	{obs.KindGauge, "resd_wal_generation", "Log generation currently being appended to.",
+		func(w *WALShardStats) float64 { return float64(w.Gen) }, nil},
+}
+
+// collectColumns registers each column's family: a scrape takes one
+// rows() per family and emits every row under shard(i, row).
+func collectColumns[T any](reg *obs.Registry, rows func() []T, shard func(i int, row *T) int, cols []column[T]) {
+	for _, c := range cols {
+		reg.Collect(c.kind, c.name, c.help, func(e obs.Emitter) {
+			rs := rows()
+			for i := range rs {
+				lbl := obs.L("shard", strconv.Itoa(shard(i, &rs[i])))
+				e.Emit(c.val(&rs[i]), append([]obs.Label{lbl}, c.labels...)...)
+			}
+		})
+	}
+}
+
+func rowIndex[T any](i int, _ *T) int { return i }
+
 // registerObs wires every layer's metrics into the registry. Called once
 // from New, after the shards exist; every closure reads published
 // atomics, so a scrape never queues a request on a shard.
@@ -66,82 +136,27 @@ func (s *Service) registerObs() {
 	if reg == nil {
 		return
 	}
-	for i := range s.shards {
-		sh := s.shards[i]
-		lbl := obs.L("shard", strconv.Itoa(i))
-		reg.GaugeFunc("resd_shard_queue_depth",
-			"Requests waiting in the shard's queue.",
-			func() float64 { return float64(sh.depth.Load()) }, lbl)
-		reg.GaugeFunc("resd_shard_active",
-			"Currently admitted reservations on the shard.",
-			func() float64 { return float64(sh.activeCount.Load()) }, lbl)
-		reg.GaugeFunc("resd_shard_committed_area",
-			"Processor-tick area held by the shard's active reservations.",
-			func() float64 { return float64(sh.committedArea.Load()) }, lbl)
-		reg.CounterFunc("resd_shard_batches_total",
-			"Turns (group commits) served.", sh.batches.Load, lbl)
-		reg.CounterFunc("resd_shard_ops_total",
-			"Requests served across all batches.", sh.ops.Load, lbl)
-		reg.GaugeFunc("resd_shard_ops_per_batch",
-			"Realised group-commit factor: ops / batches.",
-			func() float64 {
-				b := sh.batches.Load()
-				if b == 0 {
-					return 0
-				}
-				return float64(sh.ops.Load()) / float64(b)
-			}, lbl)
-		reg.CounterFunc("resd_admitted_total",
-			"Admitted reservations.", sh.admitted.Load, lbl)
-		reg.CounterFunc("resd_cancelled_total",
-			"Cancelled reservations.", sh.cancelled.Load, lbl)
-		reg.CounterFunc("resd_rejected_total",
-			"Rejected admission attempts by reason.",
-			sh.rejected.Load, lbl, obs.L("reason", "capacity"))
-		reg.CounterFunc("resd_rejected_total",
-			"Rejected admission attempts by reason.",
-			sh.rejectedDL.Load, lbl, obs.L("reason", "deadline"))
-		reg.CounterFunc("resd_rejected_total",
-			"Rejected admission attempts by reason.",
-			sh.rejectedQuota.Load, lbl, obs.L("reason", "quota"))
-		if wl := sh.wlog; wl != nil {
-			reg.CounterFunc("resd_wal_bytes_total",
-				"Bytes appended to the shard's write-ahead log.",
-				func() uint64 { return wl.Stats().Bytes }, lbl)
-			reg.CounterFunc("resd_wal_records_total",
-				"Records appended to the shard's write-ahead log.",
-				func() uint64 { return wl.Stats().Records }, lbl)
-			reg.CounterFunc("resd_wal_fsyncs_total",
-				"Group-commit fsyncs on the shard's log.",
-				func() uint64 { return wl.Stats().Fsyncs }, lbl)
-			reg.CounterFunc("resd_wal_snapshots_total",
-				"Completed snapshot writes (log truncations).",
-				func() uint64 { return wl.Stats().Snapshots }, lbl)
-			reg.CounterFunc("resd_wal_failures_total",
-				"WAL write failures (a failed log degrades the shard to non-durable).",
-				sh.walFailed.Load, lbl)
-			reg.GaugeFunc("resd_wal_generation",
-				"Log generation currently being appended to.",
-				func() float64 { return float64(wl.Stats().Gen) }, lbl)
-			reg.GaugeFunc("resd_wal_snapshot_age_seconds",
-				"Seconds since the shard's newest durable snapshot (since Open when none).",
-				func() float64 {
-					return time.Since(time.Unix(0, wl.Stats().LastSnapshot)).Seconds()
-				}, lbl)
-		}
-	}
+	collectColumns(reg, s.QueueDepths, rowIndex, []column[int]{{obs.KindGauge, "resd_shard_queue_depth",
+		"Requests waiting in the shard's queue.", func(q *int) float64 { return float64(*q) }, nil}})
+	collectColumns(reg, s.Stats, rowIndex, shardColumns)
 	if s.walInfo.Enabled {
-		// Handles captured here: the combiner nils sh.wlog if the log fails,
-		// and scrapes must not race that write (the frozen telemetry of a
-		// degraded shard is still worth exposing).
-		wls := make([]*wal.Log, len(s.shards))
-		for i := range s.shards {
-			wls[i] = s.shards[i].wlog
-		}
+		collectColumns(reg, s.WALStats, func(_ int, w *WALShardStats) int { return w.Shard }, walColumns)
+		// s.walLogs, not sh.wlog: the combiner nils sh.wlog if the log
+		// fails, and scrapes must not race that write (the frozen telemetry
+		// of a degraded shard is still worth exposing).
+		reg.Collect(obs.KindGauge, "resd_wal_snapshot_age_seconds",
+			"Seconds since the shard's newest durable snapshot (since Open when none).",
+			func(e obs.Emitter) {
+				for i, wl := range s.walLogs {
+					if wl != nil {
+						e.Emit(time.Since(time.Unix(0, wl.Stats().LastSnapshot)).Seconds(), obs.L("shard", strconv.Itoa(i)))
+					}
+				}
+			})
 		reg.Collect(obs.KindSummary, "resd_wal_fsync_ns",
 			"Group-commit fsync latency on each shard's log, nanoseconds.",
 			func(e obs.Emitter) {
-				for i, wl := range wls {
+				for i, wl := range s.walLogs {
 					if wl == nil {
 						continue
 					}

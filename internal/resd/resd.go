@@ -332,23 +332,24 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Obs != nil {
 		s.registerObs()
 	}
-	if s.flight != nil {
-		s.flight.Attach(flight.Sources{
-			Shards: s.flightProbes,
-			Traces: func() any { return s.Traces(0) },
-			WAL: func() any {
-				return struct {
-					Info  WALInfo         `json:"info"`
-					Stats []WALShardStats `json:"stats,omitempty"`
-				}{s.WALInfo(), s.WALStats()}
-			},
-		})
-	}
 	if cfg.Obs != nil && cfg.Obs.SLO != nil {
 		if err := s.attachSLO(cfg.Obs.SLO); err != nil {
 			s.Close()
 			return nil, err
 		}
+	}
+	if s.flight != nil {
+		// After attachSLO: a bundle's Node reads s.slo.
+		s.flight.Attach(flight.Sources{
+			Shards: s.flightProbes,
+			Traces: func() any { return s.Traces(0) },
+			Node: func() any {
+				return struct {
+					WAL  WALInfo      `json:"wal"`
+					Node NodeSnapshot `json:"node"`
+				}{s.walInfo, s.Node()}
+			},
+		})
 	}
 	return s, nil
 }
@@ -590,14 +591,52 @@ func (s *Service) WALStats() []WALShardStats {
 	return out
 }
 
-// TraceCounts returns the admission-tracing counters: how many requests
-// were sampled into the trace ring and how many of those met the slow
-// threshold. Zero when tracing is disabled.
-func (s *Service) TraceCounts() (sampled, slow uint64) {
-	if s.tracer == nil {
-		return 0, 0
+// TenantLoad is one tenant's budget usage: the part of tenant.Usage a
+// remote router weighs placements by.
+type TenantLoad struct {
+	Tenant                 string
+	Budget, Used, Inflight int64
+}
+
+// NodeSnapshot is the node as every telemetry surface renders it: the
+// Stats op, Watch frames, /metrics, flight bundles and resdsrv's status
+// lines all read these rows, so they agree whenever the service is
+// quiescent. Node builds it from published atomics; the cumulative
+// counters are for diffing successive snapshots.
+type NodeSnapshot struct {
+	// Every shard holds M processors and keeps Floor of them free of
+	// reservations (the α rule): M−Floor is the reservable width.
+	M, Floor int
+	// Queue[i] is shard i's queue depth (QueueDepths), Shards[i] its
+	// counters (Stats).
+	Queue  []int
+	Shards []ShardStats
+	// The quota registry's tenants, every durable shard's log (WALStats),
+	// the admissions sampled into the trace ring and those of them at or
+	// over the slow threshold, and the SLO engine's states: each empty
+	// when the service runs without that layer.
+	Tenants                   []TenantLoad
+	WAL                       []WALShardStats
+	TracesSampled, TracesSlow uint64
+	SLO                       []slo.State
+}
+
+// Node takes one NodeSnapshot. Like Stats it sends no request to a shard,
+// so a wedged shard cannot hold it up, and across shards it is as loose.
+func (s *Service) Node() NodeSnapshot {
+	n := NodeSnapshot{M: s.cfg.M, Floor: s.floor, Queue: s.QueueDepths(), Shards: s.Stats(), WAL: s.WALStats()}
+	if reg := s.cfg.Quotas; reg != nil {
+		for _, u := range reg.Tenants() {
+			n.Tenants = append(n.Tenants, TenantLoad{Tenant: u.Tenant, Budget: u.Budget, Used: u.Used, Inflight: u.Inflight})
+		}
 	}
-	return s.tracer.sampled.Load(), s.tracer.slowSeen.Load()
+	if s.tracer != nil {
+		n.TracesSampled, n.TracesSlow = s.tracer.sampled.Load(), s.tracer.slowSeen.Load()
+	}
+	if s.slo != nil {
+		n.SLO = s.slo.States()
+	}
+	return n
 }
 
 // Dump returns every reservation currently live on one shard, sorted by

@@ -55,14 +55,16 @@
 //     interval (clamped into [MinWatchInterval, MaxWatchInterval]) and a
 //     family mask (WatchShards | WatchTenants | WatchWAL | WatchTraces |
 //     WatchSLO), and the server answers with an open-ended stream of
-//     Telemetry frames — sequence-numbered snapshots of per-shard load
-//     and queue depth (the Stats entry behind a queue depth), per-tenant
-//     budget usage, write-ahead-log state, trace-ring counters and
-//     evaluated SLO states (empty on servers running without an SLO
-//     engine — see internal/slo).
+//     Telemetry frames. Each is one sequence-numbered resd.NodeSnapshot:
+//     M and Floor, then per family the mask selected — per-shard queue
+//     depth and Stats entry, per-tenant budget usage, write-ahead-log
+//     counters, trace-ring counters and evaluated SLO states (empty on
+//     servers running without quotas, a log or an SLO engine — see
+//     internal/slo).
 //
-// Telemetry frames are assembled from the same published atomics a
-// /metrics scrape reads, so a subscriber never waits on a shard; a slow
+// The server takes one Service.Node per push, the snapshot /metrics,
+// the Stats op and flight bundles render, so a subscriber never waits
+// on a shard and sees what a scrape at that instant would; a slow
 // subscriber (full push queue, stalled socket) has frames dropped and
 // marked — Seq stays monotone and the next delivered frame's Dropped
 // field counts the gap — rather than ever back-pressuring the server.

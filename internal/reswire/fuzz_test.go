@@ -60,9 +60,9 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 6, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{goldenShard, {Active: 1, Admitted: 2, RejectedQuota: 3}}},
 		{ID: 11, Op: OpStats, Code: CodeOK},
 		{ID: 7, Op: OpReserve, Code: CodeRejectedQuota, Detail: "tenant acme over budget"},
-		{ID: 8, Op: OpQuotaGet, Code: CodeOK, Quota: QuotaInfo{
-			Tenant: "acme", Group: "prod", Mode: 1, Share: 0.5,
-			Capacity: 1 << 20, Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}},
+		{ID: 8, Op: OpQuotaGet, Code: CodeOK, Quota: QuotaInfo{Mode: 1, Capacity: 1 << 20, Usage: tenant.Usage{
+			Tenant: "acme", Group: "prod", Share: 0.5,
+			Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}},
 		{ID: 9, Op: OpQuotaSet, Code: CodeOK},
 		{ID: 12, Op: OpTrace, Code: CodeOK, Traces: []resd.TraceRecord{{
 			Seq: 3, Tenant: "acme", Shard: 1, Outcome: resd.TraceAdmitted, Start: 50,
@@ -80,25 +80,25 @@ func FuzzWireCodec(f *testing.F) {
 			Route: 100, Enqueue: 250, BatchStart: 900, Decision: 1500,
 		}}},
 		{ID: 15, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
-			Seq: 3, Dropped: 1, Mask: WatchAll, M: 64, Floor: 16,
-			Queue:         []int{2, 0},
-			Shards:        []resd.ShardStats{{Active: 1, Admitted: 2, SlackP99: 63}, {Admitted: 4}},
-			Tenants:       []TenantTelemetry{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
-			WAL:           []WALTelemetry{{Shard: 1, Gen: 2, Bytes: 4096, Records: 7, Fsyncs: 3, Snapshots: 1, FsyncP99: 90_000}},
-			TracesSampled: 9, TracesSlow: 2,
-		}},
+			Seq: 3, Dropped: 1, Mask: WatchAll, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
+				Queue:         []int{2, 0},
+				Shards:        []resd.ShardStats{{Active: 1, Admitted: 2, SlackP99: 63}, {Admitted: 4}},
+				Tenants:       []resd.TenantLoad{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
+				WAL:           []resd.WALShardStats{{Shard: 1, Gen: 2, Bytes: 4096, Records: 7, Fsyncs: 3, Snapshots: 1, FsyncP99: 90_000}},
+				TracesSampled: 9, TracesSlow: 2,
+			}}},
 		{ID: 16, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
-			Mask: WatchShards, M: 8, Queue: []int{0}, Shards: []resd.ShardStats{{}},
+			Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: 8, Queue: []int{0}, Shards: []resd.ShardStats{{}}},
 		}},
 		{ID: 17, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
-			Mask: WatchSLO, M: 8,
-			SLO: []SLOTelemetry{
-				{Name: "deadline", Signal: slo.DeadlineAttainment, Target: 0.99,
-					Attainment: 0.95, BudgetRemaining: -4, BurnMax: 14.5, State: slo.SevPage},
-				{Name: "acme-deadline", Tenant: "acme", Signal: slo.DeadlineAttainment,
-					Target: 0.9, Attainment: 1, BudgetRemaining: 1, BurnMax: 0, State: slo.OK},
-			},
-		}},
+			Mask: WatchSLO, NodeSnapshot: resd.NodeSnapshot{M: 8,
+				SLO: []slo.State{
+					{Name: "deadline", Signal: slo.DeadlineAttainment, Target: 0.99,
+						Attainment: 0.95, BudgetRemaining: -4, BurnMax: 14.5, Severity: slo.SevPage},
+					{Name: "acme-deadline", Tenant: "acme", Signal: slo.DeadlineAttainment,
+						Target: 0.9, Attainment: 1, BudgetRemaining: 1, BurnMax: 0, Severity: slo.OK},
+				},
+			}}},
 	} {
 		frame, err := AppendResponse(nil, resp)
 		if err != nil {

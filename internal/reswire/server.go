@@ -287,9 +287,10 @@ func (w *connWriter) reply(resp *Response, b *batch) {
 	}
 }
 
-// watchLoop is one Watch subscription: every interval it assembles a
-// Telemetry snapshot from the service's published counters and offers
-// it to the connection's writer. A full push queue (slow consumer,
+// watchLoop is one Watch subscription: every interval it takes one
+// Service.Node (published atomics only, the same rows a /metrics scrape
+// reads) and offers it to the connection's writer; the encoder writes
+// the families the mask selected. A full push queue (slow consumer,
 // stuck socket) drops the frame and counts it in the next delivered
 // frame's Dropped field — the subscription never blocks, and the shards
 // never see it at all. The first frame is pushed immediately so a
@@ -306,9 +307,7 @@ func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{
 	defer tick.Stop()
 	var seq, dropped uint64
 	push := func() {
-		t := s.telemetry(req.Mask)
-		t.Seq = seq + 1
-		t.Dropped = dropped
+		t := &Telemetry{Seq: seq + 1, Dropped: dropped, Mask: req.Mask, NodeSnapshot: s.svc.Node()}
 		select {
 		case out <- Response{ID: req.ID, Op: OpWatch, Telemetry: t}:
 			seq++
@@ -331,63 +330,6 @@ func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{
 			push()
 		}
 	}
-}
-
-// telemetry assembles one Watch frame from the service's published
-// atomics — the same no-request-to-a-shard contract as a /metrics
-// scrape.
-func (s *Server) telemetry(mask uint32) *Telemetry {
-	t := &Telemetry{Mask: mask, M: s.svc.M(), Floor: s.svc.Floor()}
-	if mask&WatchShards != 0 {
-		t.Shards = s.svc.Stats()
-		t.Queue = s.svc.QueueDepths()
-	}
-	if mask&WatchTenants != 0 {
-		if reg := s.svc.Quotas(); reg != nil {
-			for _, u := range reg.Tenants() {
-				t.Tenants = append(t.Tenants, TenantTelemetry{
-					Tenant:   u.Tenant,
-					Budget:   u.Budget,
-					Used:     u.Used,
-					Inflight: u.Inflight,
-				})
-			}
-		}
-	}
-	if mask&WatchWAL != 0 {
-		for _, w := range s.svc.WALStats() {
-			t.WAL = append(t.WAL, WALTelemetry{
-				Shard:     w.Shard,
-				Gen:       w.Gen,
-				Bytes:     w.Bytes,
-				Records:   w.Records,
-				Fsyncs:    w.Fsyncs,
-				Snapshots: w.Snapshots,
-				FsyncP99:  w.FsyncP99,
-				Failed:    w.Failed,
-			})
-		}
-	}
-	if mask&WatchTraces != 0 {
-		t.TracesSampled, t.TracesSlow = s.svc.TraceCounts()
-	}
-	if mask&WatchSLO != 0 {
-		if eng := s.svc.SLO(); eng != nil {
-			for _, st := range eng.States() {
-				t.SLO = append(t.SLO, SLOTelemetry{
-					Name:            st.Name,
-					Tenant:          st.Tenant,
-					Signal:          st.Signal,
-					Target:          st.Target,
-					Attainment:      st.Attainment,
-					BudgetRemaining: st.BudgetRemaining,
-					BurnMax:         st.BurnMax,
-					State:           st.Severity,
-				})
-			}
-		}
-	}
-	return t
 }
 
 // handle executes one decoded request against the service and builds the
@@ -437,20 +379,7 @@ func (s *Server) handle(req Request) Response {
 		if reg == nil {
 			return fail(fmt.Errorf("%w: quotas disabled on this server", resd.ErrBadRequest))
 		}
-		u := reg.Usage(req.Tenant)
-		resp.Quota = QuotaInfo{
-			Tenant:    u.Tenant,
-			Group:     u.Group,
-			Mode:      reg.Mode(),
-			Share:     u.Share,
-			Capacity:  reg.Capacity(),
-			Budget:    u.Budget,
-			Used:      u.Used,
-			Inflight:  u.Inflight,
-			Admitted:  u.Admitted,
-			Cancelled: u.Cancelled,
-			Rejected:  u.Rejected,
-		}
+		resp.Quota = QuotaInfo{Usage: reg.Usage(req.Tenant), Mode: reg.Mode(), Capacity: reg.Capacity()}
 	case OpQuotaSet:
 		reg := s.svc.Quotas()
 		if reg == nil {

@@ -174,7 +174,7 @@ func TestStatsLayoutPerVersion(t *testing.T) {
 		t.Fatalf("stats round trip:\n got %+v\nwant %+v", got.Stats, stats)
 	}
 	watch, err := AppendResponse(nil, Response{ID: 1, Op: OpWatch,
-		Telemetry: &Telemetry{Mask: WatchShards, M: 8, Queue: []int{7}, Shards: stats[:1]}})
+		Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: 8, Queue: []int{7}, Shards: stats[:1]}}})
 	if err != nil {
 		t.Fatal(err)
 	}

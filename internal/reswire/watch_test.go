@@ -61,26 +61,27 @@ func TestWatchRequestCodec(t *testing.T) {
 
 func TestWatchTelemetryCodec(t *testing.T) {
 	tel := &Telemetry{
-		Seq: 7, Dropped: 2, Mask: WatchAll, M: 64, Floor: 16,
-		Queue: []int{3, 0},
-		Shards: []resd.ShardStats{
-			{Active: 5, CommittedArea: 1234, Admitted: 10, Cancelled: 2, Rejected: 1,
-				RejectedDeadline: 3, RejectedQuota: 4, SlackP99: 99, Batches: 7, Ops: 20},
-			{Admitted: 1},
-		},
-		Tenants: []TenantTelemetry{
-			{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2},
-			{Tenant: "", Budget: 50},
-		},
-		WAL: []WALTelemetry{
-			{Shard: 0, Gen: 3, Bytes: 4096, Records: 17, Fsyncs: 9, Snapshots: 2, FsyncP99: 120000, Failed: 0},
-		},
-		TracesSampled: 11, TracesSlow: 1,
-		SLO: []SLOTelemetry{
-			{Name: "deadline", Signal: slo.DeadlineAttainment, Target: 0.99,
-				Attainment: 0.97, BudgetRemaining: -2, BurnMax: 14.5, State: slo.SevPage},
-			{Name: "acme-slack", Tenant: "acme", Signal: slo.Slack, Target: 0.9,
-				Attainment: 1, BudgetRemaining: 1, BurnMax: 0, State: slo.OK},
+		Seq: 7, Dropped: 2, Mask: WatchAll, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
+			Queue: []int{3, 0},
+			Shards: []resd.ShardStats{
+				{Active: 5, CommittedArea: 1234, Admitted: 10, Cancelled: 2, Rejected: 1,
+					RejectedDeadline: 3, RejectedQuota: 4, SlackP99: 99, Batches: 7, Ops: 20},
+				{Admitted: 1},
+			},
+			Tenants: []resd.TenantLoad{
+				{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2},
+				{Tenant: "", Budget: 50},
+			},
+			WAL: []resd.WALShardStats{
+				{Shard: 0, Gen: 3, Bytes: 4096, Records: 17, Fsyncs: 9, Snapshots: 2, FsyncP99: 120000, Failed: 0},
+			},
+			TracesSampled: 11, TracesSlow: 1,
+			SLO: []slo.State{
+				{Name: "deadline", Signal: slo.DeadlineAttainment, Target: 0.99,
+					Attainment: 0.97, BudgetRemaining: -2, BurnMax: 14.5, Severity: slo.SevPage},
+				{Name: "acme-slack", Tenant: "acme", Signal: slo.Slack, Target: 0.9,
+					Attainment: 1, BudgetRemaining: 1, BurnMax: 0, Severity: slo.OK},
+			},
 		},
 	}
 	frame, err := AppendResponse(nil, Response{ID: 9, Op: OpWatch, Code: CodeOK, Telemetry: tel})
@@ -121,10 +122,14 @@ func TestWatchTelemetryCodec(t *testing.T) {
 	// Encoder-side refusals.
 	for _, resp := range []Response{
 		{Op: OpWatch}, // no telemetry at all
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: 0}},                       // empty mask
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, M: -1}},      // negative capacity
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, M: 1 << 31}}, // a machine wider than the field
-		{Op: OpSnapshot, M: 1 << 31},                                        // the same through Snapshot
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: 0}},                                                        // empty mask
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: -1}}},      // negative capacity
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: 1 << 31}}}, // a machine wider than the field
+		{Op: OpSnapshot, M: 1 << 31}, // the same through Snapshot
+		// Queue and Shards are one row per shard: a depth short of (or past)
+		// the shard count has no encoding that decodes back to it.
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{Shards: tel.Shards, Queue: tel.Queue[:1]}}},
+		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{Shards: tel.Shards[:1], Queue: tel.Queue}}},
 	} {
 		if _, err := AppendResponse(nil, resp); !errors.Is(err, ErrFrame) {
 			t.Errorf("AppendResponse(%+v) err = %v, want ErrFrame", resp, err)
@@ -232,7 +237,7 @@ func TestWatchEndToEnd(t *testing.T) {
 			admitted += st.Admitted
 			cancelled += st.Cancelled
 		}
-		var acme *TenantTelemetry
+		var acme *resd.TenantLoad
 		for i := range tel.Tenants {
 			if tel.Tenants[i].Tenant == "acme" {
 				acme = &tel.Tenants[i]
@@ -520,7 +525,7 @@ func TestWatchSLOOverLoopback(t *testing.T) {
 		t.Fatalf("SLO entries = %d, want 1", len(tel.SLO))
 	}
 	o := tel.SLO[0]
-	if o.Name != "success" || o.Signal != slo.ErrorRate || o.Target != 0.99 || o.State != slo.OK {
+	if o.Name != "success" || o.Signal != slo.ErrorRate || o.Target != 0.99 || o.Severity != slo.OK {
 		t.Fatalf("SLO telemetry: %+v", o)
 	}
 

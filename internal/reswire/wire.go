@@ -337,66 +337,24 @@ type Segment struct {
 }
 
 // QuotaInfo is one tenant's quota state as QuotaGet reports it: the
-// tenant's resolved budget and live accounting plus the registry-wide
-// mode and capacity the numbers are relative to.
+// tenant's usage plus the registry-wide mode and capacity the numbers are
+// relative to.
 type QuotaInfo struct {
-	Tenant, Group                 string
-	Mode                          tenant.Mode
-	Share                         float64
-	Capacity, Budget, Used        int64
-	Inflight                      int64
-	Admitted, Cancelled, Rejected uint64
+	tenant.Usage
+	Mode     tenant.Mode
+	Capacity int64
 }
 
-// TenantTelemetry is one tenant's budget usage inside a Telemetry frame:
-// the quota-registry view a remote router needs to weigh placements.
-type TenantTelemetry struct {
-	Tenant   string
-	Budget   int64
-	Used     int64
-	Inflight int64
-}
-
-// WALTelemetry is one shard's live write-ahead-log counters inside a
-// Telemetry frame. FsyncP99 is the shard's 99th-percentile group-commit
-// fsync latency in nanoseconds; Failed counts WAL write failures (a
-// failed log degrades the shard to non-durable).
-type WALTelemetry struct {
-	Shard     int
-	Gen       uint64
-	Bytes     uint64
-	Records   uint64
-	Fsyncs    uint64
-	Snapshots uint64
-	FsyncP99  int64
-	Failed    uint64
-}
-
-// SLOTelemetry is one objective's evaluated SLO condition inside a
-// Telemetry frame: the slo.State a remote watcher needs to mirror the
-// server's burn-rate alerting without scraping /metrics. Tenant is
-// empty for service-wide objectives.
-type SLOTelemetry struct {
-	Name            string
-	Tenant          string
-	Signal          slo.Signal
-	Target          float64
-	Attainment      float64
-	BudgetRemaining float64
-	BurnMax         float64
-	State           slo.Severity
-}
-
-// validSLOTelemetry guards the float fields crossing the wire, on both
-// encode and decode so a decoded frame always re-encodes: targets stay
-// strict fractions, fractions stay in range, the open-ended fields stay
-// finite, and NaN never round-trips (it cannot even compare equal).
-func validSLOTelemetry(o SLOTelemetry) error {
+// validSLO guards the float fields of an SLO state crossing the wire, on
+// both encode and decode so a decoded frame always re-encodes: targets
+// stay strict fractions, fractions stay in range, the open-ended fields
+// stay finite, and NaN never round-trips (it cannot even compare equal).
+func validSLO(o *slo.State) error {
 	switch {
 	case o.Signal > slo.ErrorRate:
 		return fmt.Errorf("%w: unknown slo signal %d", ErrFrame, uint8(o.Signal))
-	case o.State > slo.SevPage:
-		return fmt.Errorf("%w: unknown slo alert state %d", ErrFrame, uint8(o.State))
+	case o.Severity > slo.SevPage:
+		return fmt.Errorf("%w: unknown slo alert state %d", ErrFrame, uint8(o.Severity))
 	case !(o.Target > 0 && o.Target < 1):
 		return fmt.Errorf("%w: slo target %v outside (0,1)", ErrFrame, o.Target)
 	case !(o.Attainment >= 0 && o.Attainment <= 1):
@@ -409,10 +367,11 @@ func validSLOTelemetry(o SLOTelemetry) error {
 	return nil
 }
 
-// Telemetry is one server-pushed Watch frame: a snapshot of the
-// families the subscription's mask selected, assembled from the
-// server's published atomics (cumulative counters — consumers diff
-// successive frames for rates). Seq numbers the frames this subscriber
+// Telemetry is one server-pushed Watch frame: the server's
+// resd.NodeSnapshot, of which the frame carries M, Floor and the
+// families the subscription's mask selected (Queue and Shards under
+// WatchShards, Tenants, WAL, the two trace counters under WatchTraces,
+// SLO); the others decode empty. Seq numbers the frames this subscriber
 // actually received; Dropped counts the frames the server discarded
 // because the subscriber's connection could not drain fast enough
 // (drop-and-mark: a gap is visible, never blocking).
@@ -420,29 +379,7 @@ type Telemetry struct {
 	Seq     uint64
 	Dropped uint64
 	Mask    uint32
-	// M and Floor frame the capacity context: every shard holds M
-	// processors and keeps Floor of them free of reservations (the α
-	// rule), so M−Floor is the reservable width behind the per-shard
-	// committed areas below.
-	M     int
-	Floor int
-	// Queue[i] is shard i's instantaneous queue depth;
-	// Shards[i] is its published counter set (WatchShards).
-	Queue  []int
-	Shards []resd.ShardStats
-	// Tenants is the per-tenant budget usage (WatchTenants; empty when
-	// the server runs without quotas).
-	Tenants []TenantTelemetry
-	// WAL is the per-shard log telemetry (WatchWAL; empty on in-memory
-	// servers).
-	WAL []WALTelemetry
-	// TracesSampled and TracesSlow are the admission-tracing counters
-	// (WatchTraces).
-	TracesSampled uint64
-	TracesSlow    uint64
-	// SLO is the per-objective evaluated SLO state (WatchSLO; empty on
-	// servers running without an SLO engine).
-	SLO []SLOTelemetry
+	resd.NodeSnapshot
 }
 
 // Response is one decoded server→client message. Code discriminates
@@ -701,12 +638,11 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 			if len(t.Shards) > maxShards {
 				return nil, fmt.Errorf("%w: %d shards in telemetry", ErrFrame, len(t.Shards))
 			}
+			if len(t.Queue) != len(t.Shards) {
+				return nil, fmt.Errorf("%w: %d queue depths for %d shards in telemetry", ErrFrame, len(t.Queue), len(t.Shards))
+			}
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Shards)))
-			for i := range t.Shards {
-				var q int
-				if i < len(t.Queue) {
-					q = t.Queue[i]
-				}
+			for i, q := range t.Queue {
 				if q < -1<<31 || q > 1<<31-1 {
 					return nil, fmt.Errorf("%w: queue depth exceeds int32 range", ErrFrame)
 				}
@@ -757,7 +693,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 			}
 			dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.SLO)))
 			for _, o := range t.SLO {
-				if err := validSLOTelemetry(o); err != nil {
+				if err := validSLO(&o); err != nil {
 					return nil, err
 				}
 				if dst, err = appendName(dst, o.Name); err != nil {
@@ -771,7 +707,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Attainment))
 				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BudgetRemaining))
 				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BurnMax))
-				dst = append(dst, byte(o.State))
+				dst = append(dst, byte(o.Severity))
 			}
 		}
 	case OpCancel, OpPing, OpQuotaSet:
@@ -1092,7 +1028,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 				r.fail()
 				break
 			}
-			t.Tenants = make([]TenantTelemetry, n)
+			t.Tenants = make([]resd.TenantLoad, n)
 			for i := range t.Tenants {
 				t.Tenants[i].Tenant = r.name()
 				t.Tenants[i].Budget = r.i64()
@@ -1106,7 +1042,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 				r.fail()
 				break
 			}
-			t.WAL = make([]WALTelemetry, n)
+			t.WAL = make([]resd.WALShardStats, n)
 			for i := range t.WAL {
 				w := &t.WAL[i]
 				w.Shard = int(r.i32())
@@ -1129,7 +1065,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 				r.fail()
 				break
 			}
-			t.SLO = make([]SLOTelemetry, n)
+			t.SLO = make([]slo.State, n)
 			for i := range t.SLO {
 				o := &t.SLO[i]
 				o.Name = r.name()
@@ -1139,11 +1075,9 @@ func DecodeResponse(payload []byte) (Response, error) {
 				o.Attainment = math.Float64frombits(r.u64())
 				o.BudgetRemaining = math.Float64frombits(r.u64())
 				o.BurnMax = math.Float64frombits(r.u64())
-				o.State = slo.Severity(r.u8())
+				o.Severity = slo.Severity(r.u8())
 				if r.err == nil {
-					if err := validSLOTelemetry(*o); err != nil {
-						r.err = err
-					}
+					r.err = validSLO(o)
 				}
 			}
 		}

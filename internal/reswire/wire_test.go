@@ -268,9 +268,9 @@ var goldenFrames = []struct {
 		resp: &Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}},
 	{name: "resp/QuotaGet", hex: "00000058525705070000000000000007000461636d650470726f64013fe0000000000000000000000010000000000000" +
 		"00080000000000000000004d0000000000000003000000000000000900000000000000060000000000000002",
-		resp: &Response{ID: 7, Op: OpQuotaGet, Quota: QuotaInfo{
-			Tenant: "acme", Group: "prod", Mode: tenant.Soft, Share: 0.5,
-			Capacity: 1 << 20, Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}},
+		resp: &Response{ID: 7, Op: OpQuotaGet, Quota: QuotaInfo{Mode: tenant.Soft, Capacity: 1 << 20, Usage: tenant.Usage{
+			Tenant: "acme", Group: "prod", Share: 0.5,
+			Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}}},
 	{name: "resp/QuotaSet", hex: "0000000d52570508000000000000000800",
 		resp: &Response{ID: 8, Op: OpQuotaSet}},
 	{name: "resp/Trace", hex: "0000005b5257050900000000000000090000000001000000000000000317979cfe362a0000000000000001e848000000" +
@@ -287,13 +287,13 @@ var goldenFrames = []struct {
 		"000000000001000000000000000b00000000000000010000000108646561646c696e650461636d65013fefae147ae147" +
 		"ae3fef0a3d70a3d70ac000000000000000402d00000000000002",
 		resp: &Response{ID: 10, Op: OpWatch, Telemetry: &Telemetry{
-			Seq: 7, Dropped: 2, Mask: WatchAll, M: 64, Floor: 16,
-			Queue: []int{3}, Shards: []resd.ShardStats{goldenShard},
-			Tenants:       []TenantTelemetry{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
-			WAL:           []WALTelemetry{{Shard: 1, Gen: 3, Bytes: 4096, Records: 17, Fsyncs: 9, Snapshots: 2, FsyncP99: 120000, Failed: 1}},
-			TracesSampled: 11, TracesSlow: 1,
-			SLO: []SLOTelemetry{{Name: "deadline", Tenant: "acme", Signal: slo.Slack, Target: 0.99,
-				Attainment: 0.97, BudgetRemaining: -2, BurnMax: 14.5, State: slo.SevPage}}}}},
+			Seq: 7, Dropped: 2, Mask: WatchAll, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
+				Queue: []int{3}, Shards: []resd.ShardStats{goldenShard},
+				Tenants:       []resd.TenantLoad{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
+				WAL:           []resd.WALShardStats{{Shard: 1, Gen: 3, Bytes: 4096, Records: 17, Fsyncs: 9, Snapshots: 2, FsyncP99: 120000, Failed: 1}},
+				TracesSampled: 11, TracesSlow: 1,
+				SLO: []slo.State{{Name: "deadline", Tenant: "acme", Signal: slo.Slack, Target: 0.99,
+					Attainment: 0.97, BudgetRemaining: -2, BurnMax: 14.5, Severity: slo.SevPage}}}}}},
 	{name: "resp/error", hex: "0000002652570501000000000000000b07001774656e616e742061636d65206f76657220627564676574",
 		resp: &Response{ID: 11, Op: OpReserve, Code: CodeRejectedQuota, Detail: "tenant acme over budget"}},
 }
