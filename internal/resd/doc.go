@@ -47,22 +47,27 @@
 //
 // Beside the index a shard keeps what it has admitted: one 32-byte,
 // pointer-free record per live reservation — id, start, length, width
-// and the position of its tenant's cell — in an open-addressed table
-// keyed by id (live.go), and one cell per tenant name holding that
-// tenant's counters and its slack histogram, which only the combiner
-// touches. An admission resolves its tenant name to the cell
-// once; a cancel reaches the cell through the record and hashes no
-// string. The table is not a Go map because of what a shard does to it:
-// ids are minted in sequence and most are cancelled soon after, at
-// constant occupancy, which fills a tombstoning map with dead slots until
-// it rehashes in place, over and over. Here a deletion shifts the rest of
-// its run back over the hole, so nothing is left behind, capacity moves
-// only when the population outgrows it, and the collector has no pointer
-// in it to trace. An id does not name its slot: ids stay the monotonic
-// shard|sequence pairs the log and the snapshot record, so that a
-// recovered service mints the ids an unstopped one would — a slot in the
-// id would make free-list order and slot generations part of the
-// recovered state. Names past tenant.MaxAccounts share the
+// and the position of its tenant's cell — in a dense slab, found by id
+// through an open-addressed index of 4-byte slab positions (live.go),
+// and one cell per tenant name holding that tenant's counters and its
+// slack histogram, which only the combiner touches. An admission
+// resolves its tenant name to the cell once; a cancel reaches the cell
+// through the record and hashes no string. The index is not a Go map
+// because of what a shard does to it: ids are minted in sequence and
+// most are cancelled soon after, at constant occupancy, which fills a
+// tombstoning map with dead slots until it rehashes in place, over and
+// over. Here a deletion moves the slab's last record into the hole and
+// shifts the rest of the index's run back, so nothing is left behind,
+// capacity moves only when the population outgrows it, and the collector
+// has no pointer in either to trace. A record costs its 32 bytes and 5–11
+// of index, where slots of whole records cost 43–85. Slab order is not
+// state: it depends on the order of cancels, and nothing reads it —
+// Dump sorts by id, the snapshot encoder sorts its live list, and
+// recovery rebuilds the book from the sorted ids. An id does not name its
+// position either: ids stay the monotonic shard|sequence pairs the log
+// and the snapshot record, so that a recovered service mints the ids an
+// unstopped one would; a position in the id would make free-list order
+// part of the recovered state. Names past tenant.MaxAccounts share the
 // OverflowTenant cell; only their records keep the name they were
 // charged under, in a side map, so that Cancel credits the right account.
 //

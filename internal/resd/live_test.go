@@ -2,14 +2,19 @@ package resd
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 )
 
 // A live record is 32 bytes of plain words: two to a cache line, and
-// nothing in the table for the collector to trace.
+// nothing in the slab for the collector to trace.
 var _ [32]struct{} = [unsafe.Sizeof(resv{})]struct{}{}
 
 // tableVsMap drives a liveTable and the map it replaced with the same
@@ -19,8 +24,9 @@ type tableVsMap struct {
 	tbl  liveTable
 	want map[ID]resv
 
-	doublings int // times put replaced the slice by a larger one
-	wrapped   int // deletions in a run that went on over the end of the slice
+	doublings int // times put replaced the index by a larger one
+	wrapped   int // deletions in a run that went on over the end of the index
+	tail      int // deletions of the slab's last record, which moves nothing
 }
 
 func newTableVsMap(tb testing.TB) *tableVsMap {
@@ -41,9 +47,9 @@ func (o *tableVsMap) get(id ID) {
 	case ok && i < 0:
 		o.tb.Fatalf("id %#x: the table lost it", uint64(id))
 	case !ok && i >= 0:
-		o.tb.Fatalf("id %#x: the table holds %+v, the map nothing", uint64(id), o.tbl.slots[i])
-	case ok && o.tbl.slots[i] != want:
-		o.tb.Fatalf("id %#x: the table holds %+v, the map %+v", uint64(id), o.tbl.slots[i], want)
+		o.tb.Fatalf("id %#x: the table holds %+v, the map nothing", uint64(id), o.tbl.slab[i])
+	case ok && o.tbl.slab[i] != want:
+		o.tb.Fatalf("id %#x: the table holds %+v, the map %+v", uint64(id), o.tbl.slab[i], want)
 	}
 }
 
@@ -55,10 +61,10 @@ func (o *tableVsMap) put(id ID) {
 		o.get(id)
 		return
 	}
-	size := len(o.tbl.slots)
+	size := len(o.tbl.index)
 	o.tbl.put(valueFor(id))
 	o.want[id] = valueFor(id)
-	if size != 0 && len(o.tbl.slots) > size {
+	if size != 0 && len(o.tbl.index) > size {
 		o.doublings++
 	}
 	o.get(id)
@@ -73,13 +79,16 @@ func (o *tableVsMap) del(id ID) {
 	if i < 0 {
 		return
 	}
-	for j, last := i, len(o.tbl.slots)-1; o.tbl.slots[j].key != 0; j++ {
+	for j, last := o.tbl.entryOf(id), len(o.tbl.index)-1; o.tbl.index[j] != 0; j++ {
 		if j == last {
-			if o.tbl.slots[0].key != 0 {
+			if o.tbl.index[0] != 0 {
 				o.wrapped++
 			}
 			break
 		}
+	}
+	if i == len(o.tbl.slab)-1 {
+		o.tail++
 	}
 	o.tbl.delAt(i)
 	delete(o.want, id)
@@ -88,42 +97,61 @@ func (o *tableVsMap) del(id ID) {
 	}
 }
 
-// check compares the whole table with the map and checks the probing
-// invariant: no empty slot between a record's home and where it sits.
+// check compares the whole table with the map and checks its shape: the
+// records fill slab positions [0, n) and match the map; the index names
+// each position exactly once and nothing else; no empty entry lies
+// between an entry's home and where it sits; the index is a power of two
+// within the load bound.
 func (o *tableVsMap) check() {
 	o.tb.Helper()
-	if o.tbl.n != len(o.want) {
-		o.tb.Fatalf("table counts %d, map %d", o.tbl.n, len(o.want))
+	n := len(o.tbl.slab)
+	if n != len(o.want) {
+		o.tb.Fatalf("the slab holds %d records, the map %d", n, len(o.want))
 	}
-	if size := len(o.tbl.slots); size&(size-1) != 0 || o.tbl.n*liveLoadDen > size*liveLoadNum {
-		o.tb.Fatalf("%d records in %d slots: not a power of two, or over the load bound", o.tbl.n, size)
+	if size := len(o.tbl.index); size&(size-1) != 0 || n*liveLoadDen > size*liveLoadNum {
+		o.tb.Fatalf("%d records in %d index entries: not a power of two, or over the load bound", n, size)
 	}
-	mask, seen := len(o.tbl.slots)-1, 0
-	for j, r := range o.tbl.slots {
-		if r.key == 0 {
+	for p, r := range o.tbl.slab {
+		if want, ok := o.want[r.id()]; !ok || want != r {
+			o.tb.Fatalf("slab position %d holds %+v, the map %+v (present %v)", p, r, want, ok)
+		}
+		if at := o.tbl.find(r.id()); at != p {
+			o.tb.Fatalf("slab position %d holds id %#x, find answers %d", p, uint64(r.id()), at)
+		}
+	}
+	mask, named := len(o.tbl.index)-1, make([]bool, n)
+	for j, e := range o.tbl.index {
+		if e == 0 {
 			continue
 		}
-		seen++
-		if want, ok := o.want[r.id()]; !ok || want != r {
-			o.tb.Fatalf("slot %d holds %+v, the map %+v (present %v)", j, r, want, ok)
+		if p := int(e) - 1; p < 0 || p >= n || named[p] {
+			o.tb.Fatalf("entry %d names slab position %d: past the %d records, or named twice", j, p, n)
 		}
-		for i := o.tbl.home(r.key); i != j; i = (i + 1) & mask {
-			if o.tbl.slots[i].key == 0 {
-				o.tb.Fatalf("id %#x sits in slot %d, past the empty slot %d after its home", uint64(r.id()), j, i)
+		named[e-1] = true
+		for i := o.tbl.home(o.tbl.slab[e-1].key); i != j; i = (i + 1) & mask {
+			if o.tbl.index[i] == 0 {
+				o.tb.Fatalf("id %#x sits in entry %d, past the empty entry %d after its home", uint64(o.tbl.slab[e-1].id()), j, i)
 			}
 		}
 	}
-	if seen != o.tbl.n {
-		o.tb.Fatalf("%d occupied slots, count says %d", seen, o.tbl.n)
+	for p, ok := range named {
+		if !ok {
+			o.tb.Fatalf("no entry names slab position %d (%+v)", p, o.tbl.slab[p])
+		}
 	}
 }
 
-// longestProbe is the greatest distance of any record from its home slot.
+// entryOf is where in the index id is named.
+func (t *liveTable) entryOf(id ID) int {
+	return t.seek(uint64(id)+1, int32(t.find(id)+1))
+}
+
+// longestProbe is the greatest distance of any entry from its home.
 func (t *liveTable) longestProbe() int {
-	mask, longest := len(t.slots)-1, 0
-	for j, r := range t.slots {
-		if r.key != 0 {
-			longest = max(longest, (j-t.home(r.key))&mask)
+	mask, longest := len(t.index)-1, 0
+	for j, e := range t.index {
+		if e != 0 {
+			longest = max(longest, (j-t.home(t.slab[e-1].key))&mask)
 		}
 	}
 	return longest
@@ -136,8 +164,8 @@ var shardPatterns = []int{0, 1, 0x8000, 0x5555, 0xFFFF}
 // TestLiveTableMatchesMap is the seeded differential test: 10⁵ mixed
 // operations, sequential ids under several shard patterns admitted and
 // cancelled oldest-first, random ids, lookups and deletions of live and
-// absent ids, the population swelling and draining so the table doubles
-// repeatedly and runs form across the end of the slice.
+// absent ids, the population swelling and draining so the index doubles
+// repeatedly and runs form across its end.
 func TestLiveTableMatchesMap(t *testing.T) {
 	const seed = 20261003
 	defer func() {
@@ -189,22 +217,25 @@ func TestLiveTableMatchesMap(t *testing.T) {
 	}
 	o.check()
 	if o.doublings < 3 {
-		t.Errorf("the table doubled %d times, want >= 3", o.doublings)
+		t.Errorf("the index doubled %d times, want >= 3", o.doublings)
 	}
 	if o.wrapped == 0 {
-		t.Error("no deletion met a run that crossed the end of the slice")
+		t.Error("no deletion met a run that crossed the end of the index")
+	}
+	if o.tail == 0 {
+		t.Error("no deletion took the slab's last record")
 	}
 }
 
 func abs(x int) int { return max(x, -x) }
 
 // TestLiveTableWrap builds the case by hand: ids whose home is the last
-// slot form a run over the end of the slice, and deleting its head
-// shifts the others back across it.
+// index entry form a run over the end of the index, and deleting its
+// head shifts the others back across it.
 func TestLiveTableWrap(t *testing.T) {
 	o := newTableVsMap(t)
 	o.put(makeID(0, 0))
-	last := len(o.tbl.slots) - 1
+	last := len(o.tbl.index) - 1
 	var run []ID
 	for seq := uint64(1); len(run) < 3; seq++ {
 		if id := makeID(3, seq); o.tbl.home(uint64(id)+1) == last {
@@ -212,14 +243,14 @@ func TestLiveTableWrap(t *testing.T) {
 			o.put(id)
 		}
 	}
-	if o.tbl.slots[last].id() != run[0] || o.tbl.find(run[2]) >= last {
-		t.Fatalf("run %#x does not wrap: slots %+v", run, o.tbl.slots)
+	if o.tbl.entryOf(run[0]) != last || o.tbl.entryOf(run[2]) >= last {
+		t.Fatalf("run %#x does not wrap: index %v", run, o.tbl.index)
 	}
 	o.check()
 	o.del(run[0])
 	o.check()
-	if o.wrapped != 1 || o.tbl.slots[last].id() != run[1] {
-		t.Fatalf("deleting the head did not pull the run back over the end: slots %+v", o.tbl.slots)
+	if o.wrapped != 1 || o.tbl.entryOf(run[1]) != last {
+		t.Fatalf("deleting the head did not pull the run back over the end: index %v", o.tbl.index)
 	}
 	o.del(run[2])
 	o.del(run[1])
@@ -229,9 +260,9 @@ func TestLiveTableWrap(t *testing.T) {
 // TestLiveTableChurnKeepsShape is the regression the table exists for:
 // a shard at steady occupancy admits fresh sequential ids and cancels
 // them soon after, the pattern that fills a tombstoning map until it
-// rehashes. Here a million such pairs at the load bound leave the
-// capacity where it was, and no record further than churnProbeBound
-// slots from its home.
+// rehashes. Here a million such pairs at the load bound leave the index
+// and the slab's capacity where they were, and no entry further than
+// churnProbeBound from its home.
 func TestLiveTableChurnKeepsShape(t *testing.T) {
 	const (
 		slots           = 1 << 16
@@ -240,9 +271,11 @@ func TestLiveTableChurnKeepsShape(t *testing.T) {
 	)
 	var tbl liveTable
 	tbl.reserve(occupancy + 1)
-	if len(tbl.slots) != slots {
-		t.Fatalf("reserve(%d) made %d slots, want %d", occupancy+1, len(tbl.slots), slots)
+	if len(tbl.index) != slots || cap(tbl.slab) < occupancy+1 {
+		t.Fatalf("reserve(%d) made %d index entries and room for %d records, want %d and %d",
+			occupancy+1, len(tbl.index), cap(tbl.slab), slots, occupancy+1)
 	}
+	room := cap(tbl.slab)
 	seq := uint64(0)
 	for ; seq < occupancy; seq++ {
 		tbl.put(valueFor(makeID(2, seq)))
@@ -257,17 +290,130 @@ func TestLiveTableChurnKeepsShape(t *testing.T) {
 		tbl.delAt(j)
 		seq++
 	}
-	if len(tbl.slots) != slots || tbl.n != occupancy {
-		t.Fatalf("after the churn: %d records in %d slots, want %d in %d", tbl.n, len(tbl.slots), occupancy, slots)
+	if len(tbl.index) != slots || cap(tbl.slab) != room || len(tbl.slab) != occupancy {
+		t.Fatalf("after the churn: %d records, room for %d, %d index entries; want %d, %d, %d",
+			len(tbl.slab), cap(tbl.slab), len(tbl.index), occupancy, room, slots)
 	}
 	if after := tbl.longestProbe(); after > churnProbeBound {
 		t.Fatalf("longest probe %d after the churn (%d before), want <= %d", after, before, churnProbeBound)
 	}
 }
 
+// TestLiveTableBytesPerRecord prices the book one insertion past a
+// doubling of the index: records and index together cost at most 56
+// bytes a reservation, where 2¹⁷ slots of whole records cost 85.
+func TestLiveTableBytesPerRecord(t *testing.T) {
+	const n, bound = 1<<16*liveLoadNum/liveLoadDen + 1, 56
+	var tbl liveTable
+	for seq := uint64(0); seq < n; seq++ {
+		tbl.put(valueFor(makeID(2, seq)))
+	}
+	bytes := cap(tbl.slab)*int(unsafe.Sizeof(resv{})) + len(tbl.index)*int(unsafe.Sizeof(tbl.index[0]))
+	if per := float64(bytes) / n; per > bound {
+		t.Fatalf("%d records in room for %d and %d index entries: %.1f B a record, want <= %d",
+			n, cap(tbl.slab), len(tbl.index), per, bound)
+	}
+}
+
+// TestBookOrderUnobservable: two services admit the same requests and
+// cancel the same ids in opposite orders, which leaves their slabs in
+// different orders. Nothing they report may tell them apart: not Dump,
+// not the tenant totals, not a byte of a shard's snapshot.
+func TestBookOrderUnobservable(t *testing.T) {
+	a, b := mustNew(t, Config{Shards: 2, M: 64}), mustNew(t, Config{Shards: 2, M: 64})
+	var ids []ID
+	for i := range 64 {
+		req := Request{
+			Tenant: []string{"", "acme", "zeta"}[i%3], Ready: core.Time(i * 7 % 50),
+			Q: i%5 + 1, Dur: core.Time(i%11 + 1), Deadline: NoDeadline,
+		}
+		ra, err := a.Admit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rb, err := b.Admit(req); err != nil || rb != ra {
+			t.Fatalf("request %d: %+v, %v; the first service gave %+v", i, rb, err, ra)
+		}
+		ids = append(ids, ra.ID)
+	}
+	cancelled := make([]ID, 0, 20)
+	for i := 0; len(cancelled) < 20; i += 3 {
+		cancelled = append(cancelled, ids[i])
+	}
+	for i, id := range cancelled {
+		if err := a.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Cancel(cancelled[len(cancelled)-1-i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	permuted := false
+	for i := range a.Shards() {
+		permuted = permuted || !slices.Equal(a.shards[i].live.slab, b.shards[i].live.slab)
+		da, err := a.Dump(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := b.Dump(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(da, db) {
+			t.Errorf("shard %d: dumps differ:\n%+v\n%+v", i, da, db)
+		}
+		if sa, sb := snapshotBytes(t, a.shards[i]), snapshotBytes(t, b.shards[i]); !slices.Equal(sa, sb) {
+			t.Errorf("shard %d: snapshots differ:\n%x\n%x", i, sa, sb)
+		}
+	}
+	if !permuted {
+		t.Fatal("the slabs hold their records in the same order: the test compares nothing")
+	}
+	ta, err := a.TenantTotals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := b.TenantTotals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ta, tb) {
+		t.Errorf("tenant totals differ:\n%+v\n%+v", ta, tb)
+	}
+}
+
+// snapshotBytes writes sh's snapshot through a log of its own and reads
+// the file back. sh must be idle.
+func snapshotBytes(t *testing.T, sh *shard) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := wal.Open(sh.id, wal.Options{Dir: dir, Sync: wal.SyncNone})
+	skipNoLog(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	gen, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshot(sh.snapshot(gen)); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("snapshot files %v, %v", files, err)
+	}
+	b, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // FuzzLiveTable replays an op string against the table and the map: each
 // pair of bytes is an operation and its argument, over an id space small
-// enough that puts collide, deletions hit and an 8-slot table wraps.
+// enough that puts collide, deletions hit and an 8-entry index wraps.
 func FuzzLiveTable(f *testing.F) {
 	f.Add("\x00\x01\x00\x02\x00\x03\x02\x02\x03\x00\x04\x00")
 	f.Fuzz(func(t *testing.T, ops string) {

@@ -361,14 +361,14 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 		}
 		sh.keep(id, start, dur, lv.Procs, lv.Tenant, sh.cell(lv.Tenant))
 	}
-	sh.activeCount.Store(int64(sh.live.n))
+	sh.activeCount.Store(int64(len(sh.live.slab)))
 	sh.committedArea.Store(sh.area)
 	// Anchor a snapshot of the recovered state so the generations replay
 	// just consumed can be deleted. Written synchronously: by the time New
 	// returns, recovery is complete and the old logs are gone. Skipped for
 	// a state-free boot (nothing to anchor) and when snapshots are
 	// disabled.
-	if sh.snapEvery > 0 && (sh.live.n > 0 || len(sh.cells) > 0 || seed.admitted > 0) {
+	if sh.snapEvery > 0 && (len(sh.live.slab) > 0 || len(sh.cells) > 0 || seed.admitted > 0) {
 		gen, err := sh.wlog.Rotate()
 		if err != nil {
 			return fmt.Errorf("resd: shard %d: boot snapshot: %w", sh.id, err)
@@ -682,7 +682,7 @@ func (sh *shard) cancel(r request) response {
 	if i < 0 {
 		return response{err: fmt.Errorf("%w: %#x on shard %d", ErrUnknownID, uint64(r.id), sh.id)}
 	}
-	a := sh.live.slots[i]
+	a := sh.live.slab[i]
 	if err := sh.idx.Release(a.start, a.dur, int(a.q)); err != nil {
 		return response{err: fmt.Errorf("resd: shard %d release: %w", sh.id, err)}
 	}
@@ -704,11 +704,9 @@ func (sh *shard) cancel(r request) response {
 
 // dump lists the shard's live reservations, sorted by ID.
 func (sh *shard) dump() response {
-	out := make([]Reservation, 0, sh.live.n)
-	for _, a := range sh.live.slots {
-		if a.key != 0 {
-			out = append(out, Reservation{ID: a.id(), Shard: sh.id, Start: a.start, Dur: a.dur, Procs: int(a.q)})
-		}
+	out := make([]Reservation, 0, len(sh.live.slab))
+	for _, a := range sh.live.slab {
+		out = append(out, Reservation{ID: a.id(), Shard: sh.id, Start: a.start, Dur: a.dur, Procs: int(a.q)})
 	}
 	slices.SortFunc(out, func(a, b Reservation) int { return cmp.Compare(a.ID, b.ID) })
 	return response{live: out}
@@ -723,7 +721,7 @@ func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
 		Shard: sh.id, Gen: gen, NextSeq: sh.nextSeq,
 		Admitted: sh.admitted.Load(), Cancelled: sh.cancelled.Load(),
 		Books: make([]wal.TenantBook, len(sh.cells)),
-		Live:  make([]wal.Live, 0, sh.live.n),
+		Live:  make([]wal.Live, 0, len(sh.live.slab)),
 	}
 	for i, c := range sh.cells {
 		s.Books[i] = wal.TenantBook{
@@ -731,10 +729,7 @@ func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
 			Admitted: c.stats.Admitted, Cancelled: c.stats.Cancelled, RejectedQuota: c.stats.RejectedQuota,
 		}
 	}
-	for _, a := range sh.live.slots {
-		if a.key == 0 {
-			continue
-		}
+	for _, a := range sh.live.slab {
 		s.Live = append(s.Live, wal.Live{
 			ID: uint64(a.id()), Start: int64(a.start), Dur: int64(a.dur), Procs: int(a.q), Tenant: sh.tenantOf(a),
 		})
@@ -745,7 +740,7 @@ func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
 // publish stores the load summary for lock-free readers (placement,
 // Stats). Called once per turn — the group-commit point.
 func (sh *shard) publish(n int) {
-	sh.activeCount.Store(int64(sh.live.n))
+	sh.activeCount.Store(int64(len(sh.live.slab)))
 	sh.committedArea.Store(sh.area)
 	sh.batches.Add(1)
 	sh.ops.Add(uint64(n))
