@@ -14,7 +14,7 @@ func fingerSeg(tr *Tree) (start, end core.Time) {
 	d, k := int(tr.fin.d), int(tr.fin.k)
 	e := &tr.dir[d]
 	l := &tr.leaves[e.leaf]
-	return l.start[k], tr.slotEnd(d, e, l, k)
+	return tr.first[d] + core.Time(l.off[k]), tr.slotEnd(d, e, l, k)
 }
 
 // probeFinger asks the reads a list scheduler makes — AvailableAt,

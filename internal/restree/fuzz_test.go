@@ -20,17 +20,32 @@ func FuzzTreeMatchesTimeline(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 2, 0, 10, 3, 1})
 	f.Add([]byte{2, 3, 3, 1, 1, 3, 3, 1, 0, 0, 1, 1})
 	f.Add([]byte{0, 0, 15, 4, 0, 5, 7, 2, 2, 1, 9, 3})
-	f.Fuzz(func(t *testing.T, ops []byte) { replayOps(t, ops) })
+	f.Fuzz(func(t *testing.T, ops []byte) { replayOps(t, ops, 0) })
+}
+
+// wideShift scales FuzzTreeWideTimes' ticks: 64 of them span 2³², so a
+// leaf of 64 consecutive ticks just fits its offsets and a breakpoint 64
+// ticks past a leaf's key does not.
+const wideShift = 26
+
+// FuzzTreeWideTimes is FuzzTreeMatchesTimeline with every instant and
+// length multiplied by 2²⁶: the same shapes, where a leaf's offsets run
+// out. A far breakpoint opens a leaf of its own, an absorb is declined,
+// and the one-leaf path falls back when a new breakpoint would not fit.
+func FuzzTreeWideTimes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte) { replayOps(t, ops, wideShift) })
 }
 
 // replayOps decodes ops, four bytes each, into commits, releases of the
 // oldest commitment and probes, applies them to a tree and an array
-// timeline side by side, and returns the tree. A start is a byte, so the
-// horizon holds four leaves' worth of breakpoints: leaf splits, drops and
-// merges are within the fuzzer's reach.
-func replayOps(t *testing.T, ops []byte) *Tree {
-	const horizon = 256
+// timeline side by side, and returns the tree and what its mutations did
+// where offsets run out. A start is a byte, so the horizon holds four
+// leaves' worth of breakpoints: leaf splits, drops and merges are within
+// the fuzzer's reach. Every instant and length is a byte shifted left by
+// shift.
+func replayOps(t *testing.T, ops []byte, shift uint) (*Tree, events) {
 	const m = 5
+	horizon := core.Time(256) << shift
 	tr := New(m)
 	tl := profile.New(m)
 	type iv struct {
@@ -38,15 +53,16 @@ func replayOps(t *testing.T, ops []byte) *Tree {
 		q    int
 	}
 	var committed []iv
+	var ev events
 	for len(ops) >= 4 {
 		op, a, b, c := ops[0]%3, ops[1], ops[2], ops[3]
 		ops = ops[4:]
-		start := core.Time(a)
-		dur := min(core.Time(b%16+1), horizon-start)
+		start := core.Time(a) << shift
+		dur := min(core.Time(b%16+1)<<shift, horizon-start)
 		q := int(c%m + 1)
 		switch op {
 		case 0: // commit on both
-			errT := tr.Commit(start, dur, q)
+			errT := ev.mutate(t, tr, start, start+dur, func() error { return tr.Commit(start, dur, q) })
 			errA := tl.Commit(start, dur, q)
 			if (errT == nil) != (errA == nil) {
 				t.Fatalf("commit(%v,%v,%d): tree %v, array %v", start, dur, q, errT, errA)
@@ -60,7 +76,7 @@ func replayOps(t *testing.T, ops []byte) *Tree {
 			}
 			cmt := committed[0]
 			committed = committed[1:]
-			if err := tr.Release(cmt.s, cmt.d, cmt.q); err != nil {
+			if err := ev.mutate(t, tr, cmt.s, cmt.s+cmt.d, func() error { return tr.Release(cmt.s, cmt.d, cmt.q) }); err != nil {
 				t.Fatalf("tree release of prior commit failed: %v", err)
 			}
 			if err := tl.Release(cmt.s, cmt.d, cmt.q); err != nil {
@@ -91,7 +107,7 @@ func replayOps(t *testing.T, ops []byte) *Tree {
 		}
 		checkInvariants(t, tr)
 	}
-	return tr
+	return tr, ev
 }
 
 // sameSegments reports whether both hold the same breakpoints with the same

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/profile"
@@ -280,7 +281,16 @@ func TestLeafBoundaryReads(t *testing.T) {
 // there for: it builds more than three leaves' worth of breakpoints and
 // then releases whole leaves out of the middle.
 func TestLeafSplitHealSeed(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzTreeMatchesTimeline", "leaf-split-heal"))
+	tr, _ := replayOps(t, seedOps(t, "FuzzTreeMatchesTimeline", "leaf-split-heal"), 0)
+	if len(tr.leaves) < 4 || freeLeaves(tr) != len(tr.leaves)-1 || tr.NumSegments() != 1 {
+		t.Fatalf("the seed used %d leaves and left %d free under %v", len(tr.leaves), freeLeaves(tr), tr)
+	}
+}
+
+// seedOps reads the op stream of a committed corpus entry of a fuzz target.
+func seedOps(t *testing.T, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +302,13 @@ func TestLeafSplitHealSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := replayOps(t, []byte(ops))
-	if len(tr.leaves) < 4 || freeLeaves(tr) != len(tr.leaves)-1 || tr.NumSegments() != 1 {
-		t.Fatalf("the seed used %d leaves and left %d free under %v", len(tr.leaves), freeLeaves(tr), tr)
+	return []byte(ops)
+}
+
+// TestLeafBytes pins a leaf at eight cache lines: 64 uint32 offsets and 64
+// int32 capacities.
+func TestLeafBytes(t *testing.T) {
+	if got := unsafe.Sizeof(leaf{}); got != 512 {
+		t.Fatalf("a leaf is %d bytes, want 512", got)
 	}
 }

@@ -4,16 +4,29 @@
 // reservation tree of de Assunção et al. (its min aggregate for admission,
 // its earliest-fit alternative-offer query; not its binary shape).
 //
-// A leaf is two parallel arrays, 64 starts and 64 capacities, 12 cache
-// lines; leaves live in one pointer-free arena, are named by int32 index
-// and are reused through a free list. The directory keeps, per leaf and in
-// time order, its first start (a dense []core.Time, which is what a lookup
-// binary-searches) and its arena index, entry count and the minimum and
-// maximum capacity of its segments. The segments tile [0, +inf), so one
-// ends where the next starts — the next slot, or the next leaf's first
-// start — and no end is stored. Nothing holds a pointer, so the garbage
-// collector never looks inside, Clone is three copies, and a steady-state
-// Commit/Release cycle has nothing to allocate.
+// A leaf is two parallel arrays, 64 starts and 64 capacities, 512 bytes or
+// eight cache lines: a start is a uint32 offset from the leaf's directory
+// key, which is its first start, so slot 0's offset is 0. Leaves live in
+// one pointer-free arena, are named by int32 index and are reused through a
+// free list. The directory keeps, per leaf and in time order, its key (a
+// dense []core.Time, which is what a lookup binary-searches) and its arena
+// index, entry count and the minimum and maximum capacity of its segments.
+// The segments tile [0, +inf), so one ends where the next starts — the next
+// slot, or the next leaf's key — and no end is stored. Nothing holds a
+// pointer, so the garbage collector never looks inside, Clone is three
+// copies, and a steady-state Commit/Release cycle has nothing to allocate.
+//
+// Every breakpoint of a leaf lies within 2³²−1 ticks of its key, and a
+// read compares an instant's distance from the key with the widened
+// offsets. A split and a heal at slot 0 move a key forward, which only
+// shrinks offsets. A new breakpoint farther than that from its leaf's key
+// comes after all of the leaf's breakpoints, and it opens a one-segment
+// leaf of its own (the one-leaf path below falls back to the slow one for
+// it). Two neighbours that would fit in half a leaf are not merged when
+// the later one's last breakpoint lies out of the earlier one's reach: the
+// merge is declined. A leaf spans about 800 ticks at the admission
+// benchmark's density, far inside that reach; the rule is what keeps
+// instants near core.Infinity exact.
 //
 // Why leaves rather than a node per segment: at 10⁵ reservations a binary
 // tree is 10⁵ nodes reached by pointer-chasing, a mutation is four
@@ -88,12 +101,13 @@ func init() {
 // leaf splits and the size up to which two neighbours are merged.
 const leafCap = 64
 
-// leaf is a run of consecutive segments: segment k starts at start[k], has
-// avail[k] processors free and ends where the next one starts. How many
-// slots are in use is the directory's to know. On the free list avail[0]
-// names the next free leaf.
+// leaf is a run of consecutive segments: segment k of the leaf at directory
+// position d starts at first[d]+off[k] (off[0] == 0), has avail[k]
+// processors free and ends where the next one starts. How many slots are
+// in use is the directory's to know. On the free list avail[0] names the
+// next free leaf.
 type leaf struct {
-	start [leafCap]core.Time
+	off   [leafCap]uint32
 	avail [leafCap]int32
 }
 
@@ -109,7 +123,7 @@ type entry struct {
 type Tree struct {
 	m      int
 	leaves []leaf      // arena
-	first  []core.Time // first[d]: first start of the d-th leaf in time order; first[0] == 0
+	first  []core.Time // first[d]: key (first start) of the d-th leaf in time order; first[0] == 0
 	dir    []entry     // parallel to first
 	free   int32       // head of the free list, -1 when empty
 	size   int         // live segments
@@ -165,11 +179,11 @@ func (t *Tree) Clone() *Tree {
 func (t *Tree) CloneIndex() profile.CapacityIndex { return t.Clone() }
 
 // lastLE returns the greatest i with s[i] <= at; s is increasing and
-// s[0] <= at.
-func lastLE(s []core.Time, at core.Time) int {
+// s[0] <= at. A leaf's offsets are searched with at taken from its key.
+func lastLE[T core.Time | uint32](s []T, at core.Time) int {
 	lo, hi := 0, len(s)
 	for hi-lo > 1 {
-		if mid := int(uint(lo+hi) >> 1); s[mid] <= at {
+		if mid := int(uint(lo+hi) >> 1); core.Time(s[mid]) <= at {
 			lo = mid
 		} else {
 			hi = mid
@@ -186,7 +200,7 @@ func (t *Tree) locate(at core.Time) (d int, e *entry, l *leaf, k int) {
 	d, k = int(t.fin.d), int(t.fin.k)
 	e = &t.dir[d]
 	l = &t.leaves[e.leaf]
-	if at >= l.start[k] {
+	if at >= t.start(d, l, k) {
 		if at < t.slotEnd(d, e, l, k) {
 			return d, e, l, k
 		}
@@ -198,7 +212,20 @@ func (t *Tree) locate(at core.Time) (d int, e *entry, l *leaf, k int) {
 	d = lastLE(t.first, at)
 	e = &t.dir[d]
 	l = &t.leaves[e.leaf]
-	return d, e, l, lastLE(l.start[:e.n], at)
+	return d, e, l, lastLE(l.off[:e.n], at-t.first[d])
+}
+
+// start returns where segment k of leaf d (leaf l) starts.
+func (t *Tree) start(d int, l *leaf, k int) core.Time {
+	return t.first[d] + core.Time(l.off[k])
+}
+
+// offset returns at's offset from leaf d's key (at >= first[d]) and whether
+// a slot can hold it: every breakpoint of a leaf lies within 2³²−1 ticks of
+// its key.
+func (t *Tree) offset(d int, at core.Time) (uint32, bool) {
+	rel := at - t.first[d]
+	return uint32(rel), rel <= math.MaxUint32
 }
 
 // leafEnd returns where the segments after leaf d start.
@@ -212,7 +239,7 @@ func (t *Tree) leafEnd(d int) core.Time {
 // slotEnd returns where segment k of leaf d (entry e, leaf l) ends.
 func (t *Tree) slotEnd(d int, e *entry, l *leaf, k int) core.Time {
 	if k+1 < int(e.n) {
-		return l.start[k+1]
+		return t.start(d, l, k+1)
 	}
 	return t.leafEnd(d)
 }
@@ -241,8 +268,8 @@ func windowEnd(start, dur core.Time) core.Time {
 func (t *Tree) extent(a, b core.Time) (mn, mx int32) {
 	d, e, l, k := t.locate(a)
 	mn, mx = l.avail[k], l.avail[k]
-	for k++; k < int(e.n); k++ {
-		if l.start[k] >= b {
+	for k, rb := k+1, b-t.first[d]; k < int(e.n); k++ {
+		if core.Time(l.off[k]) >= rb {
 			return mn, mx
 		}
 		mn, mx = min(mn, l.avail[k]), max(mx, l.avail[k])
@@ -260,8 +287,8 @@ func (t *Tree) extentFrom(d int, b core.Time, mn, mx int32) (int32, int32) {
 			mn, mx = min(mn, e.mn), max(mx, e.mx)
 			continue
 		}
-		l := &t.leaves[e.leaf]
-		for k := 0; k < int(e.n) && l.start[k] < b; k++ {
+		l, rb := &t.leaves[e.leaf], b-t.first[d]
+		for k := 0; k < int(e.n) && core.Time(l.off[k]) < rb; k++ {
 			mn, mx = min(mn, l.avail[k]), max(mx, l.avail[k])
 		}
 	}
@@ -319,18 +346,18 @@ func (t *Tree) EarliestFit(q int, dur, notBefore core.Time) (core.Time, bool) {
 		} else if e.mn >= need {
 			continue
 		}
-		l := &t.leaves[e.leaf]
+		l, key := &t.leaves[e.leaf], t.first[d]
 		if k < 0 {
-			k = lastLE(l.start[:e.n], ready)
+			k = lastLE(l.off[:e.n], ready-key)
 		}
 		for ; k < int(e.n); k++ {
 			if l.avail[k] < need {
-				if !blocked && l.start[k] >= windowEnd(s, dur) {
+				if !blocked && key+core.Time(l.off[k]) >= windowEnd(s, dur) {
 					return s, true
 				}
 				blocked = true
 			} else if blocked {
-				s, blocked = max(l.start[k], ready), false
+				s, blocked = max(key+core.Time(l.off[k]), ready), false
 			}
 		}
 	}
@@ -345,17 +372,28 @@ func (t *Tree) FindSlot(ready core.Time, q int, dur core.Time) (core.Time, bool)
 	return t.EarliestFit(q, dur, ready)
 }
 
-// insert puts segment (start, avail) in slot k of a leaf with n in use.
-func (l *leaf) insert(n, k int, start core.Time, avail int32) {
-	copy(l.start[k+1:n+1], l.start[k:n])
+// insert puts segment (off, avail) in slot k of a leaf with n in use.
+func (l *leaf) insert(n, k int, off uint32, avail int32) {
+	copy(l.off[k+1:n+1], l.off[k:n])
 	copy(l.avail[k+1:n+1], l.avail[k:n])
-	l.start[k], l.avail[k] = start, avail
+	l.off[k], l.avail[k] = off, avail
 }
 
 // remove takes slot k out of a leaf with n in use.
 func (l *leaf) remove(n, k int) {
-	copy(l.start[k:], l.start[k+1:n])
+	copy(l.off[k:], l.off[k+1:n])
 	copy(l.avail[k:], l.avail[k+1:n])
+}
+
+// rebase makes slot 0's start the key of a leaf with n in use: it takes
+// off[0] from every offset and returns it, by how much the key moves.
+// Offsets only shrink, so they still fit.
+func (l *leaf) rebase(n int) core.Time {
+	by := l.off[0]
+	for k := range l.off[:n] {
+		l.off[k] -= by
+	}
+	return core.Time(by)
 }
 
 // rescan recomputes leaf d's min and max.
@@ -377,16 +415,21 @@ func (t *Tree) alloc() int32 {
 	return int32(len(t.leaves) - 1)
 }
 
+// link enters leaf e into the directory at position d with the given key.
+func (t *Tree) link(d int, key core.Time, e entry) {
+	t.first = slices.Insert(t.first, d, key)
+	t.dir = slices.Insert(t.dir, d, e)
+}
+
 // split moves the upper half of the full leaf d to a new leaf at d+1.
 func (t *Tree) split(d int) {
 	const half = leafCap / 2
 	r := t.alloc()
 	lo, hi := &t.leaves[t.dir[d].leaf], &t.leaves[r]
-	copy(hi.start[:], lo.start[half:])
+	copy(hi.off[:], lo.off[half:])
 	copy(hi.avail[:], lo.avail[half:])
 	t.dir[d].n = half
-	t.first = slices.Insert(t.first, d+1, hi.start[0])
-	t.dir = slices.Insert(t.dir, d+1, entry{leaf: r, n: leafCap - half})
+	t.link(d+1, t.first[d]+hi.rebase(leafCap-half), entry{leaf: r, n: leafCap - half})
 	t.rescan(d)
 	t.rescan(d + 1)
 }
@@ -400,34 +443,65 @@ func (t *Tree) drop(d int) {
 }
 
 // absorb merges leaf d with a neighbour if the two fit in half a leaf, so
-// that what a split made cannot be unmade by the next release.
+// that what a split made cannot be unmade by the next release. A merge
+// whose offsets would not fit is declined.
 func (t *Tree) absorb(d int) {
-	if d+1 == len(t.dir) || t.dir[d].n+t.dir[d+1].n > leafCap/2 {
-		if d--; d < 0 || t.dir[d].n+t.dir[d+1].n > leafCap/2 {
+	if !t.mergeable(d) {
+		if d--; d < 0 || !t.mergeable(d) {
 			return
 		}
 	}
 	a, b := &t.dir[d], &t.dir[d+1]
 	la, lb := &t.leaves[a.leaf], &t.leaves[b.leaf]
-	copy(la.start[a.n:], lb.start[:b.n])
+	by := uint32(t.first[d+1] - t.first[d])
+	for k, off := range lb.off[:b.n] {
+		la.off[int(a.n)+k] = by + off
+	}
 	copy(la.avail[a.n:], lb.avail[:b.n])
 	a.n, a.mn, a.mx = a.n+b.n, min(a.mn, b.mn), max(a.mx, b.mx)
 	t.drop(d + 1)
 }
 
+// mergeable reports whether leaf d and the next one fit in half a leaf,
+// with the next one's last breakpoint within reach of d's key.
+func (t *Tree) mergeable(d int) bool {
+	if d+1 == len(t.dir) || t.dir[d].n+t.dir[d+1].n > leafCap/2 {
+		return false
+	}
+	b := &t.dir[d+1]
+	_, ok := t.offset(d, t.start(d+1, &t.leaves[b.leaf], int(b.n)-1))
+	return ok
+}
+
 // cut makes at a breakpoint, splitting the segment it falls in; Infinity
 // never is one. A new breakpoint lies inside a segment of its leaf, so it
-// never lands in slot 0 and no directory key changes.
+// never lands in slot 0 and no directory key changes — unless it lies
+// beyond the reach of its leaf's offsets. Then it comes after all of the
+// leaf's breakpoints, and it becomes the key of a new one-segment leaf
+// right after it.
 func (t *Tree) cut(at core.Time) {
+	if at == core.Infinity {
+		return
+	}
 	d, e, l, k := t.locate(at)
-	if l.start[k] == at || at == core.Infinity {
+	off, ok := t.offset(d, at)
+	if !ok {
+		avail := l.avail[k]
+		r := t.alloc()
+		t.leaves[r].off[0], t.leaves[r].avail[0] = 0, avail
+		t.link(d+1, at, entry{leaf: r, n: 1, mn: avail, mx: avail})
+		t.size++
+		return
+	}
+	if l.off[k] == off {
 		return
 	}
 	if e.n == leafCap {
 		t.split(d)
-		_, e, l, k = t.locate(at)
+		d, e, l, k = t.locate(at)
+		off, _ = t.offset(d, at)
 	}
-	l.insert(int(e.n), k+1, at, l.avail[k])
+	l.insert(int(e.n), k+1, off, l.avail[k])
 	e.n++
 	t.size++
 }
@@ -455,7 +529,9 @@ func (t *Tree) heal(at core.Time) {
 	}
 	l.remove(int(e.n), k)
 	e.n--
-	t.first[d] = l.start[0]
+	if k == 0 {
+		t.first[d] += l.rebase(int(e.n))
+	}
 	t.rescan(d)
 	t.absorb(d)
 }
@@ -479,13 +555,13 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 	d, e, l, k0 := t.locate(start)
 	n, k1 := int(e.n), k0
 	mn, mx := l.avail[k0], l.avail[k0]
-	for k1+1 < n && l.start[k1+1] < end {
+	for re := end - t.first[d]; k1+1 < n && core.Time(l.off[k1+1]) < re; {
 		k1++
 		mn, mx = min(mn, l.avail[k1]), max(mx, l.avail[k1])
 	}
 	next := t.leafEnd(d)
 	if k1+1 < n {
-		next = l.start[k1+1]
+		next = t.start(d, l, k1+1)
 	}
 	within := next >= end
 	if !within {
@@ -502,12 +578,15 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 	// A uniform delta over [start, end) leaves interior neighbours
 	// different, so only the two boundaries can appear or merge.
 	delta := int32(deltaQ)
-	cutStart, cutEnd := l.start[k0] < start, next > end
+	cutStart, cutEnd := t.start(d, l, k0) < start, next > end
+	offStart, startFits := t.offset(d, start)
+	offEnd, endFits := t.offset(d, end)
 	// The one-leaf path needs the window, the segment before a breakpoint
 	// at start and the segment at a breakpoint at end all in this leaf, and
-	// room for two new breakpoints.
+	// room for two new breakpoints within reach of its key.
 	if !within || n > leafCap-2 || (k0 == 0 && d > 0 && !cutStart) ||
-		(k1+1 == n && end != core.Infinity && !cutEnd) {
+		(k1+1 == n && end != core.Infinity && !cutEnd) ||
+		(cutStart && !startFits) || (cutEnd && !endFits) {
 		// Splits, drops and merges move slots and leaves under the finger;
 		// leaf 0's slot 0 is live throughout, as leaf 0 is never dropped.
 		t.fin.d, t.fin.k = 0, 0
@@ -521,14 +600,14 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 	// The end first, while k1 still names the segment before it; then the
 	// start, the delta, and the one merge the start can need.
 	if cutEnd {
-		l.insert(n, k1+1, end, l.avail[k1])
+		l.insert(n, k1+1, offEnd, l.avail[k1])
 		n++
 	} else if k1+1 < n && l.avail[k1]+delta == l.avail[k1+1] {
 		l.remove(n, k1+1)
 		n--
 	}
 	if cutStart {
-		l.insert(n, k0+1, start, l.avail[k0])
+		l.insert(n, k0+1, offStart, l.avail[k0])
 		n, k0, k1 = n+1, k0+1, k1+1
 	}
 	for k := k0; k <= k1; k++ {
@@ -570,7 +649,7 @@ func (t *Tree) addRange(lo, hi core.Time, delta int32) {
 	d, e, l, k := t.locate(lo)
 	for {
 		j := k
-		for ; j < int(e.n) && l.start[j] < hi; j++ {
+		for rhi := hi - t.first[d]; j < int(e.n) && core.Time(l.off[j]) < rhi; j++ {
 			l.avail[j] += delta
 		}
 		if k == 0 && j == int(e.n) {
@@ -620,7 +699,7 @@ func (t *Tree) NextBreakpoint(at core.Time) (core.Time, bool) {
 	}
 	d, e, l, k := t.locate(at)
 	if k+1 < int(e.n) {
-		return l.start[k+1], true
+		return t.start(d, l, k+1), true
 	}
 	if d+1 < len(t.first) {
 		return t.first[d+1], true
@@ -634,11 +713,11 @@ func (t *Tree) walk(from core.Time, visit func(start, end core.Time, avail int) 
 	d, e, l, k := t.locate(from)
 	for {
 		for ; k+1 < int(e.n); k++ {
-			if !visit(l.start[k], l.start[k+1], int(l.avail[k])) {
+			if !visit(t.start(d, l, k), t.start(d, l, k+1), int(l.avail[k])) {
 				return
 			}
 		}
-		if !visit(l.start[k], t.leafEnd(d), int(l.avail[k])) {
+		if !visit(t.start(d, l, k), t.leafEnd(d), int(l.avail[k])) {
 			return
 		}
 		if d++; d == len(t.dir) {
@@ -652,8 +731,10 @@ func (t *Tree) walk(from core.Time, visit func(start, end core.Time, avail int) 
 // Breakpoints returns a copy of all breakpoint times.
 func (t *Tree) Breakpoints() []core.Time {
 	out := make([]core.Time, 0, t.size)
-	for _, e := range t.dir {
-		out = append(out, t.leaves[e.leaf].start[:e.n]...)
+	for d, e := range t.dir {
+		for _, off := range t.leaves[e.leaf].off[:e.n] {
+			out = append(out, t.first[d]+core.Time(off))
+		}
 	}
 	return out
 }

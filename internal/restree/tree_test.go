@@ -12,11 +12,13 @@ import (
 
 // checkInvariants verifies the structural invariants of the leaf layout:
 // every leaf the directory reaches holds 1..leafCap segments and is reached
-// once, first[d] is its leaf's first start and first[0] is 0, the stored
-// min/max equal the recomputed ones, breakpoints strictly increase and no
-// two neighbours are equal — across leaf boundaries too (the canonical
-// form) — capacities lie in [0, m], size equals the segments reachable, and
-// the free list holds exactly the arena slots the directory does not reach.
+// once, first[0] is 0, a leaf's offsets start at 0 and strictly increase
+// and its last breakpoint (its key plus the last offset) lies before the
+// next key, the stored min/max equal the recomputed ones, breakpoints
+// strictly increase and no two neighbours are equal — across leaf
+// boundaries too (the canonical form) — capacities lie in [0, m], size
+// equals the segments reachable, and the free list holds exactly the arena
+// slots the directory does not reach.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
 	if len(tr.first) != len(tr.dir) || len(tr.dir) == 0 || tr.first[0] != 0 {
@@ -35,12 +37,20 @@ func checkInvariants(t *testing.T, tr *Tree) {
 			t.Fatalf("leaf at %v holds %d segments", tr.first[d], e.n)
 		}
 		l := &tr.leaves[e.leaf]
-		if l.start[0] != tr.first[d] {
-			t.Fatalf("directory key %v but leaf starts at %v", tr.first[d], l.start[0])
+		if l.off[0] != 0 {
+			t.Fatalf("leaf at %v starts %d ticks after its key", tr.first[d], l.off[0])
+		}
+		for k := 1; k < int(e.n); k++ {
+			if l.off[k] <= l.off[k-1] {
+				t.Fatalf("offsets out of order in the leaf at %v, slot %d: %v", tr.first[d], k, l.off[:e.n])
+			}
+		}
+		if d+1 < len(tr.dir) && tr.first[d]+core.Time(l.off[e.n-1]) >= tr.first[d+1] {
+			t.Fatalf("leaf at %v reaches %v, past the next key %v", tr.first[d], tr.first[d]+core.Time(l.off[e.n-1]), tr.first[d+1])
 		}
 		mn, mx := int32(math.MaxInt32), int32(math.MinInt32)
 		for k := 0; k < int(e.n); k++ {
-			start, avail := l.start[k], l.avail[k]
+			start, avail := tr.first[d]+core.Time(l.off[k]), l.avail[k]
 			if avail < 0 || int(avail) > tr.m {
 				t.Fatalf("segment at %v: capacity %d outside [0,%d]", start, avail, tr.m)
 			}
