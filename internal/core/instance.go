@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Instance is a complete RESASCHEDULING problem: m identical processors, a
@@ -39,21 +41,20 @@ func (in *Instance) Validate() error {
 	if in.M < 1 {
 		return fmt.Errorf("%w: m=%d", ErrNoMachines, in.M)
 	}
-	seen := make(map[int]bool, len(in.Jobs))
-	for _, j := range in.Jobs {
+	dup := firstDuplicate(len(in.Jobs), func(i int) int { return in.Jobs[i].ID })
+	for i, j := range in.Jobs {
 		if j.Procs < 1 || j.Procs > in.M {
 			return fmt.Errorf("%w: job %d needs %d of %d procs", ErrBadJob, j.ID, j.Procs, in.M)
 		}
 		if j.Len <= 0 || j.Len == Infinity {
 			return fmt.Errorf("%w: job %d has duration %v", ErrBadJob, j.ID, j.Len)
 		}
-		if j.ID < 0 || seen[j.ID] {
+		if j.ID < 0 || i == dup {
 			return fmt.Errorf("%w: job id %d", ErrDuplicateID, j.ID)
 		}
-		seen[j.ID] = true
 	}
-	seenR := make(map[int]bool, len(in.Res))
-	for _, r := range in.Res {
+	dup = firstDuplicate(len(in.Res), func(i int) int { return in.Res[i].ID })
+	for i, r := range in.Res {
 		if r.Procs < 1 || r.Procs > in.M {
 			return fmt.Errorf("%w: reservation %d holds %d of %d procs", ErrBadReservation, r.ID, r.Procs, in.M)
 		}
@@ -63,15 +64,45 @@ func (in *Instance) Validate() error {
 		if r.Start < 0 {
 			return fmt.Errorf("%w: reservation %d starts at %v", ErrBadReservation, r.ID, r.Start)
 		}
-		if r.ID < 0 || seenR[r.ID] {
+		if r.ID < 0 || i == dup {
 			return fmt.Errorf("%w: reservation id %d", ErrDuplicateID, r.ID)
 		}
-		seenR[r.ID] = true
 	}
 	if u := UnavailabilityOf(in.Res); u.Max() > in.M {
 		return fmt.Errorf("%w: peak unavailability %d > m=%d", ErrResOverSubscribe, u.Max(), in.M)
 	}
 	return nil
+}
+
+// firstDuplicate returns the position of the first id, in input order,
+// that repeats an earlier one, or -1. Strictly increasing ids — what the
+// generators write — cost one pass; any other order sorts one slice of
+// positions by (id, position), the only allocation.
+func firstDuplicate(n int, id func(int) int) int {
+	increasing := true
+	for i := 1; i < n && increasing; i++ {
+		increasing = id(i-1) < id(i)
+	}
+	if increasing {
+		return -1
+	}
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i
+	}
+	slices.SortFunc(pos, func(a, b int) int {
+		if c := cmp.Compare(id(a), id(b)); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	first := -1
+	for k := 1; k < n; k++ {
+		if id(pos[k]) == id(pos[k-1]) && (first < 0 || pos[k] < first) {
+			first = pos[k]
+		}
+	}
+	return first
 }
 
 // Unavailability returns the paper's U(t): the number of processors held by

@@ -249,3 +249,46 @@ func TestSlowLogBlockingCallback(t *testing.T) {
 		t.Fatal("Close blocked on a wedged SlowLog callback")
 	}
 }
+
+// TestFlightProbesAreMonotonic: the heartbeat the watchdog probes carries
+// monotonic readings — BusySince inside a turn, LastTurn after it — so a
+// wall-clock step cannot age a turn and report a healthy shard stalled.
+func TestFlightProbesAreMonotonic(t *testing.T) {
+	rec, err := flight.New(flight.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s *Service
+	var inTurn []flight.ShardProbe
+	s = mustNew(t, Config{
+		M:   8,
+		Obs: &ObsConfig{Flight: rec},
+		turnHook: func(int) {
+			if s != nil {
+				inTurn = s.flightProbes()
+			}
+		},
+	})
+	monotonic := func(what string, at time.Time) {
+		t.Helper()
+		if at.IsZero() || !strings.Contains(at.String(), " m=") {
+			t.Fatalf("%s %v carries no monotonic reading", what, at)
+		}
+	}
+	monotonic("LastTurn at creation", s.flightProbes()[0].LastTurn)
+	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+	if inTurn == nil {
+		t.Fatal("the turn hook never probed")
+	}
+	monotonic("BusySince inside a turn", inTurn[0].BusySince)
+	after := s.flightProbes()[0]
+	if !after.BusySince.IsZero() {
+		t.Fatalf("BusySince %v after the turn, want zero", after.BusySince)
+	}
+	monotonic("LastTurn after a turn", after.LastTurn)
+	if now := time.Now(); after.LastTurn.Before(inTurn[0].BusySince) || after.LastTurn.After(now) {
+		t.Fatalf("LastTurn %v outside [BusySince %v, now %v]", after.LastTurn, inTurn[0].BusySince, now)
+	}
+}

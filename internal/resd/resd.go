@@ -366,10 +366,10 @@ func (s *Service) flightProbes() []flight.ShardProbe {
 			QueueCap: sh.batch,
 		}
 		if v := sh.lastBeat.Load(); v != 0 {
-			p.LastTurn = time.Unix(0, v)
+			p.LastTurn = epoch.Add(time.Duration(v))
 		}
 		if v := sh.busySince.Load(); v != 0 {
-			p.BusySince = time.Unix(0, v)
+			p.BusySince = epoch.Add(time.Duration(v))
 		}
 		if s.walLogs != nil && s.walLogs[i] != nil {
 			p.FsyncP99 = time.Duration(s.walLogs[i].FsyncQuantile(0.99))

@@ -234,7 +234,7 @@ type shard struct {
 	// Flight recorder surface. journal is nil-safe (a shard without a
 	// recorder records into nothing); when flightOn the combiner
 	// publishes a heartbeat — busySince on entering a turn, lastBeat on
-	// completing one, both unix nanoseconds — for the watchdog's
+	// completing one, both nanoseconds since epoch — for the watchdog's
 	// lock-free stall probes, and journals turns slower than
 	// slowTurnThreshold. overflowed latches the tenant-book overflow
 	// event. turnHook, set only by tests via the unexported Config
@@ -316,7 +316,7 @@ func newShard(id int, cfg Config, floor int, seed *shardSeed) (*shard, error) {
 		// A fresh "beat" at creation: the watchdog's queued-but-no-turn
 		// rule measures from here, so an idle-since-boot shard that
 		// suddenly wedges is judged from boot, not from a zero time.
-		sh.lastBeat.Store(time.Now().UnixNano())
+		sh.lastBeat.Store(int64(time.Since(epoch)))
 	}
 	sh.turnHook = cfg.turnHook
 	if seed != nil {
@@ -462,14 +462,15 @@ func (sh *shard) combine(self *slot) {
 func (sh *shard) turn(self *slot) {
 	// Two clock reads per turn when anything wants the time, none
 	// otherwise: start is the heartbeat's busy stamp and the turn
-	// histogram's origin, end (below) closes both.
+	// histogram's origin, end (below) closes both. Both are monotonic
+	// readings since epoch.
 	timed := sh.flightOn || sh.turnNs != nil
-	var start time.Time
+	var start time.Duration
 	if timed {
-		start = time.Now()
+		start = time.Since(epoch)
 	}
 	if sh.flightOn {
-		sh.busySince.Store(start.UnixNano())
+		sh.busySince.Store(int64(start))
 	}
 	if sh.turnHook != nil {
 		sh.turnHook(sh.id)
@@ -491,12 +492,12 @@ func (sh *shard) turn(self *slot) {
 		}
 	}
 	sh.publish(len(sh.pending))
-	var end time.Time
+	var end time.Duration
 	if timed {
-		end = time.Now()
+		end = time.Since(epoch)
 	}
 	if sh.turnNs != nil {
-		sh.turnNs.Observe(end.Sub(start).Nanoseconds())
+		sh.turnNs.Observe(int64(end - start))
 	}
 	// fairOrder permutes the turn, so the combiner knows its own slot by
 	// identity. A woken caller may recycle its slot at once.
@@ -506,25 +507,34 @@ func (sh *shard) turn(self *slot) {
 		}
 	}
 	if sh.flightOn {
-		sh.beat(end.Sub(start), end, len(sh.pending))
+		sh.beat(end-start, end, len(sh.pending))
 	}
 	sh.maybeSnapshot()
 }
+
+// epoch is the origin of the shards' turn clocks. A turn reads its edges
+// as time.Since(epoch), a monotonic reading at about half the cost of
+// time.Now, and the heartbeat atomics hold those offsets; flightProbes
+// turns one back into a time with epoch.Add, so the watchdog compares
+// monotonic readings and a wall-clock step cannot make a shard look
+// stalled. Taken at package init, every later offset is positive and 0
+// stays free to mean "none".
+var epoch = time.Now()
 
 // slowTurnThreshold is the batch-turn anomaly budget: a turn that took
 // longer than this is journaled (the whole shard was unavailable for
 // the duration — every queued caller waited it out).
 const slowTurnThreshold = 100 * time.Millisecond
 
-// beat completes the heartbeat for a turn that took d and ended at end:
-// journal the turn as an anomaly if it ran long, then publish "turn done,
-// shard idle" for the watchdog's stall probes.
-func (sh *shard) beat(d time.Duration, end time.Time, ops int) {
+// beat completes the heartbeat for a turn that took d and ended at end
+// (since epoch): journal the turn as an anomaly if it ran long, then
+// publish "turn done, shard idle" for the watchdog's stall probes.
+func (sh *shard) beat(d, end time.Duration, ops int) {
 	if d >= slowTurnThreshold {
 		sh.journal.Record(flight.Warn, "resd", sh.id, "slow batch turn",
 			flight.KV{K: "turn", V: d.String()}, flight.KV{K: "ops", V: strconv.Itoa(ops)})
 	}
-	sh.lastBeat.Store(end.UnixNano())
+	sh.lastBeat.Store(int64(end))
 	sh.busySince.Store(0)
 }
 

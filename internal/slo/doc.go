@@ -12,11 +12,24 @@
 // each bound source into a stats.SnapRing; the difference between two
 // retained snapshots is the exact event count for the span between
 // them, so "the last 5 minutes" is pure arithmetic over copies — the
-// same no-request-to-a-shard contract as a /metrics scrape, at a few kilobytes
-// of ring per objective. The same ring, at histogram-bucket width,
-// fixes the process-lifetime-only caveat on the slack and turn-latency
-// summaries: TrackHistogram exposes restart-free windowed percentiles
-// as the <name>_window summary family.
+// same no-request-to-a-shard contract as a /metrics scrape. The same
+// ring, at histogram-bucket width, fixes the process-lifetime-only
+// caveat on the slack and turn-latency summaries: TrackHistogram exposes
+// restart-free windowed percentiles as the <name>_window summary family.
+//
+// # Ring size
+//
+// A ring keeps only the history asked of its source: longest window ÷
+// period + 2 snapshots (see stats.SnapRing), each an 8-byte timestamp
+// plus 8 bytes per value, in two flat arrays. An objective's ring covers
+// its own rules' long windows and the budget window; a tracked
+// histogram's covers the budget window, the only span WindowQuantile and
+// the <name>_window family ask of it. Under the defaults (10s period, 1h
+// budget window, DefaultRules' 6h warn window) an objective holds
+// 2 162 × 24 B ≈ 52 KB and a histogram 362 × 528 B ≈ 191 KB: a
+// three-objective engine tracking resd's two histograms holds ≈ 0.51 MiB
+// of rings. A ring past 4 MiB is refused with ErrConfig — when the spec
+// is validated for an objective, by TrackHistogram for a histogram.
 //
 // # Objectives
 //

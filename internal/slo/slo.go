@@ -53,7 +53,7 @@ type windowBurn struct {
 type objState struct {
 	o    Objective
 	src  CounterSource
-	ring *stats.SnapRing // width 2: cumulative [good, total]
+	ring *stats.SnapRing // width 2: cumulative [good, total]; sized by longestWindow
 
 	sev         Severity
 	attainment  float64 // good fraction over the budget window
@@ -69,7 +69,7 @@ type objState struct {
 type histState struct {
 	name string
 	src  HistSource
-	ring *stats.SnapRing // width stats.ExpBuckets
+	ring *stats.SnapRing // width stats.ExpBuckets; sized by the budget window
 }
 
 // Engine evaluates SLO objectives: every Period it snapshots each bound
@@ -125,7 +125,7 @@ func New(cfg Config) (*Engine, error) {
 		e.now = time.Now
 	}
 	for _, o := range res.objectives {
-		slots := int(res.maxWindow()/res.period) + 2
+		slots, _ := res.ringSlots("", res.longestWindow(o), 2) // checked by normalize
 		st := &objState{
 			o:          o,
 			ring:       stats.NewSnapRing(slots, 2),
@@ -139,19 +139,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.register()
 	return e, nil
-}
-
-// maxWindow is the longest span any ring must cover.
-func (r resolved) maxWindow() time.Duration {
-	max := r.budgetWindow
-	for _, o := range r.objectives {
-		for _, rule := range o.Rules {
-			if rule.Long > max {
-				max = rule.Long
-			}
-		}
-	}
-	return max
 }
 
 // distinctWindows lists the objective's rule windows, deduplicated and
@@ -212,7 +199,9 @@ func (e *Engine) Bind(objective string, src CounterSource) error {
 // ring, making windowed percentiles of it queryable (WindowQuantile)
 // and — with a registry — exposed as the summary family name+"_window"
 // with quantile labels 0.5/0.9/0.99 and a _count of the observations
-// inside the window. Must be called before Start.
+// inside the window. The budget window is the only one asked of the
+// histogram, so its ring covers that and no more; a ring past
+// maxRingBytes is refused with ErrConfig. Must be called before Start.
 func (e *Engine) TrackHistogram(name string, src HistSource) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -224,7 +213,10 @@ func (e *Engine) TrackHistogram(name string, src HistSource) error {
 			return fmt.Errorf("%w: histogram %q tracked twice", ErrConfig, name)
 		}
 	}
-	slots := int(e.res.maxWindow()/e.res.period) + 2
+	slots, err := e.res.ringSlots(fmt.Sprintf("histogram %q", name), e.res.budgetWindow, stats.ExpBuckets)
+	if err != nil {
+		return err
+	}
 	h := &histState{name: name, src: src, ring: stats.NewSnapRing(slots, stats.ExpBuckets)}
 	e.hists = append(e.hists, h)
 	e.reg.Collect(obs.KindSummary, name+"_window",

@@ -17,12 +17,12 @@ var ErrConfig = errors.New("slo: invalid config")
 // and over the wire with a one-byte length prefix.
 const MaxNameLen = 255
 
-// maxRingSlots bounds how many snapshots one objective's ring retains
-// (longest window ÷ period). 1<<16 slots of a two-element vector is
-// ~1.5 MiB — far past any sane window/period pair; the cap exists so a
-// typo ("period": "1ms" against a 6h window) fails at load, not as a
-// surprise allocation.
-const maxRingSlots = 1 << 16
+// maxRingBytes bounds the bytes one snapshot ring may hold
+// (stats.SnapRing: 8·slots·(1+width), slots = longest window ÷ period
+// + 2). At the defaults an objective's ring holds 52 KB and a tracked
+// histogram's 191 KB; the cap exists so a typo ("period": "1ms" against a
+// 6h window) fails at load, not as a surprise allocation.
+const maxRingBytes = 4 << 20
 
 // Signal names what an objective measures. Every signal reduces to a
 // (good, total) event pair per window; the differences are only where
@@ -235,10 +235,10 @@ func (s Spec) normalize() (resolved, error) {
 			return r, fmt.Errorf("%w: objective %q declared twice", ErrConfig, o.Name)
 		}
 		seen[o.Name] = true
+		if _, err := r.ringSlots(fmt.Sprintf("objective %q", o.Name), r.longestWindow(o), 2); err != nil {
+			return r, err
+		}
 		r.objectives = append(r.objectives, o)
-	}
-	if err := r.checkRingBounds(); err != nil {
-		return r, err
 	}
 	return r, nil
 }
@@ -326,22 +326,28 @@ func (rs RuleSpec) normalize(objective string, period time.Duration) (Rule, erro
 	return rule, nil
 }
 
-// checkRingBounds rejects window/period combinations whose snapshot
-// ring would be absurdly large (see maxRingSlots).
-func (r resolved) checkRingBounds() error {
+// longestWindow is the longest span asked of o's ring: its rules' long
+// windows and the budget window.
+func (r resolved) longestWindow(o Objective) time.Duration {
 	max := r.budgetWindow
-	for _, o := range r.objectives {
-		for _, rule := range o.Rules {
-			if rule.Long > max {
-				max = rule.Long
-			}
+	for _, rule := range o.Rules {
+		if rule.Long > max {
+			max = rule.Long
 		}
 	}
-	if slots := int64(max/r.period) + 2; slots > maxRingSlots {
-		return fmt.Errorf("%w: longest window %v at period %v needs %d ring slots (max %d) — raise the period",
-			ErrConfig, max, r.period, slots, maxRingSlots)
+	return max
+}
+
+// ringSlots sizes a ring of the given width that must answer windows up
+// to longest: longest/period + 2 slots (see stats.SnapRing), refused with
+// ErrConfig past maxRingBytes.
+func (r resolved) ringSlots(what string, longest time.Duration, width int) (int, error) {
+	slots := int64(longest/r.period) + 2
+	if bytes := float64(slots) * float64(8*(1+width)); bytes > maxRingBytes {
+		return 0, fmt.Errorf("%w: %s: window %v at period %v needs %d ring slots of %d values, %.0f bytes (max %d) — raise the period",
+			ErrConfig, what, longest, r.period, slots, width, bytes, maxRingBytes)
 	}
-	return nil
+	return int(slots), nil
 }
 
 // ParseSpec decodes a JSON SLO spec, rejecting unknown fields so a

@@ -13,16 +13,30 @@ package stats
 // The vector layout is the caller's business — slo packs objective
 // counters and histogram buckets side by side — the ring only requires
 // every Push to use the same width.
+//
+// # Size
+//
+// The ring is two flat, pointer-free arrays: capacity timestamps and
+// capacity×width values, slot i's vector at vals[i*width:(i+1)*width].
+// It holds 8·capacity·(1+width) bytes in two allocations, which Bytes
+// reports. A ring answers a window exactly — as an unbounded history
+// would — while the snapshot at or past the window's far edge is still
+// retained, so a producer pushing every period needs window/period + 2
+// slots: the snapshots inside the window, the anchor at its edge, and
+// one for a tick that arrives late. A clock that steps back by s drops
+// the snapshots it stepped over (Push), so until it is past the step
+// again a window that long answers from the oldest snapshot, over the
+// shorter span Delta reports. The slo engine sizes every ring by the
+// longest window asked of it; under its default spec (10s period, 1h
+// budget window, 6h warn rule) an objective's two-counter ring is
+// 2 162 × 24 B ≈ 52 KB and a tracked histogram's 65-bucket ring
+// 362 × 528 B ≈ 191 KB.
 type SnapRing struct {
-	slots []ringSnap
+	at    []int64  // at[i] is slot i's timestamp
+	vals  []uint64 // slot i's vector is vals[i*width : (i+1)*width]
 	width int
 	n     int // valid entries
 	head  int // index of the newest entry, meaningful when n > 0
-}
-
-type ringSnap struct {
-	at  int64
-	vec []uint64
 }
 
 // NewSnapRing builds a ring of the given capacity (snapshots retained)
@@ -35,11 +49,11 @@ func NewSnapRing(capacity, width int) *SnapRing {
 	if width < 0 {
 		width = 0
 	}
-	r := &SnapRing{slots: make([]ringSnap, capacity), width: width}
-	for i := range r.slots {
-		r.slots[i].vec = make([]uint64, width)
+	return &SnapRing{
+		at:    make([]int64, capacity),
+		vals:  make([]uint64, capacity*width),
+		width: width,
 	}
-	return r
 }
 
 // Width returns the vector width every Push must match.
@@ -47,6 +61,23 @@ func (r *SnapRing) Width() int { return r.width }
 
 // Len returns the number of retained snapshots.
 func (r *SnapRing) Len() int { return r.n }
+
+// Bytes returns the bytes the ring's two arrays hold:
+// 8·capacity·(1+width).
+func (r *SnapRing) Bytes() int { return 8 * (cap(r.at) + cap(r.vals)) }
+
+// vec is slot i's vector.
+func (r *SnapRing) vec(i int) []uint64 {
+	return r.vals[i*r.width : (i+1)*r.width : (i+1)*r.width]
+}
+
+// prev is the slot before i, wrapping.
+func (r *SnapRing) prev(i int) int {
+	if i == 0 {
+		return len(r.at) - 1
+	}
+	return i - 1
+}
 
 // Push records a snapshot of the cumulative vector taken at time at
 // (any monotone unit — the slo engine uses nanoseconds). The vector is
@@ -60,18 +91,21 @@ func (r *SnapRing) Push(at int64, vec []uint64) {
 	if len(vec) != r.width {
 		panic("stats: SnapRing.Push vector width mismatch")
 	}
-	if r.n > 0 && at <= r.slots[r.head].at {
-		copy(r.slots[r.head].vec, vec)
-		if at < r.slots[r.head].at {
-			r.slots[r.head].at = at
+	if r.n > 0 && at <= r.at[r.head] {
+		copy(r.vec(r.head), vec)
+		if at < r.at[r.head] {
+			r.at[r.head] = at
 			r.trimAfterRegression(at)
 		}
 		return
 	}
-	r.head = (r.head + 1) % len(r.slots)
-	r.slots[r.head].at = at
-	copy(r.slots[r.head].vec, vec)
-	if r.n < len(r.slots) {
+	r.head++
+	if r.head == len(r.at) {
+		r.head = 0
+	}
+	r.at[r.head] = at
+	copy(r.vec(r.head), vec)
+	if r.n < len(r.at) {
 		r.n++
 	}
 }
@@ -81,15 +115,15 @@ func (r *SnapRing) Push(at int64, vec []uint64) {
 // increasing invariant after a backwards clock step.
 func (r *SnapRing) trimAfterRegression(at int64) {
 	for r.n > 1 {
-		prev := (r.head - 1 + len(r.slots)) % len(r.slots)
-		if r.slots[prev].at < at {
+		p := r.prev(r.head)
+		if r.at[p] < at {
 			return
 		}
-		// prev is no older than the rewritten newest: drop it by swapping
-		// the newest into its slot (a swap, so every slot keeps owning a
-		// distinct backing vector).
-		r.slots[prev], r.slots[r.head] = r.slots[r.head], r.slots[prev]
-		r.head = prev
+		// p is no older than the rewritten newest: the newest moves down
+		// into p's slot, dropping it.
+		r.at[p] = at
+		copy(r.vec(p), r.vec(r.head))
+		r.head = p
 		r.n--
 	}
 }
@@ -115,26 +149,25 @@ func (r *SnapRing) Delta(window int64, dst []uint64) (span int64, ok bool) {
 	if r.n < 2 {
 		return 0, false
 	}
-	newest := &r.slots[r.head]
-	cutoff := newest.at - window
+	newest := r.at[r.head]
+	cutoff := newest - window
 	// Walk backwards from the second-newest: the first snapshot at or
 	// past the cutoff wins; the oldest retained is the fallback.
-	anchor := (r.head - 1 + len(r.slots)) % len(r.slots)
+	anchor := r.head
 	for i := 1; i < r.n; i++ {
-		idx := (r.head - i + len(r.slots)) % len(r.slots)
-		anchor = idx
-		if r.slots[idx].at <= cutoff {
+		anchor = r.prev(anchor)
+		if r.at[anchor] <= cutoff {
 			break
 		}
 	}
-	old := &r.slots[anchor]
+	nvec, ovec := r.vec(r.head), r.vec(anchor)
 	for i := range dst {
-		nv, ov := newest.vec[i], old.vec[i]
+		nv, ov := nvec[i], ovec[i]
 		if nv < ov {
 			dst[i] = 0
 			continue
 		}
 		dst[i] = nv - ov
 	}
-	return newest.at - old.at, true
+	return newest - r.at[anchor], true
 }
