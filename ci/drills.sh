@@ -145,7 +145,7 @@ case $drill in
 # and pprof must answer, a clean run must carry zero stall evidence and an
 # on-demand bundle must validate, and SIGTERM must print the final stats.
 obs)
-  echo '{"mode":"soft","tenants":[{"name":"t0","share":0.5},{"name":"t1","share":0.5}]}' > quotas.json
+  echo '{"mode":"hard","tenants":[{"name":"t0","share":0.5},{"name":"t1","share":0.5}]}' > quotas.json
   # Lenient targets (0.5 caps the burn rate at 2x, far under the 14.4x
   # rule): the traffic's expected load shedding must never trip an alert
   # here — the burn drill is where alerts fire. The sub-second period makes

@@ -14,15 +14,16 @@
 // least-loaded shard that could admit it when it arrived.
 //
 // With -quotas, the server partitions the reservable α-prefix between
-// tenants: the JSON file declares the enforcement mode ("hard" rejects
-// with REJECTED_QUOTA, "soft" reorders contended batches by fair share)
-// and the group/tenant share hierarchy, and budgets resolve against
-// shards × (m − ⌊α·m⌋) × -qhorizon processor·ticks. For example:
+// tenants: the JSON file declares each tenant's share of the capacity,
+// shards × (m − ⌊α·m⌋) × -qhorizon processor·ticks, and an admission
+// that would take a tenant past its budget is refused with
+// REJECTED_QUOTA. Tenants not listed get default_share (1 if unset). For
+// example:
 //
 //	{
 //	  "mode": "hard",
-//	  "groups":  [{"name": "prod", "share": 0.75}],
-//	  "tenants": [{"name": "etl", "group": "prod", "share": 0.5},
+//	  "default_share": 0.05,
+//	  "tenants": [{"name": "etl", "share": 0.4},
 //	              {"name": "adhoc", "share": 0.1}]
 //	}
 //
@@ -322,8 +323,8 @@ func run() error {
 	fmt.Printf("resdsrv: listening on %s — %d shards × m=%d (α=%.2f, floor %d)\n",
 		ln.Addr(), svc.Shards(), svc.M(), *alpha, svc.Floor())
 	if reg != nil {
-		fmt.Printf("resdsrv: quotas %s mode, capacity %d processor·ticks, %d declared tenants\n",
-			reg.Mode(), reg.Capacity(), len(reg.Tenants()))
+		fmt.Printf("resdsrv: quotas, capacity %d processor·ticks, %d declared tenants\n",
+			reg.Capacity(), len(reg.Tenants()))
 	}
 	if *trace > 0 {
 		fmt.Printf("resdsrv: tracing 1 in %d admissions (ring %d, slow threshold %v)\n",

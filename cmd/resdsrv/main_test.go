@@ -23,20 +23,19 @@ func writeSpec(t *testing.T, body string) string {
 
 func TestLoadQuotasResolvesCapacity(t *testing.T) {
 	path := writeSpec(t, `{
-		"mode": "soft",
-		"groups":  [{"name": "prod", "share": 0.5}],
-		"tenants": [{"name": "etl", "group": "prod", "share": 0.5}]
+		"mode": "hard",
+		"tenants": [{"name": "etl", "share": 0.25}]
 	}`)
 	// 4 shards × (64 − ⌊0.25·64⌋) × 1000 = 4 × 48 × 1000.
 	reg, err := loadQuotas(path, 4, 64, 0.25, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Capacity() != 4*48*1000 || reg.Mode() != tenant.Soft {
-		t.Fatalf("capacity %d mode %v", reg.Capacity(), reg.Mode())
+	if reg.Capacity() != 4*48*1000 {
+		t.Fatalf("capacity %d", reg.Capacity())
 	}
 	if u := reg.Usage("etl"); u.Budget != 4*48*1000/4 {
-		t.Fatalf("etl budget = %d, want 48000 (0.5 of 0.5)", u.Budget)
+		t.Fatalf("etl budget = %d, want 48000 (0.25 of the capacity)", u.Budget)
 	}
 }
 
@@ -47,9 +46,11 @@ func TestLoadQuotasFlagErrors(t *testing.T) {
 	if _, err := loadQuotas(filepath.Join(t.TempDir(), "missing.json"), 4, 64, 0.5, 1000); !errors.Is(err, cliflag.ErrFlag) {
 		t.Fatalf("missing file err = %v, want ErrFlag", err)
 	}
-	bad := writeSpec(t, `{"mode": "gentle"}`)
-	if _, err := loadQuotas(bad, 4, 64, 0.5, 1000); !errors.Is(err, cliflag.ErrFlag) || !errors.Is(err, tenant.ErrConfig) {
-		t.Fatalf("bad spec err = %v, want ErrFlag wrapping ErrConfig", err)
+	for _, body := range []string{`{"mode": "gentle"}`, `{"mode": "soft"}`} {
+		bad := writeSpec(t, body)
+		if _, err := loadQuotas(bad, 4, 64, 0.5, 1000); !errors.Is(err, cliflag.ErrFlag) || !errors.Is(err, tenant.ErrConfig) {
+			t.Fatalf("spec %s err = %v, want ErrFlag wrapping ErrConfig", body, err)
+		}
 	}
 	typo := writeSpec(t, `{"tennants": []}`)
 	if _, err := loadQuotas(typo, 4, 64, 0.5, 1000); !errors.Is(err, cliflag.ErrFlag) {

@@ -35,11 +35,11 @@
 // uniformly or — production-shaped — by a zipf(1.1) popularity law
 // (-skew zipf: a couple of tenants dominate, the rest trickle), and the
 // summary adds a per-tenant table: admissions, each rejection kind, and
-// p50/p90/p99 latency per tenant. -quotamode hard|soft additionally
-// builds an in-process quota registry giving every tenant an equal share
-// of the α-prefix, so hard mode shows REJECTED_QUOTA load shedding and
-// soft mode shows fair-share ordering; against a remote server the
-// budgets come from resdsrv's own -quotas file instead.
+// p50/p90/p99 latency per tenant. -quotamode hard additionally builds an
+// in-process quota registry giving every tenant an equal share of the
+// α-prefix, so the table shows REJECTED_QUOTA load shedding; against a
+// remote server the budgets come from resdsrv's own -quotas file
+// instead.
 //
 // The per-tenant table always includes p99 start-time slack (admitted
 // start − ready) and, under -slack, the tenant's deadline attainment —
@@ -89,7 +89,7 @@ func run() error {
 	swf := flag.String("swf", "", "SWF trace file (overrides synthetic generation)")
 	tenants := flag.Int("tenants", 0, "attribute the stream to this many tenants (0 = single default tenant)")
 	skew := flag.String("skew", "uniform", "tenant popularity (uniform or zipf)")
-	quotamode := flag.String("quotamode", "", "in-process quota enforcement with equal shares (hard or soft; '' = no quotas)")
+	quotamode := flag.String("quotamode", "", "in-process quota enforcement with equal shares (hard; '' = no quotas)")
 	flag.Parse()
 
 	if err := cliflag.First(
@@ -121,10 +121,8 @@ func run() error {
 	if *skew != "uniform" && *skew != "zipf" {
 		return fmt.Errorf("%w: -skew must be uniform or zipf, got %q", cliflag.ErrFlag, *skew)
 	}
-	if *quotamode != "" {
-		if _, err := tenant.ParseMode(*quotamode); err != nil {
-			return fmt.Errorf("%w: -quotamode: %v", cliflag.ErrFlag, err)
-		}
+	if *quotamode != "" && *quotamode != "hard" {
+		return fmt.Errorf("%w: -quotamode must be hard or empty, got %q", cliflag.ErrFlag, *quotamode)
 	}
 	if *nres > 0 {
 		if err := cliflag.PositiveUnit("alpha", *alpha); err != nil {
@@ -190,7 +188,7 @@ func run() error {
 		}
 		var reg *tenant.Registry
 		if *quotamode != "" {
-			reg, err = equalShareRegistry(*quotamode, names, *shards, *m, *alpha, horizonOf(reqs))
+			reg, err = equalShareRegistry(names, *shards, *m, *alpha, horizonOf(reqs))
 			if err != nil {
 				return err
 			}
@@ -207,8 +205,8 @@ func run() error {
 		fmt.Printf("resload: %d requests, %d shards × m=%d (α=%.2f, floor %d), %d clients\n",
 			len(reqs), *shards, *m, *alpha, svc.Floor(), *clients)
 		if reg != nil {
-			fmt.Printf("resload: quotas %s mode, %d tenants × share %.3f of %d processor·ticks\n",
-				reg.Mode(), len(names), 1/float64(len(names)), reg.Capacity())
+			fmt.Printf("resload: quotas, %d tenants × share %.3f of %d processor·ticks\n",
+				len(names), 1/float64(len(names)), reg.Capacity())
 		}
 	}
 
@@ -289,12 +287,12 @@ func tenantNames(n int) []string {
 // equalShareRegistry builds the in-process quota registry -quotamode asks
 // for: every tenant an equal share of the whole α-prefix area over the
 // stream's horizon.
-func equalShareRegistry(mode string, names []string, shards, m int, alpha float64, horizon core.Time) (*tenant.Registry, error) {
+func equalShareRegistry(names []string, shards, m int, alpha float64, horizon core.Time) (*tenant.Registry, error) {
 	capacity := tenant.PrefixCapacity(shards, m, alpha, int64(horizon))
 	if capacity < 1 {
 		return nil, fmt.Errorf("%w: -quotamode with α=%v leaves no reservable prefix to budget", cliflag.ErrFlag, alpha)
 	}
-	spec := tenant.Spec{Mode: mode}
+	var spec tenant.Spec
 	for _, name := range names {
 		if name == "" {
 			name = tenant.DefaultTenant

@@ -57,16 +57,14 @@
 // p99 per shard and per tenant (the SLO face of the α rule).
 //
 // Admission is multi-tenant: internal/tenant partitions the reservable
-// α-prefix between tenants as hierarchical area budgets (tenant → group
-// → global capacity) with lock-free accounting beside the shard load
-// summaries. Hard mode rejects an over-budget admission with
-// resd.ErrQuota; soft mode instead reorders each shard's group-commit
-// batch by usage-to-budget ratio — DRF-style weighted fair share at the
-// exact point where requests contend. Budgets compose with, never
-// replace, the paper's α rule: quotas only decide which tenant spends
-// the prefix the α rule left reservable. See internal/tenant, and
-// cmd/resload -tenants for the walkthrough; the accounting costs an
-// admission 125–150 ns (tenant.acquire_ns on bench/'s durable-mixed).
+// α-prefix between tenants — each tenant's area budget is its share of
+// the global capacity — with lock-free accounting beside the shard load
+// summaries, and rejects an over-budget admission with resd.ErrQuota.
+// Budgets compose with, never replace, the paper's α rule: quotas only
+// decide which tenant spends the prefix the α rule left reservable. See
+// internal/tenant, and cmd/resload -tenants for the walkthrough; the
+// accounting costs an admission 125–150 ns (tenant.acquire_ns on
+// bench/'s durable-mixed).
 //
 // The outermost layer is the wire: internal/reswire serves resd over TCP
 // with a length-prefixed binary protocol of one frozen revision: ten

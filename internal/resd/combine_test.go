@@ -20,13 +20,14 @@ import (
 // -race -count=5 at GOMAXPROCS 1 and 2.
 
 // TestCombineOwnAnswer is a seeded stress — callers × shards, admit,
-// cancel and query, soft-mode quotas so fairOrder permutes the turns, the
-// WAL fsyncing so combiners yield for group commits — in which every call must
-// get exactly its own answer: each caller asks only for durations
-// congruent to its own index, so an answer delivered to the wrong slot
-// shows as a wrong Dur or Procs, a cancel of a held ID must succeed, and
-// no ID is handed out twice. After quiesce the shards' books and the quota
-// ledger must hold exactly what the callers still hold.
+// cancel and query, quotas tight enough for one tenant that its refusals
+// cross the combiner beside admissions, the WAL fsyncing so combiners
+// yield for group commits — in which every call must get exactly its own
+// answer: each caller asks only for durations congruent to its own index,
+// so an answer or refusal delivered to the wrong slot shows as a wrong Dur
+// or Procs, a cancel of a held ID must succeed, and no ID is handed out
+// twice. After quiesce the shards' books and the quota ledger must hold
+// exactly what the callers still hold.
 func TestCombineOwnAnswer(t *testing.T) {
 	const (
 		shards  = 3
@@ -37,10 +38,11 @@ func TestCombineOwnAnswer(t *testing.T) {
 		seed    = 17
 	)
 	tenants := []string{"a", "b", "c"}
+	// c's budget is ≈ 20 000 processor·ticks, a fraction of what its
+	// callers ask for; a and b never reach theirs.
 	reg := mustRegistry(t, tenant.PrefixCapacity(shards, m, 0, horizon), tenant.Spec{
-		Mode: "soft",
 		Tenants: []tenant.TenantSpec{
-			{Name: "a", Share: 0.6}, {Name: "b", Share: 0.3}, {Name: "c", Share: 0.1},
+			{Name: "a", Share: 0.6}, {Name: "b", Share: 0.3}, {Name: "c", Share: 0.0002},
 		},
 	})
 	s := mustNew(t, Config{
@@ -49,6 +51,7 @@ func TestCombineOwnAnswer(t *testing.T) {
 	})
 	held := make([][]Reservation, callers)
 	ids := make([][]ID, callers)
+	var refused atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
@@ -83,7 +86,17 @@ func TestCombineOwnAnswer(t *testing.T) {
 						Q: r.IntRange(1, m/2), Dur: core.Time(1 + g + callers*r.Intn(8)), Deadline: NoDeadline,
 					}
 					resv, err := s.Admit(req)
-					if err != nil {
+					var ref *Refusal
+					var why *tenant.QuotaError
+					switch {
+					case errors.As(err, &ref) && errors.As(err, &why):
+						if ref.Q != req.Q || ref.Dur != req.Dur || why.Name != req.Tenant || why.Area != int64(req.Q)*int64(req.Dur) {
+							t.Errorf("seed %d caller %d: asked %+v, refused %+v (%+v)", seed, g, req, ref, why)
+							return
+						}
+						refused.Add(1)
+						continue
+					case err != nil:
 						t.Errorf("seed %d caller %d: admit %+v: %v", seed, g, req, err)
 						return
 					}
@@ -100,6 +113,9 @@ func TestCombineOwnAnswer(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		return
+	}
+	if refused.Load() == 0 {
+		t.Fatalf("seed %d: no quota refusals crossed the combiner — the budgets never bound", seed)
 	}
 
 	seen := make(map[ID]int)

@@ -148,17 +148,14 @@
 // Config.Quotas plugs a tenant.Registry in front of admission: every
 // Admit (an empty Request.Tenant names the default tenant) is
 // charged against its tenant's budgeted share of the reservable α-prefix
-// area, hierarchically (tenant → group → global capacity). The check runs
-// inside the shard's turn after the α and deadline checks — a doomed
-// request never burns budget — and the charge is a CAS against the
-// registry's atomics, so the admission itself still takes no lock. In
-// hard mode an exhausted budget rejects with ErrQuota (wire:
-// REJECTED_QUOTA), consuming no capacity, and the service stops its shard
-// walk at once since budgets are global; in soft mode nothing is
-// rejected, but each group-commit batch permutes its admissions so
-// the tenant with the lowest usage-to-budget ratio commits first,
-// DRF-style weighted fair share at exactly the point where requests
-// contend. Cancel credits the area back. Per-tenant books are kept twice,
+// area, a share of the whole capacity. The check runs inside the shard's
+// turn after the α and deadline checks — a doomed request never burns
+// budget — and the charge is a CAS against the registry's atomics, so the
+// admission itself still takes no lock. An exhausted budget rejects with
+// ErrQuota (wire: REJECTED_QUOTA), consuming no capacity, and the service
+// stops its shard walk at once since budgets are global. A turn applies
+// its requests in arrival order, quotas or not. Cancel credits the area
+// back. Per-tenant books are kept twice,
 // deliberately: the registry's lock-free accounts (global, what quota
 // decisions read) and per-shard TenantStats owned by each combiner (consistent,
 // what operators read); the stress tests assert the two agree. The quota
@@ -288,7 +285,7 @@
 //	tenant_quota_used{tenant}              gauge    area currently charged
 //	tenant_quota_inflight{tenant}          gauge    admissions currently held
 //	tenant_quota_admitted_total{tenant}    counter  admissions
-//	tenant_quota_rejected_total{tenant}    counter  hard-mode quota rejections
+//	tenant_quota_rejected_total{tenant}    counter  quota rejections
 //
 // A durable service (Config.WAL) adds the write-ahead-log families: the
 // per-shard log counters, the fsync-latency summary, and the replay

@@ -248,7 +248,7 @@ func (s *Service) registerObs() {
 				}
 			})
 		reg.Collect(obs.KindCounter, "tenant_quota_rejected_total",
-			"Per-tenant hard-mode quota rejections since start.",
+			"Per-tenant quota rejections since start.",
 			func(e obs.Emitter) {
 				for _, u := range q.Tenants() {
 					e.Emit(float64(u.Rejected), obs.L("tenant", u.Tenant))

@@ -13,17 +13,12 @@ import (
 // what it was when the turn formatted it.
 func TestRefusalTextAndIs(t *testing.T) {
 	reg := mustRegistry(t, 1000, tenant.Spec{
-		Groups: []tenant.GroupSpec{{Name: "lab", Share: 0.01}},
-		Tenants: []tenant.TenantSpec{
-			{Name: "tiny", Share: 0.001},
-			{Name: "grad1", Group: "lab", Share: 1},
-			{Name: "grad2", Group: "lab", Share: 1},
-		},
+		Tenants: []tenant.TenantSpec{{Name: "tiny", Share: 0.001}},
 	})
 	// Eight processors, four of them gone for good, a floor of two.
 	s := mustNew(t, Config{M: 8, Alpha: 0.25, Quotas: reg,
 		Pre: []core.Reservation{{Procs: 4, Start: 0, Len: core.Infinity}}})
-	if _, err := s.Admit(Request{Tenant: "grad1", Q: 2, Dur: 3, Deadline: NoDeadline}); err != nil {
+	if _, err := s.Admit(Request{Q: 2, Dur: 3, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
 	}
 	sentinels := []error{ErrNeverFits, ErrDeadline, ErrQuota}
@@ -42,8 +37,6 @@ func TestRefusalTextAndIs(t *testing.T) {
 			"resd: earliest feasible start exceeds deadline: earliest feasible start 3 > deadline 2 (q=1 dur=5, shard 0)"},
 		{Request{Tenant: "tiny", Q: 1, Dur: 5, Deadline: NoDeadline}, ErrQuota, 0,
 			`shard 0: tenant: quota exceeded: tenant "tiny" used 0 of 1 with request area 5`},
-		{Request{Tenant: "grad2", Q: 1, Dur: 5, Deadline: NoDeadline}, ErrQuota, 0,
-			`shard 0: tenant: quota exceeded: group "lab" used 6 of 10 with request area 5 (tenant "grad2")`},
 	} {
 		_, err := s.Admit(c.req)
 		for _, sentinel := range sentinels {

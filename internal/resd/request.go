@@ -48,7 +48,7 @@ type Request struct {
 // When every shard's earliest feasible start lies after the deadline
 // the request fails with ErrDeadline and no capacity is consumed: a
 // deadline rejection is an explicit accept/reject answer, not a silent
-// push-back. A hard-mode budget exhaustion fails with ErrQuota and, the
+// push-back. A budget exhaustion fails with ErrQuota and, the
 // budgets being global, is returned without trying further shards.
 func (s *Service) Admit(req Request) (Reservation, error) {
 	// Ready+Dur must not wrap past the end of time (an endless Dur never

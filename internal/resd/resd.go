@@ -39,11 +39,11 @@ var (
 	ErrDeadline = errors.New("resd: earliest feasible start exceeds deadline")
 )
 
-// ErrQuota is tenant.ErrQuota re-exported: a hard-mode quota rejection.
-// The request was α-feasible but its tenant (or the tenant's group) has
-// exhausted its budgeted share of the reservable prefix; no capacity is
-// consumed. errors.Is works against either name, on both sides of the
-// wire (reswire's REJECTED_QUOTA code).
+// ErrQuota is tenant.ErrQuota re-exported: a quota rejection. The
+// request was α-feasible but its tenant has exhausted its budgeted share
+// of the reservable prefix; no capacity is consumed. errors.Is works
+// against either name, on both sides of the wire (reswire's
+// REJECTED_QUOTA code).
 var ErrQuota = tenant.ErrQuota
 
 // Refusal is an admission the service said no to, as a value: which rule
@@ -166,11 +166,10 @@ type Config struct {
 	Pre []core.Reservation
 	// Quotas, when non-nil, partitions the reservable α-prefix between
 	// tenants: every admission is charged against its tenant's budget in
-	// the registry (hard mode rejects with ErrQuota; soft mode reorders
-	// contending batches by fair share) and credited back on Cancel. Pre
-	// reservations are exempt, like they are from the α rule. Nil
-	// disables quota enforcement; per-tenant shard stats are kept either
-	// way.
+	// the registry, refused with ErrQuota when that would exceed it, and
+	// credited back on Cancel. Pre reservations are exempt, like they are
+	// from the α rule. Nil disables quota enforcement; per-tenant shard
+	// stats are kept either way.
 	Quotas *tenant.Registry
 	// Obs attaches the service to the observability layer: metric
 	// registration at New and sampled admission tracing (see ObsConfig).
@@ -452,7 +451,7 @@ type ShardStats struct {
 	// feasible on the shard but whose earliest start exceeded the
 	// caller's deadline.
 	RejectedDeadline uint64
-	// RejectedQuota counts hard-mode quota rejections: requests that were
+	// RejectedQuota counts quota rejections: requests that were
 	// feasible on the shard but whose tenant had exhausted its budgeted
 	// share of the reservable prefix.
 	RejectedQuota uint64

@@ -6,7 +6,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -203,13 +202,6 @@ type shard struct {
 	slack   *obs.Histogram
 	nextSeq uint64
 	area    int64 // running processor-tick area of live reservations
-
-	// fairOrder scratch, reused across turns so the soft-mode reorder
-	// allocates nothing per turn (like pending).
-	fairPos      []int
-	fairReserves []*slot
-	fairRatios   []float64
-	fairOrderIdx []int
 
 	// Load summary published once per turn (group commit): placement and
 	// Stats read these without a request to the shard.
@@ -456,7 +448,7 @@ func (sh *shard) combine(self *slot) {
 	}
 }
 
-// turn applies sh.pending against the index, in fairOrder, publishes the
+// turn applies sh.pending against the index, in arrival order, publishes the
 // load summary once, and only then releases the answers — the group
 // commit that amortises the log write under load.
 func (sh *shard) turn(self *slot) {
@@ -475,7 +467,6 @@ func (sh *shard) turn(self *slot) {
 	if sh.turnHook != nil {
 		sh.turnHook(sh.id)
 	}
-	sh.fairOrder(sh.pending)
 	for _, s := range sh.pending {
 		if s.req.trace != nil {
 			s.req.trace.BatchStart = time.Since(s.req.trace.Arrival)
@@ -499,8 +490,8 @@ func (sh *shard) turn(self *slot) {
 	if sh.turnNs != nil {
 		sh.turnNs.Observe(int64(end - start))
 	}
-	// fairOrder permutes the turn, so the combiner knows its own slot by
-	// identity. A woken caller may recycle its slot at once.
+	// The combiner's own slot is in its first turn only; it is answered
+	// by returning, not woken. A woken caller may recycle its slot at once.
 	for _, s := range sh.pending {
 		if s != self {
 			s.wake <- true
@@ -546,46 +537,6 @@ func (sh *shard) report(sev flight.Severity, subsys, msg string, kv ...flight.KV
 		return
 	}
 	fmt.Fprintf(os.Stderr, "resd: shard %d: %s\n", sh.id, msg)
-}
-
-// fairOrder is soft-mode weighted fair share at the group-commit point:
-// when the batch carries competing Reserve requests, they are permuted —
-// among the Reserve positions only, every other op keeps its place — so
-// the tenant with the lowest usage-to-budget ratio commits first and takes
-// the earlier (cheaper) start times, DRF-style. The sort is stable, so
-// same-tenant and equal-pressure requests keep their arrival order; with a
-// single serial caller every batch holds one request and the ordering is a
-// no-op, which is what preserves the serial-replay-equals-FCFS guarantee.
-// Ratios are read once per batch from the registry's atomics: reads racing
-// concurrent commits are as harmlessly stale as the load summaries
-// placement reads.
-func (sh *shard) fairOrder(pending []*slot) {
-	if sh.quotas == nil || sh.quotas.Mode() != tenant.Soft || len(pending) < 2 {
-		return
-	}
-	pos := sh.fairPos[:0]
-	for i, s := range pending {
-		if s.req.kind == opReserve {
-			pos = append(pos, i)
-		}
-	}
-	sh.fairPos = pos
-	if len(pos) < 2 {
-		return
-	}
-	reserves := sh.fairReserves[:0]
-	ratios := sh.fairRatios[:0]
-	order := sh.fairOrderIdx[:0]
-	for k, i := range pos {
-		reserves = append(reserves, pending[i])
-		ratios = append(ratios, sh.quotas.Ratio(pending[i].req.tenant))
-		order = append(order, k)
-	}
-	sh.fairReserves, sh.fairRatios, sh.fairOrderIdx = reserves, ratios, order
-	sort.SliceStable(order, func(a, b int) bool { return ratios[order[a]] < ratios[order[b]] })
-	for k, i := range pos {
-		pending[i] = reserves[order[k]]
-	}
 }
 
 // apply executes one request against the shard-local state. Only the

@@ -102,82 +102,6 @@ func TestQuotaCheckRunsAfterAlphaAndDeadline(t *testing.T) {
 	}
 }
 
-func TestSoftModeAdmitsOverBudget(t *testing.T) {
-	reg := mustRegistry(t, 100, tenant.Spec{Mode: "soft", Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.01}}})
-	s := mustNew(t, Config{M: 8, Quotas: reg})
-	// Area 800 against a budget of 1: soft mode admits and only the
-	// ratio moves.
-	if _, err := s.Admit(Request{Tenant: "t", Q: 8, Dur: 100, Deadline: NoDeadline}); err != nil {
-		t.Fatalf("soft-mode admission rejected: %v", err)
-	}
-	if u := reg.Usage("t"); u.Used != 800 {
-		t.Fatalf("usage = %+v", u)
-	}
-	if reg.Ratio("t") <= 1 {
-		t.Fatalf("ratio = %v, want > 1", reg.Ratio("t"))
-	}
-}
-
-// TestFairOrderPermutesByPressure drives the shard's soft-mode batch
-// reordering directly (how many callers share a turn is timing-dependent;
-// the permutation logic is not): Reserves in one batch must come out ordered
-// by usage-to-budget ratio, stable within a tenant, with non-Reserve ops
-// pinned to their positions.
-func TestFairOrderPermutesByPressure(t *testing.T) {
-	reg := mustRegistry(t, 1000, tenant.Spec{
-		Mode: "soft",
-		Tenants: []tenant.TenantSpec{
-			{Name: "hog", Share: 0.5},
-			{Name: "newbie", Share: 0.5},
-		},
-	})
-	// hog at ratio 0.8, newbie at 0 (group ratio 0.4 dominates neither).
-	if err := reg.Acquire("hog", 400); err != nil {
-		t.Fatal(err)
-	}
-	s := mustNew(t, Config{M: 8, Quotas: reg})
-	sh := s.shards[0]
-	slots := func(reqs ...request) []*slot {
-		out := make([]*slot, len(reqs))
-		for i, r := range reqs {
-			out[i] = &slot{req: r}
-		}
-		return out
-	}
-	pending := slots(
-		request{kind: opReserve, tenant: "hog", ready: 1},
-		request{kind: opQuery, ready: 42},
-		request{kind: opReserve, tenant: "newbie", ready: 2},
-		request{kind: opReserve, tenant: "hog", ready: 3},
-	)
-	sh.fairOrder(pending)
-	if pending[1].req.kind != opQuery {
-		t.Fatalf("non-Reserve op moved: %+v", pending[1].req)
-	}
-	gotTenants := []string{pending[0].req.tenant, pending[2].req.tenant, pending[3].req.tenant}
-	gotReady := []core.Time{pending[0].req.ready, pending[2].req.ready, pending[3].req.ready}
-	want := []string{"newbie", "hog", "hog"}
-	for i := range want {
-		if gotTenants[i] != want[i] {
-			t.Fatalf("order = %v (ready %v), want %v", gotTenants, gotReady, want)
-		}
-	}
-	// Stable within the hog: arrival order preserved.
-	if gotReady[1] != 1 || gotReady[2] != 3 {
-		t.Fatalf("same-tenant order not stable: ready %v", gotReady)
-	}
-	// Hard mode must not reorder.
-	reg.SetMode(tenant.Hard)
-	hard := slots(
-		request{kind: opReserve, tenant: "hog", ready: 1},
-		request{kind: opReserve, tenant: "newbie", ready: 2},
-	)
-	sh.fairOrder(hard)
-	if hard[0].req.tenant != "hog" {
-		t.Fatalf("hard mode reordered: %+v", hard[0].req)
-	}
-}
-
 func TestTenantStatsPerShard(t *testing.T) {
 	reg := mustRegistry(t, 1<<20, tenant.Spec{})
 	s := mustNew(t, Config{Shards: 2, M: 8, Quotas: reg})
@@ -231,7 +155,7 @@ func TestTenantStatsPerShard(t *testing.T) {
 }
 
 // TestTenantQuotaStressConservation is the acceptance-criteria stress:
-// many goroutines hammer a sharded hard-mode service as competing
+// many goroutines hammer a sharded quota-enforcing service as competing
 // tenants while a monitor concurrently asserts that no tenant's admitted
 // area ever exceeds its budgeted share of the α-prefix. Afterwards the
 // three ledgers — the clients' held reservations, the registry's
@@ -252,10 +176,9 @@ func TestTenantQuotaStressConservation(t *testing.T) {
 	capacity := tenant.PrefixCapacity(shards, m, alpha, horizon)
 	tenants := []string{"etl", "web", "adhoc", "lab"}
 	reg := mustRegistry(t, capacity, tenant.Spec{
-		Groups: []tenant.GroupSpec{{Name: "prod", Share: 0.5}},
 		Tenants: []tenant.TenantSpec{
-			{Name: "etl", Group: "prod", Share: 0.4},
-			{Name: "web", Group: "prod", Share: 0.4},
+			{Name: "etl", Share: 0.2},
+			{Name: "web", Share: 0.2},
 			// Deliberately tiny: this tenant must hit ErrQuota under load.
 			{Name: "adhoc", Share: 0.00001},
 			{Name: "lab", Share: 0.25},
@@ -488,28 +411,26 @@ func TestSerialReplayMatchesFCFSWithQuotas(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst.Res = workload.ReservationStream(r.Split(), 32, 0.5, 12, 20000)
-	for _, mode := range []string{"hard", "soft"} {
-		t.Run(mode, func(t *testing.T) {
-			want, err := sched.FCFS{Backend: "tree"}.Schedule(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg := mustRegistry(t, 1<<40, tenant.Spec{
-				Mode:    mode,
-				Tenants: []tenant.TenantSpec{{Name: "solo", Share: 1}},
-			})
-			s := mustNew(t, Config{M: inst.M, Pre: inst.Res, Quotas: reg})
-			ready := core.Time(0)
-			for idx, j := range inst.Jobs {
-				resv, err := s.Admit(Request{Tenant: "solo", Ready: ready, Q: j.Procs, Dur: j.Len, Deadline: NoDeadline})
-				if err != nil {
-					t.Fatalf("job %d: %v", idx, err)
-				}
-				if resv.Start != want.Start[idx] {
-					t.Fatalf("job %d placed at %v, FCFS places it at %v", idx, resv.Start, want.Start[idx])
-				}
-				ready = resv.Start
-			}
+	t.Run("hard", func(t *testing.T) {
+		want, err := sched.FCFS{Backend: "tree"}.Schedule(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := mustRegistry(t, 1<<40, tenant.Spec{
+			Mode:    "hard",
+			Tenants: []tenant.TenantSpec{{Name: "solo", Share: 1}},
 		})
-	}
+		s := mustNew(t, Config{M: inst.M, Pre: inst.Res, Quotas: reg})
+		ready := core.Time(0)
+		for idx, j := range inst.Jobs {
+			resv, err := s.Admit(Request{Tenant: "solo", Ready: ready, Q: j.Procs, Dur: j.Len, Deadline: NoDeadline})
+			if err != nil {
+				t.Fatalf("job %d: %v", idx, err)
+			}
+			if resv.Start != want.Start[idx] {
+				t.Fatalf("job %d placed at %v, FCFS places it at %v", idx, resv.Start, want.Start[idx])
+			}
+			ready = resv.Start
+		}
+	})
 }

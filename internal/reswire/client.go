@@ -170,9 +170,10 @@ func (c *Client) QuotaGet(ten string) (QuotaInfo, error) {
 	return resp.Quota, nil
 }
 
-// QuotaSet re-budgets a tenant at runtime: its share of its group's
-// budget becomes share ∈ (0,1]. Unknown tenants are created in the
-// default group, mirroring what their first admission would do.
+// QuotaSet re-budgets a tenant at runtime: its share of the server's
+// capacity becomes share ∈ (0,1]. An unknown tenant gets an account,
+// mirroring what its first admission would do; past tenant.MaxAccounts
+// the server refuses it with BAD_REQUEST.
 func (c *Client) QuotaSet(ten string, share float64) error {
 	_, err := c.call(Request{Op: OpQuotaSet, Tenant: ten, Share: share})
 	return err

@@ -46,7 +46,8 @@
 //     after the seventh — sent zero, skipped on receipt.
 //   - QuotaGet and QuotaSet read and re-budget one tenant's share of the
 //     server's quota registry at runtime (BAD_REQUEST when the server
-//     runs without one).
+//     runs without one). A QuotaGet reply has a reserved name and byte
+//     after the tenant — sent empty and zero, skipped on receipt.
 //   - Trace asks for up to Limit of the newest sampled admission traces
 //     (resd.TraceRecord: the client-send→arrival→route→enqueue→
 //     batch-start→decision breakdown), answered as fixed-layout records

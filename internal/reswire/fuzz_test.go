@@ -60,8 +60,8 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 6, Op: OpStats, Code: CodeOK, Stats: []resd.ShardStats{goldenShard, {Active: 1, Admitted: 2, RejectedQuota: 3}}},
 		{ID: 11, Op: OpStats, Code: CodeOK},
 		{ID: 7, Op: OpReserve, Code: CodeRejectedQuota, Detail: "tenant acme over budget"},
-		{ID: 8, Op: OpQuotaGet, Code: CodeOK, Quota: QuotaInfo{Mode: 1, Capacity: 1 << 20, Usage: tenant.Usage{
-			Tenant: "acme", Group: "prod", Share: 0.5,
+		{ID: 8, Op: OpQuotaGet, Code: CodeOK, Quota: QuotaInfo{Capacity: 1 << 20, Usage: tenant.Usage{
+			Tenant: "acme", Share: 0.5,
 			Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}},
 		{ID: 9, Op: OpQuotaSet, Code: CodeOK},
 		{ID: 12, Op: OpTrace, Code: CodeOK, Traces: []resd.TraceRecord{{

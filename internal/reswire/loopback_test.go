@@ -2,6 +2,7 @@ package reswire
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -362,7 +363,7 @@ func mustRegistry(t *testing.T, capacity int64, spec tenant.Spec) *tenant.Regist
 }
 
 // TestQuotaOpsOverWire drives the quota surface end to end: tenant-
-// attributed Reserve, QuotaGet, QuotaSet, and a hard-mode rejection whose
+// attributed Reserve, QuotaGet, QuotaSet, and a quota rejection whose
 // REJECTED_QUOTA code reconstructs tenant.ErrQuota client-side.
 func TestQuotaOpsOverWire(t *testing.T) {
 	reg := mustRegistry(t, 800, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "acme", Share: 0.1}}})
@@ -376,8 +377,8 @@ func TestQuotaOpsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Tenant != "acme" || q.Group != tenant.DefaultGroup || q.Used != 80 ||
-		q.Budget != 80 || q.Capacity != 800 || q.Mode != tenant.Hard || q.Inflight != 1 {
+	if q.Tenant != "acme" || q.Share != 0.1 || q.Used != 80 ||
+		q.Budget != 80 || q.Capacity != 800 || q.Inflight != 1 {
 		t.Fatalf("QuotaGet = %+v", q)
 	}
 	_, err = c.Admit(resd.Request{Tenant: "acme", Q: 1, Dur: 1, Deadline: resd.NoDeadline})
@@ -395,6 +396,29 @@ func TestQuotaOpsOverWire(t *testing.T) {
 	// the protocol's (0,1] share range.
 	if err := c.QuotaSet("acme", 1.5); !errors.Is(err, ErrFrame) {
 		t.Fatalf("bad share err = %v, want ErrFrame", err)
+	}
+}
+
+// TestQuotaSetPastAccountCap: once the registry holds tenant.MaxAccounts
+// accounts, a QuotaSet naming a fresh tenant is a BAD_REQUEST and leaves
+// the default tenant — the account such a name is charged to — as it was.
+func TestQuotaSetPastAccountCap(t *testing.T) {
+	reg := mustRegistry(t, 1000, tenant.Spec{DefaultShare: 0.5})
+	reg.Usage("")
+	for i := 0; i < tenant.MaxAccounts-1; i++ {
+		reg.Usage(fmt.Sprintf("n%d", i))
+	}
+	addr, _ := startServer(t, resd.Config{M: 8, Quotas: reg})
+	c := dial(t, addr, Options{Conns: 1, Pipeline: false})
+	if err := c.QuotaSet("stranger", 0.01); !errors.Is(err, resd.ErrBadRequest) {
+		t.Fatalf("QuotaSet past the account cap err = %v, want resd.ErrBadRequest", err)
+	}
+	q, err := c.QuotaGet(tenant.DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Share != 0.5 || q.Budget != 500 {
+		t.Fatalf("default tenant after a refused QuotaSet = %+v, want share 0.5 budget 500", q)
 	}
 }
 

@@ -379,7 +379,7 @@ func (s *Server) handle(req Request) Response {
 		if reg == nil {
 			return fail(fmt.Errorf("%w: quotas disabled on this server", resd.ErrBadRequest))
 		}
-		resp.Quota = QuotaInfo{Usage: reg.Usage(req.Tenant), Mode: reg.Mode(), Capacity: reg.Capacity()}
+		resp.Quota = QuotaInfo{Usage: reg.Usage(req.Tenant), Capacity: reg.Capacity()}
 	case OpQuotaSet:
 		reg := s.svc.Quotas()
 		if reg == nil {

@@ -337,11 +337,12 @@ type Segment struct {
 }
 
 // QuotaInfo is one tenant's quota state as QuotaGet reports it: the
-// tenant's usage plus the registry-wide mode and capacity the numbers are
-// relative to.
+// tenant's usage plus the registry-wide capacity the numbers are
+// relative to. After the tenant name the reply carries two reserved
+// fields, a name and a byte, that are sent empty and zero and skipped on
+// receipt.
 type QuotaInfo struct {
 	tenant.Usage
-	Mode     tenant.Mode
 	Capacity int64
 }
 
@@ -412,7 +413,7 @@ func appendI64(dst []byte, v int64) []byte      { return binary.BigEndian.Append
 func appendI32(dst []byte, v int32) []byte      { return binary.BigEndian.AppendUint32(dst, uint32(v)) }
 func appendTime(dst []byte, t core.Time) []byte { return appendI64(dst, int64(t)) }
 
-// appendName writes a one-byte-length-prefixed tenant or group name.
+// appendName writes a one-byte-length-prefixed tenant name.
 func appendName(dst []byte, name string) ([]byte, error) {
 	if len(name) > tenant.MaxNameLen {
 		return nil, fmt.Errorf("%w: name %d bytes long (max %d)", ErrFrame, len(name), tenant.MaxNameLen)
@@ -580,10 +581,7 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		if dst, err = appendName(dst, q.Tenant); err != nil {
 			return nil, err
 		}
-		if dst, err = appendName(dst, q.Group); err != nil {
-			return nil, err
-		}
-		dst = append(dst, byte(q.Mode))
+		dst = append(dst, 0, 0) // reserved: an empty name and a zero byte
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(q.Share))
 		dst = appendI64(dst, q.Capacity)
 		dst = appendI64(dst, q.Budget)
@@ -814,7 +812,7 @@ func (r *reader) shardStats(st *resd.ShardStats) {
 	st.Ops = r.u64()
 }
 
-// name reads a one-byte-length-prefixed tenant or group name.
+// name reads a one-byte-length-prefixed tenant name.
 func (r *reader) name() string {
 	n := int(r.u8())
 	return string(r.bytes(n))
@@ -959,11 +957,8 @@ func DecodeResponse(payload []byte) (Response, error) {
 		}
 	case OpQuotaGet:
 		resp.Quota.Tenant = r.name()
-		resp.Quota.Group = r.name()
-		resp.Quota.Mode = tenant.Mode(r.u8())
-		if r.err == nil && resp.Quota.Mode > tenant.Soft {
-			r.err = fmt.Errorf("%w: unknown quota mode %d", ErrFrame, uint8(resp.Quota.Mode))
-		}
+		r.bytes(int(r.u8())) // reserved name and byte: whatever the sender put there
+		r.u8()
 		resp.Quota.Share = r.share()
 		resp.Quota.Capacity = r.i64()
 		resp.Quota.Budget = r.i64()

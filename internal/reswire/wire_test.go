@@ -266,11 +266,9 @@ var goldenFrames = []struct {
 		"000000000200000000000000010000000000000003000000000000000400000000000000000000000000000000000000" +
 		"000000006300000000000000070000000000000014",
 		resp: &Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}},
-	{name: "resp/QuotaGet", hex: "00000058525705070000000000000007000461636d650470726f64013fe0000000000000000000000010000000000000" +
-		"00080000000000000000004d0000000000000003000000000000000900000000000000060000000000000002",
-		resp: &Response{ID: 7, Op: OpQuotaGet, Quota: QuotaInfo{Mode: tenant.Soft, Capacity: 1 << 20, Usage: tenant.Usage{
-			Tenant: "acme", Group: "prod", Share: 0.5,
-			Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}}},
+	{name: "resp/QuotaGet", hex: "00000054525705070000000000000007000461636d6500003fe000000000000000000000001000000000000000080000" +
+		"000000000000004d0000000000000003000000000000000900000000000000060000000000000002",
+		resp: &Response{ID: 7, Op: OpQuotaGet, Quota: goldenQuota}},
 	{name: "resp/QuotaSet", hex: "0000000d52570508000000000000000800",
 		resp: &Response{ID: 8, Op: OpQuotaSet}},
 	{name: "resp/Trace", hex: "0000005b5257050900000000000000090000000001000000000000000317979cfe362a0000000000000001e848000000" +
@@ -302,6 +300,16 @@ var goldenFrames = []struct {
 // shard family both carry.
 var goldenShard = resd.ShardStats{Active: 5, CommittedArea: 1234, Admitted: 10, Cancelled: 2, Rejected: 1,
 	RejectedDeadline: 3, RejectedQuota: 4, SlackP99: 99, Batches: 7, Ops: 20}
+
+// goldenQuota is the QuotaGet reply's value.
+var goldenQuota = QuotaInfo{Capacity: 1 << 20, Usage: tenant.Usage{
+	Tenant: "acme", Share: 0.5, Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}
+
+// quotaReservedInUse is resp/QuotaGet as a server that still has tenant
+// groups and a soft mode sends it: group "prod" and mode 1 in the two
+// reserved fields.
+const quotaReservedInUse = "00000058525705070000000000000007000461636d650470726f64013fe0000000000000000000000010000000000000" +
+	"00080000000000000000004d0000000000000003000000000000000900000000000000060000000000000002"
 
 // statsReservedInUse is resp/Stats as a server that still counts
 // migrations sends it: 5 and 6 in the entry's 16 reserved bytes.
@@ -337,9 +345,16 @@ func TestGoldenFrames(t *testing.T) {
 	}
 	// Reserved bytes are skipped, not checked: an un-upgraded server's
 	// reply decodes to the same value.
-	old, _ := hex.DecodeString(statsReservedInUse)
-	want := Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}
-	if dec, err := DecodeResponse(old[4:]); err != nil || !reflect.DeepEqual(dec, want) {
-		t.Errorf("Stats reply with the reserved bytes in use decodes to %+v (err %v), want %+v", dec, err, want)
+	for _, old := range []struct {
+		name, hex string
+		want      Response
+	}{
+		{"Stats", statsReservedInUse, Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}},
+		{"QuotaGet", quotaReservedInUse, Response{ID: 7, Op: OpQuotaGet, Quota: goldenQuota}},
+	} {
+		b, _ := hex.DecodeString(old.hex)
+		if dec, err := DecodeResponse(b[4:]); err != nil || !reflect.DeepEqual(dec, old.want) {
+			t.Errorf("%s reply with the reserved bytes in use decodes to %+v (err %v), want %+v", old.name, dec, err, old.want)
+		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 
 // FuzzQuotaAccounting replays an arbitrary serial Acquire/Release/SetShare
 // stream through a Registry and cross-checks every decision against a
-// plain map-based oracle applying the budget rules (tenant AND group cap)
-// by hand. Any divergence — an admit the oracle rejects, a rejection it
-// admits, usage drifting from the oracle's ledger — means the CAS
-// accounting or the hierarchy resolution broke. The final drain must
+// plain map-based oracle applying the budget rule (used + area ≤ share ×
+// capacity) by hand. Any divergence — an admit the oracle rejects, a
+// rejection it admits, usage drifting from the oracle's ledger — means the
+// CAS accounting or the budget resolution broke. The final drain must
 // return every account to zero.
 func FuzzQuotaAccounting(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 0, 1, 10, 1, 0, 0, 0, 2, 200})
@@ -20,64 +20,39 @@ func FuzzQuotaAccounting(f *testing.F) {
 		const capacity = 1 << 10
 		tenants := []string{"a", "b", "c"}
 		shares := []float64{0.5, 0.25, 0.125}
-		spec := Spec{Groups: []GroupSpec{{Name: "g", Share: 0.5}}}
-		groupOf := func(i int) string {
-			if i%2 == 0 {
-				return "g"
-			}
-			return ""
-		}
+		var spec Spec
 		for i, name := range tenants {
-			spec.Tenants = append(spec.Tenants, TenantSpec{Name: name, Group: groupOf(i), Share: shares[i]})
+			spec.Tenants = append(spec.Tenants, TenantSpec{Name: name, Share: shares[i]})
 		}
 		r, err := New(capacity, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Oracle ledger: resolved budgets and used, per tenant and group.
-		groupBudget := map[string]int64{"g": capacity / 2, DefaultGroup: capacity}
+		// Oracle ledger: resolved budget and used, per tenant.
 		budget := map[string]int64{}
 		used := map[string]int64{}
-		groupUsed := map[string]int64{}
 		for i, name := range tenants {
-			g := groupOf(i)
-			if g == "" {
-				g = DefaultGroup
-			}
-			budget[name] = int64(shares[i] * float64(groupBudget[g]))
+			budget[name] = int64(shares[i] * capacity)
 		}
 		type grant struct {
 			tenant string
 			area   int64
 		}
 		var held []grant
-		oracleGroup := func(name string) string {
-			for i, t := range tenants {
-				if t == name {
-					g := groupOf(i)
-					if g == "" {
-						g = DefaultGroup
-					}
-					return g
-				}
-			}
-			return DefaultGroup
-		}
 
 		for len(ops) >= 3 {
 			op, a, b := ops[0]%3, ops[1], ops[2]
 			ops = ops[3:]
 			name := tenants[int(a)%len(tenants)]
-			g := oracleGroup(name)
 			switch op {
 			case 0: // acquire
 				area := int64(b) + 1
-				wantOK := used[name]+area <= budget[name] && groupUsed[g]+area <= groupBudget[g]
+				wantOK := used[name]+area <= budget[name]
 				err := r.Acquire(name, area)
 				if (err == nil) != wantOK {
-					t.Fatalf("Acquire(%s, %d) err=%v, oracle ok=%v (used=%d budget=%d groupUsed=%d groupBudget=%d)",
-						name, area, err, wantOK, used[name], budget[name], groupUsed[g], groupBudget[g])
+					t.Fatalf("Acquire(%s, %d) err=%v, oracle ok=%v (used=%d budget=%d)",
+						name, area, err, wantOK, used[name], budget[name])
 				}
 				if err != nil {
 					if !errors.Is(err, ErrQuota) {
@@ -87,7 +62,6 @@ func FuzzQuotaAccounting(f *testing.F) {
 				}
 				r.Admit(name)
 				used[name] += area
-				groupUsed[g] += area
 				held = append(held, grant{name, area})
 			case 1: // release one held grant
 				if len(held) == 0 {
@@ -98,17 +72,16 @@ func FuzzQuotaAccounting(f *testing.F) {
 				held = append(held[:k], held[k+1:]...)
 				r.Release(gr.tenant, gr.area)
 				used[gr.tenant] -= gr.area
-				groupUsed[oracleGroup(gr.tenant)] -= gr.area
 			case 2: // shrink/grow a share and re-resolve the oracle budget
 				share := (float64(b%100) + 1) / 100
 				if err := r.SetShare(name, share); err != nil {
 					t.Fatalf("SetShare(%s, %v): %v", name, share, err)
 				}
-				budget[name] = int64(share * float64(groupBudget[oracleGroup(name)]))
+				budget[name] = int64(share * capacity)
 			}
 			for _, tn := range tenants {
-				if u := r.Usage(tn); u.Used != used[tn] {
-					t.Fatalf("tenant %s used = %d, oracle %d", tn, u.Used, used[tn])
+				if u := r.Usage(tn); u.Used != used[tn] || u.Budget != budget[tn] {
+					t.Fatalf("tenant %s used/budget = %d/%d, oracle %d/%d", tn, u.Used, u.Budget, used[tn], budget[tn])
 				}
 			}
 		}
@@ -118,11 +91,6 @@ func FuzzQuotaAccounting(f *testing.F) {
 		for _, tn := range tenants {
 			if u := r.Usage(tn); u.Used != 0 || u.Inflight != 0 {
 				t.Fatalf("tenant %s not drained: %+v", tn, u)
-			}
-		}
-		for _, gu := range r.Groups() {
-			if gu.Used != 0 {
-				t.Fatalf("group %s not drained: %+v", gu.Tenant, gu)
 			}
 		}
 	})

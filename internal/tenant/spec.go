@@ -9,89 +9,58 @@ import (
 )
 
 // Spec is the declarative quota configuration — what cmd/resdsrv loads
-// from its -quotas file. The zero Spec is valid: hard mode, no declared
-// groups or tenants, every tenant discovered at runtime owning a full
-// share of the default group.
+// from its -quotas file. The zero Spec is valid: no declared tenants,
+// every tenant discovered at runtime owning the whole capacity.
 type Spec struct {
-	// Mode is "hard" or "soft" ("" = hard).
+	// Mode is "hard" or "" (the same thing): the one way budgets are
+	// enforced, spelled out for files that name it.
 	Mode string `json:"mode,omitempty"`
-	// DefaultShare is the share tenants not listed below receive of the
-	// default group (0 = 1.0, i.e. runtime-discovered tenants are bounded
-	// only by their group).
+	// DefaultShare is the share of the capacity tenants not listed below
+	// receive (0 = 1.0).
 	DefaultShare float64 `json:"default_share,omitempty"`
-	// Groups declare shares of the global capacity. A "default" group is
-	// always present (share 1 unless declared otherwise).
-	Groups []GroupSpec `json:"groups,omitempty"`
-	// Tenants declare shares of their group's budget.
+	// Tenants declare shares of the capacity.
 	Tenants []TenantSpec `json:"tenants,omitempty"`
 }
 
-// GroupSpec is one group's share of the global capacity.
-type GroupSpec struct {
-	Name  string  `json:"name"`
-	Share float64 `json:"share"`
-}
-
-// TenantSpec is one tenant's share of its group ("" = the default group).
+// TenantSpec is one tenant's share of the capacity.
 type TenantSpec struct {
 	Name  string  `json:"name"`
-	Group string  `json:"group,omitempty"`
 	Share float64 `json:"share"`
 }
 
-// normalize validates the spec, fills defaults, and resolves the mode.
-func (s Spec) normalize() (Spec, Mode, error) {
-	mode := Hard
-	if s.Mode != "" {
-		var err error
-		if mode, err = ParseMode(s.Mode); err != nil {
-			return s, 0, err
-		}
+// normalize validates the spec and fills defaults.
+func (s Spec) normalize() (Spec, error) {
+	if s.Mode != "" && s.Mode != "hard" {
+		return s, fmt.Errorf("%w: mode %q (hard is the only mode)", ErrConfig, s.Mode)
 	}
 	if s.DefaultShare == 0 {
 		s.DefaultShare = 1
 	}
 	if err := validShare("default_share", s.DefaultShare); err != nil {
-		return s, 0, err
+		return s, err
 	}
-	seenG := map[string]bool{}
-	for _, g := range s.Groups {
-		if err := validName("group", g.Name); err != nil {
-			return s, 0, err
-		}
-		if seenG[g.Name] {
-			return s, 0, fmt.Errorf("%w: group %q declared twice", ErrConfig, g.Name)
-		}
-		seenG[g.Name] = true
-		if err := validShare("group "+g.Name, g.Share); err != nil {
-			return s, 0, err
-		}
-	}
-	seenT := map[string]bool{}
+	seen := map[string]bool{}
 	for _, t := range s.Tenants {
-		if err := validName("tenant", t.Name); err != nil {
-			return s, 0, err
+		if err := validName(t.Name); err != nil {
+			return s, err
 		}
-		if seenT[t.Name] {
-			return s, 0, fmt.Errorf("%w: tenant %q declared twice", ErrConfig, t.Name)
+		if seen[t.Name] {
+			return s, fmt.Errorf("%w: tenant %q declared twice", ErrConfig, t.Name)
 		}
-		seenT[t.Name] = true
-		if t.Group != "" && t.Group != DefaultGroup && !seenG[t.Group] {
-			return s, 0, fmt.Errorf("%w: tenant %q names undeclared group %q", ErrConfig, t.Name, t.Group)
-		}
+		seen[t.Name] = true
 		if err := validShare("tenant "+t.Name, t.Share); err != nil {
-			return s, 0, err
+			return s, err
 		}
 	}
-	return s, mode, nil
+	return s, nil
 }
 
-func validName(kind, name string) error {
+func validName(name string) error {
 	if name == "" {
-		return fmt.Errorf("%w: %s with empty name", ErrConfig, kind)
+		return fmt.Errorf("%w: tenant with empty name", ErrConfig)
 	}
 	if len(name) > MaxNameLen {
-		return fmt.Errorf("%w: %s name %q is %d bytes long (max %d)", ErrConfig, kind, name[:16]+"…", len(name), MaxNameLen)
+		return fmt.Errorf("%w: tenant name %q is %d bytes long (max %d)", ErrConfig, name[:16]+"…", len(name), MaxNameLen)
 	}
 	return nil
 }
@@ -112,7 +81,7 @@ func ParseSpec(r io.Reader) (Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	if _, _, err := s.normalize(); err != nil {
+	if _, err := s.normalize(); err != nil {
 		return Spec{}, err
 	}
 	return s, nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -21,16 +22,14 @@ func mustNew(t *testing.T, capacity int64, spec Spec) *Registry {
 func TestSpecValidation(t *testing.T) {
 	bad := []Spec{
 		{Mode: "strict"},
+		{Mode: "soft"},
 		{DefaultShare: 1.5},
 		{DefaultShare: -0.1},
-		{Groups: []GroupSpec{{Name: "", Share: 0.5}}},
-		{Groups: []GroupSpec{{Name: "g", Share: 0}}},
-		{Groups: []GroupSpec{{Name: "g", Share: 2}}},
-		{Groups: []GroupSpec{{Name: "g", Share: 0.5}, {Name: "g", Share: 0.5}}},
 		{Tenants: []TenantSpec{{Name: "", Share: 0.5}}},
+		{Tenants: []TenantSpec{{Name: "t", Share: 0}}},
+		{Tenants: []TenantSpec{{Name: "t", Share: 2}}},
 		{Tenants: []TenantSpec{{Name: "t", Share: math.NaN()}}},
 		{Tenants: []TenantSpec{{Name: "t", Share: 0.5}, {Name: "t", Share: 0.1}}},
-		{Tenants: []TenantSpec{{Name: "t", Group: "nope", Share: 0.5}}},
 		{Tenants: []TenantSpec{{Name: strings.Repeat("x", MaxNameLen+1), Share: 0.5}}},
 	}
 	for _, spec := range bad {
@@ -41,57 +40,62 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := New(0, Spec{}); !errors.Is(err, ErrConfig) {
 		t.Errorf("capacity 0 accepted: %v", err)
 	}
-	// "default" may be referenced without being declared.
-	if _, err := New(1000, Spec{Tenants: []TenantSpec{{Name: "t", Group: DefaultGroup, Share: 0.5}}}); err != nil {
-		t.Errorf("tenant in implicit default group rejected: %v", err)
+	// "hard" is the one mode, and may be spelled out.
+	if _, err := New(1000, Spec{Mode: "hard"}); err != nil {
+		t.Errorf("mode hard rejected: %v", err)
 	}
 }
 
 func TestParseSpec(t *testing.T) {
 	spec, err := ParseSpec(strings.NewReader(`{
-		"mode": "soft",
+		"mode": "hard",
 		"default_share": 0.1,
-		"groups": [{"name": "prod", "share": 0.75}],
 		"tenants": [
-			{"name": "etl", "group": "prod", "share": 0.5},
+			{"name": "etl", "share": 0.5},
 			{"name": "adhoc", "share": 0.25}
 		]
 	}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Mode != "soft" || spec.DefaultShare != 0.1 || len(spec.Groups) != 1 || len(spec.Tenants) != 2 {
+	if spec.Mode != "hard" || spec.DefaultShare != 0.1 || len(spec.Tenants) != 2 {
 		t.Fatalf("parsed spec %+v", spec)
 	}
-	// Unknown fields must fail loudly, not silently grant full shares.
-	if _, err := ParseSpec(strings.NewReader(`{"mode": "hard", "tennants": []}`)); !errors.Is(err, ErrConfig) {
-		t.Fatalf("typo'd key err = %v, want ErrConfig", err)
-	}
-	if _, err := ParseSpec(strings.NewReader(`{"mode": "gentle"}`)); !errors.Is(err, ErrConfig) {
-		t.Fatalf("bad mode err = %v, want ErrConfig", err)
+	for _, bad := range []string{
+		// Unknown fields must fail loudly, not silently grant full shares.
+		`{"mode": "hard", "tennants": []}`,
+		`{"mode": "gentle"}`,
+		// Hard is the only mode and budgets are one level deep: a file
+		// naming another mode or a group is refused, not half-read.
+		`{"mode": "soft"}`,
+		`{"groups": [{"name": "prod", "share": 0.5}]}`,
+		`{"tenants": [{"name": "etl", "group": "prod", "share": 0.5}]}`,
+	} {
+		if _, err := ParseSpec(strings.NewReader(bad)); !errors.Is(err, ErrConfig) {
+			t.Errorf("ParseSpec(%s) err = %v, want ErrConfig", bad, err)
+		}
 	}
 }
 
 func TestBudgetHierarchyResolution(t *testing.T) {
 	r := mustNew(t, 1000, Spec{
-		Groups: []GroupSpec{{Name: "prod", Share: 0.5}},
 		Tenants: []TenantSpec{
-			{Name: "etl", Group: "prod", Share: 0.5},
-			{Name: "web", Group: "prod", Share: 0.25},
-			{Name: "lab", Share: 0.1}, // default group (share 1)
+			{Name: "etl", Share: 0.5},
+			{Name: "web", Share: 0.25},
+			{Name: "lab", Share: 0.1},
 		},
 		DefaultShare: 0.25,
 	})
-	want := map[string]int64{"etl": 250, "web": 125, "lab": 100}
+	// One level: every budget is the tenant's share of the capacity.
+	want := map[string]int64{"etl": 500, "web": 250, "lab": 100}
 	for name, budget := range want {
 		if u := r.Usage(name); u.Budget != budget {
 			t.Errorf("%s budget = %d, want %d", name, u.Budget, budget)
 		}
 	}
-	// Runtime-discovered tenant lands in the default group at DefaultShare.
-	u := r.Usage("newcomer")
-	if u.Group != DefaultGroup || u.Budget != 250 {
-		t.Errorf("discovered tenant = %+v, want default group budget 250", u)
+	// A runtime-discovered tenant gets DefaultShare of the capacity.
+	if u := r.Usage("newcomer"); u.Share != 0.25 || u.Budget != 250 {
+		t.Errorf("discovered tenant = %+v, want share 0.25 budget 250", u)
 	}
 	// The tenantless name maps to DefaultTenant.
 	if got := r.Usage(""); got.Tenant != DefaultTenant {
@@ -126,96 +130,6 @@ func TestHardModeEnforcesTenantBudget(t *testing.T) {
 	// Released area is acquirable again.
 	if err := r.Acquire("t", 100); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHardModeEnforcesGroupBudget(t *testing.T) {
-	// Two tenants each entitled to 80% of a group holding 100: the group
-	// cap binds before the second tenant's own budget does.
-	r := mustNew(t, 1000, Spec{
-		Groups: []GroupSpec{{Name: "g", Share: 0.1}},
-		Tenants: []TenantSpec{
-			{Name: "a", Group: "g", Share: 0.8},
-			{Name: "b", Group: "g", Share: 0.8},
-		},
-	})
-	if err := r.Acquire("a", 70); err != nil {
-		t.Fatal(err)
-	}
-	err := r.Acquire("b", 50)
-	if !errors.Is(err, ErrQuota) {
-		t.Fatalf("group-exceeding acquire err = %v, want ErrQuota", err)
-	}
-	var why *QuotaError
-	if !errors.As(err, &why) || *why != (QuotaError{Name: "b", Group: "g", Used: 70, Budget: 100, Area: 50}) {
-		t.Fatalf("group-exceeding acquire err = %#v, want the group's figures", err)
-	}
-	if want := `tenant: quota exceeded: group "g" used 70 of 100 with request area 50 (tenant "b")`; err.Error() != want {
-		t.Fatalf("group-exceeding acquire says %q, want %q", err, want)
-	}
-	// The failed acquire must not leak tenant-level usage, and the
-	// rejection is booked on both the tenant and the binding group —
-	// that's how an operator finds which budget is the bottleneck.
-	if u := r.Usage("b"); u.Used != 0 || u.Rejected != 1 {
-		t.Fatalf("tenant b after group rejection = %+v, want used 0 rejected 1", u)
-	}
-	gs := r.Groups()
-	var g Usage
-	for _, gu := range gs {
-		if gu.Tenant == "g" {
-			g = gu
-		}
-	}
-	if g.Rejected != 1 {
-		t.Fatalf("group g rejected = %d, want 1 (groups %+v)", g.Rejected, gs)
-	}
-	if err := r.Acquire("b", 30); err != nil {
-		t.Fatalf("within-group acquire: %v", err)
-	}
-	// A tenant-level rejection does not blame the group.
-	r2 := mustNew(t, 1000, Spec{Tenants: []TenantSpec{{Name: "t", Share: 0.01}}})
-	if err := r2.Acquire("t", 500); !errors.Is(err, ErrQuota) {
-		t.Fatal(err)
-	}
-	if g := r2.Groups()[0]; g.Rejected != 0 {
-		t.Fatalf("default group rejected = %d after tenant-level rejection, want 0", g.Rejected)
-	}
-}
-
-func TestSoftModeNeverRejects(t *testing.T) {
-	r := mustNew(t, 100, Spec{Mode: "soft", Tenants: []TenantSpec{{Name: "t", Share: 0.01}}})
-	if err := r.Acquire("t", 1000); err != nil {
-		t.Fatalf("soft acquire rejected: %v", err)
-	}
-	if u := r.Usage("t"); u.Used != 1000 {
-		t.Fatalf("soft usage = %d, want 1000", u.Used)
-	}
-	if ratio := r.Ratio("t"); ratio < 100 {
-		t.Fatalf("ratio = %v, want >= 100 (1000 used of budget 1... dominated by group 1000/100)", ratio)
-	}
-}
-
-func TestRatioOrdersByPressure(t *testing.T) {
-	r := mustNew(t, 1000, Spec{
-		Mode: "soft",
-		Tenants: []TenantSpec{
-			{Name: "light", Share: 0.5},
-			{Name: "heavy", Share: 0.5},
-		},
-	})
-	if err := r.Acquire("heavy", 400); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Acquire("light", 50); err != nil {
-		t.Fatal(err)
-	}
-	if rl, rh := r.Ratio("light"), r.Ratio("heavy"); rl >= rh {
-		t.Fatalf("Ratio(light)=%v >= Ratio(heavy)=%v", rl, rh)
-	}
-	// Group pressure dominates when it exceeds the tenant's own: load the
-	// shared default group far past "spare"'s individual share.
-	if got := r.Ratio("spare"); got < 0.45 || got > 0.46 {
-		t.Fatalf("idle tenant's group-dominated ratio = %v, want 450/1000", got)
 	}
 }
 
@@ -276,35 +190,37 @@ func TestAccountCapAliasesToDefault(t *testing.T) {
 	if u := r.Usage(""); u.Used != 0 {
 		t.Fatalf("aliased release left used=%d", u.Used)
 	}
-}
-
-func TestModeSwitch(t *testing.T) {
-	r := mustNew(t, 100, Spec{Mode: "soft"})
-	if err := r.Acquire("t", 500); err != nil {
+	// Re-budgeting never aliases: a name with no account is refused and
+	// the default tenant's budget stays as it was, while a name that has
+	// an account is re-budgeted as before.
+	if err := r.SetShare("stranger", 0.01); !errors.Is(err, ErrConfig) {
+		t.Fatalf("SetShare of a name past the cap err = %v, want ErrConfig", err)
+	}
+	if u := r.Usage(""); u.Share != 0.5 || u.Budget != 500 {
+		t.Fatalf("refused SetShare touched the default account: %+v", u)
+	}
+	if err := r.SetShare("n5", 0.1); err != nil {
 		t.Fatal(err)
 	}
-	r.SetMode(Hard)
-	if r.Mode() != Hard {
-		t.Fatalf("mode = %v", r.Mode())
-	}
-	// Over-budget tenant is not evicted but cannot acquire more.
-	if err := r.Acquire("t", 1); !errors.Is(err, ErrQuota) {
-		t.Fatalf("post-switch acquire err = %v, want ErrQuota", err)
+	if u := r.Usage("n5"); u.Budget != 100 {
+		t.Fatalf("pre-cap account re-budgeted to %d, want 100", u.Budget)
 	}
 }
 
 func TestLedgerViews(t *testing.T) {
 	r := mustNew(t, 1000, Spec{
-		Groups:  []GroupSpec{{Name: "prod", Share: 0.5}},
-		Tenants: []TenantSpec{{Name: "b", Group: "prod", Share: 0.5}, {Name: "a", Share: 0.5}},
+		Tenants: []TenantSpec{{Name: "b", Share: 0.25}, {Name: "a", Share: 0.5}},
 	})
-	ts := r.Tenants()
-	if len(ts) != 2 || ts[0].Tenant != "a" || ts[1].Tenant != "b" {
-		t.Fatalf("Tenants() = %+v", ts)
+	if err := r.Acquire("b", 40); err != nil {
+		t.Fatal(err)
 	}
-	gs := r.Groups()
-	if len(gs) != 2 || gs[0].Tenant != DefaultGroup || gs[1].Tenant != "prod" {
-		t.Fatalf("Groups() = %+v", gs)
+	r.Admit("b")
+	want := []Usage{
+		{Tenant: "a", Share: 0.5, Budget: 500},
+		{Tenant: "b", Share: 0.25, Budget: 250, Used: 40, Inflight: 1, Admitted: 1},
+	}
+	if ts := r.Tenants(); !reflect.DeepEqual(ts, want) {
+		t.Fatalf("Tenants() = %+v, want %+v", ts, want)
 	}
 }
 
@@ -320,10 +236,9 @@ func TestConcurrentAcquireNeverExceedsBudget(t *testing.T) {
 		iters      = 2000
 	)
 	r := mustNew(t, capacity, Spec{
-		Groups: []GroupSpec{{Name: "g", Share: 0.5}},
 		Tenants: []TenantSpec{
-			{Name: "a", Group: "g", Share: 0.5},
-			{Name: "b", Group: "g", Share: 0.75},
+			{Name: "a", Share: 0.25},
+			{Name: "b", Share: 0.375},
 			{Name: "c", Share: 0.25},
 		},
 	})
@@ -342,12 +257,6 @@ func TestConcurrentAcquireNeverExceedsBudget(t *testing.T) {
 			for _, name := range tenants {
 				if u := r.Usage(name); u.Used > u.Budget {
 					t.Errorf("tenant %s used %d > budget %d", name, u.Used, u.Budget)
-					return
-				}
-			}
-			for _, g := range r.Groups() {
-				if g.Used > g.Budget {
-					t.Errorf("group %s used %d > budget %d", g.Tenant, g.Used, g.Budget)
 					return
 				}
 			}
@@ -386,11 +295,6 @@ func TestConcurrentAcquireNeverExceedsBudget(t *testing.T) {
 	for _, name := range tenants {
 		if u := r.Usage(name); u.Used != 0 || u.Inflight != 0 {
 			t.Errorf("tenant %s not drained: %+v", name, u)
-		}
-	}
-	for _, g := range r.Groups() {
-		if g.Used != 0 || g.Inflight != 0 {
-			t.Errorf("group %s not drained: %+v", g.Tenant, g)
 		}
 	}
 }
