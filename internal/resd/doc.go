@@ -137,8 +137,9 @@
 // A rejected request consumes no capacity.
 //
 // Every refusal is a *Refusal — the rule (Kind, which errors.Is matches),
-// the shard (NoShard when Q plus the floor exceeds M and none was asked),
-// the request's figures, the earliest start found and, under ErrQuota,
+// the shard (NoShard when Q plus the floor exceeds M and none was asked;
+// for a quota refusal at the door, the shard ranked first), the
+// request's figures, the earliest start found and, under ErrQuota,
 // the tenant.QuotaError with the budget's figures — and formats nothing:
 // Error renders the text when a log line or a wire Detail asks for it,
 // outside the shard's turn.
@@ -146,21 +147,28 @@
 // # Multi-tenant quotas
 //
 // Config.Quotas plugs a tenant.Registry in front of admission: every
-// Admit (an empty Request.Tenant names the default tenant) is
-// charged against its tenant's budgeted share of the reservable α-prefix
-// area, a share of the whole capacity. The check runs inside the shard's
-// turn after the α and deadline checks — a doomed request never burns
-// budget — and the charge is a CAS against the registry's atomics, so the
-// admission itself still takes no lock. An exhausted budget rejects with
-// ErrQuota (wire: REJECTED_QUOTA), consuming no capacity, and the service
-// stops its shard walk at once since budgets are global. A turn applies
-// its requests in arrival order, quotas or not. Cancel credits the area
-// back. Per-tenant books are kept twice,
-// deliberately: the registry's lock-free accounts (global, what quota
-// decisions read) and per-shard TenantStats owned by each combiner (consistent,
-// what operators read); the stress tests assert the two agree. The quota
-// layer may gate placement but never perturb it — a single tenant with a
-// full budget replays to bit-identical sched.FCFS placements.
+// Admit (an empty Request.Tenant names the default tenant) is charged
+// against its tenant's budgeted share of the reservable α-prefix area, a
+// share of the whole capacity. The α rule is a question only a shard's
+// index answers; the budget is service-wide, and the registry alone
+// answers it. So Admit resolves the tenant's tenant.Account once and,
+// once placement has ranked the shards, refuses at the door — no shard
+// turn — a request whose area (tenant.Area, saturating) exceeds what is
+// left of the budget, with ErrQuota (wire: REJECTED_QUOTA), booked on the
+// shard ranked first. The request carries the account to the shard, whose
+// charge, a CAS against the account's atomics, stays the authority: it
+// refuses what a concurrent admission spent after the door, ending the
+// walk since budgets are global, and it runs after α and the deadline, so
+// a doomed request never burns budget. Cancel credits the area back
+// through the account its tenant cell keeps. A turn applies its requests
+// in arrival order, quotas or not. Quota refusals are counted once per
+// request, in ShardStats.RejectedQuota and per tenant in
+// tenant.Usage.Rejected; what a tenant holds is in the registry's
+// lock-free accounts (what quota decisions read) and in the combiners'
+// per-shard TenantStats (what operators read), and the stress tests
+// assert the two agree. The quota layer may gate placement but never
+// perturb it — a single tenant with a full budget replays to
+// bit-identical sched.FCFS placements.
 //
 // # Placed once
 //
@@ -275,7 +283,7 @@
 //	resd_shard_ops_per_batch{shard}        gauge    realised group-commit factor
 //	resd_admitted_total{shard}             counter  admissions
 //	resd_cancelled_total{shard}            counter  cancellations
-//	resd_rejected_total{shard,reason}      counter  reason ∈ capacity|deadline|quota
+//	resd_rejected_total{shard,reason}      counter  reason ∈ capacity|deadline|quota (quota: door refusals on the shard ranked first)
 //	resd_slack_ticks{shard,quantile}       summary  start-time slack p50/p90/p99
 //	resd_loop_turn_ns{shard,quantile}      summary  batch apply+publish latency
 //	resd_traces_sampled_total              counter  admissions sampled into the ring
@@ -285,7 +293,7 @@
 //	tenant_quota_used{tenant}              gauge    area currently charged
 //	tenant_quota_inflight{tenant}          gauge    admissions currently held
 //	tenant_quota_admitted_total{tenant}    counter  admissions
-//	tenant_quota_rejected_total{tenant}    counter  quota rejections
+//	tenant_quota_rejected_total{tenant}    counter  quota rejections, at the door and at the charge
 //
 // A durable service (Config.WAL) adds the write-ahead-log families: the
 // per-shard log counters, the fsync-latency summary, and the replay

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/flight"
+	"repro/internal/tenant"
 	"repro/internal/wal"
 )
 
@@ -91,7 +92,7 @@ func replayShard(shard int, snap *wal.Snapshot, recs []wal.Record) (*shardSeed, 
 		for _, bk := range snap.Books {
 			sd.books[bk.Tenant] = TenantStats{
 				Active: int(bk.Active), CommittedArea: bk.Area,
-				Admitted: bk.Admitted, Cancelled: bk.Cancelled, RejectedQuota: bk.RejectedQuota,
+				Admitted: bk.Admitted, Cancelled: bk.Cancelled,
 			}
 		}
 		for _, lv := range snap.Live {
@@ -223,13 +224,14 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 		for i, sd := range seeds {
 			for _, id := range sd.sortedIDs() {
 				a := sd.live[id]
-				area := a.Dur * int64(a.Procs)
-				if err := cfg.Quotas.Acquire(a.Tenant, area); err != nil {
+				acct := cfg.Quotas.Account(a.Tenant)
+				var why tenant.QuotaError
+				if !acct.TryAcquire(tenant.Area(a.Procs, a.Dur), &why) {
 					closeAll()
 					return nil, info, fmt.Errorf("resd: shard %d: recovered reservation %#x no longer fits tenant %q's quota: %w",
-						i, uint64(id), a.Tenant, err)
+						i, uint64(id), a.Tenant, &why)
 				}
-				cfg.Quotas.Admit(a.Tenant)
+				acct.Admit()
 			}
 		}
 	}

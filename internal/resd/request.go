@@ -45,11 +45,21 @@ type Request struct {
 // routed shard has committed — and, with a WAL, durably logged — the
 // batch containing the request.
 //
+// The rules run in a fixed order: the static ErrNeverFits check (Q plus
+// the α floor exceeds M); the quota at the door, which reads the tenant's
+// account without charging it and refuses with ErrQuota before any shard
+// is asked, booking the refusal on the shard placement ranked first; α
+// and the deadline at each shard placement tries; and last the quota
+// charge on the shard that found a start. The charge is the authority: a
+// request that passed the door can still lose the budget to a concurrent
+// one, and that ErrQuota ends the walk too, the budget being
+// service-wide. So an over-budget request that would also miss its
+// deadline gets ErrQuota, and a doomed request never burns budget.
+//
 // When every shard's earliest feasible start lies after the deadline
 // the request fails with ErrDeadline and no capacity is consumed: a
 // deadline rejection is an explicit accept/reject answer, not a silent
-// push-back. A budget exhaustion fails with ErrQuota and, the
-// budgets being global, is returned without trying further shards.
+// push-back.
 func (s *Service) Admit(req Request) (Reservation, error) {
 	// Ready+Dur must not wrap past the end of time (an endless Dur never
 	// ends, so it cannot): the index would find the window a start and
@@ -82,9 +92,7 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	// word: another partition may be idle enough to start in time, so the
 	// placement order is tried to the end. A deadline rejection is
 	// remembered in preference to ErrNeverFits — it tells the caller the
-	// request was feasible, just not soon enough. A quota rejection, by
-	// contrast, ends the walk at once: the budget is service-wide, so no
-	// other shard can answer differently.
+	// request was feasible, just not soon enough.
 	//
 	// Whichever shard holds the request carries its area as in-flight load
 	// for exactly as long as it holds it, so that callers routing meanwhile
@@ -95,7 +103,21 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	if rec != nil {
 		rec.Route = time.Since(rec.Arrival)
 	}
-	area := int64(req.Dur) * int64(req.Q)
+	area := tenant.Area(req.Q, int64(req.Dur))
+	var acct *tenant.Account
+	if s.cfg.Quotas != nil {
+		acct = s.cfg.Quotas.Account(ten)
+		var why tenant.QuotaError
+		if !acct.Check(area, &why) {
+			s.shards[walk[0]].rejectedQuota.Add(1)
+			if rec != nil {
+				rec.Shard = walk[0]
+			}
+			s.tracer.finish(rec, TraceRejectedQuota, 0)
+			s.sloBook.reject(ten, false)
+			return Reservation{}, &Refusal{Kind: ErrQuota, Shard: walk[0], Q: req.Q, Dur: req.Dur, Deadline: req.Deadline, Floor: s.floor, Quota: why}
+		}
+	}
 	for _, si := range walk {
 		if rec != nil {
 			rec.Shard = si
@@ -103,7 +125,7 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 		}
 		sh := s.shards[si]
 		sh.inFlight.Add(area)
-		resp, err := sh.do(request{kind: opReserve, tenant: ten, ready: req.Ready, q: req.Q, dur: req.Dur, deadline: req.Deadline, trace: rec})
+		resp, err := sh.do(request{kind: opReserve, tenant: ten, acct: acct, area: area, ready: req.Ready, q: req.Q, dur: req.Dur, deadline: req.Deadline, trace: rec})
 		sh.inFlight.Add(-area)
 		if err == nil {
 			s.tracer.finish(rec, TraceAdmitted, resp.resv.Start)

@@ -54,15 +54,19 @@ type Refusal struct {
 	// Kind is the rule that refused — ErrNeverFits, ErrDeadline or
 	// ErrQuota — and what errors.Is matches.
 	Kind error
-	// Shard is the partition that answered, or NoShard; Q, Dur and
-	// Deadline are the request's, Floor the α head-room a shard keeps free.
+	// Shard is the partition that answered; for a quota refusal Admit
+	// made at the door, before asking any, the one placement ranked
+	// first, where the refusal is booked; NoShard when Q plus the floor
+	// exceeds M. Q, Dur and Deadline are the request's, Floor the α
+	// head-room a shard keeps free.
 	Shard    int
 	Q        int
 	Dur      core.Time
 	Deadline core.Time
 	Floor    int
 	// Earliest is the earliest start the shard could have given (no
-	// meaning under ErrNeverFits: there is none).
+	// meaning under ErrNeverFits, nor for a quota refusal at the door: no
+	// shard was asked).
 	Earliest core.Time
 	// Quota is whose budget refused and by how much, under ErrQuota
 	// (zero otherwise); errors.As finds it as a *tenant.QuotaError.
@@ -451,9 +455,11 @@ type ShardStats struct {
 	// feasible on the shard but whose earliest start exceeded the
 	// caller's deadline.
 	RejectedDeadline uint64
-	// RejectedQuota counts quota rejections: requests that were
-	// feasible on the shard but whose tenant had exhausted its budgeted
-	// share of the reservable prefix.
+	// RejectedQuota counts quota rejections booked on the shard: a
+	// request Admit refused at the door when placement ranked this shard
+	// first, or one whose charge failed here after the shard found it a
+	// start. A refused request is booked once, so the sum over shards is
+	// the service's quota refusals.
 	RejectedQuota uint64
 	// SlackP99 is the 99th-percentile start-time slack (admitted start −
 	// ready time, in ticks) over the shard's admissions: the per-shard SLO
@@ -474,9 +480,11 @@ type TenantStats struct {
 	Active int
 	// CommittedArea is the processor-tick area those reservations hold.
 	CommittedArea int64
-	// Admitted, Cancelled and RejectedQuota count this tenant's
-	// operations on the shard since start.
-	Admitted, Cancelled, RejectedQuota uint64
+	// Admitted and Cancelled count this tenant's operations on the shard
+	// since start. Its quota refusals are the registry's to count
+	// (tenant.Usage.Rejected): most are made at the door, before any
+	// shard is asked.
+	Admitted, Cancelled uint64
 	// SlackP99 is the tenant's 99th-percentile start-time slack on this
 	// shard (see ShardStats.SlackP99): the per-tenant SLO metric.
 	SlackP99 core.Time
@@ -517,7 +525,6 @@ func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 			tot.CommittedArea += ts.CommittedArea
 			tot.Admitted += ts.Admitted
 			tot.Cancelled += ts.Cancelled
-			tot.RejectedQuota += ts.RejectedQuota
 			// Percentiles do not sum; the max across shards is a sound
 			// upper bound on the service-wide p99.
 			tot.SlackP99 = max(tot.SlackP99, ts.SlackP99)

@@ -39,13 +39,15 @@ const (
 // request is one operation submitted to a shard.
 type request struct {
 	kind     opKind
-	tenant   string       // Reserve: accounting identity (never empty; "" is normalised upstream)
-	ready    core.Time    // Reserve: earliest start; Query: probe instant
-	q        int          // Reserve width
-	dur      core.Time    // Reserve length
-	deadline core.Time    // Reserve: latest admissible start (NoDeadline = unbounded)
-	id       ID           // Cancel target
-	trace    *TraceRecord // sampled admission trace, nil for the unsampled majority
+	tenant   string          // Reserve: accounting identity (never empty; "" is normalised upstream)
+	acct     *tenant.Account // Reserve: the account tenant is charged to (nil = no quotas)
+	area     int64           // Reserve: tenant.Area of q and dur
+	ready    core.Time       // Reserve: earliest start; Query: probe instant
+	q        int             // Reserve width
+	dur      core.Time       // Reserve length
+	deadline core.Time       // Reserve: latest admissible start (NoDeadline = unbounded)
+	id       ID              // Cancel target
+	trace    *TraceRecord    // sampled admission trace, nil for the unsampled majority
 }
 
 // response carries the result back to the caller. Exactly one of the
@@ -101,10 +103,13 @@ func bookName[V any](books map[string]V, name string) string {
 // tenantCell is everything a shard keeps about one tenant book. An
 // admission resolves its tenant name to the cell once; a live record
 // names the cell by idx, its position in shard.cells, so a cancel finds
-// it without a name. Owned by the combiner.
+// it without a name. acct is the quota account the cell's records are
+// charged to, resolved the first time a cancel needs it (nil until then,
+// and without quotas). Owned by the combiner.
 type tenantCell struct {
 	name  string
 	idx   uint32
+	acct  *tenant.Account
 	stats TenantStats // SlackP99 is rendered from slack on read
 	slack slackHist
 }
@@ -155,6 +160,20 @@ func (sh *shard) tenantOf(a resv) string {
 		return name
 	}
 	return sh.cells[a.cell].name
+}
+
+// account returns the quota account a live reservation is charged to:
+// its cell's handle, resolved once per cell, or for a record in the
+// overflow book the account of the name it keeps beside the table.
+func (sh *shard) account(a resv) *tenant.Account {
+	if name, ok := sh.live.charged[a.id()]; ok {
+		return sh.quotas.Account(name)
+	}
+	c := sh.cells[a.cell]
+	if c.acct == nil {
+		c.acct = sh.quotas.Account(c.name)
+	}
+	return c.acct
 }
 
 // keep enters an admitted reservation in the live table under cell c.
@@ -572,9 +591,11 @@ func (sh *shard) apply(r request) response {
 // head-room free across the whole window: one FindSlot for q+floor
 // processors, then a Commit of q. A request with a deadline is rejected —
 // not pushed back — when that earliest start lands after the deadline,
-// and a feasible-and-timely request is charged to its tenant's quota
-// before the commit (the quota check runs last, so a doomed request never
-// burns budget, however briefly).
+// and a feasible-and-timely request is charged to the account it carries
+// before the commit. Service.Admit has already refused at the door what
+// the budget refused when it asked; the charge here is the authority,
+// and it runs last, so a doomed request never burns budget, however
+// briefly.
 func (sh *shard) reserve(r request) response {
 	start, ok := sh.idx.FindSlot(r.ready, r.q+sh.floor, r.dur)
 	if !ok {
@@ -585,13 +606,10 @@ func (sh *shard) reserve(r request) response {
 		sh.rejectedDL.Add(1)
 		return response{err: sh.refuse(ErrDeadline, r, start)}
 	}
-	area := int64(r.dur) * int64(r.q)
-	c := sh.cell(r.tenant)
-	if sh.quotas != nil {
+	if r.acct != nil {
 		var why tenant.QuotaError
-		if !sh.quotas.TryAcquire(r.tenant, area, &why) {
+		if !r.acct.TryAcquire(r.area, &why) {
 			sh.rejectedQuota.Add(1)
-			c.stats.RejectedQuota++
 			ref := sh.refuse(ErrQuota, r, start)
 			ref.Quota = why
 			return response{err: ref}
@@ -601,14 +619,14 @@ func (sh *shard) reserve(r request) response {
 		// Unreachable: FindSlot guarantees capacity and the combiner is
 		// the only writer. Surface rather than panic so a backend bug turns
 		// into a failed request, not a dead shard.
-		if sh.quotas != nil {
-			sh.quotas.Rollback(r.tenant, area)
+		if r.acct != nil {
+			r.acct.Rollback(r.area)
 		}
 		sh.rejected.Add(1)
 		return response{err: fmt.Errorf("resd: shard %d commit after FindSlot: %w", sh.id, err)}
 	}
-	if sh.quotas != nil {
-		sh.quotas.Admit(r.tenant)
+	if r.acct != nil {
+		r.acct.Admit()
 	}
 	id := makeID(sh.id, sh.nextSeq)
 	sh.nextSeq++
@@ -617,9 +635,10 @@ func (sh *shard) reserve(r request) response {
 		Ready: int64(r.ready), Procs: r.q, Dur: int64(r.dur),
 		Deadline: int64(r.deadline), Start: int64(start),
 	})
+	c := sh.cell(r.tenant)
 	sh.keep(id, start, r.dur, r.q, r.tenant, c)
 	c.stats.Active++
-	c.stats.CommittedArea += area
+	c.stats.CommittedArea += int64(r.dur) * int64(r.q)
 	c.stats.Admitted++
 	// Start-time slack — how far past its ready time the admission had to
 	// be pushed — is the per-admission SLO sample surfaced as p99 in
@@ -653,7 +672,7 @@ func (sh *shard) cancel(r request) response {
 	sh.area -= area
 	c := sh.cells[a.cell]
 	if sh.quotas != nil {
-		sh.quotas.Release(sh.tenantOf(a), area)
+		sh.account(a).Release(tenant.Area(int(a.q), int64(a.dur)))
 	}
 	delete(sh.live.charged, r.id)
 	c.stats.Active--
@@ -687,7 +706,7 @@ func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
 	for i, c := range sh.cells {
 		s.Books[i] = wal.TenantBook{
 			Tenant: c.name, Active: int64(c.stats.Active), Area: c.stats.CommittedArea,
-			Admitted: c.stats.Admitted, Cancelled: c.stats.Cancelled, RejectedQuota: c.stats.RejectedQuota,
+			Admitted: c.stats.Admitted, Cancelled: c.stats.Cancelled,
 		}
 	}
 	for _, a := range sh.live.slab {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -63,8 +64,8 @@ func TestReserveForChargesAndReleasesQuota(t *testing.T) {
 }
 
 func TestQuotaRejectionShortCircuitsShardWalk(t *testing.T) {
-	// 4 idle shards: a quota rejection is global, so exactly one shard must
-	// be tried (one RejectedQuota in total), unlike α and deadline
+	// 4 idle shards: a quota rejection is global, so it is booked on exactly
+	// one shard (one RejectedQuota in total), unlike α and deadline
 	// rejections which walk on.
 	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.001}}})
 	s := mustNew(t, Config{Shards: 4, M: 8, Quotas: reg})
@@ -99,6 +100,161 @@ func TestQuotaCheckRunsAfterAlphaAndDeadline(t *testing.T) {
 	}
 	if u := reg.Usage("t"); u.Used != 0 || u.Rejected != 0 {
 		t.Fatalf("budget burnt by non-quota rejections: %+v", u)
+	}
+}
+
+// TestQuotaDoorTakesNoTurn: a request the budget already refuses is
+// refused by Admit before any shard is asked. No shard serves a turn for
+// it, the registry counts one refusal and charges nothing, and the
+// refusal is booked on the shard placement ranked first.
+func TestQuotaDoorTakesNoTurn(t *testing.T) {
+	// "t" owns 5% of 1000: a budget of 50.
+	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.05}}})
+	s := mustNew(t, Config{Shards: 4, M: 8, Quotas: reg})
+	// Serial least-loaded routing: the default tenant's 10 lands on shard
+	// 0 and t's 20 on shard 1, so shard 2 is ranked first from here on.
+	if _, err := s.Admit(Request{Q: 1, Dur: 10, Deadline: NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Admit(Request{Tenant: "t", Q: 2, Dur: 10, Deadline: NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	_, err := s.Admit(Request{Tenant: "t", Q: 4, Dur: 10, Deadline: NoDeadline}) // 40 > 50 − 20
+	var ref *Refusal
+	if !errors.As(err, &ref) || ref.Kind != ErrQuota || ref.Shard != 2 {
+		t.Fatalf("over-budget err = %#v, want a quota *Refusal booked on shard 2", err)
+	}
+	var why *tenant.QuotaError
+	if !errors.As(err, &why) || why.Name != "t" || why.Used != 20 || why.Budget != 50 || why.Area != 40 {
+		t.Fatalf("quota figures = %+v, want t used 20 of 50 with area 40", why)
+	}
+	for i, st := range s.Stats() {
+		if st.Batches != before[i].Batches || st.Ops != before[i].Ops {
+			t.Errorf("shard %d served a turn for a door refusal: %+v → %+v", i, before[i], st)
+		}
+		want := uint64(0)
+		if i == 2 {
+			want = 1
+		}
+		if st.RejectedQuota != want {
+			t.Errorf("shard %d RejectedQuota = %d, want %d", i, st.RejectedQuota, want)
+		}
+	}
+	if u := reg.Usage("t"); u.Rejected != 1 || u.Used != 20 || u.Inflight != 1 {
+		t.Fatalf("registry after door refusal: %+v", u)
+	}
+	noneInFlight(t, s, "door refusal")
+}
+
+// TestQuotaChargeRefusesWhatDoorPassed: the door reads the budget, the
+// charge spends it. Two requests of one tenant, with budget for one, both
+// pass the door while the shard is held and queue behind its turn; the
+// charge admits exactly one and refuses the other with the winner's area
+// on the books.
+func TestQuotaChargeRefusesWhatDoorPassed(t *testing.T) {
+	reg := mustRegistry(t, 800, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.1}}}) // budget 80
+	release := make(chan struct{})
+	var turns atomic.Int64
+	s := mustNew(t, Config{M: 8, Quotas: reg, turnHook: func(int) {
+		if turns.Add(1) == 1 {
+			<-release
+		}
+	}})
+	go func() { // the default tenant's admission holds the shard's first turn
+		if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
+			t.Errorf("holder: %v", err)
+		}
+	}()
+	for turns.Load() == 0 {
+		runtime.Gosched()
+	}
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() {
+			_, err := s.Admit(Request{Tenant: "t", Q: 8, Dur: 10, Deadline: NoDeadline}) // area 80 each
+			errs <- err
+		}()
+	}
+	for s.QueueDepths()[0] < 2 { // both are past the door
+		runtime.Gosched()
+	}
+	if u := reg.Usage("t"); u.Used != 0 || u.Rejected != 0 {
+		t.Fatalf("the door charged or refused: %+v", u)
+	}
+	close(release)
+	var admitted, refused int
+	for range 2 {
+		err := <-errs
+		var why *tenant.QuotaError
+		switch {
+		case err == nil:
+			admitted++
+		case errors.As(err, &why) && why.Used == 80 && why.Area == 80:
+			refused++
+		default:
+			t.Fatalf("err = %v, want nil or a charge refusal with 80 used", err)
+		}
+	}
+	if admitted != 1 || refused != 1 {
+		t.Fatalf("%d admitted, %d refused; want one of each", admitted, refused)
+	}
+	if u := reg.Usage("t"); u.Used != 80 || u.Inflight != 1 || u.Rejected != 1 {
+		t.Fatalf("registry after the race: %+v", u)
+	}
+	if st := s.Stats()[0]; st.RejectedQuota != 1 || st.Admitted != 2 {
+		t.Fatalf("shard after the race: %+v", st)
+	}
+	noneInFlight(t, s, "race settled")
+}
+
+// TestQuotaRefusalBeforeDeadline: the door asks before any shard does, so
+// a request that is over budget and would also miss its deadline is
+// refused for the quota.
+func TestQuotaRefusalBeforeDeadline(t *testing.T) {
+	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.01}}}) // budget 10
+	s := mustNew(t, Config{M: 8, Quotas: reg})
+	if _, err := s.Admit(Request{Q: 8, Dur: 100, Deadline: NoDeadline}); err != nil { // default tenant holds [0,100)
+		t.Fatal(err)
+	}
+	_, err := s.Admit(Request{Tenant: "t", Q: 4, Dur: 10, Deadline: 50})
+	if !errors.Is(err, ErrQuota) || errors.Is(err, ErrDeadline) {
+		t.Fatalf("over budget and late: err = %v, want ErrQuota", err)
+	}
+	if st := s.Stats()[0]; st.RejectedQuota != 1 || st.RejectedDeadline != 0 {
+		t.Fatalf("stats = %+v, want one quota refusal and no deadline one", st)
+	}
+}
+
+// TestEndlessAdmissionCannotCreditQuota: the area of an endless request is
+// more than any budget, not a product that wraps negative. As a wrapping
+// product, Q=2 for core.Infinity ticks comes to −2, which passes a
+// used + area > budget check and leaves the tenant with a larger budget
+// than it was given.
+func TestEndlessAdmissionCannotCreditQuota(t *testing.T) {
+	reg := mustRegistry(t, 800, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "t", Share: 0.1}}}) // budget 80
+	s := mustNew(t, Config{M: 8, Quotas: reg})
+	for _, q := range []int{1, 2, 3, 8} {
+		if _, err := s.Admit(Request{Tenant: "t", Q: q, Dur: core.Infinity, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
+			t.Fatalf("endless q=%d: err = %v, want ErrQuota", q, err)
+		}
+	}
+	if u := reg.Usage("t"); u.Used != 0 || u.Inflight != 0 || u.Rejected != 4 {
+		t.Fatalf("ledger after endless requests: %+v", u)
+	}
+	if st := s.Stats()[0]; st.CommittedArea != 0 || st.Active != 0 {
+		t.Fatalf("shard after endless requests: %+v", st)
+	}
+	// Once the tenant holds some of its budget, the charge must not wrap
+	// either: the room left is compared, not the sum.
+	if _, err := s.Admit(Request{Tenant: "t", Q: 1, Dur: 10, Deadline: NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Admit(Request{Tenant: "t", Q: 1, Dur: core.Infinity, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
+		t.Fatalf("endless after 10 used: err = %v, want ErrQuota", err)
+	}
+	if u := reg.Usage("t"); u.Used != 10 {
+		t.Fatalf("ledger after endless request on a used budget: %+v", u)
 	}
 }
 

@@ -56,8 +56,9 @@ func (o TraceOutcome) String() string {
 // Decision − BatchStart is the batch turn; BatchStart − Enqueue is queue
 // wait; Enqueue − Route is routing/handoff; a large Decision with small
 // earlier stages means the request walked many shards. Shard is the
-// shard that produced the final answer (−1 if none was tried), and
-// Start is the admitted start time when Outcome is TraceAdmitted.
+// shard that produced the final answer, or for a quota refusal at the
+// door the shard it was booked on (−1 if none: Q plus the floor exceeds
+// M), and Start is the admitted start time when Outcome is TraceAdmitted.
 //
 // ClientSend is the cross-wire span: how long before Arrival the caller
 // stamped the request on its side of the wire (Request.ClientSend,

@@ -34,12 +34,24 @@
 // unattributed request (a tenantless API call or wire frame) is
 // accounted.
 //
-// Acquire fails with ErrQuota when the admission would push the tenant
-// past its budget. Because the charge is a CAS that checks before it
-// adds, used ≤ budget holds at every instant no matter how many shards'
-// combiners race — the conservation property the stress tests pin under
-// -race. Admissions within budget are served in arrival order; the
-// ledger never reorders a shard's turn.
+// A caller resolves a name once, with Registry.Account, and works on the
+// *Account it gets back: the tenant's own account, or past MaxAccounts the
+// default tenant's. The handle answers two questions. Check is read-only:
+// does the area fit what is left of the budget now? resd asks it at the
+// door, before any shard is asked, so a request the budget already
+// refuses costs no shard turn. TryAcquire charges: because the charge is
+// a CAS that checks before it adds, used ≤ budget holds at every instant
+// no matter how many shards' combiners race — the conservation property
+// the stress tests pin under -race — and a request that passed Check can
+// still lose the room to a concurrent one here. Both compare area >
+// budget − used, which cannot overflow, and both count a refusal in
+// Usage.Rejected, so each refused request is counted once. Admit,
+// Release and Rollback balance a successful charge. Area computes the
+// charge for q processors over d ticks, saturating at math.MaxInt64, so
+// an endless reservation never wraps into a credit. Registry.Acquire,
+// Admit and Release are the same operations by name. Admissions within
+// budget are served in arrival order; the ledger never reorders a
+// shard's turn.
 //
 // Accounting is lock-free on the admission path: tenant lookup is a
 // sync.Map read and every counter is an atomic, mirroring how the shards

@@ -42,10 +42,12 @@ const MaxNameLen = 255
 // degrades. SetShare never aliases: it refuses such a name.
 const MaxAccounts = 1 << 16
 
-// account is one tenant's budget and books. All fields the admission
-// path touches are atomics, so shard combiners on different goroutines
-// acquire and release concurrently without locks.
-type account struct {
+// Account is one tenant's budget and books: the handle Registry.Account
+// resolves a name to, so that a caller who charges, admits and releases
+// looks the name up once. All fields the admission path touches are
+// atomics, so shard combiners on different goroutines acquire and release
+// concurrently without locks.
+type Account struct {
 	name  string
 	share uint64       // math.Float64bits of the share of the capacity
 	budg  atomic.Int64 // resolved area budget (share × capacity)
@@ -91,7 +93,7 @@ type Registry struct {
 	// tenants grows lazily, so lookups on the admission path use
 	// sync.Map's lock-free read fast path. nAccounts (guarded by mkMu)
 	// enforces MaxAccounts.
-	tenants   sync.Map // string → *account
+	tenants   sync.Map // string → *Account
 	mkMu      sync.Mutex
 	nAccounts int
 }
@@ -132,15 +134,15 @@ func PrefixCapacity(shards, m int, alpha float64, horizon int64) int64 {
 func (r *Registry) Capacity() int64 { return r.capacity }
 
 // setShare stores share and the budget it resolves to.
-func (a *account) setShare(share float64, capacity int64) {
+func (a *Account) setShare(share float64, capacity int64) {
 	atomic.StoreUint64(&a.share, math.Float64bits(share))
 	a.budg.Store(min(max(int64(share*float64(capacity)), 0), capacity))
 }
 
 // open creates the tenant's account at share. The caller holds mkMu, or
 // is New before the registry is shared.
-func (r *Registry) open(name string, share float64) *account {
-	a := &account{name: name}
+func (r *Registry) open(name string, share float64) *Account {
+	a := &Account{name: name}
 	a.setShare(share, r.capacity)
 	r.tenants.Store(name, a)
 	r.nAccounts++
@@ -151,14 +153,14 @@ func (r *Registry) open(name string, share float64) *account {
 // share on first sight. The common case — an existing tenant — is one
 // lock-free sync.Map read. It returns false for a name that has no
 // account when MaxAccounts are already open.
-func (r *Registry) own(name string) (*account, bool) {
+func (r *Registry) own(name string) (*Account, bool) {
 	if v, ok := r.tenants.Load(name); ok {
-		return v.(*account), true
+		return v.(*Account), true
 	}
 	r.mkMu.Lock()
 	defer r.mkMu.Unlock()
 	if v, ok := r.tenants.Load(name); ok {
-		return v.(*account), true
+		return v.(*Account), true
 	}
 	if r.nAccounts >= MaxAccounts && name != DefaultTenant {
 		return nil, false
@@ -166,9 +168,12 @@ func (r *Registry) own(name string) (*account, bool) {
 	return r.open(name, r.defaultShare), true
 }
 
-// acct returns the account the tenant is charged to: its own, or past
-// MaxAccounts the default tenant's (see the MaxAccounts comment).
-func (r *Registry) acct(name string) *account {
+// Account returns the account the tenant is charged to: its own (created
+// with the default share on first sight), or past MaxAccounts the default
+// tenant's (see the MaxAccounts comment). The answer for a name never
+// changes, since accounts are never removed, so a caller may keep the
+// handle for as long as it likes.
+func (r *Registry) Account(name string) *Account {
 	if name == "" {
 		name = DefaultTenant
 	}
@@ -199,30 +204,50 @@ func (e *QuotaError) Error() string {
 // Unwrap makes errors.Is(err, ErrQuota) hold.
 func (e *QuotaError) Unwrap() error { return ErrQuota }
 
-// Acquire charges area (processor·ticks) to the tenant ahead of a commit.
-// It fails with a *QuotaError — charging nothing — when the tenant would
-// exceed its budget. Every successful Acquire must be balanced by exactly
-// one Admit+Release pair or one Rollback.
-func (r *Registry) Acquire(tenant string, area int64) error {
-	var why QuotaError
-	if r.TryAcquire(tenant, area, &why) {
-		return nil
+// Area is the area, in processor·ticks, of q processors held for d
+// ticks: the unit budgets are counted in. It saturates at math.MaxInt64
+// rather than wrapping, so an endless reservation costs more than any
+// budget can hold instead of crediting one.
+func Area(q int, d int64) int64 {
+	if q > 0 && d > math.MaxInt64/int64(q) {
+		return math.MaxInt64
 	}
-	e := why // copied on this path only, so a successful Acquire allocates nothing
-	return &e
+	return int64(q) * d
 }
 
-// TryAcquire is Acquire for a caller that keeps refusals in storage of its
-// own: on false, *why holds the tenant's figures. The CAS loop is the
-// whole enforcement mechanism: because the add is conditional and atomic,
-// used ≤ budget holds at every instant no matter how many shards race.
-func (r *Registry) TryAcquire(tenant string, area int64, why *QuotaError) bool {
-	a := r.acct(tenant)
+// refuse counts a refusal and fills *why with the figures that made it.
+func (a *Account) refuse(used, budget, area int64, why *QuotaError) {
+	a.rejected.Add(1)
+	*why = QuotaError{Name: a.name, Used: used, Budget: budget, Area: area}
+}
+
+// Check reports whether area would fit the budget now, charging nothing:
+// the read-only question a caller asks before it spends work on a request
+// the budget already refuses. On false it counts the refusal and *why
+// holds the figures. A true answer promises nothing — only TryAcquire
+// charges, and another caller may spend the room first.
+func (a *Account) Check(area int64, why *QuotaError) bool {
+	u, b := a.used.Load(), a.budg.Load()
+	if area > b-u {
+		a.refuse(u, b, area, why)
+		return false
+	}
+	return true
+}
+
+// TryAcquire charges area (processor·ticks) to the account ahead of a
+// commit. On false it charges nothing, counts the refusal and *why holds
+// the figures. The CAS loop is the whole enforcement mechanism: because
+// the add is conditional and atomic, used ≤ budget holds at every instant
+// no matter how many shards race. The room is compared as area >
+// budget − used, which cannot overflow where used + area could. Every
+// true must be balanced by exactly one Admit+Release pair or one
+// Rollback.
+func (a *Account) TryAcquire(area int64, why *QuotaError) bool {
 	for {
 		u, b := a.used.Load(), a.budg.Load()
-		if u+area > b {
-			a.rejected.Add(1)
-			*why = QuotaError{Name: a.name, Used: u, Budget: b, Area: area}
+		if area > b-u {
+			a.refuse(u, b, area, why)
 			return false
 		}
 		if a.used.CompareAndSwap(u, u+area) {
@@ -231,34 +256,47 @@ func (r *Registry) TryAcquire(tenant string, area int64, why *QuotaError) bool {
 	}
 }
 
-// Rollback returns an Acquire that never became an admission (the commit
-// failed or the service rejected downstream of the quota check).
-func (r *Registry) Rollback(tenant string, area int64) {
-	r.acct(tenant).used.Add(-area)
-}
+// Rollback returns a TryAcquire that never became an admission (the
+// commit failed downstream of the charge).
+func (a *Account) Rollback(area int64) { a.used.Add(-area) }
 
-// Admit records that an Acquire became a held reservation.
-func (r *Registry) Admit(tenant string) {
-	a := r.acct(tenant)
+// Admit records that a TryAcquire became a held reservation.
+func (a *Account) Admit() {
 	a.inflight.Add(1)
 	a.admitted.Add(1)
 }
 
 // Release returns a held reservation's area on Cancel.
-func (r *Registry) Release(tenant string, area int64) {
-	a := r.acct(tenant)
+func (a *Account) Release(area int64) {
 	a.used.Add(-area)
 	a.inflight.Add(-1)
 	a.cancelled.Add(1)
 }
 
+// Acquire is the tenant's TryAcquire by name, the refusal as an error: a
+// *QuotaError, which matches ErrQuota.
+func (r *Registry) Acquire(tenant string, area int64) error {
+	var why QuotaError
+	if r.Account(tenant).TryAcquire(area, &why) {
+		return nil
+	}
+	e := why // copied on this path only, so a successful Acquire allocates nothing
+	return &e
+}
+
+// Admit is the tenant's Admit by name.
+func (r *Registry) Admit(tenant string) { r.Account(tenant).Admit() }
+
+// Release is the tenant's Release by name.
+func (r *Registry) Release(tenant string, area int64) { r.Account(tenant).Release(area) }
+
 // Usage reports the tenant's current quota state, creating the account if
 // the tenant is new (mirroring what its first admission would do).
 func (r *Registry) Usage(tenant string) Usage {
-	return r.acct(tenant).usage()
+	return r.Account(tenant).usage()
 }
 
-func (a *account) usage() Usage {
+func (a *Account) usage() Usage {
 	return Usage{
 		Tenant:    a.name,
 		Share:     math.Float64frombits(atomic.LoadUint64(&a.share)),
@@ -300,7 +338,7 @@ func (r *Registry) SetShare(tenant string, share float64) error {
 func (r *Registry) Tenants() []Usage {
 	var out []Usage
 	r.tenants.Range(func(_, v any) bool {
-		out = append(out, v.(*account).usage())
+		out = append(out, v.(*Account).usage())
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })

@@ -133,6 +133,68 @@ func TestHardModeEnforcesTenantBudget(t *testing.T) {
 	}
 }
 
+// TestAcquireRoomNeverOverflows: the room is compared as area > budget −
+// used, so an area near math.MaxInt64 is refused however much is held,
+// where used + area would wrap negative and pass; and Area saturates
+// instead of wrapping.
+func TestAcquireRoomNeverOverflows(t *testing.T) {
+	if got := Area(2, math.MaxInt64); got != math.MaxInt64 {
+		t.Fatalf("Area(2, MaxInt64) = %d, want it saturated", got)
+	}
+	if got := Area(3, 7); got != 21 {
+		t.Fatalf("Area(3, 7) = %d", got)
+	}
+	r := mustNew(t, 1000, Spec{Tenants: []TenantSpec{{Name: "t", Share: 0.1}}})
+	if err := r.Acquire("t", 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, area := range []int64{math.MaxInt64, math.MaxInt64 - 5} {
+		if err := r.Acquire("t", area); !errors.Is(err, ErrQuota) {
+			t.Fatalf("Acquire(%d) with 10 of 100 used: err = %v, want ErrQuota", area, err)
+		}
+		var why QuotaError
+		if r.Account("t").Check(area, &why) || why.Used != 10 || why.Area != area {
+			t.Fatalf("Check(%d) passed or reported %+v", area, why)
+		}
+	}
+	if u := r.Usage("t"); u.Used != 10 || u.Rejected != 4 {
+		t.Fatalf("usage = %+v, want 10 used and four refusals", u)
+	}
+}
+
+// TestAccountHandle: a handle resolves as a name does, the read-only
+// check charges nothing, and the handle's operations move the ledger the
+// name's wrappers report.
+func TestAccountHandle(t *testing.T) {
+	r := mustNew(t, 1000, Spec{Tenants: []TenantSpec{{Name: "t", Share: 0.1}}})
+	a := r.Account("t")
+	if a != r.Account("t") || r.Account("") != r.Account(DefaultTenant) {
+		t.Fatal("a name resolved to two accounts")
+	}
+	var why QuotaError
+	if !a.Check(100, &why) || a.Check(101, &why) {
+		t.Fatal("Check disagrees with a budget of 100")
+	}
+	if u := r.Usage("t"); u.Used != 0 || u.Rejected != 1 {
+		t.Fatalf("Check charged or miscounted: %+v", u)
+	}
+	if !a.TryAcquire(60, &why) {
+		t.Fatal(why)
+	}
+	a.Rollback(60)
+	if !a.TryAcquire(60, &why) || a.TryAcquire(41, &why) {
+		t.Fatal("TryAcquire disagrees with 100 − 60")
+	}
+	a.Admit()
+	if u := r.Usage("t"); u.Used != 60 || u.Inflight != 1 || u.Admitted != 1 || u.Rejected != 2 {
+		t.Fatalf("after charge and admit: %+v", u)
+	}
+	a.Release(60)
+	if u := r.Usage("t"); u.Used != 0 || u.Inflight != 0 || u.Cancelled != 1 {
+		t.Fatalf("after release: %+v", u)
+	}
+}
+
 func TestSetShareRebudgets(t *testing.T) {
 	r := mustNew(t, 1000, Spec{Tenants: []TenantSpec{{Name: "t", Share: 0.1}}})
 	if err := r.Acquire("t", 100); err != nil {

@@ -105,14 +105,16 @@
 //	uvarint shard, gen, nextSeq
 //	uvarint admitted, cancelled, reserved, reserved (counters)
 //	books:    uvarint count, then per book: tenant, active, area,
-//	          admitted, cancelled, rejectedQuota, reserved, reserved
+//	          admitted, cancelled, reserved, reserved, reserved
 //	live:     uvarint count, then per entry: id, start, dur, procs,
 //	          reserved byte, reserved uvarint, tenant
 //	reserved: uvarint count, always 0
 //	uint32  CRC-32 (IEEE) of everything above (little endian)
 //
 // The reserved slots held migration state — counters of finished moves,
-// a pending flag and source shard per live entry, a list of open outs.
+// a pending flag and source shard per live entry, a list of open outs —
+// and, in the first of a book's three, its quota refusals, which the
+// registry counts now that most are made before a shard is asked.
 // They are written zero and there is one decoder: a non-zero counter is
 // read and ignored, a set pending flag or a non-empty list is a move
 // that never resolved and is refused with ErrRetired like the records.

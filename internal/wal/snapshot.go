@@ -17,14 +17,15 @@ const snapVersion = 1
 // between shards. What held that state is reserved: the encoder writes
 // zero there, and the decoder ignores a counter but answers a pending
 // live entry or an open out — a move that never finished — ErrRetired.
+// A book's first reserved counter held its quota refusals.
 
 // TenantBook is one tenant's cumulative per-shard ledger, persisted so
 // TenantStats survives a restart.
 type TenantBook struct {
-	Tenant                             string
-	Active                             int64
-	Area                               int64
-	Admitted, Cancelled, RejectedQuota uint64
+	Tenant              string
+	Active              int64
+	Area                int64
+	Admitted, Cancelled uint64
 }
 
 // Live is one admitted reservation in a snapshot.
@@ -69,8 +70,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 		b = appendVarint(b, bk.Area)
 		b = appendUvarint(b, bk.Admitted)
 		b = appendUvarint(b, bk.Cancelled)
-		b = appendUvarint(b, bk.RejectedQuota)
-		b = append(b, 0, 0) // reserved: two counters
+		b = append(b, 0, 0, 0) // reserved: three counters
 	}
 	b = appendUvarint(b, uint64(len(s.Live)))
 	for _, lv := range s.Live {
@@ -120,7 +120,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		bk.Area = p.varint("book area")
 		bk.Admitted = p.uvarint("book admitted")
 		bk.Cancelled = p.uvarint("book cancelled")
-		bk.RejectedQuota = p.uvarint("book rejectedQuota")
+		p.uvarint("book reserved counter")
 		p.uvarint("book reserved counter")
 		p.uvarint("book reserved counter")
 		s.Books = append(s.Books, bk)

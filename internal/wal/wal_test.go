@@ -117,7 +117,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		Shard: 2, Gen: 7, NextSeq: 41,
 		Admitted: 100, Cancelled: 40,
 		Books: []TenantBook{
-			{Tenant: "a", Active: 2, Area: 200, Admitted: 10, Cancelled: 8, RejectedQuota: 1},
+			{Tenant: "a", Active: 2, Area: 200, Admitted: 10, Cancelled: 8},
 			{Tenant: "b", Active: 1, Area: 50, Admitted: 5, Cancelled: 4},
 		},
 		Live: []Live{
@@ -126,10 +126,10 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		},
 	}
 	enc := encodeSnapshot(s)
-	// The same state as the last build to write the migration slots
-	// encoded it, every slot zero: the reserved bytes sit where it put them.
-	if got := hex.EncodeToString(enc); got != snapClean {
-		t.Fatalf("snapshot encoding:\n got %s\nwant %s", got, snapClean)
+	// The layout the last build to write the migration slots used, every
+	// reserved slot zero: the bytes sit where it put them.
+	if got := hex.EncodeToString(enc); got != snapZero {
+		t.Fatalf("snapshot encoding:\n got %s\nwant %s", got, snapZero)
 	}
 	got, err := decodeSnapshot(enc)
 	if err != nil {
@@ -150,11 +150,14 @@ func TestSnapshotRoundtrip(t *testing.T) {
 			t.Fatalf("truncation to %d decoded cleanly", n)
 		}
 	}
-	// Written with the rebalancer on: finished moves left counters behind,
-	// which are dropped; an unfinished one is refused, not repaired.
-	old, err := decodeSnapshot(unhex(t, snapCounters))
-	if err != nil || !reflect.DeepEqual(old, s) {
-		t.Fatalf("non-zero reserved counters: %+v, %v; want %+v", old, err, s)
+	// Written by the build that booked a quota refusal in the book, and
+	// with the rebalancer on: finished moves left counters behind. Both
+	// are dropped; an unfinished move is refused, not repaired.
+	for _, blob := range []string{snapClean, snapCounters} {
+		old, err := decodeSnapshot(unhex(t, blob))
+		if err != nil || !reflect.DeepEqual(old, s) {
+			t.Fatalf("non-zero reserved counters: %+v, %v; want %+v", old, err, s)
+		}
 	}
 	for name, blob := range map[string]string{"pending": snapPending, "open out": snapOpenOut} {
 		if _, err := decodeSnapshot(unhex(t, blob)); !errors.Is(err, ErrRetired) || errors.Is(err, ErrCorrupt) {
@@ -163,11 +166,14 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundtrip's state as the build that still had a rebalancer
-// encoded it: with no migration state, with non-zero migration counters
-// (3 in, 5 out; tenant a 2 in, 300 out), with the second live entry a
-// pending copy from shard 3, and with one open out (0x20009 to shard 1).
+// TestSnapshotRoundtrip's state as this build encodes it (snapZero), and
+// as the build that still had a rebalancer encoded it, tenant a's book
+// holding one quota refusal in the slot now reserved: with no migration
+// state, with non-zero migration counters (3 in, 5 out; tenant a 2 in, 300
+// out), with the second live entry a pending copy from shard 3, and with
+// one open out (0x20009 to shard 1).
 const (
+	snapZero     = "52534e5001020729642800000201610490030a0800000001620264050400000002818008142804000001618280083c0a0100000162002ee47154"
 	snapClean    = "52534e5001020729642800000201610490030a0801000001620264050400000002818008142804000001618280083c0a01000001620018b5f370"
 	snapCounters = "52534e5001020729642803050201610490030a080102ac0201620264050400000002818008142804000001618280083c0a0100000162009e7afeca"
 	snapPending  = "52534e5001020729642800000201610490030a0801000001620264050400000002818008142804000001618280083c0a0101030162004633265f"
