@@ -109,7 +109,7 @@ func run() error {
 	shards := flag.Int("shards", 4, "cluster partitions")
 	m := flag.Int("m", 64, "processors per partition")
 	alpha := flag.Float64("alpha", 0.5, "α admission rule: ⌊α·m⌋ processors stay free per shard")
-	batch := flag.Int("batch", 64, "max requests group-committed per shard turn")
+	batch := flag.Int("batch", 64, "max requests group-committed per shard turn; matters only under -walsync batch (with -waldir), where turns fsync")
 	nres := flag.Int("nres", 0, "pre-existing reservations per shard (maintenance windows)")
 	horizon := flag.Int64("horizon", 1<<20, "time horizon the -nres pre-reservations are drawn over")
 	seed := flag.Uint64("seed", 1, "pre-reservation generator seed")

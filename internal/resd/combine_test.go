@@ -16,8 +16,10 @@ import (
 
 // The TestCombine* tests cover what used to lean on a resident goroutine
 // per shard: answers reaching the caller that asked, shutdown, fairness
-// between callers, and the goroutine count itself. CI runs them under
-// -race -count=5 at GOMAXPROCS 1 and 2.
+// between callers, and the goroutine count itself. The TestLockPath* tests
+// cover the other way a call is served, under the shard's lock on a shard
+// whose turns end in no fsync, and the hand-over between the two when a
+// log fails. CI runs both under -race -count=5 at GOMAXPROCS 1 and 2.
 
 // TestCombineOwnAnswer is a seeded stress — callers × shards, admit,
 // cancel and query, quotas tight enough for one tenant that its refusals
@@ -244,20 +246,22 @@ func TestCombineCloseRace(t *testing.T) {
 	noneInFlight(t, s, "closed under traffic")
 }
 
-// TestCombineTenureBounded holds the first combiner's turn open while
-// 3×Batch callers queue behind it, then lets go: the first combiner must
-// be back with its caller after serving at most Batch operations — the
-// role passes on rather than one caller working off everyone's backlog —
-// and every queued caller is still answered. Once Batch operations have
-// been served the hook stalls whoever starts another turn until the first
-// caller is back, so what that caller reads on its way out is exactly
-// what it served, and a combiner that overstays stalls itself.
+// TestCombineTenureBounded holds the first combiner's turn open on a
+// shard that fsyncs while 3×Batch callers queue behind it, then lets go:
+// the first combiner must be back with its caller after serving at most
+// Batch operations — the role passes on rather than one caller working off
+// everyone's backlog — and every queued caller is still answered. Once
+// Batch operations have been served the hook stalls whoever starts another
+// turn until the first caller is back, so what that caller reads on its
+// way out is exactly what it served, and a combiner that overstays stalls
+// itself. (Without an fsync no caller serves another; see
+// TestLockPathServesOneCallPerTurn.)
 func TestCombineTenureBounded(t *testing.T) {
 	const batch = 4
 	release, firstBack := make(chan struct{}), make(chan struct{})
 	var turns atomic.Int64
 	var s *Service
-	s = mustNew(t, Config{M: 8, Batch: batch, turnHook: func(int) {
+	s = mustNew(t, Config{M: 8, Batch: batch, WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncBatch}, turnHook: func(int) {
 		if turns.Add(1) == 1 {
 			<-release
 		} else if s.Stats()[0].Ops >= batch {
@@ -313,5 +317,206 @@ func TestCombineNoShardGoroutines(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Errorf("64 shards took %d goroutines (%d → %d), want none per shard", after-before, before, after)
+	}
+}
+
+// lockPathStress runs callers goroutines of ops mixed calls each — admit,
+// cancel of a held reservation, query — against s, checking every answer
+// is the caller's own, and returns what each caller still holds and
+// every id it was handed.
+func lockPathStress(t *testing.T, s *Service, seed uint64, callers, ops int) (held [][]Reservation, ids []ID) {
+	t.Helper()
+	const m, horizon = 32, 1 << 20
+	held = make([][]Reservation, callers)
+	got := make([][]ID, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.NewStream(seed, uint64(g))
+			for i := 0; i < ops; i++ {
+				switch {
+				case r.Bool(0.3) && len(held[g]) > 0:
+					k := r.Intn(len(held[g]))
+					id := held[g][k].ID
+					held[g] = append(held[g][:k], held[g][k+1:]...)
+					if err := s.Cancel(id); err != nil {
+						t.Errorf("seed %d caller %d: cancel of held %#x: %v", seed, g, uint64(id), err)
+						return
+					}
+				case r.Bool(0.15):
+					if _, err := s.Query(core.Time(r.Int63n(horizon))); err != nil {
+						t.Errorf("seed %d caller %d: query: %v", seed, g, err)
+						return
+					}
+				default:
+					q, dur := r.IntRange(1, m/2), core.Time(1+g+callers*r.Intn(8))
+					resv, err := s.Admit(Request{Ready: core.Time(r.Int63n(horizon)), Q: q, Dur: dur, Deadline: NoDeadline})
+					if err != nil || resv.Procs != q || resv.Dur != dur {
+						t.Errorf("seed %d caller %d: asked q=%d dur=%v, answered %+v, %v", seed, g, q, dur, resv, err)
+						return
+					}
+					held[g] = append(held[g], resv)
+					got[g] = append(got[g], resv.ID)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		ids = append(ids, got[g]...)
+	}
+	return held, ids
+}
+
+// checkHeld fails unless the shards' books hold exactly what the callers
+// do, no id was handed out twice, and no caller is counted as waiting.
+func checkHeld(t *testing.T, s *Service, held [][]Reservation, ids []ID) {
+	t.Helper()
+	seen := make(map[ID]bool, len(ids))
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("id %#x handed out twice", uint64(id))
+		}
+		seen[id] = true
+	}
+	var wantActive int
+	var wantArea int64
+	for g := range held {
+		wantActive += len(held[g])
+		for _, r := range held[g] {
+			wantArea += int64(r.Dur) * int64(r.Procs)
+		}
+	}
+	var gotActive int
+	var gotArea int64
+	for _, st := range s.Stats() {
+		gotActive += st.Active
+		gotArea += st.CommittedArea
+	}
+	if gotActive != wantActive || gotArea != wantArea {
+		t.Errorf("books disagree with callers: active %d vs %d, area %d vs %d", gotActive, wantActive, gotArea, wantArea)
+	}
+	for _, d := range s.QueueDepths() {
+		if d != 0 {
+			t.Errorf("queue depths %v after quiesce", s.QueueDepths())
+			break
+		}
+	}
+}
+
+// TestLockPathServesOneCallPerTurn: on shards whose turns end in no fsync
+// — no log, or one that never fsyncs — every call is a turn of its own,
+// served by its caller under the shard's lock, so after a concurrent
+// stress Batches equals Ops on every shard. Under SyncBatch the same
+// stress group-commits: some turn serves more than one call.
+func TestLockPathServesOneCallPerTurn(t *testing.T) {
+	const seed, callers, ops = 29, 8, 300
+	for _, mode := range []wal.SyncMode{"", wal.SyncNone, wal.SyncBatch} {
+		name := "nolog"
+		if mode != "" {
+			name = string(mode)
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Shards: 2, M: 32}
+			n := ops
+			if mode != "" {
+				cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: mode}
+			}
+			if mode == wal.SyncBatch {
+				n = ops / 3 // every turn fsyncs
+			}
+			s := mustNew(t, cfg)
+			held, ids := lockPathStress(t, s, seed, callers, n)
+			if t.Failed() {
+				return
+			}
+			checkHeld(t, s, held, ids)
+			var batches, served uint64
+			for i, st := range s.Stats() {
+				batches += st.Batches
+				served += st.Ops
+				if mode != wal.SyncBatch && st.Batches != st.Ops {
+					t.Errorf("seed %d shard %d: %d turns for %d operations, want one each", seed, i, st.Batches, st.Ops)
+				}
+			}
+			if mode == wal.SyncBatch && served <= batches {
+				t.Errorf("seed %d: %d operations in %d turns under SyncBatch, want some shared", seed, served, batches)
+			}
+		})
+	}
+}
+
+// TestLockPathLogFailsUnderTraffic fails shard 0's log from inside a
+// turn while callers are queued behind its combiner: the shard stops
+// fsyncing mid-turn, hands the role on until its queue is empty, and from
+// then on serves under its lock. Every call is answered once, no id is
+// handed out twice, and a serial caller's turns, which ran with the lock
+// free while the log fsynced, run with it held afterwards.
+func TestLockPathLogFailsUnderTraffic(t *testing.T) {
+	const seed, callers, ops, failAt = 31, 8, 120, 20
+	var s *Service
+	var turns, locked atomic.Int64
+	var probe atomic.Bool
+	s = mustNew(t, Config{M: 32, Batch: 4, WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncBatch},
+		turnHook: func(int) {
+			sh := s.shards[0]
+			if probe.Load() {
+				if sh.mu.TryLock() {
+					sh.mu.Unlock()
+				} else {
+					locked.Add(1)
+				}
+				return
+			}
+			if turns.Add(1) == failAt {
+				for give := time.Now().Add(10 * time.Second); sh.depth.Load() == 0 && time.Now().Before(give); {
+					runtime.Gosched()
+				}
+				if sh.depth.Load() == 0 {
+					t.Error("no caller queued behind the failing turn")
+				}
+				sh.walFail("commit", errors.New("injected"))
+			}
+		}})
+	serial := func(n int) {
+		t.Helper()
+		probe.Store(true)
+		defer probe.Store(false)
+		locked.Store(0)
+		for i := 0; i < n; i++ {
+			r, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline})
+			if err == nil {
+				err = s.Cancel(r.ID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serial(5)
+	if n := locked.Load(); n != 0 {
+		t.Fatalf("%d of 10 turns held the lock while the log fsynced", n)
+	}
+	held, ids := lockPathStress(t, s, seed, callers, ops)
+	if t.Failed() {
+		return
+	}
+	checkHeld(t, s, held, ids)
+	sh := s.shards[0]
+	if n := sh.walFailed.Load(); n != 1 {
+		t.Fatalf("walFailed = %d, want 1", n)
+	}
+	if sh.syncs.Load() {
+		t.Fatal("the failed log still fsyncs")
+	}
+	before := s.Stats()[0]
+	serial(5)
+	if n := locked.Load(); n != 10 {
+		t.Errorf("%d of 10 turns after the failure held the lock, want all", n)
+	}
+	if after := s.Stats()[0]; after.Batches-before.Batches != after.Ops-before.Ops {
+		t.Errorf("after the failure: %d turns for %d operations", after.Batches-before.Batches, after.Ops-before.Ops)
 	}
 }

@@ -6,36 +6,43 @@
 //
 // A Service owns S shards, each modelling one cluster partition of M
 // processors. A shard's entire mutable state — its profile.CapacityIndex,
-// the table of admitted reservations, load counters — has one writer at a
-// time, the combiner, and a shard has no goroutine of its own: the
-// callers combine. A request (Admit, Cancel, Query, Snapshot) joins the
-// shard's queue under a small mutex; the caller that finds no combiner
-// at work becomes it and serves the queue in turns — take up to
-// Config.Batch waiting requests, apply them all against the index, commit the log once, publish the shard's load
-// summary once, and only then release the answers — while every other
-// caller parks until its answer is filled in. A caller that finds its
-// shard idle therefore runs its own admission without leaving its
-// goroutine, and the index is never touched under a lock: the mutex
-// guards only the queue.
+// the table of admitted reservations, load counters — has one owner at a
+// time, and a shard has no goroutine of its own: the callers serve it, one
+// turn at a time. A turn applies its requests (Admit, Cancel, Query,
+// Snapshot) against the index, commits the log once, publishes the
+// shard's load summary once, and only then releases the answers. The α
+// rule is decided per partition, so a turn needs nothing but exclusive use
+// of its own shard. How a caller gets that depends on one predicate: does
+// the shard's write-ahead log fsync (wal.Log.Syncs)?
 //
-// The role moves on: a combiner serves at most Config.Batch operations
-// and then hands the role to the oldest waiter, so no caller pays for
-// more than one batch of other callers' work. On a shard whose
-// write-ahead log fsyncs (wal.SyncBatch, the default), where a turn
-// costs one fsync however many requests share it, the combiner first
-// yields the processor until a round adds no request — the group commit
-// — and hands on after one turn, so that its own caller's next request
-// can share the next fsync. Without a log, or with one that never
-// fsyncs (wal.SyncNone: an append is a copy into the page cache and a
-// commit costs nothing), it does neither: a batch buys nothing there,
-// and a turn is usually one operation. The same predicate
-// — the log says whether it fsyncs — decides whether placement counts
-// in-flight area (below) and whether a reswire server keeps a goroutine
-// per request or lets each connection's reader serve.
+// Without a log, or with one that never fsyncs (wal.SyncNone: an append
+// is a copy into the page cache and a commit costs nothing), a batch buys
+// nothing, so a turn is one call: the caller takes the shard's mutex,
+// serves its own request in its own goroutine, and lets go. The index is
+// touched under that mutex, and a contending caller waits inside
+// sync.Mutex, which spins and then parks.
 //
-// Shutdown is a request through the same queue: Close queues it on every
-// shard, what was queued ahead of it is answered for real, every later
-// request gets ErrClosed, and the caller that applies it seals the log.
+// On a shard whose log fsyncs (wal.SyncBatch, the default), a turn costs
+// one fsync however many requests share it, and sharing it is the point.
+// A request joins the shard's queue under the mutex; the caller that finds
+// no combiner at work becomes it and serves the queue, its own request
+// first, while every other caller parks until its answer is filled in. The
+// combiner first yields the processor until a round adds no request — the
+// group commit — then takes up to Config.Batch requests, serves them in one
+// turn outside the mutex, and hands the role to the oldest waiter, so that
+// its own caller's next request can share the next fsync and no caller
+// pays for more than one batch of other callers' work. A log that fails
+// mid-turn stops fsyncing: the shard hands the role on until its queue is
+// empty and serves under the mutex from then on. The same predicate
+// decides whether placement counts in-flight area (below) and whether a
+// reswire server keeps a goroutine per request or lets each connection's
+// reader serve.
+//
+// Shutdown is a request like any other: Close sends it to every shard.
+// On a shard that fsyncs, what was queued ahead of it is answered for
+// real; on one that does not, a caller still waiting for the mutex when
+// the closing turn runs gets ErrClosed. Either way every later request
+// gets ErrClosed, and the closing turn seals the log.
 //
 // The index is internal/restree's. Config.Backend is a seam, not a choice
 // offered to operators: it names any index registered with
@@ -49,8 +56,12 @@
 // pointer-free record per live reservation — id, start, length, width
 // and the position of its tenant's cell — in a dense slab, found by id
 // through an open-addressed index of 4-byte slab positions (live.go),
-// and one cell per tenant name holding that tenant's counters and its
-// slack histogram, which only the combiner touches. An admission
+// and one cell per tenant name holding that tenant's counters, its area
+// and its slack histogram, which only the shard's owner touches. Areas
+// are tenant.Area (saturating), and the shard's and each cell's running
+// sums are kept exactly in 128 bits and reported saturated at MaxInt64,
+// so an endless reservation neither wraps a sum nor is lost from it when
+// cancelled; recovery derives each book's area from its live records. An admission
 // resolves its tenant name to the cell once; a cancel reaches the cell
 // through the record and hashes no string. The index is not a Go map
 // because of what a shard does to it: ids are minted in sequence and
@@ -80,8 +91,8 @@
 // never over-admits, a request at worst lands on a busier shard). It is
 // not harmless to speed: a shard publishes its committed area once per
 // turn, so by that alone every caller routing between two publishes would
-// pick the same minimum and park behind one combiner while the other
-// shards idle — a convoy made of nothing but a stale summary. So load is
+// pick the same minimum and wait behind one turn after another while the
+// other shards idle — a convoy made of nothing but a stale summary. So load is
 // the committed area plus the shard's in-flight area: the Dur × Q of the
 // admissions Admit has handed the shard and not had answered yet, raised
 // before the request is queued, lowered when the answer is back on every
@@ -164,8 +175,8 @@
 // in arrival order, quotas or not. Quota refusals are counted once per
 // request, in ShardStats.RejectedQuota and per tenant in
 // tenant.Usage.Rejected; what a tenant holds is in the registry's
-// lock-free accounts (what quota decisions read) and in the combiners'
-// per-shard TenantStats (what operators read), and the stress tests
+// lock-free accounts (what quota decisions read) and in the shards'
+// TenantStats (what operators read), and the stress tests
 // assert the two agree. The quota layer may gate placement but never
 // perturb it — a single tenant with a full budget replays to
 // bit-identical sched.FCFS placements.
@@ -187,8 +198,8 @@
 // Every admission records its start-time slack (admitted start − ready
 // time): how far the α rule pushed the work back. Shards keep O(1)
 // exponential histograms — an atomic shard-wide one anyone may read,
-// its quantiles computed when asked for, and combiner-owned per-tenant
-// ones — and surface the 99th percentile as
+// its quantiles computed when asked for, and per-tenant ones only the
+// shard's owner touches — and surface the 99th percentile as
 // ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire in
 // the Stats op), so operators see per-tenant SLO degradation directly
 // rather than inferring it from rejection counts. The histograms are
@@ -200,12 +211,12 @@
 // # Durability and recovery
 //
 // Config.WAL gives every shard a write-ahead log (internal/wal): each
-// group-commit batch copies its decisions into the shard's mapped log
-// segment while it applies them — into the page cache, where a process
-// crash cannot take them back — and under wal.SyncBatch the whole batch
-// is fsynced once before any of its replies are released. Durability
-// rides the turn the combiner already takes; it never adds a
-// per-admission syscall. The two record types mirror the shard's two
+// turn copies its decisions into the shard's mapped log segment while it
+// applies them — into the page cache, where a process crash cannot take
+// them back — and under wal.SyncBatch the whole group-committed batch is
+// fsynced once before any of its replies are released. Durability rides
+// the turn the shard already takes; it never adds a per-admission
+// syscall. The two record types mirror the shard's two
 // transitions:
 //
 //	admit (TAdmit)    admission committed: the canonical Request plus assigned ID and start
@@ -275,7 +286,7 @@
 // op, with a threshold-configurable slow-request hook. The families the
 // service exposes:
 //
-//	resd_shard_queue_depth{shard}          gauge    requests waiting in the shard's queue
+//	resd_shard_queue_depth{shard}          gauge    callers waiting for the shard (its lock or queue)
 //	resd_shard_active{shard}               gauge    admitted reservations
 //	resd_shard_committed_area{shard}       gauge    processor-tick area held
 //	resd_shard_batches_total{shard}        counter  turns (group commits)
@@ -355,10 +366,10 @@
 // # Heartbeats and node health
 //
 // ObsConfig.Flight arms the black-box flight recorder (internal/flight)
-// around the service. A shard's combiner stamps two atomics per
-// group-commit turn — busy-since when a turn begins, last-beat when its
-// replies are released — and New hands the recorder a probe function
-// that snapshots those stamps, the shard's queue depth, and the WAL fsync
+// around the service. Every shard turn stamps two atomics — busy-since
+// when it begins, last-beat when its replies are released — and New hands
+// the recorder a probe function that snapshots those stamps, the shard's
+// queue depth (callers waiting for it), and the WAL fsync
 // p99 for every shard, all from published atomics; the watchdog's
 // monitor goroutine polls the probes on its own schedule and never
 // waits on a shard. A turn wedged past the stall budget (or a

@@ -40,10 +40,10 @@ type ObsConfig struct {
 	SlowLog func(TraceRecord)
 	// Flight attaches the node's flight recorder: the service journals
 	// operational events (replay verdicts, WAL damage, quota overflow,
-	// slow batch turns) through it, every shard's combiner
-	// publishes heartbeats from its batch turn, and New arms the
-	// recorder's watchdog with the service's probes (Close disarms
-	// it). Nil disables flight recording; see internal/flight.
+	// slow turns) through it, every shard publishes heartbeats from its
+	// turns, and New arms the recorder's watchdog with the service's
+	// probes (Close disarms it). Nil disables flight recording; see
+	// internal/flight.
 	Flight *flight.Recorder
 	// SLO, when non-nil, arms the error-budget engine against the
 	// service: New binds a CounterSource to every objective the spec
@@ -137,7 +137,7 @@ func (s *Service) registerObs() {
 		return
 	}
 	collectColumns(reg, s.QueueDepths, rowIndex, []column[int]{{obs.KindGauge, "resd_shard_queue_depth",
-		"Requests waiting in the shard's queue.", func(q *int) float64 { return float64(*q) }, nil}})
+		"Callers waiting for the shard: blocked on its lock or in its queue.", func(q *int) float64 { return float64(*q) }, nil}})
 	collectColumns(reg, s.Stats, rowIndex, shardColumns)
 	if s.walInfo.Enabled {
 		collectColumns(reg, s.WALStats, func(_ int, w *WALShardStats) int { return w.Shard }, walColumns)

@@ -9,9 +9,9 @@ const stackShards = 16
 // [stackShards]int on its own stack to keep the call allocation-free — the
 // shards a Reserve request should try, least loaded first, ties to the
 // lower index. The service walks the list until a shard admits. It reads
-// only shard.load, never combiner-owned state, so routing is lock-free and
-// may be (harmlessly) stale: the routed shard re-validates when it serves
-// the request.
+// only shard.load, never the shard owner's state, so routing is lock-free
+// and may be (harmlessly) stale: the routed shard re-validates when it
+// serves the request.
 func order(shards []*shard, out []int) []int {
 	var buf [stackShards]int64
 	keys := buf[:0]

@@ -43,6 +43,9 @@ func (id ID) seq() uint64 { return uint64(id) & (1<<(64-shardBits) - 1) }
 // newShard to rebuild the capacity index, books and counters before
 // the first request. Replay keeps it in plain maps; adoptSeed lays it
 // out as the shard's table and cells once the final counts are known.
+// The books keep no area: a book's area is the sum of its live records',
+// which adoptSeed adds up as it enters them (the snapshot's is saturated,
+// so it cannot be trusted to subtract from).
 type shardSeed struct {
 	log     *wal.Log
 	nextSeq uint64
@@ -91,8 +94,7 @@ func replayShard(shard int, snap *wal.Snapshot, recs []wal.Record) (*shardSeed, 
 		sd.admitted, sd.cancelled = snap.Admitted, snap.Cancelled
 		for _, bk := range snap.Books {
 			sd.books[bk.Tenant] = TenantStats{
-				Active: int(bk.Active), CommittedArea: bk.Area,
-				Admitted: bk.Admitted, Cancelled: bk.Cancelled,
+				Active: int(bk.Active), Admitted: bk.Admitted, Cancelled: bk.Cancelled,
 			}
 		}
 		for _, lv := range snap.Live {
@@ -127,7 +129,6 @@ func (sd *shardSeed) apply(shard int, rec wal.Record) error {
 		key := bookName(sd.books, rec.Tenant)
 		bk := sd.books[key]
 		bk.Active++
-		bk.CommittedArea += rec.Dur * int64(rec.Procs)
 		bk.Admitted++
 		sd.books[key] = bk
 		sd.admitted++
@@ -143,7 +144,6 @@ func (sd *shardSeed) apply(shard int, rec wal.Record) error {
 		key := bookName(sd.books, a.Tenant)
 		bk := sd.books[key]
 		bk.Active--
-		bk.CommittedArea -= a.Dur * int64(a.Procs)
 		bk.Cancelled++
 		sd.books[key] = bk
 		sd.cancelled++

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -590,4 +591,85 @@ func TestRecoveryRejectsContradictoryLog(t *testing.T) {
 	if _, err := New(cfg); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("New over a contradictory log: err = %v, want wal.ErrCorrupt", err)
 	}
+}
+
+// TestEndlessAdmissionAreaSaturates: without quotas an endless admission is
+// admitted, and its area — MaxInt64, saturated — must neither wrap the
+// shard's sum nor its tenant's. Two endless reservations (Q = 2, then
+// Q = 3) share a shard beside a finite one on the other: Stats, TenantStats
+// and TenantTotals read MaxInt64 for the endless shard, which placement
+// ranks heaviest; a recovered service reads the same; and once both are
+// cancelled the sums are exact again, recovered too. Snapshots are taken
+// every record, so the saturated book areas they store are what a later
+// recovery finds and must not subtract from.
+func TestEndlessAdmissionAreaSaturates(t *testing.T) {
+	cfg := Config{Shards: 2, M: 8, WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone, SnapEvery: 1}}
+	open := func() *Service {
+		s, err := New(cfg)
+		skipNoLog(t, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	check := func(s *Service, when string, area0, area1 int64, want []int) {
+		t.Helper()
+		for i, want := range []int64{area0, area1} {
+			if got := s.Stats()[i].CommittedArea; got != want {
+				t.Errorf("%s: shard %d Stats area %d, want %d", when, i, got, want)
+			}
+			ts, err := s.TenantStats(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ts["t"].CommittedArea; got != want {
+				t.Errorf("%s: shard %d TenantStats area %d, want %d", when, i, got, want)
+			}
+		}
+		tot, err := s.TenantTotals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tot["t"].CommittedArea; got != satAdd(area0, area1) {
+			t.Errorf("%s: TenantTotals area %d, want %d", when, got, satAdd(area0, area1))
+		}
+		if got := order(s.shards, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: placement order %v, want %v", when, got, want)
+		}
+	}
+	admit := func(s *Service, req Request, shard int) Reservation {
+		t.Helper()
+		req.Tenant = "t"
+		r, err := s.Admit(req)
+		if err != nil || r.Shard != shard {
+			t.Fatalf("Admit(%+v) = %+v, %v; want shard %d", req, r, err, shard)
+		}
+		return r
+	}
+
+	s := open()
+	admit(s, Request{Q: 8, Dur: 10, Deadline: NoDeadline}, 0)
+	// Shard 0 is full at tick 0, so both endless requests, which must
+	// start there, land on shard 1 however placement ranks the two.
+	e2 := admit(s, Request{Q: 2, Dur: core.Infinity, Deadline: 0}, 1)
+	check(s, "Q=2 admitted", 80, math.MaxInt64, []int{0, 1})
+	e3 := admit(s, Request{Q: 3, Dur: core.Infinity, Deadline: 0}, 1)
+	check(s, "admitted", 80, math.MaxInt64, []int{0, 1})
+	s.Close()
+
+	s = open()
+	check(s, "recovered", 80, math.MaxInt64, []int{0, 1})
+	if err := s.Cancel(e2.ID); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "Q=2 cancelled", 80, math.MaxInt64, []int{0, 1})
+	if err := s.Cancel(e3.ID); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "both cancelled", 80, 0, []int{1, 0})
+	s.Close()
+
+	s = open()
+	defer s.Close()
+	check(s, "recovered after the cancels", 80, 0, []int{1, 0})
 }

@@ -156,8 +156,10 @@ type Config struct {
 	// readable reference) and wrappers a test or the benchmark registers
 	// are there to be compared against it.
 	Backend string
-	// Batch caps how many requests one turn group-commits, and how many a
-	// caller serves as combiner before handing the role on (default 64).
+	// Batch caps how many requests one turn group-commits on a shard whose
+	// log fsyncs, where a combiner serves one turn and hands its role on
+	// (default 64). Anywhere else a turn is one request, served by its
+	// caller under the shard's lock, and Batch does not matter.
 	Batch int
 	// Placement accepts "" and "least-loaded", the one routing rule there
 	// is (see doc.go, "Placement"), and refuses anything else. It is kept
@@ -179,15 +181,15 @@ type Config struct {
 	// registration at New and sampled admission tracing (see ObsConfig).
 	// Nil disables both — the hot path then pays only dead nil checks.
 	Obs *ObsConfig
-	// turnHook, when non-nil, is called by every shard's combiner at the
-	// top of each batch turn, after the heartbeat's busy stamp.
-	// Unexported: a test seam for wedging a shard deliberately (the
-	// watchdog tests), set before New so combiners read it without a race.
+	// turnHook, when non-nil, is called by whoever serves a shard's turn,
+	// at its top, after the heartbeat's busy stamp. Unexported: a test
+	// seam for wedging a shard deliberately (the watchdog tests), set
+	// before New so turns read it without a race.
 	turnHook func(shard int)
 	// WAL, when non-nil, makes every shard durable: admission decisions
-	// are written to a per-shard write-ahead log in WAL.Dir (group-
-	// committed with the batch turn, one fsync per batch under the
-	// default sync mode) and New replays whatever the directory holds,
+	// are written to a per-shard write-ahead log in WAL.Dir (committed
+	// once per shard turn, one fsync per turn under the default sync
+	// mode, which group-commits) and New replays whatever the directory holds,
 	// rebuilding the exact pre-crash state — IDs, placements, books and
 	// quota charges included — before serving. See internal/wal and this
 	// package's doc.go for the format and the recovery invariants. Nil
@@ -266,7 +268,7 @@ type Service struct {
 	walInfo WALInfo
 
 	// walLogs holds each shard's log handle as it was at New, for
-	// scrape/watch reads: the combiner nils sh.wlog when the log fails or
+	// scrape/watch reads: a turn nils sh.wlog when the log fails or
 	// closes, and other readers must not race that write (a degraded
 	// shard's frozen counters are still worth exposing). Index i is
 	// shard i; nil when the service runs without a WAL.
@@ -428,7 +430,7 @@ func (s *Service) Query(t core.Time) ([]int, error) {
 // Snapshot returns an independent copy of one shard's capacity index. The
 // caller owns it: it may commit to it, and while nobody does, any number of
 // goroutines may read it (profile.CapacityIndex). The copy is consistent
-// (taken by the shard's combiner, between requests) and immediately stale,
+// (taken inside one of the shard's turns) and immediately stale,
 // like any snapshot of a live system.
 func (s *Service) Snapshot(shard int) (profile.CapacityIndex, error) {
 	if shard < 0 || shard >= len(s.shards) {
@@ -468,12 +470,13 @@ type ShardStats struct {
 	// and less than twice it.
 	SlackP99 core.Time
 	// Batches and Ops count turns and requests served; Ops / Batches is
-	// the realised group-commit factor.
+	// the realised group-commit factor. On a shard whose log does not
+	// fsync every turn is one request, and Batches equals Ops.
 	Batches, Ops uint64
 }
 
 // TenantStats is one shard's load summary for one tenant — the per-tenant
-// slice of ShardStats, served consistently by the shard's combiner.
+// slice of ShardStats, served consistently inside one of the shard's turns.
 type TenantStats struct {
 	// Active is the number of this tenant's currently held reservations
 	// on the shard.
@@ -491,7 +494,7 @@ type TenantStats struct {
 }
 
 // TenantStats returns one shard's per-tenant load summaries. The copy is
-// taken by the shard's combiner, between requests, so it is internally
+// taken inside one of the shard's turns, so it is internally
 // consistent (unlike Stats, which reads loosely-published atomics).
 func (s *Service) TenantStats(shard int) (map[string]TenantStats, error) {
 	if shard < 0 || shard >= len(s.shards) {
@@ -522,7 +525,7 @@ func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 		for _, ts := range resp.tstats {
 			tot := out[ts.name]
 			tot.Active += ts.Active
-			tot.CommittedArea += ts.CommittedArea
+			tot.CommittedArea = satAdd(tot.CommittedArea, ts.CommittedArea)
 			tot.Admitted += ts.Admitted
 			tot.Cancelled += ts.Cancelled
 			// Percentiles do not sum; the max across shards is a sound
@@ -538,10 +541,10 @@ func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 // built (Enabled false when the service runs without a WAL).
 func (s *Service) WALInfo() WALInfo { return s.walInfo }
 
-// QueueDepths returns every shard's instantaneous queue length (index i
-// is shard i): requests waiting for a combiner to take them — an atomic
-// read, no request to the shard. The live-telemetry view of admission
-// back-pressure.
+// QueueDepths returns every shard's instantaneous queue depth (index i
+// is shard i): the callers waiting for the shard, blocked on its lock or
+// queued for a combiner — an atomic read, no request to the shard. The
+// live-telemetry view of admission back-pressure.
 func (s *Service) QueueDepths() []int {
 	out := make([]int, len(s.shards))
 	for i, sh := range s.shards {
@@ -646,8 +649,7 @@ func (s *Service) Node() NodeSnapshot {
 }
 
 // Dump returns every reservation currently live on one shard, sorted by
-// ID. The list is consistent (served by the shard's combiner, between
-// requests). It is the recovery oracle's view:
+// ID. The list is consistent (taken inside one of the shard's turns). It is the recovery oracle's view:
 // a service restarted over its WAL must Dump identically to the service
 // that wrote it.
 func (s *Service) Dump(shard int) ([]Reservation, error) {
@@ -669,9 +671,11 @@ func (s *Service) Stats() []ShardStats {
 	return out
 }
 
-// Close shuts every shard down, in index order: requests a shard had
-// queued before its turn to close are answered, its log is sealed, and
-// every later request fails with ErrClosed.
+// Close shuts every shard down, in index order, with a closing turn that
+// seals the shard's log. On a shard whose log fsyncs, requests queued
+// ahead of the close are answered; on any other, a caller still waiting
+// for the shard's lock when the closing turn runs gets ErrClosed. Every
+// later request fails with ErrClosed.
 func (s *Service) Close() {
 	if s.slo != nil {
 		// Stop the SLO ticks first: the engine only reads published

@@ -3,6 +3,8 @@ package resd
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"os"
 	"runtime"
 	"slices"
@@ -31,8 +33,8 @@ const (
 	opDump
 
 	// opClose shuts the shard down (Service.Close): do stops accepting
-	// requests the moment it is queued, so it is the last request the
-	// shard serves, and applying it seals the log.
+	// requests the moment it is served or queued, so it is the last
+	// request the shard serves, and applying it seals the log.
 	opClose
 )
 
@@ -68,11 +70,11 @@ type tenantRow struct {
 	TenantStats
 }
 
-// slot is one call's place in a shard's queue: the request going in, the
-// response coming out, and the channel a caller that found a combiner at
-// work parks on. The combiner sends true once resp is filled, false to
-// hand the parked caller its role (see combine). One send answers each
-// park, so a slot goes back to the pool with wake empty.
+// slot is one call's place in a combining shard's queue: the request
+// going in, the response coming out, and the channel a caller that found a
+// combiner at work parks on. The combiner sends true once resp is filled,
+// false to hand the parked caller its role (see combine). One send answers
+// each park, so a slot goes back to the pool with wake empty.
 type slot struct {
 	req  request
 	resp response
@@ -82,7 +84,7 @@ type slot struct {
 var slotPool = sync.Pool{New: func() any { return &slot{wake: make(chan bool, 1)} }}
 
 // OverflowTenant is the per-shard book that absorbs tenant names beyond
-// the tenant.MaxAccounts bound: the combiner-owned cells must not grow
+// the tenant.MaxAccounts bound: a shard's cells must not grow
 // without limit just because a wire client cycles fresh names. Admission
 // and quota accounting are unaffected — only per-name attribution in
 // TenantStats degrades past the cap.
@@ -105,12 +107,13 @@ func bookName[V any](books map[string]V, name string) string {
 // names the cell by idx, its position in shard.cells, so a cancel finds
 // it without a name. acct is the quota account the cell's records are
 // charged to, resolved the first time a cancel needs it (nil until then,
-// and without quotas). Owned by the combiner.
+// and without quotas). Only the shard's owner touches it (see shard).
 type tenantCell struct {
 	name  string
 	idx   uint32
 	acct  *tenant.Account
-	stats TenantStats // SlackP99 is rendered from slack on read
+	stats TenantStats // CommittedArea and SlackP99 are rendered from area and slack on read
+	area  areaSum
 	slack slackHist
 }
 
@@ -176,60 +179,142 @@ func (sh *shard) account(a resv) *tenant.Account {
 	return c.acct
 }
 
-// keep enters an admitted reservation in the live table under cell c.
-// tenant is the name its quota was charged under: the cell's own, except
-// in the overflow book, whose records keep theirs beside the table so
-// that Cancel releases the right account and the snapshot stays exact.
-func (sh *shard) keep(id ID, start, dur core.Time, q int, tenant string, c *tenantCell) {
+// keep enters an admitted reservation of the given area (tenant.Area of
+// q and dur) in the live table under cell c, and adds the area to the
+// shard's and the cell's sums. tenant is the name its quota was charged
+// under: the cell's own, except in the overflow book, whose records keep
+// theirs beside the table so that Cancel releases the right account and
+// the snapshot stays exact.
+func (sh *shard) keep(id ID, start, dur core.Time, q int, area int64, tenant string, c *tenantCell) {
 	sh.live.put(resv{key: uint64(id) + 1, start: start, dur: dur, q: int32(q), cell: c.idx})
 	if tenant != c.name {
 		sh.live.chargeTo(id, tenant)
 	}
-	sh.area += int64(dur) * int64(q)
+	sh.area.add(area)
+	c.area.add(area)
+}
+
+// areaSum is a sum of processor-tick areas kept exactly, in 128 bits. An
+// endless reservation's area saturates at MaxInt64 (tenant.Area), so two
+// of them overflow an int64; here they add, and subtract again on cancel,
+// without wrapping. sat reports the sum, saturated at MaxInt64.
+type areaSum struct{ hi, lo uint64 }
+
+func (a *areaSum) add(v int64) {
+	var carry uint64
+	a.lo, carry = bits.Add64(a.lo, uint64(v), 0)
+	a.hi += carry
+}
+
+func (a *areaSum) sub(v int64) {
+	var borrow uint64
+	a.lo, borrow = bits.Sub64(a.lo, uint64(v), 0)
+	a.hi -= borrow
+}
+
+func (a areaSum) sat() int64 {
+	if a.hi != 0 || a.lo > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(a.lo)
+}
+
+// satAdd adds two areas, saturating at MaxInt64.
+func satAdd(a, b int64) int64 {
+	if a > math.MaxInt64-b {
+		return math.MaxInt64
+	}
+	return a + b
 }
 
 // shard is one cluster partition: a capacity index plus the admission
-// bookkeeping. It has no goroutine of its own: callers queue their
-// requests under mu and one of them at a time — the combiner — serves
-// the queue (see do and combine). Everything below the queue fields is
-// owned by whoever holds that role; what other goroutines touch is the
-// queue and the atomic counters.
+// bookkeeping. It has no goroutine of its own, and its state has one owner
+// at a time, which is a caller: on a shard whose turns end in no fsync,
+// the caller holding mu; on one whose turns fsync, the combiner, a caller
+// serving the queue (see do and combine). The fields are grouped by who
+// writes them, each group on cache lines of its own, so that callers
+// contending for mu, callers routing, and the owner at work do not take
+// each other's lines away.
 type shard struct {
-	id     int
-	floor  int // α-rule head-room every admission must leave free
-	batch  int
-	quotas *tenant.Registry // nil = quota enforcement disabled
+	// Read-mostly: set before the first request. syncs only ever goes
+	// from true to false.
+	id        int
+	floor     int // α-rule head-room every admission must leave free
+	batch     int
+	quotas    *tenant.Registry // nil = quota enforcement disabled
+	snapEvery int
 
+	// syncs is whether the shard's turns end in an fsync (wal.Log.Syncs;
+	// false without a log and once the log has failed or been sealed) —
+	// the one case in which requests gain by sharing a turn. do serves
+	// under mu or queues for a combiner by it, combine gathers by it, and
+	// load leaves in-flight area out by it; atomic because placement
+	// reads it from callers' goroutines.
+	syncs atomic.Bool
+
+	// turnNs records each turn's latency, entry to publish; nil without an
+	// obs registry, which then costs one predicted branch per turn.
+	turnNs *obs.Histogram
+
+	// Flight recorder surface. journal is nil-safe (a shard without a
+	// recorder records into nothing); when flightOn every turn publishes
+	// a heartbeat — busySince on entering it, lastBeat on completing it,
+	// both nanoseconds since epoch — for the watchdog's lock-free stall
+	// probes, and turns slower than slowTurnThreshold are journaled.
+	// turnHook, set only by tests via the unexported Config field, runs
+	// at the top of every turn.
+	journal  *flight.Journal
+	flightOn bool
+	turnHook func(shard int)
+	_        [cacheLine]byte
+
+	// Who serves. depth counts the callers waiting for the shard: blocked
+	// on mu or sitting in the queue.
 	mu        sync.Mutex
-	queue     []*slot // waiting requests, oldest first
+	queue     []*slot // requests waiting for a combiner, oldest first
 	combining bool    // some caller holds the combiner's role
-	closed    bool    // opClose has been queued: do refuses from here on
+	closed    bool    // opClose has been served or queued: do refuses from here on
 	depth     atomic.Int64
-	pending   []*slot // the turn being served (combiner-owned, like all below)
+	_         [cacheLine]byte
 
-	idx profile.CapacityIndex
-	// The book: what the shard has admitted and for whom. live holds the
-	// reservations, cells the per-tenant books in creation order, byName
-	// finds a cell by tenant name.
-	live   liveTable
-	cells  []*tenantCell
-	byName map[string]*tenantCell
+	// Placement's key (see load): committedArea is published once per
+	// turn; inFlight is raised by Service.Admit by the request's area
+	// before it hands the shard an admission and lowered when the answer
+	// is back, so it is zero whenever no admission is under way.
+	committedArea atomic.Int64
+	inFlight      atomic.Int64
+	_             [cacheLine]byte
+
+	// The owner's book: what the shard has admitted and for whom. live
+	// holds the reservations, cells the per-tenant books in creation
+	// order, byName finds a cell by tenant name. pending is the turn a
+	// combiner is serving.
+	pending []*slot
+	idx     profile.CapacityIndex
+	live    liveTable
+	cells   []*tenantCell
+	byName  map[string]*tenantCell
 	// slack records the start-time slack of every admission. An atomic
 	// obs.Histogram so Stats, scrapes and the SLO engine's snapshot ring
 	// read quantiles and cumulative buckets without a request to the
-	// shard; only the combiner writes it.
-	slack   *obs.Histogram
-	nextSeq uint64
-	area    int64 // running processor-tick area of live reservations
+	// shard; only the owner writes it.
+	slack      *obs.Histogram
+	nextSeq    uint64
+	area       areaSum // processor-tick area of live reservations
+	overflowed bool    // the tenant-book overflow event has been journaled
 
-	// Load summary published once per turn (group commit): placement and
-	// Stats read these without a request to the shard.
-	// inFlight is the exception: Service.Admit raises it by the request's
-	// area before it hands the shard an admission and lowers it when the
-	// answer is back, so it is zero whenever no admission is under way.
+	// Durability. wlog is the shard's write-ahead log (nil = in-memory
+	// service); every state-changing op appends its record during apply
+	// and the turn commits once, before its answers are released. A WAL
+	// write failure degrades the shard to non-durable (walFailed counts
+	// it) rather than taking admissions down with the disk.
+	wlog     *wal.Log
+	snapBusy atomic.Bool
+	snapWG   sync.WaitGroup
+
+	// Published once per turn for lock-free readers (Stats, the watchdog);
+	// rejectedQuota is also raised by Service.Admit's quota door.
 	activeCount   atomic.Int64
-	committedArea atomic.Int64
-	inFlight      atomic.Int64
 	admitted      atomic.Uint64
 	cancelled     atomic.Uint64
 	rejected      atomic.Uint64
@@ -237,61 +322,38 @@ type shard struct {
 	rejectedQuota atomic.Uint64
 	batches       atomic.Uint64
 	ops           atomic.Uint64
-
-	// turnNs records each turn's latency, entry to publish; nil without an
-	// obs registry, which then costs one predicted branch per turn.
-	turnNs *obs.Histogram
-
-	// Flight recorder surface. journal is nil-safe (a shard without a
-	// recorder records into nothing); when flightOn the combiner
-	// publishes a heartbeat — busySince on entering a turn, lastBeat on
-	// completing one, both nanoseconds since epoch — for the watchdog's
-	// lock-free stall probes, and journals turns slower than
-	// slowTurnThreshold. overflowed latches the tenant-book overflow
-	// event. turnHook, set only by tests via the unexported Config
-	// field, runs at the top of every turn.
-	journal    *flight.Journal
-	flightOn   bool
-	lastBeat   atomic.Int64
-	busySince  atomic.Int64
-	overflowed bool
-	turnHook   func(shard int)
-
-	// Durability. wlog is the shard's write-ahead log (nil = in-memory
-	// service); every state-changing op appends its record during apply
-	// and the combiner group-commits once per turn, before the replies
-	// are released. A WAL write failure degrades the shard to non-durable
-	// (walFailed counts it) rather than taking admissions down with the
-	// disk.
-	//
-	// syncs is whether the shard's turns end in an fsync (wal.Log.Syncs;
-	// false without a log and once the log has failed or been sealed) — the
-	// one case in which requests gain by sharing a turn. combine gathers and
-	// hands on by it, and load leaves in-flight area out by it; atomic
-	// because placement reads it from callers' goroutines.
-	wlog      *wal.Log
-	syncs     atomic.Bool
-	snapEvery int
-	snapBusy  atomic.Bool
-	snapWG    sync.WaitGroup
-	walFailed atomic.Uint64
+	lastBeat      atomic.Int64
+	busySince     atomic.Int64
+	walFailed     atomic.Uint64
 }
+
+// cacheLine separates the shard's field groups.
+const cacheLine = 64
 
 // load is the shard's placement key: the area it has committed, as of its
 // last turn, plus the area of the admissions routed to it and not
 // answered yet. The second term is what lets
 // concurrent callers see each other: committedArea moves once per turn, so
 // without it everyone routing between two turns reads the same numbers,
-// picks the same minimum and queues behind one combiner. An admission is
+// picks the same minimum and queues behind one owner. An admission is
 // published before its caller lowers inFlight, so load never under-counts;
 // with a single caller inFlight is zero at every read. Where turns end in
 // an fsync the term is left out: there callers queueing on one shard is
 // the group commit, and spreading them buys more fsyncs of fewer records.
+// The sum saturates at MaxInt64, as the published area does. inFlight
+// itself wraps: two endless admissions in flight on one shard at once can
+// make it read negative (taken as saturated here) or low. Placement is
+// advisory, and the shard re-validates.
 func (sh *shard) load() int64 {
+	c := sh.committedArea.Load()
 	if sh.syncs.Load() {
-		return sh.committedArea.Load()
+		return c
 	}
-	return sh.committedArea.Load() + sh.inFlight.Load()
+	f := sh.inFlight.Load()
+	if f < 0 || c > math.MaxInt64-f {
+		return math.MaxInt64
+	}
+	return c + f
 }
 
 // newShard builds the partition's index (with the Pre reservations
@@ -370,10 +432,12 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 			return fmt.Errorf("resd: shard %d: recovered reservation %#x (start=%v dur=%v q=%d) no longer fits: %w",
 				sh.id, lv.ID, start, dur, lv.Procs, err)
 		}
-		sh.keep(id, start, dur, lv.Procs, lv.Tenant, sh.cell(lv.Tenant))
+		// The book areas are the sums of their live records' areas, derived
+		// here rather than read from the snapshot, where they are saturated.
+		sh.keep(id, start, dur, lv.Procs, tenant.Area(lv.Procs, lv.Dur), lv.Tenant, sh.cell(lv.Tenant))
 	}
 	sh.activeCount.Store(int64(len(sh.live.slab)))
-	sh.committedArea.Store(sh.area)
+	sh.committedArea.Store(sh.area.sat())
 	// Anchor a snapshot of the recovered state so the generations replay
 	// just consumed can be deleted. Written synchronously: by the time New
 	// returns, recovery is complete and the old logs are gone. Skipped for
@@ -391,24 +455,42 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	return nil
 }
 
-// do submits one request and returns its response. The request joins the
-// shard's queue; a caller that finds no combiner at work takes the role
-// and serves the queue itself, its own request first, so a lone caller
-// never leaves its goroutine. Any other caller parks until a combiner has
-// answered it or named it the next combiner. Once opClose has been queued
-// every do fails with ErrClosed.
+// do serves one request and returns its response. How depends on whether
+// the shard's turns end in an fsync. Where they do not (no log, or one
+// that never fsyncs) and no combiner holds the role, the caller keeps mu
+// for the whole turn and serves its own call in its own goroutine: the
+// turn is that one operation, and a contending caller waits inside
+// sync.Mutex. Where they do, the request joins the queue and a combiner
+// serves it (see combine): a caller that finds no combiner at work takes
+// the role, its own request first, so a lone caller never leaves its
+// goroutine; any other parks until a combiner has answered it or named it
+// the next combiner. Once opClose has been served or queued, every do
+// fails with ErrClosed.
 func (sh *shard) do(req request) (response, error) {
-	s := slotPool.Get().(*slot)
-	sh.mu.Lock()
+	if !sh.mu.TryLock() {
+		// Counted while blocked, so that depth covers every caller
+		// waiting for the shard; one that gets the lock at once pays
+		// nothing for it.
+		sh.depth.Add(1)
+		sh.mu.Lock()
+		sh.depth.Add(-1)
+	}
 	if sh.closed {
 		sh.mu.Unlock()
-		slotPool.Put(s)
 		return response{}, ErrClosed
 	}
-	s.req = req
 	sh.closed = req.kind == opClose
+	if !sh.combining && !sh.syncs.Load() {
+		start := sh.begin()
+		resp := sh.apply(&req)
+		sh.end(start, 1)
+		sh.mu.Unlock()
+		return resp, resp.err
+	}
+	s := slotPool.Get().(*slot)
+	s.req = req
 	sh.queue = append(sh.queue, s)
-	sh.depth.Store(int64(len(sh.queue)))
+	sh.depth.Add(1)
 	lead := !sh.combining
 	sh.combining = true
 	sh.mu.Unlock()
@@ -421,63 +503,60 @@ func (sh *shard) do(req request) (response, error) {
 	return resp, resp.err
 }
 
-// combine makes the caller the shard's single writer. self is at the
-// head of the queue, so the first turn answers it. Where a turn ends in
-// an fsync (sh.syncs) the combiner first waits for company and hands
-// the role on after one turn; anywhere else it serves on while requests
-// keep arriving, up to batch operations in all, and then the oldest
-// waiter inherits the role. So no caller waits on more than one batch of
-// other callers' work once answered, and a fsyncing shard's combiner is
-// back in time for its caller's next request to share the next fsync.
+// combine makes the caller the shard's single writer for one turn. self is
+// at the head of the queue, so the turn answers it. A turn ends in an
+// fsync, which costs the same however many records it covers, and callers
+// just answered need the processor to come back with their next: so the
+// combiner first yields until a round adds no caller, then takes up to
+// batch requests, serves them in one turn and hands the role to the oldest
+// waiter, so that its own caller's next request can share the next fsync.
+// A shard whose log failed mid-turn no longer fsyncs; it skips the yield
+// and hands on until the queue is empty, after which its callers serve
+// under mu.
 func (sh *shard) combine(self *slot) {
-	// An fsync costs the same however many records it covers, and callers
-	// just answered need the processor to come back with their next: yield
-	// until a round adds nothing. Without a log, or with one that never
-	// fsyncs (its commit costs nothing: the records are already in the
-	// page cache), a batch buys nothing and the yields are pure cost.
-	gather := sh.syncs.Load()
-	if gather {
+	if sh.syncs.Load() {
 		for n := int64(0); n < int64(sh.batch) && sh.depth.Load() > n; runtime.Gosched() {
 			n = sh.depth.Load()
 		}
 	}
 	sh.mu.Lock()
-	for left := sh.batch; ; {
-		n := min(len(sh.queue), left)
-		sh.pending = append(sh.pending[:0], sh.queue[:n]...)
-		sh.queue = sh.queue[:copy(sh.queue, sh.queue[n:])]
-		sh.depth.Store(int64(len(sh.queue)))
-		sh.mu.Unlock()
-		left -= n
+	n := min(len(sh.queue), sh.batch)
+	sh.pending = append(sh.pending[:0], sh.queue[:n]...)
+	sh.queue = sh.queue[:copy(sh.queue, sh.queue[n:])]
+	sh.depth.Add(-int64(n))
+	sh.mu.Unlock()
 
-		sh.turn(self)
-
-		sh.mu.Lock()
-		if len(sh.queue) == 0 {
-			sh.combining = false
-			sh.mu.Unlock()
-			return
-		}
-		if left == 0 || gather {
-			heir := sh.queue[0]
-			sh.mu.Unlock()
-			heir.wake <- false
-			return
+	start := sh.begin()
+	for _, s := range sh.pending {
+		s.resp = sh.apply(&s.req)
+	}
+	sh.end(start, n)
+	// The combiner's own slot is answered by returning, not woken. A
+	// woken caller may recycle its slot at once.
+	for _, s := range sh.pending {
+		if s != self {
+			s.wake <- true
 		}
 	}
+
+	sh.mu.Lock()
+	if len(sh.queue) == 0 {
+		sh.combining = false
+		sh.mu.Unlock()
+		return
+	}
+	heir := sh.queue[0]
+	sh.mu.Unlock()
+	heir.wake <- false
 }
 
-// turn applies sh.pending against the index, in arrival order, publishes the
-// load summary once, and only then releases the answers — the group
-// commit that amortises the log write under load.
-func (sh *shard) turn(self *slot) {
-	// Two clock reads per turn when anything wants the time, none
-	// otherwise: start is the heartbeat's busy stamp and the turn
-	// histogram's origin, end (below) closes both. Both are monotonic
-	// readings since epoch.
-	timed := sh.flightOn || sh.turnNs != nil
+// begin opens a turn, on either path. Two clock reads per turn when
+// anything wants the time, none otherwise: start, returned here, is the
+// heartbeat's busy stamp and the turn histogram's origin; end closes both.
+// Both are monotonic readings since epoch.
+func (sh *shard) begin() time.Duration {
 	var start time.Duration
-	if timed {
+	if sh.flightOn || sh.turnNs != nil {
 		start = time.Since(epoch)
 	}
 	if sh.flightOn {
@@ -486,38 +565,30 @@ func (sh *shard) turn(self *slot) {
 	if sh.turnHook != nil {
 		sh.turnHook(sh.id)
 	}
-	for _, s := range sh.pending {
-		if s.req.trace != nil {
-			s.req.trace.BatchStart = time.Since(s.req.trace.Arrival)
-		}
-		s.resp = sh.apply(s.req)
-	}
-	// The group-commit durability point: every record the turn appended
-	// is already in the page cache, and under SyncBatch one fsync makes
-	// them all durable before any answer is released — callers never
-	// observe a success the log could forget.
+	return start
+}
+
+// end closes a turn of n operations opened at start: the durability
+// point, then the load summary, the turn's latency and heartbeat, and a
+// snapshot when one is due. Every record the turn appended is already in
+// the page cache, and under SyncBatch the commit's one fsync makes them
+// all durable, so answers are released only after end returns — callers
+// never observe a success the log could forget.
+func (sh *shard) end(start time.Duration, n int) {
 	if sh.wlog != nil {
 		if err := sh.wlog.Commit(); err != nil {
 			sh.walFail("commit", err)
 		}
 	}
-	sh.publish(len(sh.pending))
-	var end time.Duration
-	if timed {
-		end = time.Since(epoch)
-	}
-	if sh.turnNs != nil {
-		sh.turnNs.Observe(int64(end - start))
-	}
-	// The combiner's own slot is in its first turn only; it is answered
-	// by returning, not woken. A woken caller may recycle its slot at once.
-	for _, s := range sh.pending {
-		if s != self {
-			s.wake <- true
+	sh.publish(n)
+	if sh.flightOn || sh.turnNs != nil {
+		end := time.Since(epoch)
+		if sh.turnNs != nil {
+			sh.turnNs.Observe(int64(end - start))
 		}
-	}
-	if sh.flightOn {
-		sh.beat(end-start, end, len(sh.pending))
+		if sh.flightOn {
+			sh.beat(end-start, end, n)
+		}
 	}
 	sh.maybeSnapshot()
 }
@@ -558,9 +629,13 @@ func (sh *shard) report(sev flight.Severity, subsys, msg string, kv ...flight.KV
 	fmt.Fprintf(os.Stderr, "resd: shard %d: %s\n", sh.id, msg)
 }
 
-// apply executes one request against the shard-local state. Only the
-// combiner calls it.
-func (sh *shard) apply(r request) response {
+// apply executes one request against the shard-local state, stamping a
+// sampled admission's trace as its turn reaches it. Only the shard's owner
+// calls it.
+func (sh *shard) apply(r *request) response {
+	if r.trace != nil {
+		r.trace.BatchStart = time.Since(r.trace.Arrival)
+	}
 	switch r.kind {
 	case opClose:
 		sh.seal()
@@ -577,6 +652,7 @@ func (sh *shard) apply(r request) response {
 		out := make([]tenantRow, len(sh.cells))
 		for i, c := range sh.cells {
 			out[i] = tenantRow{c.name, c.stats}
+			out[i].CommittedArea = c.area.sat()
 			out[i].SlackP99 = c.slack.p99()
 		}
 		return response{tstats: out}
@@ -596,7 +672,7 @@ func (sh *shard) apply(r request) response {
 // the budget refused when it asked; the charge here is the authority,
 // and it runs last, so a doomed request never burns budget, however
 // briefly.
-func (sh *shard) reserve(r request) response {
+func (sh *shard) reserve(r *request) response {
 	start, ok := sh.idx.FindSlot(r.ready, r.q+sh.floor, r.dur)
 	if !ok {
 		sh.rejected.Add(1)
@@ -616,8 +692,8 @@ func (sh *shard) reserve(r request) response {
 		}
 	}
 	if err := sh.idx.Commit(start, r.dur, r.q); err != nil {
-		// Unreachable: FindSlot guarantees capacity and the combiner is
-		// the only writer. Surface rather than panic so a backend bug turns
+		// Unreachable: FindSlot guarantees capacity and the owner is the
+		// only writer. Surface rather than panic so a backend bug turns
 		// into a failed request, not a dead shard.
 		if r.acct != nil {
 			r.acct.Rollback(r.area)
@@ -636,9 +712,8 @@ func (sh *shard) reserve(r request) response {
 		Deadline: int64(r.deadline), Start: int64(start),
 	})
 	c := sh.cell(r.tenant)
-	sh.keep(id, start, r.dur, r.q, r.tenant, c)
+	sh.keep(id, start, r.dur, r.q, r.area, r.tenant, c)
 	c.stats.Active++
-	c.stats.CommittedArea += int64(r.dur) * int64(r.q)
 	c.stats.Admitted++
 	// Start-time slack — how far past its ready time the admission had to
 	// be pushed — is the per-admission SLO sample surfaced as p99 in
@@ -651,13 +726,13 @@ func (sh *shard) reserve(r request) response {
 
 // refuse renders one of reserve's three refusals as a value; the text is
 // whoever prints it's to pay for, not the turn's.
-func (sh *shard) refuse(kind error, r request, earliest core.Time) *Refusal {
+func (sh *shard) refuse(kind error, r *request, earliest core.Time) *Refusal {
 	return &Refusal{Kind: kind, Shard: sh.id, Q: r.q, Dur: r.dur, Deadline: r.deadline, Floor: sh.floor, Earliest: earliest}
 }
 
 // cancel releases an admitted reservation and credits the area back to
 // its tenant's quota.
-func (sh *shard) cancel(r request) response {
+func (sh *shard) cancel(r *request) response {
 	i := sh.live.find(r.id)
 	if i < 0 {
 		return response{err: fmt.Errorf("%w: %#x on shard %d", ErrUnknownID, uint64(r.id), sh.id)}
@@ -668,15 +743,15 @@ func (sh *shard) cancel(r request) response {
 	}
 	sh.walAppend(wal.Record{Type: wal.TCancel, ID: uint64(r.id)})
 	sh.live.delAt(i)
-	area := int64(a.dur) * int64(a.q)
-	sh.area -= area
+	area := tenant.Area(int(a.q), int64(a.dur))
+	sh.area.sub(area)
 	c := sh.cells[a.cell]
 	if sh.quotas != nil {
-		sh.account(a).Release(tenant.Area(int(a.q), int64(a.dur)))
+		sh.account(a).Release(area)
 	}
 	delete(sh.live.charged, r.id)
 	c.stats.Active--
-	c.stats.CommittedArea -= area
+	c.area.sub(area)
 	c.stats.Cancelled++
 	sh.cancelled.Add(1)
 	return response{}
@@ -705,7 +780,7 @@ func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
 	}
 	for i, c := range sh.cells {
 		s.Books[i] = wal.TenantBook{
-			Tenant: c.name, Active: int64(c.stats.Active), Area: c.stats.CommittedArea,
+			Tenant: c.name, Active: int64(c.stats.Active), Area: c.area.sat(),
 			Admitted: c.stats.Admitted, Cancelled: c.stats.Cancelled,
 		}
 	}
@@ -718,10 +793,10 @@ func (sh *shard) snapshot(gen uint64) *wal.Snapshot {
 }
 
 // publish stores the load summary for lock-free readers (placement,
-// Stats). Called once per turn — the group-commit point.
+// Stats). Called once per turn, at its end.
 func (sh *shard) publish(n int) {
 	sh.activeCount.Store(int64(len(sh.live.slab)))
-	sh.committedArea.Store(sh.area)
+	sh.committedArea.Store(sh.area.sat())
 	sh.batches.Add(1)
 	sh.ops.Add(uint64(n))
 }

@@ -22,8 +22,8 @@ func (sh *shard) walAppend(rec wal.Record) {
 // walFail degrades the shard to non-durable after a log write failure:
 // admissions keep flowing (availability over durability — the in-memory
 // state is still correct), the log is sealed, and the failure is
-// counted (resd_wal_failures_total) and reported once. Only the combiner
-// calls it, like every other wlog access.
+// counted (resd_wal_failures_total) and reported once. Only the shard's
+// owner calls it, inside a turn, like every other wlog access.
 func (sh *shard) walFail(op string, err error) {
 	sh.walFailed.Add(1)
 	sh.report(flight.Error, "wal",

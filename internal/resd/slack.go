@@ -14,7 +14,7 @@ import (
 // path: the operator question is "what order of push-back are this
 // tenant's admissions seeing", not its exact tick count. The same bucket
 // geometry backs the obs package's multi-writer Histogram, so
-// combiner-owned and scrape-side quantiles agree.
+// shard-owned and scrape-side quantiles agree.
 type slackHist struct {
 	h stats.ExpHist
 }

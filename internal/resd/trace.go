@@ -49,12 +49,12 @@ func (o TraceOutcome) String() string {
 //
 //	Arrival     Admit entered (wall clock; offsets are monotonic)
 //	Route       placement order computed, first shard attempt starting
-//	Enqueue     request handed to the (last-tried) shard's queue
-//	BatchStart  that shard's combiner began the batch holding it
+//	Enqueue     request handed to the (last-tried) shard
+//	BatchStart  the turn serving it on that shard began applying it
 //	Decision    final answer in hand (after every placement attempt)
 //
-// Decision − BatchStart is the batch turn; BatchStart − Enqueue is queue
-// wait; Enqueue − Route is routing/handoff; a large Decision with small
+// Decision − BatchStart is its turn; BatchStart − Enqueue is the wait
+// for the shard (its lock, or a combiner) and the turn's earlier requests; Enqueue − Route is routing/handoff; a large Decision with small
 // earlier stages means the request walked many shards. Shard is the
 // shard that produced the final answer, or for a quota refusal at the
 // door the shard it was booked on (−1 if none: Q plus the floor exceeds
