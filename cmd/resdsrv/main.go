@@ -86,7 +86,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -203,9 +202,10 @@ func run() error {
 	// The SLO engine evaluates the spec's objectives over the service's
 	// cumulative counters: built here so it shares the metrics registry
 	// and the flight recorder's journal, handed to resd.New below (which
-	// binds the sources and starts the ticker). Page transitions capture
-	// a rate-limited diagnostic bundle — the burn-rate alert is exactly
-	// the moment an operator wants the black box's evidence.
+	// attaches the service and ticks the engine from its sampler). Page
+	// transitions capture a rate-limited diagnostic bundle — the
+	// burn-rate alert is exactly the moment an operator wants the black
+	// box's evidence.
 	var eng *slo.Engine
 	if *sloPath != "" {
 		spec, err := slo.LoadSpec(*sloPath)
@@ -403,27 +403,17 @@ func walWarning(svc *resd.Service) string {
 
 // sloAlertHook reacts to burn-rate transitions: every transition is
 // already journaled by the engine; this hook adds the operator-facing
-// stderr line and, on a transition into paging, a diagnostic bundle —
-// rate-limited like watchdog captures so a flapping objective cannot
-// fill the disk. Capture quietly refuses when -flightdir is unset.
+// stderr line and, on a transition into paging, a diagnostic bundle
+// under the recorder's one automatic-capture rate limit, shared with the
+// watchdog, so a flapping objective cannot fill the disk. No bundle is
+// written when -flightdir is unset.
 func sloAlertHook(rec *flight.Recorder) func(objective string, from, to slo.Severity, burn float64) {
-	var mu sync.Mutex
-	var last time.Time
 	return func(objective string, from, to slo.Severity, burn float64) {
 		fmt.Fprintf(os.Stderr, "resdsrv: slo: %q %s -> %s (burn %.2fx)\n", objective, from, to, burn)
 		if to != slo.SevPage {
 			return
 		}
-		mu.Lock()
-		limited := !last.IsZero() && time.Since(last) < flight.DefaultBundleMinInterval
-		if !limited {
-			last = time.Now()
-		}
-		mu.Unlock()
-		if limited {
-			return
-		}
-		if name, err := rec.Capture("slo page: " + objective); err == nil {
+		if name := rec.AutoCapture("slo page: " + objective); name != "" {
 			fmt.Fprintf(os.Stderr, "resdsrv: slo: bundle %s captured for %q\n", name, objective)
 		}
 	}

@@ -83,7 +83,6 @@ func run() error {
 	rate := flag.Float64("rate", 0, "target request rate per second (0 = unthrottled)")
 	cancelfrac := flag.Float64("cancelfrac", 0.5, "fraction of admissions the clients cancel again")
 	slack := flag.Int64("slack", 0, "per-request deadline: ready+slack ticks (0 = no deadline)")
-	batch := flag.Int("batch", 64, "max requests group-committed per shard turn")
 	seed := flag.Uint64("seed", 1, "workload generator seed")
 	statsevery := flag.Duration("statsevery", 0, "print a one-line progress row this often while the stream runs (0 = off)")
 	swf := flag.String("swf", "", "SWF trace file (overrides synthetic generation)")
@@ -101,7 +100,6 @@ func run() error {
 		cliflag.Positive("clients", *clients),
 		cliflag.NonNegativeF("rate", *rate),
 		cliflag.Unit("cancelfrac", *cancelfrac),
-		cliflag.Positive("batch", *batch),
 		cliflag.Positive("conns", *conns),
 		cliflag.NonNegative("tenants", *tenants),
 	); err != nil {
@@ -195,7 +193,7 @@ func run() error {
 		}
 		svc, err = resd.New(resd.Config{
 			Shards: *shards, M: *m, Alpha: *alpha,
-			Batch: *batch, Pre: pre, Quotas: reg,
+			Pre: pre, Quotas: reg,
 		})
 		if err != nil {
 			return err
@@ -360,7 +358,7 @@ func tenantTable(names []string, res result) *stats.Table {
 // request stream.)
 func serverSideFlagsSet() []string {
 	serverOnly := map[string]bool{
-		"shards": true, "nres": true, "batch": true, "quotamode": true,
+		"shards": true, "nres": true, "quotamode": true,
 	}
 	var set []string
 	flag.Visit(func(f *flag.Flag) {

@@ -50,13 +50,25 @@ func (r *Recorder) Capture(reason string) (string, error) {
 	return r.writeBundle(reason, r.State(), r.Warning())
 }
 
-// autoCapture is the watchdog's trigger path: rate-limited so a
-// flapping rule cannot fill the disk, and never fatal. It runs before
-// the monitor publishes the judgment that triggered it, so the state
-// and warning the manifest records are handed in.
-func (r *Recorder) autoCapture(reason string, state Health, warning string) {
+// AutoCapture writes a bundle for an automatic trigger outside the
+// watchdog (resdsrv's SLO page hook). It shares the watchdog's rate
+// limit: at most one automatic bundle per BundleMinInterval, whoever
+// asks. It returns the bundle's name, or "" when bundling is disabled
+// or the capture was rate-limited or failed (both journaled).
+func (r *Recorder) AutoCapture(reason string) string {
+	if r == nil {
+		return ""
+	}
+	return r.autoCapture(reason, r.State(), r.Warning())
+}
+
+// autoCapture is the rate-limited trigger path: a flapping rule cannot
+// fill the disk, and a failure is journaled, never fatal. Judge calls it
+// before it publishes the judgment that triggered it, so the state and
+// warning the manifest records are handed in.
+func (r *Recorder) autoCapture(reason string, state Health, warning string) string {
 	if r.cfg.Dir == "" {
-		return
+		return ""
 	}
 	r.bundleMu.Lock()
 	limited := !r.lastAuto.IsZero() && time.Since(r.lastAuto) < r.cfg.BundleMinInterval
@@ -68,12 +80,14 @@ func (r *Recorder) autoCapture(reason string, state Health, warning string) {
 		r.rateLimited.Add(1)
 		r.journal.Record(Info, "flight", -1, "bundle capture rate-limited",
 			KV{"reason", reason}, KV{"min_interval", r.cfg.BundleMinInterval.String()})
-		return
+		return ""
 	}
-	if _, err := r.writeBundle(reason, state, warning); err != nil {
+	name, err := r.writeBundle(reason, state, warning)
+	if err != nil {
 		r.journal.Record(Error, "flight", -1, "bundle capture failed",
 			KV{"reason", reason}, KV{"err", err.Error()})
 	}
+	return name
 }
 
 // writeBundle assembles one bundle: every section into a temp dir,
@@ -125,14 +139,13 @@ func (r *Recorder) writeBundle(reason string, state Health, warning string) (str
 			writeFile(bundleMetrics, []byte(b.String()), nil)
 		}
 	}
-	r.srcMu.Lock()
-	src := r.src
-	r.srcMu.Unlock()
-	if src.Traces != nil {
-		writeJSON(bundleTraces, src.Traces())
-	}
-	if src.Node != nil {
-		writeJSON(bundleNode, src.Node())
+	if src := r.src.Load(); src != nil {
+		if src.Traces != nil {
+			writeJSON(bundleTraces, src.Traces())
+		}
+		if src.Node != nil {
+			writeJSON(bundleNode, src.Node())
+		}
 	}
 	if v := r.cfgInfo.Load(); v != nil {
 		writeJSON(bundleConfig, v)
@@ -207,13 +220,4 @@ func (r *Recorder) Bundles() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// LatestBundle returns the newest completed bundle's name, or "".
-func (r *Recorder) LatestBundle() string {
-	names := r.Bundles()
-	if len(names) == 0 {
-		return ""
-	}
-	return names[len(names)-1]
 }

@@ -29,18 +29,22 @@
 //
 // # Watchdog
 //
-// A resd shard has no goroutine of its own: whichever caller is serving
-// its queue (the combiner) publishes the heartbeat from the batch turn:
-// BusySince when a turn begins, LastTurn when it completes (two atomic
-// stores per batch, only when a recorder is attached). The monitor
-// goroutine samples those probes every Budgets.CheckEvery and judges
-// the node against configurable budgets:
+// A resd shard has no goroutine of its own: whichever caller serves its
+// turn publishes the heartbeat: BusySince when a turn begins, LastTurn
+// when it completes (two atomic stores per turn, only when a recorder
+// is attached). The watchdog has no goroutine either. Attach stores the
+// service's probes, and Judge(now) makes one pass: it reads the probes
+// and judges the node at that instant against configurable budgets. In
+// resd the service's sampler — the one goroutine that also ticks the
+// SLO engine — calls Judge every Budgets.CheckEvery; a test calls it at
+// explicit instants. The rules:
 //
 //	stalled   a shard stuck inside one turn (or queued requests with no
 //	          turn) for longer than StallAfter
-//	degraded  a request queue at >= 3/4 capacity for QueueFullFor, a
-//	          WAL fsync p99 over FsyncP99, or more than FrameErrorBurst
-//	          reswire frame errors inside one check period
+//	degraded  a request queue at >= 3/4 capacity for QueueFullFor (the
+//	          time measured between the Judge calls that saw it there),
+//	          a WAL fsync p99 over FsyncP99, or more than FrameErrorBurst
+//	          reswire frame errors between two Judge calls
 //
 // The worst firing rule is the node state — healthy(0), degraded(1),
 // stalled(2) — published as the resd_health_state gauge, served on
@@ -48,13 +52,13 @@
 // every transition. Recovery (the condition clearing) transitions back
 // and is journaled too.
 //
-// A visible worsened state implies its evidence is on disk: the monitor
+// A visible worsened state implies its evidence is on disk: Judge
 // journals the transition and writes the bundle first and publishes the
 // state (and its warning) last, so whoever reads State, /healthz or the
 // gauge and then lists the bundles finds the capture that state
 // triggered, unless the rate limit suppressed it. The price is that a
 // worsening becomes visible one bundle write later — 2–3 ms measured on
-// a live service, against a 250 ms probe period and a 2 s stall budget.
+// a live service, against a 250 ms check period and a 2 s stall budget.
 // The watchdog tests assert the bundle as soon as they see the state,
 // without sleeping, and /debug/flight reads the state before it lists
 // the bundles, so what `obscheck -flight` fetches obeys the same rule.
@@ -75,10 +79,12 @@
 //	config.json      the effective service configuration
 //
 // Bundles are written into a hidden temp directory and renamed into
-// place, so any visible bundle is complete. Watchdog-triggered
-// captures are rate-limited to one per BundleMinInterval (a flapping
-// rule cannot fill the disk; suppressed captures are counted and
-// journaled); on-demand captures are not. Retention keeps the newest
+// place, so any visible bundle is complete. Automatic captures share
+// one rate limit, one per BundleMinInterval: the watchdog's and those
+// other triggers ask for through AutoCapture (resdsrv's SLO page hook).
+// A flapping rule or objective cannot fill the disk; suppressed
+// captures are counted and journaled. On-demand captures (Capture, the
+// HTTP POST) are never rate-limited. Retention keeps the newest
 // BundleKeep bundles and deletes older ones.
 //
 // # Surfaces

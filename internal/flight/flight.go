@@ -60,7 +60,8 @@ func (h *Health) UnmarshalJSON(b []byte) error {
 // Budgets are the watchdog's configurable thresholds. Zero fields
 // select the defaults; a negative duration or count disables that rule.
 type Budgets struct {
-	// CheckEvery is the monitor's probe period (default 250ms).
+	// CheckEvery is the period at which the service calls Judge
+	// (default 250ms). It is a period, not a rule: negative is refused.
 	CheckEvery time.Duration
 	// StallAfter marks a shard stalled when it has been inside one
 	// batch turn — or has left requests queued without a heartbeat —
@@ -126,8 +127,8 @@ type ShardProbe struct {
 	FsyncP99 time.Duration
 }
 
-// Sources are the service-side callbacks the watchdog polls and the
-// bundler snapshots. All may be nil; Shards nil disables the per-shard
+// Sources are the service-side callbacks Judge reads and the bundler
+// snapshots. All may be nil; Shards nil disables the per-shard
 // rules (the frame-burst rule still runs off the journal).
 type Sources struct {
 	// Shards returns every shard's heartbeat probe.
@@ -150,10 +151,11 @@ type Config struct {
 	// Dir is where diagnostic bundles are written ("" disables bundle
 	// capture; the journal and watchdog still run).
 	Dir string
-	// BundleMinInterval rate-limits watchdog-triggered bundles: after
-	// one fires, further automatic captures are suppressed for this
-	// long (0 = DefaultBundleMinInterval). On-demand captures are
-	// never rate-limited.
+	// BundleMinInterval rate-limits automatic bundles, the watchdog's
+	// and AutoCapture's alike: after one fires, further automatic
+	// captures are suppressed for this long (0 =
+	// DefaultBundleMinInterval). On-demand captures are never
+	// rate-limited.
 	BundleMinInterval time.Duration
 	// BundleKeep caps how many bundles Dir retains; the oldest are
 	// deleted past it (0 = DefaultBundleKeep).
@@ -171,8 +173,8 @@ const (
 // Recorder is the node's black box: the event journal, the health
 // watchdog, and the diagnostic bundler behind one handle. Create it
 // with New, hand it to the service (resd.ObsConfig.Flight — the
-// service attaches its probes and journals through it), and mount
-// Handler on the observability mux.
+// service attaches its probes, journals through it and calls Judge),
+// and mount Handler on the observability mux.
 type Recorder struct {
 	cfg     Config
 	journal *Journal
@@ -181,10 +183,13 @@ type Recorder struct {
 	warnMu  sync.Mutex
 	warnMsg string
 
-	srcMu sync.Mutex
-	src   Sources
-	quit  chan struct{}
-	done  chan struct{}
+	src atomic.Pointer[Sources]
+	// What Judge carries from one call to the next (Attach resets it):
+	// when it last ran, how long each shard's queue has been >= 3/4
+	// full, and the frame-error count it last saw.
+	lastJudge time.Time
+	queueHot  map[int]time.Duration
+	frameBase uint64
 
 	// cfgInfo is the effective-config blob bundles embed (SetConfigInfo).
 	cfgInfo atomic.Value // any
@@ -200,6 +205,9 @@ type Recorder struct {
 // New builds the recorder, creates Config.Dir when bundling is
 // enabled, and registers the flight metric families.
 func New(cfg Config) (*Recorder, error) {
+	if cfg.Budgets.CheckEvery < 0 {
+		return nil, fmt.Errorf("flight: Budgets.CheckEvery %v is negative", cfg.Budgets.CheckEvery)
+	}
 	cfg.Budgets = cfg.Budgets.normalize()
 	if cfg.BundleMinInterval == 0 {
 		cfg.BundleMinInterval = DefaultBundleMinInterval
@@ -268,38 +276,27 @@ func (r *Recorder) SetConfigInfo(v any) {
 	}
 }
 
-// Attach arms the watchdog with the service's probes and starts the
-// monitor goroutine. One service per recorder: a second Attach
-// replaces the first (stopping its monitor).
-func (r *Recorder) Attach(src Sources) {
+// Attach stores the service's probes for Judge and the bundler and
+// returns the period at which the service should call Judge
+// (Budgets.CheckEvery). One service per recorder: a second Attach
+// replaces the first, and Judge's accumulations start over.
+func (r *Recorder) Attach(src Sources) time.Duration {
 	if r == nil {
-		return
+		return 0
 	}
-	r.Detach()
-	r.srcMu.Lock()
-	r.src = src
-	r.quit = make(chan struct{})
-	r.done = make(chan struct{})
-	quit, done := r.quit, r.done
-	r.srcMu.Unlock()
-	go r.monitor(src, quit, done)
+	r.src.Store(&src)
+	r.lastJudge, r.queueHot, r.frameBase = time.Time{}, map[int]time.Duration{}, r.frameErrors()
+	return r.cfg.Budgets.CheckEvery
 }
 
-// Detach stops the monitor and resets the health state: with no
-// service to observe there is nothing to judge.
+// Detach clears the probes and resets the health state: with no service
+// to observe there is nothing to judge. The caller stops calling Judge
+// first.
 func (r *Recorder) Detach() {
 	if r == nil {
 		return
 	}
-	r.srcMu.Lock()
-	quit, done := r.quit, r.done
-	r.quit, r.done = nil, nil
-	r.src = Sources{}
-	r.srcMu.Unlock()
-	if quit != nil {
-		close(quit)
-		<-done
-	}
+	r.src.Store(nil)
 	r.setState(Healthy, "")
 }
 
@@ -310,90 +307,91 @@ func (r *Recorder) setState(h Health, why string) {
 	r.state.Store(int32(h))
 }
 
-// monitor is the watchdog loop: every CheckEvery it probes the shard
-// heartbeats and the journal's frame-error counters, judges the node
-// against the budgets, journals transitions, captures a bundle when
-// the state worsens, and only then publishes the new state.
-func (r *Recorder) monitor(src Sources, quit <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	b := r.cfg.Budgets
-	tick := time.NewTicker(b.CheckEvery)
-	defer tick.Stop()
+// frameErrors counts the reswire subsystem's warn and error events, the
+// frame-error burst rule's input.
+func (r *Recorder) frameErrors() uint64 {
+	return r.journal.SubsysCount("reswire", Warn) + r.journal.SubsysCount("reswire", Error)
+}
 
-	// Per-shard accumulation of how long the queue has been >= 3/4
-	// full, and the frame-error baseline for the burst rule.
-	queueHot := map[int]time.Duration{}
-	frameBase := r.journal.SubsysCount("reswire", Warn) + r.journal.SubsysCount("reswire", Error)
-
-	for {
-		select {
-		case <-quit:
-			return
-		case <-tick.C:
-		}
-		now := time.Now()
-		worst := Healthy
-		var reasons []string
-		note := func(h Health, format string, args ...any) {
-			if h > worst {
-				worst = h
-			}
-			reasons = append(reasons, fmt.Sprintf(format, args...))
-		}
-
-		if src.Shards != nil {
-			for _, p := range src.Shards() {
-				if !p.BusySince.IsZero() {
-					if d := now.Sub(p.BusySince); d > b.StallAfter && b.StallAfter > 0 {
-						note(Stalled, "shard %d stuck inside one batch turn for %v", p.Shard, d.Round(time.Millisecond))
-					}
-				} else if p.QueueLen > 0 && !p.LastTurn.IsZero() && b.StallAfter > 0 {
-					if d := now.Sub(p.LastTurn); d > b.StallAfter {
-						note(Stalled, "shard %d has %d queued requests and no turn for %v", p.Shard, p.QueueLen, d.Round(time.Millisecond))
-					}
-				}
-				if b.QueueFullFor > 0 && p.QueueCap > 0 && p.QueueLen*4 >= p.QueueCap*3 {
-					queueHot[p.Shard] += b.CheckEvery
-					if queueHot[p.Shard] >= b.QueueFullFor {
-						note(Degraded, "shard %d queue at %d/%d for %v", p.Shard, p.QueueLen, p.QueueCap, queueHot[p.Shard])
-					}
-				} else {
-					queueHot[p.Shard] = 0
-				}
-				if b.FsyncP99 > 0 && p.FsyncP99 > b.FsyncP99 {
-					note(Degraded, "shard %d wal fsync p99 %v over budget %v", p.Shard, p.FsyncP99.Round(time.Millisecond), b.FsyncP99)
-				}
-			}
-		}
-		if b.FrameErrorBurst > 0 {
-			cur := r.journal.SubsysCount("reswire", Warn) + r.journal.SubsysCount("reswire", Error)
-			if burst := cur - frameBase; burst > uint64(b.FrameErrorBurst) {
-				note(Degraded, "%d wire frame errors inside one %v window", burst, b.CheckEvery)
-			}
-			frameBase = cur
-		}
-
-		// Only this goroutine writes the state while attached, so the
-		// transition is judged here and published last: a reader that
-		// sees a worsened state finds its journal entry and its bundle
-		// already written.
-		old := r.State()
-		why := strings.Join(reasons, "; ")
-		if worst != old {
-			sev := Info
-			if worst > Healthy {
-				sev = Warn
-			}
-			msg := "health state changed"
-			if worst == Healthy {
-				msg = "health recovered"
-			}
-			r.journal.Record(sev, "flight", -1, msg,
-				KV{"from", old.String()}, KV{"to", worst.String()}, KV{"why", why})
-			if worst > old {
-				r.autoCapture("watchdog:"+worst.String(), worst, why)
-			}
-		}
-		r.setState(worst, why)
+// Judge is one pass of the watchdog at now: it reads the attached shard
+// probes and the journal's frame-error count, judges the node against
+// the budgets, journals a transition, captures a bundle when the state
+// worsens, and only then publishes the new state. A queue's time at
+// >= 3/4 capacity is the time measured between the Judge calls that saw
+// it there. One goroutine calls Judge at a time — resd's sampler, every
+// CheckEvery, or a test at explicit instants; without attached probes it
+// does nothing.
+func (r *Recorder) Judge(now time.Time) {
+	src := r.src.Load()
+	if src == nil {
+		return
 	}
+	b := r.cfg.Budgets
+	var elapsed time.Duration
+	if !r.lastJudge.IsZero() && now.After(r.lastJudge) {
+		elapsed = now.Sub(r.lastJudge)
+	}
+	r.lastJudge = now
+
+	worst := Healthy
+	var reasons []string
+	note := func(h Health, format string, args ...any) {
+		if h > worst {
+			worst = h
+		}
+		reasons = append(reasons, fmt.Sprintf(format, args...))
+	}
+	if src.Shards != nil {
+		for _, p := range src.Shards() {
+			if !p.BusySince.IsZero() {
+				if d := now.Sub(p.BusySince); d > b.StallAfter && b.StallAfter > 0 {
+					note(Stalled, "shard %d stuck inside one batch turn for %v", p.Shard, d.Round(time.Millisecond))
+				}
+			} else if p.QueueLen > 0 && !p.LastTurn.IsZero() && b.StallAfter > 0 {
+				if d := now.Sub(p.LastTurn); d > b.StallAfter {
+					note(Stalled, "shard %d has %d queued requests and no turn for %v", p.Shard, p.QueueLen, d.Round(time.Millisecond))
+				}
+			}
+			if b.QueueFullFor > 0 && p.QueueCap > 0 && p.QueueLen*4 >= p.QueueCap*3 {
+				r.queueHot[p.Shard] += elapsed
+				if r.queueHot[p.Shard] >= b.QueueFullFor {
+					note(Degraded, "shard %d queue at %d/%d for %v", p.Shard, p.QueueLen, p.QueueCap, r.queueHot[p.Shard])
+				}
+			} else {
+				r.queueHot[p.Shard] = 0
+			}
+			if b.FsyncP99 > 0 && p.FsyncP99 > b.FsyncP99 {
+				note(Degraded, "shard %d wal fsync p99 %v over budget %v", p.Shard, p.FsyncP99.Round(time.Millisecond), b.FsyncP99)
+			}
+		}
+	}
+	if b.FrameErrorBurst > 0 {
+		cur := r.frameErrors()
+		if burst := cur - r.frameBase; burst > uint64(b.FrameErrorBurst) {
+			note(Degraded, "%d wire frame errors inside one %v window", burst, b.CheckEvery)
+		}
+		r.frameBase = cur
+	}
+
+	// Only Judge writes the state while attached, so the transition is
+	// judged here and published last: a reader that sees a worsened state
+	// finds its journal entry and its bundle already written.
+	old := r.State()
+	why := strings.Join(reasons, "; ")
+	if worst != old {
+		sev := Info
+		if worst > Healthy {
+			sev = Warn
+		}
+		msg := "health state changed"
+		if worst == Healthy {
+			msg = "health recovered"
+		}
+		r.journal.Record(sev, "flight", -1, msg,
+			KV{"from", old.String()}, KV{"to", worst.String()}, KV{"why", why})
+		if worst > old {
+			r.autoCapture("watchdog:"+worst.String(), worst, why)
+		}
+	}
+	r.setState(worst, why)
 }

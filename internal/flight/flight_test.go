@@ -148,27 +148,14 @@ func TestQueueCloseNonBlocking(t *testing.T) {
 	nq.Close()
 }
 
-// probeSource is a controllable Sources.Shards for watchdog tests.
-type probeSource struct {
-	mu    sync.Mutex
-	probe ShardProbe
-}
-
-func (p *probeSource) set(sp ShardProbe) { p.mu.Lock(); p.probe = sp; p.mu.Unlock() }
-func (p *probeSource) get() []ShardProbe {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return []ShardProbe{p.probe}
-}
-
-func waitState(t *testing.T, r *Recorder, want Health) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for r.State() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("state = %v, want %v (warning %q)", r.State(), want, r.Warning())
-		}
-		time.Sleep(time.Millisecond)
+// judgeAt attaches one shard's probe and returns the crank that sets
+// it and judges at an explicit instant.
+func judgeAt(r *Recorder) func(at time.Time, p ShardProbe) {
+	var probe ShardProbe
+	r.Attach(Sources{Shards: func() []ShardProbe { return []ShardProbe{probe} }})
+	return func(at time.Time, p ShardProbe) {
+		probe = p
+		r.Judge(at)
 	}
 }
 
@@ -178,27 +165,33 @@ func waitState(t *testing.T, r *Recorder, want Health) {
 func TestWatchdogTransitions(t *testing.T) {
 	dir := t.TempDir()
 	r, err := New(Config{Dir: dir, Budgets: Budgets{
-		CheckEvery: 2 * time.Millisecond, StallAfter: 10 * time.Millisecond,
+		StallAfter:   10 * time.Millisecond,
 		QueueFullFor: -1, FsyncP99: -1, FrameErrorBurst: -1,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &probeSource{}
-	src.set(ShardProbe{Shard: 0, LastTurn: time.Now()})
-	r.Attach(Sources{Shards: src.get})
+	judge := judgeAt(r)
 	defer r.Detach()
+	t0 := time.Now()
 
-	waitOK := time.Now().Add(50 * time.Millisecond)
-	for time.Now().Before(waitOK) {
+	for i := 0; i < 5; i++ {
+		at := t0.Add(time.Duration(i) * 5 * time.Millisecond)
+		judge(at, ShardProbe{Shard: 0, LastTurn: at})
 		if r.State() != Healthy {
 			t.Fatalf("healthy probe judged %v: %s", r.State(), r.Warning())
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-
-	src.set(ShardProbe{Shard: 0, BusySince: time.Now().Add(-time.Second)})
-	waitState(t, r, Stalled)
+	// Inside one turn for 10ms is within the budget; 11ms is past it.
+	busy := t0.Add(time.Second)
+	judge(busy.Add(10*time.Millisecond), ShardProbe{Shard: 0, BusySince: busy})
+	if r.State() != Healthy {
+		t.Fatalf("a turn at its stall budget judged %v", r.State())
+	}
+	judge(busy.Add(11*time.Millisecond), ShardProbe{Shard: 0, BusySince: busy})
+	if r.State() != Stalled {
+		t.Fatalf("state = %v, want stalled (warning %q)", r.State(), r.Warning())
+	}
 	if w := r.Warning(); !strings.Contains(w, "shard 0") {
 		t.Errorf("warning %q does not name the shard", w)
 	}
@@ -220,8 +213,18 @@ func TestWatchdogTransitions(t *testing.T) {
 		t.Errorf("manifest records state %v warning %q, want the stall naming shard 0", man.State, man.Warning)
 	}
 
-	src.set(ShardProbe{Shard: 0, LastTurn: time.Now()})
-	waitState(t, r, Healthy)
+	// A queued request with no turn since LastTurn stalls the node too.
+	idle := t0.Add(2 * time.Second)
+	judge(idle.Add(11*time.Millisecond), ShardProbe{Shard: 0, LastTurn: idle, QueueLen: 1})
+	if r.State() != Stalled || !strings.Contains(r.Warning(), "1 queued requests") {
+		t.Fatalf("queued without a turn: state %v warning %q, want stalled", r.State(), r.Warning())
+	}
+
+	end := t0.Add(3 * time.Second)
+	judge(end, ShardProbe{Shard: 0, LastTurn: end})
+	if r.State() != Healthy {
+		t.Fatalf("state = %v after recovery, want healthy", r.State())
+	}
 	if r.Warning() != "" {
 		t.Errorf("recovered but warning = %q", r.Warning())
 	}
@@ -249,19 +252,73 @@ func TestWatchdogTransitions(t *testing.T) {
 // node after QueueFullFor, and draining it recovers.
 func TestWatchdogQueueRunaway(t *testing.T) {
 	r, err := New(Config{Budgets: Budgets{
-		CheckEvery: 2 * time.Millisecond, QueueFullFor: 10 * time.Millisecond,
-		StallAfter: -1, FsyncP99: -1, FrameErrorBurst: -1,
+		QueueFullFor: 10 * time.Millisecond,
+		StallAfter:   -1, FsyncP99: -1, FrameErrorBurst: -1,
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &probeSource{}
-	src.set(ShardProbe{Shard: 0, LastTurn: time.Now(), QueueLen: 8, QueueCap: 8})
-	r.Attach(Sources{Shards: src.get})
+	judge := judgeAt(r)
 	defer r.Detach()
-	waitState(t, r, Degraded)
-	src.set(ShardProbe{Shard: 0, LastTurn: time.Now(), QueueLen: 0, QueueCap: 8})
-	waitState(t, r, Healthy)
+	t0 := time.Now()
+	full := ShardProbe{Shard: 0, LastTurn: t0, QueueLen: 8, QueueCap: 8}
+	for ms := 0; ms < 10; ms += 2 {
+		judge(t0.Add(time.Duration(ms)*time.Millisecond), full)
+		if r.State() != Healthy {
+			t.Fatalf("queue full for %dms judged %v, want healthy under a 10ms budget", ms, r.State())
+		}
+	}
+	judge(t0.Add(10*time.Millisecond), full)
+	if r.State() != Degraded {
+		t.Fatalf("queue full for 10ms judged %v, want degraded", r.State())
+	}
+	judge(t0.Add(12*time.Millisecond), ShardProbe{Shard: 0, LastTurn: t0, QueueLen: 0, QueueCap: 8})
+	if r.State() != Healthy {
+		t.Fatalf("drained queue judged %v, want healthy", r.State())
+	}
+	// Draining reset the clock: full again, the budget starts over.
+	judge(t0.Add(14*time.Millisecond), full)
+	judge(t0.Add(20*time.Millisecond), full)
+	if r.State() != Healthy {
+		t.Fatalf("queue full again for 6ms judged %v, want healthy", r.State())
+	}
+}
+
+// TestWatchdogQueueFullMeasuresTime: the queue-full rule counts the time
+// measured between Judge calls, not one CheckEvery per call — two calls a
+// second apart are a second of full queue.
+func TestWatchdogQueueFullMeasuresTime(t *testing.T) {
+	r, err := New(Config{Budgets: Budgets{
+		QueueFullFor: time.Second,
+		StallAfter:   -1, FsyncP99: -1, FrameErrorBurst: -1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	judge := judgeAt(r)
+	defer r.Detach()
+	t0 := time.Now()
+	full := ShardProbe{Shard: 0, LastTurn: t0, QueueLen: 8, QueueCap: 8}
+	judge(t0, full)
+	judge(t0.Add(time.Second), full)
+	if r.State() != Degraded || !strings.Contains(r.Warning(), "for 1s") {
+		t.Fatalf("state %v warning %q, want degraded after 1s of full queue", r.State(), r.Warning())
+	}
+}
+
+// TestNegativeCheckEveryRefused: CheckEvery is a period, not a rule, so
+// a negative one is a configuration error rather than a disabled rule.
+func TestNegativeCheckEveryRefused(t *testing.T) {
+	if _, err := New(Config{Budgets: Budgets{CheckEvery: -time.Second}}); err == nil {
+		t.Fatal("New accepted a negative CheckEvery")
+	}
+	r, err := New(Config{Budgets: Budgets{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if every := r.Attach(Sources{}); every != DefaultCheckEvery {
+		t.Fatalf("Attach returned period %v, want the default %v", every, DefaultCheckEvery)
+	}
 }
 
 // TestAutoCaptureRateLimit: a flapping watchdog trigger writes one
@@ -275,11 +332,15 @@ func TestAutoCaptureRateLimit(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		r.autoCapture("flap", Degraded, "flapping")
 	}
+	// Every automatic trigger shares the one limit.
+	if name := r.AutoCapture("slo page"); name != "" {
+		t.Fatalf("AutoCapture wrote %s inside the watchdog's interval", name)
+	}
 	if got := r.Bundles(); len(got) != 1 {
 		t.Fatalf("20 flaps wrote %d bundles, want 1", len(got))
 	}
-	if r.rateLimited.Load() != 19 {
-		t.Errorf("rateLimited = %d, want 19", r.rateLimited.Load())
+	if r.rateLimited.Load() != 20 {
+		t.Errorf("rateLimited = %d, want 20", r.rateLimited.Load())
 	}
 	// On-demand capture is never rate-limited.
 	if _, err := r.Capture("operator"); err != nil {

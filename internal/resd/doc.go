@@ -333,10 +333,10 @@
 // Request level, on the caller's goroutine, because a single request's
 // placement walk can collect deadline rejections on several shards
 // before one admits it, so summing per-shard counters would over-count
-// — and binds those books plus the merged slack and turn-latency
-// histograms to the engine; the engine snapshots them on its own
-// ticker, never queueing a request on a shard. Tenant-scoped objectives
-// carry a tenant label:
+// — and hands the engine one source reading those books plus the
+// merged slack and turn-latency histograms; the service's sampler ticks
+// the engine, which never queues a request on a shard. Tenant-scoped
+// objectives carry a tenant label:
 //
 //	resd_slo_attainment{objective}               gauge    good fraction over the budget window
 //	resd_slo_error_budget_remaining{objective}   gauge    1 − errors/budget; negative = overspent
@@ -370,11 +370,20 @@
 // when it begins, last-beat when its replies are released — and New hands
 // the recorder a probe function that snapshots those stamps, the shard's
 // queue depth (callers waiting for it), and the WAL fsync
-// p99 for every shard, all from published atomics; the watchdog's
-// monitor goroutine polls the probes on its own schedule and never
-// waits on a shard. A turn wedged past the stall budget (or a
-// backed-up queue no turn is draining) drives the node health
-// healthy → degraded → stalled, each transition journaled, surfaced on
+// p99 for every shard, all from published atomics.
+//
+// One goroutine judges the node: the service's sampler, started by New
+// when ObsConfig.Flight or ObsConfig.SLO is set and stopped first by
+// Close. It ticks at the shorter of the recorder's CheckEvery and the
+// engine's Period and runs each judge — the recorder's Judge, the
+// engine's Tick — on the first tick at or after that judge's due
+// instant, so each keeps its own cadence without drifting. Both judges
+// are passive: they read published atomics when called and keep no
+// goroutine or clock of their own, and the sampler never waits on a
+// shard, so it judges a wedged one.
+//
+// A turn wedged past the stall budget (or a backed-up queue no turn is
+// draining) drives the node health healthy → degraded → stalled, each transition journaled, surfaced on
 // /healthz as a warning and as the resd_health_state gauge, and — on
 // worsening — captured as an on-disk diagnostic bundle (goroutine dump,
 // heap profile, metrics snapshot, journal tail, node snapshot, effective

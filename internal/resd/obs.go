@@ -41,17 +41,16 @@ type ObsConfig struct {
 	// Flight attaches the node's flight recorder: the service journals
 	// operational events (replay verdicts, WAL damage, quota overflow,
 	// slow turns) through it, every shard publishes heartbeats from its
-	// turns, and New arms the recorder's watchdog with the service's
-	// probes (Close disarms it). Nil disables flight recording; see
-	// internal/flight.
+	// turns, New attaches the shard probes, and the service's sampler
+	// calls the recorder's Judge every Budgets.CheckEvery until Close.
+	// Nil disables flight recording; see internal/flight.
 	Flight *flight.Recorder
-	// SLO, when non-nil, arms the error-budget engine against the
-	// service: New binds a CounterSource to every objective the spec
-	// declares (deadline_attainment service-wide and per named tenant,
-	// error_rate, slack under its bound), routes the slack and
-	// turn-latency histograms through the engine's snapshot ring for
-	// windowed percentiles, and starts the tick loop; Close stops it.
-	// The engine should be built over the same Registry and the flight
+	// SLO, when non-nil, attaches the error-budget engine to the
+	// service: New hands it one source that reads the request-level
+	// decision counts (service-wide and per tenant a deadline objective
+	// names) and the merged slack and turn-latency histograms, and the
+	// same sampler ticks the engine every spec period until Close. The
+	// engine should be built over the same Registry and the flight
 	// recorder's journal so its families and transition events land
 	// beside the service's own. See internal/slo.
 	SLO *slo.Engine

@@ -249,19 +249,22 @@ type Service struct {
 
 	// flight is the attached flight recorder and journal its event
 	// journal (both nil when ObsConfig.Flight is unset). New attaches the
-	// recorder's watchdog to the shard heartbeats; Close detaches it
-	// before the shards close so the monitor never reads a dead service.
+	// recorder to the shard heartbeats.
 	flight  *flight.Recorder
 	journal *flight.Journal
 
-	// slo is the armed SLO engine and sloBook its request-level decision
-	// counters (both nil when ObsConfig.SLO is unset). New binds every
-	// objective and starts the engine; Close stops it. The book is
-	// written by Admit on caller goroutines — see internal/resd/slo.go
+	// slo is the attached SLO engine and sloBook its request-level
+	// decision counters (both nil when ObsConfig.SLO is unset). The book
+	// is written by Admit on caller goroutines — see internal/resd/slo.go
 	// for why the per-shard counters cannot serve the deadline
 	// objectives.
 	slo     *slo.Engine
 	sloBook *sloBook
+
+	// sampler judges the node with the recorder and the engine (nil
+	// when neither is set). Close stops it before the shards close, so
+	// neither judges a service shutting down.
+	sampler *sampler
 
 	// walInfo records what WAL recovery found and did at New (zero when
 	// the service runs without a WAL).
@@ -337,15 +340,17 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Obs != nil {
 		s.registerObs()
 	}
+	var judges []judge
 	if cfg.Obs != nil && cfg.Obs.SLO != nil {
 		if err := s.attachSLO(cfg.Obs.SLO); err != nil {
 			s.Close()
 			return nil, err
 		}
+		judges = append(judges, judge{s.slo.Period(), s.slo.Tick})
 	}
 	if s.flight != nil {
 		// After attachSLO: a bundle's Node reads s.slo.
-		s.flight.Attach(flight.Sources{
+		every := s.flight.Attach(flight.Sources{
 			Shards: s.flightProbes,
 			Traces: func() any { return s.Traces(0) },
 			Node: func() any {
@@ -355,13 +360,79 @@ func New(cfg Config) (*Service, error) {
 				}{s.walInfo, s.Node()}
 			},
 		})
+		judges = append(judges, judge{every, s.flight.Judge})
+	}
+	if len(judges) > 0 {
+		s.sampler = startSampler(judges)
 	}
 	return s, nil
 }
 
+// judge is one passive judge of the node and the period it asks to be
+// run at: the flight recorder's Judge every CheckEvery, the SLO engine's
+// Tick every Period.
+type judge struct {
+	every time.Duration
+	run   func(now time.Time)
+}
+
+// sampler is the one goroutine that runs the judges. It ticks at the
+// shortest period and runs each judge on the first tick at or after its
+// due instant; the next due instant is the previous one plus the judge's
+// period (past any it overran), so no cadence drifts and none runs more
+// often than its period asks. The judges read published atomics only and
+// the sampler sends no request to a shard, so it judges a wedged one.
+type sampler struct {
+	stop, done chan struct{}
+}
+
+func startSampler(judges []judge) *sampler {
+	sp := &sampler{stop: make(chan struct{}), done: make(chan struct{})}
+	go sp.loop(judges)
+	return sp
+}
+
+func (sp *sampler) loop(judges []judge) {
+	defer close(sp.done)
+	every := judges[0].every
+	due := make([]time.Time, len(judges))
+	start := time.Now()
+	for i, j := range judges {
+		every = min(every, j.every)
+		due[i] = start.Add(j.every)
+	}
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-sp.stop:
+			return
+		case <-tick.C:
+		}
+		now := time.Now()
+		for i, j := range judges {
+			if now.Before(due[i]) {
+				continue
+			}
+			j.run(now)
+			for !due[i].After(now) {
+				due[i] = due[i].Add(j.every)
+			}
+		}
+	}
+}
+
+// close stops the sampler and waits out its last pass. Safe on nil.
+func (sp *sampler) close() {
+	if sp != nil {
+		close(sp.stop)
+		<-sp.done
+	}
+}
+
 // flightProbes snapshots every shard's heartbeat for the flight
-// watchdog: published atomics only, no request to the shard — the
-// monitor can probe a wedged one.
+// watchdog: published atomics only, no request to the shard — Judge can
+// probe a wedged one.
 func (s *Service) flightProbes() []flight.ShardProbe {
 	out := make([]flight.ShardProbe, len(s.shards))
 	for i, sh := range s.shards {
@@ -677,17 +748,12 @@ func (s *Service) Stats() []ShardStats {
 // for the shard's lock when the closing turn runs gets ErrClosed. Every
 // later request fails with ErrClosed.
 func (s *Service) Close() {
-	if s.slo != nil {
-		// Stop the SLO ticks first: the engine only reads published
-		// atomics, but a tick racing shutdown could journal a spurious
-		// transition from a half-drained service.
-		s.slo.Stop()
-	}
-	if s.flight != nil {
-		// Stop the watchdog before the shards close, so shutdown is never
-		// judged a stall.
-		s.flight.Detach()
-	}
+	// Stop judging first: a pass racing shutdown could judge a closing
+	// shard stalled or journal a spurious SLO transition from a
+	// half-drained service. Detach then clears the recorder's health, so
+	// it can serve a later service.
+	s.sampler.close()
+	s.flight.Detach()
 	for _, sh := range s.shards {
 		sh.do(request{kind: opClose})
 	}

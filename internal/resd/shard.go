@@ -17,6 +17,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/profile"
+	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/wal"
 )
@@ -114,7 +115,11 @@ type tenantCell struct {
 	acct  *tenant.Account
 	stats TenantStats // CommittedArea and SlackP99 are rendered from area and slack on read
 	area  areaSum
-	slack slackHist
+	// slack holds the tenant's start-time slacks (start − ready, ticks)
+	// in exponential buckets: its quantile is the bucket's upper bound,
+	// at least the true one and under twice it, and MaxInt64 (that is,
+	// core.Infinity) past the top — the fidelity of the obs summaries.
+	slack stats.ExpHist
 }
 
 // cell resolves a tenant name to its cell, creating the cell on first
@@ -653,7 +658,7 @@ func (sh *shard) apply(r *request) response {
 		for i, c := range sh.cells {
 			out[i] = tenantRow{c.name, c.stats}
 			out[i].CommittedArea = c.area.sat()
-			out[i].SlackP99 = c.slack.p99()
+			out[i].SlackP99 = core.Time(c.slack.Quantile(0.99))
 		}
 		return response{tstats: out}
 	case opDump:
@@ -719,7 +724,7 @@ func (sh *shard) reserve(r *request) response {
 	// be pushed — is the per-admission SLO sample surfaced as p99 in
 	// ShardStats and per tenant in TenantStats.
 	sh.slack.Observe(int64(start - r.ready))
-	c.slack.add(start - r.ready)
+	c.slack.Add(int64(start - r.ready))
 	sh.admitted.Add(1)
 	return response{resv: Reservation{ID: id, Shard: sh.id, Start: start, Dur: r.dur, Procs: r.q}}
 }

@@ -4,44 +4,49 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
+// TestSlackHist checks the tenant cell's slack histogram as TenantStats
+// reads it: the p99 is a bucket's upper bound.
 func TestSlackHist(t *testing.T) {
-	var h slackHist
-	if h.p99() != 0 {
-		t.Fatalf("empty hist p99 = %v", h.p99())
+	p99 := func(c *tenantCell) core.Time { return core.Time(c.slack.Quantile(0.99)) }
+	add := func(c *tenantCell, slack core.Time) { c.slack.Add(int64(slack)) }
+	var h tenantCell
+	if p99(&h) != 0 {
+		t.Fatalf("empty hist p99 = %v", p99(&h))
 	}
-	h.add(0)
-	if h.p99() != 0 {
-		t.Fatalf("all-zero hist p99 = %v", h.p99())
+	add(&h, 0)
+	if p99(&h) != 0 {
+		t.Fatalf("all-zero hist p99 = %v", p99(&h))
 	}
 	// One large sample among fifty zeros is ~2% of the stream: the p99
 	// rank lands on it.
 	for i := 0; i < 49; i++ {
-		h.add(0)
+		add(&h, 0)
 	}
-	h.add(1000) // bucket 10: [512, 1024)
-	if got := h.p99(); got != 1023 {
+	add(&h, 1000) // bucket 10: [512, 1024)
+	if got := p99(&h); got != 1023 {
 		t.Fatalf("p99 = %v, want 1023 (bucket upper bound)", got)
 	}
 	// A much rarer outlier — one in several hundred — stays below the p99
 	// rank and must not be reported.
 	for i := 0; i < 450; i++ {
-		h.add(0)
+		add(&h, 0)
 	}
-	if got := h.p99(); got != 0 {
+	if got := p99(&h); got != 0 {
 		t.Fatalf("p99 with a sub-1%% outlier = %v, want 0", got)
 	}
 	// The estimate brackets the truth: at least the true p99, under 2×.
-	var g slackHist
+	var g tenantCell
 	for i := 0; i < 100; i++ {
-		g.add(5)
+		add(&g, 5)
 	}
-	if got := g.p99(); got < 5 || got > 11 {
+	if got := p99(&g); got < 5 || got > 11 {
 		t.Fatalf("p99 of constant 5 = %v, want within [5, 2·5+1]", got)
 	}
-	if bucketUpper(64) != core.Infinity {
-		t.Fatalf("top bucket upper = %v", bucketUpper(64))
+	if top := core.Time(stats.ExpBucketUpper(64)); top != core.Infinity {
+		t.Fatalf("top bucket upper = %v", top)
 	}
 }
 

@@ -1,7 +1,6 @@
 package resd
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -83,88 +82,47 @@ func (b *sloBook) tenantAttainment(ten string) (good, total uint64, ok bool) {
 	return good, good + c.dlRejected.Load(), true
 }
 
-// attachSLO arms ObsConfig.SLO against the service: a CounterSource per
-// objective, the slack and turn-latency histograms routed through the
-// engine's snapshot ring, then Start. Called from New after the shards
-// exist; Close stops the engine.
+// attachSLO arms ObsConfig.SLO against the service: a book with a cell
+// per tenant a deadline objective is scoped to, read by the engine
+// through readSLO. Called from New after the shards exist; the sampler
+// ticks the engine from then on.
 func (s *Service) attachSLO(e *slo.Engine) error {
 	book := &sloBook{tenants: make(map[string]*sloCell)}
 	for _, o := range e.Objectives() {
-		var src slo.CounterSource
-		switch o.Signal {
-		case slo.DeadlineAttainment:
-			if o.Tenant == "" {
-				src = func() (uint64, uint64) {
-					good := book.dlAdmitted.Load()
-					return good, good + book.dlRejected.Load()
-				}
-			} else {
-				cell := book.tenants[o.Tenant]
-				if cell == nil {
-					cell = new(sloCell)
-					book.tenants[o.Tenant] = cell
-				}
-				src = func() (uint64, uint64) {
-					good := cell.dlAdmitted.Load()
-					return good, good + cell.dlRejected.Load()
-				}
-			}
-		case slo.ErrorRate:
-			src = func() (uint64, uint64) {
-				good := book.admitted.Load()
-				return good, good + book.rejected.Load()
-			}
-		case slo.Slack:
-			bound := o.Bound
-			slackSrc := s.mergedHist(func(sh *shard) *obs.Histogram { return sh.slack })
-			src = func() (uint64, uint64) {
-				var merged [stats.ExpBuckets]uint64
-				total := slackSrc(&merged)
-				return slo.GoodUnderBound(&merged, bound), total
-			}
-		default:
-			return fmt.Errorf("%w: objective %q has unsupported signal %q", ErrBadRequest, o.Name, o.Signal)
-		}
-		if err := e.Bind(o.Name, src); err != nil {
-			return err
-		}
-	}
-	// Windowed percentiles for the cumulative summaries: the engine's
-	// ring answers "slack over the last budget window", which the
-	// process-lifetime families cannot.
-	if err := e.TrackHistogram("resd_slack_ticks",
-		s.mergedHist(func(sh *shard) *obs.Histogram { return sh.slack })); err != nil {
-		return err
-	}
-	if s.shards[0].turnNs != nil {
-		if err := e.TrackHistogram("resd_loop_turn_ns",
-			s.mergedHist(func(sh *shard) *obs.Histogram { return sh.turnNs })); err != nil {
-			return err
+		if o.Signal == slo.DeadlineAttainment && o.Tenant != "" && book.tenants[o.Tenant] == nil {
+			book.tenants[o.Tenant] = new(sloCell)
 		}
 	}
 	s.sloBook = book
 	s.slo = e
-	return e.Start()
+	return e.Attach(s.readSLO)
 }
 
-// mergedHist sums one per-shard histogram's buckets across every shard:
-// the service-wide cumulative snapshot the engine's ring deltas. Pure
-// atomic loads, same contract as a scrape.
-func (s *Service) mergedHist(pick func(*shard) *obs.Histogram) slo.HistSource {
-	return func(dst *[stats.ExpBuckets]uint64) uint64 {
-		var total uint64
-		*dst = [stats.ExpBuckets]uint64{}
-		for _, sh := range s.shards {
-			var snap [stats.ExpBuckets]uint64
-			total += pick(sh).Snapshot(&snap)
-			for b := range dst {
-				dst[b] += snap[b]
-			}
-		}
-		return total
+// readSLO is the engine's source: the book's counts and the slack and
+// turn-latency histograms summed across shards. Pure atomic loads, same
+// contract as a scrape.
+func (s *Service) readSLO(smp *slo.Sample) {
+	b := s.sloBook
+	smp.Admitted, smp.Rejected = b.admitted.Load(), b.rejected.Load()
+	smp.DeadlineAdmitted, smp.DeadlineRejected = b.dlAdmitted.Load(), b.dlRejected.Load()
+	for ten, c := range b.tenants {
+		smp.TenantDeadline[ten] = [2]uint64{c.dlAdmitted.Load(), c.dlRejected.Load()}
+	}
+	s.mergeHist(&smp.Slack, func(sh *shard) *obs.Histogram { return sh.slack })
+	if smp.TurnsTimed = s.shards[0].turnNs != nil; smp.TurnsTimed {
+		s.mergeHist(&smp.LoopTurn, func(sh *shard) *obs.Histogram { return sh.turnNs })
 	}
 }
 
-// SLO returns the armed engine, or nil when the service runs without
-// one — what resdsrv hands to the wire server and /healthz.
-func (s *Service) SLO() *slo.Engine { return s.slo }
+// mergeHist sums one per-shard histogram's buckets across every shard
+// into dst.
+func (s *Service) mergeHist(dst *[stats.ExpBuckets]uint64, pick func(*shard) *obs.Histogram) {
+	*dst = [stats.ExpBuckets]uint64{}
+	var snap [stats.ExpBuckets]uint64
+	for _, sh := range s.shards {
+		pick(sh).Snapshot(&snap)
+		for b := range dst {
+			dst[b] += snap[b]
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package resd
 
 import (
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,5 +162,80 @@ func TestSLOWindowedSlack(t *testing.T) {
 			t.Fatal("windowed slack percentiles never became available")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// samplerGoroutines counts the goroutines startSampler created that have
+// not exited (started or not: a runnable one's trace names only its
+// creator).
+func samplerGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by repro/internal/resd.startSampler")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestSamplerCadenceAndClose: a service with both judges armed runs one
+// judging goroutine, which Close stops; and a judge whose period is
+// longer than the sampler's tick runs no more often than its period.
+func TestSamplerCadenceAndClose(t *testing.T) {
+	before := samplerGoroutines()
+	rec, err := flight.New(flight.Config{Budgets: flight.Budgets{CheckEvery: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := slo.New(slo.Config{Spec: sloDrillSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(Config{M: 4, Obs: &ObsConfig{Flight: rec, SLO: eng}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := samplerGoroutines() - before; n != 1 {
+		t.Fatalf("a service with a recorder and an engine runs %d judging goroutines, want 1", n)
+	}
+	svc.Close()
+	select {
+	case <-svc.sampler.done:
+	default:
+		t.Fatal("Close returned with the sampler still running")
+	}
+	for deadline := time.Now().Add(5 * time.Second); samplerGoroutines() != before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sampler goroutines after Close, want %d", samplerGoroutines(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The recorder's 1ms against the engine's 20ms: the sampler ticks
+	// every millisecond, and the slow judge runs once per period at most.
+	const period = 20 * time.Millisecond
+	var fast atomic.Int64
+	var slow []time.Time // written by the sampler, read after close
+	start := time.Now()
+	sp := startSampler([]judge{
+		{time.Millisecond, func(time.Time) { fast.Add(1) }},
+		{period, func(now time.Time) { slow = append(slow, now) }},
+	})
+	for fast.Load() < 100 && time.Since(start) < 10*time.Second {
+		time.Sleep(time.Millisecond)
+	}
+	sp.close()
+	elapsed := time.Since(start)
+	ran := fast.Load()
+	if max := int(elapsed/period) + 1; len(slow) == 0 || len(slow) > max {
+		t.Fatalf("the %v judge ran %d times in %v, want 1..%d", period, len(slow), elapsed, max)
+	}
+	if int(ran) <= len(slow) {
+		t.Fatalf("the 1ms judge ran %d times, the %v one %d", ran, period, len(slow))
+	}
+	time.Sleep(5 * time.Millisecond)
+	if fast.Load() != ran {
+		t.Fatal("a judge ran after the sampler closed")
 	}
 }

@@ -7,14 +7,20 @@
 // # Windowed aggregation without touching the hot path
 //
 // Everything resd publishes is cumulative: lock-free counters and
-// exponential-histogram buckets bumped by the shards' combiners and read by
-// scrapes. The engine never asks for more. Every Period it snapshots
-// each bound source into a stats.SnapRing; the difference between two
-// retained snapshots is the exact event count for the span between
-// them, so "the last 5 minutes" is pure arithmetic over copies — the
-// same no-request-to-a-shard contract as a /metrics scrape. The same
-// ring, at histogram-bucket width, fixes the process-lifetime-only
-// caveat on the slack and turn-latency summaries: TrackHistogram exposes
+// exponential-histogram buckets bumped by the shards' turns and read by
+// scrapes. The engine never asks for more. The service hands Attach one
+// source that fills a Sample — the request-level decision counts, each
+// tenant-scoped objective's deadline pair, the merged slack and
+// turn-latency bucket vectors — and then calls Tick every Period: resd
+// does both, from the one sampler goroutine that also calls the flight
+// recorder's Judge, and the engine runs no goroutine or clock of its
+// own. At each Tick the engine reads the source and snapshots every
+// objective's (good, total) pair into a stats.SnapRing; the difference
+// between two retained snapshots is the exact event count for the span
+// between them, so "the last 5 minutes" is pure arithmetic over copies
+// — the same no-request-to-a-shard contract as a /metrics scrape. The
+// same ring, at histogram-bucket width, fixes the process-lifetime-only
+// caveat on the slack and turn-latency summaries: Attach exposes
 // restart-free windowed percentiles as the <name>_window summary family.
 //
 // # Ring size
@@ -29,13 +35,13 @@
 // 2 162 × 24 B ≈ 52 KB and a histogram 362 × 528 B ≈ 191 KB: a
 // three-objective engine tracking resd's two histograms holds ≈ 0.51 MiB
 // of rings. A ring past 4 MiB is refused with ErrConfig — when the spec
-// is validated for an objective, by TrackHistogram for a histogram.
+// is validated for an objective, by Attach for a histogram.
 //
 // # Objectives
 //
 // Every objective reduces to a (good, total) event pair per window,
-// with Target the promised good fraction and 1−Target the error
-// budget:
+// read out of the Sample beside the Signal definitions, with Target the
+// promised good fraction and 1−Target the error budget:
 //
 //   - deadline_attainment — good = deadline-carrying admissions,
 //     total = those plus deadline rejections. Admission is the decision
@@ -76,8 +82,9 @@
 // (subsys "slo", severity mapped warn→Warn, page→Error, clear→Info),
 // raised as a /healthz warning while any objective is non-OK
 // (Engine.Warning), and handed to Config.OnAlert — which resdsrv wires
-// to a rate-limited flight-recorder bundle capture, so a page leaves a
-// diagnostic snapshot behind even when nobody is watching.
+// to the flight recorder's AutoCapture, under the rate limit the
+// watchdog's captures share, so a page leaves a diagnostic snapshot
+// behind even when nobody is watching.
 //
 // # Exposition
 //

@@ -34,8 +34,11 @@ func ringBytes(e *Engine) int {
 	return n
 }
 
+// timedTurns is a source for a service that times its turns and has
+// counted nothing yet.
+func timedTurns(s *Sample) { s.TurnsTimed = true }
+
 func TestEngineRingBytes(t *testing.T) {
-	var h1, h2 obs.Histogram
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -43,10 +46,7 @@ func TestEngineRingBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TrackHistogram("resd_slack_ticks", h1.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.TrackHistogram("resd_loop_turn_ns", h2.Snapshot); err != nil {
+	if err := e.Attach(timedTurns); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -60,7 +60,7 @@ func TestEngineRingBytes(t *testing.T) {
 	if got := ringBytes(e); got != want {
 		t.Fatalf("rings hold %d B, want %d (3 × %d × 24 B + 2 × %d × 528 B)", got, want, objSlots, histSlots)
 	}
-	// Everything New and TrackHistogram allocated — the rings, the
+	// Everything New and Attach allocated — the rings, the
 	// allocator's rounding of them and the engine's own few hundred
 	// bytes — stays within a quarter of the formula: the rings are the
 	// engine's cost, and no per-slot allocation hides beside them.
@@ -80,7 +80,7 @@ func TestRingByteBound(t *testing.T) {
 	if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "5184048 bytes") {
 		t.Fatalf("6h at 100ms: got %v, want ErrConfig naming 5184048 bytes", err)
 	}
-	// A histogram past the bound fails at TrackHistogram even when every
+	// A histogram past the bound fails at Attach even when every
 	// objective's ring fits: its ring is 65 values wide.
 	spec = Spec{Period: "400ms", BudgetWindow: "1h", Objectives: []ObjectiveSpec{{
 		Name: "success", Signal: "error_rate", Target: 0.5,
@@ -90,8 +90,7 @@ func TestRingByteBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h obs.Histogram
-	err = e.TrackHistogram("resd_slack_ticks", h.Snapshot)
+	err = e.Attach(timedTurns)
 	if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "4753056 bytes") {
 		t.Fatalf("histogram over 1h at 400ms: got %v, want ErrConfig naming 4753056 bytes", err)
 	}
@@ -99,7 +98,7 @@ func TestRingByteBound(t *testing.T) {
 	if e, err = New(Config{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TrackHistogram("resd_slack_ticks", h.Snapshot); err != nil {
+	if err := e.Attach(timedTurns); err != nil {
 		t.Fatalf("histogram over 1h at 1s (%d B): %v", 3602*528, err)
 	}
 }
@@ -120,23 +119,26 @@ func TestEngineAnswersMatchLongestWindowRings(t *testing.T) {
 		Name: "short", Signal: "error_rate", Target: 0.8,
 		Rules: []RuleSpec{{Severity: "page", Burn: 2, Short: "1m", Long: "20m"}},
 	})
-	counters := make([]fakeCounters, len(spec.Objectives))
+	// The deadline and error-rate pairs, then the slack and turn-latency
+	// histograms: everything a Sample carries.
+	var counters [2]fakeCounters
 	hists := []string{"resd_slack_ticks", "resd_loop_turn_ns"}
 	histSrc := make([]obs.Histogram, len(hists))
+	src := func(s *Sample) {
+		counters[0].deadline(s)
+		s.Admitted = counters[1].good.Load()
+		s.Rejected = counters[1].total.Load() - s.Admitted
+		histSrc[0].Snapshot(&s.Slack)
+		histSrc[1].Snapshot(&s.LoopTurn)
+		s.TurnsTimed = true
+	}
 	build := func() *Engine {
 		e, err := New(Config{Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, o := range spec.Objectives {
-			if err := e.Bind(o.Name, counters[i].src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, name := range hists {
-			if err := e.TrackHistogram(name, histSrc[i].Snapshot); err != nil {
-				t.Fatal(err)
-			}
+		if err := e.Attach(src); err != nil {
+			t.Fatal(err)
 		}
 		return e
 	}

@@ -12,17 +12,6 @@ import (
 	"repro/internal/stats"
 )
 
-// CounterSource reads the cumulative (good, total) event counts for one
-// objective. Sources are read at every engine tick and must be cheap
-// and lock-free — in resd they sum published shard atomics, exactly
-// like a /metrics scrape.
-type CounterSource func() (good, total uint64)
-
-// HistSource snapshots a cumulative exponential-histogram bucket vector
-// (obs.Histogram.Snapshot shape) and returns the total. Same contract
-// as CounterSource: read per tick, must never wait on a shard.
-type HistSource func(dst *[stats.ExpBuckets]uint64) (total uint64)
-
 // Config parameterises New.
 type Config struct {
 	// Spec declares the objectives; it is validated by New.
@@ -33,12 +22,9 @@ type Config struct {
 	// structured events (subsys "slo").
 	Journal *flight.Journal
 	// OnAlert, when non-nil, is invoked (outside the engine lock, on
-	// the tick goroutine) after every alert-state transition. resdsrv
-	// uses it to capture a rate-limited diagnostic bundle on page.
+	// the goroutine that calls Tick) after every alert-state transition.
+	// resdsrv uses it to capture a rate-limited diagnostic bundle on page.
 	OnAlert func(objective string, from, to Severity, burn float64)
-	// Now is the clock (tests inject a fake one; "" = time.Now). Ticks
-	// stamp ring snapshots with Now().UnixNano().
-	Now func() time.Time
 }
 
 // windowBurn is one evaluated window's burn rate, kept for the
@@ -52,7 +38,6 @@ type windowBurn struct {
 // objState is one objective's runtime state, guarded by Engine.mu.
 type objState struct {
 	o    Objective
-	src  CounterSource
 	ring *stats.SnapRing // width 2: cumulative [good, total]; sized by longestWindow
 
 	sev         Severity
@@ -68,44 +53,39 @@ type objState struct {
 // process-lifetime-only caveat on resd's slack and loop-turn series).
 type histState struct {
 	name string
-	src  HistSource
+	vec  func(*Sample) *[stats.ExpBuckets]uint64
 	ring *stats.SnapRing // width stats.ExpBuckets; sized by the budget window
 }
 
-// Engine evaluates SLO objectives: every Period it snapshots each bound
-// source into a stats.SnapRing, derives per-window (good, total) deltas,
-// and runs the multi-window multi-burn-rate rules. It owns no
-// measurement of its own — everything it knows comes from the cumulative
-// counters the service already publishes, so arming an engine adds no
-// work to any shard.
+// Engine evaluates SLO objectives: at every Tick it reads one Sample
+// from its source, snapshots each objective's (good, total) pair and
+// each tracked histogram into a stats.SnapRing, derives per-window
+// deltas, and runs the multi-window multi-burn-rate rules. It owns no
+// measurement and no goroutine of its own — everything it knows comes
+// from the cumulative counters the service already publishes, so arming
+// an engine adds no work to any shard.
 //
 // Lifecycle: New validates the spec and registers the metric families;
-// the embedding service binds a CounterSource per objective (Bind) and
-// any windowed histograms (TrackHistogram), then calls Start. resd.New
-// does all three when ObsConfig.SLO is set, and Service.Close stops the
-// engine.
+// the embedding service hands its source to Attach and then calls Tick
+// every Period. resd.New attaches when ObsConfig.SLO is set, and the
+// service's sampler ticks the engine until Service.Close.
 type Engine struct {
 	res     resolved
 	reg     *obs.Registry
 	journal *flight.Journal
 	onAlert func(objective string, from, to Severity, burn float64)
-	now     func() time.Time
 
-	mu      sync.Mutex
-	objs    []*objState
-	hists   []*histState
-	started bool
-	stopped bool
-	stop    chan struct{}
-	done    chan struct{}
-
-	vec2    []uint64
-	bucketv [stats.ExpBuckets]uint64
+	mu    sync.Mutex
+	src   func(*Sample)
+	smp   Sample
+	objs  []*objState
+	hists []*histState
+	vec2  []uint64
 }
 
 // New builds an engine from cfg, validating the spec and registering
 // the resd_slo_* families on cfg.Registry. The engine is inert until
-// Start.
+// Attach.
 func New(cfg Config) (*Engine, error) {
 	res, err := cfg.Spec.normalize()
 	if err != nil {
@@ -116,13 +96,7 @@ func New(cfg Config) (*Engine, error) {
 		reg:     cfg.Registry,
 		journal: cfg.Journal,
 		onAlert: cfg.OnAlert,
-		now:     cfg.Now,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 		vec2:    make([]uint64, 2),
-	}
-	if e.now == nil {
-		e.now = time.Now
 	}
 	for _, o := range res.objectives {
 		slots, _ := res.ringSlots("", res.longestWindow(o), 2) // checked by normalize
@@ -164,8 +138,8 @@ func (e *Engine) Period() time.Duration { return e.res.period }
 // BudgetWindow returns the span attainment and budget are reported over.
 func (e *Engine) BudgetWindow() time.Duration { return e.res.budgetWindow }
 
-// Objectives returns the validated objectives, for the embedding
-// service to bind sources against.
+// Objectives returns the validated objectives: the embedding service
+// reads which tenants its source must count.
 func (e *Engine) Objectives() []Objective {
 	out := make([]Objective, len(e.objs))
 	for i, st := range e.objs {
@@ -174,128 +148,65 @@ func (e *Engine) Objectives() []Objective {
 	return out
 }
 
-// Bind attaches the cumulative (good, total) source for one objective.
-// Every objective must be bound before Start.
-func (e *Engine) Bind(objective string, src CounterSource) error {
+// Attach arms the engine with the service's source and takes the
+// baseline tick. The source fills a Sample from published atomics; it
+// is called under the engine's lock at every Tick and must never wait
+// on a shard. Attach tracks the slack histogram — and the turn-latency
+// one when the first sample says the service times its turns — through
+// budget-window rings, making windowed percentiles queryable
+// (WindowQuantile) and, with a registry, exposing them as the summary
+// families resd_slack_ticks_window and resd_loop_turn_ns_window. A ring
+// past maxRingBytes is refused with ErrConfig. An engine serves one
+// service for life: a second Attach is ErrConfig.
+func (e *Engine) Attach(src func(*Sample)) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.started {
-		return fmt.Errorf("%w: Bind(%q) after Start", ErrConfig, objective)
-	}
-	for _, st := range e.objs {
-		if st.o.Name != objective {
-			continue
-		}
-		if st.src != nil {
-			return fmt.Errorf("%w: objective %q bound twice", ErrConfig, objective)
-		}
-		st.src = src
-		return nil
-	}
-	return fmt.Errorf("%w: Bind(%q): no such objective", ErrConfig, objective)
-}
-
-// TrackHistogram routes a cumulative histogram through the snapshot
-// ring, making windowed percentiles of it queryable (WindowQuantile)
-// and — with a registry — exposed as the summary family name+"_window"
-// with quantile labels 0.5/0.9/0.99 and a _count of the observations
-// inside the window. The budget window is the only one asked of the
-// histogram, so its ring covers that and no more; a ring past
-// maxRingBytes is refused with ErrConfig. Must be called before Start.
-func (e *Engine) TrackHistogram(name string, src HistSource) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.started {
-		return fmt.Errorf("%w: TrackHistogram(%q) after Start", ErrConfig, name)
-	}
-	for _, h := range e.hists {
-		if h.name == name {
-			return fmt.Errorf("%w: histogram %q tracked twice", ErrConfig, name)
-		}
-	}
-	slots, err := e.res.ringSlots(fmt.Sprintf("histogram %q", name), e.res.budgetWindow, stats.ExpBuckets)
-	if err != nil {
-		return err
-	}
-	h := &histState{name: name, src: src, ring: stats.NewSnapRing(slots, stats.ExpBuckets)}
-	e.hists = append(e.hists, h)
-	e.reg.Collect(obs.KindSummary, name+"_window",
-		"Windowed percentiles of "+name+" over the SLO budget window (restart-free, from the snapshot ring).",
-		func(em obs.Emitter) {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			var snap [stats.ExpBuckets]uint64
-			span, ok := h.ring.Delta(int64(e.res.budgetWindow), snap[:])
-			if !ok || span <= 0 {
-				return // no window yet: absent beats zeros pretending to be data
-			}
-			var total uint64
-			for _, n := range snap {
-				total += n
-			}
-			for _, q := range []struct {
-				v     float64
-				label string
-			}{{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}} {
-				em.Emit(float64(stats.ExpQuantileFromBuckets(&snap, total, q.v)), obs.L("quantile", q.label))
-			}
-			em.EmitSuffix("_count", float64(total))
-		})
-	return nil
-}
-
-// Start checks every objective is bound and launches the tick loop.
-func (e *Engine) Start() error {
-	e.mu.Lock()
-	if e.started || e.stopped {
+	if e.src != nil {
 		e.mu.Unlock()
-		return fmt.Errorf("%w: engine started twice or after Stop", ErrConfig)
+		return fmt.Errorf("%w: engine attached twice", ErrConfig)
 	}
-	for _, st := range e.objs {
-		if st.src == nil {
+	e.smp = Sample{TenantDeadline: map[string][2]uint64{}}
+	src(&e.smp)
+	hists := []*histState{{name: "resd_slack_ticks", vec: func(s *Sample) *[stats.ExpBuckets]uint64 { return &s.Slack }}}
+	if e.smp.TurnsTimed {
+		hists = append(hists, &histState{name: "resd_loop_turn_ns", vec: func(s *Sample) *[stats.ExpBuckets]uint64 { return &s.LoopTurn }})
+	}
+	for _, h := range hists {
+		slots, err := e.res.ringSlots(fmt.Sprintf("histogram %q", h.name), e.res.budgetWindow, stats.ExpBuckets)
+		if err != nil {
 			e.mu.Unlock()
-			return fmt.Errorf("%w: objective %q has no bound source", ErrConfig, st.o.Name)
+			return err
 		}
+		h.ring = stats.NewSnapRing(slots, stats.ExpBuckets)
 	}
-	e.started = true
+	e.hists = hists
+	e.src = src
 	e.mu.Unlock()
+	for _, h := range hists {
+		e.reg.Collect(obs.KindSummary, h.name+"_window",
+			"Windowed percentiles of "+h.name+" over the SLO budget window (restart-free, from the snapshot ring).",
+			func(em obs.Emitter) {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				var n uint64
+				for _, q := range []struct {
+					v     float64
+					label string
+				}{{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}} {
+					v, total, ok := e.windowQuantile(h, q.v)
+					if !ok {
+						return // no window yet: absent beats zeros pretending to be data
+					}
+					em.Emit(float64(v), obs.L("quantile", q.label))
+					n = total
+				}
+				em.EmitSuffix("_count", float64(n))
+			})
+	}
 	e.journal.Record(flight.Info, "slo", -1, "slo engine armed",
 		flight.KV{K: "objectives", V: fmt.Sprint(len(e.objs))},
 		flight.KV{K: "period", V: e.res.period.String()})
-	e.Tick(e.now()) // anchor the baseline snapshot immediately
-	go func() {
-		defer close(e.done)
-		tick := time.NewTicker(e.res.period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-e.stop:
-				return
-			case <-tick.C:
-				e.Tick(e.now())
-			}
-		}
-	}()
+	e.Tick(time.Now()) // anchor the baseline snapshot immediately
 	return nil
-}
-
-// Stop ends the tick loop and waits for it. Idempotent; a never-started
-// engine stops trivially.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		<-e.done
-		return
-	}
-	e.stopped = true
-	started := e.started
-	e.mu.Unlock()
-	close(e.stop)
-	if !started {
-		close(e.done)
-	}
-	<-e.done
 }
 
 // transition is one alert-state change gathered under the lock and
@@ -306,29 +217,27 @@ type transition struct {
 	burn      float64
 }
 
-// Tick runs one snapshot-and-evaluate pass at the given instant. Start
-// drives it at the spec period; tests drive it directly with a fake
-// clock. Safe to call concurrently with scrapes and States readers.
+// Tick runs one snapshot-and-evaluate pass at the given instant: resd's
+// sampler calls it every Period, tests at explicit instants. Before
+// Attach it does nothing. Safe to call concurrently with scrapes and
+// States readers.
 func (e *Engine) Tick(now time.Time) {
 	at := now.UnixNano()
 	var fired []transition
 	e.mu.Lock()
+	if e.src == nil {
+		e.mu.Unlock()
+		return
+	}
+	e.src(&e.smp)
 	for _, st := range e.objs {
-		if st.src == nil {
-			continue
-		}
-		good, total := st.src()
-		e.vec2[0], e.vec2[1] = good, total
+		e.vec2[0], e.vec2[1] = st.o.pair(&e.smp)
 		st.ring.Push(at, e.vec2)
 	}
 	for _, h := range e.hists {
-		h.src(&e.bucketv)
-		h.ring.Push(at, e.bucketv[:])
+		h.ring.Push(at, h.vec(&e.smp)[:])
 	}
 	for _, st := range e.objs {
-		if st.src == nil {
-			continue
-		}
 		if tr, changed := e.evaluate(st); changed {
 			fired = append(fired, tr)
 		}
@@ -469,44 +378,30 @@ func (e *Engine) WindowQuantile(name string, q float64) (v int64, n uint64, ok b
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, h := range e.hists {
-		if h.name != name {
-			continue
+		if h.name == name {
+			return e.windowQuantile(h, q)
 		}
-		var snap [stats.ExpBuckets]uint64
-		if _, ok := h.ring.Delta(int64(e.res.budgetWindow), snap[:]); !ok {
-			return 0, 0, false
-		}
-		var total uint64
-		for _, c := range snap {
-			total += c
-		}
-		return stats.ExpQuantileFromBuckets(&snap, total, q), total, true
 	}
 	return 0, 0, false
 }
 
-// GoodUnderBound counts the samples in an exponential-histogram bucket
-// snapshot that are certainly ≤ bound: the buckets whose upper bound
-// fits under it. This is how a slack objective's CounterSource turns
-// obs.Histogram.Snapshot into a cumulative good count — conservative on
-// the bucket geometry (the effective bound is bound rounded down to
-// 2^k−1), which errs toward counting borderline samples as bad, never
-// as good.
-func GoodUnderBound(snap *[stats.ExpBuckets]uint64, bound int64) uint64 {
-	var good uint64
-	for b := 0; b < stats.ExpBuckets; b++ {
-		if stats.ExpBucketUpper(b) > bound {
-			break
-		}
-		good += snap[b]
+// windowQuantile answers quantile q of h over the budget window, with
+// the number of observations inside it. Caller holds e.mu.
+func (e *Engine) windowQuantile(h *histState, q float64) (v int64, n uint64, ok bool) {
+	var snap [stats.ExpBuckets]uint64
+	if _, ok := h.ring.Delta(int64(e.res.budgetWindow), snap[:]); !ok {
+		return 0, 0, false
 	}
-	return good
+	for _, c := range snap {
+		n += c
+	}
+	return stats.ExpQuantileFromBuckets(&snap, n, q), n, true
 }
 
 // register publishes the resd_slo_* families. Every collector reads
 // engine state under e.mu — scrape-safe by the same argument as every
-// other obs collector: the lock is shared with the tick goroutine, and
-// neither side ever waits on a shard.
+// other obs collector: the lock is shared with Tick, and neither side
+// ever waits on a shard.
 func (e *Engine) register() {
 	if e.reg == nil {
 		return

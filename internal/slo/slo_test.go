@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,12 +12,16 @@ import (
 	"repro/internal/stats"
 )
 
-// fakeCounters is a hand-cranked cumulative (good, total) source.
+// fakeCounters is a hand-cranked cumulative (good, total) pair.
 type fakeCounters struct {
 	good, total atomic.Uint64
 }
 
-func (f *fakeCounters) src() (uint64, uint64) { return f.good.Load(), f.total.Load() }
+// deadline is a source reading f as the service-wide deadline pair.
+func (f *fakeCounters) deadline(s *Sample) {
+	good := f.good.Load()
+	s.DeadlineAdmitted, s.DeadlineRejected = good, f.total.Load()-good
+}
 
 func (f *fakeCounters) add(good, bad uint64) {
 	f.good.Add(good)
@@ -42,9 +47,9 @@ func drillSpec() Spec {
 	}
 }
 
-// newTestEngine builds an engine over drillSpec with a fake clock and
-// returns the crank: advance(good, bad) adds events and ticks one
-// period.
+// newTestEngine builds an engine over drillSpec, attached to fake
+// counters and ticked at explicit instants, and returns the crank:
+// advance(good, bad) adds events and ticks one period.
 func newTestEngine(t *testing.T, cfg Config) (*Engine, *fakeCounters, func(good, bad uint64) time.Time) {
 	t.Helper()
 	if cfg.Spec.Objectives == nil {
@@ -56,10 +61,10 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *fakeCounters, func(good,
 		t.Fatal(err)
 	}
 	f := &fakeCounters{}
-	if err := e.Bind("deadline", f.src); err != nil {
+	if err := e.Attach(f.deadline); err != nil {
 		t.Fatal(err)
 	}
-	e.Tick(now) // baseline
+	e.Tick(now) // baseline at the test's clock
 	advance := func(good, bad uint64) time.Time {
 		f.add(good, bad)
 		now = now.Add(e.Period())
@@ -245,16 +250,13 @@ func TestEngineTrackHistogramWindowedQuantiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fakeCounters{}
-	if err := e.Bind("deadline", f.src); err != nil {
-		t.Fatal(err)
-	}
 	var hist obs.Histogram
-	if err := e.TrackHistogram("resd_slack_ticks", hist.Snapshot); err != nil {
+	src := func(s *Sample) { hist.Snapshot(&s.Slack) }
+	if err := e.Attach(src); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.TrackHistogram("resd_slack_ticks", hist.Snapshot); err == nil {
-		t.Fatal("double TrackHistogram accepted")
+	if _, _, ok := e.WindowQuantile("resd_loop_turn_ns", 0.5); ok {
+		t.Fatal("turn latency tracked for a service that does not time its turns")
 	}
 	now := time.Unix(2000, 0)
 	e.Tick(now)
@@ -294,61 +296,45 @@ func TestEngineTrackHistogramWindowedQuantiles(t *testing.T) {
 }
 
 func TestEngineStartStopLifecycle(t *testing.T) {
-	spec := drillSpec()
-	spec.Period = "10ms"
-	spec.BudgetWindow = "1s"
-	spec.Objectives[0].Rules = []RuleSpec{{Severity: "page", Burn: 2, Short: "50ms", Long: "200ms"}}
-	e, err := New(Config{Spec: spec})
+	j := flight.NewJournal(16, nil)
+	e, err := New(Config{Spec: drillSpec(), Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Start(); err == nil {
-		t.Fatal("Start accepted an unbound objective")
+	// Before Attach there is nothing to read: a Tick does nothing.
+	e.Tick(time.Unix(1000, 0))
+	if n := e.objs[0].ring.Len(); n != 0 {
+		t.Fatalf("Tick before Attach pushed %d snapshots", n)
 	}
 	f := &fakeCounters{}
-	if err := e.Bind("deadline", f.src); err != nil {
+	if err := e.Attach(f.deadline); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
+	if n := e.objs[0].ring.Len(); n != 1 {
+		t.Fatalf("Attach left %d snapshots, want the baseline", n)
 	}
-	if err := e.Start(); err == nil {
-		t.Fatal("double Start accepted")
+	if tail := j.Tail(0); len(tail) != 1 || tail[0].Msg != "slo engine armed" {
+		t.Fatalf("journal after Attach: %+v, want one \"slo engine armed\"", tail)
+	}
+	// An engine serves one service for life.
+	if err := e.Attach(f.deadline); !errors.Is(err, ErrConfig) {
+		t.Fatalf("second Attach: %v, want ErrConfig", err)
 	}
 	f.add(0, 1000)
-	deadline := time.Now().Add(5 * time.Second)
-	for sevNow := OK; sevNow != SevPage; {
-		if time.Now().After(deadline) {
-			t.Fatal("background ticker never drove the alert to page")
-		}
-		time.Sleep(20 * time.Millisecond)
-		sevNow = sev(t, e, "deadline")
+	now := time.Now()
+	for i := 0; i < 7 && sev(t, e, "deadline") != SevPage; i++ {
+		now = now.Add(e.Period())
+		e.Tick(now)
 	}
-	e.Stop()
-	e.Stop() // idempotent
-}
-
-func TestEngineBindErrors(t *testing.T) {
-	e, err := New(Config{Spec: drillSpec()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fakeCounters{}
-	if err := e.Bind("nope", f.src); err == nil {
-		t.Fatal("Bind of unknown objective accepted")
-	}
-	if err := e.Bind("deadline", f.src); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Bind("deadline", f.src); err == nil {
-		t.Fatal("double Bind accepted")
+	if got := sev(t, e, "deadline"); got != SevPage {
+		t.Fatalf("attached engine ticked past the page windows: severity %v, want page", got)
 	}
 }
 
 func TestSlackGoodBucketSemantics(t *testing.T) {
 	// The slack objective counts a sample good when its whole bucket is
-	// ≤ bound; GoodBuckets is the helper resd uses to turn a bound into
-	// a cumulative good count.
+	// ≤ bound; goodUnderBound is how the slack signal turns a bound
+	// into a cumulative good count.
 	var h obs.Histogram
 	h.Observe(3)    // bucket upper 3
 	h.Observe(100)  // bucket upper 127
@@ -358,13 +344,13 @@ func TestSlackGoodBucketSemantics(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("total %d, want 3", total)
 	}
-	if g := GoodUnderBound(&snap, 127); g != 2 {
-		t.Fatalf("GoodUnderBound(127) = %d, want 2", g)
+	if g := goodUnderBound(&snap, 127); g != 2 {
+		t.Fatalf("goodUnderBound(127) = %d, want 2", g)
 	}
-	if g := GoodUnderBound(&snap, 126); g != 1 {
-		t.Fatalf("GoodUnderBound(126) = %d, want 1 (bucket 127 not wholly under)", g)
+	if g := goodUnderBound(&snap, 126); g != 1 {
+		t.Fatalf("goodUnderBound(126) = %d, want 1 (bucket 127 not wholly under)", g)
 	}
-	if g := GoodUnderBound(&snap, 1<<62); g != 3 {
-		t.Fatalf("GoodUnderBound(huge) = %d, want 3", g)
+	if g := goodUnderBound(&snap, 1<<62); g != 3 {
+		t.Fatalf("goodUnderBound(huge) = %d, want 3", g)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"math"
 	"os"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // ErrConfig reports an invalid SLO specification.
@@ -73,6 +75,67 @@ func ParseSignal(s string) (Signal, error) {
 	default:
 		return 0, fmt.Errorf("%w: signal %q (want deadline_attainment, slack or error_rate)", ErrConfig, s)
 	}
+}
+
+// Sample is one reading of the service the engine judges: cumulative
+// counts and bucket vectors, read from published atomics without a
+// request to a shard. The engine owns one Sample and hands it to the
+// source Attach was given at every tick; the source overwrites it.
+type Sample struct {
+	// Request-level admission decisions, each counted once: admissions
+	// and rejections of every kind, then the deadline-carrying
+	// admissions and the deadline rejections among them.
+	Admitted, Rejected                 uint64
+	DeadlineAdmitted, DeadlineRejected uint64
+	// TenantDeadline maps each tenant a deadline_attainment objective is
+	// scoped to onto its [deadline-admitted, deadline-rejected] counts.
+	// The engine makes the map; the source fills its entries.
+	TenantDeadline map[string][2]uint64
+	// Slack is the service-wide start-time slack histogram
+	// (obs.Histogram.Snapshot shape), summed over shards.
+	Slack [stats.ExpBuckets]uint64
+	// LoopTurn is the service-wide turn-latency histogram, meaningful
+	// only when TurnsTimed: a service that does not time its turns
+	// leaves both zero, and the engine then tracks no turn latency.
+	LoopTurn   [stats.ExpBuckets]uint64
+	TurnsTimed bool
+}
+
+// pair reads an objective's cumulative (good, total) events out of a
+// sample: the one place a signal becomes numbers.
+func (o Objective) pair(s *Sample) (good, total uint64) {
+	switch o.Signal {
+	case DeadlineAttainment:
+		if o.Tenant != "" {
+			c := s.TenantDeadline[o.Tenant]
+			return c[0], c[0] + c[1]
+		}
+		return s.DeadlineAdmitted, s.DeadlineAdmitted + s.DeadlineRejected
+	case Slack:
+		for _, n := range s.Slack {
+			total += n
+		}
+		return goodUnderBound(&s.Slack, o.Bound), total
+	case ErrorRate:
+		return s.Admitted, s.Admitted + s.Rejected
+	}
+	return 0, 0
+}
+
+// goodUnderBound counts the samples in an exponential-histogram bucket
+// snapshot that are certainly ≤ bound: the buckets whose upper bound
+// fits under it. Conservative on the bucket geometry (the effective
+// bound is bound rounded down to 2^k−1), it errs toward counting
+// borderline samples as bad, never as good.
+func goodUnderBound(snap *[stats.ExpBuckets]uint64, bound int64) uint64 {
+	var good uint64
+	for b := 0; b < stats.ExpBuckets; b++ {
+		if stats.ExpBucketUpper(b) > bound {
+			break
+		}
+		good += snap[b]
+	}
+	return good
 }
 
 // Severity is an alert level. The zero value is OK.
