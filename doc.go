@@ -38,7 +38,7 @@
 // goroutine of its own (callers combine: whoever finds the shard idle
 // serves its queue, own admission first), requests group-committed in
 // batches per turn, and admissions routed to the least-loaded shard
-// (committed plus in-flight area) with the paper's α-admission rule
+// whose lock is free (committed area) with the paper's α-admission rule
 // enforced per shard. There is one admission call, Admit, taking one
 // Request (tenant, ready time, width, duration, deadline), and it is
 // deadline-aware: it rejects with ErrDeadline when the earliest feasible

@@ -53,8 +53,8 @@ func main() {
 
 	// Now a concurrent burst: 8 clients × 25 requests. Every admission is
 	// group-committed by whichever caller is serving the owning shard, and
-	// each is routed to the shard with the least committed plus in-flight
-	// area, read from atomics without asking the shards.
+	// each is served on the least-committed shard whose lock is free, the
+	// areas read from atomics without asking the shards.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var admitted []resd.Reservation

@@ -34,9 +34,9 @@
 // pays for more than one batch of other callers' work. A log that fails
 // mid-turn stops fsyncing: the shard hands the role on until its queue is
 // empty and serves under the mutex from then on. The same predicate
-// decides whether placement counts in-flight area (below) and whether a
-// reswire server keeps a goroutine per request or lets each connection's
-// reader serve.
+// decides whether placement may pass the shard over while another caller
+// holds it (below) and whether a reswire server keeps a goroutine per
+// request or lets each connection's reader serve.
 //
 // Shutdown is a request like any other: Close sends it to every shard.
 // On a shard that fsyncs, what was queued ahead of it is answered for
@@ -84,28 +84,26 @@
 //
 // # Placement
 //
-// Admit tries the shards least-loaded first, ties to the lower index, and
-// walks on until one admits. The one key is shard.load, read from atomics,
-// so routing is lock-free; the routed shard re-validates when it serves
-// the request, which makes a stale load harmless to correctness (a shard
-// never over-admits, a request at worst lands on a busier shard). It is
-// not harmless to speed: a shard publishes its committed area once per
-// turn, so by that alone every caller routing between two publishes would
-// pick the same minimum and wait behind one turn after another while the
-// other shards idle — a convoy made of nothing but a stale summary. So load is
-// the committed area plus the shard's in-flight area: the Dur × Q of the
-// admissions Admit has handed the shard and not had answered yet, raised
-// before the request is queued, lowered when the answer is back on every
-// path, and moved along with the request when a deadline or α refusal
-// sends it on. Concurrent callers thus see each other's choice, spread
-// over the shards and mostly serve themselves. An admission is published
-// before its caller lowers the in-flight share, so load errs upward, never
-// downward, and with no admission under way it is exactly the committed
-// area: a serial caller routes to the exact minimum of committed area,
-// deterministically, which is what the FCFS-replay and recovery oracles
-// rely on. A shard whose log fsyncs leaves the in-flight term out: there
-// callers queueing together is the group commit, and spreading them buys
-// more fsyncs of fewer records each.
+// Admit ranks the shards least committed area first, ties to the lower
+// index, reading each shard's published area from an atomic, so ranking
+// takes no lock; the shard re-validates when it serves the request, which
+// makes a stale rank harmless to correctness (a shard never over-admits, a
+// request at worst lands on a busier shard). It is not harmless to speed:
+// a shard publishes its area once per turn, so every caller ranking
+// between two turns reads the same numbers and picks the same minimum,
+// and if each then waited for that shard they would convoy behind one
+// lock while the other shards idle. So Admit walks the rank by lock
+// state: it tries each shard's lock in rank order without waiting
+// (sync.Mutex.TryLock), serves on the first it gets, and waits for the
+// first-ranked only when every one is held. A deadline or α refusal drops
+// that shard and the walk runs again over the rest, in rank order; a
+// quota refusal or ErrClosed ends it. No background goroutine takes a
+// shard's lock (the sampler and the snapshot writer read atomics), so a
+// serial caller never meets a held lock and lands on the exact minimum of
+// committed area, deterministically, which is what the FCFS-replay and
+// recovery oracles rely on. A shard whose log fsyncs is never passed
+// over: there callers queueing together is the group commit, and
+// spreading them buys more fsyncs of fewer records each.
 //
 // # Admission rule
 //
@@ -187,8 +185,8 @@
 // there until it is cancelled: an ID's shard bits are its home for life,
 // which is all Cancel needs to route it. Skew between shards is handled
 // where the binding is made, at placement, which routes every admission
-// to the minimum of committed plus in-flight area, and nothing re-decides
-// the shard afterwards. A shard's admission cost barely depends on
+// to the least committed area among the shards free to serve it at once,
+// and nothing re-decides the shard afterwards. A shard's admission cost barely depends on
 // how much it holds (internal/restree steps over whole leaves), so what
 // skew costs is reservable α-prefix area stranded on the idle shards, and
 // that is a question of where requests are sent first.

@@ -8,7 +8,8 @@ const stackShards = 16
 // order appends to out, which the caller passes empty — backed by a
 // [stackShards]int on its own stack to keep the call allocation-free — the
 // shards a Reserve request should try, least loaded first, ties to the
-// lower index. The service walks the list until a shard admits. It reads
+// lower index. The service walks the list, passing over a shard another
+// caller holds, until a shard admits (see Service.Admit). It reads
 // only shard.load, never the shard owner's state, so routing is lock-free
 // and may be (harmlessly) stale: the routed shard re-validates when it
 // serves the request.

@@ -2,6 +2,7 @@ package resd
 
 import (
 	"errors"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -73,25 +74,15 @@ func TestPlacementOrder(t *testing.T) {
 	}
 }
 
-// noneInFlight asserts the quiescent half of shard.load's contract: with
-// no Admit under way, no shard carries in-flight area.
-func noneInFlight(t *testing.T, s *Service, when string) {
-	t.Helper()
-	for i, sh := range s.shards {
-		if n := sh.inFlight.Load(); n != 0 {
-			t.Errorf("%s: shard %d still carries %d in flight", when, i, n)
-		}
-	}
-}
-
-// TestPlacementCountsInFlight: an admission on its way to a shard counts
-// against that shard for callers routing meanwhile. Two shards, the first
-// lighter by 2; caller A (area 5) is routed there and held inside its
-// turn. By published area alone the first shard is still the lighter one,
-// and caller B would queue behind A — for as long as A is held, which
-// here is until B is back. Counting A's 5, B goes to the other shard and
-// returns. The one case is named for the one rule there is, which is
-// also the one name Config.Placement still accepts.
+// TestPlacementCountsInFlight: a shard whose lock another caller holds is
+// passed over for the next one in rank. Two shards, the first lighter by
+// 2; caller A is routed there and held inside its turn, which on a shard
+// that does not fsync holds the shard's lock. By committed area alone the
+// first shard is still the lighter one, and caller B would wait behind A
+// — for as long as A is held, which here is until B is back. Finding that
+// lock held, B serves on the other shard and returns. The one case is
+// named for the one rule there is, which is also the one name
+// Config.Placement still accepts.
 func TestPlacementCountsInFlight(t *testing.T) {
 	t.Run("least-loaded", func(t *testing.T) {
 		var hold atomic.Int64 // the shard whose next turn the hook holds, -1 for none
@@ -125,9 +116,6 @@ func TestPlacementCountsInFlight(t *testing.T) {
 			close(release)
 			t.Fatal("caller A never reached the lighter shard")
 		}
-		if got := s.shards[light].inFlight.Load(); got != 5 {
-			t.Errorf("shard %d carries %d in flight while A is inside its turn, want 5", light, got)
-		}
 		bDone := make(chan Reservation, 1)
 		go func() { bDone <- admit("b", 5) }()
 		select {
@@ -136,25 +124,29 @@ func TestPlacementCountsInFlight(t *testing.T) {
 				t.Errorf("caller B admitted on shard %d, want %d", b.Shard, heavy)
 			}
 		case <-time.After(30 * time.Second):
-			t.Error("caller B queued behind A: placement does not see what is in flight")
+			t.Error("caller B waited behind A: the walk does not pass over a held shard")
 			defer func() { <-bDone }() // it returns once A is let go
 		}
 		close(release)
 		if a := <-aDone; a.Shard != light {
 			t.Errorf("caller A admitted on shard %d, want %d", a.Shard, light)
 		}
-		if !t.Failed() {
-			noneInFlight(t, s, "A and B back")
-		}
 	})
 }
 
 // TestPlacementCountsInFlightRefusedWalk: a request every shard refuses
-// carries its area from shard to shard and leaves none behind, and so does
-// one a quota stops at the first shard.
+// is served once by each of them, in rank order, and a quota refusal, at
+// the door or at a shard's charge, and ErrClosed each end the walk where
+// they happen.
 func TestPlacementCountsInFlightRefusedWalk(t *testing.T) {
-	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "tiny", Share: 0.001}}})
-	s, err := New(Config{Shards: 3, M: 4, Quotas: reg})
+	// tiny's budget is 10: a request of area 5 passes the door.
+	reg := mustRegistry(t, 1000, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: "tiny", Share: 0.01}}})
+	var spend atomic.Int64 // area the next turn charges to tiny from inside it
+	s, err := New(Config{Shards: 3, M: 4, Quotas: reg, turnHook: func(int) {
+		if a := spend.Swap(0); a != 0 {
+			reg.Account("tiny").TryAcquire(a, nil)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,46 +160,122 @@ func TestPlacementCountsInFlightRefusedWalk(t *testing.T) {
 	}
 	for i, st := range s.Stats() {
 		if st.RejectedDeadline != 1 {
-			t.Errorf("shard %d refused %d times, want 1: the walk visits every shard", i, st.RejectedDeadline)
+			t.Errorf("shard %d refused %d times, want 1: the walk visits every shard once", i, st.RejectedDeadline)
 		}
 	}
-	noneInFlight(t, s, "after a walk every shard refused")
-	if _, err := s.Admit(Request{Tenant: "tiny", Q: 1, Dur: 5, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
+	turns := func() (n uint64) {
+		for _, st := range s.Stats() {
+			n += st.Batches
+		}
+		return n
+	}
+	rejectedQuota := func() (n uint64) {
+		for _, st := range s.Stats() {
+			n += st.RejectedQuota
+		}
+		return n
+	}
+	before := turns()
+	if _, err := s.Admit(Request{Tenant: "tiny", Q: 1, Dur: 20, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
 		t.Fatalf("Admit over budget = %v, want ErrQuota", err)
 	}
-	noneInFlight(t, s, "after a quota refusal")
-	s.Close()
-	if _, err := s.Admit(Request{Q: 1, Dur: 5, Deadline: NoDeadline}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Admit after Close = %v, want ErrClosed", err)
+	if n, q := turns()-before, rejectedQuota(); n != 0 || q != 1 {
+		t.Errorf("a door refusal took %d turns and was counted %d times, want 0 and 1", n, q)
 	}
-	noneInFlight(t, s, "after ErrClosed")
+	spend.Store(8) // the first shard's turn leaves tiny 2 of its 10
+	before = turns()
+	if _, err := s.Admit(Request{Tenant: "tiny", Q: 1, Dur: 5, Deadline: NoDeadline}); !errors.Is(err, ErrQuota) {
+		t.Fatalf("Admit over budget at the charge = %v, want ErrQuota", err)
+	}
+	if n, q := turns()-before, rejectedQuota(); n != 1 || q != 2 {
+		t.Errorf("a charge refusal took %d turns and %d refusals were counted, want 1 and 2", n, q)
+	}
+	// Close shuts the shards one at a time: an admission that meets the
+	// first-ranked shard closed stops there, though the others are open.
+	s.shards[0].do(request{kind: opClose}, true)
+	before = turns()
+	if _, err := s.Admit(Request{Q: 1, Dur: 5, Deadline: NoDeadline}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Admit with shard 0 closed = %v, want ErrClosed", err)
+	}
+	if n := turns() - before; n != 0 {
+		t.Errorf("an admission that met a closed shard took %d turns", n)
+	}
+	s.Close()
 }
 
 // TestPlacementCountsInFlightNotUnderFsync: where a turn ends in an fsync,
-// callers queueing on one shard is the group commit, so load is the
-// published area alone; a log that never fsyncs counts like no log.
+// callers queueing on one shard is the group commit, so the walk joins the
+// first-ranked shard's queue while its combiner is busy, and waits for its
+// lock when that is held too (as a combiner holds it to take its queue);
+// a log that never fsyncs counts like no log, and a held shard is passed
+// over.
 func TestPlacementCountsInFlightNotUnderFsync(t *testing.T) {
-	for _, c := range []struct {
-		mode   wal.SyncMode
-		counts bool
-	}{{"", true}, {wal.SyncNone, true}, {wal.SyncBatch, false}} {
-		cfg := Config{M: 8}
-		if c.mode != "" {
-			cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: c.mode}
+	for _, mode := range []wal.SyncMode{"", wal.SyncNone, wal.SyncBatch} {
+		var hold atomic.Bool
+		entered, release := make(chan struct{}), make(chan struct{})
+		cfg := Config{Shards: 2, M: 8, turnHook: func(shard int) {
+			if shard == 0 && hold.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+		}}
+		if mode != "" {
+			cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: mode}
 		}
 		s := mustNew(t, cfg)
-		if _, err := s.Admit(Request{Q: 1, Dur: 10, Deadline: NoDeadline}); err != nil {
-			t.Fatal(err)
+		admit := func(done chan<- Reservation) {
+			r, err := s.Admit(Request{Q: 1, Dur: 10, Deadline: NoDeadline})
+			if err != nil {
+				t.Errorf("sync=%q: %v", mode, err)
+			}
+			done <- r
 		}
-		sh := s.shards[0]
-		sh.inFlight.Add(7)
-		want := int64(10)
-		if c.counts {
-			want += 7
+		hold.Store(true)
+		aDone, bDone := make(chan Reservation, 1), make(chan Reservation, 1)
+		go admit(aDone) // equal loads: shard 0 ranks first
+		<-entered
+		go admit(bDone)
+		if mode == wal.SyncBatch {
+			for give := time.Now().Add(30 * time.Second); s.QueueDepths()[0] == 0 && time.Now().Before(give); {
+				runtime.Gosched()
+			}
+			if d := s.QueueDepths(); d[0] != 1 || d[1] != 0 {
+				t.Errorf("sync=%q: queue depths %v with shard 0's turn held, want B queued on shard 0", mode, d)
+			}
+			s.shards[0].mu.Lock()
+			cDone := make(chan Reservation, 1)
+			go admit(cDone)
+			for give := time.Now().Add(30 * time.Second); s.QueueDepths()[0] < 2 && time.Now().Before(give); {
+				runtime.Gosched()
+			}
+			if d := s.QueueDepths(); d[0] != 2 || d[1] != 0 {
+				t.Errorf("sync=%q: queue depths %v with shard 0's lock held, want C waiting for it", mode, d)
+			}
+			s.shards[0].mu.Unlock()
+			defer func() {
+				if c := <-cDone; c.Shard != 0 {
+					t.Errorf("sync=%q: caller C admitted on shard %d, want 0", mode, c.Shard)
+				}
+			}()
 		}
-		if got := sh.load(); got != want {
-			t.Errorf("sync=%q: load with 10 committed and 7 in flight = %d, want %d", c.mode, got, want)
+		var b Reservation
+		if mode != wal.SyncBatch {
+			select {
+			case b = <-bDone:
+			case <-time.After(30 * time.Second):
+				t.Errorf("sync=%q: caller B waited behind the held shard", mode)
+			}
 		}
-		sh.inFlight.Add(-7)
+		close(release)
+		if a := <-aDone; a.Shard != 0 {
+			t.Errorf("sync=%q: caller A admitted on shard %d, want 0", mode, a.Shard)
+		}
+		want := 1
+		if mode == wal.SyncBatch {
+			b, want = <-bDone, 0
+		}
+		if b.Shard != want {
+			t.Errorf("sync=%q: caller B admitted on shard %d, want %d", mode, b.Shard, want)
+		}
 	}
 }

@@ -39,8 +39,9 @@ type Request struct {
 }
 
 // Admit admits a reservation of req.Q processors for req.Dur ticks at
-// the earliest admissible start >= req.Ready on the least-loaded shard
-// that admits it, subject to the α head-room rule, req.Deadline, and
+// the earliest admissible start >= req.Ready on a shard that admits it,
+// the least loaded first among those not busy (see Placement in the
+// package doc), subject to the α head-room rule, req.Deadline, and
 // req.Tenant's quota (when Config.Quotas is set). It returns once the
 // routed shard has committed — and, with a WAL, durably logged — the
 // batch containing the request.
@@ -94,9 +95,9 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 	// remembered in preference to ErrNeverFits — it tells the caller the
 	// request was feasible, just not soon enough.
 	//
-	// Whichever shard holds the request carries its area as in-flight load
-	// for exactly as long as it holds it, so that callers routing meanwhile
-	// count it (see shard.load).
+	// The walk serves on the first shard in rank order whose lock is free
+	// (see Placement in the package doc); a deadline or α refusal drops
+	// its shard and the walk runs again over the rest.
 	var firstErr error
 	var orderBuf [stackShards]int
 	walk := order(s.shards, orderBuf[:0])
@@ -118,15 +119,22 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 			return Reservation{}, &Refusal{Kind: ErrQuota, Shard: walk[0], Q: req.Q, Dur: req.Dur, Deadline: req.Deadline, Floor: s.floor, Quota: why}
 		}
 	}
-	for _, si := range walk {
-		if rec != nil {
-			rec.Shard = si
-			rec.Enqueue = time.Since(rec.Arrival)
+	r := request{kind: opReserve, tenant: ten, acct: acct, area: area, ready: req.Ready, q: req.Q, dur: req.Dur, deadline: req.Deadline, trace: rec}
+	for len(walk) > 0 {
+		// One pass of TryLocks down the rank, then a wait for the first;
+		// the last shard left is waited for at once.
+		k, resp, err := 0, response{}, errBusy
+		for i := 0; err == errBusy; i++ {
+			k = i % len(walk)
+			if rec != nil {
+				rec.Enqueue = time.Since(rec.Arrival)
+			}
+			resp, err = s.shards[walk[k]].do(r, i == len(walk) || len(walk) == 1)
 		}
-		sh := s.shards[si]
-		sh.inFlight.Add(area)
-		resp, err := sh.do(request{kind: opReserve, tenant: ten, acct: acct, area: area, ready: req.Ready, q: req.Q, dur: req.Dur, deadline: req.Deadline, trace: rec})
-		sh.inFlight.Add(-area)
+		if rec != nil {
+			rec.Shard = walk[k]
+		}
+		walk = append(walk[:k], walk[k+1:]...)
 		if err == nil {
 			s.tracer.finish(rec, TraceAdmitted, resp.resv.Start)
 			s.sloBook.admit(ten, req.Deadline != NoDeadline)

@@ -318,7 +318,7 @@ func New(cfg Config) (*Service, error) {
 		sh, err := newShard(i, cfg, s.floor, seed)
 		if err != nil {
 			for _, prev := range s.shards {
-				prev.do(request{kind: opClose}) // seals its log
+				prev.do(request{kind: opClose}, true) // seals its log
 			}
 			if seeds != nil {
 				for _, sd := range seeds[i:] { // never became shards: seal here
@@ -475,7 +475,7 @@ func (s *Service) Cancel(id ID) error {
 	if id.Shard() >= len(s.shards) {
 		return fmt.Errorf("%w: %#x names shard %d of %d", ErrUnknownID, uint64(id), id.Shard(), len(s.shards))
 	}
-	_, err := s.shards[id.Shard()].do(request{kind: opCancel, id: id})
+	_, err := s.shards[id.Shard()].do(request{kind: opCancel, id: id}, true)
 	return err
 }
 
@@ -489,7 +489,7 @@ func (s *Service) Query(t core.Time) ([]int, error) {
 	}
 	out := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		resp, err := sh.do(request{kind: opQuery, ready: t})
+		resp, err := sh.do(request{kind: opQuery, ready: t}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -507,7 +507,7 @@ func (s *Service) Snapshot(shard int) (profile.CapacityIndex, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
 	}
-	resp, err := s.shards[shard].do(request{kind: opSnapshot})
+	resp, err := s.shards[shard].do(request{kind: opSnapshot}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +571,7 @@ func (s *Service) TenantStats(shard int) (map[string]TenantStats, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
 	}
-	resp, err := s.shards[shard].do(request{kind: opTenantStats})
+	resp, err := s.shards[shard].do(request{kind: opTenantStats}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -589,7 +589,7 @@ func (s *Service) TenantStats(shard int) (map[string]TenantStats, error) {
 func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 	out := make(map[string]TenantStats)
 	for _, sh := range s.shards {
-		resp, err := sh.do(request{kind: opTenantStats})
+		resp, err := sh.do(request{kind: opTenantStats}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -727,7 +727,7 @@ func (s *Service) Dump(shard int) ([]Reservation, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
 	}
-	resp, err := s.shards[shard].do(request{kind: opDump})
+	resp, err := s.shards[shard].do(request{kind: opDump}, true)
 	return resp.live, err
 }
 
@@ -755,7 +755,7 @@ func (s *Service) Close() {
 	s.sampler.close()
 	s.flight.Detach()
 	for _, sh := range s.shards {
-		sh.do(request{kind: opClose})
+		sh.do(request{kind: opClose}, true)
 	}
 	s.tracer.close()
 }

@@ -2,6 +2,7 @@ package resd
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -252,9 +253,9 @@ type shard struct {
 	// syncs is whether the shard's turns end in an fsync (wal.Log.Syncs;
 	// false without a log and once the log has failed or been sealed) —
 	// the one case in which requests gain by sharing a turn. do serves
-	// under mu or queues for a combiner by it, combine gathers by it, and
-	// load leaves in-flight area out by it; atomic because placement
-	// reads it from callers' goroutines.
+	// under mu or queues for a combiner by it, and never turns a caller
+	// away by it; combine gathers by it. Atomic because do reads it
+	// before it holds mu.
 	syncs atomic.Bool
 
 	// turnNs records each turn's latency, entry to publish; nil without an
@@ -282,12 +283,9 @@ type shard struct {
 	depth     atomic.Int64
 	_         [cacheLine]byte
 
-	// Placement's key (see load): committedArea is published once per
-	// turn; inFlight is raised by Service.Admit by the request's area
-	// before it hands the shard an admission and lowered when the answer
-	// is back, so it is zero whenever no admission is under way.
+	// Placement's key (see load), published once per turn and read by
+	// every caller routing.
 	committedArea atomic.Int64
-	inFlight      atomic.Int64
 	_             [cacheLine]byte
 
 	// The owner's book: what the shard has admitted and for whom. live
@@ -336,30 +334,10 @@ type shard struct {
 const cacheLine = 64
 
 // load is the shard's placement key: the area it has committed, as of its
-// last turn, plus the area of the admissions routed to it and not
-// answered yet. The second term is what lets
-// concurrent callers see each other: committedArea moves once per turn, so
-// without it everyone routing between two turns reads the same numbers,
-// picks the same minimum and queues behind one owner. An admission is
-// published before its caller lowers inFlight, so load never under-counts;
-// with a single caller inFlight is zero at every read. Where turns end in
-// an fsync the term is left out: there callers queueing on one shard is
-// the group commit, and spreading them buys more fsyncs of fewer records.
-// The sum saturates at MaxInt64, as the published area does. inFlight
-// itself wraps: two endless admissions in flight on one shard at once can
-// make it read negative (taken as saturated here) or low. Placement is
-// advisory, and the shard re-validates.
-func (sh *shard) load() int64 {
-	c := sh.committedArea.Load()
-	if sh.syncs.Load() {
-		return c
-	}
-	f := sh.inFlight.Load()
-	if f < 0 || c > math.MaxInt64-f {
-		return math.MaxInt64
-	}
-	return c + f
-}
+// last turn. Callers that route between two turns read the same keys;
+// what spreads them is Service.Admit's walk, which serves on the first
+// ranked shard whose lock is free (see do), not the key.
+func (sh *shard) load() int64 { return sh.committedArea.Load() }
 
 // newShard builds the partition's index (with the Pre reservations
 // committed); the shard is ready for do when it returns. floor is the
@@ -460,19 +438,28 @@ func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
 	return nil
 }
 
+// errBusy is do's answer to a caller that would not wait for a held lock.
+// It never leaves the package: Service.Admit tries another shard.
+var errBusy = errors.New("resd: shard busy")
+
 // do serves one request and returns its response. How depends on whether
 // the shard's turns end in an fsync. Where they do not (no log, or one
 // that never fsyncs) and no combiner holds the role, the caller keeps mu
 // for the whole turn and serves its own call in its own goroutine: the
 // turn is that one operation, and a contending caller waits inside
-// sync.Mutex. Where they do, the request joins the queue and a combiner
-// serves it (see combine): a caller that finds no combiner at work takes
-// the role, its own request first, so a lone caller never leaves its
-// goroutine; any other parks until a combiner has answered it or named it
-// the next combiner. Once opClose has been served or queued, every do
-// fails with ErrClosed.
-func (sh *shard) do(req request) (response, error) {
+// sync.Mutex — unless it said it would not wait: then do returns errBusy
+// at once, having done nothing, and the caller may try another shard.
+// Where turns fsync, the request joins the queue and a combiner serves it
+// (see combine), wait or not, since queueing there is the group commit: a
+// caller that finds no combiner at work takes the role, its own request
+// first, so a lone caller never leaves its goroutine; any other parks
+// until a combiner has answered it or named it the next combiner. Once
+// opClose has been served or queued, every do fails with ErrClosed.
+func (sh *shard) do(req request, wait bool) (response, error) {
 	if !sh.mu.TryLock() {
+		if !wait && !sh.syncs.Load() {
+			return response{}, errBusy
+		}
 		// Counted while blocked, so that depth covers every caller
 		// waiting for the shard; one that gets the lock at once pays
 		// nothing for it.

@@ -49,16 +49,18 @@ func (o TraceOutcome) String() string {
 //
 //	Arrival     Admit entered (wall clock; offsets are monotonic)
 //	Route       placement order computed, first shard attempt starting
-//	Enqueue     request handed to the (last-tried) shard
+//	Enqueue     the attempt on the shard that answered began
 //	BatchStart  the turn serving it on that shard began applying it
 //	Decision    final answer in hand (after every placement attempt)
 //
 // Decision − BatchStart is its turn; BatchStart − Enqueue is the wait
-// for the shard (its lock, or a combiner) and the turn's earlier requests; Enqueue − Route is routing/handoff; a large Decision with small
-// earlier stages means the request walked many shards. Shard is the
-// shard that produced the final answer, or for a quota refusal at the
-// door the shard it was booked on (−1 if none: Q plus the floor exceeds
-// M), and Start is the admitted start time when Outcome is TraceAdmitted.
+// for the shard (its lock, or a combiner) and the turn's earlier
+// requests; Enqueue − Route is the walk before that attempt: a failed
+// TryLock per held shard it passed over (no handoff) and the turns of
+// shards that refused it. Shard is the shard that produced the final
+// answer, or for a quota refusal at the door the shard it was booked on
+// (−1 if none: Q plus the floor exceeds M), and Start is the admitted
+// start time when Outcome is TraceAdmitted.
 //
 // ClientSend is the cross-wire span: how long before Arrival the caller
 // stamped the request on its side of the wire (Request.ClientSend,
