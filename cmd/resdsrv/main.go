@@ -32,8 +32,9 @@
 // queue depths, ops/batch, admission outcomes by reason, per-tenant
 // quota gauges, slack and wire latency summaries), /healthz (503 while
 // draining), and /debug/pprof. -trace N samples 1 in N admissions into a
-// bounded ring served by the wire protocol's Trace op and, with -slow,
-// logs sampled admissions slower than the threshold to stderr.
+// ring of the newest 256, served at /debug/flight beside the journal
+// tail, and, with -slow, logs sampled admissions slower than the
+// threshold to stderr.
 //
 //	resdsrv -obs :9090 -trace 64 -slow 5ms    # metrics + sampled tracing
 //
@@ -58,7 +59,7 @@
 // families, journals every alert transition into the flight recorder,
 // escalates /healthz to 200-with-warning while any rule fires, captures
 // a rate-limited diagnostic bundle on page transitions, and streams
-// per-objective states on the Watch op's WatchSLO family.
+// per-objective states in every Watch frame.
 //
 //	resdsrv -obs :9090 -slo slo.json    # burn-rate alerting armed
 //
@@ -115,8 +116,7 @@ func run() error {
 	quotas := flag.String("quotas", "", "tenant quota spec file (JSON); enables multi-tenant budgets")
 	qhorizon := flag.Int64("qhorizon", 1<<20, "accounting horizon the -quotas budgets resolve against")
 	obsAddr := flag.String("obs", "", "HTTP observability listen address (/metrics, /healthz, /debug/pprof; empty = disabled)")
-	trace := flag.Int("trace", 0, "sample 1 in N admissions into the trace ring (0 = tracing disabled)")
-	tracebuf := flag.Int("tracebuf", resd.DefaultTraceBuf, "admission trace ring capacity")
+	trace := flag.Int("trace", 0, "sample 1 in N admissions into the trace ring served at /debug/flight (0 = tracing disabled)")
 	slow := flag.Duration("slow", 0, "log sampled admissions slower than this to stderr (0 = disabled)")
 	flightdir := flag.String("flightdir", "", "flight-recorder bundle directory: on-anomaly diagnostic bundles (empty = journal+watchdog only when -obs is set)")
 	sloPath := flag.String("slo", "", "SLO spec file (JSON): windowed objectives + multi-window burn-rate alert rules (empty = disabled)")
@@ -145,10 +145,7 @@ func run() error {
 			return fmt.Errorf("%w (α must be positive when -nres > 0)", err)
 		}
 	}
-	if err := cliflag.First(
-		cliflag.NonNegative("trace", *trace),
-		cliflag.Positive("tracebuf", *tracebuf),
-	); err != nil {
+	if err := cliflag.NonNegative("trace", *trace); err != nil {
 		return err
 	}
 	if *slow < 0 {
@@ -226,7 +223,7 @@ func run() error {
 	var obsCfg *resd.ObsConfig
 	if metrics != nil || *trace > 0 || rec != nil || eng != nil {
 		obsCfg = &resd.ObsConfig{
-			Registry: metrics, TraceSample: *trace, TraceBuf: *tracebuf,
+			Registry: metrics, TraceSample: *trace,
 			SlowThreshold: *slow,
 			Flight:        rec,
 			SLO:           eng,
@@ -328,7 +325,7 @@ func run() error {
 	}
 	if *trace > 0 {
 		fmt.Printf("resdsrv: tracing 1 in %d admissions (ring %d, slow threshold %v)\n",
-			*trace, *tracebuf, *slow)
+			*trace, resd.TraceRingLen, *slow)
 	}
 	if rec != nil {
 		where := "bundles disabled"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -99,22 +100,23 @@ func TestShutdownFlushLines(t *testing.T) {
 		}
 	}
 
-	// traces= is a lifetime total too: a ring smaller than the run keeps
+	// traces= is a lifetime total too: a run longer than the ring keeps
 	// only the newest records, and the line still counts every sample.
-	small, err := resd.New(resd.Config{M: 8, Obs: &resd.ObsConfig{TraceSample: 1, TraceBuf: 4}})
+	long, err := resd.New(resd.Config{M: 8, Obs: &resd.ObsConfig{TraceSample: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer small.Close()
-	for i := 0; i < 10; i++ {
-		if _, err := small.Admit(resd.Request{Ready: 0, Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
+	defer long.Close()
+	const n = resd.TraceRingLen + 6
+	for i := 0; i < n; i++ {
+		if _, err := long.Admit(resd.Request{Ready: 0, Q: 1, Dur: 1, Deadline: resd.NoDeadline}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if held := len(small.Traces(0)); held != 4 {
-		t.Fatalf("ring holds %d traces, want 4", held)
+	if held := len(long.Traces(0)); held != resd.TraceRingLen {
+		t.Fatalf("ring holds %d traces, want %d", held, resd.TraceRingLen)
 	}
-	if line := finalLine(small); !strings.Contains(line, "traces=10") {
-		t.Errorf("final line %q, want traces=10 (10 sampled through a 4-record ring)", line)
+	if want := fmt.Sprintf("traces=%d", n); !strings.Contains(finalLine(long), want) {
+		t.Errorf("final line %q, want %s (%d sampled through a %d-record ring)", finalLine(long), want, n, resd.TraceRingLen)
 	}
 }

@@ -164,10 +164,7 @@ func run() error {
 			// the one that can also show queue depths and trace totals.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			ch, err := client.Watch(ctx, reswire.WatchOptions{
-				Interval: statsPeriod,
-				Mask:     reswire.WatchShards | reswire.WatchTraces,
-			})
+			ch, err := client.Watch(ctx, reswire.WatchOptions{Interval: statsPeriod})
 			if err != nil {
 				return err
 			}

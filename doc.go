@@ -67,9 +67,9 @@
 // bench/'s durable-mixed).
 //
 // The outermost layer is the wire: internal/reswire serves resd over TCP
-// with a length-prefixed binary protocol of one frozen revision: ten
+// with a length-prefixed binary protocol of one frozen revision: nine
 // ops (Reserve, Cancel, Query, Snapshot, Ping, Stats, QuotaGet,
-// QuotaSet, Trace, Watch), a version byte that must match, and a
+// QuotaSet, Watch), a version byte that must match, and a
 // connection dropped with ErrVersion when it does not. The request path
 // is
 //

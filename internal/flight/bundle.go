@@ -141,7 +141,7 @@ func (r *Recorder) writeBundle(reason string, state Health, warning string) (str
 	}
 	if src := r.src.Load(); src != nil {
 		if src.Traces != nil {
-			writeJSON(bundleTraces, src.Traces())
+			writeJSON(bundleTraces, src.Traces(0))
 		}
 		if src.Node != nil {
 			writeJSON(bundleNode, src.Node())

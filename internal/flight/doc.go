@@ -89,10 +89,12 @@
 //
 // # Surfaces
 //
-// Handler serves GET /debug/flight (state, warning, journal tail,
-// bundle inventory), POST /debug/flight/capture, and bundle file
-// fetches. resdsrv mounts it next to /metrics when -flightdir or -obs
-// is set; `obscheck -flight` fetches and validates the whole surface.
+// Handler serves GET /debug/flight (state, warning, journal tail, the
+// newest sampled admission traces, bundle inventory; ?n= bounds both
+// tails), POST /debug/flight/capture, and bundle file fetches. It is the
+// trace ring's remote reader: the wire protocol has no trace op. resdsrv
+// mounts it next to /metrics when -flightdir or -obs is set;
+// `obscheck -flight` fetches and validates the whole surface.
 // The Queue type is the journal's bounded non-blocking dispatcher,
 // used by resd to run ObsConfig.SlowLog callbacks off the admission
 // path.

@@ -133,8 +133,9 @@ type ShardProbe struct {
 type Sources struct {
 	// Shards returns every shard's heartbeat probe.
 	Shards func() []ShardProbe
-	// Traces returns the admission trace ring for bundles.
-	Traces func() any
+	// Traces returns the newest n records of the admission trace ring
+	// (n <= 0: all of it) for /debug/flight and bundles.
+	Traces func(n int) any
 	// Node returns the service's node snapshot (with what WAL replay
 	// found) for bundles.
 	Node func() any

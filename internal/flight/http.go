@@ -10,19 +10,21 @@ import (
 )
 
 // statusView is the JSON /debug/flight serves: the node's health
-// judgment, the journal tail, and the bundle inventory.
+// judgment, the journal tail, the newest sampled admission traces, and
+// the bundle inventory.
 type statusView struct {
 	State   Health            `json:"state"`
 	Warning string            `json:"warning,omitempty"`
 	Counts  map[string]uint64 `json:"counts"`
 	Events  []Event           `json:"events"`
+	Traces  any               `json:"traces,omitempty"`
 	Bundles []string          `json:"bundles,omitempty"`
 	Latest  string            `json:"latest,omitempty"`
 }
 
 // Handler serves the flight surface:
 //
-//	GET  /debug/flight                      health + journal tail (+?n=)
+//	GET  /debug/flight                      health + journal and trace tails (+?n=)
 //	POST /debug/flight/capture?reason=...   on-demand bundle; {"bundle": name}
 //	GET  /debug/flight/bundle/<name>        bundle file list (JSON)
 //	GET  /debug/flight/bundle/<name>/<file> one bundle file
@@ -61,6 +63,9 @@ func (r *Recorder) serveStatus(w http.ResponseWriter, req *http.Request) {
 		},
 		Events:  r.journal.Tail(n),
 		Bundles: r.Bundles(),
+	}
+	if src := r.src.Load(); src != nil && src.Traces != nil {
+		view.Traces = src.Traces(n)
 	}
 	view.Latest = ""
 	if len(view.Bundles) > 0 {

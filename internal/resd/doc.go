@@ -280,8 +280,9 @@
 // closure the service registers reads published atomics and sends no
 // request to a shard, so scrapes cost the hot path nothing;
 // per-request admission tracing is sampled (ObsConfig.TraceSample) into
-// a bounded ring served by Service.Traces and the wire protocol's Trace
-// op, with a threshold-configurable slow-request hook. The families the
+// a bounded ring served by Service.Traces, the flight recorder's
+// /debug/flight and its bundles, with a threshold-configurable
+// slow-request hook. The families the
 // service exposes:
 //
 //	resd_shard_queue_depth{shard}          gauge    callers waiting for the shard (its lock or queue)
@@ -356,9 +357,8 @@
 // readers that already existed, composed, from published atomics only.
 // Every surface renders it and nothing else: the per-shard and per-log
 // families above are columns of the same Stats and WALStats rows, a
-// Watch frame is a snapshot behind a family mask, a flight bundle's
-// node.json is one beside WALInfo, and resdsrv's shutdown and /healthz
-// lines read it. So on a quiesced service they agree field for field,
+// Watch frame is the whole snapshot, a flight bundle's node.json is one
+// beside WALInfo, and resdsrv's shutdown and /healthz lines read it. So on a quiesced service they agree field for field,
 // which internal/reswire's TestNodeSurfacesAgree checks.
 //
 // # Heartbeats and node health

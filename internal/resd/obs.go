@@ -17,11 +17,9 @@ type ObsConfig struct {
 	// Registry is the metrics sink. Nil disables metrics (instrumented
 	// code still runs against no-op instruments).
 	Registry *obs.Registry
-	// TraceSample records one in N Admit calls into the trace ring
-	// (1 = every request, 0 = tracing disabled).
+	// TraceSample records one in N Admit calls into the trace ring of
+	// TraceRingLen records (1 = every request, 0 = tracing disabled).
 	TraceSample int
-	// TraceBuf is the trace ring capacity (0 = DefaultTraceBuf).
-	TraceBuf int
 	// SlowThreshold marks a sampled request slow when its arrival-to-
 	// decision latency reaches the threshold (0 = no slow accounting).
 	SlowThreshold time.Duration

@@ -104,13 +104,12 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 
 // TestAdmissionTraces checks the sampled trace pipeline: stage
 // monotonicity, outcome classification, the slow-request log hook, and
-// the wire-facing Traces accessor.
+// the Traces accessor /debug/flight serves.
 func TestAdmissionTraces(t *testing.T) {
 	var mu sync.Mutex
 	var slow []TraceRecord
 	s := mustNew(t, Config{M: 8, Obs: &ObsConfig{
 		TraceSample:   1,
-		TraceBuf:      8,
 		SlowThreshold: time.Nanosecond, // everything is "slow": the hook must fire
 		SlowLog: func(r TraceRecord) {
 			mu.Lock()
@@ -171,12 +170,13 @@ func TestAdmissionTraces(t *testing.T) {
 	}
 }
 
-// TestTraceRingBounds: the ring keeps only the newest TraceBuf records
-// and sampling 1-in-N records roughly 1/N of traffic.
+// TestTraceRingBounds: the ring keeps only the newest TraceRingLen
+// records and sampling 1-in-N records roughly 1/N of traffic.
 func TestTraceRingBounds(t *testing.T) {
-	s := mustNew(t, Config{M: 8, Obs: &ObsConfig{TraceSample: 1, TraceBuf: 4}})
-	ids := make([]ID, 0, 10)
-	for i := 0; i < 10; i++ {
+	s := mustNew(t, Config{M: 8, Obs: &ObsConfig{TraceSample: 1}})
+	const n = TraceRingLen + 6
+	ids := make([]ID, 0, n)
+	for i := 0; i < n; i++ {
 		r, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline})
 		if err != nil {
 			t.Fatal(err)
@@ -184,16 +184,16 @@ func TestTraceRingBounds(t *testing.T) {
 		ids = append(ids, r.ID)
 	}
 	traces := s.Traces(0)
-	if len(traces) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(traces))
+	if len(traces) != TraceRingLen {
+		t.Fatalf("ring holds %d, want %d", len(traces), TraceRingLen)
 	}
 	for i := 1; i < len(traces); i++ {
 		if traces[i].Seq != traces[i-1].Seq+1 {
 			t.Fatalf("ring not chronological: %+v", traces)
 		}
 	}
-	if traces[len(traces)-1].Seq != 10 {
-		t.Errorf("newest seq = %d, want 10", traces[len(traces)-1].Seq)
+	if traces[len(traces)-1].Seq != n {
+		t.Errorf("newest seq = %d, want %d", traces[len(traces)-1].Seq, n)
 	}
 	for _, id := range ids {
 		if err := s.Cancel(id); err != nil {

@@ -352,7 +352,7 @@ func New(cfg Config) (*Service, error) {
 		// After attachSLO: a bundle's Node reads s.slo.
 		every := s.flight.Attach(flight.Sources{
 			Shards: s.flightProbes,
-			Traces: func() any { return s.Traces(0) },
+			Traces: func(n int) any { return s.Traces(n) },
 			Node: func() any {
 				return struct {
 					WAL  WALInfo      `json:"wal"`

@@ -99,8 +99,8 @@ type tracer struct {
 	full bool
 }
 
-// DefaultTraceBuf is the ring capacity when ObsConfig.TraceBuf is zero.
-const DefaultTraceBuf = 256
+// TraceRingLen is the trace ring's capacity: the newest records kept.
+const TraceRingLen = 256
 
 // slowLogQueueDepth bounds how many slow records can wait for the
 // SlowLog callback before further ones are dropped (counted in
@@ -111,15 +111,11 @@ func newTracer(cfg *ObsConfig) *tracer {
 	if cfg == nil || cfg.TraceSample <= 0 {
 		return nil
 	}
-	buf := cfg.TraceBuf
-	if buf <= 0 {
-		buf = DefaultTraceBuf
-	}
 	t := &tracer{
 		sample:  uint64(cfg.TraceSample),
 		slow:    cfg.SlowThreshold,
 		slowLog: cfg.SlowLog,
-		ring:    make([]TraceRecord, buf),
+		ring:    make([]TraceRecord, TraceRingLen),
 	}
 	if t.slowLog != nil {
 		t.slowQ = flight.NewQueue(slowLogQueueDepth)
@@ -214,7 +210,7 @@ func (t *tracer) snapshot(max int) []TraceRecord {
 
 // Traces returns the most recent sampled admission traces, oldest first,
 // up to max (max <= 0 returns the whole ring). Empty when tracing is
-// disabled. This is what the wire protocol's Trace op serves.
+// disabled. This is what /debug/flight and flight bundles serve.
 func (s *Service) Traces(max int) []TraceRecord {
 	return s.tracer.snapshot(max)
 }

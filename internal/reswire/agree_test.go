@@ -28,11 +28,47 @@ import (
 // TestNodeSurfacesAgree checks that every telemetry surface renders the
 // same resd.NodeSnapshot: after a seeded mix of admissions, cancellations
 // and every kind of refusal, a quiesced service's Node() equals the Stats
-// op over the wire, a WatchAll frame, the /metrics value of every family
-// that carries one of its fields, and a flight bundle's node.json.
+// op over the wire, a Watch frame, the /metrics value of every family
+// that carries one of its fields, and a flight bundle's node.json. The
+// bare arm runs a service with no quotas, no log and no SLO engine, whose
+// Node() has those families nil: the frame must decode them as nil too.
 func TestNodeSurfacesAgree(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkNodeSurfaces(t, seed) })
+	}
+	t.Run("bare", checkBareNodeSurfaces)
+}
+
+func checkBareNodeSurfaces(t *testing.T) {
+	reg := obs.NewRegistry()
+	flightDir := t.TempDir()
+	rec, err := flight.New(flight.Config{Registry: reg, Dir: flightDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, svc := startServer(t, resd.Config{Shards: 2, M: 8,
+		Obs: &resd.ObsConfig{Registry: reg, TraceSample: 1, Flight: rec}})
+	c := dial(t, addr, Options{Conns: 1})
+	for i := 0; i < 20; i++ {
+		// Every fifth asks to start at once on a machine the others fill.
+		req := resd.Request{Ready: core.Time(i), Q: 3, Dur: 40, Deadline: resd.NoDeadline}
+		if i%5 == 4 {
+			req.Deadline = req.Ready
+		}
+		if _, err := c.Admit(req); err != nil && !errors.Is(err, resd.ErrDeadline) {
+			t.Fatalf("admit %+v: %v", req, err)
+		}
+	}
+	node := agreeQuiesced(t, c, svc, rec, flightDir, reg)
+	if node.Tenants != nil || node.WAL != nil || node.SLO != nil {
+		t.Fatalf("bare service's Node has a family it runs without: %+v", node)
+	}
+	var admitted, dl uint64
+	for _, st := range node.Shards {
+		admitted, dl = admitted+st.Admitted, dl+st.RejectedDeadline
+	}
+	if admitted == 0 || dl == 0 || node.TracesSampled == 0 {
+		t.Errorf("traffic left a counter at zero: %+v", node)
 	}
 }
 
@@ -67,7 +103,9 @@ func checkNodeSurfaces(t *testing.T, seed uint64) {
 		// Four processors held for ever: a request for 9–12 passes the
 		// static α check (q + 4 ≤ 16) but no shard ever has room for it.
 		Pre: []core.Reservation{{Procs: 4, Start: 0, Len: core.Infinity}},
-		Obs: &resd.ObsConfig{Registry: reg, TraceSample: 3, TraceBuf: 8, SlowThreshold: 20 * time.Microsecond,
+		// Every admission sampled: more than the ring holds, so the counters
+		// the surfaces carry are lifetime totals, not the ring's length.
+		Obs: &resd.ObsConfig{Registry: reg, TraceSample: 1, SlowThreshold: 20 * time.Microsecond,
 			Flight: rec, SLO: eng},
 		WAL: &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone, SnapEvery: 32},
 	})
@@ -104,6 +142,28 @@ func checkNodeSurfaces(t *testing.T, seed uint64) {
 	}
 	eng.Tick(time.Now()) // the states now cover the traffic
 
+	before := agreeQuiesced(t, c, svc, rec, flightDir, reg)
+	// The traffic reached every field the surfaces share, so agreement is
+	// not agreement on zeros.
+	var rej, dl, quota, cancelled, snaps uint64
+	for _, st := range before.Shards {
+		rej, dl, quota, cancelled = rej+st.Rejected, dl+st.RejectedDeadline, quota+st.RejectedQuota, cancelled+st.Cancelled
+	}
+	for _, w := range before.WAL {
+		snaps += w.Snapshots
+	}
+	if rej == 0 || dl == 0 || quota == 0 || cancelled == 0 || snaps == 0 || before.TracesSampled <= resd.TraceRingLen ||
+		len(before.Tenants) < 2 || len(before.WAL) != shards || len(before.SLO) != 4 {
+		t.Errorf("seed %d: traffic left a family empty or the trace ring unwrapped: %+v", seed, before)
+	}
+}
+
+// agreeQuiesced reads every surface until the node holds still across
+// the reading, reports each surface that differs from Node(), and
+// returns that Node().
+func agreeQuiesced(t *testing.T, c *Client, svc *resd.Service, rec *flight.Recorder, flightDir string,
+	reg *obs.Registry) resd.NodeSnapshot {
+	t.Helper()
 	for attempt := 0; ; attempt++ {
 		before := svc.Node()
 		diffs := nodeSurfaceDiffs(t, c, svc, rec, flightDir, reg, before)
@@ -111,28 +171,15 @@ func checkNodeSurfaces(t *testing.T, seed uint64) {
 			// Not quiesced yet (a background snapshot write finishing, the
 			// engine's own tick): read every surface again.
 			if attempt == 50 {
-				t.Fatalf("seed %d: the node never held still: %+v then %+v", seed, before, after)
+				t.Fatalf("the node never held still: %+v then %+v", before, after)
 			}
 			time.Sleep(10 * time.Millisecond)
 			continue
 		}
 		for _, d := range diffs {
-			t.Errorf("seed %d: %s", seed, d)
+			t.Error(d)
 		}
-		// The traffic reached every field the surfaces share, so agreement
-		// is not agreement on zeros.
-		var rej, dl, quota, cancelled, snaps uint64
-		for _, st := range before.Shards {
-			rej, dl, quota, cancelled = rej+st.Rejected, dl+st.RejectedDeadline, quota+st.RejectedQuota, cancelled+st.Cancelled
-		}
-		for _, w := range before.WAL {
-			snaps += w.Snapshots
-		}
-		if rej == 0 || dl == 0 || quota == 0 || cancelled == 0 || snaps == 0 || before.TracesSampled == 0 ||
-			len(before.Tenants) < 2 || len(before.WAL) != shards || len(before.SLO) != 4 {
-			t.Errorf("seed %d: traffic left a family empty: %+v", seed, before)
-		}
-		return
+		return before
 	}
 }
 
@@ -147,7 +194,6 @@ func nodeSurfaceDiffs(t *testing.T, c *Client, svc *resd.Service, rec *flight.Re
 			diffs = append(diffs, fmt.Sprintf("%s:\n got %+v\nNode %+v", surface, got, want))
 		}
 	}
-	want = canonicalNode(want)
 
 	// (a) The Stats op.
 	stats, err := c.Stats()
@@ -156,16 +202,16 @@ func nodeSurfaceDiffs(t *testing.T, c *Client, svc *resd.Service, rec *flight.Re
 	}
 	differ("Stats op", stats, want.Shards)
 
-	// (b) A WatchAll frame, taken after the traffic.
+	// (b) A Watch frame, taken after the traffic.
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval, Mask: WatchAll})
+	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := <-ch
 	cancel()
 	drainWatch(t, ch)
-	differ("Watch frame", canonicalNode(tel.NodeSnapshot), want)
+	differ("Watch frame", tel.NodeSnapshot, want)
 
 	// (c) /metrics: every family that renders a NodeSnapshot field.
 	srv := httptest.NewServer(obs.Handler(reg, nil))
@@ -285,28 +331,7 @@ func nodeSurfaceDiffs(t *testing.T, c *Client, svc *resd.Service, rec *flight.Re
 	if err := json.Unmarshal(raw, &bundle); err != nil {
 		t.Fatal(err)
 	}
-	differ("bundle node.json", canonicalNode(bundle.Node), want)
+	differ("bundle node.json", bundle.Node, want)
 	differ("bundle node.json WALInfo", bundle.WAL, svc.WALInfo())
 	return diffs
-}
-
-// canonicalNode maps empty slices to nil: neither the wire nor JSON keeps
-// the difference.
-func canonicalNode(n resd.NodeSnapshot) resd.NodeSnapshot {
-	if len(n.Queue) == 0 {
-		n.Queue = nil
-	}
-	if len(n.Shards) == 0 {
-		n.Shards = nil
-	}
-	if len(n.Tenants) == 0 {
-		n.Tenants = nil
-	}
-	if len(n.WAL) == 0 {
-		n.WAL = nil
-	}
-	if len(n.SLO) == 0 {
-		n.SLO = nil
-	}
-	return n
 }

@@ -209,38 +209,26 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Traces reads the server's newest sampled admission traces, oldest
-// first, up to max (max <= 0 asks for the whole ring). Empty when the
-// server runs with tracing disabled.
-func (c *Client) Traces(max int) ([]resd.TraceRecord, error) {
-	resp, err := c.call(Request{Op: OpTrace, Limit: max})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Traces, nil
-}
-
 // WatchOptions parameterises Client.Watch.
 type WatchOptions struct {
 	// Interval is the requested push period (default 1s). The server
 	// clamps it into [MinWatchInterval, MaxWatchInterval].
 	Interval time.Duration
-	// Mask selects the telemetry families (0 = WatchAll).
-	Mask uint32
-	// Buffer is the capacity of the returned channel (default 16). A
-	// consumer that stops draining eventually back-pressures through
-	// TCP; the server then drops frames and marks the gap in the next
-	// delivered frame's Dropped count rather than blocking anything.
-	Buffer int
 }
+
+// watchBuffer is the capacity of the channel Watch returns. A consumer
+// that stops draining eventually back-pressures through TCP; the server
+// then drops frames and marks the gap in the next delivered frame's
+// Dropped count rather than blocking anything.
+const watchBuffer = 16
 
 // watchRedialDelay paces resubscription attempts after a Watch stream's
 // connection dies.
 const watchRedialDelay = 100 * time.Millisecond
 
 // Watch subscribes to server-pushed telemetry and returns the stream.
-// Each received frame is one Telemetry snapshot of the families
-// opts.Mask selected, pushed by the server every opts.Interval without
+// Each received frame is one Telemetry: the server's whole node
+// snapshot, pushed every opts.Interval without
 // the client issuing any polls. The subscription rides its own
 // connection; if that connection dies the stream redials and
 // resubscribes transparently until ctx is cancelled or the client is
@@ -258,15 +246,6 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) (<-chan Telemetry
 	if opts.Interval == 0 {
 		opts.Interval = time.Second
 	}
-	if opts.Mask == 0 {
-		opts.Mask = WatchAll
-	}
-	if !validWatchMask(opts.Mask) {
-		return nil, fmt.Errorf("reswire: watch mask %#x", opts.Mask)
-	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = 16
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -277,7 +256,7 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) (<-chan Telemetry
 	if err != nil {
 		return nil, err
 	}
-	ch := make(chan Telemetry, opts.Buffer)
+	ch := make(chan Telemetry, watchBuffer)
 	go c.watchStream(ctx, nc, opts, ch)
 	return ch, nil
 }
@@ -288,7 +267,7 @@ func (c *Client) watchDial(opts WatchOptions) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reswire: watch dial %s: %w", c.addr, err)
 	}
-	buf, err := AppendRequest(nil, Request{ID: 1, Op: OpWatch, Interval: opts.Interval, Mask: opts.Mask})
+	buf, err := AppendRequest(nil, Request{ID: 1, Op: OpWatch, Interval: opts.Interval})
 	if err != nil {
 		nc.Close()
 		return nil, err

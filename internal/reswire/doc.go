@@ -23,13 +23,14 @@
 // hostile bytes, and requires each frame to be consumed exactly;
 // FuzzWireCodec enforces all of that plus canonical round-tripping.
 //
-// There is one revision of the layout, Version, and nothing is negotiated:
-// a frame with any other version byte fails with ErrVersion, the server
-// drops the connection (framing cannot be trusted past a frame it could
-// not parse), journals one Warn naming the remote address and the byte,
-// and counts it in reswire_frame_errors_total. TestGoldenFrames holds the
-// bytes of every op in both directions; changing one of them is changing
-// the protocol, and takes a new version byte.
+// There is one revision of the layout, Version (6), and nothing is
+// negotiated: a frame with any other version byte fails with ErrVersion,
+// the server drops the connection (framing cannot be trusted past a
+// frame it could not parse), journals one Warn naming the remote address
+// and the byte, and counts it in reswire_frame_errors_total.
+// TestGoldenFrames holds the bytes of every op in both directions;
+// changing one of them is changing the protocol, and takes a new version
+// byte.
 //
 // The ops:
 //
@@ -41,27 +42,33 @@
 //   - Cancel, Query, Snapshot and Ping are their resd.Service namesakes;
 //     a Snapshot reply is the shard's capacity step function as
 //     (start, free) segments.
-//   - Stats answers one 96-byte entry per shard: the ten fields of
-//     resd.ShardStats, p99 slack among them, with 16 reserved bytes
-//     after the seventh — sent zero, skipped on receipt.
+//   - Stats answers one 80-byte entry per shard: the ten fields of
+//     resd.ShardStats, p99 slack among them.
 //   - QuotaGet and QuotaSet read and re-budget one tenant's share of the
 //     server's quota registry at runtime (BAD_REQUEST when the server
-//     runs without one). A QuotaGet reply has a reserved name and byte
-//     after the tenant — sent empty and zero, skipped on receipt.
-//   - Trace asks for up to Limit of the newest sampled admission traces
-//     (resd.TraceRecord: the client-send→arrival→route→enqueue→
-//     batch-start→decision breakdown), answered as fixed-layout records
-//     tailed by length-prefixed tenant names.
+//     runs without one).
 //   - Watch turns a request into a subscription: the body names a push
-//     interval (clamped into [MinWatchInterval, MaxWatchInterval]) and a
-//     family mask (WatchShards | WatchTenants | WatchWAL | WatchTraces |
-//     WatchSLO), and the server answers with an open-ended stream of
-//     Telemetry frames. Each is one sequence-numbered resd.NodeSnapshot:
-//     M and Floor, then per family the mask selected — per-shard queue
-//     depth and Stats entry, per-tenant budget usage, write-ahead-log
-//     counters, trace-ring counters and evaluated SLO states (empty on
-//     servers running without quotas, a log or an SLO engine — see
-//     internal/slo).
+//     interval (clamped into [MinWatchInterval, MaxWatchInterval]), and
+//     the server answers with an open-ended stream of Telemetry frames.
+//
+// A Telemetry frame is Seq and Dropped, then one whole resd.NodeSnapshot:
+//
+//	uint64  Seq, Dropped
+//	int32   M, Floor
+//	uint32  shard count, then per shard: int32 queue depth + Stats entry
+//	uint32  tenant count, then per tenant: name, budget, used, inflight
+//	uint32  WAL count, then per log: shard, gen, bytes, records,
+//	        fsyncs, snapshots, fsync p99, failures
+//	uint64  traces sampled, traces slow
+//	uint32  SLO count, then per objective: name, tenant, signal, target,
+//	        attainment, budget remaining, peak burn rate, alert state
+//
+// A family the server runs without — quotas, a log, an SLO engine (see
+// internal/slo) — is a zero count, and decodes as nil exactly as
+// Service.Node returns it, so a decoded frame equals Node field for
+// field. The admission trace ring has no op: its remote reader is the
+// observability listener's /debug/flight (internal/flight), which serves
+// the newest sampled records beside the journal tail.
 //
 // The server takes one Service.Node per push, the snapshot /metrics,
 // the Stats op and flight bundles render, so a subscriber never waits

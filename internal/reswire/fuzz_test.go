@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -37,10 +38,8 @@ func FuzzWireCodec(f *testing.F) {
 		{ID: 9, Op: OpQuotaGet, Tenant: "acme"},
 		{ID: 10, Op: OpQuotaSet, Tenant: "acme", Share: 0.25},
 		{ID: 11, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: strings.Repeat("t", tenant.MaxNameLen)},
-		{ID: 12, Op: OpTrace, Limit: 16},
-		{ID: 13, Op: OpTrace, Limit: -1},
-		{ID: 14, Op: OpWatch, Interval: time.Second, Mask: WatchAll},
-		{ID: 15, Op: OpWatch, Interval: 0, Mask: WatchShards | WatchTraces},
+		{ID: 14, Op: OpWatch, Interval: time.Second},
+		{ID: 15, Op: OpWatch, Interval: 0},
 		{ID: 16, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20, Deadline: int64Max, Tenant: "acme",
 			Stamp: 1_700_000_000_000_000_000, Traced: true},
 		{ID: 17, Op: OpReserve, Ready: 10, Procs: 4, Dur: int64Max, Deadline: int64Max, Stamp: -1},
@@ -64,34 +63,20 @@ func FuzzWireCodec(f *testing.F) {
 			Tenant: "acme", Share: 0.5,
 			Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}},
 		{ID: 9, Op: OpQuotaSet, Code: CodeOK},
-		{ID: 12, Op: OpTrace, Code: CodeOK, Traces: []resd.TraceRecord{{
-			Seq: 3, Tenant: "acme", Shard: 1, Outcome: resd.TraceAdmitted, Start: 50,
-			Arrival: time.Unix(0, 1_700_000_000_000_000_000),
-			Route:   100, Enqueue: 250, BatchStart: 900, Decision: 1500,
-		}, {
-			Seq: 4, Shard: -1, Outcome: resd.TraceRejectedDeadline,
-			Arrival:  time.Unix(0, 1_700_000_000_000_001_000),
-			Decision: 800,
-		}}},
-		{ID: 13, Op: OpTrace, Code: CodeOK},
-		{ID: 14, Op: OpTrace, Code: CodeOK, Traces: []resd.TraceRecord{{
-			Seq: 5, Tenant: "acme", Shard: 0, Outcome: resd.TraceAdmitted, Start: 50,
-			Arrival: time.Unix(0, 1_700_000_000_000_000_000), ClientSend: 125_000,
-			Route: 100, Enqueue: 250, BatchStart: 900, Decision: 1500,
-		}}},
 		{ID: 15, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
-			Seq: 3, Dropped: 1, Mask: WatchAll, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
+			Seq: 3, Dropped: 1, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
 				Queue:         []int{2, 0},
 				Shards:        []resd.ShardStats{{Active: 1, Admitted: 2, SlackP99: 63}, {Admitted: 4}},
 				Tenants:       []resd.TenantLoad{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
 				WAL:           []resd.WALShardStats{{Shard: 1, Gen: 2, Bytes: 4096, Records: 7, Fsyncs: 3, Snapshots: 1, FsyncP99: 90_000}},
 				TracesSampled: 9, TracesSlow: 2,
 			}}},
+		// A bare node: no tenants, log or objectives.
 		{ID: 16, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
-			Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: 8, Queue: []int{0}, Shards: []resd.ShardStats{{}}},
+			NodeSnapshot: resd.NodeSnapshot{M: 8, Queue: []int{0}, Shards: []resd.ShardStats{{}}},
 		}},
 		{ID: 17, Op: OpWatch, Code: CodeOK, Telemetry: &Telemetry{
-			Mask: WatchSLO, NodeSnapshot: resd.NodeSnapshot{M: 8,
+			NodeSnapshot: resd.NodeSnapshot{M: 8,
 				SLO: []slo.State{
 					{Name: "deadline", Signal: slo.DeadlineAttainment, Target: 0.99,
 						Attainment: 0.95, BudgetRemaining: -4, BurnMax: 14.5, Severity: slo.SevPage},
@@ -99,6 +84,9 @@ func FuzzWireCodec(f *testing.F) {
 						Target: 0.9, Attainment: 1, BudgetRemaining: 1, BurnMax: 0, Severity: slo.OK},
 				},
 			}}},
+		// The whole node snapshot, every family at once.
+		{ID: 18, Op: OpWatch, Code: CodeOK, Telemetry: goldenTelemetry},
+		{ID: 19, Op: OpWatch, Code: CodeClosed, Detail: "draining"},
 	} {
 		frame, err := AppendResponse(nil, resp)
 		if err != nil {
@@ -109,33 +97,48 @@ func FuzzWireCodec(f *testing.F) {
 	// Hostile shapes: truncation, bad magic, huge length, NaN share bits,
 	// and every other version byte — with bodies those revisions had or
 	// never had, all refused at the byte.
-	f.Add([]byte{0, 0, 0, 0})                                             // truncated length prefix
-	f.Add([]byte{0, 0, 0, 0, 16, 'X', 'X', 1, 1})                         // bad magic
-	f.Add([]byte{1, 0, 0, 0, 16, 'R', 'W', 9, 1})                         // bad version
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 0, 1})                         // version 0 on the wire
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 6, 1})                         // version one past current
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 3, 1})                         // version 3
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 9})                         // version 4, Trace
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 5, 1})                         // Reserve with a truncated body
-	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 10})                        // version 4, Watch
-	f.Add([]byte{0, 0, 0, 0, 24, 'R', 'W', 5, 10, 0, 0, 0, 0, 0, 0, 0, 1, // Watch with an empty mask
-		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0})
-	f.Add([]byte{0, 0, 0, 0, 24, 'R', 'W', 5, 10, 0, 0, 0, 0, 0, 0, 0, 1, // Watch with unknown mask bits
-		0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0, 0, 0, 0, 24, 'R', 'W', 5, 10, 0, 0, 0, 0, 0, 0, 0, 1, // Watch with a negative interval
-		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 1})
-	f.Add([]byte{1, 0, 0, 0, 33, 'R', 'W', 5, 10, 0, 0, 0, 0, 0, 0, 0, 1, 0, // Telemetry claiming 2^24 shards
-		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 16, 0, 0, 0, 2,
+	f.Add([]byte{0, 0, 0, 0})                                            // truncated length prefix
+	f.Add([]byte{0, 0, 0, 0, 16, 'X', 'X', 1, 1})                        // bad magic
+	f.Add([]byte{1, 0, 0, 0, 16, 'R', 'W', 9, 1})                        // bad version
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 0, 1})                        // version 0 on the wire
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 7, 1})                        // version one past current
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 3, 1})                        // version 3
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 9})                        // version 4, Trace
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 6, 1})                        // Reserve with a truncated body
+	f.Add([]byte{0, 0, 0, 0, 16, 'R', 'W', 4, 10})                       // version 4, Watch
+	f.Add(append([]byte{0}, frameAt(5, opWatchV5, watchV5...)...))       // version 5, Watch with a family mask
+	f.Add(append([]byte{0}, frameAt(Version, OpWatch, watchV5...)...))   // revision 5's Watch body at Version: a trailing mask
+	f.Add(append([]byte{0}, frameAt(5, opTraceV5, 0, 0, 0, 16)...))      // version 5, Trace
+	f.Add(append([]byte{0}, frameAt(Version, opWatchV5, watchV5...)...)) // op 10 at Version: no such op
+	f.Add([]byte{0, 0, 0, 0, 20, 'R', 'W', 6, 9, 0, 0, 0, 0, 0, 0, 0, 1, // Watch with a negative interval
+		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{1, 0, 0, 0, 29, 'R', 'W', 6, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0, // Telemetry claiming 2^24 shards
+		0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 2,
 		1, 0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 13, 'R', 'W', 3, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0}) // version 3, Trace
-	f.Add([]byte{1, 0, 0, 0, 17, 'R', 'W', 5, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // Trace response claiming 2^24 records
+	f.Add([]byte{1, 0, 0, 0, 17, 'R', 'W', 5, 9, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // version 5 Trace response claiming 2^24 records
 		1, 0, 0, 0})
 	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF})                                 // length prefix far past MaxFrame
 	f.Add(append([]byte{1, 0, 0, 0, 12}, make([]byte, 12)...))               // zeroed header
 	f.Add([]byte{0, 0, 0, 0, 13, 'R', 'W', 1, 7, 0, 0, 0, 0, 0, 0, 0, 1, 0}) // version 1, QuotaGet
-	f.Add([]byte{0, 0, 0, 0, 21, 'R', 'W', 5, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // QuotaSet with NaN share
+	f.Add([]byte{0, 0, 0, 0, 21, 'R', 'W', 6, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0,  // QuotaSet with NaN share
 		0x7F, 0xF8, 0, 0, 0, 0, 0, 1})
-	f.Add([]byte{0, 0, 0, 0, 14, 'R', 'W', 5, 7, 0, 0, 0, 0, 0, 0, 0, 1, 5, 'a'}) // tenant length past body
+	f.Add([]byte{0, 0, 0, 0, 14, 'R', 'W', 6, 7, 0, 0, 0, 0, 0, 0, 0, 1, 5, 'a'}) // tenant length past body
+	// Replies in revision 5's layouts at Version: a QuotaGet with its two
+	// reserved bytes after the tenant, and a Stats entry with its sixteen
+	// after the seventh field.
+	widened := func(resp Response, at int, extra []byte) []byte {
+		frame, err := AppendResponse(nil, resp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame = slices.Insert(frame, at, extra...)
+		binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+		return append([]byte{1}, frame...)
+	}
+	const body = 4 + headerLen + 1 // length prefix, header, code
+	f.Add(widened(Response{ID: 8, Op: OpQuotaGet, Quota: goldenQuota}, body+1+len(goldenQuota.Tenant), []byte{0, 0}))
+	f.Add(widened(Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}, body+4+7*8, make([]byte, 16)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -157,7 +160,7 @@ func FuzzWireCodec(f *testing.F) {
 				if err != nil {
 					t.Fatalf("re-encoded response does not decode: %v", err)
 				}
-				if !reflect.DeepEqual(normalise(resp), normalise(again)) {
+				if !reflect.DeepEqual(resp, again) {
 					t.Fatalf("canonical round trip diverged:\n first %+v\nsecond %+v", resp, again)
 				}
 			} else {
@@ -182,42 +185,6 @@ func FuzzWireCodec(f *testing.F) {
 }
 
 const int64Max = 1<<63 - 1
-
-// normalise maps empty slices to nil: the wire cannot distinguish them.
-func normalise(r Response) Response {
-	if len(r.Free) == 0 {
-		r.Free = nil
-	}
-	if len(r.Segs) == 0 {
-		r.Segs = nil
-	}
-	if len(r.Stats) == 0 {
-		r.Stats = nil
-	}
-	if len(r.Traces) == 0 {
-		r.Traces = nil
-	}
-	if r.Telemetry != nil {
-		t := *r.Telemetry
-		if len(t.Queue) == 0 {
-			t.Queue = nil
-		}
-		if len(t.Shards) == 0 {
-			t.Shards = nil
-		}
-		if len(t.Tenants) == 0 {
-			t.Tenants = nil
-		}
-		if len(t.WAL) == 0 {
-			t.WAL = nil
-		}
-		if len(t.SLO) == 0 {
-			t.SLO = nil
-		}
-		r.Telemetry = &t
-	}
-	return r
-}
 
 // TestReadFrameStopsAtJunk complements FuzzWireCodec at the framing
 // layer: a valid frame prefixed by arbitrary junk must never decode (the

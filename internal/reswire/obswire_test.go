@@ -10,62 +10,6 @@ import (
 	"repro/internal/resd"
 )
 
-// TestTraceOverWire drives the Trace op end to end: sampled admission
-// traces cross the wire with stages, outcome and tenant intact, and Limit
-// trims to the newest records.
-func TestTraceOverWire(t *testing.T) {
-	addr, _ := startServer(t, resd.Config{
-		M:   8,
-		Obs: &resd.ObsConfig{TraceSample: 1, TraceBuf: 8},
-	})
-	c := dial(t, addr, Options{Conns: 1, Pipeline: true})
-
-	r, err := c.Admit(resd.Request{Tenant: "acme", Ready: 5, Q: 4, Dur: 10, Deadline: resd.NoDeadline})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(resd.Request{Q: 8, Dur: 10, Deadline: 0}); !errors.Is(err, resd.ErrDeadline) {
-		t.Fatalf("full-width deadline-0 request err = %v, want ErrDeadline", err)
-	}
-
-	traces, err := c.Traces(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traces) != 2 {
-		t.Fatalf("Traces = %d records, want 2", len(traces))
-	}
-	adm, rej := traces[0], traces[1]
-	if adm.Outcome != resd.TraceAdmitted || adm.Tenant != "acme" || adm.Shard != 0 || adm.Start != r.Start {
-		t.Errorf("admitted trace = %+v", adm)
-	}
-	if rej.Outcome != resd.TraceRejectedDeadline || rej.Seq != adm.Seq+1 {
-		t.Errorf("rejected trace = %+v", rej)
-	}
-	for _, tr := range traces {
-		if !(tr.Route >= 0 && tr.Enqueue >= tr.Route && tr.BatchStart >= tr.Enqueue && tr.Decision >= tr.BatchStart) {
-			t.Errorf("stages not monotone after the wire: %+v", tr)
-		}
-		if tr.Arrival.IsZero() || tr.Arrival.UnixNano() <= 0 {
-			t.Errorf("arrival lost on the wire: %+v", tr)
-		}
-	}
-	newest, err := c.Traces(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(newest) != 1 || newest[0].Seq != rej.Seq {
-		t.Errorf("Traces(1) = %+v, want just the newest", newest)
-	}
-
-	// A server without tracing answers with an empty ring, not an error.
-	addr2, _ := startServer(t, resd.Config{M: 8})
-	c2 := dial(t, addr2, Options{})
-	if got, err := c2.Traces(0); err != nil || len(got) != 0 {
-		t.Errorf("Traces on untraced server = %v, %v", got, err)
-	}
-}
-
 // TestWireMetrics scrapes both sides' instrumentation after live traffic:
 // op latency summaries, byte counters in both directions, response-code
 // counters, the in-flight gauge back at zero, and a server-side frame

@@ -289,11 +289,10 @@ func (w *connWriter) reply(resp *Response, b *batch) {
 
 // watchLoop is one Watch subscription: every interval it takes one
 // Service.Node (published atomics only, the same rows a /metrics scrape
-// reads) and offers it to the connection's writer; the encoder writes
-// the families the mask selected. A full push queue (slow consumer,
-// stuck socket) drops the frame and counts it in the next delivered
-// frame's Dropped field — the subscription never blocks, and the shards
-// never see it at all. The first frame is pushed immediately so a
+// reads) and offers it, whole, to the connection's writer. A full push
+// queue (slow consumer, stuck socket) drops the frame and counts it in
+// the next delivered frame's Dropped field — the subscription never
+// blocks, and the shards never see it at all. The first frame is pushed immediately so a
 // subscriber has a baseline before the first interval elapses.
 func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{}) {
 	interval := req.Interval
@@ -307,7 +306,7 @@ func (s *Server) watchLoop(req Request, out chan<- Response, done <-chan struct{
 	defer tick.Stop()
 	var seq, dropped uint64
 	push := func() {
-		t := &Telemetry{Seq: seq + 1, Dropped: dropped, Mask: req.Mask, NodeSnapshot: s.svc.Node()}
+		t := &Telemetry{Seq: seq + 1, Dropped: dropped, NodeSnapshot: s.svc.Node()}
 		select {
 		case out <- Response{ID: req.ID, Op: OpWatch, Telemetry: t}:
 			seq++
@@ -388,8 +387,6 @@ func (s *Server) handle(req Request) Response {
 		if err := reg.SetShare(req.Tenant, req.Share); err != nil {
 			return fail(err)
 		}
-	case OpTrace:
-		resp.Traces = s.svc.Traces(req.Limit)
 	default:
 		return fail(fmt.Errorf("%w: op %d", resd.ErrBadRequest, uint8(req.Op)))
 	}

@@ -36,18 +36,43 @@ func frameAt(v byte, op Op, body ...byte) []byte {
 // processors, 10 ticks, no deadline — and neither tenant nor stamp.
 var reserveV1 = []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 10, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
+// reserveV5 is a revision-5 Reserve body, the layout revision 6 kept:
+// reserveV1's fields, tenant "acme", a send stamp and the trace flag.
+var reserveV5 = append(bytes.Clone(reserveV1), 4, 'a', 'c', 'm', 'e', 0x17, 0x97, 0x9c, 0xfe, 0x36, 0x2a, 0, 0, 1)
+
+// Revision 5's op numbers for the two ops revision 6 changed: Trace
+// (deleted) and Watch (renumbered).
+const (
+	opTraceV5 Op = 9
+	opWatchV5 Op = 10
+)
+
+// watchV5 is revision 5's Watch subscribe body: an interval, here 250 ms,
+// and a family mask, here every family.
+var watchV5 = []byte{0, 0, 0, 0, 0x0e, 0xe6, 0xb2, 0x80, 0, 0, 0, 0x1f}
+
+// untouched checks that a refused frame charged the default tenant
+// nothing (refused itself checks that no shard took a turn).
+func untouched(reg *tenant.Registry) func(t *testing.T) {
+	return func(t *testing.T) {
+		if u := reg.Usage(""); u.Used != 0 || u.Inflight != 0 || u.Rejected != 0 {
+			t.Fatalf("default tenant after a refused frame = %+v", u)
+		}
+	}
+}
+
 // refused is the refusal contract, checked against a live server: a peer
 // whose frame carries another version byte is hung up on without a byte in
 // reply, well inside a caller's timeout; the journal holds exactly one
 // record for it, a Warn naming the remote and the byte; frame_errors moves
-// by one; and a current client on its own connection is served before,
-// during and after.
+// by one; no shard takes a turn; and a current client on its own
+// connection is served before, during and after.
 func refused(t *testing.T, cfg resd.Config, frame []byte) {
 	t.Helper()
 	const callTimeout = 10 * time.Second
 	m := NewMetrics(obs.NewRegistry(), "server")
 	j := flight.NewJournal(64, nil)
-	addr, _ := startServer(t, cfg, func(s *Server) { s.SetMetrics(m); s.SetFlight(j) })
+	addr, svc := startServer(t, cfg, func(s *Server) { s.SetMetrics(m); s.SetFlight(j) })
 	good := dial(t, addr, Options{CallTimeout: callTimeout})
 	served := func(when string) {
 		t.Helper()
@@ -88,13 +113,18 @@ func refused(t *testing.T, cfg resd.Config, frame []byte) {
 	if got := m.frame.Value(); got != 1 {
 		t.Fatalf("frame_errors = %d, want 1", got)
 	}
+	for i, st := range svc.Stats() {
+		if st.Ops != 0 || st.Batches != 0 {
+			t.Fatalf("shard %d served %d ops in %d turns for a refused frame", i, st.Ops, st.Batches)
+		}
+	}
 }
 
 // TestOtherRevisionsRefused: every version byte but Version, whatever the
-// frame behind it. The named rows are the revisions that were once
-// negotiated, each with a frame its clients sent: all are refused alike,
-// and none reaches the service — a refused v1 Reserve charges nobody, and
-// a v1 peer whose tenant is broke sees no quota code at all.
+// frame behind it. The named rows are earlier revisions, each with a frame
+// its clients sent: all are refused alike, and none reaches the service —
+// a refused v1 or v5 Reserve charges nobody and takes no shard turn, and a
+// v1 peer whose tenant is broke sees no quota code at all.
 func TestOtherRevisionsRefused(t *testing.T) {
 	reg := mustRegistry(t, 1<<30, tenant.Spec{})
 	broke := mustRegistry(t, 100, tenant.Spec{Tenants: []tenant.TenantSpec{{Name: tenant.DefaultTenant, Share: 0.01}}})
@@ -109,11 +139,7 @@ func TestOtherRevisionsRefused(t *testing.T) {
 		{name: "v1-stats-one-shard", cfg: resd.Config{M: 8}, frame: frameAt(1, OpStats)},
 		{name: "v1-quota-get", cfg: resd.Config{M: 8}, frame: frameAt(1, OpQuotaGet, 0)},
 		{name: "v1-reserve", cfg: resd.Config{M: 8, Quotas: reg}, frame: frameAt(1, OpReserve, reserveV1...),
-			after: func(t *testing.T) {
-				if u := reg.Usage(""); u.Used != 0 || u.Inflight != 0 || u.Rejected != 0 {
-					t.Fatalf("default tenant after a refused v1 Reserve = %+v", u)
-				}
-			}},
+			after: untouched(reg)},
 		{name: "v1-reserve-over-quota", cfg: resd.Config{M: 8, Quotas: broke}, frame: frameAt(1, OpReserve, reserveV1...),
 			after: func(t *testing.T) {
 				reply := frameAt(1, OpReserve, byte(CodeRejectedQuota), 0, 0)
@@ -125,9 +151,15 @@ func TestOtherRevisionsRefused(t *testing.T) {
 			frame: frameAt(2, OpReserve, append(bytes.Clone(reserveV1), 4, 'a', 'c', 'm', 'e')...)},
 		{name: "v3-cancel", cfg: resd.Config{Shards: 2, M: 8}, frame: frameAt(3, OpCancel, 0, 0, 0, 0, 0, 0, 0, 1)},
 		{name: "v4-trace", cfg: resd.Config{Shards: 2, M: 8, Obs: &resd.ObsConfig{TraceSample: 1}},
-			frame: frameAt(4, OpTrace, 0, 0, 0, 0)},
+			frame: frameAt(4, opTraceV5, 0, 0, 0, 0)},
+		{name: "v5-watch-mask", cfg: resd.Config{Shards: 2, M: 8, Quotas: reg}, frame: frameAt(5, opWatchV5, watchV5...),
+			after: untouched(reg)},
+		{name: "v5-trace", cfg: resd.Config{Shards: 2, M: 8, Quotas: reg, Obs: &resd.ObsConfig{TraceSample: 1}},
+			frame: frameAt(5, opTraceV5, 0xff, 0xff, 0xff, 0xff), after: untouched(reg)},
+		{name: "v5-reserve", cfg: resd.Config{Shards: 2, M: 8, Quotas: reg}, frame: frameAt(5, OpReserve, reserveV5...),
+			after: untouched(reg)},
 	}
-	for _, v := range []byte{0, 1, 2, 3, 4, 6, 255} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 7, 255} {
 		rows = append(rows, row{name: fmt.Sprint(v), cfg: resd.Config{M: 8}, frame: frameAt(v, OpPing)})
 	}
 	for _, r := range rows {
@@ -143,7 +175,7 @@ func TestOtherRevisionsRefused(t *testing.T) {
 // TestHostileVersionsRejected is the same refusal at the decoder, both
 // directions.
 func TestHostileVersionsRejected(t *testing.T) {
-	for _, v := range []byte{0, 1, 2, 3, 4, 6, 7, 0x7F, 0xFF} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 7, 0x7F, 0xFF} {
 		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frameAt(v, OpPing)))); !errors.Is(err, ErrVersion) {
 			t.Errorf("request at version %d err = %v, want ErrVersion", v, err)
 		}
@@ -153,9 +185,9 @@ func TestHostileVersionsRejected(t *testing.T) {
 	}
 }
 
-// TestStatsLayoutPerVersion pins the one shard entry there is: 96 bytes
-// in a Stats reply, and the same 96 behind each queue depth of a Watch
-// frame's shard family.
+// TestStatsLayoutPerVersion pins the one shard entry there is: 80 bytes
+// in a Stats reply, and the same 80 behind each queue depth of a Watch
+// frame.
 func TestStatsLayoutPerVersion(t *testing.T) {
 	stats := []resd.ShardStats{goldenShard, {Admitted: 1}}
 	frame, err := AppendResponse(nil, Response{ID: 1, Op: OpStats, Stats: stats})
@@ -163,8 +195,8 @@ func TestStatsLayoutPerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	const fixed = 4 + headerLen + 1 + 4 // length prefix, header, code, count
-	if len(frame) != fixed+2*96 {
-		t.Fatalf("two-shard Stats frame is %d bytes, want %d", len(frame), fixed+2*96)
+	if shardEntryLen != 80 || len(frame) != fixed+2*80 {
+		t.Fatalf("two-shard Stats frame is %d bytes, want %d", len(frame), fixed+2*80)
 	}
 	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)))
 	if err != nil {
@@ -174,12 +206,15 @@ func TestStatsLayoutPerVersion(t *testing.T) {
 		t.Fatalf("stats round trip:\n got %+v\nwant %+v", got.Stats, stats)
 	}
 	watch, err := AppendResponse(nil, Response{ID: 1, Op: OpWatch,
-		Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: 8, Queue: []int{7}, Shards: stats[:1]}}})
+		Telemetry: &Telemetry{NodeSnapshot: resd.NodeSnapshot{M: 8, Queue: []int{7}, Shards: stats[:1]}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry := watch[len(watch)-96:]
-	if len(watch) != 4+headerLen+1+8+8+4+4+4+4+watchShardEntryLen || !bytes.Equal(entry, frame[fixed:fixed+96]) {
-		t.Fatalf("watch shard entry differs from the Stats entry:\n%x\n%x", entry, frame[fixed:fixed+96])
+	// len, header, code, seq, dropped, M, floor, shard count, one entry,
+	// tenant and WAL counts, two trace counters, SLO count.
+	const entryOff = 4 + headerLen + 1 + 8 + 8 + 4 + 4 + 4 + 4
+	entry := watch[entryOff : entryOff+80]
+	if len(watch) != entryOff+80+4+4+8+8+4 || !bytes.Equal(entry, frame[fixed:fixed+80]) {
+		t.Fatalf("watch shard entry differs from the Stats entry:\n%x\n%x", entry, frame[fixed:fixed+80])
 	}
 }

@@ -17,7 +17,7 @@ import (
 )
 
 func TestWatchRequestCodec(t *testing.T) {
-	req := Request{ID: 3, Op: OpWatch, Interval: 250 * time.Millisecond, Mask: WatchShards | WatchWAL}
+	req := Request{ID: 3, Op: OpWatch, Interval: 250 * time.Millisecond}
 	frame, err := AppendRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
@@ -30,28 +30,15 @@ func TestWatchRequestCodec(t *testing.T) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, req)
 	}
 
-	// Encoder-side refusals: negative interval, empty mask, unknown mask
-	// bits.
-	hostile := []Request{
-		{Op: OpWatch, Interval: -time.Second, Mask: WatchAll},
-		{Op: OpWatch, Interval: time.Second, Mask: 0},
-		{Op: OpWatch, Interval: time.Second, Mask: WatchAll | 1<<10},
-	}
-	for _, req := range hostile {
-		if _, err := AppendRequest(nil, req); !errors.Is(err, ErrFrame) {
-			t.Errorf("AppendRequest(%+v) err = %v, want ErrFrame", req, err)
-		}
-	}
-
-	// Decoder-side refusals for hostile frames the encoder would never
-	// emit: the same invalid bodies, hand-built.
-	build := func(interval int64, mask uint32) []byte {
-		return frameAt(Version, OpWatch, binary.BigEndian.AppendUint32(appendI64(nil, interval), mask)...)
+	// A negative interval is refused by the encoder and, hand-built, by
+	// the decoder; so is a revision-5 body, whose family mask is now a
+	// trailing word.
+	if _, err := AppendRequest(nil, Request{Op: OpWatch, Interval: -time.Second}); !errors.Is(err, ErrFrame) {
+		t.Errorf("negative interval err = %v, want ErrFrame", err)
 	}
 	for _, frame := range [][]byte{
-		build(-1, uint32(WatchAll)),        // negative interval
-		build(1e6, 0),                      // empty mask
-		build(1e6, uint32(WatchAll)|1<<20), // unknown family bit
+		frameAt(Version, OpWatch, appendI64(nil, -1)...),
+		frameAt(Version, OpWatch, watchV5...),
 	} {
 		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrFrame) {
 			t.Errorf("hostile watch frame err = %v, want ErrFrame", err)
@@ -61,7 +48,7 @@ func TestWatchRequestCodec(t *testing.T) {
 
 func TestWatchTelemetryCodec(t *testing.T) {
 	tel := &Telemetry{
-		Seq: 7, Dropped: 2, Mask: WatchAll, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
+		Seq: 7, Dropped: 2, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
 			Queue: []int{3, 0},
 			Shards: []resd.ShardStats{
 				{Active: 5, CommittedArea: 1234, Admitted: 10, Cancelled: 2, Rejected: 1,
@@ -99,37 +86,31 @@ func TestWatchTelemetryCodec(t *testing.T) {
 		t.Fatalf("telemetry round trip:\n got %+v\nwant %+v", got.Telemetry, tel)
 	}
 
-	// A masked-out family must not appear on the wire, and must come back
-	// empty even when the struct carried data for it.
-	partial := *tel
-	partial.Mask = WatchShards
-	pframe, err := AppendResponse(nil, Response{ID: 1, Op: OpWatch, Telemetry: &partial})
+	// A bare node's absent families are zero counts on the wire and nil
+	// after it, as Node returns them.
+	bare := &Telemetry{Seq: 1, NodeSnapshot: resd.NodeSnapshot{M: 8, Queue: []int{0}, Shards: []resd.ShardStats{{}}}}
+	bframe, err := AppendResponse(nil, Response{ID: 1, Op: OpWatch, Telemetry: bare})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pframe) >= len(frame) {
-		t.Fatalf("shards-only frame (%dB) not smaller than all-families frame (%dB)", len(pframe), len(frame))
-	}
-	pgot, err := ReadResponse(bufio.NewReader(bytes.NewReader(pframe)))
+	bgot, err := ReadResponse(bufio.NewReader(bytes.NewReader(bframe)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := pgot.Telemetry
-	if len(pt.Shards) != 2 || len(pt.Tenants) != 0 || len(pt.WAL) != 0 || pt.TracesSampled != 0 {
-		t.Fatalf("shards-only decode carried other families: %+v", pt)
+	if !reflect.DeepEqual(bgot.Telemetry, bare) {
+		t.Fatalf("bare telemetry round trip:\n got %+v\nwant %+v", bgot.Telemetry, bare)
 	}
 
 	// Encoder-side refusals.
 	for _, resp := range []Response{
 		{Op: OpWatch}, // no telemetry at all
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: 0}},                                                        // empty mask
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: -1}}},      // negative capacity
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{M: 1 << 31}}}, // a machine wider than the field
+		{Op: OpWatch, Telemetry: &Telemetry{NodeSnapshot: resd.NodeSnapshot{M: -1}}},      // negative capacity
+		{Op: OpWatch, Telemetry: &Telemetry{NodeSnapshot: resd.NodeSnapshot{M: 1 << 31}}}, // a machine wider than the field
 		{Op: OpSnapshot, M: 1 << 31}, // the same through Snapshot
 		// Queue and Shards are one row per shard: a depth short of (or past)
 		// the shard count has no encoding that decodes back to it.
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{Shards: tel.Shards, Queue: tel.Queue[:1]}}},
-		{Op: OpWatch, Telemetry: &Telemetry{Mask: WatchShards, NodeSnapshot: resd.NodeSnapshot{Shards: tel.Shards[:1], Queue: tel.Queue}}},
+		{Op: OpWatch, Telemetry: &Telemetry{NodeSnapshot: resd.NodeSnapshot{Shards: tel.Shards, Queue: tel.Queue[:1]}}},
+		{Op: OpWatch, Telemetry: &Telemetry{NodeSnapshot: resd.NodeSnapshot{Shards: tel.Shards[:1], Queue: tel.Queue}}},
 	} {
 		if _, err := AppendResponse(nil, resp); !errors.Is(err, ErrFrame) {
 			t.Errorf("AppendResponse(%+v) err = %v, want ErrFrame", resp, err)
@@ -138,41 +119,17 @@ func TestWatchTelemetryCodec(t *testing.T) {
 
 	// A hostile shard count cannot force a large allocation: the count is
 	// validated against the remaining payload before make.
-	countOff := 4 + headerLen + 1 + 8 + 8 + 4 + 4 + 4 // len + header + code + seq + dropped + mask + M + floor
-	bomb := bytes.Clone(pframe)
+	countOff := 4 + headerLen + 1 + 8 + 8 + 4 + 4 // len + header + code + seq + dropped + M + floor
+	bomb := bytes.Clone(frame)
 	binary.BigEndian.PutUint32(bomb[countOff:], 1<<15)
 	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(bomb))); !errors.Is(err, ErrFrame) {
 		t.Errorf("shard-count bomb err = %v, want ErrFrame", err)
 	}
 	// A hostile negative capacity fails the frame rather than decoding.
-	negM := bytes.Clone(pframe)
+	negM := bytes.Clone(frame)
 	binary.BigEndian.PutUint32(negM[countOff-8:], 0xFFFFFFFF)
 	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(negM))); !errors.Is(err, ErrFrame) {
 		t.Errorf("negative-M frame err = %v, want ErrFrame", err)
-	}
-}
-
-// TestTraceLayoutPerVersion pins the one trace entry there is: 70 fixed
-// bytes, the client-send span among them, and the tenant name behind.
-func TestTraceLayoutPerVersion(t *testing.T) {
-	rec := resd.TraceRecord{
-		Seq: 3, Arrival: time.Unix(0, 12345), ClientSend: 500 * time.Microsecond,
-		Route: 10, Enqueue: 20, BatchStart: 30, Decision: 40,
-		Start: 7, Shard: 1, Outcome: resd.TraceAdmitted, Tenant: "acme",
-	}
-	frame, err := AppendResponse(nil, Response{ID: 1, Op: OpTrace, Traces: []resd.TraceRecord{rec}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 4 + headerLen + 1 + 4 + 70 + len(rec.Tenant); traceEntryLen != 70 || len(frame) != want {
-		t.Fatalf("one-record Trace frame is %d bytes (traceEntryLen %d), want %d (70)", len(frame), traceEntryLen, want)
-	}
-	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Traces) != 1 || got.Traces[0] != rec {
-		t.Fatalf("trace round trip:\n got %+v\nwant %+v", got.Traces, rec)
 	}
 }
 
@@ -182,7 +139,7 @@ func TestTraceLayoutPerVersion(t *testing.T) {
 // Stats calls.
 func TestWatchEndToEnd(t *testing.T) {
 	reg := mustRegistry(t, 1<<20, tenant.Spec{})
-	addr, _ := startServer(t, resd.Config{
+	addr, svc := startServer(t, resd.Config{
 		Shards: 2, M: 8, Quotas: reg,
 		Obs: &resd.ObsConfig{TraceSample: 1 << 20}, // force-sample only
 	})
@@ -255,10 +212,7 @@ func TestWatchEndToEnd(t *testing.T) {
 	// sampler always takes the first request, so the forced (Trace: true)
 	// admission shows up as a second record the absurd rate could never
 	// produce.
-	traces, err := c.Traces(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := svc.Traces(0)
 	if len(traces) != 2 {
 		t.Fatalf("recorded %d traces, want 2 (first-request sample + forced sample)", len(traces))
 	}
@@ -295,7 +249,7 @@ func TestWatchLoopDropsWhenWriterFull(t *testing.T) {
 	loopDone := make(chan struct{})
 	go func() {
 		defer close(loopDone)
-		s.watchLoop(Request{ID: 1, Op: OpWatch, Interval: MinWatchInterval, Mask: WatchShards}, out, done)
+		s.watchLoop(Request{ID: 1, Op: OpWatch, Interval: MinWatchInterval}, out, done)
 	}()
 
 	first := <-out
@@ -334,7 +288,7 @@ func TestWatchStalledSubscriberDoesNotBlockOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
-	frame, err := AppendRequest(nil, Request{ID: 1, Op: OpWatch, Interval: MinWatchInterval, Mask: WatchAll})
+	frame, err := AppendRequest(nil, Request{ID: 1, Op: OpWatch, Interval: MinWatchInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +328,7 @@ func TestWatchConnCap(t *testing.T) {
 	for id := uint64(1); id <= maxConnWatches+1; id++ {
 		// A one-minute interval keeps the live subscriptions quiet after
 		// their immediate first frame.
-		buf, err = AppendRequest(buf, Request{ID: id, Op: OpWatch, Interval: time.Minute, Mask: WatchShards})
+		buf, err = AppendRequest(buf, Request{ID: id, Op: OpWatch, Interval: time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +382,7 @@ func TestWatchResubscribesAfterReconnect(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval, Mask: WatchShards})
+	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,9 +431,6 @@ func TestWatchClientValidation(t *testing.T) {
 	if _, err := c.Watch(context.Background(), WatchOptions{Interval: -time.Second}); err == nil {
 		t.Error("negative interval accepted")
 	}
-	if _, err := c.Watch(context.Background(), WatchOptions{Mask: 1 << 30}); err == nil {
-		t.Error("unknown mask accepted")
-	}
 	// An unreachable server fails Watch synchronously, not as a silent
 	// redial-forever stream.
 	dead, err := Dial(addr, Options{})
@@ -496,10 +447,9 @@ func TestWatchClientValidation(t *testing.T) {
 	}
 }
 
-// TestWatchSLOOverLoopback runs a real engine behind a real server:
-// a WatchSLO subscription must deliver the evaluated objective states,
-// and a server without an engine must answer the same mask with an
-// empty family instead of failing.
+// TestWatchSLOOverLoopback runs a real engine behind a real server: every
+// frame must carry the evaluated objective states, and a server without
+// an engine must push frames whose SLO family is nil instead of failing.
 func TestWatchSLOOverLoopback(t *testing.T) {
 	eng, err := slo.New(slo.Config{Spec: slo.Spec{
 		Objectives: []slo.ObjectiveSpec{
@@ -516,7 +466,7 @@ func TestWatchSLOOverLoopback(t *testing.T) {
 	c := dial(t, addr, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval, Mask: WatchSLO})
+	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,24 +479,15 @@ func TestWatchSLOOverLoopback(t *testing.T) {
 		t.Fatalf("SLO telemetry: %+v", o)
 	}
 
-	// Default mask (0 → WatchAll) includes the family too.
-	ch2, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tel := <-ch2; tel.Mask&WatchSLO == 0 || len(tel.SLO) != 1 {
-		t.Fatalf("WatchAll frame mask %#x with %d SLO entries", tel.Mask, len(tel.SLO))
-	}
-
-	// No engine: the family is empty, not an error.
+	// No engine: the family is nil, not an error.
 	bareAddr, _ := startServer(t, resd.Config{M: 8})
 	bc := dial(t, bareAddr, Options{})
-	bch, err := bc.Watch(ctx, WatchOptions{Interval: MinWatchInterval, Mask: WatchSLO})
+	bch, err := bc.Watch(ctx, WatchOptions{Interval: MinWatchInterval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tel := <-bch; len(tel.SLO) != 0 {
-		t.Fatalf("engine-less server pushed %d SLO entries", len(tel.SLO))
+	if tel := <-bch; tel.SLO != nil {
+		t.Fatalf("engine-less server pushed SLO entries %+v", tel.SLO)
 	}
 }
 
@@ -574,7 +515,7 @@ func TestWatchEndsOnClientClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := c.Watch(context.Background(), WatchOptions{Interval: MinWatchInterval, Mask: WatchShards})
+	ch, err := c.Watch(context.Background(), WatchOptions{Interval: MinWatchInterval})
 	if err != nil {
 		t.Fatal(err)
 	}

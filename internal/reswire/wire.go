@@ -36,7 +36,7 @@ const (
 	// Magic is the first two payload bytes of every frame ("RW").
 	Magic uint16 = 0x5257
 	// Version is the protocol revision.
-	Version uint8 = 5
+	Version uint8 = 6
 	// MaxFrame bounds a frame's payload. The decoder rejects larger
 	// length prefixes before allocating, so a hostile peer cannot make a
 	// reader allocate unbounded memory.
@@ -48,24 +48,12 @@ const (
 	// maxShards mirrors resd's shard-count ceiling (16 shard bits); used
 	// to bound Query/Stats response vectors during decoding.
 	maxShards = 1 << 16
-	// maxTraces bounds a Trace response vector during decoding — far above
-	// any sane trace-ring capacity, low enough that a hostile count fails
-	// before allocation.
-	maxTraces = 1 << 16
-	// traceEntryLen is the fixed part of one wire trace record: seq (8),
-	// arrival unix-nanos (8), the client-send span (8), four stage offsets
-	// (32), start (8), shard (4), outcome (1) and the tenant-name length
-	// byte (1); the name itself is variable.
-	traceEntryLen = 8 + 8 + 8 + 32 + 8 + 4 + 1 + 1
 	// maxTenants bounds the tenant vector of a Watch telemetry frame
 	// during decoding, like maxShards bounds the shard vectors.
 	maxTenants = 1 << 16
 	// shardEntryLen is the size of one resd.ShardStats on the wire: ten
-	// 8-byte fields and, after the seventh, shardEntryReserved bytes that
-	// are sent zero and skipped on receipt — in a Stats reply and in a
-	// Watch frame alike.
-	shardEntryReserved = 16
-	shardEntryLen      = 10*8 + shardEntryReserved
+	// 8-byte fields, in a Stats reply and in a Watch frame alike.
+	shardEntryLen = 10 * 8
 	// watchShardEntryLen is the fixed size of one per-shard telemetry
 	// entry: queue depth (4) plus the shard entry.
 	watchShardEntryLen = 4 + shardEntryLen
@@ -85,36 +73,6 @@ const (
 	// float64s (32) and the alert state (1).
 	watchSLOEntryLen = 2 + 1 + 32 + 1
 )
-
-// Watch family mask bits: a Watch subscription names the telemetry
-// families it wants pushed. The zero mask is invalid — an explicit
-// choice beats a silent default on the wire — and unknown bits fail the
-// frame.
-const (
-	// WatchShards selects per-shard load/capacity: queue depth plus the
-	// full ShardStats counter set.
-	WatchShards uint32 = 1 << iota
-	// WatchTenants selects per-tenant budget usage from the quota
-	// registry (empty on servers running without quotas).
-	WatchTenants
-	// WatchWAL selects per-shard write-ahead-log counters (empty on
-	// in-memory servers).
-	WatchWAL
-	// WatchTraces selects the admission-tracing counters.
-	WatchTraces
-	// WatchSLO selects the evaluated SLO states: per-objective
-	// attainment, error-budget remaining, peak burn rate and alert
-	// state (empty on servers running without an SLO engine).
-	WatchSLO
-	// WatchAll selects every family.
-	WatchAll = WatchShards | WatchTenants | WatchWAL | WatchTraces | WatchSLO
-)
-
-// validWatchMask reports whether mask names at least one known family
-// and nothing else.
-func validWatchMask(mask uint32) bool {
-	return mask != 0 && mask&^WatchAll == 0
-}
 
 // Op enumerates the protocol operations.
 type Op uint8
@@ -137,12 +95,10 @@ const (
 	OpQuotaGet
 	// OpQuotaSet re-budgets one tenant's share at runtime.
 	OpQuotaSet
-	// OpTrace reads the newest sampled admission traces.
-	OpTrace
 	// OpWatch subscribes to server-pushed telemetry frames. The
-	// request names an interval and a family mask; every subsequent
-	// response frame with the request's id carries one Telemetry
-	// snapshot. The subscription lives as long as the connection.
+	// request names an interval; every subsequent response frame with
+	// the request's id carries one Telemetry snapshot. The subscription
+	// lives as long as the connection.
 	OpWatch
 )
 
@@ -168,8 +124,6 @@ func (op Op) String() string {
 		return "QuotaGet"
 	case OpQuotaSet:
 		return "QuotaSet"
-	case OpTrace:
-		return "Trace"
 	case OpWatch:
 		return "Watch"
 	default:
@@ -296,9 +250,7 @@ var (
 // are meaningful per op: Reserve uses Ready/Procs/Dur/Deadline/Tenant
 // and Stamp/Traced, Cancel uses Resv, Query uses Ready as
 // the probe instant, Snapshot uses Shard, QuotaGet uses Tenant, QuotaSet
-// uses Tenant and Share, Trace uses Limit (how many of the newest
-// records to return; <= 0 means the server's whole ring), Watch uses
-// Interval and Mask.
+// uses Tenant and Share, Watch uses Interval.
 type Request struct {
 	ID       uint64
 	Op       Op
@@ -308,7 +260,6 @@ type Request struct {
 	Deadline core.Time
 	Resv     uint64
 	Shard    int
-	Limit    int
 	Tenant   string
 	Share    float64
 	// Stamp is the client's own send instant in unix nanoseconds
@@ -323,9 +274,6 @@ type Request struct {
 	// Interval is the requested push period of a Watch subscription
 	// (the server clamps unreasonably small values).
 	Interval time.Duration
-	// Mask selects the telemetry families of a Watch subscription
-	// (WatchShards | WatchTenants | WatchWAL | WatchTraces | WatchSLO).
-	Mask uint32
 }
 
 // Segment is one constant piece of a snapshot's capacity step function:
@@ -338,9 +286,7 @@ type Segment struct {
 
 // QuotaInfo is one tenant's quota state as QuotaGet reports it: the
 // tenant's usage plus the registry-wide capacity the numbers are
-// relative to. After the tenant name the reply carries two reserved
-// fields, a name and a byte, that are sent empty and zero and skipped on
-// receipt.
+// relative to.
 type QuotaInfo struct {
 	tenant.Usage
 	Capacity int64
@@ -368,25 +314,22 @@ func validSLO(o *slo.State) error {
 	return nil
 }
 
-// Telemetry is one server-pushed Watch frame: the server's
-// resd.NodeSnapshot, of which the frame carries M, Floor and the
-// families the subscription's mask selected (Queue and Shards under
-// WatchShards, Tenants, WAL, the two trace counters under WatchTraces,
-// SLO); the others decode empty. Seq numbers the frames this subscriber
-// actually received; Dropped counts the frames the server discarded
-// because the subscriber's connection could not drain fast enough
-// (drop-and-mark: a gap is visible, never blocking).
+// Telemetry is one server-pushed Watch frame: the server's whole
+// resd.NodeSnapshot, a family the server runs without (quotas, a log, an
+// SLO engine) decoding as nil exactly as Node returns it. Seq numbers the
+// frames this subscriber actually received; Dropped counts the frames the
+// server discarded because the subscriber's connection could not drain
+// fast enough (drop-and-mark: a gap is visible, never blocking).
 type Telemetry struct {
 	Seq     uint64
 	Dropped uint64
-	Mask    uint32
 	resd.NodeSnapshot
 }
 
 // Response is one decoded server→client message. Code discriminates
 // success; on success the op-specific field is set (Resv for Reserve,
 // Free for Query, M+Segs for Snapshot, Stats for Stats, Quota for
-// QuotaGet, Traces for Trace, Telemetry for Watch).
+// QuotaGet, Telemetry for Watch).
 type Response struct {
 	ID        uint64
 	Op        Op
@@ -398,7 +341,6 @@ type Response struct {
 	Segs      []Segment
 	Stats     []resd.ShardStats
 	Quota     QuotaInfo
-	Traces    []resd.TraceRecord
 	Telemetry *Telemetry
 }
 
@@ -432,7 +374,6 @@ func appendShardStats(dst []byte, st *resd.ShardStats) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, st.Rejected)
 	dst = binary.BigEndian.AppendUint64(dst, st.RejectedDeadline)
 	dst = binary.BigEndian.AppendUint64(dst, st.RejectedQuota)
-	dst = append(dst, make([]byte, shardEntryReserved)...)
 	dst = appendTime(dst, st.SlackP99)
 	dst = binary.BigEndian.AppendUint64(dst, st.Batches)
 	return binary.BigEndian.AppendUint64(dst, st.Ops)
@@ -460,8 +401,7 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 	if !req.Op.valid() {
 		return nil, fmt.Errorf("%w: invalid op %d", ErrFrame, uint8(req.Op))
 	}
-	if req.Procs < -1<<31 || req.Procs > 1<<31-1 || req.Shard < -1<<31 || req.Shard > 1<<31-1 ||
-		req.Limit < -1<<31 || req.Limit > 1<<31-1 {
+	if req.Procs < -1<<31 || req.Procs > 1<<31-1 || req.Shard < -1<<31 || req.Shard > 1<<31-1 {
 		return nil, fmt.Errorf("%w: field exceeds int32 range", ErrFrame)
 	}
 	var err error
@@ -501,17 +441,11 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 			return nil, err
 		}
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(req.Share))
-	case OpTrace:
-		dst = appendI32(dst, int32(req.Limit))
 	case OpWatch:
 		if req.Interval < 0 {
 			return nil, fmt.Errorf("%w: watch interval %v negative", ErrFrame, req.Interval)
 		}
-		if !validWatchMask(req.Mask) {
-			return nil, fmt.Errorf("%w: watch mask %#x", ErrFrame, req.Mask)
-		}
 		dst = appendI64(dst, int64(req.Interval))
-		dst = binary.BigEndian.AppendUint32(dst, req.Mask)
 	case OpPing, OpStats:
 		// header only
 	}
@@ -548,10 +482,9 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		dst = appendTime(dst, resp.Resv.Dur)
 		dst = appendI32(dst, int32(resp.Resv.Procs))
 	case OpQuery:
-		if len(resp.Free) > maxShards {
-			return nil, fmt.Errorf("%w: %d shards in Query response", ErrFrame, len(resp.Free))
+		if dst, err = appendCount(dst, len(resp.Free), maxShards, "shards in Query response"); err != nil {
+			return nil, err
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Free)))
 		for _, f := range resp.Free {
 			dst = appendI32(dst, int32(f))
 		}
@@ -566,10 +499,9 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 			dst = appendI32(dst, int32(s.Free))
 		}
 	case OpStats:
-		if len(resp.Stats) > maxShards {
-			return nil, fmt.Errorf("%w: %d shards in Stats response", ErrFrame, len(resp.Stats))
+		if dst, err = appendCount(dst, len(resp.Stats), maxShards, "shards in Stats response"); err != nil {
+			return nil, err
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Stats)))
 		for i := range resp.Stats {
 			dst = appendShardStats(dst, &resp.Stats[i])
 		}
@@ -581,7 +513,6 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		if dst, err = appendName(dst, q.Tenant); err != nil {
 			return nil, err
 		}
-		dst = append(dst, 0, 0) // reserved: an empty name and a zero byte
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(q.Share))
 		dst = appendI64(dst, q.Capacity)
 		dst = appendI64(dst, q.Budget)
@@ -590,128 +521,102 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint64(dst, q.Admitted)
 		dst = binary.BigEndian.AppendUint64(dst, q.Cancelled)
 		dst = binary.BigEndian.AppendUint64(dst, q.Rejected)
-	case OpTrace:
-		if len(resp.Traces) > maxTraces {
-			return nil, fmt.Errorf("%w: %d records in Trace response", ErrFrame, len(resp.Traces))
-		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Traces)))
-		for _, tr := range resp.Traces {
-			if tr.Shard < -1<<31 || tr.Shard > 1<<31-1 {
-				return nil, fmt.Errorf("%w: trace shard exceeds int32 range", ErrFrame)
-			}
-			if tr.Outcome > resd.TraceError {
-				return nil, fmt.Errorf("%w: unknown trace outcome %d", ErrFrame, uint8(tr.Outcome))
-			}
-			dst = binary.BigEndian.AppendUint64(dst, tr.Seq)
-			dst = appendI64(dst, tr.Arrival.UnixNano())
-			dst = appendI64(dst, int64(tr.ClientSend))
-			dst = appendI64(dst, int64(tr.Route))
-			dst = appendI64(dst, int64(tr.Enqueue))
-			dst = appendI64(dst, int64(tr.BatchStart))
-			dst = appendI64(dst, int64(tr.Decision))
-			dst = appendTime(dst, tr.Start)
-			dst = appendI32(dst, int32(tr.Shard))
-			dst = append(dst, byte(tr.Outcome))
-			if dst, err = appendName(dst, tr.Tenant); err != nil {
-				return nil, err
-			}
-		}
 	case OpWatch:
-		t := resp.Telemetry
-		if t == nil {
+		if resp.Telemetry == nil {
 			return nil, fmt.Errorf("%w: watch response without telemetry", ErrFrame)
 		}
-		if !validWatchMask(t.Mask) {
-			return nil, fmt.Errorf("%w: telemetry mask %#x", ErrFrame, t.Mask)
-		}
-		if t.M < 0 || t.M > 1<<31-1 || t.Floor < 0 || t.Floor > 1<<31-1 {
-			return nil, fmt.Errorf("%w: telemetry capacity exceeds int32 range", ErrFrame)
-		}
-		dst = binary.BigEndian.AppendUint64(dst, t.Seq)
-		dst = binary.BigEndian.AppendUint64(dst, t.Dropped)
-		dst = binary.BigEndian.AppendUint32(dst, t.Mask)
-		dst = appendI32(dst, int32(t.M))
-		dst = appendI32(dst, int32(t.Floor))
-		if t.Mask&WatchShards != 0 {
-			if len(t.Shards) > maxShards {
-				return nil, fmt.Errorf("%w: %d shards in telemetry", ErrFrame, len(t.Shards))
-			}
-			if len(t.Queue) != len(t.Shards) {
-				return nil, fmt.Errorf("%w: %d queue depths for %d shards in telemetry", ErrFrame, len(t.Queue), len(t.Shards))
-			}
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Shards)))
-			for i, q := range t.Queue {
-				if q < -1<<31 || q > 1<<31-1 {
-					return nil, fmt.Errorf("%w: queue depth exceeds int32 range", ErrFrame)
-				}
-				dst = appendI32(dst, int32(q))
-				dst = appendShardStats(dst, &t.Shards[i])
-			}
-		}
-		if t.Mask&WatchTenants != 0 {
-			if len(t.Tenants) > maxTenants {
-				return nil, fmt.Errorf("%w: %d tenants in telemetry", ErrFrame, len(t.Tenants))
-			}
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.Tenants)))
-			for _, tt := range t.Tenants {
-				if dst, err = appendName(dst, tt.Tenant); err != nil {
-					return nil, err
-				}
-				dst = appendI64(dst, tt.Budget)
-				dst = appendI64(dst, tt.Used)
-				dst = appendI64(dst, tt.Inflight)
-			}
-		}
-		if t.Mask&WatchWAL != 0 {
-			if len(t.WAL) > maxShards {
-				return nil, fmt.Errorf("%w: %d WAL entries in telemetry", ErrFrame, len(t.WAL))
-			}
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.WAL)))
-			for _, w := range t.WAL {
-				if w.Shard < -1<<31 || w.Shard > 1<<31-1 {
-					return nil, fmt.Errorf("%w: WAL shard exceeds int32 range", ErrFrame)
-				}
-				dst = appendI32(dst, int32(w.Shard))
-				dst = binary.BigEndian.AppendUint64(dst, w.Gen)
-				dst = binary.BigEndian.AppendUint64(dst, w.Bytes)
-				dst = binary.BigEndian.AppendUint64(dst, w.Records)
-				dst = binary.BigEndian.AppendUint64(dst, w.Fsyncs)
-				dst = binary.BigEndian.AppendUint64(dst, w.Snapshots)
-				dst = appendI64(dst, w.FsyncP99)
-				dst = binary.BigEndian.AppendUint64(dst, w.Failed)
-			}
-		}
-		if t.Mask&WatchTraces != 0 {
-			dst = binary.BigEndian.AppendUint64(dst, t.TracesSampled)
-			dst = binary.BigEndian.AppendUint64(dst, t.TracesSlow)
-		}
-		if t.Mask&WatchSLO != 0 {
-			if len(t.SLO) > maxSLO {
-				return nil, fmt.Errorf("%w: %d SLO entries in telemetry", ErrFrame, len(t.SLO))
-			}
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.SLO)))
-			for _, o := range t.SLO {
-				if err := validSLO(&o); err != nil {
-					return nil, err
-				}
-				if dst, err = appendName(dst, o.Name); err != nil {
-					return nil, err
-				}
-				if dst, err = appendName(dst, o.Tenant); err != nil {
-					return nil, err
-				}
-				dst = append(dst, byte(o.Signal))
-				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Target))
-				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Attainment))
-				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BudgetRemaining))
-				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BurnMax))
-				dst = append(dst, byte(o.Severity))
-			}
+		if dst, err = appendTelemetry(dst, resp.Telemetry); err != nil {
+			return nil, err
 		}
 	case OpCancel, OpPing, OpQuotaSet:
 		// header + code only
 	}
 	return finishFrame(dst, base)
+}
+
+// appendCount writes a vector's length, refusing one the decoder would
+// refuse for exceeding max.
+func appendCount(dst []byte, n, max int, what string) ([]byte, error) {
+	if n > max {
+		return nil, fmt.Errorf("%w: %d %s", ErrFrame, n, what)
+	}
+	return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
+}
+
+// appendTelemetry writes a Watch frame's body: Seq, Dropped and the whole
+// node snapshot, the layout reader.telemetry reads back.
+func appendTelemetry(dst []byte, t *Telemetry) ([]byte, error) {
+	if t.M < 0 || t.M > 1<<31-1 || t.Floor < 0 || t.Floor > 1<<31-1 {
+		return nil, fmt.Errorf("%w: telemetry capacity exceeds int32 range", ErrFrame)
+	}
+	if len(t.Queue) != len(t.Shards) {
+		return nil, fmt.Errorf("%w: %d queue depths for %d shards in telemetry", ErrFrame, len(t.Queue), len(t.Shards))
+	}
+	var err error
+	dst = binary.BigEndian.AppendUint64(dst, t.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, t.Dropped)
+	dst = appendI32(dst, int32(t.M))
+	dst = appendI32(dst, int32(t.Floor))
+	if dst, err = appendCount(dst, len(t.Shards), maxShards, "shards in telemetry"); err != nil {
+		return nil, err
+	}
+	for i, q := range t.Queue {
+		if q < -1<<31 || q > 1<<31-1 {
+			return nil, fmt.Errorf("%w: queue depth exceeds int32 range", ErrFrame)
+		}
+		dst = appendI32(dst, int32(q))
+		dst = appendShardStats(dst, &t.Shards[i])
+	}
+	if dst, err = appendCount(dst, len(t.Tenants), maxTenants, "tenants in telemetry"); err != nil {
+		return nil, err
+	}
+	for _, tt := range t.Tenants {
+		if dst, err = appendName(dst, tt.Tenant); err != nil {
+			return nil, err
+		}
+		dst = appendI64(dst, tt.Budget)
+		dst = appendI64(dst, tt.Used)
+		dst = appendI64(dst, tt.Inflight)
+	}
+	if dst, err = appendCount(dst, len(t.WAL), maxShards, "WAL entries in telemetry"); err != nil {
+		return nil, err
+	}
+	for _, w := range t.WAL {
+		if w.Shard < -1<<31 || w.Shard > 1<<31-1 {
+			return nil, fmt.Errorf("%w: WAL shard exceeds int32 range", ErrFrame)
+		}
+		dst = appendI32(dst, int32(w.Shard))
+		dst = binary.BigEndian.AppendUint64(dst, w.Gen)
+		dst = binary.BigEndian.AppendUint64(dst, w.Bytes)
+		dst = binary.BigEndian.AppendUint64(dst, w.Records)
+		dst = binary.BigEndian.AppendUint64(dst, w.Fsyncs)
+		dst = binary.BigEndian.AppendUint64(dst, w.Snapshots)
+		dst = appendI64(dst, w.FsyncP99)
+		dst = binary.BigEndian.AppendUint64(dst, w.Failed)
+	}
+	dst = binary.BigEndian.AppendUint64(dst, t.TracesSampled)
+	dst = binary.BigEndian.AppendUint64(dst, t.TracesSlow)
+	if dst, err = appendCount(dst, len(t.SLO), maxSLO, "SLO entries in telemetry"); err != nil {
+		return nil, err
+	}
+	for _, o := range t.SLO {
+		if err := validSLO(&o); err != nil {
+			return nil, err
+		}
+		if dst, err = appendName(dst, o.Name); err != nil {
+			return nil, err
+		}
+		if dst, err = appendName(dst, o.Tenant); err != nil {
+			return nil, err
+		}
+		dst = append(dst, byte(o.Signal))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Target))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Attainment))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BudgetRemaining))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BurnMax))
+		dst = append(dst, byte(o.Severity))
+	}
+	return dst, nil
 }
 
 // reader is a bounds-checked cursor over one frame payload.
@@ -806,10 +711,25 @@ func (r *reader) shardStats(st *resd.ShardStats) {
 	st.Rejected = r.u64()
 	st.RejectedDeadline = r.u64()
 	st.RejectedQuota = r.u64()
-	r.bytes(shardEntryReserved) // whatever the sender put there
 	st.SlackP99 = r.time()
 	st.Batches = r.u64()
 	st.Ops = r.u64()
+}
+
+// count reads a vector's length and fails the frame, before anything is
+// allocated, when it exceeds max or when that many entries of at least
+// min bytes each overrun the payload. It returns 0 on failure; callers
+// allocate only for a positive count, so an empty vector decodes as nil,
+// as resd returns an absent one.
+func (r *reader) count(max, min int) int {
+	n := r.u32()
+	if r.err == nil && (n > uint32(max) || min*int(n) > len(r.b)-r.off) {
+		r.fail()
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // name reads a one-byte-length-prefixed tenant name.
@@ -836,6 +756,70 @@ func (r *reader) done() error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(r.b)-r.off)
 	}
 	return nil
+}
+
+// telemetry reads a Watch frame's body, the layout appendTelemetry
+// writes.
+func (r *reader) telemetry() *Telemetry {
+	t := &Telemetry{}
+	t.Seq = r.u64()
+	t.Dropped = r.u64()
+	t.M = int(r.i32())
+	t.Floor = int(r.i32())
+	if r.err == nil && (t.M < 0 || t.Floor < 0) {
+		r.err = fmt.Errorf("%w: negative telemetry capacity", ErrFrame)
+	}
+	if n := r.count(maxShards, watchShardEntryLen); n > 0 {
+		t.Queue = make([]int, n)
+		t.Shards = make([]resd.ShardStats, n)
+		for i := range t.Shards {
+			t.Queue[i] = int(r.i32())
+			r.shardStats(&t.Shards[i])
+		}
+	}
+	if n := r.count(maxTenants, watchTenantEntryLen); n > 0 {
+		t.Tenants = make([]resd.TenantLoad, n)
+		for i := range t.Tenants {
+			t.Tenants[i].Tenant = r.name()
+			t.Tenants[i].Budget = r.i64()
+			t.Tenants[i].Used = r.i64()
+			t.Tenants[i].Inflight = r.i64()
+		}
+	}
+	if n := r.count(maxShards, watchWALEntryLen); n > 0 {
+		t.WAL = make([]resd.WALShardStats, n)
+		for i := range t.WAL {
+			w := &t.WAL[i]
+			w.Shard = int(r.i32())
+			w.Gen = r.u64()
+			w.Bytes = r.u64()
+			w.Records = r.u64()
+			w.Fsyncs = r.u64()
+			w.Snapshots = r.u64()
+			w.FsyncP99 = r.i64()
+			w.Failed = r.u64()
+		}
+	}
+	t.TracesSampled = r.u64()
+	t.TracesSlow = r.u64()
+	if n := r.count(maxSLO, watchSLOEntryLen); n > 0 {
+		t.SLO = make([]slo.State, n)
+		for i := range t.SLO {
+			o := &t.SLO[i]
+			o.Name = r.name()
+			o.Tenant = r.name()
+			o.Signal = slo.Signal(r.u8())
+			o.Target = math.Float64frombits(r.u64())
+			o.Attainment = math.Float64frombits(r.u64())
+			o.BudgetRemaining = math.Float64frombits(r.u64())
+			o.BurnMax = math.Float64frombits(r.u64())
+			o.Severity = slo.Severity(r.u8())
+			if r.err == nil {
+				r.err = validSLO(o)
+			}
+		}
+	}
+	return t
 }
 
 // DecodeRequest parses one request payload (a frame minus its length
@@ -872,16 +856,10 @@ func DecodeRequest(payload []byte) (Request, error) {
 	case OpQuotaSet:
 		req.Tenant = r.name()
 		req.Share = r.share()
-	case OpTrace:
-		req.Limit = int(r.i32())
 	case OpWatch:
 		req.Interval = time.Duration(r.i64())
 		if r.err == nil && req.Interval < 0 {
 			r.err = fmt.Errorf("%w: watch interval %v negative", ErrFrame, req.Interval)
-		}
-		req.Mask = r.u32()
-		if r.err == nil && !validWatchMask(req.Mask) {
-			r.err = fmt.Errorf("%w: watch mask %#x", ErrFrame, req.Mask)
 		}
 	case OpPing, OpStats:
 	}
@@ -924,41 +902,30 @@ func DecodeResponse(payload []byte) (Response, error) {
 		resp.Resv.Dur = r.time()
 		resp.Resv.Procs = int(r.i32())
 	case OpQuery:
-		n := int(r.u32())
-		if n > maxShards || (r.err == nil && 4*n > len(r.b)-r.off) {
-			r.fail()
-			break
-		}
-		resp.Free = make([]int, n)
-		for i := range resp.Free {
-			resp.Free[i] = int(r.i32())
+		if n := r.count(maxShards, 4); n > 0 {
+			resp.Free = make([]int, n)
+			for i := range resp.Free {
+				resp.Free[i] = int(r.i32())
+			}
 		}
 	case OpSnapshot:
 		resp.M = int(r.i32())
-		n := int(r.u32())
-		if r.err == nil && 12*n > len(r.b)-r.off {
-			r.fail()
-			break
-		}
-		resp.Segs = make([]Segment, n)
-		for i := range resp.Segs {
-			resp.Segs[i].Start = r.time()
-			resp.Segs[i].Free = int(r.i32())
+		if n := r.count(MaxFrame, 12); n > 0 {
+			resp.Segs = make([]Segment, n)
+			for i := range resp.Segs {
+				resp.Segs[i].Start = r.time()
+				resp.Segs[i].Free = int(r.i32())
+			}
 		}
 	case OpStats:
-		n := int(r.u32())
-		if n > maxShards || (r.err == nil && shardEntryLen*n > len(r.b)-r.off) {
-			r.fail()
-			break
-		}
-		resp.Stats = make([]resd.ShardStats, n)
-		for i := range resp.Stats {
-			r.shardStats(&resp.Stats[i])
+		if n := r.count(maxShards, shardEntryLen); n > 0 {
+			resp.Stats = make([]resd.ShardStats, n)
+			for i := range resp.Stats {
+				r.shardStats(&resp.Stats[i])
+			}
 		}
 	case OpQuotaGet:
 		resp.Quota.Tenant = r.name()
-		r.bytes(int(r.u8())) // reserved name and byte: whatever the sender put there
-		r.u8()
 		resp.Quota.Share = r.share()
 		resp.Quota.Capacity = r.i64()
 		resp.Quota.Budget = r.i64()
@@ -967,116 +934,8 @@ func DecodeResponse(payload []byte) (Response, error) {
 		resp.Quota.Admitted = r.u64()
 		resp.Quota.Cancelled = r.u64()
 		resp.Quota.Rejected = r.u64()
-	case OpTrace:
-		n := int(r.u32())
-		if n > maxTraces || (r.err == nil && traceEntryLen*n > len(r.b)-r.off) {
-			r.fail()
-			break
-		}
-		resp.Traces = make([]resd.TraceRecord, n)
-		for i := range resp.Traces {
-			tr := &resp.Traces[i]
-			tr.Seq = r.u64()
-			tr.Arrival = time.Unix(0, r.i64())
-			tr.ClientSend = time.Duration(r.i64())
-			tr.Route = time.Duration(r.i64())
-			tr.Enqueue = time.Duration(r.i64())
-			tr.BatchStart = time.Duration(r.i64())
-			tr.Decision = time.Duration(r.i64())
-			tr.Start = r.time()
-			tr.Shard = int(r.i32())
-			tr.Outcome = resd.TraceOutcome(r.u8())
-			if r.err == nil && tr.Outcome > resd.TraceError {
-				r.err = fmt.Errorf("%w: unknown trace outcome %d", ErrFrame, uint8(tr.Outcome))
-			}
-			tr.Tenant = r.name()
-		}
 	case OpWatch:
-		t := &Telemetry{}
-		t.Seq = r.u64()
-		t.Dropped = r.u64()
-		t.Mask = r.u32()
-		if r.err == nil && !validWatchMask(t.Mask) {
-			return Response{}, fmt.Errorf("%w: telemetry mask %#x", ErrFrame, t.Mask)
-		}
-		t.M = int(r.i32())
-		t.Floor = int(r.i32())
-		if r.err == nil && (t.M < 0 || t.Floor < 0) {
-			return Response{}, fmt.Errorf("%w: negative telemetry capacity", ErrFrame)
-		}
-		if t.Mask&WatchShards != 0 {
-			n := int(r.u32())
-			if n > maxShards || (r.err == nil && watchShardEntryLen*n > len(r.b)-r.off) {
-				r.fail()
-				break
-			}
-			t.Queue = make([]int, n)
-			t.Shards = make([]resd.ShardStats, n)
-			for i := range t.Shards {
-				t.Queue[i] = int(r.i32())
-				r.shardStats(&t.Shards[i])
-			}
-		}
-		if t.Mask&WatchTenants != 0 {
-			n := int(r.u32())
-			if n > maxTenants || (r.err == nil && watchTenantEntryLen*n > len(r.b)-r.off) {
-				r.fail()
-				break
-			}
-			t.Tenants = make([]resd.TenantLoad, n)
-			for i := range t.Tenants {
-				t.Tenants[i].Tenant = r.name()
-				t.Tenants[i].Budget = r.i64()
-				t.Tenants[i].Used = r.i64()
-				t.Tenants[i].Inflight = r.i64()
-			}
-		}
-		if t.Mask&WatchWAL != 0 {
-			n := int(r.u32())
-			if n > maxShards || (r.err == nil && watchWALEntryLen*n > len(r.b)-r.off) {
-				r.fail()
-				break
-			}
-			t.WAL = make([]resd.WALShardStats, n)
-			for i := range t.WAL {
-				w := &t.WAL[i]
-				w.Shard = int(r.i32())
-				w.Gen = r.u64()
-				w.Bytes = r.u64()
-				w.Records = r.u64()
-				w.Fsyncs = r.u64()
-				w.Snapshots = r.u64()
-				w.FsyncP99 = r.i64()
-				w.Failed = r.u64()
-			}
-		}
-		if t.Mask&WatchTraces != 0 {
-			t.TracesSampled = r.u64()
-			t.TracesSlow = r.u64()
-		}
-		if t.Mask&WatchSLO != 0 {
-			n := int(r.u32())
-			if n > maxSLO || (r.err == nil && watchSLOEntryLen*n > len(r.b)-r.off) {
-				r.fail()
-				break
-			}
-			t.SLO = make([]slo.State, n)
-			for i := range t.SLO {
-				o := &t.SLO[i]
-				o.Name = r.name()
-				o.Tenant = r.name()
-				o.Signal = slo.Signal(r.u8())
-				o.Target = math.Float64frombits(r.u64())
-				o.Attainment = math.Float64frombits(r.u64())
-				o.BudgetRemaining = math.Float64frombits(r.u64())
-				o.BurnMax = math.Float64frombits(r.u64())
-				o.Severity = slo.Severity(r.u8())
-				if r.err == nil {
-					r.err = validSLO(o)
-				}
-			}
-		}
-		resp.Telemetry = t
+		resp.Telemetry = r.telemetry()
 	case OpCancel, OpPing, OpQuotaSet:
 	}
 	if err := r.done(); err != nil {

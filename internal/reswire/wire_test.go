@@ -225,97 +225,81 @@ var goldenFrames = []struct {
 	req  *Request
 	resp *Response
 }{
-	{name: "req/Reserve", hex: "00000036525705010102030405060708000000000000000a0000000400000000000000147fffffffffffffff0461636d" +
+	{name: "req/Reserve", hex: "00000036525706010102030405060708000000000000000a0000000400000000000000147fffffffffffffff0461636d" +
 		"6517979cfe362a000001",
 		req: &Request{ID: 0x0102030405060708, Op: OpReserve, Ready: 10, Procs: 4, Dur: 20,
 			Deadline: resd.NoDeadline, Tenant: "acme", Stamp: 1_700_000_000_000_000_000, Traced: true}},
-	{name: "req/Cancel", hex: "00000014525705020000000000000002ffff000000000001",
+	{name: "req/Cancel", hex: "00000014525706020000000000000002ffff000000000001",
 		req: &Request{ID: 2, Op: OpCancel, Resv: 0xFFFF_0000_0000_0001}},
-	{name: "req/Query", hex: "000000145257050300000000000000030000000000003039",
+	{name: "req/Query", hex: "000000145257060300000000000000030000000000003039",
 		req: &Request{ID: 3, Op: OpQuery, Ready: 12345}},
-	{name: "req/Snapshot", hex: "0000001052570504000000000000000400000003",
+	{name: "req/Snapshot", hex: "0000001052570604000000000000000400000003",
 		req: &Request{ID: 4, Op: OpSnapshot, Shard: 3}},
-	{name: "req/Ping", hex: "0000000c525705050000000000000005",
+	{name: "req/Ping", hex: "0000000c525706050000000000000005",
 		req: &Request{ID: 5, Op: OpPing}},
-	{name: "req/Stats", hex: "0000000c525705060000000000000006",
+	{name: "req/Stats", hex: "0000000c525706060000000000000006",
 		req: &Request{ID: 6, Op: OpStats}},
-	{name: "req/QuotaGet", hex: "000000115257050700000000000000070461636d65",
+	{name: "req/QuotaGet", hex: "000000115257060700000000000000070461636d65",
 		req: &Request{ID: 7, Op: OpQuotaGet, Tenant: "acme"}},
-	{name: "req/QuotaSet", hex: "000000195257050800000000000000080461636d653fd0000000000000",
+	{name: "req/QuotaSet", hex: "000000195257060800000000000000080461636d653fd0000000000000",
 		req: &Request{ID: 8, Op: OpQuotaSet, Tenant: "acme", Share: 0.25}},
-	{name: "req/Trace", hex: "00000010525705090000000000000009ffffffff",
-		req: &Request{ID: 9, Op: OpTrace, Limit: -1}},
-	{name: "req/Watch", hex: "000000185257050a000000000000000a000000000ee6b28000000011",
-		req: &Request{ID: 10, Op: OpWatch, Interval: 250 * time.Millisecond, Mask: WatchShards | WatchSLO}},
+	{name: "req/Watch", hex: "00000014525706090000000000000009000000000ee6b280",
+		req: &Request{ID: 9, Op: OpWatch, Interval: 250 * time.Millisecond}},
 
-	{name: "resp/Reserve", hex: "0000002d52570501010203040506070800000200000000002a000000020000000000000064000000000000000a000000" +
+	{name: "resp/Reserve", hex: "0000002d52570601010203040506070800000200000000002a000000020000000000000064000000000000000a000000" +
 		"08",
 		resp: &Response{ID: 0x0102030405060708, Op: OpReserve,
 			Resv: resd.Reservation{ID: 42 | 2<<48, Shard: 2, Start: 100, Dur: 10, Procs: 8}}},
-	{name: "resp/Cancel", hex: "0000000d52570502000000000000000200",
+	{name: "resp/Cancel", hex: "0000000d52570602000000000000000200",
 		resp: &Response{ID: 2, Op: OpCancel}},
-	{name: "resp/Query", hex: "0000001d5257050300000000000000030000000003000000400000000000000011",
+	{name: "resp/Query", hex: "0000001d5257060300000000000000030000000003000000400000000000000011",
 		resp: &Response{ID: 3, Op: OpQuery, Free: []int{64, 0, 17}}},
-	{name: "resp/Snapshot", hex: "00000039525705040000000000000004000000000800000003000000000000000000000008000000000000000a000000" +
+	{name: "resp/Snapshot", hex: "00000039525706040000000000000004000000000800000003000000000000000000000008000000000000000a000000" +
 		"03000000000000001400000008",
 		resp: &Response{ID: 4, Op: OpSnapshot, M: 8,
 			Segs: []Segment{{Start: 0, Free: 8}, {Start: 10, Free: 3}, {Start: 20, Free: 8}}}},
-	{name: "resp/Ping", hex: "0000000d52570505000000000000000500",
+	{name: "resp/Ping", hex: "0000000d52570605000000000000000500",
 		resp: &Response{ID: 5, Op: OpPing}},
-	{name: "resp/Stats", hex: "000000715257050600000000000000060000000001000000000000000500000000000004d2000000000000000a000000" +
-		"000000000200000000000000010000000000000003000000000000000400000000000000000000000000000000000000" +
-		"000000006300000000000000070000000000000014",
+	{name: "resp/Stats", hex: "000000615257060600000000000000060000000001000000000000000500000000000004d2000000000000000a000000" +
+		"000000000200000000000000010000000000000003000000000000000400000000000000630000000000000007000000" +
+		"0000000014",
 		resp: &Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}},
-	{name: "resp/QuotaGet", hex: "00000054525705070000000000000007000461636d6500003fe000000000000000000000001000000000000000080000" +
-		"000000000000004d0000000000000003000000000000000900000000000000060000000000000002",
+	{name: "resp/QuotaGet", hex: "00000052525706070000000000000007000461636d653fe0000000000000000000000010000000000000000800000000" +
+		"00000000004d0000000000000003000000000000000900000000000000060000000000000002",
 		resp: &Response{ID: 7, Op: OpQuotaGet, Quota: goldenQuota}},
-	{name: "resp/QuotaSet", hex: "0000000d52570508000000000000000800",
+	{name: "resp/QuotaSet", hex: "0000000d52570608000000000000000800",
 		resp: &Response{ID: 8, Op: OpQuotaSet}},
-	{name: "resp/Trace", hex: "0000005b5257050900000000000000090000000001000000000000000317979cfe362a0000000000000001e848000000" +
-		"000000006400000000000000fa000000000000038400000000000005dc000000000000003200000001000461636d65",
-		resp: &Response{ID: 9, Op: OpTrace, Traces: []resd.TraceRecord{{
-			Seq: 3, Tenant: "acme", Shard: 1, Outcome: resd.TraceAdmitted, Start: 50,
-			Arrival: time.Unix(0, 1_700_000_000_000_000_000), ClientSend: 125_000,
-			Route: 100, Enqueue: 250, BatchStart: 900, Decision: 1500}}}},
-	{name: "resp/Watch", hex: "000001365257050a000000000000000a00000000000000000700000000000000020000001f0000004000000010000000" +
-		"0100000003000000000000000500000000000004d2000000000000000a00000000000000020000000000000001000000" +
-		"000000000300000000000000040000000000000000000000000000000000000000000000630000000000000007000000" +
-		"0000000014000000010461636d6500000000000000640000000000000028000000000000000200000001000000010000" +
-		"0000000000030000000000001000000000000000001100000000000000090000000000000002000000000001d4c00000" +
-		"000000000001000000000000000b00000000000000010000000108646561646c696e650461636d65013fefae147ae147" +
-		"ae3fef0a3d70a3d70ac000000000000000402d00000000000002",
-		resp: &Response{ID: 10, Op: OpWatch, Telemetry: &Telemetry{
-			Seq: 7, Dropped: 2, Mask: WatchAll, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
-				Queue: []int{3}, Shards: []resd.ShardStats{goldenShard},
-				Tenants:       []resd.TenantLoad{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
-				WAL:           []resd.WALShardStats{{Shard: 1, Gen: 3, Bytes: 4096, Records: 17, Fsyncs: 9, Snapshots: 2, FsyncP99: 120000, Failed: 1}},
-				TracesSampled: 11, TracesSlow: 1,
-				SLO: []slo.State{{Name: "deadline", Tenant: "acme", Signal: slo.Slack, Target: 0.99,
-					Attainment: 0.97, BudgetRemaining: -2, BurnMax: 14.5, Severity: slo.SevPage}}}}}},
-	{name: "resp/error", hex: "0000002652570501000000000000000b07001774656e616e742061636d65206f76657220627564676574",
+	{name: "resp/Watch", hex: "000001225257060900000000000000090000000000000000070000000000000002000000400000001000000001000000" +
+		"03000000000000000500000000000004d2000000000000000a0000000000000002000000000000000100000000000000" +
+		"030000000000000004000000000000006300000000000000070000000000000014000000010461636d65000000000000" +
+		"006400000000000000280000000000000002000000010000000100000000000000030000000000001000000000000000" +
+		"001100000000000000090000000000000002000000000001d4c00000000000000001000000000000000b000000000000" +
+		"00010000000108646561646c696e650461636d65013fefae147ae147ae3fef0a3d70a3d70ac000000000000000402d00" +
+		"000000000002",
+		resp: &Response{ID: 9, Op: OpWatch, Telemetry: goldenTelemetry}},
+	{name: "resp/error", hex: "0000002652570601000000000000000b07001774656e616e742061636d65206f76657220627564676574",
 		resp: &Response{ID: 11, Op: OpReserve, Code: CodeRejectedQuota, Detail: "tenant acme over budget"}},
 }
 
-// goldenShard is the 96-byte shard entry the Stats reply and the Watch
-// shard family both carry.
+// goldenShard is the 80-byte shard entry the Stats reply and every Watch
+// frame carry.
 var goldenShard = resd.ShardStats{Active: 5, CommittedArea: 1234, Admitted: 10, Cancelled: 2, Rejected: 1,
 	RejectedDeadline: 3, RejectedQuota: 4, SlackP99: 99, Batches: 7, Ops: 20}
+
+// goldenTelemetry is the Watch frame's value: the whole node snapshot,
+// every family present.
+var goldenTelemetry = &Telemetry{
+	Seq: 7, Dropped: 2, NodeSnapshot: resd.NodeSnapshot{M: 64, Floor: 16,
+		Queue: []int{3}, Shards: []resd.ShardStats{goldenShard},
+		Tenants:       []resd.TenantLoad{{Tenant: "acme", Budget: 100, Used: 40, Inflight: 2}},
+		WAL:           []resd.WALShardStats{{Shard: 1, Gen: 3, Bytes: 4096, Records: 17, Fsyncs: 9, Snapshots: 2, FsyncP99: 120000, Failed: 1}},
+		TracesSampled: 11, TracesSlow: 1,
+		SLO: []slo.State{{Name: "deadline", Tenant: "acme", Signal: slo.Slack, Target: 0.99,
+			Attainment: 0.97, BudgetRemaining: -2, BurnMax: 14.5, Severity: slo.SevPage}}}}
 
 // goldenQuota is the QuotaGet reply's value.
 var goldenQuota = QuotaInfo{Capacity: 1 << 20, Usage: tenant.Usage{
 	Tenant: "acme", Share: 0.5, Budget: 1 << 19, Used: 77, Inflight: 3, Admitted: 9, Cancelled: 6, Rejected: 2}}
-
-// quotaReservedInUse is resp/QuotaGet as a server that still has tenant
-// groups and a soft mode sends it: group "prod" and mode 1 in the two
-// reserved fields.
-const quotaReservedInUse = "00000058525705070000000000000007000461636d650470726f64013fe0000000000000000000000010000000000000" +
-	"00080000000000000000004d0000000000000003000000000000000900000000000000060000000000000002"
-
-// statsReservedInUse is resp/Stats as a server that still counts
-// migrations sends it: 5 and 6 in the entry's 16 reserved bytes.
-const statsReservedInUse = "000000715257050600000000000000060000000001000000000000000500000000000004d2000000000000000a000000" +
-	"000000000200000000000000010000000000000003000000000000000400000000000000050000000000000006000000" +
-	"000000006300000000000000070000000000000014"
 
 // TestGoldenFrames makes "frozen" enforceable: each value encodes to
 // exactly its recorded bytes, and the recorded bytes decode to the value.
@@ -341,20 +325,6 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		if dec, err := DecodeResponse(want[4:]); err != nil || !reflect.DeepEqual(dec, *g.resp) {
 			t.Errorf("%s: recorded frame decodes to %+v (err %v), want %+v", g.name, dec, err, *g.resp)
-		}
-	}
-	// Reserved bytes are skipped, not checked: an un-upgraded server's
-	// reply decodes to the same value.
-	for _, old := range []struct {
-		name, hex string
-		want      Response
-	}{
-		{"Stats", statsReservedInUse, Response{ID: 6, Op: OpStats, Stats: []resd.ShardStats{goldenShard}}},
-		{"QuotaGet", quotaReservedInUse, Response{ID: 7, Op: OpQuotaGet, Quota: goldenQuota}},
-	} {
-		b, _ := hex.DecodeString(old.hex)
-		if dec, err := DecodeResponse(b[4:]); err != nil || !reflect.DeepEqual(dec, old.want) {
-			t.Errorf("%s reply with the reserved bytes in use decodes to %+v (err %v), want %+v", old.name, dec, err, old.want)
 		}
 	}
 }

@@ -98,7 +98,7 @@
 //	resd_slo_alert_transitions_total        counter  state changes since start
 //	<hist>_window{quantile}                 summary  windowed percentiles per tracked histogram
 //
-// The same evaluated states stream over the wire protocol as the
-// WatchSLO telemetry family (see internal/reswire), and obscheck -slo
+// The same evaluated states stream over the wire protocol in every Watch
+// frame (see internal/reswire), and obscheck -slo
 // asserts the families and the alert state from the outside.
 package slo
