@@ -28,7 +28,7 @@ func TestObscheckAgainstLiveHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: obs.Handler(reg, func() bool { return true })}
+	srv := &http.Server{Handler: obs.Handler(reg, func() bool { return true }, nil)}
 	go srv.Serve(ln)
 	defer srv.Close()
 	url := "http://" + ln.Addr().String() + "/metrics"

@@ -271,7 +271,7 @@ func run() error {
 			mux.Handle("/debug/flight", fh)
 			mux.Handle("/debug/flight/", fh)
 		}
-		mux.Handle("/", obs.HandlerWithWarn(metrics, ready.Load, warn))
+		mux.Handle("/", obs.Handler(metrics, ready.Load, warn))
 		hsrv := &http.Server{Handler: mux}
 		go hsrv.Serve(oln)
 		defer hsrv.Close()
@@ -333,7 +333,7 @@ func run() error {
 			where = "bundles in " + *flightdir
 		}
 		fmt.Printf("resdsrv: flight recorder armed (journal %d events, watchdog %v checks, %s)\n",
-			flight.DefaultJournalSize, flight.DefaultCheckEvery, where)
+			flight.JournalSize, flight.CheckEvery, where)
 	}
 	if eng != nil {
 		fmt.Printf("resdsrv: slo engine: %d objectives, evaluated every %v, budget window %v\n",

@@ -71,7 +71,7 @@ func (r *Recorder) autoCapture(reason string, state Health, warning string) stri
 		return ""
 	}
 	r.bundleMu.Lock()
-	limited := !r.lastAuto.IsZero() && time.Since(r.lastAuto) < r.cfg.BundleMinInterval
+	limited := !r.lastAuto.IsZero() && time.Since(r.lastAuto) < BundleMinInterval
 	if !limited {
 		r.lastAuto = time.Now()
 	}
@@ -79,7 +79,7 @@ func (r *Recorder) autoCapture(reason string, state Health, warning string) stri
 	if limited {
 		r.rateLimited.Add(1)
 		r.journal.Record(Info, "flight", -1, "bundle capture rate-limited",
-			KV{"reason", reason}, KV{"min_interval", r.cfg.BundleMinInterval.String()})
+			KV{"reason", reason}, KV{"min_interval", BundleMinInterval.String()})
 		return ""
 	}
 	name, err := r.writeBundle(reason, state, warning)
@@ -173,8 +173,8 @@ func (r *Recorder) writeBundle(reason string, state Health, warning string) (str
 	return name, nil
 }
 
-// prune enforces BundleKeep: the oldest bundles (and any temp debris a
-// crash left) are removed. Bundle names embed a millisecond stamp with
+// prune keeps the newest BundleKeep bundles: the oldest (and any temp
+// debris a crash left) are removed. Bundle names embed a millisecond stamp with
 // a fixed digit count, so lexicographic order is age order. Runs under
 // bundleMu.
 func (r *Recorder) prune() {
@@ -196,7 +196,7 @@ func (r *Recorder) prune() {
 		}
 	}
 	sort.Strings(names)
-	for len(names) > r.cfg.BundleKeep {
+	for len(names) > BundleKeep {
 		os.RemoveAll(filepath.Join(r.cfg.Dir, names[0]))
 		names = names[1:]
 	}

@@ -8,11 +8,11 @@
 //
 // # Journal
 //
-// The Journal is a fixed-size ring of typed Events: severity (info /
-// warn / error), a wall-clock stamp plus a monotonic offset, the
-// originating subsystem ("resd", "wal", "reswire", "flight"),
-// the shard (-1 for node-wide), an optional tenant, a message, and
-// structured key/value pairs. Hook points across the service feed it:
+// The Journal is a fixed-size ring of typed Events (a Recorder's holds
+// JournalSize, 1024): severity (info / warn / error), a wall-clock stamp
+// plus a monotonic offset, the originating subsystem ("resd", "wal",
+// "reswire", "flight"), the shard (-1 for node-wide), an optional
+// tenant, a message, and structured key/value pairs. Hook points across the service feed it:
 //
 //	resd     WAL replay verdicts, quota overflow-book activation, slow
 //	         batch turns, WAL failures
@@ -26,25 +26,29 @@
 // can fire on error-rate without shipping the journal anywhere. All
 // journal methods are nil-receiver safe: hook sites record
 // unconditionally and a service without a recorder pays a nil check.
+// Severities and health states marshal as strings, and readers
+// (obscheck, the tests) decode them as strings.
 //
 // # Watchdog
 //
 // A resd shard has no goroutine of its own: whichever caller serves its
 // turn publishes the heartbeat: BusySince when a turn begins, LastTurn
 // when it completes (two atomic stores per turn, only when a recorder
-// is attached). The watchdog has no goroutine either. Attach stores the
-// service's probes, and Judge(now) makes one pass: it reads the probes
-// and judges the node at that instant against configurable budgets. In
-// resd the service's sampler — the one goroutine that also ticks the
-// SLO engine — calls Judge every Budgets.CheckEvery; a test calls it at
-// explicit instants. The rules:
+// is attached). The watchdog has no goroutine either, and no source to
+// pull from: Judge(now, probes) is one pass over the shard probes it is
+// handed, judged at that instant against the budgets below. In resd the
+// service's sampler — the one goroutine that also ticks the SLO engine —
+// reads the heartbeats into probes and calls Judge every CheckEvery; a
+// test hands it probes at explicit instants. The budgets are constants:
 //
 //	stalled   a shard stuck inside one turn (or queued requests with no
-//	          turn) for longer than StallAfter
-//	degraded  a request queue at >= 3/4 capacity for QueueFullFor (the
-//	          time measured between the Judge calls that saw it there),
-//	          a WAL fsync p99 over FsyncP99, or more than FrameErrorBurst
-//	          reswire frame errors between two Judge calls
+//	          turn) for longer than StallAfter (2s)
+//	degraded  a request queue at >= 3/4 capacity for QueueFullFor (1s;
+//	          the time measured between the Judge calls that saw it
+//	          there), a WAL fsync p99 over FsyncP99 (100ms), or reswire
+//	          frame errors at more than FrameErrorBurst (64) per
+//	          CheckEvery (250ms), the count between two Judge calls
+//	          scaled by the interval measured between them
 //
 // The worst firing rule is the node state — healthy(0), degraded(1),
 // stalled(2) — published as the resd_health_state gauge, served on
@@ -80,12 +84,12 @@
 //
 // Bundles are written into a hidden temp directory and renamed into
 // place, so any visible bundle is complete. Automatic captures share
-// one rate limit, one per BundleMinInterval: the watchdog's and those
-// other triggers ask for through AutoCapture (resdsrv's SLO page hook).
-// A flapping rule or objective cannot fill the disk; suppressed
-// captures are counted and journaled. On-demand captures (Capture, the
-// HTTP POST) are never rate-limited. Retention keeps the newest
-// BundleKeep bundles and deletes older ones.
+// one rate limit, one per BundleMinInterval (a minute): the watchdog's
+// and those other triggers ask for through AutoCapture (resdsrv's SLO
+// page hook). A flapping rule or objective cannot fill the disk;
+// suppressed captures are counted and journaled. On-demand captures
+// (Capture, the HTTP POST) are never rate-limited. Retention keeps the
+// newest BundleKeep (8) bundles and deletes older ones.
 //
 // # Surfaces
 //

@@ -44,69 +44,27 @@ func (h Health) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + h.String() + `"`), nil
 }
 
-// UnmarshalJSON decodes the state string back.
-func (h *Health) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"healthy"`:
-		*h = Healthy
-	case `"degraded"`:
-		*h = Degraded
-	default:
-		*h = Stalled
-	}
-	return nil
-}
-
-// Budgets are the watchdog's configurable thresholds. Zero fields
-// select the defaults; a negative duration or count disables that rule.
-type Budgets struct {
-	// CheckEvery is the period at which the service calls Judge
-	// (default 250ms). It is a period, not a rule: negative is refused.
-	CheckEvery time.Duration
+// The watchdog's budgets. They are fixed: a test drives Judge at
+// explicit instants rather than shrinking them.
+const (
+	// CheckEvery is the period at which resd's sampler calls Judge.
+	CheckEvery = 250 * time.Millisecond
 	// StallAfter marks a shard stalled when it has been inside one
 	// batch turn — or has left requests queued without a heartbeat —
-	// for this long (default 2s).
-	StallAfter time.Duration
+	// for longer than this.
+	StallAfter = 2 * time.Second
 	// QueueFullFor marks the node degraded when a shard's request queue
-	// has stayed at >= 3/4 capacity for this long (default 1s): the
+	// has stayed at >= 3/4 capacity for this long: the
 	// queue-depth-runaway rule.
-	QueueFullFor time.Duration
+	QueueFullFor = time.Second
 	// FsyncP99 marks the node degraded when a shard's WAL fsync p99
-	// exceeds it (default 100ms).
-	FsyncP99 time.Duration
+	// exceeds it.
+	FsyncP99 = 100 * time.Millisecond
 	// FrameErrorBurst marks the node degraded when the reswire
-	// subsystem journals more than this many warn/error events inside
-	// one check period (default 64).
-	FrameErrorBurst int
-}
-
-// Watchdog budget defaults.
-const (
-	DefaultCheckEvery      = 250 * time.Millisecond
-	DefaultStallAfter      = 2 * time.Second
-	DefaultQueueFullFor    = time.Second
-	DefaultFsyncP99        = 100 * time.Millisecond
-	DefaultFrameErrorBurst = 64
+	// subsystem journals more than this many warn/error events per
+	// CheckEvery, averaged over the interval between two Judge calls.
+	FrameErrorBurst = 64
 )
-
-func (b Budgets) normalize() Budgets {
-	if b.CheckEvery == 0 {
-		b.CheckEvery = DefaultCheckEvery
-	}
-	if b.StallAfter == 0 {
-		b.StallAfter = DefaultStallAfter
-	}
-	if b.QueueFullFor == 0 {
-		b.QueueFullFor = DefaultQueueFullFor
-	}
-	if b.FsyncP99 == 0 {
-		b.FsyncP99 = DefaultFsyncP99
-	}
-	if b.FrameErrorBurst == 0 {
-		b.FrameErrorBurst = DefaultFrameErrorBurst
-	}
-	return b
-}
 
 // ShardProbe is one shard's heartbeat as the watchdog samples it: the
 // service publishes LastTurn/BusySince from its batch turns (two
@@ -127,12 +85,9 @@ type ShardProbe struct {
 	FsyncP99 time.Duration
 }
 
-// Sources are the service-side callbacks Judge reads and the bundler
-// snapshots. All may be nil; Shards nil disables the per-shard
-// rules (the frame-burst rule still runs off the journal).
+// Sources are the service-side callbacks the bundler and /debug/flight
+// read. Either may be nil.
 type Sources struct {
-	// Shards returns every shard's heartbeat probe.
-	Shards func() []ShardProbe
 	// Traces returns the newest n records of the admission trace ring
 	// (n <= 0: all of it) for /debug/flight and bundles.
 	Traces func(n int) any
@@ -147,35 +102,25 @@ type Config struct {
 	// (flight_events_total, resd_health_state, flight_bundles_total).
 	// Nil disables metrics.
 	Registry *obs.Registry
-	// JournalSize is the event ring capacity (0 = DefaultJournalSize).
-	JournalSize int
 	// Dir is where diagnostic bundles are written ("" disables bundle
 	// capture; the journal and watchdog still run).
 	Dir string
-	// BundleMinInterval rate-limits automatic bundles, the watchdog's
-	// and AutoCapture's alike: after one fires, further automatic
-	// captures are suppressed for this long (0 =
-	// DefaultBundleMinInterval). On-demand captures are never
-	// rate-limited.
-	BundleMinInterval time.Duration
-	// BundleKeep caps how many bundles Dir retains; the oldest are
-	// deleted past it (0 = DefaultBundleKeep).
-	BundleKeep int
-	// Budgets are the watchdog thresholds.
-	Budgets Budgets
 }
 
-// Bundle retention defaults.
+// Bundle limits: automatic captures, the watchdog's and AutoCapture's
+// alike, are suppressed for BundleMinInterval after one fires
+// (on-demand captures never are), and Dir keeps the newest BundleKeep
+// bundles.
 const (
-	DefaultBundleMinInterval = time.Minute
-	DefaultBundleKeep        = 8
+	BundleMinInterval = time.Minute
+	BundleKeep        = 8
 )
 
 // Recorder is the node's black box: the event journal, the health
 // watchdog, and the diagnostic bundler behind one handle. Create it
 // with New, hand it to the service (resd.ObsConfig.Flight — the
-// service attaches its probes, journals through it and calls Judge),
-// and mount Handler on the observability mux.
+// service attaches its sources, journals through it and hands Judge its
+// shard probes), and mount Handler on the observability mux.
 type Recorder struct {
 	cfg     Config
 	journal *Journal
@@ -187,7 +132,8 @@ type Recorder struct {
 	src atomic.Pointer[Sources]
 	// What Judge carries from one call to the next (Attach resets it):
 	// when it last ran, how long each shard's queue has been >= 3/4
-	// full, and the frame-error count it last saw.
+	// full, and the frame-error count it last saw. Only Judge's caller
+	// touches them.
 	lastJudge time.Time
 	queueHot  map[int]time.Duration
 	frameBase uint64
@@ -206,24 +152,15 @@ type Recorder struct {
 // New builds the recorder, creates Config.Dir when bundling is
 // enabled, and registers the flight metric families.
 func New(cfg Config) (*Recorder, error) {
-	if cfg.Budgets.CheckEvery < 0 {
-		return nil, fmt.Errorf("flight: Budgets.CheckEvery %v is negative", cfg.Budgets.CheckEvery)
-	}
-	cfg.Budgets = cfg.Budgets.normalize()
-	if cfg.BundleMinInterval == 0 {
-		cfg.BundleMinInterval = DefaultBundleMinInterval
-	}
-	if cfg.BundleKeep <= 0 {
-		cfg.BundleKeep = DefaultBundleKeep
-	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("flight: %w", err)
 		}
 	}
 	r := &Recorder{
-		cfg:     cfg,
-		journal: NewJournal(cfg.JournalSize, cfg.Registry),
+		cfg:      cfg,
+		journal:  NewJournal(JournalSize, cfg.Registry),
+		queueHot: map[int]time.Duration{},
 	}
 	if reg := cfg.Registry; reg != nil {
 		reg.GaugeFunc("resd_health_state",
@@ -277,22 +214,20 @@ func (r *Recorder) SetConfigInfo(v any) {
 	}
 }
 
-// Attach stores the service's probes for Judge and the bundler and
-// returns the period at which the service should call Judge
-// (Budgets.CheckEvery). One service per recorder: a second Attach
-// replaces the first, and Judge's accumulations start over.
-func (r *Recorder) Attach(src Sources) time.Duration {
+// Attach stores the service's sources for the bundler and
+// /debug/flight, and starts Judge's accumulations over. One service per
+// recorder: a second Attach replaces the first.
+func (r *Recorder) Attach(src Sources) {
 	if r == nil {
-		return 0
+		return
 	}
 	r.src.Store(&src)
 	r.lastJudge, r.queueHot, r.frameBase = time.Time{}, map[int]time.Duration{}, r.frameErrors()
-	return r.cfg.Budgets.CheckEvery
 }
 
-// Detach clears the probes and resets the health state: with no service
-// to observe there is nothing to judge. The caller stops calling Judge
-// first.
+// Detach clears the sources and resets the health state: with no
+// service to observe there is nothing to judge. The caller stops
+// calling Judge first.
 func (r *Recorder) Detach() {
 	if r == nil {
 		return
@@ -314,20 +249,17 @@ func (r *Recorder) frameErrors() uint64 {
 	return r.journal.SubsysCount("reswire", Warn) + r.journal.SubsysCount("reswire", Error)
 }
 
-// Judge is one pass of the watchdog at now: it reads the attached shard
-// probes and the journal's frame-error count, judges the node against
-// the budgets, journals a transition, captures a bundle when the state
-// worsens, and only then publishes the new state. A queue's time at
-// >= 3/4 capacity is the time measured between the Judge calls that saw
-// it there. One goroutine calls Judge at a time — resd's sampler, every
-// CheckEvery, or a test at explicit instants; without attached probes it
-// does nothing.
-func (r *Recorder) Judge(now time.Time) {
-	src := r.src.Load()
-	if src == nil {
-		return
-	}
-	b := r.cfg.Budgets
+// Judge is one pass of the watchdog at now over the shard probes it is
+// handed: it judges the node against the budgets, journals a transition,
+// captures a bundle when the state worsens, and only then publishes the
+// new state. Its inputs are the instant, the probes, the journal's
+// frame-error count and what earlier calls left: the time a queue spent
+// at >= 3/4 capacity and the frame-error rate are both measured over the
+// interval since the previous call, a call with none (the first, or one
+// at the same instant) counting as one CheckEvery. One goroutine calls
+// Judge at a time — resd's sampler, every CheckEvery, or a test at
+// explicit instants.
+func (r *Recorder) Judge(now time.Time, probes []ShardProbe) {
 	var elapsed time.Duration
 	if !r.lastJudge.IsZero() && now.After(r.lastJudge) {
 		elapsed = now.Sub(r.lastJudge)
@@ -342,37 +274,37 @@ func (r *Recorder) Judge(now time.Time) {
 		}
 		reasons = append(reasons, fmt.Sprintf(format, args...))
 	}
-	if src.Shards != nil {
-		for _, p := range src.Shards() {
-			if !p.BusySince.IsZero() {
-				if d := now.Sub(p.BusySince); d > b.StallAfter && b.StallAfter > 0 {
-					note(Stalled, "shard %d stuck inside one batch turn for %v", p.Shard, d.Round(time.Millisecond))
-				}
-			} else if p.QueueLen > 0 && !p.LastTurn.IsZero() && b.StallAfter > 0 {
-				if d := now.Sub(p.LastTurn); d > b.StallAfter {
-					note(Stalled, "shard %d has %d queued requests and no turn for %v", p.Shard, p.QueueLen, d.Round(time.Millisecond))
-				}
+	for _, p := range probes {
+		if !p.BusySince.IsZero() {
+			if d := now.Sub(p.BusySince); d > StallAfter {
+				note(Stalled, "shard %d stuck inside one batch turn for %v", p.Shard, d.Round(time.Millisecond))
 			}
-			if b.QueueFullFor > 0 && p.QueueCap > 0 && p.QueueLen*4 >= p.QueueCap*3 {
-				r.queueHot[p.Shard] += elapsed
-				if r.queueHot[p.Shard] >= b.QueueFullFor {
-					note(Degraded, "shard %d queue at %d/%d for %v", p.Shard, p.QueueLen, p.QueueCap, r.queueHot[p.Shard])
-				}
-			} else {
-				r.queueHot[p.Shard] = 0
-			}
-			if b.FsyncP99 > 0 && p.FsyncP99 > b.FsyncP99 {
-				note(Degraded, "shard %d wal fsync p99 %v over budget %v", p.Shard, p.FsyncP99.Round(time.Millisecond), b.FsyncP99)
+		} else if p.QueueLen > 0 && !p.LastTurn.IsZero() {
+			if d := now.Sub(p.LastTurn); d > StallAfter {
+				note(Stalled, "shard %d has %d queued requests and no turn for %v", p.Shard, p.QueueLen, d.Round(time.Millisecond))
 			}
 		}
-	}
-	if b.FrameErrorBurst > 0 {
-		cur := r.frameErrors()
-		if burst := cur - r.frameBase; burst > uint64(b.FrameErrorBurst) {
-			note(Degraded, "%d wire frame errors inside one %v window", burst, b.CheckEvery)
+		if p.QueueCap > 0 && p.QueueLen*4 >= p.QueueCap*3 {
+			r.queueHot[p.Shard] += elapsed
+			if r.queueHot[p.Shard] >= QueueFullFor {
+				note(Degraded, "shard %d queue at %d/%d for %v", p.Shard, p.QueueLen, p.QueueCap, r.queueHot[p.Shard])
+			}
+		} else {
+			r.queueHot[p.Shard] = 0
 		}
-		r.frameBase = cur
+		if p.FsyncP99 > FsyncP99 {
+			note(Degraded, "shard %d wal fsync p99 %v over budget %v", p.Shard, p.FsyncP99.Round(time.Millisecond), FsyncP99)
+		}
 	}
+	window := elapsed
+	if window == 0 {
+		window = CheckEvery
+	}
+	cur := r.frameErrors()
+	if burst := cur - r.frameBase; burst*uint64(CheckEvery) > FrameErrorBurst*uint64(window) {
+		note(Degraded, "%d wire frame errors in %v, over %d per %v", burst, window.Round(time.Millisecond), FrameErrorBurst, CheckEvery)
+	}
+	r.frameBase = cur
 
 	// Only Judge writes the state while attached, so the transition is
 	// judged here and published last: a reader that sees a worsened state

@@ -148,47 +148,35 @@ func TestQueueCloseNonBlocking(t *testing.T) {
 	nq.Close()
 }
 
-// judgeAt attaches one shard's probe and returns the crank that sets
-// it and judges at an explicit instant.
-func judgeAt(r *Recorder) func(at time.Time, p ShardProbe) {
-	var probe ShardProbe
-	r.Attach(Sources{Shards: func() []ShardProbe { return []ShardProbe{probe} }})
-	return func(at time.Time, p ShardProbe) {
-		probe = p
-		r.Judge(at)
-	}
-}
+// judgeOne judges r at an explicit instant over one shard's probe.
+func judgeOne(r *Recorder, at time.Time, p ShardProbe) { r.Judge(at, []ShardProbe{p}) }
 
 // TestWatchdogTransitions drives healthy → stalled → healthy through a
 // synthetic probe and checks the journal records both transitions and a
 // bundle lands in the directory on the way down.
 func TestWatchdogTransitions(t *testing.T) {
 	dir := t.TempDir()
-	r, err := New(Config{Dir: dir, Budgets: Budgets{
-		StallAfter:   10 * time.Millisecond,
-		QueueFullFor: -1, FsyncP99: -1, FrameErrorBurst: -1,
-	}})
+	r, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	judge := judgeAt(r)
-	defer r.Detach()
 	t0 := time.Now()
 
 	for i := 0; i < 5; i++ {
-		at := t0.Add(time.Duration(i) * 5 * time.Millisecond)
-		judge(at, ShardProbe{Shard: 0, LastTurn: at})
+		at := t0.Add(time.Duration(i) * CheckEvery)
+		judgeOne(r, at, ShardProbe{Shard: 0, LastTurn: at})
 		if r.State() != Healthy {
 			t.Fatalf("healthy probe judged %v: %s", r.State(), r.Warning())
 		}
 	}
-	// Inside one turn for 10ms is within the budget; 11ms is past it.
-	busy := t0.Add(time.Second)
-	judge(busy.Add(10*time.Millisecond), ShardProbe{Shard: 0, BusySince: busy})
+	// Inside one turn for StallAfter is within the budget; a millisecond
+	// more is past it.
+	busy := t0.Add(10 * time.Second)
+	judgeOne(r, busy.Add(StallAfter), ShardProbe{Shard: 0, BusySince: busy})
 	if r.State() != Healthy {
 		t.Fatalf("a turn at its stall budget judged %v", r.State())
 	}
-	judge(busy.Add(11*time.Millisecond), ShardProbe{Shard: 0, BusySince: busy})
+	judgeOne(r, busy.Add(StallAfter+time.Millisecond), ShardProbe{Shard: 0, BusySince: busy})
 	if r.State() != Stalled {
 		t.Fatalf("state = %v, want stalled (warning %q)", r.State(), r.Warning())
 	}
@@ -196,7 +184,8 @@ func TestWatchdogTransitions(t *testing.T) {
 		t.Errorf("warning %q does not name the shard", w)
 	}
 	// Capture, then publish: the visible state already has its evidence,
-	// and the manifest carries the judgment that triggered it.
+	// and the manifest carries the judgment that triggered it. The
+	// manifest is read as obscheck reads it, its state a string.
 	got := r.Bundles()
 	if len(got) != 1 {
 		t.Fatalf("stall captured %d bundles, want 1", len(got))
@@ -205,23 +194,26 @@ func TestWatchdogTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man manifest
+	var man struct {
+		State   string `json:"state"`
+		Warning string `json:"warning"`
+	}
 	if err := json.Unmarshal(raw, &man); err != nil {
 		t.Fatal(err)
 	}
-	if man.State != Stalled || !strings.Contains(man.Warning, "shard 0") {
-		t.Errorf("manifest records state %v warning %q, want the stall naming shard 0", man.State, man.Warning)
+	if man.State != "stalled" || !strings.Contains(man.Warning, "shard 0") {
+		t.Errorf("manifest records state %q warning %q, want the stall naming shard 0", man.State, man.Warning)
 	}
 
 	// A queued request with no turn since LastTurn stalls the node too.
-	idle := t0.Add(2 * time.Second)
-	judge(idle.Add(11*time.Millisecond), ShardProbe{Shard: 0, LastTurn: idle, QueueLen: 1})
+	idle := t0.Add(20 * time.Second)
+	judgeOne(r, idle.Add(StallAfter+time.Millisecond), ShardProbe{Shard: 0, LastTurn: idle, QueueLen: 1})
 	if r.State() != Stalled || !strings.Contains(r.Warning(), "1 queued requests") {
 		t.Fatalf("queued without a turn: state %v warning %q, want stalled", r.State(), r.Warning())
 	}
 
-	end := t0.Add(3 * time.Second)
-	judge(end, ShardProbe{Shard: 0, LastTurn: end})
+	end := t0.Add(30 * time.Second)
+	judgeOne(r, end, ShardProbe{Shard: 0, LastTurn: end})
 	if r.State() != Healthy {
 		t.Fatalf("state = %v after recovery, want healthy", r.State())
 	}
@@ -251,36 +243,37 @@ func TestWatchdogTransitions(t *testing.T) {
 // TestWatchdogQueueRunaway: a queue pinned at capacity degrades the
 // node after QueueFullFor, and draining it recovers.
 func TestWatchdogQueueRunaway(t *testing.T) {
-	r, err := New(Config{Budgets: Budgets{
-		QueueFullFor: 10 * time.Millisecond,
-		StallAfter:   -1, FsyncP99: -1, FrameErrorBurst: -1,
-	}})
+	r, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	judge := judgeAt(r)
-	defer r.Detach()
 	t0 := time.Now()
-	full := ShardProbe{Shard: 0, LastTurn: t0, QueueLen: 8, QueueCap: 8}
-	for ms := 0; ms < 10; ms += 2 {
-		judge(t0.Add(time.Duration(ms)*time.Millisecond), full)
+	// The shard keeps turning: only the queue rule can fire.
+	full := func(at time.Duration) {
+		now := t0.Add(at)
+		judgeOne(r, now, ShardProbe{Shard: 0, LastTurn: now, QueueLen: 8, QueueCap: 8})
+	}
+	step := QueueFullFor / 5
+	for at := time.Duration(0); at < QueueFullFor; at += step {
+		full(at)
 		if r.State() != Healthy {
-			t.Fatalf("queue full for %dms judged %v, want healthy under a 10ms budget", ms, r.State())
+			t.Fatalf("queue full for %v judged %v, want healthy under a %v budget", at, r.State(), QueueFullFor)
 		}
 	}
-	judge(t0.Add(10*time.Millisecond), full)
+	full(QueueFullFor)
 	if r.State() != Degraded {
-		t.Fatalf("queue full for 10ms judged %v, want degraded", r.State())
+		t.Fatalf("queue full for %v judged %v, want degraded", QueueFullFor, r.State())
 	}
-	judge(t0.Add(12*time.Millisecond), ShardProbe{Shard: 0, LastTurn: t0, QueueLen: 0, QueueCap: 8})
+	drained := t0.Add(QueueFullFor + step)
+	judgeOne(r, drained, ShardProbe{Shard: 0, LastTurn: drained, QueueLen: 0, QueueCap: 8})
 	if r.State() != Healthy {
 		t.Fatalf("drained queue judged %v, want healthy", r.State())
 	}
 	// Draining reset the clock: full again, the budget starts over.
-	judge(t0.Add(14*time.Millisecond), full)
-	judge(t0.Add(20*time.Millisecond), full)
+	full(QueueFullFor + 2*step)
+	full(2 * QueueFullFor)
 	if r.State() != Healthy {
-		t.Fatalf("queue full again for 6ms judged %v, want healthy", r.State())
+		t.Fatalf("queue full again, under its budget, judged %v, want healthy", r.State())
 	}
 }
 
@@ -288,36 +281,54 @@ func TestWatchdogQueueRunaway(t *testing.T) {
 // measured between Judge calls, not one CheckEvery per call — two calls a
 // second apart are a second of full queue.
 func TestWatchdogQueueFullMeasuresTime(t *testing.T) {
-	r, err := New(Config{Budgets: Budgets{
-		QueueFullFor: time.Second,
-		StallAfter:   -1, FsyncP99: -1, FrameErrorBurst: -1,
-	}})
+	r, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	judge := judgeAt(r)
-	defer r.Detach()
 	t0 := time.Now()
 	full := ShardProbe{Shard: 0, LastTurn: t0, QueueLen: 8, QueueCap: 8}
-	judge(t0, full)
-	judge(t0.Add(time.Second), full)
+	judgeOne(r, t0, full)
+	judgeOne(r, t0.Add(time.Second), full)
 	if r.State() != Degraded || !strings.Contains(r.Warning(), "for 1s") {
 		t.Fatalf("state %v warning %q, want degraded after 1s of full queue", r.State(), r.Warning())
 	}
 }
 
-// TestNegativeCheckEveryRefused: CheckEvery is a period, not a rule, so
-// a negative one is a configuration error rather than a disabled rule.
-func TestNegativeCheckEveryRefused(t *testing.T) {
-	if _, err := New(Config{Budgets: Budgets{CheckEvery: -time.Second}}); err == nil {
-		t.Fatal("New accepted a negative CheckEvery")
-	}
-	r, err := New(Config{Budgets: Budgets{}})
+// TestWatchdogFrameErrorBurstIsARate: the frame-error rule judges the
+// events between two Judge calls as a rate over the interval measured,
+// so a late pass does not count more events against the same bound.
+func TestWatchdogFrameErrorBurstIsARate(t *testing.T) {
+	r, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if every := r.Attach(Sources{}); every != DefaultCheckEvery {
-		t.Fatalf("Attach returned period %v, want the default %v", every, DefaultCheckEvery)
+	frameErrors := func(n int) {
+		for i := 0; i < n; i++ {
+			r.Journal().Record(Warn, "reswire", -1, "frame error")
+		}
+	}
+	t0 := time.Now()
+	r.Judge(t0, nil)
+	// Twice the burst between two calls four periods apart is half the
+	// bound's rate.
+	frameErrors(2 * FrameErrorBurst)
+	r.Judge(t0.Add(4*CheckEvery), nil)
+	if r.State() != Healthy {
+		t.Fatalf("%d frame errors over %v judged %v (%q), want healthy", 2*FrameErrorBurst, 4*CheckEvery, r.State(), r.Warning())
+	}
+	// One more than the burst inside one period is over it.
+	frameErrors(FrameErrorBurst + 1)
+	r.Judge(t0.Add(5*CheckEvery), nil)
+	if r.State() != Degraded {
+		t.Fatalf("%d frame errors in one period judged %v, want degraded", FrameErrorBurst+1, r.State())
+	}
+	if w := r.Warning(); !strings.Contains(w, "in "+CheckEvery.String()) {
+		t.Errorf("warning %q does not name the %v it measured", w, CheckEvery)
+	}
+	// A quiet period recovers.
+	r.Judge(t0.Add(6*CheckEvery), nil)
+	if r.State() != Healthy {
+		t.Fatalf("a quiet period judged %v, want healthy", r.State())
 	}
 }
 
@@ -325,7 +336,7 @@ func TestNegativeCheckEveryRefused(t *testing.T) {
 // bundle per BundleMinInterval, not one per flap — the disk is safe.
 func TestAutoCaptureRateLimit(t *testing.T) {
 	dir := t.TempDir()
-	r, err := New(Config{Dir: dir, BundleMinInterval: time.Hour})
+	r, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +365,12 @@ func TestAutoCaptureRateLimit(t *testing.T) {
 // TestBundleRetention: Dir keeps the newest BundleKeep bundles.
 func TestBundleRetention(t *testing.T) {
 	dir := t.TempDir()
-	r, err := New(Config{Dir: dir, BundleKeep: 3})
+	r, err := New(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var names []string
-	for i := 0; i < 5; i++ {
+	for i := 0; i < BundleKeep+2; i++ {
 		n, err := r.Capture("fill")
 		if err != nil {
 			t.Fatal(err)
@@ -367,8 +378,8 @@ func TestBundleRetention(t *testing.T) {
 		names = append(names, n)
 	}
 	got := r.Bundles()
-	if len(got) != 3 {
-		t.Fatalf("retained %d bundles, want 3", len(got))
+	if len(got) != BundleKeep {
+		t.Fatalf("retained %d bundles, want %d", len(got), BundleKeep)
 	}
 	for i, n := range got {
 		if want := names[i+2]; n != want {
@@ -380,8 +391,16 @@ func TestBundleRetention(t *testing.T) {
 	}
 }
 
+// event mirrors a journal event the way cmd/obscheck decodes it: the
+// severity is its label string.
+type event struct {
+	Sev string `json:"sev"`
+	Msg string `json:"msg"`
+}
+
 // TestBundleContents: a capture holds a manifest naming its files, the
-// journal dump, and a parseable metrics snapshot.
+// journal dump, and a parseable metrics snapshot. The manifest and the
+// journal are read as obscheck reads them, with string-typed states.
 func TestBundleContents(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -399,11 +418,16 @@ func TestBundleContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m manifest
+	var m struct {
+		Name   string   `json:"name"`
+		Reason string   `json:"reason"`
+		State  string   `json:"state"`
+		Files  []string `json:"files"`
+	}
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Name != name || m.Reason != "test" {
+	if m.Name != name || m.Reason != "test" || m.State != "healthy" {
 		t.Errorf("manifest = %+v", m)
 	}
 	for _, want := range []string{bundleJournal, bundleGoroutines, bundleMetrics, bundleConfig, bundleManifest} {
@@ -421,11 +445,11 @@ func TestBundleContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
+	var events []event
 	if err := json.Unmarshal(raw, &events); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) == 0 || events[0].Msg != "torn tail" {
+	if len(events) == 0 || events[0].Msg != "torn tail" || events[0].Sev != "warn" {
 		t.Errorf("journal dump = %+v", events)
 	}
 	raw, err = os.ReadFile(filepath.Join(dir, name, bundleMetrics))
@@ -455,7 +479,7 @@ func TestHandler(t *testing.T) {
 	}
 	var status struct {
 		State  string  `json:"state"`
-		Events []Event `json:"events"`
+		Events []event `json:"events"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)

@@ -44,20 +44,6 @@ func (s Severity) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + s.String() + `"`), nil
 }
 
-// UnmarshalJSON decodes the label string back (round-tripping journal
-// dumps through consumers like obscheck).
-func (s *Severity) UnmarshalJSON(b []byte) error {
-	switch string(b) {
-	case `"info"`:
-		*s = Info
-	case `"warn"`:
-		*s = Warn
-	default:
-		*s = Error
-	}
-	return nil
-}
-
 // KV is one structured key/value pair attached to an event.
 type KV struct {
 	K string `json:"k"`
@@ -105,15 +91,15 @@ type Journal struct {
 	full bool
 }
 
-// DefaultJournalSize is the ring capacity when Config.JournalSize is 0.
-const DefaultJournalSize = 1024
+// JournalSize is the ring capacity of a Recorder's journal.
+const JournalSize = 1024
 
 // NewJournal builds a journal with the given ring capacity (<= 0
-// selects DefaultJournalSize). With a non-nil registry the per-severity
+// selects JournalSize). With a non-nil registry the per-severity
 // totals are registered as flight_events_total{severity}.
 func NewJournal(size int, reg *obs.Registry) *Journal {
 	if size <= 0 {
-		size = DefaultJournalSize
+		size = JournalSize
 	}
 	j := &Journal{start: time.Now(), ring: make([]Event, size)}
 	if reg != nil {

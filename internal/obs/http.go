@@ -11,21 +11,15 @@ import (
 //	/healthz        readiness probe: 200 while ready() is true, 503 after
 //	/debug/pprof/*  the standard runtime profiles
 //
-// ready may be nil, in which case /healthz always answers 200. The
-// handler is what `resdsrv -obs ADDR` serves; tests mount it on
+// ready may be nil, in which case /healthz always answers 200. warn, when
+// not nil, adds a degraded state between healthy and unready: while
+// ready() holds but warn() reports a message, /healthz still answers 200
+// (the process serves; restarting it would not help) with the message as
+// the body instead of "ok", so probes and humans see the degradation.
+// The handler is what `resdsrv -obs ADDR` serves, with WAL damage, the
+// watchdog's health and the SLO alerts behind warn; tests mount it on
 // httptest servers to scrape in-process.
-func Handler(reg *Registry, ready func() bool) http.Handler {
-	return HandlerWithWarn(reg, ready, nil)
-}
-
-// HandlerWithWarn is Handler with a degraded state between healthy and
-// unready: while ready() holds but warn() reports a message, /healthz
-// still answers 200 (the process serves; restarting it would not help)
-// with the message as the body instead of "ok", so probes and humans see
-// the degradation. resdsrv wires WAL damage (a shard that logged
-// corruption or stopped logging) through warn. A nil warn behaves like
-// Handler.
-func HandlerWithWarn(reg *Registry, ready func() bool, warn func() string) http.Handler {
+func Handler(reg *Registry, ready func() bool, warn func() string) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", ContentType)

@@ -15,7 +15,7 @@ func TestHandlerSurface(t *testing.T) {
 	r.NewCounter("h_total", "h").Add(3)
 	var ready atomic.Bool
 	ready.Store(true)
-	srv := httptest.NewServer(Handler(r, ready.Load))
+	srv := httptest.NewServer(Handler(r, ready.Load, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {
@@ -68,7 +68,7 @@ func TestHandlerWithWarn(t *testing.T) {
 	ready.Store(true)
 	var msg atomic.Value
 	msg.Store("")
-	srv := httptest.NewServer(HandlerWithWarn(r, ready.Load, func() string {
+	srv := httptest.NewServer(Handler(r, ready.Load, func() string {
 		return msg.Load().(string)
 	}))
 	defer srv.Close()

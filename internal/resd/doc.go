@@ -332,10 +332,10 @@
 // Request level, on the caller's goroutine, because a single request's
 // placement walk can collect deadline rejections on several shards
 // before one admits it, so summing per-shard counters would over-count
-// — and hands the engine one source reading those books plus the
-// merged slack and turn-latency histograms; the service's sampler ticks
-// the engine, which never queues a request on a shard. Tenant-scoped
-// objectives carry a tenant label:
+// — and every spec period the service's sampler reads those books plus
+// the merged slack and turn-latency histograms into one slo.Sample and
+// hands it to the engine's Tick, so neither ever queues a request on a
+// shard. Tenant-scoped objectives carry a tenant label:
 //
 //	resd_slo_attainment{objective}               gauge    good fraction over the budget window
 //	resd_slo_error_budget_remaining{objective}   gauge    1 − errors/budget; negative = overspent
@@ -365,20 +365,22 @@
 //
 // ObsConfig.Flight arms the black-box flight recorder (internal/flight)
 // around the service. Every shard turn stamps two atomics — busy-since
-// when it begins, last-beat when its replies are released — and New hands
-// the recorder a probe function that snapshots those stamps, the shard's
-// queue depth (callers waiting for it), and the WAL fsync
-// p99 for every shard, all from published atomics.
+// when it begins, last-beat when its replies are released — and the
+// sampler reads those stamps, the shard's queue depth (callers waiting
+// for it) and the WAL fsync p99 of every shard into one flight.ShardProbe
+// each, all from published atomics.
 //
 // One goroutine judges the node: the service's sampler, started by New
 // when ObsConfig.Flight or ObsConfig.SLO is set and stopped first by
-// Close. It ticks at the shorter of the recorder's CheckEvery and the
-// engine's Period and runs each judge — the recorder's Judge, the
-// engine's Tick — on the first tick at or after that judge's due
-// instant, so each keeps its own cadence without drifting. Both judges
-// are passive: they read published atomics when called and keep no
-// goroutine or clock of their own, and the sampler never waits on a
-// shard, so it judges a wedged one.
+// Close. It ticks at the shorter of flight.CheckEvery and the engine's
+// Period, and its pass runs each judge on the first tick at or after
+// that judge's due instant, so each keeps its own cadence without
+// drifting. A judge's run takes the reading and hands it over — the
+// probes to the recorder's Judge, readSLO's sample to the engine's Tick —
+// with the instant. Both judges are pure: they hold no source, goroutine
+// or clock of their own, and the sampler never waits on a shard, so it
+// judges a wedged one. A test closes the sampler and runs its pass at
+// explicit instants.
 //
 // A turn wedged past the stall budget (or a backed-up queue no turn is
 // draining) drives the node health healthy → degraded → stalled, each transition journaled, surfaced on

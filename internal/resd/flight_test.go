@@ -13,66 +13,103 @@ import (
 	"repro/internal/obs"
 )
 
-// fastBudgets are watchdog thresholds tight enough for a test to drive
-// transitions in milliseconds, with every rule but the stall detector
-// disabled so nothing else can fire.
-var fastBudgets = flight.Budgets{
-	CheckEvery:      2 * time.Millisecond,
-	StallAfter:      25 * time.Millisecond,
-	QueueFullFor:    -1,
-	FsyncP99:        -1,
-	FrameErrorBurst: -1,
+// passClock runs a closed sampler's pass at explicit instants. Each one
+// is d past both the previous instant and the wall clock, so with d at
+// least the judge's period every judge is due, and a heartbeat stamped
+// before the call is at least d old.
+type passClock struct {
+	sp *sampler
+	at time.Time
 }
 
-func waitHealth(t *testing.T, rec *flight.Recorder, want flight.Health) {
+func (c *passClock) pass(d time.Duration) {
+	if now := time.Now(); now.After(c.at) {
+		c.at = now
+	}
+	c.at = c.at.Add(d)
+	c.sp.pass(c.at)
+}
+
+// stopSampler closes s's sampler and hands back its pass, to be run at
+// explicit instants.
+func stopSampler(s *Service) *passClock {
+	s.sampler.close()
+	return &passClock{sp: s.sampler}
+}
+
+// wedgeable is a turn hook that, while wedged, announces each turn it
+// holds on entered and holds it until block lets it go.
+type wedgeable struct {
+	wedge   atomic.Bool
+	entered chan struct{}
+	block   chan struct{}
+}
+
+func newWedgeable() *wedgeable {
+	return &wedgeable{entered: make(chan struct{}, 1), block: make(chan struct{})}
+}
+
+func (w *wedgeable) hook(int) {
+	if w.wedge.Load() {
+		w.entered <- struct{}{}
+		<-w.block
+	}
+}
+
+// admitWedged starts an admission the hook wedges, waits until its turn
+// is held, and returns where its result will arrive.
+func (w *wedgeable) admitWedged(t *testing.T, s *Service) chan error {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for rec.State() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("health = %v, want %v (warning %q)", rec.State(), want, rec.Warning())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestWatchdogWedgedLoop wedges a real shard event loop (via the test
-// turn hook) and checks the whole detection surface: the watchdog
-// judges the node stalled, /healthz serves the warning, the
-// resd_health_state gauge reads 2, a diagnostic bundle lands in the
-// flight directory — and unwedging recovers everything.
-func TestWatchdogWedgedLoop(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	rec, err := flight.New(flight.Config{Registry: reg, Dir: dir, Budgets: fastBudgets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := make(chan struct{})
-	var wedge atomic.Bool
-	s := mustNew(t, Config{
-		M:   8,
-		Obs: &ObsConfig{Registry: reg, Flight: rec},
-		turnHook: func(int) {
-			if wedge.Load() {
-				<-block
-			}
-		},
-	})
-
-	// Healthy first: the loop is beating.
-	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
-		t.Fatal(err)
-	}
-	waitHealth(t, rec, flight.Healthy)
-
-	// Wedge the loop inside one batch turn.
-	wedge.Store(true)
+	w.wedge.Store(true)
 	admitErr := make(chan error, 1)
 	go func() {
 		_, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline})
 		admitErr <- err
 	}()
-	waitHealth(t, rec, flight.Stalled)
+	select {
+	case <-w.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wedged admission never entered its turn")
+	}
+	return admitErr
+}
+
+// TestWatchdogWedgedLoop wedges a real shard turn (via the test turn
+// hook) and checks the whole detection surface: the watchdog judges the
+// node stalled, /healthz serves the warning, the resd_health_state gauge
+// reads 2, a diagnostic bundle lands in the flight directory — and
+// unwedging recovers everything. The sampler is stopped and its pass run
+// at explicit instants.
+func TestWatchdogWedgedLoop(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	rec, err := flight.New(flight.Config{Registry: reg, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := newWedgeable()
+	s := mustNew(t, Config{
+		M:        8,
+		Obs:      &ObsConfig{Registry: reg, Flight: rec},
+		turnHook: hold.hook,
+	})
+	clock := stopSampler(s)
+
+	// Healthy first: the shard is turning.
+	if _, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline}); err != nil {
+		t.Fatal(err)
+	}
+	clock.pass(flight.CheckEvery)
+	if rec.State() != flight.Healthy {
+		t.Fatalf("health = %v, want healthy (warning %q)", rec.State(), rec.Warning())
+	}
+
+	// Wedge the shard inside one turn, past the stall budget.
+	admitErr := hold.admitWedged(t, s)
+	clock.pass(flight.StallAfter + flight.CheckEvery)
+	if rec.State() != flight.Stalled {
+		t.Fatalf("health = %v, want stalled (warning %q)", rec.State(), rec.Warning())
+	}
 	if w := rec.Warning(); !strings.Contains(w, "shard 0") {
 		t.Errorf("warning %q does not name the wedged shard", w)
 	}
@@ -84,7 +121,7 @@ func TestWatchdogWedgedLoop(t *testing.T) {
 		}
 		return ""
 	}
-	hsrv := httptest.NewServer(obs.HandlerWithWarn(reg, nil, warn))
+	hsrv := httptest.NewServer(obs.Handler(reg, nil, warn))
 	defer hsrv.Close()
 	resp, err := http.Get(hsrv.URL + "/healthz")
 	if err != nil {
@@ -114,9 +151,9 @@ func TestWatchdogWedgedLoop(t *testing.T) {
 		t.Errorf("stall captured %d bundles, want 1", len(got))
 	}
 
-	// Unwedge: the queued admission completes and health recovers.
-	wedge.Store(false)
-	close(block)
+	// Unwedge: the held admission completes and health recovers.
+	hold.wedge.Store(false)
+	close(hold.block)
 	select {
 	case err := <-admitErr:
 		if err != nil {
@@ -125,7 +162,10 @@ func TestWatchdogWedgedLoop(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("admission never completed after unwedge")
 	}
-	waitHealth(t, rec, flight.Healthy)
+	clock.pass(flight.CheckEvery)
+	if rec.State() != flight.Healthy {
+		t.Fatalf("health = %v after unwedge, want healthy (warning %q)", rec.State(), rec.Warning())
+	}
 
 	// The journal holds the whole story.
 	var sawStall, sawRecover bool
@@ -147,44 +187,37 @@ func TestWatchdogWedgedLoop(t *testing.T) {
 	}
 }
 
-// TestWatchdogFlapBounded: a loop that wedges and recovers repeatedly
+// TestWatchdogFlapBounded: a shard that wedges and recovers repeatedly
 // cannot write unbounded bundles — the rate limit holds captures to one
 // per BundleMinInterval however often the state flaps.
 func TestWatchdogFlapBounded(t *testing.T) {
 	dir := t.TempDir()
-	rec, err := flight.New(flight.Config{
-		Dir:               dir,
-		Budgets:           fastBudgets,
-		BundleMinInterval: time.Hour,
-	})
+	rec, err := flight.New(flight.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := make(chan struct{})
-	var wedge atomic.Bool
+	hold := newWedgeable()
 	s := mustNew(t, Config{
-		M:   8,
-		Obs: &ObsConfig{Flight: rec},
-		turnHook: func(int) {
-			if wedge.Load() {
-				<-block
-			}
-		},
+		M:        8,
+		Obs:      &ObsConfig{Flight: rec},
+		turnHook: hold.hook,
 	})
+	clock := stopSampler(s)
 	for i := 0; i < 3; i++ {
-		wedge.Store(true)
-		admitErr := make(chan error, 1)
-		go func() {
-			_, err := s.Admit(Request{Q: 1, Dur: 1, Deadline: NoDeadline})
-			admitErr <- err
-		}()
-		waitHealth(t, rec, flight.Stalled)
-		wedge.Store(false)
-		block <- struct{}{}
+		admitErr := hold.admitWedged(t, s)
+		clock.pass(flight.StallAfter + flight.CheckEvery)
+		if rec.State() != flight.Stalled {
+			t.Fatalf("flap %d: health = %v, want stalled", i, rec.State())
+		}
+		hold.wedge.Store(false)
+		hold.block <- struct{}{}
 		if err := <-admitErr; err != nil {
 			t.Fatal(err)
 		}
-		waitHealth(t, rec, flight.Healthy)
+		clock.pass(flight.CheckEvery)
+		if rec.State() != flight.Healthy {
+			t.Fatalf("flap %d: health = %v after unwedge, want healthy (warning %q)", i, rec.State(), rec.Warning())
+		}
 	}
 	if got := rec.Bundles(); len(got) != 1 {
 		t.Errorf("3 flaps wrote %d bundles, want 1 (rate limit)", len(got))

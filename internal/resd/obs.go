@@ -7,6 +7,7 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/slo"
+	"repro/internal/tenant"
 )
 
 // ObsConfig attaches a Service to the observability layer. Registry
@@ -39,24 +40,25 @@ type ObsConfig struct {
 	// Flight attaches the node's flight recorder: the service journals
 	// operational events (replay verdicts, WAL damage, quota overflow,
 	// slow turns) through it, every shard publishes heartbeats from its
-	// turns, New attaches the shard probes, and the service's sampler
-	// calls the recorder's Judge every Budgets.CheckEvery until Close.
-	// Nil disables flight recording; see internal/flight.
+	// turns, and every flight.CheckEvery until Close the service's
+	// sampler reads those heartbeats into shard probes and hands them to
+	// the recorder's Judge. Nil disables flight recording; see
+	// internal/flight.
 	Flight *flight.Recorder
 	// SLO, when non-nil, attaches the error-budget engine to the
-	// service: New hands it one source that reads the request-level
-	// decision counts (service-wide and per tenant a deadline objective
-	// names) and the merged slack and turn-latency histograms, and the
-	// same sampler ticks the engine every spec period until Close. The
-	// engine should be built over the same Registry and the flight
+	// service: every spec period until Close the same sampler reads the
+	// request-level decision counts (service-wide and per tenant a
+	// deadline objective names) and the merged slack and turn-latency
+	// histograms into one slo.Sample and hands it to the engine's Tick.
+	// The engine should be built over the same Registry and the flight
 	// recorder's journal so its families and transition events land
 	// beside the service's own. See internal/slo.
 	SLO *slo.Engine
 }
 
-// column is one per-shard family: a column of the rows one of the
-// NodeSnapshot readers returns (QueueDepths, Stats, WALStats), emitted
-// under the row's shard label and then labels.
+// column is one family: a column of the rows one of the NodeSnapshot
+// readers returns (QueueDepths, Stats, WALStats, the quota registry's
+// Tenants), emitted under the row's label and then labels.
 type column[T any] struct {
 	kind       obs.Kind
 	name, help string
@@ -109,21 +111,35 @@ var walColumns = []column[WALShardStats]{
 		func(w *WALShardStats) float64 { return float64(w.Gen) }, nil},
 }
 
+// tenantColumns are the families of the quota registry's Tenants rows.
+var tenantColumns = []column[tenant.Usage]{
+	{obs.KindGauge, "tenant_quota_budget", "Per-tenant budgeted share of the reservable prefix.",
+		func(u *tenant.Usage) float64 { return float64(u.Budget) }, nil},
+	{obs.KindGauge, "tenant_quota_used", "Per-tenant committed area currently charged.",
+		func(u *tenant.Usage) float64 { return float64(u.Used) }, nil},
+	{obs.KindGauge, "tenant_quota_inflight", "Per-tenant admissions currently held.",
+		func(u *tenant.Usage) float64 { return float64(u.Inflight) }, nil},
+	{obs.KindCounter, "tenant_quota_admitted_total", "Per-tenant admissions since start.",
+		func(u *tenant.Usage) float64 { return float64(u.Admitted) }, nil},
+	{obs.KindCounter, "tenant_quota_rejected_total", "Per-tenant quota rejections since start.",
+		func(u *tenant.Usage) float64 { return float64(u.Rejected) }, nil},
+}
+
 // collectColumns registers each column's family: a scrape takes one
-// rows() per family and emits every row under shard(i, row).
-func collectColumns[T any](reg *obs.Registry, rows func() []T, shard func(i int, row *T) int, cols []column[T]) {
+// rows() per family and emits every row under label(i, row).
+func collectColumns[T any](reg *obs.Registry, rows func() []T, label func(i int, row *T) obs.Label, cols []column[T]) {
 	for _, c := range cols {
 		reg.Collect(c.kind, c.name, c.help, func(e obs.Emitter) {
 			rs := rows()
 			for i := range rs {
-				lbl := obs.L("shard", strconv.Itoa(shard(i, &rs[i])))
-				e.Emit(c.val(&rs[i]), append([]obs.Label{lbl}, c.labels...)...)
+				e.Emit(c.val(&rs[i]), append([]obs.Label{label(i, &rs[i])}, c.labels...)...)
 			}
 		})
 	}
 }
 
-func rowIndex[T any](i int, _ *T) int { return i }
+// shardRow labels row i with shard i.
+func shardRow[T any](i int, _ *T) obs.Label { return obs.L("shard", strconv.Itoa(i)) }
 
 // registerObs wires every layer's metrics into the registry. Called once
 // from New, after the shards exist; every closure reads published
@@ -133,11 +149,11 @@ func (s *Service) registerObs() {
 	if reg == nil {
 		return
 	}
-	collectColumns(reg, s.QueueDepths, rowIndex, []column[int]{{obs.KindGauge, "resd_shard_queue_depth",
+	collectColumns(reg, s.QueueDepths, shardRow, []column[int]{{obs.KindGauge, "resd_shard_queue_depth",
 		"Callers waiting for the shard: blocked on its lock or in its queue.", func(q *int) float64 { return float64(*q) }, nil}})
-	collectColumns(reg, s.Stats, rowIndex, shardColumns)
+	collectColumns(reg, s.Stats, shardRow, shardColumns)
 	if s.walInfo.Enabled {
-		collectColumns(reg, s.WALStats, func(_ int, w *WALShardStats) int { return w.Shard }, walColumns)
+		collectColumns(reg, s.WALStats, func(_ int, w *WALShardStats) obs.Label { return obs.L("shard", strconv.Itoa(w.Shard)) }, walColumns)
 		// s.walLogs, not sh.wlog: the combiner nils sh.wlog if the log
 		// fails, and scrapes must not race that write (the frozen telemetry
 		// of a degraded shard is still worth exposing).
@@ -216,40 +232,6 @@ func (s *Service) registerObs() {
 		reg.GaugeFunc("tenant_quota_capacity",
 			"Reservable α-prefix area the quota registry budgets against.",
 			func() float64 { return float64(q.Capacity()) })
-		reg.Collect(obs.KindGauge, "tenant_quota_budget",
-			"Per-tenant budgeted share of the reservable prefix.",
-			func(e obs.Emitter) {
-				for _, u := range q.Tenants() {
-					e.Emit(float64(u.Budget), obs.L("tenant", u.Tenant))
-				}
-			})
-		reg.Collect(obs.KindGauge, "tenant_quota_used",
-			"Per-tenant committed area currently charged.",
-			func(e obs.Emitter) {
-				for _, u := range q.Tenants() {
-					e.Emit(float64(u.Used), obs.L("tenant", u.Tenant))
-				}
-			})
-		reg.Collect(obs.KindGauge, "tenant_quota_inflight",
-			"Per-tenant admissions currently held.",
-			func(e obs.Emitter) {
-				for _, u := range q.Tenants() {
-					e.Emit(float64(u.Inflight), obs.L("tenant", u.Tenant))
-				}
-			})
-		reg.Collect(obs.KindCounter, "tenant_quota_admitted_total",
-			"Per-tenant admissions since start.",
-			func(e obs.Emitter) {
-				for _, u := range q.Tenants() {
-					e.Emit(float64(u.Admitted), obs.L("tenant", u.Tenant))
-				}
-			})
-		reg.Collect(obs.KindCounter, "tenant_quota_rejected_total",
-			"Per-tenant quota rejections since start.",
-			func(e obs.Emitter) {
-				for _, u := range q.Tenants() {
-					e.Emit(float64(u.Rejected), obs.L("tenant", u.Tenant))
-				}
-			})
+		collectColumns(reg, q.Tenants, func(_ int, u *tenant.Usage) obs.Label { return obs.L("tenant", u.Tenant) }, tenantColumns)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -342,16 +343,16 @@ func New(cfg Config) (*Service, error) {
 	}
 	var judges []judge
 	if cfg.Obs != nil && cfg.Obs.SLO != nil {
-		if err := s.attachSLO(cfg.Obs.SLO); err != nil {
+		j, err := s.attachSLO(cfg.Obs.SLO)
+		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		judges = append(judges, judge{s.slo.Period(), s.slo.Tick})
+		judges = append(judges, j)
 	}
 	if s.flight != nil {
 		// After attachSLO: a bundle's Node reads s.slo.
-		every := s.flight.Attach(flight.Sources{
-			Shards: s.flightProbes,
+		s.flight.Attach(flight.Sources{
 			Traces: func(n int) any { return s.Traces(n) },
 			Node: func() any {
 				return struct {
@@ -360,7 +361,9 @@ func New(cfg Config) (*Service, error) {
 				}{s.walInfo, s.Node()}
 			},
 		})
-		judges = append(judges, judge{every, s.flight.Judge})
+		judges = append(judges, judge{flight.CheckEvery, func(now time.Time) {
+			s.flight.Judge(now, s.flightProbes())
+		}})
 	}
 	if len(judges) > 0 {
 		s.sampler = startSampler(judges)
@@ -369,8 +372,9 @@ func New(cfg Config) (*Service, error) {
 }
 
 // judge is one passive judge of the node and the period it asks to be
-// run at: the flight recorder's Judge every CheckEvery, the SLO engine's
-// Tick every Period.
+// run at: every CheckEvery the flight recorder's Judge over the shard
+// probes, every Period the SLO engine's Tick over readSLO's sample. Its
+// run reads the node and hands the reading over.
 type judge struct {
 	every time.Duration
 	run   func(now time.Time)
@@ -383,23 +387,28 @@ type judge struct {
 // often than its period asks. The judges read published atomics only and
 // the sampler sends no request to a shard, so it judges a wedged one.
 type sampler struct {
+	judges     []judge
+	due        []time.Time
 	stop, done chan struct{}
+	stopOnce   sync.Once
 }
 
 func startSampler(judges []judge) *sampler {
-	sp := &sampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go sp.loop(judges)
+	sp := &sampler{judges: judges, due: make([]time.Time, len(judges)),
+		stop: make(chan struct{}), done: make(chan struct{})}
+	start := time.Now()
+	for i, j := range judges {
+		sp.due[i] = start.Add(j.every)
+	}
+	go sp.loop()
 	return sp
 }
 
-func (sp *sampler) loop(judges []judge) {
+func (sp *sampler) loop() {
 	defer close(sp.done)
-	every := judges[0].every
-	due := make([]time.Time, len(judges))
-	start := time.Now()
-	for i, j := range judges {
+	every := sp.judges[0].every
+	for _, j := range sp.judges {
 		every = min(every, j.every)
-		due[i] = start.Add(j.every)
 	}
 	tick := time.NewTicker(every)
 	defer tick.Stop()
@@ -409,30 +418,35 @@ func (sp *sampler) loop(judges []judge) {
 			return
 		case <-tick.C:
 		}
-		now := time.Now()
-		for i, j := range judges {
-			if now.Before(due[i]) {
-				continue
-			}
-			j.run(now)
-			for !due[i].After(now) {
-				due[i] = due[i].Add(j.every)
-			}
-		}
+		sp.pass(time.Now())
 	}
 }
 
-// close stops the sampler and waits out its last pass. Safe on nil.
+// pass runs every judge due at now and moves its due instant past now.
+// The loop runs it at each tick; a test that has closed the sampler runs
+// it at explicit instants.
+func (sp *sampler) pass(now time.Time) {
+	for i, j := range sp.judges {
+		if now.Before(sp.due[i]) {
+			continue
+		}
+		j.run(now)
+		sp.due[i] = sp.due[i].Add((now.Sub(sp.due[i])/j.every + 1) * j.every)
+	}
+}
+
+// close stops the sampler and waits out its last pass. Safe on nil and
+// more than once.
 func (sp *sampler) close() {
 	if sp != nil {
-		close(sp.stop)
+		sp.stopOnce.Do(func() { close(sp.stop) })
 		<-sp.done
 	}
 }
 
-// flightProbes snapshots every shard's heartbeat for the flight
-// watchdog: published atomics only, no request to the shard — Judge can
-// probe a wedged one.
+// flightProbes reads every shard's heartbeat for the flight watchdog:
+// published atomics only, no request to the shard — Judge can judge a
+// wedged one.
 func (s *Service) flightProbes() []flight.ShardProbe {
 	out := make([]flight.ShardProbe, len(s.shards))
 	for i, sh := range s.shards {

@@ -2,6 +2,7 @@ package resd
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/slo"
@@ -68,25 +69,12 @@ func (b *sloBook) reject(ten string, deadline bool) {
 	}
 }
 
-// tenantAttainment reads one tracked tenant's cumulative deadline
-// counters (ok=false when no objective scopes to the tenant).
-func (b *sloBook) tenantAttainment(ten string) (good, total uint64, ok bool) {
-	if b == nil {
-		return 0, 0, false
-	}
-	c := b.tenants[ten]
-	if c == nil {
-		return 0, 0, false
-	}
-	good = c.dlAdmitted.Load()
-	return good, good + c.dlRejected.Load(), true
-}
-
 // attachSLO arms ObsConfig.SLO against the service: a book with a cell
-// per tenant a deadline objective is scoped to, read by the engine
-// through readSLO. Called from New after the shards exist; the sampler
-// ticks the engine from then on.
-func (s *Service) attachSLO(e *slo.Engine) error {
+// per tenant a deadline objective is scoped to, and the engine attached
+// with readSLO's first reading. Called from New after the shards exist;
+// it returns the sampler's judge, which reads the node and ticks the
+// engine with the reading.
+func (s *Service) attachSLO(e *slo.Engine) (judge, error) {
 	book := &sloBook{tenants: make(map[string]*sloCell)}
 	for _, o := range e.Objectives() {
 		if o.Signal == slo.DeadlineAttainment && o.Tenant != "" && book.tenants[o.Tenant] == nil {
@@ -95,16 +83,27 @@ func (s *Service) attachSLO(e *slo.Engine) error {
 	}
 	s.sloBook = book
 	s.slo = e
-	return e.Attach(s.readSLO)
+	var smp slo.Sample
+	s.readSLO(&smp)
+	if err := e.Attach(time.Now(), &smp); err != nil {
+		return judge{}, err
+	}
+	return judge{e.Period(), func(now time.Time) {
+		s.readSLO(&smp)
+		e.Tick(now, &smp)
+	}}, nil
 }
 
-// readSLO is the engine's source: the book's counts and the slack and
-// turn-latency histograms summed across shards. Pure atomic loads, same
-// contract as a scrape.
+// readSLO fills smp with the engine's reading: the book's counts and the
+// slack and turn-latency histograms summed across shards. Pure atomic
+// loads, same contract as a scrape.
 func (s *Service) readSLO(smp *slo.Sample) {
 	b := s.sloBook
 	smp.Admitted, smp.Rejected = b.admitted.Load(), b.rejected.Load()
 	smp.DeadlineAdmitted, smp.DeadlineRejected = b.dlAdmitted.Load(), b.dlRejected.Load()
+	if smp.TenantDeadline == nil {
+		smp.TenantDeadline = make(map[string][2]uint64, len(b.tenants))
+	}
 	for ten, c := range b.tenants {
 		smp.TenantDeadline[ten] = [2]uint64{c.dlAdmitted.Load(), c.dlRejected.Load()}
 	}

@@ -50,8 +50,8 @@ func newSLOService(t *testing.T, shards int) (*Service, *slo.Engine, *flight.Rec
 }
 
 // TestSLOBookCountsDecisionsOnce drives requests whose walk visits every
-// shard and asserts the book counted request-level decisions, not
-// per-shard attempts.
+// shard and asserts the reading readSLO hands the engine counts
+// request-level decisions, not per-shard attempts.
 func TestSLOBookCountsDecisionsOnce(t *testing.T) {
 	svc, _, _ := newSLOService(t, 4)
 	// Occupy tick 0 fully on every shard so a deadline-0 request is
@@ -67,35 +67,37 @@ func TestSLOBookCountsDecisionsOnce(t *testing.T) {
 			t.Fatal("deadline-0 request admitted on a full cluster")
 		}
 	}
-	b := svc.sloBook
-	if got := b.dlRejected.Load(); got != 3 {
-		t.Fatalf("dlRejected = %d, want 3 (one per request, not per shard)", got)
+	var smp slo.Sample
+	svc.readSLO(&smp)
+	if smp.DeadlineRejected != 3 {
+		t.Fatalf("DeadlineRejected = %d, want 3 (one per request, not per shard)", smp.DeadlineRejected)
 	}
-	if got := b.rejected.Load(); got != 3 {
-		t.Fatalf("rejected = %d, want 3", got)
+	if smp.Rejected != 3 {
+		t.Fatalf("Rejected = %d, want 3", smp.Rejected)
 	}
 	// The admissions above carried NoDeadline: counted for error_rate,
 	// not for deadline attainment.
-	if got := b.admitted.Load(); got != 4 {
-		t.Fatalf("admitted = %d, want 4", got)
+	if smp.Admitted != 4 {
+		t.Fatalf("Admitted = %d, want 4", smp.Admitted)
 	}
-	if got := b.dlAdmitted.Load(); got != 0 {
-		t.Fatalf("dlAdmitted = %d, want 0", got)
+	if smp.DeadlineAdmitted != 0 {
+		t.Fatalf("DeadlineAdmitted = %d, want 0", smp.DeadlineAdmitted)
 	}
-	good, total, ok := b.tenantAttainment("acme")
-	if !ok || good != 0 || total != 3 {
-		t.Fatalf("acme attainment = (%d, %d, %v), want (0, 3, true)", good, total, ok)
+	if got := smp.TenantDeadline["acme"]; got != [2]uint64{0, 3} {
+		t.Fatalf("acme deadline pair = %v, want [0 3]", got)
 	}
-	if _, _, ok := b.tenantAttainment("unnamed"); ok {
-		t.Fatal("tenantAttainment answered for a tenant no objective names")
+	if len(smp.TenantDeadline) != 1 {
+		t.Fatalf("TenantDeadline = %v, want acme alone: no objective names another tenant", smp.TenantDeadline)
 	}
 }
 
 // TestSLOEndToEndBurnAndClear is the in-process burn-rate drill: miss
 // deadlines hard, watch the page fire (states, /healthz warning,
-// journal), recover, watch it clear.
+// journal), recover, watch it clear. The sampler is stopped and its pass
+// run a period apart at explicit instants.
 func TestSLOEndToEndBurnAndClear(t *testing.T) {
 	svc, eng, rec := newSLOService(t, 1)
+	clock := stopSampler(svc)
 	// Saturate far into the future so deadline-carrying requests miss.
 	if _, err := svc.Admit(Request{Q: 4, Dur: 1 << 20, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
@@ -109,13 +111,13 @@ func TestSLOEndToEndBurnAndClear(t *testing.T) {
 		t.Fatalf("objective %q missing from States", name)
 		return 0
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sevOf("deadline") != slo.SevPage {
-		if time.Now().After(deadline) {
+	// The page's long window is twelve periods: it fires within them.
+	for i := 0; sevOf("deadline") != slo.SevPage; i++ {
+		if i == 50 {
 			t.Fatal("deadline objective never paged under sustained misses")
 		}
 		svc.Admit(Request{Tenant: "acme", Q: 1, Dur: 1, Deadline: 0})
-		time.Sleep(2 * time.Millisecond)
+		clock.pass(eng.Period())
 	}
 	if sevOf("acme-deadline") != slo.SevPage {
 		t.Error("tenant-scoped objective did not page with the service-wide one")
@@ -127,12 +129,11 @@ func TestSLOEndToEndBurnAndClear(t *testing.T) {
 		t.Error("no slo page transition journaled")
 	}
 	// Recovery: stop the bad traffic and let the short window drain.
-	deadline = time.Now().Add(5 * time.Second)
-	for sevOf("deadline") != slo.OK {
-		if time.Now().After(deadline) {
+	for i := 0; sevOf("deadline") != slo.OK; i++ {
+		if i == 50 {
 			t.Fatal("deadline objective never cleared after traffic stopped")
 		}
-		time.Sleep(5 * time.Millisecond)
+		clock.pass(eng.Period())
 	}
 }
 
@@ -140,6 +141,7 @@ func TestSLOEndToEndBurnAndClear(t *testing.T) {
 // percentiles from the service's merged shard histograms.
 func TestSLOWindowedSlack(t *testing.T) {
 	svc, eng, _ := newSLOService(t, 1)
+	clock := stopSampler(svc)
 	// Fill tick 0 so the next admissions are pushed back: nonzero slack.
 	if _, err := svc.Admit(Request{Q: 4, Dur: 100, Deadline: NoDeadline}); err != nil {
 		t.Fatal(err)
@@ -149,19 +151,13 @@ func TestSLOWindowedSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, n, ok := eng.WindowQuantile("resd_slack_ticks", 0.99)
-		if ok && n >= 9 {
-			if core.Time(v) < 100 {
-				t.Fatalf("windowed slack p99 = %d, want >= 100 (admissions pushed past the blocker)", v)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("windowed slack percentiles never became available")
-		}
-		time.Sleep(5 * time.Millisecond)
+	clock.pass(eng.Period())
+	v, n, ok := eng.WindowQuantile("resd_slack_ticks", 0.99)
+	if !ok || n != 9 {
+		t.Fatalf("windowed slack over one period: n=%d ok=%v, want the 9 admissions", n, ok)
+	}
+	if core.Time(v) < 100 {
+		t.Fatalf("windowed slack p99 = %d, want >= 100 (admissions pushed past the blocker)", v)
 	}
 }
 
@@ -184,7 +180,7 @@ func samplerGoroutines() int {
 // longer than the sampler's tick runs no more often than its period.
 func TestSamplerCadenceAndClose(t *testing.T) {
 	before := samplerGoroutines()
-	rec, err := flight.New(flight.Config{Budgets: flight.Budgets{CheckEvery: time.Millisecond}})
+	rec, err := flight.New(flight.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,11 @@ func checkNodeSurfaces(t *testing.T, seed uint64) {
 	r := rng.New(seed)
 	tenants := []string{"acme", "beta", ""}
 	var held []resd.ID
+	// The engine's reading of the traffic, counted from the client's side
+	// as the service counts it: each decision once, the deadline pairs
+	// service-wide and for acme, and every admission's slack.
+	reading := slo.Sample{TenantDeadline: map[string][2]uint64{}}
+	var slack obs.Histogram
 	for op := 0; op < 400; op++ {
 		if k := r.Intn(10); k < 2 && len(held) > 0 {
 			i := r.Intn(len(held))
@@ -139,8 +144,28 @@ func checkNodeSurfaces(t *testing.T, seed uint64) {
 		case !errors.Is(err, resd.ErrNeverFits) && !errors.Is(err, resd.ErrDeadline) && !errors.Is(err, resd.ErrQuota):
 			t.Fatalf("seed %d: admit %+v: %v", seed, req, err)
 		}
+		pair := reading.TenantDeadline["acme"]
+		switch {
+		case err == nil:
+			reading.Admitted++
+			slack.Observe(int64(resv.Start - req.Ready))
+			if req.Deadline != resd.NoDeadline {
+				reading.DeadlineAdmitted++
+				pair[0]++
+			}
+		case errors.Is(err, resd.ErrDeadline):
+			reading.Rejected++
+			reading.DeadlineRejected++
+			pair[1]++
+		default:
+			reading.Rejected++
+		}
+		if req.Tenant == "acme" {
+			reading.TenantDeadline["acme"] = pair
+		}
 	}
-	eng.Tick(time.Now()) // the states now cover the traffic
+	slack.Snapshot(&reading.Slack)
+	eng.Tick(time.Now(), &reading) // the states now cover the traffic
 
 	before := agreeQuiesced(t, c, svc, rec, flightDir, reg)
 	// The traffic reached every field the surfaces share, so agreement is
@@ -214,7 +239,7 @@ func nodeSurfaceDiffs(t *testing.T, c *Client, svc *resd.Service, rec *flight.Re
 	differ("Watch frame", tel.NodeSnapshot, want)
 
 	// (c) /metrics: every family that renders a NodeSnapshot field.
-	srv := httptest.NewServer(obs.Handler(reg, nil))
+	srv := httptest.NewServer(obs.Handler(reg, nil, nil))
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -8,14 +8,15 @@
 //
 // Everything resd publishes is cumulative: lock-free counters and
 // exponential-histogram buckets bumped by the shards' turns and read by
-// scrapes. The engine never asks for more. The service hands Attach one
-// source that fills a Sample — the request-level decision counts, each
+// scrapes. The engine never asks for more, and never asks at all: the
+// service fills a Sample — the request-level decision counts, each
 // tenant-scoped objective's deadline pair, the merged slack and
-// turn-latency bucket vectors — and then calls Tick every Period: resd
-// does both, from the one sampler goroutine that also calls the flight
-// recorder's Judge, and the engine runs no goroutine or clock of its
-// own. At each Tick the engine reads the source and snapshots every
-// objective's (good, total) pair into a stats.SnapRing; the difference
+// turn-latency bucket vectors — and hands it to Attach once and to Tick
+// every Period with the instant. resd does both from the one sampler
+// goroutine that also hands the flight recorder's Judge its probes, and
+// the engine holds no source, goroutine or clock of its own. At each
+// Tick the engine snapshots every objective's (good, total) pair of the
+// Sample into a stats.SnapRing; the difference
 // between two retained snapshots is the exact event count for the span
 // between them, so "the last 5 minutes" is pure arithmetic over copies
 // — the same no-request-to-a-shard contract as a /metrics scrape. The
@@ -25,7 +26,7 @@
 //
 // # Ring size
 //
-// A ring keeps only the history asked of its source: longest window ÷
+// A ring keeps only the history asked of it: longest window ÷
 // period + 2 snapshots (see stats.SnapRing), each an 8-byte timestamp
 // plus 8 bytes per value, in two flat arrays. An objective's ring covers
 // its own rules' long windows and the budget window; a tracked

@@ -34,9 +34,9 @@ func ringBytes(e *Engine) int {
 	return n
 }
 
-// timedTurns is a source for a service that times its turns and has
-// counted nothing yet.
-func timedTurns(s *Sample) { s.TurnsTimed = true }
+// timedTurns is the first reading of a service that times its turns and
+// has counted nothing yet.
+func timedTurns() *Sample { return &Sample{TurnsTimed: true} }
 
 func TestEngineRingBytes(t *testing.T) {
 	var before, after runtime.MemStats
@@ -46,7 +46,7 @@ func TestEngineRingBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Attach(timedTurns); err != nil {
+	if err := e.Attach(time.Now(), timedTurns()); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -90,7 +90,7 @@ func TestRingByteBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Attach(timedTurns)
+	err = e.Attach(time.Now(), timedTurns())
 	if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), "4753056 bytes") {
 		t.Fatalf("histogram over 1h at 400ms: got %v, want ErrConfig naming 4753056 bytes", err)
 	}
@@ -98,7 +98,7 @@ func TestRingByteBound(t *testing.T) {
 	if e, err = New(Config{Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Attach(timedTurns); err != nil {
+	if err := e.Attach(time.Now(), timedTurns()); err != nil {
 		t.Fatalf("histogram over 1h at 1s (%d B): %v", 3602*528, err)
 	}
 }
@@ -124,20 +124,22 @@ func TestEngineAnswersMatchLongestWindowRings(t *testing.T) {
 	var counters [2]fakeCounters
 	hists := []string{"resd_slack_ticks", "resd_loop_turn_ns"}
 	histSrc := make([]obs.Histogram, len(hists))
-	src := func(s *Sample) {
-		counters[0].deadline(s)
+	read := func() *Sample {
+		s := counters[0].sample()
 		s.Admitted = counters[1].good.Load()
 		s.Rejected = counters[1].total.Load() - s.Admitted
 		histSrc[0].Snapshot(&s.Slack)
 		histSrc[1].Snapshot(&s.LoopTurn)
 		s.TurnsTimed = true
+		return s
 	}
+	now := time.Unix(1_000_000, 0)
 	build := func() *Engine {
 		e, err := New(Config{Spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Attach(src); err != nil {
+		if err := e.Attach(now, read()); err != nil {
 			t.Fatal(err)
 		}
 		return e
@@ -150,12 +152,12 @@ func TestEngineAnswersMatchLongestWindowRings(t *testing.T) {
 	for _, h := range oracle.hists {
 		h.ring = stats.NewSnapRing(longest, stats.ExpBuckets)
 	}
+	oracle.Tick(now, read()) // the baseline Attach gave the replaced rings
 	if got, want := e.objs[3].ring.Bytes(), (int(time.Hour/e.Period())+2)*24; got != want {
 		t.Fatalf("short objective's ring holds %d B, want the budget window's %d", got, want)
 	}
 
 	r := rng.New(36)
-	now := time.Unix(1_000_000, 0)
 	const ticks, stepBack, step = 2700, 1500, 25 * time.Second
 	var steppedFrom time.Time
 	var behind, differ int
@@ -182,8 +184,9 @@ func TestEngineAnswersMatchLongestWindowRings(t *testing.T) {
 		} else {
 			now = now.Add(e.Period())
 		}
-		e.Tick(now)
-		oracle.Tick(now)
+		smp := read()
+		e.Tick(now, smp)
+		oracle.Tick(now, smp)
 
 		got, want := e.States(), oracle.States()
 		if now.Before(steppedFrom) {

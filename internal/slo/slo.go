@@ -57,30 +57,30 @@ type histState struct {
 	ring *stats.SnapRing // width stats.ExpBuckets; sized by the budget window
 }
 
-// Engine evaluates SLO objectives: at every Tick it reads one Sample
-// from its source, snapshots each objective's (good, total) pair and
-// each tracked histogram into a stats.SnapRing, derives per-window
-// deltas, and runs the multi-window multi-burn-rate rules. It owns no
-// measurement and no goroutine of its own — everything it knows comes
-// from the cumulative counters the service already publishes, so arming
-// an engine adds no work to any shard.
+// Engine evaluates SLO objectives: every Tick hands it one Sample, and
+// it snapshots each objective's (good, total) pair and each tracked
+// histogram into a stats.SnapRing, derives per-window deltas, and runs
+// the multi-window multi-burn-rate rules. It owns no measurement and no
+// goroutine of its own — everything it knows comes from the cumulative
+// counters the service already publishes, so arming an engine adds no
+// work to any shard.
 //
 // Lifecycle: New validates the spec and registers the metric families;
-// the embedding service hands its source to Attach and then calls Tick
-// every Period. resd.New attaches when ObsConfig.SLO is set, and the
-// service's sampler ticks the engine until Service.Close.
+// the embedding service arms it with its first reading through Attach
+// and then hands it a fresh reading every Period. resd.New attaches when
+// ObsConfig.SLO is set, and the service's sampler ticks the engine until
+// Service.Close.
 type Engine struct {
 	res     resolved
 	reg     *obs.Registry
 	journal *flight.Journal
 	onAlert func(objective string, from, to Severity, burn float64)
 
-	mu    sync.Mutex
-	src   func(*Sample)
-	smp   Sample
-	objs  []*objState
-	hists []*histState
-	vec2  []uint64
+	mu       sync.Mutex
+	attached bool
+	objs     []*objState
+	hists    []*histState
+	vec2     []uint64
 }
 
 // New builds an engine from cfg, validating the spec and registering
@@ -139,7 +139,7 @@ func (e *Engine) Period() time.Duration { return e.res.period }
 func (e *Engine) BudgetWindow() time.Duration { return e.res.budgetWindow }
 
 // Objectives returns the validated objectives: the embedding service
-// reads which tenants its source must count.
+// reads which tenants its Sample must count.
 func (e *Engine) Objectives() []Objective {
 	out := make([]Objective, len(e.objs))
 	for i, st := range e.objs {
@@ -148,26 +148,22 @@ func (e *Engine) Objectives() []Objective {
 	return out
 }
 
-// Attach arms the engine with the service's source and takes the
-// baseline tick. The source fills a Sample from published atomics; it
-// is called under the engine's lock at every Tick and must never wait
-// on a shard. Attach tracks the slack histogram — and the turn-latency
-// one when the first sample says the service times its turns — through
-// budget-window rings, making windowed percentiles queryable
+// Attach arms the engine for one service at now and takes the baseline
+// tick from its first reading. It tracks the slack histogram — and the
+// turn-latency one when first says the service times its turns —
+// through budget-window rings, making windowed percentiles queryable
 // (WindowQuantile) and, with a registry, exposing them as the summary
 // families resd_slack_ticks_window and resd_loop_turn_ns_window. A ring
 // past maxRingBytes is refused with ErrConfig. An engine serves one
 // service for life: a second Attach is ErrConfig.
-func (e *Engine) Attach(src func(*Sample)) error {
+func (e *Engine) Attach(now time.Time, first *Sample) error {
 	e.mu.Lock()
-	if e.src != nil {
+	if e.attached {
 		e.mu.Unlock()
 		return fmt.Errorf("%w: engine attached twice", ErrConfig)
 	}
-	e.smp = Sample{TenantDeadline: map[string][2]uint64{}}
-	src(&e.smp)
 	hists := []*histState{{name: "resd_slack_ticks", vec: func(s *Sample) *[stats.ExpBuckets]uint64 { return &s.Slack }}}
-	if e.smp.TurnsTimed {
+	if first.TurnsTimed {
 		hists = append(hists, &histState{name: "resd_loop_turn_ns", vec: func(s *Sample) *[stats.ExpBuckets]uint64 { return &s.LoopTurn }})
 	}
 	for _, h := range hists {
@@ -179,7 +175,7 @@ func (e *Engine) Attach(src func(*Sample)) error {
 		h.ring = stats.NewSnapRing(slots, stats.ExpBuckets)
 	}
 	e.hists = hists
-	e.src = src
+	e.attached = true
 	e.mu.Unlock()
 	for _, h := range hists {
 		e.reg.Collect(obs.KindSummary, h.name+"_window",
@@ -205,7 +201,7 @@ func (e *Engine) Attach(src func(*Sample)) error {
 	e.journal.Record(flight.Info, "slo", -1, "slo engine armed",
 		flight.KV{K: "objectives", V: fmt.Sprint(len(e.objs))},
 		flight.KV{K: "period", V: e.res.period.String()})
-	e.Tick(time.Now()) // anchor the baseline snapshot immediately
+	e.Tick(now, first) // anchor the baseline snapshot immediately
 	return nil
 }
 
@@ -217,25 +213,25 @@ type transition struct {
 	burn      float64
 }
 
-// Tick runs one snapshot-and-evaluate pass at the given instant: resd's
-// sampler calls it every Period, tests at explicit instants. Before
-// Attach it does nothing. Safe to call concurrently with scrapes and
-// States readers.
-func (e *Engine) Tick(now time.Time) {
+// Tick runs one snapshot-and-evaluate pass over the reading s at the
+// instant now: resd's sampler calls it every Period, tests at explicit
+// instants. The engine reads s only during the call. Before Attach it
+// does nothing. Safe to call concurrently with scrapes and States
+// readers.
+func (e *Engine) Tick(now time.Time, s *Sample) {
 	at := now.UnixNano()
 	var fired []transition
 	e.mu.Lock()
-	if e.src == nil {
+	if !e.attached {
 		e.mu.Unlock()
 		return
 	}
-	e.src(&e.smp)
 	for _, st := range e.objs {
-		e.vec2[0], e.vec2[1] = st.o.pair(&e.smp)
+		e.vec2[0], e.vec2[1] = st.o.pair(s)
 		st.ring.Push(at, e.vec2)
 	}
 	for _, h := range e.hists {
-		h.ring.Push(at, h.vec(&e.smp)[:])
+		h.ring.Push(at, h.vec(s)[:])
 	}
 	for _, st := range e.objs {
 		if tr, changed := e.evaluate(st); changed {

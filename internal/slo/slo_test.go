@@ -17,10 +17,17 @@ type fakeCounters struct {
 	good, total atomic.Uint64
 }
 
-// deadline is a source reading f as the service-wide deadline pair.
+// deadline fills s with f as the service-wide deadline pair.
 func (f *fakeCounters) deadline(s *Sample) {
 	good := f.good.Load()
 	s.DeadlineAdmitted, s.DeadlineRejected = good, f.total.Load()-good
+}
+
+// sample is one reading of f as the service-wide deadline pair.
+func (f *fakeCounters) sample() *Sample {
+	var s Sample
+	f.deadline(&s)
+	return &s
 }
 
 func (f *fakeCounters) add(good, bad uint64) {
@@ -49,7 +56,7 @@ func drillSpec() Spec {
 
 // newTestEngine builds an engine over drillSpec, attached to fake
 // counters and ticked at explicit instants, and returns the crank:
-// advance(good, bad) adds events and ticks one period.
+// advance(good, bad) adds events and ticks one period over their reading.
 func newTestEngine(t *testing.T, cfg Config) (*Engine, *fakeCounters, func(good, bad uint64) time.Time) {
 	t.Helper()
 	if cfg.Spec.Objectives == nil {
@@ -61,14 +68,13 @@ func newTestEngine(t *testing.T, cfg Config) (*Engine, *fakeCounters, func(good,
 		t.Fatal(err)
 	}
 	f := &fakeCounters{}
-	if err := e.Attach(f.deadline); err != nil {
+	if err := e.Attach(now, f.sample()); err != nil { // baseline at the test's clock
 		t.Fatal(err)
 	}
-	e.Tick(now) // baseline at the test's clock
 	advance := func(good, bad uint64) time.Time {
 		f.add(good, bad)
 		now = now.Add(e.Period())
-		e.Tick(now)
+		e.Tick(now, f.sample())
 		return now
 	}
 	return e, f, advance
@@ -251,15 +257,18 @@ func TestEngineTrackHistogramWindowedQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hist obs.Histogram
-	src := func(s *Sample) { hist.Snapshot(&s.Slack) }
-	if err := e.Attach(src); err != nil {
+	sample := func() *Sample {
+		var s Sample
+		hist.Snapshot(&s.Slack)
+		return &s
+	}
+	now := time.Unix(2000, 0)
+	if err := e.Attach(now, sample()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := e.WindowQuantile("resd_loop_turn_ns", 0.5); ok {
 		t.Fatal("turn latency tracked for a service that does not time its turns")
 	}
-	now := time.Unix(2000, 0)
-	e.Tick(now)
 	// Early era: large slacks. Then a long quiet era, then small slacks.
 	// The windowed p99 must forget the early era once it ages out of the
 	// 30s budget window — the thing the process-lifetime summary cannot do.
@@ -267,19 +276,19 @@ func TestEngineTrackHistogramWindowedQuantiles(t *testing.T) {
 		hist.Observe(1 << 20)
 	}
 	now = now.Add(time.Second)
-	e.Tick(now)
+	e.Tick(now, sample())
 	if v, n, ok := e.WindowQuantile("resd_slack_ticks", 0.99); !ok || n != 100 || v < 1<<20 {
 		t.Fatalf("early era: v=%d n=%d ok=%v, want p99 >= 2^20 over 100 samples", v, n, ok)
 	}
 	for i := 0; i < 40; i++ {
 		now = now.Add(time.Second)
-		e.Tick(now)
+		e.Tick(now, sample())
 	}
 	for i := 0; i < 100; i++ {
 		hist.Observe(3)
 	}
 	now = now.Add(time.Second)
-	e.Tick(now)
+	e.Tick(now, sample())
 	v, n, ok := e.WindowQuantile("resd_slack_ticks", 0.99)
 	if !ok || n != 100 || v >= 1<<20 {
 		t.Fatalf("late era: v=%d n=%d ok=%v, want the early era aged out", v, n, ok)
@@ -301,13 +310,14 @@ func TestEngineStartStopLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Before Attach there is nothing to read: a Tick does nothing.
-	e.Tick(time.Unix(1000, 0))
+	// Before Attach a Tick does nothing, whatever it is handed.
+	f := &fakeCounters{}
+	e.Tick(time.Unix(1000, 0), f.sample())
 	if n := e.objs[0].ring.Len(); n != 0 {
 		t.Fatalf("Tick before Attach pushed %d snapshots", n)
 	}
-	f := &fakeCounters{}
-	if err := e.Attach(f.deadline); err != nil {
+	now := time.Now()
+	if err := e.Attach(now, f.sample()); err != nil {
 		t.Fatal(err)
 	}
 	if n := e.objs[0].ring.Len(); n != 1 {
@@ -317,14 +327,13 @@ func TestEngineStartStopLifecycle(t *testing.T) {
 		t.Fatalf("journal after Attach: %+v, want one \"slo engine armed\"", tail)
 	}
 	// An engine serves one service for life.
-	if err := e.Attach(f.deadline); !errors.Is(err, ErrConfig) {
+	if err := e.Attach(now, f.sample()); !errors.Is(err, ErrConfig) {
 		t.Fatalf("second Attach: %v, want ErrConfig", err)
 	}
 	f.add(0, 1000)
-	now := time.Now()
 	for i := 0; i < 7 && sev(t, e, "deadline") != SevPage; i++ {
 		now = now.Add(e.Period())
-		e.Tick(now)
+		e.Tick(now, f.sample())
 	}
 	if got := sev(t, e, "deadline"); got != SevPage {
 		t.Fatalf("attached engine ticked past the page windows: severity %v, want page", got)

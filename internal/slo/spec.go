@@ -79,8 +79,8 @@ func ParseSignal(s string) (Signal, error) {
 
 // Sample is one reading of the service the engine judges: cumulative
 // counts and bucket vectors, read from published atomics without a
-// request to a shard. The engine owns one Sample and hands it to the
-// source Attach was given at every tick; the source overwrites it.
+// request to a shard. The service fills one and hands it to Attach and
+// to every Tick; the engine keeps none of it past the call.
 type Sample struct {
 	// Request-level admission decisions, each counted once: admissions
 	// and rejections of every kind, then the deadline-carrying
@@ -89,7 +89,6 @@ type Sample struct {
 	DeadlineAdmitted, DeadlineRejected uint64
 	// TenantDeadline maps each tenant a deadline_attainment objective is
 	// scoped to onto its [deadline-admitted, deadline-rejected] counts.
-	// The engine makes the map; the source fills its entries.
 	TenantDeadline map[string][2]uint64
 	// Slack is the service-wide start-time slack histogram
 	// (obs.Histogram.Snapshot shape), summed over shards.
