@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -36,7 +38,7 @@ type delta struct {
 // stepFromDeltas accumulates interval deltas into a StepFunc starting from
 // base at time 0.
 func stepFromDeltas(base int, deltas []delta) *StepFunc {
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].at < deltas[j].at })
+	slices.SortFunc(deltas, func(a, b delta) int { return cmp.Compare(a.at, b.at) })
 	f := &StepFunc{times: []Time{0}, values: []int{base}}
 	cur := base
 	for i := 0; i < len(deltas); {

@@ -51,29 +51,32 @@ func (r *Recorder) Capture(reason string) (string, error) {
 }
 
 // AutoCapture writes a bundle for an automatic trigger outside the
-// watchdog (resdsrv's SLO page hook). It shares the watchdog's rate
-// limit: at most one automatic bundle per BundleMinInterval, whoever
-// asks. It returns the bundle's name, or "" when bundling is disabled
-// or the capture was rate-limited or failed (both journaled).
+// watchdog (resdsrv's SLO page hook), at the wall clock's now. It
+// shares the watchdog's rate limit: at most one automatic bundle per
+// BundleMinInterval, whoever asks. It returns the bundle's name, or ""
+// when bundling is disabled or the capture was rate-limited or failed
+// (both journaled).
 func (r *Recorder) AutoCapture(reason string) string {
 	if r == nil {
 		return ""
 	}
-	return r.autoCapture(reason, r.State(), r.Warning())
+	return r.autoCapture(time.Now(), reason, r.State(), r.Warning())
 }
 
 // autoCapture is the rate-limited trigger path: a flapping rule cannot
-// fill the disk, and a failure is journaled, never fatal. Judge calls it
+// fill the disk, and a failure is journaled, never fatal. The limit is
+// measured on the trigger's clock: Judge hands in the instant it judges
+// at, so the watchdog stays a function of its instants. Judge calls it
 // before it publishes the judgment that triggered it, so the state and
 // warning the manifest records are handed in.
-func (r *Recorder) autoCapture(reason string, state Health, warning string) string {
+func (r *Recorder) autoCapture(now time.Time, reason string, state Health, warning string) string {
 	if r.cfg.Dir == "" {
 		return ""
 	}
 	r.bundleMu.Lock()
-	limited := !r.lastAuto.IsZero() && time.Since(r.lastAuto) < BundleMinInterval
+	limited := !r.lastAuto.IsZero() && now.Sub(r.lastAuto) < BundleMinInterval
 	if !limited {
-		r.lastAuto = time.Now()
+		r.lastAuto = now
 	}
 	r.bundleMu.Unlock()
 	if limited {

@@ -86,7 +86,9 @@
 // place, so any visible bundle is complete. Automatic captures share
 // one rate limit, one per BundleMinInterval (a minute): the watchdog's
 // and those other triggers ask for through AutoCapture (resdsrv's SLO
-// page hook). A flapping rule or objective cannot fill the disk;
+// page hook). The interval is measured on the trigger's clock: the
+// instant Judge was handed, or the wall clock for AutoCapture. A
+// flapping rule or objective cannot fill the disk;
 // suppressed captures are counted and journaled. On-demand captures
 // (Capture, the HTTP POST) are never rate-limited. Retention keeps the
 // newest BundleKeep (8) bundles and deletes older ones.

@@ -323,7 +323,7 @@ func (r *Recorder) Judge(now time.Time, probes []ShardProbe) {
 		r.journal.Record(sev, "flight", -1, msg,
 			KV{"from", old.String()}, KV{"to", worst.String()}, KV{"why", why})
 		if worst > old {
-			r.autoCapture("watchdog:"+worst.String(), worst, why)
+			r.autoCapture(now, "watchdog:"+worst.String(), worst, why)
 		}
 	}
 	r.setState(worst, why)

@@ -341,7 +341,7 @@ func TestAutoCaptureRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		r.autoCapture("flap", Degraded, "flapping")
+		r.autoCapture(time.Now(), "flap", Degraded, "flapping")
 	}
 	// Every automatic trigger shares the one limit.
 	if name := r.AutoCapture("slo page"); name != "" {
@@ -359,6 +359,37 @@ func TestAutoCaptureRateLimit(t *testing.T) {
 	}
 	if got := r.Bundles(); len(got) != 2 {
 		t.Errorf("bundles = %d, want 2", len(got))
+	}
+}
+
+// TestAutoCaptureRateLimitOnJudgeClock: the watchdog's rate limit is
+// measured on the instants Judge is handed, not on the wall clock. Two
+// stalls judged 61 s apart, with a recovery between them, write two
+// bundles; 30 s apart, one. The test takes milliseconds of real time.
+func TestAutoCaptureRateLimitOnJudgeClock(t *testing.T) {
+	for _, c := range []struct {
+		gap  time.Duration
+		want int
+	}{{61 * time.Second, 2}, {30 * time.Second, 1}} {
+		r, err := New(Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+		for _, at := range []time.Time{t0, t0.Add(c.gap)} {
+			judgeOne(r, at, ShardProbe{Shard: 0, BusySince: at.Add(-2 * StallAfter)})
+			if r.State() != Stalled {
+				t.Fatalf("gap %v: a stall judged %v", c.gap, r.State())
+			}
+			back := at.Add(CheckEvery)
+			judgeOne(r, back, ShardProbe{Shard: 0, LastTurn: back})
+			if r.State() != Healthy {
+				t.Fatalf("gap %v: a recovery judged %v", c.gap, r.State())
+			}
+		}
+		if got := len(r.Bundles()); got != c.want {
+			t.Errorf("two stalls %v apart wrote %d bundles, want %d", c.gap, got, c.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 // RigidConfig parameterises RandomRigid.
@@ -86,8 +87,10 @@ type AlphaConfig struct {
 }
 
 // RandomAlpha generates a random α-RESASCHEDULING instance: job widths are
-// capped at floor(α·m) (at least 1) and the reservation set is built by
-// rejection so its unavailability never exceeds floor((1-α)·m).
+// capped at floor(α·m) (at least 1) and the reservation set is drawn by
+// workload.AlphaReservations, the rejection sampler ReservationStream
+// shares, so its unavailability never exceeds floor((1-α)·m) and its
+// memory is O(NRes), whatever the horizon.
 func RandomAlpha(r *rng.PCG, cfg AlphaConfig) *core.Instance {
 	if cfg.M < 1 || cfg.Alpha <= 0 || cfg.Alpha > 1 || cfg.MaxLen < 1 || cfg.Horizon < 1 {
 		panic("instances: invalid AlphaConfig")
@@ -97,9 +100,6 @@ func RandomAlpha(r *rng.PCG, cfg AlphaConfig) *core.Instance {
 		maxQ = 1
 	}
 	maxU := cfg.M - maxQ // floor((1-α)m) when αm integral; conservative otherwise
-	if maxU < 0 {
-		maxU = 0
-	}
 	inst := &core.Instance{
 		Name: fmt.Sprintf("alpha-m%d-n%d-a%.3f", cfg.M, cfg.N, cfg.Alpha),
 		M:    cfg.M,
@@ -111,36 +111,11 @@ func RandomAlpha(r *rng.PCG, cfg AlphaConfig) *core.Instance {
 			Len:   core.Time(r.Int63Range(1, int64(cfg.MaxLen))),
 		})
 	}
-	if maxU == 0 || cfg.NRes == 0 {
-		return inst
-	}
 	maxResLen := cfg.MaxResLen
 	if maxResLen <= 0 {
 		maxResLen = cfg.Horizon/4 + 1
 	}
-	// Track unavailability on a tick grid for rejection.
-	usage := make([]int, int(cfg.Horizon+maxResLen)+1)
-	for k := 0; k < cfg.NRes; k++ {
-		q := r.IntRange(1, maxU)
-		start := core.Time(r.Int63n(int64(cfg.Horizon)))
-		l := core.Time(r.Int63Range(1, int64(maxResLen)))
-		ok := true
-		for t := start; t < start+l; t++ {
-			if usage[t]+q > maxU {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for t := start; t < start+l; t++ {
-			usage[t] += q
-		}
-		inst.Res = append(inst.Res, core.Reservation{
-			ID: len(inst.Res), Procs: q, Start: start, Len: l,
-		})
-	}
+	inst.Res = workload.AlphaReservations(r, maxU, cfg.NRes, cfg.Horizon, maxResLen)
 	return inst
 }
 

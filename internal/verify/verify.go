@@ -9,12 +9,19 @@
 // interval graph they induce is perfect, and its chromatic number equals the
 // peak overlap. AssignProcessors constructs such an assignment greedily and
 // Verify double-checks the two views against each other.
+//
+// The greedy sweep keeps the free processors as one bitset of m bits and
+// what each job and reservation holds as another, so an interval start or
+// end costs m/64 words. Verify runs the sweep and builds no per-processor
+// lists; AssignProcessors builds them from the bitsets for its callers.
 package verify
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -92,7 +99,7 @@ func Verify(s *core.Schedule) error {
 	if vs := Check(s); len(vs) > 0 {
 		return fmt.Errorf("%w: %d violation(s), first: %s", ErrInfeasible, len(vs), vs[0].Detail)
 	}
-	if _, err := AssignProcessors(s); err != nil {
+	if _, err := sweep(s); err != nil {
 		return fmt.Errorf("%w: capacity check passed but assignment failed: %v", ErrInfeasible, err)
 	}
 	return nil
@@ -108,11 +115,12 @@ type Assignment struct {
 }
 
 // event is a start or end of an occupation interval during the sweep.
+// Occupation k is Inst.Jobs[k] for k < len(Inst.Jobs), else
+// Inst.Res[k-len(Inst.Jobs)].
 type event struct {
 	at    core.Time
 	start bool
-	isJob bool
-	idx   int
+	k     int
 }
 
 // AssignProcessors builds a concrete processor assignment for a feasible
@@ -120,97 +128,121 @@ type event struct {
 // takes the lowest-numbered free processors; at each end it frees them.
 // Ends are processed before starts at equal times (intervals are half-open).
 // It fails exactly when the schedule oversubscribes capacity at some time.
+// The sweep runs on bitsets; the sorted lists are built from them at the end.
 func AssignProcessors(s *core.Schedule) (*Assignment, error) {
+	held, err := sweep(s)
+	if err != nil {
+		return nil, err
+	}
 	inst := s.Inst
-	events := make([]event, 0, 2*(len(inst.Jobs)+len(inst.Res)))
+	words := wordsFor(inst.M)
+	list := func(k, q int) []int {
+		out := make([]int, 0, q)
+		for i, w := range held[k*words : (k+1)*words] {
+			for ; w != 0; w &= w - 1 {
+				out = append(out, i*64+bits.TrailingZeros64(w))
+			}
+		}
+		return out
+	}
+	asg := &Assignment{
+		JobProcs: make([][]int, len(inst.Jobs)),
+		ResProcs: make([][]int, len(inst.Res)),
+	}
+	for i, j := range inst.Jobs {
+		asg.JobProcs[i] = list(i, j.Procs)
+	}
+	for i, r := range inst.Res {
+		asg.ResProcs[i] = list(len(inst.Jobs)+i, r.Procs)
+	}
+	return asg, nil
+}
+
+// wordsFor is the number of 64-bit words in a bitset of m processors.
+func wordsFor(m int) int { return (m + 63) / 64 }
+
+// sweep is AssignProcessors' sweep without the lists: it returns what
+// every occupation holds, occupation k in held[k*words : (k+1)*words].
+// The free processors are one bitset of m bits, so a start or an end
+// costs m/64 words, and a start takes whole words before the one it
+// splits.
+func sweep(s *core.Schedule) (held []uint64, err error) {
+	inst := s.Inst
+	nJobs := len(inst.Jobs)
+	events := make([]event, 0, 2*(nJobs+len(inst.Res)))
 	for i, t := range s.Start {
 		if t == core.Unscheduled {
 			return nil, fmt.Errorf("%w: job %d unscheduled", ErrInfeasible, inst.Jobs[i].ID)
 		}
 		events = append(events,
-			event{t, true, true, i},
-			event{t + inst.Jobs[i].Len, false, true, i})
+			event{t, true, i},
+			event{t + inst.Jobs[i].Len, false, i})
 	}
 	for i, r := range inst.Res {
-		events = append(events, event{r.Start, true, false, i})
+		events = append(events, event{r.Start, true, nJobs + i})
 		if r.End() != core.Infinity {
-			events = append(events, event{r.End(), false, false, i})
+			events = append(events, event{r.End(), false, nJobs + i})
 		}
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].at != events[b].at {
-			return events[a].at < events[b].at
+	// The order among equal keys decides who gets which processors, so
+	// this comparator must keep saying exactly what it says.
+	slices.SortFunc(events, func(a, b event) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
 		// Frees before takes at equal time.
-		return !events[a].start && events[b].start
+		switch {
+		case !a.start && b.start:
+			return -1
+		case a.start && !b.start:
+			return 1
+		}
+		return 0
 	})
 
-	// Free processor pool: min-heap semantics via sorted stack is overkill;
-	// a simple boolean array plus a scan pointer keeps allocation lowest-ID.
-	free := make([]bool, inst.M)
-	for i := range free {
-		free[i] = true
+	words := wordsFor(inst.M)
+	free := make([]uint64, words)
+	for p := 0; p < inst.M; p += 64 {
+		free[p/64] = ^uint64(0) >> max(0, p+64-inst.M)
 	}
-	takeLowest := func(q int) ([]int, bool) {
-		out := make([]int, 0, q)
-		for p := 0; p < inst.M && len(out) < q; p++ {
-			if free[p] {
-				out = append(out, p)
-				free[p] = false
-			}
-		}
-		if len(out) < q {
-			for _, p := range out {
-				free[p] = true
-			}
-			return nil, false
-		}
-		return out, true
-	}
-
-	asg := &Assignment{
-		JobProcs: make([][]int, len(inst.Jobs)),
-		ResProcs: make([][]int, len(inst.Res)),
-	}
+	nFree := inst.M
+	held = make([]uint64, (nJobs+len(inst.Res))*words)
 	for _, ev := range events {
-		var q int
-		if ev.isJob {
-			q = inst.Jobs[ev.idx].Procs
-		} else {
-			q = inst.Res[ev.idx].Procs
+		mine := held[ev.k*words : (ev.k+1)*words]
+		if !ev.start {
+			for i, w := range mine {
+				free[i] |= w
+				nFree += bits.OnesCount64(w)
+			}
+			continue
 		}
-		if ev.start {
-			procs, ok := takeLowest(q)
-			if !ok {
-				what := "job"
-				id := 0
-				if ev.isJob {
-					id = inst.Jobs[ev.idx].ID
-				} else {
-					what = "reservation"
-					id = inst.Res[ev.idx].ID
-				}
-				return nil, fmt.Errorf("%w: no %d free processors for %s %d at t=%v",
-					ErrInfeasible, q, what, id, ev.at)
-			}
-			if ev.isJob {
-				asg.JobProcs[ev.idx] = procs
-			} else {
-				asg.ResProcs[ev.idx] = procs
-			}
+		what, id, q := "job", 0, 0
+		if ev.k < nJobs {
+			id, q = inst.Jobs[ev.k].ID, inst.Jobs[ev.k].Procs
 		} else {
-			var procs []int
-			if ev.isJob {
-				procs = asg.JobProcs[ev.idx]
-			} else {
-				procs = asg.ResProcs[ev.idx]
+			r := inst.Res[ev.k-nJobs]
+			what, id, q = "reservation", r.ID, r.Procs
+		}
+		if q > nFree {
+			return nil, fmt.Errorf("%w: no %d free processors for %s %d at t=%v",
+				ErrInfeasible, q, what, id, ev.at)
+		}
+		nFree -= q
+		for i, need := 0, q; need > 0; i++ {
+			w := free[i]
+			if c := bits.OnesCount64(w); c <= need {
+				mine[i], free[i], need = w, 0, need-c
+				continue
 			}
-			for _, p := range procs {
-				free[p] = true
+			var take uint64
+			for ; need > 0; need-- {
+				take |= w & -w
+				w &= w - 1
 			}
+			mine[i], free[i] = take, w
 		}
 	}
-	return asg, nil
+	return held, nil
 }
 
 // CheckAssignment validates that an assignment is consistent with its
@@ -259,7 +291,7 @@ func CheckAssignment(s *core.Schedule, a *Assignment) error {
 		}
 	}
 	for p, holds := range perProc {
-		sort.Slice(holds, func(a, b int) bool { return holds[a].t0 < holds[b].t0 })
+		slices.SortFunc(holds, func(a, b hold) int { return cmp.Compare(a.t0, b.t0) })
 		for i := 1; i < len(holds); i++ {
 			if holds[i].t0 < holds[i-1].t1 {
 				return fmt.Errorf("%w: processor %d double-booked by %s and %s",

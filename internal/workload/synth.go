@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/rng"
 )
 
@@ -161,36 +162,40 @@ func SyntheticInstance(r *rng.PCG, cfg SynthConfig) (*core.Instance, error) {
 // ReservationStream draws nRes reservations respecting the α restriction
 // (peak unavailability at most floor((1-alpha)·m)), spread over the given
 // horizon — the shape of an advance-reservation feature in a production
-// batch system with the §4.2 admission rule.
+// batch system with the §4.2 admission rule. It is AlphaReservations with
+// lengths up to horizon/4+1, so its memory is O(nRes), whatever the horizon.
 func ReservationStream(r *rng.PCG, m int, alpha float64, nRes int, horizon core.Time) []core.Reservation {
 	if m < 1 || alpha <= 0 || alpha > 1 || horizon < 1 {
 		panic("workload: invalid ReservationStream parameters")
 	}
-	maxU := m - int(alpha*float64(m))
-	if int(alpha*float64(m)) < 1 {
-		maxU = m - 1
-	}
+	maxU := m - max(1, int(alpha*float64(m)))
+	return AlphaReservations(r, maxU, nRes, horizon, horizon/4+1)
+}
+
+// AlphaReservations is the one α-restricted reservation sampler, behind
+// ReservationStream and instances.RandomAlpha. It draws nRes candidates,
+// each a width q in [1, maxU], a start in [0, horizon) and a length in
+// [1, maxLen], and keeps, in draw order, those that still fit beside the
+// ones kept before it under a capacity of maxU, so the unavailability they
+// make never exceeds maxU. The fit is tested with CanPlace on a
+// profile.Timeline, whose breakpoints are the kept reservations' ends:
+// time and memory go with nRes, not with the horizon. maxU <= 0 draws
+// nothing.
+func AlphaReservations(r *rng.PCG, maxU, nRes int, horizon, maxLen core.Time) []core.Reservation {
 	if maxU <= 0 {
 		return nil
 	}
-	usage := make([]int, int(horizon)*2)
+	tl := profile.New(maxU)
 	var out []core.Reservation
 	for k := 0; k < nRes; k++ {
 		q := r.IntRange(1, maxU)
 		start := core.Time(r.Int63n(int64(horizon)))
-		l := core.Time(r.Int63Range(1, int64(horizon)/4+1))
-		ok := true
-		for t := start; t < start+l && int(t) < len(usage); t++ {
-			if usage[t]+q > maxU {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		l := core.Time(r.Int63Range(1, int64(maxLen)))
+		if !tl.CanPlace(start, l, q) {
 			continue
 		}
-		for t := start; t < start+l && int(t) < len(usage); t++ {
-			usage[t] += q
+		if err := tl.Commit(start, l, q); err != nil {
+			panic(err) // CanPlace has just said it fits
 		}
 		out = append(out, core.Reservation{ID: len(out), Procs: q, Start: start, Len: l})
 	}
