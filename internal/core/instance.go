@@ -64,6 +64,12 @@ func (in *Instance) Validate() error {
 		if r.Start < 0 {
 			return fmt.Errorf("%w: reservation %d starts at %v", ErrBadReservation, r.ID, r.Start)
 		}
+		// A finite window must end at or before the end of time; past it,
+		// Start+Len wraps to a negative End.
+		if r.Len != Infinity && r.Len > Infinity-r.Start {
+			return fmt.Errorf("%w: reservation %d ends past the end of time (start %v, duration %v)",
+				ErrBadReservation, r.ID, r.Start, r.Len)
+		}
 		if r.ID < 0 || i == dup {
 			return fmt.Errorf("%w: reservation id %d", ErrDuplicateID, r.ID)
 		}

@@ -27,6 +27,12 @@ func TestValidateOK(t *testing.T) {
 	if err := validInstance().Validate(); err != nil {
 		t.Fatalf("valid instance rejected: %v", err)
 	}
+	// A finite window that ends exactly at the end of time never ends.
+	in := validInstance()
+	in.Res[1].Len = Infinity - in.Res[1].Start
+	if err := in.Validate(); err != nil {
+		t.Fatalf("window ending at Infinity rejected: %v", err)
+	}
 }
 
 func TestValidateErrors(t *testing.T) {
@@ -47,6 +53,8 @@ func TestValidateErrors(t *testing.T) {
 		{"res zero procs", func(in *Instance) { in.Res[0].Procs = 0 }, ErrBadReservation},
 		{"res zero len", func(in *Instance) { in.Res[0].Len = 0 }, ErrBadReservation},
 		{"res negative start", func(in *Instance) { in.Res[0].Start = -1 }, ErrBadReservation},
+		{"res wraps past the end of time", func(in *Instance) { in.Res[0].Start, in.Res[0].Len = Infinity-5, 10 }, ErrBadReservation},
+		{"res starts at the end of time", func(in *Instance) { in.Res[0].Start, in.Res[0].Len = Infinity, 1 }, ErrBadReservation},
 		{"dup res id", func(in *Instance) { in.Res[1].ID = 0 }, ErrDuplicateID},
 		{"oversubscribed", func(in *Instance) {
 			in.Res = append(in.Res, Reservation{ID: 5, Procs: 8, Start: 4, Len: 2})

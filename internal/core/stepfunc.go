@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -36,10 +34,12 @@ type delta struct {
 }
 
 // stepFromDeltas accumulates interval deltas into a StepFunc starting from
-// base at time 0.
+// base at time 0. Only the sum at each instant matters, so any order of
+// the deltas at one instant gives the same function.
 func stepFromDeltas(base int, deltas []delta) *StepFunc {
-	slices.SortFunc(deltas, func(a, b delta) int { return cmp.Compare(a.at, b.at) })
-	f := &StepFunc{times: []Time{0}, values: []int{base}}
+	SortByKey(deltas, func(d delta) uint64 { return SortKey(int64(d.at)) })
+	f := &StepFunc{times: make([]Time, 1, len(deltas)+1), values: make([]int, 1, len(deltas)+1)}
+	f.values[0] = base
 	cur := base
 	for i := 0; i < len(deltas); {
 		t := deltas[i].at

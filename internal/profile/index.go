@@ -124,21 +124,65 @@ func NewIndex(backend string, m int) (CapacityIndex, error) {
 	return mk(m), nil
 }
 
-// IndexFromReservations builds a capacity index on the named backend and
-// commits the given reservations, i.e. the backend-generic equivalent of
-// FromReservations. It returns ErrInsufficient (wrapped) if the
-// reservations oversubscribe the machine at any time.
+// IndexFromReservations builds a capacity index on the named backend
+// holding m − U(t), the availability the reservations leave: the
+// backend-generic FromReservations. Its errors are CommitReservations'.
 func IndexFromReservations(backend string, m int, res []core.Reservation) (CapacityIndex, error) {
 	idx, err := NewIndex(backend, m)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range res {
-		if err := idx.Commit(r.Start, r.Len, r.Procs); err != nil {
-			return nil, fmt.Errorf("profile: reservation %d: %w", r.ID, err)
-		}
+	if err := CommitReservations(idx, res); err != nil {
+		return nil, err
 	}
 	return idx, nil
+}
+
+// CommitReservations consumes on idx, a fresh index of constant capacity
+// idx.M(), the processors the reservations hold, leaving m − U(t). Every
+// index built from reservations is built here, by one sweep of U:
+//
+//   - every window is checked first: a duration <= 0, a negative start or
+//     a finite window past the end of time is a wrapped ErrBadWindow that
+//     names the reservation;
+//   - U comes from core.UnavailabilityOf, whose 2r ends core.SortByKey
+//     sorts;
+//   - each nonzero segment of U is committed as one window, in time
+//     order, the last one endless when U never returns to 0; a segment
+//     above idx.M() is a wrapped ErrInsufficient that names the first
+//     over-subscribed instant.
+//
+// The index is left holding what the reservations' commit replay would
+// leave (both backends keep one canonical form), without the breakpoints
+// the replay passes through on the way. On error idx holds part of U and
+// is to be dropped.
+func CommitReservations(idx CapacityIndex, res []core.Reservation) error {
+	for _, r := range res {
+		if r.Procs < 0 {
+			return fmt.Errorf("profile: reservation %d: negative width %d", r.ID, r.Procs)
+		}
+		if r.Len <= 0 || r.Start < 0 || (r.Len != core.Infinity && r.Len > core.Infinity-r.Start) {
+			return fmt.Errorf("profile: reservation %d: %w (start %v, duration %v)", r.ID, ErrBadWindow, r.Start, r.Len)
+		}
+	}
+	u := core.UnavailabilityOf(res)
+	for i := 0; i < u.Len(); i++ {
+		start, end, v := u.Segment(i)
+		if v > idx.M() {
+			return fmt.Errorf("%w: reservations hold %d of m=%d processors at t=%v", ErrInsufficient, v, idx.M(), start)
+		}
+		if v == 0 {
+			continue
+		}
+		dur := core.Infinity
+		if end != core.Infinity {
+			dur = end - start
+		}
+		if err := idx.Commit(start, dur, v); err != nil {
+			return fmt.Errorf("profile: %d reserved on [%v,%v): %w", v, start, end, err)
+		}
+	}
+	return nil
 }
 
 // CloneIndex implements CapacityIndex for Timeline.

@@ -63,14 +63,14 @@ func New(m int) *Timeline {
 }
 
 // FromReservations returns the availability left by the given reservations
-// on an m-processor machine: m - U(t). It returns ErrInsufficient if the
-// reservations oversubscribe the machine at any time.
+// on an m-processor machine: m - U(t), committed one segment of U at a
+// time by CommitReservations. It returns a wrapped ErrInsufficient if the
+// reservations oversubscribe the machine at any time, and a wrapped
+// ErrBadWindow naming the first reservation with an invalid window.
 func FromReservations(m int, res []core.Reservation) (*Timeline, error) {
 	tl := New(m)
-	for _, r := range res {
-		if err := tl.Commit(r.Start, r.Len, r.Procs); err != nil {
-			return nil, fmt.Errorf("profile: reservation %d: %w", r.ID, err)
-		}
+	if err := CommitReservations(tl, res); err != nil {
+		return nil, err
 	}
 	return tl, nil
 }

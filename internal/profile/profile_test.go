@@ -2,6 +2,7 @@ package profile
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -43,8 +44,9 @@ func TestFromReservationsOversubscribed(t *testing.T) {
 		{ID: 0, Procs: 5, Start: 0, Len: 10},
 		{ID: 1, Procs: 4, Start: 5, Len: 10},
 	}
-	if _, err := FromReservations(8, res); !errors.Is(err, ErrInsufficient) {
-		t.Fatalf("got %v, want ErrInsufficient", err)
+	// U is 5, then 9 from t=5: the error names that first instant.
+	if _, err := FromReservations(8, res); !errors.Is(err, ErrInsufficient) || !strings.Contains(err.Error(), "at t=5") {
+		t.Fatalf("got %v, want ErrInsufficient at t=5", err)
 	}
 }
 

@@ -562,7 +562,10 @@ func countInstance(t *testing.T, seed uint64, m, n, nRes int) *core.Instance {
 }
 
 // maxIndexCalls is the most index calls LSRC may make on n jobs and r
-// reservations: r + n commits, n CanPlace calls that succeed, an
+// reservations: r + n commits (the reservations are committed as the
+// nonzero segments of U, up to 2r − 1 of them; the r − 1 more fit in the
+// refusal term below unless all but r/2 of the rn possible refusals
+// happen), n CanPlace calls that succeed, an
 // AvailableAt and a NextBreakpoint at each of at most n + 2r + 1 events
 // (time 0, and one breakpoint per reservation edge and job completion),
 // and per job at most one refused CanPlace with its FindSlot for every
@@ -602,8 +605,15 @@ func TestLSRCIndexCallCounts(t *testing.T) {
 		c = lastCounting
 		r, blocked := len(inst.Res), len(c.refused)
 		refused, worst := c.refusals()
-		if c.canPlace != n+refused || c.findSlot != refused || c.commit != n+r {
-			t.Fatalf("seed %d, %d reservations: %d CanPlace (%d refused), %d FindSlot, %d Commit", seed, r, c.canPlace, refused, c.findSlot, c.commit)
+		segs := 0 // the index is built with one Commit per nonzero segment of U
+		for i, u := 0, inst.Unavailability(); i < u.Len(); i++ {
+			if _, _, v := u.Segment(i); v > 0 {
+				segs++
+			}
+		}
+		if c.canPlace != n+refused || c.findSlot != refused || c.commit != n+segs {
+			t.Fatalf("seed %d, %d reservations (%d nonzero segments of U): %d CanPlace (%d refused), %d FindSlot, %d Commit",
+				seed, r, segs, c.canPlace, refused, c.findSlot, c.commit)
 		}
 		if c.early != 0 {
 			t.Fatalf("seed %d: %d CanPlace calls for a job before the instant FindSlot gave for it", seed, c.early)

@@ -26,44 +26,14 @@ func identity(n int) []int {
 }
 
 // sortBy returns the job indices in increasing order of key, with ties
-// broken by instance position so orders are total and deterministic. A
+// broken by instance position so orders are total and deterministic (the
+// kernel, core.SortByKey, is stable over the identity permutation). A
 // descending rule passes ^k, which reverses the order of every int64
 // (where -k overflows at math.MinInt64).
-//
-// It is a stable LSD radix sort: one O(n) counting pass per key byte,
-// skipping the bytes every key shares, so a key that fits in 16 bits costs
-// two passes. The sign bit is flipped so that unsigned byte order is signed
-// key order; stability over the identity permutation gives the tie-break.
 func sortBy(inst *core.Instance, key func(*core.Job) int64) []int {
-	n := len(inst.Jobs)
-	keys, idx := make([]uint64, 2*n), make([]int, 2*n)
-	same, varies := ^uint64(0), uint64(0) // bits every key has, bits any key has
-	for i := range inst.Jobs {
-		k := uint64(key(&inst.Jobs[i])) ^ 1<<63
-		keys[i], idx[i] = k, i
-		same, varies = same&k, varies|k
-	}
-	src, dst, from, to := keys[:n], keys[n:], idx[:n:n], idx[n:]
-	for shift := 0; shift < 64; shift += 8 {
-		if (same^varies)>>shift&0xff == 0 {
-			continue
-		}
-		var at [256]int
-		for _, k := range src {
-			at[k>>shift&0xff]++
-		}
-		sum := 0
-		for b := range at {
-			at[b], sum = sum, sum+at[b]
-		}
-		for i, k := range src {
-			b := k >> shift & 0xff
-			dst[at[b]], to[at[b]] = k, from[i]
-			at[b]++
-		}
-		src, dst, from, to = dst, src, to, from
-	}
-	return from
+	idx := identity(len(inst.Jobs))
+	core.SortByKey(idx, func(i int) uint64 { return core.SortKey(key(&inst.Jobs[i])) })
+	return idx
 }
 
 // FIFO preserves instance (submission) order. This is the order used by the

@@ -52,9 +52,9 @@ var (
 )
 
 // prep validates the instance and builds the initial availability index
-// (m minus reservations) on the named capacity backend ("" selects the
-// default array Timeline; "tree" selects the restree balanced index —
-// identical results, different asymptotics).
+// (m minus reservations, by profile.CommitReservations) on the named
+// capacity backend ("" selects the default array Timeline; "tree" selects
+// the restree leaf index — identical results, different asymptotics).
 func prep(inst *core.Instance, backend string) (profile.CapacityIndex, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
@@ -65,10 +65,8 @@ func prep(inst *core.Instance, backend string) (profile.CapacityIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	for _, r := range inst.Res {
-		if err := tl.Commit(r.Start, r.Len, r.Procs); err != nil {
-			return nil, fmt.Errorf("%w: profile: reservation %d: %v", ErrInvalid, r.ID, err)
-		}
+	if err := profile.CommitReservations(tl, inst.Res); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return tl, nil
 }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"sort"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // ShelfFit selects how jobs are packed onto shelves.
 type ShelfFit int
@@ -59,17 +55,8 @@ func (sh *Shelf) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		maxW = inst.M
 	}
 
-	// Sort by decreasing duration (ties by index for determinism).
-	idx := make([]int, len(inst.Jobs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return inst.Jobs[idx[a]].Len > inst.Jobs[idx[b]].Len
-	})
-
 	var shelves []shelf
-	for _, i := range idx {
+	for _, i := range LPT.Indices(inst) { // decreasing duration, ties by index
 		j := inst.Jobs[i]
 		w := j.Procs
 		placed := false

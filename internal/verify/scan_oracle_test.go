@@ -14,9 +14,9 @@ import (
 )
 
 // scanAssign is the per-processor scan, kept as an oracle for the bitset
-// sweep: the same events sorted by the same comparator through
-// sort.Slice, a boolean per processor, and a scan of all m of them at
-// every start.
+// sweep: the same events in the same total order (time, frees before
+// takes, occupation index) by a comparator through sort.Slice, a boolean
+// per processor, and a scan of all m of them at every start.
 func scanAssign(s *core.Schedule) (*Assignment, error) {
 	type scanEvent struct {
 		at    core.Time
@@ -40,11 +40,20 @@ func scanAssign(s *core.Schedule) (*Assignment, error) {
 			events = append(events, scanEvent{r.End(), false, false, i})
 		}
 	}
+	occ := func(e scanEvent) int { // occupation index: jobs, then reservations
+		if e.isJob {
+			return e.idx
+		}
+		return len(inst.Jobs) + e.idx
+	}
 	sort.Slice(events, func(a, b int) bool {
 		if events[a].at != events[b].at {
 			return events[a].at < events[b].at
 		}
-		return !events[a].start && events[b].start
+		if events[a].start != events[b].start {
+			return !events[a].start
+		}
+		return occ(events[a]) < occ(events[b])
 	})
 	free := make([]bool, inst.M)
 	for i := range free {

@@ -12,8 +12,12 @@
 //
 // The greedy sweep keeps the free processors as one bitset of m bits and
 // what each job and reservation holds as another, so an interval start or
-// end costs m/64 words. Verify runs the sweep and builds no per-processor
-// lists; AssignProcessors builds them from the bitsets for its callers.
+// end costs m/64 words. Its events are in one total order — time, then
+// frees before takes, then occupation index — laid out so that a stable
+// radix sort on the time alone (core.SortByKey) gives it; Check's usage
+// curve is built on the same kernel. Verify runs the sweep and builds no
+// per-processor lists; AssignProcessors builds them from the bitsets for
+// its callers.
 package verify
 
 import (
@@ -126,7 +130,8 @@ type event struct {
 // AssignProcessors builds a concrete processor assignment for a feasible
 // complete schedule by a left-to-right sweep: at each interval start it
 // takes the lowest-numbered free processors; at each end it frees them.
-// Ends are processed before starts at equal times (intervals are half-open).
+// Ends are processed before starts at equal times (intervals are
+// half-open), and occupations of one kind at one time in index order.
 // It fails exactly when the schedule oversubscribes capacity at some time.
 // The sweep runs on bitsets; the sorted lists are built from them at the end.
 func AssignProcessors(s *core.Schedule) (*Assignment, error) {
@@ -169,36 +174,35 @@ func wordsFor(m int) int { return (m + 63) / 64 }
 func sweep(s *core.Schedule) (held []uint64, err error) {
 	inst := s.Inst
 	nJobs := len(inst.Jobs)
-	events := make([]event, 0, 2*(nJobs+len(inst.Res)))
 	for i, t := range s.Start {
 		if t == core.Unscheduled {
 			return nil, fmt.Errorf("%w: job %d unscheduled", ErrInfeasible, inst.Jobs[i].ID)
 		}
-		events = append(events,
-			event{t, true, i},
-			event{t + inst.Jobs[i].Len, false, i})
 	}
-	for i, r := range inst.Res {
-		events = append(events, event{r.Start, true, nJobs + i})
-		if r.End() != core.Infinity {
-			events = append(events, event{r.End(), false, nJobs + i})
+	// The events' order decides who gets which processors: time, then
+	// frees before takes, then occupation index. The sort is stable and by
+	// time alone, so the ends go in first, each kind in occupation order.
+	window := func(k int) (t0, t1 core.Time) {
+		if k < nJobs {
+			return s.Start[k], s.Start[k] + inst.Jobs[k].Len
+		}
+		r := inst.Res[k-nJobs]
+		return r.Start, r.End()
+	}
+	nOcc := nJobs + len(inst.Res)
+	events := make([]event, 0, 2*nOcc)
+	for _, start := range []bool{false, true} {
+		for k := 0; k < nOcc; k++ {
+			t0, t1 := window(k)
+			switch {
+			case start:
+				events = append(events, event{t0, true, k})
+			case t1 != core.Infinity:
+				events = append(events, event{t1, false, k})
+			}
 		}
 	}
-	// The order among equal keys decides who gets which processors, so
-	// this comparator must keep saying exactly what it says.
-	slices.SortFunc(events, func(a, b event) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		// Frees before takes at equal time.
-		switch {
-		case !a.start && b.start:
-			return -1
-		case a.start && !b.start:
-			return 1
-		}
-		return 0
-	})
+	core.SortByKey(events, func(e event) uint64 { return core.SortKey(int64(e.at)) })
 
 	words := wordsFor(inst.M)
 	free := make([]uint64, words)
@@ -206,7 +210,7 @@ func sweep(s *core.Schedule) (held []uint64, err error) {
 		free[p/64] = ^uint64(0) >> max(0, p+64-inst.M)
 	}
 	nFree := inst.M
-	held = make([]uint64, (nJobs+len(inst.Res))*words)
+	held = make([]uint64, nOcc*words)
 	for _, ev := range events {
 		mine := held[ev.k*words : (ev.k+1)*words]
 		if !ev.start {
