@@ -38,46 +38,54 @@ var (
 // are unique, and the reservations alone never oversubscribe the m
 // processors (U(t) <= m for all t).
 func (in *Instance) Validate() error {
+	_, err := in.ValidUnavailability()
+	return err
+}
+
+// ValidUnavailability is Validate returning the U it builds for the last
+// check, so that a caller that needs U too builds it once.
+func (in *Instance) ValidUnavailability() (*StepFunc, error) {
 	if in.M < 1 {
-		return fmt.Errorf("%w: m=%d", ErrNoMachines, in.M)
+		return nil, fmt.Errorf("%w: m=%d", ErrNoMachines, in.M)
 	}
 	dup := firstDuplicate(len(in.Jobs), func(i int) int { return in.Jobs[i].ID })
 	for i, j := range in.Jobs {
 		if j.Procs < 1 || j.Procs > in.M {
-			return fmt.Errorf("%w: job %d needs %d of %d procs", ErrBadJob, j.ID, j.Procs, in.M)
+			return nil, fmt.Errorf("%w: job %d needs %d of %d procs", ErrBadJob, j.ID, j.Procs, in.M)
 		}
 		if j.Len <= 0 || j.Len == Infinity {
-			return fmt.Errorf("%w: job %d has duration %v", ErrBadJob, j.ID, j.Len)
+			return nil, fmt.Errorf("%w: job %d has duration %v", ErrBadJob, j.ID, j.Len)
 		}
 		if j.ID < 0 || i == dup {
-			return fmt.Errorf("%w: job id %d", ErrDuplicateID, j.ID)
+			return nil, fmt.Errorf("%w: job id %d", ErrDuplicateID, j.ID)
 		}
 	}
 	dup = firstDuplicate(len(in.Res), func(i int) int { return in.Res[i].ID })
 	for i, r := range in.Res {
 		if r.Procs < 1 || r.Procs > in.M {
-			return fmt.Errorf("%w: reservation %d holds %d of %d procs", ErrBadReservation, r.ID, r.Procs, in.M)
+			return nil, fmt.Errorf("%w: reservation %d holds %d of %d procs", ErrBadReservation, r.ID, r.Procs, in.M)
 		}
 		if r.Len <= 0 {
-			return fmt.Errorf("%w: reservation %d has duration %v", ErrBadReservation, r.ID, r.Len)
+			return nil, fmt.Errorf("%w: reservation %d has duration %v", ErrBadReservation, r.ID, r.Len)
 		}
 		if r.Start < 0 {
-			return fmt.Errorf("%w: reservation %d starts at %v", ErrBadReservation, r.ID, r.Start)
+			return nil, fmt.Errorf("%w: reservation %d starts at %v", ErrBadReservation, r.ID, r.Start)
 		}
 		// A finite window must end at or before the end of time; past it,
 		// Start+Len wraps to a negative End.
 		if r.Len != Infinity && r.Len > Infinity-r.Start {
-			return fmt.Errorf("%w: reservation %d ends past the end of time (start %v, duration %v)",
+			return nil, fmt.Errorf("%w: reservation %d ends past the end of time (start %v, duration %v)",
 				ErrBadReservation, r.ID, r.Start, r.Len)
 		}
 		if r.ID < 0 || i == dup {
-			return fmt.Errorf("%w: reservation id %d", ErrDuplicateID, r.ID)
+			return nil, fmt.Errorf("%w: reservation id %d", ErrDuplicateID, r.ID)
 		}
 	}
-	if u := UnavailabilityOf(in.Res); u.Max() > in.M {
-		return fmt.Errorf("%w: peak unavailability %d > m=%d", ErrResOverSubscribe, u.Max(), in.M)
+	u := UnavailabilityOf(in.Res)
+	if u.Max() > in.M {
+		return nil, fmt.Errorf("%w: peak unavailability %d > m=%d", ErrResOverSubscribe, u.Max(), in.M)
 	}
-	return nil
+	return u, nil
 }
 
 // firstDuplicate returns the position of the first id, in input order,

@@ -147,10 +147,7 @@ func IndexFromReservations(backend string, m int, res []core.Reservation) (Capac
 //     names the reservation;
 //   - U comes from core.UnavailabilityOf, whose 2r ends core.SortByKey
 //     sorts;
-//   - each nonzero segment of U is committed as one window, in time
-//     order, the last one endless when U never returns to 0; a segment
-//     above idx.M() is a wrapped ErrInsufficient that names the first
-//     over-subscribed instant.
+//   - CommitUnavailability commits it.
 //
 // The index is left holding what the reservations' commit replay would
 // leave (both backends keep one canonical form), without the breakpoints
@@ -165,7 +162,17 @@ func CommitReservations(idx CapacityIndex, res []core.Reservation) error {
 			return fmt.Errorf("profile: reservation %d: %w (start %v, duration %v)", r.ID, ErrBadWindow, r.Start, r.Len)
 		}
 	}
-	u := core.UnavailabilityOf(res)
+	return CommitUnavailability(idx, core.UnavailabilityOf(res))
+}
+
+// CommitUnavailability consumes on idx, a fresh index of constant capacity
+// idx.M(), an unavailability U: each nonzero segment of U is committed as
+// one window, in time order, the last one endless when U never returns to
+// 0. A segment above idx.M() is a wrapped ErrInsufficient that names the
+// first over-subscribed instant; on error idx holds part of U and is to be
+// dropped. It is CommitReservations' last step, for a caller that already
+// holds U, such as one that built it to validate an instance.
+func CommitUnavailability(idx CapacityIndex, u *core.StepFunc) error {
 	for i := 0; i < u.Len(); i++ {
 		start, end, v := u.Segment(i)
 		if v > idx.M() {

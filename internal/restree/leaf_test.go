@@ -1,6 +1,7 @@
 package restree
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -129,10 +130,13 @@ func TestLeafDrainAndRefill(t *testing.T) {
 }
 
 // TestLeafSplitsAtTheEdges commits disjoint windows in ascending order, so
-// that every new breakpoint lands in the last slot of the last leaf and a
-// split happens there, and in descending order, so that it lands right
-// behind the first slot of the first leaf; then releases them from either
-// end, which heals away leaves' first entries and drops emptied leaves.
+// that every new breakpoint lands past the last one of the last leaf and,
+// when that leaf is full, opens the next one, and in descending order, so
+// that it lands right behind the first slot of the first leaf, which lends
+// to the next leaf while that one has room and splits when it has none;
+// then releases them from either end, which heals away leaves' first
+// entries and drops emptied leaves. Both builds fill their leaves three
+// quarters and more, and the ascending one every leaf but the last.
 func TestLeafSplitsAtTheEdges(t *testing.T) {
 	const n = 6 * leafCap
 	ws := make([]window, n)
@@ -151,8 +155,13 @@ func TestLeafSplitsAtTheEdges(t *testing.T) {
 			p.commit(in(i))
 			p.same()
 		}
-		if len(p.tr.dir) < 2*n/leafCap {
+		if len(p.tr.dir) < 2*n/leafCap || p.tr.NumSegments() < leafCap*3/4*len(p.tr.dir) {
 			t.Fatalf("descending=%v: %d breakpoints in %d leaves", descending, 2*n, len(p.tr.dir))
+		}
+		for d, e := range p.tr.dir[:len(p.tr.dir)-1] {
+			if !descending && e.n != leafCap {
+				t.Fatalf("ascending: leaf %d of %d holds %d segments", d, len(p.tr.dir), e.n)
+			}
 		}
 		for i := 0; i < n/2; i++ { // the same end first, then the other
 			p.release(in(i))
@@ -174,12 +183,19 @@ func TestLeafSplitsAtTheEdges(t *testing.T) {
 // aggregates; where the leaf's first breakpoint was the end of a booking
 // of the same width, the commit heals it away — the leaf loses its first
 // entry and its directory key moves — and the release cuts it back in.
+// The bookings are committed in a seeded random order: in time order every
+// leaf would open at a booking's start, and no key would be an end.
 func TestLeafInfiniteTailAcrossLeaves(t *testing.T) {
 	const seed = 5
 	p := newPair(t, 8)
 	r := rng.New(seed)
-	for i := 0; i < 4*leafCap; i++ {
-		p.commit(window{s: core.Time(10*i + 5), d: core.Time(r.Intn(5) + 1), q: r.Intn(2) + 1})
+	ws := make([]window, 4*leafCap)
+	for i := range ws {
+		ws[i] = window{s: core.Time(10*i + 5), d: core.Time(r.Intn(5) + 1), q: r.Intn(2) + 1}
+	}
+	r.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+	for _, w := range ws {
+		p.commit(w)
 	}
 	p.same()
 	if len(p.tr.dir) < 6 {
@@ -273,6 +289,152 @@ func TestLeafBoundaryReads(t *testing.T) {
 					t.Fatalf("seed %d: FindSlot(%v,%d,40) = %v,%v, array %v,%v", seed, at, q, g, gok, w, wok)
 				}
 			}
+		}
+	}
+}
+
+// TestLeafFillRandomOrder books 10⁴ reservations at the admission
+// benchmark's density — m = 256, widths up to 64, 20 to 180 ticks, ready
+// times drawn so that about half the prefix is booked — through FindSlot in
+// random order. A full leaf lends to a neighbour before it splits, so the
+// leaves end three-quarters full or more, where splits alone leave them
+// ln 2 ≈ 0.69 full.
+func TestLeafFillRandomOrder(t *testing.T) {
+	const (
+		m    = 256
+		seed = 13
+		n    = 10_000
+		at   = 260_000
+	)
+	p := newPair(t, m)
+	r := rng.New(seed)
+	for i := 0; i < n; i++ {
+		w := window{d: core.Time(r.Intn(161) + 20), q: r.Intn(64) + 1}
+		w.s, _ = p.tl.FindSlot(core.Time(r.Intn(at)), w.q, w.d)
+		p.commit(w)
+	}
+	p.same()
+	if booked := 1 - float64(p.tl.FreeArea(0, at))/(m*at); booked < 0.45 {
+		t.Fatalf("seed %d: %.2f of the prefix booked, want about half", seed, booked)
+	}
+	if segs, leaves := p.tr.NumSegments(), len(p.tr.dir); 4*segs < 3*leafCap*leaves {
+		t.Fatalf("seed %d: %d segments in %d leaves, %.3f full; want 0.75", seed, segs, leaves, float64(segs)/float64(leafCap*leaves))
+	}
+}
+
+// TestLeafSweepBuildFillsLeaves builds trees from reservations with
+// profile.CommitReservations, which commits U's segments in time order:
+// every new breakpoint lies past the last one, so a full leaf opens the
+// next one, and every leaf but the last ends full. The reservations are
+// random windows, with gaps between them and without.
+func TestLeafSweepBuildFillsLeaves(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		var res []core.Reservation
+		for at := core.Time(0); len(res) < 2000; {
+			l := core.Time(r.Intn(50) + 1)
+			res = append(res, core.Reservation{ID: len(res), Procs: r.Intn(8) + 1, Start: at + core.Time(r.Intn(200)), Len: l})
+			if seed%2 == 0 {
+				at += core.Time(r.Intn(3)) // mostly overlapping
+			} else {
+				at += l + core.Time(r.Intn(2)) // back to back, or one tick apart
+			}
+		}
+		tr, err := FromReservations(1<<20, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkInvariants(t, tr)
+		if tl, _ := profile.FromReservations(1<<20, res); !sameSegments(tr, tl) {
+			t.Fatalf("seed %d: tree and timeline built different segments", seed)
+		}
+		if len(tr.dir) < 10 {
+			t.Fatalf("seed %d: %d segments in %d leaves, want ten leaves or more", seed, tr.NumSegments(), len(tr.dir))
+		}
+		for d, e := range tr.dir[:len(tr.dir)-1] {
+			if e.n != leafCap {
+				t.Fatalf("seed %d: leaf %d of %d holds %d segments", seed, d, len(tr.dir), e.n)
+			}
+		}
+	}
+}
+
+// TestLeafLend commits a window into a full leaf beside a neighbour with
+// room, and checks the tree after each lend: to the next leaf, whose key
+// moves back; to the previous one, when the next has no room, which moves
+// the full leaf's key forward; and near core.Infinity, where both
+// neighbours have room but a lend would leave a breakpoint out of its
+// leaf's reach, so the full leaf splits instead and no key moves.
+func TestLeafLend(t *testing.T) {
+	// ascending commits len windows [base+4i+1, base+4i+3): two breakpoints
+	// each, four ticks apart in pairs, with a free tick between.
+	ascending := func(p *pair, base core.Time, from, to int) {
+		for i := from; i < to; i++ {
+			p.commit(window{s: base + core.Time(4*i+1), d: 2, q: 1})
+		}
+	}
+	t.Run("right", func(t *testing.T) {
+		p := newPair(t, 8)
+		ascending(p, 0, 0, 53) // leaves of 64 and 43 segments
+		p.same()
+		key := p.tr.first[1]
+		p.commit(window{s: 4*10 + 3, d: 1, q: 1}) // one breakpoint, in leaf 0
+		p.same()
+		if len(p.tr.dir) != 2 || p.tr.first[1] >= key || p.tr.dir[1].n <= 43 {
+			t.Fatalf("no lend to the next leaf: keys %v, was %v", p.tr.first, key)
+		}
+	})
+	t.Run("left", func(t *testing.T) {
+		p := newPair(t, 8)
+		ascending(p, 0, 0, 63)
+		p.commit(window{s: 4*63 - 1, d: 1, q: 2}) // leaves of 64 and 64
+		for _, i := range []int{0, 1, 2} {
+			p.release(window{s: core.Time(4*i + 1), d: 2, q: 1}) // six free slots in leaf 0
+		}
+		p.same()
+		key, n0 := p.tr.first[1], p.tr.dir[0].n
+		p.commit(window{s: 4*40 + 3, d: 1, q: 1}) // one breakpoint, in leaf 1
+		p.same()
+		if len(p.tr.dir) != 2 || p.tr.first[1] <= key || p.tr.dir[0].n <= n0 {
+			t.Fatalf("no lend to the previous leaf: keys %v, was %v", p.tr.first, key)
+		}
+	})
+	t.Run("declined-out-of-reach", func(t *testing.T) {
+		p := newPair(t, 8)
+		base := core.Infinity - 1<<33
+		// A far leaf after the origin's, filled to 64 segments on top of an
+		// endless reservation, and one after it whose breakpoints span
+		// nearly all of its reach.
+		p.commit(window{s: base, d: core.Infinity, q: 1})
+		ascending(p, base, 0, 32)
+		next := p.tr.first[len(p.tr.first)-1]
+		p.commit(window{s: next + 1000, d: 1, q: 1})
+		p.commit(window{s: next + math.MaxUint32 - 20, d: 1, q: 1})
+		p.same()
+		if len(p.tr.dir) != 3 || p.tr.dir[1].n != leafCap || p.tr.dir[0].n > leafCap-lendMin || p.tr.dir[2].n > leafCap-lendMin {
+			t.Fatalf("want a full leaf between two with room: %v", p.tr.dir)
+		}
+		keys := append([]core.Time(nil), p.tr.first...)
+		p.commit(window{s: base + 4*10 + 3, d: 1, q: 1})
+		p.same()
+		if len(p.tr.dir) != 4 || p.tr.first[1] != keys[1] || p.tr.first[3] != keys[2] {
+			t.Fatalf("a lend was not declined: keys %v, were %v", p.tr.first, keys)
+		}
+	})
+}
+
+// TestLendSeeds pins what the committed FuzzTreeMatchesTimeline seeds of
+// these names are there for: lend-right lends to the next leaf, lend-left
+// to the previous one, and full-leaf-one-leaf-path splits a full leaf whose
+// neighbours have no room and then takes the one-leaf path there.
+func TestLendSeeds(t *testing.T) {
+	for name, ok := range map[string]func(events) bool{
+		"lend-right":              func(ev events) bool { return ev.lendRight > 0 && ev.fullLeaf > 0 },
+		"lend-left":               func(ev events) bool { return ev.lendLeft > 0 && ev.fullLeaf > 0 },
+		"full-leaf-one-leaf-path": func(ev events) bool { return ev.lendRight+ev.lendLeft == 0 && ev.fullLeaf > 0 },
+	} {
+		if _, ev := replayOps(t, seedOps(t, "FuzzTreeMatchesTimeline", name), 0); !ok(ev) {
+			t.Errorf("%s: %+v", name, ev)
 		}
 	}
 }

@@ -21,12 +21,11 @@
 // offsets. A split and a heal at slot 0 move a key forward, which only
 // shrinks offsets. A new breakpoint farther than that from its leaf's key
 // comes after all of the leaf's breakpoints, and it opens a one-segment
-// leaf of its own (the one-leaf path below falls back to the slow one for
-// it). Two neighbours that would fit in half a leaf are not merged when
-// the later one's last breakpoint lies out of the earlier one's reach: the
-// merge is declined. A leaf spans about 800 ticks at the admission
-// benchmark's density, far inside that reach; the rule is what keeps
-// instants near core.Infinity exact.
+// leaf of its own. A lend to the next leaf moves that leaf's key back, and
+// a lend or a merge into the previous leaf puts breakpoints under its key:
+// either is declined when a breakpoint would fall out of reach. A leaf
+// spans about 900 ticks at the admission benchmark's density, far inside
+// that reach; the rule is what keeps instants near core.Infinity exact.
 //
 // Why leaves rather than a node per segment: at 10⁵ reservations a binary
 // tree is 10⁵ nodes reached by pointer-chasing, a mutation is four
@@ -43,15 +42,23 @@
 //     open, one with no blocking segment while it is set — O(b/64 + log n)
 //     for a run of b blocking segments, plus the leaves it has to read;
 //   - a mutation (Commit/Release) finds its window once, and when the
-//     window and both its neighbours sit in one leaf with two slots to
-//     spare — about six times in seven at the benchmark's density —
-//     inserts, adds and removes there: a few short moves, and min/max
-//     recomputed only when the old extreme was touched. Windows that span
-//     leaves, fill one or merge across a boundary take the slower
-//     cut / add / heal path, where a full leaf splits in halves, an emptied
-//     one is dropped and one that fits with a neighbour in half a leaf is
-//     absorbed. A split or a drop moves the directory's tail, O(n/64)
-//     with a memmove's constant.
+//     window and both its neighbours sit in one leaf — about eleven times
+//     in twelve at the benchmark's density — inserts, adds and removes
+//     there: a few short moves, and min/max recomputed only when the old
+//     extreme was touched. Windows that span leaves or merge across a
+//     boundary take the slower cut / add / heal path, where an emptied
+//     leaf is dropped and one that fits with a neighbour in half a leaf is
+//     absorbed. A split, an opened leaf or a drop moves the directory's
+//     tail, O(n/64) with a memmove's constant.
+//
+// A leaf with no slot for a new breakpoint makes room on either path
+// (makeRoom): it lends segments to a neighbour with room, opens the next
+// leaf at a breakpoint past its last one, or else splits in halves. The
+// lend is what keeps a random-order book's leaves about four-fifths full
+// as built and three-quarters after a million cancel/admit cycles at the
+// admission benchmark's density, where splits alone settle at ln 2 ≈ 0.69
+// and then drift to a half; the opened leaf is what keeps a time-ordered
+// build's leaves full.
 //
 // The finger is the segment holding the start of the last Commit or
 // Release that took the one-leaf path, or the origin's after one that did
@@ -80,13 +87,12 @@
 // A tree is built from reservations (FromReservations, and
 // profile.IndexFromReservations on this backend) by
 // profile.CommitReservations: one Commit per nonzero segment of the
-// unavailability U, in time order. Each lands at the tail, so the tree
-// holds only the breakpoints it ends with, in leaves a tail split leaves
-// half full: the 24 booked trees of the benchmark's lsrc-batch are 152
-// leaves in an arena of 192, where replaying their reservations one by
-// one in input order left 165 in an arena of 296. A resd shard's
-// recovery still commits its records one by one: their random order packs
-// a large book's leaves tighter than appends at the tail do.
+// unavailability U, in time order. Each lands past the last breakpoint,
+// so the tree holds only the breakpoints it ends with and every leaf but
+// the last is full: the 24 booked trees of the benchmark's lsrc-batch are
+// 95 leaves in an arena of 104. A resd shard's recovery still commits its
+// records one by one, in id order, which is random in time: lends keep
+// those leaves about four-fifths full.
 //
 // The package registers itself with the profile backend registry under the
 // name "tree": the service's index (resd.Config.Backend "") and the
@@ -108,9 +114,14 @@ func init() {
 	profile.RegisterBackend("tree", func(m int) profile.CapacityIndex { return New(m) })
 }
 
-// leafCap is the number of segments a leaf holds; half of it is where a full
-// leaf splits and the size up to which two neighbours are merged.
+// leafCap is the number of segments a leaf holds; half of it is the size
+// up to which two neighbours are merged.
 const leafCap = 64
+
+// lendMin is the fewest free slots a neighbour needs before a leaf with no
+// room lends it segments. It takes half of them, so that afterwards both
+// leaves have two slots free: room for a window's two new breakpoints.
+const lendMin = 4
 
 // leaf is a run of consecutive segments: segment k of the leaf at directory
 // position d starts at first[d]+off[k] (off[0] == 0), has avail[k]
@@ -431,17 +442,67 @@ func (t *Tree) link(d int, key core.Time, e entry) {
 	t.dir = slices.Insert(t.dir, d, e)
 }
 
-// split moves the upper half of the full leaf d to a new leaf at d+1.
-func (t *Tree) split(d int) {
-	const half = leafCap / 2
-	r := t.alloc()
-	lo, hi := &t.leaves[t.dir[d].leaf], &t.leaves[r]
-	copy(hi.off[:], lo.off[half:])
-	copy(hi.avail[:], lo.avail[half:])
-	t.dir[d].n = half
-	t.link(d+1, t.first[d]+hi.rebase(leafCap-half), entry{leaf: r, n: leafCap - half})
+// moveRight moves the last c segments of leaf d to the front of leaf d+1,
+// which has room for them, and moves d+1's key back to the first of them.
+// It is declined, and reports false, when d+1's last breakpoint would lie
+// out of reach of that key.
+func (t *Tree) moveRight(d, c int) bool {
+	a, b := &t.dir[d], &t.dir[d+1]
+	la, lb := &t.leaves[a.leaf], &t.leaves[b.leaf]
+	from, n := int(a.n)-c, int(b.n)
+	key := t.start(d, la, from)
+	by := t.first[d+1] - key
+	if n > 0 && by+core.Time(lb.off[n-1]) > math.MaxUint32 {
+		return false
+	}
+	copy(lb.off[c:c+n], lb.off[:n])
+	copy(lb.avail[c:c+n], lb.avail[:n])
+	for k := c; k < c+n; k++ {
+		lb.off[k] += uint32(by)
+	}
+	for k := range c {
+		lb.off[k] = la.off[from+k] - la.off[from]
+	}
+	copy(lb.avail[:c], la.avail[from:a.n])
+	t.first[d+1] = key
+	a.n, b.n = int32(from), int32(c+n)
 	t.rescan(d)
 	t.rescan(d + 1)
+	return true
+}
+
+// moveLeft moves the first c segments of leaf d+1 to the end of leaf d,
+// which has room for them, and moves d+1's key forward to its new first
+// start unless it is left empty. It is declined, and reports false, when
+// the last of them would lie out of reach of d's key.
+func (t *Tree) moveLeft(d, c int) bool {
+	a, b := &t.dir[d], &t.dir[d+1]
+	la, lb := &t.leaves[a.leaf], &t.leaves[b.leaf]
+	by := t.first[d+1] - t.first[d]
+	if by+core.Time(lb.off[c-1]) > math.MaxUint32 {
+		return false
+	}
+	for k, off := range lb.off[:c] {
+		la.off[int(a.n)+k] = uint32(by) + off
+	}
+	copy(la.avail[a.n:], lb.avail[:c])
+	a.n += int32(c)
+	t.rescan(d)
+	if b.n -= int32(c); b.n > 0 {
+		copy(lb.off[:], lb.off[c:c+int(b.n)])
+		copy(lb.avail[:], lb.avail[c:c+int(b.n)])
+		t.first[d+1] += lb.rebase(int(b.n))
+		t.rescan(d + 1)
+	}
+	return true
+}
+
+// split moves the upper half of leaf d to a new leaf after it, whose key
+// moveRight sets.
+func (t *Tree) split(d int) {
+	r := t.alloc()
+	t.link(d+1, 0, entry{leaf: r})
+	t.moveRight(d, int(t.dir[d].n)/2)
 }
 
 // drop takes leaf d (d > 0) out of the directory and frees it.
@@ -452,68 +513,87 @@ func (t *Tree) drop(d int) {
 	t.dir = slices.Delete(t.dir, d, d+1)
 }
 
-// absorb merges leaf d with a neighbour if the two fit in half a leaf, so
-// that what a split made cannot be unmade by the next release. A merge
-// whose offsets would not fit is declined.
+// absorb merges leaf d into the previous one, or the next one into it, if
+// the two fit in half a leaf, so that what a split made cannot be unmade
+// by the next release. A merge that would leave a breakpoint out of reach
+// of the earlier leaf's key is declined.
 func (t *Tree) absorb(d int) {
-	if !t.mergeable(d) {
-		if d--; d < 0 || !t.mergeable(d) {
+	for a := d; a >= d-1 && a >= 0; a-- {
+		if a+1 < len(t.dir) && t.dir[a].n+t.dir[a+1].n <= leafCap/2 && t.moveLeft(a, int(t.dir[a+1].n)) {
+			t.drop(a + 1)
 			return
 		}
 	}
-	a, b := &t.dir[d], &t.dir[d+1]
-	la, lb := &t.leaves[a.leaf], &t.leaves[b.leaf]
-	by := uint32(t.first[d+1] - t.first[d])
-	for k, off := range lb.off[:b.n] {
-		la.off[int(a.n)+k] = by + off
-	}
-	copy(la.avail[a.n:], lb.avail[:b.n])
-	a.n, a.mn, a.mx = a.n+b.n, min(a.mn, b.mn), max(a.mx, b.mx)
-	t.drop(d + 1)
 }
 
-// mergeable reports whether leaf d and the next one fit in half a leaf,
-// with the next one's last breakpoint within reach of d's key.
-func (t *Tree) mergeable(d int) bool {
-	if d+1 == len(t.dir) || t.dir[d].n+t.dir[d+1].n > leafCap/2 {
+// makeRoom is what a mutation does when leaf d has no slot for a new
+// breakpoint at at, which lies inside one of its segments: when the leaf
+// is too full for it, or when at lies out of reach of the leaf's key, and
+// so past all of its breakpoints. It tries, in this order, to
+//
+//   - lend: move half of a neighbour's free slots' worth of the leaf's
+//     segments across, to the next leaf if that one has lendMin free, else
+//     to the previous one, unless a breakpoint would fall out of reach;
+//   - open a leaf at at, holding the rest of the segment at lies in, when
+//     at lies past the leaf's last breakpoint;
+//   - split the leaf in halves.
+//
+// A lend keeps the leaves around a random-order book about four-fifths
+// full where splits alone leave them ln 2 full, and the leaf opened at the
+// tail keeps a time-ordered build's leaves full. makeRoom reports whether
+// it made at a breakpoint itself, which only the second step does; the
+// caller locates at again.
+func (t *Tree) makeRoom(d int, at core.Time) bool {
+	if _, ok := t.offset(d, at); ok {
+		if d+1 < len(t.dir) {
+			if free := leafCap - int(t.dir[d+1].n); free >= lendMin && t.moveRight(d, free/2) {
+				return false
+			}
+		}
+		if d > 0 {
+			if free := leafCap - int(t.dir[d-1].n); free >= lendMin && t.moveLeft(d-1, free/2) {
+				return false
+			}
+		}
+	}
+	e := &t.dir[d]
+	l := &t.leaves[e.leaf]
+	if at < t.start(d, l, int(e.n)-1) {
+		t.split(d)
 		return false
 	}
-	b := &t.dir[d+1]
-	_, ok := t.offset(d, t.start(d+1, &t.leaves[b.leaf], int(b.n)-1))
-	return ok
+	avail := l.avail[e.n-1]
+	r := t.alloc()
+	t.leaves[r].off[0], t.leaves[r].avail[0] = 0, avail
+	t.link(d+1, at, entry{leaf: r, n: 1, mn: avail, mx: avail})
+	t.size++
+	return true
 }
 
 // cut makes at a breakpoint, splitting the segment it falls in; Infinity
 // never is one. A new breakpoint lies inside a segment of its leaf, so it
-// never lands in slot 0 and no directory key changes — unless it lies
-// beyond the reach of its leaf's offsets. Then it comes after all of the
-// leaf's breakpoints, and it becomes the key of a new one-segment leaf
-// right after it.
+// never lands in slot 0 and no directory key changes — unless makeRoom
+// has to make room for it first.
 func (t *Tree) cut(at core.Time) {
 	if at == core.Infinity {
 		return
 	}
-	d, e, l, k := t.locate(at)
-	off, ok := t.offset(d, at)
-	if !ok {
-		avail := l.avail[k]
-		r := t.alloc()
-		t.leaves[r].off[0], t.leaves[r].avail[0] = 0, avail
-		t.link(d+1, at, entry{leaf: r, n: 1, mn: avail, mx: avail})
-		t.size++
-		return
+	for {
+		d, e, l, k := t.locate(at)
+		off, ok := t.offset(d, at)
+		if ok && l.off[k] == off {
+			return
+		}
+		if ok && e.n < leafCap {
+			l.insert(int(e.n), k+1, off, l.avail[k])
+			e.n++
+			t.size++
+			return
+		}
+		if t.makeRoom(d, at) {
+			return
+		}
 	}
-	if l.off[k] == off {
-		return
-	}
-	if e.n == leafCap {
-		t.split(d)
-		d, e, l, k = t.locate(at)
-		off, _ = t.offset(d, at)
-	}
-	l.insert(int(e.n), k+1, off, l.avail[k])
-	e.n++
-	t.size++
 }
 
 // heal removes the breakpoint at if the capacity is the same on both sides,
@@ -559,98 +639,129 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 		// any mutation rather than split on an inverted window.
 		return profile.ErrBadWindow
 	}
-	// Find the window once: k0 is the segment containing start, k1 the last
-	// one of its leaf starting before end, next where the one after k1
-	// starts. The window goes on into later leaves unless next >= end.
-	d, e, l, k0 := t.locate(start)
-	n, k1 := int(e.n), k0
-	mn, mx := l.avail[k0], l.avail[k0]
-	for re := end - t.first[d]; k1+1 < n && core.Time(l.off[k1+1]) < re; {
-		k1++
-		mn, mx = min(mn, l.avail[k1]), max(mx, l.avail[k1])
-	}
-	next := t.leafEnd(d)
-	if k1+1 < n {
-		next = t.start(d, l, k1+1)
-	}
-	within := next >= end
-	if !within {
-		mn, mx = t.extentFrom(d+1, end, mn, mx)
-	}
-	if deltaQ < 0 && int(mn) < -deltaQ {
-		return fmt.Errorf("%w: need %d on [%v,%v), min available %d",
-			profile.ErrInsufficient, -deltaQ, start, end, mn)
-	}
-	if deltaQ > 0 && int(mx)+deltaQ > t.m {
-		return fmt.Errorf("%w: releasing %d would exceed m=%d",
-			profile.ErrOverRelease, deltaQ, t.m)
-	}
-	// A uniform delta over [start, end) leaves interior neighbours
-	// different, so only the two boundaries can appear or merge.
 	delta := int32(deltaQ)
-	cutStart, cutEnd := t.start(d, l, k0) < start, next > end
-	offStart, startFits := t.offset(d, start)
-	offEnd, endFits := t.offset(d, end)
-	// The one-leaf path needs the window, the segment before a breakpoint
-	// at start and the segment at a breakpoint at end all in this leaf, and
-	// room for two new breakpoints within reach of its key.
-	if !within || n > leafCap-2 || (k0 == 0 && d > 0 && !cutStart) ||
-		(k1+1 == n && end != core.Infinity && !cutEnd) ||
-		(cutStart && !startFits) || (cutEnd && !endFits) {
-		// Splits, drops and merges move slots and leaves under the finger;
-		// leaf 0's slot 0 is live throughout, as leaf 0 is never dropped.
-		t.fin.d, t.fin.k = 0, 0
-		t.cut(end)
-		t.cut(start)
-		t.addRange(start, end, delta)
-		t.heal(end)
-		t.heal(start)
+	// opened is a breakpoint makeRoom made as the key of a leaf of its own.
+	// The delta leaves its two sides different, so it needs no merge check
+	// across the leaf boundary.
+	opened := core.Time(-1)
+	for {
+		// Find the window: k0 is the segment containing start, k1 the last
+		// one of its leaf starting before end, next where the one after k1
+		// starts. The window goes on into later leaves unless next >= end.
+		d, e, l, k0 := t.locate(start)
+		n, k1 := int(e.n), k0
+		mn, mx := l.avail[k0], l.avail[k0]
+		for re := end - t.first[d]; k1+1 < n && core.Time(l.off[k1+1]) < re; {
+			k1++
+			mn, mx = min(mn, l.avail[k1]), max(mx, l.avail[k1])
+		}
+		next := t.leafEnd(d)
+		if k1+1 < n {
+			next = t.start(d, l, k1+1)
+		}
+		within := next >= end
+		if !within {
+			mn, mx = t.extentFrom(d+1, end, mn, mx)
+		}
+		if deltaQ < 0 && int(mn) < -deltaQ {
+			return fmt.Errorf("%w: need %d on [%v,%v), min available %d",
+				profile.ErrInsufficient, -deltaQ, start, end, mn)
+		}
+		if deltaQ > 0 && int(mx)+deltaQ > t.m {
+			return fmt.Errorf("%w: releasing %d would exceed m=%d",
+				profile.ErrOverRelease, deltaQ, t.m)
+		}
+		// A uniform delta over [start, end) leaves interior neighbours
+		// different, so only the two boundaries can appear or merge. The
+		// one-leaf path needs the window, the segment before a breakpoint
+		// at start and the segment at a breakpoint at end all in this leaf.
+		cutStart, cutEnd := t.start(d, l, k0) < start, next > end
+		if !within || (k0 == 0 && d > 0 && !cutStart && start != opened) ||
+			(k1+1 == n && end != core.Infinity && !cutEnd && end != opened) {
+			// Splits, drops and merges move slots and leaves under the
+			// finger; leaf 0's slot 0 is live throughout, as leaf 0 is never
+			// dropped.
+			t.fin.d, t.fin.k = 0, 0
+			t.cut(end)
+			t.cut(start)
+			t.addRange(start, end, delta)
+			t.heal(end)
+			t.heal(start)
+			return nil
+		}
+		// It also needs a slot within reach of the leaf's key for each new
+		// breakpoint. makeRoom makes room for one, and the window is found
+		// again: first for a breakpoint out of reach, the later first as
+		// the slow path cuts them, then for the first one the leaf has no
+		// slot for. So a window that starts past a full leaf's last
+		// breakpoint opens the next leaf at its start and ends in it, and
+		// one that starts in the last free slot opens it at its end: a
+		// time-ordered build leaves its leaves full.
+		offStart, startFits := t.offset(d, start)
+		offEnd, endFits := t.offset(d, end)
+		at := core.Time(-1)
+		switch free := leafCap - n; {
+		case cutEnd && !endFits:
+			at = end
+		case cutStart && !startFits:
+			at = start
+		case cutStart && free == 0:
+			at = start
+		case cutEnd && (free == 0 || cutStart && free == 1):
+			at = end
+		}
+		if at >= 0 {
+			t.fin.d, t.fin.k = 0, 0
+			if t.makeRoom(d, at) {
+				opened = at
+			}
+			continue
+		}
+		// The end first, while k1 still names the segment before it; then the
+		// start, the delta, and the one merge the start can need.
+		if cutEnd {
+			l.insert(n, k1+1, offEnd, l.avail[k1])
+			n++
+		} else if k1+1 < n && l.avail[k1]+delta == l.avail[k1+1] {
+			l.remove(n, k1+1)
+			n--
+		}
+		if cutStart {
+			l.insert(n, k0+1, offStart, l.avail[k0])
+			n, k0, k1 = n+1, k0+1, k1+1
+		}
+		for k := k0; k <= k1; k++ {
+			l.avail[k] += delta
+		}
+		if k0 > 0 && l.avail[k0] == l.avail[k0-1] {
+			l.remove(n, k0)
+			n, k0 = n-1, k0-1
+		}
+		t.fin.d, t.fin.k = int32(d), int32(k0) // the segment holding start
+		t.size += n - int(e.n)
+		shrunk := n < int(e.n)
+		e.n = int32(n)
+		// Every value that left the window moved by delta towards one extreme,
+		// and a removed slot's value lives on in its neighbour: the extreme on
+		// that side is a min/max away, the other needs a look only if the
+		// window held it.
+		if delta < 0 {
+			e.mn = min(e.mn, mn+delta)
+			if mx == e.mx {
+				e.mx = slices.Max(l.avail[:n])
+			}
+		} else {
+			e.mx = max(e.mx, mx+delta)
+			if mn == e.mn {
+				e.mn = slices.Min(l.avail[:n])
+			}
+		}
+		if shrunk && n <= leafCap/2 {
+			t.fin.d, t.fin.k = 0, 0 // absorb may fold leaf d into d-1
+			t.absorb(d)
+		}
 		return nil
 	}
-	// The end first, while k1 still names the segment before it; then the
-	// start, the delta, and the one merge the start can need.
-	if cutEnd {
-		l.insert(n, k1+1, offEnd, l.avail[k1])
-		n++
-	} else if k1+1 < n && l.avail[k1]+delta == l.avail[k1+1] {
-		l.remove(n, k1+1)
-		n--
-	}
-	if cutStart {
-		l.insert(n, k0+1, offStart, l.avail[k0])
-		n, k0, k1 = n+1, k0+1, k1+1
-	}
-	for k := k0; k <= k1; k++ {
-		l.avail[k] += delta
-	}
-	if k0 > 0 && l.avail[k0] == l.avail[k0-1] {
-		l.remove(n, k0)
-		n, k0 = n-1, k0-1
-	}
-	t.fin.d, t.fin.k = int32(d), int32(k0) // the segment holding start
-	t.size += n - int(e.n)
-	shrunk := n < int(e.n)
-	e.n = int32(n)
-	// Every value that left the window moved by delta towards one extreme,
-	// and a removed slot's value lives on in its neighbour: the extreme on
-	// that side is a min/max away, the other needs a look only if the
-	// window held it.
-	if delta < 0 {
-		e.mn = min(e.mn, mn+delta)
-		if mx == e.mx {
-			e.mx = slices.Max(l.avail[:n])
-		}
-	} else {
-		e.mx = max(e.mx, mx+delta)
-		if mn == e.mn {
-			e.mn = slices.Min(l.avail[:n])
-		}
-	}
-	if shrunk && n <= leafCap/2 {
-		t.fin.d, t.fin.k = 0, 0 // absorb may fold leaf d into d-1
-		t.absorb(d)
-	}
-	return nil
 }
 
 // addRange adds delta to every segment starting in [lo, hi); lo is a

@@ -9,12 +9,15 @@ import (
 	"repro/internal/rng"
 )
 
-// events counts what mutations did where a leaf's offsets run out: far
-// counts those that opened a leaf at a breakpoint beyond the reach of its
-// leaf's key, declined those after which a leaf that lost segments sits
-// beside a neighbour it fits with in half a leaf but cannot reach, the
-// merge absorb declines.
-type events struct{ far, declined int }
+// events counts what mutations did where a leaf runs out of room or of
+// reach. far counts those that opened a leaf at a breakpoint beyond the
+// reach of its leaf's key; declined those after which a leaf that lost
+// segments sits beside a neighbour it fits with in half a leaf but cannot
+// reach, the merge absorb declines. lendRight and lendLeft count those that
+// moved segments of a leaf to the next or the previous one that was there
+// before; fullLeaf those that needed a new breakpoint in a full leaf
+// holding their whole window and took the one-leaf path there.
+type events struct{ far, declined, lendRight, lendLeft, fullLeaf int }
 
 // mutate runs do, a commit or release of [s, end) on tr, and counts what it
 // did. A cut at a far breakpoint is the first thing the slow path does, so
@@ -28,10 +31,15 @@ func (ev *events) mutate(t *testing.T, tr *Tree, s, end core.Time, do func() err
 	} else if farCut(tr, s) {
 		opens = s
 	}
+	// Per arena index: segments in use (0 for a leaf not in use) and key.
 	before := make([]int32, len(tr.leaves))
-	for _, e := range tr.dir {
-		before[e.leaf] = e.n
+	key := make([]core.Time, len(tr.leaves))
+	for d, e := range tr.dir {
+		before[e.leaf], key[e.leaf] = e.n, tr.first[d]
 	}
+	d := lastLE(tr.first, s)
+	full := tr.dir[d].n == leafCap && end <= tr.leafEnd(d) &&
+		(!isBreakpoint(tr, s) || (end != core.Infinity && !isBreakpoint(tr, end)))
 	if err := do(); err != nil {
 		return err
 	}
@@ -44,7 +52,36 @@ func (ev *events) mutate(t *testing.T, tr *Tree, s, end core.Time, do func() err
 	if declined(tr, before) {
 		ev.declined++
 	}
+	// The slow path leaves the finger at the origin, the one-leaf path on
+	// the segment holding s.
+	if fd, fk := int(tr.fin.d), int(tr.fin.k); full && (fd > 0 || fk > 0) &&
+		tr.start(fd, &tr.leaves[tr.dir[fd].leaf], fk) <= s {
+		ev.fullLeaf++
+	}
+	// Only a lend moves a key back, and only a lend to the previous leaf
+	// moves one forward while that leaf gains two segments or more.
+	var right, left bool
+	live := func(i int32) bool { return int(i) < len(before) && before[i] > 0 }
+	for d := 1; d < len(tr.dir); d++ {
+		i, p := tr.dir[d].leaf, tr.dir[d-1].leaf
+		right = right || live(i) && tr.first[d] < key[i]
+		left = left || live(i) && tr.first[d] > key[i] && live(p) && tr.dir[d-1].n >= before[p]+2
+	}
+	if right {
+		ev.lendRight++
+	}
+	if left {
+		ev.lendLeft++
+	}
 	return nil
+}
+
+// isBreakpoint reports whether a segment starts at at.
+func isBreakpoint(tr *Tree, at core.Time) bool {
+	d := lastLE(tr.first, at)
+	e := tr.dir[d]
+	l := &tr.leaves[e.leaf]
+	return tr.first[d]+core.Time(l.off[lastLE(l.off[:e.n], at-tr.first[d])]) == at
 }
 
 // farCut reports whether making at a breakpoint opens a leaf: at lies more
@@ -143,7 +180,7 @@ func TestDifferentialWideTimes(t *testing.T) {
 	if tr.NumSegments() != 1 || len(tr.dir) != 1 {
 		t.Fatalf("seed %d: released everything, left with %v in %d leaves", seed, tr, len(tr.dir))
 	}
-	t.Logf("seed %d: %d mutations opened a leaf at a far breakpoint, %d ended beside a declined merge", seed, ev.far, ev.declined)
+	t.Logf("seed %d: %+v", seed, ev)
 	if ev.far == 0 || ev.declined == 0 {
 		t.Fatalf("seed %d: far opens %d, declined merges %d; want both", seed, ev.far, ev.declined)
 	}

@@ -52,11 +52,13 @@ var (
 )
 
 // prep validates the instance and builds the initial availability index
-// (m minus reservations, by profile.CommitReservations) on the named
-// capacity backend ("" selects the default array Timeline; "tree" selects
-// the restree leaf index — identical results, different asymptotics).
+// (m minus reservations: the U validation built, committed by
+// profile.CommitUnavailability) on the named capacity backend ("" selects
+// the default array Timeline; "tree" selects the restree leaf index —
+// identical results, different asymptotics).
 func prep(inst *core.Instance, backend string) (profile.CapacityIndex, error) {
-	if err := inst.Validate(); err != nil {
+	u, err := inst.ValidUnavailability()
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	// A bad backend name is a configuration error, not an instance error:
@@ -65,7 +67,7 @@ func prep(inst *core.Instance, backend string) (profile.CapacityIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	if err := profile.CommitReservations(tl, inst.Res); err != nil {
+	if err := profile.CommitUnavailability(tl, u); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	return tl, nil

@@ -1,6 +1,9 @@
 package verify
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -75,6 +78,17 @@ func TestCheckMatchesTickOracle(t *testing.T) {
 			}
 		} else if err == nil {
 			t.Fatalf("trial %d: infeasible schedule got an assignment", trial)
+		}
+		// Verify, which runs the sweep alone, fails exactly when Check
+		// does and names Check's first over-subscribed instant.
+		err = Verify(s)
+		if feasible != (err == nil) || (err != nil && !errors.Is(err, ErrInfeasible)) {
+			t.Fatalf("trial %d: Check says feasible=%v, Verify says %v", trial, feasible, err)
+		}
+		if !feasible && violations[0].Kind == VOverCapacity {
+			if at := fmt.Sprintf("at t=%v", violations[0].At); !strings.Contains(err.Error(), at) {
+				t.Fatalf("trial %d: Verify's %q does not name the first over-subscribed instant (%s)", trial, err, at)
+			}
 		}
 	}
 }

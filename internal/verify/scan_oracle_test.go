@@ -148,6 +148,32 @@ func TestAssignProcessorsMatchesScanOnLSRC(t *testing.T) {
 	}
 }
 
+// BenchmarkVerify verifies one LSRC schedule of an lsrc-batch instance:
+// 600 jobs and 20 reservations on 512 processors.
+func BenchmarkVerify(b *testing.B) {
+	alg, err := sched.ByName("lsrc-lpt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	inst, err := workload.SyntheticInstance(r.Split(), workload.SynthConfig{M: 512, N: 600, MaxWidthFrac: 0.5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst.Res = workload.ReservationStream(r.Split(), 512, 0.5, 20, 200000)
+	s, err := alg.Schedule(inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // scanCases are constructed schedules around the sweep's edges: ties of
 // ends and starts, reservations that never end, overloads, and machine
 // sizes on either side of the bitset's 64-bit words.

@@ -7,17 +7,18 @@
 // non-contiguous, an aggregate capacity check is equivalent to the existence
 // of a concrete processor assignment: job executions are time intervals, the
 // interval graph they induce is perfect, and its chromatic number equals the
-// peak overlap. AssignProcessors constructs such an assignment greedily and
-// Verify double-checks the two views against each other.
+// peak overlap. AssignProcessors constructs such an assignment greedily;
+// Verify's capacity check is that construction, and Check reads the
+// aggregate usage curve.
 //
 // The greedy sweep keeps the free processors as one bitset of m bits and
 // what each job and reservation holds as another, so an interval start or
 // end costs m/64 words. Its events are in one total order — time, then
 // frees before takes, then occupation index — laid out so that a stable
 // radix sort on the time alone (core.SortByKey) gives it; Check's usage
-// curve is built on the same kernel. Verify runs the sweep and builds no
-// per-processor lists; AssignProcessors builds them from the bitsets for
-// its callers.
+// curve is built on the same kernel. Verify runs the sweep as its capacity
+// check and builds no per-processor lists; AssignProcessors builds them
+// from the bitsets for its callers.
 package verify
 
 import (
@@ -73,17 +74,7 @@ var ErrInfeasible = errors.New("verify: schedule infeasible")
 // Check returns all violations of the schedule (empty means feasible and
 // complete).
 func Check(s *core.Schedule) []Violation {
-	var out []Violation
-	for i, t := range s.Start {
-		switch {
-		case t == core.Unscheduled:
-			out = append(out, Violation{Kind: VUnscheduled, JobIdx: i,
-				Detail: fmt.Sprintf("job %d has no start time", s.Inst.Jobs[i].ID)})
-		case t < 0:
-			out = append(out, Violation{Kind: VNegativeStart, JobIdx: i, At: t,
-				Detail: fmt.Sprintf("job %d starts at %v", s.Inst.Jobs[i].ID, t)})
-		}
-	}
+	out := jobViolations(s)
 	usage := s.TotalUsage()
 	for i := 0; i < usage.Len(); i++ {
 		start, _, v := usage.Segment(i)
@@ -95,18 +86,35 @@ func Check(s *core.Schedule) []Violation {
 	return out
 }
 
+// jobViolations returns the violations of single jobs: no start time, or a
+// start before 0.
+func jobViolations(s *core.Schedule) []Violation {
+	var out []Violation
+	for i, t := range s.Start {
+		switch {
+		case t == core.Unscheduled:
+			out = append(out, Violation{Kind: VUnscheduled, JobIdx: i,
+				Detail: fmt.Sprintf("job %d has no start time", s.Inst.Jobs[i].ID)})
+		case t < 0:
+			out = append(out, Violation{Kind: VNegativeStart, JobIdx: i, At: t,
+				Detail: fmt.Sprintf("job %d starts at %v", s.Inst.Jobs[i].ID, t)})
+		}
+	}
+	return out
+}
+
 // Verify returns nil when the schedule is complete and feasible, and a
-// descriptive error (wrapping ErrInfeasible) otherwise. It additionally
-// cross-checks the aggregate capacity view by constructing a concrete
-// processor assignment.
+// descriptive error (wrapping ErrInfeasible) otherwise. After the per-job
+// checks it runs the processor-assignment sweep alone, which is the
+// capacity check too: its error names the first instant where usage
+// exceeds m, the first start that finds too few processors free. So the
+// interval ends are sorted once.
 func Verify(s *core.Schedule) error {
-	if vs := Check(s); len(vs) > 0 {
+	if vs := jobViolations(s); len(vs) > 0 {
 		return fmt.Errorf("%w: %d violation(s), first: %s", ErrInfeasible, len(vs), vs[0].Detail)
 	}
-	if _, err := sweep(s); err != nil {
-		return fmt.Errorf("%w: capacity check passed but assignment failed: %v", ErrInfeasible, err)
-	}
-	return nil
+	_, err := sweep(s)
+	return err
 }
 
 // Assignment maps every job and reservation of a schedule to the concrete
