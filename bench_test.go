@@ -255,7 +255,7 @@ func earliestFitCommitLoop(tb testing.TB, idx profile.CapacityIndex, r *rng.PCG,
 }
 
 // BenchmarkCapacityIndex compares the two backends on the hot scheduling
-// loop — EarliestFit + Commit + Release — at growing reservation counts.
+// loop — FindSlot + Commit + Release — at growing reservation counts.
 // The array backend pays O(n) per op (linear slot scans, mid-array
 // memmoves); the tree backend pays two binary searches, an edit inside one
 // 64-slot leaf and the leaves an earliest-fit cannot step over, which is

@@ -17,10 +17,11 @@ import (
 //     fine for the paper's hand-built instances.
 //   - "tree" — the leaf index in internal/restree: segments in flat
 //     64-slot leaves under a sorted directory that knows each leaf's min
-//     and max. A mutation edits one leaf, admission and earliest-fit step
-//     over whole leaves, nothing is allocated in steady state; it is the
-//     array's equal on the smallest instances and ahead from there on
-//     (profile.go has the measured ratios).
+//     and max. A mutation edits its window in place whatever leaves it
+//     spans, admission and earliest-fit step over whole leaves, nothing is
+//     allocated in steady state; it is the array's equal on the smallest
+//     instances and ahead from there on (profile.go has the measured
+//     ratios).
 //
 // Every scheduler in internal/sched, the simulator in internal/sim, and the
 // batch-doubling wrapper in internal/online are written against this

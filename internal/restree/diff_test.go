@@ -22,8 +22,8 @@ func compareAll(t *testing.T, tr *Tree, tl *profile.Timeline, horizon core.Time)
 		t.Fatalf("NumSegments %d vs %d", tr.NumSegments(), tl.NumSegments())
 	}
 	for at := core.Time(0); at < horizon; at++ {
-		if g, w := tr.CapacityAt(at), tl.AvailableAt(at); g != w {
-			t.Fatalf("CapacityAt(%v) = %d, array %d", at, g, w)
+		if g, w := tr.AvailableAt(at), tl.AvailableAt(at); g != w {
+			t.Fatalf("AvailableAt(%v) = %d, array %d", at, g, w)
 		}
 		gbp, gok := tr.NextBreakpoint(at)
 		wbp, wok := tl.NextBreakpoint(at)
@@ -87,14 +87,14 @@ func TestDifferentialRandomOps(t *testing.T) {
 					t.Fatalf("seed %d: Release(%v,%v,%d): tree %v, array %v",
 						seed, w.s, w.d, w.q, errT, errA)
 				}
-			default: // probe EarliestFit and MinIn
+			default: // probe FindSlot and MinIn
 				ready := core.Time(r.Intn(horizon))
 				q := r.Intn(m) + 1
 				dur := core.Time(r.Intn(30) + 1)
-				gs, gok := tr.EarliestFit(q, dur, ready)
+				gs, gok := tr.FindSlot(ready, q, dur)
 				ws, wok := tl.FindSlot(ready, q, dur)
 				if gok != wok || (gok && gs != ws) {
-					t.Fatalf("seed %d: EarliestFit(q=%d,dur=%v,from=%v) = %v,%v; array %v,%v\ntree:  %v\narray: %v",
+					t.Fatalf("seed %d: FindSlot(q=%d,dur=%v,from=%v) = %v,%v; array %v,%v\ntree:  %v\narray: %v",
 						seed, q, dur, ready, gs, gok, ws, wok, tr, tl)
 				}
 				if g, w := tr.MinAvailable(ready, ready+dur), tl.MinAvailable(ready, ready+dur); g != w {

@@ -31,7 +31,7 @@ const wideShift = 26
 // FuzzTreeWideTimes is FuzzTreeMatchesTimeline with every instant and
 // length multiplied by 2²⁶: the same shapes, where a leaf's offsets run
 // out. A far breakpoint opens a leaf of its own, an absorb is declined,
-// and the one-leaf path falls back when a new breakpoint would not fit.
+// and a new breakpoint that would not fit makes room before the edit.
 func FuzzTreeWideTimes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) { replayOps(t, ops, wideShift) })
 }
@@ -83,13 +83,13 @@ func replayOps(t *testing.T, ops []byte, shift uint) (*Tree, events) {
 				t.Fatalf("array release of prior commit failed: %v", err)
 			}
 		case 2: // probe
-			if got, want := tr.CapacityAt(start), tl.AvailableAt(start); got != want {
-				t.Fatalf("CapacityAt(%v) = %d, array %d", start, got, want)
+			if got, want := tr.AvailableAt(start), tl.AvailableAt(start); got != want {
+				t.Fatalf("AvailableAt(%v) = %d, array %d", start, got, want)
 			}
-			gotT, gotOK := tr.EarliestFit(q, dur, start)
+			gotT, gotOK := tr.FindSlot(start, q, dur)
 			refT, refOK := tl.FindSlot(start, q, dur)
 			if gotOK != refOK || (gotOK && gotT != refT) {
-				t.Fatalf("EarliestFit(q=%d,dur=%v,from=%v) = %v,%v; array %v,%v",
+				t.Fatalf("FindSlot(q=%d,dur=%v,from=%v) = %v,%v; array %v,%v",
 					q, dur, start, gotT, gotOK, refT, refOK)
 			}
 			// start-1 is -1 at the origin, where the answer is the origin.

@@ -108,7 +108,7 @@ func TestLeafDrainAndRefill(t *testing.T) {
 		}
 		// Releases merge leaves as they thin them out: two neighbours that
 		// fit in half a leaf do not both survive, so the fill stays above a
-		// quarter, give or take the pair a two-sided heal leaves behind.
+		// quarter, give or take the pair a merge at both ends leaves behind.
 		if n == len(order)*9/10 && p.tr.NumSegments() < leafCap/4*len(p.tr.dir) {
 			t.Fatalf("seed %d: with a tenth still booked, %d segments sit in %d leaves", seed, p.tr.NumSegments(), len(p.tr.dir))
 		}
@@ -212,7 +212,7 @@ func TestLeafInfiniteTailAcrossLeaves(t *testing.T) {
 			if d2 := lastLE(p.tr.first, at); isFirst && p.tr.first[d2] != at {
 				moved++
 			}
-			if got, ok := p.tr.EarliestFit(8, 1, at); ok {
+			if got, ok := p.tr.FindSlot(at, 8, 1); ok {
 				t.Fatalf("seed %d: full width fits at %v under an endless reservation from %v", seed, got, at)
 			}
 			p.release(w)
@@ -426,12 +426,31 @@ func TestLeafLend(t *testing.T) {
 // TestLendSeeds pins what the committed FuzzTreeMatchesTimeline seeds of
 // these names are there for: lend-right lends to the next leaf, lend-left
 // to the previous one, and full-leaf-one-leaf-path splits a full leaf whose
-// neighbours have no room and then takes the one-leaf path there.
+// neighbours have no room and then edits the window there.
 func TestLendSeeds(t *testing.T) {
 	for name, ok := range map[string]func(events) bool{
 		"lend-right":              func(ev events) bool { return ev.lendRight > 0 && ev.fullLeaf > 0 },
 		"lend-left":               func(ev events) bool { return ev.lendLeft > 0 && ev.fullLeaf > 0 },
 		"full-leaf-one-leaf-path": func(ev events) bool { return ev.lendRight+ev.lendLeft == 0 && ev.fullLeaf > 0 },
+	} {
+		if _, ev := replayOps(t, seedOps(t, "FuzzTreeMatchesTimeline", name), 0); !ok(ev) {
+			t.Errorf("%s: %+v", name, ev)
+		}
+	}
+}
+
+// TestCrossLeafSeeds pins what the committed FuzzTreeMatchesTimeline seeds
+// of these names are there for, each a case a mutation edits in place
+// across a leaf boundary: a window over three leaves or more, an end whose
+// merge drops the one-segment leaf it was the key of, a start whose merge
+// at a leaf's slot 0 moves the key forward, and a window whose start and
+// end each need a slot in a different full leaf.
+func TestCrossLeafSeeds(t *testing.T) {
+	for name, ok := range map[string]func(events) bool{
+		"window-spans-three-leaves": func(ev events) bool { return ev.spans3 > 0 },
+		"end-merge-drops-leaf":      func(ev events) bool { return ev.endDrop > 0 },
+		"start-merge-moves-key":     func(ev events) bool { return ev.startKey > 0 },
+		"room-in-two-full-leaves":   func(ev events) bool { return ev.twoFull > 0 },
 	} {
 		if _, ev := replayOps(t, seedOps(t, "FuzzTreeMatchesTimeline", name), 0); !ok(ev) {
 			t.Errorf("%s: %+v", name, ev)

@@ -18,7 +18,7 @@
 //
 // Every breakpoint of a leaf lies within 2³²−1 ticks of its key, and a
 // read compares an instant's distance from the key with the widened
-// offsets. A split and a heal at slot 0 move a key forward, which only
+// offsets. A split and a merge at slot 0 move a key forward, which only
 // shrinks offsets. A new breakpoint farther than that from its leaf's key
 // comes after all of the leaf's breakpoints, and it opens a one-segment
 // leaf of its own. A lend to the next leaf moves that leaf's key back, and
@@ -36,38 +36,42 @@
 //
 //   - admission checks (MinAvailable, CanPlace) scan the window's first and
 //     last leaf and read min/max for every leaf wholly inside it;
-//   - earliest-fit (FindSlot / EarliestFit) sweeps contiguous arrays in
-//     time order and decides per leaf before touching it: a leaf with no
-//     segment wide enough is stepped over while the candidate start is
-//     open, one with no blocking segment while it is set — O(b/64 + log n)
-//     for a run of b blocking segments, plus the leaves it has to read;
-//   - a mutation (Commit/Release) finds its window once, and when the
-//     window and both its neighbours sit in one leaf — about eleven times
-//     in twelve at the benchmark's density — inserts, adds and removes
-//     there: a few short moves, and min/max recomputed only when the old
-//     extreme was touched. Windows that span leaves or merge across a
-//     boundary take the slower cut / add / heal path, where an emptied
-//     leaf is dropped and one that fits with a neighbour in half a leaf is
+//   - earliest-fit (FindSlot) sweeps contiguous arrays in time order and
+//     decides per leaf before touching it: a leaf with no segment wide
+//     enough is stepped over while the candidate start is open, one with
+//     no blocking segment while it is set — O(b/64 + log n) for a run of b
+//     blocking segments, plus the leaves it has to read;
+//   - a mutation (Commit/Release) walks its window once, as the admission
+//     checks do, and edits it in place whatever leaves it spans. A uniform
+//     delta changes the step function only at the window's two ends, so
+//     that is all there is to edit besides the capacities: it inserts the
+//     end and the start where they are new, adds the delta over every leaf
+//     the window covers — a leaf wholly inside takes it on its min and
+//     max, a partly covered one looks for a new extreme only when the old
+//     one was touched — and removes a breakpoint at either end that the
+//     delta made redundant: inside a leaf, or at a leaf's slot 0, where
+//     the key moves on or a one-segment leaf is dropped. A leaf that came
+//     out with fewer segments and fits with a neighbour in half a leaf is
 //     absorbed. A split, an opened leaf or a drop moves the directory's
 //     tail, O(n/64) with a memmove's constant.
 //
-// A leaf with no slot for a new breakpoint makes room on either path
-// (makeRoom): it lends segments to a neighbour with room, opens the next
-// leaf at a breakpoint past its last one, or else splits in halves. The
-// lend is what keeps a random-order book's leaves about four-fifths full
-// as built and three-quarters after a million cancel/admit cycles at the
-// admission benchmark's density, where splits alone settle at ln 2 ≈ 0.69
-// and then drift to a half; the opened leaf is what keeps a time-ordered
-// build's leaves full.
+// A leaf with no slot for a new breakpoint makes room before the mutation
+// edits it (makeRoom): it lends segments to a neighbour with room, opens
+// the next leaf at a breakpoint past its last one, or else splits in
+// halves. The lend is what keeps a random-order book's leaves about
+// four-fifths full as built and three-quarters after a million
+// cancel/admit cycles at the admission benchmark's density, where splits
+// alone settle at ln 2 ≈ 0.69 and then drift to a half; the opened leaf is
+// what keeps a time-ordered build's leaves full.
 //
 // The finger is the segment holding the start of the last Commit or
-// Release that took the one-leaf path, or the origin's after one that did
-// not. A lookup tries that segment and the next one in its leaf before it
-// searches: a list scheduler asks about the instant it just committed at
-// or about the breakpoint after it, so about three lookups in five stop
-// there in LSRC. Only the two mutations write the finger; every read
-// leaves the tree untouched, so any number of goroutines may read a tree
-// that nobody is mutating, such as a snapshot's clone, with no lock.
+// Release, or the origin's when an absorb followed it. A lookup tries that
+// segment and the next one in its leaf before it searches: a list scheduler
+// asks about the instant it just committed at or about the breakpoint after
+// it, so about three lookups in five stop there in LSRC. Only the two
+// mutations write the finger; every read leaves the tree untouched, so any
+// number of goroutines may read a tree that nobody is mutating, such as a
+// snapshot's clone, with no lock.
 //
 // Measured against the arena AVL this replaced, FindSlot+Commit+Release at
 // the admission benchmark's density (m=256, half the prefix booked), ns per
@@ -265,9 +269,6 @@ func (t *Tree) slotEnd(d int, e *entry, l *leaf, k int) core.Time {
 	return t.leafEnd(d)
 }
 
-// CapacityAt is the paper-facing name for AvailableAt.
-func (t *Tree) CapacityAt(at core.Time) int { return t.AvailableAt(at) }
-
 // AvailableAt implements profile.CapacityIndex: the capacity of the segment
 // with the greatest start <= at.
 func (t *Tree) AvailableAt(at core.Time) int {
@@ -283,37 +284,33 @@ func windowEnd(start, dur core.Time) core.Time {
 	return start + dur
 }
 
-// extent returns the minimum and maximum capacity over the segments that
-// meet [a, b), 0 <= a < b: the one containing a and those starting inside
-// the window.
-func (t *Tree) extent(a, b core.Time) (mn, mx int32) {
+// find walks the window [a, b), 0 <= a < b, once: the segment holding a
+// is slot k0 of leaf d0, the last one starting before b is slot k1 of leaf
+// d1, and mn and mx are the least and greatest capacity over the segments
+// from one to the other. It reads every leaf from d0 to d1, one wholly
+// inside the window by its aggregates, the others by their slots.
+func (t *Tree) find(a, b core.Time) (d0, k0, d1, k1 int, mn, mx int32) {
 	d, e, l, k := t.locate(a)
+	d0, k0 = d, k
 	mn, mx = l.avail[k], l.avail[k]
-	for k, rb := k+1, b-t.first[d]; k < int(e.n); k++ {
-		if core.Time(l.off[k]) >= rb {
-			return mn, mx
+	for {
+		if k == 0 && t.leafEnd(d) <= b {
+			k, mn, mx = int(e.n)-1, min(mn, e.mn), max(mx, e.mx)
+		} else {
+			for rb := b - t.first[d]; k+1 < int(e.n) && core.Time(l.off[k+1]) < rb; {
+				k++
+				mn, mx = min(mn, l.avail[k]), max(mx, l.avail[k])
+			}
 		}
-		mn, mx = min(mn, l.avail[k]), max(mx, l.avail[k])
+		// A later leaf starts before b only when k is its leaf's last slot.
+		if d+1 == len(t.first) || t.first[d+1] >= b {
+			return d0, k0, d, k, mn, mx
+		}
+		d, k = d+1, 0
+		e = &t.dir[d]
+		l = &t.leaves[e.leaf]
+		mn, mx = min(mn, l.avail[0]), max(mx, l.avail[0])
 	}
-	return t.extentFrom(d+1, b, mn, mx)
-}
-
-// extentFrom folds into mn and mx the segments of leaves d, d+1, ... that
-// start before b: a leaf wholly before b by its aggregates, the one b falls
-// in by its slots.
-func (t *Tree) extentFrom(d int, b core.Time, mn, mx int32) (int32, int32) {
-	for ; d < len(t.first) && t.first[d] < b; d++ {
-		e := &t.dir[d]
-		if t.leafEnd(d) <= b {
-			mn, mx = min(mn, e.mn), max(mx, e.mx)
-			continue
-		}
-		l, rb := &t.leaves[e.leaf], b-t.first[d]
-		for k := 0; k < int(e.n) && core.Time(l.off[k]) < rb; k++ {
-			mn, mx = min(mn, l.avail[k]), max(mx, l.avail[k])
-		}
-	}
-	return mn, mx
 }
 
 // MinAvailable implements profile.CapacityIndex. It panics if t0 >= t1 or
@@ -322,7 +319,7 @@ func (t *Tree) MinAvailable(t0, t1 core.Time) int {
 	if t0 < 0 || t0 >= t1 {
 		panic(profile.ErrBadWindow)
 	}
-	mn, _ := t.extent(t0, t1)
+	_, _, _, _, mn, _ := t.find(t0, t1)
 	return int(mn)
 }
 
@@ -335,26 +332,26 @@ func (t *Tree) CanPlace(start, dur core.Time, q int) bool {
 	return t.MinAvailable(start, windowEnd(start, dur)) >= q
 }
 
-// EarliestFit returns the earliest time s >= notBefore such that q
-// processors are available during all of [s, s+dur): the de Assunção-style
-// alternative-offer query. The boolean is false only when the final
-// (unbounded) capacity is below q and no finite window fits.
+// FindSlot implements profile.CapacityIndex: the earliest time s >= ready
+// such that q processors are available during all of [s, s+dur), the de
+// Assunção-style alternative-offer query. The boolean is false only when
+// the final (unbounded) capacity is below q and no finite window fits.
 //
-// A window can only start at notBefore or where a blocking segment
+// A window can only start at ready or where a blocking segment
 // (capacity < q) ends, so the search is one sweep in time order from the
-// segment containing notBefore, carrying the candidate start s: a blocking
+// segment containing ready, carrying the candidate start s: a blocking
 // segment starting before s+dur opens the candidate again (blocked), the
 // next free segment's start sets it, and a blocking segment starting at or
 // past s+dur ends the search. A whole leaf is decided from the directory:
 // while blocked, one whose maximum is below q cannot set the candidate;
 // while not, one starting at or past s+dur answers s and one whose minimum
 // is at least q cannot block.
-func (t *Tree) EarliestFit(q int, dur, notBefore core.Time) (core.Time, bool) {
+func (t *Tree) FindSlot(ready core.Time, q int, dur core.Time) (core.Time, bool) {
 	if dur <= 0 {
 		panic(profile.ErrBadWindow)
 	}
 	// avail lies in [0, m], so clamping q there changes no comparison.
-	need, ready := int32(min(max(q, 0), t.m+1)), max(notBefore, 0)
+	need, ready := int32(min(max(q, 0), t.m+1)), max(ready, 0)
 	s, blocked := ready, false
 	for d, k := lastLE(t.first, ready), -1; d < len(t.dir); d, k = d+1, 0 {
 		e := &t.dir[d]
@@ -386,11 +383,6 @@ func (t *Tree) EarliestFit(q int, dur, notBefore core.Time) (core.Time, bool) {
 		return 0, false
 	}
 	return s, true
-}
-
-// FindSlot implements profile.CapacityIndex in terms of EarliestFit.
-func (t *Tree) FindSlot(ready core.Time, q int, dur core.Time) (core.Time, bool) {
-	return t.EarliestFit(q, dur, ready)
 }
 
 // insert puts segment (off, avail) in slot k of a leaf with n in use.
@@ -540,19 +532,18 @@ func (t *Tree) absorb(d int) {
 //
 // A lend keeps the leaves around a random-order book about four-fifths
 // full where splits alone leave them ln 2 full, and the leaf opened at the
-// tail keeps a time-ordered build's leaves full. makeRoom reports whether
-// it made at a breakpoint itself, which only the second step does; the
-// caller locates at again.
-func (t *Tree) makeRoom(d int, at core.Time) bool {
+// tail keeps a time-ordered build's leaves full. The caller finds its
+// window again.
+func (t *Tree) makeRoom(d int, at core.Time) {
 	if _, ok := t.offset(d, at); ok {
 		if d+1 < len(t.dir) {
 			if free := leafCap - int(t.dir[d+1].n); free >= lendMin && t.moveRight(d, free/2) {
-				return false
+				return
 			}
 		}
 		if d > 0 {
 			if free := leafCap - int(t.dir[d-1].n); free >= lendMin && t.moveLeft(d-1, free/2) {
-				return false
+				return
 			}
 		}
 	}
@@ -560,70 +551,72 @@ func (t *Tree) makeRoom(d int, at core.Time) bool {
 	l := &t.leaves[e.leaf]
 	if at < t.start(d, l, int(e.n)-1) {
 		t.split(d)
-		return false
+		return
 	}
 	avail := l.avail[e.n-1]
 	r := t.alloc()
 	t.leaves[r].off[0], t.leaves[r].avail[0] = 0, avail
 	t.link(d+1, at, entry{leaf: r, n: 1, mn: avail, mx: avail})
 	t.size++
-	return true
 }
 
-// cut makes at a breakpoint, splitting the segment it falls in; Infinity
-// never is one. A new breakpoint lies inside a segment of its leaf, so it
-// never lands in slot 0 and no directory key changes — unless makeRoom
-// has to make room for it first.
-func (t *Tree) cut(at core.Time) {
-	if at == core.Infinity {
+// shift adds delta to slots [lo, hi) of leaf d and keeps the leaf's min
+// and max. mn and mx are the least and greatest capacity over the window
+// before the delta, which are those of the slots unless wide says that
+// the window goes on into other leaves.
+func (t *Tree) shift(d, lo, hi int, delta, mn, mx int32, wide bool) {
+	e := &t.dir[d]
+	a := t.leaves[e.leaf].avail[:e.n]
+	if lo == 0 && hi == len(a) {
+		for k := range a {
+			a[k] += delta
+		}
+		e.mn, e.mx = e.mn+delta, e.mx+delta
 		return
 	}
-	for {
-		d, e, l, k := t.locate(at)
-		off, ok := t.offset(d, at)
-		if ok && l.off[k] == off {
-			return
+	if wide {
+		mn, mx = slices.Min(a[lo:hi]), slices.Max(a[lo:hi])
+	}
+	for k := lo; k < hi; k++ {
+		a[k] += delta
+	}
+	// Every value outside [lo, hi) kept its place, and each inside moved by
+	// delta towards one extreme: the extreme on that side is a min/max
+	// away, the other needs a look only if the window held it.
+	if delta < 0 {
+		e.mn = min(e.mn, mn+delta)
+		if mx == e.mx {
+			e.mx = slices.Max(a)
 		}
-		if ok && e.n < leafCap {
-			l.insert(int(e.n), k+1, off, l.avail[k])
-			e.n++
-			t.size++
-			return
-		}
-		if t.makeRoom(d, at) {
-			return
+	} else {
+		e.mx = max(e.mx, mx+delta)
+		if mn == e.mn {
+			e.mn = slices.Min(a)
 		}
 	}
 }
 
-// heal removes the breakpoint at if the capacity is the same on both sides,
-// so that the earlier segment absorbs the later one; the origin has no
-// earlier side and Infinity is no breakpoint.
-func (t *Tree) heal(at core.Time) {
-	if at == 0 || at == core.Infinity {
-		return
-	}
-	d, e, l, k := t.locate(at)
-	below := l.avail[max(k-1, 0)]
-	if k == 0 { // at > 0, so d > 0: the earlier segment is the previous leaf's last
-		p := &t.dir[d-1]
-		below = t.leaves[p.leaf].avail[p.n-1]
-	}
-	if below != l.avail[k] {
-		return
-	}
+// coalesce takes out breakpoint k of leaf d, whose two sides have the same
+// capacity, so that the segment before it runs on. Inside a leaf the
+// capacity taken out lives on in that segment, so min and max hold. At
+// slot 0 the leaf's key moves to its next breakpoint and min and max are
+// recomputed, or the leaf is dropped when that was its only one. It
+// reports whether leaf d is still there.
+func (t *Tree) coalesce(d, k int) bool {
 	t.size--
+	e := &t.dir[d]
 	if e.n == 1 {
 		t.drop(d)
-		return
+		return false
 	}
+	l := &t.leaves[e.leaf]
 	l.remove(int(e.n), k)
 	e.n--
 	if k == 0 {
 		t.first[d] += l.rebase(int(e.n))
+		t.rescan(d)
 	}
-	t.rescan(d)
-	t.absorb(d)
+	return true
 }
 
 // apply adds deltaQ to the capacity over [start, start+dur), validating
@@ -640,29 +633,8 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 		return profile.ErrBadWindow
 	}
 	delta := int32(deltaQ)
-	// opened is a breakpoint makeRoom made as the key of a leaf of its own.
-	// The delta leaves its two sides different, so it needs no merge check
-	// across the leaf boundary.
-	opened := core.Time(-1)
 	for {
-		// Find the window: k0 is the segment containing start, k1 the last
-		// one of its leaf starting before end, next where the one after k1
-		// starts. The window goes on into later leaves unless next >= end.
-		d, e, l, k0 := t.locate(start)
-		n, k1 := int(e.n), k0
-		mn, mx := l.avail[k0], l.avail[k0]
-		for re := end - t.first[d]; k1+1 < n && core.Time(l.off[k1+1]) < re; {
-			k1++
-			mn, mx = min(mn, l.avail[k1]), max(mx, l.avail[k1])
-		}
-		next := t.leafEnd(d)
-		if k1+1 < n {
-			next = t.start(d, l, k1+1)
-		}
-		within := next >= end
-		if !within {
-			mn, mx = t.extentFrom(d+1, end, mn, mx)
-		}
+		d0, k0, d1, k1, mn, mx := t.find(start, end)
 		if deltaQ < 0 && int(mn) < -deltaQ {
 			return fmt.Errorf("%w: need %d on [%v,%v), min available %d",
 				profile.ErrInsufficient, -deltaQ, start, end, mn)
@@ -671,118 +643,102 @@ func (t *Tree) apply(start, dur core.Time, deltaQ int) error {
 			return fmt.Errorf("%w: releasing %d would exceed m=%d",
 				profile.ErrOverRelease, deltaQ, t.m)
 		}
+		e0, e1 := &t.dir[d0], &t.dir[d1]
+		l0, l1 := &t.leaves[e0.leaf], &t.leaves[e1.leaf]
 		// A uniform delta over [start, end) leaves interior neighbours
-		// different, so only the two boundaries can appear or merge. The
-		// one-leaf path needs the window, the segment before a breakpoint
-		// at start and the segment at a breakpoint at end all in this leaf.
-		cutStart, cutEnd := t.start(d, l, k0) < start, next > end
-		if !within || (k0 == 0 && d > 0 && !cutStart && start != opened) ||
-			(k1+1 == n && end != core.Infinity && !cutEnd && end != opened) {
-			// Splits, drops and merges move slots and leaves under the
-			// finger; leaf 0's slot 0 is live throughout, as leaf 0 is never
-			// dropped.
-			t.fin.d, t.fin.k = 0, 0
-			t.cut(end)
-			t.cut(start)
-			t.addRange(start, end, delta)
-			t.heal(end)
-			t.heal(start)
-			return nil
-		}
-		// It also needs a slot within reach of the leaf's key for each new
-		// breakpoint. makeRoom makes room for one, and the window is found
-		// again: first for a breakpoint out of reach, the later first as
-		// the slow path cuts them, then for the first one the leaf has no
-		// slot for. So a window that starts past a full leaf's last
-		// breakpoint opens the next leaf at its start and ends in it, and
-		// one that starts in the last free slot opens it at its end: a
-		// time-ordered build leaves its leaves full.
-		offStart, startFits := t.offset(d, start)
-		offEnd, endFits := t.offset(d, end)
-		at := core.Time(-1)
-		switch free := leafCap - n; {
+		// different, so only its two ends can become breakpoints or stop
+		// being ones.
+		cutStart, cutEnd := t.start(d0, l0, k0) < start, t.slotEnd(d1, e1, l1, k1) > end
+		// Each new breakpoint needs a slot within reach of its leaf's key.
+		// makeRoom makes room for one, and the window is found again: first
+		// for the end out of reach, then for the start out of reach or
+		// without a slot, then for the end without one. So a window that
+		// starts past a full leaf's last breakpoint opens the next leaf at
+		// its start and ends in it, and one that starts in the last free slot
+		// opens it at its end: a time-ordered build leaves its leaves full.
+		offStart, startFits := t.offset(d0, start)
+		offEnd, endFits := t.offset(d1, end)
+		room, at := -1, end
+		switch {
 		case cutEnd && !endFits:
-			at = end
-		case cutStart && !startFits:
-			at = start
-		case cutStart && free == 0:
-			at = start
-		case cutEnd && (free == 0 || cutStart && free == 1):
-			at = end
+			room = d1
+		case cutStart && (!startFits || e0.n == leafCap):
+			room, at = d0, start
+		case cutEnd && (e1.n == leafCap || d0 == d1 && cutStart && e1.n == leafCap-1):
+			room = d1
 		}
-		if at >= 0 {
-			t.fin.d, t.fin.k = 0, 0
-			if t.makeRoom(d, at) {
-				opened = at
-			}
+		if room >= 0 {
+			t.fin.d, t.fin.k = 0, 0 // leaf 0's slot 0 stays live
+			t.makeRoom(room, at)
 			continue
 		}
-		// The end first, while k1 still names the segment before it; then the
-		// start, the delta, and the one merge the start can need.
+		// The end first, while k1 still names the segment before it; then
+		// the start.
 		if cutEnd {
-			l.insert(n, k1+1, offEnd, l.avail[k1])
-			n++
-		} else if k1+1 < n && l.avail[k1]+delta == l.avail[k1+1] {
-			l.remove(n, k1+1)
-			n--
+			l1.insert(int(e1.n), k1+1, offEnd, l1.avail[k1])
+			e1.n++
+			t.size++
 		}
 		if cutStart {
-			l.insert(n, k0+1, offStart, l.avail[k0])
-			n, k0, k1 = n+1, k0+1, k1+1
-		}
-		for k := k0; k <= k1; k++ {
-			l.avail[k] += delta
-		}
-		if k0 > 0 && l.avail[k0] == l.avail[k0-1] {
-			l.remove(n, k0)
-			n, k0 = n-1, k0-1
-		}
-		t.fin.d, t.fin.k = int32(d), int32(k0) // the segment holding start
-		t.size += n - int(e.n)
-		shrunk := n < int(e.n)
-		e.n = int32(n)
-		// Every value that left the window moved by delta towards one extreme,
-		// and a removed slot's value lives on in its neighbour: the extreme on
-		// that side is a min/max away, the other needs a look only if the
-		// window held it.
-		if delta < 0 {
-			e.mn = min(e.mn, mn+delta)
-			if mx == e.mx {
-				e.mx = slices.Max(l.avail[:n])
-			}
-		} else {
-			e.mx = max(e.mx, mx+delta)
-			if mn == e.mn {
-				e.mn = slices.Min(l.avail[:n])
+			l0.insert(int(e0.n), k0+1, offStart, l0.avail[k0])
+			e0.n++
+			t.size++
+			if k0++; d0 == d1 {
+				k1++
 			}
 		}
-		if shrunk && n <= leafCap/2 {
-			t.fin.d, t.fin.k = 0, 0 // absorb may fold leaf d into d-1
-			t.absorb(d)
+		for d := d0; d <= d1; d++ {
+			lo, hi := 0, int(t.dir[d].n)
+			if d == d0 {
+				lo = k0
+			}
+			if d == d1 {
+				hi = k1 + 1
+			}
+			t.shift(d, lo, hi, delta, mn, mx, d0 < d1)
+		}
+		// The delta may have made the old breakpoint at either end redundant:
+		// the end's goes first, so that the start's position still holds.
+		// shrunk collects the leaves that came out with fewer segments, the
+		// end's first; a leaf that also took a new breakpoint did not.
+		shrunk := [2]int{-1, -1}
+		if end != core.Infinity && !cutEnd {
+			d, k := d1, k1+1
+			if k == int(e1.n) {
+				d, k = d1+1, 0
+			}
+			if t.leaves[t.dir[d].leaf].avail[k] == l1.avail[k1] && t.coalesce(d, k) && (d != d0 || !cutStart) {
+				shrunk[0] = d
+			}
+		}
+		t.fin.d, t.fin.k = int32(d0), int32(k0) // the segment holding start
+		if start > 0 && !cutStart {
+			d, k := d0, k0-1
+			if k0 == 0 {
+				d = d0 - 1
+				k = int(t.dir[d].n) - 1
+			}
+			if t.leaves[t.dir[d].leaf].avail[k] == l0.avail[k0] {
+				t.fin.d, t.fin.k = int32(d), int32(k)
+				switch {
+				case !t.coalesce(d0, k0): // leaf d0 is gone, and later ones moved down
+					if shrunk[0] == d0 {
+						shrunk[0] = -1
+					} else if shrunk[0] > d0 {
+						shrunk[0]--
+					}
+				case shrunk[0] != d0 && (d0 != d1 || !cutEnd):
+					shrunk[1] = d0
+				}
+			}
+		}
+		for _, d := range shrunk {
+			if d >= 0 && t.dir[d].n <= leafCap/2 {
+				t.fin.d, t.fin.k = 0, 0 // absorb may fold leaf d into d-1
+				t.absorb(d)
+			}
 		}
 		return nil
-	}
-}
-
-// addRange adds delta to every segment starting in [lo, hi); lo is a
-// breakpoint.
-func (t *Tree) addRange(lo, hi core.Time, delta int32) {
-	d, e, l, k := t.locate(lo)
-	for {
-		j := k
-		for rhi := hi - t.first[d]; j < int(e.n) && core.Time(l.off[j]) < rhi; j++ {
-			l.avail[j] += delta
-		}
-		if k == 0 && j == int(e.n) {
-			e.mn, e.mx = e.mn+delta, e.mx+delta
-		} else {
-			t.rescan(d)
-		}
-		if d++; d == len(t.dir) || t.first[d] >= hi {
-			return
-		}
-		e, k = &t.dir[d], 0
-		l = &t.leaves[e.leaf]
 	}
 }
 

@@ -90,7 +90,7 @@ func checkInvariants(t *testing.T, tr *Tree) {
 func TestNewTree(t *testing.T) {
 	tr := New(16)
 	checkInvariants(t, tr)
-	if tr.CapacityAt(0) != 16 || tr.CapacityAt(1<<40) != 16 {
+	if tr.AvailableAt(0) != 16 || tr.AvailableAt(1<<40) != 16 {
 		t.Fatal("constant tree wrong")
 	}
 	if tr.M() != 16 || tr.NumSegments() != 1 {
@@ -107,7 +107,7 @@ func TestCommitReleaseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInvariants(t, tr)
-	if tr.CapacityAt(4) != 10 || tr.CapacityAt(5) != 6 || tr.CapacityAt(14) != 6 || tr.CapacityAt(15) != 10 {
+	if tr.AvailableAt(4) != 10 || tr.AvailableAt(5) != 6 || tr.AvailableAt(14) != 6 || tr.AvailableAt(15) != 10 {
 		t.Fatalf("after commit: %v", tr)
 	}
 	if tr.NumSegments() != 3 {
@@ -117,7 +117,7 @@ func TestCommitReleaseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInvariants(t, tr)
-	if tr.NumSegments() != 1 || tr.CapacityAt(7) != 10 {
+	if tr.NumSegments() != 1 || tr.AvailableAt(7) != 10 {
 		t.Fatalf("release did not restore: %v", tr)
 	}
 }
@@ -151,14 +151,14 @@ func TestInfiniteCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInvariants(t, tr)
-	if tr.CapacityAt(99) != 8 || tr.CapacityAt(1<<50) != 5 {
+	if tr.AvailableAt(99) != 8 || tr.AvailableAt(1<<50) != 5 {
 		t.Fatalf("infinite commit wrong: %v", tr)
 	}
-	if got, ok := tr.EarliestFit(6, 10, 0); !ok || got != 0 {
+	if got, ok := tr.FindSlot(0, 6, 10); !ok || got != 0 {
 		// [0,100) has 8 free, so a width-6 job fits immediately.
-		t.Fatalf("EarliestFit(6,10,0) = %v,%v want 0,true", got, ok)
+		t.Fatalf("FindSlot(0,6,10) = %v,%v want 0,true", got, ok)
 	}
-	if _, ok := tr.EarliestFit(6, 10, 95); ok {
+	if _, ok := tr.FindSlot(95, 6, 10); ok {
 		// Past t=95 every window touches the infinite 5-capacity tail.
 		t.Fatal("width 6 can never fit from t=95")
 	}
@@ -182,16 +182,16 @@ func TestEarliestFitSkipsBlockedSegments(t *testing.T) {
 		{8, 5, 6, 20},   // full machine: earliest window clear of reservation 1
 		{8, 25, 0, 50},  // long full-machine job must clear both
 		{3, 25, 0, 50},  // [20,40) gap too short for dur=25, must clear both
-		{3, 10, 35, 50}, // notBefore too deep in the gap to finish by 40
+		{3, 10, 35, 50}, // ready too deep in the gap to finish by 40
 		{6, 1, 0, 0},    // short job before the first reservation
 	}
 	for _, c := range cases {
-		got, ok := tr.EarliestFit(c.q, c.dur, c.from)
+		got, ok := tr.FindSlot(c.from, c.q, c.dur)
 		if !ok || got != c.want {
-			t.Errorf("EarliestFit(q=%d,dur=%v,from=%v) = %v,%v want %v", c.q, c.dur, c.from, got, ok, c.want)
+			t.Errorf("FindSlot(q=%d,dur=%v,from=%v) = %v,%v want %v", c.q, c.dur, c.from, got, ok, c.want)
 		}
 	}
-	if _, ok := tr.EarliestFit(9, 1, 0); ok {
+	if _, ok := tr.FindSlot(0, 9, 1); ok {
 		t.Error("width 9 cannot ever fit on m=8")
 	}
 }
@@ -243,7 +243,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	if err := cp.Commit(0, 100, 4); err != nil {
 		t.Fatal(err)
 	}
-	if tr.CapacityAt(0) != 6 || tr.String() == cp.String() {
+	if tr.AvailableAt(0) != 6 || tr.String() == cp.String() {
 		t.Fatalf("clone shares state: %v vs %v", tr, cp)
 	}
 	checkInvariants(t, tr)

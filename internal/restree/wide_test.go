@@ -10,17 +10,26 @@ import (
 )
 
 // events counts what mutations did where a leaf runs out of room or of
-// reach. far counts those that opened a leaf at a breakpoint beyond the
-// reach of its leaf's key; declined those after which a leaf that lost
-// segments sits beside a neighbour it fits with in half a leaf but cannot
-// reach, the merge absorb declines. lendRight and lendLeft count those that
-// moved segments of a leaf to the next or the previous one that was there
-// before; fullLeaf those that needed a new breakpoint in a full leaf
-// holding their whole window and took the one-leaf path there.
-type events struct{ far, declined, lendRight, lendLeft, fullLeaf int }
+// reach, or where a window meets a leaf boundary. far counts those that
+// opened a leaf at a breakpoint beyond the reach of its leaf's key;
+// declined those after which a leaf that lost segments sits beside a
+// neighbour it fits with in half a leaf but cannot reach, the merge absorb
+// declines. lendRight and lendLeft count those that moved segments of a
+// leaf to the next or the previous one that was there before; fullLeaf
+// those that needed a new breakpoint in a full leaf holding their whole
+// window. spans3 counts windows over three leaves or more; endDrop those
+// whose end, the key of a one-segment leaf, stopped being a breakpoint and
+// took the leaf with it; startKey those whose start, the key of a leaf of
+// more segments with no room to make there, stopped being one and moved
+// the key forward; twoFull those whose start and end each needed a slot in
+// a different full leaf.
+type events struct {
+	far, declined, lendRight, lendLeft, fullLeaf int
+	spans3, endDrop, startKey, twoFull           int
+}
 
 // mutate runs do, a commit or release of [s, end) on tr, and counts what it
-// did. A cut at a far breakpoint is the first thing the slow path does, so
+// did. A cut at a far breakpoint is the first thing a mutation does, so
 // whether one happens is read off the tree before; the leaf it opens must
 // be there after.
 func (ev *events) mutate(t *testing.T, tr *Tree, s, end core.Time, do func() error) error {
@@ -37,9 +46,22 @@ func (ev *events) mutate(t *testing.T, tr *Tree, s, end core.Time, do func() err
 	for d, e := range tr.dir {
 		before[e.leaf], key[e.leaf] = e.n, tr.first[d]
 	}
-	d := lastLE(tr.first, s)
-	full := tr.dir[d].n == leafCap && end <= tr.leafEnd(d) &&
-		(!isBreakpoint(tr, s) || (end != core.Infinity && !isBreakpoint(tr, end)))
+	// The leaves of the start, of the window's last segment and of the end.
+	d0, d1, dEnd := lastLE(tr.first, s), len(tr.dir)-1, len(tr.dir)-1
+	cutStart, cutEnd := !isBreakpoint(tr, s), false
+	if end != core.Infinity {
+		d1, dEnd, cutEnd = lastLE(tr.first, end-1), lastLE(tr.first, end), !isBreakpoint(tr, end)
+	}
+	full := tr.dir[d0].n == leafCap && d1 == d0 && (cutStart || cutEnd)
+	spans3 := d1-d0 >= 2
+	twoFull := cutStart && cutEnd && d0 != dEnd && tr.dir[d0].n == leafCap && tr.dir[dEnd].n == leafCap
+	endLeaf, startLeaf := int32(-1), int32(-1)
+	if !cutEnd && end != core.Infinity && tr.first[dEnd] == end && tr.dir[dEnd].n == 1 {
+		endLeaf = tr.dir[dEnd].leaf
+	}
+	if !cutStart && d0 > 0 && tr.first[d0] == s && tr.dir[d0].n > 1 && (!cutEnd || dEnd != d0 || tr.dir[d0].n < leafCap) {
+		startLeaf = tr.dir[d0].leaf
+	}
 	if err := do(); err != nil {
 		return err
 	}
@@ -52,11 +74,28 @@ func (ev *events) mutate(t *testing.T, tr *Tree, s, end core.Time, do func() err
 	if declined(tr, before) {
 		ev.declined++
 	}
-	// The slow path leaves the finger at the origin, the one-leaf path on
-	// the segment holding s.
-	if fd, fk := int(tr.fin.d), int(tr.fin.k); full && (fd > 0 || fk > 0) &&
-		tr.start(fd, &tr.leaves[tr.dir[fd].leaf], fk) <= s {
+	if full {
 		ev.fullLeaf++
+	}
+	if spans3 {
+		ev.spans3++
+	}
+	if twoFull {
+		ev.twoFull++
+	}
+	// Directory position by arena index after, -1 for a leaf not in use.
+	at := make([]int, len(tr.leaves))
+	for i := range at {
+		at[i] = -1
+	}
+	for d, e := range tr.dir {
+		at[e.leaf] = d
+	}
+	if endLeaf >= 0 && at[endLeaf] < 0 && !isBreakpoint(tr, end) {
+		ev.endDrop++
+	}
+	if startLeaf >= 0 && at[startLeaf] >= 0 && tr.first[at[startLeaf]] > s && !isBreakpoint(tr, s) {
+		ev.startKey++
 	}
 	// Only a lend moves a key back, and only a lend to the previous leaf
 	// moves one forward while that leaf gains two segments or more.
