@@ -118,7 +118,8 @@ func BenchmarkFCFSNoGuarantee(b *testing.B) {
 }
 
 // BenchmarkAlphaSweep regenerates the Proposition 3 sweep: empirical LSRC
-// ratios vs the 2/α guarantee across the α grid.
+// ratios vs each instance's 2/α′ guarantee (α′ = Instance.Alpha()) across
+// the α grid.
 func BenchmarkAlphaSweep(b *testing.B) {
 	runExperiment(b, "alpha")
 	b.ReportMetric(bounds.AlphaUpper(0.5), "guarantee@alpha=0.5")

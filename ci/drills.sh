@@ -7,7 +7,7 @@
 #
 #   ci/drills.sh obs     # the whole observability surface under live traffic
 #   ci/drills.sh burn    # an SLO page must fire under a burn and clear after it
-#   ci/drills.sh crash   # SIGKILL under traffic, restart on the same WAL
+#   ci/drills.sh crash   # SIGKILL under traffic, restart on the same WAL, twice more idle
 #
 # and two need no server:
 #
@@ -239,8 +239,10 @@ JSON
 # handler, no seal, no snapshot — and restarted on the same log directory:
 # it must print the replay banner with a non-zero record count and nothing
 # torn, corrupt or dropped (the unwritten rest of a mapped segment is not
-# damage), and keep taking traffic on top of the recovered state. Once per
-# sync mode: without fsync, the page cache alone carries the records.
+# damage), and keep taking traffic on top of the recovered state. Then,
+# with no traffic, it is restarted, SIGKILLed and restarted again: both
+# boots must report the same per-shard state. Once per sync mode: without
+# fsync, the page cache alone carries the records.
 crash)
   for sync in batch none; do
     wal=$dir/wal-$sync
@@ -261,6 +263,25 @@ crash)
     stop
     cat "server2-$sync.out"
     grep -q 'resdsrv: final:' "server2-$sync.out"
+    # Recovery is idempotent: server3 replays what server2 sealed, is
+    # SIGKILLed with no traffic, and server4 replays again; both must come
+    # back as the same set, shard by shard. Rejection counters restart at
+    # zero and are left out.
+    for n in 3 4; do
+      serve "server$n-$sync.out" -shards 4 -m 64 -waldir "$wal" -walsync "$sync" -snapevery 4096
+      curl -sf "http://$obs/metrics" |
+        grep -E '^(resd_shard_active|resd_shard_committed_area|resd_admitted_total|resd_cancelled_total)\{' |
+        sort > "state$n-$sync.txt"
+      if [ "$n" = 3 ]; then
+        kill -9 "$srv"
+        wait "$srv" || true
+        srv=
+      fi
+    done
+    stop
+    cat "state3-$sync.txt"
+    test "$(wc -l < "state3-$sync.txt")" -eq 16
+    diff "state3-$sync.txt" "state4-$sync.txt"
   done
   ;;
 

@@ -86,11 +86,14 @@ type AlphaConfig struct {
 	MaxResLen core.Time
 }
 
-// RandomAlpha generates a random α-RESASCHEDULING instance: job widths are
-// capped at floor(α·m) (at least 1) and the reservation set is drawn by
+// RandomAlpha generates a random α′-RESASCHEDULING instance: job widths
+// are capped at floor(α·m) (at least 1) and the reservation set is drawn by
 // workload.AlphaReservations, the rejection sampler ReservationStream
-// shares, so its unavailability never exceeds floor((1-α)·m) and its
-// memory is O(NRes), whatever the horizon.
+// shares, so its unavailability never exceeds m − floor(α·m) and its
+// memory is O(NRes), whatever the horizon. That is floor((1-α)·m) only when
+// α·m is an integer; otherwise U may exceed (1−α)·m, and the instance is
+// guaranteed α′-restricted only for α′ = floor(α·m)/m < α. Instance.Alpha
+// reports the α an instance has.
 func RandomAlpha(r *rng.PCG, cfg AlphaConfig) *core.Instance {
 	if cfg.M < 1 || cfg.Alpha <= 0 || cfg.Alpha > 1 || cfg.MaxLen < 1 || cfg.Horizon < 1 {
 		panic("instances: invalid AlphaConfig")
@@ -99,7 +102,7 @@ func RandomAlpha(r *rng.PCG, cfg AlphaConfig) *core.Instance {
 	if maxQ < 1 {
 		maxQ = 1
 	}
-	maxU := cfg.M - maxQ // floor((1-α)m) when αm integral; conservative otherwise
+	maxU := cfg.M - maxQ // floor((1-α)m) when αm is integral, above (1-α)m otherwise
 	inst := &core.Instance{
 		Name: fmt.Sprintf("alpha-m%d-n%d-a%.3f", cfg.M, cfg.N, cfg.Alpha),
 		M:    cfg.M,

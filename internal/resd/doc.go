@@ -74,7 +74,7 @@
 // of index, where slots of whole records cost 43–85. Slab order is not
 // state: it depends on the order of cancels, and nothing reads it —
 // Dump sorts by id, the snapshot encoder sorts its live list, and
-// recovery rebuilds the book from the sorted ids. An id does not name its
+// recovery sorts the slab by id once replay is done. An id does not name its
 // position either: ids stay the monotonic shard|sequence pairs the log
 // and the snapshot record, so that a recovered service mints the ids an
 // unstopped one would; a position in the id would make free-list order
@@ -225,10 +225,16 @@
 // and deletes the generations the snapshot made redundant, bounding both
 // disk and replay time.
 //
-// New replays before serving: newest decodable snapshot, then the
-// surviving log suffix, re-committing each record through the same
-// index operations live admission uses. The invariants the recovery
-// tests pin:
+// New builds the shards, then replays before serving. Each shard loads
+// its newest decodable snapshot into its own book and applies the
+// surviving log suffix through the two book transitions its turns use,
+// book for an admit and unbook for a cancel; the slot search, the quota
+// charge, the log append and the index edit stay in the turn. Once every
+// shard is read, each commits the reservations that survived replay to
+// the index and re-charges their quota, one at a time in ascending id
+// order, whatever order the log holds them in: the order fixes the
+// recovered tree's shape, and with it the recovered heap. The invariants
+// the recovery tests pin:
 //
 //   - Exactness: the recovered service is bit-identical to the
 //     pre-crash one — same IDs, same placements, same tenant books — on

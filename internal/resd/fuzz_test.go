@@ -6,15 +6,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/wal"
 )
 
-// FuzzResdAdmission decodes the fuzz input into a Reserve/Cancel/Query op
-// stream and replays it serially through a single-shard service on the
-// tree backend, cross-checking every answer against a sequential oracle:
-// a plain array Timeline driven by straight-line admission logic with the
-// same α-floor. Any divergence — a different admitted start, a different
-// error, a different capacity probe — means the event loop, the batching
-// path or a backend broke admission semantics.
+// FuzzResdAdmission decodes the fuzz input into a Reserve/Cancel/Query/
+// Restart op stream and replays it serially through a single-shard service
+// on the tree backend, cross-checking every answer against a sequential
+// oracle: a plain array Timeline driven by straight-line admission logic
+// with the same α-floor. Any divergence — a different admitted start, a
+// different error, a different capacity probe — means the event loop, the
+// batching path, a backend or WAL recovery broke admission semantics. An
+// input with a restart runs the service over an unsynced log that
+// snapshots every few records, and a restart closes the service and opens
+// it again over the same directory, so replays start from the log alone or
+// from a snapshot; the oracle carries on as if nothing happened. Where no
+// log can open, a restart does nothing.
 func FuzzResdAdmission(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 10, 0, 0, 2, 10, 2, 5, 0, 0})
 	f.Add([]byte{0, 0, 1, 4, 1, 0, 0, 0, 0, 3, 2, 7})
@@ -25,11 +31,22 @@ func FuzzResdAdmission(f *testing.F) {
 			alpha = 0.25
 		)
 		floor := int(alpha * m) // 2
-		s, err := New(Config{M: m, Alpha: alpha, Batch: 4})
+		cfg := Config{M: m, Alpha: alpha, Batch: 4}
+		for i := 0; i+4 <= len(ops); i += 4 {
+			if ops[i]%4 == 3 {
+				cfg.WAL = &wal.Options{Dir: t.TempDir(), Sync: wal.SyncNone, SnapEvery: 4}
+				break
+			}
+		}
+		s, err := New(cfg)
+		if errors.Is(err, errors.ErrUnsupported) {
+			cfg.WAL = nil
+			s, err = New(cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
+		defer func() { s.Close() }()
 		oracle := profile.New(m)
 		type admitted struct {
 			id    ID
@@ -39,7 +56,7 @@ func FuzzResdAdmission(f *testing.F) {
 		}
 		var live []admitted
 		for len(ops) >= 4 {
-			op, a, b, c := ops[0]%3, ops[1], ops[2], ops[3]
+			op, a, b, c := ops[0]%4, ops[1], ops[2], ops[3]
 			ops = ops[4:]
 			switch op {
 			case 0: // reserve
@@ -91,6 +108,14 @@ func FuzzResdAdmission(f *testing.F) {
 				}
 				if want := oracle.AvailableAt(at); free[0] != want {
 					t.Fatalf("query(%v) = %d, oracle %d", at, free[0], want)
+				}
+			case 3: // restart over the same log
+				if cfg.WAL == nil {
+					continue
+				}
+				s.Close()
+				if s, err = New(cfg); err != nil {
+					t.Fatalf("restart: %v", err)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package resd
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -102,9 +103,22 @@ func (t *liveTable) reserve(n int) {
 	if size > len(t.index) {
 		t.index = make([]int32, size)
 		t.shift = uint8(65 - bits.TrailingZeros(uint(size)))
-		for p, r := range t.slab {
-			t.index[t.seek(r.key, 0)] = int32(p + 1)
-		}
+		t.reindex()
+	}
+}
+
+// sortByID puts the slab in id order and indexes it again, as a table
+// that was handed its records in that order would hold them.
+func (t *liveTable) sortByID() {
+	slices.SortFunc(t.slab, func(a, b resv) int { return cmp.Compare(a.key, b.key) })
+	clear(t.index)
+	t.reindex()
+}
+
+// reindex enters every slab position in an empty index.
+func (t *liveTable) reindex() {
+	for p, r := range t.slab {
+		t.index[t.seek(r.key, 0)] = int32(p + 1)
 	}
 }
 

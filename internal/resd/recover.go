@@ -3,9 +3,9 @@ package resd
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/tenant"
 	"repro/internal/wal"
@@ -32,41 +32,13 @@ type WALInfo struct {
 	Torn         int
 	Corrupt      int
 	DroppedBytes int64
-	// Replay is how long recovery took, start of scan to shards seeded.
+	// Replay is how long recovery took, start of scan to boot snapshots
+	// written: replay, index rebuild and quota re-charge included.
 	Replay time.Duration
 }
 
 // seq extracts the shard-local sequence number an ID was minted with.
 func (id ID) seq() uint64 { return uint64(id) & (1<<(64-shardBits) - 1) }
-
-// shardSeed is one shard's recovered pre-crash state, handed to
-// newShard to rebuild the capacity index, books and counters before
-// the first request. Replay keeps it in plain maps; adoptSeed lays it
-// out as the shard's table and cells once the final counts are known.
-// The books keep no area: a book's area is the sum of its live records',
-// which adoptSeed adds up as it enters them (the snapshot's is saturated,
-// so it cannot be trusted to subtract from).
-type shardSeed struct {
-	log     *wal.Log
-	nextSeq uint64
-
-	admitted, cancelled uint64
-
-	books map[string]TenantStats
-	live  map[ID]wal.Live
-}
-
-// sortedIDs lists the live ids in ascending order: the order recovery
-// re-commits and re-charges in, so a failure names the same reservation
-// on every run.
-func (sd *shardSeed) sortedIDs() []ID {
-	ids := make([]ID, 0, len(sd.live))
-	for id := range sd.live {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
 
 // shardErr wraps a recovery failure with its shard. For wal.ErrRetired
 // the error already names the file (hence the generation) and what it
@@ -84,94 +56,33 @@ func corruptState(shard int, format string, args ...any) error {
 	return fmt.Errorf("resd: wal replay shard %d: %w: %s", shard, wal.ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// replayShard rebuilds one shard's state from its snapshot and the
-// records after it. Pure bookkeeping: the capacity index is rebuilt
-// later, from the surviving live set.
-func replayShard(shard int, snap *wal.Snapshot, recs []wal.Record) (*shardSeed, error) {
-	sd := &shardSeed{books: make(map[string]TenantStats), live: make(map[ID]wal.Live)}
-	if snap != nil {
-		sd.nextSeq = snap.NextSeq
-		sd.admitted, sd.cancelled = snap.Admitted, snap.Cancelled
-		for _, bk := range snap.Books {
-			sd.books[bk.Tenant] = TenantStats{
-				Active: int(bk.Active), Admitted: bk.Admitted, Cancelled: bk.Cancelled,
-			}
-		}
-		for _, lv := range snap.Live {
-			// An id's shard bits are its home for life, and where Cancel
-			// looks. One living elsewhere was migrated there.
-			id := ID(lv.ID)
-			if id.Shard() != shard {
-				return nil, shardErr(shard, fmt.Errorf("generation %d snapshot: %w: live id %#x was admitted by shard %d",
-					snap.Gen, wal.ErrRetired, lv.ID, id.Shard()))
-			}
-			sd.live[id] = lv
-		}
-	}
-	for _, rec := range recs {
-		if err := sd.apply(shard, rec); err != nil {
-			return nil, err
-		}
-	}
-	return sd, nil
-}
-
-// apply replays one record, mirroring the shard's apply transitions
-// exactly (books, counters, live set — everything but the index).
-func (sd *shardSeed) apply(shard int, rec wal.Record) error {
-	id := ID(rec.ID)
-	switch rec.Type {
-	case wal.TAdmit:
-		if _, dup := sd.live[id]; dup {
-			return corruptState(shard, "admit of live id %#x", rec.ID)
-		}
-		sd.live[id] = wal.Live{ID: rec.ID, Start: rec.Start, Dur: rec.Dur, Procs: rec.Procs, Tenant: rec.Tenant}
-		key := bookName(sd.books, rec.Tenant)
-		bk := sd.books[key]
-		bk.Active++
-		bk.Admitted++
-		sd.books[key] = bk
-		sd.admitted++
-		if s := id.seq(); s >= sd.nextSeq {
-			sd.nextSeq = s + 1
-		}
-	case wal.TCancel:
-		a, ok := sd.live[id]
-		if !ok {
-			return corruptState(shard, "cancel of unknown id %#x", rec.ID)
-		}
-		delete(sd.live, id)
-		key := bookName(sd.books, a.Tenant)
-		bk := sd.books[key]
-		bk.Active--
-		bk.Cancelled++
-		sd.books[key] = bk
-		sd.cancelled++
-	default:
-		return corruptState(shard, "unknown record type %d", rec.Type)
-	}
-	return nil
-}
-
-// recoverShards runs the whole recovery pipeline: scan each shard's
-// durable files, replay, open the boot generation, and re-charge the
-// quota registry. Every shard is read before any log is opened, so a
-// directory refused for its migration state (wal.ErrRetired) gains no
-// boot generation. Returns nil seeds when cfg.WAL is nil.
-func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
-	var info WALInfo
+// recoverShards brings the built shards back to what cfg.WAL's directory
+// holds and returns what it found with the logs it opened, one a shard.
+// Each shard replays its snapshot and log records into its own book
+// (replay); only then does each open its boot generation and commit its
+// survivors to the index (recommit), so a directory refused for migration
+// state (wal.ErrRetired) or for a log that contradicts itself gains no
+// boot generation. A failure seals whatever logs are open. Does nothing
+// when cfg.WAL is nil.
+func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, err error) {
 	if cfg.WAL == nil {
-		return nil, info, nil
+		return info, nil, nil
 	}
+	defer func() {
+		if err != nil {
+			for _, sh := range shards {
+				sh.seal()
+			}
+		}
+	}()
 	begin := time.Now()
 	info.Enabled = true
 	info.Dir = cfg.WAL.Dir
 	journal := cfg.WAL.Journal
-	seeds := make([]*shardSeed, cfg.Shards)
-	for i := range seeds {
+	for i, sh := range shards {
 		snap, recs, ri, err := wal.Recover(cfg.WAL.Dir, i)
 		if err != nil {
-			return nil, info, shardErr(i, err)
+			return info, nil, shardErr(i, err)
 		}
 		info.Records += ri.Records
 		if ri.HasSnapshot {
@@ -190,9 +101,8 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 			journal.Record(flight.Error, "resd", i, "wal replay: corrupt frame, suffix dropped",
 				flight.KV{K: "bytes", V: fmt.Sprint(ri.DroppedBytes)})
 		}
-		seeds[i], err = replayShard(i, snap, recs)
-		if err != nil {
-			return nil, info, err
+		if err := sh.replay(snap, recs); err != nil {
+			return info, nil, err
 		}
 	}
 	journal.Record(flight.Info, "resd", -1, "wal replay complete",
@@ -200,41 +110,129 @@ func recoverShards(cfg Config) ([]*shardSeed, WALInfo, error) {
 		flight.KV{K: "snapshots", V: fmt.Sprint(info.Snapshots)},
 		flight.KV{K: "torn", V: fmt.Sprint(info.Torn)},
 		flight.KV{K: "corrupt", V: fmt.Sprint(info.Corrupt)})
-	closeAll := func() {
-		for _, sd := range seeds {
-			if sd.log != nil {
-				sd.log.Close()
-			}
+	logs = make([]*wal.Log, len(shards))
+	for i, sh := range shards {
+		if logs[i], err = wal.Open(i, *cfg.WAL); err != nil {
+			return info, nil, fmt.Errorf("resd: shard %d: %w", i, err)
+		}
+		sh.wlog, sh.snapEvery = logs[i], cfg.WAL.SnapEvery
+		sh.syncs.Store(logs[i].Syncs())
+		info.Syncs = logs[i].Syncs()
+		if err = sh.recommit(); err != nil {
+			return info, nil, err
 		}
 	}
-	for i, sd := range seeds {
-		l, err := wal.Open(i, *cfg.WAL)
+	// Anchor a snapshot of each recovered shard, so that the generations
+	// replay just consumed can be deleted: written synchronously, so by the
+	// time New returns the old logs are gone. Not for a state-free boot,
+	// nor with snapshots off.
+	for _, sh := range shards {
+		if sh.snapEvery <= 0 || len(sh.live.slab) == 0 && len(sh.cells) == 0 && sh.admitted.Load() == 0 {
+			continue
+		}
+		gen, err := sh.wlog.Rotate()
+		if err == nil {
+			err = sh.wlog.WriteSnapshot(sh.snapshot(gen))
+		}
 		if err != nil {
-			closeAll()
-			return nil, info, fmt.Errorf("resd: shard %d: %w", i, err)
-		}
-		sd.log = l
-		info.Syncs = l.Syncs()
-	}
-	// Re-charge the quota registry: every surviving reservation holds
-	// exactly the budget its original admission acquired. The pre-crash
-	// state was legal, so a failure here means the spec shrank under the
-	// recovered load — surfaced, not silently dropped.
-	if cfg.Quotas != nil {
-		for i, sd := range seeds {
-			for _, id := range sd.sortedIDs() {
-				a := sd.live[id]
-				acct := cfg.Quotas.Account(a.Tenant)
-				var why tenant.QuotaError
-				if !acct.TryAcquire(tenant.Area(a.Procs, a.Dur), &why) {
-					closeAll()
-					return nil, info, fmt.Errorf("resd: shard %d: recovered reservation %#x no longer fits tenant %q's quota: %w",
-						i, uint64(id), a.Tenant, &why)
-				}
-				acct.Admit()
-			}
+			return info, nil, fmt.Errorf("resd: shard %d: boot snapshot: %w", sh.id, err)
 		}
 	}
 	info.Replay = time.Since(begin)
-	return seeds, info, nil
+	return info, logs, nil
+}
+
+// replay loads the shard's snapshot, then applies the log records after
+// it through the turn's own transitions, book for an admit and unbook for
+// a cancel. It finds no slot, charges no quota, appends nothing and leaves
+// the index to recommit. The table is reserved first at the largest live
+// count replay reaches, so it is sized once, as a shard that admitted the
+// same reservations would have sized it.
+func (sh *shard) replay(snap *wal.Snapshot, recs []wal.Record) error {
+	live := 0
+	if snap != nil {
+		live = len(snap.Live)
+	}
+	peak := live
+	for _, rec := range recs {
+		if rec.Type == wal.TAdmit {
+			live++
+			peak = max(peak, live)
+		} else {
+			live--
+		}
+	}
+	sh.live.reserve(peak)
+	if snap != nil {
+		sh.nextSeq = snap.NextSeq
+		sh.admitted.Store(snap.Admitted)
+		sh.cancelled.Store(snap.Cancelled)
+		for _, bk := range snap.Books {
+			c := sh.addCell(bk.Tenant)
+			c.stats = TenantStats{Active: int(bk.Active), Admitted: bk.Admitted, Cancelled: bk.Cancelled}
+		}
+		for _, lv := range snap.Live {
+			// An id's shard bits are its home for life, and where Cancel
+			// looks. One living elsewhere was migrated there.
+			id := ID(lv.ID)
+			if id.Shard() != sh.id {
+				return shardErr(sh.id, fmt.Errorf("generation %d snapshot: %w: live id %#x was admitted by shard %d",
+					snap.Gen, wal.ErrRetired, lv.ID, id.Shard()))
+			}
+			if sh.live.find(id) >= 0 {
+				return corruptState(sh.id, "snapshot lists id %#x twice", lv.ID)
+			}
+			// A book's area is the sum of its live records', not the
+			// snapshot's, which is saturated.
+			sh.keep(id, core.Time(lv.Start), core.Time(lv.Dur), lv.Procs, tenant.Area(lv.Procs, lv.Dur), lv.Tenant, sh.cell(lv.Tenant))
+		}
+	}
+	for _, rec := range recs {
+		id := ID(rec.ID)
+		switch rec.Type {
+		case wal.TAdmit:
+			if sh.live.find(id) >= 0 {
+				return corruptState(sh.id, "admit of live id %#x", rec.ID)
+			}
+			sh.book(id, core.Time(rec.Start), core.Time(rec.Dur), rec.Procs, tenant.Area(rec.Procs, rec.Dur), rec.Tenant)
+		case wal.TCancel:
+			p := sh.live.find(id)
+			if p < 0 {
+				return corruptState(sh.id, "cancel of unknown id %#x", rec.ID)
+			}
+			sh.unbook(p)
+		default:
+			return corruptState(sh.id, "unknown record type %d", rec.Type)
+		}
+	}
+	return nil
+}
+
+// recommit commits a replayed shard's survivors to its index and
+// re-charges their quota, in ascending id order: the order fixes the
+// recovered tree's shape, and a failure names the same reservation on
+// every run. The pre-crash state was legal against the same Pre, M and
+// quotas, so a failure means the configuration shrank under the recovered
+// load: an error, not a panic.
+func (sh *shard) recommit() error {
+	sh.live.sortByID()
+	for _, a := range sh.live.slab {
+		if err := sh.idx.Commit(a.start, a.dur, int(a.q)); err != nil {
+			return fmt.Errorf("resd: shard %d: recovered reservation %#x (start=%v dur=%v q=%d) no longer fits: %w",
+				sh.id, uint64(a.id()), a.start, a.dur, a.q, err)
+		}
+		if sh.quotas == nil {
+			continue
+		}
+		acct := sh.account(a)
+		var why tenant.QuotaError
+		if !acct.TryAcquire(tenant.Area(int(a.q), int64(a.dur)), &why) {
+			return fmt.Errorf("resd: shard %d: recovered reservation %#x no longer fits tenant %q's quota: %w",
+				sh.id, uint64(a.id()), sh.tenantOf(a), &why)
+		}
+		acct.Admit()
+	}
+	sh.activeCount.Store(int64(len(sh.live.slab)))
+	sh.committedArea.Store(sh.area.sat())
+	return nil
 }

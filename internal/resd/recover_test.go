@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/tenant"
 	"repro/internal/wal"
 )
 
@@ -71,7 +72,8 @@ func driveBoth(t *testing.T, ref, svc *Service, r *rng.PCG, n int, held *[]Reser
 }
 
 // assertSameState compares the full recoverable surface of two services:
-// per-shard committed reservations (the Dump oracle), per-shard durable
+// per-shard committed reservations (the Dump oracle), capacity indexes
+// (the same breakpoints, the same capacity at each), per-shard durable
 // counters, and per-tenant books (minus the process-lifetime slack
 // percentile, which recovery documents as reset).
 func assertSameState(t *testing.T, ref, svc *Service) {
@@ -87,6 +89,23 @@ func assertSameState(t *testing.T, ref, svc *Service) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shard %d: dump differs:\n got %+v\nwant %+v", i, got, want)
+		}
+		widx, err := ref.Snapshot(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gidx, err := svc.Snapshot(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bps := widx.Breakpoints()
+		if gbps := gidx.Breakpoints(); !reflect.DeepEqual(gbps, bps) {
+			t.Fatalf("shard %d: index breakpoints differ:\n got %v\nwant %v", i, gbps, bps)
+		}
+		for _, at := range bps {
+			if g, w := gidx.AvailableAt(at), widx.AvailableAt(at); g != w {
+				t.Fatalf("shard %d: index capacity at %v is %d, want %d", i, at, g, w)
+			}
 		}
 		wb, err := ref.TenantStats(i)
 		if err != nil {
@@ -121,53 +140,63 @@ func assertSameState(t *testing.T, ref, svc *Service) {
 // service killed (Close is a clean shutdown, but replay only believes
 // the log) and reopened over the same directory must hold exactly the
 // state of an uninterrupted reference service fed the identical stream
-// — same IDs, same placements, same books — and must keep agreeing as
-// both continue admitting. Runs on both capacity backends, with and
-// without snapshots anchoring the replay.
+// — same IDs, same placements, same index, same books — and must keep
+// agreeing as both continue admitting. Runs on both capacity backends,
+// with and without snapshots anchoring the replay, over several streams;
+// the subtest's name carries the stream's seed, so every failure names it.
 func TestRecoveryOracle(t *testing.T) {
 	for _, backend := range []string{"array", "tree"} {
 		for _, snapEvery := range []int{0, 64} {
 			t.Run(fmt.Sprintf("%s/snapevery=%d", backend, snapEvery), func(t *testing.T) {
-				dir := t.TempDir()
-				ref, err := New(Config{Shards: 4, M: 32, Backend: backend})
-				if err != nil {
-					t.Fatal(err)
+				for _, seed := range []uint64{0xFEED, 0x5EED1, 0x5EED2, 0x5EED3} {
+					t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
+						oracleRun(t, backend, snapEvery, seed)
+					})
 				}
-				defer ref.Close()
-				svc, err := New(walConfig(backend, dir, snapEvery))
-				skipNoLog(t, err)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := rng.New(0xFEED)
-				var held []Reservation
-				driveBoth(t, ref, svc, r, 400, &held)
-				assertSameState(t, ref, svc)
-				svc.Close()
-
-				svc, err = New(walConfig(backend, dir, snapEvery))
-				if err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				defer svc.Close()
-				wi := svc.WALInfo()
-				if !wi.Enabled {
-					t.Fatal("WALInfo.Enabled false on a WAL service")
-				}
-				if snapEvery > 0 && wi.Snapshots == 0 {
-					t.Errorf("400 ops with SnapEvery=64 produced no snapshot anchor: %+v", wi)
-				}
-				if wi.Corrupt != 0 {
-					t.Errorf("clean shutdown read as corrupt: %+v", wi)
-				}
-				assertSameState(t, ref, svc)
-
-				// Both continue: recovered nextSeq must not re-mint old IDs.
-				driveBoth(t, ref, svc, r, 200, &held)
-				assertSameState(t, ref, svc)
 			})
 		}
 	}
+}
+
+// oracleRun is one TestRecoveryOracle stream.
+func oracleRun(t *testing.T, backend string, snapEvery int, seed uint64) {
+	dir := t.TempDir()
+	ref, err := New(Config{Shards: 4, M: 32, Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	svc, err := New(walConfig(backend, dir, snapEvery))
+	skipNoLog(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(seed)
+	var held []Reservation
+	driveBoth(t, ref, svc, r, 400, &held)
+	assertSameState(t, ref, svc)
+	svc.Close()
+
+	svc, err = New(walConfig(backend, dir, snapEvery))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer svc.Close()
+	wi := svc.WALInfo()
+	if !wi.Enabled {
+		t.Fatal("WALInfo.Enabled false on a WAL service")
+	}
+	if snapEvery > 0 && wi.Snapshots == 0 {
+		t.Errorf("400 ops with SnapEvery=64 produced no snapshot anchor: %+v", wi)
+	}
+	if wi.Corrupt != 0 {
+		t.Errorf("clean shutdown read as corrupt: %+v", wi)
+	}
+	assertSameState(t, ref, svc)
+
+	// Both continue: recovered nextSeq must not re-mint old IDs.
+	driveBoth(t, ref, svc, r, 200, &held)
+	assertSameState(t, ref, svc)
 }
 
 // TestRecoveryFromLiveDirectory is the SIGKILL shape at the service
@@ -581,15 +610,37 @@ func TestRecoveryCorruptMidLog(t *testing.T) {
 	}
 }
 
-// TestRecoveryReplayIsCorruptionNotPanic: records that are CRC-clean
-// but semantically impossible (cancel of an unknown ID) must surface as
-// ErrCorrupt from New, never as a panic or silent misstate.
+// TestRecoveryRejectsContradictoryLog: records that are CRC-clean but
+// semantically impossible (cancel of an unknown ID), or a checksummed
+// snapshot that lists one ID twice, must surface as ErrCorrupt from New,
+// never as a panic or silent misstate.
 func TestRecoveryRejectsContradictoryLog(t *testing.T) {
 	dir := t.TempDir()
 	writeShardLog(t, dir, 0, wal.Record{Type: wal.TCancel, ID: uint64(makeID(0, 5))})
 	cfg := walConfig("array", dir, 0)
 	if _, err := New(cfg); !errors.Is(err, wal.ErrCorrupt) {
 		t.Fatalf("New over a contradictory log: err = %v, want wal.ErrCorrupt", err)
+	}
+
+	dir = t.TempDir()
+	l, err := wal.Open(0, wal.Options{Dir: dir, Sync: wal.SyncNone})
+	skipNoLog(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice := wal.Live{ID: uint64(makeID(0, 1)), Dur: 10, Procs: 2, Tenant: "t"}
+	err = l.WriteSnapshot(&wal.Snapshot{Shard: 0, Gen: gen, NextSeq: 2, Admitted: 2,
+		Books: []wal.TenantBook{{Tenant: "t", Active: 2, Admitted: 2}}, Live: []wal.Live{twice, twice}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := New(walConfig("array", dir, 0)); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("New over a snapshot listing an id twice: err = %v, want wal.ErrCorrupt", err)
 	}
 }
 
@@ -672,4 +723,89 @@ func TestEndlessAdmissionAreaSaturates(t *testing.T) {
 	s = open()
 	defer s.Close()
 	check(s, "recovered after the cancels", 80, 0, []int{1, 0})
+}
+
+// TestOverflowBookSurvivesRecovery: a log that names more than
+// tenant.MaxAccounts tenants comes back with its overflow book whole. The
+// first MaxAccounts names are admitted and cancelled, so the shard keeps a
+// cell for each and the registry, which re-charges survivors only, opens no
+// account for them; then three fresh names are admitted past the cap, one
+// of them cancelled. After New the overflow book holds what those records
+// imply, the snapshot lists each survivor under the name it was charged
+// under, that name's account holds its area, and a Cancel releases that
+// account, not the overflow book's.
+func TestOverflowBookSurvivesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	var recs []wal.Record
+	seq := uint64(0)
+	admit := func(name string, start, dur int64, q int) ID {
+		id := makeID(0, seq)
+		seq++
+		recs = append(recs, wal.Record{Type: wal.TAdmit, ID: uint64(id), Tenant: name,
+			Start: start, Dur: dur, Procs: q, Deadline: int64(NoDeadline)})
+		return id
+	}
+	cancel := func(id ID) { recs = append(recs, wal.Record{Type: wal.TCancel, ID: uint64(id)}) }
+	for i := 0; i < tenant.MaxAccounts; i++ {
+		cancel(admit(fmt.Sprintf("seed%d", i), 0, 1, 1))
+	}
+	f1 := admit("fresh1", 0, 10, 2)
+	cancel(admit("fresh2", 0, 10, 1))
+	f3 := admit("fresh3", 10, 5, 3)
+	writeShardLog(t, dir, 0, recs...)
+
+	reg := mustRegistry(t, 1<<40, tenant.Spec{})
+	cfg := walConfig("tree", dir, 0)
+	cfg.Shards, cfg.M, cfg.Quotas = 1, 8, reg
+	s, err := New(cfg)
+	skipNoLog(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts, err := s.TenantStats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := TenantStats{Active: 2, CommittedArea: 2*10 + 3*5, Admitted: 3, Cancelled: 1}
+	if o := ts[OverflowTenant]; o != want {
+		t.Fatalf("overflow book after recovery = %+v, want %+v", o, want)
+	}
+	for _, name := range []string{"fresh1", "fresh2", "fresh3"} {
+		if _, own := ts[name]; own {
+			t.Fatalf("%s, past the cap, got a book of its own", name)
+		}
+	}
+	if n := len(ts); n != tenant.MaxAccounts+1 {
+		t.Fatalf("%d books, want the cap plus the overflow book", n)
+	}
+	snap := s.shards[0].snapshot(1)
+	named := map[ID]string{}
+	for _, lv := range snap.Live {
+		named[ID(lv.ID)] = lv.Tenant
+	}
+	if len(named) != 2 || named[f1] != "fresh1" || named[f3] != "fresh3" {
+		t.Fatalf("snapshot lists %+v, want %#x under fresh1 and %#x under fresh3", snap.Live, uint64(f1), uint64(f3))
+	}
+	if u := reg.Usage("fresh1"); u.Used != 20 || u.Inflight != 1 {
+		t.Fatalf("fresh1's account after recovery = %+v, want area 20 held by one admission", u)
+	}
+	if u := reg.Usage("fresh3"); u.Used != 15 || u.Inflight != 1 {
+		t.Fatalf("fresh3's account after recovery = %+v, want area 15 held by one admission", u)
+	}
+	if u := reg.Usage(OverflowTenant); u.Used != 0 || u.Inflight != 0 {
+		t.Fatalf("recovery charged the overflow book's name: %+v", u)
+	}
+	if err := s.Cancel(f1); err != nil {
+		t.Fatal(err)
+	}
+	if u := reg.Usage("fresh1"); u.Used != 0 || u.Inflight != 0 || u.Cancelled != 1 {
+		t.Fatalf("fresh1's account after the cancel = %+v", u)
+	}
+	if u := reg.Usage(OverflowTenant); u.Used != 0 || u.Cancelled != 0 {
+		t.Fatalf("the cancel released the overflow book's name: %+v", u)
+	}
+	if u := reg.Usage("fresh3"); u.Used != 15 {
+		t.Fatalf("the cancel moved fresh3's account: %+v", u)
+	}
 }

@@ -280,12 +280,13 @@ type Service struct {
 }
 
 // New builds the shards (each pre-loaded with cfg.Pre) and returns the
-// running service. With Config.WAL set, New first recovers whatever the
-// log directory holds — replaying every shard's snapshot and records and
-// re-charging the quota registry — so the returned service is the
-// pre-crash service, continued. Recovery runs to completion before New
-// returns; a server should not report ready until it does. A directory
-// holding migration state (wal.ErrRetired) fails New and is left as found.
+// running service. With Config.WAL set, New then recovers whatever the
+// log directory holds — replaying each shard's snapshot and records into
+// that shard's book and re-charging the quota registry — so the returned
+// service is the pre-crash service, continued. Recovery runs to
+// completion before New returns; a server should not report ready until
+// it does. A directory holding migration state (wal.ErrRetired) fails New
+// and is left as found.
 func New(cfg Config) (*Service, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -306,37 +307,15 @@ func New(cfg Config) (*Service, error) {
 			cfg.WAL.Journal = s.journal
 		}
 	}
-	seeds, walInfo, err := recoverShards(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.walInfo = walInfo
 	for i := 0; i < cfg.Shards; i++ {
-		var seed *shardSeed
-		if seeds != nil {
-			seed = seeds[i]
-		}
-		sh, err := newShard(i, cfg, s.floor, seed)
+		sh, err := newShard(i, cfg, s.floor)
 		if err != nil {
-			for _, prev := range s.shards {
-				prev.do(request{kind: opClose}, true) // seals its log
-			}
-			if seeds != nil {
-				for _, sd := range seeds[i:] { // never became shards: seal here
-					if sd.log != nil {
-						sd.log.Close()
-					}
-				}
-			}
 			return nil, err
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if s.walInfo.Enabled {
-		s.walLogs = make([]*wal.Log, len(s.shards))
-		for i := range s.shards {
-			s.walLogs[i] = s.shards[i].wlog
-		}
+	if s.walInfo, s.walLogs, err = recoverShards(cfg, s.shards); err != nil {
+		return nil, err
 	}
 	if cfg.Obs != nil {
 		s.registerObs()

@@ -92,18 +92,6 @@ var slotPool = sync.Pool{New: func() any { return &slot{wake: make(chan bool, 1)
 // TenantStats degrades past the cap.
 const OverflowTenant = "!overflow"
 
-// bookName is the overflow rule: which per-tenant book a name is kept
-// in, given the books a shard already has — its own, unless that would be
-// a new book past the cap. The shard and WAL replay both resolve names with
-// it, and the book set only grows, so a reservation's tenant name finds
-// the book it was admitted into at any later time, on either side.
-func bookName[V any](books map[string]V, name string) string {
-	if _, ok := books[name]; !ok && len(books) >= tenant.MaxAccounts {
-		return OverflowTenant
-	}
-	return name
-}
-
 // tenantCell is everything a shard keeps about one tenant book. An
 // admission resolves its tenant name to the cell once; a live record
 // names the cell by idx, its position in shard.cells, so a cancel finds
@@ -133,13 +121,14 @@ func (sh *shard) cell(name string) *tenantCell {
 }
 
 // newCell books a name that has no cell: in a cell of its own, or in the
-// overflow cell once the shard keeps tenant.MaxAccounts of them. The
-// first time a shard falls back to the overflow book it journals the
+// overflow cell once the shard keeps tenant.MaxAccounts of them. Cells are
+// never dropped, so a reservation's tenant name finds the book it was
+// admitted into at any later time, in the turn and in WAL replay alike.
+// The first time a shard falls back to the overflow book it journals the
 // degradation: from that point per-name attribution is lossy, which an
 // operator reading TenantStats should know without counting books.
 func (sh *shard) newCell(name string) *tenantCell {
-	book := bookName(sh.byName, name)
-	if book != name {
+	if len(sh.byName) >= tenant.MaxAccounts && name != OverflowTenant {
 		if !sh.overflowed {
 			sh.overflowed = true
 			sh.journal.RecordEvent(flight.Event{
@@ -148,11 +137,12 @@ func (sh *shard) newCell(name string) *tenantCell {
 				KV:  []flight.KV{{K: "max_accounts", V: strconv.Itoa(tenant.MaxAccounts)}},
 			})
 		}
-		if c := sh.byName[book]; c != nil {
+		if c := sh.byName[OverflowTenant]; c != nil {
 			return c
 		}
+		name = OverflowTenant
 	}
-	return sh.addCell(book)
+	return sh.addCell(name)
 }
 
 // addCell appends the cell for a book the shard does not have yet.
@@ -185,12 +175,12 @@ func (sh *shard) account(a resv) *tenant.Account {
 	return c.acct
 }
 
-// keep enters an admitted reservation of the given area (tenant.Area of
-// q and dur) in the live table under cell c, and adds the area to the
-// shard's and the cell's sums. tenant is the name its quota was charged
-// under: the cell's own, except in the overflow book, whose records keep
-// theirs beside the table so that Cancel releases the right account and
-// the snapshot stays exact.
+// keep enters a reservation of the given area (tenant.Area of q and dur)
+// in the live table under cell c, and adds the area to the shard's and
+// the cell's sums. tenant is the name its quota was charged under: the
+// cell's own, except in the overflow book, whose records keep theirs
+// beside the table so that Cancel releases the right account and the
+// snapshot stays exact.
 func (sh *shard) keep(id ID, start, dur core.Time, q int, area int64, tenant string, c *tenantCell) {
 	sh.live.put(resv{key: uint64(id) + 1, start: start, dur: dur, q: int32(q), cell: c.idx})
 	if tenant != c.name {
@@ -198,6 +188,42 @@ func (sh *shard) keep(id ID, start, dur core.Time, q int, area int64, tenant str
 	}
 	sh.area.add(area)
 	c.area.add(area)
+}
+
+// book is the admit transition of the shard's book: the reservation is
+// kept under the cell its tenant name resolves to, the cell and the shard
+// count one more admission, and nextSeq moves past the id. reserve calls
+// it once the slot is found, the quota charged, the index committed and
+// the record appended; WAL replay calls it for each admit record. It
+// returns the cell.
+func (sh *shard) book(id ID, start, dur core.Time, q int, area int64, tenant string) *tenantCell {
+	c := sh.cell(tenant)
+	sh.keep(id, start, dur, q, area, tenant, c)
+	c.stats.Active++
+	c.stats.Admitted++
+	sh.admitted.Add(1)
+	if s := id.seq(); s >= sh.nextSeq {
+		sh.nextSeq = s + 1
+	}
+	return c
+}
+
+// unbook is the cancel transition: the reservation at slab position p
+// leaves the table, its area leaves the shard's and its cell's sums, and
+// the cell and the shard count one more cancellation. cancel calls it
+// once the index is released, the record appended and the quota
+// credited; WAL replay calls it for each cancel record.
+func (sh *shard) unbook(p int) {
+	a := sh.live.slab[p]
+	sh.live.delAt(p)
+	delete(sh.live.charged, a.id())
+	area := tenant.Area(int(a.q), int64(a.dur))
+	sh.area.sub(area)
+	c := sh.cells[a.cell]
+	c.stats.Active--
+	c.stats.Cancelled++
+	c.area.sub(area)
+	sh.cancelled.Add(1)
 }
 
 // areaSum is a sum of processor-tick areas kept exactly, in 128 bits. An
@@ -340,14 +366,12 @@ const cacheLine = 64
 func (sh *shard) load() int64 { return sh.committedArea.Load() }
 
 // newShard builds the partition's index (with the Pre reservations
-// committed); the shard is ready for do when it returns. floor is the
-// service-computed α head-room, passed in so the Reserve pre-check in
-// Service and the enforcement here can never disagree. seed, when
-// non-nil, is the shard's recovered pre-crash state (WAL replay): it is
-// re-committed to the fresh index — placements land on the exact
-// pre-crash profile — and a boot snapshot anchors the new log generation
-// so the replayed generations can be truncated.
-func newShard(id int, cfg Config, floor int, seed *shardSeed) (*shard, error) {
+// committed) and an empty book; the shard is ready for do when it
+// returns. floor is the service-computed α head-room, passed in so the
+// Reserve pre-check in Service and the enforcement here can never
+// disagree. A service with a WAL brings the shard back to its pre-crash
+// state (recoverShards) before the first request.
+func newShard(id int, cfg Config, floor int) (*shard, error) {
 	idx, err := profile.IndexFromReservations(cfg.Backend, cfg.M, cfg.Pre)
 	if err != nil {
 		return nil, fmt.Errorf("resd: shard %d: %w", id, err)
@@ -375,67 +399,7 @@ func newShard(id int, cfg Config, floor int, seed *shardSeed) (*shard, error) {
 		sh.lastBeat.Store(int64(time.Since(epoch)))
 	}
 	sh.turnHook = cfg.turnHook
-	if seed != nil {
-		if err := sh.adoptSeed(cfg, seed); err != nil {
-			return nil, err
-		}
-	}
 	return sh, nil
-}
-
-// adoptSeed installs recovered state before the first request: log handle,
-// sequence counter, books, counters, and every surviving reservation
-// committed back onto the index. The pre-crash state was legal against
-// the same Pre and M, so a commit failure here means the configuration
-// shrank under the recovered load — an error, not a panic.
-func (sh *shard) adoptSeed(cfg Config, seed *shardSeed) error {
-	sh.wlog = seed.log
-	sh.syncs.Store(seed.log.Syncs())
-	sh.snapEvery = cfg.WAL.SnapEvery
-	sh.nextSeq = seed.nextSeq
-	sh.admitted.Store(seed.admitted)
-	sh.cancelled.Store(seed.cancelled)
-	// Cells in name order, the table at its final size before the first
-	// insertion: what a recovered shard looks like depends on what the
-	// directory holds, not on map iteration or on the order of growth.
-	names := make([]string, 0, len(seed.books))
-	for name := range seed.books {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	for _, name := range names {
-		c := sh.addCell(name)
-		c.stats = seed.books[name]
-	}
-	sh.live.reserve(len(seed.live))
-	for _, id := range seed.sortedIDs() {
-		lv := seed.live[id]
-		start, dur := core.Time(lv.Start), core.Time(lv.Dur)
-		if err := sh.idx.Commit(start, dur, lv.Procs); err != nil {
-			return fmt.Errorf("resd: shard %d: recovered reservation %#x (start=%v dur=%v q=%d) no longer fits: %w",
-				sh.id, lv.ID, start, dur, lv.Procs, err)
-		}
-		// The book areas are the sums of their live records' areas, derived
-		// here rather than read from the snapshot, where they are saturated.
-		sh.keep(id, start, dur, lv.Procs, tenant.Area(lv.Procs, lv.Dur), lv.Tenant, sh.cell(lv.Tenant))
-	}
-	sh.activeCount.Store(int64(len(sh.live.slab)))
-	sh.committedArea.Store(sh.area.sat())
-	// Anchor a snapshot of the recovered state so the generations replay
-	// just consumed can be deleted. Written synchronously: by the time New
-	// returns, recovery is complete and the old logs are gone. Skipped for
-	// a state-free boot (nothing to anchor) and when snapshots are
-	// disabled.
-	if sh.snapEvery > 0 && (len(sh.live.slab) > 0 || len(sh.cells) > 0 || seed.admitted > 0) {
-		gen, err := sh.wlog.Rotate()
-		if err != nil {
-			return fmt.Errorf("resd: shard %d: boot snapshot: %w", sh.id, err)
-		}
-		if err := sh.wlog.WriteSnapshot(sh.snapshot(gen)); err != nil {
-			return fmt.Errorf("resd: shard %d: boot snapshot: %w", sh.id, err)
-		}
-	}
-	return nil
 }
 
 // errBusy is do's answer to a caller that would not wait for a held lock.
@@ -697,22 +661,17 @@ func (sh *shard) reserve(r *request) response {
 		r.acct.Admit()
 	}
 	id := makeID(sh.id, sh.nextSeq)
-	sh.nextSeq++
 	sh.walAppend(wal.Record{
 		Type: wal.TAdmit, ID: uint64(id), Tenant: r.tenant,
 		Ready: int64(r.ready), Procs: r.q, Dur: int64(r.dur),
 		Deadline: int64(r.deadline), Start: int64(start),
 	})
-	c := sh.cell(r.tenant)
-	sh.keep(id, start, r.dur, r.q, r.area, r.tenant, c)
-	c.stats.Active++
-	c.stats.Admitted++
+	c := sh.book(id, start, r.dur, r.q, r.area, r.tenant)
 	// Start-time slack — how far past its ready time the admission had to
 	// be pushed — is the per-admission SLO sample surfaced as p99 in
 	// ShardStats and per tenant in TenantStats.
 	sh.slack.Observe(int64(start - r.ready))
 	c.slack.Add(int64(start - r.ready))
-	sh.admitted.Add(1)
 	return response{resv: Reservation{ID: id, Shard: sh.id, Start: start, Dur: r.dur, Procs: r.q}}
 }
 
@@ -734,18 +693,10 @@ func (sh *shard) cancel(r *request) response {
 		return response{err: fmt.Errorf("resd: shard %d release: %w", sh.id, err)}
 	}
 	sh.walAppend(wal.Record{Type: wal.TCancel, ID: uint64(r.id)})
-	sh.live.delAt(i)
-	area := tenant.Area(int(a.q), int64(a.dur))
-	sh.area.sub(area)
-	c := sh.cells[a.cell]
 	if sh.quotas != nil {
-		sh.account(a).Release(area)
+		sh.account(a).Release(tenant.Area(int(a.q), int64(a.dur)))
 	}
-	delete(sh.live.charged, r.id)
-	c.stats.Active--
-	c.area.sub(area)
-	c.stats.Cancelled++
-	sh.cancelled.Add(1)
+	sh.unbook(i)
 	return response{}
 }
 

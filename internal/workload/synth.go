@@ -159,11 +159,14 @@ func SyntheticInstance(r *rng.PCG, cfg SynthConfig) (*core.Instance, error) {
 	return inst, nil
 }
 
-// ReservationStream draws nRes reservations respecting the α restriction
-// (peak unavailability at most floor((1-alpha)·m)), spread over the given
-// horizon — the shape of an advance-reservation feature in a production
-// batch system with the §4.2 admission rule. It is AlphaReservations with
-// lengths up to horizon/4+1, so its memory is O(nRes), whatever the horizon.
+// ReservationStream draws nRes reservations with peak unavailability at
+// most m − max(1, floor(alpha·m)), spread over the given horizon — the
+// shape of an advance-reservation feature in a production batch system
+// with the §4.2 admission rule. That bound is floor((1-alpha)·m) only when
+// alpha·m is an integer; otherwise the stream is guaranteed α′-restricted
+// only for α′ = floor(alpha·m)/m < alpha, the floor resd's shards keep
+// too. It is AlphaReservations with lengths up to horizon/4+1, so its
+// memory is O(nRes), whatever the horizon.
 func ReservationStream(r *rng.PCG, m int, alpha float64, nRes int, horizon core.Time) []core.Reservation {
 	if m < 1 || alpha <= 0 || alpha > 1 || horizon < 1 {
 		panic("workload: invalid ReservationStream parameters")
