@@ -176,7 +176,7 @@ JSON
   cat resload.out
   grep -q 'server:' resload.out
   obscheck -url "http://$obs/metrics" -v -slo ok -require \
-    resd_shard_queue_depth,resd_shard_ops_per_batch,resd_admitted_total,resd_rejected_total,resd_slack_ticks,resd_traces_sampled_total,tenant_quota_budget,tenant_quota_used,reswire_op_ns,reswire_responses_total,resd_wal_records_total,resd_wal_fsync_ns,resd_wal_replay_seconds,resd_wal_replayed_records,resd_wal_torn_tails,resd_wal_corrupt_records,resd_wal_dropped_bytes,resd_build_info,resd_uptime_seconds,resd_goroutines,resd_gc_pause_p99_seconds,resd_heap_inuse_bytes,resd_health_state,flight_events_total,resd_slow_log_dropped_total,resd_slo_attainment,resd_slo_error_budget_remaining,resd_slo_burn_rate,resd_slo_alert_state,resd_slo_alert_transitions_total,resd_slack_ticks_window,resd_loop_turn_ns_window
+    resd_shard_queue_depth,resd_shard_ops_per_batch,resd_admitted_total,resd_rejected_total,resd_slack_ticks,resd_traces_sampled_total,tenant_quota_budget,tenant_quota_used,reswire_op_ns,reswire_responses_total,reswire_writes_total,resd_wal_records_total,resd_wal_fsync_ns,resd_wal_replay_seconds,resd_wal_replayed_records,resd_wal_torn_tails,resd_wal_corrupt_records,resd_wal_dropped_bytes,resd_build_info,resd_uptime_seconds,resd_goroutines,resd_gc_pause_p99_seconds,resd_heap_inuse_bytes,resd_health_state,flight_events_total,resd_slow_log_dropped_total,resd_slo_attainment,resd_slo_error_budget_remaining,resd_slo_burn_rate,resd_slo_alert_state,resd_slo_alert_transitions_total,resd_slack_ticks_window,resd_loop_turn_ns_window
   curl -sf "http://$obs/debug/pprof/goroutine?debug=1" > /dev/null
   obscheck -flight "http://$obs" -nostall -capture -v
   stop

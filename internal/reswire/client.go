@@ -27,8 +27,9 @@ var ErrTimeout = errors.New("reswire: call timeout")
 
 // Options parameterises Dial.
 type Options struct {
-	// Conns is the number of TCP connections callers are spread over,
-	// round-robin (default 1).
+	// Conns is the number of TCP connections callers are spread over
+	// (default 1): a call joins a connection whose next write is already
+	// forming, and otherwise goes round-robin (doc.go, "Client").
 	Conns int
 	// Pipeline allows many requests in flight per connection; callers
 	// that send at the same moment share one socket write (doc.go,
@@ -117,13 +118,14 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// call performs one round trip on the next connection, round-robin, and
-// maps the response code to an error.
+// call performs one round trip on the connection route picks and maps
+// the response code to an error.
 func (c *Client) call(req Request) (Response, error) {
 	if c.closed.Load() {
 		return Response{}, ErrClientClosed
 	}
-	resp, err := c.conns[int(c.rr.Add(1)-1)%len(c.conns)].call(req)
+	cc, s := c.route()
+	resp, err := cc.call(req, s)
 	if err != nil {
 		return Response{}, err
 	}
@@ -134,6 +136,32 @@ func (c *Client) call(req Request) (Response, error) {
 		return Response{}, resp.Code.Err(resp.Detail)
 	}
 	return resp, nil
+}
+
+// route picks the connection a call goes out on (doc.go, "Client") and,
+// when it can without waiting, takes the call's slot there. It prefers the
+// first connection whose writer holds frames no write has taken yet, so
+// that the call leaves in the same write as they do. Failing that it goes
+// round-robin, to the first connection from the next one in turn that has
+// a free slot. Only when every window is full does it return no slot, and
+// the call waits on the round-robin pick.
+func (c *Client) route() (*clientConn, *slot) {
+	for _, cc := range c.conns {
+		if cc.w.pending.Load() {
+			if s := cc.tryAcquire(); s != nil {
+				return cc, s
+			}
+		}
+	}
+	n := len(c.conns)
+	next := int(c.rr.Add(1)-1) % n
+	for i := range n {
+		cc := c.conns[(next+i)%n]
+		if s := cc.tryAcquire(); s != nil {
+			return cc, s
+		}
+	}
+	return c.conns[next], nil
 }
 
 // Admit admits a reservation exactly like resd.Service.Admit but over
@@ -320,7 +348,7 @@ func (c *Client) watchRead(ctx context.Context, nc net.Conn, ch chan<- Telemetry
 		}
 		nc.Close()
 	}()
-	br := bufio.NewReaderSize(nc, 64<<10)
+	br := bufio.NewReaderSize(nc, readBufCap)
 	for {
 		resp, err := ReadResponse(br)
 		if err != nil {
@@ -446,9 +474,10 @@ func (cc *clientConn) close(cause error) {
 	})
 }
 
-// call sends one request and blocks for its response, bounded by the
-// connection's call timeout when one is configured.
-func (cc *clientConn) call(req Request) (Response, error) {
+// call sends one request in slot s, or in the first slot to come free
+// when s is nil, and blocks for its response, bounded by the connection's
+// call timeout when one is configured.
+func (cc *clientConn) call(req Request, s *slot) (Response, error) {
 	var timeoutCh <-chan time.Time
 	if cc.timeout > 0 {
 		t := timers.Get().(*time.Timer)
@@ -456,9 +485,11 @@ func (cc *clientConn) call(req Request) (Response, error) {
 		defer func() { t.Stop(); timers.Put(t) }()
 		timeoutCh = t.C
 	}
-	s, err := cc.acquire(timeoutCh)
-	if err != nil {
-		return Response{}, err
+	if s == nil {
+		var err error
+		if s, err = cc.acquire(timeoutCh); err != nil {
+			return Response{}, err
+		}
 	}
 	start := cc.m.begin()
 	defer cc.m.end()
@@ -487,22 +518,30 @@ func (cc *clientConn) call(req Request) (Response, error) {
 	return resp, nil
 }
 
-// acquire takes an idle slot, makes one while the table is below the
-// window, and otherwise waits for a release.
-func (cc *clientConn) acquire(timeoutCh <-chan time.Time) (*slot, error) {
+// tryAcquire takes an idle slot, or makes one while the table is below
+// the window; it returns nil when the window is full.
+func (cc *clientConn) tryAcquire() *slot {
 	select {
 	case s := <-cc.free:
-		return s, nil
+		return s
 	default:
 	}
 	cc.mu.Lock()
+	defer cc.mu.Unlock()
 	if len(cc.slots) < cap(cc.free) {
 		s := &slot{idx: uint32(len(cc.slots)), wake: make(chan struct{}, 1)}
 		cc.slots = append(cc.slots, s)
-		cc.mu.Unlock()
+		return s
+	}
+	return nil
+}
+
+// acquire takes a slot as tryAcquire does, and otherwise waits for a
+// release.
+func (cc *clientConn) acquire(timeoutCh <-chan time.Time) (*slot, error) {
+	if s := cc.tryAcquire(); s != nil {
 		return s, nil
 	}
-	cc.mu.Unlock()
 	select {
 	case s := <-cc.free:
 		return s, nil
@@ -534,7 +573,7 @@ func (cc *clientConn) retire(s *slot, sent bool) bool {
 // slot. The response to a timed-out call is dropped; any other response
 // nobody waits for is a protocol violation and kills the connection.
 func (cc *clientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.w.nc, 64<<10)
+	br := bufio.NewReaderSize(cc.w.nc, readBufCap)
 	for {
 		resp, err := ReadResponse(br)
 		if err != nil {

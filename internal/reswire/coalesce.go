@@ -4,6 +4,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -11,6 +12,12 @@ import (
 // appenders wait while that much is pending, and a buffer a burst grew
 // past it is dropped rather than kept.
 const writeBufCap = 64 << 10
+
+// readBufCap sizes each connection's read buffer, on both sides. One read
+// must hold a whole pipelined burst: the requests one read delivers share
+// a cork, so their replies leave in one write, and a burst split across
+// reads is answered in as many writes.
+const readBufCap = 64 << 10
 
 // batch counts the replies still owed to the requests one socket read
 // delivered (the cork, see doc.go). Guarded by the connWriter's mutex.
@@ -24,6 +31,11 @@ type connWriter struct {
 	nc      net.Conn
 	timeout time.Duration // per-write socket deadline; 0 = none
 	fail    func(error)   // closes the connection; called outside the lock with what killed it
+
+	// pending is set when a frame lands in an empty buffer and cleared when
+	// the flusher swaps the buffer out: frames are waiting for a write that
+	// has not started. Read without the lock (Client.route).
+	pending atomic.Bool
 
 	mu       sync.Mutex
 	drained  sync.Cond // the pending buffer was swapped out, or the writer died
@@ -52,6 +64,9 @@ func (w *connWriter) put(enc func([]byte) ([]byte, error), b *batch, n int) (err
 	if enc != nil && w.err == nil {
 		var out []byte
 		if out, err = enc(w.buf); err == nil {
+			if len(w.buf) == 0 {
+				w.pending.Store(true)
+			}
 			w.buf = out
 		}
 	}
@@ -69,6 +84,7 @@ func (w *connWriter) put(enc func([]byte) ([]byte, error), b *batch, n int) (err
 		w.mu.Lock()
 		out := w.buf
 		w.buf, w.alt, w.want = w.alt[:0], nil, false
+		w.pending.Store(false)
 		w.drained.Broadcast()
 		w.mu.Unlock()
 		if w.timeout > 0 {
@@ -84,6 +100,7 @@ func (w *connWriter) put(enc func([]byte) ([]byte, error), b *batch, n int) (err
 		}
 		if werr != nil {
 			w.err, w.buf = werr, nil
+			w.pending.Store(false)
 			w.drained.Broadcast()
 		}
 	}

@@ -92,8 +92,9 @@
 //
 // Both sides can carry obs instrumentation: NewMetrics builds the
 // reswire_* families (per-op latency summaries, in-flight gauge, socket
-// byte counters, frame-error and response-code counters) against an
-// obs.Registry, attached via Server.SetMetrics and Options.Metrics. The
+// byte and write counters, frame-error and response-code counters)
+// against an obs.Registry, attached via Server.SetMetrics and
+// Options.Metrics; bytes and frames per write are ratios of them. The
 // two sides share family names and are kept apart by the side label. A
 // nil Metrics — the default — leaves the hot path uninstrumented.
 //
@@ -109,6 +110,11 @@
 // appended during a write leave with the next. Coalescing is therefore a
 // property of the structure, not of a queue-draining loop, and a frame
 // crosses no goroutine boundary between being produced and being written.
+// The writer also keeps an atomic pending flag, set when a frame lands
+// in an empty buffer and cleared when the flusher swaps the buffer out:
+// frames are waiting for a write that has not started, and a frame
+// appended now leaves with them. The client reads it without the lock
+// to route calls (see "Client"); nothing else does.
 // The two buffers start empty and grow by append; one that a burst pushed
 // past 64 KiB is not kept. At 64 KiB pending, appenders wait for the
 // write in progress, so a peer that stops reading stalls the reader —
@@ -126,9 +132,11 @@
 // long as handing it to another goroutine and getting the processor back,
 // and the requests of one read run back to back on one processor instead
 // of being stolen apart. One connection is then served in order by one
-// goroutine; a client that wants its requests served in parallel, or a
-// slow one (a Snapshot of a large shard) kept out of the way of the
-// rest, uses more connections (Options.Conns).
+// goroutine; a client that wants its requests served in parallel uses
+// more connections (Options.Conns), and a slow request (a Snapshot of a
+// large shard) is kept out of the way of the rest by a client of its own,
+// since the client's calls join whichever connection's write is forming
+// (see "Client").
 //
 // When the service's log fsyncs a request waits for one, and requests
 // that wait together share it (a log that never fsyncs, wal.SyncNone,
@@ -152,7 +160,8 @@
 // alone is answered alone and at once. With an fsyncing log the head-of-line cost
 // is bounded by the slowest request of one read: a client that wants a
 // fast op not to wait for a slow one sends them in different writes or on
-// different connections; without one, on different connections. The
+// different connections; without one, on different connections (with
+// this package's Client, different clients). The
 // bookkeeping is one
 // counter per read that delivered two or more requests — the only thing
 // the server's wire path allocates in steady state.
@@ -164,13 +173,33 @@
 //
 // # Client
 //
-// The client spreads callers round-robin over Options.Conns connections.
+// The client spreads callers over Options.Conns connections.
 // With Options.Pipeline, each connection allows Options.Window requests
 // in flight; without it, one — the classic write-wait RPC shape, kept as
 // the benchmark baseline. bench/'s wire-small measures the gap
 // (reswire.pipeline_gain, in its traced run): pipelining is the
 // difference between paying one round trip per admission and amortising
 // the wire across everything in flight.
+//
+// A call goes to the first connection whose writer is pending and has a
+// free slot in its window, so that it leaves in the write already
+// forming there: one read of responses wakes several callers at once,
+// and their next calls share one socket write instead of starting one on
+// each connection. Failing that, calls go round-robin, to the first
+// connection from the one whose turn it is that has a free slot, and only
+// when every window is full does a call wait, on the connection whose
+// turn it was. The slot is taken as part of the choice, so a call never
+// waits on a full window while another connection has room, and a
+// connection without pipelining (window 1) is never joined: its one
+// request holds its one slot.
+//
+// The price is head-of-line blocking across callers. A call that joins a
+// connection is served after everything ahead of it on that connection —
+// by one goroutine, in order, unless the server's log fsyncs — so it can
+// land behind a slow request another caller sent there, a Snapshot of a
+// large shard say, where round-robin would have sent only its share of
+// calls there. Slow requests that fast calls must not wait behind go
+// through a client of their own.
 //
 // The window is a table of slots. A caller takes an idle slot (the table
 // grows on demand up to the window, then callers wait), sends its request

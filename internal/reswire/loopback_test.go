@@ -404,9 +404,9 @@ func TestQuotaOpsOverWire(t *testing.T) {
 // the default tenant — the account such a name is charged to — as it was.
 func TestQuotaSetPastAccountCap(t *testing.T) {
 	reg := mustRegistry(t, 1000, tenant.Spec{DefaultShare: 0.5})
-	reg.Usage("")
+	reg.Account("")
 	for i := 0; i < tenant.MaxAccounts-1; i++ {
-		reg.Usage(fmt.Sprintf("n%d", i))
+		reg.Account(fmt.Sprintf("n%d", i))
 	}
 	addr, _ := startServer(t, resd.Config{M: 8, Quotas: reg})
 	c := dial(t, addr, Options{Conns: 1, Pipeline: false})
@@ -419,6 +419,25 @@ func TestQuotaSetPastAccountCap(t *testing.T) {
 	}
 	if q.Share != 0.5 || q.Budget != 500 {
 		t.Fatalf("default tenant after a refused QuotaSet = %+v, want share 0.5 budget 500", q)
+	}
+}
+
+// TestQuotaGetOpensNoAccount: reading a name the registry has never seen
+// answers the figures its first admission would start from, and leaves
+// the ledger as it was.
+func TestQuotaGetOpensNoAccount(t *testing.T) {
+	reg := mustRegistry(t, 1000, tenant.Spec{DefaultShare: 0.25})
+	addr, _ := startServer(t, resd.Config{M: 8, Quotas: reg})
+	c := dial(t, addr, Options{Conns: 1, Pipeline: true})
+	q, err := c.QuotaGet("never-seen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Tenant != "never-seen" || q.Share != 0.25 || q.Budget != 250 || q.Used != 0 {
+		t.Fatalf("QuotaGet of an unseen name = %+v, want a fresh account's figures", q)
+	}
+	if ts := reg.Tenants(); len(ts) != 0 {
+		t.Fatalf("QuotaGet opened accounts: %+v", ts)
 	}
 }
 

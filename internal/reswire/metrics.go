@@ -16,6 +16,7 @@ import (
 //	reswire_op_ns{side,op,quantile}     summary  per-op round-trip latency
 //	reswire_inflight{side}              gauge    requests currently in flight
 //	reswire_bytes_total{side,dir}       counter  dir ∈ rx|tx, raw socket bytes
+//	reswire_writes_total{side}          counter  socket writes (frames and bytes per write follow)
 //	reswire_frame_errors_total{side}    counter  malformed/unsupported frames
 //	reswire_responses_total{side,code}  counter  responses by wire code
 //
@@ -27,6 +28,7 @@ type Metrics struct {
 	opNS     [OpWatch + 1]*obs.Histogram
 	inflight *obs.Gauge
 	rx, tx   *obs.Counter
+	writes   *obs.Counter
 	frame    *obs.Counter
 	codes    [CodeRejectedQuota + 1]*obs.Counter
 }
@@ -51,6 +53,8 @@ func NewMetrics(reg *obs.Registry, side string) *Metrics {
 		"Raw socket bytes moved, by direction.", s, obs.L("dir", "rx"))
 	m.tx = reg.NewCounter("reswire_bytes_total",
 		"Raw socket bytes moved, by direction.", s, obs.L("dir", "tx"))
+	m.writes = reg.NewCounter("reswire_writes_total",
+		"Socket writes made; every frame this side sends leaves in one of them.", s)
 	m.frame = reg.NewCounter("reswire_frame_errors_total",
 		"Frames refused as malformed or from an unsupported revision.", s)
 	for c := CodeOK; c <= CodeRejectedQuota; c++ {
@@ -114,8 +118,9 @@ func (m *Metrics) wrap(nc net.Conn) net.Conn {
 	return &countingConn{Conn: nc, m: m}
 }
 
-// countingConn counts raw socket bytes into its Metrics. Only Read and
-// Write are interposed; everything else delegates to the embedded Conn.
+// countingConn counts raw socket bytes, and the writes that carry them,
+// into its Metrics. Only Read and Write are interposed; everything else
+// delegates to the embedded Conn.
 type countingConn struct {
 	net.Conn
 	m *Metrics
@@ -130,6 +135,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
+	c.m.writes.Inc() // before the write: a peer that has read the bytes finds it counted
 	n, err := c.Conn.Write(p)
 	if n > 0 {
 		c.m.tx.Add(uint64(n))

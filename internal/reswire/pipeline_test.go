@@ -211,8 +211,9 @@ func TestCorkHoldsNoReplyBehindALaterRead(t *testing.T) {
 	w.put(nil, a, -2)
 	w.reply(&Response{ID: 1, Op: OpPing}, a)
 	w.mu.Lock()
-	if pending := len(w.buf); pending == 0 || w.want || w.flushing {
-		t.Fatalf("half-answered batch: %d bytes pending, want=%v flushing=%v; should sit corked", pending, w.want, w.flushing)
+	if pending := len(w.buf); pending == 0 || !w.pending.Load() || w.want || w.flushing {
+		t.Fatalf("half-answered batch: %d bytes pending (flag %v), want=%v flushing=%v; should sit corked",
+			pending, w.pending.Load(), w.want, w.flushing)
 	}
 	w.mu.Unlock()
 
@@ -222,6 +223,9 @@ func TestCorkHoldsNoReplyBehindALaterRead(t *testing.T) {
 		if err != nil || resp.ID != id {
 			t.Fatalf("reading reply %d while request 2 is unanswered: %+v, %v", id, resp, err)
 		}
+	}
+	if w.pending.Load() { // the flusher swapped the buffer out before writing it
+		t.Fatal("pending still set after a write took every frame")
 	}
 	go w.reply(&Response{ID: 2, Op: OpPing}, a) // settles a: flushes
 	if resp, err := ReadResponse(br); err != nil || resp.ID != 2 {
@@ -395,7 +399,7 @@ func TestCallTimeoutBoundsTheFlusher(t *testing.T) {
 			defer wg.Done()
 			for err := error(nil); !errors.Is(err, ErrClientClosed); {
 				begin := time.Now()
-				_, err = cc.call(req)
+				_, err = cc.call(req, nil)
 				if !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrClientClosed) {
 					t.Errorf("call against a peer that never reads: %v", err)
 					return
@@ -410,7 +414,7 @@ func TestCallTimeoutBoundsTheFlusher(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	watchdog(t, done, 60*time.Second, "callers")
-	if _, err := cc.call(req); !errors.Is(err, ErrClientClosed) || !strings.Contains(err.Error(), "timeout") {
+	if _, err := cc.call(req, nil); !errors.Is(err, ErrClientClosed) || !strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("connection after a write nobody read: %v; want ErrClientClosed wrapping the write timeout", err)
 	}
 }

@@ -153,7 +153,7 @@ type job struct {
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	wc := s.metrics.wrap(nc) // byte counters; nc stays the handle Close uses
-	br := bufio.NewReaderSize(wc, 64<<10)
+	br := bufio.NewReaderSize(wc, readBufCap)
 	w := newConnWriter(wc, 0, func(error) { nc.Close() })
 
 	var (

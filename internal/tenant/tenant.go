@@ -33,7 +33,7 @@ const MaxNameLen = 255
 
 // MaxAccounts bounds how many distinct tenant accounts a registry will
 // materialise. Declared tenants always fit (a Spec is operator-written);
-// the cap exists for runtime discovery, where every Reserve or QuotaGet
+// the cap exists for runtime discovery, where every Reserve or QuotaSet
 // frame may name a fresh tenant: without it, an unauthenticated client
 // cycling random names could grow the server's memory without limit.
 // Past the cap, unknown names alias to the default tenant's account —
@@ -290,10 +290,26 @@ func (r *Registry) Admit(tenant string) { r.Account(tenant).Admit() }
 // Release is the tenant's Release by name.
 func (r *Registry) Release(tenant string, area int64) { r.Account(tenant).Release(area) }
 
-// Usage reports the tenant's current quota state, creating the account if
-// the tenant is new (mirroring what its first admission would do).
+// Usage reports the tenant's current quota state. It opens no account: a
+// name without one reads as the fresh account its first admission would
+// open, or past MaxAccounts as the default tenant it would alias to
+// (Account).
 func (r *Registry) Usage(tenant string) Usage {
-	return r.Account(tenant).usage()
+	if tenant == "" {
+		tenant = DefaultTenant
+	}
+	if v, ok := r.tenants.Load(tenant); ok {
+		return v.(*Account).usage()
+	}
+	r.mkMu.Lock()
+	full := r.nAccounts >= MaxAccounts
+	r.mkMu.Unlock()
+	if full && tenant != DefaultTenant {
+		return r.Usage(DefaultTenant)
+	}
+	a := Account{name: tenant}
+	a.setShare(r.defaultShare, r.capacity)
+	return a.usage()
 }
 
 func (a *Account) usage() Usage {

@@ -229,12 +229,15 @@ func TestSetShareRebudgets(t *testing.T) {
 func TestAccountCapAliasesToDefault(t *testing.T) {
 	r := mustNew(t, 1000, Spec{DefaultShare: 0.5})
 	// Materialise accounts up to the cap (the default tenant included).
-	r.Usage("")
+	r.Account("")
 	for i := 0; i < MaxAccounts-1; i++ {
-		r.Usage(fmt.Sprintf("n%d", i))
+		r.Account(fmt.Sprintf("n%d", i))
 	}
 	if u := r.Usage("one-more"); u.Tenant != DefaultTenant {
 		t.Fatalf("past the cap, new name materialised account %q, want alias to %q", u.Tenant, DefaultTenant)
+	}
+	if n := len(r.Tenants()); n != MaxAccounts {
+		t.Fatalf("%d accounts after reading a name past the cap, want %d", n, MaxAccounts)
 	}
 	// Accounts created before the cap keep resolving to themselves, and
 	// acquire/release on an aliased name stays balanced on the default
@@ -266,6 +269,21 @@ func TestAccountCapAliasesToDefault(t *testing.T) {
 	}
 	if u := r.Usage("n5"); u.Budget != 100 {
 		t.Fatalf("pre-cap account re-budgeted to %d, want 100", u.Budget)
+	}
+}
+
+// TestUsageOpensNoAccount: Usage reads a name without opening it, so
+// neither the ledger nor the MaxAccounts budget moves.
+func TestUsageOpensNoAccount(t *testing.T) {
+	r := mustNew(t, 1000, Spec{DefaultShare: 0.25})
+	if u := r.Usage("never-seen"); u != (Usage{Tenant: "never-seen", Share: 0.25, Budget: 250}) {
+		t.Errorf("Usage of an unseen name = %+v, want a fresh account's figures", u)
+	}
+	if u := r.Usage(""); u.Tenant != DefaultTenant || u.Budget != 250 {
+		t.Errorf("Usage(\"\") = %+v, want the default tenant's fresh figures", u)
+	}
+	if ts := r.Tenants(); len(ts) != 0 {
+		t.Fatalf("Usage opened accounts: %+v", ts)
 	}
 }
 
