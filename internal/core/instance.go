@@ -134,17 +134,6 @@ func (in *Instance) TotalWork() int64 {
 	return w
 }
 
-// MaxJobLen returns p_max, the longest job duration (0 if there are no jobs).
-func (in *Instance) MaxJobLen() Time {
-	var max Time
-	for _, j := range in.Jobs {
-		if j.Len > max {
-			max = j.Len
-		}
-	}
-	return max
-}
-
 // MaxJobProcs returns the widest job's processor requirement (0 if none).
 func (in *Instance) MaxJobProcs() int {
 	max := 0
@@ -184,39 +173,11 @@ func (in *Instance) Alpha() (float64, bool) {
 	return alpha, true
 }
 
-// JobByID returns the job with the given id and whether it exists.
-func (in *Instance) JobByID(id int) (Job, bool) {
-	for _, j := range in.Jobs {
-		if j.ID == id {
-			return j, true
-		}
-	}
-	return Job{}, false
-}
-
 // Clone returns a deep copy of the instance.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{Name: in.Name, M: in.M}
 	out.Jobs = append([]Job(nil), in.Jobs...)
 	out.Res = append([]Reservation(nil), in.Res...)
-	return out
-}
-
-// Scale returns a copy of the instance with every duration and start time
-// multiplied by factor. Makespan ratios are invariant under scaling, which
-// is how the paper's rational-time constructions are made integral.
-func (in *Instance) Scale(factor Time) *Instance {
-	if factor <= 0 {
-		panic("core: Scale with non-positive factor")
-	}
-	out := in.Clone()
-	for i := range out.Jobs {
-		out.Jobs[i].Len *= factor
-	}
-	for i := range out.Res {
-		out.Res[i].Start *= factor
-		out.Res[i].Len *= factor
-	}
 	return out
 }
 

@@ -78,14 +78,11 @@ func TestTotalWorkAndMaxima(t *testing.T) {
 	if got := in.TotalWork(); got != want {
 		t.Errorf("TotalWork = %d, want %d", got, want)
 	}
-	if got := in.MaxJobLen(); got != 10 {
-		t.Errorf("MaxJobLen = %v, want 10", got)
-	}
 	if got := in.MaxJobProcs(); got != 8 {
 		t.Errorf("MaxJobProcs = %d, want 8", got)
 	}
 	empty := &Instance{M: 4}
-	if empty.TotalWork() != 0 || empty.MaxJobLen() != 0 || empty.MaxJobProcs() != 0 {
+	if empty.TotalWork() != 0 || empty.MaxJobProcs() != 0 {
 		t.Error("empty instance aggregates should be zero")
 	}
 }
@@ -124,35 +121,6 @@ func TestCloneIsDeep(t *testing.T) {
 	cp.Res[0].Start = 999
 	if in.Jobs[0].Len == 999 || in.Res[0].Start == 999 {
 		t.Fatal("Clone shares backing arrays")
-	}
-}
-
-func TestScale(t *testing.T) {
-	in := validInstance()
-	sc := in.Scale(6)
-	if sc.Jobs[0].Len != 60 || sc.Res[0].Start != 18 || sc.Res[0].Len != 24 {
-		t.Fatalf("Scale(6) wrong: %+v", sc)
-	}
-	// Original untouched.
-	if in.Jobs[0].Len != 10 {
-		t.Fatal("Scale mutated the receiver")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scale(0) did not panic")
-		}
-	}()
-	in.Scale(0)
-}
-
-func TestJobByID(t *testing.T) {
-	in := validInstance()
-	j, ok := in.JobByID(1)
-	if !ok || j.Procs != 2 {
-		t.Fatalf("JobByID(1) = %+v, %v", j, ok)
-	}
-	if _, ok := in.JobByID(42); ok {
-		t.Fatal("JobByID(42) should not exist")
 	}
 }
 
@@ -208,14 +176,8 @@ func TestJobHelpers(t *testing.T) {
 
 func TestReservationHelpers(t *testing.T) {
 	r := Reservation{ID: 2, Procs: 3, Start: 10, Len: 5}
-	if r.End() != 15 || r.Work() != 15 {
-		t.Errorf("End/Work = %v/%d", r.End(), r.Work())
-	}
-	if r.Label() != "R2" {
-		t.Errorf("Label = %q", r.Label())
-	}
-	if !r.Overlaps(0, 11) || r.Overlaps(0, 10) || r.Overlaps(15, 20) || !r.Overlaps(14, 16) {
-		t.Error("Overlaps boundary conditions wrong")
+	if r.End() != 15 {
+		t.Errorf("End = %v", r.End())
 	}
 	inf := Reservation{ID: 0, Procs: 1, Start: 10, Len: Infinity}
 	if inf.End() != Infinity {

@@ -55,21 +55,3 @@ func (r Reservation) End() Time {
 	}
 	return r.Start + r.Len
 }
-
-// Work returns the area occupied by the reservation.
-func (r Reservation) Work() int64 {
-	return int64(r.Len) * int64(r.Procs)
-}
-
-// Label returns Name if set, otherwise a synthetic "R<id>" label.
-func (r Reservation) Label() string {
-	if r.Name != "" {
-		return r.Name
-	}
-	return fmt.Sprintf("R%d", r.ID)
-}
-
-// Overlaps reports whether the reservation's window intersects [t0, t1).
-func (r Reservation) Overlaps(t0, t1 Time) bool {
-	return r.Start < t1 && t0 < r.End()
-}

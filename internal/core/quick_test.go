@@ -91,11 +91,18 @@ func TestQuickJSONRoundTrip(t *testing.T) {
 }
 
 func TestQuickScaleInvariants(t *testing.T) {
-	// Scaling multiplies work by the factor and preserves the
-	// unavailability shape (value at scaled times).
+	// Scaling every duration and start multiplies work by the factor and
+	// preserves the unavailability shape (value at scaled times).
 	f := func(g genInstance, rawFactor uint8) bool {
 		factor := Time(rawFactor%7 + 1)
-		sc := g.Inst.Scale(factor)
+		sc := g.Inst.Clone()
+		for i := range sc.Jobs {
+			sc.Jobs[i].Len *= factor
+		}
+		for i := range sc.Res {
+			sc.Res[i].Start *= factor
+			sc.Res[i].Len *= factor
+		}
 		if sc.TotalWork() != g.Inst.TotalWork()*int64(factor) {
 			return false
 		}

@@ -2,10 +2,7 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"sort"
 )
 
 // Unscheduled marks a job that has not been assigned a start time.
@@ -50,19 +47,9 @@ func (s *Schedule) EndOf(idx int) Time {
 	return s.Start[idx] + s.Inst.Jobs[idx].Len
 }
 
-// Complete reports whether every job has been assigned a start time.
-func (s *Schedule) Complete() bool {
-	for _, t := range s.Start {
-		if t == Unscheduled {
-			return false
-		}
-	}
-	return true
-}
-
 // Makespan returns Cmax, the largest completion time over scheduled jobs
-// (0 for an empty schedule). Unscheduled jobs are ignored; call Complete to
-// check for them.
+// (0 for an empty schedule). Unscheduled jobs are ignored; verify.Verify
+// refuses a schedule that has any.
 func (s *Schedule) Makespan() Time {
 	var cmax Time
 	for i, t := range s.Start {
@@ -110,31 +97,6 @@ func (s *Schedule) TotalUsage() *StepFunc {
 	return stepFromDeltas(0, deltas)
 }
 
-// Clone returns a deep copy sharing the same instance.
-func (s *Schedule) Clone() *Schedule {
-	out := &Schedule{Inst: s.Inst, Algorithm: s.Algorithm}
-	out.Start = append([]Time(nil), s.Start...)
-	return out
-}
-
-// ByStartTime returns job indices ordered by (start, id); unscheduled jobs
-// are omitted.
-func (s *Schedule) ByStartTime() []int {
-	idx := make([]int, 0, len(s.Start))
-	for i, t := range s.Start {
-		if t != Unscheduled {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if s.Start[idx[a]] != s.Start[idx[b]] {
-			return s.Start[idx[a]] < s.Start[idx[b]]
-		}
-		return s.Inst.Jobs[idx[a]].ID < s.Inst.Jobs[idx[b]].ID
-	})
-	return idx
-}
-
 // scheduleJSON is the serialised wire form of a Schedule.
 type scheduleJSON struct {
 	Algorithm string `json:"algorithm,omitempty"`
@@ -153,30 +115,4 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// ErrUnknownJob is returned when a serialised schedule references a job ID
-// that does not exist in the instance.
-var ErrUnknownJob = errors.New("core: schedule references unknown job id")
-
-// ReadScheduleJSON parses a schedule for inst from JSON.
-func ReadScheduleJSON(r io.Reader, inst *Instance) (*Schedule, error) {
-	var raw scheduleJSON
-	if err := json.NewDecoder(r).Decode(&raw); err != nil {
-		return nil, fmt.Errorf("core: decoding schedule: %w", err)
-	}
-	byID := make(map[int]int, len(inst.Jobs))
-	for i, j := range inst.Jobs {
-		byID[j.ID] = i
-	}
-	s := NewSchedule(inst)
-	s.Algorithm = raw.Algorithm
-	for id, t := range raw.Starts {
-		i, ok := byID[id]
-		if !ok {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownJob, id)
-		}
-		s.Start[i] = t
-	}
-	return s, nil
 }

@@ -2,15 +2,15 @@ package core
 
 import (
 	"bytes"
-	"errors"
-	"strings"
+	"encoding/json"
+	"io"
 	"testing"
 )
 
 func TestScheduleBasics(t *testing.T) {
 	in := validInstance()
 	s := NewSchedule(in)
-	if s.Complete() {
+	if complete(s) {
 		t.Fatal("fresh schedule should be incomplete")
 	}
 	if s.Makespan() != 0 {
@@ -19,7 +19,7 @@ func TestScheduleBasics(t *testing.T) {
 	s.SetStart(0, 0)  // job 0: procs 4 len 10 -> ends 10
 	s.SetStart(1, 7)  // job 1: procs 2 len 5 -> ends 12
 	s.SetStart(2, 30) // job 2: procs 8 len 1 -> ends 31
-	if !s.Complete() {
+	if !complete(s) {
 		t.Fatal("schedule should be complete")
 	}
 	if got := s.Makespan(); got != 31 {
@@ -28,6 +28,16 @@ func TestScheduleBasics(t *testing.T) {
 	if s.StartOf(1) != 7 || s.EndOf(1) != 12 {
 		t.Fatalf("StartOf/EndOf wrong: %v %v", s.StartOf(1), s.EndOf(1))
 	}
+}
+
+// complete reports whether every job of s has been assigned a start time.
+func complete(s *Schedule) bool {
+	for _, t := range s.Start {
+		if t == Unscheduled {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEndOfUnscheduled(t *testing.T) {
@@ -74,49 +84,6 @@ func TestScheduleTotalUsage(t *testing.T) {
 	}
 }
 
-func TestScheduleCloneIndependent(t *testing.T) {
-	s := NewSchedule(validInstance())
-	s.SetStart(0, 5)
-	cp := s.Clone()
-	cp.SetStart(0, 9)
-	if s.StartOf(0) != 5 {
-		t.Fatal("Clone shares Start slice")
-	}
-	if cp.Inst != s.Inst {
-		t.Fatal("Clone should share the instance")
-	}
-}
-
-func TestByStartTime(t *testing.T) {
-	in := &Instance{M: 8, Jobs: []Job{
-		{ID: 0, Procs: 1, Len: 1},
-		{ID: 1, Procs: 1, Len: 1},
-		{ID: 2, Procs: 1, Len: 1},
-	}}
-	s := NewSchedule(in)
-	s.SetStart(0, 10)
-	s.SetStart(2, 5)
-	// Job 1 left unscheduled.
-	order := s.ByStartTime()
-	if len(order) != 2 || order[0] != 2 || order[1] != 0 {
-		t.Fatalf("ByStartTime = %v", order)
-	}
-}
-
-func TestByStartTimeTieBreaksByID(t *testing.T) {
-	in := &Instance{M: 8, Jobs: []Job{
-		{ID: 5, Procs: 1, Len: 1},
-		{ID: 2, Procs: 1, Len: 1},
-	}}
-	s := NewSchedule(in)
-	s.SetStart(0, 0)
-	s.SetStart(1, 0)
-	order := s.ByStartTime()
-	if in.Jobs[order[0]].ID != 2 || in.Jobs[order[1]].ID != 5 {
-		t.Fatalf("tie break by ID failed: %v", order)
-	}
-}
-
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	in := validInstance()
 	s := NewSchedule(in)
@@ -128,25 +95,14 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadScheduleJSON(&buf, in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeSchedule(t, &buf)
 	if back.Algorithm != "lsrc" {
 		t.Fatalf("algorithm lost: %q", back.Algorithm)
 	}
-	for i := range s.Start {
-		if back.Start[i] != s.Start[i] {
-			t.Fatalf("start %d mismatch: %v vs %v", i, back.Start[i], s.Start[i])
+	for i, j := range in.Jobs {
+		if got, ok := back.Starts[j.ID]; !ok || got != s.Start[i] {
+			t.Fatalf("job %d: start %v (present %v), want %v", j.ID, got, ok, s.Start[i])
 		}
-	}
-}
-
-func TestReadScheduleJSONUnknownJob(t *testing.T) {
-	in := validInstance()
-	_, err := ReadScheduleJSON(strings.NewReader(`{"starts":{"99":0}}`), in)
-	if !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("got %v, want ErrUnknownJob", err)
 	}
 }
 
@@ -158,11 +114,18 @@ func TestScheduleJSONSkipsUnscheduled(t *testing.T) {
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadScheduleJSON(bytes.NewReader(buf.Bytes()), in)
-	if err != nil {
+	back := decodeSchedule(t, &buf)
+	if len(back.Starts) != 1 || back.Starts[in.Jobs[1].ID] != 3 {
+		t.Fatalf("partial schedule written as %v, want only job %d at 3", back.Starts, in.Jobs[1].ID)
+	}
+}
+
+// decodeSchedule reads WriteJSON's output back into its wire form.
+func decodeSchedule(t *testing.T, r io.Reader) scheduleJSON {
+	t.Helper()
+	var raw scheduleJSON
+	if err := json.NewDecoder(r).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	if back.Start[0] != Unscheduled || back.Start[1] != 3 || back.Start[2] != Unscheduled {
-		t.Fatalf("round trip of partial schedule wrong: %v", back.Start)
-	}
+	return raw
 }

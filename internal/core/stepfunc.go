@@ -13,17 +13,11 @@ import (
 //
 // It models the paper's unavailability function U(t) (number of processors
 // held by reservations at time t) and, more generally, resource usage
-// curves. The zero StepFunc is not valid; build one with NewStepFunc or
-// UnavailabilityOf.
+// curves. The zero StepFunc is not valid; build one with UnavailabilityOf
+// or a Schedule's Usage and TotalUsage.
 type StepFunc struct {
 	times  []Time
 	values []int
-}
-
-// NewStepFunc returns the constant function with the given value on
-// [0, +inf).
-func NewStepFunc(value int) *StepFunc {
-	return &StepFunc{times: []Time{0}, values: []int{value}}
 }
 
 // delta is an amount of change applied at a point in time; used to build a
@@ -102,25 +96,6 @@ func (f *StepFunc) Max() int {
 	return max
 }
 
-// MaxOn returns the maximum value attained on [t0, t1). It panics if
-// t0 >= t1.
-func (f *StepFunc) MaxOn(t0, t1 Time) int {
-	if t0 >= t1 {
-		panic("core: StepFunc.MaxOn with empty interval")
-	}
-	i := sort.Search(len(f.times), func(i int) bool { return f.times[i] > t0 })
-	if i > 0 {
-		i--
-	}
-	max := f.values[i]
-	for i++; i < len(f.times) && f.times[i] < t1; i++ {
-		if f.values[i] > max {
-			max = f.values[i]
-		}
-	}
-	return max
-}
-
 // IntegralTo returns the integral of the function over [0, t).
 func (f *StepFunc) IntegralTo(t Time) int64 {
 	var total int64
@@ -148,13 +123,6 @@ func (f *StepFunc) NonIncreasing() bool {
 		}
 	}
 	return true
-}
-
-// Breakpoints returns a copy of the breakpoint times (the first is 0).
-func (f *StepFunc) Breakpoints() []Time {
-	out := make([]Time, len(f.times))
-	copy(out, f.times)
-	return out
 }
 
 // Len returns the number of constant segments.

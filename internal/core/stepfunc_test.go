@@ -7,21 +7,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestStepFuncConstant(t *testing.T) {
-	f := NewStepFunc(5)
-	for _, tm := range []Time{0, 1, 100, 1 << 40} {
-		if got := f.At(tm); got != 5 {
-			t.Fatalf("At(%v) = %d, want 5", tm, got)
-		}
-	}
-	if f.Max() != 5 {
-		t.Fatalf("Max = %d, want 5", f.Max())
-	}
-	if f.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", f.Len())
-	}
-}
-
 func TestUnavailabilityBasic(t *testing.T) {
 	res := []Reservation{
 		{ID: 0, Procs: 3, Start: 10, Len: 5},
@@ -66,41 +51,6 @@ func TestUnavailabilityAdjacentMerge(t *testing.T) {
 	if u.Len() != 2 { // [0,20)=4, [20,inf)=0
 		t.Fatalf("expected 2 segments after merge, got %d: %v", u.Len(), u)
 	}
-}
-
-func TestStepFuncMaxOn(t *testing.T) {
-	res := []Reservation{
-		{ID: 0, Procs: 3, Start: 10, Len: 5},
-		{ID: 1, Procs: 7, Start: 20, Len: 5},
-	}
-	u := UnavailabilityOf(res)
-	cases := []struct {
-		t0, t1 Time
-		want   int
-	}{
-		{0, 10, 0},
-		{0, 11, 3},
-		{10, 15, 3},
-		{15, 20, 0},
-		{0, 100, 7},
-		{19, 21, 7},
-		{25, 30, 0},
-		{12, 13, 3},
-	}
-	for _, c := range cases {
-		if got := u.MaxOn(c.t0, c.t1); got != c.want {
-			t.Errorf("MaxOn(%v,%v) = %d, want %d", c.t0, c.t1, got, c.want)
-		}
-	}
-}
-
-func TestStepFuncMaxOnPanicsOnEmptyInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MaxOn with t0>=t1 did not panic")
-		}
-	}()
-	NewStepFunc(1).MaxOn(5, 5)
 }
 
 func TestStepFuncIntegral(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -108,9 +109,19 @@ func TestQueueDispatch(t *testing.T) {
 		t.Error("overfull queue dropped nothing")
 	}
 	close(block)
+	// A last callback runs after every accepted one; offer it until the
+	// draining consumer makes room.
+	drained := make(chan struct{})
+	deadline := time.Now().Add(5 * time.Second)
+	for !q.Dispatch(func() { close(drained) }) {
+		if time.Now().After(deadline) {
+			t.Fatal("consumer never made room")
+		}
+		runtime.Gosched()
+	}
 	q.Close()
 	select {
-	case <-q.Drained():
+	case <-drained:
 	case <-time.After(5 * time.Second):
 		t.Fatal("consumer never drained")
 	}

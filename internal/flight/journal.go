@@ -204,7 +204,6 @@ type Queue struct {
 	mu      sync.RWMutex
 	closed  bool
 	ch      chan func()
-	done    chan struct{}
 	dropped atomic.Uint64
 }
 
@@ -216,9 +215,8 @@ func NewQueue(depth int) *Queue {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
-	q := &Queue{ch: make(chan func(), depth), done: make(chan struct{})}
+	q := &Queue{ch: make(chan func(), depth)}
 	go func() {
-		defer close(q.done)
 		for fn := range q.ch {
 			fn()
 		}
@@ -258,8 +256,7 @@ func (q *Queue) Dropped() uint64 {
 // Close stops accepting callbacks. Already-queued callbacks still run;
 // Close does not wait for them (a consumer wedged inside a slow
 // callback must not be able to wedge shutdown — the same contract that
-// motivates the queue). Use Drained to wait when the callbacks are
-// known to terminate.
+// motivates the queue).
 func (q *Queue) Close() {
 	if q == nil {
 		return
@@ -271,15 +268,4 @@ func (q *Queue) Close() {
 	}
 	q.closed = true
 	close(q.ch)
-}
-
-// Drained returns a channel closed once the consumer has run every
-// queued callback after Close.
-func (q *Queue) Drained() <-chan struct{} {
-	if q == nil {
-		closed := make(chan struct{})
-		close(closed)
-		return closed
-	}
-	return q.done
 }

@@ -75,25 +75,6 @@ func Theorem1Wall(tp *threepart.Instance, rho int) core.Time {
 	return core.Time(rho+1) * core.Time(tp.K()) * core.Time(tp.B+1)
 }
 
-// ScheduleFromPartition builds the optimal schedule of the reduction
-// instance corresponding to a 3-PARTITION solution: group l's three jobs
-// run back-to-back inside window l.
-func ScheduleFromPartition(inst *core.Instance, tp *threepart.Instance, groups [][3]int) (*core.Schedule, error) {
-	if err := tp.VerifyPartition(groups); err != nil {
-		return nil, err
-	}
-	s := core.NewSchedule(inst)
-	s.Algorithm = "theorem1-witness"
-	for l, g := range groups {
-		t := core.Time(l) * core.Time(tp.B+1) // window l starts at l(B+1)
-		for _, itemIdx := range g {
-			s.SetStart(itemIdx, t)
-			t += core.Time(tp.Items[itemIdx])
-		}
-	}
-	return s, nil
-}
-
 // Prop2Instance builds the Proposition 2 adversarial family for α = 2/k
 // (k >= 2), scaled by k so all times are integral:
 //

@@ -63,7 +63,7 @@ func TestScheduleFromPartitionIsOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := ScheduleFromPartition(inst, tp, groups)
+		s, err := scheduleFromPartition(inst, tp, groups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,4 +313,23 @@ func TestFCFSPathologicalRejects(t *testing.T) {
 	if _, err := FCFSPathological(3, 0); err == nil {
 		t.Fatal("D=0 accepted")
 	}
+}
+
+// scheduleFromPartition builds the optimal schedule of the reduction
+// instance corresponding to a 3-PARTITION solution: group l's three jobs
+// run back-to-back inside window l.
+func scheduleFromPartition(inst *core.Instance, tp *threepart.Instance, groups [][3]int) (*core.Schedule, error) {
+	if err := tp.VerifyPartition(groups); err != nil {
+		return nil, err
+	}
+	s := core.NewSchedule(inst)
+	s.Algorithm = "theorem1-witness"
+	for l, g := range groups {
+		t := core.Time(l) * core.Time(tp.B+1) // window l starts at l(B+1)
+		for _, itemIdx := range g {
+			s.SetStart(itemIdx, t)
+			t += core.Time(tp.Items[itemIdx])
+		}
+	}
+	return s, nil
 }

@@ -9,7 +9,7 @@
 // publish load summaries through plain atomics once per batch. The
 // registry leans on that instead of fighting it: instruments are
 // individual atomic words (Counter, Gauge) or atomic bucket arrays
-// (Histogram, the multi-writer variant of stats.ExpHist), and anything a
+// (Histogram, on stats' exponential bucket geometry), and anything a
 // loop already publishes is surfaced with CounterFunc/GaugeFunc closures
 // read at scrape time — snapshot-on-scrape, zero coordination on the
 // admission path. Dynamic label sets (one series per live tenant, per

@@ -200,8 +200,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	})
 }
 
-// Histogram is the multi-writer atomic variant of stats.ExpHist: the same
-// exponential bucket geometry, each bucket an atomic counter, so any
+// Histogram is a multi-writer exponential histogram: it shares stats'
+// bucket geometry (stats.ExpBuckets), each bucket an atomic counter, so any
 // number of goroutines may Observe concurrently without locks. It is
 // exposed as a Prometheus summary with quantile labels 0.5/0.9/0.99 plus
 // _count and _sum, computed from a bucket snapshot at scrape time.

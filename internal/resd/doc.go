@@ -56,8 +56,8 @@
 // pointer-free record per live reservation — id, start, length, width
 // and the position of its tenant's cell — in a dense slab, found by id
 // through an open-addressed index of 4-byte slab positions (live.go),
-// and one cell per tenant name holding that tenant's counters, its area
-// and its slack histogram, which only the shard's owner touches. Areas
+// and one cell per tenant name holding that tenant's counters and its
+// area, which only the shard's owner touches. Areas
 // are tenant.Area (saturating), and the shard's and each cell's running
 // sums are kept exactly in 128 bits and reported saturated at MaxInt64,
 // so an endless reservation neither wraps a sum nor is lost from it when
@@ -174,7 +174,7 @@
 // request, in ShardStats.RejectedQuota and per tenant in
 // tenant.Usage.Rejected; what a tenant holds is in the registry's
 // lock-free accounts (what quota decisions read) and in the shards'
-// TenantStats (what operators read), and the stress tests
+// tenant cells (TenantTotals sums them), and the stress tests
 // assert the two agree. The quota layer may gate placement but never
 // perturb it — a single tenant with a full budget replays to
 // bit-identical sched.FCFS placements.
@@ -194,13 +194,13 @@
 // # Start-time slack: the SLO metric
 //
 // Every admission records its start-time slack (admitted start − ready
-// time): how far the α rule pushed the work back. Shards keep O(1)
-// exponential histograms — an atomic shard-wide one anyone may read,
-// its quantiles computed when asked for, and per-tenant ones only the
-// shard's owner touches — and surface the 99th percentile as
-// ShardStats.SlackP99 and TenantStats.SlackP99 (and over the wire in
-// the Stats op), so operators see per-tenant SLO degradation directly
-// rather than inferring it from rejection counts. The histograms are
+// time): how far the α rule pushed the work back. Each shard keeps an
+// O(1) atomic exponential histogram anyone may read, its quantiles
+// computed when asked for, and surfaces the 99th percentile as
+// ShardStats.SlackP99 (and over the wire in the Stats op), so operators
+// see SLO degradation directly rather than inferring it from rejection
+// counts. Per-tenant slack is measured by the client (cmd/resload
+// reports it per tenant). The histograms are
 // cumulative over the process lifetime; an attached SLO engine
 // (ObsConfig.SLO) additionally answers windowed percentiles over its
 // budget window — resd_slack_ticks_window — so a burst an hour ago

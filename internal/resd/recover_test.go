@@ -107,18 +107,10 @@ func assertSameState(t *testing.T, ref, svc *Service) {
 				t.Fatalf("shard %d: index capacity at %v is %d, want %d", i, at, g, w)
 			}
 		}
-		wb, err := ref.TenantStats(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := svc.TenantStats(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wb := shardTenantStats(t, ref, i)
+		gb := shardTenantStats(t, svc, i)
 		for name := range wb {
-			w, g := wb[name], gb[name]
-			w.SlackP99, g.SlackP99 = 0, 0
-			if g != w {
+			if w, g := wb[name], gb[name]; g != w {
 				t.Fatalf("shard %d tenant %q: books differ: got %+v, want %+v", i, name, g, w)
 			}
 		}
@@ -669,12 +661,8 @@ func TestEndlessAdmissionAreaSaturates(t *testing.T) {
 			if got := s.Stats()[i].CommittedArea; got != want {
 				t.Errorf("%s: shard %d Stats area %d, want %d", when, i, got, want)
 			}
-			ts, err := s.TenantStats(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := ts["t"].CommittedArea; got != want {
-				t.Errorf("%s: shard %d TenantStats area %d, want %d", when, i, got, want)
+			if got := shardTenantStats(t, s, i)["t"].CommittedArea; got != want {
+				t.Errorf("%s: shard %d tenant book area %d, want %d", when, i, got, want)
 			}
 		}
 		tot, err := s.TenantTotals()
@@ -763,10 +751,7 @@ func TestOverflowBookSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ts, err := s.TenantStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shardTenantStats(t, s, 0)
 	want := TenantStats{Active: 2, CommittedArea: 2*10 + 3*5, Admitted: 3, Cancelled: 1}
 	if o := ts[OverflowTenant]; o != want {
 		t.Fatalf("overflow book after recovery = %+v, want %+v", o, want)

@@ -539,8 +539,8 @@ type ShardStats struct {
 	Batches, Ops uint64
 }
 
-// TenantStats is one shard's load summary for one tenant — the per-tenant
-// slice of ShardStats, served consistently inside one of the shard's turns.
+// TenantStats is one tenant's load summary: each shard's part is read
+// inside one of the shard's turns, and TenantTotals sums the parts.
 type TenantStats struct {
 	// Active is the number of this tenant's currently held reservations
 	// on the shard.
@@ -552,27 +552,6 @@ type TenantStats struct {
 	// (tenant.Usage.Rejected): most are made at the door, before any
 	// shard is asked.
 	Admitted, Cancelled uint64
-	// SlackP99 is the tenant's 99th-percentile start-time slack on this
-	// shard (see ShardStats.SlackP99): the per-tenant SLO metric.
-	SlackP99 core.Time
-}
-
-// TenantStats returns one shard's per-tenant load summaries. The copy is
-// taken inside one of the shard's turns, so it is internally
-// consistent (unlike Stats, which reads loosely-published atomics).
-func (s *Service) TenantStats(shard int) (map[string]TenantStats, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return nil, fmt.Errorf("%w: shard %d of %d", ErrBadRequest, shard, len(s.shards))
-	}
-	resp, err := s.shards[shard].do(request{kind: opTenantStats}, true)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]TenantStats, len(resp.tstats))
-	for _, row := range resp.tstats {
-		out[row.name] = row.TenantStats
-	}
-	return out, nil
 }
 
 // TenantTotals sums TenantStats across every shard: the service-wide
@@ -592,9 +571,6 @@ func (s *Service) TenantTotals() (map[string]TenantStats, error) {
 			tot.CommittedArea = satAdd(tot.CommittedArea, ts.CommittedArea)
 			tot.Admitted += ts.Admitted
 			tot.Cancelled += ts.Cancelled
-			// Percentiles do not sum; the max across shards is a sound
-			// upper bound on the service-wide p99.
-			tot.SlackP99 = max(tot.SlackP99, ts.SlackP99)
 			out[ts.name] = tot
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/stats"
 	"repro/internal/tenant"
 	"repro/internal/wal"
 )
@@ -89,7 +88,7 @@ var slotPool = sync.Pool{New: func() any { return &slot{wake: make(chan bool, 1)
 // the tenant.MaxAccounts bound: a shard's cells must not grow
 // without limit just because a wire client cycles fresh names. Admission
 // and quota accounting are unaffected — only per-name attribution in
-// TenantStats degrades past the cap.
+// TenantTotals degrades past the cap.
 const OverflowTenant = "!overflow"
 
 // tenantCell is everything a shard keeps about one tenant book. An
@@ -102,13 +101,8 @@ type tenantCell struct {
 	name  string
 	idx   uint32
 	acct  *tenant.Account
-	stats TenantStats // CommittedArea and SlackP99 are rendered from area and slack on read
+	stats TenantStats // CommittedArea is rendered from area on read
 	area  areaSum
-	// slack holds the tenant's start-time slacks (start − ready, ticks)
-	// in exponential buckets: its quantile is the bucket's upper bound,
-	// at least the true one and under twice it, and MaxInt64 (that is,
-	// core.Infinity) past the top — the fidelity of the obs summaries.
-	slack stats.ExpHist
 }
 
 // cell resolves a tenant name to its cell, creating the cell on first
@@ -126,7 +120,7 @@ func (sh *shard) cell(name string) *tenantCell {
 // admitted into at any later time, in the turn and in WAL replay alike.
 // The first time a shard falls back to the overflow book it journals the
 // degradation: from that point per-name attribution is lossy, which an
-// operator reading TenantStats should know without counting books.
+// operator reading TenantTotals should know without counting books.
 func (sh *shard) newCell(name string) *tenantCell {
 	if len(sh.byName) >= tenant.MaxAccounts && name != OverflowTenant {
 		if !sh.overflowed {
@@ -194,9 +188,8 @@ func (sh *shard) keep(id ID, start, dur core.Time, q int, area int64, tenant str
 // kept under the cell its tenant name resolves to, the cell and the shard
 // count one more admission, and nextSeq moves past the id. reserve calls
 // it once the slot is found, the quota charged, the index committed and
-// the record appended; WAL replay calls it for each admit record. It
-// returns the cell.
-func (sh *shard) book(id ID, start, dur core.Time, q int, area int64, tenant string) *tenantCell {
+// the record appended; WAL replay calls it for each admit record.
+func (sh *shard) book(id ID, start, dur core.Time, q int, area int64, tenant string) {
 	c := sh.cell(tenant)
 	sh.keep(id, start, dur, q, area, tenant, c)
 	c.stats.Active++
@@ -205,7 +198,6 @@ func (sh *shard) book(id ID, start, dur core.Time, q int, area int64, tenant str
 	if s := id.seq(); s >= sh.nextSeq {
 		sh.nextSeq = s + 1
 	}
-	return c
 }
 
 // unbook is the cancel transition: the reservation at slab position p
@@ -609,7 +601,6 @@ func (sh *shard) apply(r *request) response {
 		for i, c := range sh.cells {
 			out[i] = tenantRow{c.name, c.stats}
 			out[i].CommittedArea = c.area.sat()
-			out[i].SlackP99 = core.Time(c.slack.Quantile(0.99))
 		}
 		return response{tstats: out}
 	case opDump:
@@ -666,12 +657,10 @@ func (sh *shard) reserve(r *request) response {
 		Ready: int64(r.ready), Procs: r.q, Dur: int64(r.dur),
 		Deadline: int64(r.deadline), Start: int64(start),
 	})
-	c := sh.book(id, start, r.dur, r.q, r.area, r.tenant)
+	sh.book(id, start, r.dur, r.q, r.area, r.tenant)
 	// Start-time slack — how far past its ready time the admission had to
-	// be pushed — is the per-admission SLO sample surfaced as p99 in
-	// ShardStats and per tenant in TenantStats.
+	// be pushed — is the per-admission SLO sample ShardStats surfaces as p99.
 	sh.slack.Observe(int64(start - r.ready))
-	c.slack.Add(int64(start - r.ready))
 	return response{resv: Reservation{ID: id, Shard: sh.id, Start: start, Dur: r.dur, Procs: r.q}}
 }
 

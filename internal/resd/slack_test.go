@@ -4,15 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
-// TestSlackHist checks the tenant cell's slack histogram as TenantStats
-// reads it: the p99 is a bucket's upper bound.
+// TestSlackHist checks the shard's slack histogram as ShardStats reads
+// it: the p99 is a bucket's upper bound.
 func TestSlackHist(t *testing.T) {
-	p99 := func(c *tenantCell) core.Time { return core.Time(c.slack.Quantile(0.99)) }
-	add := func(c *tenantCell, slack core.Time) { c.slack.Add(int64(slack)) }
-	var h tenantCell
+	p99 := func(h *obs.Histogram) core.Time { return core.Time(h.Quantile(0.99)) }
+	add := func(h *obs.Histogram, slack core.Time) { h.Observe(int64(slack)) }
+	var h obs.Histogram
 	if p99(&h) != 0 {
 		t.Fatalf("empty hist p99 = %v", p99(&h))
 	}
@@ -38,7 +39,7 @@ func TestSlackHist(t *testing.T) {
 		t.Fatalf("p99 with a sub-1%% outlier = %v, want 0", got)
 	}
 	// The estimate brackets the truth: at least the true p99, under 2×.
-	var g tenantCell
+	var g obs.Histogram
 	for i := 0; i < 100; i++ {
 		add(&g, 5)
 	}
@@ -51,8 +52,8 @@ func TestSlackHist(t *testing.T) {
 }
 
 // TestSlackStatsSurfaces checks the SLO metric end to end in-process: an
-// admission pushed back by a full window records its slack, and both the
-// shard-level and per-tenant p99 surfaces report it.
+// admission pushed back by a full window records its slack, and the
+// shard-level p99 reports it.
 func TestSlackStatsSurfaces(t *testing.T) {
 	s := mustNew(t, Config{M: 8})
 	if _, err := s.Admit(Request{Tenant: "acme", Q: 8, Dur: 10, Deadline: NoDeadline}); err != nil { // slack 0
@@ -69,19 +70,5 @@ func TestSlackStatsSurfaces(t *testing.T) {
 	// samples put the p99 rank on the larger one.
 	if got := s.Stats()[0].SlackP99; got != 15 {
 		t.Fatalf("ShardStats.SlackP99 = %v, want 15", got)
-	}
-	ts, err := s.TenantStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ts["acme"].SlackP99; got != 15 {
-		t.Fatalf("TenantStats.SlackP99 = %v, want 15", got)
-	}
-	tot, err := s.TenantTotals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tot["acme"].SlackP99; got != 15 {
-		t.Fatalf("TenantTotals SlackP99 = %v, want 15", got)
 	}
 }

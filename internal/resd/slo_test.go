@@ -1,13 +1,13 @@
 package resd
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/obs"
 	"repro/internal/slo"
@@ -152,12 +152,27 @@ func TestSLOWindowedSlack(t *testing.T) {
 		}
 	}
 	clock.pass(eng.Period())
-	v, n, ok := eng.WindowQuantile("resd_slack_ticks", 0.99)
-	if !ok || n != 9 {
-		t.Fatalf("windowed slack over one period: n=%d ok=%v, want the 9 admissions", n, ok)
+	var buf bytes.Buffer
+	if err := svc.cfg.Obs.Registry.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if core.Time(v) < 100 {
-		t.Fatalf("windowed slack p99 = %d, want >= 100 (admissions pushed past the blocker)", v)
+	exp, err := obs.ParseExposition(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n float64
+	if f := exp.Family("resd_slack_ticks_window"); f != nil {
+		for _, smp := range f.Samples {
+			if smp.Name == "resd_slack_ticks_window_count" {
+				n = smp.Value
+			}
+		}
+	}
+	if n != 9 {
+		t.Fatalf("windowed slack over one period: n=%v, want the 9 admissions", n)
+	}
+	if v, _ := exp.Value("resd_slack_ticks_window", map[string]string{"quantile": "0.99"}); v < 100 {
+		t.Fatalf("windowed slack p99 = %v, want >= 100 (admissions pushed past the blocker)", v)
 	}
 }
 

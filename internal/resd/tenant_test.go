@@ -256,6 +256,20 @@ func TestEndlessAdmissionCannotCreditQuota(t *testing.T) {
 	}
 }
 
+// shardTenantStats reads one shard's tenant books inside one of its turns.
+func shardTenantStats(t *testing.T, s *Service, shard int) map[string]TenantStats {
+	t.Helper()
+	resp, err := s.shards[shard].do(request{kind: opTenantStats}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]TenantStats, len(resp.tstats))
+	for _, row := range resp.tstats {
+		out[row.name] = row.TenantStats
+	}
+	return out
+}
+
 func TestTenantStatsPerShard(t *testing.T) {
 	reg := mustRegistry(t, 1<<20, tenant.Spec{})
 	s := mustNew(t, Config{Shards: 2, M: 8, Quotas: reg})
@@ -276,28 +290,19 @@ func TestTenantStatsPerShard(t *testing.T) {
 	if err := s.Cancel(held[0].ID); err != nil {
 		t.Fatal(err)
 	}
-	st0, err := s.TenantStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st0 := shardTenantStats(t, s, 0)
 	if a := st0["a"]; a.Active != 1 || a.Admitted != 2 || a.Cancelled != 1 || a.CommittedArea != 20 {
 		t.Fatalf("shard 0 tenant a stats = %+v", a)
 	}
 	if _, ok := st0["b"]; ok {
 		t.Fatalf("shard 0 keeps a book for b: %+v", st0)
 	}
-	st1, err := s.TenantStats(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st1 := shardTenantStats(t, s, 1)
 	if a := st1["a"]; a.Active != 1 || a.Admitted != 1 || a.Cancelled != 0 || a.CommittedArea != 20 {
 		t.Fatalf("shard 1 tenant a stats = %+v", a)
 	}
 	if b := st1["b"]; b.Active != 1 || b.Admitted != 1 || b.CommittedArea != 20 {
 		t.Fatalf("shard 1 tenant b stats = %+v", b)
-	}
-	if _, err := s.TenantStats(9); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("TenantStats(9) err = %v", err)
 	}
 	tot, err := s.TenantTotals()
 	if err != nil {
@@ -516,10 +521,7 @@ func TestShardTenantBooksBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := s.TenantStats(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := shardTenantStats(t, s, 0)
 	if _, own := ts["fresh"]; own {
 		t.Fatal("a name past the cap got a book of its own")
 	}
@@ -544,7 +546,7 @@ func TestShardTenantBooksBounded(t *testing.T) {
 	if n := len(sh.live.charged); n != 0 {
 		t.Fatalf("%d charged names left after cancel", n)
 	}
-	ts, _ = s.TenantStats(0)
+	ts = shardTenantStats(t, s, 0)
 	if o := ts[OverflowTenant]; o.Active != 0 || o.CommittedArea != 0 || o.Cancelled != 1 {
 		t.Fatalf("overflow book after cancel = %+v", o)
 	}

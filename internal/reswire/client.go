@@ -82,6 +82,7 @@ func (o Options) normalize() (Options, error) {
 // returns ErrClientClosed.
 type Client struct {
 	addr   string
+	m      *Metrics // counts the Watch connections' bytes and writes too
 	conns  []*clientConn
 	rr     atomic.Uint64
 	closed atomic.Bool
@@ -94,7 +95,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, done: make(chan struct{})}
+	c := &Client{addr: addr, m: opts.Metrics, done: make(chan struct{})}
 	for i := 0; i < opts.Conns; i++ {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -291,10 +292,11 @@ func (c *Client) Watch(ctx context.Context, opts WatchOptions) (<-chan Telemetry
 
 // watchDial opens a dedicated connection and writes the subscribe frame.
 func (c *Client) watchDial(opts WatchOptions) (net.Conn, error) {
-	nc, err := net.Dial("tcp", c.addr)
+	raw, err := net.Dial("tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("reswire: watch dial %s: %w", c.addr, err)
 	}
+	nc := c.m.wrap(raw)
 	buf, err := AppendRequest(nil, Request{ID: 1, Op: OpWatch, Interval: opts.Interval})
 	if err != nil {
 		nc.Close()

@@ -2,8 +2,10 @@ package reswire
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/resd"
@@ -148,5 +150,41 @@ func TestWritesCounted(t *testing.T) {
 		if v, ok := exp.Value("reswire_writes_total", map[string]string{"side": side}); !ok || v != k {
 			t.Errorf("%s writes = %v, %v; want %d", side, v, ok, k)
 		}
+	}
+}
+
+// TestWatchWritesCounted: a Watch connection counts in its client's wire
+// metrics: the subscribe frame is one client write, and the pushed frames
+// are received bytes.
+func TestWatchWritesCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	addr, _ := startServer(t, resd.Config{M: 8})
+	c := dial(t, addr, Options{Metrics: NewMetrics(reg, "client")})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no telemetry frame")
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(buf.Bytes())
+	if err != nil {
+		t.Fatalf("wire metrics scrape does not parse: %v\n%s", err, buf.String())
+	}
+	if v, ok := exp.Value("reswire_writes_total", map[string]string{"side": "client"}); !ok || v != 1 {
+		t.Errorf("client writes = %v, %v; want the one subscribe write", v, ok)
+	}
+	if v, ok := exp.Value("reswire_bytes_total", map[string]string{"side": "client", "dir": "rx"}); !ok || v == 0 {
+		t.Errorf("client rx bytes = %v, %v; want the pushed frames", v, ok)
 	}
 }

@@ -211,26 +211,3 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
-
-// Pick returns a uniformly chosen index weighted by the non-negative weights
-// slice. It panics if the total weight is zero or any weight is negative.
-func (p *PCG) Pick(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: zero total weight")
-	}
-	x := p.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -212,27 +212,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestPickWeighted(t *testing.T) {
-	p := New(21)
-	counts := [3]int{}
-	for i := 0; i < 30000; i++ {
-		counts[p.Pick([]float64{1, 2, 1})]++
-	}
-	// Middle bucket should receive about half the draws.
-	if counts[1] < 12000 || counts[1] > 18000 {
-		t.Fatalf("weighted pick counts %v deviate from 1:2:1", counts)
-	}
-}
-
-func TestPickPanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Pick with zero weights did not panic")
-		}
-	}()
-	New(1).Pick([]float64{0, 0})
-}
-
 func TestBoolProbability(t *testing.T) {
 	p := New(22)
 	hits := 0

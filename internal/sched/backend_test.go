@@ -96,16 +96,16 @@ func TestByNameOnValidatesBackend(t *testing.T) {
 	}
 }
 
-// TestByNameDefaultsToArray pins the compatibility contract: plain ByName
-// behaves exactly as before the seam existed.
+// TestByNameDefaultsToArray pins the default: an empty backend name builds
+// the scheduler on the array index.
 func TestByNameDefaultsToArray(t *testing.T) {
-	sc, err := ByName("fcfs")
+	sc, err := ByNameOn("fcfs", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, ok := sc.(FCFS)
 	if !ok || f.Backend != "" {
-		t.Fatalf("ByName must build the default backend, got %#v", sc)
+		t.Fatalf("ByNameOn must build the default backend, got %#v", sc)
 	}
 	inst := &core.Instance{
 		M:    4,

@@ -26,12 +26,6 @@ var constructors = map[string]func(backend string) Scheduler{
 	"shelf-ffdh":     func(b string) Scheduler { return &Shelf{Fit: FirstFit, Backend: b} },
 }
 
-// ByName returns the scheduler registered under the given CLI name, on the
-// default (array) capacity backend.
-func ByName(name string) (Scheduler, error) {
-	return ByNameOn(name, "")
-}
-
 // ByNameOn returns the named scheduler running on the named capacity
 // backend ("" selects profile.DefaultBackend). The backend name is
 // validated eagerly so CLIs fail fast on typos rather than at Schedule

@@ -4,7 +4,7 @@ import "testing"
 
 func TestByNameResolvesAll(t *testing.T) {
 	for _, name := range Names() {
-		sc, err := ByName(name)
+		sc, err := ByNameOn(name, "")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -13,24 +13,24 @@ func TestByNameResolvesAll(t *testing.T) {
 		}
 		// The canonical name of the scheduler should be resolvable too
 		// (the "lsrc" alias resolves to "lsrc-fifo").
-		if _, err := ByName(sc.Name()); err != nil {
+		if _, err := ByNameOn(sc.Name(), ""); err != nil {
 			t.Fatalf("canonical name %q not registered: %v", sc.Name(), err)
 		}
 	}
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("quantum-annealer"); err == nil {
+	if _, err := ByNameOn("quantum-annealer", ""); err == nil {
 		t.Fatal("unknown name accepted")
 	}
 }
 
 func TestByNameReturnsFreshValues(t *testing.T) {
-	a, _ := ByName("lsrc-lpt")
-	b, _ := ByName("lsrc-lpt")
+	a, _ := ByNameOn("lsrc-lpt", "")
+	b, _ := ByNameOn("lsrc-lpt", "")
 	la, lb := a.(*LSRC), b.(*LSRC)
 	if la == lb {
-		t.Fatal("ByName returned a shared pointer")
+		t.Fatal("ByNameOn returned a shared pointer")
 	}
 }
 

@@ -49,9 +49,9 @@ func ExampleOrder() {
 	// FIFO: 7 LPT: 3
 }
 
-// ExampleByName resolves algorithms the way the CLIs do.
-func ExampleByName() {
-	sc, err := sched.ByName("easy-bf")
+// ExampleByNameOn resolves algorithms the way the CLIs do.
+func ExampleByNameOn() {
+	sc, err := sched.ByNameOn("easy-bf", "")
 	if err != nil {
 		panic(err)
 	}

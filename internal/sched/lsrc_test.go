@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/profile"
+	"repro/internal/rng"
 	"repro/internal/verify"
 )
 
@@ -346,5 +347,54 @@ func TestLSRCGrahamTwoMinusOneOverM(t *testing.T) {
 	}
 	if got, want := s.Makespan(), core.Time(2*m-1); got != want {
 		t.Fatalf("makespan = %v, want %v (ratio 2-1/m)", got, want)
+	}
+}
+
+// TestLemma1GrahamArgument checks the paper's Lemma 1 (appendix) on real
+// LSRC schedules without reservations: for any two instants t, t' in
+// [0, Cmax) with t' >= t + pmax, the processor usage satisfies
+// r(t) + r(t') >= m + 1. (The lemma drives the continuous proof of
+// Theorem 2.) Checking at usage breakpoints suffices: r is piecewise
+// constant, and we evaluate every segment-pair spanning >= pmax.
+func TestLemma1GrahamArgument(t *testing.T) {
+	r := rng.New(515151)
+	for trial := 0; trial < 120; trial++ {
+		m := r.IntRange(2, 8)
+		inst := &core.Instance{M: m}
+		n := r.IntRange(2, 12)
+		var pmax core.Time
+		for i := 0; i < n; i++ {
+			j := core.Job{ID: i, Procs: r.IntRange(1, m), Len: core.Time(r.IntRange(1, 9))}
+			if j.Len > pmax {
+				pmax = j.Len
+			}
+			inst.Jobs = append(inst.Jobs, j)
+		}
+		s, err := NewLSRC(RandomOrder(uint64(trial))).Schedule(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		usage := s.Usage()
+		cmax := s.Makespan()
+		// Sample each segment at its start plus, defensively, one interior
+		// point; segments are constant so starts suffice.
+		var samples []core.Time
+		for i := 0; i < usage.Len(); i++ {
+			st, _, _ := usage.Segment(i)
+			if st < cmax {
+				samples = append(samples, st)
+			}
+		}
+		for _, t0 := range samples {
+			for _, t1 := range samples {
+				if t1 < t0+pmax {
+					continue
+				}
+				if got := usage.At(t0) + usage.At(t1); got < m+1 {
+					t.Fatalf("trial %d: Lemma 1 violated: r(%v)+r(%v) = %d < m+1 = %d\nstarts: %v",
+						trial, t0, t1, got, m+1, s.Start)
+				}
+			}
+		}
 	}
 }

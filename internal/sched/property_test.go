@@ -57,8 +57,8 @@ func allSchedulers() []Scheduler {
 }
 
 // TestAllSchedulersProduceFeasibleSchedules is the central safety property:
-// every policy, on every random instance, yields a complete schedule that
-// passes full verification (capacity + concrete processor assignment).
+// every policy, on every random instance, yields a schedule that passes full
+// verification (every job started, capacity, concrete processor assignment).
 func TestAllSchedulersProduceFeasibleSchedules(t *testing.T) {
 	r := rng.New(42421)
 	for trial := 0; trial < 150; trial++ {
@@ -67,9 +67,6 @@ func TestAllSchedulersProduceFeasibleSchedules(t *testing.T) {
 			s, err := sc.Schedule(inst)
 			if err != nil {
 				t.Fatalf("trial %d: %s failed: %v\ninstance: %+v", trial, sc.Name(), err, inst)
-			}
-			if !s.Complete() {
-				t.Fatalf("trial %d: %s left jobs unscheduled", trial, sc.Name())
 			}
 			if err := verify.Verify(s); err != nil {
 				t.Fatalf("trial %d: %s infeasible: %v\ninstance: %+v\nstarts: %v",

@@ -79,37 +79,6 @@ type Result struct {
 	Starts []core.Time
 	// Metrics are the aggregate statistics.
 	Metrics Metrics
-	// m and inputs retained for AsSchedule.
-	m        int
-	res      []core.Reservation
-	arrivals []workload.Arrival
-}
-
-// AsSchedule materialises the simulation outcome as a core.Schedule over an
-// instance built from the arrival stream (job IDs are arrival indices), so
-// it can be verified, rendered as a Gantt chart, or compared with offline
-// schedules.
-func (r *Result) AsSchedule() *core.Schedule {
-	inst := &core.Instance{Name: "sim", M: r.m, Res: append([]core.Reservation(nil), r.res...)}
-	for i, a := range r.arrivals {
-		j := a.Job
-		j.ID = i
-		inst.Jobs = append(inst.Jobs, j)
-	}
-	s := core.NewSchedule(inst)
-	copy(s.Start, r.Starts)
-	s.Algorithm = r.Metrics.Policy
-	return s
-}
-
-// Waits returns the per-job waiting times (start minus arrival) in arrival
-// order, for distribution analysis.
-func (r *Result) Waits() []float64 {
-	out := make([]float64, len(r.arrivals))
-	for i := range r.arrivals {
-		out[i] = float64(r.Starts[i] - r.arrivals[i].At)
-	}
-	return out
 }
 
 // Errors returned by Run.
@@ -227,7 +196,7 @@ func RunOn(backend string, m int, res []core.Reservation, arrivals []workload.Ar
 // buildResult computes metrics from the start vector.
 func buildResult(m int, res []core.Reservation, arrivals []workload.Arrival, starts []core.Time, name string) *Result {
 	met := Metrics{Policy: name, Jobs: len(arrivals)}
-	out := &Result{Starts: starts, m: m, res: res, arrivals: arrivals}
+	out := &Result{Starts: starts}
 	var waitSum, bsldSum float64
 	for i, a := range arrivals {
 		j := a.Job

@@ -159,8 +159,9 @@ func TestEffectiveUtilizationExcludesReservedArea(t *testing.T) {
 
 // simulatedScheduleFeasible converts a sim result into a core schedule and
 // verifies it.
-func simulatedScheduleFeasible(t *testing.T, m int, rsv []core.Reservation, arr []workload.Arrival, res *Result) {
-	t.Helper()
+// simulatedSchedule is a run's outcome as a schedule over the instance the
+// arrival stream makes (job IDs are arrival indices).
+func simulatedSchedule(m int, rsv []core.Reservation, arr []workload.Arrival, res *Result) *core.Schedule {
 	inst := &core.Instance{M: m, Res: rsv}
 	for i, a := range arr {
 		j := a.Job
@@ -169,7 +170,13 @@ func simulatedScheduleFeasible(t *testing.T, m int, rsv []core.Reservation, arr 
 	}
 	s := core.NewSchedule(inst)
 	copy(s.Start, res.Starts)
-	if err := verify.Verify(s); err != nil {
+	s.Algorithm = res.Metrics.Policy
+	return s
+}
+
+func simulatedScheduleFeasible(t *testing.T, m int, rsv []core.Reservation, arr []workload.Arrival, res *Result) {
+	t.Helper()
+	if err := verify.Verify(simulatedSchedule(m, rsv, arr, res)); err != nil {
 		t.Fatalf("simulated schedule infeasible: %v", err)
 	}
 	// No job before its arrival.
@@ -238,30 +245,15 @@ func TestAsScheduleVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.AsSchedule()
+	s := simulatedSchedule(4, rsv, arr, res)
 	if err := verify.Verify(s); err != nil {
-		t.Fatalf("AsSchedule infeasible: %v", err)
+		t.Fatalf("simulated schedule infeasible: %v", err)
 	}
 	if s.Algorithm != "easy-bf" {
 		t.Fatalf("algorithm = %q", s.Algorithm)
 	}
 	if s.Makespan() != res.Metrics.Makespan {
 		t.Fatalf("makespan mismatch: %v vs %v", s.Makespan(), res.Metrics.Makespan)
-	}
-}
-
-func TestWaits(t *testing.T) {
-	arr := []workload.Arrival{
-		{Job: core.Job{ID: 0, Procs: 4, Len: 10}, At: 0},
-		{Job: core.Job{ID: 1, Procs: 4, Len: 5}, At: 2},
-	}
-	res, err := Run(4, nil, arr, GreedyPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := res.Waits()
-	if len(w) != 2 || w[0] != 0 || w[1] != 8 { // job1 starts at 10, arrived 2
-		t.Fatalf("waits = %v", w)
 	}
 }
 

@@ -30,8 +30,8 @@
 // period + 2 snapshots (see stats.SnapRing), each an 8-byte timestamp
 // plus 8 bytes per value, in two flat arrays. An objective's ring covers
 // its own rules' long windows and the budget window; a tracked
-// histogram's covers the budget window, the only span WindowQuantile and
-// the <name>_window family ask of it. Under the defaults (10s period, 1h
+// histogram's covers the budget window, the only span the <name>_window
+// family asks of it. Under the defaults (10s period, 1h
 // budget window, DefaultRules' 6h warn window) an objective holds
 // 2 162 × 24 B ≈ 52 KB and a histogram 362 × 528 B ≈ 191 KB: a
 // three-objective engine tracking resd's two histograms holds ≈ 0.51 MiB

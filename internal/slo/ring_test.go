@@ -211,8 +211,8 @@ func TestEngineAnswersMatchLongestWindowRings(t *testing.T) {
 		}
 		for _, name := range hists {
 			for _, q := range []float64{0.5, 0.9, 0.99} {
-				gv, gn, gok := e.WindowQuantile(name, q)
-				wv, wn, wok := oracle.WindowQuantile(name, q)
+				gv, gn, gok := windowQuantileOf(e, name, q)
+				wv, wn, wok := windowQuantileOf(oracle, name, q)
 				if gv != wv || gn != wn || gok != wok {
 					t.Fatalf("tick %d: %s q%v: got (%d, %d, %v), want (%d, %d, %v)", i, name, q, gv, gn, gok, wv, wn, wok)
 				}

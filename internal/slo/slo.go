@@ -151,9 +151,9 @@ func (e *Engine) Objectives() []Objective {
 // Attach arms the engine for one service at now and takes the baseline
 // tick from its first reading. It tracks the slack histogram — and the
 // turn-latency one when first says the service times its turns —
-// through budget-window rings, making windowed percentiles queryable
-// (WindowQuantile) and, with a registry, exposing them as the summary
-// families resd_slack_ticks_window and resd_loop_turn_ns_window. A ring
+// through budget-window rings and, with a registry, exposes their windowed
+// percentiles as the summary families resd_slack_ticks_window and
+// resd_loop_turn_ns_window. A ring
 // past maxRingBytes is refused with ErrConfig. An engine serves one
 // service for life: a second Attach is ErrConfig.
 func (e *Engine) Attach(now time.Time, first *Sample) error {
@@ -365,20 +365,6 @@ func (e *Engine) Warning() string {
 		}
 	}
 	return strings.Join(parts, "; ")
-}
-
-// WindowQuantile answers quantile q of a tracked histogram over the
-// budget window: the windowed percentile the process-lifetime summary
-// cannot give. ok is false until the ring holds a window.
-func (e *Engine) WindowQuantile(name string, q float64) (v int64, n uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, h := range e.hists {
-		if h.name == name {
-			return e.windowQuantile(h, q)
-		}
-	}
-	return 0, 0, false
 }
 
 // windowQuantile answers quantile q of h over the budget window, with

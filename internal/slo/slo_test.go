@@ -266,7 +266,7 @@ func TestEngineTrackHistogramWindowedQuantiles(t *testing.T) {
 	if err := e.Attach(now, sample()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := e.WindowQuantile("resd_loop_turn_ns", 0.5); ok {
+	if _, _, ok := windowQuantileOf(e, "resd_loop_turn_ns", 0.5); ok {
 		t.Fatal("turn latency tracked for a service that does not time its turns")
 	}
 	// Early era: large slacks. Then a long quiet era, then small slacks.
@@ -277,7 +277,7 @@ func TestEngineTrackHistogramWindowedQuantiles(t *testing.T) {
 	}
 	now = now.Add(time.Second)
 	e.Tick(now, sample())
-	if v, n, ok := e.WindowQuantile("resd_slack_ticks", 0.99); !ok || n != 100 || v < 1<<20 {
+	if v, n, ok := windowQuantileOf(e, "resd_slack_ticks", 0.99); !ok || n != 100 || v < 1<<20 {
 		t.Fatalf("early era: v=%d n=%d ok=%v, want p99 >= 2^20 over 100 samples", v, n, ok)
 	}
 	for i := 0; i < 40; i++ {
@@ -289,7 +289,7 @@ func TestEngineTrackHistogramWindowedQuantiles(t *testing.T) {
 	}
 	now = now.Add(time.Second)
 	e.Tick(now, sample())
-	v, n, ok := e.WindowQuantile("resd_slack_ticks", 0.99)
+	v, n, ok := windowQuantileOf(e, "resd_slack_ticks", 0.99)
 	if !ok || n != 100 || v >= 1<<20 {
 		t.Fatalf("late era: v=%d n=%d ok=%v, want the early era aged out", v, n, ok)
 	}
@@ -362,4 +362,17 @@ func TestSlackGoodBucketSemantics(t *testing.T) {
 	if g := goodUnderBound(&snap, 1<<62); g != 3 {
 		t.Fatalf("goodUnderBound(huge) = %d, want 3", g)
 	}
+}
+
+// windowQuantileOf answers quantile q of the tracked histogram name over
+// the budget window, as its <name>_window summary does.
+func windowQuantileOf(e *Engine, name string, q float64) (v int64, n uint64, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, h := range e.hists {
+		if h.name == name {
+			return e.windowQuantile(h, q)
+		}
+	}
+	return 0, 0, false
 }

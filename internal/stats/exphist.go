@@ -7,77 +7,14 @@ import (
 
 // ExpBuckets is the number of buckets in an exponential histogram: one
 // bucket per possible bit length of a non-negative int64 sample (0..64).
+// Bucket b collects values whose bit length is b, so bucket 0 is exactly
+// the value 0 and bucket b covers [2^(b−1), 2^b). Updates and quantile
+// reads are O(1) in the sample count (a quantile scans the 65 buckets
+// once), and the memory footprint is constant. A quantile answer is the
+// upper bound of the bucket holding the ranked sample: at least the true
+// quantile and less than twice it. obs.Histogram counts in these buckets,
+// and the slo package's windowed summaries answer from their deltas.
 const ExpBuckets = 65
-
-// ExpHist is a fixed-size exponential histogram over non-negative int64
-// samples: bucket b collects values whose bit length is b, so bucket 0 is
-// exactly the value 0 and bucket b covers [2^(b−1), 2^b). Updates and
-// quantile reads are O(1) in the sample count (a quantile scans the 65
-// buckets once), and the memory footprint is constant — the right shape
-// for an instrument living inside a hot single-writer loop. A quantile
-// answer is the upper bound of the bucket holding the ranked sample: at
-// least the true quantile and less than twice it.
-//
-// The zero value is an empty histogram ready for use. ExpHist is not
-// synchronized; obs.Histogram is the multi-writer atomic variant built on
-// the same bucket geometry.
-type ExpHist struct {
-	total   uint64
-	buckets [ExpBuckets]uint64
-}
-
-// Add records one sample. Negative samples clamp to zero — every caller
-// in the tree records durations or slacks that are non-negative by
-// construction, and clamping keeps a stray negative from landing in the
-// overflow bucket via two's-complement bit length.
-func (h *ExpHist) Add(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.buckets[bits.Len64(uint64(v))]++
-	h.total++
-}
-
-// N returns the number of recorded samples.
-func (h *ExpHist) N() uint64 { return h.total }
-
-// Quantile returns the upper bound of the bucket holding the q-quantile
-// sample (0 < q ≤ 1), or 0 when the histogram is empty. The rank is
-// ceil(q·N), so Quantile(1) is an upper bound on the maximum and
-// successive quantiles are monotone: q ≤ q' implies Quantile(q) ≤
-// Quantile(q').
-func (h *ExpHist) Quantile(q float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for b, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			return ExpBucketUpper(b)
-		}
-	}
-	return ExpBucketUpper(ExpBuckets - 1)
-}
-
-// Merge adds every bucket of o into h. Neither histogram is synchronized;
-// the caller owns both.
-func (h *ExpHist) Merge(o *ExpHist) {
-	for b, n := range o.buckets {
-		h.buckets[b] += n
-	}
-	h.total += o.total
-}
 
 // ExpBucketOf returns the bucket index a sample lands in (negative
 // samples clamp to bucket 0).
@@ -102,9 +39,12 @@ func ExpBucketUpper(b int) int64 {
 	}
 }
 
-// ExpQuantileFromBuckets answers a quantile over a raw bucket snapshot
-// (e.g. one copied out of atomic counters) without constructing an
-// ExpHist. Semantics match ExpHist.Quantile.
+// ExpQuantileFromBuckets returns the upper bound of the bucket holding the
+// q-quantile sample (0 < q ≤ 1) of a bucket snapshot holding total samples
+// (e.g. one copied out of atomic counters), or 0 when it is empty. The
+// rank is ceil(q·total), so quantile 1 is an upper bound on the maximum
+// and successive quantiles are monotone: q ≤ q' implies a quantile at q no
+// larger than at q'.
 func ExpQuantileFromBuckets(buckets *[ExpBuckets]uint64, total uint64, q float64) int64 {
 	if total == 0 {
 		return 0

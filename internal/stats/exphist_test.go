@@ -7,12 +7,26 @@ import (
 	"testing"
 )
 
-// TestExpHistEmpty: every quantile of an empty histogram is 0, and N is 0.
+// expHist is a single-writer histogram over the shared bucket geometry:
+// samples counted with ExpBucketOf, quantiles answered by
+// ExpQuantileFromBuckets, as obs.Histogram and the slo windows do.
+type expHist struct {
+	total   uint64
+	buckets [ExpBuckets]uint64
+}
+
+func (h *expHist) Add(v int64) {
+	h.buckets[ExpBucketOf(v)]++
+	h.total++
+}
+
+func (h *expHist) Quantile(q float64) int64 {
+	return ExpQuantileFromBuckets(&h.buckets, h.total, q)
+}
+
+// TestExpHistEmpty: every quantile of an empty histogram is 0.
 func TestExpHistEmpty(t *testing.T) {
-	var h ExpHist
-	if h.N() != 0 {
-		t.Fatalf("empty N = %d", h.N())
-	}
+	var h expHist
 	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
 		if got := h.Quantile(q); got != 0 {
 			t.Errorf("empty Quantile(%v) = %d, want 0", q, got)
@@ -24,7 +38,7 @@ func TestExpHistEmpty(t *testing.T) {
 // sample's bucket upper bound.
 func TestExpHistSingleSample(t *testing.T) {
 	for _, v := range []int64{0, 1, 5, 1000, math.MaxInt64} {
-		var h ExpHist
+		var h expHist
 		h.Add(v)
 		want := ExpBucketUpper(ExpBucketOf(v))
 		for _, q := range []float64{0.01, 0.5, 0.99, 1} {
@@ -45,7 +59,7 @@ func TestExpHistSingleSample(t *testing.T) {
 func TestExpHistQuantileMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		var h ExpHist
+		var h expHist
 		n := 1 + rng.Intn(5000)
 		samples := make([]int64, n)
 		for i := range samples {
@@ -111,31 +125,5 @@ func TestExpHistBucketMath(t *testing.T) {
 	}
 	if ExpBucketUpper(64) != math.MaxInt64 {
 		t.Error("top bucket upper bound must saturate at MaxInt64")
-	}
-}
-
-// TestExpHistMergeAndSnapshot: Merge sums bucket-wise, and the
-// bucket-snapshot quantile path agrees with the owning histogram.
-func TestExpHistMergeAndSnapshot(t *testing.T) {
-	var a, b, m ExpHist
-	for i := int64(0); i < 100; i++ {
-		a.Add(i)
-		m.Add(i)
-	}
-	for i := int64(1000); i < 1100; i++ {
-		b.Add(i)
-		m.Add(i)
-	}
-	a.Merge(&b)
-	if a.N() != m.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), m.N())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if a.Quantile(q) != m.Quantile(q) {
-			t.Errorf("merged Quantile(%v) = %d, combined = %d", q, a.Quantile(q), m.Quantile(q))
-		}
-		if got := ExpQuantileFromBuckets(&m.buckets, m.total, q); got != m.Quantile(q) {
-			t.Errorf("snapshot Quantile(%v) = %d, direct = %d", q, got, m.Quantile(q))
-		}
 	}
 }

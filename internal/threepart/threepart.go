@@ -39,7 +39,7 @@ var (
 // Validate checks the structural requirements: 3k items, all positive,
 // summing to k·B. (It does not require the strict B/4 < x < B/2 condition
 // of the canonical strongly NP-complete variant; the solver handles general
-// instances, and Strict reports whether the condition holds.)
+// instances, and GenerateYes draws inside it.)
 func (in *Instance) Validate() error {
 	if len(in.Items) == 0 || len(in.Items)%3 != 0 {
 		return fmt.Errorf("%w: %d items", ErrShape, len(in.Items))
@@ -55,18 +55,6 @@ func (in *Instance) Validate() error {
 		return fmt.Errorf("%w: sum=%d, k*B=%d", ErrSum, sum, int64(in.K())*in.B)
 	}
 	return nil
-}
-
-// Strict reports whether every item lies strictly between B/4 and B/2 —
-// the condition under which every group of sum B automatically has exactly
-// three elements.
-func (in *Instance) Strict() bool {
-	for _, x := range in.Items {
-		if 4*x <= in.B || 2*x >= in.B {
-			return false
-		}
-	}
-	return true
 }
 
 // solver carries the backtracking state for Solve.

@@ -29,17 +29,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestStrict(t *testing.T) {
-	strict := &Instance{Items: []int64{7, 7, 6, 8, 6, 6}, B: 20}
-	if !strict.Strict() {
-		t.Error("all items in (5,10) should be strict")
-	}
-	loose := &Instance{Items: []int64{10, 5, 5, 8, 6, 6}, B: 20}
-	if loose.Strict() {
-		t.Error("item 10 = B/2 violates strictness")
-	}
-}
-
 func TestSolveTinyYes(t *testing.T) {
 	in := &Instance{Items: []int64{7, 7, 6, 8, 5, 7}, B: 20}
 	groups, ok := in.Solve()
@@ -100,8 +89,10 @@ func TestGenerateYesAlwaysSolvable(t *testing.T) {
 		if err := in.Validate(); err != nil {
 			t.Fatalf("trial %d: generated instance invalid: %v", trial, err)
 		}
-		if !in.Strict() {
-			t.Fatalf("trial %d: generated instance not strict: %+v", trial, in)
+		for _, x := range in.Items {
+			if 4*x <= in.B || 2*x >= in.B {
+				t.Fatalf("trial %d: item %d outside (B/4, B/2): %+v", trial, x, in)
+			}
 		}
 		groups, ok := in.Solve()
 		if !ok {

@@ -73,7 +73,7 @@ func TestCheckMatchesTickOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: feasible schedule has no assignment: %v", trial, err)
 			}
-			if err := CheckAssignment(s, asg); err != nil {
+			if err := checkAssignment(s, asg); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		} else if err == nil {

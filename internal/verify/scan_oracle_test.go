@@ -125,7 +125,7 @@ func matchScan(t *testing.T, label string, s *core.Schedule) {
 // α-restricted instances the bitset sweep hands every job and every
 // reservation the processors the scan did.
 func TestAssignProcessorsMatchesScanOnLSRC(t *testing.T) {
-	alg, err := sched.ByName("lsrc-lpt")
+	alg, err := sched.ByNameOn("lsrc-lpt", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAssignProcessorsMatchesScanOnLSRC(t *testing.T) {
 // BenchmarkVerify verifies one LSRC schedule of an lsrc-batch instance:
 // 600 jobs and 20 reservations on 512 processors.
 func BenchmarkVerify(b *testing.B) {
-	alg, err := sched.ByName("lsrc-lpt")
+	alg, err := sched.ByNameOn("lsrc-lpt", "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func FuzzAssignProcessorsMatchesScan(f *testing.F) {
 			t.Fatalf("Check says feasible=%v, Verify says %v", feasible, Verify(s))
 		}
 		if feasible {
-			if err := CheckAssignment(s, a); err != nil {
+			if err := checkAssignment(s, a); err != nil {
 				t.Fatal(err)
 			}
 		}

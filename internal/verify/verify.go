@@ -22,11 +22,9 @@
 package verify
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/core"
 )
@@ -255,61 +253,4 @@ func sweep(s *core.Schedule) (held []uint64, err error) {
 		}
 	}
 	return held, nil
-}
-
-// CheckAssignment validates that an assignment is consistent with its
-// schedule: every job/reservation holds exactly its required number of
-// distinct processors, and no processor is held by two overlapping
-// occupations.
-func CheckAssignment(s *core.Schedule, a *Assignment) error {
-	inst := s.Inst
-	if len(a.JobProcs) != len(inst.Jobs) || len(a.ResProcs) != len(inst.Res) {
-		return fmt.Errorf("%w: assignment shape mismatch", ErrInfeasible)
-	}
-	type hold struct {
-		t0, t1 core.Time
-		what   string
-	}
-	perProc := make(map[int][]hold)
-	add := func(procs []int, q int, t0, t1 core.Time, what string) error {
-		if len(procs) != q {
-			return fmt.Errorf("%w: %s holds %d processors, needs %d", ErrInfeasible, what, len(procs), q)
-		}
-		seen := map[int]bool{}
-		for _, p := range procs {
-			if p < 0 || p >= inst.M {
-				return fmt.Errorf("%w: %s uses invalid processor %d", ErrInfeasible, what, p)
-			}
-			if seen[p] {
-				return fmt.Errorf("%w: %s uses processor %d twice", ErrInfeasible, what, p)
-			}
-			seen[p] = true
-			perProc[p] = append(perProc[p], hold{t0, t1, what})
-		}
-		return nil
-	}
-	for i, j := range inst.Jobs {
-		t := s.Start[i]
-		if t == core.Unscheduled {
-			return fmt.Errorf("%w: job %d unscheduled", ErrInfeasible, j.ID)
-		}
-		if err := add(a.JobProcs[i], j.Procs, t, t+j.Len, fmt.Sprintf("job %d", j.ID)); err != nil {
-			return err
-		}
-	}
-	for i, r := range inst.Res {
-		if err := add(a.ResProcs[i], r.Procs, r.Start, r.End(), fmt.Sprintf("reservation %d", r.ID)); err != nil {
-			return err
-		}
-	}
-	for p, holds := range perProc {
-		slices.SortFunc(holds, func(a, b hold) int { return cmp.Compare(a.t0, b.t0) })
-		for i := 1; i < len(holds); i++ {
-			if holds[i].t0 < holds[i-1].t1 {
-				return fmt.Errorf("%w: processor %d double-booked by %s and %s",
-					ErrInfeasible, p, holds[i-1].what, holds[i].what)
-			}
-		}
-	}
-	return nil
 }

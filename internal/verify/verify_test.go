@@ -1,7 +1,10 @@
 package verify
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -83,7 +86,7 @@ func TestAssignProcessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckAssignment(s, a); err != nil {
+	if err := checkAssignment(s, a); err != nil {
 		t.Fatal(err)
 	}
 	// Jobs 0 and 1 overlap: their processor sets must be disjoint.
@@ -114,7 +117,7 @@ func TestAssignProcessorsHalfOpenBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckAssignment(s, a); err != nil {
+	if err := checkAssignment(s, a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,7 +147,7 @@ func TestAssignProcessorsInfiniteReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckAssignment(s, a); err != nil {
+	if err := checkAssignment(s, a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,23 +162,23 @@ func TestCheckAssignmentRejectsTampering(t *testing.T) {
 	bad := *a
 	bad.JobProcs = append([][]int(nil), a.JobProcs...)
 	bad.JobProcs[0] = []int{0, 0, 1, 2}
-	if err := CheckAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
+	if err := checkAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("duplicate proc accepted: %v", err)
 	}
 	// Wrong processor count.
 	bad.JobProcs[0] = []int{0}
-	if err := CheckAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
+	if err := checkAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("short assignment accepted: %v", err)
 	}
 	// Out-of-range processor.
 	bad.JobProcs[0] = []int{0, 1, 2, 99}
-	if err := CheckAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
+	if err := checkAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("out-of-range proc accepted: %v", err)
 	}
 	// Double-booking: give job 1 the same procs as job 0 (they overlap).
 	bad.JobProcs = append([][]int(nil), a.JobProcs...)
 	bad.JobProcs[1] = a.JobProcs[0]
-	if err := CheckAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
+	if err := checkAssignment(s, &bad); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("double booking accepted: %v", err)
 	}
 }
@@ -219,7 +222,7 @@ func TestAssignmentAlwaysExistsForCapacityFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: capacity-feasible schedule has no assignment: %v", trial, err)
 		}
-		if err := CheckAssignment(s, a); err != nil {
+		if err := checkAssignment(s, a); err != nil {
 			t.Fatalf("trial %d: produced assignment invalid: %v", trial, err)
 		}
 	}
@@ -232,4 +235,61 @@ func TestViolationKindString(t *testing.T) {
 		ViolationKind(99).String() != "unknown" {
 		t.Fatal("ViolationKind.String broken")
 	}
+}
+
+// checkAssignment validates that an assignment is consistent with its
+// schedule: every job/reservation holds exactly its required number of
+// distinct processors, and no processor is held by two overlapping
+// occupations.
+func checkAssignment(s *core.Schedule, a *Assignment) error {
+	inst := s.Inst
+	if len(a.JobProcs) != len(inst.Jobs) || len(a.ResProcs) != len(inst.Res) {
+		return fmt.Errorf("%w: assignment shape mismatch", ErrInfeasible)
+	}
+	type hold struct {
+		t0, t1 core.Time
+		what   string
+	}
+	perProc := make(map[int][]hold)
+	add := func(procs []int, q int, t0, t1 core.Time, what string) error {
+		if len(procs) != q {
+			return fmt.Errorf("%w: %s holds %d processors, needs %d", ErrInfeasible, what, len(procs), q)
+		}
+		seen := map[int]bool{}
+		for _, p := range procs {
+			if p < 0 || p >= inst.M {
+				return fmt.Errorf("%w: %s uses invalid processor %d", ErrInfeasible, what, p)
+			}
+			if seen[p] {
+				return fmt.Errorf("%w: %s uses processor %d twice", ErrInfeasible, what, p)
+			}
+			seen[p] = true
+			perProc[p] = append(perProc[p], hold{t0, t1, what})
+		}
+		return nil
+	}
+	for i, j := range inst.Jobs {
+		t := s.Start[i]
+		if t == core.Unscheduled {
+			return fmt.Errorf("%w: job %d unscheduled", ErrInfeasible, j.ID)
+		}
+		if err := add(a.JobProcs[i], j.Procs, t, t+j.Len, fmt.Sprintf("job %d", j.ID)); err != nil {
+			return err
+		}
+	}
+	for i, r := range inst.Res {
+		if err := add(a.ResProcs[i], r.Procs, r.Start, r.End(), fmt.Sprintf("reservation %d", r.ID)); err != nil {
+			return err
+		}
+	}
+	for p, holds := range perProc {
+		slices.SortFunc(holds, func(a, b hold) int { return cmp.Compare(a.t0, b.t0) })
+		for i := 1; i < len(holds); i++ {
+			if holds[i].t0 < holds[i-1].t1 {
+				return fmt.Errorf("%w: processor %d double-booked by %s and %s",
+					ErrInfeasible, p, holds[i-1].what, holds[i].what)
+			}
+		}
+	}
+	return nil
 }
