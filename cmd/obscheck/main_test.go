@@ -23,7 +23,7 @@ func TestObscheckAgainstLiveHandler(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	reg.NewCounter("demo_ops_total", "Ops.").Add(3)
-	reg.NewGauge("demo_depth", "Depth.", obs.L("shard", "0")).Set(7)
+	reg.NewGauge("demo_depth", "Depth.", obs.L("shard", "0")).Add(7)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -53,8 +53,8 @@
 // A reservation is placed once: the shard that admits it holds it until
 // it is cancelled, and skew between shards is handled where that choice
 // is made, by sending each admission to the least-loaded shard first.
-// Every admission records its start-time slack, surfaced as
-// p99 per shard and per tenant (the SLO face of the α rule).
+// Every admission records its start-time slack, surfaced as p99 per
+// shard (the SLO face of the α rule); the client measures it per tenant.
 //
 // Admission is multi-tenant: internal/tenant partitions the reservable
 // α-prefix between tenants — each tenant's area budget is its share of

@@ -50,11 +50,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := parsed.Instance(0)
-	if err != nil {
-		t.Fatal(err)
+	inst := &core.Instance{Name: "swf", M: parsed.MaxProcs, Res: reservations}
+	for _, j := range parsed.Jobs {
+		if cj, ok := j.Job(len(inst.Jobs)); ok {
+			inst.Jobs = append(inst.Jobs, cj)
+		}
 	}
-	inst.Res = reservations
 	if err := inst.Validate(); err != nil {
 		t.Fatal(err)
 	}

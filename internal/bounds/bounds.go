@@ -52,14 +52,6 @@ func Prop2(alpha float64) float64 {
 	return 2/alpha - 1 + alpha/2
 }
 
-// IsProp2Alpha reports whether 2/α is (numerically) an integer, i.e. the
-// α values at which Proposition 2's construction is exact.
-func IsProp2Alpha(alpha float64) bool {
-	validAlpha(alpha)
-	k := 2 / alpha
-	return math.Abs(k-math.Round(k)) < 1e-9
-}
-
 // B1 returns the paper's sharper general-α lower bound
 //
 //	B1(α) = ⌈2/α⌉ - 1 + 1/(⌊(1-α/2) / (1-(α/2)(⌈2/α⌉-1))⌋ + 1).

@@ -60,19 +60,6 @@ func TestProp2KnownValues(t *testing.T) {
 	}
 }
 
-func TestIsProp2Alpha(t *testing.T) {
-	for _, a := range []float64{1, 2.0 / 3, 0.5, 2.0 / 5, 1.0 / 3, 0.25, 0.2} {
-		if !IsProp2Alpha(a) {
-			t.Errorf("IsProp2Alpha(%v) = false", a)
-		}
-	}
-	for _, a := range []float64{0.9, 0.55, 0.3, 0.45} {
-		if IsProp2Alpha(a) {
-			t.Errorf("IsProp2Alpha(%v) = true", a)
-		}
-	}
-}
-
 func TestB1ReducesToProp2OnIntegerK(t *testing.T) {
 	for k := 2; k <= 20; k++ {
 		a := 2.0 / float64(k)

@@ -146,7 +146,7 @@ func TestQuickAlphaConsistency(t *testing.T) {
 }
 
 func TestQuickUsagePlusUnavailEqualsTotal(t *testing.T) {
-	// For any (not necessarily feasible) start assignment, TotalUsage is
+	// For any (not necessarily feasible) start assignment, totalUsage is
 	// the pointwise sum of job usage and reservation unavailability.
 	f := func(g genInstance, seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -154,11 +154,11 @@ func TestQuickUsagePlusUnavailEqualsTotal(t *testing.T) {
 		for i := range g.Inst.Jobs {
 			s.SetStart(i, Time(r.Intn(60)))
 		}
-		total := s.TotalUsage()
-		usage := s.Usage()
+		total := totalUsage(s)
+		jobs := usage(s)
 		unavail := g.Inst.Unavailability()
 		for _, tm := range []Time{0, 1, 7, 23, 59, 120} {
-			if total.At(tm) != usage.At(tm)+unavail.At(tm) {
+			if total.At(tm) != jobs.At(tm)+unavail.At(tm) {
 				return false
 			}
 		}

@@ -63,40 +63,6 @@ func (s *Schedule) Makespan() Time {
 	return cmax
 }
 
-// Usage returns the processor-usage step function of the scheduled jobs
-// (reservations not included).
-func (s *Schedule) Usage() *StepFunc {
-	deltas := make([]delta, 0, 2*len(s.Start))
-	for i, t := range s.Start {
-		if t == Unscheduled {
-			continue
-		}
-		j := s.Inst.Jobs[i]
-		deltas = append(deltas, delta{t, j.Procs}, delta{t + j.Len, -j.Procs})
-	}
-	return stepFromDeltas(0, deltas)
-}
-
-// TotalUsage returns jobs usage plus reservation unavailability: the curve
-// that feasibility compares against m.
-func (s *Schedule) TotalUsage() *StepFunc {
-	deltas := make([]delta, 0, 2*len(s.Start)+2*len(s.Inst.Res))
-	for i, t := range s.Start {
-		if t == Unscheduled {
-			continue
-		}
-		j := s.Inst.Jobs[i]
-		deltas = append(deltas, delta{t, j.Procs}, delta{t + j.Len, -j.Procs})
-	}
-	for _, r := range s.Inst.Res {
-		deltas = append(deltas, delta{r.Start, r.Procs})
-		if r.End() != Infinity {
-			deltas = append(deltas, delta{r.End(), -r.Procs})
-		}
-	}
-	return stepFromDeltas(0, deltas)
-}
-
 // scheduleJSON is the serialised wire form of a Schedule.
 type scheduleJSON struct {
 	Algorithm string `json:"algorithm,omitempty"`

@@ -47,6 +47,36 @@ func TestEndOfUnscheduled(t *testing.T) {
 	}
 }
 
+// jobDeltas are the scheduled jobs' contributions to the usage curve.
+func jobDeltas(s *Schedule) []delta {
+	deltas := make([]delta, 0, 2*len(s.Start)+2*len(s.Inst.Res))
+	for i, t := range s.Start {
+		if t == Unscheduled {
+			continue
+		}
+		j := s.Inst.Jobs[i]
+		deltas = append(deltas, delta{t, j.Procs}, delta{t + j.Len, -j.Procs})
+	}
+	return deltas
+}
+
+// usage returns the processor-usage step function of the scheduled jobs
+// (reservations not included).
+func usage(s *Schedule) *StepFunc { return stepFromDeltas(0, jobDeltas(s)) }
+
+// totalUsage returns jobs usage plus reservation unavailability: the
+// curve that feasibility compares against m.
+func totalUsage(s *Schedule) *StepFunc {
+	deltas := jobDeltas(s)
+	for _, r := range s.Inst.Res {
+		deltas = append(deltas, delta{r.Start, r.Procs})
+		if r.End() != Infinity {
+			deltas = append(deltas, delta{r.End(), -r.Procs})
+		}
+	}
+	return stepFromDeltas(0, deltas)
+}
+
 func TestScheduleUsage(t *testing.T) {
 	in := &Instance{M: 8, Jobs: []Job{
 		{ID: 0, Procs: 3, Len: 10},
@@ -55,7 +85,7 @@ func TestScheduleUsage(t *testing.T) {
 	s := NewSchedule(in)
 	s.SetStart(0, 0)
 	s.SetStart(1, 5)
-	u := s.Usage()
+	u := usage(s)
 	cases := []struct {
 		t    Time
 		want int
@@ -75,9 +105,9 @@ func TestScheduleTotalUsage(t *testing.T) {
 	}
 	s := NewSchedule(in)
 	s.SetStart(0, 0)
-	tu := s.TotalUsage()
+	tu := totalUsage(s)
 	if tu.At(0) != 3 || tu.At(2) != 7 || tu.At(5) != 3 || tu.At(10) != 0 {
-		t.Fatalf("TotalUsage wrong: %v", tu)
+		t.Fatalf("totalUsage wrong: %v", tu)
 	}
 	if tu.Max() != 7 {
 		t.Fatalf("peak = %d, want 7", tu.Max())

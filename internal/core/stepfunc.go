@@ -13,8 +13,7 @@ import (
 //
 // It models the paper's unavailability function U(t) (number of processors
 // held by reservations at time t) and, more generally, resource usage
-// curves. The zero StepFunc is not valid; build one with UnavailabilityOf
-// or a Schedule's Usage and TotalUsage.
+// curves. The zero StepFunc is not valid; build one with UnavailabilityOf.
 type StepFunc struct {
 	times  []Time
 	values []int

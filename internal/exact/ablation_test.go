@@ -12,11 +12,11 @@ import (
 func ablationVariants() map[string]*Solver {
 	return map[string]*Solver{
 		"full":        {},
-		"no-collapse": {DisableClassCollapse: true},
-		"no-area":     {DisableAreaBound: true},
-		"no-jobfit":   {DisableJobFitBound: true},
-		"no-bounds":   {DisableAreaBound: true, DisableJobFitBound: true},
-		"bare":        {DisableClassCollapse: true, DisableAreaBound: true, DisableJobFitBound: true},
+		"no-collapse": {disableClassCollapse: true},
+		"no-area":     {disableAreaBound: true},
+		"no-jobfit":   {disableJobFitBound: true},
+		"no-bounds":   {disableAreaBound: true, disableJobFitBound: true},
+		"bare":        {disableClassCollapse: true, disableAreaBound: true, disableJobFitBound: true},
 	}
 }
 
@@ -69,7 +69,7 @@ func TestClassCollapseShrinksSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := (&Solver{DisableClassCollapse: true, MaxNodes: 5_000_000}).Solve(inst)
+	bare, err := (&Solver{disableClassCollapse: true, MaxNodes: 5_000_000}).Solve(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBoundsPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := (&Solver{DisableAreaBound: true, DisableJobFitBound: true, MaxNodes: 20_000_000}).Solve(inst)
+	loose, err := (&Solver{disableAreaBound: true, disableJobFitBound: true, MaxNodes: 20_000_000}).Solve(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

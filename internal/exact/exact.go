@@ -55,22 +55,22 @@ type Result struct {
 	Nodes int64
 }
 
-// Solver is a configurable branch-and-bound solver. The Disable* switches
-// turn off individual pruning devices; they exist for the ablation
-// benchmarks (BenchmarkExactAblation) that quantify what each device buys —
+// Solver is a configurable branch-and-bound solver. The disable* switches
+// turn off individual pruning devices; only the ablation benchmarks
+// (BenchmarkExactAblation) set them, to quantify what each device buys —
 // results are identical with or without them, only node counts change.
 type Solver struct {
 	// MaxNodes caps the search; 0 means DefaultMaxNodes.
 	MaxNodes int64
-	// DisableClassCollapse branches on every job individually instead of
+	// disableClassCollapse branches on every job individually instead of
 	// once per (procs, len) equivalence class.
-	DisableClassCollapse bool
-	// DisableAreaBound drops the remaining-work area bound from node
+	disableClassCollapse bool
+	// disableAreaBound drops the remaining-work area bound from node
 	// pruning (the per-class earliest-completion bound is kept).
-	DisableAreaBound bool
-	// DisableJobFitBound drops the per-class earliest-completion bound
+	disableAreaBound bool
+	// disableJobFitBound drops the per-class earliest-completion bound
 	// from node pruning (the area bound is kept).
-	DisableJobFitBound bool
+	disableJobFitBound bool
 }
 
 // DefaultMaxNodes is the default node budget for Solve.
@@ -96,9 +96,8 @@ type bbState struct {
 	maxNodes int64
 	bestCmax core.Time
 	best     []core.Time
-	budget   bool // budget exhausted
-	noArea   bool
-	noJobFit bool
+	budget   bool    // budget exhausted
+	sv       *Solver // its disable switches
 }
 
 // Solve finds the optimal makespan of the instance (subject to the node
@@ -141,13 +140,12 @@ func (sv *Solver) Solve(inst *core.Instance) (*Result, error) {
 		maxNodes: maxNodes,
 		bestCmax: res.Cmax,
 		best:     append([]core.Time(nil), bestS.Start...),
-		noArea:   sv.DisableAreaBound,
-		noJobFit: sv.DisableJobFitBound,
+		sv:       sv,
 	}
 	for i := range st.starts {
 		st.starts[i] = core.Unscheduled
 	}
-	st.classes = classify(inst, sv.DisableClassCollapse)
+	st.classes = classify(inst, sv.disableClassCollapse)
 	st.dfs()
 
 	s := core.NewSchedule(inst)
@@ -212,14 +210,14 @@ func classify(inst *core.Instance, noCollapse bool) []jobClass {
 func (st *bbState) nodeLB() core.Time {
 	lb := st.partCmax
 	if st.remWork > 0 {
-		if !st.noArea {
+		if !st.sv.disableAreaBound {
 			if t, ok := st.tl.FirstTimeWithFreeArea(st.remWork); !ok {
 				return core.Infinity
 			} else if t > lb {
 				lb = t
 			}
 		}
-		if !st.noJobFit {
+		if !st.sv.disableJobFitBound {
 			for i := range st.classes {
 				c := &st.classes[i]
 				if c.left == 0 {

@@ -63,10 +63,7 @@ func TestScheduleFromPartitionIsOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := scheduleFromPartition(inst, tp, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := scheduleFromPartition(inst, tp, groups)
 		if err := verify.Verify(s); err != nil {
 			t.Fatalf("witness schedule infeasible: %v", err)
 		}
@@ -317,11 +314,10 @@ func TestFCFSPathologicalRejects(t *testing.T) {
 
 // scheduleFromPartition builds the optimal schedule of the reduction
 // instance corresponding to a 3-PARTITION solution: group l's three jobs
-// run back-to-back inside window l.
-func scheduleFromPartition(inst *core.Instance, tp *threepart.Instance, groups [][3]int) (*core.Schedule, error) {
-	if err := tp.VerifyPartition(groups); err != nil {
-		return nil, err
-	}
+// run back-to-back inside window l. The caller verifies the schedule: a
+// group that is not a triple summing to B leaves a job unscheduled or
+// runs into the wall after its window.
+func scheduleFromPartition(inst *core.Instance, tp *threepart.Instance, groups [][3]int) *core.Schedule {
 	s := core.NewSchedule(inst)
 	s.Algorithm = "theorem1-witness"
 	for l, g := range groups {
@@ -331,5 +327,5 @@ func scheduleFromPartition(inst *core.Instance, tp *threepart.Instance, groups [
 			t += core.Time(tp.Items[itemIdx])
 		}
 	}
-	return s, nil
+	return s
 }

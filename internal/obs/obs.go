@@ -161,9 +161,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...La
 // Gauge is a lock-free gauge over int64 values.
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds d (which may be negative).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 

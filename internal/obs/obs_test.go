@@ -18,7 +18,7 @@ func TestRegistryEndToEnd(t *testing.T) {
 	c.Inc()
 	r.NewCounter("test_ops_total", "Operations.", L("kind", "cancel")).Add(7)
 	g := r.NewGauge("test_depth", "Queue depth.")
-	g.Set(12)
+	g.Add(12)
 	g.Add(-2)
 	r.CounterFunc("test_fn_total", "Func counter.", func() uint64 { return 99 })
 	r.GaugeFunc("test_ratio", "Func gauge.", func() float64 { return 0.25 }, L("shard", "0"))
@@ -86,7 +86,7 @@ func TestRegistryEndToEnd(t *testing.T) {
 func TestNilRegistryIsNoop(t *testing.T) {
 	var r *Registry
 	r.NewCounter("x_total", "x").Inc()
-	r.NewGauge("x", "x").Set(5)
+	r.NewGauge("x", "x").Add(5)
 	r.NewHistogram("x_ns", "x").Observe(10)
 	r.CounterFunc("y_total", "y", func() uint64 { return 1 })
 	r.GaugeFunc("y", "y", func() float64 { return 1 })
@@ -102,7 +102,7 @@ func TestNilRegistryIsNoop(t *testing.T) {
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	hostile := "a\"b\\c\nd"
-	r.NewGauge("esc", "Escape test.", L("v", hostile)).Set(1)
+	r.NewGauge("esc", "Escape test.", L("v", hostile)).Add(1)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestConcurrentScrape(t *testing.T) {
 			defer wg.Done()
 			for i := int64(0); ; i++ {
 				c.Inc()
-				g.Set(i)
+				g.Add(1)
 				h.Observe(seed + i%1000)
 				if i == 0 {
 					started.Done()

@@ -254,6 +254,14 @@
 //     WALInfo.Corrupt/DroppedBytes instead of failing the boot; a log
 //     that contradicts itself (a cancel for an ID never admitted) does
 //     fail New, because it means the writer, not the disk, was wrong.
+//   - A damaged snapshot fails New unless the logs before it rebuild
+//     it. A snapshot is the only copy of what it held once the
+//     generations before it are deleted, so New refuses with
+//     wal.ErrCorrupt, naming the file and leaving the directory as
+//     found; booting would serve only the later records and the boot
+//     snapshot would delete the evidence. Where an older anchor's logs
+//     are all there (a crash before the pruning) replay is whole and
+//     the journal carries a warning for the shard.
 //   - Migration state is refused, not repaired. Record types 3–7 and
 //     the snapshot slots beside them are retired (internal/wal): an
 //     intact move record, a pending copy, an open out, or a live

@@ -101,6 +101,13 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 			journal.Record(flight.Error, "resd", i, "wal replay: corrupt frame, suffix dropped",
 				flight.KV{K: "bytes", V: fmt.Sprint(ri.DroppedBytes)})
 		}
+		if ri.BadSnapshots > 0 {
+			// Replay is whole: the older anchor's logs were all there (a
+			// crash between a snapshot's rename and the pruning). Without
+			// them Recover has refused.
+			journal.Record(flight.Warn, "resd", i, "wal replay: damaged snapshot skipped, older generations replayed",
+				flight.KV{K: "snapshots", V: fmt.Sprint(ri.BadSnapshots)})
+		}
 		if err := sh.replay(snap, recs); err != nil {
 			return info, nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/rng"
 	"repro/internal/tenant"
 	"repro/internal/wal"
@@ -538,6 +539,97 @@ func dirDigest(t *testing.T, dir string) string {
 		fmt.Fprintf(&out, "%s %d bytes crc %08x\n", ent.Name(), len(raw), crc32.ChecksumIEEE(raw))
 	}
 	return out.String()
+}
+
+// TestRecoveryRefusesDamagedSnapshot: a snapshot with one flipped byte
+// is the only record of what it held — WriteSnapshot deleted the
+// generations before it — so New refuses with wal.ErrCorrupt, naming the
+// file, and leaves the directory as found. Booting without it would serve
+// only what was admitted after it, and the boot snapshot would then
+// delete the damaged file.
+func TestRecoveryRefusesDamagedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := walConfig("tree", dir, 4)
+	cfg.Shards = 1
+	svc, err := New(cfg)
+	skipNoLog(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := svc.Admit(Request{Ready: core.Time(i * 100), Q: 1, Dur: 10, Deadline: NoDeadline}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Close()
+	snaps, err := filepath.Glob(filepath.Join(dir, "*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots %v (%v), want one", snaps, err)
+	}
+	raw, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(snaps[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirDigest(t, dir)
+	svc, err = New(cfg)
+	if err == nil {
+		live, _ := svc.Dump(0)
+		svc.Close()
+		t.Fatalf("New booted over a damaged snapshot with %d of 12 reservations live", len(live))
+	}
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(snaps[0])) {
+		t.Fatalf("err = %v, want wal.ErrCorrupt naming %s", err, filepath.Base(snaps[0]))
+	}
+	if after := dirDigest(t, dir); after != before {
+		t.Fatalf("refused New changed the directory:\nbefore:\n%safter:\n%s", before, after)
+	}
+}
+
+// TestRecoveryWarnsOnSkippedSnapshot: a damaged snapshot whose state the
+// logs before it still rebuild — as after a crash between a snapshot's
+// rename and the pruning of older generations — is skipped; the replay
+// is whole and the journal says so with a warning.
+func TestRecoveryWarnsOnSkippedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	cfg := walConfig("tree", dir, 0)
+	cfg.Shards = 1
+	svc, err := New(cfg)
+	skipNoLog(t, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := svc.Admit(Request{Ready: core.Time(i * 100), Q: 1, Dur: 10, Deadline: NoDeadline}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := svc.Dump(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	// Generation 0 holds every record; a damaged snapshot claims
+	// generation 1, whose log the next boot opens.
+	if err := os.WriteFile(filepath.Join(dir, "shard-0.1.snap"), []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := flight.NewJournal(64, nil)
+	cfg.WAL.Journal = j
+	svc, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if got, _ := svc.Dump(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d reservations, want all %d", len(got), len(want))
+	}
+	if n := j.SubsysCount("resd", flight.Warn); n != 1 {
+		t.Fatalf("%d resd warnings journaled, want the skipped snapshot's one: %+v", n, j.Tail(0))
+	}
 }
 
 // TestRecoveryCorruptMidLog injects damage before the tail: replay must

@@ -79,9 +79,33 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 		ten = tenant.DefaultTenant
 	}
 	rec := s.tracer.maybe(ten, req.ClientSend, req.Trace)
+	resv, err := s.admit(req, ten, rec)
+	if rec != nil || s.sloBook != nil {
+		s.settle(rec, ten, req.Deadline != NoDeadline, resv, err)
+	}
+	return resv, err
+}
+
+// settle records an admission's decision: its trace record's outcome and
+// the SLO book's request-level count — one rejection however many shards
+// said no, a deadline refusal also a missed deadline. A shutdown is not
+// an admission decision; any other error (a backend fault) is one the
+// error-rate SLO counts.
+func (s *Service) settle(rec *TraceRecord, ten string, hasDeadline bool, resv Reservation, err error) {
+	outcome := classifyTraceErr(err)
+	s.tracer.finish(rec, outcome, resv.Start)
+	switch {
+	case outcome == TraceAdmitted:
+		s.sloBook.admit(ten, hasDeadline)
+	case outcome != TraceError || !errors.Is(err, ErrClosed):
+		s.sloBook.reject(ten, outcome == TraceRejectedDeadline)
+	}
+}
+
+// admit runs the rules in Admit's order for a valid request and returns
+// the decision; rec, when sampled, gets the walk's stamps.
+func (s *Service) admit(req Request, ten string, rec *TraceRecord) (Reservation, error) {
 	if req.Q+s.floor > s.cfg.M {
-		s.tracer.finish(rec, TraceRejectedCapacity, 0)
-		s.sloBook.reject(ten, false)
 		return Reservation{}, &Refusal{Kind: ErrNeverFits, Shard: NoShard, Q: req.Q, Dur: req.Dur, Deadline: req.Deadline, Floor: s.floor, M: s.cfg.M}
 	}
 	// A deadline before the ready time is statically doomed (every start
@@ -114,8 +138,6 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 			if rec != nil {
 				rec.Shard = walk[0]
 			}
-			s.tracer.finish(rec, TraceRejectedQuota, 0)
-			s.sloBook.reject(ten, false)
 			return Reservation{}, &Refusal{Kind: ErrQuota, Shard: walk[0], Q: req.Q, Dur: req.Dur, Deadline: req.Deadline, Floor: s.floor, Quota: why}
 		}
 	}
@@ -136,32 +158,16 @@ func (s *Service) Admit(req Request) (Reservation, error) {
 		}
 		walk = append(walk[:k], walk[k+1:]...)
 		if err == nil {
-			s.tracer.finish(rec, TraceAdmitted, resp.resv.Start)
-			s.sloBook.admit(ten, req.Deadline != NoDeadline)
 			return resp.resv, nil
 		}
-		if errors.Is(err, ErrQuota) {
-			s.tracer.finish(rec, TraceRejectedQuota, 0)
-			s.sloBook.reject(ten, false)
-			return Reservation{}, err
-		}
-		if !errors.Is(err, ErrNeverFits) && !errors.Is(err, ErrDeadline) {
-			s.tracer.finish(rec, TraceError, 0)
-			// A shutdown is not an admission decision; anything else
-			// (a backend fault) is an error the error-rate SLO counts.
-			if !errors.Is(err, ErrClosed) {
-				s.sloBook.reject(ten, false)
-			}
+		// A quota refusal ends the walk, the budget being service-wide;
+		// so does anything but an α or deadline refusal.
+		if errors.Is(err, ErrQuota) || !errors.Is(err, ErrNeverFits) && !errors.Is(err, ErrDeadline) {
 			return Reservation{}, err
 		}
 		if firstErr == nil || (errors.Is(err, ErrDeadline) && !errors.Is(firstErr, ErrDeadline)) {
 			firstErr = err
 		}
 	}
-	s.tracer.finish(rec, classifyTraceErr(firstErr), 0)
-	// The walk's verdict is the request-level decision the SLO book
-	// counts: one rejection however many shards said no, a deadline
-	// rejection when ErrDeadline won the preference above.
-	s.sloBook.reject(ten, errors.Is(firstErr, ErrDeadline))
 	return Reservation{}, firstErr
 }

@@ -138,9 +138,6 @@ type Reservation struct {
 	Procs int
 }
 
-// End returns Start+Dur.
-func (r Reservation) End() core.Time { return r.Start + r.Dur }
-
 // Config parameterises a Service.
 type Config struct {
 	// Shards is the number of cluster partitions (default 1).

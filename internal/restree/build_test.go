@@ -103,8 +103,8 @@ func buildCase(seed uint64) (m int, res []core.Reservation, bad int) {
 }
 
 // TestSweepBuildMatchesReplay: on both backends, the index built by one
-// sweep of U (profile.IndexFromReservations, which FromReservations in
-// both packages and sched's set-up call) equals the commit replay's in
+// sweep of U (profile.IndexFromReservations; profile.FromReservations
+// and sched's set-up commit the same sweep) equals the commit replay's in
 // String, NumSegments and Breakpoints, and fails with the same error
 // identity: ErrInsufficient for an oversubscribed set, ErrBadWindow
 // naming the reservation for a bad window.

@@ -122,7 +122,7 @@ func TestDifferentialFromReservations(t *testing.T) {
 				Len:   core.Time(r.Intn(100) + 1),
 			})
 		}
-		tr, errT := FromReservations(m, res)
+		tr, errT := fromReservations(m, res)
 		tl, errA := profile.FromReservations(m, res)
 		if (errT == nil) != (errA == nil) {
 			t.Fatalf("seed %d: tree err %v, array err %v", seed, errT, errA)

@@ -340,7 +340,7 @@ func TestLeafSweepBuildFillsLeaves(t *testing.T) {
 				at += l + core.Time(r.Intn(2)) // back to back, or one tick apart
 			}
 		}
-		tr, err := FromReservations(1<<20, res)
+		tr, err := fromReservations(1<<20, res)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,15 +88,15 @@
 // conditions — therefore agrees bit-for-bit with the array backend, which
 // the differential tests and the fuzz harness in this package enforce.
 //
-// A tree is built from reservations (FromReservations, and
-// profile.IndexFromReservations on this backend) by
-// profile.CommitReservations: one Commit per nonzero segment of the
-// unavailability U, in time order. Each lands past the last breakpoint,
-// so the tree holds only the breakpoints it ends with and every leaf but
-// the last is full: the 24 booked trees of the benchmark's lsrc-batch are
-// 95 leaves in an arena of 104. A resd shard's recovery still commits its
-// records one by one, in id order, which is random in time: lends keep
-// those leaves about four-fifths full.
+// A tree is built from reservations (profile.IndexFromReservations on
+// this backend) by profile.CommitReservations: one Commit per nonzero
+// segment of the unavailability U, in time order. Each lands past the
+// last breakpoint, so the tree holds only the breakpoints it ends with
+// and every leaf but the last is full: the 24 booked trees of the
+// benchmark's lsrc-batch are 95 leaves in an arena of 104. A resd
+// shard's recovery still commits its records one by one, in id order,
+// which is random in time: lends keep those leaves about four-fifths
+// full.
 //
 // The package registers itself with the profile backend registry under the
 // name "tree": the service's index (resd.Config.Backend "") and the
@@ -145,7 +145,7 @@ type entry struct {
 }
 
 // Tree is the capacity index. The zero value is not usable; construct with
-// New or FromReservations.
+// New.
 type Tree struct {
 	m      int
 	leaves []leaf      // arena
@@ -170,18 +170,6 @@ func New(m int) *Tree {
 	t.leaves[0].avail[0] = int32(m)
 	t.dir = []entry{{n: 1, mn: int32(m), mx: int32(m)}}
 	return t
-}
-
-// FromReservations returns the availability left by the reservations on an
-// m-processor machine, built by profile.CommitReservations: a wrapped
-// profile.ErrInsufficient if they oversubscribe it, a wrapped
-// profile.ErrBadWindow if a window is invalid.
-func FromReservations(m int, res []core.Reservation) (*Tree, error) {
-	t := New(m)
-	if err := profile.CommitReservations(t, res); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // M returns the machine size the tree was created with.

@@ -224,12 +224,23 @@ func TestOverflowingWindowRejected(t *testing.T) {
 	checkInvariants(t, tr)
 }
 
+// fromReservations returns the availability left by the reservations on
+// an m-processor machine, built as profile.IndexFromReservations builds
+// it on this backend.
+func fromReservations(m int, res []core.Reservation) (*Tree, error) {
+	t := New(m)
+	if err := profile.CommitReservations(t, res); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 func TestFromReservationsOversubscribed(t *testing.T) {
 	res := []core.Reservation{
 		{ID: 0, Procs: 5, Start: 0, Len: 10},
 		{ID: 1, Procs: 4, Start: 5, Len: 10},
 	}
-	if _, err := FromReservations(8, res); !errors.Is(err, profile.ErrInsufficient) {
+	if _, err := fromReservations(8, res); !errors.Is(err, profile.ErrInsufficient) {
 		t.Fatalf("got %v, want ErrInsufficient", err)
 	}
 }

@@ -36,11 +36,6 @@ type Options struct {
 	// "Writing"). Off, a connection carries one request at a time — the
 	// classic RPC shape, kept as the benchmark baseline.
 	Pipeline bool
-	// Window caps the requests in flight per connection when pipelining
-	// (default 256; forced to 1 when Pipeline is false). It is the size
-	// the connection's slot table may grow to, and the slot index is the
-	// low half of every request id.
-	Window int
 	// CallTimeout bounds each call — the wait for a window slot, the
 	// socket write if the call does one (as a write deadline: a connection
 	// that cannot take a write for this long is failed, ErrClientClosed)
@@ -50,6 +45,10 @@ type Options struct {
 	// Metrics attaches wire instrumentation (side "client"); nil leaves
 	// it off.
 	Metrics *Metrics
+	// window caps the requests in flight per connection: 256 with
+	// Pipeline (only tests set another), one without. It is the size the
+	// slot table may grow to; the slot index is the low half of every id.
+	window int
 }
 
 func (o Options) normalize() (Options, error) {
@@ -59,17 +58,14 @@ func (o Options) normalize() (Options, error) {
 	if o.Conns < 1 {
 		return o, fmt.Errorf("reswire: Conns=%d, need >= 1", o.Conns)
 	}
-	if o.Window == 0 {
-		o.Window = 256
-	}
-	if o.Window < 1 {
-		return o, fmt.Errorf("reswire: Window=%d, need >= 1", o.Window)
+	if o.window == 0 {
+		o.window = 256
 	}
 	if o.CallTimeout < 0 {
 		return o, fmt.Errorf("reswire: CallTimeout=%v, need >= 0", o.CallTimeout)
 	}
 	if !o.Pipeline {
-		o.Window = 1
+		o.window = 1
 	}
 	return o, nil
 }
@@ -456,7 +452,7 @@ var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 func newClientConn(nc net.Conn, opts Options) *clientConn {
 	cc := &clientConn{nc: nc, m: opts.Metrics, timeout: opts.CallTimeout,
-		free: make(chan *slot, opts.Window), closed: make(chan struct{})}
+		free: make(chan *slot, opts.window), closed: make(chan struct{})}
 	cc.w = newConnWriter(cc.m.wrap(nc), opts.CallTimeout, cc.close)
 	go cc.readLoop()
 	return cc

@@ -174,9 +174,9 @@
 // # Client
 //
 // The client spreads callers over Options.Conns connections.
-// With Options.Pipeline, each connection allows Options.Window requests
-// in flight; without it, one — the classic write-wait RPC shape, kept as
-// the benchmark baseline. bench/'s wire-small measures the gap
+// With Options.Pipeline, each connection allows 256 requests in flight
+// (its window); without it, one — the classic write-wait RPC shape, kept
+// as the benchmark baseline. bench/'s wire-small measures the gap
 // (reswire.pipeline_gain, in its traced run): pipelining is the
 // difference between paying one round trip per admission and amortising
 // the wire across everything in flight.

@@ -210,7 +210,7 @@ func TestLoopbackStress(t *testing.T) {
 		horizon    = 1 << 16
 	)
 	addr, _ := startServer(t, resd.Config{Shards: 4, M: m, Alpha: 0.25, Batch: 16})
-	c := dial(t, addr, Options{Conns: 3, Pipeline: true, Window: 64})
+	c := dial(t, addr, Options{Conns: 3, Pipeline: true, window: 64})
 
 	var admitted, cancelled, rejected atomic.Uint64
 	var wg sync.WaitGroup

@@ -45,7 +45,7 @@ func TestWindowStress(t *testing.T) {
 					callers = 64
 				}
 				addr, svc := startServer(t, resd.Config{Shards: 4, M: 64, Batch: 16})
-				c := dial(t, addr, Options{Conns: conns, Pipeline: true, Window: window, CallTimeout: 20 * time.Second})
+				c := dial(t, addr, Options{Conns: conns, Pipeline: true, window: window, CallTimeout: 20 * time.Second})
 				var wg sync.WaitGroup
 				for g := 0; g < callers; g++ {
 					wg.Add(1)
@@ -272,7 +272,7 @@ func TestSlotReuseDropsTheLateResponse(t *testing.T) {
 		}
 	}()
 
-	c := dial(t, ln.Addr().String(), Options{Pipeline: true, Window: 1, CallTimeout: 50 * time.Millisecond})
+	c := dial(t, ln.Addr().String(), Options{Pipeline: true, window: 1, CallTimeout: 50 * time.Millisecond})
 	if _, err := c.Admit(resd.Request{Q: 1, Dur: 1, Deadline: resd.NoDeadline}); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("call 1: err = %v, want ErrTimeout", err)
 	}
@@ -385,7 +385,7 @@ func TestCallTimeoutBoundsTheFlusher(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.(*net.TCPConn).SetWriteBuffer(4 << 10)
-	opts, err := Options{Pipeline: true, Window: callers, CallTimeout: timeout}.normalize()
+	opts, err := Options{Pipeline: true, window: callers, CallTimeout: timeout}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func connIndex(t *testing.T, c *Client, cc *clientConn) int {
 }
 
 func TestRouteJoinsThePendingConnection(t *testing.T) {
-	c := pipeClient(t, 3, Options{Conns: 3, Pipeline: true, Window: 4})
+	c := pipeClient(t, 3, Options{Conns: 3, Pipeline: true, window: 4})
 	hold(t, c.conns[1])
 	for range 4 { // the whole window: every call joins the forming write
 		cc, s := c.route()
@@ -68,7 +68,7 @@ func TestRouteJoinsThePendingConnection(t *testing.T) {
 }
 
 func TestRoutePassesOverAFullPendingWindow(t *testing.T) {
-	c := pipeClient(t, 3, Options{Conns: 3, Pipeline: true, Window: 2})
+	c := pipeClient(t, 3, Options{Conns: 3, Pipeline: true, window: 2})
 	hold(t, c.conns[1])
 	for range 2 {
 		if c.conns[1].tryAcquire() == nil {

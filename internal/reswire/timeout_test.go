@@ -40,7 +40,7 @@ func blackHole(t *testing.T) string {
 
 func TestCallTimeoutFiresAndFreesTheWindow(t *testing.T) {
 	addr := blackHole(t)
-	// Pipeline off forces Window=1: if a timed-out call leaked its
+	// Pipeline off forces a window of 1: if a timed-out call leaked its
 	// window slot, the second call would fail on admission, not on the
 	// response wait.
 	c := dial(t, addr, Options{CallTimeout: 30 * time.Millisecond})

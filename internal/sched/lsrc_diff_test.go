@@ -190,7 +190,7 @@ func TestLSRCMatchesNaive(t *testing.T) {
 		if len(inst.Res) > 0 {
 			withRes++
 		}
-		for _, order := range append(Orders(), RandomOrder(seed)) {
+		for _, order := range append(orders(), RandomOrder(seed)) {
 			for _, backend := range []string{"array", "tree"} {
 				what := fmt.Sprintf("seed %d order %s backend %s", seed, order.Name, backend)
 				got, gotErr := (&LSRC{Order: order, Backend: backend}).Schedule(inst)
@@ -219,7 +219,7 @@ func FuzzLSRCMatchesNaive(f *testing.F) {
 	f.Add(uint64(1))
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		inst := diffInstance(seed)
-		for _, order := range Orders() {
+		for _, order := range orders() {
 			for _, backend := range []string{"array", "tree"} {
 				what := fmt.Sprintf("seed %d order %s backend %s", seed, order.Name, backend)
 				got, gotErr := (&LSRC{Order: order, Backend: backend}).Schedule(inst)
@@ -427,7 +427,7 @@ func TestSortByMatchesSliceStable(t *testing.T) {
 				j.ID = i
 				inst.Jobs = append(inst.Jobs, j)
 			}
-			for _, order := range Orders() {
+			for _, order := range orders() {
 				want := identity(len(inst.Jobs))
 				sort.SliceStable(want, func(x, y int) bool {
 					return less[order.Name](inst.Jobs[want[x]], inst.Jobs[want[y]])

@@ -374,7 +374,7 @@ func TestLemma1GrahamArgument(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		usage := s.Usage()
+		usage := usageOf(s) // no reservations: the jobs' usage
 		cmax := s.Makespan()
 		// Sample each segment at its start plus, defensively, one interior
 		// point; segments are constant so starts suffice.

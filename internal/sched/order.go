@@ -80,8 +80,3 @@ func RandomOrder(seed uint64) Order {
 		},
 	}
 }
-
-// Orders lists the deterministic rules, used by ablation experiments.
-func Orders() []Order {
-	return []Order{FIFO, LPT, SPT, WidestFirst, NarrowestFirst, MaxWorkFirst}
-}

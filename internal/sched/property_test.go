@@ -8,6 +8,19 @@ import (
 	"repro/internal/verify"
 )
 
+// usageOf returns the processors s's jobs and reservations hold at each
+// time, every scheduled job counted as a reservation of its window.
+func usageOf(s *core.Schedule) *core.StepFunc {
+	res := append([]core.Reservation(nil), s.Inst.Res...)
+	for i, t := range s.Start {
+		if t != core.Unscheduled {
+			j := s.Inst.Jobs[i]
+			res = append(res, core.Reservation{Procs: j.Procs, Start: t, Len: j.Len})
+		}
+	}
+	return core.UnavailabilityOf(res)
+}
+
 // randInstance builds a random feasible instance whose reservations never
 // blockade the machine forever.
 func randInstance(r *rng.PCG, maxM, maxJobs int) *core.Instance {
@@ -139,7 +152,7 @@ func TestLSRCNoUnforcedIdleness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := s.TotalUsage()
+		total := usageOf(s)
 		for i, j := range inst.Jobs {
 			start := s.StartOf(i)
 			// Try every earlier integral instant (random instances are
@@ -166,11 +179,16 @@ func TestLSRCNoUnforcedIdleness(t *testing.T) {
 	}
 }
 
+// orders lists the deterministic priority rules.
+func orders() []Order {
+	return []Order{FIFO, LPT, SPT, WidestFirst, NarrowestFirst, MaxWorkFirst}
+}
+
 // TestOrdersArePermutations checks every priority rule emits a permutation.
 func TestOrdersArePermutations(t *testing.T) {
 	r := rng.New(5)
 	inst := randInstance(r, 8, 15)
-	rules := append(Orders(), RandomOrder(3))
+	rules := append(orders(), RandomOrder(3))
 	for _, o := range rules {
 		idx := o.Indices(inst)
 		if len(idx) != len(inst.Jobs) {

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,14 +23,30 @@ func defaultSpec() Spec {
 	}}
 }
 
-// ringBytes sums what every ring of e holds.
+// slotsOf returns how many snapshots r retains, read from outside: it
+// pushes one tick a slot, past the most any ring may hold (New refuses
+// one past maxRingBytes), after any instant the ring already holds, and
+// the span Delta reports over an unbounded window is then one tick less
+// than the slots. It leaves r holding those ticks.
+func slotsOf(r *stats.SnapRing, width int) int {
+	vec := make([]uint64, width)
+	const base = int64(1) << 62
+	for at := base; at <= base+int64(maxRingBytes/(8*(1+width))); at++ {
+		r.Push(at, vec)
+	}
+	span, _ := r.Delta(math.MaxInt64, vec)
+	return int(span) + 1
+}
+
+// ringBytes sums what every ring of e holds, 8 bytes per timestamp and
+// per value: 8·slots·(1+width). It fills the rings (slotsOf).
 func ringBytes(e *Engine) int {
 	var n int
 	for _, st := range e.objs {
-		n += st.ring.Bytes()
+		n += 8 * slotsOf(st.ring, 2) * (1 + 2)
 	}
 	for _, h := range e.hists {
-		n += h.ring.Bytes()
+		n += 8 * slotsOf(h.ring, stats.ExpBuckets) * (1 + stats.ExpBuckets)
 	}
 	return n
 }
@@ -153,8 +170,8 @@ func TestEngineAnswersMatchLongestWindowRings(t *testing.T) {
 		h.ring = stats.NewSnapRing(longest, stats.ExpBuckets)
 	}
 	oracle.Tick(now, read()) // the baseline Attach gave the replaced rings
-	if got, want := e.objs[3].ring.Bytes(), (int(time.Hour/e.Period())+2)*24; got != want {
-		t.Fatalf("short objective's ring holds %d B, want the budget window's %d", got, want)
+	if got, want := slotsOf(build().objs[3].ring, 2), int(time.Hour/e.Period())+2; got != want {
+		t.Fatalf("short objective's ring holds %d slots, want the budget window's %d", got, want)
 	}
 
 	r := rng.New(36)

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -310,18 +311,19 @@ func TestEngineStartStopLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Before Attach a Tick does nothing, whatever it is handed.
+	// Before Attach a Tick does nothing, whatever it is handed: after
+	// Attach the ring holds the baseline alone, so no span is answered
+	// yet, and once the engine ticks the oldest snapshot is Attach's.
 	f := &fakeCounters{}
 	e.Tick(time.Unix(1000, 0), f.sample())
-	if n := e.objs[0].ring.Len(); n != 0 {
-		t.Fatalf("Tick before Attach pushed %d snapshots", n)
-	}
 	now := time.Now()
+	attached := now
 	if err := e.Attach(now, f.sample()); err != nil {
 		t.Fatal(err)
 	}
-	if n := e.objs[0].ring.Len(); n != 1 {
-		t.Fatalf("Attach left %d snapshots, want the baseline", n)
+	var d [2]uint64
+	if span, ok := e.objs[0].ring.Delta(math.MaxInt64, d[:]); ok {
+		t.Fatalf("after Attach the ring answers a %v span, want the baseline alone", time.Duration(span))
 	}
 	if tail := j.Tail(0); len(tail) != 1 || tail[0].Msg != "slo engine armed" {
 		t.Fatalf("journal after Attach: %+v, want one \"slo engine armed\"", tail)
@@ -337,6 +339,9 @@ func TestEngineStartStopLifecycle(t *testing.T) {
 	}
 	if got := sev(t, e, "deadline"); got != SevPage {
 		t.Fatalf("attached engine ticked past the page windows: severity %v, want page", got)
+	}
+	if span, _ := e.objs[0].ring.Delta(math.MaxInt64, d[:]); time.Duration(span) != now.Sub(attached) {
+		t.Fatalf("oldest snapshot %v before the newest, want Attach's baseline %v before", time.Duration(span), now.Sub(attached))
 	}
 }
 

@@ -72,18 +72,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Mean returns the arithmetic mean (0 for an empty sample).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // MaxFloat returns the maximum (negative infinity for an empty sample).
 func MaxFloat(xs []float64) float64 {
 	max := math.Inf(-1)

@@ -65,8 +65,8 @@ func TestPercentilePanics(t *testing.T) {
 }
 
 func TestMeanAndMax(t *testing.T) {
-	if Mean([]float64{2, 4}) != 3 || Mean(nil) != 0 {
-		t.Fatal("Mean wrong")
+	if Summarize([]float64{2, 4}).Mean != 3 || Summarize(nil).Mean != 0 {
+		t.Fatal("Summary.Mean wrong")
 	}
 	if MaxFloat([]float64{1, 9, 3}) != 9 {
 		t.Fatal("MaxFloat wrong")

@@ -18,12 +18,12 @@ package stats
 //
 // The ring is two flat, pointer-free arrays: capacity timestamps and
 // capacity×width values, slot i's vector at vals[i*width:(i+1)*width].
-// It holds 8·capacity·(1+width) bytes in two allocations, which Bytes
-// reports. A ring answers a window exactly — as an unbounded history
-// would — while the snapshot at or past the window's far edge is still
-// retained, so a producer pushing every period needs window/period + 2
-// slots: the snapshots inside the window, the anchor at its edge, and
-// one for a tick that arrives late. A clock that steps back by s drops
+// It holds 8·capacity·(1+width) bytes in two allocations. A ring
+// answers a window exactly — as an unbounded history would — while the
+// snapshot at or past the window's far edge is still retained, so a
+// producer pushing every period needs window/period + 2 slots: the
+// snapshots inside the window, the anchor at its edge, and one for a
+// tick that arrives late. A clock that steps back by s drops
 // the snapshots it stepped over (Push), so until it is past the step
 // again a window that long answers from the oldest snapshot, over the
 // shorter span Delta reports. The slo engine sizes every ring by the
@@ -55,16 +55,6 @@ func NewSnapRing(capacity, width int) *SnapRing {
 		width: width,
 	}
 }
-
-// Width returns the vector width every Push must match.
-func (r *SnapRing) Width() int { return r.width }
-
-// Len returns the number of retained snapshots.
-func (r *SnapRing) Len() int { return r.n }
-
-// Bytes returns the bytes the ring's two arrays hold:
-// 8·capacity·(1+width).
-func (r *SnapRing) Bytes() int { return 8 * (cap(r.at) + cap(r.vals)) }
 
 // vec is slot i's vector.
 func (r *SnapRing) vec(i int) []uint64 {

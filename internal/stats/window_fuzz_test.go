@@ -93,8 +93,8 @@ func FuzzSnapRing(f *testing.F) {
 			o.push(at, vec)
 
 			held := len(o.list) - o.evicted
-			if r.Len() != held {
-				t.Fatalf("at=%d: Len %d, oracle holds %d", at, r.Len(), held)
+			if r.n != held {
+				t.Fatalf("at=%d: %d retained, oracle holds %d", at, r.n, held)
 			}
 			if held < 2 {
 				if _, ok := r.Delta(0, got); ok {

@@ -62,8 +62,8 @@ func TestSnapRingWraparound(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		push(r, i*10, uint64(i))
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len=%d after overfilling a 4-slot ring", r.Len())
+	if r.n != 4 {
+		t.Fatalf("%d retained after overfilling a 4-slot ring", r.n)
 	}
 	// Retained: at 960..990. The widest answerable window spans the ring.
 	d, span, ok := delta1(t, r, 1<<40)
@@ -83,8 +83,8 @@ func TestSnapRingClockRegression(t *testing.T) {
 	push(r, 300, 30)
 	// Duplicate timestamp: overwrites the newest in place.
 	push(r, 300, 35)
-	if r.Len() != 3 {
-		t.Fatalf("Len=%d after duplicate-timestamp push, want 3", r.Len())
+	if r.n != 3 {
+		t.Fatalf("%d retained after duplicate-timestamp push, want 3", r.n)
 	}
 	d, span, ok := delta1(t, r, 100)
 	if !ok || d != 15 || span != 100 {
@@ -93,8 +93,8 @@ func TestSnapRingClockRegression(t *testing.T) {
 	// Clock steps backwards past two retained snapshots: they are
 	// dropped so timestamps stay strictly increasing.
 	push(r, 150, 40)
-	if r.Len() != 2 {
-		t.Fatalf("Len=%d after regression to 150, want 2 (100 and 150)", r.Len())
+	if r.n != 2 {
+		t.Fatalf("%d retained after regression to 150, want 2 (100 and 150)", r.n)
 	}
 	d, span, ok = delta1(t, r, 50)
 	if !ok || d != 30 || span != 50 {
@@ -132,8 +132,8 @@ func TestSnapRingZeroTraffic(t *testing.T) {
 
 func TestSnapRingWidth(t *testing.T) {
 	r := NewSnapRing(4, 3)
-	if r.Width() != 3 {
-		t.Fatalf("Width=%d, want 3", r.Width())
+	if r.width != 3 {
+		t.Fatalf("width=%d, want 3", r.width)
 	}
 	r.Push(1, []uint64{1, 2, 3})
 	r.Push(2, []uint64{4, 6, 3})

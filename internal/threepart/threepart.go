@@ -150,32 +150,6 @@ func (in *Instance) Solve() (groups [][3]int, ok bool) {
 	return nil, false
 }
 
-// VerifyPartition checks that groups is a valid solution: a partition of
-// all indices into triples each summing to B.
-func (in *Instance) VerifyPartition(groups [][3]int) error {
-	if len(groups) != in.K() {
-		return fmt.Errorf("threepart: %d groups, want %d", len(groups), in.K())
-	}
-	seen := make([]bool, len(in.Items))
-	for gi, g := range groups {
-		var sum int64
-		for _, i := range g {
-			if i < 0 || i >= len(in.Items) {
-				return fmt.Errorf("threepart: group %d has invalid index %d", gi, i)
-			}
-			if seen[i] {
-				return fmt.Errorf("threepart: index %d used twice", i)
-			}
-			seen[i] = true
-			sum += in.Items[i]
-		}
-		if sum != in.B {
-			return fmt.Errorf("threepart: group %d sums to %d, want %d", gi, sum, in.B)
-		}
-	}
-	return nil
-}
-
 // GenerateYes produces a random YES instance with k groups and target B
 // (B must be at least 12 so the strict window (B/4, B/2) has room for
 // distinct triples). Items are shuffled so solvers cannot exploit order.

@@ -2,6 +2,7 @@ package threepart
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -35,7 +36,7 @@ func TestSolveTinyYes(t *testing.T) {
 	if !ok {
 		t.Fatal("YES instance reported unsolvable")
 	}
-	if err := in.VerifyPartition(groups); err != nil {
+	if err := verifyPartition(in, groups); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,7 +76,7 @@ func TestSolveWithDuplicates(t *testing.T) {
 	if !ok {
 		t.Fatal("uniform instance unsolvable")
 	}
-	if err := in.VerifyPartition(groups); err != nil {
+	if err := verifyPartition(in, groups); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,10 +99,36 @@ func TestGenerateYesAlwaysSolvable(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: YES instance unsolvable: %+v", trial, in)
 		}
-		if err := in.VerifyPartition(groups); err != nil {
+		if err := verifyPartition(in, groups); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// verifyPartition checks that groups is a valid solution of in: a partition of
+// all indices into triples each summing to B.
+func verifyPartition(in *Instance, groups [][3]int) error {
+	if len(groups) != in.K() {
+		return fmt.Errorf("threepart: %d groups, want %d", len(groups), in.K())
+	}
+	seen := make([]bool, len(in.Items))
+	for gi, g := range groups {
+		var sum int64
+		for _, i := range g {
+			if i < 0 || i >= len(in.Items) {
+				return fmt.Errorf("threepart: group %d has invalid index %d", gi, i)
+			}
+			if seen[i] {
+				return fmt.Errorf("threepart: index %d used twice", i)
+			}
+			seen[i] = true
+			sum += in.Items[i]
+		}
+		if sum != in.B {
+			return fmt.Errorf("threepart: group %d sums to %d, want %d", gi, sum, in.B)
+		}
+	}
+	return nil
 }
 
 func TestVerifyPartitionRejects(t *testing.T) {
@@ -113,7 +140,7 @@ func TestVerifyPartitionRejects(t *testing.T) {
 		{{0, 1, 3}, {2, 4, 5}}, // wrong sums (22 and 18)
 	}
 	for i, g := range cases {
-		if err := in.VerifyPartition(g); err == nil {
+		if err := verifyPartition(in, g); err == nil {
 			t.Errorf("case %d accepted: %v", i, g)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // tickOracle is a brute-force per-tick feasibility check used as a
-// differential oracle for Check: a complete schedule is feasible iff at
+// differential oracle for check: a complete schedule is feasible iff at
 // every integral instant the running jobs plus active reservations fit in
 // m. (All times in the generated schedules are integral, so per-tick
 // sampling is exact.)
@@ -36,7 +36,7 @@ func tickOracle(s *core.Schedule, horizon core.Time) bool {
 }
 
 // TestCheckMatchesTickOracle generates arbitrary (mostly infeasible)
-// schedules and demands that Check and the brute-force oracle agree
+// schedules and demands that check and the brute-force oracle agree
 // exactly.
 func TestCheckMatchesTickOracle(t *testing.T) {
 	r := rng.New(778899)
@@ -59,14 +59,14 @@ func TestCheckMatchesTickOracle(t *testing.T) {
 		for i := range inst.Jobs {
 			s.SetStart(i, core.Time(r.Intn(20)))
 		}
-		violations := Check(s)
+		violations := check(s)
 		feasible := len(violations) == 0
 		oracle := tickOracle(s, 50)
 		if feasible != oracle {
-			t.Fatalf("trial %d: Check says feasible=%v, oracle says %v\ninstance: %+v\nstarts: %v\nviolations: %+v",
+			t.Fatalf("trial %d: check says feasible=%v, oracle says %v\ninstance: %+v\nstarts: %v\nviolations: %+v",
 				trial, feasible, oracle, inst, s.Start, violations)
 		}
-		// Whenever Check passes, the concrete assignment must exist and
+		// Whenever check passes, the concrete assignment must exist and
 		// validate; whenever it fails, AssignProcessors must fail too.
 		asg, err := AssignProcessors(s)
 		if feasible {
@@ -79,11 +79,11 @@ func TestCheckMatchesTickOracle(t *testing.T) {
 		} else if err == nil {
 			t.Fatalf("trial %d: infeasible schedule got an assignment", trial)
 		}
-		// Verify, which runs the sweep alone, fails exactly when Check
-		// does and names Check's first over-subscribed instant.
+		// Verify, which runs the sweep alone, fails exactly when check
+		// does and names check's first over-subscribed instant.
 		err = Verify(s)
 		if feasible != (err == nil) || (err != nil && !errors.Is(err, ErrInfeasible)) {
-			t.Fatalf("trial %d: Check says feasible=%v, Verify says %v", trial, feasible, err)
+			t.Fatalf("trial %d: check says feasible=%v, Verify says %v", trial, feasible, err)
 		}
 		if !feasible && violations[0].Kind == VOverCapacity {
 			if at := fmt.Sprintf("at t=%v", violations[0].At); !strings.Contains(err.Error(), at) {

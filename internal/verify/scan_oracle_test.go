@@ -246,7 +246,7 @@ func TestAssignProcessorsMatchesScanOnEdges(t *testing.T) {
 
 // FuzzAssignProcessorsMatchesScan: on any schedule the fuzzer builds, the
 // bitset sweep agrees with the scan (lists or error text), its verdict
-// agrees with the aggregate Check, and so does Verify's.
+// agrees with the aggregate check, and so does Verify's.
 //
 // The input is m-1 (mod 130, so m crosses two word edges) and three bytes
 // per occupation: kind (low bit: reservation) and width-1, length-1 (mod
@@ -273,13 +273,13 @@ func FuzzAssignProcessorsMatchesScan(f *testing.F) {
 		s := core.NewSchedule(inst)
 		s.Start = starts
 		matchScan(t, "fuzz", s)
-		feasible := len(Check(s)) == 0
+		feasible := len(check(s)) == 0
 		a, err := AssignProcessors(s)
 		if feasible != (err == nil) {
-			t.Fatalf("Check says feasible=%v, the sweep says %v", feasible, err)
+			t.Fatalf("check says feasible=%v, the sweep says %v", feasible, err)
 		}
 		if feasible != (Verify(s) == nil) {
-			t.Fatalf("Check says feasible=%v, Verify says %v", feasible, Verify(s))
+			t.Fatalf("check says feasible=%v, Verify says %v", feasible, Verify(s))
 		}
 		if feasible {
 			if err := checkAssignment(s, a); err != nil {

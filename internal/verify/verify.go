@@ -7,18 +7,16 @@
 // non-contiguous, an aggregate capacity check is equivalent to the existence
 // of a concrete processor assignment: job executions are time intervals, the
 // interval graph they induce is perfect, and its chromatic number equals the
-// peak overlap. AssignProcessors constructs such an assignment greedily;
-// Verify's capacity check is that construction, and Check reads the
-// aggregate usage curve.
+// peak overlap. AssignProcessors constructs such an assignment greedily,
+// and Verify's capacity check is that construction.
 //
 // The greedy sweep keeps the free processors as one bitset of m bits and
 // what each job and reservation holds as another, so an interval start or
 // end costs m/64 words. Its events are in one total order — time, then
 // frees before takes, then occupation index — laid out so that a stable
-// radix sort on the time alone (core.SortByKey) gives it; Check's usage
-// curve is built on the same kernel. Verify runs the sweep as its capacity
-// check and builds no per-processor lists; AssignProcessors builds them
-// from the bitsets for its callers.
+// radix sort on the time alone (core.SortByKey) gives it. Verify runs the
+// sweep as its capacity check and builds no per-processor lists;
+// AssignProcessors builds them from the bitsets for its callers.
 package verify
 
 import (
@@ -44,7 +42,7 @@ type Violation struct {
 // ViolationKind enumerates feasibility failures.
 type ViolationKind int
 
-// The feasibility failure classes detected by Check.
+// The feasibility failure classes.
 const (
 	// VUnscheduled: a job has no start time.
 	VUnscheduled ViolationKind = iota
@@ -68,21 +66,6 @@ func (k ViolationKind) String() string {
 
 // ErrInfeasible is wrapped by all verification failures.
 var ErrInfeasible = errors.New("verify: schedule infeasible")
-
-// Check returns all violations of the schedule (empty means feasible and
-// complete).
-func Check(s *core.Schedule) []Violation {
-	out := jobViolations(s)
-	usage := s.TotalUsage()
-	for i := 0; i < usage.Len(); i++ {
-		start, _, v := usage.Segment(i)
-		if v > s.Inst.M {
-			out = append(out, Violation{Kind: VOverCapacity, JobIdx: -1, At: start,
-				Detail: fmt.Sprintf("usage %d > m=%d from t=%v", v, s.Inst.M, start)})
-		}
-	}
-	return out
-}
 
 // jobViolations returns the violations of single jobs: no start time, or a
 // start before 0.

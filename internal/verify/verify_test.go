@@ -11,6 +11,19 @@ import (
 	"repro/internal/rng"
 )
 
+// usageOf returns the processors s's jobs and reservations hold at each
+// time, every scheduled job counted as a reservation of its window.
+func usageOf(s *core.Schedule) *core.StepFunc {
+	res := append([]core.Reservation(nil), s.Inst.Res...)
+	for i, t := range s.Start {
+		if t != core.Unscheduled {
+			j := s.Inst.Jobs[i]
+			res = append(res, core.Reservation{Procs: j.Procs, Start: t, Len: j.Len})
+		}
+	}
+	return core.UnavailabilityOf(res)
+}
+
 func feasibleFixture() *core.Schedule {
 	inst := &core.Instance{
 		M: 8,
@@ -28,6 +41,22 @@ func feasibleFixture() *core.Schedule {
 	return s
 }
 
+// check returns all violations of the schedule (empty means feasible and
+// complete): the aggregate usage curve, the
+// oracle Verify's sweep is held to.
+func check(s *core.Schedule) []Violation {
+	out := jobViolations(s)
+	usage := usageOf(s)
+	for i := 0; i < usage.Len(); i++ {
+		start, _, v := usage.Segment(i)
+		if v > s.Inst.M {
+			out = append(out, Violation{Kind: VOverCapacity, JobIdx: -1, At: start,
+				Detail: fmt.Sprintf("usage %d > m=%d from t=%v", v, s.Inst.M, start)})
+		}
+	}
+	return out
+}
+
 func TestVerifyFeasible(t *testing.T) {
 	if err := Verify(feasibleFixture()); err != nil {
 		t.Fatalf("feasible schedule rejected: %v", err)
@@ -37,7 +66,7 @@ func TestVerifyFeasible(t *testing.T) {
 func TestCheckUnscheduled(t *testing.T) {
 	s := feasibleFixture()
 	s.Start[1] = core.Unscheduled
-	vs := Check(s)
+	vs := check(s)
 	if len(vs) != 1 || vs[0].Kind != VUnscheduled || vs[0].JobIdx != 1 {
 		t.Fatalf("got %+v", vs)
 	}
@@ -50,7 +79,7 @@ func TestCheckNegativeStart(t *testing.T) {
 	s := feasibleFixture()
 	s.Start[0] = -5
 	found := false
-	for _, v := range Check(s) {
+	for _, v := range check(s) {
 		if v.Kind == VNegativeStart && v.JobIdx == 0 {
 			found = true
 		}
@@ -64,7 +93,7 @@ func TestCheckOverCapacity(t *testing.T) {
 	s := feasibleFixture()
 	// Move the 8-wide job onto the two 4-wide jobs.
 	s.SetStart(2, 5)
-	vs := Check(s)
+	vs := check(s)
 	if len(vs) == 0 || vs[0].Kind != VOverCapacity {
 		t.Fatalf("overload not detected: %+v", vs)
 	}
@@ -74,7 +103,7 @@ func TestCheckJobVsReservationConflict(t *testing.T) {
 	s := feasibleFixture()
 	// The 8-wide job overlapping the 4-proc reservation at t=20.
 	s.SetStart(2, 18)
-	vs := Check(s)
+	vs := check(s)
 	if len(vs) == 0 || vs[0].Kind != VOverCapacity {
 		t.Fatalf("reservation conflict not detected: %+v", vs)
 	}

@@ -23,7 +23,13 @@
 // captures the effect of every record in generations < G, so recovery
 // is: load the newest valid snapshot (gen G), then replay every log
 // segment with gen >= G in ascending order. Segments older than a
-// durable snapshot are deleted by the snapshot writer.
+// durable snapshot are deleted by the snapshot writer. So a snapshot
+// that fails validation is skipped for an older anchor (an older
+// snapshot, or the empty state before generation 0) only while every
+// segment from that anchor to it is still there, as after a crash
+// between the rename and the deletion (ReplayInfo.BadSnapshots);
+// otherwise what it held is nowhere else, and Recover fails with
+// ErrCorrupt, naming the file, and repairs nothing.
 //
 // A segment is written through a shared file mapping, one preallocated
 // 4 MiB chunk at a time: Append copies each frame into the page cache,

@@ -15,14 +15,11 @@ type ReplayInfo struct {
 	// Records is how many log records were replayed (after the chosen
 	// snapshot).
 	Records int
-	// Gens is how many log generations were read.
-	Gens int
-	// HasSnapshot reports whether a valid snapshot anchored the replay;
-	// SnapshotGen is its generation.
+	// HasSnapshot reports whether a valid snapshot anchored the replay.
 	HasSnapshot bool
-	SnapshotGen uint64
 	// BadSnapshots counts snapshot files that failed validation and
-	// were skipped in favour of an older generation.
+	// were skipped in favour of an older generation whose logs since
+	// are all still there.
 	BadSnapshots int
 	// Torn reports a frame at the end of the newest generation that a
 	// crash cut mid-copy: its header is short, or it declares more bytes
@@ -118,7 +115,10 @@ func listGens(dir string, shard int) ([]genFiles, error) {
 //
 // State only the removed rebalancer wrote (ErrRetired) is neither: the
 // files are intact and this build cannot read them. Recover returns the
-// error, naming the file, and leaves the shard's files as they are.
+// error, naming the file, and leaves the shard's files as they are. So
+// it does for a damaged snapshot whose state no older generation can
+// rebuild (ErrCorrupt): booting without it would drop every reservation
+// it held, and the boot snapshot would then delete the evidence.
 func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 	var info ReplayInfo
 	gens, err := listGens(dir, shard)
@@ -126,34 +126,55 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 		return nil, nil, info, err
 	}
 
-	// Newest decodable snapshot wins; a bad one (crash mid-write before
-	// the rename, or disk damage) falls back to the previous generation,
-	// whose log files still exist because truncation happens only after
-	// a snapshot is durable.
+	// Newest decodable snapshot wins. A bad one (disk damage) falls back
+	// to an older anchor — an older snapshot, or else the empty state
+	// before generation 0 — but only while every log from that anchor up
+	// to the bad snapshot is still there. That holds after a crash
+	// between a snapshot's rename and the deletion of the generations
+	// before it, and otherwise not: WriteSnapshot deletes them.
 	var snap *Snapshot
+	var bad error // the newest bad snapshot's, naming the file
+	var badGen uint64
 	for i := len(gens) - 1; i >= 0 && snap == nil; i-- {
 		if !gens[i].hasSnap {
 			continue
 		}
-		raw, err := os.ReadFile(snapName(dir, shard, gens[i].gen))
+		name := snapName(dir, shard, gens[i].gen)
+		raw, err := os.ReadFile(name)
 		if err != nil {
 			return nil, nil, info, fmt.Errorf("wal: %w", err)
 		}
 		s, err := decodeSnapshot(raw)
 		if errors.Is(err, ErrRetired) {
-			return nil, nil, info, fmt.Errorf("%s: %w", snapName(dir, shard, gens[i].gen), err)
+			return nil, nil, info, fmt.Errorf("%s: %w", name, err)
+		}
+		if err == nil && (s.Shard != shard || s.Gen != gens[i].gen) {
+			err = fmt.Errorf("%w: snapshot of shard %d generation %d", ErrCorrupt, s.Shard, s.Gen)
 		}
 		if err != nil {
-			info.BadSnapshots++
-			continue
-		}
-		if s.Shard != shard || s.Gen != gens[i].gen {
+			if bad == nil {
+				bad, badGen = fmt.Errorf("%s: %w", name, err), gens[i].gen
+			}
 			info.BadSnapshots++
 			continue
 		}
 		snap = s
 		info.HasSnapshot = true
-		info.SnapshotGen = s.Gen
+	}
+	if bad != nil {
+		var from, logs uint64
+		if snap != nil {
+			from = snap.Gen
+		}
+		for _, g := range gens {
+			if g.hasLog && g.gen >= from && g.gen < badGen {
+				logs++
+			}
+		}
+		if logs < badGen-from {
+			return nil, nil, info, fmt.Errorf("%w; %d of the logs from generation %d to it are gone, so what it held cannot be rebuilt: the directory is left as found",
+				bad, badGen-from-logs, from)
+		}
 	}
 
 	var recs []Record
@@ -165,7 +186,6 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 		if err != nil {
 			return nil, nil, info, fmt.Errorf("wal: %w", err)
 		}
-		info.Gens++
 		// Only the final segment can end in space never written — the rest
 		// of the chunk a crashed process had mapped — so only there does
 		// the scan stop where the zero suffix begins.

