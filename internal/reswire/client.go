@@ -36,11 +36,12 @@ type Options struct {
 	// "Writing"). Off, a connection carries one request at a time — the
 	// classic RPC shape, kept as the benchmark baseline.
 	Pipeline bool
-	// CallTimeout bounds each call — the wait for a window slot, the
-	// socket write if the call does one (as a write deadline: a connection
-	// that cannot take a write for this long is failed, ErrClientClosed)
-	// and the wait for the response (ErrTimeout). 0, the default, waits
-	// forever.
+	// CallTimeout bounds each call, from its start to its response
+	// (ErrTimeout). One sweeper per connection enforces it every
+	// CallTimeout/8, so a call fails between CallTimeout and 9/8 of it; the
+	// sweeper also fails the connection (ErrClientClosed) when a socket
+	// write has been in progress for longer than CallTimeout. 0, the
+	// default, waits forever.
 	CallTimeout time.Duration
 	// Metrics attaches wire instrumentation (side "client"); nil leaves
 	// it off.
@@ -428,90 +429,113 @@ type clientConn struct {
 	w       *connWriter
 	free    chan *slot // idle slots; its capacity is the in-flight window
 
-	mu    sync.Mutex // guards slots and every slot's gen, waiting, late
+	mu    sync.Mutex // guards err, slots and every slot's fields but idx and wake
 	slots []*slot    // made on demand, so as many as calls were ever in flight at once
+	err   error      // why the connection died; set before closed closes
 
 	closeOnce sync.Once
 	closed    chan struct{}
-	err       error // why the connection died; set before closed closes
 }
 
 // slot is one unit of the in-flight window. A request id is gen<<32|idx,
 // and gen moves on with every call: the late response to a call that timed
 // out can never be taken for the response to the slot's next occupant.
+// Three parties can end a parked call — the reader with its response, the
+// sweeper with ErrTimeout, close with the connection's cause — and the one
+// that clears waiting sends the call's one wake-up.
 type slot struct {
 	idx, gen uint32
 	waiting  bool          // the caller of generation gen is parked on wake
 	late     int           // timed-out calls whose response is still to come
-	wake     chan struct{} // capacity 1: the reader never blocks on it
+	due      time.Duration // when the parked call times out, as an offset from epoch
+	op       Op            // the parked call's op, for the timeout's message
+	wake     chan struct{} // capacity 1: one send per park, so no sender blocks
 	resp     Response      // the reader's delivery, the caller's once woken
+	err      error         // or why the call ended without one
 }
 
-// timers recycles the per-call timeout timers; call re-arms what it gets.
+// epoch is the instant the package's monotonic offsets count from: a
+// parked call's due, and the start of a client connection's socket write.
+var epoch = time.Now()
+
+// timers recycles the timeout timers of waits for a full window's slot.
 var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 func newClientConn(nc net.Conn, opts Options) *clientConn {
 	cc := &clientConn{nc: nc, m: opts.Metrics, timeout: opts.CallTimeout,
 		free: make(chan *slot, opts.window), closed: make(chan struct{})}
-	cc.w = newConnWriter(cc.m.wrap(nc), opts.CallTimeout, cc.close)
+	cc.w = newConnWriter(cc.m.wrap(nc), cc.timeout > 0, cc.close)
 	go cc.readLoop()
+	if cc.timeout > 0 {
+		go cc.sweep()
+	}
 	return cc
 }
 
-// close marks the connection dead and closes the socket; every parked and
-// later call fails with cause, wrapped for errors.Is on ErrClientClosed.
-// Idempotent; the first cause wins.
+// close marks the connection dead, wakes every parked call and closes the
+// socket; every parked and later call fails with cause, wrapped for
+// errors.Is on ErrClientClosed. Idempotent; the first cause wins.
 func (cc *clientConn) close(cause error) {
 	cc.closeOnce.Do(func() {
 		if !errors.Is(cause, ErrClientClosed) {
 			cause = fmt.Errorf("%w: %v", ErrClientClosed, cause)
 		}
+		cc.mu.Lock()
 		cc.err = cause
+		for _, s := range cc.slots {
+			s.end(cause)
+		}
+		cc.mu.Unlock()
 		close(cc.closed)
 		cc.nc.Close()
 	})
+}
+
+// end wakes the call parked on s, if there is one, to return with err
+// (nil: with s.resp). Its connection's mu must be held.
+func (s *slot) end(err error) {
+	if s.waiting {
+		s.waiting, s.err = false, err
+		s.wake <- struct{}{}
+	}
 }
 
 // call sends one request in slot s, or in the first slot to come free
 // when s is nil, and blocks for its response, bounded by the connection's
 // call timeout when one is configured.
 func (cc *clientConn) call(req Request, s *slot) (Response, error) {
-	var timeoutCh <-chan time.Time
+	var due time.Duration
 	if cc.timeout > 0 {
-		t := timers.Get().(*time.Timer)
-		t.Reset(cc.timeout)
-		defer func() { t.Stop(); timers.Put(t) }()
-		timeoutCh = t.C
+		due = time.Since(epoch) + cc.timeout
 	}
 	if s == nil {
 		var err error
-		if s, err = cc.acquire(timeoutCh); err != nil {
+		if s, err = cc.acquire(); err != nil {
 			return Response{}, err
 		}
 	}
 	start := cc.m.begin()
 	defer cc.m.end()
 	cc.mu.Lock()
+	if err := cc.err; err != nil {
+		cc.mu.Unlock()
+		cc.free <- s
+		return Response{}, err
+	}
 	s.gen++
-	s.waiting = true
+	s.waiting, s.due, s.op = true, due, req.Op
 	cc.mu.Unlock()
 	req.ID = uint64(s.gen)<<32 | uint64(s.idx)
 	if err := cc.w.put(func(dst []byte) ([]byte, error) { return AppendRequest(dst, req) }, nil, 0); err != nil {
-		cc.retire(s, false)
+		cc.unsent(s)
 		return Response{}, err
 	}
-	select {
-	case <-s.wake:
-	case <-cc.closed:
-		return Response{}, cc.err
-	case <-timeoutCh:
-		if cc.retire(s, true) {
-			return Response{}, fmt.Errorf("%w: no %s response within %v", ErrTimeout, req.Op, cc.timeout)
-		}
-		<-s.wake // the response won the race and its wake-up is in
-	}
-	resp := s.resp
+	<-s.wake
+	resp, err := s.resp, s.err
 	cc.free <- s
+	if err != nil {
+		return Response{}, err
+	}
 	cc.m.observe(req.Op, start, resp.Code)
 	return resp, nil
 }
@@ -535,10 +559,18 @@ func (cc *clientConn) tryAcquire() *slot {
 }
 
 // acquire takes a slot as tryAcquire does, and otherwise waits for a
-// release.
-func (cc *clientConn) acquire(timeoutCh <-chan time.Time) (*slot, error) {
+// release. Waiting is rare, so this wait, unlike the response's, arms a
+// timer of its own.
+func (cc *clientConn) acquire() (*slot, error) {
 	if s := cc.tryAcquire(); s != nil {
 		return s, nil
+	}
+	var timeoutCh <-chan time.Time
+	if cc.timeout > 0 {
+		t := timers.Get().(*time.Timer)
+		t.Reset(cc.timeout)
+		defer func() { t.Stop(); timers.Put(t) }()
+		timeoutCh = t.C
 	}
 	select {
 	case s := <-cc.free:
@@ -550,21 +582,50 @@ func (cc *clientConn) acquire(timeoutCh <-chan time.Time) (*slot, error) {
 	}
 }
 
-// retire ends s's call without a response and frees the slot: the request
-// never left, or (sent) its caller timed out and the response is owed to
-// nobody. It reports false, and does nothing, if the response is already in.
-func (cc *clientConn) retire(s *slot, sent bool) bool {
+// unsent ends s's call whose request never left, and frees the slot. If
+// the sweeper or close ended the call first, it takes their wake-up, and
+// takes back the late response the sweeper counted on.
+func (cc *clientConn) unsent(s *slot) {
 	cc.mu.Lock()
-	was := s.waiting
+	parked := s.waiting
 	s.waiting = false
-	if was && sent {
-		s.late++
+	if !parked && errors.Is(s.err, ErrTimeout) {
+		s.late--
 	}
 	cc.mu.Unlock()
-	if was {
-		cc.free <- s
+	if !parked {
+		<-s.wake
 	}
-	return was
+	cc.free <- s
+}
+
+// sweep enforces the call timeout, every timeout/8 until the connection
+// closes: it fails each parked call whose due has passed with ErrTimeout,
+// and fails the connection when a socket write has been in progress for
+// longer than the timeout — a partly written frame cannot be taken back.
+func (cc *clientConn) sweep() {
+	t := time.NewTicker(max(cc.timeout/8, time.Millisecond))
+	defer t.Stop()
+	for {
+		select {
+		case <-cc.closed:
+			return
+		case <-t.C:
+		}
+		now := time.Since(epoch)
+		if began := cc.w.writeStart.Load(); began != 0 && now-time.Duration(began) > cc.timeout {
+			cc.close(fmt.Errorf("socket write stalled past the %v call timeout", cc.timeout))
+			return
+		}
+		cc.mu.Lock()
+		for _, s := range cc.slots {
+			if s.waiting && s.due <= now {
+				s.end(fmt.Errorf("%w: no %s response within %v", ErrTimeout, s.op, cc.timeout))
+				s.late++
+			}
+		}
+		cc.mu.Unlock()
+	}
 }
 
 // readLoop decodes responses and wakes the caller parked on each one's
@@ -586,9 +647,9 @@ func (cc *clientConn) readLoop() {
 		}
 		switch {
 		case s != nil && s.waiting && s.gen == uint32(resp.ID>>32):
-			s.waiting, s.resp = false, resp
+			s.resp = resp
+			s.end(nil)
 			cc.mu.Unlock()
-			s.wake <- struct{}{}
 		case s != nil && s.late > 0:
 			s.late--
 			cc.mu.Unlock()

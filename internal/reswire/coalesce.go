@@ -29,8 +29,12 @@ type batch struct{ owed int }
 // through fail, every put is a no-op.
 type connWriter struct {
 	nc      net.Conn
-	timeout time.Duration // per-write socket deadline; 0 = none
-	fail    func(error)   // closes the connection; called outside the lock with what killed it
+	watched bool        // stamp writeStart for a client's sweeper
+	fail    func(error) // closes the connection; called outside the lock with what killed it
+
+	// writeStart is when the socket write in progress began, as an offset
+	// from epoch; 0 when none is (or the writer is not watched).
+	writeStart atomic.Int64
 
 	// pending is set when a frame lands in an empty buffer and cleared when
 	// the flusher swaps the buffer out: frames are waiting for a write that
@@ -45,8 +49,8 @@ type connWriter struct {
 	err      error
 }
 
-func newConnWriter(nc net.Conn, timeout time.Duration, fail func(error)) *connWriter {
-	w := &connWriter{nc: nc, timeout: timeout, fail: fail}
+func newConnWriter(nc net.Conn, watched bool, fail func(error)) *connWriter {
+	w := &connWriter{nc: nc, watched: watched, fail: fail}
 	w.drained.L = &w.mu
 	return w
 }
@@ -87,10 +91,13 @@ func (w *connWriter) put(enc func([]byte) ([]byte, error), b *batch, n int) (err
 		w.pending.Store(false)
 		w.drained.Broadcast()
 		w.mu.Unlock()
-		if w.timeout > 0 {
-			w.nc.SetWriteDeadline(time.Now().Add(w.timeout))
+		if w.watched {
+			w.writeStart.Store(int64(time.Since(epoch)))
 		}
 		_, werr := w.nc.Write(out)
+		if w.watched {
+			w.writeStart.Store(0)
+		}
 		if werr != nil {
 			w.fail(werr)
 		}

@@ -209,8 +209,9 @@
 // is the one parked there, hands the response over and wakes the caller.
 // The generation moves on with every call, so ids are never reused while
 // an answer could still be on its way, and responses may come back in any
-// order. A call allocates nothing: the slot, its wake-up, the response it
-// is handed, the write buffers and the timeout timer are all reused.
+// order. A call allocates nothing, arms no timer and waits on nothing but
+// its slot's wake-up: the slot, the wake-up, the response it is handed
+// and the write buffers are all reused.
 //
 // Client.Admit mirrors resd.Service.Admit field for field: the one
 // resd.Request struct is the admission vocabulary on both sides of the
@@ -218,15 +219,19 @@
 // a sampled admission's breakdown starts at the caller, not at the
 // server's accept; Request.Trace forces the sample.
 //
-// Options.CallTimeout bounds every call end to end: waiting for a slot,
-// the socket write if the caller is the one flushing, and waiting for the
-// response. A call whose response is late fails with ErrTimeout and frees
-// its slot at once; the slot's next call runs under the next generation,
-// and when the late response does arrive the reader recognises it by the
-// old generation and drops it, so one slow request costs one failed call,
-// not a poisoned connection. A write that cannot finish within the
-// timeout is a different matter — a partly written frame cannot be taken
-// back — so it fails the connection: every call on it returns
-// ErrClientClosed wrapping the write error. Zero means no timeout. After
-// Close every call fails with ErrClientClosed.
+// Options.CallTimeout T bounds every call end to end: waiting for a slot
+// (the one wait that arms a timer, as it is rare), the socket write if the
+// caller is the one flushing, and waiting for the response. A parked call
+// is due T after it started; one sweeper per connection looks every T/8
+// (at least 1 ms) and fails each call past its due with ErrTimeout, so a
+// call times out between T and T + T/8. It frees its slot at once; when
+// the late response does arrive the reader recognises it by the old
+// generation and drops it, so one slow request costs one failed call, not
+// a poisoned connection. A socket write is a different matter — a partly
+// written frame cannot be taken back — so a write the sweeper finds in
+// progress for longer than T fails the connection: every call on it
+// returns ErrClientClosed wrapping a "timeout" cause. Zero means no
+// timeout and no sweeper. After Close every call fails with
+// ErrClientClosed: close wakes every parked call, and a call that starts
+// after it never parks.
 package reswire

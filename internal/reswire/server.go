@@ -154,7 +154,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	wc := s.metrics.wrap(nc) // byte counters; nc stays the handle Close uses
 	br := bufio.NewReaderSize(wc, readBufCap)
-	w := newConnWriter(wc, 0, func(error) { nc.Close() })
+	w := newConnWriter(wc, false, func(error) { nc.Close() })
 
 	var (
 		hwg      sync.WaitGroup

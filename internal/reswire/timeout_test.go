@@ -3,7 +3,10 @@ package reswire
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,5 +140,120 @@ func TestClientClosedAfterClose(t *testing.T) {
 	}
 	if _, err := c.Admit(resd.Request{Q: 1, Dur: 1, Deadline: resd.NoDeadline}); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Admit after Close: %v, want ErrClientClosed", err)
+	}
+}
+
+// parked counts the calls parked on cc's slots.
+func parked(cc *clientConn) int {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	n := 0
+	for _, s := range cc.slots {
+		if s.waiting {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCloseWakesParkedCalls parks callers on a server that never answers
+// and closes the client under them: close wakes every parked call, with or
+// without a sweeper running. Then Close races calls that are just
+// starting on its connections: each fails at once or is woken, and none
+// is left parked.
+func TestCloseWakesParkedCalls(t *testing.T) {
+	addr := blackHole(t)
+	timeouts := []time.Duration{0, time.Hour}
+	for _, timeout := range timeouts {
+		t.Run(fmt.Sprintf("timeout=%v", timeout), func(t *testing.T) {
+			const callers = 64
+			c := dial(t, addr, Options{Pipeline: true, CallTimeout: timeout})
+			errs := make(chan error, callers)
+			for range callers {
+				go func() { errs <- c.Ping() }()
+			}
+			for deadline := time.Now().Add(10 * time.Second); parked(c.conns[0]) < callers; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d callers parked after 10s", parked(c.conns[0]), callers)
+				}
+			}
+			c.Close()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for range callers {
+					if err := <-errs; !errors.Is(err, ErrClientClosed) {
+						t.Errorf("parked call after Close: %v, want ErrClientClosed", err)
+					}
+				}
+			}()
+			watchdog(t, done, time.Second, "parked calls after Close")
+		})
+	}
+	t.Run("racing", func(t *testing.T) {
+		for i := range 40 {
+			c := dial(t, addr, Options{Conns: 2, Pipeline: true, CallTimeout: timeouts[i%2]})
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for k := range 8 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if _, err := c.conns[k%2].call(Request{Op: OpPing}, nil); !errors.Is(err, ErrClientClosed) {
+						t.Errorf("call racing Close: %v, want ErrClientClosed", err)
+					}
+				}()
+			}
+			close(start)
+			c.Close()
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			watchdog(t, done, time.Second, "calls racing Close")
+			for k, cc := range c.conns {
+				if n := parked(cc); n != 0 {
+					t.Fatalf("round %d: %d calls still parked on connection %d", i, n, k)
+				}
+			}
+		}
+	})
+}
+
+// TestCallTimeoutGranularity pins the sweeper's bound: against a server
+// that never answers, every call fails with ErrTimeout no earlier than
+// the timeout T and by T + T/8 plus scheduling, well before 2T. Close
+// stops the sweeper with the connection's reader.
+func TestCallTimeoutGranularity(t *testing.T) {
+	const T = 40 * time.Millisecond
+	addr := blackHole(t)
+	base := runtime.NumGoroutine()
+	c, err := Dial(addr, Options{Conns: 2, Pipeline: true, CallTimeout: T})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				begin := time.Now()
+				err := c.Ping()
+				switch took := time.Since(begin); {
+				case !errors.Is(err, ErrTimeout):
+					t.Errorf("call against a server that never answers: %v, want ErrTimeout", err)
+				case took < T || took >= 2*T:
+					t.Errorf("call timed out after %v with CallTimeout %v, want [T, 2T)", took, T)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	c.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5s after Close, %d before Dial\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
