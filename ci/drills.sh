@@ -241,8 +241,10 @@ JSON
 # torn, corrupt or dropped (the unwritten rest of a mapped segment is not
 # damage), and keep taking traffic on top of the recovered state. Then,
 # with no traffic, it is restarted, SIGKILLed and restarted again: both
-# boots must report the same per-shard state. Once per sync mode: without
-# fsync, the page cache alone carries the records.
+# boots must report the same per-shard state, and the killed idle boot
+# must have left each shard's newest log at most one first chunk long.
+# Once per sync mode: without fsync, the page cache alone carries the
+# records.
 crash)
   for sync in batch none; do
     wal=$dir/wal-$sync
@@ -276,6 +278,14 @@ crash)
         kill -9 "$srv"
         wait "$srv" || true
         srv=
+        # An idle boot's live segment is one first chunk (64 KiB), not a
+        # whole 4 MiB one: each shard's newest log is at most that.
+        for s in 0 1 2 3; do
+          newest=$(ls -v "$wal"/shard-$s.*.wal | tail -n 1)
+          size=$(wc -c < "$newest")
+          echo "idle boot: $newest is $size bytes"
+          test "$size" -le 65536
+        done
       fi
     done
     stop

@@ -57,7 +57,7 @@ func tickAlpha(r *rng.PCG, cfg AlphaConfig) *core.Instance {
 			Len:   core.Time(r.Int63Range(1, int64(cfg.MaxLen))),
 		})
 	}
-	maxResLen := cfg.MaxResLen
+	maxResLen := cfg.maxResLen
 	if maxResLen <= 0 {
 		maxResLen = cfg.Horizon/4 + 1
 	}
@@ -110,7 +110,7 @@ func TestAlphaSamplerMatchesTickOracle(t *testing.T) {
 					checkUnderMaxU(t, seed, res, c.maxUOf())
 				}
 				cfg := AlphaConfig{M: c.m, N: 5, Alpha: c.alpha, MaxLen: 9,
-					NRes: c.nRes, Horizon: c.horizon, MaxResLen: c.maxResLen}
+					NRes: c.nRes, Horizon: c.horizon, maxResLen: c.maxResLen}
 				got, want := rng.New(seed), rng.New(seed)
 				inst, oracle := RandomAlpha(got, cfg), tickAlpha(want, cfg)
 				if !reflect.DeepEqual(inst, oracle) {

@@ -16,9 +16,9 @@ type RigidConfig struct {
 	N int
 	// MaxLen bounds job durations (uniform in [1, MaxLen]).
 	MaxLen core.Time
-	// MaxProcs bounds job widths (uniform in [1, min(MaxProcs, M)]);
-	// 0 means M.
-	MaxProcs int
+	// maxProcs bounds job widths (uniform in [1, min(maxProcs, M)]);
+	// 0 means M. Only tests narrow it.
+	maxProcs int
 	// PowerOfTwo biases widths to powers of two (the empirical shape of
 	// cluster workloads) instead of uniform.
 	PowerOfTwo bool
@@ -30,7 +30,7 @@ func RandomRigid(r *rng.PCG, cfg RigidConfig) *core.Instance {
 	if cfg.M < 1 || cfg.N < 0 || cfg.MaxLen < 1 {
 		panic("instances: invalid RigidConfig")
 	}
-	maxQ := cfg.MaxProcs
+	maxQ := cfg.maxProcs
 	if maxQ <= 0 || maxQ > cfg.M {
 		maxQ = cfg.M
 	}
@@ -82,8 +82,9 @@ type AlphaConfig struct {
 	NRes int
 	// Horizon bounds reservation start times.
 	Horizon core.Time
-	// MaxResLen bounds reservation lengths; 0 means Horizon/4+1.
-	MaxResLen core.Time
+	// maxResLen bounds reservation lengths; 0 means Horizon/4+1. Only
+	// tests set it.
+	maxResLen core.Time
 }
 
 // RandomAlpha generates a random α′-RESASCHEDULING instance: job widths
@@ -114,7 +115,7 @@ func RandomAlpha(r *rng.PCG, cfg AlphaConfig) *core.Instance {
 			Len:   core.Time(r.Int63Range(1, int64(cfg.MaxLen))),
 		})
 	}
-	maxResLen := cfg.MaxResLen
+	maxResLen := cfg.maxResLen
 	if maxResLen <= 0 {
 		maxResLen = cfg.Horizon/4 + 1
 	}
@@ -135,30 +136,21 @@ type StaircaseConfig struct {
 	Steps int
 	// MaxStepLen bounds each reservation's length.
 	MaxStepLen core.Time
-	// FreeProcs keeps at least this many processors always available
-	// (defaults to 1 so LSRC can always make progress early).
-	FreeProcs int
 }
 
 // RandomStaircase generates an instance with non-increasing reservations —
 // the Proposition 1 regime. All reservations start at time 0; releases at
-// random times produce a non-increasing unavailability staircase.
+// random times produce a non-increasing unavailability staircase. One
+// processor is always left free, so LSRC can always make progress early.
 func RandomStaircase(r *rng.PCG, cfg StaircaseConfig) *core.Instance {
 	if cfg.M < 1 || cfg.MaxLen < 1 || cfg.Steps < 0 || cfg.MaxStepLen < 1 {
 		panic("instances: invalid StaircaseConfig")
-	}
-	free := cfg.FreeProcs
-	if free <= 0 {
-		free = 1
-	}
-	if free > cfg.M {
-		free = cfg.M
 	}
 	inst := &core.Instance{
 		Name: fmt.Sprintf("staircase-m%d-n%d", cfg.M, cfg.N),
 		M:    cfg.M,
 	}
-	budget := cfg.M - free
+	budget := cfg.M - 1
 	for k := 0; k < cfg.Steps && budget > 0; k++ {
 		q := r.IntRange(1, budget)
 		budget -= q

@@ -200,7 +200,7 @@ func TestRandomAlphaRespectsAlpha(t *testing.T) {
 
 func TestPowerOfTwoWidthsWithinRange(t *testing.T) {
 	r := rng.New(717)
-	inst := RandomRigid(r, RigidConfig{M: 64, N: 500, MaxLen: 10, MaxProcs: 32, PowerOfTwo: true})
+	inst := RandomRigid(r, RigidConfig{M: 64, N: 500, MaxLen: 10, maxProcs: 32, PowerOfTwo: true})
 	for _, j := range inst.Jobs {
 		if j.Procs < 1 || j.Procs > 32 {
 			t.Fatalf("width %d out of [1,32]", j.Procs)

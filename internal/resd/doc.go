@@ -230,11 +230,20 @@
 // surviving log suffix through the two book transitions its turns use,
 // book for an admit and unbook for a cancel; the slot search, the quota
 // charge, the log append and the index edit stay in the turn. Once every
-// shard is read, each commits the reservations that survived replay to
-// the index and re-charges their quota, one at a time in ascending id
-// order, whatever order the log holds them in: the order fixes the
-// recovered tree's shape, and with it the recovered heap. The invariants
-// the recovery tests pin:
+// shard is read, each opens its boot generation and commits the
+// reservations that survived replay to its index one at a time in
+// ascending id order, whatever order the log holds them in: the order
+// fixes the recovered tree's shape, and with it the recovered heap. Then
+// each shard with state rotates and writes a boot snapshot, so the
+// generations just replayed are deleted. Shards share nothing in these
+// three phases, and each phase runs on min(Shards, GOMAXPROCS)
+// goroutines; between phases the shards wait for each other. What stays
+// ordered is what they share: the quota re-charge runs on one goroutine
+// after the index commits, in shard and then id order, and each phase's
+// journal events, findings and errors are folded in shard order, so
+// WALInfo, the journal and the error New returns (the first failing
+// shard's) are the same at any GOMAXPROCS. Close seals the shards' logs
+// in parallel the same way. The invariants the recovery tests pin:
 //
 //   - Exactness: the recovered service is bit-identical to the
 //     pre-crash one — same IDs, same placements, same tenant books — on
@@ -269,7 +278,8 @@
 //     with wal.ErrRetired, naming shard, file and record type. The
 //     shard's files are not repaired and no boot generation is opened
 //     (every shard is read before any log is), so the directory stays
-//     readable by the build that wrote it. Migration counters in a
+//     readable by the build that wrote it. The other shards are read all
+//     the same, and a torn tail among them is truncated as on any boot. Migration counters in a
 //     snapshot whose moves all finished are dropped.
 //   - Quota is recharged, not re-checked: recovery re-charges each
 //     tenant's registry account for the reservations that survived

@@ -1,8 +1,12 @@
 package resd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -45,7 +49,7 @@ func (id ID) seq() uint64 { return uint64(id) & (1<<(64-shardBits) - 1) }
 // holds; what is added is why this build will not read it.
 func shardErr(shard int, err error) error {
 	if errors.Is(err, wal.ErrRetired) {
-		return fmt.Errorf("resd: shard %d: %w — written with the rebalancer, removed in this build; the directory is left as found", shard, err)
+		return fmt.Errorf("resd: shard %d: %w — written with the rebalancer, removed in this build; the shard's files are left as found", shard, err)
 	}
 	return fmt.Errorf("resd: shard %d: %w", shard, err)
 }
@@ -58,12 +62,17 @@ func corruptState(shard int, format string, args ...any) error {
 
 // recoverShards brings the built shards back to what cfg.WAL's directory
 // holds and returns what it found with the logs it opened, one a shard.
-// Each shard replays its snapshot and log records into its own book
-// (replay); only then does each open its boot generation and commit its
-// survivors to the index (recommit), so a directory refused for migration
-// state (wal.ErrRetired) or for a log that contradicts itself gains no
-// boot generation. A failure seals whatever logs are open. Does nothing
-// when cfg.WAL is nil.
+// It runs in three phases, each on every shard at once (parallel): every
+// shard replays its snapshot and log records into its own book (replay);
+// only then does each open its boot generation and commit its survivors to
+// its index (recommit); then each anchors a boot snapshot. The barrier
+// after the first phase is what keeps a directory refused for migration
+// state (wal.ErrRetired) or for a log that contradicts itself free of boot
+// generations. After each phase the shards' findings, journal events and
+// errors are folded in shard order, so the journal and the error returned
+// (the first failing shard's) do not depend on how the phase was
+// scheduled; the quota re-charge runs in that fold. A failure seals
+// whatever logs are open. Does nothing when cfg.WAL is nil.
 func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, err error) {
 	if cfg.WAL == nil {
 		return info, nil, nil
@@ -79,11 +88,17 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 	info.Enabled = true
 	info.Dir = cfg.WAL.Dir
 	journal := cfg.WAL.Journal
-	for i, sh := range shards {
-		snap, recs, ri, err := wal.Recover(cfg.WAL.Dir, i)
-		if err != nil {
-			return info, nil, shardErr(i, err)
-		}
+	n := len(shards)
+	errs := make([]error, n)
+	found := make([]wal.ReplayInfo, n)
+	held := make([]*flight.Journal, n)
+	parallel(n, func(i int) {
+		held[i] = hold(journal)
+		errs[i] = shards[i].replayDir(cfg.WAL.Dir, &found[i], held[i])
+	})
+	for i := range shards {
+		release(journal, held[i])
+		ri := found[i]
 		info.Records += ri.Records
 		if ri.HasSnapshot {
 			info.Snapshots++
@@ -91,62 +106,159 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 		if ri.Torn {
 			info.Torn++
 			info.DroppedBytes += ri.TornBytes
-			// The normal crash signature: an fsync interrupted mid-frame.
-			journal.Record(flight.Warn, "resd", i, "wal replay: torn tail dropped",
-				flight.KV{K: "bytes", V: fmt.Sprint(ri.TornBytes)})
 		}
 		if ri.Corrupt {
 			info.Corrupt++
 			info.DroppedBytes += ri.DroppedBytes
-			journal.Record(flight.Error, "resd", i, "wal replay: corrupt frame, suffix dropped",
-				flight.KV{K: "bytes", V: fmt.Sprint(ri.DroppedBytes)})
 		}
-		if ri.BadSnapshots > 0 {
-			// Replay is whole: the older anchor's logs were all there (a
-			// crash between a snapshot's rename and the pruning). Without
-			// them Recover has refused.
-			journal.Record(flight.Warn, "resd", i, "wal replay: damaged snapshot skipped, older generations replayed",
-				flight.KV{K: "snapshots", V: fmt.Sprint(ri.BadSnapshots)})
-		}
-		if err := sh.replay(snap, recs); err != nil {
-			return info, nil, err
-		}
+	}
+	if err := cmp.Or(errs...); err != nil {
+		return info, nil, err
 	}
 	journal.Record(flight.Info, "resd", -1, "wal replay complete",
 		flight.KV{K: "records", V: fmt.Sprint(info.Records)},
 		flight.KV{K: "snapshots", V: fmt.Sprint(info.Snapshots)},
 		flight.KV{K: "torn", V: fmt.Sprint(info.Torn)},
 		flight.KV{K: "corrupt", V: fmt.Sprint(info.Corrupt)})
-	logs = make([]*wal.Log, len(shards))
-	for i, sh := range shards {
-		if logs[i], err = wal.Open(i, *cfg.WAL); err != nil {
-			return info, nil, fmt.Errorf("resd: shard %d: %w", i, err)
+
+	logs = make([]*wal.Log, n)
+	committed := make([]int, n)
+	parallel(n, func(i int) {
+		sh, o := shards[i], *cfg.WAL
+		// The log journals into held[i] until the boot snapshots are
+		// folded, then into journal.
+		held[i] = hold(journal)
+		o.Journal = held[i]
+		if logs[i], errs[i] = wal.Open(i, o); errs[i] != nil {
+			errs[i] = fmt.Errorf("resd: shard %d: %w", i, errs[i])
+			return
 		}
 		sh.wlog, sh.snapEvery = logs[i], cfg.WAL.SnapEvery
 		sh.syncs.Store(logs[i].Syncs())
+		committed[i], errs[i] = sh.recommit()
+	})
+	// The quota accounts are shared between shards, so the re-charge runs
+	// here, in shard and then id order: a quota that shrank under the
+	// recovered load names the same reservation on every run. A shard's
+	// charges stop where its index commits did, so its error is the first
+	// in that order, whichever of the two refused.
+	for i, sh := range shards {
+		if logs[i] == nil {
+			return info, nil, errs[i]
+		}
 		info.Syncs = logs[i].Syncs()
-		if err = sh.recommit(); err != nil {
+		if err := sh.recharge(committed[i]); err != nil {
 			return info, nil, err
 		}
+		if errs[i] != nil {
+			return info, nil, errs[i]
+		}
 	}
+
 	// Anchor a snapshot of each recovered shard, so that the generations
 	// replay just consumed can be deleted: written synchronously, so by the
 	// time New returns the old logs are gone. Not for a state-free boot,
 	// nor with snapshots off.
-	for _, sh := range shards {
+	parallel(n, func(i int) {
+		sh := shards[i]
 		if sh.snapEvery <= 0 || len(sh.live.slab) == 0 && len(sh.cells) == 0 && sh.admitted.Load() == 0 {
-			continue
+			return
 		}
 		gen, err := sh.wlog.Rotate()
 		if err == nil {
 			err = sh.wlog.WriteSnapshot(sh.snapshot(gen))
 		}
 		if err != nil {
-			return info, nil, fmt.Errorf("resd: shard %d: boot snapshot: %w", sh.id, err)
+			errs[i] = fmt.Errorf("resd: shard %d: boot snapshot: %w", i, err)
 		}
+	})
+	for i, l := range logs {
+		release(journal, held[i])
+		l.SetJournal(journal)
+	}
+	if err := cmp.Or(errs...); err != nil {
+		return info, nil, err
 	}
 	info.Replay = time.Since(begin)
 	return info, logs, nil
+}
+
+// replayDir reads the shard's snapshot and log records from dir and
+// replays them into its book, noting in ri what the read found. It
+// journals into j the damage the read survived and, in place of the
+// shard's own journal (nil or the log's), what replay records: a tenant
+// book overflowing.
+func (sh *shard) replayDir(dir string, ri *wal.ReplayInfo, j *flight.Journal) error {
+	snap, recs, found, err := wal.Recover(dir, sh.id)
+	if err != nil {
+		return shardErr(sh.id, err)
+	}
+	*ri = found
+	if ri.Torn {
+		// The normal crash signature: an fsync interrupted mid-frame.
+		j.Record(flight.Warn, "resd", sh.id, "wal replay: torn tail dropped",
+			flight.KV{K: "bytes", V: fmt.Sprint(ri.TornBytes)})
+	}
+	if ri.Corrupt {
+		j.Record(flight.Error, "resd", sh.id, "wal replay: corrupt frame, suffix dropped",
+			flight.KV{K: "bytes", V: fmt.Sprint(ri.DroppedBytes)})
+	}
+	if ri.BadSnapshots > 0 {
+		// Replay is whole: the older anchor's logs were all there (a
+		// crash between a snapshot's rename and the pruning). Without
+		// them Recover has refused.
+		j.Record(flight.Warn, "resd", sh.id, "wal replay: damaged snapshot skipped, older generations replayed",
+			flight.KV{K: "snapshots", V: fmt.Sprint(ri.BadSnapshots)})
+	}
+	if sh.journal != nil {
+		defer func(own *flight.Journal) { sh.journal = own }(sh.journal)
+		sh.journal = j
+	}
+	return sh.replay(snap, recs)
+}
+
+// parallel calls f(0), …, f(n-1) on min(n, GOMAXPROCS) goroutines, the
+// caller's among them, and returns once every call has. The calls must
+// share nothing but their own index's state.
+func parallel(n int, f func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			f(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// heldEvents bounds what one shard journals in one recovery phase: at
+// most three kinds of damage and a book overflow, or a rotation and a
+// snapshot.
+const heldEvents = 8
+
+// hold returns a journal that keeps one shard's events during a parallel
+// phase, for release to record into j in shard order after it; nil when j
+// is.
+func hold(j *flight.Journal) *flight.Journal {
+	if j == nil {
+		return nil
+	}
+	return flight.NewJournal(heldEvents, nil)
+}
+
+// release records into j what h kept, oldest first.
+func release(j, h *flight.Journal) {
+	for _, ev := range h.Tail(0) {
+		j.RecordEvent(ev)
+	}
 }
 
 // replay loads the shard's snapshot, then applies the log records after
@@ -215,22 +327,33 @@ func (sh *shard) replay(snap *wal.Snapshot, recs []wal.Record) error {
 	return nil
 }
 
-// recommit commits a replayed shard's survivors to its index and
-// re-charges their quota, in ascending id order: the order fixes the
-// recovered tree's shape, and a failure names the same reservation on
-// every run. The pre-crash state was legal against the same Pre, M and
-// quotas, so a failure means the configuration shrank under the recovered
-// load: an error, not a panic.
-func (sh *shard) recommit() error {
+// recommit commits a replayed shard's survivors to its index in ascending
+// id order, the order that fixes the recovered tree's shape, and returns
+// how many it committed: all of them, or those before the one that failed.
+// The pre-crash state was legal against the same Pre and M, so a failure
+// means the configuration shrank under the recovered load: an error, not a
+// panic.
+func (sh *shard) recommit() (int, error) {
 	sh.live.sortByID()
-	for _, a := range sh.live.slab {
+	for i, a := range sh.live.slab {
 		if err := sh.idx.Commit(a.start, a.dur, int(a.q)); err != nil {
-			return fmt.Errorf("resd: shard %d: recovered reservation %#x (start=%v dur=%v q=%d) no longer fits: %w",
+			return i, fmt.Errorf("resd: shard %d: recovered reservation %#x (start=%v dur=%v q=%d) no longer fits: %w",
 				sh.id, uint64(a.id()), a.start, a.dur, a.q, err)
 		}
-		if sh.quotas == nil {
-			continue
-		}
+	}
+	sh.activeCount.Store(int64(len(sh.live.slab)))
+	sh.committedArea.Store(sh.area.sat())
+	return len(sh.live.slab), nil
+}
+
+// recharge re-charges the quota of the first n survivors recommit
+// committed, in the same order. The accounts are shared between shards,
+// so recoverShards calls it for one shard at a time.
+func (sh *shard) recharge(n int) error {
+	if sh.quotas == nil {
+		return nil
+	}
+	for _, a := range sh.live.slab[:n] {
 		acct := sh.account(a)
 		var why tenant.QuotaError
 		if !acct.TryAcquire(tenant.Area(int(a.q), int64(a.dur)), &why) {
@@ -239,7 +362,5 @@ func (sh *shard) recommit() error {
 		}
 		acct.Admit()
 	}
-	sh.activeCount.Store(int64(len(sh.live.slab)))
-	sh.committedArea.Store(sh.area.sat())
 	return nil
 }

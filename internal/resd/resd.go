@@ -283,7 +283,8 @@ type Service struct {
 // service is the pre-crash service, continued. Recovery runs to
 // completion before New returns; a server should not report ready until
 // it does. A directory holding migration state (wal.ErrRetired) fails New
-// and is left as found.
+// before any shard opens a boot generation, and the refusing shard's files
+// are left as found.
 func New(cfg Config) (*Service, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -708,11 +709,12 @@ func (s *Service) Stats() []ShardStats {
 	return out
 }
 
-// Close shuts every shard down, in index order, with a closing turn that
-// seals the shard's log. On a shard whose log fsyncs, requests queued
-// ahead of the close are answered; on any other, a caller still waiting
-// for the shard's lock when the closing turn runs gets ErrClosed. Every
-// later request fails with ErrClosed.
+// Close shuts every shard down with a closing turn that seals the shard's
+// log; the shards close in parallel (on min(Shards, GOMAXPROCS)
+// goroutines), and Close returns once every one has. On a shard whose log
+// fsyncs, requests queued ahead of the close are answered; on any other, a
+// caller still waiting for the shard's lock when the closing turn runs
+// gets ErrClosed. Every later request fails with ErrClosed.
 func (s *Service) Close() {
 	// Stop judging first: a pass racing shutdown could judge a closing
 	// shard stalled or journal a spurious SLO transition from a
@@ -720,8 +722,6 @@ func (s *Service) Close() {
 	// it can serve a later service.
 	s.sampler.close()
 	s.flight.Detach()
-	for _, sh := range s.shards {
-		sh.do(request{kind: opClose}, true)
-	}
+	parallel(len(s.shards), func(i int) { s.shards[i].do(request{kind: opClose}, true) })
 	s.tracer.close()
 }

@@ -24,8 +24,6 @@ const (
 type Shelf struct {
 	// Fit selects NFDH (NextFit) or FFDH (FirstFit) packing.
 	Fit ShelfFit
-	// MaxWidth optionally caps a shelf's total width; 0 means m.
-	MaxWidth int
 	// Backend selects the capacity-index implementation ("" = array).
 	Backend string
 }
@@ -50,11 +48,6 @@ func (sh *Shelf) Schedule(inst *core.Instance) (*core.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxW := sh.MaxWidth
-	if maxW <= 0 || maxW > inst.M {
-		maxW = inst.M
-	}
-
 	var shelves []shelf
 	for _, i := range LPT.Indices(inst) { // decreasing duration, ties by index
 		j := inst.Jobs[i]
@@ -63,7 +56,7 @@ func (sh *Shelf) Schedule(inst *core.Instance) (*core.Schedule, error) {
 		switch sh.Fit {
 		case FirstFit:
 			for k := range shelves {
-				if shelves[k].width+w <= maxW {
+				if shelves[k].width+w <= inst.M {
 					shelves[k].width += w
 					shelves[k].jobs = append(shelves[k].jobs, i)
 					placed = true
@@ -71,15 +64,13 @@ func (sh *Shelf) Schedule(inst *core.Instance) (*core.Schedule, error) {
 				}
 			}
 		default: // NextFit
-			if n := len(shelves); n > 0 && shelves[n-1].width+w <= maxW {
+			if n := len(shelves); n > 0 && shelves[n-1].width+w <= inst.M {
 				shelves[n-1].width += w
 				shelves[n-1].jobs = append(shelves[n-1].jobs, i)
 				placed = true
 			}
 		}
 		if !placed {
-			// Jobs wider than maxW (possible when MaxWidth < q_max) still
-			// get their own shelf; shelf width is then j.Procs <= m.
 			shelves = append(shelves, shelf{height: j.Len, width: w, jobs: []int{i}})
 		}
 	}

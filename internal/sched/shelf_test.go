@@ -87,41 +87,6 @@ func TestShelfAroundReservation(t *testing.T) {
 	}
 }
 
-func TestShelfMaxWidthCap(t *testing.T) {
-	inst := &core.Instance{M: 8, Jobs: []core.Job{
-		{ID: 0, Procs: 3, Len: 5},
-		{ID: 1, Procs: 3, Len: 5},
-		{ID: 2, Procs: 3, Len: 5},
-	}}
-	s, err := (&Shelf{MaxWidth: 6}).Schedule(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cap 6: two jobs per shelf -> two shelves.
-	if s.Makespan() != 10 {
-		t.Fatalf("makespan = %v, want 10", s.Makespan())
-	}
-	wide, err := (&Shelf{MaxWidth: 9}).Schedule(inst) // clamped to m=8
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.Makespan() != 10 {
-		t.Fatalf("clamped makespan = %v, want 10", wide.Makespan())
-	}
-}
-
-func TestShelfSingletonWiderThanCap(t *testing.T) {
-	// A job wider than MaxWidth still gets scheduled on its own shelf.
-	inst := &core.Instance{M: 8, Jobs: []core.Job{{ID: 0, Procs: 7, Len: 2}}}
-	s, err := (&Shelf{MaxWidth: 4}).Schedule(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.StartOf(0) != 0 {
-		t.Fatalf("start = %v", s.StartOf(0))
-	}
-}
-
 func TestShelfEmpty(t *testing.T) {
 	s, err := (&Shelf{}).Schedule(&core.Instance{M: 3})
 	if err != nil || s.Makespan() != 0 {

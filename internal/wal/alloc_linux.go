@@ -6,10 +6,10 @@ import (
 	"syscall"
 )
 
-// allocate gives the chunk at file offset off real blocks with one
+// allocate gives the size bytes at file offset off real blocks with one
 // fallocate, which returns ENOSPC on a full disk.
-func allocate(f *os.File, off int64) error {
-	if err := syscall.Fallocate(int(f.Fd()), 0, off, chunk); err != nil {
+func allocate(f *os.File, off int64, size int) error {
+	if err := syscall.Fallocate(int(f.Fd()), 0, off, int64(size)); err != nil {
 		return fmt.Errorf("fallocate: %w", err)
 	}
 	return nil

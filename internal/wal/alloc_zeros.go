@@ -7,15 +7,15 @@ import (
 	"os"
 )
 
-// zeros is one chunk of zero bytes, the allocation write's source.
+// zeros is the largest chunk's zero bytes, the allocation write's source.
 var zeros [chunk]byte
 
-// allocate gives the chunk at file offset off real blocks by writing its
-// zeros once: without fallocate, that is what makes a full disk an error
-// here rather than a SIGBUS on a store into the mapping. The file is never
-// grown by a sparse ftruncate.
-func allocate(f *os.File, off int64) error {
-	if _, err := f.WriteAt(zeros[:], off); err != nil {
+// allocate gives the size bytes at file offset off real blocks by writing
+// their zeros once: without fallocate, that is what makes a full disk an
+// error here rather than a SIGBUS on a store into the mapping. The file is
+// never grown by a sparse ftruncate.
+func allocate(f *os.File, off int64, size int) error {
+	if _, err := f.WriteAt(zeros[:size], off); err != nil {
 		return fmt.Errorf("allocate: %w", err)
 	}
 	return nil

@@ -11,13 +11,13 @@ import (
 // mapping.
 var errPlatform error
 
-// mapChunk allocates the chunk at file offset off and maps it in place
-// of the current one.
-func (l *Log) mapChunk(off int64) error {
-	if err := allocate(l.f, off); err != nil {
+// mapChunk allocates the size bytes at file offset off and maps them in
+// place of the current chunk.
+func (l *Log) mapChunk(off int64, size int) error {
+	if err := allocate(l.f, off, size); err != nil {
 		return err
 	}
-	m, err := syscall.Mmap(int(l.f.Fd()), off, chunk, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	m, err := syscall.Mmap(int(l.f.Fd()), off, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return fmt.Errorf("mmap: %w", err)
 	}
@@ -25,7 +25,7 @@ func (l *Log) mapChunk(off int64) error {
 		syscall.Munmap(m) // the failure to report is the first one
 		return err
 	}
-	l.m, l.mOff, l.pos = m, off, 0
+	l.m, l.mOff, l.pos, l.span = m, off, 0, size
 	return nil
 }
 

@@ -32,10 +32,13 @@
 // ErrCorrupt, naming the file, and repairs nothing.
 //
 // A segment is written through a shared file mapping, one preallocated
-// 4 MiB chunk at a time: Append copies each frame into the page cache,
-// where it survives a process crash, mapping the next chunk when one
-// fills (a frame may straddle two), and an fsync under SyncBatch writes
-// the dirtied pages back. The blocks are allocated for real, so a full
+// chunk at a time: Append copies each frame into the page cache, where it
+// survives a process crash, mapping the next chunk when one fills (a
+// frame may straddle two), and an fsync under SyncBatch writes the
+// dirtied pages back. A log's first chunk is 64 KiB and each next one
+// doubles, up to 4 MiB; a segment that Rotate opens starts at the size its
+// predecessor reached. So an idle log holds 64 KiB a shard, and a busy
+// one maps 4 MiB at a time. The blocks are allocated for real, so a full
 // disk is an error from Append, never a SIGBUS. Sealing a segment
 // (Close, Rotate) unmaps it and truncates it to its framed length. Until
 // then it ends in zeros — the unwritten rest of its chunk — and that is
@@ -69,8 +72,9 @@
 // What each platform gets: on Linux a chunk is allocated with fallocate
 // and mapped MAP_SHARED, which is what CI, the drills and bench/ run. On
 // other unix systems (darwin, the BSDs) the chunk's zeros are written once
-// with WriteAt before it is mapped the same way: one more write of 4 MiB
-// per chunk, the same format and the same recovery. Elsewhere (windows)
+// with WriteAt before it is mapped the same way: one more write of the
+// chunk's size (64 KiB doubling to 4 MiB) per chunk, the same format and
+// the same recovery. Elsewhere (windows)
 // there is no shared mapping, and Open fails with an error naming the
 // platform that wraps errors.ErrUnsupported; Recover and the record and
 // snapshot codecs still work there.

@@ -27,12 +27,21 @@ const (
 	SyncNone SyncMode = "none"
 )
 
-// chunk is how much of a segment is allocated and mapped at a time. The
-// blocks are allocated for real, not left sparse: a store into a sparse
-// mapping on a full disk raises SIGBUS, where allocating first (fallocate
-// on Linux, a write of the chunk's zeros on other unix systems) returns
-// ENOSPC to Append.
-const chunk = 4 << 20
+// A segment is allocated and mapped one chunk at a time. A log's first
+// chunk is firstChunk; each next one is twice the last (grow), up to
+// chunk, and a segment that Rotate opens starts at the size its
+// predecessor had reached, so a log costs what it writes and a busy one
+// maps chunk at a time. The blocks are allocated for real, not left
+// sparse: a store into a sparse mapping on a full disk raises SIGBUS,
+// where allocating first (fallocate on Linux, a write of the chunk's zeros
+// on other unix systems) returns ENOSPC to Append.
+const (
+	firstChunk = 64 << 10
+	chunk      = 4 << 20
+)
+
+// grow is the size of the chunk that follows one of size n.
+func grow(n int) int { return min(2*n, chunk) }
 
 // Options parameterises a service's WAL.
 type Options struct {
@@ -88,6 +97,7 @@ type Log struct {
 	f     *os.File // the segment; nil once sealed
 	m     []byte   // the mapped chunk being filled, at file offset mOff
 	mOff  int64
+	span  int    // size of the newest chunk mapped, kept across Rotate
 	pos   int    // bytes of m written
 	size  int64  // framed length: the file offset past the last whole frame
 	buf   []byte // frame scratch, reused across Appends
@@ -137,6 +147,7 @@ func Open(shard int, o Options) (*Log, error) {
 		dir:     o.Dir,
 		shard:   shard,
 		sync:    o.Sync == SyncBatch,
+		span:    firstChunk,
 		journal: o.Journal,
 	}
 	if err := l.create(gen); err != nil {
@@ -146,15 +157,16 @@ func Open(shard int, o Options) (*Log, error) {
 	return l, nil
 }
 
-// create starts generation gen: a new segment with its first chunk
-// allocated and mapped, its name durable in the directory.
+// create starts generation gen: a new segment with its first chunk, of
+// the size the log's last chunk had, allocated and mapped, its name
+// durable in the directory.
 func (l *Log) create(gen uint64) error {
 	f, err := os.OpenFile(logName(l.dir, l.shard, gen), os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
 	l.f, l.size = f, 0
-	if err = l.mapChunk(0); err == nil {
+	if err = l.mapChunk(0, l.span); err == nil {
 		err = syncDir(l.dir)
 	}
 	if err != nil {
@@ -166,7 +178,7 @@ func (l *Log) create(gen uint64) error {
 }
 
 // Append copies one framed record into the segment's mapping, mapping
-// the next chunk when this one fills, so a frame may straddle two. The
+// the next, larger chunk when this one fills, so a frame may straddle two. The
 // record is then in the page cache, where a process crash cannot take
 // it back; it is durable against a machine crash at the next Commit
 // under SyncBatch.
@@ -174,7 +186,7 @@ func (l *Log) Append(r Record) error {
 	l.buf = AppendRecord(l.buf[:0], r)
 	for b := l.buf; len(b) > 0; {
 		if l.pos == len(l.m) {
-			if err := l.mapChunk(l.mOff + int64(len(l.m))); err != nil {
+			if err := l.mapChunk(l.mOff+int64(len(l.m)), grow(len(l.m))); err != nil {
 				return fmt.Errorf("wal: append: %w", err)
 			}
 		}
@@ -227,6 +239,10 @@ func (l *Log) seal() error {
 	l.f = nil
 	return err
 }
+
+// SetJournal routes the log's later lifecycle events to j. Like Append,
+// it belongs to the log's writer.
+func (l *Log) SetJournal(j *flight.Journal) { l.journal = j }
 
 // SinceSnapshot reports how many records have been appended since the
 // last snapshot rotation — the loop's snapshot trigger.

@@ -416,26 +416,45 @@ func appendAll(t *testing.T, l *Log, recs []Record) {
 	}
 }
 
-// TestSegmentSpansChunks fills a segment past two chunk boundaries with
-// frames of an odd length, so one frame straddles each boundary: Close
-// must leave exactly the framed bytes, and recovery must read every one.
+// chunkEnds is where a segment's chunks end, from its first chunk of
+// size first up to the end of the first chunk of the largest size.
+func chunkEnds(first int) []int {
+	var ends []int
+	for b, size := 0, first; ; size = grow(size) {
+		b += size
+		ends = append(ends, b)
+		if size == chunk {
+			return ends
+		}
+	}
+}
+
+// TestSegmentSpansChunks fills a segment past the end of its first chunk
+// of the largest size with frames of one odd length, so that a frame
+// straddles every chunk boundary (64 KiB, 192 KiB, 448 KiB, … as the
+// chunks double, then a chunk further): Close must leave exactly the
+// framed bytes, and recovery must read every one.
 func TestSegmentSpansChunks(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, Options{Dir: dir, Sync: SyncNone})
 	// Every ID below 2^21 past 2^14 is a three-byte uvarint: one length.
 	rec := Record{Type: TAdmit, ID: 1 << 14, Tenant: strings.Repeat("t", 1000), Procs: 3, Dur: 7, Deadline: 1 << 30}
 	n := len(frames(rec))
-	if n%2 == 0 { // an odd length never divides a boundary at k·2^22
+	if n%2 == 0 { // the boundaries are multiples of 64 KiB
 		rec.Tenant += "t"
 		n = len(frames(rec))
 	}
+	ends := chunkEnds(firstChunk)
+	if len(ends) != 7 || ends[1] != 192<<10 || ends[2] != 448<<10 || ends[6] != ends[5]+chunk {
+		t.Fatalf("chunk ends %v: not 64 KiB doubling to %d", ends, chunk)
+	}
 	var recs []Record
-	for size := 0; size <= 2*chunk; size += n {
+	for size := 0; size <= ends[len(ends)-1]; size += n {
 		rec.ID = 1<<14 + uint64(len(recs))
 		recs = append(recs, rec)
 	}
 	appendAll(t, l, recs)
-	for b := chunk; b < len(recs)*n; b += chunk {
+	for _, b := range ends {
 		if b%n == 0 {
 			t.Fatalf("no frame straddles the chunk boundary at %d", b)
 		}
@@ -452,6 +471,53 @@ func TestSegmentSpansChunks(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, recs) || info.Torn || info.Corrupt {
 		t.Fatalf("recovered %d of %d records, info = %+v", len(got), len(recs), info)
+	}
+}
+
+// TestChunksDouble: a new log maps 64 KiB, each next chunk doubles up to
+// chunk and stays there, and the live segment's file is exactly the
+// chunks mapped so far. A rotation keeps the size the log had reached:
+// a full-size log's next segment starts at chunk, a small log's at
+// 64 KiB.
+func TestChunksDouble(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, Options{Dir: dir, Sync: SyncNone})
+	defer l.Close()
+	if len(l.m) != firstChunk || fileSize(t, logName(dir, 0, 0)) != firstChunk {
+		t.Fatalf("a new log maps %d bytes in a %d-byte file, want %d", len(l.m), fileSize(t, logName(dir, 0, 0)), firstChunk)
+	}
+	small := openLog(t, Options{Dir: t.TempDir(), Sync: SyncNone})
+	defer small.Close()
+	appendAll(t, small, sampleRecords())
+	if _, err := small.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(small.m) != firstChunk {
+		t.Fatalf("a small log's next segment maps %d bytes, want %d", len(small.m), firstChunk)
+	}
+
+	rec := Record{Type: TAdmit, ID: 1, Tenant: strings.Repeat("t", 40000)}
+	ends := chunkEnds(firstChunk)
+	sizes := []int{len(l.m)}
+	for end := len(l.m); end < ends[len(ends)-1]+chunk; end = int(l.mOff) + len(l.m) {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if end != int(l.mOff)+len(l.m) {
+			sizes = append(sizes, len(l.m))
+			if got := fileSize(t, logName(dir, 0, 0)); got != l.mOff+int64(len(l.m)) {
+				t.Fatalf("live segment is %d bytes with %d mapped up to %d", got, len(l.m), l.mOff+int64(len(l.m)))
+			}
+		}
+	}
+	if !reflect.DeepEqual(sizes, []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20, chunk, chunk}) {
+		t.Fatalf("chunks mapped: %v bytes", sizes)
+	}
+	if _, err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.m) != chunk || fileSize(t, logName(dir, 0, 1)) != chunk {
+		t.Fatalf("a full-size log's next segment maps %d bytes, want %d", len(l.m), chunk)
 	}
 }
 
@@ -486,8 +552,8 @@ func TestLiveSegmentRecovers(t *testing.T) {
 	recs := sampleRecords()
 	appendAll(t, l, recs)
 	crashed := copyDir(t, dir)
-	if size := fileSize(t, logName(crashed, 0, 0)); size != chunk {
-		t.Fatalf("live segment is %d bytes, not one preallocated chunk", size)
+	if size := fileSize(t, logName(crashed, 0, 0)); size != firstChunk {
+		t.Fatalf("live segment is %d bytes, not one preallocated first chunk", size)
 	}
 	_, got, info, err := Recover(crashed, 0)
 	if err != nil {
