@@ -7,7 +7,7 @@
 #
 #   ci/drills.sh obs     # the whole observability surface under live traffic
 #   ci/drills.sh burn    # an SLO page must fire under a burn and clear after it
-#   ci/drills.sh crash   # SIGKILL under traffic, restart on the same WAL, twice more idle
+#   ci/drills.sh crash   # SIGKILL under traffic, restart on the same WAL, twice more idle, then a refused boot
 #
 # and two need no server:
 #
@@ -292,6 +292,24 @@ crash)
     cat "state3-$sync.txt"
     test "$(wc -l < "state3-$sync.txt")" -eq 16
     diff "state3-$sync.txt" "state4-$sync.txt"
+    # A refused boot writes nothing. Shard 2's newest snapshot gets one
+    # byte flipped (its older logs are gone, so nothing can rebuild it)
+    # and shard 3's newest log a cut frame header: resdsrv must exit
+    # non-zero naming shard 2, and leave shard 3's torn tail on disk with
+    # every other byte of the directory.
+    snap=$(ls -v "$wal"/shard-2.*.snap | tail -n 1)
+    off=$(($(wc -c < "$snap") / 2))
+    byte=$(od -An -tu1 -j "$off" -N1 "$snap" | tr -d ' ')
+    printf "\\$(printf '%03o' $((byte ^ 1)))" | dd of="$snap" bs=1 seek="$off" conv=notrunc status=none
+    printf '\x10\x00\x00\x00\x01' >> "$(ls -v "$wal"/shard-3.*.wal | tail -n 1)"
+    sha256sum "$wal"/* > "before-$sync.txt"
+    if resdsrv -addr "$wire" -shards 4 -m 64 -waldir "$wal" -walsync "$sync" -snapevery 4096 > "server5-$sync.out" 2>&1; then
+      cat "server5-$sync.out"
+      exit 1
+    fi
+    cat "server5-$sync.out"
+    grep -q 'shard 2' "server5-$sync.out"
+    sha256sum "$wal"/* | diff "before-$sync.txt" -
   done
   ;;
 

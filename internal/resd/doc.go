@@ -225,25 +225,28 @@
 // and deletes the generations the snapshot made redundant, bounding both
 // disk and replay time.
 //
-// New builds the shards, then replays before serving. Each shard loads
-// its newest decodable snapshot into its own book and applies the
-// surviving log suffix through the two book transitions its turns use,
-// book for an admit and unbook for a cancel; the slot search, the quota
-// charge, the log append and the index edit stay in the turn. Once every
-// shard is read, each opens its boot generation and commits the
-// reservations that survived replay to its index one at a time in
-// ascending id order, whatever order the log holds them in: the order
-// fixes the recovered tree's shape, and with it the recovered heap. Then
-// each shard with state rotates and writes a boot snapshot, so the
-// generations just replayed are deleted. Shards share nothing in these
-// three phases, and each phase runs on min(Shards, GOMAXPROCS)
-// goroutines; between phases the shards wait for each other. What stays
-// ordered is what they share: the quota re-charge runs on one goroutine
-// after the index commits, in shard and then id order, and each phase's
-// journal events, findings and errors are folded in shard order, so
-// WALInfo, the journal and the error New returns (the first failing
-// shard's) are the same at any GOMAXPROCS. Close seals the shards' logs
-// in parallel the same way. The invariants the recovery tests pin:
+// New builds the shards, then replays before serving. Each shard reads
+// its directory without writing to it (wal.Recover), loads its newest
+// decodable snapshot into its own book and applies the surviving log
+// suffix through the two book transitions its turns use, book for an
+// admit and unbook for a cancel; the slot search, the quota charge, the
+// log append and the index edit stay in the turn. Once every shard is
+// read, each writes what its read dropped to disk (wal.Repair), opens its
+// boot generation and commits the reservations that survived replay to
+// its index one at a time in ascending id order, whatever order the log
+// holds them in: the order fixes the recovered tree's shape, and with it
+// the recovered heap. Then each shard with state rotates and writes a
+// boot snapshot, so the generations just replayed are deleted. Shards
+// share nothing in these three phases, and each phase runs on min(Shards,
+// GOMAXPROCS) goroutines; between phases the shards wait for each other.
+// What stays ordered is what they share: the quota re-charge runs on one
+// goroutine after the index commits, in shard and then id order, and each
+// phase leaves its findings as values — what the read found, a tenant
+// book overflowing in replay, the boot generation and snapshot, the error
+// — which are folded in shard order, so WALInfo, the journal and the
+// error New returns (the first failing shard's) are the same at any
+// GOMAXPROCS. Close seals the shards' logs in parallel the same way. The
+// invariants the recovery tests pin:
 //
 //   - Exactness: the recovered service is bit-identical to the
 //     pre-crash one — same IDs, same placements, same tenant books — on
@@ -252,8 +255,9 @@
 //   - Crash tails are silent: the zeros a killed process leaves after
 //     its last whole frame (the unwritten rest of the mapped chunk) are
 //     truncated and reported nowhere, and a frame cut mid-copy is
-//     truncated off the disk, not just out of the replay (WALInfo.Torn
-//     counts it) — so the verdict is stable across restarts and the
+//     truncated off the disk before the boot generation opens, not just
+//     out of the replay (WALInfo.Torn counts it) — so the verdict is
+//     stable across restarts and the
 //     tail can never be reread as mid-log corruption after newer
 //     generations hold acknowledged records. Any damage earlier than
 //     the tail — a CRC mismatch, a torn frame or zeros in a
@@ -279,8 +283,9 @@
 //     shard's files are not repaired and no boot generation is opened
 //     (every shard is read before any log is), so the directory stays
 //     readable by the build that wrote it. The other shards are read all
-//     the same, and a torn tail among them is truncated as on any boot. Migration counters in a
-//     snapshot whose moves all finished are dropped.
+//     the same, and the directory is left as found: a refused boot
+//     writes nothing, a torn tail on another shard included. Migration
+//     counters in a snapshot whose moves all finished are dropped.
 //   - Quota is recharged, not re-checked: recovery re-charges each
 //     tenant's registry account for the reservations that survived
 //     replay (they were admitted once; rejecting them now would lose

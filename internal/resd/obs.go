@@ -37,12 +37,13 @@ type ObsConfig struct {
 	// queue when the service closes may run after Close returns, or
 	// not at all.
 	SlowLog func(TraceRecord)
-	// Flight attaches the node's flight recorder: the service journals
-	// operational events (replay verdicts, WAL damage, quota overflow,
-	// slow turns) through it, every shard publishes heartbeats from its
-	// turns, and every flight.CheckEvery until Close the service's
-	// sampler reads those heartbeats into shard probes and hands them to
-	// the recorder's Judge. Nil disables flight recording; see
+	// Flight attaches the node's flight recorder, the one way a journal
+	// reaches the service: it journals operational events (replay
+	// verdicts, WAL damage, log rotations and snapshots, tenant-book
+	// overflow, slow turns) through it, every shard publishes heartbeats
+	// from its turns, and every flight.CheckEvery until Close the
+	// service's sampler reads those heartbeats into shard probes and hands
+	// them to the recorder's Judge. Nil disables flight recording; see
 	// internal/flight.
 	Flight *flight.Recorder
 	// SLO, when non-nil, attaches the error-budget engine to the

@@ -49,7 +49,7 @@ func (id ID) seq() uint64 { return uint64(id) & (1<<(64-shardBits) - 1) }
 // holds; what is added is why this build will not read it.
 func shardErr(shard int, err error) error {
 	if errors.Is(err, wal.ErrRetired) {
-		return fmt.Errorf("resd: shard %d: %w — written with the rebalancer, removed in this build; the shard's files are left as found", shard, err)
+		return fmt.Errorf("resd: shard %d: %w — written with the rebalancer, removed in this build; the directory is left as found", shard, err)
 	}
 	return fmt.Errorf("resd: shard %d: %w", shard, err)
 }
@@ -63,17 +63,18 @@ func corruptState(shard int, format string, args ...any) error {
 // recoverShards brings the built shards back to what cfg.WAL's directory
 // holds and returns what it found with the logs it opened, one a shard.
 // It runs in three phases, each on every shard at once (parallel): every
-// shard replays its snapshot and log records into its own book (replay);
-// only then does each open its boot generation and commit its survivors to
-// its index (recommit); then each anchors a boot snapshot. The barrier
-// after the first phase is what keeps a directory refused for migration
-// state (wal.ErrRetired) or for a log that contradicts itself free of boot
-// generations. After each phase the shards' findings, journal events and
-// errors are folded in shard order, so the journal and the error returned
-// (the first failing shard's) do not depend on how the phase was
-// scheduled; the quota re-charge runs in that fold. A failure seals
-// whatever logs are open. Does nothing when cfg.WAL is nil.
-func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, err error) {
+// shard reads its snapshot and log records, writing nothing, and replays
+// them into its own book (replayDir); only then does each repair what its
+// read dropped, open its boot generation and commit its survivors to its
+// index (recommit); then each anchors a boot snapshot. The barrier after
+// the first phase is what leaves a refused directory — migration state
+// (wal.ErrRetired), a damaged snapshot, a log that contradicts itself —
+// as found. Each phase leaves its findings as values, and after it they
+// are folded in shard order into WALInfo, the journal and the error
+// returned (the first failing shard's), so none of the three depends on
+// how the phase was scheduled; the quota re-charge runs in that fold. A
+// failure seals whatever logs are open. Does nothing when cfg.WAL is nil.
+func recoverShards(cfg Config, shards []*shard, journal *flight.Journal) (info WALInfo, logs []*wal.Log, err error) {
 	if cfg.WAL == nil {
 		return info, nil, nil
 	}
@@ -87,29 +88,14 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 	begin := time.Now()
 	info.Enabled = true
 	info.Dir = cfg.WAL.Dir
-	journal := cfg.WAL.Journal
 	n := len(shards)
 	errs := make([]error, n)
 	found := make([]wal.ReplayInfo, n)
-	held := make([]*flight.Journal, n)
-	parallel(n, func(i int) {
-		held[i] = hold(journal)
-		errs[i] = shards[i].replayDir(cfg.WAL.Dir, &found[i], held[i])
-	})
-	for i := range shards {
-		release(journal, held[i])
-		ri := found[i]
-		info.Records += ri.Records
-		if ri.HasSnapshot {
-			info.Snapshots++
-		}
-		if ri.Torn {
-			info.Torn++
-			info.DroppedBytes += ri.TornBytes
-		}
-		if ri.Corrupt {
-			info.Corrupt++
-			info.DroppedBytes += ri.DroppedBytes
+	parallel(n, func(i int) { found[i], errs[i] = shards[i].replayDir(cfg.WAL.Dir) })
+	for i, sh := range shards {
+		info.fold(journal, i, found[i])
+		if sh.overflow != nil {
+			journal.RecordEvent(*sh.overflow)
 		}
 	}
 	if err := cmp.Or(errs...); err != nil {
@@ -124,12 +110,11 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 	logs = make([]*wal.Log, n)
 	committed := make([]int, n)
 	parallel(n, func(i int) {
-		sh, o := shards[i], *cfg.WAL
-		// The log journals into held[i] until the boot snapshots are
-		// folded, then into journal.
-		held[i] = hold(journal)
-		o.Journal = held[i]
-		if logs[i], errs[i] = wal.Open(i, o); errs[i] != nil {
+		sh := shards[i]
+		if errs[i] = wal.Repair(cfg.WAL.Dir, i, found[i]); errs[i] == nil {
+			logs[i], errs[i] = wal.Open(i, *cfg.WAL)
+		}
+		if errs[i] != nil {
 			errs[i] = fmt.Errorf("resd: shard %d: %w", i, errs[i])
 			return
 		}
@@ -158,7 +143,10 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 	// Anchor a snapshot of each recovered shard, so that the generations
 	// replay just consumed can be deleted: written synchronously, so by the
 	// time New returns the old logs are gone. Not for a state-free boot,
-	// nor with snapshots off.
+	// nor with snapshots off. rotated is the generation each shard rotated
+	// to (0: none) and live what its snapshot holds.
+	rotated := make([]uint64, n)
+	live := make([]int, n)
 	parallel(n, func(i int) {
 		sh := shards[i]
 		if sh.snapEvery <= 0 || len(sh.live.slab) == 0 && len(sh.cells) == 0 && sh.admitted.Load() == 0 {
@@ -166,15 +154,23 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 		}
 		gen, err := sh.wlog.Rotate()
 		if err == nil {
-			err = sh.wlog.WriteSnapshot(sh.snapshot(gen))
+			rotated[i] = gen
+			snap := sh.snapshot(gen)
+			live[i] = len(snap.Live)
+			err = sh.wlog.WriteSnapshot(snap)
 		}
 		if err != nil {
 			errs[i] = fmt.Errorf("resd: shard %d: boot snapshot: %w", i, err)
 		}
 	})
-	for i, l := range logs {
-		release(journal, held[i])
-		l.SetJournal(journal)
+	for i, gen := range rotated {
+		if gen == 0 {
+			continue
+		}
+		logRotated(journal, i, gen)
+		if errs[i] == nil {
+			snapshotWritten(journal, i, gen, live[i])
+		}
 	}
 	if err := cmp.Or(errs...); err != nil {
 		return info, nil, err
@@ -183,38 +179,44 @@ func recoverShards(cfg Config, shards []*shard) (info WALInfo, logs []*wal.Log, 
 	return info, logs, nil
 }
 
-// replayDir reads the shard's snapshot and log records from dir and
-// replays them into its book, noting in ri what the read found. It
-// journals into j the damage the read survived and, in place of the
-// shard's own journal (nil or the log's), what replay records: a tenant
-// book overflowing.
-func (sh *shard) replayDir(dir string, ri *wal.ReplayInfo, j *flight.Journal) error {
-	snap, recs, found, err := wal.Recover(dir, sh.id)
-	if err != nil {
-		return shardErr(sh.id, err)
+// fold adds one shard's read to the summary and journals the damage the
+// read survived.
+func (w *WALInfo) fold(j *flight.Journal, shard int, ri wal.ReplayInfo) {
+	w.Records += ri.Records
+	if ri.HasSnapshot {
+		w.Snapshots++
 	}
-	*ri = found
 	if ri.Torn {
 		// The normal crash signature: an fsync interrupted mid-frame.
-		j.Record(flight.Warn, "resd", sh.id, "wal replay: torn tail dropped",
+		w.Torn++
+		w.DroppedBytes += ri.TornBytes
+		j.Record(flight.Warn, "resd", shard, "wal replay: torn tail dropped",
 			flight.KV{K: "bytes", V: fmt.Sprint(ri.TornBytes)})
 	}
 	if ri.Corrupt {
-		j.Record(flight.Error, "resd", sh.id, "wal replay: corrupt frame, suffix dropped",
+		w.Corrupt++
+		w.DroppedBytes += ri.DroppedBytes
+		j.Record(flight.Error, "resd", shard, "wal replay: corrupt frame, suffix dropped",
 			flight.KV{K: "bytes", V: fmt.Sprint(ri.DroppedBytes)})
 	}
 	if ri.BadSnapshots > 0 {
 		// Replay is whole: the older anchor's logs were all there (a
 		// crash between a snapshot's rename and the pruning). Without
 		// them Recover has refused.
-		j.Record(flight.Warn, "resd", sh.id, "wal replay: damaged snapshot skipped, older generations replayed",
+		j.Record(flight.Warn, "resd", shard, "wal replay: damaged snapshot skipped, older generations replayed",
 			flight.KV{K: "snapshots", V: fmt.Sprint(ri.BadSnapshots)})
 	}
-	if sh.journal != nil {
-		defer func(own *flight.Journal) { sh.journal = own }(sh.journal)
-		sh.journal = j
+}
+
+// replayDir reads the shard's snapshot and log records from dir and
+// replays them into its book, returning what the read found (nothing when
+// the read failed).
+func (sh *shard) replayDir(dir string) (wal.ReplayInfo, error) {
+	snap, recs, found, err := wal.Recover(dir, sh.id)
+	if err != nil {
+		return wal.ReplayInfo{}, shardErr(sh.id, err)
 	}
-	return sh.replay(snap, recs)
+	return found, sh.replay(snap, recs)
 }
 
 // parallel calls f(0), …, f(n-1) on min(n, GOMAXPROCS) goroutines, the
@@ -237,28 +239,6 @@ func parallel(n int, f func(i int)) {
 	}
 	work()
 	wg.Wait()
-}
-
-// heldEvents bounds what one shard journals in one recovery phase: at
-// most three kinds of damage and a book overflow, or a rotation and a
-// snapshot.
-const heldEvents = 8
-
-// hold returns a journal that keeps one shard's events during a parallel
-// phase, for release to record into j in shard order after it; nil when j
-// is.
-func hold(j *flight.Journal) *flight.Journal {
-	if j == nil {
-		return nil
-	}
-	return flight.NewJournal(heldEvents, nil)
-}
-
-// release records into j what h kept, oldest first.
-func release(j, h *flight.Journal) {
-	for _, ev := range h.Tail(0) {
-		j.RecordEvent(ev)
-	}
 }
 
 // replay loads the shard's snapshot, then applies the log records after

@@ -173,9 +173,10 @@ func TestRecoveryIndependentOfProcs(t *testing.T) {
 
 // TestRecoveryRefusalIsWhole breaks shard 2 of four in three ways — a
 // record of a retired type, a cancel of an id it never admitted, a
-// damaged snapshot whose logs are gone — and boots at GOMAXPROCS 1 and 4:
-// New must fail naming shard 2, and leave every file as found, so no
-// shard has a boot generation.
+// damaged snapshot whose logs are gone — and cuts shard 3's newest log
+// mid-frame, then boots at GOMAXPROCS 1 and 4: New must fail naming shard
+// 2, and leave every file as found, so no shard has a boot generation and
+// shard 3's torn tail is still there.
 func TestRecoveryRefusalIsWhole(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -226,6 +227,11 @@ func TestRecoveryRefusalIsWhole(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/procs=%d", c.name, procs), func(t *testing.T) {
 				dir := build(t)
 				c.brk(t, dir)
+				name, raw := newestLog(t, dir, 3)
+				frame := wal.AppendRecord(nil, wal.Record{Type: wal.TCancel, ID: uint64(makeID(3, 1))})
+				if err := os.WriteFile(name, append(raw, frame[:len(frame)/2]...), 0o644); err != nil {
+					t.Fatal(err)
+				}
 				before := dirDigest(t, dir)
 				var err error
 				atProcs(procs, func() {

@@ -617,8 +617,12 @@ func TestRecoveryWarnsOnSkippedSnapshot(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "shard-0.1.snap"), []byte("damaged"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j := flight.NewJournal(64, nil)
-	cfg.WAL.Journal = j
+	rec, err := flight.New(flight.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Obs = &ObsConfig{Flight: rec}
+	j := rec.Journal()
 	svc, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -282,9 +282,9 @@ type Service struct {
 // that shard's book and re-charging the quota registry — so the returned
 // service is the pre-crash service, continued. Recovery runs to
 // completion before New returns; a server should not report ready until
-// it does. A directory holding migration state (wal.ErrRetired) fails New
-// before any shard opens a boot generation, and the refusing shard's files
-// are left as found.
+// it does. Every shard is read before anything is written, so a directory
+// New refuses — migration state (wal.ErrRetired), a damaged snapshot, a
+// log that contradicts itself — is left as found.
 func New(cfg Config) (*Service, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -298,12 +298,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Obs != nil && cfg.Obs.Flight != nil {
 		s.flight = cfg.Obs.Flight
 		s.journal = s.flight.Journal()
-		if cfg.WAL != nil {
-			// Route the log layer's own events (rotation, snapshots,
-			// damage) into the same journal. normalize already gave the
-			// service a private Options copy, so this mutation is local.
-			cfg.WAL.Journal = s.journal
-		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		sh, err := newShard(i, cfg, s.floor)
@@ -312,8 +306,11 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if s.walInfo, s.walLogs, err = recoverShards(cfg, s.shards); err != nil {
+	if s.walInfo, s.walLogs, err = recoverShards(cfg, s.shards, s.journal); err != nil {
 		return nil, err
+	}
+	for _, sh := range s.shards {
+		sh.journal = s.journal
 	}
 	if cfg.Obs != nil {
 		s.registerObs()

@@ -123,13 +123,13 @@ func (sh *shard) cell(name string) *tenantCell {
 // operator reading TenantTotals should know without counting books.
 func (sh *shard) newCell(name string) *tenantCell {
 	if len(sh.byName) >= tenant.MaxAccounts && name != OverflowTenant {
-		if !sh.overflowed {
-			sh.overflowed = true
-			sh.journal.RecordEvent(flight.Event{
+		if sh.overflow == nil {
+			sh.overflow = &flight.Event{
 				Sev: flight.Warn, Subsys: "resd", Shard: sh.id, Tenant: name,
 				Msg: "tenant book overflow activated: per-name attribution degraded",
 				KV:  []flight.KV{{K: "max_accounts", V: strconv.Itoa(tenant.MaxAccounts)}},
-			})
+			}
+			sh.journal.RecordEvent(*sh.overflow)
 		}
 		if c := sh.byName[OverflowTenant]; c != nil {
 			return c
@@ -281,12 +281,14 @@ type shard struct {
 	turnNs *obs.Histogram
 
 	// Flight recorder surface. journal is nil-safe (a shard without a
-	// recorder records into nothing); when flightOn every turn publishes
-	// a heartbeat — busySince on entering it, lastBeat on completing it,
-	// both nanoseconds since epoch — for the watchdog's lock-free stall
-	// probes, and turns slower than slowTurnThreshold are journaled.
-	// turnHook, set only by tests via the unexported Config field, runs
-	// at the top of every turn.
+	// recorder records into nothing), and New attaches it once recovery
+	// is done: what replay finds reaches the journal through
+	// recoverShards' fold, in shard order. When flightOn every turn
+	// publishes a heartbeat — busySince on entering it, lastBeat on
+	// completing it, both nanoseconds since epoch — for the watchdog's
+	// lock-free stall probes, and turns slower than slowTurnThreshold
+	// are journaled. turnHook, set only by tests via the unexported
+	// Config field, runs at the top of every turn.
 	journal  *flight.Journal
 	flightOn bool
 	turnHook func(shard int)
@@ -319,10 +321,10 @@ type shard struct {
 	// obs.Histogram so Stats, scrapes and the SLO engine's snapshot ring
 	// read quantiles and cumulative buckets without a request to the
 	// shard; only the owner writes it.
-	slack      *obs.Histogram
-	nextSeq    uint64
-	area       areaSum // processor-tick area of live reservations
-	overflowed bool    // the tenant-book overflow event has been journaled
+	slack    *obs.Histogram
+	nextSeq  uint64
+	area     areaSum       // processor-tick area of live reservations
+	overflow *flight.Event // the tenant-book overflow, once the books overflowed
 
 	// Durability. wlog is the shard's write-ahead log (nil = in-memory
 	// service); every state-changing op appends its record during apply
@@ -384,7 +386,6 @@ func newShard(id int, cfg Config, floor int) (*shard, error) {
 	}
 	if cfg.Obs != nil && cfg.Obs.Flight != nil {
 		sh.flightOn = true
-		sh.journal = cfg.Obs.Flight.Journal()
 		// A fresh "beat" at creation: the watchdog's queued-but-no-turn
 		// rule measures from here, so an idle-since-boot shard that
 		// suddenly wedges is judged from boot, not from a zero time.

@@ -68,6 +68,7 @@ func (sh *shard) maybeSnapshot() {
 		sh.walFail("rotate", err)
 		return
 	}
+	logRotated(sh.journal, sh.id, gen)
 	snap := sh.snapshot(gen)
 	wl := sh.wlog
 	sh.snapBusy.Store(true)
@@ -82,6 +83,20 @@ func (sh *shard) maybeSnapshot() {
 			sh.walFailed.Add(1)
 			sh.report(flight.Error, "wal", fmt.Sprintf("wal snapshot failed: %v", err),
 				flight.KV{K: "gen", V: fmt.Sprint(snap.Gen)})
+			return
 		}
+		snapshotWritten(sh.journal, sh.id, snap.Gen, len(snap.Live))
 	}()
+}
+
+// logRotated and snapshotWritten journal a shard's log lifecycle, after
+// Rotate and after WriteSnapshot succeed.
+func logRotated(j *flight.Journal, shard int, gen uint64) {
+	j.Record(flight.Info, "wal", shard, "log rotated", flight.KV{K: "gen", V: fmt.Sprint(gen)})
+}
+
+func snapshotWritten(j *flight.Journal, shard int, gen uint64, live int) {
+	j.Record(flight.Info, "wal", shard, "snapshot written",
+		flight.KV{K: "gen", V: fmt.Sprint(gen)},
+		flight.KV{K: "live", V: fmt.Sprint(live)})
 }

@@ -43,9 +43,9 @@ type Options struct {
 	// write has been in progress for longer than CallTimeout. 0, the
 	// default, waits forever.
 	CallTimeout time.Duration
-	// Metrics attaches wire instrumentation (side "client"); nil leaves
-	// it off.
-	Metrics *Metrics
+	// metrics attaches wire instrumentation (side "client"): only tests
+	// set it, and nil, the default, leaves it off.
+	metrics *Metrics
 	// window caps the requests in flight per connection: 256 with
 	// Pipeline (only tests set another), one without. It is the size the
 	// slot table may grow to; the slot index is the low half of every id.
@@ -92,7 +92,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, m: opts.Metrics, done: make(chan struct{})}
+	c := &Client{addr: addr, m: opts.metrics, done: make(chan struct{})}
 	for i := 0; i < opts.Conns; i++ {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -462,7 +462,7 @@ var epoch = time.Now()
 var timers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
 
 func newClientConn(nc net.Conn, opts Options) *clientConn {
-	cc := &clientConn{nc: nc, m: opts.Metrics, timeout: opts.CallTimeout,
+	cc := &clientConn{nc: nc, m: opts.metrics, timeout: opts.CallTimeout,
 		free: make(chan *slot, opts.window), closed: make(chan struct{})}
 	cc.w = newConnWriter(cc.m.wrap(nc), cc.timeout > 0, cc.close)
 	go cc.readLoop()

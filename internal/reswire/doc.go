@@ -93,10 +93,11 @@
 // Both sides can carry obs instrumentation: NewMetrics builds the
 // reswire_* families (per-op latency summaries, in-flight gauge, socket
 // byte and write counters, frame-error and response-code counters)
-// against an obs.Registry, attached via Server.SetMetrics and
-// Options.Metrics; bytes and frames per write are ratios of them. The
-// two sides share family names and are kept apart by the side label. A
-// nil Metrics — the default — leaves the hot path uninstrumented.
+// against an obs.Registry, attached via Server.SetMetrics (a client's,
+// only in this package's tests); bytes and frames per write are ratios
+// of them. The two sides share family names and are kept apart by the
+// side label. A nil Metrics — the default — leaves the hot path
+// uninstrumented.
 //
 // # Writing
 //

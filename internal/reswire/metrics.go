@@ -9,9 +9,8 @@ import (
 )
 
 // Metrics instruments one side of the wire — pass one built with side
-// "server" to Server.SetMetrics and one with side "client" through
-// Options.Metrics (they may share a registry; the side label keeps their
-// series apart). Families:
+// "server" to Server.SetMetrics; this package's tests give a client one
+// with side "client" (the side label keeps their series apart). Families:
 //
 //	reswire_op_ns{side,op,quantile}     summary  per-op round-trip latency
 //	reswire_inflight{side}              gauge    requests currently in flight

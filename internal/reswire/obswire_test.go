@@ -17,7 +17,7 @@ import (
 func TestWireMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	addr, _ := startServer(t, resd.Config{M: 8}, func(s *Server) { s.SetMetrics(NewMetrics(reg, "server")) })
-	c := dial(t, addr, Options{Pipeline: true, Metrics: NewMetrics(reg, "client")})
+	c := dial(t, addr, Options{Pipeline: true, metrics: NewMetrics(reg, "client")})
 	resv, err := c.Admit(resd.Request{Q: 4, Dur: 10, Deadline: resd.NoDeadline})
 	if err != nil {
 		t.Fatal(err)

@@ -131,7 +131,7 @@ func TestRouteUnpipelinedNeverWaitsBesideAFreeSlot(t *testing.T) {
 func TestWritesCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	addr, _ := startServer(t, resd.Config{M: 8}, func(s *Server) { s.SetMetrics(NewMetrics(reg, "server")) })
-	c := dial(t, addr, Options{Pipeline: true, Metrics: NewMetrics(reg, "client")})
+	c := dial(t, addr, Options{Pipeline: true, metrics: NewMetrics(reg, "client")})
 	const k = 25
 	for range k {
 		if err := c.Ping(); err != nil {
@@ -159,7 +159,7 @@ func TestWritesCounted(t *testing.T) {
 func TestWatchWritesCounted(t *testing.T) {
 	reg := obs.NewRegistry()
 	addr, _ := startServer(t, resd.Config{M: 8})
-	c := dial(t, addr, Options{Metrics: NewMetrics(reg, "client")})
+	c := dial(t, addr, Options{metrics: NewMetrics(reg, "client")})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch, err := c.Watch(ctx, WatchOptions{Interval: MinWatchInterval})

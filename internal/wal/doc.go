@@ -29,7 +29,7 @@
 // segment from that anchor to it is still there, as after a crash
 // between the rename and the deletion (ReplayInfo.BadSnapshots);
 // otherwise what it held is nowhere else, and Recover fails with
-// ErrCorrupt, naming the file, and repairs nothing.
+// ErrCorrupt, naming the file.
 //
 // A segment is written through a shared file mapping, one preallocated
 // chunk at a time: Append copies each frame into the page cache, where it
@@ -46,7 +46,7 @@
 // segment by two rules:
 //
 //   - Unwritten space: an all-zero suffix starting at a frame boundary
-//     was never written. It is truncated and reported nowhere.
+//     was never written. It is dropped and reported nowhere.
 //   - Cut frame: a frame that fails to decode and whose declared length
 //     reaches into the zero suffix (or whose header is short) was cut
 //     mid-copy: ReplayInfo.Torn, with TornBytes its written bytes.
@@ -59,15 +59,16 @@
 // corruption (ReplayInfo.Corrupt) and replay stops there rather than
 // guessing at the suffix.
 //
-// Recovery repairs what it judges: a torn tail or unwritten space is
-// truncated off the segment, and past a corrupt frame the segment is
-// truncated at the last good record with later segments quarantined
-// under a ".corrupt" suffix. The repair is what makes the torn/corrupt
-// distinction stable across restarts — a torn tail left on disk would
-// stop being "the final segment's tail" as soon as the reopened log
-// appends a newer generation, and the next recovery would then misread
-// it as mid-log corruption and drop the acknowledged records that
-// followed it.
+// Recover reads, Repair writes. Recover changes nothing on disk: it
+// reports in ReplayInfo where the read stopped and what it dropped, and
+// Repair writes that verdict — it quarantines the segments past a
+// corrupt frame under a ".corrupt" suffix and cuts the segment the read
+// stopped in to its whole frames. So a caller can read every shard and
+// refuse a directory as found. Repair runs before Open: a torn tail left
+// on disk would stop being "the final segment's tail" once the reopened
+// log appends a newer generation, and the next recovery would misread it
+// as mid-log corruption and drop the acknowledged records that followed
+// it. The package journals nothing; its caller reports what it returns.
 //
 // What each platform gets: on Linux a chunk is allocated with fallocate
 // and mapped MAP_SHARED, which is what CI, the drills and bench/ run. On
@@ -102,8 +103,9 @@
 // shards, written only while a rebalancer that no longer exists was
 // switched on. The numbers are never reused. An intact frame carrying
 // one is not damage, so recovery does not drop it as a corrupt suffix:
-// Recover fails with ErrRetired, naming the file, and changes nothing
-// on disk — the directory stays readable by the build that wrote it.
+// Recover fails with ErrRetired, naming the file, and there is nothing
+// for Repair to do — the directory stays readable by the build that
+// wrote it.
 // Any other unknown type (0, 8 and up) is ErrCorrupt.
 //
 // # Snapshot format

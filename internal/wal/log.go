@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/flight"
 	"repro/internal/obs"
 )
 
@@ -53,11 +52,6 @@ type Options struct {
 	// rotation (0 disables snapshots; the log then grows unbounded and
 	// recovery replays it in full).
 	SnapEvery int
-	// Journal, when non-nil, receives the log's lifecycle events
-	// (rotations, snapshot completions) as flight-recorder entries.
-	// All Journal methods are nil-safe, so the zero value costs a nil
-	// check per event. resd sets this from its attached recorder.
-	Journal *flight.Journal
 }
 
 // Normalize fills defaults and validates.
@@ -113,15 +107,13 @@ type Log struct {
 	// until then), unix nanoseconds: the snapshot-age metric's anchor.
 	lastSnap atomic.Int64
 	fsyncNs  obs.Histogram
-
-	// journal receives lifecycle events (nil-safe; see Options.Journal).
-	journal *flight.Journal
 }
 
 // Open creates the next log generation for shard in o.Dir (one past
 // the newest existing generation, so prior state stays replayable) and
 // returns the append handle. The caller recovers prior generations
-// with Recover before Open; Open itself never reads them. Where the
+// with Recover, and makes its verdict durable with Repair, before Open;
+// Open itself never reads them. Where the
 // platform has no shared file mapping, Open fails with an error that wraps
 // errors.ErrUnsupported and names the platform, and creates nothing.
 func Open(shard int, o Options) (*Log, error) {
@@ -144,11 +136,10 @@ func Open(shard int, o Options) (*Log, error) {
 		gen = gens[n-1].gen + 1
 	}
 	l := &Log{
-		dir:     o.Dir,
-		shard:   shard,
-		sync:    o.Sync == SyncBatch,
-		span:    firstChunk,
-		journal: o.Journal,
+		dir:   o.Dir,
+		shard: shard,
+		sync:  o.Sync == SyncBatch,
+		span:  firstChunk,
 	}
 	if err := l.create(gen); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -240,10 +231,6 @@ func (l *Log) seal() error {
 	return err
 }
 
-// SetJournal routes the log's later lifecycle events to j. Like Append,
-// it belongs to the log's writer.
-func (l *Log) SetJournal(j *flight.Journal) { l.journal = j }
-
 // SinceSnapshot reports how many records have been appended since the
 // last snapshot rotation — the loop's snapshot trigger.
 func (l *Log) SinceSnapshot() int { return l.since }
@@ -263,8 +250,6 @@ func (l *Log) Rotate() (uint64, error) {
 		return 0, fmt.Errorf("wal: rotate: %w", err)
 	}
 	l.since = 0
-	l.journal.Record(flight.Info, "wal", l.shard, "log rotated",
-		flight.KV{K: "gen", V: fmt.Sprint(gen)})
 	return gen, nil
 }
 
@@ -317,9 +302,6 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 	}
 	l.snaps.Add(1)
 	l.lastSnap.Store(time.Now().UnixNano())
-	l.journal.Record(flight.Info, "wal", l.shard, "snapshot written",
-		flight.KV{K: "gen", V: fmt.Sprint(s.Gen)},
-		flight.KV{K: "live", V: fmt.Sprint(len(s.Live))})
 	return nil
 }
 

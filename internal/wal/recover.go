@@ -24,18 +24,27 @@ type ReplayInfo struct {
 	// Torn reports a frame at the end of the newest generation that a
 	// crash cut mid-copy: its header is short, or it declares more bytes
 	// than were written before the segment's zero suffix. TornBytes is
-	// how many of its bytes were written; Recover truncated them off the
-	// file so they stay dropped. Zeros after the last whole frame are not
-	// torn: they are space the log allocated and never wrote (the rest of
-	// a crashed process's mapped chunk), cut off and reported nowhere.
+	// how many of its bytes were written. Zeros after the last whole frame
+	// are not torn: they are space the log allocated and never wrote (the
+	// rest of a crashed process's mapped chunk), reported nowhere.
 	Torn      bool
 	TornBytes int64
 	// Corrupt reports an invalid frame before the final generation's
 	// tail: real damage, not a crash artifact. Replay keeps everything
 	// before the bad frame and drops the rest (DroppedBytes, including
-	// any later generations, which Recover quarantined on disk).
+	// any later generations).
 	Corrupt      bool
 	DroppedBytes int64
+	// Gen and End are where the read stopped: generation Gen's segment
+	// holds whole frames up to byte End, and the replay holds nothing
+	// after them. Cut reports bytes after End in that segment — a torn
+	// frame, unwritten zeros or a corrupt suffix — and Quarantine
+	// generations after Gen, which hold what a corrupt frame cut off.
+	// Repair writes both verdicts to disk.
+	Gen        uint64
+	End        int64
+	Cut        bool
+	Quarantine bool
 }
 
 // genFiles records which files exist for one generation.
@@ -102,23 +111,17 @@ func listGens(dir string, shard int) ([]genFiles, error) {
 // the semantics live with the caller. A missing directory is an empty
 // log, not an error.
 //
-// Recover also repairs the directory so its verdict is durable: a torn
-// tail or unwritten space is truncated off the file, and everything
-// past a corrupt frame (the file's suffix, plus whole later
-// generations) is truncated or quarantined under a ".corrupt" suffix.
-// Without the repair the verdict would silently change on the next
-// restart — a torn tail or a zero suffix is a normal crash artifact
-// only while its generation is the newest, so once Open starts a newer
-// generation and fsync-acknowledges records there, a later recovery
-// would reread the same tail as mid-log corruption and drop those
-// acknowledged records.
+// Recover writes nothing. What it judges dropped — a torn tail,
+// unwritten space, everything past a corrupt frame — it reports in
+// ReplayInfo, and Repair makes that verdict durable before Open starts
+// a newer generation.
 //
 // State only the removed rebalancer wrote (ErrRetired) is neither: the
 // files are intact and this build cannot read them. Recover returns the
-// error, naming the file, and leaves the shard's files as they are. So
-// it does for a damaged snapshot whose state no older generation can
-// rebuild (ErrCorrupt): booting without it would drop every reservation
-// it held, and the boot snapshot would then delete the evidence.
+// error, naming the file. So it does for a damaged snapshot whose state
+// no older generation can rebuild (ErrCorrupt): booting without it would
+// drop every reservation it held, and the boot snapshot would then
+// delete the evidence.
 func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 	var info ReplayInfo
 	gens, err := listGens(dir, shard)
@@ -178,11 +181,13 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 	}
 
 	var recs []Record
+scan:
 	for i, g := range gens {
 		if !g.hasLog || (snap != nil && g.gen < snap.Gen) {
 			continue
 		}
-		raw, err := os.ReadFile(logName(dir, shard, g.gen))
+		name := logName(dir, shard, g.gen)
+		raw, err := os.ReadFile(name)
 		if err != nil {
 			return nil, nil, info, fmt.Errorf("wal: %w", err)
 		}
@@ -196,74 +201,84 @@ func Recover(dir string, shard int) (*Snapshot, []Record, ReplayInfo, error) {
 		}
 		off := 0
 		for off < end {
-			rec, n, err := decodeRecord(raw[off:])
-			if err == nil {
-				recs = append(recs, rec)
-				info.Records++
-				off += n
+			rec, n, derr := decodeRecord(raw[off:])
+			if derr != nil {
+				err = derr
+				break
+			}
+			recs = append(recs, rec)
+			off += n
+		}
+		if errors.Is(err, ErrRetired) {
+			return nil, nil, info, fmt.Errorf("%s offset %d: %w", name, off, err)
+		}
+		if err == nil && !last {
+			continue
+		}
+		// The read stops here: whole frames up to off are the durable truth.
+		info.Gen, info.End, info.Cut = g.gen, int64(off), off < len(raw)
+		switch {
+		case err == nil:
+			// Whole frames, then zeros: unwritten space, not damage.
+		case last && cutFrame(raw[off:], end-off):
+			// Crash mid-frame.
+			info.Torn, info.TornBytes = true, int64(end-off)
+		default:
+			// An invalid frame anywhere else is damage. Keep the records
+			// proven good and drop the suspect suffix: this file's remainder
+			// plus any later generations.
+			info.Corrupt, info.DroppedBytes = true, int64(end-off)
+			info.Quarantine = i < len(gens)-1
+			for _, later := range gens[i+1:] {
+				if fi, err := os.Stat(logName(dir, shard, later.gen)); later.hasLog && err == nil {
+					info.DroppedBytes += fi.Size()
+				}
+			}
+		}
+		break scan
+	}
+	info.Records = len(recs)
+	return snap, recs, info, nil
+}
+
+// Repair writes to dir the verdict of a Recover that returned info: it
+// renames the generations past a corrupt frame out of the recovery set
+// (keeping their bytes), then cuts the segment the read stopped in to its
+// whole frames. Renames first: a crash between the two leaves a cut the
+// next Recover judges again, never later generations behind a segment
+// that no longer shows the damage.
+func Repair(dir string, shard int, info ReplayInfo) error {
+	if info.Quarantine {
+		gens, err := listGens(dir, shard)
+		if err != nil {
+			return err
+		}
+		for _, g := range gens {
+			if g.gen <= info.Gen {
 				continue
 			}
-			if errors.Is(err, ErrRetired) {
-				return nil, nil, info, fmt.Errorf("%s offset %d: %w", logName(dir, shard, g.gen), off, err)
-			}
-			rest := int64(end - off)
-			if last && cutFrame(raw[off:], end-off) {
-				// Crash mid-frame: the valid prefix is the durable truth.
-				// Truncate the tail off the file so the verdict sticks — left
-				// in place, it would read as mid-log corruption once a newer
-				// generation exists.
-				info.Torn = true
-				info.TornBytes = rest
-				if rerr := truncateLog(logName(dir, shard, g.gen), int64(off)); rerr != nil {
-					return nil, nil, info, rerr
-				}
-				return snap, recs, info, nil
-			}
-			// An invalid frame anywhere else is damage. Keep the records
-			// proven good, drop the suspect suffix (this file's remainder
-			// plus any later generations) and repair the directory to
-			// match: truncate this file at the last good frame, quarantine
-			// later generations so no future recovery can replay past the
-			// damage into records this one rejected.
-			info.Corrupt = true
-			info.DroppedBytes = rest
-			if rerr := truncateLog(logName(dir, shard, g.gen), int64(off)); rerr != nil {
-				return nil, nil, info, rerr
-			}
-			for _, later := range gens[i+1:] {
-				if later.hasLog {
-					name := logName(dir, shard, later.gen)
-					if fi, serr := os.Stat(name); serr == nil {
-						info.DroppedBytes += fi.Size()
-					}
-					if rerr := quarantine(name); rerr != nil {
-						return nil, nil, info, rerr
-					}
-				}
-				// A snapshot this late can't be the chosen anchor (the
-				// anchor's generation is at or before the corrupt one, or
-				// this file failed validation): quarantine it too.
-				if later.hasSnap {
-					if rerr := quarantine(snapName(dir, shard, later.gen)); rerr != nil {
-						return nil, nil, info, rerr
-					}
+			if g.hasLog {
+				if err := quarantine(logName(dir, shard, g.gen)); err != nil {
+					return err
 				}
 			}
-			if rerr := syncDir(dir); rerr != nil {
-				return nil, nil, info, rerr
+			// A snapshot this late can't be the chosen anchor (the
+			// anchor's generation is at or before the corrupt one, or
+			// this file failed validation): quarantine it too.
+			if g.hasSnap {
+				if err := quarantine(snapName(dir, shard, g.gen)); err != nil {
+					return err
+				}
 			}
-			return snap, recs, info, nil
 		}
-		if off < len(raw) {
-			// Whole frames, then zeros: unwritten space, not damage. Cut it
-			// as Close would have, so the segment reads the same once it is
-			// no longer the final one.
-			if rerr := truncateLog(logName(dir, shard, g.gen), int64(off)); rerr != nil {
-				return nil, nil, info, rerr
-			}
+		if err := syncDir(dir); err != nil {
+			return err
 		}
 	}
-	return snap, recs, info, nil
+	if info.Cut {
+		return truncateLog(logName(dir, shard, info.Gen), info.End)
+	}
+	return nil
 }
 
 // written returns the length of b without its zero suffix.

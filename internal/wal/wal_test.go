@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -208,6 +209,15 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
+// repair writes the verdict of a Recover of shard 0 in dir to disk, as a
+// boot does before it opens the log.
+func repair(t *testing.T, dir string, info ReplayInfo) {
+	t.Helper()
+	if err := Repair(dir, 0, info); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func frames(recs ...Record) []byte {
 	var buf []byte
 	for _, r := range recs {
@@ -280,6 +290,14 @@ func TestTornTailKeepsPrefix(t *testing.T) {
 	if wantDropped := int64(len(cut) - len(frames(recs[:len(recs)-1]...))); info.TornBytes != wantDropped {
 		t.Fatalf("TornBytes = %d, want %d", info.TornBytes, wantDropped)
 	}
+	// Recover reads; Repair cuts the torn frame off.
+	if size := fileSize(t, logName(dir, 0, 1)); size != int64(len(cut)) {
+		t.Fatalf("Recover changed the segment: %d bytes, want %d", size, len(cut))
+	}
+	repair(t, dir, info)
+	if size, want := fileSize(t, logName(dir, 0, 1)), len(frames(recs[:len(recs)-1]...)); size != int64(want) {
+		t.Fatalf("repaired segment is %d bytes, want its %d whole-frame bytes", size, want)
+	}
 }
 
 // TestTornTailRepairSurvivesLaterGenerations is the sequence that used
@@ -302,6 +320,7 @@ func TestTornTailRepairSurvivesLaterGenerations(t *testing.T) {
 		t.Fatalf("first recovery: info = %+v, %d records", info, len(got))
 	}
 	// The repair must be on disk, not just in the verdict.
+	repair(t, dir, info)
 	onDisk, err := os.ReadFile(logName(dir, 0, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -356,6 +375,7 @@ func TestZeroFilledTailIsUnwritten(t *testing.T) {
 	if info.Torn || info.TornBytes != 0 || info.Corrupt || info.DroppedBytes != 0 {
 		t.Fatalf("info = %+v, want neither torn nor corrupt", info)
 	}
+	repair(t, dir, info)
 	if onDisk, err := os.ReadFile(logName(dir, 0, 0)); err != nil || !reflect.DeepEqual(onDisk, raw) {
 		t.Fatalf("unwritten space left on disk: %d bytes, want %d (%v)", len(onDisk), len(raw), err)
 	}
@@ -398,6 +418,7 @@ func TestFrameCutIntoPreallocation(t *testing.T) {
 	if !info.Torn || info.Corrupt || info.TornBytes != int64(len(half)) || info.DroppedBytes != 0 {
 		t.Fatalf("info = %+v, want Torn (%d bytes) and not Corrupt", info, len(half))
 	}
+	repair(t, dir, info)
 	if size := fileSize(t, logName(dir, 0, 0)); size != int64(len(whole)) {
 		t.Fatalf("segment not cut to its whole frames: %d bytes, want %d", size, len(whole))
 	}
@@ -565,6 +586,9 @@ func TestLiveSegmentRecovers(t *testing.T) {
 	if info.Torn || info.Corrupt || info.TornBytes != 0 || info.DroppedBytes != 0 {
 		t.Fatalf("info = %+v, want a clean replay", info)
 	}
+	if err := Repair(crashed, 0, info); err != nil {
+		t.Fatal(err)
+	}
 	if size := fileSize(t, logName(crashed, 0, 0)); size != int64(len(frames(recs...))) {
 		t.Fatalf("recovered segment is %d bytes, not its framed length %d", size, len(frames(recs...)))
 	}
@@ -651,9 +675,20 @@ func TestCorruptMidLogDropsSuffixAndLaterGens(t *testing.T) {
 	if wantDropped := int64(len(raw)-third) + int64(len(gen2)); info.DroppedBytes != wantDropped {
 		t.Fatalf("DroppedBytes = %d, want %d", info.DroppedBytes, wantDropped)
 	}
-	// The verdict is repaired onto disk: the damaged file is truncated at
-	// the last good frame and the later generation quarantined, so a
-	// second recovery reaches the same answer with no damage left to find.
+	if !info.Cut || !info.Quarantine || info.Gen != 1 || info.End != int64(third) {
+		t.Fatalf("info = %+v, want generation 1 cut at %d and the later one quarantined", info, third)
+	}
+	// Recover reads: the directory is as it was. Repair then writes the
+	// verdict: the damaged file is truncated at the last good frame and the
+	// later generation quarantined, so a second recovery reaches the same
+	// answer with no damage left to find.
+	if size := fileSize(t, logName(dir, 0, 1)); size != int64(len(raw)) {
+		t.Fatalf("Recover truncated the corrupt generation: %d bytes, want %d", size, len(raw))
+	}
+	if size := fileSize(t, logName(dir, 0, 2)); size != int64(len(gen2)) {
+		t.Fatalf("Recover moved generation 2: %d bytes, want %d", size, len(gen2))
+	}
+	repair(t, dir, info)
 	if onDisk, err := os.ReadFile(logName(dir, 0, 1)); err != nil || len(onDisk) != third {
 		t.Fatalf("corrupt generation not truncated: %d bytes, want %d (%v)", len(onDisk), third, err)
 	}
@@ -667,7 +702,7 @@ func TestCorruptMidLogDropsSuffixAndLaterGens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, recs[:2]) || info.Corrupt || info.Torn {
+	if !reflect.DeepEqual(got, recs[:2]) || info.Corrupt || info.Torn || info.Cut || info.Quarantine {
 		t.Fatalf("second recovery: %d records, info = %+v, want the clean 2-record prefix", len(got), info)
 	}
 }
@@ -897,10 +932,12 @@ func TestOptionsNormalize(t *testing.T) {
 // FuzzWALReplay checks the scanner against an in-memory oracle: a
 // record script is framed to disk, the file is cut at an arbitrary
 // point and padded with zeros — the unwritten rest of a mapped chunk —
-// and Recover must return exactly the longest whole-frame prefix and
-// leave only it on disk: torn only when the cut split a frame and left
-// a non-zero byte of it, corrupt never (a cut never fabricates a
-// valid-looking frame, it only shortens one).
+// and Recover must return exactly the longest whole-frame prefix, torn
+// only when the cut split a frame and left a non-zero byte of it,
+// corrupt never (a cut never fabricates a valid-looking frame, it only
+// shortens one). Recover must leave the file byte for byte as it was;
+// Repair must then cut it to the whole-frame prefix, after which a
+// second Recover reads the same records and finds nothing to cut.
 func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, uint32(0), uint16(0))
 	f.Add([]byte{1, 9, 4, 'a', 'b', 2, 9}, uint32(11), uint16(64))
@@ -958,7 +995,8 @@ func FuzzWALReplay(f *testing.F) {
 			cutLeft = written(raw[consumed:off])
 		}
 		dir := t.TempDir()
-		writeLog(t, dir, 0, 1, append(raw[:off:off], make([]byte, pad)...))
+		file := append(raw[:off:off], make([]byte, pad)...)
+		writeLog(t, dir, 0, 1, file)
 		snap, got, info, err := Recover(dir, 0)
 		if err != nil {
 			t.Fatalf("Recover: %v", err)
@@ -979,8 +1017,26 @@ func FuzzWALReplay(f *testing.F) {
 		if info.Corrupt || info.DroppedBytes != 0 {
 			t.Fatalf("cut %d+%d zeros: a truncation read as corruption (%+v)", off, pad, info)
 		}
+		if onDisk, err := os.ReadFile(logName(dir, 0, 1)); err != nil || !bytes.Equal(onDisk, file) {
+			t.Fatalf("cut %d+%d zeros: Recover changed the segment (%v)", off, pad, err)
+		}
+		if info.Gen != 1 || info.End != int64(consumed) || info.Cut != (consumed < len(file)) || info.Quarantine {
+			t.Fatalf("cut %d+%d zeros: the read stopped at generation %d byte %d (cut %v, quarantine %v), oracle says 1, %d (cut %v)",
+				off, pad, info.Gen, info.End, info.Cut, info.Quarantine, consumed, consumed < len(file))
+		}
+		if err := Repair(dir, 0, info); err != nil {
+			t.Fatalf("Repair: %v", err)
+		}
 		if size := fileSize(t, logName(dir, 0, 1)); size != int64(consumed) {
-			t.Fatalf("cut %d+%d zeros: segment is %d bytes, not its %d whole-frame bytes", off, pad, size, consumed)
+			t.Fatalf("cut %d+%d zeros: repaired segment is %d bytes, not its %d whole-frame bytes", off, pad, size, consumed)
+		}
+		_, again, info, err := Recover(dir, 0)
+		if err != nil {
+			t.Fatalf("second Recover: %v", err)
+		}
+		if len(again) != keep || keep > 0 && !reflect.DeepEqual(again, got) || info.Torn || info.Cut {
+			t.Fatalf("cut %d+%d zeros: after Repair recovered %d records (%+v), want the same %d, not torn, nothing to cut",
+				off, pad, len(again), info, keep)
 		}
 	})
 }
