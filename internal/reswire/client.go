@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -347,9 +346,9 @@ func (c *Client) watchRead(ctx context.Context, nc net.Conn, ch chan<- Telemetry
 		}
 		nc.Close()
 	}()
-	br := bufio.NewReaderSize(nc, readBufCap)
+	fr := newFrameReader(nc)
 	for {
-		resp, err := ReadResponse(br)
+		resp, err := fr.readResponse()
 		if err != nil {
 			return ctx.Err() == nil && !c.closed.Load()
 		}
@@ -632,9 +631,9 @@ func (cc *clientConn) sweep() {
 // slot. The response to a timed-out call is dropped; any other response
 // nobody waits for is a protocol violation and kills the connection.
 func (cc *clientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.w.nc, readBufCap)
+	fr := newFrameReader(cc.w.nc)
 	for {
-		resp, err := ReadResponse(br)
+		resp, err := fr.readResponse()
 		if err != nil {
 			cc.m.frameError(err)
 			cc.close(err)

@@ -13,11 +13,16 @@ import (
 // past it is dropped rather than kept.
 const writeBufCap = 64 << 10
 
-// readBufCap sizes each connection's read buffer, on both sides. One read
-// must hold a whole pipelined burst: the requests one read delivers share
-// a cork, so their replies leave in one write, and a burst split across
-// reads is answered in as many writes.
-const readBufCap = 64 << 10
+// A connection's read buffer, on both sides, starts at readBufStart and
+// doubles up to readBufCap whenever one read fills it (frameReader). The
+// requests one read delivers share a cork, so their replies leave in one
+// write, and a burst split across reads is answered in as many writes. A
+// burst up to the size the buffer has grown to is answered in one; growing
+// costs one extra write per doubling, four in a connection's life.
+const (
+	readBufStart = 4 << 10
+	readBufCap   = 64 << 10
+)
 
 // batch counts the replies still owed to the requests one socket read
 // delivered (the cork, see doc.go). Guarded by the connWriter's mutex.

@@ -123,6 +123,12 @@
 // cap — then TCP, while memory stays put. After a write error every later append is a no-op and the
 // connection is closed.
 //
+// The read side grows by need too. Each connection's read buffer starts at
+// 4 KiB and doubles, up to 64 KiB, whenever one read of the socket fills
+// it; a frame up to 64 KiB grows it to fit and is decoded in place, and
+// only a larger one is copied out. A connection that carries a few small
+// frames at a time keeps 4 KiB a side.
+//
 // # Server
 //
 // The server runs one reader per connection. It decodes frames in place
@@ -155,17 +161,24 @@
 // one write, when the last of them has answered; a reply waits for
 // nothing else — never for a request from a later read, never for a size
 // threshold, never for the connection to go idle. (The one exception is
-// the 64 KiB bound above, which flushes early, not late.) What arrived
+// the 64 KiB bound above, which flushes early, not late.) One read holds
+// what the read buffer has room for, so a burst larger than the buffer
+// has grown to is answered in as many writes as it took reads, and the
+// read that it fills doubles the buffer: growing to 64 KiB costs a
+// connection four extra writes at most. What arrived
 // together is answered together, which under pipelining makes the reply
 // stream as coarse as the request stream, and a request that arrived
 // alone is answered alone and at once. With an fsyncing log the head-of-line cost
 // is bounded by the slowest request of one read: a client that wants a
 // fast op not to wait for a slow one sends them in different writes or on
 // different connections; without one, on different connections (with
-// this package's Client, different clients). The
-// bookkeeping is one
-// counter per read that delivered two or more requests — the only thing
-// the server's wire path allocates in steady state.
+// this package's Client, different clients). The bookkeeping is one
+// counter per read that delivered two or more requests. A reader that
+// serves inline has answered every request of a read before it reads
+// again, so one counter serves the connection and its wire path allocates
+// nothing in steady state; with handlers a read's replies may still be
+// owed when the next read arrives, and each such read takes a counter of
+// its own.
 //
 // Watch pushes are not corked and not written by their producers: a
 // connection's subscriptions queue them (256 deep) for one goroutine that

@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -16,14 +15,20 @@ import (
 	"repro/internal/tenant"
 )
 
-// FuzzWireCodec drives the frame decoder with arbitrary bytes and checks
-// it against a sequential oracle: frames are decoded one after another
-// from the stream exactly as a connection's read loop would, and every
+// FuzzWireCodec drives the frame reader and decoder with arbitrary bytes
+// and checks them against a sequential oracle: frames are decoded one
+// after another from the stream exactly as a connection's read loop
+// would, each payload must be the stream's bytes at that offset, and every
 // successfully decoded message must re-encode into a frame that decodes
 // to the identical value (the canonical round trip). The decoder must
 // never panic, never allocate past the declared frame bounds, and must
-// stop at the first malformed frame. The first input byte selects the
-// direction (request vs response decoding); the rest is the raw stream.
+// stop at the first malformed frame. The first input byte's low bit
+// selects the direction (request vs response decoding) and its other
+// seven, s, how the stream — the rest of the input — is delivered: by
+// reads as large as the reader asks for when s is 0, else by reads of at
+// most 1 + s·b bytes, b running through the stream's first 64 bytes, so
+// that reads split frames and fill the reader's buffer at every size it
+// grows through.
 func FuzzWireCodec(f *testing.F) {
 	// Well-formed single frames of every op, both directions.
 	for _, req := range []Request{
@@ -145,18 +150,36 @@ func FuzzWireCodec(f *testing.F) {
 			return
 		}
 		asResponse := data[0]&1 == 1
-		br := bufio.NewReader(bytes.NewReader(data[1:]))
-		for frames := 0; frames < 64; frames++ {
+		stream := data[1:]
+		src := &chunkReader{data: stream}
+		if s := int(data[0] >> 1); s > 0 {
+			for _, b := range stream[:min(len(stream), 64)] {
+				src.sizes = append(src.sizes, 1+s*int(b))
+			}
+		}
+		fr := newFrameReader(src)
+		for frames, off := 0, 0; frames < 64; frames++ {
+			payload, err := fr.readFrame()
+			if err != nil {
+				return // malformed or stream exhausted: the loop must stop here
+			}
+			if want := stream[off+4 : off+4+len(payload)]; !bytes.Equal(payload, want) {
+				t.Fatalf("frame %d at offset %d: the reader returned other bytes than the stream holds", frames, off)
+			}
+			off += 4 + len(payload)
+			if len(fr.buf) > readBufCap {
+				t.Fatalf("read buffer grew to %d bytes, past %d", len(fr.buf), readBufCap)
+			}
 			if asResponse {
-				resp, err := ReadResponse(br)
+				resp, err := DecodeResponse(payload)
 				if err != nil {
-					return // malformed or stream exhausted: the loop must stop here
+					return
 				}
 				reencoded, err := AppendResponse(nil, resp)
 				if err != nil {
 					t.Fatalf("decoded response %+v does not re-encode: %v", resp, err)
 				}
-				again, err := ReadResponse(bufio.NewReader(bytes.NewReader(reencoded)))
+				again, err := newFrameReader(bytes.NewReader(reencoded)).readResponse()
 				if err != nil {
 					t.Fatalf("re-encoded response does not decode: %v", err)
 				}
@@ -164,7 +187,7 @@ func FuzzWireCodec(f *testing.F) {
 					t.Fatalf("canonical round trip diverged:\n first %+v\nsecond %+v", resp, again)
 				}
 			} else {
-				req, err := ReadRequest(br)
+				req, err := DecodeRequest(payload)
 				if err != nil {
 					return
 				}
@@ -172,7 +195,7 @@ func FuzzWireCodec(f *testing.F) {
 				if err != nil {
 					t.Fatalf("decoded request %+v does not re-encode: %v", req, err)
 				}
-				again, err := ReadRequest(bufio.NewReader(bytes.NewReader(reencoded)))
+				again, err := newFrameReader(bytes.NewReader(reencoded)).readRequest()
 				if err != nil {
 					t.Fatalf("re-encoded request does not decode: %v", err)
 				}
@@ -182,6 +205,32 @@ func FuzzWireCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// chunkReader delivers data in reads of at most sizes[k] bytes for the
+// k-th read, cycling through sizes; with no sizes, a read is as large as
+// the reader asks for. filled records a read that returned all it was
+// offered, until its user clears it.
+type chunkReader struct {
+	data   []byte
+	sizes  []int
+	reads  int
+	filled bool
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	offered := len(p)
+	if len(c.sizes) > 0 {
+		p = p[:min(len(p), c.sizes[c.reads%len(c.sizes)])]
+	}
+	c.reads++
+	n := copy(p, c.data)
+	c.data = c.data[n:]
+	c.filled = c.filled || n == offered
+	return n, nil
 }
 
 const int64Max = 1<<63 - 1
@@ -195,8 +244,8 @@ func TestReadFrameStopsAtJunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	junk := append([]byte{0xDE, 0xAD}, frame...)
-	br := bufio.NewReader(bytes.NewReader(junk))
-	if _, err := ReadRequest(br); err == nil {
+	fr := newFrameReader(bytes.NewReader(junk))
+	if _, err := fr.readRequest(); err == nil {
 		t.Fatal("junk-prefixed stream decoded")
 	}
 }
@@ -204,16 +253,110 @@ func TestReadFrameStopsAtJunk(t *testing.T) {
 // TestReadFrameLengthBounds checks the two framing guards directly.
 func TestReadFrameLengthBounds(t *testing.T) {
 	over := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(over))); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(over)).readFrame(); err == nil {
 		t.Error("oversized length accepted")
 	}
 	under := binary.BigEndian.AppendUint32(nil, headerLen-1)
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(under))); err == nil {
+	if _, err := newFrameReader(bytes.NewReader(under)).readFrame(); err == nil {
 		t.Error("sub-header length accepted")
 	}
 	short := binary.BigEndian.AppendUint32(nil, 100)
 	short = append(short, 1, 2, 3)
-	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(short))); err == io.EOF || err == nil {
+	if _, err := newFrameReader(bytes.NewReader(short)).readFrame(); err == io.EOF || err == nil {
 		t.Errorf("truncated payload: err = %v, want wrapped unexpected-EOF", err)
 	}
+}
+
+// TestFrameReaderGrows pins the read buffer's growth: it starts at 4 KiB
+// and doubles only when a read fills it, never past readBufCap; a frame up
+// to readBufCap is returned in place without allocating, and a larger one
+// is copied out whole while the buffer stays within readBufCap.
+func TestFrameReaderGrows(t *testing.T) {
+	frame := func(payload int) []byte {
+		f := binary.BigEndian.AppendUint32(nil, uint32(payload))
+		for i := range payload {
+			f = append(f, byte(i*7+payload))
+		}
+		return f
+	}
+	if fr := newFrameReader(nil); len(fr.buf) != 4<<10 {
+		t.Fatalf("a fresh reader holds %d bytes, want 4 KiB", len(fr.buf))
+	}
+
+	// 10 000 frames of 16 B: the first 1 000 in reads of at most 1 000
+	// bytes, which never fill the buffer, the rest in reads as large as
+	// asked, which fill it at every size.
+	var stream []byte
+	for range 10000 {
+		stream = append(stream, frame(headerLen+4)...)
+	}
+	src := &chunkReader{data: stream, sizes: []int{1000}}
+	fr := newFrameReader(src)
+	for i := range 10000 {
+		if i == 1000 {
+			src.sizes = nil
+		}
+		before := len(fr.buf)
+		src.filled = false
+		if _, err := fr.readFrame(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		filled := src.filled
+		switch size := len(fr.buf); {
+		case size != before && (size != 2*before || !filled):
+			t.Fatalf("frame %d: the buffer went %d → %d bytes; the last read filled it: %v", i, before, size, filled)
+		case size == before && filled && size < readBufCap:
+			t.Fatalf("frame %d: a read filled the %d-byte buffer and it did not double", i, size)
+		case size > readBufCap:
+			t.Fatalf("frame %d: the buffer grew to %d bytes, past %d", i, size, readBufCap)
+		case i < 1000 && size != 4<<10:
+			t.Fatalf("frame %d: reads of 1 000 bytes grew the buffer to %d", i, size)
+		}
+	}
+	if len(fr.buf) != readBufCap {
+		t.Fatalf("after 144 000 bytes in reads as large as asked the buffer holds %d, want %d", len(fr.buf), readBufCap)
+	}
+
+	// A frame of readBufCap bytes, length prefix included, replayed for ever.
+	fit := frame(readBufCap - 4)
+	loop := &loopReader{data: fit}
+	fr = newFrameReader(loop)
+	read := func() {
+		payload, err := fr.readFrame()
+		if err != nil || !bytes.Equal(payload, fit[4:]) {
+			t.Fatalf("frame of %d bytes: %d bytes back, err %v", len(fit), len(payload), err)
+		}
+		if &payload[0] != &fr.buf[4] {
+			t.Fatal("a frame that fits the buffer was copied out")
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Fatalf("%.1f allocations per %d-byte frame read in place, want 0", allocs, len(fit))
+	}
+
+	// 100 KiB past the cap, then a small frame: both whole, in order.
+	huge, small := frame(100<<10), frame(headerLen)
+	fr = newFrameReader(bytes.NewReader(append(huge, small...)))
+	for i, want := range [][]byte{huge, small} {
+		payload, err := fr.readFrame()
+		if err != nil || !bytes.Equal(payload, want[4:]) {
+			t.Fatalf("frame %d: %d bytes back of %d, err %v", i, len(payload), len(want)-4, err)
+		}
+		if len(fr.buf) > readBufCap {
+			t.Fatalf("frame %d: the buffer grew to %d bytes, past %d", i, len(fr.buf), readBufCap)
+		}
+	}
+}
+
+// loopReader serves data over and over, each read as large as asked.
+type loopReader struct {
+	data []byte
+	off  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.data[l.off:])
+	l.off = (l.off + n) % len(l.data)
+	return n, nil
 }

@@ -1,9 +1,10 @@
 package reswire
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/resd"
+	"repro/internal/tenant"
 	"repro/internal/wal"
 )
 
@@ -98,25 +101,25 @@ func TestWindowStress(t *testing.T) {
 
 // TestCorkAnswersOneReadInOneWrite is the cork seen from the socket:
 // requests that arrive in one write are answered in one write, so the
-// client's first read returns every reply.
+// client's first read returns every reply. The second phase sends bursts
+// of ≈ 40 KiB, ten times the server's first read buffer: the first rounds
+// may be split while the buffer doubles, and from the fifth on every
+// burst must be answered in one write, which arrives in one read.
 func TestCorkAnswersOneReadInOneWrite(t *testing.T) {
-	addr, _ := startServer(t, resd.Config{Shards: 2, M: 16})
+	m := NewMetrics(obs.NewRegistry(), "server")
+	addr, _ := startServer(t, resd.Config{Shards: 2, M: 16}, func(s *Server) { s.SetMetrics(m) })
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	const n = 12
-	for round := 0; round < 20; round++ {
+	// phase sends rounds bursts of the requests op(id) makes for ids 1..n;
+	// the first settled may be answered in several writes.
+	phase := func(n, rounds, settled int, op func(id uint64) Request) {
 		var frames, want []byte
-		for id := uint64(1); id <= n; id++ {
-			// Reserve goes through a shard and Ping answers at once: the
-			// replies are not all the same work.
-			req := Request{ID: id, Op: OpReserve, Procs: 1, Dur: 1, Deadline: resd.NoDeadline}
-			if id%3 == 0 {
-				req = Request{ID: id, Op: OpPing}
-			}
+		for id := uint64(1); id <= uint64(n); id++ {
+			req := op(id)
 			if frames, err = AppendRequest(frames, req); err != nil {
 				t.Fatal(err)
 			}
@@ -125,18 +128,38 @@ func TestCorkAnswersOneReadInOneWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := nc.Write(frames); err != nil {
-			t.Fatal(err)
-		}
 		buf := make([]byte, 2*len(want))
-		got, err := nc.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != len(want) {
-			t.Fatalf("round %d: first read returned %d bytes of replies, want all %d (%d frames)", round, got, len(want), n)
+		for round := 0; round < rounds; round++ {
+			writes := m.writes.Value()
+			if _, err := nc.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			got, err := nc.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round < settled { // the server's read buffer may still be growing
+				if _, err := io.ReadFull(nc, buf[got:len(want)]); err != nil {
+					t.Fatal(err)
+				}
+			} else if writes = m.writes.Value() - writes; got != len(want) || writes != 1 {
+				t.Fatalf("%d-byte bursts, round %d: answered in %d writes, and the first read returned %d bytes of replies; want all %d (%d frames) in one",
+					len(frames), round, writes, got, len(want), n)
+			}
 		}
 	}
+	// Reserve goes through a shard and Ping answers at once: the replies
+	// are not all the same work.
+	phase(12, 20, 0, func(id uint64) Request {
+		if id%3 == 0 {
+			return Request{ID: id, Op: OpPing}
+		}
+		return Request{ID: id, Op: OpReserve, Procs: 1, Dur: 1, Deadline: resd.NoDeadline}
+	})
+	long := strings.Repeat("t", tenant.MaxNameLen)
+	phase(128, 12, 4, func(id uint64) Request {
+		return Request{ID: id, Op: OpReserve, Tenant: long, Procs: 1, Dur: 1, Deadline: resd.NoDeadline}
+	})
 }
 
 // TestServerFansOutOnlyUnderALog pins who serves a request. Sixty-four
@@ -160,7 +183,7 @@ func TestServerFansOutOnlyUnderALog(t *testing.T) {
 		}
 		defer nc.Close()
 		nc.SetDeadline(time.Now().Add(30 * time.Second))
-		br := bufio.NewReader(nc)
+		fr := newFrameReader(nc)
 		burst := func(reqs int) {
 			var frames []byte
 			for id := 1; id <= reqs; id++ {
@@ -172,7 +195,7 @@ func TestServerFansOutOnlyUnderALog(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < reqs; i++ {
-				if resp, err := ReadResponse(br); err != nil || resp.Code != CodeOK {
+				if resp, err := fr.readResponse(); err != nil || resp.Code != CodeOK {
 					t.Fatalf("sync=%q: reply %d of %d: %+v, %v", mode, i+1, reqs, resp, err)
 				}
 			}
@@ -204,7 +227,7 @@ func TestCorkHoldsNoReplyBehindALaterRead(t *testing.T) {
 	defer server.Close()
 	defer client.Close()
 	w := newConnWriter(server, false, func(err error) { t.Errorf("writer failed: %v", err) })
-	br := bufio.NewReader(client)
+	fr := newFrameReader(client)
 	client.SetReadDeadline(time.Now().Add(30 * time.Second))
 
 	a := new(batch) // a read of two requests, sealed; only the first has answered
@@ -219,7 +242,7 @@ func TestCorkHoldsNoReplyBehindALaterRead(t *testing.T) {
 
 	go w.reply(&Response{ID: 3, Op: OpPing}, nil) // from a later read, alone
 	for _, id := range []uint64{1, 3} {
-		resp, err := ReadResponse(br)
+		resp, err := fr.readResponse()
 		if err != nil || resp.ID != id {
 			t.Fatalf("reading reply %d while request 2 is unanswered: %+v, %v", id, resp, err)
 		}
@@ -228,7 +251,7 @@ func TestCorkHoldsNoReplyBehindALaterRead(t *testing.T) {
 		t.Fatal("pending still set after a write took every frame")
 	}
 	go w.reply(&Response{ID: 2, Op: OpPing}, a) // settles a: flushes
-	if resp, err := ReadResponse(br); err != nil || resp.ID != 2 {
+	if resp, err := fr.readResponse(); err != nil || resp.ID != 2 {
 		t.Fatalf("last reply of the batch: %+v, %v", resp, err)
 	}
 }
@@ -251,12 +274,12 @@ func TestSlotReuseDropsTheLateResponse(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		br := bufio.NewReader(nc)
-		first, err := ReadRequest(br)
+		fr := newFrameReader(nc)
+		first, err := fr.readRequest()
 		if err != nil {
 			return
 		}
-		second, err := ReadRequest(br) // arrives once call 1 has timed out
+		second, err := fr.readRequest() // arrives once call 1 has timed out
 		if err != nil {
 			return
 		}
@@ -268,7 +291,7 @@ func TestSlotReuseDropsTheLateResponse(t *testing.T) {
 		}
 		nc.Write(buf)
 		for err == nil { // hold the connection, answering nothing, until the client closes
-			_, err = ReadRequest(br)
+			_, err = fr.readRequest()
 		}
 	}()
 
@@ -445,5 +468,71 @@ func TestRoundTripAllocations(t *testing.T) {
 		t.Fatalf("%.1f allocations per round trip, want <= 1", perOp)
 	} else {
 		t.Logf("%.2f allocations per round trip", perOp)
+	}
+}
+
+// TestInlineServerAllocations guards the server's share of that budget: a
+// server without a log serves each read's requests on the connection's
+// reader, and once warm it allocates nothing per burst — not the read,
+// not the cork, not the replies. The peer is a raw connection that writes
+// pre-encoded bursts of admissions and then of their cancels, and reads the
+// replies into one buffer, so every allocation counted is the server's.
+func TestInlineServerAllocations(t *testing.T) {
+	addr, _ := startServer(t, resd.Config{Shards: 2, M: 64})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	const n = 8
+	var reserves, cancels []byte
+	for id := uint64(1); id <= n; id++ {
+		reserves, _ = AppendRequest(reserves, Request{ID: id, Op: OpReserve, Procs: 2, Dur: 10, Deadline: resd.NoDeadline})
+		cancels, _ = AppendRequest(cancels, Request{ID: id, Op: OpCancel})
+	}
+	frameLen := func(op Op) int {
+		frame, err := AppendResponse(nil, Response{ID: 1, Op: op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(frame)
+	}
+	reserved, cancelled := frameLen(OpReserve), frameLen(OpCancel)
+	replies := make([]byte, n*max(reserved, cancelled))
+	burst := func() {
+		if _, err := nc.Write(reserves); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(nc, replies[:n*reserved]); err != nil {
+			t.Fatal(err)
+		}
+		// Each reservation's id goes into the cancel frame with the same
+		// request id; the Resv field is the frame's last eight bytes.
+		for i := range n {
+			resp, err := DecodeResponse(replies[i*reserved+4 : (i+1)*reserved])
+			if err != nil || resp.Code != CodeOK {
+				t.Fatalf("reply %d: %+v, %v", i, resp, err)
+			}
+			off := cancels[(i+1)*len(cancels)/n-8:]
+			binary.BigEndian.PutUint64(off, uint64(resp.Resv.ID))
+		}
+		if _, err := nc.Write(cancels); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(nc, replies[:n*cancelled]); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			if resp, err := DecodeResponse(replies[i*cancelled+4 : (i+1)*cancelled]); err != nil || resp.Code != CodeOK {
+				t.Fatalf("cancel reply %d: %+v, %v", i, resp, err)
+			}
+		}
+	}
+	for range 100 {
+		burst()
+	}
+	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+		t.Fatalf("%.3f allocations per burst of %d admissions and %d cancels, want 0", allocs, n, n)
 	}
 }

@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -153,7 +152,7 @@ type job struct {
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
 	wc := s.metrics.wrap(nc) // byte counters; nc stays the handle Close uses
-	br := bufio.NewReaderSize(wc, readBufCap)
+	fr := newFrameReader(wc)
 	w := newConnWriter(wc, false, func(error) { nc.Close() })
 
 	var (
@@ -182,7 +181,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 	}
 	for {
-		req, err := ReadRequest(br)
+		req, err := fr.readRequest()
 		if err != nil {
 			s.metrics.frameError(err)
 			if errors.Is(err, ErrFrame) || errors.Is(err, ErrVersion) {
@@ -200,7 +199,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		// as soon as the buffer holds no further whole frame (replies that
 		// beat the seal drove owed negative; whoever brings it to zero
 		// uncorks). A request that arrived alone flushes its own reply.
-		more := frameBuffered(br)
+		more := fr.whole()
 		j := job{req: req}
 		if req.Op != OpWatch && (more || inBatch > 0) {
 			j.b = cur
@@ -208,7 +207,10 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		if !more && inBatch > 0 {
 			w.put(nil, cur, -inBatch)
-			cur, inBatch = new(batch), 0
+			if fanOut { // handlers may still owe it replies; inline, it is settled before the next read
+				cur = new(batch)
+			}
+			inBatch = 0
 		}
 		if req.Op == OpWatch {
 			// A Watch is a subscription, not a round trip: its goroutine

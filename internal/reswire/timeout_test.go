@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -87,10 +86,10 @@ func TestCallTimeoutLateResponseKeepsConnection(t *testing.T) {
 			return
 		}
 		defer nc.Close()
-		br := bufio.NewReader(nc)
+		fr := newFrameReader(nc)
 		first := true
 		for {
-			req, err := ReadRequest(br)
+			req, err := fr.readRequest()
 			if err != nil {
 				return
 			}

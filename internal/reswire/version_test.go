@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -143,7 +142,7 @@ func TestOtherRevisionsRefused(t *testing.T) {
 		{name: "v1-reserve-over-quota", cfg: resd.Config{M: 8, Quotas: broke}, frame: frameAt(1, OpReserve, reserveV1...),
 			after: func(t *testing.T) {
 				reply := frameAt(1, OpReserve, byte(CodeRejectedQuota), 0, 0)
-				if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(reply))); !errors.Is(err, ErrVersion) {
+				if _, err := newFrameReader(bytes.NewReader(reply)).readResponse(); !errors.Is(err, ErrVersion) {
 					t.Fatalf("v1 reply frame err = %v, want ErrVersion", err)
 				}
 			}},
@@ -176,10 +175,10 @@ func TestOtherRevisionsRefused(t *testing.T) {
 // directions.
 func TestHostileVersionsRejected(t *testing.T) {
 	for _, v := range []byte{0, 1, 2, 3, 4, 5, 7, 0x7F, 0xFF} {
-		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frameAt(v, OpPing)))); !errors.Is(err, ErrVersion) {
+		if _, err := newFrameReader(bytes.NewReader(frameAt(v, OpPing))).readRequest(); !errors.Is(err, ErrVersion) {
 			t.Errorf("request at version %d err = %v, want ErrVersion", v, err)
 		}
-		if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(frameAt(v, OpPing, byte(CodeOK))))); !errors.Is(err, ErrVersion) {
+		if _, err := newFrameReader(bytes.NewReader(frameAt(v, OpPing, byte(CodeOK)))).readResponse(); !errors.Is(err, ErrVersion) {
 			t.Errorf("response at version %d err = %v, want ErrVersion", v, err)
 		}
 	}
@@ -198,7 +197,7 @@ func TestStatsLayoutPerVersion(t *testing.T) {
 	if shardEntryLen != 80 || len(frame) != fixed+2*80 {
 		t.Fatalf("two-shard Stats frame is %d bytes, want %d", len(frame), fixed+2*80)
 	}
-	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)))
+	got, err := newFrameReader(bytes.NewReader(frame)).readResponse()
 	if err != nil {
 		t.Fatal(err)
 	}

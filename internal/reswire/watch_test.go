@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -22,7 +21,7 @@ func TestWatchRequestCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)))
+	got, err := newFrameReader(bytes.NewReader(frame)).readRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestWatchRequestCodec(t *testing.T) {
 		frameAt(Version, OpWatch, appendI64(nil, -1)...),
 		frameAt(Version, OpWatch, watchV5...),
 	} {
-		if _, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame))); !errors.Is(err, ErrFrame) {
+		if _, err := newFrameReader(bytes.NewReader(frame)).readRequest(); !errors.Is(err, ErrFrame) {
 			t.Errorf("hostile watch frame err = %v, want ErrFrame", err)
 		}
 	}
@@ -75,7 +74,7 @@ func TestWatchTelemetryCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)))
+	got, err := newFrameReader(bytes.NewReader(frame)).readResponse()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestWatchTelemetryCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgot, err := ReadResponse(bufio.NewReader(bytes.NewReader(bframe)))
+	bgot, err := newFrameReader(bytes.NewReader(bframe)).readResponse()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +121,13 @@ func TestWatchTelemetryCodec(t *testing.T) {
 	countOff := 4 + headerLen + 1 + 8 + 8 + 4 + 4 // len + header + code + seq + dropped + M + floor
 	bomb := bytes.Clone(frame)
 	binary.BigEndian.PutUint32(bomb[countOff:], 1<<15)
-	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(bomb))); !errors.Is(err, ErrFrame) {
+	if _, err := newFrameReader(bytes.NewReader(bomb)).readResponse(); !errors.Is(err, ErrFrame) {
 		t.Errorf("shard-count bomb err = %v, want ErrFrame", err)
 	}
 	// A hostile negative capacity fails the frame rather than decoding.
 	negM := bytes.Clone(frame)
 	binary.BigEndian.PutUint32(negM[countOff-8:], 0xFFFFFFFF)
-	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(negM))); !errors.Is(err, ErrFrame) {
+	if _, err := newFrameReader(bytes.NewReader(negM)).readResponse(); !errors.Is(err, ErrFrame) {
 		t.Errorf("negative-M frame err = %v, want ErrFrame", err)
 	}
 }
@@ -337,10 +336,10 @@ func TestWatchConnCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-	br := bufio.NewReader(nc)
+	fr := newFrameReader(nc)
 	okFrames := 0
 	for {
-		resp, err := ReadResponse(br)
+		resp, err := fr.readResponse()
 		if err != nil {
 			t.Fatalf("after %d frames: %v", okFrames, err)
 		}

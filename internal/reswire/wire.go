@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -944,69 +943,134 @@ func DecodeResponse(payload []byte) (Response, error) {
 	return resp, nil
 }
 
-// ReadFrame reads one length-prefixed payload from br. A frame that fits
-// br's buffer is returned in place — a view of the buffer, valid until the
-// next read on br — and only a larger one is copied out; the decoders keep
-// no reference to the payload, so ReadRequest and ReadResponse read a
-// stream without allocating per frame. The length prefix is validated
-// against MaxFrame before anything is buffered or allocated.
-func ReadFrame(br *bufio.Reader) ([]byte, error) {
-	head, err := br.Peek(4)
-	if err != nil {
-		if err == io.EOF && len(head) > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+// frameReader reads one connection's frames, on both sides. Its buffer
+// starts at readBufStart and doubles, up to readBufCap, whenever one read
+// from the connection fills it: what the peer sent at once did not fit, and
+// the cork (doc.go, "Server") answers a burst one read at a time. A frame
+// up to readBufCap grows the buffer to fit and is returned in place, and
+// only a larger one is copied out.
+type frameReader struct {
+	rd   io.Reader
+	buf  []byte // the unread bytes are buf[r:w]
+	r, w int
+	err  error // what the last read returned beside its bytes; every later fill returns it
+}
+
+func newFrameReader(rd io.Reader) *frameReader {
+	return &frameReader{rd: rd, buf: make([]byte, readBufStart)}
+}
+
+// grow doubles the buffer until it holds n bytes, keeping what is unread.
+func (fr *frameReader) grow(n int) {
+	size := len(fr.buf)
+	for size < n {
+		size *= 2
 	}
-	n := int(binary.BigEndian.Uint32(head))
+	buf := make([]byte, size)
+	fr.w = copy(buf, fr.buf[fr.r:fr.w])
+	fr.buf, fr.r = buf, 0
+}
+
+// fill moves the unread bytes to the front of the buffer and reads once
+// into the rest; a read that fills the buffer doubles it, up to readBufCap.
+// It reports an error only when the read brought no bytes.
+func (fr *frameReader) fill() error {
+	if fr.err != nil {
+		return fr.err
+	}
+	if fr.r > 0 {
+		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
+	}
+	for range 100 { // as bufio does, a reader that keeps returning nothing is given up on
+		n, err := fr.rd.Read(fr.buf[fr.w:])
+		fr.w += n
+		if fr.w == len(fr.buf) && len(fr.buf) < readBufCap {
+			fr.grow(2 * len(fr.buf))
+		}
+		fr.err = err
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	fr.err = io.ErrNoProgress
+	return fr.err
+}
+
+// readFrame reads one length-prefixed payload. A frame up to readBufCap is
+// returned in place — a view of the buffer, valid until the next read — and
+// only a larger one is copied out; the decoders keep no reference to the
+// payload, so readRequest and readResponse read a stream without
+// allocating per frame. The length prefix is validated against MaxFrame
+// before anything is buffered or allocated.
+func (fr *frameReader) readFrame() ([]byte, error) {
+	for fr.w-fr.r < 4 {
+		if err := fr.fill(); err != nil {
+			if err == io.EOF && fr.w > fr.r {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	n := int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: %d byte payload exceeds MaxFrame %d", ErrFrame, n, MaxFrame)
 	}
 	if n < headerLen {
 		return nil, fmt.Errorf("%w: %d byte payload shorter than header", ErrFrame, n)
 	}
-	var payload []byte
-	if 4+n <= br.Size() {
-		if payload, err = br.Peek(4 + n); err == nil {
-			payload = payload[4:]
-			br.Discard(4 + n) // buffered, so it only moves the read index
+	var err error
+	if 4+n <= readBufCap {
+		if 4+n > len(fr.buf) {
+			fr.grow(4 + n)
+		}
+		for fr.w-fr.r < 4+n && err == nil {
+			err = fr.fill()
+		}
+		if err == nil {
+			payload := fr.buf[fr.r+4 : fr.r+4+n]
+			fr.r += 4 + n
+			return payload, nil
 		}
 	} else {
-		br.Discard(4)
-		payload = make([]byte, n)
-		_, err = io.ReadFull(br, payload)
-	}
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+		// Every buffered byte is this frame's: it is larger than the buffer.
+		payload := make([]byte, n)
+		k := copy(payload, fr.buf[fr.r+4:fr.w])
+		fr.r, fr.w = 0, 0
+		if err = fr.err; err == nil {
+			_, err = io.ReadFull(fr.rd, payload[k:])
 		}
-		return nil, fmt.Errorf("%w: truncated frame: %v", ErrFrame, err)
+		if err == nil {
+			return payload, nil
+		}
 	}
-	return payload, nil
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return nil, fmt.Errorf("%w: truncated frame: %v", ErrFrame, err)
 }
 
-// frameBuffered reports whether br already holds a whole frame, i.e.
-// whether the next ReadFrame returns without touching the connection.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < 4 {
-		return false
-	}
-	head, _ := br.Peek(4)
-	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(head))
+// whole reports whether the buffer already holds a whole frame, i.e.
+// whether the next readFrame returns without reading.
+func (fr *frameReader) whole() bool {
+	return fr.w-fr.r >= 4 && fr.w-fr.r-4 >= int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
 }
 
-// ReadRequest reads and decodes one request frame.
-func ReadRequest(br *bufio.Reader) (Request, error) {
-	payload, err := ReadFrame(br)
+// readRequest reads and decodes one request frame.
+func (fr *frameReader) readRequest() (Request, error) {
+	payload, err := fr.readFrame()
 	if err != nil {
 		return Request{}, err
 	}
 	return DecodeRequest(payload)
 }
 
-// ReadResponse reads and decodes one response frame.
-func ReadResponse(br *bufio.Reader) (Response, error) {
-	payload, err := ReadFrame(br)
+// readResponse reads and decodes one response frame.
+func (fr *frameReader) readResponse() (Response, error) {
+	payload, err := fr.readFrame()
 	if err != nil {
 		return Response{}, err
 	}

@@ -1,7 +1,6 @@
 package reswire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -55,7 +54,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", req, err)
 		}
-		got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)))
+		got, err := newFrameReader(bytes.NewReader(frame)).readRequest()
 		if err != nil {
 			t.Fatalf("decode %+v: %v", req, err)
 		}
@@ -71,7 +70,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %+v: %v", resp, err)
 		}
-		got, err := ReadResponse(bufio.NewReader(bytes.NewReader(frame)))
+		got, err := newFrameReader(bytes.NewReader(frame)).readResponse()
 		if err != nil {
 			t.Fatalf("decode %+v: %v", resp, err)
 		}
@@ -97,7 +96,7 @@ func TestV2ReserveCarriesTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadRequest(bufio.NewReader(bytes.NewReader(frame)))
+	got, err := newFrameReader(bytes.NewReader(frame)).readRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +115,9 @@ func TestManyFramesPerStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(bytes.NewReader(stream))
+	fr := newFrameReader(bytes.NewReader(stream))
 	for i, want := range reqs {
-		got, err := ReadRequest(br)
+		got, err := fr.readRequest()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -126,7 +125,7 @@ func TestManyFramesPerStream(t *testing.T) {
 			t.Errorf("frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadRequest(br); err != io.EOF {
+	if _, err := fr.readRequest(); err != io.EOF {
 		t.Errorf("after last frame: err = %v, want io.EOF", err)
 	}
 }
@@ -167,7 +166,7 @@ func TestDecodeRejectsHostileFrames(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ReadRequest(bufio.NewReader(bytes.NewReader(c.in)))
+			_, err := newFrameReader(bytes.NewReader(c.in)).readRequest()
 			if !errors.Is(err, c.want) {
 				t.Errorf("err = %v, want %v", err, c.want)
 			}
@@ -179,7 +178,7 @@ func TestDecodeResponseBoundsVectors(t *testing.T) {
 	// A Query response claiming 2^16 shards with a near-empty body must be
 	// rejected before allocation.
 	b := frameAt(Version, OpQuery, byte(CodeOK), 0, 1, 0, 0)
-	if _, err := ReadResponse(bufio.NewReader(bytes.NewReader(b))); !errors.Is(err, ErrFrame) {
+	if _, err := newFrameReader(bytes.NewReader(b)).readResponse(); !errors.Is(err, ErrFrame) {
 		t.Errorf("err = %v, want ErrFrame", err)
 	}
 }
