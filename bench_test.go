@@ -279,7 +279,7 @@ func BenchmarkCapacityIndex(b *testing.B) {
 	}
 }
 
-// BenchmarkExactSolver measures the branch-and-bound on a 9-job instance.
+// BenchmarkExactSolver measures the exact search on a 9-job instance.
 func BenchmarkExactSolver(b *testing.B) {
 	r := rng.New(3)
 	inst := instances.RandomRigid(r, instances.RigidConfig{M: 5, N: 9, MaxLen: 9})

@@ -79,7 +79,7 @@ func run() error {
 			fmt.Printf("exact: %v (result is still an upper bound)\n", err)
 		}
 		if res != nil {
-			fmt.Printf("exact C*max: %v (optimal=%v, %d nodes)\n", res.Cmax, res.Optimal, res.Nodes)
+			fmt.Printf("exact C*max: %v (optimal=%v, %d states)\n", res.Cmax, res.Optimal, res.Nodes)
 			fmt.Printf("true ratio: %.4f\n", lower.Ratio(s.Makespan(), res.Cmax))
 		}
 	}

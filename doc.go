@@ -6,7 +6,7 @@
 // The repository implements the paper's model (rigid parallel jobs on m
 // identical processors around advance reservations), the algorithm family
 // it analyses (LSRC list scheduling, FCFS, conservative and EASY
-// back-filling, shelf packing), exact solvers and lower bounds used as
+// back-filling, shelf packing), an exact solver and lower bounds used as
 // ratio references, every adversarial construction from the proofs, a
 // workload substrate (SWF + synthetic), a discrete-event simulator, and an
 // experiment harness that regenerates all four figures and every claim.

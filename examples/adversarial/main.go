@@ -74,7 +74,7 @@ func theorem1() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := exact.SolveM1(inst)
+		res, err := exact.Solve(inst)
 		if err != nil {
 			log.Fatal(err)
 		}

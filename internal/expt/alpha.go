@@ -28,7 +28,7 @@ func runAlpha(cfg Config) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"instances: random α-restricted jobs + rejected-sampling reservation streams",
-		"reference: exact branch-and-bound optimum (all instances solved to optimality)")
+		"reference: exact merged-state search optimum (all instances solved to optimality)")
 
 	alphas := []float64{0.25, 0.4, 0.5, 0.65, 0.8, 1.0}
 	trialsPer := 120

@@ -37,7 +37,7 @@ func runFig1(cfg Config) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"reduction: m=1, one unit job per item, k unit reservations spaced B apart, last reservation of length rho*k(B+1)+1",
-		"reference optimum: exact m=1 subset DP (internal/exact.SolveM1)")
+		"reference optimum: exact merged-state search (internal/exact.Solve), at m=1 the subset DP over the completion frontier")
 
 	// Part 1: on a fixed YES instance, the ratio of LSRC-LPT grows without
 	// bound as the hypothetical guarantee rho grows — the mechanism of the
@@ -56,7 +56,7 @@ func runFig1(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := exact.SolveM1(inst)
+		res, err := exact.Solve(inst)
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func runFig2(cfg Config) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"instances: random staircases (all reservations release at random times, none arrive)",
-		"reference: exact branch-and-bound optimum",
+		"reference: exact merged-state search optimum",
 		"m(C*max) is the availability at the optimal makespan")
 
 	nTrials := 400

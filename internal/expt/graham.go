@@ -26,7 +26,7 @@ func runGraham(cfg Config) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"adversarial family: m(m-1) unit jobs + one length-m job, FIFO list",
-		"random sweep reference: exact branch-and-bound optimum")
+		"random sweep reference: exact merged-state search optimum")
 
 	// Part 1: the adversarial family attains the bound exactly.
 	ms := []int{2, 3, 4, 6, 8, 12}

@@ -74,14 +74,15 @@ func TestScheduleFromPartitionIsOptimal(t *testing.T) {
 }
 
 func TestTheorem1ExactOptimumMatches(t *testing.T) {
-	// Cross-check the claimed optimum with the m=1 DP for a small k.
+	// Cross-check the claimed optimum with the exact search (at m=1, the
+	// subset DP over the completion frontier) for a small k.
 	r := rng.New(21)
 	tp := threepart.GenerateYes(r, 2, 24)
 	inst, err := FromThreePartition(tp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exact.SolveM1(inst)
+	res, err := exact.Solve(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
