@@ -137,3 +137,22 @@ func TestRunAllQuick(t *testing.T) {
 		t.Fatalf("got %d reports", len(reps))
 	}
 }
+
+// TestAtJobCounts pins the scale note's index-bound clause: an empty set
+// reads as none, not as "[]". The shares that fill the set are wall-clock,
+// so the helper is checked, not a run.
+func TestAtJobCounts(t *testing.T) {
+	for _, c := range []struct {
+		ns   []int
+		want string
+	}{
+		{nil, "at no job count"},
+		{[]int{}, "at no job count"},
+		{[]int{2000}, "at job counts [2000]"},
+		{[]int{2000, 20000}, "at job counts [2000 20000]"},
+	} {
+		if got := atJobCounts(c.ns); got != c.want {
+			t.Errorf("atJobCounts(%v) = %q, want %q", c.ns, got, c.want)
+		}
+	}
+}

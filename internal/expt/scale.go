@@ -179,10 +179,10 @@ func runScale(cfg Config) (*Report, error) {
 			float64(calls)/float64(n), share, float64(commit)/float64(elapsed))
 	}
 	r.Notes = append(r.Notes, fmt.Sprintf(
-		"the index has %.2f–%.2f of the wall-clock over the grid, and over half of it (index-bound) at job counts %v; "+
+		"the index has %.2f–%.2f of the wall-clock over the grid, and over half of it (index-bound) %s; "+
 			"near 4 calls per job the index time is Commit, every call above 4 is a refused CanPlace or its FindSlot (a job held back by a reservation ahead, at most once per reservation), "+
 			"and the time outside the index is mostly the tournament's root-to-leaf descent to each job that may start (one per job started or parked, and one compare per event for the miss that ends its pass), then instance validation",
-		loShare, hiShare, bound))
+		loShare, hiShare, atJobCounts(bound)))
 	r.Tables = append(r.Tables, NamedTable{
 		Caption: "LSRC-LPT at production scale",
 		Table:   t,
@@ -190,4 +190,13 @@ func runScale(cfg Config) (*Report, error) {
 	r.check("schedule quality stays near the lower bound at every scale", qualityOK,
 		"worst Cmax/LB = %.3f (guarantee at α=1/2 allows 4.0)", worst)
 	return r, nil
+}
+
+// atJobCounts names the grid's job counts in a note: "at job counts [n…]",
+// or "at no job count" when there are none.
+func atJobCounts(ns []int) string {
+	if len(ns) == 0 {
+		return "at no job count"
+	}
+	return fmt.Sprintf("at job counts %v", ns)
 }

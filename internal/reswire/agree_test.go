@@ -194,7 +194,8 @@ func agreeQuiesced(t *testing.T, c *Client, svc *resd.Service, rec *flight.Recor
 		diffs := nodeSurfaceDiffs(t, c, svc, rec, flightDir, reg, before)
 		if after := svc.Node(); !reflect.DeepEqual(before, after) {
 			// Not quiesced yet (a background snapshot write finishing, the
-			// engine's own tick): read every surface again.
+			// engine's own tick): read every surface again. Neither says
+			// when it is done, so the node is polled until it holds still.
 			if attempt == 50 {
 				t.Fatalf("the node never held still: %+v then %+v", before, after)
 			}

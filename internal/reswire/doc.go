@@ -18,10 +18,16 @@
 // errors — REJECTED_DEADLINE arrives as resd.ErrDeadline,
 // REJECTED_NEVER_FITS as resd.ErrNeverFits, REJECTED_QUOTA as
 // tenant.ErrQuota — so remote callers branch with errors.Is exactly as
-// in-process callers do. The decoder validates magic, version, op, frame
-// bounds (MaxFrame) and vector lengths before allocating, never panics on
-// hostile bytes, and requires each frame to be consumed exactly;
-// FuzzWireCodec enforces all of that plus canonical round-tripping.
+// in-process callers do. Each message's layout is written once, in
+// wire.go's coder: one walk over the frame's fields in order, which
+// appends them when encoding and reads them when decoding, so every rule
+// on a field's value (int32 range, name length, share in (0,1], known op
+// and code, vector counts, SLO ranges) is stated once and holds both ways —
+// the encoder refuses what the decoder refuses. The decoder validates
+// magic, version, op, frame bounds (MaxFrame) and vector lengths before
+// allocating, never panics on hostile bytes, and requires each frame to be
+// consumed exactly; FuzzWireCodec enforces all of that plus canonical
+// round-tripping.
 //
 // There is one revision of the layout, Version (6), and nothing is
 // negotiated: a frame with any other version byte fails with ErrVersion,

@@ -318,6 +318,8 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	served := make(chan struct{}) // closed by the first admission back
+	var once sync.Once
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -328,15 +330,21 @@ func TestServerCloseFailsInFlight(t *testing.T) {
 					errs <- err
 					return
 				}
+				once.Do(func() { close(served) })
 			}
 		}(g)
 	}
-	time.Sleep(time.Millisecond)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	// Close under live traffic: once one admission is back, the other
+	// 1 599 calls are still to come.
+	select {
+	case <-served:
+	case <-done:
+	}
 	srv.Close()
 	<-serveDone
 
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):

@@ -352,6 +352,8 @@ func TestStuckPeerBoundsServer(t *testing.T) {
 		stuck.SetWriteDeadline(time.Now().Add(20 * time.Second))
 		stuck.Write(frames) // may itself block once the server stops reading
 	}()
+	// A stall is the absence of progress, which no event marks: sample the
+	// shard's op count until it has held still for ten samples.
 	ops := func() uint64 { return svc.Stats()[0].Ops }
 	base, last, quiet := ops(), uint64(0), 0
 	for deadline := time.Now().Add(30 * time.Second); quiet < 10; {

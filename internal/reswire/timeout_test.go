@@ -78,8 +78,9 @@ func TestCallTimeoutLateResponseKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	// A hand-rolled server: the first request's response is delayed past
-	// the client's timeout, every later one is answered promptly.
+	// A hand-rolled server: the first request's response waits until the
+	// client has timed the call out, every later one is answered promptly.
+	timedOut := make(chan struct{})
 	go func() {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -95,7 +96,7 @@ func TestCallTimeoutLateResponseKeepsConnection(t *testing.T) {
 			}
 			if first {
 				first = false
-				time.Sleep(150 * time.Millisecond)
+				<-timedOut
 			}
 			buf, err := AppendResponse(nil, Response{ID: req.ID, Op: req.Op, Code: CodeOK})
 			if err != nil {
@@ -111,9 +112,15 @@ func TestCallTimeoutLateResponseKeepsConnection(t *testing.T) {
 	if err := c.Ping(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("delayed call: err = %v, want ErrTimeout", err)
 	}
+	close(timedOut)
 	// Let the late response land while no call is pending: the reader
-	// must swallow it via the stale set.
-	time.Sleep(200 * time.Millisecond)
+	// must drop it, taking back the late response the sweeper counted on.
+	// The drop signals nothing but that count, so it is polled.
+	for deadline := time.Now().Add(10 * time.Second); late(c.conns[0]) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("late response not dropped after 10s")
+		}
+	}
 	for i := 0; i < 3; i++ {
 		if err := c.Ping(); err != nil {
 			t.Fatalf("call %d after a discarded late response: %v", i, err)
@@ -142,7 +149,19 @@ func TestClientClosedAfterClose(t *testing.T) {
 	}
 }
 
-// parked counts the calls parked on cc's slots.
+// late counts the responses cc's reader still expects for timed-out calls.
+func late(cc *clientConn) int {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	n := 0
+	for _, s := range cc.slots {
+		n += s.late
+	}
+	return n
+}
+
+// parked counts the calls parked on cc's slots. Parking sets a slot's flag
+// and signals nothing else, so tests that wait for it poll.
 func parked(cc *clientConn) int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -249,6 +268,8 @@ func TestCallTimeoutGranularity(t *testing.T) {
 		wg.Wait()
 	}
 	c.Close()
+	// Close does not wait for the reader and sweeper to return; their exit
+	// shows only in the goroutine count, which is polled.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)

@@ -2,6 +2,7 @@ package reswire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,13 +23,11 @@ import (
 // knows only today's; hostile bodies at today's revision are built the
 // same way.
 func frameAt(v byte, op Op, body ...byte) []byte {
-	b := appendHeader([]byte{0, 0, 0, 0}, op, 1)
-	b[4+2] = v // after the length prefix and the magic
-	frame, err := finishFrame(append(b, body...), 0)
-	if err != nil {
-		panic(err)
-	}
-	return frame
+	b := binary.BigEndian.AppendUint32(nil, uint32(headerLen+len(body)))
+	b = binary.BigEndian.AppendUint16(b, Magic)
+	b = append(b, v, byte(op))
+	b = binary.BigEndian.AppendUint64(b, 1)
+	return append(b, body...)
 }
 
 // reserveV1 is the Reserve body of the first revision: ready 0, 8

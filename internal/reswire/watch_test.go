@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/resd"
 	"repro/internal/slo"
 	"repro/internal/tenant"
@@ -36,7 +37,7 @@ func TestWatchRequestCodec(t *testing.T) {
 		t.Errorf("negative interval err = %v, want ErrFrame", err)
 	}
 	for _, frame := range [][]byte{
-		frameAt(Version, OpWatch, appendI64(nil, -1)...),
+		frameAt(Version, OpWatch, binary.BigEndian.AppendUint64(nil, 1<<64-1)...), // -1 ns
 		frameAt(Version, OpWatch, watchV5...),
 	} {
 		if _, err := newFrameReader(bytes.NewReader(frame)).readRequest(); !errors.Is(err, ErrFrame) {
@@ -243,6 +244,8 @@ func TestWatchLoopDropsWhenWriterFull(t *testing.T) {
 	}
 	defer svc.Close()
 	s := NewServer(svc)
+	j := flight.NewJournal(8, nil)
+	s.SetFlight(j)
 	out := make(chan Response, 1) // tiny writer queue: every second push drops
 	done := make(chan struct{})
 	loopDone := make(chan struct{})
@@ -255,8 +258,14 @@ func TestWatchLoopDropsWhenWriterFull(t *testing.T) {
 	if first.Telemetry == nil || first.Telemetry.Seq != 1 || first.Telemetry.Dropped != 0 {
 		t.Fatalf("first frame = %+v", first.Telemetry)
 	}
-	// Stall: the buffer holds one frame (seq 2), then pushes drop.
-	time.Sleep(20 * MinWatchInterval)
+	// Stall: the buffer holds one frame (seq 2), then pushes drop. The
+	// first drop journals a Warn, the one mark a drop leaves outside the
+	// loop, so the journal is polled for it.
+	for deadline := time.Now().Add(10 * time.Second); len(j.Tail(0)) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no push dropped after 10s of stall")
+		}
+	}
 	second := <-out
 	if second.Telemetry.Seq != 2 {
 		t.Fatalf("second frame seq = %d, want 2", second.Telemetry.Seq)
@@ -398,6 +407,8 @@ func TestWatchResubscribesAfterReconnect(t *testing.T) {
 		if i > 200 {
 			t.Fatalf("rebind %s: %v", addr, err)
 		}
+		// The port is free once srv1's listener has let go of it; a failed
+		// bind is the only sign it has not, so the bind is retried.
 		time.Sleep(20 * time.Millisecond)
 	}
 	srv2 := NewServer(svc)

@@ -27,6 +27,10 @@ import (
 // flow client→server, responses server→client, so the direction of a frame
 // is implied by the connection side and the two kinds share the header.
 //
+// Each message's layout is written once, as a coder walk that both
+// encodes and decodes it (see coder below), with each rule on a field's
+// value beside the field.
+//
 // The layout is frozen: there is one revision, both sides speak it, and a
 // frame carrying any other version byte is refused with ErrVersion rather
 // than guessed at. The byte stays in the header so that a future layout
@@ -343,526 +347,421 @@ type Response struct {
 	Telemetry *Telemetry
 }
 
-// appendHeader writes the shared frame header (after the length prefix).
-func appendHeader(dst []byte, op Op, id uint64) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, Magic)
-	dst = append(dst, Version, byte(op))
-	return binary.BigEndian.AppendUint64(dst, id)
-}
-
-func appendI64(dst []byte, v int64) []byte      { return binary.BigEndian.AppendUint64(dst, uint64(v)) }
-func appendI32(dst []byte, v int32) []byte      { return binary.BigEndian.AppendUint32(dst, uint32(v)) }
-func appendTime(dst []byte, t core.Time) []byte { return appendI64(dst, int64(t)) }
-
-// appendName writes a one-byte-length-prefixed tenant name.
-func appendName(dst []byte, name string) ([]byte, error) {
-	if len(name) > tenant.MaxNameLen {
-		return nil, fmt.Errorf("%w: name %d bytes long (max %d)", ErrFrame, len(name), tenant.MaxNameLen)
-	}
-	dst = append(dst, byte(len(name)))
-	return append(dst, name...), nil
-}
-
-// appendShardStats writes one shard entry (shardEntryLen bytes), the
-// layout reader.shardStats reads back.
-func appendShardStats(dst []byte, st *resd.ShardStats) []byte {
-	dst = appendI64(dst, int64(st.Active))
-	dst = appendI64(dst, st.CommittedArea)
-	dst = binary.BigEndian.AppendUint64(dst, st.Admitted)
-	dst = binary.BigEndian.AppendUint64(dst, st.Cancelled)
-	dst = binary.BigEndian.AppendUint64(dst, st.Rejected)
-	dst = binary.BigEndian.AppendUint64(dst, st.RejectedDeadline)
-	dst = binary.BigEndian.AppendUint64(dst, st.RejectedQuota)
-	dst = appendTime(dst, st.SlackP99)
-	dst = binary.BigEndian.AppendUint64(dst, st.Batches)
-	return binary.BigEndian.AppendUint64(dst, st.Ops)
-}
-
-// validShareBits guards float shares crossing the wire: a share is a
-// fraction in (0,1], and hostile bit patterns (NaN, infinities, sign
-// games) must fail the frame, not round-trip into arithmetic.
-func validShareBits(share float64) bool {
-	return !math.IsNaN(share) && share > 0 && share <= 1
-}
-
-// finishFrame back-fills the length prefix reserved at base.
-func finishFrame(dst []byte, base int) ([]byte, error) {
-	n := len(dst) - base - 4
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %d byte payload exceeds MaxFrame", ErrFrame, n)
-	}
-	binary.BigEndian.PutUint32(dst[base:], uint32(n))
-	return dst, nil
-}
-
-// AppendRequest encodes req as one frame appended to dst.
-func AppendRequest(dst []byte, req Request) ([]byte, error) {
-	if !req.Op.valid() {
-		return nil, fmt.Errorf("%w: invalid op %d", ErrFrame, uint8(req.Op))
-	}
-	if req.Procs < -1<<31 || req.Procs > 1<<31-1 || req.Shard < -1<<31 || req.Shard > 1<<31-1 {
-		return nil, fmt.Errorf("%w: field exceeds int32 range", ErrFrame)
-	}
-	var err error
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = appendHeader(dst, req.Op, req.ID)
-	switch req.Op {
-	case OpReserve:
-		dst = appendTime(dst, req.Ready)
-		dst = appendI32(dst, int32(req.Procs))
-		dst = appendTime(dst, req.Dur)
-		dst = appendTime(dst, req.Deadline)
-		if dst, err = appendName(dst, req.Tenant); err != nil {
-			return nil, err
-		}
-		dst = appendI64(dst, req.Stamp)
-		var flag byte
-		if req.Traced {
-			flag = 1
-		}
-		dst = append(dst, flag)
-	case OpCancel:
-		dst = binary.BigEndian.AppendUint64(dst, req.Resv)
-	case OpQuery:
-		dst = appendTime(dst, req.Ready)
-	case OpSnapshot:
-		dst = appendI32(dst, int32(req.Shard))
-	case OpQuotaGet:
-		if dst, err = appendName(dst, req.Tenant); err != nil {
-			return nil, err
-		}
-	case OpQuotaSet:
-		if !validShareBits(req.Share) {
-			return nil, fmt.Errorf("%w: share %v outside (0,1]", ErrFrame, req.Share)
-		}
-		if dst, err = appendName(dst, req.Tenant); err != nil {
-			return nil, err
-		}
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(req.Share))
-	case OpWatch:
-		if req.Interval < 0 {
-			return nil, fmt.Errorf("%w: watch interval %v negative", ErrFrame, req.Interval)
-		}
-		dst = appendI64(dst, int64(req.Interval))
-	case OpPing, OpStats:
-		// header only
-	}
-	return finishFrame(dst, base)
-}
-
-// AppendResponse encodes resp as one frame appended to dst.
-func AppendResponse(dst []byte, resp Response) ([]byte, error) {
-	if !resp.Op.valid() {
-		return nil, fmt.Errorf("%w: invalid op %d", ErrFrame, uint8(resp.Op))
-	}
-	if resp.Code > CodeRejectedQuota {
-		return nil, fmt.Errorf("%w: unknown code %d", ErrFrame, uint8(resp.Code))
-	}
-	var err error
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = appendHeader(dst, resp.Op, resp.ID)
-	dst = append(dst, byte(resp.Code))
-	if resp.Code != CodeOK {
-		detail := resp.Detail
-		if len(detail) > maxDetail {
-			detail = detail[:maxDetail]
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(detail)))
-		dst = append(dst, detail...)
-		return finishFrame(dst, base)
-	}
-	switch resp.Op {
-	case OpReserve:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(resp.Resv.ID))
-		dst = appendI32(dst, int32(resp.Resv.Shard))
-		dst = appendTime(dst, resp.Resv.Start)
-		dst = appendTime(dst, resp.Resv.Dur)
-		dst = appendI32(dst, int32(resp.Resv.Procs))
-	case OpQuery:
-		if dst, err = appendCount(dst, len(resp.Free), maxShards, "shards in Query response"); err != nil {
-			return nil, err
-		}
-		for _, f := range resp.Free {
-			dst = appendI32(dst, int32(f))
-		}
-	case OpSnapshot:
-		if resp.M < -1<<31 || resp.M > 1<<31-1 {
-			return nil, fmt.Errorf("%w: snapshot machine size exceeds int32 range", ErrFrame)
-		}
-		dst = appendI32(dst, int32(resp.M))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(resp.Segs)))
-		for _, s := range resp.Segs {
-			dst = appendTime(dst, s.Start)
-			dst = appendI32(dst, int32(s.Free))
-		}
-	case OpStats:
-		if dst, err = appendCount(dst, len(resp.Stats), maxShards, "shards in Stats response"); err != nil {
-			return nil, err
-		}
-		for i := range resp.Stats {
-			dst = appendShardStats(dst, &resp.Stats[i])
-		}
-	case OpQuotaGet:
-		q := resp.Quota
-		if !validShareBits(q.Share) {
-			return nil, fmt.Errorf("%w: quota share %v outside (0,1]", ErrFrame, q.Share)
-		}
-		if dst, err = appendName(dst, q.Tenant); err != nil {
-			return nil, err
-		}
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(q.Share))
-		dst = appendI64(dst, q.Capacity)
-		dst = appendI64(dst, q.Budget)
-		dst = appendI64(dst, q.Used)
-		dst = appendI64(dst, q.Inflight)
-		dst = binary.BigEndian.AppendUint64(dst, q.Admitted)
-		dst = binary.BigEndian.AppendUint64(dst, q.Cancelled)
-		dst = binary.BigEndian.AppendUint64(dst, q.Rejected)
-	case OpWatch:
-		if resp.Telemetry == nil {
-			return nil, fmt.Errorf("%w: watch response without telemetry", ErrFrame)
-		}
-		if dst, err = appendTelemetry(dst, resp.Telemetry); err != nil {
-			return nil, err
-		}
-	case OpCancel, OpPing, OpQuotaSet:
-		// header + code only
-	}
-	return finishFrame(dst, base)
-}
-
-// appendCount writes a vector's length, refusing one the decoder would
-// refuse for exceeding max.
-func appendCount(dst []byte, n, max int, what string) ([]byte, error) {
-	if n > max {
-		return nil, fmt.Errorf("%w: %d %s", ErrFrame, n, what)
-	}
-	return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
-}
-
-// appendTelemetry writes a Watch frame's body: Seq, Dropped and the whole
-// node snapshot, the layout reader.telemetry reads back.
-func appendTelemetry(dst []byte, t *Telemetry) ([]byte, error) {
-	if t.M < 0 || t.M > 1<<31-1 || t.Floor < 0 || t.Floor > 1<<31-1 {
-		return nil, fmt.Errorf("%w: telemetry capacity exceeds int32 range", ErrFrame)
-	}
-	if len(t.Queue) != len(t.Shards) {
-		return nil, fmt.Errorf("%w: %d queue depths for %d shards in telemetry", ErrFrame, len(t.Queue), len(t.Shards))
-	}
-	var err error
-	dst = binary.BigEndian.AppendUint64(dst, t.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, t.Dropped)
-	dst = appendI32(dst, int32(t.M))
-	dst = appendI32(dst, int32(t.Floor))
-	if dst, err = appendCount(dst, len(t.Shards), maxShards, "shards in telemetry"); err != nil {
-		return nil, err
-	}
-	for i, q := range t.Queue {
-		if q < -1<<31 || q > 1<<31-1 {
-			return nil, fmt.Errorf("%w: queue depth exceeds int32 range", ErrFrame)
-		}
-		dst = appendI32(dst, int32(q))
-		dst = appendShardStats(dst, &t.Shards[i])
-	}
-	if dst, err = appendCount(dst, len(t.Tenants), maxTenants, "tenants in telemetry"); err != nil {
-		return nil, err
-	}
-	for _, tt := range t.Tenants {
-		if dst, err = appendName(dst, tt.Tenant); err != nil {
-			return nil, err
-		}
-		dst = appendI64(dst, tt.Budget)
-		dst = appendI64(dst, tt.Used)
-		dst = appendI64(dst, tt.Inflight)
-	}
-	if dst, err = appendCount(dst, len(t.WAL), maxShards, "WAL entries in telemetry"); err != nil {
-		return nil, err
-	}
-	for _, w := range t.WAL {
-		if w.Shard < -1<<31 || w.Shard > 1<<31-1 {
-			return nil, fmt.Errorf("%w: WAL shard exceeds int32 range", ErrFrame)
-		}
-		dst = appendI32(dst, int32(w.Shard))
-		dst = binary.BigEndian.AppendUint64(dst, w.Gen)
-		dst = binary.BigEndian.AppendUint64(dst, w.Bytes)
-		dst = binary.BigEndian.AppendUint64(dst, w.Records)
-		dst = binary.BigEndian.AppendUint64(dst, w.Fsyncs)
-		dst = binary.BigEndian.AppendUint64(dst, w.Snapshots)
-		dst = appendI64(dst, w.FsyncP99)
-		dst = binary.BigEndian.AppendUint64(dst, w.Failed)
-	}
-	dst = binary.BigEndian.AppendUint64(dst, t.TracesSampled)
-	dst = binary.BigEndian.AppendUint64(dst, t.TracesSlow)
-	if dst, err = appendCount(dst, len(t.SLO), maxSLO, "SLO entries in telemetry"); err != nil {
-		return nil, err
-	}
-	for _, o := range t.SLO {
-		if err := validSLO(&o); err != nil {
-			return nil, err
-		}
-		if dst, err = appendName(dst, o.Name); err != nil {
-			return nil, err
-		}
-		if dst, err = appendName(dst, o.Tenant); err != nil {
-			return nil, err
-		}
-		dst = append(dst, byte(o.Signal))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Target))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.Attainment))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BudgetRemaining))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(o.BurnMax))
-		dst = append(dst, byte(o.Severity))
-	}
-	return dst, nil
-}
-
-// reader is a bounds-checked cursor over one frame payload.
-type reader struct {
+// coder walks one frame in layout order, in one direction: encoding appends
+// each field's value to b, decoding reads the field from b at off. Each
+// message's layout is written once, as the walks header, request,
+// response, telemetry and shardStats, and so is each rule on a field's
+// value: the encoder refuses what the decoder refuses, and whatever decodes
+// re-encodes to the same bytes. A walk writes a field only when decoding,
+// so encoding never stores into the caller's value, nor into the slices
+// and Telemetry it shares.
+//
+// A frame fails once: by a rule, kept in err, or by a read past the
+// payload's end, which moves off past it so that every later read fails
+// too. Whichever comes first is the frame's error.
+type coder struct {
 	b   []byte
 	off int
 	err error
+	dec bool
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated body at offset %d", ErrFrame, r.off)
+// fail records err as the frame's failure, unless the frame has already
+// failed.
+func (c *coder) fail(err error) {
+	if c.err == nil && !c.short() {
+		c.err = err
 	}
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
+// bad fails the frame for breaking a field rule.
+func (c *coder) bad(format string, args ...any) {
+	c.fail(fmt.Errorf("%w: "+format, append([]any{ErrFrame}, args...)...))
+}
+
+// short reports whether a read has run past the payload's end.
+func (c *coder) short() bool { return c.off > len(c.b) }
+
+// overrun marks a read past the payload's end. The primitives below keep to
+// this and to no call, so that they inline.
+func (c *coder) overrun() { c.off = len(c.b) + 1 }
+
+// u8 carries a one-byte field.
+func u8[T ~uint8](c *coder, p *T) {
+	if !c.dec {
+		c.b = append(c.b, byte(*p))
+	} else if c.off < len(c.b) {
+		*p = T(c.b[c.off])
+		c.off++
+	} else {
+		c.overrun()
+	}
+}
+
+// u16 carries a two-byte field.
+func (c *coder) u16(p *uint16) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint16(c.b, *p)
+	} else if len(c.b)-c.off >= 2 {
+		*p = binary.BigEndian.Uint16(c.b[c.off:])
+		c.off += 2
+	} else {
+		c.overrun()
+	}
+}
+
+// u64 carries an eight-byte integer field.
+func u64[T ~uint64 | ~int64 | ~int](c *coder, p *T) {
+	if !c.dec {
+		c.b = binary.BigEndian.AppendUint64(c.b, uint64(*p))
+	} else if len(c.b)-c.off >= 8 {
+		*p = T(binary.BigEndian.Uint64(c.b[c.off:]))
+		c.off += 8
+	} else {
+		c.overrun()
+	}
+}
+
+// errInt32 fails a frame whose int field is outside int32's range. It is
+// one error, with no value in it, so that i32 inlines.
+var errInt32 = fmt.Errorf("%w: field exceeds int32 range", ErrFrame)
+
+// i32 carries an int in four bytes. A value outside int32's range fails the
+// frame; no decoded one is.
+func (c *coder) i32(p *int) {
+	if !c.dec {
+		if int(int32(*p)) != *p {
+			c.fail(errInt32)
+		}
+		c.b = binary.BigEndian.AppendUint32(c.b, uint32(*p))
+	} else if len(c.b)-c.off >= 4 {
+		*p = int(int32(binary.BigEndian.Uint32(c.b[c.off:])))
+		c.off += 4
+	} else {
+		c.overrun()
+	}
+}
+
+// f64 carries a float64 as its IEEE 754 bits.
+func (c *coder) f64(p *float64) {
+	v := math.Float64bits(*p)
+	u64(c, &v)
+	if c.dec {
+		*p = math.Float64frombits(v)
+	}
+}
+
+// share carries a quota share. A share is a fraction in (0,1]: hostile bit
+// patterns (NaN, infinities, sign games) fail the frame rather than reach
+// arithmetic.
+func (c *coder) share(p *float64) {
+	c.f64(p)
+	if !(*p > 0 && *p <= 1) {
+		c.bad("share %v outside (0,1]", *p)
+	}
+}
+
+// flag carries a bool as one byte, 0 or 1.
+func (c *coder) flag(p *bool) {
+	var v uint8
+	if *p {
+		v = 1
+	}
+	u8(c, &v)
+	if v > 1 {
+		c.bad("flag byte %d, not 0 or 1", v)
+	}
+	if c.dec {
+		*p = v == 1
+	}
+}
+
+// str carries the n bytes of a string whose length the frame carries.
+// Decoding, a frame that has already failed allocates no string.
+func (c *coder) str(p *string, n int) {
+	if !c.dec {
+		c.b = append(c.b, (*p)[:n]...)
+	} else if c.err == nil && len(c.b)-c.off >= n {
+		*p = string(c.b[c.off : c.off+n])
+		c.off += n
+	} else {
+		c.overrun()
+	}
+}
+
+// name carries a tenant name behind its one-byte length.
+func (c *coder) name(p *string) {
+	n := uint8(len(*p))
+	u8(c, &n)
+	// Encoding checks the name; decoding, its length byte.
+	if l := max(len(*p), int(n)); l > tenant.MaxNameLen {
+		c.bad("name %d bytes long (max %d)", l, tenant.MaxNameLen)
+	}
+	c.str(p, int(n))
+}
+
+// count carries a vector's length n and returns it. A count past limit
+// fails the frame, and so, decoding, does one whose entries of at least
+// size bytes each would overrun the payload: both before anything is
+// allocated. Once the frame has failed it returns 0, so that the caller
+// walks no entries and a refused vector decodes as nil.
+func (c *coder) count(n, limit, size int) int {
+	c.i32(&n) // a uint32 on the wire: one past int32 exceeds every limit
+	if n < 0 || n > limit || c.dec && size*n > len(c.b)-c.off {
+		c.bad("vector of %d entries (at most %d, of %d bytes each) in %d bytes", uint32(n), limit, size, len(c.b)-c.off)
+	}
+	if c.err != nil || c.short() {
 		return 0
 	}
-	v := r.b[r.off]
-	r.off++
-	return v
+	return n
 }
 
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
+// vec carries the length of *s as count does, allocates the vector when
+// decoding, and returns the number of entries to walk. An empty vector
+// decodes as nil, as resd returns an absent one.
+func vec[T any](c *coder, s *[]T, limit, size int) int {
+	n := c.count(len(*s), limit, size)
+	if c.dec && n > 0 {
+		*s = make([]T, n)
 	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
+	return n
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
+// header walks the shared frame header, after the length prefix.
+func (c *coder) header(op *Op, id *uint64) {
+	magic, version := Magic, Version
+	c.u16(&magic)
+	if magic != Magic {
+		c.bad("magic %#04x", magic)
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	u8(c, &version)
+	if version != Version {
+		c.fail(fmt.Errorf("%w: got %d, speak %d", ErrVersion, version, Version))
+	}
+	u8(c, op)
+	if !op.valid() {
+		c.bad("unknown op %d", uint8(*op))
+	}
+	u64(c, id)
 }
 
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
+// request walks a request frame.
+func (c *coder) request(r *Request) {
+	c.header(&r.Op, &r.ID)
+	switch r.Op {
+	case OpReserve:
+		u64(c, &r.Ready)
+		c.i32(&r.Procs)
+		u64(c, &r.Dur)
+		u64(c, &r.Deadline)
+		c.name(&r.Tenant)
+		u64(c, &r.Stamp)
+		c.flag(&r.Traced)
+	case OpCancel:
+		u64(c, &r.Resv)
+	case OpQuery:
+		u64(c, &r.Ready)
+	case OpSnapshot:
+		c.i32(&r.Shard)
+	case OpQuotaGet:
+		c.name(&r.Tenant)
+	case OpQuotaSet:
+		c.name(&r.Tenant)
+		c.share(&r.Share)
+	case OpWatch:
+		u64(c, &r.Interval)
+		if r.Interval < 0 {
+			c.bad("watch interval %v negative", r.Interval)
+		}
+	case OpPing, OpStats:
+		// header only
 	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
 }
 
-func (r *reader) i32() int32      { return int32(r.u32()) }
-func (r *reader) i64() int64      { return int64(r.u64()) }
-func (r *reader) time() core.Time { return core.Time(r.i64()) }
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
-		r.fail()
-		return nil
+// response walks a response frame. An error reply carries its detail
+// instead of a body; encoding cuts the detail to the maxDetail bytes the
+// decoder takes.
+func (c *coder) response(r *Response) {
+	c.header(&r.Op, &r.ID)
+	u8(c, &r.Code)
+	if r.Code > CodeRejectedQuota {
+		c.bad("unknown code %d", uint8(r.Code))
 	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
+	if r.Code != CodeOK {
+		n := uint16(min(len(r.Detail), maxDetail))
+		c.u16(&n)
+		if n > maxDetail {
+			c.bad("%d byte error detail", n)
+		}
+		c.str(&r.Detail, int(n))
+		return
+	}
+	switch r.Op {
+	case OpReserve:
+		u64(c, &r.Resv.ID)
+		c.i32(&r.Resv.Shard)
+		u64(c, &r.Resv.Start)
+		u64(c, &r.Resv.Dur)
+		c.i32(&r.Resv.Procs)
+	case OpQuery:
+		for i := range vec(c, &r.Free, maxShards, 4) {
+			c.i32(&r.Free[i])
+		}
+	case OpSnapshot:
+		c.i32(&r.M)
+		for i := range vec(c, &r.Segs, MaxFrame, 12) {
+			u64(c, &r.Segs[i].Start)
+			c.i32(&r.Segs[i].Free)
+		}
+	case OpStats:
+		for i := range vec(c, &r.Stats, maxShards, shardEntryLen) {
+			c.shardStats(&r.Stats[i])
+		}
+	case OpQuotaGet:
+		q := &r.Quota
+		c.name(&q.Tenant)
+		c.share(&q.Share)
+		u64(c, &q.Capacity)
+		u64(c, &q.Budget)
+		u64(c, &q.Used)
+		u64(c, &q.Inflight)
+		u64(c, &q.Admitted)
+		u64(c, &q.Cancelled)
+		u64(c, &q.Rejected)
+	case OpWatch:
+		if c.dec {
+			r.Telemetry = &Telemetry{}
+		} else if r.Telemetry == nil {
+			c.bad("watch response without telemetry")
+			return
+		}
+		c.telemetry(r.Telemetry)
+	case OpCancel, OpPing, OpQuotaSet:
+		// header and code only
+	}
 }
 
-// header consumes and validates the shared frame header, returning op
-// and id.
-func (r *reader) header() (Op, uint64) {
-	if magic := r.u16(); r.err == nil && magic != Magic {
-		r.err = fmt.Errorf("%w: magic %#04x", ErrFrame, magic)
-	}
-	if v := r.u8(); r.err == nil && v != Version {
-		r.err = fmt.Errorf("%w: got %d, speak %d", ErrVersion, v, Version)
-	}
-	op := Op(r.u8())
-	if r.err == nil && !op.valid() {
-		r.err = fmt.Errorf("%w: unknown op %d", ErrFrame, uint8(op))
-	}
-	return op, r.u64()
+// shardStats walks one shard entry, shardEntryLen bytes, in a Stats reply
+// and in a Watch frame alike.
+func (c *coder) shardStats(st *resd.ShardStats) {
+	u64(c, &st.Active)
+	u64(c, &st.CommittedArea)
+	u64(c, &st.Admitted)
+	u64(c, &st.Cancelled)
+	u64(c, &st.Rejected)
+	u64(c, &st.RejectedDeadline)
+	u64(c, &st.RejectedQuota)
+	u64(c, &st.SlackP99)
+	u64(c, &st.Batches)
+	u64(c, &st.Ops)
 }
 
-// shardStats reads one shard entry (shardEntryLen bytes), the layout
-// appendShardStats writes.
-func (r *reader) shardStats(st *resd.ShardStats) {
-	st.Active = int(r.i64())
-	st.CommittedArea = r.i64()
-	st.Admitted = r.u64()
-	st.Cancelled = r.u64()
-	st.Rejected = r.u64()
-	st.RejectedDeadline = r.u64()
-	st.RejectedQuota = r.u64()
-	st.SlackP99 = r.time()
-	st.Batches = r.u64()
-	st.Ops = r.u64()
+// telemetry walks a Watch frame's body: Seq, Dropped and the whole node
+// snapshot.
+func (c *coder) telemetry(t *Telemetry) {
+	u64(c, &t.Seq)
+	u64(c, &t.Dropped)
+	c.i32(&t.M)
+	c.i32(&t.Floor)
+	if t.M < 0 || t.Floor < 0 {
+		c.bad("negative telemetry capacity")
+	}
+	if len(t.Queue) != len(t.Shards) {
+		c.bad("%d queue depths for %d shards in telemetry", len(t.Queue), len(t.Shards))
+	}
+	n := vec(c, &t.Shards, maxShards, watchShardEntryLen)
+	if c.dec && n > 0 {
+		t.Queue = make([]int, n)
+	}
+	for i := range n {
+		c.i32(&t.Queue[i])
+		c.shardStats(&t.Shards[i])
+	}
+	for i := range vec(c, &t.Tenants, maxTenants, watchTenantEntryLen) {
+		tt := &t.Tenants[i]
+		c.name(&tt.Tenant)
+		u64(c, &tt.Budget)
+		u64(c, &tt.Used)
+		u64(c, &tt.Inflight)
+	}
+	for i := range vec(c, &t.WAL, maxShards, watchWALEntryLen) {
+		w := &t.WAL[i]
+		c.i32(&w.Shard)
+		u64(c, &w.Gen)
+		u64(c, &w.Bytes)
+		u64(c, &w.Records)
+		u64(c, &w.Fsyncs)
+		u64(c, &w.Snapshots)
+		u64(c, &w.FsyncP99)
+		u64(c, &w.Failed)
+	}
+	u64(c, &t.TracesSampled)
+	u64(c, &t.TracesSlow)
+	for i := range vec(c, &t.SLO, maxSLO, watchSLOEntryLen) {
+		o := &t.SLO[i]
+		c.name(&o.Name)
+		c.name(&o.Tenant)
+		u8(c, &o.Signal)
+		c.f64(&o.Target)
+		c.f64(&o.Attainment)
+		c.f64(&o.BudgetRemaining)
+		c.f64(&o.BurnMax)
+		u8(c, &o.Severity)
+		if err := validSLO(o); err != nil {
+			c.fail(err)
+		}
+	}
 }
 
-// count reads a vector's length and fails the frame, before anything is
-// allocated, when it exceeds max or when that many entries of at least
-// min bytes each overrun the payload. It returns 0 on failure; callers
-// allocate only for a positive count, so an empty vector decodes as nil,
-// as resd returns an absent one.
-func (r *reader) count(max, min int) int {
-	n := r.u32()
-	if r.err == nil && (n > uint32(max) || min*int(n) > len(r.b)-r.off) {
-		r.fail()
+// frame back-fills the length prefix reserved at base once an encoding
+// walk is done.
+func (c *coder) frame(base int) ([]byte, error) {
+	n := len(c.b) - base - 4
+	if n > MaxFrame {
+		c.bad("%d byte payload exceeds MaxFrame", n)
 	}
-	if r.err != nil {
-		return 0
+	if c.err != nil {
+		return nil, c.err
 	}
-	return int(n)
+	binary.BigEndian.PutUint32(c.b[base:], uint32(n))
+	return c.b, nil
 }
 
-// name reads a one-byte-length-prefixed tenant name.
-func (r *reader) name() string {
-	n := int(r.u8())
-	return string(r.bytes(n))
-}
-
-// share reads a float64 share and enforces the (0,1] protocol range.
-func (r *reader) share() float64 {
-	s := math.Float64frombits(r.u64())
-	if r.err == nil && !validShareBits(s) {
-		r.err = fmt.Errorf("%w: share %v outside (0,1]", ErrFrame, s)
-	}
-	return s
-}
-
-// done rejects trailing bytes: a frame must be consumed exactly.
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(r.b)-r.off)
+// done ends a decoding walk: a frame must be consumed exactly.
+func (c *coder) done() error {
+	switch {
+	case c.err != nil:
+		return c.err
+	case c.short():
+		return fmt.Errorf("%w: truncated body", ErrFrame)
+	case c.off < len(c.b):
+		return fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(c.b)-c.off)
 	}
 	return nil
 }
 
-// telemetry reads a Watch frame's body, the layout appendTelemetry
-// writes.
-func (r *reader) telemetry() *Telemetry {
-	t := &Telemetry{}
-	t.Seq = r.u64()
-	t.Dropped = r.u64()
-	t.M = int(r.i32())
-	t.Floor = int(r.i32())
-	if r.err == nil && (t.M < 0 || t.Floor < 0) {
-		r.err = fmt.Errorf("%w: negative telemetry capacity", ErrFrame)
-	}
-	if n := r.count(maxShards, watchShardEntryLen); n > 0 {
-		t.Queue = make([]int, n)
-		t.Shards = make([]resd.ShardStats, n)
-		for i := range t.Shards {
-			t.Queue[i] = int(r.i32())
-			r.shardStats(&t.Shards[i])
-		}
-	}
-	if n := r.count(maxTenants, watchTenantEntryLen); n > 0 {
-		t.Tenants = make([]resd.TenantLoad, n)
-		for i := range t.Tenants {
-			t.Tenants[i].Tenant = r.name()
-			t.Tenants[i].Budget = r.i64()
-			t.Tenants[i].Used = r.i64()
-			t.Tenants[i].Inflight = r.i64()
-		}
-	}
-	if n := r.count(maxShards, watchWALEntryLen); n > 0 {
-		t.WAL = make([]resd.WALShardStats, n)
-		for i := range t.WAL {
-			w := &t.WAL[i]
-			w.Shard = int(r.i32())
-			w.Gen = r.u64()
-			w.Bytes = r.u64()
-			w.Records = r.u64()
-			w.Fsyncs = r.u64()
-			w.Snapshots = r.u64()
-			w.FsyncP99 = r.i64()
-			w.Failed = r.u64()
-		}
-	}
-	t.TracesSampled = r.u64()
-	t.TracesSlow = r.u64()
-	if n := r.count(maxSLO, watchSLOEntryLen); n > 0 {
-		t.SLO = make([]slo.State, n)
-		for i := range t.SLO {
-			o := &t.SLO[i]
-			o.Name = r.name()
-			o.Tenant = r.name()
-			o.Signal = slo.Signal(r.u8())
-			o.Target = math.Float64frombits(r.u64())
-			o.Attainment = math.Float64frombits(r.u64())
-			o.BudgetRemaining = math.Float64frombits(r.u64())
-			o.BurnMax = math.Float64frombits(r.u64())
-			o.Severity = slo.Severity(r.u8())
-			if r.err == nil {
-				r.err = validSLO(o)
-			}
-		}
-	}
-	return t
+// AppendRequest encodes req as one frame appended to dst.
+func AppendRequest(dst []byte, req Request) ([]byte, error) {
+	c := coder{b: append(dst, 0, 0, 0, 0)}
+	c.request(&req)
+	return c.frame(len(dst))
+}
+
+// AppendResponse encodes resp as one frame appended to dst.
+func AppendResponse(dst []byte, resp Response) ([]byte, error) {
+	c := coder{b: append(dst, 0, 0, 0, 0)}
+	c.response(&resp)
+	return c.frame(len(dst))
 }
 
 // DecodeRequest parses one request payload (a frame minus its length
 // prefix). It never panics on hostile input and consumes the payload
 // exactly or fails.
 func DecodeRequest(payload []byte) (Request, error) {
-	r := &reader{b: payload}
+	c := coder{b: payload, dec: true}
 	var req Request
-	req.Op, req.ID = r.header()
-	if r.err != nil {
-		return Request{}, r.err
-	}
-	switch req.Op {
-	case OpReserve:
-		req.Ready = r.time()
-		req.Procs = int(r.i32())
-		req.Dur = r.time()
-		req.Deadline = r.time()
-		req.Tenant = r.name()
-		req.Stamp = r.i64()
-		flag := r.u8()
-		if r.err == nil && flag > 1 {
-			r.err = fmt.Errorf("%w: trace flag %d", ErrFrame, flag)
-		}
-		req.Traced = flag == 1
-	case OpCancel:
-		req.Resv = r.u64()
-	case OpQuery:
-		req.Ready = r.time()
-	case OpSnapshot:
-		req.Shard = int(r.i32())
-	case OpQuotaGet:
-		req.Tenant = r.name()
-	case OpQuotaSet:
-		req.Tenant = r.name()
-		req.Share = r.share()
-	case OpWatch:
-		req.Interval = time.Duration(r.i64())
-		if r.err == nil && req.Interval < 0 {
-			r.err = fmt.Errorf("%w: watch interval %v negative", ErrFrame, req.Interval)
-		}
-	case OpPing, OpStats:
-	}
-	if err := r.done(); err != nil {
+	c.request(&req)
+	if err := c.done(); err != nil {
 		return Request{}, err
 	}
 	return req, nil
@@ -872,72 +771,10 @@ func DecodeRequest(payload []byte) (Request, error) {
 // validated against the remaining payload before allocation, so a hostile
 // count cannot force a large allocation.
 func DecodeResponse(payload []byte) (Response, error) {
-	r := &reader{b: payload}
+	c := coder{b: payload, dec: true}
 	var resp Response
-	resp.Op, resp.ID = r.header()
-	if r.err != nil {
-		return Response{}, r.err
-	}
-	resp.Code = Code(r.u8())
-	if r.err == nil && resp.Code > CodeRejectedQuota {
-		return Response{}, fmt.Errorf("%w: unknown code %d", ErrFrame, uint8(resp.Code))
-	}
-	if resp.Code != CodeOK {
-		n := int(r.u16())
-		if n > maxDetail {
-			r.err = fmt.Errorf("%w: %d byte error detail", ErrFrame, n)
-		}
-		resp.Detail = string(r.bytes(n))
-		if err := r.done(); err != nil {
-			return Response{}, err
-		}
-		return resp, nil
-	}
-	switch resp.Op {
-	case OpReserve:
-		resp.Resv.ID = resd.ID(r.u64())
-		resp.Resv.Shard = int(r.i32())
-		resp.Resv.Start = r.time()
-		resp.Resv.Dur = r.time()
-		resp.Resv.Procs = int(r.i32())
-	case OpQuery:
-		if n := r.count(maxShards, 4); n > 0 {
-			resp.Free = make([]int, n)
-			for i := range resp.Free {
-				resp.Free[i] = int(r.i32())
-			}
-		}
-	case OpSnapshot:
-		resp.M = int(r.i32())
-		if n := r.count(MaxFrame, 12); n > 0 {
-			resp.Segs = make([]Segment, n)
-			for i := range resp.Segs {
-				resp.Segs[i].Start = r.time()
-				resp.Segs[i].Free = int(r.i32())
-			}
-		}
-	case OpStats:
-		if n := r.count(maxShards, shardEntryLen); n > 0 {
-			resp.Stats = make([]resd.ShardStats, n)
-			for i := range resp.Stats {
-				r.shardStats(&resp.Stats[i])
-			}
-		}
-	case OpQuotaGet:
-		resp.Quota.Tenant = r.name()
-		resp.Quota.Share = r.share()
-		resp.Quota.Capacity = r.i64()
-		resp.Quota.Budget = r.i64()
-		resp.Quota.Used = r.i64()
-		resp.Quota.Inflight = r.i64()
-		resp.Quota.Admitted = r.u64()
-		resp.Quota.Cancelled = r.u64()
-		resp.Quota.Rejected = r.u64()
-	case OpWatch:
-		resp.Telemetry = r.telemetry()
-	case OpCancel, OpPing, OpQuotaSet:
-	}
-	if err := r.done(); err != nil {
+	c.response(&resp)
+	if err := c.done(); err != nil {
 		return Response{}, err
 	}
 	return resp, nil

@@ -6,7 +6,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"math"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -324,6 +327,185 @@ func TestGoldenFrames(t *testing.T) {
 		}
 		if dec, err := DecodeResponse(want[4:]); err != nil || !reflect.DeepEqual(dec, *g.resp) {
 			t.Errorf("%s: recorded frame decodes to %+v (err %v), want %+v", g.name, dec, err, *g.resp)
+		}
+	}
+}
+
+// TestEncodeRefusesWhatDecodeRefuses holds each field rule to both
+// directions: the bad value fails AppendRequest or AppendResponse with
+// ErrFrame, and the bytes it stands for, framed by hand, fail
+// DecodeRequest or DecodeResponse with ErrFrame. A row has one side only
+// where the other cannot hold the bad value: four bytes hold no int past
+// int32 and one length byte no name past tenant.MaxNameLen (255), a bool
+// is no third flag value, and an encoded vector carries every entry it
+// counts. Two rows encode: the encoder cuts an error detail to the
+// maxDetail bytes the decoder takes, and it checks Procs and Shard only
+// on the ops whose frames carry them.
+func TestEncodeRefusesWhatDecodeRefuses(t *testing.T) {
+	be := binary.BigEndian
+	f64 := func(v float64) []byte { return be.AppendUint64(nil, math.Float64bits(v)) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	acme := []byte{4, 'a', 'c', 'm', 'e'}
+	long := strings.Repeat("t", tenant.MaxNameLen+1)
+	detail := strings.Repeat("d", maxDetail+1)
+	// A Reserve body with the given trace flag byte: reserveV1's fields,
+	// the default tenant and no stamp.
+	reserve := func(flag byte) []byte { return cat(reserveV1, []byte{0}, make([]byte, 8), []byte{flag}) }
+	// A Watch reply's telemetry: M and Floor, every vector empty.
+	telemetry := func(m uint32) []byte {
+		return cat([]byte{byte(CodeOK)}, make([]byte, 16), be.AppendUint32(nil, m), make([]byte, 4+3*4+16+4))
+	}
+	withSLO := func(o slo.State) *Telemetry {
+		tel := *goldenTelemetry
+		tel.SLO = []slo.State{o}
+		return &tel
+	}
+	golden := goldenTelemetry.SLO[0]
+	goldenWatch := func() []byte {
+		for _, g := range goldenFrames {
+			if g.name == "resp/Watch" {
+				b, _ := hex.DecodeString(g.hex)
+				return b
+			}
+		}
+		t.Fatal("no golden Watch frame")
+		return nil
+	}()
+	// sloFrame is the golden Watch frame with one float of its objective
+	// replaced.
+	sloFrame := func(old, bad float64) []byte {
+		if bytes.Count(goldenWatch, f64(old)) != 1 {
+			t.Fatalf("golden Watch frame holds %v other than once", old)
+		}
+		return bytes.Replace(goldenWatch, f64(old), f64(bad), 1)
+	}
+	target, burn := golden, golden
+	target.Target, burn.BurnMax = 1.5, -1
+
+	rows := []struct {
+		name  string
+		req   *Request  // encoded: refused, unless keep is set
+		resp  *Response // the same, for a response
+		keep  any       // what the encoded value decodes to, when the encoder takes it
+		frame []byte    // hand-framed, with its length prefix: refused by the decoder
+		reply bool      // frame is a response
+	}{
+		{name: "int32/reserve-procs", req: &Request{ID: 1, Op: OpReserve, Procs: 1 << 31, Deadline: resd.NoDeadline}},
+		{name: "int32/snapshot-shard", req: &Request{ID: 1, Op: OpSnapshot, Shard: -1<<31 - 1}},
+		{name: "int32/reserve-reply-procs", resp: &Response{ID: 1, Op: OpReserve, Resv: resd.Reservation{Procs: 1 << 31}}},
+		{name: "int32/query-free", resp: &Response{ID: 1, Op: OpQuery, Free: []int{1, 1 << 32}}},
+		{name: "int32/snapshot-m", resp: &Response{ID: 1, Op: OpSnapshot, M: 1 << 31}},
+		{name: "int32/telemetry-queue", resp: &Response{ID: 1, Op: OpWatch, Telemetry: &Telemetry{NodeSnapshot: resd.NodeSnapshot{
+			Queue: []int{1 << 31}, Shards: []resd.ShardStats{{}}}}}},
+		{name: "telemetry-capacity-negative", resp: &Response{ID: 1, Op: OpWatch, Telemetry: &Telemetry{NodeSnapshot: resd.NodeSnapshot{M: -1}}},
+			frame: frameAt(Version, OpWatch, telemetry(1<<32-1)...), reply: true},
+		{name: "name/quota-get", req: &Request{ID: 1, Op: OpQuotaGet, Tenant: long}},
+		{name: "name/reserve", req: &Request{ID: 1, Op: OpReserve, Deadline: resd.NoDeadline, Tenant: long}},
+		{name: "name/quota-reply", resp: &Response{ID: 1, Op: OpQuotaGet, Quota: QuotaInfo{Usage: tenant.Usage{Tenant: long, Share: 0.5}}}},
+		{name: "share/zero", req: &Request{ID: 1, Op: OpQuotaSet, Tenant: "acme"},
+			frame: frameAt(Version, OpQuotaSet, cat(acme, f64(0))...)},
+		{name: "share/above-one", req: &Request{ID: 1, Op: OpQuotaSet, Tenant: "acme", Share: 1.5},
+			frame: frameAt(Version, OpQuotaSet, cat(acme, f64(1.5))...)},
+		{name: "share/negative", req: &Request{ID: 1, Op: OpQuotaSet, Tenant: "acme", Share: -0.25},
+			frame: frameAt(Version, OpQuotaSet, cat(acme, f64(-0.25))...)},
+		{name: "share/nan", req: &Request{ID: 1, Op: OpQuotaSet, Tenant: "acme", Share: math.NaN()},
+			frame: frameAt(Version, OpQuotaSet, cat(acme, f64(math.NaN()))...)},
+		{name: "share/quota-reply", resp: &Response{ID: 1, Op: OpQuotaGet, Quota: QuotaInfo{Usage: tenant.Usage{Tenant: "acme", Share: math.Inf(1)}}},
+			frame: frameAt(Version, OpQuotaGet, cat([]byte{byte(CodeOK)}, acme, f64(math.Inf(1)), make([]byte, 7*8))...), reply: true},
+		{name: "watch-interval-negative", req: &Request{ID: 1, Op: OpWatch, Interval: -1},
+			frame: frameAt(Version, OpWatch, be.AppendUint64(nil, 1<<64-1)...)},
+		{name: "trace-flag", frame: frameAt(Version, OpReserve, reserve(2)...)},
+		{name: "op/request-zero", req: &Request{ID: 1}, frame: frameAt(Version, 0)},
+		{name: "op/request-past-watch", req: &Request{ID: 1, Op: OpWatch + 1}, frame: frameAt(Version, OpWatch+1)},
+		{name: "op/response", resp: &Response{ID: 1, Op: OpWatch + 1}, frame: frameAt(Version, OpWatch+1, byte(CodeOK)), reply: true},
+		{name: "code", resp: &Response{ID: 1, Op: OpReserve, Code: CodeRejectedQuota + 1},
+			frame: frameAt(Version, OpReserve, byte(CodeRejectedQuota+1), 0, 0), reply: true},
+		{name: "count/past-max", resp: &Response{ID: 1, Op: OpQuery, Free: make([]int, maxShards+1)},
+			frame: frameAt(Version, OpQuery, cat([]byte{byte(CodeOK)}, be.AppendUint32(nil, maxShards+1), make([]byte, 4*(maxShards+1)))...), reply: true},
+		{name: "count/past-payload", frame: frameAt(Version, OpQuery, cat([]byte{byte(CodeOK)}, be.AppendUint32(nil, 3), make([]byte, 8))...), reply: true},
+		{name: "slo/target", resp: &Response{ID: 9, Op: OpWatch, Telemetry: withSLO(target)}, frame: sloFrame(golden.Target, target.Target), reply: true},
+		{name: "slo/burn", resp: &Response{ID: 9, Op: OpWatch, Telemetry: withSLO(burn)}, frame: sloFrame(golden.BurnMax, burn.BurnMax), reply: true},
+		{name: "detail", resp: &Response{ID: 1, Op: OpReserve, Code: CodeBadRequest, Detail: detail},
+			keep:  Response{ID: 1, Op: OpReserve, Code: CodeBadRequest, Detail: detail[:maxDetail]},
+			frame: frameAt(Version, OpReserve, cat([]byte{byte(CodeBadRequest)}, be.AppendUint16(nil, maxDetail+1), []byte(detail))...), reply: true},
+		{name: "int32/ping-carries-neither", req: &Request{ID: 1, Op: OpPing, Procs: 1 << 31, Shard: 1 << 40},
+			keep: Request{ID: 1, Op: OpPing}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			var frame []byte
+			var err error
+			switch {
+			case r.req != nil:
+				frame, err = AppendRequest(nil, *r.req)
+			case r.resp != nil:
+				frame, err = AppendResponse(nil, *r.resp)
+			}
+			switch {
+			case r.keep != nil && err != nil:
+				t.Fatalf("encode: %v, want it taken", err)
+			case r.keep != nil:
+				var got any
+				if r.req != nil {
+					got, err = DecodeRequest(frame[4:])
+				} else {
+					got, err = DecodeResponse(frame[4:])
+				}
+				if err != nil || !reflect.DeepEqual(got, r.keep) {
+					t.Fatalf("encoded frame decodes to %+v (err %v), want %+v", got, err, r.keep)
+				}
+			case (r.req != nil || r.resp != nil) && !errors.Is(err, ErrFrame):
+				t.Errorf("encode err = %v (frame %x), want ErrFrame", err, frame)
+			}
+			if r.frame == nil {
+				return
+			}
+			if r.reply {
+				_, err = DecodeResponse(r.frame[4:])
+			} else {
+				_, err = DecodeRequest(r.frame[4:])
+			}
+			if !errors.Is(err, ErrFrame) {
+				t.Errorf("decode err = %v, want ErrFrame", err)
+			}
+		})
+	}
+
+	// The bytes-left rule holds before allocating: a count the payload
+	// cannot hold fails without its vector being made.
+	hostile := frameAt(Version, OpQuery, cat([]byte{byte(CodeOK)}, be.AppendUint32(nil, maxShards), make([]byte, 8))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeResponse(hostile[4:])
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrFrame) || grew >= 8*maxShards {
+		t.Errorf("a %d-entry count over 8 bytes: err %v after %d bytes allocated", maxShards, err, grew)
+	}
+}
+
+var codecSink Response
+
+// BenchmarkCodec is a Reserve round trip's share of the codec: the request
+// (no tenant) and its reply, each encoded into a reused buffer and decoded.
+func BenchmarkCodec(b *testing.B) {
+	req := Request{ID: 7, Op: OpReserve, Ready: 1000, Procs: 16, Dur: 250, Deadline: resd.NoDeadline, Stamp: 1_700_000_000_000_000_000}
+	resp := Response{ID: 7, Op: OpReserve, Resv: resd.Reservation{ID: 42 | 2<<48, Shard: 2, Start: 1000, Dur: 250, Procs: 16}}
+	buf := make([]byte, 0, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var err error
+		if buf, err = AppendRequest(buf[:0], req); err != nil {
+			b.Fatal(err)
+		}
+		if _, err = DecodeRequest(buf[4:]); err != nil {
+			b.Fatal(err)
+		}
+		if buf, err = AppendResponse(buf[:0], resp); err != nil {
+			b.Fatal(err)
+		}
+		if codecSink, err = DecodeResponse(buf[4:]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
